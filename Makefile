@@ -15,17 +15,17 @@ ALLOCS_RATIO ?= 1.1
 MATRIX_PROCS ?= 1,2,4
 MATRIX_SHARDS ?= 1,4,8
 
-.PHONY: all check build test race fidelity lint lint-extra bench experiments examples clean
+.PHONY: all check build test race fidelity lint lint-extra benchsmoke fuzzsmoke bench experiments examples clean
 
 all: check
 
 # The pre-merge gate: vet + build, the custom analyzer suite, the plain
 # suite, the policy-core fidelity gate, the full suite under the race
 # detector (the chaos tests exercise the manager's failure paths
-# concurrently, so -race is load-bearing here), and a one-iteration
+# concurrently, so -race is load-bearing here), a one-iteration
 # dispatch-throughput smoke run so the hot path cannot silently stop
-# compiling or deadlock.
-check: build lint test fidelity race benchsmoke
+# compiling or deadlock, and a few seconds of each wire-decoder fuzzer.
+check: build lint test fidelity race benchsmoke fuzzsmoke
 
 # The fidelity gate: the pure policy core's decision-order pins, the
 # manager-vs-simulator differential replays, and the golden decision
@@ -74,6 +74,15 @@ benchsmoke:
 	GOMAXPROCS=4 go test -run '^$$' -bench DispatchThroughput -benchtime 1x .
 	go test -race -run DispatchTenantsSmoke -count=1 ./internal/dispatchbench
 	go test -race -run RefSpillSmoke -count=1 ./taskvine
+
+# The wire-decoder fuzz targets, five seconds each (go test -fuzz takes
+# one target and one package per run): hostile bytes must not panic a
+# decoder, size an allocation, or decode to something that re-encodes
+# differently. A failing input is written under the package's
+# testdata/fuzz/ — commit it with the fix, it becomes a regression seed.
+fuzzsmoke:
+	go test -run '^$$' -fuzz '^FuzzDecodeTask$$' -fuzztime 5s ./internal/proto
+	go test -run '^$$' -fuzz '^FuzzDecodeLibrary$$' -fuzztime 5s ./internal/proto
 
 # One Go benchmark per paper table/figure (reduced scale), plus the
 # manager dispatch-throughput benchmark, written to BENCH_PR$(PR).json

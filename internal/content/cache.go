@@ -28,6 +28,9 @@ type cacheEntry struct {
 	pins     int
 	lastUse  int64
 	unpacked bool
+	// listing is what the expansion installed, as MarkUnpacked was
+	// told; like the expanded directory it is gone when the entry is.
+	listing []string
 }
 
 // NewCache creates a cache with the given byte capacity (0 = unlimited).
@@ -190,10 +193,12 @@ func (c *Cache) Unpin(id string) error {
 }
 
 // MarkUnpacked records that a tarball has been expanded on local disk,
-// charging its unpacked size to the cache. Unpacking an already
-// unpacked object reports false (no work needed) — this is the check
-// that makes environment reuse on disk (L2) cheap.
-func (c *Cache) MarkUnpacked(id string) (first bool, err error) {
+// charging its unpacked size to the cache and retaining listing — what
+// the expansion installed — until the object is evicted. Unpacking an
+// already unpacked object reports false (no work needed, the first
+// listing stands) — this is the check that makes environment reuse on
+// disk (L2) cheap.
+func (c *Cache) MarkUnpacked(id string, listing []string) (first bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[id]
@@ -210,16 +215,27 @@ func (c *Cache) MarkUnpacked(id string) (first bool, err error) {
 		return false, err
 	}
 	e.unpacked = true
+	e.listing = listing
 	c.used += e.obj.UnpackedSize
 	return true, nil
 }
 
-// IsUnpacked reports whether a cached tarball has been expanded.
-func (c *Cache) IsUnpacked(id string) bool {
+// Unpacked returns the listing retained when a cached tarball was
+// expanded; ok is false if the object is not cached or not expanded.
+func (c *Cache) Unpacked(id string) (listing []string, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[id]
-	return ok && e.unpacked
+	if !ok || !e.unpacked {
+		return nil, false
+	}
+	return e.listing, true
+}
+
+// IsUnpacked reports whether a cached tarball has been expanded.
+func (c *Cache) IsUnpacked(id string) bool {
+	_, ok := c.Unpacked(id)
+	return ok
 }
 
 // IDs returns the cached object IDs (unordered).

@@ -76,7 +76,7 @@ func TestRandomizedConcurrentCacheOps(t *testing.T) {
 				case 3:
 					c.Evict(obj.ID)
 				case 4:
-					if _, err := c.MarkUnpacked(obj.ID); err == nil && obj.Kind != Tarball {
+					if _, err := c.MarkUnpacked(obj.ID, nil); err == nil && obj.Kind != Tarball {
 						t.Errorf("MarkUnpacked accepted non-tarball %s", obj.Name)
 					}
 				case 5:

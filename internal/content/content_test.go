@@ -181,31 +181,42 @@ func TestCacheUnpackAccounting(t *testing.T) {
 	if c.Used() != 600 {
 		t.Errorf("used = %d, want 600", c.Used())
 	}
-	first, err := c.MarkUnpacked(tb.ID)
+	if _, ok := c.Unpacked(tb.ID); ok {
+		t.Errorf("a listing before the unpack")
+	}
+	first, err := c.MarkUnpacked(tb.ID, []string{"numpy", "resnet"})
 	if err != nil || !first {
 		t.Fatalf("first unpack: first=%v err=%v", first, err)
 	}
 	if c.Used() != 3600 {
 		t.Errorf("used after unpack = %d, want 3600", c.Used())
 	}
-	// Second unpack is a no-op: the L2 reuse fast path.
-	first, err = c.MarkUnpacked(tb.ID)
+	// Second unpack is a no-op: the L2 reuse fast path. Its listing is
+	// not the one the expansion produced and is ignored.
+	first, err = c.MarkUnpacked(tb.ID, []string{"other"})
 	if err != nil || first {
 		t.Fatalf("second unpack: first=%v err=%v", first, err)
 	}
 	if !c.IsUnpacked(tb.ID) {
 		t.Errorf("IsUnpacked false after unpack")
 	}
+	if got, ok := c.Unpacked(tb.ID); !ok || len(got) != 2 || got[0] != "numpy" || got[1] != "resnet" {
+		t.Errorf("retained listing = %v (%v)", got, ok)
+	}
+	c.Evict(tb.ID)
+	if got, ok := c.Unpacked(tb.ID); ok {
+		t.Errorf("listing %v outlived the eviction", got)
+	}
 }
 
 func TestCacheUnpackErrors(t *testing.T) {
 	c := NewCache(0)
-	if _, err := c.MarkUnpacked("missing"); err == nil {
+	if _, err := c.MarkUnpacked("missing", nil); err == nil {
 		t.Errorf("unpack of uncached object should fail")
 	}
 	blob := NewBlob("b", []byte("x"))
 	_ = c.Put(blob)
-	if _, err := c.MarkUnpacked(blob.ID); err == nil {
+	if _, err := c.MarkUnpacked(blob.ID, nil); err == nil {
 		t.Errorf("unpack of non-tarball should fail")
 	}
 }
@@ -234,7 +245,7 @@ func TestCacheUnpackedEvictionReleasesBothCharges(t *testing.T) {
 	c := NewCache(0)
 	tb := NewTarball("env", []byte("m"), 100, 900)
 	_ = c.Put(tb)
-	_, _ = c.MarkUnpacked(tb.ID)
+	_, _ = c.MarkUnpacked(tb.ID, nil)
 	if c.Used() != 1000 {
 		t.Fatalf("used = %d", c.Used())
 	}

@@ -84,7 +84,7 @@ type FileSpec struct {
 	// holds them — the manager resolves the input through the ref
 	// catalog (peer fetch or shared tier) and can never stage it from
 	// its own link unless its catalog happens to hold the bytes.
-	ByRef bool `json:"by_ref,omitempty"`
+	ByRef bool
 }
 
 // Storage tiers for proxy objects. TierCache is a worker's local
@@ -158,7 +158,7 @@ type TaskSpec struct {
 	// data plane (as an owned object) and return a proxy ObjectRef in
 	// place of the inline value — the pass-by-reference data plane: the
 	// result never transits the manager.
-	ResultByRef bool `json:"result_by_ref,omitempty"`
+	ResultByRef bool
 }
 
 // ExecMode selects how a library executes an invocation (§3.4 step 4).

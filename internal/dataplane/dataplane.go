@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"repro/internal/content"
+	"repro/internal/poncho"
 	"repro/internal/proto"
 )
 
@@ -167,7 +168,10 @@ type Plane struct {
 	evicting map[string]bool
 	owned    map[string]bool // holder-of-record copies, pinned against LRU
 	spilled  map[string]bool // demoted to the shared tier by this worker
-	closed   bool
+	// transient counts the uses of inputs bound to a dispatch rather than
+	// to the worker (FileSpec.Cache false); see PutTransient.
+	transient map[string]transientUse
+	closed    bool
 
 	done  chan struct{}
 	wg    sync.WaitGroup
@@ -176,6 +180,10 @@ type Plane struct {
 	fetches, fetchErrors, altRetries, deduped, puts, served, serveErrors atomic.Int64
 	spills, sharedFetches                                                atomic.Int64
 }
+
+// transientUse is one uncached input's reasons to stay: stagings no
+// task has claimed yet, and tasks that have claimed it and not ended.
+type transientUse struct{ staged, claimed int }
 
 type queued struct {
 	req Request
@@ -198,14 +206,15 @@ func New(cfg Config) *Plane {
 		cfg.Fetch = FetchPeer
 	}
 	return &Plane{
-		cfg:      cfg,
-		cache:    cfg.Cache,
-		flights:  map[string]*flight{},
-		evicting: map[string]bool{},
-		owned:    map[string]bool{},
-		spilled:  map[string]bool{},
-		done:     make(chan struct{}),
-		serve:    make(chan struct{}, cfg.ServeConcurrency),
+		cfg:       cfg,
+		cache:     cfg.Cache,
+		flights:   map[string]*flight{},
+		evicting:  map[string]bool{},
+		owned:     map[string]bool{},
+		spilled:   map[string]bool{},
+		transient: map[string]transientUse{},
+		done:      make(chan struct{}),
+		serve:     make(chan struct{}, cfg.ServeConcurrency),
 	}
 }
 
@@ -292,12 +301,67 @@ func (p *Plane) Put(obj *content.Object, unpack bool) error {
 		return err
 	}
 	p.puts.Add(1)
-	if unpack && obj.Kind == content.Tarball {
-		if _, err := p.cache.MarkUnpacked(obj.ID); err != nil {
-			return err
-		}
+	if unpack {
+		_, err := p.MarkUnpacked(obj)
+		return err
 	}
 	return nil
+}
+
+// PutTransient is Put for an input that stays only as long as the
+// dispatches using it (FileSpec.Cache false). Two tasks with identical
+// uncached inputs share one content ID, so "drop it when the task ends"
+// has to count: the staging is one use until a task claims it, each
+// claiming task is one until it ends, and the bytes go at zero.
+// Staging and task frames arrive on one connection in order, so a
+// task's own staging is always there to claim, and a task dispatched
+// onto a staging still in flight claims a use of its own.
+func (p *Plane) PutTransient(obj *content.Object, unpack bool) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.Put(obj, unpack); err != nil {
+		return err
+	}
+	u := p.transient[obj.ID]
+	u.staged++
+	p.transient[obj.ID] = u
+	return nil
+}
+
+// Claim records that a task is about to use an uncached input, taking
+// over one unclaimed staging of it if there is one. The control loop
+// calls it when the task's frame arrives — before any earlier task can
+// end between this task's staging and its start.
+func (p *Plane) Claim(id string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	u := p.transient[id]
+	if u.staged > 0 {
+		u.staged--
+	}
+	u.claimed++
+	p.transient[id] = u
+}
+
+// Release ends a claim. With no use left the object is dropped, unless
+// something else pins it or this worker owns it as a ref.
+func (p *Plane) Release(id string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	u := p.transient[id]
+	if u.claimed > 0 {
+		u.claimed--
+	}
+	if u.staged+u.claimed > 0 {
+		p.transient[id] = u
+		return
+	}
+	delete(p.transient, id)
+	// Under the plane lock, like PinResolve's pin: no resolve can land
+	// between the count reaching zero and the removal.
+	if !p.owned[id] && !p.evicting[id] {
+		p.cache.Evict(id)
+	}
 }
 
 // PutOwned stores a ref result this worker just produced (or was
@@ -621,9 +685,37 @@ func (p *Plane) OwnedHere(id string) bool {
 }
 
 // MarkUnpacked expands a cached tarball (idempotent; see
-// content.Cache.MarkUnpacked).
-func (p *Plane) MarkUnpacked(id string) (bool, error) {
-	return p.cache.MarkUnpacked(id)
+// content.Cache.MarkUnpacked). The first expansion reads the manifest
+// and the cache retains its module list with the unpacked state, so
+// later tasks on this worker ask UnpackedModules instead of parsing the
+// environment again; eviction drops both together. Anything but a
+// tarball is left alone.
+func (p *Plane) MarkUnpacked(obj *content.Object) (first bool, err error) {
+	if obj.Kind != content.Tarball || p.cache.IsUnpacked(obj.ID) {
+		return false, nil
+	}
+	return p.cache.MarkUnpacked(obj.ID, ParseModules(obj))
+}
+
+// UnpackedModules returns the module list retained when the environment
+// was expanded here; ok is false for an object that is not cached or
+// not unpacked.
+func (p *Plane) UnpackedModules(id string) (modules []string, ok bool) {
+	return p.cache.Unpacked(id)
+}
+
+// ParseModules reads the package names an environment tarball installs
+// from its manifest. Any other kind of object, and an unreadable
+// manifest, installs nothing.
+func ParseModules(obj *content.Object) []string {
+	if obj.Kind != content.Tarball {
+		return nil
+	}
+	spec, err := poncho.UnpackManifest(obj.Data)
+	if err != nil {
+		return nil
+	}
+	return spec.Modules()
 }
 
 // ---- serve side ----

@@ -45,24 +45,6 @@ func FetchPeer(addr, id string, idle time.Duration) (*content.Object, error) {
 			return nil, fmt.Errorf("dataplane: peer sent corrupt object: %w", err)
 		}
 		return obj, nil
-	case proto.MsgFileData:
-		// Legacy JSON-framed response, kept for mixed-version peers.
-		meta, err := proto.Decode[proto.FileMeta](raw)
-		if err != nil {
-			return nil, err
-		}
-		obj := &content.Object{
-			ID:           meta.ID,
-			Name:         meta.Name,
-			Kind:         content.Kind(meta.Kind),
-			Data:         meta.Data,
-			LogicalSize:  meta.LogicalSize,
-			UnpackedSize: meta.UnpackedSize,
-		}
-		if err := obj.Validate(); err != nil {
-			return nil, fmt.Errorf("dataplane: peer sent corrupt object: %w", err)
-		}
-		return obj, nil
 	case proto.MsgError:
 		em, _ := proto.Decode[proto.ErrorMsg](raw)
 		return nil, fmt.Errorf("dataplane: peer error: %s", em.Err)

@@ -114,7 +114,7 @@ func TestCoalescedWriterFrameIntegrityUnderStall(t *testing.T) {
 		if mt != proto.MsgRunTask {
 			t.Fatalf("unexpected frame type %v mid-burst", mt)
 		}
-		ts, err := proto.Decode[core.TaskSpec](raw)
+		ts, err := proto.DecodeTask(raw)
 		if err != nil {
 			t.Fatalf("frame %d corrupted: %v", n, err)
 		}

@@ -1,4 +1,5 @@
-// Binary fast path for the dispatch plane's two hot messages.
+// Binary bodies for the messages that travel per invocation or carry
+// code and object names.
 //
 // Every control frame used to carry JSON. For most of the vocabulary
 // that is the right trade — staging and lifecycle messages are rare —
@@ -10,11 +11,18 @@
 // strings and raw byte slices, fixed-width floats, no reflection, no
 // base64.
 //
-// The body stays self-describing: a JSON body always starts with '{',
+// Their body stays self-describing: a JSON body always starts with '{',
 // so the binary form leads with binMarker (an invalid JSON start
 // byte) and the decoders sniff the first byte. DecodeInvocation and
 // DecodeResult therefore accept both forms — a frame hand-built as
 // JSON (tests, older traces) decodes exactly like a binary one.
+//
+// MsgRunTask and MsgInstallLibrary have the binary body only. They are
+// where "what a FileSpec looks like on the wire" is decided: its
+// object's header (ID, name, kind, sizes) and its flag bits, never the
+// object's bytes. Those move once, in a bulk frame (MsgPutFileBulk,
+// MsgFileDataBulk); a control frame names an object, it does not carry
+// it (DESIGN.md §13).
 package proto
 
 import (
@@ -23,6 +31,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/content"
 	"repro/internal/core"
 )
 
@@ -31,9 +40,9 @@ import (
 // so one-byte sniffing distinguishes the two encodings.
 const binMarker = 0xB1
 
-// encodeBinaryBody appends the binary body for hot message types,
-// reporting whether v had a binary form. Everything else returns
-// false and is JSON-encoded by the caller.
+// encodeBinaryBody appends the binary body for the message types that
+// have one, reporting whether v did. Everything else returns false and
+// is JSON-encoded by the caller.
 func encodeBinaryBody(buf *bytes.Buffer, v any) bool {
 	switch m := v.(type) {
 	case *core.InvocationSpec:
@@ -44,6 +53,14 @@ func encodeBinaryBody(buf *bytes.Buffer, v any) bool {
 		buf.Write(appendResult(buf.AvailableBuffer(), m))
 	case core.Result:
 		buf.Write(appendResult(buf.AvailableBuffer(), &m))
+	case *core.TaskSpec:
+		buf.Write(appendTask(buf.AvailableBuffer(), m))
+	case core.TaskSpec:
+		buf.Write(appendTask(buf.AvailableBuffer(), &m))
+	case *core.LibrarySpec:
+		buf.Write(appendLibrary(buf.AvailableBuffer(), m))
+	case core.LibrarySpec:
+		buf.Write(appendLibrary(buf.AvailableBuffer(), &m))
 	default:
 		return false
 	}
@@ -101,6 +118,90 @@ func appendResult(b []byte, r *core.Result) []byte {
 	b = appendFloat(b, r.Metrics.ExecTime)
 	b = appendStr(b, r.Metrics.WorkerID)
 	return appendStr(b, r.Metrics.LibraryInstance)
+}
+
+// appendFileSpec writes an input binding as the object's header and the
+// binding's flag bits. Object.Data has no place here: the bytes reach
+// the worker in a bulk frame, before the frame that names them.
+func appendFileSpec(b []byte, fs *core.FileSpec) []byte {
+	var flags byte
+	if fs.Cache {
+		flags |= 1
+	}
+	if fs.PeerTransfer {
+		flags |= 2
+	}
+	if fs.Unpack {
+		flags |= 4
+	}
+	if fs.ByRef {
+		flags |= 8
+	}
+	b = append(b, flags)
+	obj := fs.Object
+	if obj == nil {
+		obj = &content.Object{}
+	}
+	b = appendStr(b, obj.ID)
+	b = appendStr(b, obj.Name)
+	b = binary.AppendVarint(b, int64(obj.Kind))
+	b = binary.AppendVarint(b, obj.LogicalSize)
+	return binary.AppendVarint(b, obj.UnpackedSize)
+}
+
+func appendFileSpecs(b []byte, specs []core.FileSpec) []byte {
+	b = binary.AppendUvarint(b, uint64(len(specs)))
+	for i := range specs {
+		b = appendFileSpec(b, &specs[i])
+	}
+	return b
+}
+
+func appendResources(b []byte, r core.Resources) []byte {
+	b = binary.AppendVarint(b, int64(r.Cores))
+	b = binary.AppendVarint(b, r.MemoryMB)
+	return binary.AppendVarint(b, r.DiskMB)
+}
+
+func appendTask(b []byte, t *core.TaskSpec) []byte {
+	b = append(b, binMarker)
+	b = binary.BigEndian.AppendUint64(b, uint64(t.ID))
+	var flags byte
+	if t.ResultByRef {
+		flags |= 1
+	}
+	b = append(b, flags)
+	b = appendStr(b, t.TenantID)
+	b = appendStr(b, t.Script)
+	b = appendFileSpecs(b, t.Inputs)
+	b = appendFileSpecs(b, t.SharedFSReads)
+	return appendResources(b, t.Resources)
+}
+
+func appendLibrary(b []byte, l *core.LibrarySpec) []byte {
+	b = append(b, binMarker)
+	var flags byte
+	if l.Env != nil {
+		flags |= 1
+	}
+	b = append(b, flags)
+	b = appendStr(b, l.Name)
+	b = binary.AppendUvarint(b, uint64(len(l.Functions)))
+	for i := range l.Functions {
+		f := &l.Functions[i]
+		b = appendStr(b, f.Name)
+		b = appendStr(b, f.Source)
+		b = appendBytes(b, f.Pickled)
+	}
+	b = appendBytes(b, l.ContextSetup)
+	b = appendBytes(b, l.ContextArgs)
+	if l.Env != nil {
+		b = appendFileSpec(b, l.Env)
+	}
+	b = appendFileSpecs(b, l.Inputs)
+	b = binary.AppendVarint(b, int64(l.Slots))
+	b = binary.AppendVarint(b, int64(l.Mode))
+	return appendResources(b, l.Resources)
 }
 
 // Interner deduplicates the dispatch plane's small identifier
@@ -201,6 +302,44 @@ func (r *binReader) float(what string) float64 {
 	return math.Float64frombits(r.u64(what))
 }
 
+func (r *binReader) int(what string) int64 {
+	if r.err != nil {
+		return 0
+	}
+	v, w := binary.Varint(r.b[r.off:])
+	if w <= 0 {
+		r.fail(what)
+		return 0
+	}
+	r.off += w
+	return v
+}
+
+// count reads an element count and refuses one the rest of the body
+// cannot hold at minSize encoded bytes per element, so a corrupt count
+// fails here instead of sizing an allocation.
+func (r *binReader) count(what string, minSize int) int {
+	if r.err != nil {
+		return 0
+	}
+	n, w := binary.Uvarint(r.b[r.off:])
+	if w <= 0 || n > uint64(len(r.b)-r.off-w)/uint64(minSize) {
+		r.fail(what)
+		return 0
+	}
+	r.off += w
+	return int(n)
+}
+
+// copied is bytes for a value that outlives the receive buffer the
+// cursor aliases; empty decodes to nil.
+func (r *binReader) copied(what string) []byte {
+	if b := r.bytes(what); len(b) > 0 {
+		return append([]byte(nil), b...)
+	}
+	return nil
+}
+
 // DecodeInvocation decodes a MsgInvoke body in either encoding.
 func DecodeInvocation(raw []byte) (core.InvocationSpec, error) {
 	return DecodeInvocationInterned(raw, nil)
@@ -218,10 +357,7 @@ func DecodeInvocationInterned(raw []byte, in *Interner) (core.InvocationSpec, er
 	inv.ID = int64(r.u64("id"))
 	inv.Library = in.intern(r.bytes("library"))
 	inv.Function = in.intern(r.bytes("function"))
-	if b := r.bytes("args"); len(b) > 0 {
-		// The cursor aliases the receive buffer; the spec outlives it.
-		inv.Args = append([]byte(nil), b...)
-	}
+	inv.Args = r.copied("args")
 	return inv, r.err
 }
 
@@ -244,9 +380,7 @@ func DecodeResultInterned(raw []byte, in *Interner) (core.Result, error) {
 	res.Ok = flags&1 != 0
 	res.Retryable = flags&2 != 0
 	res.Err = r.str("err")
-	if b := r.bytes("value"); len(b) > 0 {
-		res.Value = append([]byte(nil), b...)
-	}
+	res.Value = r.copied("value")
 	if flags&4 != 0 {
 		ref := &core.ObjectRef{}
 		ref.ID = r.str("ref_id")
@@ -263,4 +397,109 @@ func DecodeResultInterned(raw []byte, in *Interner) (core.Result, error) {
 	res.Metrics.WorkerID = in.intern(r.bytes("worker_id"))
 	res.Metrics.LibraryInstance = in.intern(r.bytes("library_instance"))
 	return res, r.err
+}
+
+// Smallest encodings of the repeated elements, for binReader.count.
+const (
+	minFileSpecSize = 6 // flags, two empty strings, three one-byte ints
+	minFunctionSize = 3 // three empty fields
+)
+
+func (r *binReader) fileSpec() core.FileSpec {
+	flags := r.byte("file flags")
+	obj := &content.Object{}
+	obj.ID = r.str("object id")
+	obj.Name = r.str("object name")
+	obj.Kind = content.Kind(r.int("object kind"))
+	obj.LogicalSize = r.int("object logical size")
+	obj.UnpackedSize = r.int("object unpacked size")
+	return core.FileSpec{
+		Object:       obj,
+		Cache:        flags&1 != 0,
+		PeerTransfer: flags&2 != 0,
+		Unpack:       flags&4 != 0,
+		ByRef:        flags&8 != 0,
+	}
+}
+
+func (r *binReader) fileSpecs(what string) []core.FileSpec {
+	n := r.count(what, minFileSpecSize)
+	if n == 0 {
+		return nil
+	}
+	specs := make([]core.FileSpec, n)
+	for i := range specs {
+		specs[i] = r.fileSpec()
+	}
+	return specs
+}
+
+func (r *binReader) resources() core.Resources {
+	return core.Resources{
+		Cores:    int(r.int("cores")),
+		MemoryMB: r.int("memory"),
+		DiskMB:   r.int("disk"),
+	}
+}
+
+// done reports the cursor's sticky error, or bytes left over after the
+// last field: a body is exactly its fields.
+func (r *binReader) done() error {
+	if r.err == nil && r.off != len(r.b) {
+		return fmt.Errorf("proto: %d trailing bytes after binary frame", len(r.b)-r.off)
+	}
+	return r.err
+}
+
+func (r *binReader) marker() {
+	if r.byte("marker") != binMarker && r.err == nil {
+		r.err = fmt.Errorf("proto: body is not binary-encoded")
+	}
+}
+
+// DecodeTask decodes a MsgRunTask body. Every input's Object is a
+// header — Data is nil; the worker resolves the bytes by ID through its
+// data plane.
+func DecodeTask(raw []byte) (core.TaskSpec, error) {
+	var t core.TaskSpec
+	r := &binReader{b: raw}
+	r.marker()
+	t.ID = int64(r.u64("id"))
+	t.ResultByRef = r.byte("flags")&1 != 0
+	t.TenantID = r.str("tenant")
+	t.Script = r.str("script")
+	t.Inputs = r.fileSpecs("inputs")
+	t.SharedFSReads = r.fileSpecs("shared fs reads")
+	t.Resources = r.resources()
+	return t, r.done()
+}
+
+// DecodeLibrary decodes a MsgInstallLibrary body; as with DecodeTask,
+// the environment and inputs come back as headers.
+func DecodeLibrary(raw []byte) (core.LibrarySpec, error) {
+	var l core.LibrarySpec
+	r := &binReader{b: raw}
+	r.marker()
+	flags := r.byte("flags")
+	l.Name = r.str("name")
+	if n := r.count("functions", minFunctionSize); n > 0 {
+		l.Functions = make([]core.FunctionSpec, n)
+		for i := range l.Functions {
+			f := &l.Functions[i]
+			f.Name = r.str("function name")
+			f.Source = r.str("function source")
+			f.Pickled = r.copied("pickled function")
+		}
+	}
+	l.ContextSetup = r.copied("context setup")
+	l.ContextArgs = r.copied("context args")
+	if flags&1 != 0 {
+		env := r.fileSpec()
+		l.Env = &env
+	}
+	l.Inputs = r.fileSpecs("inputs")
+	l.Slots = int(r.int("slots"))
+	l.Mode = core.ExecMode(r.int("mode"))
+	l.Resources = r.resources()
+	return l, r.done()
 }

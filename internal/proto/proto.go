@@ -1,14 +1,15 @@
 // Package proto implements the wire protocol between the manager, its
-// workers, and worker data servers: length-prefixed, type-tagged JSON
+// workers, and worker data servers: length-prefixed, type-tagged
 // frames over any net.Conn. It carries the message vocabulary of §3.4:
 // file staging (direct and peer-to-peer), task execution, library
 // installation and removal, invocations, and results.
 //
-// Control messages are JSON. Bulk object bytes move as binary frames
-// (MsgPutFileBulk, MsgFileDataBulk): a small JSON header followed by
-// the raw payload, so a multi-MB environment tarball is written
-// straight from its backing slice — no base64 expansion and no second
-// in-memory copy on either side of the connection.
+// Control messages are JSON, except the four with a binary body in
+// codec.go. Object bytes move only as bulk frames (MsgPutFileBulk,
+// MsgFileDataBulk): a small JSON header followed by the raw payload, so
+// a multi-MB environment tarball is written straight from its backing
+// slice — no base64 expansion and no second in-memory copy on either
+// side of the connection. No other frame carries object bytes.
 package proto
 
 import (
@@ -31,8 +32,6 @@ type MsgType byte
 const (
 	// MsgHello is sent by a worker on connect.
 	MsgHello MsgType = iota + 1
-	// MsgPutFile carries an object from the manager to a worker.
-	MsgPutFile
 	// MsgFetchFile instructs a worker to pull an object from a peer.
 	MsgFetchFile
 	// MsgFileAck confirms an object is cached on the worker.
@@ -53,8 +52,6 @@ const (
 	MsgShutdown
 	// MsgGetFile requests an object by ID from a peer data server.
 	MsgGetFile
-	// MsgFileData answers MsgGetFile with the object.
-	MsgFileData
 	// MsgError answers MsgGetFile when the object is unavailable.
 	MsgError
 	// MsgPutFileBulk carries an object manager→worker as a bulk frame:
@@ -81,13 +78,12 @@ const (
 
 func (t MsgType) String() string {
 	names := map[MsgType]string{
-		MsgHello: "hello", MsgPutFile: "put-file", MsgFetchFile: "fetch-file",
+		MsgHello: "hello", MsgFetchFile: "fetch-file",
 		MsgFileAck: "file-ack", MsgRunTask: "run-task",
 		MsgInstallLibrary: "install-library", MsgLibraryAck: "library-ack",
 		MsgRemoveLibrary: "remove-library", MsgInvoke: "invoke",
 		MsgResult: "result", MsgShutdown: "shutdown", MsgGetFile: "get-file",
-		MsgFileData: "file-data", MsgError: "error",
-		MsgPutFileBulk: "put-file-bulk", MsgFileDataBulk: "file-data-bulk",
+		MsgError: "error", MsgPutFileBulk: "put-file-bulk", MsgFileDataBulk: "file-data-bulk",
 		MsgLog: "log", MsgSpillObject: "spill-object", MsgOwnObject: "own-object",
 	}
 	if s, ok := names[t]; ok {
@@ -113,26 +109,8 @@ type Hello struct {
 	MachineGFlops float64 `json:"machine_gflops,omitempty"`
 }
 
-// FileMeta describes an object in transit.
-type FileMeta struct {
-	ID           string `json:"id"`
-	Name         string `json:"name"`
-	Kind         int    `json:"kind"`
-	Data         []byte `json:"data"`
-	LogicalSize  int64  `json:"logical_size"`
-	UnpackedSize int64  `json:"unpacked_size,omitempty"`
-}
-
-// PutFile carries object data manager→worker.
-type PutFile struct {
-	File  FileMeta `json:"file"`
-	Cache bool     `json:"cache"`
-	// Unpack asks the worker to expand the tarball after caching.
-	Unpack bool `json:"unpack"`
-}
-
 // FileHdr describes an object whose bytes travel out-of-band in the
-// binary part of a bulk frame (it is FileMeta minus Data).
+// binary part of a bulk frame.
 type FileHdr struct {
 	ID           string `json:"id"`
 	Name         string `json:"name"`
@@ -338,8 +316,8 @@ func (c *Conn) Send(t MsgType, v any) error {
 	return nil
 }
 
-// encodeFrame appends one [length][type][body] frame to buf. Hot
-// message types (invocations, results) get the binary body of
+// encodeFrame appends one [length][type][body] frame to buf.
+// Invocations, results, tasks and libraries get the binary body of
 // codec.go; everything else is JSON.
 func encodeFrame(buf *bytes.Buffer, t MsgType, v any) error {
 	start := buf.Len()
@@ -502,9 +480,16 @@ func (c *Conn) RecvReuse() (MsgType, json.RawMessage, error) {
 	return MsgType(buf[0]), json.RawMessage(buf[1:]), nil
 }
 
-// recvFrame reads one frame body into scratch (growing it as needed).
-// The body is read in bounded chunks so a corrupt length prefix from a
-// malicious or broken peer cannot force a giant upfront allocation.
+// recvChunk is how much of a frame is read on the strength of its
+// length prefix alone.
+const recvChunk = 1 << 20
+
+// recvFrame reads one frame body into scratch, or into a new buffer
+// when scratch is too small. A corrupt length prefix from a malicious or
+// broken peer cannot force a giant upfront allocation: a frame longer
+// than recvChunk gets its full-size buffer only once a first chunk of it
+// has really arrived. So an n-byte frame allocates at most n plus one
+// chunk, and nothing when scratch holds it.
 func (c *Conn) recvFrame(scratch []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
@@ -514,21 +499,23 @@ func (c *Conn) recvFrame(scratch []byte) ([]byte, error) {
 	if n < 1 || n > MaxFrame {
 		return nil, fmt.Errorf("proto: bad frame length %d", n)
 	}
-	const chunk = 1 << 20
 	buf := scratch[:0]
-	for len(buf) < n {
-		step := min(n-len(buf), chunk)
-		start := len(buf)
-		if cap(buf) >= start+step {
-			buf = buf[:start+step]
-		} else {
-			buf = append(buf, make([]byte, step)...)
-		}
-		if _, err := io.ReadFull(c.br, buf[start:]); err != nil {
-			return nil, fmt.Errorf("proto: reading frame body: %w", err)
-		}
+	if cap(buf) < min(n, recvChunk) {
+		buf = make([]byte, 0, min(n, recvChunk))
 	}
-	return buf, nil
+	head := min(n, cap(buf))
+	if _, err := io.ReadFull(c.br, buf[:head]); err != nil {
+		return nil, fmt.Errorf("proto: reading frame body: %w", err)
+	}
+	if head == n {
+		return buf[:n], nil
+	}
+	full := make([]byte, n)
+	copy(full, buf[:head])
+	if _, err := io.ReadFull(c.br, full[head:]); err != nil {
+		return nil, fmt.Errorf("proto: reading frame body: %w", err)
+	}
+	return full, nil
 }
 
 func min(a, b int) int {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -57,30 +58,6 @@ func TestMultipleFramesInOrder(t *testing.T) {
 		if ack.ID != string(rune('a'+i)) {
 			t.Errorf("frame %d out of order: %q", i, ack.ID)
 		}
-	}
-}
-
-func TestBinaryPayloadSurvivesJSON(t *testing.T) {
-	var buf bytes.Buffer
-	c := NewConn(&buf)
-	data := make([]byte, 256)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	put := PutFile{File: FileMeta{ID: "x", Name: "bin", Data: data, LogicalSize: 256}, Cache: true}
-	if err := c.Send(MsgPutFile, put); err != nil {
-		t.Fatal(err)
-	}
-	_, raw, err := c.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode[PutFile](raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.File.Data, data) {
-		t.Errorf("binary payload corrupted")
 	}
 }
 
@@ -164,9 +141,10 @@ func TestConcurrentSendersOverTCP(t *testing.T) {
 }
 
 func TestMsgTypeStrings(t *testing.T) {
-	for _, mt := range []MsgType{MsgHello, MsgPutFile, MsgFetchFile, MsgFileAck,
+	for _, mt := range []MsgType{MsgHello, MsgFetchFile, MsgFileAck,
 		MsgRunTask, MsgInstallLibrary, MsgLibraryAck, MsgRemoveLibrary,
-		MsgInvoke, MsgResult, MsgShutdown, MsgGetFile, MsgFileData, MsgError} {
+		MsgInvoke, MsgResult, MsgShutdown, MsgGetFile, MsgError, MsgPutFileBulk, MsgFileDataBulk,
+		MsgLog, MsgSpillObject, MsgOwnObject} {
 		if s := mt.String(); strings.HasPrefix(s, "MsgType(") {
 			t.Errorf("missing name for %d", mt)
 		}
@@ -349,6 +327,60 @@ func TestBulkAndJSONFramesInterleave(t *testing.T) {
 	}
 }
 
+// loopReader replays one encoded frame forever.
+type loopReader struct {
+	frame []byte
+	off   int
+}
+
+func (l *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, l.frame[l.off:])
+	l.off = (l.off + n) % len(l.frame)
+	return n, nil
+}
+
+func (l *loopReader) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestRecvAllocatesFrameOnce: receiving an n-byte frame allocates its
+// buffer and at most the one chunk read on the strength of the length
+// prefix alone — not a throw-away chunk per megabyte plus regrowth, and
+// never more than a chunk for a prefix with nothing behind it.
+func TestRecvAllocatesFrameOnce(t *testing.T) {
+	const n = 2 << 20
+	var wire bytes.Buffer
+	if err := NewConn(&wire).SendBulk(MsgFileDataBulk, FileHdr{ID: "blob"}, make([]byte, n)); err != nil {
+		t.Fatal(err)
+	}
+	c := NewConn(&loopReader{frame: wire.Bytes()})
+	const runs = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, raw, err := c.Recv(); err != nil || len(raw) < n {
+			t.Fatalf("recv: %d bytes, %v", len(raw), err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// slack covers the allocator rounding a large buffer up to whole pages.
+	const slack = 64 << 10
+	perFrame := (after.TotalAlloc - before.TotalAlloc) / runs
+	if limit := uint64(wire.Len() + recvChunk + slack); perFrame > limit {
+		t.Errorf("a %d-byte frame allocated %d bytes, want at most %d", wire.Len(), perFrame, limit)
+	}
+
+	// A length prefix claiming MaxFrame over an empty stream.
+	lie := NewConn(bytes.NewBuffer([]byte{0x20, 0, 0, 0, byte(MsgFileDataBulk)}))
+	runtime.ReadMemStats(&before)
+	_, _, err := lie.Recv()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a frame with no body was accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > recvChunk+slack {
+		t.Errorf("a bare length prefix cost %d bytes, want at most one chunk", got)
+	}
+}
+
 func TestSplitBulkRejectsCorruptHeaders(t *testing.T) {
 	if _, _, err := SplitBulk([]byte{1, 2}); err == nil {
 		t.Errorf("short frame accepted")
@@ -357,23 +389,6 @@ func TestSplitBulkRejectsCorruptHeaders(t *testing.T) {
 	bad := []byte{0, 0, 0, 200, 'x', 'y'}
 	if _, _, err := SplitBulk(bad); err == nil {
 		t.Errorf("oversized header length accepted")
-	}
-}
-
-// BenchmarkPutFileEncodeJSON64MB is the legacy control-plane path for
-// bulk bytes: the object rides inside the JSON message, paying a
-// base64 expansion plus encoder staging on every send.
-func BenchmarkPutFileEncodeJSON64MB(b *testing.B) {
-	payload := make([]byte, 64<<20)
-	c := NewConn(struct{ io.ReadWriter }{discardRW{}})
-	msg := PutFile{File: FileMeta{ID: "obj", Name: "env.tar.gz", Data: payload, LogicalSize: int64(len(payload))}, Cache: true}
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.Send(MsgPutFile, msg); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"bytes"
 	"encoding/binary"
 	"net"
 	"strings"
@@ -176,18 +177,24 @@ func TestUndecodableFrameIsCountedAndReported(t *testing.T) {
 	fm := newFakeManager(t)
 	w, _ := startWorker(t, fm, Config{ID: "w"})
 
-	// A MsgRunTask frame whose body is not JSON.
-	garbage := []byte("this is not json")
-	frame := make([]byte, 4+1+len(garbage))
-	binary.BigEndian.PutUint32(frame[:4], uint32(1+len(garbage)))
-	frame[4] = byte(proto.MsgRunTask)
-	copy(frame[5:], garbage)
+	// A MsgRunTask frame whose body is truncated: a well-formed frame
+	// around the first half of a real task's bytes.
+	var enc bytes.Buffer
+	if err := proto.NewConn(&enc).Send(proto.MsgRunTask, core.TaskSpec{
+		ID:     6,
+		Script: "import vine_runtime\nvine_runtime.store_result(0)\n",
+		Inputs: []core.FileSpec{{Object: content.NewBlob("args", []byte("x"))}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	frame := enc.Bytes()[:enc.Len()/2]
+	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
 	if _, err := fm.nc.Write(frame); err != nil {
 		t.Fatal(err)
 	}
 
 	lm, _ := proto.Decode[proto.LogMsg](fm.expect(t, proto.MsgLog))
-	if lm.Worker != "w" || !strings.Contains(lm.Text, "protocol error") {
+	if lm.Worker != "w" || !strings.Contains(lm.Text, "protocol error") || !strings.Contains(lm.Text, "truncated") {
 		t.Errorf("log message = %+v", lm)
 	}
 	if got := w.Stats().ProtocolErrors; got != 1 {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/dataplane"
 	"repro/internal/library"
 	"repro/internal/minipy"
-	"repro/internal/poncho"
 	"repro/internal/proto"
 )
 
@@ -104,25 +103,44 @@ func (e *executor) moduleResolver(allowed map[string]bool, sb *sandbox) func(*mi
 }
 
 // allowedModules collects the package names installed by every
-// unpacked environment tarball among the given objects.
-func allowedModules(objs []*content.Object) map[string]bool {
+// environment tarball among the given objects. staged are pinned cache
+// objects: one unpacked here has its module list retained by the data
+// plane, read once when the tarball was expanded. shared are L1 shared
+// FS reads, which by definition retain nothing — their manifest is
+// parsed every time, as is a staged tarball nobody asked to unpack.
+func (e *executor) allowedModules(staged, shared []*content.Object) map[string]bool {
 	allowed := map[string]bool{}
-	for _, obj := range objs {
-		if obj.Kind != content.Tarball {
-			continue
-		}
-		spec, err := poncho.UnpackManifest(obj.Data)
-		if err != nil {
-			continue
-		}
-		for _, m := range spec.Modules() {
+	add := func(modules []string) {
+		for _, m := range modules {
 			allowed[m] = true
 		}
+	}
+	for _, obj := range staged {
+		modules, retained := e.plane.UnpackedModules(obj.ID)
+		if !retained {
+			modules = dataplane.ParseModules(obj)
+		}
+		add(modules)
+	}
+	for _, obj := range shared {
+		add(dataplane.ParseModules(obj))
 	}
 	return allowed
 }
 
 // ---- task execution ----
+
+// claimInputs registers the task's use of each input not bound to the
+// worker. It runs on the control loop, in frame order, so the claim is
+// in place before an earlier task sharing the input can end; runTask
+// releases it.
+func (e *executor) claimInputs(spec core.TaskSpec) {
+	for _, in := range spec.Inputs {
+		if !in.Cache {
+			e.plane.Claim(in.Object.ID)
+		}
+	}
+}
 
 // runTask executes a stateless task (the L1/L2 path): resolve inputs
 // through the data plane (waiting out in-flight fetches), read shared
@@ -135,12 +153,11 @@ func (e *executor) runTask(spec core.TaskSpec) {
 		for _, id := range pinned {
 			_ = e.plane.Unpin(id)
 		}
-		// Stateless tasks leave nothing behind: drop inputs that were
-		// not bound to the worker (Evict refuses if another task still
-		// pins them).
+		// Stateless tasks leave nothing behind: an input not bound to the
+		// worker goes with the last task that claimed it.
 		for _, in := range spec.Inputs {
-			if in.Object != nil && !in.Cache {
-				e.plane.Evict(in.Object.ID)
+			if !in.Cache {
+				e.plane.Release(in.Object.ID)
 			}
 		}
 	}()
@@ -158,7 +175,7 @@ func (e *executor) runTask(spec core.TaskSpec) {
 	// ahead of dispatch). Shared FS reads happen now (and are the L1
 	// bottleneck in the paper).
 	sb := newSandbox()
-	var objs []*content.Object
+	var staged, shared []*content.Object
 	for _, in := range spec.Inputs {
 		obj, err := e.plane.PinResolve(in.Object.ID)
 		if err != nil {
@@ -166,14 +183,14 @@ func (e *executor) runTask(spec core.TaskSpec) {
 			return
 		}
 		pinned = append(pinned, in.Object.ID)
-		if in.Unpack && obj.Kind == content.Tarball {
-			if _, err := e.plane.MarkUnpacked(obj.ID); err != nil {
+		if in.Unpack {
+			if _, err := e.plane.MarkUnpacked(obj); err != nil {
 				e.w.sendResult(infraResult(spec.ID, err))
 				return
 			}
 		}
 		sb.add(obj)
-		objs = append(objs, obj)
+		staged = append(staged, obj)
 	}
 	for _, in := range spec.SharedFSReads {
 		// Shared FS reads go through the plane like every other byte
@@ -184,14 +201,14 @@ func (e *executor) runTask(spec core.TaskSpec) {
 			return
 		}
 		sb.add(obj)
-		objs = append(objs, obj)
+		shared = append(shared, obj)
 	}
 	metrics.WorkerTime = time.Since(start).Seconds()
 
 	// Execute the script.
 	execStart := time.Now()
 	host := &library.Host{
-		Resolve: e.moduleResolver(allowedModules(objs), sb),
+		Resolve: e.moduleResolver(e.allowedModules(staged, shared), sb),
 		Out:     e.stdout(),
 	}
 	ip := minipy.NewInterp(host)
@@ -268,8 +285,8 @@ func (e *executor) installLibrary(spec core.LibrarySpec) {
 			return
 		}
 		pinned = append(pinned, obj.ID)
-		if in.Unpack && obj.Kind == content.Tarball {
-			if _, err := e.plane.MarkUnpacked(obj.ID); err != nil {
+		if in.Unpack {
+			if _, err := e.plane.MarkUnpacked(obj); err != nil {
 				fail(err, true)
 				return
 			}
@@ -285,7 +302,7 @@ func (e *executor) installLibrary(spec core.LibrarySpec) {
 		}
 	}
 	host := &library.Host{
-		Resolve: e.moduleResolver(allowedModules(objs), nil),
+		Resolve: e.moduleResolver(e.allowedModules(objs, nil), nil),
 		Out:     e.stdout(),
 		Inputs:  inputs,
 	}

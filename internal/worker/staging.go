@@ -26,24 +26,21 @@ func (w *Worker) ackFileFrom(id, source string, cache bool, err error) {
 	_ = w.conn.Send(proto.MsgFileAck, ack)
 }
 
-func (w *Worker) handlePutFile(msg proto.PutFile) {
-	obj := metaToObject(msg.File)
-	if err := obj.Validate(); err != nil {
-		w.ackFile(obj.ID, msg.Cache, err)
-		return
-	}
-	w.ackFile(obj.ID, msg.Cache, w.plane.Put(obj, msg.Unpack))
-}
-
-// handlePutFileBulk is handlePutFile for the binary-framed path: the
-// object bytes arrive as the frame payload instead of base64 JSON.
+// handlePutFileBulk stores an object sent over the manager's own link;
+// the bytes are the bulk frame's payload. An object not bound to the
+// worker (Cache false) is staged for the dispatches that use it and
+// goes when the last of them ends.
 func (w *Worker) handlePutFileBulk(hdr proto.PutFileHdr, data []byte) {
 	obj := hdrToObject(hdr.File, data)
 	if err := obj.Validate(); err != nil {
 		w.ackFile(obj.ID, hdr.Cache, err)
 		return
 	}
-	w.ackFile(obj.ID, hdr.Cache, w.plane.Put(obj, hdr.Unpack))
+	put := w.plane.PutTransient
+	if hdr.Cache {
+		put = w.plane.Put
+	}
+	w.ackFile(obj.ID, hdr.Cache, put(obj, hdr.Unpack))
 }
 
 // handleFetchFile hands a peer pull — one edge of the spanning-tree

@@ -8,17 +8,6 @@ import (
 	"repro/internal/proto"
 )
 
-func metaToObject(m proto.FileMeta) *content.Object {
-	return &content.Object{
-		ID:           m.ID,
-		Name:         m.Name,
-		Kind:         content.Kind(m.Kind),
-		Data:         m.Data,
-		LogicalSize:  m.LogicalSize,
-		UnpackedSize: m.UnpackedSize,
-	}
-}
-
 // hdrToObject assembles an object from a bulk frame's header and raw
 // payload; data is retained as-is, no copy.
 func hdrToObject(h proto.FileHdr, data []byte) *content.Object {

@@ -292,7 +292,7 @@ func (w *Worker) Shutdown() {
 // them, and must never block on network transfers or execution. Peer
 // fetches go to the data plane's pool; tasks, installs, and
 // invocations go to executor goroutines; only in-memory work (puts,
-// library removal) runs inline.
+// input claims, library removal) runs inline.
 func (w *Worker) loop(nc net.Conn) {
 	defer nc.Close()
 	// strs interns the identifier strings every invocation repeats
@@ -308,13 +308,6 @@ func (w *Worker) loop(nc net.Conn) {
 			return
 		}
 		switch t {
-		case proto.MsgPutFile:
-			msg, err := proto.Decode[proto.PutFile](raw)
-			if err != nil {
-				w.protocolError(t, err)
-				continue
-			}
-			w.handlePutFile(msg)
 		case proto.MsgPutFileBulk:
 			hdr, payload, err := proto.DecodeBulk[proto.PutFileHdr](raw)
 			if err != nil {
@@ -346,14 +339,15 @@ func (w *Worker) loop(nc net.Conn) {
 			}
 			w.handleOwnObject(msg)
 		case proto.MsgRunTask:
-			msg, err := proto.Decode[core.TaskSpec](raw)
+			msg, err := proto.DecodeTask(raw)
 			if err != nil {
 				w.protocolError(t, err)
 				continue
 			}
+			w.exec.claimInputs(msg)
 			w.spawn(func() { w.exec.runTask(msg) })
 		case proto.MsgInstallLibrary:
-			msg, err := proto.Decode[core.LibrarySpec](raw)
+			msg, err := proto.DecodeLibrary(raw)
 			if err != nil {
 				w.protocolError(t, err)
 				continue

@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -72,6 +73,24 @@ func (fm *fakeManager) expect(t *testing.T, want proto.MsgType) []byte {
 	return raw
 }
 
+// put stages obj on the worker the way the manager does — one bulk
+// frame — and returns the worker's ack.
+func (fm *fakeManager) put(t *testing.T, obj *content.Object, cache, unpack bool) proto.FileAck {
+	t.Helper()
+	hdr := proto.PutFileHdr{File: proto.FileHdr{
+		ID: obj.ID, Name: obj.Name, Kind: int(obj.Kind),
+		LogicalSize: obj.LogicalSize, UnpackedSize: obj.UnpackedSize,
+	}, Cache: cache, Unpack: unpack}
+	if err := fm.conn.SendBulk(proto.MsgPutFileBulk, hdr, obj.Data); err != nil {
+		t.Fatal(err)
+	}
+	ack, err := proto.Decode[proto.FileAck](fm.expect(t, proto.MsgFileAck))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ack
+}
+
 func startWorker(t *testing.T, fm *fakeManager, cfg Config) (*Worker, proto.Hello) {
 	t.Helper()
 	if cfg.Registry == nil {
@@ -107,13 +126,7 @@ func TestPutFileValidatesContent(t *testing.T) {
 	fm := newFakeManager(t)
 	w, _ := startWorker(t, fm, Config{ID: "w"})
 	good := content.NewBlob("ok.bin", []byte("data"))
-	if err := fm.conn.Send(proto.MsgPutFile, proto.PutFile{
-		File:  proto.FileMeta{ID: good.ID, Name: good.Name, Data: good.Data, LogicalSize: good.LogicalSize},
-		Cache: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ack, _ := proto.Decode[proto.FileAck](fm.expect(t, proto.MsgFileAck))
+	ack := fm.put(t, good, true, false)
 	if !ack.Ok || !ack.Cache {
 		t.Fatalf("ack = %+v", ack)
 	}
@@ -122,12 +135,7 @@ func TestPutFileValidatesContent(t *testing.T) {
 	}
 
 	// Corrupt content: ID does not match data.
-	if err := fm.conn.Send(proto.MsgPutFile, proto.PutFile{
-		File: proto.FileMeta{ID: good.ID, Name: "bad", Data: []byte("tampered"), LogicalSize: 8},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ack2, _ := proto.Decode[proto.FileAck](fm.expect(t, proto.MsgFileAck))
+	ack2 := fm.put(t, &content.Object{ID: good.ID, Name: "bad", Data: []byte("tampered"), LogicalSize: 8}, false, false)
 	if ack2.Ok || !strings.Contains(ack2.Err, "corrupt") {
 		t.Errorf("corrupt put accepted: %+v", ack2)
 	}
@@ -227,14 +235,7 @@ func TestTaskModuleIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fm.conn.Send(proto.MsgPutFile, proto.PutFile{
-		File: proto.FileMeta{ID: tarball.ID, Name: tarball.Name, Kind: int(tarball.Kind),
-			Data: tarball.Data, LogicalSize: tarball.LogicalSize, UnpackedSize: tarball.UnpackedSize},
-		Cache: true, Unpack: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	fm.expect(t, proto.MsgFileAck)
+	fm.put(t, tarball, true, true)
 	spec.ID = 3
 	spec.Inputs = []core.FileSpec{{Object: tarball, Cache: true, Unpack: true}}
 	if err := fm.conn.Send(proto.MsgRunTask, spec); err != nil {
@@ -329,12 +330,7 @@ func TestWrapperScriptRunsPickledFunction(t *testing.T) {
 
 	funcBlob, argsBlob := buildWrappedPayload(t)
 	for _, obj := range []*content.Object{funcBlob, argsBlob} {
-		if err := fm.conn.Send(proto.MsgPutFile, proto.PutFile{
-			File: proto.FileMeta{ID: obj.ID, Name: obj.Name, Data: obj.Data, LogicalSize: obj.LogicalSize},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		fm.expect(t, proto.MsgFileAck)
+		fm.put(t, obj, false, false)
 	}
 	spec := core.TaskSpec{
 		ID:     5,
@@ -351,6 +347,57 @@ func TestWrapperScriptRunsPickledFunction(t *testing.T) {
 	res, _ := proto.DecodeResult(fm.expect(t, proto.MsgResult))
 	if !res.Ok {
 		t.Fatalf("wrapper task failed: %s", res.Err)
+	}
+}
+
+// TestIdenticalUncachedInputsAcrossTasks: two dispatches whose uncached
+// inputs are the same bytes share one content ID on the worker. The
+// first task ending, after the second dispatch's staging but before its
+// task frame, must not take the object with it (it used to evict by ID);
+// the last one ending must.
+func TestIdenticalUncachedInputsAcrossTasks(t *testing.T) {
+	fm := newFakeManager(t)
+	w, _ := startWorker(t, fm, Config{ID: "w"})
+	_, args := buildWrappedPayload(t)
+	task := func(id int64, spin int) core.TaskSpec {
+		return core.TaskSpec{
+			ID: id,
+			Script: fmt.Sprintf("import vine_runtime\nargs = vine_runtime.load_pickle(\"args\")\n"+
+				"i = 0\nwhile i < %d:\n    i = i + 1\nvine_runtime.store_result(args)\n", spin),
+			Inputs:    []core.FileSpec{{Object: args}},
+			Resources: core.Resources{Cores: 1},
+		}
+	}
+	run := func(spec core.TaskSpec) {
+		t.Helper()
+		if err := fm.conn.Send(proto.MsgRunTask, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	result := func(id int64) {
+		t.Helper()
+		res, _ := proto.DecodeResult(fm.expect(t, proto.MsgResult))
+		if res.ID != id || !res.Ok {
+			t.Fatalf("task %d: %+v", id, res)
+		}
+	}
+
+	fm.put(t, args, false, false)
+	run(task(1, 200000)) // long enough to still be running two frames on
+	// The second dispatch's staging lands while the first task runs (its
+	// ack is read before the first result, or expect fails) ...
+	fm.put(t, args, false, false)
+	result(1)
+	// ... and its task frame only after the first task has ended.
+	run(task(2, 0))
+	result(2)
+
+	deadline := time.Now().Add(5 * time.Second)
+	for w.Cache().Has(args.ID) {
+		if time.Now().After(deadline) {
+			t.Fatal("uncached input still on the worker after its last task ended")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
