@@ -15,17 +15,18 @@ ALLOCS_RATIO ?= 1.1
 MATRIX_PROCS ?= 1,2,4
 MATRIX_SHARDS ?= 1,4,8
 
-.PHONY: all check build test race fidelity lint lint-extra benchsmoke fuzzsmoke bench experiments examples clean
+.PHONY: all check build test race flake fidelity lint lint-extra benchsmoke fuzzsmoke bench experiments examples clean
 
 all: check
 
 # The pre-merge gate: vet + build, the custom analyzer suite, the plain
 # suite, the policy-core fidelity gate, the full suite under the race
 # detector (the chaos tests exercise the manager's failure paths
-# concurrently, so -race is load-bearing here), a one-iteration
-# dispatch-throughput smoke run so the hot path cannot silently stop
-# compiling or deadlock, and a few seconds of each wire-decoder fuzzer.
-check: build lint test fidelity race benchsmoke fuzzsmoke
+# concurrently, so -race is load-bearing here), the data-path packages
+# twenty times over under -race, a one-iteration dispatch-throughput
+# smoke run so the hot path cannot silently stop compiling or deadlock,
+# and a few seconds of each wire fuzzer.
+check: build lint test fidelity race flake benchsmoke fuzzsmoke
 
 # The fidelity gate: the pure policy core's decision-order pins, the
 # manager-vs-simulator differential replays, and the golden decision
@@ -60,6 +61,13 @@ test:
 race:
 	go test -race ./...
 
+# The zero-flake bar for the packages whose tests race real goroutines
+# over one cache (randomized concurrent plane and cache operations,
+# worker staging): a test that passes nineteen times in twenty is a bug,
+# so they run twenty times, under the race detector.
+flake:
+	go test -count=20 -race ./internal/dataplane ./internal/worker ./internal/content
+
 # One dispatch iteration at both ends of the scaling matrix: the wire
 # path must not deadlock, drop frames, or stop compiling whether the
 # runtime gives it one core (coalescing via cooperative yields) or
@@ -75,14 +83,16 @@ benchsmoke:
 	go test -race -run DispatchTenantsSmoke -count=1 ./internal/dispatchbench
 	go test -race -run RefSpillSmoke -count=1 ./taskvine
 
-# The wire-decoder fuzz targets, five seconds each (go test -fuzz takes
-# one target and one package per run): hostile bytes must not panic a
-# decoder, size an allocation, or decode to something that re-encodes
-# differently. A failing input is written under the package's
-# testdata/fuzz/ — commit it with the fix, it becomes a regression seed.
+# The wire fuzz targets, five seconds each (go test -fuzz takes one
+# target and one package per run): hostile bytes must not panic a
+# decoder or the frame receiver, size an allocation, or decode to
+# something that re-encodes differently. A failing input is written
+# under the package's testdata/fuzz/ — commit it with the fix, it
+# becomes a regression seed.
 fuzzsmoke:
 	go test -run '^$$' -fuzz '^FuzzDecodeTask$$' -fuzztime 5s ./internal/proto
 	go test -run '^$$' -fuzz '^FuzzDecodeLibrary$$' -fuzztime 5s ./internal/proto
+	go test -run '^$$' -fuzz '^FuzzRecvBulk$$' -fuzztime 5s ./internal/proto
 
 # One Go benchmark per paper table/figure (reduced scale), plus the
 # manager dispatch-throughput benchmark, written to BENCH_PR$(PR).json

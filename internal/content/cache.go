@@ -89,11 +89,19 @@ func (c *Cache) Get(id string) (*Object, bool) {
 // Put inserts an object, evicting unpinned LRU entries if needed to fit
 // the capacity. It fails if the object alone exceeds capacity or if
 // pinned entries prevent making room.
-func (c *Cache) Put(obj *Object) error {
+func (c *Cache) Put(obj *Object) error { return c.put(obj, 0) }
+
+// PutPinned is Put and Pin as one step: the object is never in the
+// cache unpinned, so no concurrent Put can evict it to make room before
+// the pin lands. An object already cached gains a pin.
+func (c *Cache) PutPinned(obj *Object) error { return c.put(obj, 1) }
+
+func (c *Cache) put(obj *Object, pins int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[obj.ID]; ok {
-		return nil // already cached; contents are immutable
+	if e, ok := c.entries[obj.ID]; ok {
+		e.pins += pins // already cached; contents are immutable
+		return nil
 	}
 	need := obj.LogicalSize
 	if c.capacity > 0 && need > c.capacity {
@@ -103,7 +111,7 @@ func (c *Cache) Put(obj *Object) error {
 		return err
 	}
 	c.clock++
-	c.entries[obj.ID] = &cacheEntry{obj: obj, lastUse: c.clock}
+	c.entries[obj.ID] = &cacheEntry{obj: obj, pins: pins, lastUse: c.clock}
 	c.used += need
 	return nil
 }

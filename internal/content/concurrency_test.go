@@ -8,7 +8,7 @@ import (
 )
 
 // TestRandomizedConcurrentCacheOps hammers one cache with randomized
-// Put/Get/Pin/Unpin/Evict/MarkUnpacked interleavings from many
+// Put/PutPinned/Get/Pin/Unpin/Evict/MarkUnpacked interleavings from many
 // goroutines. Run under -race, it proves the cache's locking covers
 // every public entry point; the inline checks prove the semantic
 // guarantees hold under contention:
@@ -52,7 +52,7 @@ func TestRandomizedConcurrentCacheOps(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < ops; i++ {
 				obj := objs[rng.Intn(len(objs))]
-				switch rng.Intn(6) {
+				switch rng.Intn(7) {
 				case 0:
 					_ = c.Put(obj)
 				case 1:
@@ -81,6 +81,17 @@ func TestRandomizedConcurrentCacheOps(t *testing.T) {
 					}
 				case 5:
 					c.Has(obj.ID)
+				case 6:
+					// Put-and-pin is one step: whatever room the others make
+					// meanwhile, the object is there to unpin.
+					if err := c.PutPinned(obj); err == nil {
+						if _, ok := c.Get(obj.ID); !ok {
+							t.Errorf("put-and-pinned object %s vanished", obj.Name)
+						}
+						if err := c.Unpin(obj.ID); err != nil {
+							t.Errorf("put-and-pinned object %s lost its pin: %v", obj.Name, err)
+						}
+					}
 				}
 				if used := c.Used(); used > capacity {
 					t.Errorf("cache overcommitted: used %d of %d", used, capacity)

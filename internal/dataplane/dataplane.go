@@ -377,7 +377,9 @@ func (p *Plane) PutOwned(obj *content.Object) error {
 	if p.owned[obj.ID] {
 		return nil
 	}
-	if err := p.cache.Put(obj); err != nil {
+	// Put and pin in one step: between two, a concurrent Put making room
+	// could evict the copy this worker is about to answer for.
+	if err := p.cache.PutPinned(obj); err != nil {
 		if p.cfg.Shared == nil {
 			return err
 		}
@@ -387,9 +389,6 @@ func (p *Plane) PutOwned(obj *content.Object) error {
 		return nil
 	}
 	p.puts.Add(1)
-	if err := p.cache.Pin(obj.ID); err != nil {
-		return err
-	}
 	p.owned[obj.ID] = true
 	delete(p.spilled, obj.ID)
 	return nil
@@ -758,7 +757,11 @@ func (p *Plane) Serve(ln net.Listener) {
 func (p *Plane) serveConn(nc net.Conn) {
 	defer nc.Close()
 	// A requester that stops reading must not pin this slot forever.
-	pc := proto.NewConn(proto.WithIdleTimeout(nc, p.cfg.IdleTimeout))
+	proto.OneShot(proto.WithIdleTimeout(nc, p.cfg.IdleTimeout), p.answer)
+}
+
+// answer serves the one request a peer sends on pc.
+func (p *Plane) answer(pc *proto.Conn) {
 	t, raw, err := pc.Recv()
 	if err != nil || t != proto.MsgGetFile {
 		p.serveErrors.Add(1)

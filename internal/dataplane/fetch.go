@@ -24,7 +24,15 @@ func FetchPeer(addr, id string, idle time.Duration) (*content.Object, error) {
 		return nil, fmt.Errorf("dataplane: dialing peer %s: %w", addr, err)
 	}
 	defer nc.Close()
-	pc := proto.NewConn(proto.WithIdleTimeout(nc, idle))
+	var obj *content.Object
+	proto.OneShot(proto.WithIdleTimeout(nc, idle), func(pc *proto.Conn) {
+		obj, err = request(pc, id)
+	})
+	return obj, err
+}
+
+// request asks the peer on pc for one object and validates the answer.
+func request(pc *proto.Conn, id string) (*content.Object, error) {
 	if err := pc.Send(proto.MsgGetFile, proto.GetFile{ID: id}); err != nil {
 		return nil, err
 	}
@@ -38,8 +46,9 @@ func FetchPeer(addr, id string, idle time.Duration) (*content.Object, error) {
 		if err != nil {
 			return nil, err
 		}
-		// payload aliases the frame's receive buffer, which is fresh per
-		// frame — safe to retain as the object's data without a copy.
+		// payload is the frame's own buffer, allocated at the frame's exact
+		// size — retained as the object's data, the only copy of the bytes
+		// this worker will hold.
 		obj := hdrToObject(hdr, payload)
 		if err := obj.Validate(); err != nil {
 			return nil, fmt.Errorf("dataplane: peer sent corrupt object: %w", err)

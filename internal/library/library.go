@@ -48,41 +48,13 @@ func (h *Host) ResolveModule(ip *minipy.Interp, name string) (*minipy.ModuleVal,
 // data-to-invocation binding).
 func (h *Host) dataModule() *minipy.ModuleVal {
 	m := &minipy.ModuleVal{Name: "vine_data", Attrs: map[string]minipy.Value{}}
-	lookup := func(name string) (*content.Object, error) {
+	m.Attrs["load_text"], m.Attrs["load_pickle"] = ObjectLoaders(func(name string) (*content.Object, error) {
 		obj, ok := h.Inputs[name]
 		if !ok {
 			return nil, fmt.Errorf("no input data named %q bound to this context", name)
 		}
 		return obj, nil
-	}
-	m.Attrs["load_text"] = &minipy.Builtin{Name: "load_text", Fn: func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("load_text() takes 1 argument")
-		}
-		name, ok := args[0].(minipy.Str)
-		if !ok {
-			return nil, fmt.Errorf("load_text() argument must be a str")
-		}
-		obj, err := lookup(string(name))
-		if err != nil {
-			return nil, err
-		}
-		return minipy.Str(obj.Data), nil
-	}}
-	m.Attrs["load_pickle"] = &minipy.Builtin{Name: "load_pickle", Fn: func(ip *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("load_pickle() takes 1 argument")
-		}
-		name, ok := args[0].(minipy.Str)
-		if !ok {
-			return nil, fmt.Errorf("load_pickle() argument must be a str")
-		}
-		obj, err := lookup(string(name))
-		if err != nil {
-			return nil, err
-		}
-		return pickle.Unmarshal(obj.Data, ip)
-	}}
+	})
 	m.Attrs["names"] = &minipy.Builtin{Name: "names", Fn: func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
 		l := &minipy.List{}
 		for n := range h.Inputs {

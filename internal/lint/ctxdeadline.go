@@ -13,7 +13,8 @@ import (
 //   - net.Dial is banned — use net.DialTimeout, or net.Dialer /
 //     DialContext with a deadline-carrying context, so a vanished peer
 //     costs a bounded wait.
-//   - proto.NewConn over a raw net.Conn is banned — wrap the conn in
+//   - proto.NewConn (or proto.OneShot, its pooled-reader form for a
+//     single exchange) over a raw net.Conn is banned — wrap the conn in
 //     proto.WithIdleTimeout first, so every read and write must make
 //     progress. (A control link that is idle by design carries a
 //     //vinelint:ignore ctxdeadline justification instead.)
@@ -41,13 +42,13 @@ func runCtxDeadline(pass *Pass) {
 		switch {
 		case fn.Pkg().Path() == "net" && fn.Name() == "Dial":
 			pass.Reportf(call.Pos(), "net.Dial has no deadline; use net.DialTimeout (or DialContext with a deadline) so a dead peer costs a bounded wait")
-		case fn.Name() == "NewConn" && isProtoPkg(fn.Pkg()) && len(call.Args) == 1:
+		case (fn.Name() == "NewConn" || fn.Name() == "OneShot") && isProtoPkg(fn.Pkg()) && len(call.Args) >= 1:
 			arg := ast.Unparen(call.Args[0])
 			if !isNetConnType(info, arg) {
 				return true // in-memory pipes, buffers: no wire involved
 			}
 			if wrapped := wrappedInIdleTimeout(info, arg); !wrapped {
-				pass.Reportf(call.Pos(), "proto.NewConn over a raw net.Conn; wrap it in proto.WithIdleTimeout so stalled I/O times out (§7 failure model)")
+				pass.Reportf(call.Pos(), "proto.%s over a raw net.Conn; wrap it in proto.WithIdleTimeout so stalled I/O times out (§7 failure model)", fn.Name())
 			}
 		}
 		return true

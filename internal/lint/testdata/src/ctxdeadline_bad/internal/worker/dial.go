@@ -15,3 +15,7 @@ func Connect(addr string) (*proto.Conn, error) {
 	}
 	return proto.NewConn(nc), nil // want `proto.NewConn over a raw net.Conn`
 }
+
+func Ask(nc net.Conn) {
+	proto.OneShot(nc, func(c *proto.Conn) { _ = c.Flush() }) // want `proto.OneShot over a raw net.Conn`
+}

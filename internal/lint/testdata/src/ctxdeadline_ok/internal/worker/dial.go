@@ -22,3 +22,7 @@ func Connect(addr string, idle time.Duration) (*proto.Conn, error) {
 func Loopback(buf *bytes.Buffer) *proto.Conn {
 	return proto.NewConn(buf) // no wire involved: never flagged
 }
+
+func Ask(nc net.Conn, idle time.Duration) {
+	proto.OneShot(proto.WithIdleTimeout(nc, idle), func(c *proto.Conn) { _ = c.Flush() })
+}

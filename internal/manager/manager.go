@@ -1297,6 +1297,12 @@ func (s *shard) onResult(w *workerState, res core.Result) {
 	if ok && !retried && !res.Ok {
 		atomic.AddInt64(&m.stats.Failures, 1)
 	}
+	// Read before e goes back on the free list: once the lock drops, the
+	// next placement may reuse it.
+	var tenant string
+	if ok {
+		tenant = specTenant(e)
+	}
 	if ok && !retried && e.inv != nil && len(s.freeInflight) < 1024 {
 		s.freeInflight = append(s.freeInflight, e)
 	}
@@ -1307,7 +1313,7 @@ func (s *shard) onResult(w *workerState, res core.Result) {
 		// freed capacity may release queued plane work, drained and
 		// woken inline — no shard lock is held here.
 		if m.planeActive.Load() {
-			m.plane.release(specTenant(e), true)
+			m.plane.release(tenant, true)
 		}
 	}
 	if retried {

@@ -517,7 +517,7 @@ func init() {
 			}
 			switch v := args[0].(type) {
 			case Str:
-				return Int(len([]rune(string(v)))), nil
+				return Int(runeLen(string(v))), nil
 			case *List:
 				return Int(len(v.Elems)), nil
 			case *Tuple:

@@ -1323,15 +1323,11 @@ func getIndex(obj, idx Value, line int) (Value, error) {
 		if !ok {
 			return nil, rtErrf(line, "string indices must be integers")
 		}
-		runes := []rune(string(c))
-		i := int(n)
-		if i < 0 {
-			i += len(runes)
-		}
-		if i < 0 || i >= len(runes) {
+		ch, ok := strIndex(string(c), int(n))
+		if !ok {
 			return nil, rtErrf(line, "string index out of range")
 		}
-		return Str(string(runes[i])), nil
+		return Str(ch), nil
 	case *Dict:
 		v, ok := c.Get(idx)
 		if !ok {
@@ -1408,12 +1404,11 @@ func getSlice(obj, lo, hi Value, line int) (Value, error) {
 		copy(out, c.Elems[s:e])
 		return &Tuple{Elems: out}, nil
 	case Str:
-		runes := []rune(string(c))
-		s, e, err := bounds(len(runes))
+		out, err := strSlice(string(c), bounds)
 		if err != nil {
 			return nil, err
 		}
-		return Str(string(runes[s:e])), nil
+		return Str(out), nil
 	}
 	return nil, rtErrf(line, "'%s' object is not sliceable", obj.Type())
 }

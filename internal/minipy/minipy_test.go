@@ -142,6 +142,15 @@ func TestStringOps(t *testing.T) {
 		{`"  pad  ".strip()`, `"pad"`},
 		{`"abc".startswith("ab")`, "True"},
 		{`len("hello")`, "5"},
+		// Positions are runes, not bytes, wherever the two differ.
+		{`len("héllo wörld")`, "11"},
+		{`"héllo wörld"[1]`, `"é"`},
+		{`"héllo wörld"[-4]`, `"ö"`},
+		{`"héllo wörld"[1:3]`, `"él"`},
+		{`"héllo wörld"[-4:]`, `"örld"`},
+		{`"hello wörld"[4]`, `"o"`},
+		{`"hello wörld"[8]`, `"r"`},
+		{`"hello wörld"[:5]`, `"hello"`},
 	}
 	for _, c := range cases {
 		got := evalExpr(t, c.expr).Repr()

@@ -64,13 +64,26 @@ const maxPooledEncoder = 1 << 20
 // Marshal serializes a MiniPy value graph to bytes.
 func Marshal(v minipy.Value) ([]byte, error) {
 	e := encoderPool.Get().(*encoder)
+	if s, ok := v.(minipy.Str); ok && len(s) >= maxPooledEncoder {
+		// A string root too large for the pool — a task result that is
+		// megabytes of text — has a size known up front: one allocation of
+		// it, not a doubling series, in a buffer the caller will keep.
+		e.buf = *bytes.NewBuffer(make([]byte, 0, len(s)+3+binary.MaxVarintLen64))
+	}
 	e.buf.WriteByte(magic)
 	e.buf.WriteByte(version)
 	if err := e.encode(v); err != nil {
 		e.release()
 		return nil, err
 	}
-	out := append([]byte(nil), e.buf.Bytes()...)
+	out := e.buf.Bytes()
+	if e.buf.Cap() > maxPooledEncoder {
+		// Too big to go back in the pool: the caller gets the buffer
+		// itself rather than a copy of it.
+		e.buf = bytes.Buffer{}
+	} else {
+		out = append([]byte(nil), out...)
+	}
 	e.release()
 	return out, nil
 }
@@ -90,8 +103,26 @@ func (e *encoder) release() {
 // interpreter. The interpreter supplies the builtins for rebuilt
 // function globals and resolves module references through its host —
 // so unpickling a function whose context imports an uninstalled module
-// fails here, mirroring Python behaviour.
+// fails here, mirroring Python behaviour. The result shares no memory
+// with data, which may be a receive buffer about to be overwritten.
 func Unmarshal(data []byte, ip *minipy.Interp) (minipy.Value, error) {
+	return unmarshal(data, ip, false)
+}
+
+// borrowFloor is the shortest string UnmarshalBorrow hands out as a view
+// of its input: under it a copy is cheap, and a short string — a dict
+// key, a label — must not keep megabytes of input reachable.
+const borrowFloor = 4 << 10
+
+// UnmarshalBorrow is Unmarshal for data that is never written again —
+// the bytes of a content object. Strings of at least borrowFloor bytes
+// in the result are views of data rather than copies, so unpickling a
+// staged object costs no second copy of its text.
+func UnmarshalBorrow(data []byte, ip *minipy.Interp) (minipy.Value, error) {
+	return unmarshal(data, ip, true)
+}
+
+func unmarshal(data []byte, ip *minipy.Interp, borrow bool) (minipy.Value, error) {
 	if len(data) < 2 || data[0] != magic {
 		return nil, fmt.Errorf("pickle: bad magic")
 	}
@@ -99,7 +130,7 @@ func Unmarshal(data []byte, ip *minipy.Interp) (minipy.Value, error) {
 		return nil, fmt.Errorf("pickle: unsupported version %d", data[1])
 	}
 	d := decoderPool.Get().(*decoder)
-	d.data, d.pos, d.ip = data, 2, ip
+	d.data, d.pos, d.ip, d.borrow = data, 2, ip, borrow
 	v, err := d.decode()
 	if err == nil && d.pos != len(d.data) {
 		err = fmt.Errorf("pickle: %d trailing bytes", len(d.data)-d.pos)
@@ -322,6 +353,8 @@ type decoder struct {
 	pos  int
 	ip   *minipy.Interp
 	memo []minipy.Value
+	// borrow lets string values alias data (UnmarshalBorrow).
+	borrow bool
 }
 
 func (d *decoder) readByte() (byte, error) {
@@ -351,17 +384,41 @@ func (d *decoder) readVarint() (int64, error) {
 	return n, nil
 }
 
-func (d *decoder) readString() (string, error) {
+// readBytes returns the next length-prefixed run of data, uncopied.
+func (d *decoder) readBytes() ([]byte, error) {
 	n, err := d.readUvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	if uint64(d.pos)+n > uint64(len(d.data)) {
-		return "", fmt.Errorf("pickle: truncated string")
+	if n > uint64(len(d.data)-d.pos) {
+		return nil, fmt.Errorf("pickle: truncated string")
 	}
-	s := string(d.data[d.pos : d.pos+int(n)])
+	b := d.data[d.pos : d.pos+int(n)]
 	d.pos += int(n)
-	return s, nil
+	return b, nil
+}
+
+// readString is kept out of line: decode calls it from many cases and
+// recurses, and each inlined copy widens a frame that is stacked once
+// per level of the value on an invocation goroutine's first few KB.
+//
+//go:noinline
+func (d *decoder) readString() (string, error) {
+	b, err := d.readBytes()
+	return string(b), err
+}
+
+// decodeStr reads a string value: a view of the input when borrowing
+// and the string is worth it, a copy otherwise.
+func (d *decoder) decodeStr() (minipy.Value, error) {
+	b, err := d.readBytes()
+	if err != nil {
+		return nil, err
+	}
+	if d.borrow && len(b) >= borrowFloor {
+		return minipy.BorrowStr(b), nil
+	}
+	return minipy.Str(b), nil
 }
 
 func (d *decoder) remember(v minipy.Value) int {
@@ -395,11 +452,7 @@ func (d *decoder) decode() (minipy.Value, error) {
 		d.pos += 8
 		return minipy.Float(math.Float64frombits(bits)), nil
 	case tagStr:
-		s, err := d.readString()
-		if err != nil {
-			return nil, err
-		}
-		return minipy.Str(s), nil
+		return d.decodeStr()
 	case tagList:
 		n, err := d.readUvarint()
 		if err != nil {

@@ -257,6 +257,26 @@ func NewConn(rw io.ReadWriter) *Conn {
 	return &Conn{rw: rw, br: bufio.NewReaderSize(rw, readBufSize)}
 }
 
+// readerPool recycles the read buffers of one-shot connections: a peer
+// transfer is one request and one response, and a fresh 64 KB reader per
+// transfer is garbage the moment the object has arrived.
+var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, readBufSize) }}
+
+// OneShot runs one exchange over rw on a framed connection whose read
+// buffer is borrowed from a pool for the duration of f. The connection
+// must not be used once f has returned. What f received stays valid (a
+// bulk frame's payload included): frames pass through the pooled buffer
+// into buffers of their own and are never handed out from it.
+func OneShot(rw io.ReadWriter, f func(*Conn)) {
+	br := readerPool.Get().(*bufio.Reader)
+	defer readerPool.Put(br)
+	br.Reset(rw)
+	// Drop the stream before the reader goes back, so the pool pins no
+	// closed connection.
+	defer br.Reset(nil)
+	f(&Conn{rw: rw, br: br})
+}
+
 // bufferPool is the encode-buffer supply contract. The default is a
 // sync.Pool; tests swap in a counting pool to prove the pool
 // discipline below — every Get is returned by a Put on every path,
@@ -420,9 +440,10 @@ func (c *Conn) SendBulk(t MsgType, hdr any, payload []byte) error {
 	return nil
 }
 
-// SplitBulk separates a received bulk frame body (as returned by Recv)
-// into its JSON header and raw payload. The payload aliases the
-// receive buffer — callers that retain it own that memory.
+// SplitBulk separates a received bulk frame body (as returned by Recv
+// or RecvReuse) into its JSON header and raw payload. The payload
+// aliases the frame's buffer, which a bulk frame never shares with
+// another frame — the caller may retain it as the object's bytes.
 func SplitBulk(raw []byte) (hdr json.RawMessage, payload []byte, err error) {
 	if len(raw) < 4 {
 		return nil, nil, fmt.Errorf("proto: bulk frame too short (%d bytes)", len(raw))
@@ -465,8 +486,10 @@ func (c *Conn) Recv() (MsgType, json.RawMessage, error) {
 // of thousands of small control frames per second and decode each one
 // before reading the next, so reusing one buffer removes a per-frame
 // allocation (and its zeroing) from the dispatch hot path. Callers
-// that retain any part of the payload past the next receive — e.g. a
-// bulk frame's object bytes — must copy it first.
+// that retain any part of a control frame past the next receive must
+// copy it first. A bulk frame is the exception: its body is the object,
+// so it always arrives in a buffer of its own that the caller owns, as
+// from Recv — the object's bytes are allocated once, here.
 func (c *Conn) RecvReuse() (MsgType, json.RawMessage, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
@@ -474,48 +497,78 @@ func (c *Conn) RecvReuse() (MsgType, json.RawMessage, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	if cap(buf) <= maxPooledBuf {
+	t := MsgType(buf[0])
+	if !t.bulk() && cap(buf) <= maxPooledBuf {
 		c.rbuf = buf
 	}
-	return MsgType(buf[0]), json.RawMessage(buf[1:]), nil
+	return t, json.RawMessage(buf[1:]), nil
 }
 
-// recvChunk is how much of a frame is read on the strength of its
-// length prefix alone.
-const recvChunk = 1 << 20
+// bulk reports whether frames of this type carry object bytes.
+func (t MsgType) bulk() bool { return t == MsgPutFileBulk || t == MsgFileDataBulk }
 
-// recvFrame reads one frame body into scratch, or into a new buffer
-// when scratch is too small. A corrupt length prefix from a malicious or
-// broken peer cannot force a giant upfront allocation: a frame longer
-// than recvChunk gets its full-size buffer only once a first chunk of it
-// has really arrived. So an n-byte frame allocates at most n plus one
-// chunk, and nothing when scratch holds it.
+// recvTrust bounds a frame buffer to this many times the body bytes that
+// have really arrived. The first piece of a body is waited for in the
+// read buffer, so a frame of up to recvTrust read buffers (4 MiB) is
+// allocated exactly once at its exact size; a longer one grows in steps
+// of the same factor.
+const recvTrust = 64
+
+// recvFrame reads one frame body into scratch, or into a new buffer of
+// exactly the frame's size when scratch is too small or the frame is a
+// bulk one. The length prefix alone sizes nothing: a malicious or broken
+// peer that claims MaxFrame gets a buffer only recvTrust times what it
+// has actually sent, and none at all for a prefix with nothing behind it.
 func (c *Conn) recvFrame(scratch []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
-		return nil, err
+	// The length prefix and the body's first byte, the frame type.
+	hdr, err := c.br.Peek(5)
+	if err != nil {
+		if len(hdr) == 0 {
+			return nil, err
+		}
+		return nil, truncated(err)
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n < 1 || n > MaxFrame {
 		return nil, fmt.Errorf("proto: bad frame length %d", n)
 	}
-	buf := scratch[:0]
-	if cap(buf) < min(n, recvChunk) {
-		buf = make([]byte, 0, min(n, recvChunk))
+	bulk := MsgType(hdr[4]).bulk()
+	if _, err := c.br.Discard(4); err != nil {
+		return nil, err
 	}
-	head := min(n, cap(buf))
-	if _, err := io.ReadFull(c.br, buf[:head]); err != nil {
-		return nil, fmt.Errorf("proto: reading frame body: %w", err)
+	if n <= cap(scratch) && !bulk {
+		if _, err := io.ReadFull(c.br, scratch[:n]); err != nil {
+			return nil, fmt.Errorf("proto: reading frame body: %w", err)
+		}
+		return scratch[:n], nil
 	}
-	if head == n {
-		return buf[:n], nil
+	piece, err := c.br.Peek(min(n, c.br.Size()))
+	if err != nil {
+		return nil, fmt.Errorf("proto: reading frame body: %w", truncated(err))
 	}
-	full := make([]byte, n)
-	copy(full, buf[:head])
-	if _, err := io.ReadFull(c.br, full[head:]); err != nil {
-		return nil, fmt.Errorf("proto: reading frame body: %w", err)
+	var buf []byte
+	for arrived := len(piece); len(buf) < n; arrived = len(buf) {
+		grown := make([]byte, min(n, recvTrust*arrived))
+		// Not make-then-copy back to back: the compiler would fuse the two
+		// into an allocation that clears its tail by hand, where a plain
+		// make of fresh pages clears nothing.
+		if len(buf) > 0 {
+			copy(grown, buf)
+		}
+		if _, err := io.ReadFull(c.br, grown[len(buf):]); err != nil {
+			return nil, fmt.Errorf("proto: reading frame body: %w", err)
+		}
+		buf = grown
 	}
-	return full, nil
+	return buf, nil
+}
+
+// truncated is the error for a stream that ended inside a frame.
+func truncated(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 func min(a, b int) int {

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -341,34 +342,43 @@ func (l *loopReader) Read(p []byte) (int, error) {
 
 func (l *loopReader) Write(p []byte) (int, error) { return len(p), nil }
 
-// TestRecvAllocatesFrameOnce: receiving an n-byte frame allocates its
-// buffer and at most the one chunk read on the strength of the length
-// prefix alone — not a throw-away chunk per megabyte plus regrowth, and
-// never more than a chunk for a prefix with nothing behind it.
+// TestRecvAllocatesFrameOnce: receiving an n-byte bulk frame allocates
+// its buffer and nothing else, through Recv and RecvReuse alike, and a
+// length prefix with nothing behind it sizes no buffer at all.
 func TestRecvAllocatesFrameOnce(t *testing.T) {
 	const n = 2 << 20
 	var wire bytes.Buffer
 	if err := NewConn(&wire).SendBulk(MsgFileDataBulk, FileHdr{ID: "blob"}, make([]byte, n)); err != nil {
 		t.Fatal(err)
 	}
-	c := NewConn(&loopReader{frame: wire.Bytes()})
-	const runs = 8
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		if _, raw, err := c.Recv(); err != nil || len(raw) < n {
-			t.Fatalf("recv: %d bytes, %v", len(raw), err)
-		}
-	}
-	runtime.ReadMemStats(&after)
 	// slack covers the allocator rounding a large buffer up to whole pages.
 	const slack = 64 << 10
-	perFrame := (after.TotalAlloc - before.TotalAlloc) / runs
-	if limit := uint64(wire.Len() + recvChunk + slack); perFrame > limit {
-		t.Errorf("a %d-byte frame allocated %d bytes, want at most %d", wire.Len(), perFrame, limit)
+	const runs = 8
+	var before, after runtime.MemStats
+	for name, recv := range map[string]func(*Conn) (MsgType, json.RawMessage, error){
+		"Recv": (*Conn).Recv, "RecvReuse": (*Conn).RecvReuse,
+	} {
+		c := NewConn(&loopReader{frame: wire.Bytes()})
+		var last json.RawMessage
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			_, raw, err := recv(c)
+			if err != nil || len(raw) < n {
+				t.Fatalf("%s: %d bytes, %v", name, len(raw), err)
+			}
+			if i > 0 && &raw[0] == &last[0] {
+				t.Fatalf("%s handed out one bulk buffer twice", name)
+			}
+			last = raw
+		}
+		runtime.ReadMemStats(&after)
+		perFrame := (after.TotalAlloc - before.TotalAlloc) / runs
+		if limit := uint64(wire.Len() + slack); perFrame > limit {
+			t.Errorf("%s: a %d-byte frame allocated %d bytes, want at most %d", name, wire.Len(), perFrame, limit)
+		}
 	}
 
-	// A length prefix claiming MaxFrame over an empty stream.
+	// A length prefix claiming MaxFrame with only a type byte behind it.
 	lie := NewConn(bytes.NewBuffer([]byte{0x20, 0, 0, 0, byte(MsgFileDataBulk)}))
 	runtime.ReadMemStats(&before)
 	_, _, err := lie.Recv()
@@ -376,8 +386,91 @@ func TestRecvAllocatesFrameOnce(t *testing.T) {
 	if err == nil {
 		t.Fatal("a frame with no body was accepted")
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > recvChunk+slack {
-		t.Errorf("a bare length prefix cost %d bytes, want at most one chunk", got)
+	if got := after.TotalAlloc - before.TotalAlloc; got > slack {
+		t.Errorf("a bare length prefix cost %d bytes, want no frame buffer", got)
+	}
+}
+
+// TestRecvLongFrameGrowsWithArrival: past recvTrust read buffers a frame
+// cannot be sized in one step. It still arrives intact, for at most one
+// extra step's worth of buffer; and a peer that claims such a frame and
+// then stops is owed only recvTrust times what it sent.
+func TestRecvLongFrameGrowsWithArrival(t *testing.T) {
+	const n = 5 << 20
+	const slack = 64 << 10
+	payload := make([]byte, n)
+	for i := range payload {
+		payload[i] = byte(i >> 8)
+	}
+	var wire bytes.Buffer
+	if err := NewConn(&wire).SendBulk(MsgFileDataBulk, FileHdr{ID: "long"}, payload); err != nil {
+		t.Fatal(err)
+	}
+	sent := append([]byte(nil), wire.Bytes()...)
+	var before, after runtime.MemStats
+
+	c := NewConn(&wire)
+	runtime.ReadMemStats(&before)
+	_, raw, err := c.Recv()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, got, err := DecodeBulk[FileHdr](raw); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("a %d-byte payload did not survive the stepwise receive (%v)", n, err)
+	}
+	step := uint64(recvTrust * readBufSize)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, step+uint64(len(sent))+slack; got > limit {
+		t.Errorf("a %d-byte frame allocated %d bytes, want at most %d", len(sent), got, limit)
+	}
+
+	cut := NewConn(bytes.NewBuffer(sent[:100<<10]))
+	runtime.ReadMemStats(&before)
+	_, _, err = cut.Recv()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a frame cut short was accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > step+slack {
+		t.Errorf("%d bytes of a claimed %d-byte frame cost %d bytes, want at most %d", 100<<10, len(sent), got, step+slack)
+	}
+}
+
+// TestRecvReuseKeepsBulkFramesApart: a bulk frame's payload is the
+// caller's to keep — the control frames that follow on the connection
+// reuse the scratch buffer and must not land in it.
+func TestRecvReuseKeepsBulkFramesApart(t *testing.T) {
+	var wire bytes.Buffer
+	c := NewConn(&wire)
+	if err := c.Send(MsgFileAck, FileAck{ID: "warm-the-scratch-buffer-so-it-could-hold-the-bulk-frame", Ok: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SendBulk(MsgPutFileBulk, PutFileHdr{File: FileHdr{ID: "b"}}, []byte("bytes")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := c.Send(MsgFileAck, FileAck{ID: "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if typ, _, err := c.RecvReuse(); err != nil || typ != MsgFileAck {
+		t.Fatalf("frame 1: %v %v", typ, err)
+	}
+	_, raw, err := c.RecvReuse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, payload, err := DecodeBulk[PutFileHdr](raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, _, err := c.RecvReuse(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if string(payload) != "bytes" {
+		t.Errorf("bulk payload read %q after later frames, want %q", payload, "bytes")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/content"
+	"repro/internal/library"
 	"repro/internal/minipy"
 	"repro/internal/pickle"
 )
@@ -32,28 +33,7 @@ func (sb *sandbox) add(obj *content.Object) {
 // functions, and store the pickled result.
 func (sb *sandbox) runtimeModule(ip *minipy.Interp) *minipy.ModuleVal {
 	m := &minipy.ModuleVal{Name: "vine_runtime", Attrs: map[string]minipy.Value{}}
-	m.Attrs["load_text"] = &minipy.Builtin{Name: "load_text", Fn: func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
-		name, err := argStr(args, 0, "load_text")
-		if err != nil {
-			return nil, err
-		}
-		obj, err := sb.lookup(name)
-		if err != nil {
-			return nil, err
-		}
-		return minipy.Str(obj.Data), nil
-	}}
-	m.Attrs["load_pickle"] = &minipy.Builtin{Name: "load_pickle", Fn: func(ip *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
-		name, err := argStr(args, 0, "load_pickle")
-		if err != nil {
-			return nil, err
-		}
-		obj, err := sb.lookup(name)
-		if err != nil {
-			return nil, err
-		}
-		return pickle.Unmarshal(obj.Data, ip)
-	}}
+	m.Attrs["load_text"], m.Attrs["load_pickle"] = library.ObjectLoaders(sb.lookup)
 	m.Attrs["call"] = &minipy.Builtin{Name: "call", Fn: func(ip *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
 		if len(args) != 2 {
 			return nil, fmt.Errorf("call() takes a function and an argument list")
@@ -98,17 +78,6 @@ func (sb *sandbox) lookup(name string) (*content.Object, error) {
 		return nil, fmt.Errorf("no staged input named %q", name)
 	}
 	return obj, nil
-}
-
-func argStr(args []minipy.Value, i int, fname string) (string, error) {
-	if i >= len(args) {
-		return "", fmt.Errorf("%s() missing argument %d", fname, i+1)
-	}
-	s, ok := args[i].(minipy.Str)
-	if !ok {
-		return "", fmt.Errorf("%s() argument must be a str", fname)
-	}
-	return string(s), nil
 }
 
 func seqElems(v minipy.Value) ([]minipy.Value, bool) {

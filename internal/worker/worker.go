@@ -300,8 +300,8 @@ func (w *Worker) loop(nc net.Conn) {
 	var strs proto.Interner
 	for {
 		// RecvReuse: every case below decodes (copying what it keeps)
-		// before the next receive; the one exception — a bulk frame's
-		// payload — is copied explicitly in its case.
+		// before the next receive. A bulk frame's payload needs no copy:
+		// it arrives in a buffer of its own and becomes the object's bytes.
 		t, raw, err := w.conn.RecvReuse()
 		if err != nil {
 			w.Shutdown()
@@ -314,9 +314,7 @@ func (w *Worker) loop(nc net.Conn) {
 				w.protocolError(t, err)
 				continue
 			}
-			// payload aliases the reused receive buffer; the object
-			// outlives this frame, so take a copy.
-			w.handlePutFileBulk(hdr, append([]byte(nil), payload...))
+			w.handlePutFileBulk(hdr, payload)
 		case proto.MsgFetchFile:
 			msg, err := proto.Decode[proto.FetchFile](raw)
 			if err != nil {
