@@ -15,7 +15,7 @@ ALLOCS_RATIO ?= 1.1
 MATRIX_PROCS ?= 1,2,4
 MATRIX_SHARDS ?= 1,4,8
 
-.PHONY: all check build test race flake fidelity lint lint-extra benchsmoke fuzzsmoke bench experiments examples clean
+.PHONY: all check build test race flake fidelity lint lint-extra benchsmoke benchcheck fuzzsmoke bench experiments examples clean
 
 all: check
 
@@ -25,8 +25,9 @@ all: check
 # concurrently, so -race is load-bearing here), the data-path packages
 # twenty times over under -race, a one-iteration dispatch-throughput
 # smoke run so the hot path cannot silently stop compiling or deadlock,
+# the repository benchmark's own module built, tested and run briefly,
 # and a few seconds of each wire fuzzer.
-check: build lint test fidelity race flake benchsmoke fuzzsmoke
+check: build lint test fidelity race flake benchsmoke benchcheck fuzzsmoke
 
 # The fidelity gate: the pure policy core's decision-order pins, the
 # manager-vs-simulator differential replays, and the golden decision
@@ -63,10 +64,11 @@ race:
 
 # The zero-flake bar for the packages whose tests race real goroutines
 # over one cache (randomized concurrent plane and cache operations,
-# worker staging): a test that passes nineteen times in twenty is a bug,
-# so they run twenty times, under the race detector.
+# worker staging) or over one library (slot goroutines, concurrent fork
+# slots): a test that passes nineteen times in twenty is a bug, so they
+# run twenty times, under the race detector.
 flake:
-	go test -count=20 -race ./internal/dataplane ./internal/worker ./internal/content
+	go test -count=20 -race ./internal/dataplane ./internal/worker ./internal/content ./internal/library
 
 # One dispatch iteration at both ends of the scaling matrix: the wire
 # path must not deadlock, drop frames, or stop compiling whether the
@@ -82,6 +84,16 @@ benchsmoke:
 	GOMAXPROCS=4 go test -run '^$$' -bench DispatchThroughput -benchtime 1x .
 	go test -race -run DispatchTenantsSmoke -count=1 ./internal/dispatchbench
 	go test -race -run RefSpillSmoke -count=1 ./taskvine
+
+# bench/ is a module of its own (repro/bench, replace repro => ../), so
+# the root go build/vet/test ./... never compile it, yet it imports the
+# engine's packages: vet and test it where it lives, then run the two
+# invocation workloads for two seconds each. A run exits non-zero if any
+# output is wrong or CheckQuiescence is not clean afterwards.
+benchcheck:
+	cd bench && go vet ./... && go test ./...
+	bash bench/run.sh -workload invoke_burst -seed 1 -seconds 2
+	bash bench/run.sh -workload invoke_paced -seed 1 -seconds 2
 
 # The wire fuzz targets, five seconds each (go test -fuzz takes one
 # target and one package per run): hostile bytes must not panic a

@@ -9,7 +9,7 @@ package library
 import (
 	"fmt"
 	"io"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/content"
@@ -30,6 +30,12 @@ type Host struct {
 	// Inputs maps staged input names to their cached objects; library
 	// code reads them through the always-importable vine_data module.
 	Inputs map[string]*content.Object
+	// StepLimit bounds the interpreter steps of the library's start-up
+	// (building its functions and running the context setup) and of each
+	// invocation on its own: the budget restarts with every call, so a
+	// runaway invocation fails without costing the ones after it
+	// anything. Zero means no limit.
+	StepLimit int64
 }
 
 // ResolveModule implements minipy.Host.
@@ -94,8 +100,7 @@ type Library struct {
 	globals *minipy.Env
 	funcs   map[string]*minipy.Func
 
-	mu     sync.Mutex
-	served int64 // completed invocations — the share value of Figure 11
+	served atomic.Int64 // completed invocations — the share value of Figure 11
 
 	// SetupDuration is the wall time the context setup took (the
 	// library overhead row of Table 5).
@@ -108,6 +113,7 @@ type Library struct {
 // steps (1) and (2) of the §3.4 protocol.
 func Start(spec core.LibrarySpec, instance string, host *Host) (*Library, error) {
 	ip := minipy.NewInterp(host)
+	ip.StepLimit = host.StepLimit
 	lib := &Library{
 		Spec:     spec,
 		Instance: instance,
@@ -207,11 +213,7 @@ func (l *Library) Functions() []string {
 
 // Served returns the number of invocations completed so far — the
 // library's share value.
-func (l *Library) Served() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.served
-}
+func (l *Library) Served() int64 { return l.served.Load() }
 
 // Globals exposes the shared namespace (tests and the worker use it to
 // inspect retained state).
@@ -226,27 +228,54 @@ type InvokeResult struct {
 	ExecTime  float64
 }
 
-// Invoke executes one invocation — steps (3) and (4) of the §3.4
-// protocol. The args payload is the pickled argument tuple. In direct
-// mode the invocation runs synchronously in the library's memory
-// space; in fork mode it runs on a copy-on-write clone, so concurrent
-// invocations and global mutations cannot corrupt the retained
-// context.
+// Slot is one executor's seat in a library: what serving invocations
+// needs beyond the shared context and is worth keeping from one to the
+// next. In fork mode that is the forked child interpreter, whose
+// recycled call frames stay warm; in direct mode the library's own
+// interpreter. A Slot serves one invocation at a time. Fork-mode slots
+// of one library may run concurrently; a direct library's invocations
+// share its memory, so its slots must not.
+type Slot struct {
+	lib *Library
+	ip  *minipy.Interp
+}
+
+// NewSlot returns a slot serving l's functions.
+func (l *Library) NewSlot() *Slot {
+	ip := l.ip
+	if l.Spec.Mode == core.ExecFork {
+		ip = ip.Fork()
+	}
+	return &Slot{lib: l, ip: ip}
+}
+
+// Invoke executes one invocation on a slot of its own. A caller with
+// many to serve keeps a Slot instead.
 func (l *Library) Invoke(function string, args []byte) (InvokeResult, error) {
+	return l.NewSlot().Invoke(function, args)
+}
+
+// Invoke executes one invocation — steps (3) and (4) of the §3.4
+// protocol. The args payload is the pickled argument tuple, not read
+// again once Invoke returns. In direct mode the invocation runs in the
+// library's memory space; in fork mode it runs on a copy-on-write
+// clone of the function's globals, made per invocation, so concurrent
+// invocations and global mutations cannot corrupt the retained context.
+func (s *Slot) Invoke(function string, args []byte) (InvokeResult, error) {
+	l := s.lib
 	fn, ok := l.funcs[function]
 	if !ok {
 		return InvokeResult{}, fmt.Errorf("library %s has no function %q", l.Spec.Name, function)
 	}
 
 	setupStart := time.Now()
-	ip := l.ip
+	s.ip.ResetBudget()
 	if l.Spec.Mode == core.ExecFork {
-		ip = l.ip.Fork()
 		fn = minipy.ForkFunc(fn)
 	}
 	var argVals []minipy.Value
 	if len(args) > 0 {
-		av, err := pickle.Unmarshal(args, ip)
+		av, err := pickle.Unmarshal(args, s.ip)
 		if err != nil {
 			return InvokeResult{}, fmt.Errorf("library %s: deserializing args for %s: %w", l.Spec.Name, function, err)
 		}
@@ -256,10 +285,11 @@ func (l *Library) Invoke(function string, args []byte) (InvokeResult, error) {
 		}
 		argVals = tup.Elems
 	}
-	setupTime := time.Since(setupStart).Seconds()
-
+	// Setup ends where execution starts: one clock read serves both.
 	execStart := time.Now()
-	out, err := ip.Call(fn, argVals, nil)
+	setupTime := execStart.Sub(setupStart).Seconds()
+
+	out, err := s.ip.Call(fn, argVals, nil)
 	if err != nil {
 		return InvokeResult{}, fmt.Errorf("invocation of %s.%s failed: %w", l.Spec.Name, function, err)
 	}
@@ -269,8 +299,6 @@ func (l *Library) Invoke(function string, args []byte) (InvokeResult, error) {
 	if err != nil {
 		return InvokeResult{}, fmt.Errorf("library %s: serializing result of %s: %w", l.Spec.Name, function, err)
 	}
-	l.mu.Lock()
-	l.served++
-	l.mu.Unlock()
+	l.served.Add(1)
 	return InvokeResult{Value: value, SetupTime: setupTime, ExecTime: execTime}, nil
 }

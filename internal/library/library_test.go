@@ -1,8 +1,10 @@
 package library
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/content"
@@ -371,5 +373,121 @@ def bad():
 	}
 	if _, err := lib.Invoke("bad", pickledArgs(t)); err == nil || !strings.Contains(err.Error(), "ghost") {
 		t.Errorf("missing data name should fail: %v", err)
+	}
+}
+
+const counterSrc = `
+def setup():
+    global n
+    n = 0
+
+def bump():
+    global n
+    n = n + 1
+    return n
+
+def count(k):
+    i = 0
+    while i < k:
+        i = i + 1
+    return i
+
+def spin():
+    while True:
+        pass
+`
+
+func counterSpec(t *testing.T, mode core.ExecMode) core.LibrarySpec {
+	t.Helper()
+	spec := core.LibrarySpec{Name: "ctr", Mode: mode, ContextSetup: pickled(t, counterSrc, "setup")}
+	for _, name := range []string{"bump", "count", "spin"} {
+		spec.Functions = append(spec.Functions, core.FunctionSpec{Name: name, Pickled: pickled(t, counterSrc, name)})
+	}
+	return spec
+}
+
+// TestForkSlotsServeConcurrently: a fork library's slots each keep
+// their own child interpreter and run side by side; every invocation,
+// on whichever slot and however many that slot served before, sees the
+// context as setup left it.
+func TestForkSlotsServeConcurrently(t *testing.T) {
+	lib, err := Start(counterSpec(t, core.ExecFork), "ctr@test", testHost())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pickle.Marshal(minipy.Int(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := pickledArgs(t)
+	const slots, each = 4, 50
+	var wg sync.WaitGroup
+	for s := 0; s < slots; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			slot := lib.NewSlot()
+			for i := 0; i < each; i++ {
+				res, err := slot.Invoke("bump", args)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(res.Value, want) {
+					t.Errorf("a fork invocation saw another's mutation of the context")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := lib.Served(); got != slots*each {
+		t.Errorf("served = %d, want %d", got, slots*each)
+	}
+}
+
+// TestStepLimitBoundsSetupAndEachInvocation: Host.StepLimit stops a
+// runaway context setup and a runaway invocation, and is a budget per
+// invocation — a slot serves any number of calls that each stay under
+// it, including after one that did not.
+func TestStepLimitBoundsSetupAndEachInvocation(t *testing.T) {
+	const limit = 10000
+	host := testHost()
+	host.StepLimit = limit
+
+	runaway := counterSpec(t, core.ExecDirect)
+	runaway.ContextSetup = pickled(t, counterSrc, "spin")
+	if _, err := Start(runaway, "ctr@test", host); err == nil || !strings.Contains(err.Error(), "step limit") {
+		t.Errorf("runaway context setup: %v, want a step limit failure", err)
+	}
+
+	// k iterations of count's loop take about three quarters of the limit:
+	// one call fits in a budget, two would not.
+	ip := minipy.NewInterp(nil)
+	env, err := ip.RunModule(counterSrc, "app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	count, _ := env.Get("count")
+	base := ip.Steps()
+	if _, err := ip.Call(count, []minipy.Value{minipy.Int(100)}, nil); err != nil {
+		t.Fatal(err)
+	}
+	k := minipy.Int(limit * 3 / 4 * 100 / (ip.Steps() - base))
+
+	for _, mode := range []core.ExecMode{core.ExecDirect, core.ExecFork} {
+		lib, err := Start(counterSpec(t, mode), "ctr@test", host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slot := lib.NewSlot()
+		if _, err := slot.Invoke("spin", pickledArgs(t)); err == nil || !strings.Contains(err.Error(), "step limit") {
+			t.Errorf("%v: runaway invocation: %v, want a step limit failure", mode, err)
+		}
+		for i := 0; i < 10; i++ {
+			if _, err := slot.Invoke("count", pickledArgs(t, k)); err != nil {
+				t.Fatalf("%v: invocation %d after the runaway one: %v", mode, i, err)
+			}
+		}
 	}
 }

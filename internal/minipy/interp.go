@@ -124,6 +124,12 @@ func (ip *Interp) Fork() *Interp {
 // Steps returns the number of evaluation steps performed so far.
 func (ip *Interp) Steps() int64 { return ip.steps }
 
+// ResetBudget starts a fresh StepLimit and MaxDepth budget. An
+// interpreter that outlives one call — a library's, serving invocation
+// after invocation — calls it before each, so the limits bound every
+// call rather than the interpreter's lifetime.
+func (ip *Interp) ResetBudget() { ip.steps, ip.depth = 0, 0 }
+
 func (ip *Interp) tick(line int) error {
 	ip.steps++
 	if ip.StepLimit > 0 && ip.steps > ip.StepLimit {

@@ -398,27 +398,9 @@ func (d *decoder) readBytes() ([]byte, error) {
 	return b, nil
 }
 
-// readString is kept out of line: decode calls it from many cases and
-// recurses, and each inlined copy widens a frame that is stacked once
-// per level of the value on an invocation goroutine's first few KB.
-//
-//go:noinline
 func (d *decoder) readString() (string, error) {
 	b, err := d.readBytes()
 	return string(b), err
-}
-
-// decodeStr reads a string value: a view of the input when borrowing
-// and the string is worth it, a copy otherwise.
-func (d *decoder) decodeStr() (minipy.Value, error) {
-	b, err := d.readBytes()
-	if err != nil {
-		return nil, err
-	}
-	if d.borrow && len(b) >= borrowFloor {
-		return minipy.BorrowStr(b), nil
-	}
-	return minipy.Str(b), nil
 }
 
 func (d *decoder) remember(v minipy.Value) int {
@@ -452,7 +434,16 @@ func (d *decoder) decode() (minipy.Value, error) {
 		d.pos += 8
 		return minipy.Float(math.Float64frombits(bits)), nil
 	case tagStr:
-		return d.decodeStr()
+		b, err := d.readBytes()
+		if err != nil {
+			return nil, err
+		}
+		// A view of the input when borrowing and the string is worth it,
+		// a copy otherwise.
+		if d.borrow && len(b) >= borrowFloor {
+			return minipy.BorrowStr(b), nil
+		}
+		return minipy.Str(b), nil
 	case tagList:
 		n, err := d.readUvarint()
 		if err != nil {

@@ -148,33 +148,17 @@ func TestBorrowedTextOutlivesEviction(t *testing.T) {
 func TestInvocationArgsSurviveNextFrame(t *testing.T) {
 	fm := newFakeManager(t)
 	startWorker(t, fm, Config{ID: "w"})
-	spec := core.LibrarySpec{
-		Name: "lib",
-		Functions: []core.FunctionSpec{
-			{Name: "keep", Source: "def keep(s):\n    global kept\n    kept = s\n    return 0\n"},
-			{Name: "drop", Source: "def drop(s):\n    return 0\n"},
-			{Name: "get", Source: "def get():\n    return kept\n"},
-		},
-		Resources: core.Resources{Cores: 1, MemoryMB: 64, DiskMB: 64},
-	}
-	if err := fm.conn.Send(proto.MsgInstallLibrary, spec); err != nil {
-		t.Fatal(err)
-	}
-	if ack, _ := proto.Decode[proto.LibraryAck](fm.expect(t, proto.MsgLibraryAck)); !ack.Ok {
-		t.Fatalf("install: %+v", ack)
-	}
+	fm.install(t, core.LibrarySpec{Name: "lib", Functions: []core.FunctionSpec{
+		{Name: "keep", Source: "def keep(s):\n    global kept\n    kept = s\n    return 0\n"},
+		{Name: "drop", Source: "def drop(s):\n    return 0\n"},
+		{Name: "get", Source: "def get():\n    return kept\n"},
+	}})
 	invoke := func(id int64, function string, args ...minipy.Value) []byte {
 		t.Helper()
-		data, err := pickle.Marshal(minipy.NewTuple(args...))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fm.conn.Send(proto.MsgInvoke, core.InvocationSpec{ID: id, Library: "lib", Function: function, Args: data}); err != nil {
-			t.Fatal(err)
-		}
-		res, err := proto.DecodeResult(fm.expect(t, proto.MsgResult))
-		if err != nil || !res.Ok {
-			t.Fatalf("%s: %+v %v", function, res, err)
+		fm.invoke(t, id, "lib", function, args...)
+		res := fm.result(t)
+		if !res.Ok {
+			t.Fatalf("%s: %+v", function, res)
 		}
 		return res.Value
 	}

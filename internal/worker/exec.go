@@ -22,19 +22,161 @@ import (
 type executor struct {
 	cfg   *Config
 	plane *dataplane.Plane
-	w     *Worker // result/ack delivery only
+	w     *Worker // result/ack delivery, goroutine accounting
 
 	mu        sync.Mutex
 	libs      map[string]*libHolder
 	committed core.Resources
 }
 
-// libHolder pairs a library instance with its execution lock (direct
-// mode serializes invocations in the shared memory space).
+// libHolder is an installed library and the executor it owns for as
+// long as it is installed — the daemon of §3.4. The control loop
+// appends invocations to queue; slot goroutines started on demand, at
+// most max of them, serve it first in first out and park when it is
+// empty. Nothing is created per invocation.
+//
+// A slot goroutine ends when the library has been removed and the
+// queue is empty — every invocation accepted before the removal gets
+// its result — or, whatever is queued, when the worker shuts down:
+// those invocations get no result, and the manager requeues them off
+// the closed link. All of them are counted in Worker.wg.
 type libHolder struct {
-	lib    *library.Library
-	direct sync.Mutex
-	res    core.Resources
+	lib *library.Library
+	res core.Resources
+	w   *Worker
+	// max is 1 in direct mode: invocations share the library's memory,
+	// and one goroutine serving one queue runs them one at a time, in
+	// frame order. In fork mode it is the library's slot count.
+	max int
+
+	mu sync.Mutex
+	// wake is signalled once per queued invocation while a slot is
+	// parked, and broadcast on removal and on shutdown.
+	wake     sync.Cond
+	queue    invQueue
+	slots    int  // slot goroutines started
+	idle     int  // of those, parked and not yet signalled
+	draining bool // removed: serve what is queued, then end
+}
+
+// invQueue is a FIFO of invocations in one slice: buf[head:] is waiting,
+// buf[:head] has been served and is zero.
+type invQueue struct {
+	buf  []core.InvocationSpec
+	head int
+}
+
+func (q *invQueue) empty() bool { return q.head == len(q.buf) }
+
+func (q *invQueue) push(spec core.InvocationSpec) {
+	if len(q.buf) == cap(q.buf) && q.head >= (len(q.buf)+1)/2 {
+		// A queue that never quite empties must not grow for ever: out of
+		// room and at least half of it served, move the waiting part down
+		// rather than reallocate.
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, spec)
+}
+
+// pop takes the oldest invocation; the queue must not be empty.
+func (q *invQueue) pop() core.InvocationSpec {
+	spec := q.buf[q.head]
+	q.buf[q.head] = core.InvocationSpec{} // the queue must not keep Args alive
+	q.head++
+	if q.empty() {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return spec
+}
+
+func newLibHolder(w *Worker, lib *library.Library, res core.Resources) *libHolder {
+	h := &libHolder{lib: lib, res: res, w: w, max: 1}
+	if lib.Spec.Mode == core.ExecFork {
+		h.max = lib.Spec.SlotCount()
+	}
+	h.wake.L = &h.mu
+	return h
+}
+
+// submit queues one invocation. Only the control loop calls it; it
+// never blocks on execution.
+func (h *libHolder) submit(spec core.InvocationSpec) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.queue.push(spec)
+	switch {
+	case h.idle > 0:
+		// The signaller does the counting: a second invocation arriving
+		// before the woken slot runs must see one parked slot fewer, or
+		// it would signal nobody and wait behind the first.
+		h.idle--
+		h.wake.Signal()
+	case h.slots < h.max:
+		h.slots++
+		h.w.wg.Add(1)
+		go h.serve()
+	}
+}
+
+// serve is one slot goroutine.
+func (h *libHolder) serve() {
+	defer h.w.wg.Done()
+	slot := h.lib.NewSlot()
+	for {
+		spec, ok := h.next()
+		if !ok {
+			return
+		}
+		h.w.sendResult(h.run(slot, spec))
+	}
+}
+
+// next takes the oldest queued invocation, parking until there is one.
+// It reports false when the slot should end.
+func (h *libHolder) next() (core.InvocationSpec, bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for h.queue.empty() && !h.draining && !h.w.stopping() {
+		h.idle++
+		h.wake.Wait()
+	}
+	if h.queue.empty() || h.w.stopping() {
+		return core.InvocationSpec{}, false
+	}
+	return h.queue.pop(), true
+}
+
+// wakeAll wakes every parked slot to look at draining and the worker's
+// done channel again.
+func (h *libHolder) wakeAll(drain bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.draining = h.draining || drain
+	h.idle = 0
+	h.wake.Broadcast()
+}
+
+// run executes one invocation on slot and shapes its result frame.
+func (h *libHolder) run(slot *library.Slot, spec core.InvocationSpec) core.Result {
+	res, err := slot.Invoke(spec.Function, spec.Args)
+	if err != nil {
+		return core.Result{
+			ID: spec.ID, Ok: false, Err: err.Error(),
+			Metrics: core.InvocationMetrics{LibraryInstance: h.lib.Instance},
+		}
+	}
+	return core.Result{
+		ID:    spec.ID,
+		Ok:    true,
+		Value: res.Value,
+		Metrics: core.InvocationMetrics{
+			SetupTime:       res.SetupTime,
+			ExecTime:        res.ExecTime,
+			LibraryInstance: h.lib.Instance,
+		},
+	}
 }
 
 func newExecutor(w *Worker) *executor {
@@ -302,9 +444,10 @@ func (e *executor) installLibrary(spec core.LibrarySpec) {
 		}
 	}
 	host := &library.Host{
-		Resolve: e.moduleResolver(e.allowedModules(objs, nil), nil),
-		Out:     e.stdout(),
-		Inputs:  inputs,
+		Resolve:   e.moduleResolver(e.allowedModules(objs, nil), nil),
+		Out:       e.stdout(),
+		Inputs:    inputs,
+		StepLimit: e.cfg.StepLimit,
 	}
 	lib, err := library.Start(spec, instance, host)
 	if err != nil {
@@ -318,7 +461,7 @@ func (e *executor) installLibrary(spec core.LibrarySpec) {
 		fail(fmt.Errorf("library %s already installed", spec.Name), true)
 		return
 	}
-	e.libs[spec.Name] = &libHolder{lib: lib, res: res}
+	e.libs[spec.Name] = newLibHolder(e.w, lib, res)
 	e.mu.Unlock()
 
 	e.w.sendMsg(proto.MsgLibraryAck, proto.LibraryAck{
@@ -339,6 +482,7 @@ func (e *executor) removeLibrary(name string) {
 	if !ok {
 		return
 	}
+	h.wakeAll(true)
 	specs := h.lib.Spec.Inputs
 	if h.lib.Spec.Env != nil {
 		specs = append([]core.FileSpec{*h.lib.Spec.Env}, specs...)
@@ -349,7 +493,9 @@ func (e *executor) removeLibrary(name string) {
 	e.release(h.res)
 }
 
-func (e *executor) runInvocation(spec core.InvocationSpec) {
+// invoke hands an invocation to its library's executor. It runs on the
+// control loop, in frame order, and does not wait for execution.
+func (e *executor) invoke(spec core.InvocationSpec) {
 	e.mu.Lock()
 	h, ok := e.libs[spec.Library]
 	e.mu.Unlock()
@@ -359,28 +505,18 @@ func (e *executor) runInvocation(spec core.InvocationSpec) {
 		e.w.sendResult(infraResult(spec.ID, fmt.Errorf("worker %s has no library %q", e.cfg.ID, spec.Library)))
 		return
 	}
-	if h.lib.Spec.Mode == core.ExecDirect {
-		h.direct.Lock()
-		defer h.direct.Unlock()
+	h.submit(spec)
+}
+
+// stop ends every installed library's slot goroutines at shutdown;
+// Worker.done is closed by then. A library whose install finishes later
+// starts no slot that stays: next sees the closed channel first.
+func (e *executor) stop() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, h := range e.libs {
+		h.wakeAll(false)
 	}
-	res, err := h.lib.Invoke(spec.Function, spec.Args)
-	if err != nil {
-		e.w.sendResult(core.Result{
-			ID: spec.ID, Ok: false, Err: err.Error(),
-			Metrics: core.InvocationMetrics{LibraryInstance: h.lib.Instance},
-		})
-		return
-	}
-	e.w.sendResult(core.Result{
-		ID:    spec.ID,
-		Ok:    true,
-		Value: res.Value,
-		Metrics: core.InvocationMetrics{
-			SetupTime:       res.SetupTime,
-			ExecTime:        res.ExecTime,
-			LibraryInstance: h.lib.Instance,
-		},
-	})
 }
 
 // Libraries returns the installed library names (tests).

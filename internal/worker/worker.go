@@ -108,11 +108,11 @@ type Worker struct {
 	mu     sync.Mutex
 	closed bool
 
-	// sendq feeds the single sender goroutine. Executor goroutines
-	// finish invocations concurrently; funneling their results (and
-	// acks) through one drain loop lets a burst of K frames coalesce
-	// into one write syscall via the conn's Buffer/Flush pair instead
-	// of costing K syscalls from K goroutines.
+	// sendq feeds the single sender goroutine. Slot and task goroutines
+	// finish work concurrently; funneling their results (and acks)
+	// through one drain loop lets a burst of K frames coalesce into one
+	// write syscall via the conn's Buffer/Flush pair instead of costing
+	// K syscalls from K goroutines.
 	sendq chan outFrame
 
 	protoErrors atomic.Int64
@@ -282,6 +282,7 @@ func (w *Worker) Shutdown() {
 	w.closed = true
 	w.mu.Unlock()
 	close(w.done)
+	w.exec.stop()
 	if w.dataLn != nil {
 		w.dataLn.Close()
 	}
@@ -290,9 +291,15 @@ func (w *Worker) Shutdown() {
 
 // loop is the control loop: it decodes manager frames and dispatches
 // them, and must never block on network transfers or execution. Peer
-// fetches go to the data plane's pool; tasks, installs, and
-// invocations go to executor goroutines; only in-memory work (puts,
-// input claims, library removal) runs inline.
+// fetches go to the data plane's pool; a task or a library install runs
+// on a goroutine of its own; an invocation is appended to its library's
+// queue, which the library's own slot goroutines serve (exec.go), so
+// nothing is started per invocation. Only in-memory work (puts, input
+// claims, that append, library removal) runs inline, which makes frame
+// order queue order: a direct library serves invocations in the order
+// their frames arrived, and a removal frame divides them — every
+// invocation before it is queued and will be answered, every one after
+// it finds no library.
 func (w *Worker) loop(nc net.Conn) {
 	defer nc.Close()
 	// strs interns the identifier strings every invocation repeats
@@ -364,13 +371,23 @@ func (w *Worker) loop(nc net.Conn) {
 				w.protocolError(t, err)
 				continue
 			}
-			w.spawn(func() { w.exec.runInvocation(msg) })
+			w.exec.invoke(msg)
 		case proto.MsgShutdown:
 			w.Shutdown()
 			return
 		default:
 			w.protocolError(t, fmt.Errorf("unknown message type"))
 		}
+	}
+}
+
+// stopping reports whether Shutdown has begun.
+func (w *Worker) stopping() bool {
+	select {
+	case <-w.done:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -421,9 +438,11 @@ func (w *Worker) sendMsg(t proto.MsgType, v any) {
 // sendLoop is the single writer on the manager link: it blocks for one
 // frame, then drains everything already queued into the conn's pending
 // buffer and flushes once, so a completion burst coalesces into a
-// single write syscall. Write errors are ignored here for the same
-// reason sendMsg ignores shutdown: a broken manager link is reported
-// by the read loop tearing the worker down.
+// single write syscall. Its producers — a library's slot goroutines,
+// one goroutine per task or install — give up on a full queue once the
+// worker is shutting down, so none outlives Wait. Write errors are
+// ignored here for the same reason sendMsg ignores shutdown: a broken
+// manager link is reported by the read loop tearing the worker down.
 func (w *Worker) sendLoop() {
 	// scratch is one stable heap slot for unboxed result frames: Buffer
 	// encodes synchronously, so the pointer never outlives the call and
@@ -453,8 +472,8 @@ func (w *Worker) sendLoop() {
 				continue
 			default:
 			}
-			// One cooperative yield before flushing lets same-core
-			// executor goroutines finish results into the queue, so the
+			// One cooperative yield before flushing lets same-core slot
+			// goroutines finish results into the queue, so the
 			// flush coalesces a completion burst into one write syscall.
 			if !yielded {
 				yielded = true
