@@ -7,28 +7,18 @@
 //	vinebench -list                 # available experiment names
 //
 // Each experiment prints the same rows or series the paper reports,
-// with the published values alongside for comparison.
-//
-// It also hosts the dispatch scaling matrix: a GOMAXPROCS × Shards
-// sweep of live-engine dispatch throughput, emitted as JSON for
-// benchjson to fold into the per-PR bench report:
-//
-//	vinebench -dispatch-matrix -procs 1,2,4 -matrix-shards 1,4,8 \
-//	    -matrix-out dispatch_matrix.json
+// with the published values alongside for comparison. (The engine's
+// own speed is measured by the repository benchmark, bench/.)
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 	"time"
 
-	"repro/internal/dispatchbench"
 	"repro/internal/experiments"
 )
 
@@ -39,25 +29,11 @@ func main() {
 	list := flag.Bool("list", false, "list experiment names and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	matrix := flag.Bool("dispatch-matrix", false, "run the GOMAXPROCS x Shards dispatch scaling matrix instead of experiments")
-	procsList := flag.String("procs", "1,2,4", "comma-separated GOMAXPROCS values for -dispatch-matrix")
-	shardsList := flag.String("matrix-shards", "1,4,8", "comma-separated shard counts for -dispatch-matrix")
-	matrixRounds := flag.Int("matrix-rounds", 3, "timed batches per matrix cell")
-	matrixOut := flag.String("matrix-out", "", "write the -dispatch-matrix result JSON to this file")
-	tenants := flag.Int("tenants", 0, "run -dispatch-matrix with this many equal-weight tenants through the submission plane (0 = single-tenant direct path)")
 	flag.Parse()
 
 	if *list {
 		for _, name := range experiments.Names() {
 			fmt.Println(name)
-		}
-		return
-	}
-
-	if *matrix {
-		if err := runMatrix(*procsList, *shardsList, *matrixRounds, *tenants, *matrixOut); err != nil {
-			fmt.Fprintf(os.Stderr, "vinebench: %v\n", err)
-			os.Exit(1)
 		}
 		return
 	}
@@ -100,82 +76,6 @@ func main() {
 		return
 	}
 	runOne(*exp, opts)
-}
-
-// runMatrix sweeps the dispatch harness over every (GOMAXPROCS,
-// Shards) pair, prints the table, and optionally writes the Matrix
-// JSON for benchjson to embed.
-func runMatrix(procsList, shardsList string, rounds, tenants int, out string) error {
-	procs, err := parseInts(procsList)
-	if err != nil {
-		return fmt.Errorf("-procs: %w", err)
-	}
-	shards, err := parseInts(shardsList)
-	if err != nil {
-		return fmt.Errorf("-matrix-shards: %w", err)
-	}
-	note := fmt.Sprintf("live-engine dispatch throughput (64 workers x 16 slots, no-op invocations, %d timed batches of 2000 per cell) on a %d-CPU host", rounds, runtime.NumCPU())
-	if tenants > 0 {
-		note += fmt.Sprintf("; %d equal-weight tenants via the submission plane", tenants)
-	}
-	mat := dispatchbench.Matrix{Note: note}
-	fmt.Printf("dispatch scaling matrix (inv/s; host CPUs: %d; tenants: %d)\n", runtime.NumCPU(), tenants)
-	fmt.Printf("%-12s", "procs\\shards")
-	for _, s := range shards {
-		fmt.Printf("%10d", s)
-	}
-	fmt.Println()
-	for _, p := range procs {
-		fmt.Printf("%-12d", p)
-		for _, s := range shards {
-			res, err := dispatchbench.Run(dispatchbench.Config{Procs: p, Shards: s, Rounds: rounds, Tenants: tenants})
-			if err != nil {
-				return fmt.Errorf("procs=%d shards=%d: %w", p, s, err)
-			}
-			mat.Cells = append(mat.Cells, res)
-			fmt.Printf("%10.0f", res.InvPerSec)
-		}
-		fmt.Println()
-	}
-	// Tenant runs carry the submission plane's per-tenant breakdown:
-	// print the last cell's so fair-share skew and shed/throttle counts
-	// sit next to the throughput they shaped.
-	if tenants > 0 && len(mat.Cells) > 0 {
-		fmt.Println("\nper-tenant submission plane (last cell):")
-		fmt.Printf("%-8s %6s %8s %6s %9s %8s %7s %9s\n",
-			"tenant", "weight", "submits", "shed", "throttled", "done", "queued", "in-flight")
-		for _, ts := range mat.Cells[len(mat.Cells)-1].TenantStats {
-			fmt.Printf("%-8s %6d %8d %6d %9d %8d %7d %9d\n",
-				ts.Name, ts.Weight, ts.Submits, ts.Shed, ts.Throttled, ts.Done, ts.Queued, ts.InFlight)
-		}
-	}
-	if out == "" {
-		return nil
-	}
-	enc, err := json.MarshalIndent(mat, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(out, append(enc, '\n'), 0o644)
-}
-
-func parseInts(csv string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(csv, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad value %q", f)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list")
-	}
-	return out, nil
 }
 
 func runOne(name string, opts experiments.Options) {

@@ -7,7 +7,6 @@
 // serialization, simulation, and experiment substrates live under
 // internal/. See README.md for a tour, DESIGN.md for the system
 // inventory, and EXPERIMENTS.md for paper-versus-measured results.
-// The benchmarks in bench_test.go regenerate every table and figure of
-// the paper's evaluation at reduced scale; cmd/vinebench runs them at
-// paper scale.
+// cmd/vinebench regenerates every table and figure of the paper's
+// evaluation; bench/ (BENCHMARK.json) measures the engine itself.
 package repro

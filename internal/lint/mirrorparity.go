@@ -166,12 +166,15 @@ func isDecisionEntryPoint(pkg *Package, fn *types.Func) bool {
 }
 
 // seedPolicyRefs adds every policy function the engine package
-// references (calls, assigns, passes as a value) to reached.
+// references (calls, assigns, passes as a value) to reached. A method
+// of an instantiated generic type counts as its declaration
+// (Origin): plane.Submit on a TenantPlane[intakeNode] reaches
+// TenantPlane.Submit, and through its body everything that calls.
 func seedPolicyRefs(pass *Pass, epkg *Package, reached map[*types.Func]bool) {
 	for _, obj := range epkg.Info.Uses {
 		fn, ok := obj.(*types.Func)
 		if ok && fn.Pkg() == pass.Pkg.Types {
-			reached[fn] = true
+			reached[fn.Origin()] = true
 		}
 	}
 }

@@ -147,10 +147,20 @@ func findImpureCall(prog *Program, pkg *Package, fd *ast.FuncDecl, chain []strin
 
 // staticCallee resolves a call expression to the *types.Func it
 // statically invokes (plain calls and concrete method calls; interface
-// dispatch and function values resolve to nil).
+// dispatch and function values resolve to nil). A call through a
+// generic instantiation — plane.Submit on a TenantPlane[T], or
+// NewTenantPlane[T](…) — resolves to the declared generic function
+// (types.Func.Origin), the one object that has a body to follow.
 func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) { // explicit instantiation: F[T](…)
+	case *ast.IndexExpr:
+		fun = ix.X
+	case *ast.IndexListExpr:
+		fun = ix.X
+	}
 	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		id = fun
 	case *ast.SelectorExpr:
@@ -159,7 +169,7 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 			// their declaring type is an interface.
 			fn, _ := sel.Obj().(*types.Func)
 			if fn != nil && !isInterfaceRecv(fn) {
-				return fn
+				return fn.Origin()
 			}
 			return nil
 		}
@@ -168,10 +178,10 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 		return nil
 	}
 	fn, _ := info.Uses[id].(*types.Func)
-	if fn != nil && isInterfaceRecv(fn) {
+	if fn == nil || isInterfaceRecv(fn) {
 		return nil
 	}
-	return fn
+	return fn.Origin()
 }
 
 func isInterfaceRecv(fn *types.Func) bool {

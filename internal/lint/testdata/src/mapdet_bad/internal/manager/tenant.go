@@ -3,11 +3,11 @@
 // run.
 package manager
 
-type tenantQueue struct {
+type queuedSpecs struct {
 	specs []int64
 }
 
-func DrainTenants(queues map[string]*tenantQueue) []int64 {
+func DrainTenants(queues map[string]*queuedSpecs) []int64 {
 	var out []int64
 	for _, q := range queues { // want `map iteration order is nondeterministic`
 		out = append(out, q.specs...)

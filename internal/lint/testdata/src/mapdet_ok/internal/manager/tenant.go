@@ -5,13 +5,13 @@ package manager
 
 import "repro/internal/core"
 
-type tenantQueue struct {
+type queuedSpecs struct {
 	specs []int64
 }
 
 // DrainTenants walks queues in registry (slice) order; the name map is
 // only a lookup table.
-func DrainTenants(byName map[string]int, queues []*tenantQueue) []int64 {
+func DrainTenants(byName map[string]int, queues []*queuedSpecs) []int64 {
 	var out []int64
 	for _, q := range queues {
 		out = append(out, q.specs...)

@@ -12,3 +12,11 @@ func Drive(v *policy.View, rec *policy.Recorder, keys []string) int {
 	}
 	return policy.PickDelay(len(ds)) + policy.Helper()
 }
+
+type node struct{ id int }
+
+// Submit submits through the manager's instantiation of the plane.
+func Submit(rec *policy.Recorder, id int) {
+	p := policy.NewPlane[*node](rec)
+	p.Submit(&node{id: id}, func(*node) {})
+}

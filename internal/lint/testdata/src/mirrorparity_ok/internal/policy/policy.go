@@ -1,7 +1,8 @@
 // Package policy is a clean fixture for mirrorparity: every decision
 // entry point is reachable from both engines — directly, or through a
-// policy-internal call chain (the batch-wrapper shape) — and the one
-// deliberately one-sided entry carries a justified pragma.
+// policy-internal call chain (the batch-wrapper shape, or the methods
+// of a generic type each engine instantiates with its own item) — and
+// the one deliberately one-sided entry carries a justified pragma.
 package policy
 
 // View is the decision substrate.
@@ -49,3 +50,36 @@ func (v *View) pickFirst(string) Decision {
 	}
 	return Decision{Worker: v.Workers[0]}
 }
+
+// Plane is the generic-plane shape: the engines call Submit on their
+// own instantiations, and AdmitOne and NextOne are reached only
+// through its body.
+type Plane[T any] struct{ queue []T }
+
+// NewPlane is called with an explicit instantiation by both engines.
+func NewPlane[T any](rec *Recorder) *Plane[T] {
+	NoteThing(rec, "plane")
+	return &Plane[T]{}
+}
+
+// Submit admits, queues and drains.
+func (p *Plane[T]) Submit(item T, route func(T)) {
+	if !AdmitOne(len(p.queue)) {
+		return
+	}
+	p.queue = append(p.queue, item)
+	p.drain(route)
+}
+
+func (p *Plane[T]) drain(route func(T)) {
+	for NextOne(len(p.queue)) >= 0 {
+		route(p.queue[0])
+		p.queue = p.queue[1:]
+	}
+}
+
+// AdmitOne is a decision entry point no engine names.
+func AdmitOne(queued int) bool { return queued < 8 }
+
+// NextOne is a decision entry point no engine names.
+func NextOne(queued int) int { return queued - 1 }

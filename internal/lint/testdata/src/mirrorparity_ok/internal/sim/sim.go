@@ -11,3 +11,8 @@ func Replay(v *policy.View, rec *policy.Recorder, keys []string) {
 		policy.NoteThing(rec, d.Worker)
 	}
 }
+
+// Arrive submits through the simulator's instantiation of the plane.
+func Arrive(rec *policy.Recorder, id int) {
+	policy.NewPlane[int](rec).Submit(id, func(int) {})
+}

@@ -95,7 +95,7 @@ func (s *shard) wake() {
 				// that no lock is held. pump() may wake further shards
 				// inline — bounded, since each flush empties the parked
 				// set and refills only on new failure-path releases.
-				if s.m.planeActive.Load() {
+				if s.m.plane != nil {
 					s.m.plane.pump()
 				}
 				return
@@ -255,11 +255,7 @@ func (m *Manager) forwardEvacuated(tasks []pendingTask, invs map[string][]pendin
 		m.routeTask(pt)
 	}
 	for _, lib := range core.SortedKeys(invs) {
-		idx, ok := m.router.Owner(lib)
-		if !ok {
-			idx = m.router.Park(lib)
-		}
-		m.forwardInvQueue(idx, lib, invs[lib])
+		m.forwardInvQueue(m.router.KeyShard(lib), lib, invs[lib])
 	}
 }
 

@@ -163,11 +163,10 @@ type Manager struct {
 	libMu    sync.RWMutex
 	libSpecs map[string]*core.LibrarySpec
 
-	// plane is the multi-tenant submission plane (nil without
-	// Options.Tenants); planeActive keeps the single-tenant hot path's
-	// tenancy cost to one predictable branch.
-	plane       *submitPlane
-	planeActive atomic.Bool
+	// plane is the multi-tenant submission plane, nil without
+	// Options.Tenants and never reassigned after New: the
+	// single-tenant hot path's tenancy cost is one nil check.
+	plane *submitPlane
 
 	// refs is the proxy-object plane (refplane.go): the global catalog
 	// of pass-by-reference results and the decision stream over it.
@@ -313,7 +312,9 @@ const (
 
 // intakeNode is one submitted spec waiting in a shard's intake stack.
 // Nodes are pooled: the submit path must not trade its lock for an
-// allocation per spec.
+// allocation per spec. A tenant's spec waits in the submission plane
+// as an intakeNode value (next unused) and is copied into a pooled
+// node when the plane releases it.
 type intakeNode struct {
 	next   *intakeNode
 	isTask bool
@@ -518,7 +519,6 @@ func New(opts Options) *Manager {
 	}
 	if len(opts.Tenants) > 0 {
 		m.plane = newSubmitPlane(m, opts.Tenants, opts.DecisionTrace != nil)
-		m.planeActive.Store(true)
 	}
 	m.refs = newRefPlane(m, opts.RefOwnedBytesCap, opts.DecisionTrace != nil)
 	return m
@@ -712,8 +712,8 @@ func (m *Manager) libSpec(name string) (*core.LibrarySpec, bool) {
 func (m *Manager) Submit(t *core.TaskSpec) int64 {
 	t.ID = m.nextID.Add(1)
 	pt := pendingTask{t: t, key: taskRingKey(t.ID)}
-	if t.TenantID != "" && m.planeActive.Load() &&
-		m.plane.submit(t.TenantID, planeItem{isTask: true, task: pt}, t.ID) {
+	if t.TenantID != "" && m.plane != nil &&
+		m.plane.submit(t.TenantID, intakeNode{isTask: true, task: pt}, t.ID) {
 		return t.ID
 	}
 	m.routeTask(pt)
@@ -724,8 +724,8 @@ func (m *Manager) Submit(t *core.TaskSpec) int64 {
 // handling matches Submit.
 func (m *Manager) SubmitInvocation(inv *core.InvocationSpec) int64 {
 	inv.ID = m.nextID.Add(1)
-	if inv.TenantID != "" && m.planeActive.Load() &&
-		m.plane.submit(inv.TenantID, planeItem{inv: pendingInv{inv: inv}}, inv.ID) {
+	if inv.TenantID != "" && m.plane != nil &&
+		m.plane.submit(inv.TenantID, intakeNode{inv: pendingInv{inv: inv}}, inv.ID) {
 		return inv.ID
 	}
 	m.routeInv(pendingInv{inv: inv})
@@ -738,11 +738,7 @@ func (m *Manager) SubmitInvocation(inv *core.InvocationSpec) int64 {
 // the spec goes onto the shard's intake stack and the wake latch does
 // the rest, so a submit burst never contends with a running pass.
 func (m *Manager) routeTask(pt pendingTask) {
-	idx, ok := m.router.Owner(pt.key)
-	if !ok {
-		idx = m.router.Park(pt.key)
-	}
-	s := m.shards[idx]
+	s := m.shards[m.router.KeyShard(pt.key)]
 	n := intakeNodePool.Get().(*intakeNode)
 	n.isTask, n.task = true, pt
 	s.pushIntake(n)
@@ -755,11 +751,7 @@ func (m *Manager) routeTask(pt pendingTask) {
 // cluster it parks in the library's home shard. Lock-free hand-off,
 // like routeTask.
 func (m *Manager) routeInv(pi pendingInv) {
-	idx, ok := m.router.RouteSpec(pi.inv.ID)
-	if !ok {
-		idx = m.router.Park(pi.inv.Library)
-	}
-	s := m.shards[idx]
+	s := m.shards[m.router.InvShard(pi.inv.ID, pi.inv.Library)]
 	n := intakeNodePool.Get().(*intakeNode)
 	n.isTask, n.inv = false, pi
 	s.pushIntake(n)
@@ -1066,7 +1058,7 @@ func (m *Manager) onWorkerGone(w *workerState) {
 			Err: fmt.Sprintf("manager: worker %s lost and retry budget exhausted", w.id)})
 		// Shard lock held: quota returns and the drain runs now, but
 		// the wakes park until pump() at the next wake-loop exit.
-		if m.planeActive.Load() {
+		if m.plane != nil {
 			m.plane.release(specTenant(e), false)
 		}
 	}
@@ -1227,7 +1219,7 @@ func (s *shard) failPendingForLibraryLocked(library, reason string) {
 		s.m.deliver(core.Result{ID: pi.inv.ID, Ok: false,
 			Err: fmt.Sprintf("manager: library %q failed to deploy %d times: %s",
 				library, maxLibraryFailures, reason)})
-		if s.m.planeActive.Load() {
+		if s.m.plane != nil {
 			s.m.plane.release(pi.inv.TenantID, false)
 		}
 	}
@@ -1312,7 +1304,7 @@ func (s *shard) onResult(w *workerState, res core.Result) {
 		// Final delivery returns the spec's tenant quota unit; the
 		// freed capacity may release queued plane work, drained and
 		// woken inline — no shard lock is held here.
-		if m.planeActive.Load() {
+		if m.plane != nil {
 			m.plane.release(tenant, true)
 		}
 	}
@@ -1394,7 +1386,7 @@ func (m *Manager) deliver(res core.Result) {
 // all results; a non-nil error means bookkeeping leaked somewhere
 // along a failure path.
 func (m *Manager) CheckQuiescence() error {
-	if m.planeActive.Load() {
+	if m.plane != nil {
 		if err := m.plane.checkQuiescence(); err != nil {
 			return err
 		}

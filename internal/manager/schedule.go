@@ -514,7 +514,7 @@ func (s *shard) emitFailure(inv *core.InvocationSpec, err error) {
 	s.m.deliver(core.Result{ID: inv.ID, Ok: false, Err: err.Error()})
 	// A plane-admitted spec resolving here returns its quota unit;
 	// the shard lock is held, so drained wakes park until pump().
-	if s.m.planeActive.Load() {
+	if s.m.plane != nil {
 		s.m.plane.release(inv.TenantID, false)
 	}
 }

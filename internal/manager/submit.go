@@ -2,6 +2,7 @@ package manager
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -13,10 +14,10 @@ import (
 // dispatch plane: when Options.Tenants is set, every spec carrying a
 // TenantID passes admission control, waits in its tenant's bounded
 // plane queue, and is released to a shard's lock-free intake in
-// weighted fair-share order. Every decision — the admit verdict and
-// each drain pick — is a pure internal/policy call recorded in the
-// plane's own trace, so the simulator mirrors the plane exactly and
-// the differential harness diffs both engines line for line.
+// weighted fair-share order. All of that is policy.TenantPlane, the
+// same value the simulator drives; submitPlane is the manager's shell
+// around it: the mutex, the hand-off to a shard's intake, the wakes,
+// the shed result and the Stats counters.
 //
 // Locking: the plane mutex is a leaf. Under it the plane only does
 // tenant accounting and lock-free intake pushes (shard.pushIntake) —
@@ -27,107 +28,55 @@ import (
 // the next wake-loop exit, which runs with no locks held.
 type submitPlane struct {
 	m *Manager
-	// rec records admit verdicts and drain picks. The plane always
-	// gets its own recorder (never a shard's): admissions serialize on
-	// the plane mutex while placements serialize on shard locks, so
-	// sharing one recorder would race under concurrent use.
-	rec *policy.Recorder
 
-	mu     sync.Mutex
-	queues []*tenantQueue
-	// states aliases each queue's TenantState in tenant-index order —
-	// the slice the pure policy calls take.
-	states []*policy.TenantState
-	byName map[string]int
-	// pendingWakes parks shard wake requests from drains performed
-	// while the caller held a shard lock; deferredWakes makes the
-	// empty check one atomic load for pump().
-	pendingWakes  []bool
-	deferredWakes atomic.Bool
+	mu sync.Mutex
+	// tenants always gets its own recorder (never a shard's):
+	// admissions serialize on the plane mutex while placements
+	// serialize on shard locks, so sharing one recorder would race
+	// under concurrent use.
+	tenants *policy.TenantPlane[intakeNode]
+	// fed lists the shards a drain pushed intake onto and nobody has
+	// woken yet, in first-fed order; parked makes the empty check one
+	// atomic load for pump().
+	fed    []int
+	parked atomic.Bool
 }
 
-// tenantQueue is one tenant's plane state: accounting for the pure
-// policy calls plus the FIFO of admitted-but-unreleased specs.
-type tenantQueue struct {
-	state policy.TenantState
-	q     []planeItem
-	head  int
-	// drained is the tenant's invocation routing cursor
-	// (shardplane.Router.RouteSpecTenant): advancing per drained
-	// invocation spreads each tenant's burst over all live shards
-	// independent of global ID interleaving.
-	drained int64
-	// Cumulative per-tenant breakdown (TenantStats): every submission
-	// entering admission control, the shed/throttled verdicts among
-	// them, and the final results delivered (quota units returned).
-	// Guarded by the plane mutex like the rest of the queue.
-	submits   int64
-	shed      int64
-	throttled int64
-	done      int64
-}
-
-type planeItem struct {
-	isTask bool
-	task   pendingTask
-	inv    pendingInv
-}
-
-// newSubmitPlane builds the plane over the normalized tenant registry.
 func newSubmitPlane(m *Manager, specs []core.TenantSpec, traced bool) *submitPlane {
-	norm := core.NormalizeTenants(specs, policy.MaxTenantWeight)
-	p := &submitPlane{
-		m:            m,
-		byName:       make(map[string]int, len(norm)),
-		pendingWakes: make([]bool, m.opts.Shards),
-	}
+	var rec *policy.Recorder
 	if traced {
-		p.rec = &policy.Recorder{}
+		rec = &policy.Recorder{}
 	}
-	for i, ts := range norm {
-		tq := &tenantQueue{state: policy.TenantState{Spec: ts}}
-		p.queues = append(p.queues, tq)
-		p.states = append(p.states, &tq.state)
-		p.byName[ts.Name] = i
-	}
-	return p
+	return &submitPlane{m: m, tenants: policy.NewTenantPlane[intakeNode](specs, rec)}
 }
 
 // submit runs one spec through admission control. It reports whether
 // the plane consumed the spec: false means the tenant is unregistered
-// and the caller should route directly (unknown tenants degrade to
-// the single-tenant path rather than failing). On shed the spec's
-// failed result has already been delivered.
-func (p *submitPlane) submit(tenant string, it planeItem, id int64) bool {
+// and the caller should route directly. On shed the spec's failed
+// result has already been delivered.
+func (p *submitPlane) submit(tenant string, it intakeNode, id int64) bool {
 	m := p.m
 	p.mu.Lock()
-	ti, known := p.byName[tenant]
+	d, released, known := p.tenants.Submit(tenant, it, p.route)
 	if !known {
 		p.mu.Unlock()
 		return false
 	}
-	tq := p.queues[ti]
-	tq.submits++
-	d := policy.AdmitSubmit(&tq.state)
-	p.rec.Record(policy.TraceAdmit(tenant, d))
-	if d.Verdict == policy.AdmitShed {
-		tq.shed++
+	wakes := p.takeFedLocked()
+	p.mu.Unlock()
+	atomic.AddInt64(&m.stats.FairDrains, int64(released))
+	switch d.Verdict {
+	case policy.AdmitThrottle:
+		atomic.AddInt64(&m.stats.SubmitsThrottled, 1)
+	case policy.AdmitShed:
 		atomic.AddInt64(&m.stats.SubmitsShed, 1)
 		atomic.AddInt64(&m.stats.Failures, 1)
-		p.mu.Unlock()
-		m.deliver(core.Result{ID: id, Ok: false,
-			Err: fmt.Sprintf("manager: submission shed (%s): tenant %q has %d queued", d.Reason, tenant, tq.state.Spec.MaxQueue)})
-		return true
 	}
-	if d.Verdict == policy.AdmitThrottle {
-		tq.throttled++
-		atomic.AddInt64(&m.stats.SubmitsThrottled, 1)
-	}
-	policy.NoteQueued(p.states, &tq.state)
-	tq.q = append(tq.q, it)
-	wakes := p.drainLocked()
-	p.mu.Unlock()
 	p.wakeShards(wakes)
+	if d.Verdict == policy.AdmitShed {
+		m.deliver(core.Result{ID: id, Ok: false,
+			Err: fmt.Sprintf("manager: submission shed (%s): tenant %q's plane queue is at its MaxQueue", d.Reason, tenant)})
+	}
 	return true
 }
 
@@ -141,73 +90,43 @@ func (p *submitPlane) release(tenant string, wakeNow bool) {
 		return
 	}
 	p.mu.Lock()
-	ti, known := p.byName[tenant]
-	if !known {
-		p.mu.Unlock()
-		return
-	}
-	tq := p.queues[ti]
-	tq.done++
-	if tq.state.InFlight > 0 {
-		tq.state.InFlight--
-	}
-	wakes := p.drainLocked()
-	if !wakeNow && len(wakes) > 0 {
-		for _, idx := range wakes {
-			p.pendingWakes[idx] = true
-		}
-		p.deferredWakes.Store(true)
-		p.mu.Unlock()
-		return
+	released := p.tenants.Release(tenant, p.route)
+	var wakes []int
+	if wakeNow {
+		wakes = p.takeFedLocked()
+	} else {
+		p.parked.Store(len(p.fed) > 0)
 	}
 	p.mu.Unlock()
+	atomic.AddInt64(&p.m.stats.FairDrains, int64(released))
 	p.wakeShards(wakes)
 }
 
-// drainLocked releases queued specs in fair-share order until no
-// tenant is eligible: the pure batch plan picks the order, the plane
-// pops each picked tenant's queue head and pushes it onto the target
-// shard's intake stack. Returns the shard indexes needing a wake, in
-// first-touched order. Caller holds p.mu.
-func (p *submitPlane) drainLocked() []int {
-	picks := policy.PlanSubmitBatch(p.states, 0, p.rec)
-	if len(picks) == 0 {
-		return nil
-	}
+// route pushes one released spec onto its shard's intake stack: a task
+// keeps ring-key locality, an invocation follows its tenant's own
+// cursor. Caller holds p.mu.
+func (p *submitPlane) route(it intakeNode, tenant string, seq int64) {
 	m := p.m
-	var wakes []int
-	touched := make([]bool, len(m.shards))
-	for _, ti := range picks {
-		tq := p.queues[ti]
-		it := tq.q[tq.head]
-		tq.q[tq.head] = planeItem{} // drop spec pointers
-		tq.head++
-		if tq.head == len(tq.q) {
-			tq.q, tq.head = tq.q[:0], 0
-		}
-		var idx int
-		n := intakeNodePool.Get().(*intakeNode)
-		if it.isTask {
-			var ok bool
-			if idx, ok = m.router.Owner(it.task.key); !ok {
-				idx = m.router.Park(it.task.key)
-			}
-			n.isTask, n.task = true, it.task
-		} else {
-			var ok bool
-			if idx, ok = m.router.RouteSpecTenant(tq.state.Spec.Name, tq.drained); !ok {
-				idx = m.router.Park(it.inv.inv.Library)
-			}
-			tq.drained++
-			n.isTask, n.inv = false, it.inv
-		}
-		m.shards[idx].pushIntake(n)
-		if !touched[idx] {
-			touched[idx] = true
-			wakes = append(wakes, idx)
-		}
+	var idx int
+	if it.isTask {
+		idx = m.router.KeyShard(it.task.key)
+	} else {
+		idx = m.router.TenantInvShard(tenant, seq, it.inv.inv.Library)
 	}
-	atomic.AddInt64(&m.stats.FairDrains, int64(len(picks)))
+	n := intakeNodePool.Get().(*intakeNode)
+	*n = it
+	m.shards[idx].pushIntake(n)
+	if !slices.Contains(p.fed, idx) {
+		p.fed = append(p.fed, idx)
+	}
+}
+
+// takeFedLocked claims every shard waiting for a wake. Caller holds
+// p.mu and wakes them after releasing it.
+func (p *submitPlane) takeFedLocked() []int {
+	wakes := p.fed
+	p.fed = nil
+	p.parked.Store(false)
 	return wakes
 }
 
@@ -224,18 +143,11 @@ func (p *submitPlane) wakeShards(wakes []int) {
 // performed inside a schedule pass still wakes the shards its drain
 // fed — without ever waking under a lock.
 func (p *submitPlane) pump() {
-	if !p.deferredWakes.Load() {
+	if !p.parked.Load() {
 		return
 	}
 	p.mu.Lock()
-	p.deferredWakes.Store(false)
-	var wakes []int
-	for idx, w := range p.pendingWakes {
-		if w {
-			p.pendingWakes[idx] = false
-			wakes = append(wakes, idx)
-		}
-	}
+	wakes := p.takeFedLocked()
 	p.mu.Unlock()
 	p.wakeShards(wakes)
 }
@@ -252,21 +164,8 @@ func specTenant(e *inflightEntry) string {
 	return ""
 }
 
-// TenantStat is one tenant's submission-plane breakdown: cumulative
-// admission outcomes plus a point-in-time view of its queue depth and
-// quota occupancy.
-type TenantStat struct {
-	Name      string
-	Weight    int
-	Submits   int64 // submissions entering admission control
-	Shed      int64 // rejected outright (queue bound hit)
-	Throttled int64 // accepted with a backpressure verdict
-	Done      int64 // final results delivered (quota units returned)
-	Queued    int   // waiting in the plane queue right now
-	InFlight  int   // released into the engine, not yet resolved
-	Quota     int   // configured in-flight+queued bound (0 = unbounded)
-	MaxQueue  int   // configured queue bound (0 = unbounded)
-}
+// TenantStat is one tenant's submission-plane breakdown.
+type TenantStat = policy.TenantStat
 
 // TenantStats returns the per-tenant submission-plane breakdown in
 // tenant-registry (sorted-name) order. Nil when the plane is off.
@@ -277,32 +176,17 @@ func (m *Manager) TenantStats() []TenantStat {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]TenantStat, 0, len(p.queues))
-	for _, tq := range p.queues {
-		out = append(out, TenantStat{
-			Name:      tq.state.Spec.Name,
-			Weight:    tq.state.Spec.Weight,
-			Submits:   tq.submits,
-			Shed:      tq.shed,
-			Throttled: tq.throttled,
-			Done:      tq.done,
-			Queued:    tq.state.Queued,
-			InFlight:  tq.state.InFlight,
-			Quota:     tq.state.Spec.Quota,
-			MaxQueue:  tq.state.Spec.MaxQueue,
-		})
-	}
-	return out
+	return p.tenants.Stats()
 }
 
 // Decisions returns the plane's recorded admission/drain trace.
 func (p *submitPlane) Decisions() []string {
-	if p == nil || p.rec == nil {
+	if p == nil {
 		return nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]string(nil), p.rec.Decisions...)
+	return p.tenants.Decisions()
 }
 
 // checkQuiescence verifies the plane at rest: no tenant has queued
@@ -310,13 +194,8 @@ func (p *submitPlane) Decisions() []string {
 func (p *submitPlane) checkQuiescence() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, tq := range p.queues {
-		if tq.state.Queued != 0 {
-			return fmt.Errorf("manager: tenant %q still has %d specs queued in the submission plane", tq.state.Spec.Name, tq.state.Queued)
-		}
-		if tq.state.InFlight != 0 {
-			return fmt.Errorf("manager: tenant %q still holds %d in-flight quota units", tq.state.Spec.Name, tq.state.InFlight)
-		}
+	if err := p.tenants.Quiescent(); err != nil {
+		return fmt.Errorf("manager: %w", err)
 	}
 	return nil
 }

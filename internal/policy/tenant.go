@@ -6,10 +6,9 @@ import (
 
 // The multi-tenant submission surface (DESIGN.md §14): every admission
 // and fair-share decision the submission plane makes lives here as a
-// pure function over explicit TenantState, so both engines — the real
-// manager's plane and the simulator's mirror — execute identical
-// decision sequences and the differential harness can diff them line
-// for line.
+// pure function over explicit TenantState. TenantPlane (tenantplane.go)
+// is their one caller: it owns the queues and the accounting, and both
+// engines drive it.
 //
 // Fair share generalizes internal/event/fairshare.go's virtual-time
 // model into integer arithmetic: each tenant carries a virtual time
@@ -28,8 +27,8 @@ const (
 )
 
 // TenantState is one tenant's live accounting in the submission plane.
-// The driver owns the struct; every mutation goes through the pure
-// helpers below so both engines account identically.
+// TenantPlane owns the struct; every mutation goes through the pure
+// helpers below.
 type TenantState struct {
 	Spec core.TenantSpec
 	// Queued counts specs waiting in the tenant's plane queue (admitted
@@ -177,8 +176,8 @@ func NoteQueued(ts []*TenantState, t *TenantState) {
 // next tenant, record the pick, and move one of its specs from queued
 // to in flight, until no tenant is eligible or max picks are made
 // (max <= 0 means unbounded). Returns the picked tenant indexes in
-// drain order; the driver releases each tenant's queue head to a
-// shard in exactly this order.
+// drain order; TenantPlane hands each tenant's queue head to the
+// engine in exactly this order.
 func PlanSubmitBatch(ts []*TenantState, max int, rec *Recorder) []int {
 	var out []int
 	for max <= 0 || len(out) < max {

@@ -11,18 +11,15 @@
 // strings and raw byte slices, fixed-width floats, no reflection, no
 // base64.
 //
-// Their body stays self-describing: a JSON body always starts with '{',
-// so the binary form leads with binMarker (an invalid JSON start
-// byte) and the decoders sniff the first byte. DecodeInvocation and
-// DecodeResult therefore accept both forms — a frame hand-built as
-// JSON (tests, older traces) decodes exactly like a binary one.
+// A binary body leads with binMarker, a byte no JSON body can start
+// with, and a decoder refuses a body that does not: nothing emits these
+// four messages as JSON, so nothing accepts them as JSON.
 //
-// MsgRunTask and MsgInstallLibrary have the binary body only. They are
-// where "what a FileSpec looks like on the wire" is decided: its
-// object's header (ID, name, kind, sizes) and its flag bits, never the
-// object's bytes. Those move once, in a bulk frame (MsgPutFileBulk,
-// MsgFileDataBulk); a control frame names an object, it does not carry
-// it (DESIGN.md §13).
+// MsgRunTask and MsgInstallLibrary are where "what a FileSpec looks
+// like on the wire" is decided: its object's header (ID, name, kind,
+// sizes) and its flag bits, never the object's bytes. Those move once,
+// in a bulk frame (MsgPutFileBulk, MsgFileDataBulk); a control frame
+// names an object, it does not carry it (DESIGN.md §13).
 package proto
 
 import (
@@ -35,9 +32,8 @@ import (
 	"repro/internal/core"
 )
 
-// binMarker is the first byte of a binary-encoded message body. JSON
-// bodies start with '{' (our encoder never emits leading whitespace),
-// so one-byte sniffing distinguishes the two encodings.
+// binMarker is the first byte of a binary-encoded message body; a JSON
+// body starts with '{', so one can never be taken for the other.
 const binMarker = 0xB1
 
 // encodeBinaryBody appends the binary body for the message types that
@@ -340,7 +336,7 @@ func (r *binReader) copied(what string) []byte {
 	return nil
 }
 
-// DecodeInvocation decodes a MsgInvoke body in either encoding.
+// DecodeInvocation decodes a MsgInvoke body.
 func DecodeInvocation(raw []byte) (core.InvocationSpec, error) {
 	return DecodeInvocationInterned(raw, nil)
 }
@@ -349,19 +345,17 @@ func DecodeInvocation(raw []byte) (core.InvocationSpec, error) {
 // (library, function) interned through in — the worker's receive loop
 // sees the same few names tens of thousands of times per second.
 func DecodeInvocationInterned(raw []byte, in *Interner) (core.InvocationSpec, error) {
-	if len(raw) == 0 || raw[0] != binMarker {
-		return Decode[core.InvocationSpec](raw)
-	}
 	var inv core.InvocationSpec
-	r := &binReader{b: raw, off: 1}
+	r := &binReader{b: raw}
+	r.marker()
 	inv.ID = int64(r.u64("id"))
 	inv.Library = in.intern(r.bytes("library"))
 	inv.Function = in.intern(r.bytes("function"))
 	inv.Args = r.copied("args")
-	return inv, r.err
+	return inv, r.done()
 }
 
-// DecodeResult decodes a MsgResult body in either encoding.
+// DecodeResult decodes a MsgResult body.
 func DecodeResult(raw []byte) (core.Result, error) {
 	return DecodeResultInterned(raw, nil)
 }
@@ -370,11 +364,9 @@ func DecodeResult(raw []byte) (core.Result, error) {
 // ID, library instance) interned through in — the manager's per-worker
 // receive loop sees the same identifiers on every completion.
 func DecodeResultInterned(raw []byte, in *Interner) (core.Result, error) {
-	if len(raw) == 0 || raw[0] != binMarker {
-		return Decode[core.Result](raw)
-	}
 	var res core.Result
-	r := &binReader{b: raw, off: 1}
+	r := &binReader{b: raw}
+	r.marker()
 	res.ID = int64(r.u64("id"))
 	flags := r.byte("flags")
 	res.Ok = flags&1 != 0
@@ -396,7 +388,7 @@ func DecodeResultInterned(raw []byte, in *Interner) (core.Result, error) {
 	res.Metrics.ExecTime = r.float("exec_time")
 	res.Metrics.WorkerID = in.intern(r.bytes("worker_id"))
 	res.Metrics.LibraryInstance = in.intern(r.bytes("library_instance"))
-	return res, r.err
+	return res, r.done()
 }
 
 // Smallest encodings of the repeated elements, for binReader.count.

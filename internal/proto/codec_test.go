@@ -73,52 +73,43 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryCodecJSONFallback asserts the sniffing decoders still
-// accept a JSON body — the format every frame used before the binary
-// fast path, and the one hand-built frames in tests produce.
-func TestBinaryCodecJSONFallback(t *testing.T) {
-	for _, inv := range codecInvocations {
-		raw, err := json.Marshal(inv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeInvocation(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, inv) {
-			t.Fatalf("JSON invocation:\n got %+v\nwant %+v", got, inv)
-		}
-	}
-	for _, res := range codecResults {
-		raw, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeResult(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, res) {
-			t.Fatalf("JSON result:\n got %+v\nwant %+v", got, res)
-		}
-	}
-}
-
 // TestBinaryCodecTruncation asserts every proper prefix of a binary
-// body errors instead of decoding garbage or panicking.
+// body errors instead of decoding garbage or panicking, and so does a
+// body with bytes to spare or one that is not binary at all: nothing
+// emits these messages as JSON, so a JSON body is refused like any
+// other stranger.
 func TestBinaryCodecTruncation(t *testing.T) {
 	inv := appendInvocation(nil, &codecInvocations[1])
-	for n := 1; n < len(inv); n++ {
+	for n := 0; n < len(inv); n++ {
 		if _, err := DecodeInvocation(inv[:n]); err == nil {
 			t.Fatalf("invocation prefix of %d/%d bytes decoded without error", n, len(inv))
 		}
 	}
 	res := appendResult(nil, &codecResults[1])
-	for n := 1; n < len(res); n++ {
+	for n := 0; n < len(res); n++ {
 		if _, err := DecodeResult(res[:n]); err == nil {
 			t.Fatalf("result prefix of %d/%d bytes decoded without error", n, len(res))
 		}
+	}
+	if _, err := DecodeInvocation(append(inv, 0)); err == nil {
+		t.Error("invocation body with a trailing byte decoded without error")
+	}
+	if _, err := DecodeResult(append(res, 0)); err == nil {
+		t.Error("result body with a trailing byte decoded without error")
+	}
+	invJSON, err := json.Marshal(codecInvocations[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeInvocation(invJSON); err == nil {
+		t.Error("JSON invocation body decoded without error")
+	}
+	resJSON, err := json.Marshal(codecResults[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeResult(resJSON); err == nil {
+		t.Error("JSON result body decoded without error")
 	}
 }
 

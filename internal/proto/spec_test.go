@@ -338,3 +338,41 @@ func FuzzDecodeLibrary(f *testing.F) {
 		fuzzDecode(t, proto.MsgInstallLibrary, proto.DecodeLibrary, raw)
 	})
 }
+
+// The per-invocation frames, as LNNI at L3 sends them: classify(7, 2)
+// on its way out, and the three ways a result comes back — a pickled
+// value with its phase times, a retryable failure, and a by-ref result
+// that names the object the worker kept.
+var (
+	fuzzInvocations = []core.InvocationSpec{
+		{},
+		{ID: 41, Library: "lnni", Function: "classify", Args: []byte("\x80\x04\x95(K\x07K\x02t.")},
+	}
+	fuzzResults = []core.Result{
+		{},
+		{ID: 41, Ok: true, Value: []byte("\x80\x04]\x94(K\x01K\x02e."), Metrics: core.InvocationMetrics{
+			TransferTime: 0.25, WorkerTime: 1e-3, SetupTime: 3.5, ExecTime: 0.5,
+			WorkerID: "w0017", LibraryInstance: "lnni#2",
+		}},
+		{ID: 42, Err: "worker w0017 has no library lnni", Retryable: true},
+		{ID: 43, Ok: true, Ref: &core.ObjectRef{ID: "sha256:ab12", Name: "result-43", Size: 2 << 20, Owner: "w0017", Tier: 1}},
+	}
+)
+
+func FuzzDecodeInvocation(f *testing.F) {
+	for i := range fuzzInvocations {
+		f.Add(body(f, proto.MsgInvoke, &fuzzInvocations[i]))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		fuzzDecode(t, proto.MsgInvoke, proto.DecodeInvocation, raw)
+	})
+}
+
+func FuzzDecodeResult(f *testing.F) {
+	for i := range fuzzResults {
+		f.Add(body(f, proto.MsgResult, &fuzzResults[i]))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		fuzzDecode(t, proto.MsgResult, proto.DecodeResult, raw)
+	})
+}

@@ -17,7 +17,9 @@
 //     (RouteSpec): invocations of one library are interchangeable, so
 //     spreading them is pure load balancing.
 //   - With no live workers anywhere, specs park in a key-derived home
-//     shard (Park) and are re-routed when the first worker joins.
+//     shard and are re-routed when the first worker joins. The engines
+//     never see that case: KeyShard, InvShard and TenantInvShard are
+//     total, each with the fallback inside.
 //
 // The Router holds no spec state and takes no shard locks — it is a
 // read-mostly membership index. Cross-shard spec migration (a shard
@@ -145,24 +147,47 @@ func (r *Router) RouteSpec(id int64) (int, bool) {
 	return r.alive[int(id)%len(r.alive)], true
 }
 
-// RouteSpecTenant routes one tenant's seq-th drained spec across the
-// shards with live workers: a per-tenant round-robin whose start is a
-// pure hash of the tenant name. Each tenant's cursor advances with its
-// own drain count — not the global spec ID — so one tenant's burst
-// sweeps every live shard evenly no matter how the global ID sequence
-// interleaves with other tenants, and no shard's intake can be
-// monopolized. ok is false when no worker is live anywhere.
-func (r *Router) RouteSpecTenant(tenant string, seq int64) (int, bool) {
+// KeyShard is where a keyed spec goes: a task by its ring key, an
+// evacuated invocation queue by its library name. The shard of the
+// key's ring-preferred live worker, or — no worker live anywhere — the
+// key's home shard, a pure function of the key, so the re-route on the
+// first join finds it deterministically.
+func (r *Router) KeyShard(key string) int {
+	if idx, ok := r.Owner(key); ok {
+		return idx
+	}
+	return hashring.Partition(key, r.n)
+}
+
+// InvShard is where a directly submitted invocation goes: RouteSpec's
+// round-robin over its spec ID, or the library's home shard while no
+// worker is live.
+func (r *Router) InvShard(id int64, lib string) int {
+	if idx, ok := r.RouteSpec(id); ok {
+		return idx
+	}
+	return hashring.Partition(lib, r.n)
+}
+
+// TenantInvShard is where the seq-th invocation a tenant's plane queue
+// released goes: a per-tenant round-robin over the shards with live
+// workers whose start is a pure hash of the tenant name. Each tenant's
+// cursor advances with its own drain count — not the global spec ID —
+// so one tenant's burst sweeps every live shard evenly no matter how
+// the global ID sequence interleaves with other tenants, and no shard's
+// intake can be monopolized. While no worker is live it is the
+// library's home shard.
+func (r *Router) TenantInvShard(tenant string, seq int64, lib string) int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if len(r.alive) == 0 {
-		return 0, false
+		return hashring.Partition(lib, r.n)
 	}
 	if seq < 0 {
 		seq = -seq
 	}
 	off := int64(tenantHash(tenant) % uint32(len(r.alive)))
-	return r.alive[int((off+seq)%int64(len(r.alive)))], true
+	return r.alive[int((off+seq)%int64(len(r.alive)))]
 }
 
 // tenantHash is FNV-1a over the tenant name — a fixed, seedless hash
@@ -174,13 +199,6 @@ func tenantHash(s string) uint32 {
 		h *= 16777619
 	}
 	return h
-}
-
-// Park returns the key's home shard for specs submitted while no
-// worker is live — a pure function, so re-routing on the first join
-// finds them deterministically.
-func (r *Router) Park(key string) int {
-	return hashring.Partition(key, r.n)
 }
 
 // NextAlive returns the first shard with live workers strictly after

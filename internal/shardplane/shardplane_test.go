@@ -117,3 +117,44 @@ func TestMergeTracesConcatenatesInShardOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestTotalRoutesFallBackToHomeShard: the engines' three routing calls
+// never fail. With nobody live each lands in its key's (or library's)
+// home shard; with live workers they agree with Owner and RouteSpec,
+// and a tenant's consecutive releases sweep every live shard.
+func TestTotalRoutesFallBackToHomeShard(t *testing.T) {
+	r := NewRouter(4)
+	if got, want := r.KeyShard("task-9"), hashring.Partition("task-9", 4); got != want {
+		t.Fatalf("KeyShard with no live workers = %d, want home shard %d", got, want)
+	}
+	home := hashring.Partition("lib", 4)
+	if got := r.InvShard(7, "lib"); got != home {
+		t.Fatalf("InvShard with no live workers = %d, want library home %d", got, home)
+	}
+	if got := r.TenantInvShard("acme", 3, "lib"); got != home {
+		t.Fatalf("TenantInvShard with no live workers = %d, want library home %d", got, home)
+	}
+	alive := map[int]bool{}
+	for i := 0; len(alive) < 3; i++ {
+		id := fmt.Sprintf("w%04d", i)
+		r.Add(id)
+		alive[r.ShardOf(id)] = true
+	}
+	if want, _ := r.Owner("task-9"); r.KeyShard("task-9") != want {
+		t.Fatalf("KeyShard = %d, want Owner's %d", r.KeyShard("task-9"), want)
+	}
+	if want, _ := r.RouteSpec(7); r.InvShard(7, "lib") != want {
+		t.Fatalf("InvShard = %d, want RouteSpec's %d", r.InvShard(7, "lib"), want)
+	}
+	swept := map[int]bool{}
+	for seq := int64(0); seq < int64(len(alive)); seq++ {
+		s := r.TenantInvShard("acme", seq, "lib")
+		if !alive[s] {
+			t.Fatalf("TenantInvShard(seq %d) chose workerless shard %d", seq, s)
+		}
+		swept[s] = true
+	}
+	if len(swept) != len(alive) {
+		t.Fatalf("%d consecutive releases reached %d of %d live shards", len(alive), len(swept), len(alive))
+	}
+}

@@ -35,11 +35,12 @@ type Replay struct {
 	wakeFn func()
 	// plane is the submission plane (cfg.Tenants, single-shard runs):
 	// specs submitted via the *Tenant entry points pass admission
-	// control and drain in fair-share order, exactly as the manager's
-	// submitPlane. It records into its own recorder — the manager's
-	// plane trace is a separate stream from the shard traces. The
-	// sharded composite keeps its plane on ShardedReplay instead.
-	plane *simPlane
+	// control and drain in fair-share order through the same
+	// policy.TenantPlane the manager drives. It records into its own
+	// recorder — the manager's plane trace is a separate stream from
+	// the shard traces. The sharded composite keeps its plane on
+	// ShardedReplay instead.
+	plane *policy.TenantPlane[simIntake]
 }
 
 type replayTask struct {
@@ -75,7 +76,7 @@ func NewReplay(cfg Config) *Replay {
 	st.refs = newSimRefs(cfg.RefOwnedBytesCap)
 	r := &Replay{st: st}
 	if len(cfg.Tenants) > 0 {
-		r.plane = newSimPlane(cfg.Tenants, &policy.Recorder{})
+		r.plane = policy.NewTenantPlane[simIntake](cfg.Tenants, &policy.Recorder{})
 		st.trackOwners = true
 	}
 	return r
@@ -348,9 +349,8 @@ func (r *Replay) extractPending() (tasks []replayTask, invs int, refs []specRef)
 	r.pendq = nil
 	invs = r.st.pending
 	r.st.pending = 0
-	if r.st.trackOwners {
-		refs = append(refs, r.st.queuedOwners()...)
-		r.st.owners, r.st.ownersHead = nil, 0
+	for r.st.owners.Len() > 0 {
+		refs = append(refs, r.st.popOwner())
 	}
 	return tasks, invs, refs
 }
@@ -453,65 +453,51 @@ func (r *Replay) RefDecisions() []string { return r.st.refs.decisions() }
 // Unregistered tenants degrade to the direct single-tenant path.
 func (r *Replay) SubmitTenant(tenant string) {
 	r.nextKey++
-	var it simPlaneItem
+	var it simIntake
 	if r.st.cfg.Level == core.L3 {
-		it = simPlaneItem{ref: specRef{id: int64(r.nextKey), tenant: tenant}}
+		it = simIntake{ref: specRef{id: int64(r.nextKey), tenant: tenant}}
 	} else {
-		it = simPlaneItem{isTask: true, task: replayTask{key: "task-" + strconv.Itoa(r.nextKey), tenant: tenant}}
+		it = simIntake{isTask: true, task: replayTask{key: "task-" + strconv.Itoa(r.nextKey), tenant: tenant}}
 	}
-	if r.plane != nil && tenant != "" {
-		known, accepted := r.plane.submit(tenant, it)
-		if known {
-			if accepted && r.drainPlane() > 0 {
+	if r.plane != nil {
+		if _, released, known := r.plane.Submit(tenant, it, r.enqueue); known {
+			// Like the manager, which wakes shards only for fed intake.
+			if released > 0 {
 				r.drain()
 			}
 			return
 		}
 	}
-	if it.isTask {
-		r.pendq = append(r.pendq, it.task)
-	} else {
-		r.st.pending++
-		if r.st.trackOwners {
-			r.st.pushOwner(it.ref)
-		}
-	}
+	r.enqueue(it, "", 0)
 	r.drain()
 }
 
-// drainPlane moves fair-share-released specs into this replay's local
-// queues (single-shard runs; the sharded composite routes instead).
-// Returns the release count; callers drain the engine only when it is
-// nonzero, mirroring the manager waking shards only for fed intake.
-func (r *Replay) drainPlane() int {
-	if r.plane == nil {
-		return 0
+// enqueue moves one spec into this replay's local queues. It is the
+// plane's hand-off (a policy.Route) in single-shard runs, the direct
+// path for a tenant the plane does not know, and how the sharded
+// composite empties a shard's intake.
+func (r *Replay) enqueue(it simIntake, _ string, _ int64) {
+	if it.isTask {
+		r.pendq = append(r.pendq, it.task)
+		return
 	}
-	return r.plane.drain(func(it simPlaneItem, tenant string, seq int64) {
-		if it.isTask {
-			r.pendq = append(r.pendq, it.task)
-			return
-		}
-		r.st.pending++
+	r.st.pending++
+	if r.st.trackOwners {
 		r.st.pushOwner(it.ref)
-	})
+	}
 }
 
 // finishRelease returns the completed spec's quota unit and schedules
 // whatever the release unblocks (single-shard runs).
 func (r *Replay) finishRelease(tenant string) {
-	if r.plane == nil || tenant == "" {
-		return
-	}
-	r.plane.release(tenant)
-	if r.drainPlane() > 0 {
+	if r.plane != nil && r.plane.Release(tenant, r.enqueue) > 0 {
 		r.drain()
 	}
 }
 
 // PlaneDecisions returns the submission plane's recorded trace — a
 // separate stream from the shard trace, as in the manager.
-func (r *Replay) PlaneDecisions() []string { return r.plane.decisions() }
+func (r *Replay) PlaneDecisions() []string { return r.plane.Decisions() }
 
 // EnvArrived delivers the environment tarball on worker id (the
 // FileAck): the in-flight copy becomes a replica, the serving slot is
@@ -813,8 +799,8 @@ func (r *Replay) Decisions() []string {
 	if refs := r.RefDecisions(); len(refs) > 0 {
 		merged = append(refs, merged...)
 	}
-	if plane := r.plane.decisions(); len(plane) > 0 {
-		return append(append([]string(nil), plane...), merged...)
+	if plane := r.plane.Decisions(); len(plane) > 0 {
+		return append(plane, merged...)
 	}
 	return merged
 }

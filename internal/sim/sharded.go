@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"strconv"
 
 	"repro/internal/core"
@@ -40,8 +41,10 @@ type ShardedReplay struct {
 	// plane is the submission plane (cfg.Tenants): one plane in front
 	// of all shards, its own recorder — the manager's topology. Specs
 	// released by the fair-share drain route to shard intake queues
-	// exactly as the manager's drainLocked pushes them.
-	plane *simPlane
+	// (routePlane) as the manager's submitPlane.route pushes them; fed
+	// lists the shards fed and not yet woken, in first-fed order.
+	plane *policy.TenantPlane[simIntake]
+	fed   []int
 }
 
 // shardReplica is one shard's replay plus its wake-loop state.
@@ -64,9 +67,11 @@ type shardReplica struct {
 	starving bool
 }
 
-// simIntake is one routed spec waiting in a shard's intake queue: a
-// task by ring key, or (isTask false) one pooled invocation carrying
-// its owner ref (tenant runs thread identity through the pool).
+// simIntake is one submitted spec on its way to a shard's pending
+// state — waiting in the submission plane, then in a shard's intake
+// queue: a task by ring key, or (isTask false) one pooled invocation
+// carrying its owner ref (tenant runs thread identity through the
+// pool).
 type simIntake struct {
 	isTask bool
 	task   replayTask
@@ -80,14 +85,7 @@ func (sh *shardReplica) drainIntake() {
 		return
 	}
 	for _, it := range sh.intake {
-		if it.isTask {
-			sh.rp.pendq = append(sh.rp.pendq, it.task)
-		} else {
-			sh.rp.st.pending++
-			if sh.rp.st.trackOwners {
-				sh.rp.st.pushOwner(it.ref)
-			}
-		}
+		sh.rp.enqueue(it, "", 0)
 	}
 	sh.intake = sh.intake[:0]
 	sh.dirty = true
@@ -108,7 +106,7 @@ func NewShardedReplay(cfg Config, shards int) *ShardedReplay {
 		workerShard: map[string]int{},
 	}
 	if len(cfg.Tenants) > 0 {
-		sr.plane = newSimPlane(cfg.Tenants, &policy.Recorder{})
+		sr.plane = policy.NewTenantPlane[simIntake](cfg.Tenants, &policy.Recorder{})
 	}
 	for i := 0; i < shards; i++ {
 		scfg := cfg
@@ -185,10 +183,7 @@ func (sr *ShardedReplay) wake(i int) {
 // manager's routeTask, the spec goes through the shard's intake queue
 // and the wake loop moves it into the pending queue.
 func (sr *ShardedReplay) routeTask(pt replayTask) {
-	idx, ok := sr.router.Owner(pt.key)
-	if !ok {
-		idx = sr.router.Park(pt.key)
-	}
+	idx := sr.router.KeyShard(pt.key)
 	sh := sr.shards[idx]
 	sh.intake = append(sh.intake, simIntake{isTask: true, task: pt})
 	sr.wake(idx)
@@ -198,10 +193,7 @@ func (sr *ShardedReplay) routeTask(pt replayTask) {
 // its spec ID, parking in the library's home shard when no worker is
 // live anywhere. Intake hand-off, like routeTask.
 func (sr *ShardedReplay) routeInv(ref specRef) {
-	idx, ok := sr.router.RouteSpec(ref.id)
-	if !ok {
-		idx = sr.router.Park(sr.lib())
-	}
+	idx := sr.router.InvShard(ref.id, sr.lib())
 	sh := sr.shards[idx]
 	sh.intake = append(sh.intake, simIntake{ref: ref})
 	sr.wake(idx)
@@ -225,10 +217,7 @@ func (sr *ShardedReplay) forwardEvacuated(tasks []replayTask, invs int, refs []s
 		sr.routeTask(pt)
 	}
 	if invs > 0 {
-		idx, ok := sr.router.Owner(sr.lib())
-		if !ok {
-			idx = sr.router.Park(sr.lib())
-		}
+		idx := sr.router.KeyShard(sr.lib())
 		sh := sr.shards[idx]
 		sh.rp.st.pending += invs
 		for _, ref := range refs {
@@ -301,62 +290,58 @@ func (sr *ShardedReplay) Submit(n int) {
 // Unregistered tenants degrade to the direct routing path.
 func (sr *ShardedReplay) SubmitTenant(tenant string) {
 	sr.nextID++
-	isTask := sr.cfg.Level != core.L3
-	var it simPlaneItem
-	if isTask {
-		it = simPlaneItem{isTask: true, task: replayTask{key: "task-" + strconv.Itoa(sr.nextID), tenant: tenant}}
+	var it simIntake
+	if sr.cfg.Level == core.L3 {
+		it = simIntake{ref: specRef{id: int64(sr.nextID), tenant: tenant}}
 	} else {
-		it = simPlaneItem{ref: specRef{id: int64(sr.nextID), tenant: tenant}}
+		it = simIntake{isTask: true, task: replayTask{key: "task-" + strconv.Itoa(sr.nextID), tenant: tenant}}
 	}
-	if sr.plane != nil && tenant != "" {
-		known, accepted := sr.plane.submit(tenant, it)
-		if known {
-			if accepted {
-				sr.drainPlane()
-			}
+	if sr.plane != nil {
+		if _, _, known := sr.plane.Submit(tenant, it, sr.routePlane); known {
+			sr.wakeFed()
 			return
 		}
 	}
-	if isTask {
+	if it.isTask {
 		sr.routeTask(it.task)
 	} else {
 		sr.routeInv(it.ref)
 	}
 }
 
-// drainPlane releases plane-queued specs in fair-share order into
-// shard intake queues and wakes the fed shards in first-touched order
-// — the manager's drainLocked + wakeShards. Invocations route by the
-// tenant's own cursor (Router.RouteSpecTenant); tasks keep ring-key
+// routePlane appends one fair-share-released spec to its shard's
+// intake queue — the manager's submitPlane.route. Invocations route by
+// the tenant's own cursor (Router.TenantInvShard); tasks keep ring-key
 // locality.
-func (sr *ShardedReplay) drainPlane() {
-	if sr.plane == nil {
-		return
+func (sr *ShardedReplay) routePlane(it simIntake, tenant string, seq int64) {
+	var idx int
+	if it.isTask {
+		idx = sr.router.KeyShard(it.task.key)
+	} else {
+		idx = sr.router.TenantInvShard(tenant, seq, sr.lib())
 	}
-	var wakes []int
-	touched := make([]bool, len(sr.shards))
-	sr.plane.drain(func(it simPlaneItem, tenant string, seq int64) {
-		var idx int
-		if it.isTask {
-			var ok bool
-			if idx, ok = sr.router.Owner(it.task.key); !ok {
-				idx = sr.router.Park(it.task.key)
-			}
-			sr.shards[idx].intake = append(sr.shards[idx].intake, simIntake{isTask: true, task: it.task})
-		} else {
-			var ok bool
-			if idx, ok = sr.router.RouteSpecTenant(tenant, seq); !ok {
-				idx = sr.router.Park(sr.lib())
-			}
-			sr.shards[idx].intake = append(sr.shards[idx].intake, simIntake{ref: it.ref})
-		}
-		if !touched[idx] {
-			touched[idx] = true
-			wakes = append(wakes, idx)
-		}
-	})
-	for _, idx := range wakes {
+	sr.shards[idx].intake = append(sr.shards[idx].intake, it)
+	if !slices.Contains(sr.fed, idx) {
+		sr.fed = append(sr.fed, idx)
+	}
+}
+
+// wakeFed wakes the shards a plane drain fed, in first-fed order — the
+// manager's wakeShards.
+func (sr *ShardedReplay) wakeFed() {
+	fed := sr.fed
+	sr.fed = nil
+	for _, idx := range fed {
 		sr.wake(idx)
+	}
+}
+
+// releaseTenant returns a completed spec's quota unit to the composite
+// plane and wakes whatever the release fed.
+func (sr *ShardedReplay) releaseTenant(tenant string) {
+	if sr.plane != nil {
+		sr.plane.Release(tenant, sr.routePlane)
+		sr.wakeFed()
 	}
 }
 
@@ -430,10 +415,7 @@ func (sr *ShardedReplay) Complete(id string) bool {
 	if !ok {
 		return false
 	}
-	if sr.plane != nil && tenant != "" {
-		sr.plane.release(tenant)
-		sr.drainPlane()
-	}
+	sr.releaseTenant(tenant)
 	sr.nudgeStarving()
 	return true
 }
@@ -448,10 +430,7 @@ func (sr *ShardedReplay) CompleteTask(id, key string) bool {
 	if !ok {
 		return false
 	}
-	if sr.plane != nil && tenant != "" {
-		sr.plane.release(tenant)
-		sr.drainPlane()
-	}
+	sr.releaseTenant(tenant)
 	sr.nudgeStarving()
 	return true
 }
@@ -487,7 +466,7 @@ func (sr *ShardedReplay) ShardDecisions() [][]string {
 
 // PlaneDecisions returns the submission plane's recorded trace — a
 // separate stream from the shard traces, as in the manager.
-func (sr *ShardedReplay) PlaneDecisions() []string { return sr.plane.decisions() }
+func (sr *ShardedReplay) PlaneDecisions() []string { return sr.plane.Decisions() }
 
 // Decisions returns the per-shard traces merged by the deterministic
 // rule (concatenation in shard-index order), prefixed by the plane
@@ -495,7 +474,7 @@ func (sr *ShardedReplay) PlaneDecisions() []string { return sr.plane.decisions()
 func (sr *ShardedReplay) Decisions() []string {
 	merged := shardplane.MergeTraces(sr.ShardDecisions())
 	if plane := sr.PlaneDecisions(); len(plane) > 0 {
-		return append(append([]string(nil), plane...), merged...)
+		return append(plane, merged...)
 	}
 	return merged
 }

@@ -107,10 +107,10 @@ type Config struct {
 	Batched bool
 	// Tenants enables the submission plane (DESIGN.md §14): every
 	// arrival passes admission control and waits in its tenant's plane
-	// queue until the weighted fair-share drain releases it. Replay
-	// drivers mirror the manager's plane exactly (tenant specs arrive
-	// via the *Tenant entry points); the timed simulator replaces
-	// Invocations with per-tenant Poisson arrival processes.
+	// queue until the weighted fair-share drain releases it — in the
+	// same policy.TenantPlane the manager drives. In replay runs tenant
+	// specs arrive via the *Tenant entry points; the timed simulator
+	// replaces Invocations with per-tenant Poisson arrival processes.
 	Tenants []core.TenantSpec
 	// TenantRates are per-tenant Poisson arrival rates in
 	// invocations/second, index-aligned with Tenants as given (timed
@@ -260,15 +260,14 @@ type state struct {
 	// the replay drivers keep their planes on the Replay/ShardedReplay
 	// composites instead, with their own recorders, so the plane trace
 	// stays a separate stream exactly as the manager's is.
-	plane *simPlane
+	plane *policy.TenantPlane[simIntake]
 	// trackOwners threads admitted-spec identity through the pending
-	// pool: owners is the FIFO of admitted-but-unplaced invocation refs
-	// (head-indexed like the manager's tenantQueue). The timed path
-	// pops at bind; replay pops at each recorded placement, mirroring
-	// the manager placing its queue head at every TracePlace.
+	// pool: owners is the FIFO of admitted-but-unplaced invocation
+	// refs. The timed path pops at bind; replay pops at each recorded
+	// placement, mirroring the manager placing its queue head at every
+	// TracePlace.
 	trackOwners bool
-	owners      []specRef
-	ownersHead  int
+	owners      core.FIFO[specRef]
 	// arrivalsLeft and nextSpecID drive the timed per-tenant Poisson
 	// arrival processes.
 	arrivalsLeft []int
@@ -433,8 +432,10 @@ func Run(cfg Config) *Result {
 	st.tryDispatch()
 	st.res.TotalTime = st.S.Run()
 	if st.plane != nil {
-		st.res.SubmitsShed = st.plane.shed
-		st.res.SubmitsThrottled = st.plane.throttled
+		for _, ts := range st.plane.Stats() {
+			st.res.SubmitsShed += int(ts.Shed)
+			st.res.SubmitsThrottled += int(ts.Throttled)
+		}
 	}
 	st.res.Summary = metrics.Summarize(st.res.Times)
 	st.finishBreakdowns()
@@ -967,10 +968,7 @@ func (st *state) complete(sl *slot, start float64) {
 	if st.plane != nil {
 		tenant := sl.tenant
 		sl.owner, sl.tenant = 0, ""
-		if tenant != "" {
-			st.plane.release(tenant)
-			st.drainPlaneTimed()
-		}
+		st.plane.Release(tenant, st.routeTimed)
 	}
 	st.tryDispatch()
 }

@@ -53,42 +53,10 @@ type libHolder struct {
 	// wake is signalled once per queued invocation while a slot is
 	// parked, and broadcast on removal and on shutdown.
 	wake     sync.Cond
-	queue    invQueue
+	queue    core.FIFO[core.InvocationSpec]
 	slots    int  // slot goroutines started
 	idle     int  // of those, parked and not yet signalled
 	draining bool // removed: serve what is queued, then end
-}
-
-// invQueue is a FIFO of invocations in one slice: buf[head:] is waiting,
-// buf[:head] has been served and is zero.
-type invQueue struct {
-	buf  []core.InvocationSpec
-	head int
-}
-
-func (q *invQueue) empty() bool { return q.head == len(q.buf) }
-
-func (q *invQueue) push(spec core.InvocationSpec) {
-	if len(q.buf) == cap(q.buf) && q.head >= (len(q.buf)+1)/2 {
-		// A queue that never quite empties must not grow for ever: out of
-		// room and at least half of it served, move the waiting part down
-		// rather than reallocate.
-		n := copy(q.buf, q.buf[q.head:])
-		clear(q.buf[n:])
-		q.buf, q.head = q.buf[:n], 0
-	}
-	q.buf = append(q.buf, spec)
-}
-
-// pop takes the oldest invocation; the queue must not be empty.
-func (q *invQueue) pop() core.InvocationSpec {
-	spec := q.buf[q.head]
-	q.buf[q.head] = core.InvocationSpec{} // the queue must not keep Args alive
-	q.head++
-	if q.empty() {
-		q.buf, q.head = q.buf[:0], 0
-	}
-	return spec
 }
 
 func newLibHolder(w *Worker, lib *library.Library, res core.Resources) *libHolder {
@@ -105,7 +73,7 @@ func newLibHolder(w *Worker, lib *library.Library, res core.Resources) *libHolde
 func (h *libHolder) submit(spec core.InvocationSpec) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.queue.push(spec)
+	h.queue.Push(spec)
 	switch {
 	case h.idle > 0:
 		// The signaller does the counting: a second invocation arriving
@@ -138,14 +106,14 @@ func (h *libHolder) serve() {
 func (h *libHolder) next() (core.InvocationSpec, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for h.queue.empty() && !h.draining && !h.w.stopping() {
+	for h.queue.Len() == 0 && !h.draining && !h.w.stopping() {
 		h.idle++
 		h.wake.Wait()
 	}
-	if h.queue.empty() || h.w.stopping() {
+	if h.w.stopping() {
 		return core.InvocationSpec{}, false
 	}
-	return h.queue.pop(), true
+	return h.queue.Pop()
 }
 
 // wakeAll wakes every parked slot to look at draining and the worker's

@@ -405,38 +405,3 @@ func TestStepLimitIsPerInvocation(t *testing.T) {
 		wantValue(t, fm.result(t), minipy.Int(700))
 	}
 }
-
-// TestInvQueueStaysSmallWhenNeverEmpty: a library kept busy has a queue
-// that is served as fast as it is filled but never quite empties; it
-// must stay FIFO without its slice growing with the number served.
-func TestInvQueueStaysSmallWhenNeverEmpty(t *testing.T) {
-	var q invQueue
-	next, want := int64(0), int64(0)
-	push := func() {
-		q.push(core.InvocationSpec{ID: next})
-		next++
-	}
-	pop := func() {
-		t.Helper()
-		if got := q.pop().ID; got != want {
-			t.Fatalf("popped invocation %d, want %d", got, want)
-		}
-		want++
-	}
-	for depth := 1; depth <= 5; depth++ {
-		push() // one deeper each round
-		for i := 0; i < 10000; i++ {
-			push()
-			pop()
-		}
-		if c := cap(q.buf); c > 4*(depth+1) {
-			t.Fatalf("queue of depth %d holds a slice of capacity %d after 10000 served", depth, c)
-		}
-	}
-	for !q.empty() {
-		pop()
-	}
-	if want != next {
-		t.Errorf("popped %d invocations, pushed %d", want, next)
-	}
-}

@@ -95,9 +95,8 @@ vine_runtime.store_result(total)
 // TestRefSpillSmoke forces the spill tier on real workers: an owned
 // budget far below one result's size makes every by-ref completion
 // spill to the shared filesystem, and every consumer resolve from it
-// (promoting on re-use). `make check` runs this under -race via the
-// benchsmoke target — the tier transitions' lock discipline is part of
-// what it proves.
+// (promoting on re-use). `make race` runs it under the race detector —
+// the tier transitions' lock discipline is part of what it proves.
 func TestRefSpillSmoke(t *testing.T) {
 	m := newTestManager(t, 0, Options{RefOwnedBytesCap: 4 << 10})
 	if err := m.SpawnLocalWorkers(2, WorkerOptions{Resources: core.Resources{Cores: 4}, CacheCapacity: 1 << 20}); err != nil {
