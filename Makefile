@@ -1,6 +1,6 @@
 # Convenience targets for the go-taskvine-context reproduction.
 
-.PHONY: all check build test race flake fidelity lint lint-extra benchcheck fuzzsmoke experiments examples clean
+.PHONY: all check build test race flake fidelity lint lint-extra benchcheck fuzzsmoke paperlog experiments examples clean
 
 all: check
 
@@ -10,10 +10,11 @@ all: check
 # concurrently, so -race is load-bearing here — the live multi-tenant
 # plane and the proxy-object spill tier get their lock discipline
 # checked there, by taskvine's DispatchTenantsSmoke and RefSpillSmoke),
-# the data-path packages twenty times over under -race, the repository
-# benchmark's own module linted, built, tested and run briefly, and a
-# few seconds of each wire fuzzer.
-check: build lint test fidelity race flake benchcheck fuzzsmoke
+# the data-path and decision packages twenty times over under -race,
+# the repository benchmark's own module linted, built, tested and run
+# briefly, a few seconds of each wire fuzzer, and every paper table and
+# figure re-run and compared with the checked-in log.
+check: build lint test fidelity race flake benchcheck fuzzsmoke paperlog
 
 # The fidelity gate: the pure policy core's decision-order pins, the
 # manager-vs-simulator differential replays, and the golden decision
@@ -52,23 +53,29 @@ race:
 # over one cache (randomized concurrent plane and cache operations,
 # worker staging) or over one library (slot goroutines, concurrent fork
 # slots): a test that passes nineteen times in twenty is a bug, so they
-# run twenty times, under the race detector.
+# run twenty times, under the race detector. The ring and the policy
+# core ride along: their property tests are seeded random scripts held
+# to reference oracles, and must not depend on map order or timing.
 flake:
-	go test -count=20 -race ./internal/dataplane ./internal/worker ./internal/content ./internal/library
+	go test -count=20 -race ./internal/dataplane ./internal/worker ./internal/content ./internal/library ./internal/hashring ./internal/policy
 
 # bench/ is a module of its own (repro/bench, replace repro => ../), so
 # the root go build/vet/test ./... never compile it, yet it imports the
 # engine's packages: vet, test and lint it where it lives, then run the
 # two invocation workloads for two seconds each. A run exits non-zero if
 # any output is wrong or CheckQuiescence is not clean afterwards. The
-# last run gives the runtime one core: the wire path coalesces through
+# third run gives the runtime one core: the wire path coalesces through
 # cooperative yields there, and must neither deadlock nor drop a frame.
+# The last is the simulator at paper scale, on the seed whose TotalTime
+# bench/testdata/sim_pinned.json pins to the last bit (seed 1): a policy
+# change that moves one decision in 100000 fails it.
 benchcheck:
 	cd bench && go vet ./... && go test ./...
 	go run ./cmd/vinelint ./bench/...
 	bash bench/run.sh -workload invoke_burst -seed 1 -seconds 2
 	bash bench/run.sh -workload invoke_paced -seed 1 -seconds 2
 	GOMAXPROCS=1 bash bench/run.sh -workload invoke_burst -seed 1 -seconds 2
+	bash bench/run.sh -workload sim_replay -seed 1 -seconds 2
 
 # The wire fuzz targets, five seconds each (go test -fuzz takes one
 # target and one package per run): hostile bytes must not panic a
@@ -83,9 +90,19 @@ fuzzsmoke:
 	go test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 5s ./internal/proto
 	go test -run '^$$' -fuzz '^FuzzRecvBulk$$' -fuzztime 5s ./internal/proto
 
-# Every table and figure at paper scale (~10 s).
+# Every table and figure at paper scale (~4.5 s).
 experiments:
 	go run ./cmd/vinebench -exp all
+
+# The reproduction contract as a gate: every table and figure at paper
+# scale must print what docs/vinebench-paper-scale.txt records, the
+# wall-clock lines aside (each experiment's "finished in", the closing
+# "completed in", and Table 2's local-invocation row, which times real
+# MiniPy calls). After a deliberate change to a result, regenerate the
+# log with `go run ./cmd/vinebench -exp all > docs/vinebench-paper-scale.txt`
+# and bring EXPERIMENTS.md in line.
+paperlog:
+	go run ./cmd/vinebench -exp all | diff -I 'finished in' -I 'completed in' -I 'local-invocation per-invocation' docs/vinebench-paper-scale.txt -
 
 examples:
 	go run ./examples/quickstart

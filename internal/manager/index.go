@@ -11,8 +11,8 @@ import (
 // This file keeps each shard's policy.ClusterView current and runs the
 // shard's coalesced wake loop. The paper's headline result (§4) needs
 // the manager off the critical path while invocations fan out; the
-// view's derived indexes (ReadyFree, Holders, PendingCopies, LibFull —
-// internal/policy) make each decision O(candidates), and the
+// view's derived indexes (the ready index, Holders, PendingCopies,
+// LibFull — internal/policy) make each decision O(candidates), and the
 // structures kept here make each *event* cheap:
 //
 //   - objWaiters: object → the placements its arrival could unblock,
@@ -492,8 +492,8 @@ func (s *shard) clearPendingLocked(w *workerState, id string) bool {
 }
 
 // libSlotsChangedLocked republishes one instance's free ready-slot
-// count after any slot or readiness transition, re-deriving its
-// membership in the view's ReadyFree index.
+// count after any slot or readiness transition, re-seating it in the
+// view's ready index.
 func (s *shard) libSlotsChangedLocked(w *workerState, li *libInstance) {
 	free := 0
 	if li.Ready && !li.Failed && li.SlotsUsed < li.Slots {

@@ -3,6 +3,7 @@ package manager
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/content"
@@ -124,19 +125,12 @@ func TestIndexConsistencyRandomized(t *testing.T) {
 				t.Fatalf("step %d (%s): LibFull[%s] = %d, want %d", step, op, name, s.view.LibFull[name], n)
 			}
 		}
-		if len(s.view.ReadyFree) != len(wantReady) {
-			t.Fatalf("step %d (%s): readyFree has %d libraries, want %d", step, op, len(s.view.ReadyFree), len(wantReady))
-		}
+		readyIDs := map[string][]string{}
 		for name, set := range wantReady {
-			got := s.view.ReadyFree[name]
-			if len(got) != len(set) {
-				t.Fatalf("step %d (%s): readyFree[%s] has %d workers, want %d", step, op, name, len(got), len(set))
-			}
-			for id := range set {
-				if got[id] == nil {
-					t.Fatalf("step %d (%s): readyFree[%s] missing %s", step, op, name, id)
-				}
-			}
+			readyIDs[name] = core.SortedKeys(set)
+		}
+		if got := s.view.ReadyWorkers(); !reflect.DeepEqual(got, readyIDs) {
+			t.Fatalf("step %d (%s): ready index holds %v, want %v", step, op, got, readyIDs)
 		}
 		m.obsMu.RLock()
 		counts := make(map[string]int, len(m.holders))

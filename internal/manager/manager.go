@@ -259,8 +259,8 @@ type shard struct {
 
 	// view is the cluster snapshot every scheduling decision reads: the
 	// shard's worker table, its placement ring, and the derived indexes
-	// (Holders, PendingCopies, ReadyFree, LibFull). index.go keeps it
-	// current; internal/policy decides against it; schedule.go executes.
+	// (Holders, PendingCopies, the ready index, LibFull). index.go keeps
+	// it current; internal/policy decides against it; schedule.go executes.
 	// Peer-transfer sources are shard-local by construction: PickSource
 	// only sees this shard's holders.
 	view *policy.ClusterView

@@ -15,9 +15,11 @@ import (
 // commitment, in-flight copies, source transfer slots, manager sends,
 // free ready slots) are applied to the live view while the rest of the
 // batch is planned, then undone in reverse before returning. The view
-// is observably unchanged; the driver executes the returned placements
-// in order, re-applying the same effects for real, and lands on the
-// identical end state.
+// is observably unchanged — every count is what it was and the ready
+// index gives the same answers, though its members may sit in a
+// different valid heap arrangement; the driver executes the returned
+// placements in order, re-applying the same effects for real, and
+// lands on the identical end state.
 
 // TaskReq is one task placement request in a batch.
 type TaskReq struct {
@@ -85,21 +87,22 @@ func (v *ClusterView) PlaceReadyBatch(lib string, k int, f Filter) []PlaceInvoca
 // be nil or a recycled scratch slice truncated to zero). The returned
 // slice is valid until the caller reuses dst.
 func (v *ClusterView) PlaceReadyBatchInto(dst []PlaceInvocation, lib string, k int, f Filter) []PlaceInvocation {
-	undo := v.undoScratch[:0]
+	start := len(dst)
 	for i := 0; i < k; i++ {
 		d := v.PlaceReady(lib, f)
 		if d.Worker == nil {
 			break
 		}
-		// The overlay only decrements the candidate's free ready count:
-		// PlaceReady skips entries at zero, so stale ReadyFree index
-		// membership cannot change its choice.
-		d.Lib.FreeReady--
-		undo = append(undo, undoOp{freeReady: d.Lib})
+		// The overlay takes one of the candidate's free ready slots, which
+		// re-seats it in the ready index (or drops it, at zero).
+		v.SetFreeReady(d.Worker, d.Lib, d.Lib.FreeReady-1)
 		dst = append(dst, d)
 	}
-	v.revert(undo)
-	v.undoScratch = undo[:0]
+	// The decisions themselves are the undo log: hand each slot back,
+	// last taken first.
+	for i := len(dst) - 1; i >= start; i-- {
+		v.SetFreeReady(dst[i].Worker, dst[i].Lib, dst[i].Lib.FreeReady+1)
+	}
 	return dst
 }
 
@@ -110,9 +113,8 @@ type undoOp struct {
 	res       core.Resources
 	pending   *WorkerView // undo: ClearPending(pending, obj)
 	obj       string
-	transfers *WorkerView  // undo: TransfersOut--
-	mgrSend   bool         // undo: ManagerSends--
-	freeReady *LibraryView // undo: FreeReady++
+	transfers *WorkerView // undo: TransfersOut--
+	mgrSend   bool        // undo: ManagerSends--
 }
 
 // applyPlacement applies one planned task placement's view effects —
@@ -166,8 +168,6 @@ func (v *ClusterView) revert(undo []undoOp) {
 			op.transfers.TransfersOut--
 		case op.mgrSend:
 			v.ManagerSends--
-		case op.freeReady != nil:
-			op.freeReady.FreeReady++
 		}
 	}
 }

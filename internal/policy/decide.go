@@ -152,36 +152,39 @@ type PlaceTask struct {
 }
 
 // PlanTask places a stateless task: walk the consistent-hash ring from
-// the task's key and take the first live worker that passes the filter,
-// fits the resources, and can have all inputs staged now. Workers
-// blocked only on in-flight objects contribute to Blocked so the
-// driver can retry on arrival.
+// the task's key and stop at the first live worker that passes the
+// filter, fits the resources, and can have all inputs staged now.
+// Workers blocked only on in-flight objects contribute to Blocked so
+// the driver can retry on arrival.
 func (v *ClusterView) PlanTask(key string, res core.Resources, inputs []core.FileSpec, f Filter) PlaceTask {
 	var out PlaceTask
 	seen := v.clearedSeen()
-	ring := v.Ring.AppendSequence(v.ringScratch[:0], key, 0)
-	v.ringScratch = ring
-	for _, id := range ring {
+	v.Ring.Walk(key, &v.ringSeen, func(id string) bool {
 		w := v.Workers[id]
 		if !admits(w, f) || !res.Fits(w.Avail()) {
-			continue
+			return true
 		}
 		stages, blocked, ok := v.PlanStageAll(w, inputs, v.clearedStage())
 		if !ok {
-			for _, obj := range blocked {
-				if !seen[obj] {
-					seen[obj] = true
-					out.Blocked = append(out.Blocked, obj)
-				}
-			}
-			continue
+			out.Blocked = appendUnseen(out.Blocked, seen, blocked)
+			return true
 		}
-		out.Worker = w
-		out.Stages = stages
-		out.Blocked = nil
-		return out
-	}
+		out = PlaceTask{Worker: w, Stages: stages}
+		return false
+	})
 	return out
+}
+
+// appendUnseen appends the blocked objects this walk has not reported
+// yet.
+func appendUnseen(dst []string, seen map[string]bool, blocked []string) []string {
+	for _, obj := range blocked {
+		if !seen[obj] {
+			seen[obj] = true
+			dst = append(dst, obj)
+		}
+	}
+	return dst
 }
 
 // PlaceInvocation is the decision for one function invocation that
@@ -194,30 +197,16 @@ type PlaceInvocation struct {
 // PlaceReady picks the ready instance for an invocation of lib: the
 // worker offering the most free ready slots (spread load), minimum
 // worker ID on ties — the unified deterministic order both engines
-// share (satellite 1). Zero result means no ready capacity.
+// share (satellite 1) — and the order the library's ready index is
+// kept in, so the answer is its root unless f rejects it. Zero result
+// means no ready capacity.
 func (v *ClusterView) PlaceReady(lib string, f Filter) PlaceInvocation {
-	var best *WorkerView
-	for _, w := range v.ReadyFree[lib] { //vinelint:unordered max-slots/min-ID fold is order-independent by construction
-		if !admits(w, f) {
-			continue
-		}
-		lv := w.Libs[lib]
-		if lv == nil || lv.FreeReady <= 0 {
-			continue
-		}
-		if best == nil {
-			best = w
-			continue
-		}
-		bf := best.Libs[lib].FreeReady
-		if lv.FreeReady > bf || (lv.FreeReady == bf && w.ID < best.ID) {
-			best = w
+	if x := v.ready[lib]; x != nil {
+		if lv := x.best(f); lv != nil {
+			return PlaceInvocation{Worker: lv.worker, Lib: lv}
 		}
 	}
-	if best == nil {
-		return PlaceInvocation{}
-	}
-	return PlaceInvocation{Worker: best, Lib: best.Libs[lib]}
+	return PlaceInvocation{}
 }
 
 // EvictCandidate names one idle library instance to remove from a
@@ -274,7 +263,7 @@ type DeployLibrary struct {
 
 // PlanDeploy picks the worker for a new instance of spec: skip
 // entirely when every worker is saturated (LibFull guard), else walk
-// the ring from the library name and take the first live worker below
+// the ring from the library name and stop at the first live worker below
 // its instance cap whose files can be staged and whose resources fit —
 // evicting idle foreign libraries if allowed and sufficient.
 func (v *ClusterView) PlanDeploy(spec DeploySpec, f Filter) DeployLibrary {
@@ -283,15 +272,13 @@ func (v *ClusterView) PlanDeploy(spec DeploySpec, f Filter) DeployLibrary {
 		return out
 	}
 	seen := v.clearedSeen()
-	ring := v.Ring.AppendSequence(v.ringScratch[:0], spec.Name, 0)
-	v.ringScratch = ring
-	for _, id := range ring {
+	v.Ring.Walk(spec.Name, &v.ringSeen, func(id string) bool {
 		w := v.Workers[id]
 		if !admits(w, f) {
-			continue
+			return true
 		}
 		if lv := w.Libs[spec.Name]; lv != nil && lv.MaxInstances > 0 && lv.Instances >= lv.MaxInstances {
-			continue
+			return true
 		}
 		need := spec.Res
 		if need == (core.Resources{}) {
@@ -299,27 +286,18 @@ func (v *ClusterView) PlanDeploy(spec DeploySpec, f Filter) DeployLibrary {
 		}
 		stages, blocked, ok := v.PlanStageAll(w, spec.Files, v.clearedStage())
 		if !ok {
-			for _, obj := range blocked {
-				if !seen[obj] {
-					seen[obj] = true
-					out.Blocked = append(out.Blocked, obj)
-				}
-			}
-			continue
+			out.Blocked = appendUnseen(out.Blocked, seen, blocked)
+			return true
 		}
 		evict, fits := []EvictCandidate(nil), need.Fits(w.Avail())
 		if !fits && v.Opts.EvictEmptyLibraries {
 			evict, fits = v.PlanEviction(w, spec.Name, need)
 		}
 		if !fits {
-			continue
+			return true
 		}
-		out.Worker = w
-		out.Res = need
-		out.Stages = stages
-		out.Evict = evict
-		out.Blocked = nil
-		return out
-	}
+		out = DeployLibrary{Worker: w, Res: need, Stages: stages, Evict: evict}
+		return false
+	})
 	return out
 }

@@ -68,6 +68,12 @@ type LibraryView struct {
 	MaxInstances int
 	// Res is the resource commitment of one instance.
 	Res core.Resources
+
+	// worker is the worker whose library table holds this entry (set by
+	// AddInstance when it binds, cleared by RemoveLibrary); readyPos is
+	// its position + 1 in the library's ready index, 0 when not a member.
+	worker   *WorkerView
+	readyPos int
 }
 
 // WorkerView is the policy-visible state of one worker.
@@ -96,9 +102,9 @@ func (w *WorkerView) HasFile(id string) bool { return w.Files[id] || w.Pending[i
 
 // ClusterView is the full cluster snapshot the decision functions read:
 // the worker table, the consistent-hash placement ring, and the derived
-// indexes that keep every decision O(candidates) instead of
-// O(workers × objects). Drivers keep it current through the mutators
-// below; the decision functions never write it.
+// indexes that make a decision pay only for the candidates it examines
+// (DESIGN.md §9 has the per-decision costs). Drivers keep it current
+// through the mutators below; the decision functions never write it.
 type ClusterView struct {
 	Opts    Options
 	Workers map[string]*WorkerView
@@ -111,9 +117,12 @@ type ClusterView struct {
 	// PendingCopies: object ID → copies in flight cluster-wide (the
 	// O(1) "first copy in flight, everyone else waits" check).
 	PendingCopies map[string]int
-	// ReadyFree: library → workers offering at least one free ready
-	// slot (ready-instance placement never walks the ring, §3.5.2).
-	ReadyFree map[string]map[string]*WorkerView
+	// ready: library → the live workers offering at least one free
+	// ready slot, ordered by PlaceReady's own key (ready-instance
+	// placement never walks the ring, §3.5.2). An index that empties
+	// keeps its storage — a 1-slot worker goes free⇄busy on every
+	// dispatch — until RemoveLibrary finds it empty.
+	ready map[string]*readyIndex
 	// LibFull: library → workers at MaxInstances; when every worker is
 	// full the deploy path skips its ring walk outright.
 	LibFull map[string]int
@@ -121,20 +130,21 @@ type ClusterView struct {
 	// its own link (meaningful only under ManagerSourceCap).
 	ManagerSends int
 
-	// freeSets recycles emptied Holders/ReadyFree member sets. A 1-slot
-	// worker oscillates free⇄busy on every dispatch, which would
-	// otherwise delete and re-allocate its library's ReadyFree set each
-	// cycle; the recycled maps keep their buckets, so the oscillation is
-	// allocation-free. Contents are identical either way — decisions
-	// never observe the difference.
+	// freeSets recycles emptied Holders member sets: an object whose
+	// last replica goes and comes back would otherwise delete and
+	// re-allocate its set each cycle; the recycled maps keep their
+	// buckets. Contents are identical either way — decisions never
+	// observe the difference.
 	freeSets []map[string]*WorkerView
 	// undoScratch is the batch planners' reusable overlay-undo log
 	// (always empty between calls; batch calls never nest).
 	undoScratch []undoOp
-	// ringScratch/seenScratch/stageScratch are PlanTask/PlanDeploy's
-	// reusable ring-walk buffers. The planners never nest, so one set
-	// per view suffices; each walk truncates or clears before use.
-	ringScratch  []string
+	// ringSeen/seenScratch/stageScratch are PlanTask/PlanDeploy's
+	// reusable ring-walk state: the members this walk has visited, the
+	// blocked objects it has reported, the objects it has staged. The
+	// planners never nest, so one set per view suffices; each walk
+	// re-stamps or clears before use.
+	ringSeen     hashring.Visited
 	seenScratch  map[string]bool
 	stageScratch map[string]bool
 }
@@ -188,7 +198,7 @@ func NewClusterView(opts Options) *ClusterView {
 		Ring:          hashring.New(0),
 		Holders:       map[string]map[string]*WorkerView{},
 		PendingCopies: map[string]int{},
-		ReadyFree:     map[string]map[string]*WorkerView{},
+		ready:         map[string]*readyIndex{},
 		LibFull:       map[string]int{},
 	}
 }
@@ -312,6 +322,7 @@ func (v *ClusterView) AddInstance(w *WorkerView, lv *LibraryView) {
 			w.Libs = map[string]*LibraryView{}
 		}
 		w.Libs[lv.Name] = lv
+		lv.worker = w
 	}
 	lv.Instances++
 	if lv.MaxInstances > 0 && lv.Instances == lv.MaxInstances {
@@ -334,34 +345,30 @@ func (v *ClusterView) RemoveLibrary(w *WorkerView, name string) {
 		}
 	}
 	delete(w.Libs, name)
-	v.dropReadyFree(name, w.ID)
+	if x := v.ready[name]; x != nil {
+		x.remove(lv)
+		if len(x.heap) == 0 {
+			delete(v.ready, name)
+		}
+	}
+	lv.worker = nil
 }
 
 // SetFreeReady publishes a worker's current free ready-slot count for a
-// library and re-derives its ReadyFree membership. Drivers call it
-// after any slot or readiness transition.
+// library and re-seats it in the library's ready index. Drivers call it
+// after any slot or readiness transition. Only an entry AddInstance
+// bound into w's library table is ever indexed: placement answers what
+// a fold over every worker's table would.
 func (v *ClusterView) SetFreeReady(w *WorkerView, lv *LibraryView, free int) {
 	lv.FreeReady = free
-	if free > 0 && w.Alive {
-		set := v.ReadyFree[lv.Name]
-		if set == nil {
-			set = v.newSet()
-			v.ReadyFree[lv.Name] = set
+	x := v.ready[lv.Name]
+	if free > 0 && w.Alive && lv.worker == w {
+		if x == nil {
+			x = &readyIndex{}
+			v.ready[lv.Name] = x
 		}
-		set[w.ID] = w
-		return
-	}
-	v.dropReadyFree(lv.Name, w.ID)
-}
-
-func (v *ClusterView) dropReadyFree(lib, workerID string) {
-	set := v.ReadyFree[lib]
-	if set == nil {
-		return
-	}
-	delete(set, workerID)
-	if len(set) == 0 {
-		delete(v.ReadyFree, lib)
-		v.releaseSet(set)
+		x.fix(lv)
+	} else if x != nil {
+		x.remove(lv)
 	}
 }

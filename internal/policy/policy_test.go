@@ -210,7 +210,7 @@ func TestRemoveWorkerCleansIndexes(t *testing.T) {
 	if len(v.Holders["cached"]) != 0 || v.PendingCopies["inflight"] != 0 {
 		t.Fatal("replica indexes survived worker removal")
 	}
-	if len(v.ReadyFree["lib"]) != 0 || v.LibFull["lib"] != 0 {
+	if len(v.ReadyWorkers()) != 0 || v.LibFull["lib"] != 0 {
 		t.Fatal("library indexes survived worker removal")
 	}
 	if d := v.PlaceReady("lib", nil); d.Worker != nil {

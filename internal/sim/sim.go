@@ -322,7 +322,7 @@ type wstate struct {
 
 	// busySlots, freeReady and readySlots are maintained counters so
 	// slot selection scans workers, not workers×slots; freeReady is
-	// also what the view's ReadyFree index publishes.
+	// also what the view's ready index publishes.
 	busySlots  int
 	freeReady  int
 	readySlots int
@@ -403,7 +403,7 @@ func (st *state) markLibReady(w *wstate, sl *slot) {
 }
 
 // syncLib republishes the worker's free ready-slot count into the
-// view's ReadyFree index (L3 only — tasks have no library).
+// view's ready index (L3 only — tasks have no library).
 func (st *state) syncLib(w *wstate) {
 	if st.cfg.Level != core.L3 {
 		return
