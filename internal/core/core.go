@@ -96,14 +96,6 @@ const (
 	TierShared
 )
 
-// TierName renders a storage tier for decision traces.
-func TierName(t int) string {
-	if t == TierShared {
-		return "shared"
-	}
-	return "cache"
-}
-
 // ObjectRef is a proxy handle to a result object retained in the
 // cluster instead of shipped through the manager: the content ID and
 // size travel in the result, the bytes stay on the producing worker —

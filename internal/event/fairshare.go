@@ -202,19 +202,6 @@ func (fs *FairShare) wake() {
 	fs.schedule()
 }
 
-// EstimateAlone returns the uncontended duration for a request of the
-// given size.
-func (fs *FairShare) EstimateAlone(size float64) float64 {
-	r := fs.Capacity
-	if fs.PerFlowCap > 0 && fs.PerFlowCap < r {
-		r = fs.PerFlowCap
-	}
-	if r <= 0 {
-		return math.Inf(1)
-	}
-	return size / r
-}
-
 // DualFairShare couples two fair-share constraints (bandwidth and
 // IOPS, as on the paper's Panasas system): a request needs `bytes` of
 // bandwidth service and `ops` of operation service; it completes when
@@ -234,9 +221,6 @@ func NewDualFairShare(sim *Sim, bwCapacity, perFlowBW, opsCapacity, perFlowOps f
 		ops: NewFairShare(sim, opsCapacity, perFlowOps),
 	}
 }
-
-// Active returns the number of in-flight requests (bandwidth view).
-func (d *DualFairShare) Active() int { return d.bw.Active() }
 
 // Start begins a request; done fires when both constraints are
 // satisfied.

@@ -127,7 +127,7 @@ func TestGoldenRefPipeline(t *testing.T) {
 		Batched:          true,
 		Seed:             1,
 	}
-	r := sim.NewReplay(cfg)
+	r := sim.NewReplay(cfg, 1)
 	workers := []string{"w0000", "w0001", "w0002", "w0003"}
 	refs := []core.ObjectRef{
 		{ID: "ref-a", Name: "a.out", Size: 1 << 20},

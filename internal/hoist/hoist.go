@@ -190,7 +190,7 @@ func stmtHoistable(st minipy.Stmt, params, safe map[string]bool) bool {
 		// safe anyway, and attribute/index targets mutate objects whose
 		// provenance we cannot see.
 		if s.Op != minipy.Assign {
-			return exprSafe(targetReadExpr(s.Target), params, safe) &&
+			return exprSafe(s.Target, params, safe) &&
 				allNamesTargets(s.Target) && exprSafe(s.Value, params, safe) &&
 				targetsSafe(s.Target, safe)
 		}
@@ -202,9 +202,6 @@ func stmtHoistable(st minipy.Stmt, params, safe map[string]bool) bool {
 		return false
 	}
 }
-
-// targetReadExpr returns the expression an augmented assignment reads.
-func targetReadExpr(e minipy.Expr) minipy.Expr { return e }
 
 // targetsSafe reports whether every target name is already hoisted
 // (augmented assignment on a hoisted binding).

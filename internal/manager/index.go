@@ -358,13 +358,6 @@ func (s *shard) noteReplicaLocked(w *workerState, id string) {
 	}
 }
 
-// dropReplicaLocked removes one worker's replica (worker death).
-func (s *shard) dropReplicaLocked(w *workerState, id string) {
-	if s.view.DropReplica(w.v, id) {
-		s.m.holderDrop(id, w.id)
-	}
-}
-
 // holderAdd publishes a worker's confirmed replica in the global
 // registry, under its own lock so ObjectHolders reads and cross-shard
 // source picks never contend with any shard's scheduler.

@@ -9,7 +9,7 @@
 // partitioned across N shards, each with its own scheduler lock, event
 // loop, and dirty-mark/coalesced-wake machinery. Every spec is routed
 // to exactly one shard at submission (internal/shardplane owns the
-// routing rules, shared with the simulator's sharded replay driver).
+// routing rules, shared with the simulator's Replay driver).
 // Cross-shard concerns — spec routing, evacuating a shard that lost
 // its last worker, parked work meeting its first worker — go through
 // explicit message paths that never hold two shard locks at once.
@@ -154,7 +154,7 @@ type Manager struct {
 
 	// shards partition all worker and spec state; router owns the
 	// worker→shard and spec→shard routing rules (shared with the
-	// simulator's sharded replay driver).
+	// simulator's Replay driver).
 	shards []*shard
 	router *shardplane.Router
 
@@ -535,9 +535,6 @@ func (m *Manager) shardFor(workerID string) *shard {
 	return m.shards[m.router.ShardOf(workerID)]
 }
 
-// Shards reports the dispatch plane's partition count.
-func (m *Manager) Shards() int { return len(m.shards) }
-
 // ShardDecisions returns each shard's recorded decision trace, in
 // shard-index order. Empty unless Options.DecisionTrace was set.
 func (m *Manager) ShardDecisions() [][]string {
@@ -551,7 +548,7 @@ func (m *Manager) ShardDecisions() [][]string {
 }
 
 // MergedDecisions returns the per-shard decision traces merged by the
-// deterministic rule shared with the simulator's sharded replay
+// deterministic rule shared with the simulator's Replay
 // (shardplane.MergeTraces: concatenation in shard-index order), with
 // the global streams — the submission plane's admission/drain trace
 // and the ref plane's ownership/resolve trace, when present —
@@ -760,7 +757,7 @@ func (m *Manager) routeInv(pi pendingInv) {
 
 // forwardInvQueue moves one library's whole pending queue into a
 // target shard, preserving order. Whole-queue moves (rather than
-// per-spec re-routing) are the rule the simulator's sharded replay can
+// per-spec re-routing) are the rule the simulator's Replay can
 // mirror exactly — its invocation pool is keyless.
 func (m *Manager) forwardInvQueue(idx int, lib string, q []pendingInv) {
 	s := m.shards[idx]
@@ -985,10 +982,6 @@ func (m *Manager) serveWorker(nc net.Conn) {
 	nc.Close()
 }
 
-// onWorkerGone tears down a dead worker in its home shard. Crash
-// requeues stay in the shard (the rule the simulator's sharded replay
-// mirrors); if the shard just lost its last worker, its wake loop
-// evacuates the queues to live shards.
 // releaseSourceSlotLocked returns a peer-fetch source's transfer
 // slot: a live local source's slot lives in the shard view; anything
 // else — a holder in another shard — is accounted in the global
@@ -1003,6 +996,10 @@ func (s *shard) releaseSourceSlotLocked(src string) {
 	s.m.releaseRemoteSource(src)
 }
 
+// onWorkerGone tears down a dead worker in its home shard. Crash
+// requeues stay in the shard (the rule the simulator's Replay
+// mirrors); if the shard just lost its last worker, its wake loop
+// evacuates the queues to live shards.
 func (m *Manager) onWorkerGone(w *workerState) {
 	m.router.Remove(w.id)
 	m.peerDrop(w.id)
@@ -1096,13 +1093,16 @@ func (s *shard) onFileAck(w *workerState, ack proto.FileAck) {
 	}
 	restaged := false
 	if !ack.Ok && w.v.Alive {
-		if s.m.refs.isRef(ack.ID) {
+		if d, name, isRef := s.m.refs.resolve(w.id, ack.ID, true); isRef {
 			// A ref fetch failed on every source the data plane tried.
 			// The manager never held these bytes, so the catalog restage
-			// below cannot apply: retract the unreliable replica records
-			// and plan a fresh traced resolve against what survives —
-			// the owner's pinned copy, the shared tier, or lost.
-			restaged = s.restageRefLocked(w, ack.ID)
+			// below cannot apply: the ref plane retracted the unreliable
+			// replica records and planned a fresh traced resolve against
+			// what survives — the owner's pinned copy, the shared tier,
+			// or lost.
+			if restaged = s.execResolveLocked(w, ack.ID, name, d); restaged {
+				atomic.AddInt64(&s.m.stats.Restaged, 1)
+			}
 		} else if fromPeer {
 			// The peer fetch failed on every source the data plane tried —
 			// the assigned one and the alternates it retried on its own
@@ -1339,7 +1339,7 @@ func retryBackoff(base, cap time.Duration, attempt int, specID int64) time.Durat
 
 // requeueAfter puts a failed dispatch back on this shard's pending
 // queue once its backoff elapses. Requeues stay shard-local — the rule
-// the simulator's sharded replay mirrors; if the shard has meanwhile
+// the simulator's Replay mirrors; if the shard has meanwhile
 // lost its workers, the wake loop's evacuation path takes over.
 func (s *shard) requeueAfter(e *inflightEntry, avoid string, delay time.Duration) {
 	s.m.wg.Add(1)

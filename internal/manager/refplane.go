@@ -12,11 +12,15 @@ import (
 // The ref plane (DESIGN.md §15) is the manager's half of the
 // proxy-object data plane: a global catalog of results that stayed on
 // their producing workers (pass-by-reference), driven entirely by the
-// pure policy.RefTable. Like the submission plane it serializes its
-// decisions on one leaf mutex with its OWN recorder — ref ownership,
-// spills, promotes, resolves, and rehomes form a single global decision
-// stream, compared against the simulator mirrors as its own trace
-// (RefDecisions), never interleaved into any shard's.
+// pure policy.RefTable — every sequence, the failed-fetch recovery
+// included, is one table call. What is left here is what a concurrent
+// engine with real workers needs: the lock, the messages that carry
+// out spills and adoptions, and the Stats counters. Like the submission
+// plane it serializes its decisions on one leaf mutex with its OWN
+// recorder — ref ownership, spills, promotes, resolves, and rehomes
+// form a single global decision stream, compared against the
+// simulator's catalog as its own trace (RefDecisions), never
+// interleaved into any shard's.
 //
 // Locking: refMu is a leaf below shard locks. Under it the plane only
 // mutates the table and records; message sends to spill victims and
@@ -26,10 +30,13 @@ import (
 // obsMu, consistent with every other path.
 //
 // Trace determinism: the ref stream is written from whichever shard's
-// event handler triggered the decision. With Shards == 1 (the traced
-// differential and golden configurations) the single shard lock
-// serializes every producer, so the stream is deterministic; untraced
-// multi-shard runs pay no ordering constraint.
+// event handler triggered the decision, in the order the handlers took
+// refMu. Where events are injected one at a time — the differential
+// harness at any shard count, the golden pipeline — that order is the
+// injection order, so the stream is deterministic and the simulator
+// reproduces it byte for byte (TestDifferentialRefSharded). A live
+// multi-shard manager's handlers race for refMu; its ref stream is one
+// valid serialization, not a reproducible one.
 type refPlane struct {
 	m *Manager
 	// rec records the global ref decision stream (nil when tracing is
@@ -66,19 +73,34 @@ func (p *refPlane) noteResult(workerID string, ref *core.ObjectRef) {
 }
 
 // resolve plans where consumer dst pulls ref id from, executing any
-// promote-cascaded spills before returning. catalog reports whether
+// promote-cascaded spills before returning; the table is told whether
 // the manager's own staging catalog could restage the bytes (the last
-// resort — normally false for by-ref results, whose bytes the manager
-// never held).
-func (p *refPlane) resolve(dst, id string, catalog bool) policy.ResolveDecision {
+// resort — normally not, for by-ref results, whose bytes the manager
+// never held). With failed set it is the recovery of a fetch that
+// failed on every source the data plane tried:
+// policy.RefTable.PlanRestage — retract the unreliable replica records,
+// resolve afresh against what survives — under one hold of the plane's
+// lock, so the table cannot change between the retraction and the
+// resolve. There tracked is false (one atomic load on workloads without
+// refs) when id is no proxy object and the ordinary-object recovery
+// applies; name is the ref's file name, which no failed ack carries.
+func (p *refPlane) resolve(dst, id string, failed bool) (d policy.ResolveDecision, name string, tracked bool) {
+	if failed && !p.active.Load() {
+		return d, "", false
+	}
+	_, catalog := p.m.catalogGet(id)
 	p.mu.Lock()
-	d := p.tab.PlanResolve(dst, id, catalog, p.rec)
+	if failed {
+		d, name, tracked = p.tab.PlanRestage(dst, id, catalog, p.rec)
+	} else {
+		d = p.tab.PlanResolve(dst, id, catalog, p.rec)
+	}
 	p.mu.Unlock()
 	if d.Promote {
 		atomic.AddInt64(&p.m.stats.RefPromotes, 1)
 	}
 	p.execSpills(d.Spills)
-	return d
+	return d, name, tracked
 }
 
 // execSpills tells each spill victim to demote the object to the
@@ -110,52 +132,6 @@ func (p *refPlane) noteHolder(workerID, id string) {
 	}
 	p.mu.Lock()
 	p.tab.AddRefHolder(workerID, id)
-	p.mu.Unlock()
-}
-
-// isRef reports whether id names a tracked proxy object. One atomic
-// load on workloads without refs.
-func (p *refPlane) isRef(id string) bool {
-	if !p.active.Load() {
-		return false
-	}
-	p.mu.Lock()
-	ok := p.tab.Has(id)
-	p.mu.Unlock()
-	return ok
-}
-
-// refMeta returns a tracked ref's name and size (for re-staging a
-// failed fetch, where no FileSpec travels with the ack).
-func (p *refPlane) refMeta(id string) (name string, size int64, ok bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ref := p.tab.Get(id)
-	if ref == nil {
-		return "", 0, false
-	}
-	return ref.Name, ref.Size, true
-}
-
-// invalidateHolders retracts every non-owner replica of a ref after a
-// fetch failed against the whole holder set: the walk just proved the
-// replica records unreliable (a consumer's copy can be LRU-evicted
-// under cache pressure without the catalog hearing about it), and only
-// the owner's pinned copy and the shared-tier copy carry durability
-// guarantees. The next resolve therefore lands on the owner, the
-// shared tier, or lost — guaranteed progress instead of re-picking the
-// same dead replica forever. Holder retraction is an untraced state
-// update (like AddRefHolder); the re-resolve it forces is traced.
-func (p *refPlane) invalidateHolders(id string) {
-	p.mu.Lock()
-	ref := p.tab.Get(id)
-	if ref != nil {
-		for _, w := range core.SortedKeys(ref.Holders) {
-			if w != ref.Owner {
-				p.tab.DropRefHolder(w, id)
-			}
-		}
-	}
 	p.mu.Unlock()
 }
 

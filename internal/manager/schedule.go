@@ -69,28 +69,11 @@ func (s *shard) execStageLocked(w *workerState, sf policy.StageFile) {
 			s.directSendLocked(w, sf.Spec)
 			return
 		}
-		obj := sf.Spec.Object
-		s.m.catalogAdd(sf.Spec)
 		src.v.TransfersOut++
-		s.view.NotePending(w.v, obj.ID)
-		w.fetchSources[obj.ID] = src.id
-		w.enqueue(outMsg{t: proto.MsgFetchFile, v: proto.FetchFile{
-			ID:       obj.ID,
-			Name:     obj.Name,
-			FromAddr: src.hello.DataAddr,
-			AltAddrs: s.altSourcesLocked(obj.ID, src.id, w.id),
-			Source:   src.id,
-			Cache:    sf.Spec.Cache,
-			Unpack:   sf.Spec.Unpack,
-		}})
-		atomic.AddInt64(&s.m.stats.PeerTransfers, 1)
-		if s.rec != nil {
-			s.rec.Record(policy.TraceStage(sf))
-		}
+		s.peerFetchLocked(w, src, sf, s.altSourcesLocked(sf.Spec.Object.ID, src.id, w.id))
 	case policy.StageDirect:
-		obj := sf.Spec.Object
 		if s.m.opts.PeerTransfers && sf.Spec.PeerTransfer {
-			if src, alts := s.m.acquireRemoteSource(obj.ID, s.idx, w.id); src != nil {
+			if src, alts := s.m.acquireRemoteSource(sf.Spec.Object.ID, s.idx, w.id); src != nil {
 				// Cross-shard peer sourcing: the policy core planned a
 				// manager send because this shard's view holds no
 				// replica — but another shard's worker does. Upgrade
@@ -99,22 +82,7 @@ func (s *shard) execStageLocked(w *workerState, sf policy.StageFile) {
 				// link carries the bytes across shards is a transport
 				// concern, invisible to the pure per-shard policy and
 				// to the simulator's replay.
-				s.m.catalogAdd(sf.Spec)
-				s.view.NotePending(w.v, obj.ID)
-				w.fetchSources[obj.ID] = src.id
-				w.enqueue(outMsg{t: proto.MsgFetchFile, v: proto.FetchFile{
-					ID:       obj.ID,
-					Name:     obj.Name,
-					FromAddr: src.hello.DataAddr,
-					AltAddrs: alts,
-					Source:   src.id,
-					Cache:    sf.Spec.Cache,
-					Unpack:   sf.Spec.Unpack,
-				}})
-				atomic.AddInt64(&s.m.stats.PeerTransfers, 1)
-				if s.rec != nil {
-					s.rec.Record(policy.TraceStage(sf))
-				}
+				s.peerFetchLocked(w, src, sf, alts)
 				return
 			}
 		}
@@ -130,109 +98,79 @@ func (s *shard) execStageLocked(w *workerState, sf policy.StageFile) {
 		if s.rec != nil {
 			s.rec.Record(policy.TraceStage(sf))
 		}
-		s.execRefStageLocked(w, sf)
+		d, _, _ := s.m.refs.resolve(w.id, sf.Object, false)
+		s.execResolveLocked(w, sf.Object, sf.Spec.Object.Name, d)
 	}
 }
 
-// execRefStageLocked resolves one proxy-object input through the ref
-// plane and executes the decision. Ref transfers consume no
-// view-tracked transfer slots and register no fetch-source record —
-// they are bounded by the workers' data-plane serve concurrency, not
-// the spanning-tree cap — so the FileAck plumbing sees them as direct
-// sends that happen to arrive from a peer.
-func (s *shard) execRefStageLocked(w *workerState, sf policy.StageFile) {
+// peerFetchLocked tells w to fetch the staged object from src's data
+// server (alts: addresses its data plane may retry on its own),
+// recording src as the fetch's source so the ack returns its transfer
+// slot — which the caller reserved, in the shard view for a local
+// source or in the global registry for one in another shard.
+func (s *shard) peerFetchLocked(w, src *workerState, sf policy.StageFile, alts []string) {
+	obj := sf.Spec.Object
+	s.m.catalogAdd(sf.Spec)
+	s.view.NotePending(w.v, obj.ID)
+	w.fetchSources[obj.ID] = src.id
+	w.enqueue(outMsg{t: proto.MsgFetchFile, v: proto.FetchFile{
+		ID:       obj.ID,
+		Name:     obj.Name,
+		FromAddr: src.hello.DataAddr,
+		AltAddrs: alts,
+		Source:   src.id,
+		Cache:    sf.Spec.Cache,
+		Unpack:   sf.Spec.Unpack,
+	}})
+	atomic.AddInt64(&s.m.stats.PeerTransfers, 1)
+	if s.rec != nil {
+		s.rec.Record(policy.TraceStage(sf))
+	}
+}
+
+// execResolveLocked executes one ref-plane decision for the copy of
+// ref id (file name name) on w — a first resolve at ref-stage
+// execution, or the recovery resolve after a failed fetch — and reports
+// whether a transfer was issued, whose own ack settles whatever waits
+// on the copy. Ref transfers consume no view-tracked transfer slots and
+// register no fetch-source record — they are bounded by the workers'
+// data-plane serve concurrency, not the spanning-tree cap — so the
+// FileAck plumbing sees them as direct sends that happen to arrive from
+// a peer.
+func (s *shard) execResolveLocked(w *workerState, id, name string, d policy.ResolveDecision) bool {
 	m := s.m
-	_, catalogKnown := m.catalogGet(sf.Object)
-	d := m.refs.resolve(w.id, sf.Object, catalogKnown)
+	fetch := proto.FetchFile{ID: id, Name: name, Cache: true, Size: d.Size}
 	switch d.Mode {
 	case policy.ResolveReady:
 		// The consumer already holds (or is receiving) a replica.
-	case policy.ResolvePeer:
-		addr, altAddrs := m.refSourceAddrs(d.Src, d.Alts)
-		if addr == "" {
-			// The chosen holder died between decision and execution; the
-			// next membership event re-plans through rehome. Fall back to
-			// the manager's catalog when it happens to have the bytes.
-			if fs, known := m.catalogGet(sf.Object); known {
-				s.directSendLocked(w, fs)
-			}
-			return
-		}
-		s.notePendingLocked(w, sf.Object)
-		w.enqueue(outMsg{t: proto.MsgFetchFile, v: proto.FetchFile{
-			ID:       sf.Object,
-			Name:     sf.Spec.Object.Name,
-			FromAddr: addr,
-			AltAddrs: altAddrs,
-			Cache:    true,
-			Size:     d.Size,
-		}})
-		atomic.AddInt64(&m.stats.RefTransfers, 1)
-	case policy.ResolveShared:
-		s.notePendingLocked(w, sf.Object)
-		w.enqueue(outMsg{t: proto.MsgFetchFile, v: proto.FetchFile{
-			ID:     sf.Object,
-			Name:   sf.Spec.Object.Name,
-			Shared: true,
-			Own:    d.Promote,
-			Cache:  true,
-			Size:   d.Size,
-		}})
-	case policy.ResolveDirect:
-		if fs, known := m.catalogGet(sf.Object); known {
-			s.directSendLocked(w, fs)
-		}
+		return false
 	case policy.ResolveLost:
 		// No copy survives anywhere. The dispatch proceeds and fails on
 		// the worker with a retryable "input not staged", drawing on the
 		// spec's retry budget — the documented owner-death semantics.
-	}
-}
-
-// restageRefLocked recovers a failed ref fetch: the walk proved the
-// replica records unreliable, so retract every non-owner holder and
-// plan a fresh traced resolve against what survives. Reports whether a
-// replacement transfer (whose own ack will settle the waiters) was
-// issued.
-func (s *shard) restageRefLocked(w *workerState, id string) bool {
-	m := s.m
-	name, size, tracked := m.refs.refMeta(id)
-	if !tracked {
 		return false
-	}
-	m.refs.invalidateHolders(id)
-	_, catalogKnown := m.catalogGet(id)
-	d := m.refs.resolve(w.id, id, catalogKnown)
-	switch d.Mode {
 	case policy.ResolvePeer:
-		addr, altAddrs := m.refSourceAddrs(d.Src, d.Alts)
-		if addr == "" {
-			return false
+		fetch.FromAddr, fetch.AltAddrs = m.refSourceAddrs(d.Src, d.Alts)
+		if fetch.FromAddr != "" {
+			atomic.AddInt64(&m.stats.RefTransfers, 1)
+			break
 		}
-		s.notePendingLocked(w, id)
-		w.enqueue(outMsg{t: proto.MsgFetchFile, v: proto.FetchFile{
-			ID: id, Name: name, FromAddr: addr, AltAddrs: altAddrs,
-			Cache: true, Size: size,
-		}})
-		atomic.AddInt64(&m.stats.RefTransfers, 1)
-		atomic.AddInt64(&m.stats.Restaged, 1)
-		return true
-	case policy.ResolveShared:
-		s.notePendingLocked(w, id)
-		w.enqueue(outMsg{t: proto.MsgFetchFile, v: proto.FetchFile{
-			ID: id, Name: name, Shared: true, Own: d.Promote,
-			Cache: true, Size: size,
-		}})
-		atomic.AddInt64(&m.stats.Restaged, 1)
-		return true
+		// The chosen holder died between decision and execution; the
+		// next membership event re-plans through rehome. Fall back to
+		// the manager's catalog when it happens to have the bytes.
+		fallthrough
 	case policy.ResolveDirect:
-		if fs, known := m.catalogGet(id); known {
+		fs, known := m.catalogGet(id)
+		if known {
 			s.directSendLocked(w, fs)
-			atomic.AddInt64(&m.stats.Restaged, 1)
-			return true
 		}
+		return known
+	case policy.ResolveShared:
+		fetch.Shared, fetch.Own = true, d.Promote
 	}
-	return false
+	s.notePendingLocked(w, id)
+	w.enqueue(outMsg{t: proto.MsgFetchFile, v: fetch})
+	return true
 }
 
 // acquireRemoteSource picks a live holder of the object outside shard

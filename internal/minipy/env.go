@@ -40,18 +40,6 @@ func (e *Env) GetLocal(name string) (Value, bool) {
 // Set binds a name in this frame.
 func (e *Env) Set(name string, v Value) { e.vars[name] = v }
 
-// SetExisting rebinds a name in the innermost frame where it is already
-// bound, reporting whether such a frame was found.
-func (e *Env) SetExisting(name string, v Value) bool {
-	for env := e; env != nil; env = env.parent {
-		if _, ok := env.vars[name]; ok {
-			env.vars[name] = v
-			return true
-		}
-	}
-	return false
-}
-
 // Delete removes a binding from this frame, reporting whether it
 // existed.
 func (e *Env) Delete(name string) bool {
@@ -83,15 +71,6 @@ func (e *Env) Root() *Env {
 		env = env.parent
 	}
 	return env
-}
-
-// Snapshot copies this frame's direct bindings into a map.
-func (e *Env) Snapshot() map[string]Value {
-	out := make(map[string]Value, len(e.vars))
-	for k, v := range e.vars {
-		out[k] = v
-	}
-	return out
 }
 
 // Clone makes a shallow copy of the whole environment chain. Frames are

@@ -325,29 +325,3 @@ func ImportedModules(f *Func) []string {
 	sort.Strings(out)
 	return out
 }
-
-// ImportedModulesInSource scans an entire source file for imports.
-func ImportedModulesInSource(src string) ([]string, error) {
-	mod, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	seen := map[string]bool{}
-	Walk(mod, func(n Node) bool {
-		switch st := n.(type) {
-		case *ImportStmt:
-			for _, it := range st.Items {
-				seen[rootName(it.Module)] = true
-			}
-		case *FromImportStmt:
-			seen[rootName(st.Module)] = true
-		}
-		return true
-	})
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out, nil
-}

@@ -493,12 +493,37 @@ d = {"a": 1, "b": 2}
 del d["a"]
 xs = [1, 2, 3]
 del xs[0]
+gone = 1
+del gone
+kept = 2
+def drop():
+    global kept
+    local = 3
+    del local
+    del kept
+drop()
 `
 	if got := evalIn(t, src, "len(d)").Repr(); got != "1" {
 		t.Errorf("len(d) = %s", got)
 	}
 	if got := evalIn(t, src, "xs").Repr(); got != "[2, 3]" {
 		t.Errorf("xs = %s", got)
+	}
+	// del of a plain name unbinds it in its own frame, or — declared
+	// global — in the module's (Env.Delete); deleting it again is an
+	// error, not a no-op.
+	ip := NewInterp(newTestHost())
+	env, err := ip.RunModule(src, "__main__")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"gone", "kept"} {
+		if _, bound := env.Get(name); bound {
+			t.Errorf("%s is still bound after del", name)
+		}
+	}
+	if _, err := ip.RunModule("x = 1\ndel x\ndel x\n", "m"); err == nil || !strings.Contains(err.Error(), "not defined") {
+		t.Errorf("second del of a name: err = %v, want a name-not-defined error", err)
 	}
 }
 

@@ -99,23 +99,15 @@ type RebuildSpec struct {
 	Globals  map[string]Value
 }
 
-// RebuildFunc reconstructs a function value from a spec. The function's
-// code is re-parsed from source; its globals environment is a fresh
-// builtins environment extended with the pickled globals; closure
-// captures become an intermediate frame. Parameter defaults are the
-// pickled definition-time values, not re-evaluated expressions.
-func RebuildFunc(ip *Interp, spec *RebuildSpec) (*Func, error) {
-	fn := &Func{}
-	if err := RebuildFuncInto(ip, spec, fn); err != nil {
-		return nil, err
-	}
-	return fn, nil
-}
-
-// RebuildFuncInto fills an existing (empty) Func shell from a spec.
-// Deserializers allocate the shell first so that cyclic references —
-// self-recursive and mutually recursive functions — can point at the
-// final function object before its own captures finish decoding.
+// RebuildFuncInto reconstructs a function value from a spec into an
+// existing (empty) Func shell. The function's code is re-parsed from
+// source; its globals environment is a fresh builtins environment
+// extended with the pickled globals; closure captures become an
+// intermediate frame. Parameter defaults are the pickled
+// definition-time values, not re-evaluated expressions. Deserializers
+// allocate the shell first so that cyclic references — self-recursive
+// and mutually recursive functions — can point at the final function
+// object before its own captures finish decoding.
 func RebuildFuncInto(ip *Interp, spec *RebuildSpec, fn *Func) error {
 	globalsEnv := ip.NewGlobals()
 	for k, v := range spec.Globals {
@@ -185,22 +177,6 @@ func RebuildFuncInto(ip *Interp, spec *RebuildSpec, fn *Func) error {
 	}
 	fn.Params = params
 	return nil
-}
-
-// BindGlobal injects a binding into a function's globals environment.
-// The worker runtime uses this to register sibling functions of a
-// library into each other's namespaces after all are rebuilt.
-func BindGlobal(f *Func, name string, v Value) {
-	if f.Globals == nil {
-		f.Globals = NewEnv(nil)
-	}
-	f.Globals.Root().Set(name, v)
-}
-
-// SharedGlobals reports whether two functions share the same globals
-// environment (true for functions defined in the same module).
-func SharedGlobals(a, b *Func) bool {
-	return a.Globals != nil && a.Globals.Root() == b.Globals.Root()
 }
 
 // AdoptGlobals merges a function's captured module globals into target

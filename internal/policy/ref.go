@@ -20,6 +20,8 @@ import (
 //     shared tier when the object was spilled (with a promote: the
 //     consumer becomes the new cache-tier owner), the driver's own
 //     catalog as the last resort, or lost.
+//   - PlanRestage: a fetch failed against the whole holder set. Every
+//     non-owner holder is retracted and the resolve re-planned.
 //   - PlanRehome: owner death. Each ref owned by the dead worker is
 //     re-homed onto the minimum-ID surviving holder, falls back to its
 //     shared-tier copy, or is declared lost.
@@ -27,7 +29,7 @@ import (
 // Like the rest of the package these functions are side-effect free
 // with respect to the world: they mutate only the table, and every
 // decision is recorded through the shared trace helpers so the manager
-// and both simulator mirrors emit byte-identical sequences.
+// and the simulator emit byte-identical sequences.
 //
 // The table is driver-serialized (the manager guards it with the ref
 // plane's own mutex, the simulators are single-threaded); it is not
@@ -136,12 +138,6 @@ func NewRefTable(ownedBytesCap int64) *RefTable {
 		held:          map[string]map[string]bool{},
 	}
 }
-
-// Len reports how many refs the catalog tracks.
-func (t *RefTable) Len() int { return len(t.refs) }
-
-// Has reports whether id names a tracked proxy object.
-func (t *RefTable) Has(id string) bool { _, ok := t.refs[id]; return ok }
 
 // Get returns a ref's catalog entry (nil if untracked). The entry is
 // live — callers must not mutate it.
@@ -337,6 +333,31 @@ func (t *RefTable) PlanResolve(dst, id string, catalog bool, rec *Recorder) Reso
 	d := ResolveDecision{Mode: ResolveLost, Size: ref.Size}
 	rec.Record(TraceResolve(id, dst, d))
 	return d
+}
+
+// PlanRestage recovers a fetch of ref id that failed on dst against the
+// whole holder set. The walk just proved the replica records unreliable
+// (a consumer's copy can be LRU-evicted under cache pressure without
+// the catalog hearing about it); only the owner's pinned copy and the
+// shared-tier copy carry durability guarantees. So every non-owner
+// holder is retracted — an untraced state update, like AddRefHolder —
+// and a fresh traced resolve runs against what survives: it lands on
+// the owner, the shared tier, or lost, guaranteed progress instead of
+// re-picking the same dead replica forever. It is one call so that a
+// driver holds its lock once for the sequence. name is the ref's file
+// name (no FileSpec travels with a failed ack); tracked is false, and
+// nothing is retracted or recorded, for an ID the catalog does not hold.
+func (t *RefTable) PlanRestage(dst, id string, catalog bool, rec *Recorder) (d ResolveDecision, name string, tracked bool) {
+	ref := t.refs[id]
+	if ref == nil {
+		return ResolveDecision{}, "", false
+	}
+	for _, w := range core.SortedKeys(ref.Holders) {
+		if w != ref.Owner {
+			t.dropHolder(ref, w)
+		}
+	}
+	return t.PlanResolve(dst, id, catalog, rec), ref.Name, true
 }
 
 // PlanRehome handles an owner's death: every replica the dead worker

@@ -121,3 +121,39 @@ func TestRefRehome(t *testing.T) {
 		t.Fatalf("trace tail = %q, want %q", tail, want)
 	}
 }
+
+// TestRefRestage pins the failed-fetch recovery: every non-owner holder
+// is retracted (untraced) and the fresh resolve lands on the owner —
+// the only replica with a durability guarantee — then, with the owner
+// gone too, on lost; an untracked ID changes and records nothing.
+func TestRefRestage(t *testing.T) {
+	rec := &Recorder{}
+	tab := NewRefTable(0)
+	tab.NoteRefResult("w3", "a", "a.out", 10, rec)
+	tab.AddRefHolder("w2", "a")
+	tab.AddRefHolder("w4", "a")
+
+	d, name, tracked := tab.PlanRestage("w9", "a", false, rec)
+	if !tracked || name != "a.out" || d.Mode != ResolvePeer || d.Src != "w3" || d.Size != 10 || len(d.Alts) != 0 {
+		t.Fatalf("want a tracked peer resolve from owner w3 with no alternates, got %+v name=%q tracked=%v", d, name, tracked)
+	}
+	if ref := tab.Get("a"); len(ref.Holders) != 1 || !ref.Holders["w3"] {
+		t.Fatalf("non-owner holders survived the restage: %v", ref.Holders)
+	}
+	tab.DropRefHolder("w3", "a")
+	if d, _, tracked := tab.PlanRestage("w9", "a", false, rec); !tracked || d.Mode != ResolveLost {
+		t.Fatalf("want tracked lost, got %+v tracked=%v", d, tracked)
+	}
+	n := len(rec.Decisions)
+	if d, name, tracked := tab.PlanRestage("w9", "zzz", true, rec); tracked || name != "" || d.Mode != ResolveReady || len(rec.Decisions) != n {
+		t.Fatalf("an untracked ID must be a silent no-op, got %+v name=%q tracked=%v", d, name, tracked)
+	}
+	want := []string{
+		"own obj=a worker=w3 size=10",
+		"resolve obj=a dst=w9 mode=peer src=w3",
+		"resolve obj=a dst=w9 mode=lost",
+	}
+	if !reflect.DeepEqual(rec.Decisions, want) {
+		t.Fatalf("trace = %q, want %q", rec.Decisions, want)
+	}
+}

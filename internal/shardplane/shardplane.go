@@ -4,7 +4,7 @@
 // dirty-mark machinery — and every spec (task or invocation) is routed
 // to exactly one shard at submission. This package owns the routing
 // rules, shared verbatim by the real manager and the simulator's
-// sharded replay driver so the differential harness can prove the two
+// Replay driver so the differential harness can prove the two
 // engines route identically:
 //
 //   - A worker's home shard is hashring.Partition(workerID, N) — a
@@ -61,9 +61,6 @@ func NewRouter(n int) *Router {
 		live:    make([]int, n),
 	}
 }
-
-// Shards returns the partition count.
-func (r *Router) Shards() int { return r.n }
 
 // ShardOf returns workerID's home shard — a pure function of the ID.
 func (r *Router) ShardOf(workerID string) int {

@@ -34,7 +34,7 @@ func newBatchedPair(level core.ReuseLevel, slots int) (plain, batched *Replay) {
 			ManagerSourceCap: 1 << 30,
 			Seed:             1,
 			Batched:          b,
-		})
+		}, 1)
 	}
 	return mk(false), mk(true)
 }

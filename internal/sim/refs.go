@@ -5,17 +5,20 @@ import (
 	"repro/internal/policy"
 )
 
-// simRefs is the replay's mirror of the manager's ref plane (DESIGN.md
-// §15): the same pure policy.RefTable driven at the same points —
-// ownership transfer on by-ref completions, resolves at ref-stage
-// execution, holder retraction plus a fresh resolve on failed fetches,
-// rehoming on owner death — recording into its own recorder so the
-// global ref decision stream stays a separate trace, compared against
-// Manager.RefDecisions line for line by the differential harness.
+// simRefs is the replay's ref catalog (DESIGN.md §15): the same pure
+// policy.RefTable the manager's ref plane holds, one per Replay
+// whatever the shard count, driven at the same points — ownership
+// transfer on by-ref completions (NoteRefResult), resolves at ref-stage
+// execution (PlanResolve), holder retraction plus a fresh resolve on
+// failed fetches (PlanRestage), rehoming on owner death (PlanRehome) —
+// and recording into its own recorder, so the global ref decision
+// stream stays a separate trace compared against Manager.RefDecisions
+// line for line.
 //
-// The mirror carries no transport: the manager's spill/adopt messages
-// (MsgSpillObject/MsgOwnObject) have no view or table effect — the
-// catalog re-tiers at decision time — so the replay simply drops them.
+// The sequencing is the table's; what is left here is what the manager
+// keeps in refplane.go minus the transport. The manager's spill/adopt
+// messages (MsgSpillObject/MsgOwnObject) have no view or table effect —
+// the catalog re-tiers at decision time — so the replay drops them.
 type simRefs struct {
 	tab *policy.RefTable
 	rec *policy.Recorder
@@ -36,64 +39,25 @@ func (r *simRefs) spec(id string) core.FileSpec {
 	return core.RefSpec(&core.ObjectRef{ID: ref.ID, Name: ref.Name, Size: ref.Size})
 }
 
-// result is the ownership transfer on a by-ref completion — the
-// manager's refPlane.noteResult. Cascaded spills re-tiered the catalog
-// at decision time; the spill messages themselves carry no state.
-func (r *simRefs) result(workerID string, ref core.ObjectRef) {
-	r.tab.NoteRefResult(workerID, ref.ID, ref.Name, ref.Size, r.rec)
-}
-
-// stage resolves one proxy-object input at ref-stage execution — the
-// manager's execRefStageLocked. catalog is always false here: the
-// replay's manager never holds by-ref bytes, so ResolveDirect cannot
-// arise. Peer and shared fetches mark the in-flight copy (the ack
-// plumbing's record); ready and lost stage nothing — a lost ref's
-// dispatch proceeds and fails retryably on the worker. A resolved peer
-// source is always live in the synchronous replay (rehome retracts a
-// dead owner's records before any later resolve), so the manager's
-// dead-source fallback never fires.
-func (r *simRefs) stage(st *state, dst *wstate, id string) {
-	d := r.tab.PlanResolve(dst.id, id, false, r.rec)
-	switch d.Mode {
-	case policy.ResolvePeer, policy.ResolveShared, policy.ResolveDirect:
-		st.view.NotePending(dst.v, id)
+// stage plans and executes one proxy-object copy onto dst in view v —
+// the manager's execResolveLocked: a first resolve at ref-stage
+// execution, or (failed) the recovery of a fetch that failed against
+// the whole holder set. catalog is always false: the replay's manager
+// never holds by-ref bytes, so ResolveDirect cannot arise. Peer and
+// shared fetches mark the in-flight copy (the ack plumbing's record);
+// ready and lost stage nothing — a lost ref's dispatch proceeds and
+// fails retryably on the worker. A resolved peer source is always live
+// in the synchronous replay (rehome retracts a dead owner's records
+// before any later resolve), so the manager's dead-source fallback
+// never fires.
+func (r *simRefs) stage(v *policy.ClusterView, dst *policy.WorkerView, id string, failed bool) {
+	var d policy.ResolveDecision
+	if failed {
+		d, _, _ = r.tab.PlanRestage(dst.ID, id, false, r.rec)
+	} else {
+		d = r.tab.PlanResolve(dst.ID, id, false, r.rec)
 	}
-}
-
-// restage recovers a failed ref fetch — the manager's
-// restageRefLocked: the walk proved the replica records unreliable, so
-// retract every non-owner holder (untraced, like AddRefHolder) and
-// plan a fresh traced resolve against what survives — the owner's
-// pinned copy, the shared tier, or lost.
-func (r *simRefs) restage(st *state, w *wstate, id string) {
-	ref := r.tab.Get(id)
-	if ref == nil {
-		return
+	if d.Mode == policy.ResolvePeer || d.Mode == policy.ResolveShared {
+		v.NotePending(dst, id)
 	}
-	for _, h := range core.SortedKeys(ref.Holders) {
-		if h != ref.Owner {
-			r.tab.DropRefHolder(h, id)
-		}
-	}
-	d := r.tab.PlanResolve(w.id, id, false, r.rec)
-	switch d.Mode {
-	case policy.ResolvePeer, policy.ResolveShared, policy.ResolveDirect:
-		st.view.NotePending(w.v, id)
-	}
-}
-
-// rehome re-homes every ref a dead worker owned and drops its held
-// replicas — the manager's refPlane.rehome, called before the dead
-// worker's queue teardown. A no-op (and trace-silent) when the worker
-// owned and held nothing.
-func (r *simRefs) rehome(deadID string) {
-	r.tab.PlanRehome(deadID, r.rec)
-}
-
-// decisions returns a copy of the recorded ref decision stream.
-func (r *simRefs) decisions() []string {
-	if r == nil || r.rec == nil {
-		return nil
-	}
-	return append([]string(nil), r.rec.Decisions...)
 }

@@ -1,55 +1,104 @@
 package sim
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/policy"
+	"repro/internal/shardplane"
 )
 
 // Replay drives the simulator's scheduling state machine from an
 // explicit event sequence instead of the virtual clock. Placement,
 // staging and deploy decisions still come from the shared policy core
-// against the live ClusterView; what Replay removes is time — the
-// caller says when transfers land (or fail), libraries come up,
-// workers join and die, and invocations finish. The differential
-// harness (internal/manager) feeds one random event trace through a
-// Replay and through the real manager and diffs their decision
-// recorders line for line.
+// against live ClusterViews; what Replay removes is time — the caller
+// says when transfers land (or fail), libraries come up, workers join
+// and die, and invocations finish. It is the manager's architecture
+// (DESIGN.md §12) without sockets or locks, and answers every event the
+// manager can see:
+//
+//   - globally it holds what the manager holds globally: the router
+//     (every worker lives in exactly one shard, tasks route to the
+//     shard owning their ring key, invocations round-robin across live
+//     shards), the spec and worker counters, one submission plane and
+//     one ref catalog;
+//   - per shard (replayShard) it holds a cluster view, the pending
+//     queues, the intake and a coalesced wake loop, and between local
+//     passes it runs the shard-crossing paths — overflow forwarding,
+//     evacuation of workerless shards, starvation nudges — exactly
+//     where the manager's wake loop does.
+//
+// One shard is the degenerate case: nothing to forward to, nothing to
+// nudge. The differential harness (internal/manager) feeds one event
+// trace through a Replay and through the real manager and diffs the
+// plane stream, the ref stream, each shard's trace and the merged
+// trace line for line.
 type Replay struct {
-	st *state
-	// pendq is the keyed pending-task queue (task workloads): ring
-	// keys are assigned at submission — mirroring the manager, which
-	// assigns task IDs in Submit — and requeued verbatim on worker
-	// death or retryable failure, carrying the failed worker as the
-	// avoid preference. Invocation workloads keep the plain counter
-	// (st.pending): invocations of one library are interchangeable.
-	pendq   []replayTask
-	nextKey int
-	// wakeFn, when set, replaces the internal drain: the sharded
-	// composite (ShardedReplay) installs its own coalesced wake loop
-	// here so the shard-crossing paths — overflow forwarding,
-	// evacuation, starvation nudges — run between local passes.
-	wakeFn func()
-	// plane is the submission plane (cfg.Tenants, single-shard runs):
-	// specs submitted via the *Tenant entry points pass admission
-	// control and drain in fair-share order through the same
-	// policy.TenantPlane the manager drives. It records into its own
-	// recorder — the manager's plane trace is a separate stream from
-	// the shard traces. The sharded composite keeps its plane on
-	// ShardedReplay instead.
+	cfg    Config
+	shards []*replayShard
+	router *shardplane.Router
+	// nextID numbers specs globally — the manager's nextID counter,
+	// shared by tasks and invocations — so ring keys, owner IDs and
+	// round-robin routing agree across engines whatever the mix.
+	nextID int
+	// nextWorker numbers workers globally ("wNNNN", dead IDs never
+	// reused). A worker's locality cluster is a function of this index,
+	// as the manager's is a function of the worker's Hello — not of the
+	// shard count.
+	nextWorker int
+	// home maps each live worker to its shard.
+	home map[string]*replayShard
+	// plane is the submission plane (cfg.Tenants): one plane in front
+	// of all shards with its own recorder — the manager's plane trace is
+	// a separate stream from the shard traces. Specs released by the
+	// fair-share drain route to shard intake queues (routePlane) as the
+	// manager's submitPlane.route pushes them; fed lists the shards fed
+	// and not yet woken, in first-fed order.
 	plane *policy.TenantPlane[simIntake]
+	fed   []*replayShard
+	// refs is the one ref catalog (refs.go), shared by every shard's
+	// state as the manager's ref plane is shared by every shard.
+	refs *simRefs
+}
+
+// replayShard is one shard's scheduling state and wake-loop marks.
+type replayShard struct {
+	idx int
+	st  *state
+	// pendq is the keyed pending-task queue (task workloads): ring keys
+	// are assigned at submission — mirroring the manager, which assigns
+	// task IDs in Submit — and requeued verbatim on worker death or
+	// retryable failure, carrying the failed worker as the avoid
+	// preference. Invocation workloads keep the plain counter
+	// (st.pending): invocations of one library are interchangeable.
+	pendq []replayTask
+	// intake mirrors the manager's lock-free submit intake: routed
+	// specs queue here rather than going straight into the pending
+	// queues, and the wake loop drains them (in submission order) at
+	// the top of each pass — so the decision order stays byte-identical
+	// to the manager's MPSC hand-off.
+	intake []simIntake
+	// dirty and scheduling implement the manager's coalescing rule: a
+	// wake arriving while the loop runs leaves its mark and returns;
+	// the running loop observes it on the re-check.
+	dirty      bool
+	scheduling bool
+	// starving mirrors the manager's starvation registry entry: queued
+	// work survives a wake with nothing in flight locally, so only a
+	// capacity event in another shard (nudge) can unblock it.
+	starving bool
 }
 
 type replayTask struct {
 	key   string
 	avoid string
-	// hops counts overflow forwards (sharded replay only): once a task
-	// has visited every shard without placing it rests until a
-	// membership change or starvation nudge resets the budget — the
-	// manager's pendingTask.hops.
+	// hops counts overflow forwards: once a task has visited every
+	// shard without placing it rests until a membership change or
+	// starvation nudge resets the budget — the manager's
+	// pendingTask.hops.
 	hops int
 	// tenant names the submitting tenant (requeued verbatim, like the
 	// manager's pendingTask.t.TenantID) so completions release the
@@ -57,145 +106,336 @@ type replayTask struct {
 	tenant string
 	// refs are proxy-object input IDs (§15): the task's inputs are the
 	// environment plus one RefSpec per entry, resolved through the ref
-	// mirror at stage execution. Requeued verbatim, like the manager
+	// catalog at stage execution. Requeued verbatim, like the manager
 	// requeueing the task spec whose Inputs carry the refs.
 	refs []string
 }
 
-// NewReplay builds an untimed simulation. cfg.Invocations is ignored
-// (work arrives via Submit); cfg.DecisionTrace defaults to a fresh
-// unbounded recorder.
-func NewReplay(cfg Config) *Replay {
+// simIntake is one submitted spec on its way to a shard's pending
+// state — waiting in the submission plane, then in a shard's intake
+// queue: a task by ring key, or (isTask false) one pooled invocation
+// carrying its owner ref (tenant runs thread identity through the
+// pool).
+type simIntake struct {
+	isTask bool
+	task   replayTask
+	ref    specRef
+}
+
+// NewReplay builds an untimed simulation over shards partitions;
+// shards < 1 means shardplane.DefaultShards, as manager.New reads
+// Options.Shards. cfg.Workers initial workers join through the event
+// surface (global numbering, shard routing). cfg.Invocations is ignored
+// (work arrives via Submit) and so is cfg.DecisionTrace: every shard
+// records into a recorder of its own.
+func NewReplay(cfg Config, shards int) *Replay {
+	if shards < 1 {
+		shards = shardplane.DefaultShards
+	}
 	cfg.defaults()
 	cfg.Invocations = 0
-	if cfg.DecisionTrace == nil {
-		cfg.DecisionTrace = &policy.Recorder{}
+	r := &Replay{
+		cfg:    cfg,
+		router: shardplane.NewRouter(shards),
+		home:   map[string]*replayShard{},
+		refs:   newSimRefs(cfg.RefOwnedBytesCap),
 	}
-	st := newState(cfg)
-	st.replay = true
-	st.refs = newSimRefs(cfg.RefOwnedBytesCap)
-	r := &Replay{st: st}
 	if len(cfg.Tenants) > 0 {
 		r.plane = policy.NewTenantPlane[simIntake](cfg.Tenants, &policy.Recorder{})
-		st.trackOwners = true
+	}
+	for i := 0; i < shards; i++ {
+		scfg := cfg
+		scfg.DecisionTrace = &policy.Recorder{}
+		st := newState(scfg, true)
+		st.refs = r.refs
+		st.trackOwners = r.plane != nil
+		r.shards = append(r.shards, &replayShard{idx: i, st: st})
+	}
+	for i := 0; i < cfg.Workers; i++ {
+		r.AddWorker()
 	}
 	return r
 }
 
-// drain runs one schedule pass — the untimed equivalent of the
-// manager's coalesced wake. With a wakeFn installed (sharded replay)
-// the composite's wake loop runs instead, so forwarding and
-// evacuation happen between local passes.
-func (r *Replay) drain() {
-	if r.wakeFn != nil {
-		r.wakeFn()
-		return
-	}
-	r.drainPass()
+func (r *Replay) lib() string { return r.shards[0].st.lib }
+
+// ---- the wake loop and the shard-crossing paths ----
+
+// kick marks shard sh dirty and runs its wake loop — what every local
+// event handler of the manager ends in.
+func (r *Replay) kick(sh *replayShard) {
+	sh.dirty = true
+	r.wake(sh)
 }
 
-// drainPass runs one local schedule pass, with no shard-crossing
-// paths.
-func (r *Replay) drainPass() {
-	if r.st.cfg.Level == core.L3 {
-		r.drainInvs()
+// wake runs sh's coalesced schedule loop — the manager's shard.wake
+// without the locking. A re-entrant call (a forward chain arriving back
+// here) finds scheduling set and returns; its dirty mark or intake is
+// picked up by the running loop's re-check. Termination: hop counters
+// only grow within a nudge epoch, so forward chains die out.
+func (r *Replay) wake(sh *replayShard) {
+	if sh.scheduling {
 		return
 	}
-	r.drainTasks()
+	sh.scheduling = true
+	for {
+		sh.drainIntake()
+		if !sh.dirty {
+			break
+		}
+		// Evacuation: a workerless shard can place nothing and no local
+		// event will change that — its queues leave for live shards
+		// before the pass snapshot. Routing cannot pick a workerless
+		// shard, so this never cycles back here.
+		if len(sh.st.byID) == 0 && sh.pending() > 0 && r.router.Live() > 0 {
+			r.forwardEvacuated(sh.extractPending())
+			continue
+		}
+		sh.dirty = false
+		if r.cfg.Level == core.L3 {
+			// Invocation pools never overflow-forward on saturation
+			// (only the static no-worker-ever-fits rule moves them, and
+			// a one-slot instance fits any live worker; the workerless
+			// case evacuated above). The local pass is the whole pass.
+			sh.drainInvs()
+			continue
+		}
+		next, hasNext := r.router.NextAlive(sh.idx)
+		if forward := sh.drainTasks(hasNext, len(r.shards)); len(forward) > 0 {
+			r.forwardTasksTo(r.shards[next], forward)
+		}
+	}
+	sh.starving = sh.pending() > 0 && sh.quiet()
+	sh.scheduling = false
+}
+
+// routeTask delivers a task to the shard owning its ring key — or, in
+// an empty cluster, parks it in the key's home shard (shardplane
+// routing rules, shared verbatim with the manager). Like the manager's
+// routeTask, the spec goes through the shard's intake queue and the
+// wake loop moves it into the pending queue.
+func (r *Replay) routeTask(pt replayTask) {
+	sh := r.shards[r.router.KeyShard(pt.key)]
+	sh.intake = append(sh.intake, simIntake{isTask: true, task: pt})
+	r.wake(sh)
+}
+
+// routeInv delivers one invocation to a live shard by round-robin over
+// its spec ID, parking in the library's home shard when no worker is
+// live anywhere. Intake hand-off, like routeTask.
+func (r *Replay) routeInv(ref specRef) {
+	sh := r.shards[r.router.InvShard(ref.id, r.lib())]
+	sh.intake = append(sh.intake, simIntake{ref: ref})
+	r.wake(sh)
+}
+
+// forwardTasksTo moves overflow tasks into a target shard's queue and
+// wakes it — the manager's forwardTasksTo.
+func (r *Replay) forwardTasksTo(sh *replayShard, tasks []replayTask) {
+	sh.pendq = append(sh.pendq, tasks...)
+	r.kick(sh)
+}
+
+// forwardEvacuated re-routes an evacuated shard's specs: tasks
+// individually by ring key (hop counts preserved), the invocation pool
+// whole — count and owner FIFO, in order — to the library's owner
+// shard, the manager's forwardEvacuated.
+func (r *Replay) forwardEvacuated(tasks []replayTask, invs int, owners []specRef) {
+	for _, pt := range tasks {
+		r.routeTask(pt)
+	}
+	if invs > 0 {
+		sh := r.shards[r.router.KeyShard(r.lib())]
+		sh.st.pending += invs
+		for _, ref := range owners {
+			sh.st.pushOwner(ref)
+		}
+		r.kick(sh)
+	}
+}
+
+// wakeParked nudges every workerless shard holding queued specs after
+// a join: its wake loop evacuates them to live shards.
+func (r *Replay) wakeParked() {
+	for _, sh := range r.shards {
+		if len(sh.st.byID) == 0 && sh.pending() > 0 {
+			r.kick(sh)
+		}
+	}
+}
+
+// nudgeStarving wakes every starving shard after a capacity-freeing
+// event anywhere, resetting overflow hop budgets so rested work
+// circulates again. The starving set is snapshotted first (the
+// manager's rule), then drained in shard-index order — the manager's
+// map order is unordered but its wakes commute.
+func (r *Replay) nudgeStarving() {
+	var starving []*replayShard
+	for _, sh := range r.shards {
+		if sh.starving {
+			starving = append(starving, sh)
+		}
+	}
+	for _, sh := range starving {
+		for j := range sh.pendq {
+			sh.pendq[j].hops = 0
+		}
+		r.kick(sh)
+	}
+}
+
+// routePlane appends one fair-share-released spec to its shard's
+// intake queue — the manager's submitPlane.route. Invocations route by
+// the tenant's own cursor (Router.TenantInvShard); tasks keep ring-key
+// locality.
+func (r *Replay) routePlane(it simIntake, tenant string, seq int64) {
+	var idx int
+	if it.isTask {
+		idx = r.router.KeyShard(it.task.key)
+	} else {
+		idx = r.router.TenantInvShard(tenant, seq, r.lib())
+	}
+	sh := r.shards[idx]
+	sh.intake = append(sh.intake, it)
+	if !slices.Contains(r.fed, sh) {
+		r.fed = append(r.fed, sh)
+	}
+}
+
+// wakeFed wakes the shards a plane drain fed, in first-fed order — the
+// manager's wakeShards.
+func (r *Replay) wakeFed() {
+	fed := r.fed
+	r.fed = nil
+	for _, sh := range fed {
+		r.wake(sh)
+	}
+}
+
+// ---- one shard's passes ----
+
+// pending reports the specs queued in this shard.
+func (sh *replayShard) pending() int { return sh.st.pending + len(sh.pendq) }
+
+// drainIntake replays queued intake items into the shard's pending
+// state, marking it dirty — the manager's drainIntakeLocked.
+func (sh *replayShard) drainIntake() {
+	if len(sh.intake) == 0 {
+		return
+	}
+	for _, it := range sh.intake {
+		if it.isTask {
+			sh.pendq = append(sh.pendq, it.task)
+			continue
+		}
+		sh.st.pending++
+		if sh.st.trackOwners {
+			sh.st.pushOwner(it.ref)
+		}
+	}
+	sh.intake = sh.intake[:0]
+	sh.dirty = true
 }
 
 // drainInvs places pending invocations until the policy core reports
 // no placement is possible — scheduleLibQueueLocked's skip-and-stop
 // pass (every queued invocation of the one library would hit the same
 // cluster state, so the first failure ends the pass).
-func (r *Replay) drainInvs() {
-	if r.st.cfg.Batched {
-		r.drainInvsBatched()
+func (sh *replayShard) drainInvs() {
+	st := sh.st
+	if st.cfg.Batched && st.pending > 0 {
+		// The same pass through the batched entry point the manager
+		// uses: one PlaceReadyBatch call covers the whole pool (its
+		// overlay stops exactly where sequential execution would), and
+		// the remainder tries deploys one at a time — an instance
+		// deployed mid-pass is not Ready until its ack, so no ready
+		// capacity can appear between the batch and the deploys.
+		for _, d := range st.view.PlaceReadyBatch(st.lib, st.pending, nil) {
+			st.execReady(d)
+		}
+		for st.pending > 0 && st.tryDeploy() != nil {
+		}
 		return
 	}
-	for r.st.pending > 0 {
-		if r.st.place() == nil {
-			return
-		}
+	for st.pending > 0 && st.place() != nil {
 	}
 }
 
-// drainInvsBatched is the same pass through the batched entry point
-// the sharded manager uses: one PlaceReadyBatch call covers the whole
-// pool (its overlay stops exactly where sequential execution would),
-// and the remainder tries deploys one at a time — an instance deployed
-// mid-pass is not Ready until its ack, so no ready capacity can appear
-// between the batch and the deploys.
-func (r *Replay) drainInvsBatched() {
-	st := r.st
-	if st.pending == 0 {
-		return
+// drainTasks runs one skip-and-continue pass over the keyed queue — the
+// manager's scheduleTasksLocked: a task that cannot place is skipped in
+// place, later tasks still get their try, and queue order is preserved
+// (it matters once requeues make the queue heterogeneous: different
+// keys, different avoid preferences). With another live shard to hop to
+// (hasNext), statically ineligible tasks leave before planning — the
+// avoid fallback would otherwise pin them to the avoided worker forever
+// — and planner failures leave only while the shard is quiet, no local
+// event ever going to free capacity, and within the hop budget. Returns
+// the tasks to forward.
+func (sh *replayShard) drainTasks(hasNext bool, maxHops int) (forward []replayTask) {
+	if len(sh.pendq) == 0 {
+		return nil
 	}
-	for _, d := range st.view.PlaceReadyBatch(st.lib, st.pending, nil) {
-		st.execReady(d)
-	}
-	for st.pending > 0 {
-		if st.tryDeploy() == nil {
-			return
+	if hasNext {
+		keep := sh.pendq[:0]
+		for _, pt := range sh.pendq {
+			if pt.hops < maxHops && !sh.anyEligible(pt.avoid) {
+				pt.hops++
+				forward = append(forward, pt)
+				continue
+			}
+			keep = append(keep, pt)
+		}
+		sh.pendq = keep
+		if len(sh.pendq) == 0 {
+			return forward
 		}
 	}
-}
-
-// drainTasks runs one skip-and-continue pass over the keyed queue —
-// the manager's scheduleTasksLocked: a task that cannot place is
-// skipped in place, later tasks still get their try, and queue order
-// is preserved. Skip-and-continue matters once requeues make the
-// queue heterogeneous (different keys, different avoid preferences).
-func (r *Replay) drainTasks() {
-	if r.st.cfg.Batched {
-		r.drainTasksBatched()
-		return
-	}
-	remaining := r.pendq[:0]
-	for _, pt := range r.pendq {
-		if placed, _ := r.placeKeyed(pt); !placed {
-			remaining = append(remaining, pt)
+	// Batched mode plans the whole queue up front (the manager's
+	// PlanTaskBatch call); unbatched plans each task against the
+	// executed state of its predecessors. The batch contract is strict
+	// sequential equivalence, so the decision streams are identical —
+	// batched_test.go proves it — and quiet() is evaluated at the same
+	// point either way: during execution, after every earlier placement
+	// in the pass has landed.
+	var decisions []policy.PlaceTask
+	if sh.st.cfg.Batched {
+		reqs := make([]policy.TaskReq, len(sh.pendq))
+		for i, pt := range sh.pendq {
+			reqs[i] = policy.TaskReq{Key: pt.key, Res: oneSlot, Inputs: sh.taskInputs(pt), Avoid: pt.avoid, Tenant: pt.tenant}
 		}
+		decisions = sh.st.view.PlanTaskBatch(reqs, sh.st.stackFilter())
 	}
-	r.pendq = remaining
-}
-
-// drainTasksBatched plans the whole keyed queue in one PlanTaskBatch
-// call and executes the returned placements in order. The batch
-// contract is strict sequential equivalence, so the decision trace is
-// identical to drainTasks's plan-one/execute-one loop — the
-// batched-vs-unbatched differential test (batched_test.go) proves it.
-func (r *Replay) drainTasksBatched() {
-	st := r.st
-	if len(r.pendq) == 0 {
-		return
-	}
-	decisions := st.view.PlanTaskBatch(r.taskReqs(), st.stackFilter())
-	remaining := r.pendq[:0]
-	for i, pt := range r.pendq {
-		if decisions[i].Worker == nil {
-			remaining = append(remaining, pt)
+	remaining := sh.pendq[:0]
+	for i, pt := range sh.pendq {
+		var d policy.PlaceTask
+		if decisions != nil {
+			d = decisions[i]
+		} else {
+			d = sh.planKeyed(pt)
+		}
+		if d.Worker != nil {
+			sh.execKeyed(pt, d)
 			continue
 		}
-		r.execKeyed(pt, decisions[i])
+		// A placement refused only because first copies are in flight
+		// (Blocked) stays local, like the manager's: the copy's ack
+		// re-runs the pass.
+		if len(d.Blocked) == 0 && hasNext && pt.hops < maxHops && sh.quiet() {
+			pt.hops++
+			forward = append(forward, pt)
+			continue
+		}
+		remaining = append(remaining, pt)
 	}
-	r.pendq = remaining
-}
-
-// taskReqs renders the pending queue as a batch-planning request list.
-func (r *Replay) taskReqs() []policy.TaskReq {
-	reqs := make([]policy.TaskReq, len(r.pendq))
-	for i, pt := range r.pendq {
-		reqs[i] = policy.TaskReq{Key: pt.key, Res: oneSlot, Inputs: r.taskInputs(pt), Avoid: pt.avoid, Tenant: pt.tenant}
-	}
-	return reqs
+	sh.pendq = remaining
+	return forward
 }
 
 // taskInputs builds one task's input specs: the environment (L2/L3)
 // plus a RefSpec per proxy-object input, rebuilt from the ref catalog
 // so both engines plan over identical bindings.
-func (r *Replay) taskInputs(pt replayTask) []core.FileSpec {
-	st := r.st
+func (sh *replayShard) taskInputs(pt replayTask) []core.FileSpec {
+	st := sh.st
 	var inputs []core.FileSpec
 	if st.cfg.Level != core.L1 {
 		inputs = append(inputs, st.envSpec)
@@ -206,30 +446,24 @@ func (r *Replay) taskInputs(pt replayTask) []core.FileSpec {
 	return inputs
 }
 
-// placeKeyed attempts one keyed task placement, mirroring the
-// manager's task pass: first excluding the avoid worker, then
-// anywhere — the avoided worker beats starving. blocked reports a
-// placement refused only because first copies are in flight (the
-// manager keeps those local; they never overflow-forward).
-func (r *Replay) placeKeyed(pt replayTask) (placed, blocked bool) {
-	st := r.st
-	inputs := r.taskInputs(pt)
+// planKeyed plans one keyed task the way the manager's task pass does:
+// first excluding the avoid worker, then anywhere — the avoided worker
+// beats starving.
+func (sh *replayShard) planKeyed(pt replayTask) policy.PlaceTask {
+	st := sh.st
+	inputs := sh.taskInputs(pt)
 	base := st.stackFilter()
 	d := st.view.PlanTask(pt.key, oneSlot, inputs, andFilter(policy.Excluding(pt.avoid), base))
 	if d.Worker == nil && pt.avoid != "" {
 		d = st.view.PlanTask(pt.key, oneSlot, inputs, base)
 	}
-	if d.Worker == nil {
-		return false, len(d.Blocked) > 0
-	}
-	r.execKeyed(pt, d)
-	return true, false
+	return d
 }
 
 // execKeyed carries out one planned keyed placement: trace, staging,
 // slot binding.
-func (r *Replay) execKeyed(pt replayTask, d policy.PlaceTask) {
-	st := r.st
+func (sh *replayShard) execKeyed(pt replayTask, d policy.PlaceTask) {
+	st := sh.st
 	w := st.byID[d.Worker.ID]
 	if st.rec != nil {
 		st.rec.Record(policy.TraceTask(pt.key, d))
@@ -246,78 +480,14 @@ func (r *Replay) execKeyed(pt replayTask, d policy.PlaceTask) {
 	sl.owner, sl.tenant = int64(taskKeyNum(pt.key)), pt.tenant
 }
 
-// ---- sharded-replay hooks (ShardedReplay) ----
-
-// drainTasksSharded runs the sharded manager's task pass for one
-// composite shard: statically ineligible tasks hop to the next live
-// shard before planning (the avoid fallback would otherwise pin them
-// to the avoided worker forever), planner failures hop only while the
-// shard is quiet — no local event will ever free capacity — and within
-// the hop budget. Returns the tasks to forward.
-func (r *Replay) drainTasksSharded(hasNext bool, maxHops int) (forward []replayTask) {
-	if len(r.pendq) == 0 {
-		return nil
-	}
-	if hasNext {
-		keep := r.pendq[:0]
-		for _, pt := range r.pendq {
-			if pt.hops < maxHops && !r.anyEligible(pt.avoid) {
-				pt.hops++
-				forward = append(forward, pt)
-				continue
-			}
-			keep = append(keep, pt)
-		}
-		r.pendq = keep
-		if len(r.pendq) == 0 {
-			return forward
-		}
-	}
-	// Batched mode plans the whole queue up front (the manager's
-	// PlanTaskBatch call); unbatched plans each task against the
-	// executed state of its predecessors. Sequential equivalence makes
-	// the decision streams identical, and quiet() is evaluated at the
-	// same point either way: during execution, after every earlier
-	// placement in the pass has landed.
-	var decisions []policy.PlaceTask
-	if r.st.cfg.Batched {
-		decisions = r.st.view.PlanTaskBatch(r.taskReqs(), r.st.stackFilter())
-	}
-	remaining := r.pendq[:0]
-	for i, pt := range r.pendq {
-		var placed, blocked bool
-		if decisions != nil {
-			if d := decisions[i]; d.Worker != nil {
-				r.execKeyed(pt, d)
-				placed = true
-			} else {
-				blocked = len(d.Blocked) > 0
-			}
-		} else {
-			placed, blocked = r.placeKeyed(pt)
-		}
-		if placed {
-			continue
-		}
-		if !blocked && hasNext && pt.hops < maxHops && r.quiet() {
-			pt.hops++
-			forward = append(forward, pt)
-			continue
-		}
-		remaining = append(remaining, pt)
-	}
-	r.pendq = remaining
-	return forward
-}
-
 // quiet is the manager's quietLocked: no local event is pending that
 // could change this shard's placement state — nothing dispatched
 // (busy slots double as the inflight table), no copies awaiting acks.
-func (r *Replay) quiet() bool {
-	if len(r.st.view.PendingCopies) > 0 {
+func (sh *replayShard) quiet() bool {
+	if len(sh.st.view.PendingCopies) > 0 {
 		return false
 	}
-	for _, w := range r.st.workers {
+	for _, w := range sh.st.workers {
 		if !w.dead && w.busySlots > 0 {
 			return false
 		}
@@ -330,8 +500,8 @@ func (r *Replay) quiet() bool {
 // The append-only worker slice gives a deterministic scan (the
 // manager's map scan is an existence check, so order is immaterial
 // there too).
-func (r *Replay) anyEligible(avoid string) bool {
-	for _, w := range r.st.workers {
+func (sh *replayShard) anyEligible(avoid string) bool {
+	for _, w := range sh.st.workers {
 		if !w.dead && w.id != avoid && oneSlot.Fits(w.v.Total) {
 			return true
 		}
@@ -339,24 +509,75 @@ func (r *Replay) anyEligible(avoid string) bool {
 	return false
 }
 
-// extractPending removes and returns every queued spec so the sharded
-// composite can evacuate a workerless shard — extractPendingLocked.
-// refs carries the invocation pool's owner FIFO (tenant runs): a
-// workerless shard holds no claimed installs, so the FIFO and the pool
-// move whole, in order.
-func (r *Replay) extractPending() (tasks []replayTask, invs int, refs []specRef) {
-	tasks = r.pendq
-	r.pendq = nil
-	invs = r.st.pending
-	r.st.pending = 0
-	for r.st.owners.Len() > 0 {
-		refs = append(refs, r.st.popOwner())
+// extractPending removes and returns every queued spec of a workerless
+// shard — the manager's extractPendingLocked. owners carries the
+// invocation pool's owner FIFO (tenant runs): a workerless shard holds
+// no claimed installs, so the FIFO and the pool move whole, in order.
+func (sh *replayShard) extractPending() (tasks []replayTask, invs int, owners []specRef) {
+	tasks, sh.pendq = sh.pendq, nil
+	invs, sh.st.pending = sh.st.pending, 0
+	for sh.st.owners.Len() > 0 {
+		owners = append(owners, sh.st.popOwner())
 	}
-	return tasks, invs, refs
+	return tasks, invs, owners
 }
 
-// liveWorkers reports how many live workers this replay holds.
-func (r *Replay) liveWorkers() int { return len(r.st.byID) }
+// kill is the owning shard's half of a worker death: the source serving
+// the dead worker's inbound fetch gets its transfer slot back, the view
+// drops its replicas, in-flight copies, instances and ring position,
+// and everything bound to its slots requeues in ascending spec order
+// with the dead worker as the avoid preference.
+func (sh *replayShard) kill(w *wstate) {
+	st := sh.st
+	if src := w.envSrc; src != nil {
+		w.envSrc = nil
+		if !src.dead && src.v.TransfersOut > 0 {
+			src.v.TransfersOut--
+		}
+	} else if w.v.Pending[st.envObj] && st.view.ManagerSends > 0 {
+		st.view.ManagerSends--
+	}
+	st.view.RemoveWorker(w.v)
+	delete(st.byID, w.id)
+	w.dead = true
+	// Bound invocations (L3) — dispatched or riding a deploy — go back
+	// to the interchangeable pending pool, matching the manager's
+	// requeue of its inflight plus the released install claim. In
+	// tenant runs, dispatched (libReady) slots re-enter the owner FIFO
+	// tail in ascending spec order — the manager requeues its inflight
+	// sorted by ID — while a riding deploy's claim keeps its original
+	// FIFO position (the owner was never popped). Bound tasks requeue
+	// by key, in the same ascending order.
+	var owners []specRef
+	var requeue []replayTask
+	for _, sl := range w.slots {
+		if !sl.busy {
+			continue
+		}
+		sl.busy = false
+		if st.cfg.Level != core.L3 {
+			requeue = append(requeue, replayTask{key: sl.key, avoid: w.id, tenant: sl.tenant, refs: sl.refs})
+		} else {
+			if st.trackOwners && sl.libReady {
+				owners = append(owners, specRef{id: sl.owner, tenant: sl.tenant})
+			}
+			st.pending++
+		}
+		sl.unbind()
+	}
+	sort.Slice(owners, func(i, j int) bool { return owners[i].id < owners[j].id })
+	for _, ref := range owners {
+		st.pushOwner(ref)
+	}
+	sort.Slice(requeue, func(i, j int) bool { return taskKeyNum(requeue[i].key) < taskKeyNum(requeue[j].key) })
+	sh.pendq = append(sh.pendq, requeue...)
+}
+
+// unbind clears the slot's record of the spec it ran.
+func (sl *slot) unbind() {
+	sl.key, sl.refs = "", nil
+	sl.owner, sl.tenant = 0, ""
+}
 
 // andFilter conjoins two optional view filters.
 func andFilter(a, b policy.Filter) policy.Filter {
@@ -374,26 +595,35 @@ func taskKeyNum(k string) int {
 	return n
 }
 
-// Submit enqueues n invocations and schedules as many as possible.
-// nextKey is the replay's spec counter — the manager's nextID, shared
-// by tasks and invocations — so ring keys, owner IDs, and routing
-// agree across engines whatever the submission mix.
+// ---- the event surface ----
+
+// find returns live worker id and its home shard, nils if unknown.
+func (r *Replay) find(id string) (*replayShard, *wstate) {
+	sh := r.home[id]
+	if sh == nil {
+		return nil, nil
+	}
+	return sh, sh.st.byID[id]
+}
+
+// nextTask numbers one new keyed task off the shared spec counter (the
+// manager derives the ring key from the spec ID).
+func (r *Replay) nextTask() replayTask {
+	r.nextID++
+	return replayTask{key: "task-" + strconv.Itoa(r.nextID)}
+}
+
+// Submit enqueues n specs, routing each like the manager's Submit /
+// SubmitInvocation, and schedules as much as possible.
 func (r *Replay) Submit(n int) {
-	if r.st.cfg.Level == core.L3 {
-		for i := 0; i < n; i++ {
-			r.nextKey++
-			r.st.pending++
-			if r.st.trackOwners {
-				r.st.pushOwner(specRef{id: int64(r.nextKey)})
-			}
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			r.nextKey++
-			r.pendq = append(r.pendq, replayTask{key: "task-" + strconv.Itoa(r.nextKey)})
+	for k := 0; k < n; k++ {
+		if r.cfg.Level == core.L3 {
+			r.nextID++
+			r.routeInv(specRef{id: int64(r.nextID)})
+		} else {
+			r.routeTask(r.nextTask())
 		}
 	}
-	r.drain()
 }
 
 // SubmitTaskRefs enqueues one task consuming the given proxy-object
@@ -402,115 +632,91 @@ func (r *Replay) Submit(n int) {
 // core.RefSpec bindings. The refs must already exist in the catalog
 // (created by earlier CompleteTaskRef calls).
 func (r *Replay) SubmitTaskRefs(refs ...string) {
-	r.nextKey++
-	r.pendq = append(r.pendq, replayTask{key: "task-" + strconv.Itoa(r.nextKey), refs: refs})
-	r.drain()
+	pt := r.nextTask()
+	pt.refs = refs
+	r.routeTask(pt)
 }
 
-// RefArrived confirms a consumer's ref fetch on worker id (the
-// FileAck{Ok:true, Cache:true}): the in-flight copy becomes a view
-// replica and the consumer registers as a holder in the ref catalog.
-// Returns false if no ref copy is in flight there.
-func (r *Replay) RefArrived(id, refID string) bool {
-	st := r.st
-	w := st.byID[id]
-	if w == nil || !w.v.Pending[refID] {
-		return false
-	}
-	st.view.ClearPending(w.v, refID)
-	st.view.NoteReplica(w.v, refID)
-	st.refs.tab.AddRefHolder(id, refID)
-	r.drain()
-	return true
-}
-
-// RefFailed fails a consumer's in-flight ref fetch on worker id (the
-// FileAck{Ok:false} path): the manager retracts every non-owner holder
-// — the walk just proved the replica records unreliable — and plans a
-// fresh traced resolve against what survives. Returns false if no ref
-// copy is in flight there.
-func (r *Replay) RefFailed(id, refID string) bool {
-	st := r.st
-	w := st.byID[id]
-	if w == nil || !w.v.Pending[refID] {
-		return false
-	}
-	st.view.ClearPending(w.v, refID)
-	st.refs.restage(st, w, refID)
-	r.drain()
-	return true
-}
-
-// RefDecisions returns the ref mirror's recorded decision stream — the
-// global trace diffed against Manager.RefDecisions.
-func (r *Replay) RefDecisions() []string { return r.st.refs.decisions() }
-
-// SubmitTenant submits one spec for tenant — the manager's
-// Submit/SubmitInvocation with a TenantID: admission control, then the
-// fair-share drain releases whatever became eligible. L3 runs submit
-// an invocation, task runs a keyed task whose ring key comes from the
-// shared spec counter (the manager derives it from the spec ID).
-// Unregistered tenants degrade to the direct single-tenant path.
+// SubmitTenant submits one spec for tenant through the submission
+// plane — the manager's Submit/SubmitInvocation with a TenantID:
+// admission, plane queue, fair-share drain into shard intake, a wake
+// for every shard fed. Unregistered tenants degrade to the direct
+// routing path.
 func (r *Replay) SubmitTenant(tenant string) {
-	r.nextKey++
 	var it simIntake
-	if r.st.cfg.Level == core.L3 {
-		it = simIntake{ref: specRef{id: int64(r.nextKey), tenant: tenant}}
+	if r.cfg.Level == core.L3 {
+		r.nextID++
+		it = simIntake{ref: specRef{id: int64(r.nextID), tenant: tenant}}
 	} else {
-		it = simIntake{isTask: true, task: replayTask{key: "task-" + strconv.Itoa(r.nextKey), tenant: tenant}}
+		it = simIntake{isTask: true, task: r.nextTask()}
+		it.task.tenant = tenant
 	}
 	if r.plane != nil {
-		if _, released, known := r.plane.Submit(tenant, it, r.enqueue); known {
-			// Like the manager, which wakes shards only for fed intake.
-			if released > 0 {
-				r.drain()
-			}
+		if _, _, known := r.plane.Submit(tenant, it, r.routePlane); known {
+			r.wakeFed()
 			return
 		}
 	}
-	r.enqueue(it, "", 0)
-	r.drain()
-}
-
-// enqueue moves one spec into this replay's local queues. It is the
-// plane's hand-off (a policy.Route) in single-shard runs, the direct
-// path for a tenant the plane does not know, and how the sharded
-// composite empties a shard's intake.
-func (r *Replay) enqueue(it simIntake, _ string, _ int64) {
 	if it.isTask {
-		r.pendq = append(r.pendq, it.task)
-		return
-	}
-	r.st.pending++
-	if r.st.trackOwners {
-		r.st.pushOwner(it.ref)
+		r.routeTask(it.task)
+	} else {
+		r.routeInv(it.ref)
 	}
 }
 
-// finishRelease returns the completed spec's quota unit and schedules
-// whatever the release unblocks (single-shard runs).
-func (r *Replay) finishRelease(tenant string) {
-	if r.plane != nil && r.plane.Release(tenant, r.enqueue) > 0 {
-		r.drain()
-	}
+// AddWorker joins a fresh worker in its home shard, continuing the
+// wNNNN numbering, in the manager's adoptWorker order: register, route,
+// wake the shard, then evacuate parked work and reset starving shards'
+// hop budgets. Returns the new worker's ID.
+func (r *Replay) AddWorker() string {
+	i := r.nextWorker
+	r.nextWorker++
+	id := "w" + pad4(i)
+	sh := r.shards[r.router.ShardOf(id)]
+	sh.st.addWorker(i)
+	r.home[id] = sh
+	r.router.Add(id)
+	r.kick(sh)
+	r.wakeParked()
+	r.nudgeStarving()
+	return id
 }
 
-// PlaneDecisions returns the submission plane's recorded trace — a
-// separate stream from the shard trace, as in the manager.
-func (r *Replay) PlaneDecisions() []string { return r.plane.Decisions() }
+// KillWorker removes worker id mid-run in the manager's onWorkerGone
+// order: membership first (forward targets and ring ownership move),
+// then every ref the dead worker owned re-homes — before its queue
+// teardown, trace-silent when it owned nothing — then the owning
+// shard's surgery, requeue and pass, then the membership-change nudge.
+// Transfers the dead worker was *serving* are not failed here; the
+// caller fails each stranded destination via EnvFailed, exactly as the
+// real destinations' own failing FileAcks would arrive later.
+func (r *Replay) KillWorker(id string) bool {
+	sh, w := r.find(id)
+	if w == nil {
+		return false
+	}
+	r.router.Remove(id)
+	delete(r.home, id)
+	r.refs.tab.PlanRehome(id, r.refs.rec)
+	sh.kill(w)
+	r.kick(sh)
+	r.nudgeStarving()
+	return true
+}
 
 // EnvArrived delivers the environment tarball on worker id (the
 // FileAck): the in-flight copy becomes a replica, the serving slot is
-// released, and the environment is immediately usable. Returns false
-// if no copy was in flight there.
+// released, and the environment is immediately usable. File acks free
+// no invocation capacity, so no nudge. Returns false if no copy was in
+// flight there.
 func (r *Replay) EnvArrived(id string) bool {
-	w := r.st.byID[id]
-	if w == nil || w.hasEnv || !w.v.Pending[r.st.envObj] {
+	sh, w := r.find(id)
+	if w == nil || w.hasEnv || !w.v.Pending[sh.st.envObj] {
 		return false
 	}
-	r.st.envLanded(w)
+	sh.st.envLanded(w)
 	w.hasEnv = true
-	r.drain()
+	r.kick(sh)
 	return true
 }
 
@@ -522,11 +728,11 @@ func (r *Replay) EnvArrived(id string) bool {
 // both engines, so no decision is traced. Returns false if no peer
 // fetch is in flight there (failed direct sends are never restaged).
 func (r *Replay) EnvFailed(id string) bool {
-	st := r.st
-	w := st.byID[id]
-	if w == nil || w.hasEnv || !w.v.Pending[st.envObj] || w.envSrc == nil {
+	sh, w := r.find(id)
+	if w == nil || w.hasEnv || !w.v.Pending[sh.st.envObj] || w.envSrc == nil {
 		return false
 	}
+	st := sh.st
 	src := w.envSrc
 	w.envSrc = nil
 	if !src.dead && src.v.TransfersOut > 0 {
@@ -536,287 +742,232 @@ func (r *Replay) EnvFailed(id string) bool {
 	st.view.NotePending(w.v, st.envObj)
 	st.view.ManagerSends++
 	st.res.EnvDirect++
-	r.drain()
+	r.kick(sh)
 	return true
 }
 
-// AddWorker joins a fresh worker mid-run (the manager registering a
-// new connection), continuing the wNNNN numbering — dead IDs are never
-// reused — and schedules anything the new capacity unblocks. Returns
-// the new worker's ID.
-func (r *Replay) AddWorker() string {
-	w := r.st.addWorker()
-	r.drain()
-	return w.id
-}
-
-// KillWorker removes worker id mid-run — the manager's onWorkerGone:
-// the source serving its inbound fetch gets its transfer slot back,
-// the view drops its replicas, in-flight copies, instances and ring
-// position, and everything bound to its slots requeues in ascending
-// spec order with the dead worker as the avoid preference. Transfers
-// the dead worker was *serving* are not failed here; the caller fails
-// each stranded destination via EnvFailed, exactly as the real
-// destinations' own failing FileAcks would arrive later.
-func (r *Replay) KillWorker(id string) bool {
-	st := r.st
-	w := st.byID[id]
-	if w == nil {
+// RefArrived confirms a consumer's ref fetch on worker id (the
+// FileAck{Ok:true, Cache:true}): the in-flight copy becomes a view
+// replica and the consumer registers as a holder in the ref catalog.
+// Returns false if no ref copy is in flight there.
+func (r *Replay) RefArrived(id, refID string) bool {
+	sh, w := r.find(id)
+	if w == nil || !w.v.Pending[refID] {
 		return false
 	}
-	// Re-home every ref the dead worker owned before its queue
-	// teardown — the manager calls refPlane.rehome before taking the
-	// shard lock. Trace-silent when the worker owned nothing.
-	st.refs.rehome(id)
-	if src := w.envSrc; src != nil {
-		w.envSrc = nil
-		if !src.dead && src.v.TransfersOut > 0 {
-			src.v.TransfersOut--
-		}
-	} else if w.v.Pending[st.envObj] && st.view.ManagerSends > 0 {
-		st.view.ManagerSends--
+	sh.st.view.ClearPending(w.v, refID)
+	sh.st.view.NoteReplica(w.v, refID)
+	r.refs.tab.AddRefHolder(id, refID)
+	r.kick(sh)
+	return true
+}
+
+// RefFailed fails a consumer's in-flight ref fetch on worker id (the
+// FileAck{Ok:false} path), recovered by policy.RefTable.PlanRestage on
+// both engines. Returns false if no ref copy is in flight there.
+func (r *Replay) RefFailed(id, refID string) bool {
+	sh, w := r.find(id)
+	if w == nil || !w.v.Pending[refID] {
+		return false
 	}
-	st.view.RemoveWorker(w.v)
-	delete(st.byID, id)
-	w.dead = true
-	if st.cfg.Level == core.L3 {
-		// Bound invocations — dispatched or riding a deploy — go back
-		// to the interchangeable pending pool, matching the manager's
-		// requeue of its inflight plus the released install claim. In
-		// tenant runs, dispatched (libReady) slots re-enter the owner
-		// FIFO tail in ascending spec order — the manager requeues its
-		// inflight sorted by ID — while a riding deploy's claim keeps
-		// its original FIFO position (the owner was never popped).
-		var refs []specRef
-		for _, sl := range w.slots {
-			if sl.busy {
-				if st.trackOwners && sl.libReady {
-					refs = append(refs, specRef{id: sl.owner, tenant: sl.tenant})
-				}
-				sl.busy = false
-				sl.owner, sl.tenant = 0, ""
-				st.pending++
-			}
-		}
-		sort.Slice(refs, func(i, j int) bool { return refs[i].id < refs[j].id })
-		for _, ref := range refs {
-			st.pushOwner(ref)
-		}
-	} else {
-		var requeue []replayTask
-		for _, sl := range w.slots {
-			if sl.busy {
-				sl.busy = false
-				requeue = append(requeue, replayTask{key: sl.key, avoid: id, tenant: sl.tenant, refs: sl.refs})
-				sl.key = ""
-				sl.refs = nil
-				sl.owner, sl.tenant = 0, ""
-			}
-		}
-		sort.Slice(requeue, func(i, j int) bool { return taskKeyNum(requeue[i].key) < taskKeyNum(requeue[j].key) })
-		r.pendq = append(r.pendq, requeue...)
-	}
-	r.drain()
+	sh.st.view.ClearPending(w.v, refID)
+	r.refs.stage(sh.st.view, w.v, refID, true)
+	r.kick(sh)
 	return true
 }
 
 // LibReady marks the oldest deploy-bound slot on worker id ready (the
-// LibraryAck), which places the invocation bound to it. Returns false
-// if the worker has no deploy in progress or its environment has not
-// arrived.
+// LibraryAck), which places the invocation bound to it; a new ready
+// instance is capacity starving shards may be waiting for. Returns
+// false if the worker has no deploy in progress or its environment has
+// not arrived.
 func (r *Replay) LibReady(id string) bool {
-	w := r.st.byID[id]
+	sh, w := r.find(id)
 	if w == nil || !w.hasEnv {
 		return false
 	}
 	for _, sl := range w.slots {
 		if sl.busy && !sl.libReady {
-			r.st.markLibReady(w, sl)
-			r.drain()
+			sh.st.markLibReady(w, sl)
+			r.kick(sh)
+			r.nudgeStarving()
 			return true
 		}
 	}
 	return false
 }
 
-// Complete finishes one running invocation on worker id, freeing its
-// slot and scheduling whatever the freed capacity unblocks. Returns
-// false if nothing on the worker is in a completable state. Task
-// workloads under churn should use CompleteTask: requeues carry ring
-// keys, so the engines must agree on which task each slot was running.
+// Complete finishes one running invocation on worker id: the first
+// completable slot, or in tenant runs the one with the lowest owner,
+// because the differential harness completes the manager's lowest
+// in-flight spec ID on that worker.
+// Returns false if nothing on the worker is in a completable state.
+// Task workloads under churn should use CompleteTask: requeues carry
+// ring keys, so the engines must agree on which task each slot was
+// running.
 func (r *Replay) Complete(id string) bool {
-	tenant, ok := r.completeOne(id)
-	if !ok {
+	sh, w := r.find(id)
+	if w == nil || !w.hasEnv {
 		return false
 	}
-	r.finishRelease(tenant)
-	return true
-}
-
-// completeOne frees one completable slot — in tenant runs the one with
-// the lowest owner, because the differential harness completes the
-// manager's lowest in-flight spec ID on that worker — runs the local
-// drain, and returns the released tenant. The quota release itself is
-// the caller's: single-shard runs release into r.plane, the sharded
-// composite into its own plane.
-func (r *Replay) completeOne(id string) (string, bool) {
-	st := r.st
-	w := st.byID[id]
-	if w == nil || !w.hasEnv {
-		return "", false
-	}
-	needLib := st.cfg.Level == core.L3
+	needLib := r.cfg.Level == core.L3
 	var pick *slot
 	for _, sl := range w.slots {
 		if !sl.busy || (needLib && !sl.libReady) {
 			continue
 		}
-		if !st.trackOwners {
-			pick = sl
-			break
-		}
-		if pick == nil || sl.owner < pick.owner {
+		if pick == nil || (sh.st.trackOwners && sl.owner < pick.owner) {
 			pick = sl
 		}
 	}
 	if pick == nil {
-		return "", false
+		return false
 	}
-	tenant := pick.tenant
-	st.freeSlot(w, pick)
-	pick.served++
-	pick.key = ""
-	pick.owner, pick.tenant = 0, ""
-	r.drain()
-	return tenant, true
+	r.finish(sh, w, pick, true)
+	return true
 }
 
 // CompleteTask finishes the task bound to ring key key on worker id.
 func (r *Replay) CompleteTask(id, key string) bool {
-	tenant, ok := r.completeTaskOne(id, key, nil)
-	if !ok {
+	sh, w, sl := r.running(id, key)
+	if sl == nil {
 		return false
 	}
-	r.finishRelease(tenant)
+	r.finish(sh, w, sl, true)
 	return true
 }
 
 // CompleteTaskRef finishes the task bound to ring key key on worker id
 // with a pass-by-reference result — the manager's onResult for a
 // Result carrying an ObjectRef: the producing worker becomes the ref's
-// owner and holder of record, and the catalog (not the manager's wire)
-// carries the object from then on.
+// owner and holder of record (refPlane.noteResult; the spills the
+// owner's budget cascades re-tier the catalog at decision time, the
+// spill messages themselves carry no state), and the catalog — not the
+// manager's wire — carries the object from then on. The transfer lands
+// before the freed slot's schedule pass, exactly where the manager's
+// hook runs.
 func (r *Replay) CompleteTaskRef(id, key string, ref core.ObjectRef) bool {
-	tenant, ok := r.completeTaskOne(id, key, &ref)
-	if !ok {
+	sh, w, sl := r.running(id, key)
+	if sl == nil {
 		return false
 	}
-	r.finishRelease(tenant)
+	r.refs.tab.NoteRefResult(id, ref.ID, ref.Name, ref.Size, r.refs.rec)
+	r.finish(sh, w, sl, true)
 	return true
-}
-
-// completeTaskOne is completeOne addressed by ring key. ref, when
-// non-nil, is a by-ref result: the ownership transfer lands in the ref
-// catalog before the freed slot's schedule pass, exactly where the
-// manager's onResult hook runs.
-func (r *Replay) completeTaskOne(id, key string, ref *core.ObjectRef) (string, bool) {
-	st := r.st
-	w := st.byID[id]
-	if w == nil || !w.hasEnv {
-		return "", false
-	}
-	for _, sl := range w.slots {
-		if sl.busy && sl.key == key {
-			tenant := sl.tenant
-			if ref != nil {
-				st.refs.result(id, *ref)
-			}
-			st.freeSlot(w, sl)
-			st.noteRefInputs(w, sl)
-			sl.served++
-			sl.key = ""
-			sl.refs = nil
-			sl.owner, sl.tenant = 0, ""
-			r.drain()
-			return tenant, true
-		}
-	}
-	return "", false
-}
-
-// noteRefInputs mirrors the manager's onResult replica notes for a
-// finished task's cacheable inputs: the bytes are resident on the
-// worker whatever the task's outcome. The environment's note is always
-// a dedup no-op (its ack gated the completion), so only the
-// proxy-object inputs are recorded — including a lost ref that never
-// staged, which becomes the same (vacuous) view replica on both
-// engines.
-func (st *state) noteRefInputs(w *wstate, sl *slot) {
-	for _, id := range sl.refs {
-		st.view.NoteReplica(w.v, id)
-	}
 }
 
 // Fail fails the task bound to ring key key on worker id retryably —
 // the manager's Retryable-result path: the slot frees and the key
-// requeues at the back of the queue with this worker as the avoid
-// preference (the retry prefers any other placement, falling back to
-// the avoided worker over starving).
+// requeues at the back of its shard's queue (requeueAfter stays
+// shard-local) with this worker as the avoid preference — the retry
+// prefers any other placement, falling back to the avoided worker over
+// starving. A retry holds its quota unit — the manager releases only on
+// final delivery — so the requeue carries the tenant and nothing is
+// released.
 func (r *Replay) Fail(id, key string) bool {
-	st := r.st
-	w := st.byID[id]
-	if w == nil || !w.hasEnv {
+	sh, w, sl := r.running(id, key)
+	if sl == nil {
 		return false
+	}
+	sh.pendq = append(sh.pendq, replayTask{key: key, avoid: id, tenant: sl.tenant, refs: sl.refs})
+	r.finish(sh, w, sl, false)
+	return true
+}
+
+// running returns the busy slot bound to ring key key on worker id,
+// with its worker and shard; nils if there is none.
+func (r *Replay) running(id, key string) (*replayShard, *wstate, *slot) {
+	sh, w := r.find(id)
+	if w == nil || !w.hasEnv {
+		return nil, nil, nil
 	}
 	for _, sl := range w.slots {
 		if sl.busy && sl.key == key {
-			tenant := sl.tenant
-			refs := sl.refs
-			st.freeSlot(w, sl)
-			st.noteRefInputs(w, sl)
-			sl.key = ""
-			sl.refs = nil
-			sl.owner, sl.tenant = 0, ""
-			// A retry holds its quota unit — the manager releases only on
-			// final delivery — so the requeue carries the tenant, no release.
-			r.pendq = append(r.pendq, replayTask{key: key, avoid: id, tenant: tenant, refs: refs})
-			r.drain()
-			return true
+			return sh, w, sl
 		}
 	}
-	return false
+	return nil, nil, nil
 }
 
-// Pending reports invocations submitted but not yet placed.
-func (r *Replay) Pending() int { return r.st.pending + len(r.pendq) }
+// finish is the tail of every result event — the manager's onResult:
+// the slot frees, the finished task's cacheable inputs are noted as
+// replicas (the bytes are resident whatever the outcome; the
+// environment's note is a dedup no-op since its ack gated the result,
+// so only proxy-object inputs are recorded — including a lost ref that
+// never staged, the same vacuous replica on both engines), the shard
+// runs its pass, a delivered result returns its quota unit to the plane
+// and wakes what that feeds, and freed capacity nudges starving shards.
+func (r *Replay) finish(sh *replayShard, w *wstate, sl *slot, delivered bool) {
+	tenant := sl.tenant
+	sh.st.freeSlot(w, sl)
+	for _, id := range sl.refs {
+		sh.st.view.NoteReplica(w.v, id)
+	}
+	sl.unbind()
+	if delivered {
+		sl.served++
+	}
+	r.kick(sh)
+	if delivered && r.plane != nil {
+		r.plane.Release(tenant, r.routePlane)
+		r.wakeFed()
+	}
+	r.nudgeStarving()
+}
 
-// Decisions returns the decision trace recorded so far, prefixed by
-// the ref mirror's stream and the submission plane's trace when either
-// is non-empty — the manager's MergedDecisions concatenation rule
-// (plane, then refs, then the shard trace).
+// Pending reports specs submitted but not yet placed, over all shards.
+func (r *Replay) Pending() int {
+	n := 0
+	for _, sh := range r.shards {
+		n += sh.pending()
+	}
+	return n
+}
+
+// The decision trace is composed by one rule on both engines
+// (Manager.MergedDecisions): the submission plane's stream, then the
+// ref catalog's stream — each global, each recorded once — then the
+// shard recorders concatenated in shard-index order
+// (shardplane.MergeTraces). The three parts are also readable apart,
+// which is how the harness localizes a divergence.
+
+// PlaneDecisions returns the submission plane's recorded trace.
+func (r *Replay) PlaneDecisions() []string { return r.plane.Decisions() }
+
+// RefDecisions returns a copy of the ref catalog's recorded stream.
+func (r *Replay) RefDecisions() []string {
+	return append([]string(nil), r.refs.rec.Decisions...)
+}
+
+// ShardDecisions returns each shard's own decision trace.
+func (r *Replay) ShardDecisions() [][]string {
+	out := make([][]string, len(r.shards))
+	for i, sh := range r.shards {
+		out[i] = sh.st.rec.Decisions
+	}
+	return out
+}
+
+// Decisions returns the composed trace.
 func (r *Replay) Decisions() []string {
-	merged := r.st.rec.Decisions
+	merged := shardplane.MergeTraces(r.ShardDecisions())
 	if refs := r.RefDecisions(); len(refs) > 0 {
 		merged = append(refs, merged...)
 	}
-	if plane := r.plane.Decisions(); len(plane) > 0 {
+	if plane := r.PlaneDecisions(); len(plane) > 0 {
 		return append(plane, merged...)
 	}
 	return merged
 }
 
-// Dump renders the recorded decision trace (diagnostics).
-func (r *Replay) Dump() string { return r.st.rec.Dump() }
+// Dump renders the composed trace (diagnostics).
+func (r *Replay) Dump() string { return strings.Join(r.Decisions(), "\n") + "\n" }
 
-// View exposes the replay's cluster view so the differential harness
-// can cross-check per-worker accounting against the manager's.
-func (r *Replay) View() *policy.ClusterView { return r.st.view }
-
-// ViewFor returns worker id's view entry, or nil if it is not live
-// here — the engine-neutral cross-check hook (a sharded engine owns
-// each worker in exactly one shard).
+// ViewFor returns worker id's view entry in its owning shard, nil if
+// the worker is not live — the cross-check hook for per-worker
+// accounting.
 func (r *Replay) ViewFor(id string) *policy.WorkerView {
-	if w := r.st.byID[id]; w != nil {
+	if _, w := r.find(id); w != nil {
 		return w.v
 	}
 	return nil

@@ -11,11 +11,16 @@
 // policy.ClusterView mirroring its virtual cluster and calls
 // internal/policy for every scheduling decision — task placement,
 // ready-instance selection, library deploys, peer-source picks,
-// first-copy suppression — exactly as the manager does. This file only
-// executes those decisions under the virtual clock; replay.go drives
-// the same state machine from an explicit event list so the
-// differential harness can diff decision traces against the real
-// manager.
+// first-copy suppression — exactly as the manager does.
+//
+// There are two drivers over that state machine. This file is the timed
+// one (Run): it executes decisions under the virtual clock. replay.go
+// is the untimed one (Replay): N shards behind the event surface the
+// manager has — submissions, tenants, acks and faults, results by value
+// and by reference, joins and deaths — with one router, one submission
+// plane and one ref catalog (refs.go) over per-shard views, so the
+// differential harness can diff its decision traces against the real
+// manager's at any shard count.
 package sim
 
 import (
@@ -121,7 +126,7 @@ type Config struct {
 	// Invocations as the workload size.
 	TenantInvocations []int
 	// RefOwnedBytesCap bounds the owned (cache-tier) proxy-object bytes
-	// per worker in the replay's ref mirror — the manager's
+	// per worker in the Replay's ref catalog — the manager's
 	// Options.RefOwnedBytesCap. 0 means unbounded (no spills).
 	RefOwnedBytesCap int64
 }
@@ -231,11 +236,8 @@ type state struct {
 
 	workers []*wstate
 	byID    map[string]*wstate
-	// machines is the sampled (and shuffled) machine pool; nextIdx is
-	// the next worker index, so churn (Replay.AddWorker) continues the
-	// "wNNNN" numbering instead of reusing dead IDs.
+	// machines is the sampled (and shuffled) machine pool.
 	machines []cluster.Machine
-	nextIdx  int
 
 	// view mirrors the virtual cluster for the policy core: worker
 	// resources are invocation slots (1 core = 1 slot), the library's
@@ -257,9 +259,9 @@ type state struct {
 	sampleStep int
 
 	// plane is the timed simulator's submission plane (Config.Tenants);
-	// the replay drivers keep their planes on the Replay/ShardedReplay
-	// composites instead, with their own recorders, so the plane trace
-	// stays a separate stream exactly as the manager's is.
+	// Replay keeps its plane on the driver instead, in front of every
+	// shard and with its own recorder, so the plane trace stays a
+	// separate stream exactly as the manager's is.
 	plane *policy.TenantPlane[simIntake]
 	// trackOwners threads admitted-spec identity through the pending
 	// pool: owners is the FIFO of admitted-but-unplaced invocation
@@ -277,8 +279,8 @@ type state struct {
 	// advance, timing callbacks do not (replay.go drives transitions).
 	replay bool
 
-	// refs is the replay's mirror of the manager's ref plane (refs.go);
-	// nil on the timed path, which never builds by-ref inputs.
+	// refs is the Replay's one ref catalog (refs.go), shared by all its
+	// shards; nil on the timed path, which never builds by-ref inputs.
 	refs *simRefs
 
 	res *Result
@@ -427,7 +429,7 @@ func (w *wstate) firstFree(needLib bool) *slot {
 // Run executes one simulated experiment.
 func Run(cfg Config) *Result {
 	cfg.defaults()
-	st := newState(cfg)
+	st := newState(cfg, false)
 	st.startTenantArrivals()
 	st.tryDispatch()
 	st.res.TotalTime = st.S.Run()
@@ -442,12 +444,16 @@ func Run(cfg Config) *Result {
 	return st.res
 }
 
-// newState builds the initial simulation state.
-func newState(cfg Config) *state {
+// newState builds the initial simulation state. A replay state starts
+// with no workers: the Replay joins cfg.Workers of them through its own
+// event surface, which numbers them globally and routes each to its
+// shard.
+func newState(cfg Config, replay bool) *state {
 	st := &state{
-		cfg: cfg,
-		S:   event.NewSim(),
-		rng: event.NewRNG(cfg.Seed),
+		cfg:    cfg,
+		replay: replay,
+		S:      event.NewSim(),
+		rng:    event.NewRNG(cfg.Seed),
 		res: &Result{
 			Level:       cfg.Level,
 			Workers:     cfg.Workers,
@@ -500,9 +506,9 @@ func newState(cfg Config) *state {
 
 	machines := cfg.Machines
 	if machines == nil {
-		// Workers may be 0 (a sharded-replay shard that receives all its
-		// workers by AddWorkerNamed): keep at least one machine sampled so
-		// mid-run joins have hardware to draw from.
+		// Workers may be 0 (a replay whose workers all join mid-run):
+		// keep at least one machine sampled so joins have hardware to
+		// draw from.
 		n := cfg.Workers
 		if n < 1 {
 			n = 1
@@ -517,8 +523,10 @@ func newState(cfg Config) *state {
 		machines[i], machines[j] = machines[j], machines[i]
 	}
 	st.machines = machines
-	for i := 0; i < cfg.Workers; i++ {
-		st.addWorker()
+	if !replay {
+		for i := 0; i < cfg.Workers; i++ {
+			st.addWorker(i)
+		}
 	}
 
 	st.pending = cfg.Invocations
@@ -532,24 +540,17 @@ func newState(cfg Config) *state {
 	return st
 }
 
-// addWorker builds worker nextIdx, registers it in the view (which
-// puts it on the placement ring), and returns it. Used both by
-// newState and by Replay.AddWorker for mid-run joins.
-func (st *state) addWorker() *wstate {
-	return st.addWorkerNamed("w" + pad4(st.nextIdx))
-}
-
-// addWorkerNamed is addWorker with an explicit ID — the sharded replay
-// numbers workers globally (across shards), so a shard cannot derive
-// the ID from its own worker count.
-func (st *state) addWorkerNamed(id string) *wstate {
+// addWorker builds the cluster's i-th worker ("wNNNN") and registers it
+// in the view, which puts it on the placement ring. i is the index over
+// the whole cluster — a Replay's shards each hold a subset — so the ID,
+// the machine and the locality cluster do not depend on how the cluster
+// is partitioned.
+func (st *state) addWorker(i int) *wstate {
 	cfg := st.cfg
-	i := st.nextIdx
-	st.nextIdx++
 	m := st.machines[i%len(st.machines)]
 	w := &wstate{
 		idx:  i,
-		id:   id,
+		id:   "w" + pad4(i),
 		mach: m,
 		disk: event.NewFairShare(st.S, m.DiskBytesPerSec, 0),
 		nic:  event.NewFairShare(st.S, m.NICBytesPerSec, 0),
@@ -848,13 +849,13 @@ func (st *state) execStage(sf policy.StageFile) {
 	case policy.StageRef:
 		// Proxy-object input (§15): the shard trace records only that a
 		// ref stage ran — the per-shard view cannot plan the copy — and
-		// the global ref mirror plans (and traces) the actual source,
+		// the global ref catalog plans (and traces) the actual source,
 		// exactly as the manager's ref plane does.
 		if st.rec != nil {
 			st.rec.Record(policy.TraceStage(sf))
 		}
 		if st.refs != nil {
-			st.refs.stage(st, dst, sf.Object)
+			st.refs.stage(st.view, dst.v, sf.Object, false)
 		}
 	}
 }
@@ -1097,7 +1098,7 @@ func (st *state) invokeL3(sl *slot, start float64) {
 // internal state and simulator for diagnostic stepping (cmd/probe).
 func DebugStart(cfg Config) (*state, *event.Sim) {
 	cfg.defaults()
-	st := newState(cfg)
+	st := newState(cfg, false)
 	st.startTenantArrivals()
 	st.tryDispatch()
 	return st, st.S

@@ -175,14 +175,10 @@ func (e *executor) release(r core.Resources) {
 	e.committed = e.committed.Sub(r)
 }
 
-func failResult(id int64, err error) core.Result {
-	return core.Result{ID: id, Ok: false, Err: err.Error()}
-}
-
 // infraResult marks a failure as infrastructure-caused (staging gaps,
 // cache pressure, lost libraries) so the manager may retry the work on
-// another placement; errors raised by the submitted code itself use
-// failResult and are never retried.
+// another placement; errors raised by the submitted code itself are
+// plain failed results and are never retried.
 func infraResult(id int64, err error) core.Result {
 	return core.Result{ID: id, Ok: false, Err: err.Error(), Retryable: true}
 }

@@ -3,8 +3,10 @@ package taskvine
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/worker"
 )
 
 // TestPassByReferenceResultFlow is the end-to-end proof of the
@@ -170,5 +172,131 @@ vine_runtime.store_result(total)
 	st = m.Stats()
 	if st.RefResults != n {
 		t.Fatalf("RefResults = %d, want %d", st.RefResults, n)
+	}
+}
+
+// TestRefOwnerDeathRehomesOntoSurvivor drives the adoption path on real
+// workers (DESIGN.md §15): a ref's owner dies after consumers acked
+// their copies, the manager re-homes the ref onto the minimum-ID
+// surviving holder and tells it so (MsgOwnObject), and that worker must
+// then hold the object pinned as its owned copy — the only thing that
+// keeps the ref alive under cache pressure — and serve the next
+// consumer's peer fetch. A worker whose handleOwnObject did nothing
+// would leave the copy an ordinary evictable replica and fail here.
+func TestRefOwnerDeathRehomesOntoSurvivor(t *testing.T) {
+	m := newTestManager(t, 0, Options{})
+	full := WorkerOptions{Resources: core.Resources{Cores: 4}}
+	if err := m.SpawnLocalWorkers(3, full); err != nil {
+		t.Fatal(err)
+	}
+	m.SubmitTaskByRef(`
+import vine_runtime
+rows = []
+for i in range(2048):
+    rows.append(i * 3)
+vine_runtime.store_result(rows)
+`, core.Resources{Cores: 1})
+	results, err := m.Collect(1, collectTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := results[0].Ref
+	if !results[0].Ok || ref == nil {
+		t.Fatalf("by-ref producer: %+v", results[0])
+	}
+	consumer := fmt.Sprintf(`
+import vine_runtime
+rows = vine_runtime.load_pickle(%q)
+total = 0
+for r in rows:
+    total += r
+vine_runtime.store_result(total)
+`, ref.Name)
+	// consume runs one full-worker consumer per live worker until want
+	// reports the copy it was after exists: whole-worker tasks submitted
+	// together land on distinct workers unless one finishes before the
+	// next is placed, so a second round is possible but a third is not
+	// expected.
+	consume := func(what string, n int, want func() bool) {
+		t.Helper()
+		for round := 0; !want(); round++ {
+			if round == 5 {
+				t.Fatalf("%s: not after %d rounds of consumers", what, round)
+			}
+			for i := 0; i < n; i++ {
+				m.SubmitTask(consumer, core.Resources{Cores: 4}, core.RefSpec(ref))
+			}
+			results, err := m.Collect(n, collectTimeout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, res := range results {
+				if v, err := m.DecodeValue(res); !res.Ok || err != nil || v.Repr() != "6288384" {
+					t.Fatalf("%s: consumer result %+v (%v)", what, res, err)
+				}
+			}
+		}
+	}
+	eventually := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: not within 5s (stats %+v)", what, m.Stats())
+			}
+		}
+	}
+
+	// Every non-owner worker acks a copy; the survivor-to-be is the
+	// minimum-ID one, the catalog's pick.
+	var owner, survivor *worker.Worker
+	holders := func() bool {
+		owner, survivor = nil, nil
+		n := 0
+		for _, w := range m.LocalWorkers() {
+			switch {
+			case w.ID() == ref.Owner:
+				owner = w
+			case w.Cache().Has(ref.ID):
+				n++
+				if survivor == nil || w.ID() < survivor.ID() {
+					survivor = w
+				}
+			}
+		}
+		return n == 2
+	}
+	consume("a copy on both non-owners", 3, holders)
+	if owner == nil || !owner.Plane().OwnedHere(ref.ID) || survivor.Plane().OwnedHere(ref.ID) {
+		t.Fatalf("before the death the producer %s must own the ref and %s must not", ref.Owner, survivor.ID())
+	}
+
+	owner.Shutdown()
+	eventually("the rehome", func() bool { return m.Stats().RefRehomes == 1 })
+	eventually("adoption on "+survivor.ID(), func() bool { return survivor.Plane().OwnedHere(ref.ID) })
+	if survivor.Plane().Evict(ref.ID) || survivor.Cache().Evict(ref.ID) || !survivor.Cache().Has(ref.ID) {
+		t.Fatalf("the adopted copy on %s is evictable: it was not pinned as owned", survivor.ID())
+	}
+	if st := m.Stats(); st.RefLost != 0 {
+		t.Fatalf("the ref was declared lost with two live holders: %+v", st)
+	}
+
+	// A worker that has never seen the object joins; its consumer must
+	// resolve peer-to-peer, and the catalog's minimum-ID pick is the new
+	// owner.
+	if err := m.SpawnLocalWorkers(1, full); err != nil {
+		t.Fatal(err)
+	}
+	workers := m.LocalWorkers()
+	fresh := workers[len(workers)-1]
+	before, served := m.Stats().RefTransfers, survivor.Plane().Snapshot().Served
+	consume("a copy on the new worker", 3, func() bool { return fresh.Cache().Has(ref.ID) })
+	if st := m.Stats(); st.RefTransfers == before || st.RefRehomes != 1 || st.RefLost != 0 {
+		t.Fatalf("after the late consumer: RefTransfers %d -> %d, RefRehomes=%d, RefLost=%d", before, st.RefTransfers, st.RefRehomes, st.RefLost)
+	}
+	if got := survivor.Plane().Snapshot().Served; got == served {
+		t.Fatalf("the new owner %s served no fetch for the late consumer", survivor.ID())
+	}
+	if err := m.CheckQuiescence(); err != nil {
+		t.Fatalf("not quiescent after the pipeline: %v", err)
 	}
 }
