@@ -783,7 +783,7 @@ func (p *Plane) answer(pc *proto.Conn) {
 		if spilled && p.cfg.Shared != nil {
 			if sObj, err := p.cfg.Shared.Fetch(req.ID); err == nil {
 				p.served.Add(1)
-				_ = pc.SendBulk(proto.MsgFileDataBulk, fileHdr(sObj), sObj.Data)
+				_ = pc.SendBulk(proto.MsgFileDataBulk, proto.HdrOf(sObj), sObj.Data)
 				return
 			}
 		}
@@ -792,17 +792,7 @@ func (p *Plane) answer(pc *proto.Conn) {
 		return
 	}
 	p.served.Add(1)
-	_ = pc.SendBulk(proto.MsgFileDataBulk, fileHdr(obj), obj.Data)
-}
-
-func fileHdr(o *content.Object) proto.FileHdr {
-	return proto.FileHdr{
-		ID:           o.ID,
-		Name:         o.Name,
-		Kind:         int(o.Kind),
-		LogicalSize:  o.LogicalSize,
-		UnpackedSize: o.UnpackedSize,
-	}
+	_ = pc.SendBulk(proto.MsgFileDataBulk, proto.HdrOf(obj), obj.Data)
 }
 
 func shortID(id string) string {

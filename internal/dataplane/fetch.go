@@ -49,7 +49,7 @@ func request(pc *proto.Conn, id string) (*content.Object, error) {
 		// payload is the frame's own buffer, allocated at the frame's exact
 		// size — retained as the object's data, the only copy of the bytes
 		// this worker will hold.
-		obj := hdrToObject(hdr, payload)
+		obj := hdr.Object(payload)
 		if err := obj.Validate(); err != nil {
 			return nil, fmt.Errorf("dataplane: peer sent corrupt object: %w", err)
 		}
@@ -59,17 +59,4 @@ func request(pc *proto.Conn, id string) (*content.Object, error) {
 		return nil, fmt.Errorf("dataplane: peer error: %s", em.Err)
 	}
 	return nil, fmt.Errorf("dataplane: unexpected peer message %v", t)
-}
-
-// hdrToObject assembles an object from a bulk frame's header and raw
-// payload; data is retained as-is, no copy.
-func hdrToObject(h proto.FileHdr, data []byte) *content.Object {
-	return &content.Object{
-		ID:           h.ID,
-		Name:         h.Name,
-		Kind:         content.Kind(h.Kind),
-		Data:         data,
-		LogicalSize:  h.LogicalSize,
-		UnpackedSize: h.UnpackedSize,
-	}
 }

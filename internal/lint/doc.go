@@ -16,8 +16,8 @@
 //     internal/manager, internal/sim, internal/experiments). Iterate a
 //     sorted key slice (core.SortedKeys) or justify the loop with a
 //     `//vinelint:unordered <why>` pragma.
-//   - lockdiscipline: in internal/manager, internal/worker, and
-//     internal/dataplane, no channel sends, proto writes, or blocking
+//   - lockdiscipline: in internal/manager, internal/shardplane,
+//     internal/worker, and internal/dataplane, no channel sends, proto writes, or blocking
 //     network I/O while a sync.Mutex/RWMutex is held, and no Lock()
 //     without a dominating Unlock or defer in the same function.
 //   - ctxdeadline: peer/network I/O in internal/worker and

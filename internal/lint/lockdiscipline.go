@@ -25,6 +25,7 @@ var lockdiscipline = &Analyzer{
 	Doc:  "no channel sends, proto writes, or blocking I/O under a mutex; every Lock has a dominating Unlock",
 	Suffixes: []string{
 		"internal/manager",
+		"internal/shardplane",
 		"internal/worker",
 		"internal/dataplane",
 	},

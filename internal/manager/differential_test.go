@@ -9,8 +9,10 @@ import (
 	"repro/internal/apps"
 	"repro/internal/content"
 	"repro/internal/core"
+	"repro/internal/hashring"
 	"repro/internal/policy"
 	"repro/internal/proto"
+	"repro/internal/shardplane"
 	"repro/internal/sim"
 )
 
@@ -154,7 +156,7 @@ func newDiffHarness(t *testing.T, level core.ReuseLevel, workers, slots int, opt
 	}
 	if opts.refs {
 		cfg.RefOwnedBytesCap = 2 << 20
-		// The manager always plans through PlanTaskBatch; for plain
+		// The manager always plans through PlanTaskBatchInto; for plain
 		// inputs sequential planning is provably equivalent, but a ref
 		// stage's suppression effect (the batch overlay's pending mark)
 		// only matches when the sim plans through the same batch entry
@@ -410,7 +412,7 @@ func (h *diffHarness) done(w *workerState, id int64) {
 	if h.level == core.L3 {
 		ok = h.rp.Complete(w.id)
 	} else {
-		ok = h.rp.CompleteTask(w.id, taskRingKey(id))
+		ok = h.rp.CompleteTask(w.id, shardplane.TaskKey(id))
 	}
 	if !ok {
 		h.t.Fatalf("sim rejected Complete(%s, task %d) the manager accepted\nops: %v\nmgr trace:\n%s\nsim trace:\n%s",
@@ -438,7 +440,7 @@ func (h *diffHarness) doneRef(w *workerState, id int64) {
 	h.refsMade = append(h.refsMade, ref)
 	h.opLog = append(h.opLog, fmt.Sprintf("doneRef(%s,%d,%s)", w.id, id, ref.ID))
 	h.shardOf(w).onResult(w, core.Result{ID: id, Ok: true, Ref: &ref})
-	if !h.rp.CompleteTaskRef(w.id, taskRingKey(id), ref) {
+	if !h.rp.CompleteTaskRef(w.id, shardplane.TaskKey(id), ref) {
 		h.t.Fatalf("sim rejected CompleteTaskRef(%s, task %d) the manager accepted\nops: %v\nmgr trace:\n%s\nsim trace:\n%s",
 			w.id, id, h.opLog, h.mgrDump(), h.rp.Dump())
 	}
@@ -567,7 +569,7 @@ func (h *diffHarness) taskFail(w *workerState, id int64) {
 	h.opLog = append(h.opLog, fmt.Sprintf("fail(%s,%d)", w.id, id))
 	h.shardOf(w).onResult(w, core.Result{ID: id, Ok: false, Retryable: true, Err: "injected fault"})
 	h.waitRetryLanded()
-	if !h.rp.Fail(w.id, taskRingKey(id)) {
+	if !h.rp.Fail(w.id, shardplane.TaskKey(id)) {
 		h.t.Fatalf("sim rejected Fail(%s, task %d) the manager accepted", w.id, id)
 	}
 }
@@ -584,7 +586,7 @@ func (h *diffHarness) waitRetryLanded() {
 		quiet := true
 		for _, s := range h.m.shards {
 			s.mu.Lock()
-			if s.backoffs != 0 || s.wakeState.Load() != wakeIdle || s.hasDirtyLocked() || s.intake.Load() != nil {
+			if s.backoffs != 0 || !s.sched.Settled() || s.dirtyAllLibs || len(s.dirtyLibs) > 0 || s.intake.Load() != nil {
 				quiet = false
 			}
 			s.mu.Unlock()
@@ -1174,7 +1176,7 @@ func scriptOverflow(t *testing.T, workers, shards int) bool {
 	h := newDiffHarness(t, core.L2, workers, 2, diffOpts{shards: shards})
 	var lone *workerState
 	for _, w := range h.ws {
-		if h.m.router.LiveIn(h.m.router.ShardOf(w.id)) == 1 {
+		if h.m.shardPlane.LiveIn(h.m.shardPlane.ShardOf(w.id)) == 1 {
 			lone = w
 			break
 		}
@@ -1240,4 +1242,99 @@ func scriptOverflow(t *testing.T, workers, shards int) bool {
 	}
 	h.diffTraces(2)
 	return true
+}
+
+func TestDifferentialParkedThenJoin(t *testing.T) {
+	// Specs submitted to an empty cluster park in their key's home shard
+	// (a task's ring key, an invocation's library); the first join lands
+	// in one shard and the others evacuate to it, a later join opens a
+	// second shard. Every stream must agree, and exactly the specs parked
+	// outside the first worker's shard cross — a count that reads 0 (and
+	// leaves the drain below unfinished) if parked shards are never
+	// woken or never evacuate.
+	for _, shards := range []int{2, 3} {
+		for _, level := range []core.ReuseLevel{core.L2, core.L3} {
+			for _, tenants := range []bool{false, true} {
+				scriptParked(t, level, diffOpts{shards: shards, tenants: tenants, refs: level == core.L2 && !tenants})
+			}
+		}
+	}
+}
+
+func scriptParked(t *testing.T, level core.ReuseLevel, opts diffOpts) {
+	slots := 2
+	if level == core.L3 {
+		slots = 1
+	}
+	h := newDiffHarness(t, level, 0, slots, opts)
+	where := fmt.Sprintf("level=%v shards=%d tenants=%v", level, opts.shards, opts.tenants)
+	nextShard := func() int { return hashring.Partition(fmt.Sprintf("w%04d", h.next), opts.shards) }
+	// Every invocation parks in the library's home shard: burn worker
+	// numbers (join, then die idle) until the next join lands elsewhere.
+	for level == core.L3 && nextShard() == hashring.Partition(diffLib, opts.shards) {
+		h.addWorker()
+		h.killWorker(h.ws[len(h.ws)-1])
+	}
+	h.submit(12)
+	if opts.refs {
+		h.submitProducer()
+		h.submitProducer()
+	}
+	parked := make([]int, opts.shards)
+	total := 0
+	for i, s := range h.m.shards {
+		s.mu.Lock()
+		for _, pt := range s.sched.Tasks() {
+			if home := hashring.Partition(pt.Key, opts.shards); home != i {
+				t.Fatalf("%s: %s parked in shard %d, its key's home is %d", where, pt.Key, i, home)
+			}
+		}
+		if home := hashring.Partition(diffLib, opts.shards); s.pendingInvCount > 0 && home != i {
+			t.Fatalf("%s: %d invocations parked in shard %d, the library's home is %d", where, s.pendingInvCount, i, home)
+		}
+		parked[i] = len(s.sched.Tasks()) + s.pendingInvCount
+		total += parked[i]
+		s.mu.Unlock()
+	}
+	if p := h.rp.Pending(); total < 6 || p != total {
+		t.Fatalf("%s: %d specs parked on the manager (want >= 6), %d in the sim", where, total, p)
+	}
+	if st := h.m.Stats(); st.ShardForwards != 0 || len(h.m.MergedDecisions()) != len(h.m.PlaneDecisions()) {
+		t.Fatalf("%s: an empty cluster forwarded %d specs and decided %v", where, st.ShardForwards, h.m.MergedDecisions())
+	}
+
+	first := nextShard()
+	want := int64(total - parked[first])
+	if want == 0 {
+		t.Fatalf("%s: every spec parked in the first worker's shard; the script evacuates nothing", where)
+	}
+	h.addWorker()
+	h.settle()
+	if f := h.m.Stats().ShardForwards; f != want {
+		t.Fatalf("%s: first join moved %d specs across shards, want the %d parked outside shard %d", where, f, want, first)
+	}
+	h.crossCheck("first join " + where)
+	for joined := false; !joined; {
+		joined = nextShard() != first
+		h.addWorker()
+	}
+	h.settle()
+	h.submit(6)
+	h.quiesce()
+	if opts.refs {
+		h.submitConsumer([]string{h.refsMade[0].ID, h.refsMade[1].ID})
+		h.quiesce()
+	}
+	h.settle()
+	h.crossCheck("final " + where)
+	if err := h.m.CheckQuiescence(); err != nil {
+		t.Errorf("%s: manager not quiescent after drain: %v", where, err)
+	}
+	if p := h.rp.Pending(); p != 0 {
+		t.Errorf("%s: sim replay still has %d pending specs after drain", where, p)
+	}
+	if f := h.m.Stats().ShardForwards; f != want {
+		t.Errorf("%s: ShardForwards = %d at the end, want only the %d evacuated", where, f, want)
+	}
+	h.diffTraces(int(want))
 }

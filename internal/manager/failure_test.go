@@ -1,6 +1,7 @@
 package manager
 
 import (
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -38,7 +39,7 @@ func fakeWorker(m *Manager, id string) *workerState {
 	s.mu.Lock()
 	s.registerWorkerLocked(w)
 	s.mu.Unlock()
-	m.router.Add(id)
+	m.shardPlane.Add(id)
 	return w
 }
 
@@ -140,8 +141,8 @@ func TestWorkerGoneFailsWhenBudgetExhausted(t *testing.T) {
 	failures := m.Stats().Failures
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if failures != 1 || len(s.inflight) != 0 || len(s.pendingTasks) != 0 {
-		t.Errorf("failures=%d inflight=%v pending=%v", failures, s.inflight, s.pendingTasks)
+	if failures != 1 || len(s.inflight) != 0 || len(s.sched.Tasks()) != 0 {
+		t.Errorf("failures=%d inflight=%v pending=%v", failures, s.inflight, s.sched.Tasks())
 	}
 }
 
@@ -313,6 +314,64 @@ func TestRepeatedLibraryFailureFailsPendingInvocations(t *testing.T) {
 	defer s.mu.Unlock()
 	if s.pendingInvCount != 0 {
 		t.Errorf("%d invocations still pending for a quarantined library", s.pendingInvCount)
+	}
+}
+
+func TestRetryableLibraryFailureQuarantine(t *testing.T) {
+	// The retryable budget: maxLibraryInfraFailures consecutive
+	// infrastructure failures quarantine the library, every queued
+	// invocation fails exactly once naming that budget (not the
+	// broken-setup one), and each returns its tenant quota unit — which
+	// releases the spec the quota held back in the plane, failed in turn
+	// by validation.
+	m := New(Options{Shards: 1, Tenants: []core.TenantSpec{{Name: "t", Quota: 2}}})
+	s := m.shards[0]
+	w := fakeWorker(m, "w")
+	if err := m.RegisterLibrary(&core.LibrarySpec{Name: "flaky", Functions: []core.FunctionSpec{{Name: "f", Source: "1"}}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		m.SubmitInvocation(&core.InvocationSpec{Library: "flaky", Function: "f", TenantID: "t"})
+	}
+	for i := 0; i < maxLibraryInfraFailures; i++ {
+		drainMsgs(w)
+		s.mu.Lock()
+		if s.pendingInvCount != 2 || w.libs["flaky"] == nil {
+			t.Fatalf("before failure %d: %d invocations queued, instance %v", i, s.pendingInvCount, w.libs["flaky"])
+		}
+		s.mu.Unlock()
+		s.onLibraryAck(w, proto.LibraryAck{Library: "flaky", Ok: false, Retryable: true, Err: "env lost"})
+	}
+	res, err := m.Collect(3, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int64]bool{}
+	quarantined := 0
+	for _, r := range res {
+		if r.Ok || seen[r.ID] {
+			t.Errorf("result %+v: want one failure per invocation", r)
+		}
+		seen[r.ID] = true
+		if strings.Contains(r.Err, fmt.Sprintf("failed to deploy %d times: env lost", maxLibraryInfraFailures)) {
+			quarantined++
+		} else if !strings.Contains(r.Err, "marked broken") {
+			t.Errorf("invocation %d failed with %q", r.ID, r.Err)
+		}
+	}
+	if quarantined != 2 {
+		t.Errorf("%d of the 2 queued invocations name the %d-failure budget: %v", quarantined, maxLibraryInfraFailures, res)
+	}
+	select {
+	case r := <-m.Results():
+		t.Errorf("an invocation failed twice: %+v", r)
+	default:
+	}
+	if err := m.CheckQuiescence(); err != nil {
+		t.Errorf("quota or queue leaked: %v", err)
+	}
+	if st := m.Stats(); st.Failures != 3 {
+		t.Errorf("Failures = %d, want 3", st.Failures)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/shardplane"
 )
 
 // intakeItem identifies one pushed spec for the cross-check: producer
@@ -23,7 +24,7 @@ type intakeItem struct{ p, k int }
 // cross-checked against: the pre-PR mutex-guarded append. Its
 // guarantee — every item appears exactly once, and one producer's
 // items drain in the order that producer pushed them — is the
-// contract drainIntakeLocked must preserve.
+// contract the shard's Intake must preserve.
 type mutexIntake struct {
 	mu sync.Mutex
 	q  []intakeItem
@@ -78,6 +79,14 @@ func runIntakeWorkload(t *testing.T, producers, perProducer int, push func(intak
 	return got
 }
 
+// bareShard is a shard with queues and a scheduler but no workers,
+// view or manager behind it.
+func bareShard() *shard {
+	s := &shard{m: &Manager{}, pendingInvs: map[string][]pendingInv{}}
+	s.sched = shardplane.NewPlane[taskSpec](1).Attach(0, nil, &s.mu, s)
+	return s
+}
+
 // perProducerOrder projects the drain order onto one producer's items.
 func perProducerOrder(items []intakeItem, producers int) [][]int {
 	seqs := make([][]int, producers)
@@ -94,9 +103,9 @@ func perProducerOrder(items []intakeItem, producers int) [][]int {
 func TestIntakeConcurrentSubmitDrain(t *testing.T) {
 	const producers, perProducer = 8, 500
 
-	// Lock-free intake under test, on a bare shard (drainIntakeLocked
-	// touches only queue state).
-	s := &shard{pendingInvs: map[string][]pendingInv{}}
+	// Lock-free intake under test, on a bare shard (Intake touches only
+	// queue state).
+	s := bareShard()
 	push := func(it intakeItem) {
 		n := intakeNodePool.Get().(*intakeNode)
 		n.isTask = false
@@ -108,7 +117,7 @@ func TestIntakeConcurrentSubmitDrain(t *testing.T) {
 	}
 	drain := func() []intakeItem {
 		s.mu.Lock()
-		s.drainIntakeLocked()
+		s.Intake()
 		var out []intakeItem
 		for p := 0; p < producers; p++ {
 			lib := fmt.Sprintf("lib%d", p)
@@ -150,7 +159,7 @@ func TestIntakeConcurrentSubmitDrain(t *testing.T) {
 // per-producer order.
 func TestIntakeMixedTasksAndInvocations(t *testing.T) {
 	const producers, perProducer = 4, 300
-	s := &shard{pendingInvs: map[string][]pendingInv{}}
+	s := bareShard()
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
@@ -160,7 +169,7 @@ func TestIntakeMixedTasksAndInvocations(t *testing.T) {
 				n := intakeNodePool.Get().(*intakeNode)
 				if k%2 == 0 {
 					n.isTask = true
-					n.task = pendingTask{t: &core.TaskSpec{ID: int64(p*perProducer + k)}}
+					n.task = pendingTask{Spec: taskSpec{t: &core.TaskSpec{ID: int64(p*perProducer + k)}}}
 				} else {
 					n.isTask = false
 					n.inv = pendingInv{inv: &core.InvocationSpec{ID: int64(p*perProducer + k), Library: "lib"}}
@@ -171,9 +180,9 @@ func TestIntakeMixedTasksAndInvocations(t *testing.T) {
 	}
 	wg.Wait()
 	s.mu.Lock()
-	s.drainIntakeLocked()
-	tasks, invs := s.pendingTasks, s.pendingInvs["lib"]
-	if !s.dirtyTasks || !s.dirtyLibs["lib"] {
+	s.Intake()
+	tasks, invs := s.sched.Tasks(), s.pendingInvs["lib"]
+	if s.sched.Settled() || !s.dirtyLibs["lib"] {
 		t.Fatal("drain did not mark the drained queues dirty")
 	}
 	s.mu.Unlock()
@@ -182,7 +191,7 @@ func TestIntakeMixedTasksAndInvocations(t *testing.T) {
 	}
 	lastK := map[int]int{}
 	for _, pt := range tasks {
-		p, k := int(pt.t.ID)/perProducer, int(pt.t.ID)%perProducer
+		p, k := int(pt.Spec.t.ID)/perProducer, int(pt.Spec.t.ID)%perProducer
 		if prev, ok := lastK[p]; ok && k <= prev {
 			t.Fatalf("producer %d: task %d drained after item %d", p, k, prev)
 		}

@@ -8,11 +8,12 @@
 // The dispatch plane is sharded (DESIGN.md §12): worker state is
 // partitioned across N shards, each with its own scheduler lock, event
 // loop, and dirty-mark/coalesced-wake machinery. Every spec is routed
-// to exactly one shard at submission (internal/shardplane owns the
-// routing rules, shared with the simulator's Replay driver).
-// Cross-shard concerns — spec routing, evacuating a shard that lost
-// its last worker, parked work meeting its first worker — go through
-// explicit message paths that never hold two shard locks at once.
+// to exactly one shard at submission. internal/shardplane owns the
+// routing rules and the per-shard scheduler — the coalesced wake loop,
+// the task pass, and every path that moves a spec across shards (never
+// holding two shard locks at once) — shared with the simulator's Replay
+// driver; this package is the shell around it: locks, sockets, timers,
+// the per-library invocation queues, Stats.
 //
 // Within a shard, scheduling is incremental: every event records which
 // queues it could unblock (dirty marks, index.go) and the wake loop
@@ -152,11 +153,11 @@ type Manager struct {
 	opts Options
 	ln   net.Listener
 
-	// shards partition all worker and spec state; router owns the
-	// worker→shard and spec→shard routing rules (shared with the
-	// simulator's Replay driver).
-	shards []*shard
-	router *shardplane.Router
+	// shards partition all worker and spec state; shardPlane holds each
+	// one's scheduler and the router (the worker→shard and spec→shard
+	// rules), both shared with the simulator's Replay driver.
+	shards     []*shard
+	shardPlane *shardplane.Plane[taskSpec]
 
 	// libMu guards the registered-library table, read by every shard's
 	// validation path and written only by RegisterLibrary.
@@ -195,17 +196,6 @@ type Manager struct {
 	catMu   sync.RWMutex
 	catalog map[string]core.FileSpec
 
-	// starveMu guards the set of starving shards: shards resting
-	// queued work that cannot place locally and that no local event
-	// will unblock. Any capacity-freeing event anywhere (a result, a
-	// ready instance, membership change) nudges them — the
-	// shard-crossing signal replacing the single loop's global view
-	// of freed capacity. nStarving mirrors the set size so the hot
-	// path pays one atomic load when the set is empty.
-	starveMu  sync.Mutex
-	starving  map[int]bool
-	nStarving atomic.Int32
-
 	results chan core.Result
 	wg      sync.WaitGroup
 }
@@ -221,8 +211,9 @@ type peerSource struct {
 }
 
 // shard is one partition of the dispatch plane: a worker table, a
-// policy view over exactly those workers, the spec queues routed here,
-// and the dirty-mark/coalesced-wake scheduler that drains them. All
+// policy view over exactly those workers, the invocation queues routed
+// here, and the shared scheduler (sched) that holds the task queue and
+// drains both. All
 // mutable state below mu is touched only with mu held; shards never
 // take each other's locks (cross-shard movement goes through the
 // coordinator with at most one shard lock held at a time).
@@ -243,8 +234,10 @@ type shard struct {
 	// before the scheduler plans a new deploy, so a burst of events
 	// during a slow install cannot over-provision instances beyond the
 	// queue length.
-	installing   map[string]int
-	pendingTasks []pendingTask
+	installing map[string]int
+	// sched is the shared scheduler: the pending-task queue and its
+	// marks, the wake latch and loop. This shard is its Shell (index.go).
+	sched *shardplane.Sched[taskSpec]
 	// pendingInvs queues invocations per library, so an event touching
 	// one library reconsiders only that library's queue. Order within a
 	// queue is submission order.
@@ -269,21 +262,21 @@ type shard struct {
 	// objWaiters: object ID → queues blocked on its first copy.
 	objWaiters map[string]*objWaiter
 
-	// ---- dirty marks for the coalesced wake loop ----
-	dirtyTasks   bool
+	// ---- library dirty marks for the coalesced wake loop ----
 	dirtyAllLibs bool
 	dirtyLibs    map[string]bool
 	// libScratch is the wake loop's reusable sorted-key buffer for
 	// dirtyLibs — the map and this slice are retained across passes so
 	// the steady-state pass allocates nothing.
 	libScratch []string
-	// reqScratch/planScratch/invScratch are the scheduling passes'
-	// reusable batch buffers (requests in, decisions out). Each pass
+	// reqScratch/invScratch are the scheduling passes' reusable batch
+	// buffers (task requests in, invocation decisions out). Each pass
 	// truncates and refills them under the shard lock, so steady-state
 	// planning allocates no slices.
-	reqScratch  []policy.TaskReq
-	planScratch []policy.PlaceTask
-	invScratch  []policy.PlaceInvocation
+	reqScratch []policy.TaskReq
+	invScratch []policy.PlaceInvocation
+	// fwdInvs holds library queues leaving this shard (index.go).
+	fwdInvs []invMove
 	// freeInflight recycles invocation inflight entries (only those —
 	// task entries can be referenced by ackWaiters past completion;
 	// invocation entries never register there).
@@ -296,19 +289,7 @@ type shard struct {
 	// pass. The wake loop swaps the whole stack out under mu and
 	// replays it in FIFO (reversed) order into the pending queues.
 	intake atomic.Pointer[intakeNode]
-	// wakeState is the lock-free coalescing latch replacing the old
-	// mu-guarded scheduling flag: wakeIdle (no loop running),
-	// wakeRunning (a loop is draining), wakeRerun (a loop is draining
-	// and at least one wake arrived since its last pass — it must run
-	// again before going idle).
-	wakeState atomic.Int32
 }
-
-const (
-	wakeIdle int32 = iota
-	wakeRunning
-	wakeRerun
-)
 
 // intakeNode is one submitted spec waiting in a shard's intake stack.
 // Nodes are pooled: the submit path must not trade its lock for an
@@ -336,16 +317,14 @@ func (s *shard) pushIntake(n *intakeNode) {
 	}
 }
 
-// drainIntakeLocked moves every spec published to the intake stack
-// into the shard's pending queues (marking the matching dirty bits).
-// Called with s.mu held; the single consumer. The swap claims the
+// Intake moves every spec published to the intake stack into the
+// shard's pending queues (marking the matching dirty bits), and reports
+// the per-library queues, their marks, and whether the manager is still
+// open. Called with s.mu held; the single consumer. The swap claims the
 // whole stack, so concurrent pushers are never blocked; reversing it
 // restores submission (FIFO) order.
-func (s *shard) drainIntakeLocked() {
+func (s *shard) Intake() (invs int, invDirty, open bool) {
 	head := s.intake.Swap(nil)
-	if head == nil {
-		return
-	}
 	var rev *intakeNode
 	for head != nil {
 		next := head.next
@@ -356,8 +335,7 @@ func (s *shard) drainIntakeLocked() {
 	for n := rev; n != nil; {
 		next := n.next
 		if n.isTask {
-			s.pendingTasks = append(s.pendingTasks, n.task)
-			s.markTasksDirtyLocked()
+			s.sched.Push(n.task)
 		} else {
 			s.enqueueInvLocked(n.inv)
 		}
@@ -365,23 +343,23 @@ func (s *shard) drainIntakeLocked() {
 		intakeNodePool.Put(n)
 		n = next
 	}
+	return s.pendingInvCount, s.dirtyAllLibs || len(s.dirtyLibs) > 0, !s.m.closed.Load()
 }
 
-// pendingTask pairs a queued task with its precomputed ring key and
-// its retry state. The retry count and avoid preference travel with
-// the spec so it can migrate between shards without losing them.
-type pendingTask struct {
+// taskSpec is the manager's payload of a queued task: the retry count
+// travels with the spec, as the shared Task's ring key, avoid preference
+// and hop count do, so it migrates between shards intact.
+type taskSpec struct {
 	t       *core.TaskSpec
-	key     string
 	retries int
-	avoid   string
-	// hops counts overflow forwards across shards (not evacuations):
-	// a spec no shard can place stops circulating after visiting every
-	// shard, until a membership change or a starvation nudge resets it.
-	hops int
 }
 
-// pendingInv pairs a queued invocation with its retry state.
+func (p taskSpec) Need() core.Resources { return p.t.Resources }
+
+type pendingTask = shardplane.Task[taskSpec]
+
+// pendingInv pairs a queued invocation with its retry state; hops is
+// Task.Hops for the library queue it waits in.
 type pendingInv struct {
 	inv     *core.InvocationSpec
 	retries int
@@ -479,14 +457,13 @@ func New(opts Options) *Manager {
 		opts.RetryMaxDelay = 2 * time.Second
 	}
 	m := &Manager{
-		opts:     opts,
-		router:   shardplane.NewRouter(opts.Shards),
-		libSpecs: map[string]*core.LibrarySpec{},
-		holders:  map[string]map[string]bool{},
-		peers:    map[string]*peerSource{},
-		catalog:  map[string]core.FileSpec{},
-		starving: map[int]bool{},
-		results:  make(chan core.Result, opts.ResultBuffer),
+		opts:       opts,
+		shardPlane: shardplane.NewPlane[taskSpec](opts.Shards),
+		libSpecs:   map[string]*core.LibrarySpec{},
+		holders:    map[string]map[string]bool{},
+		peers:      map[string]*peerSource{},
+		catalog:    map[string]core.FileSpec{},
+		results:    make(chan core.Result, opts.ResultBuffer),
 	}
 	m.shards = make([]*shard, opts.Shards)
 	for i := range m.shards {
@@ -498,7 +475,7 @@ func New(opts Options) *Manager {
 				rec = &policy.Recorder{}
 			}
 		}
-		m.shards[i] = &shard{
+		s := &shard{
 			m:                m,
 			idx:              i,
 			workers:          map[string]*workerState{},
@@ -516,6 +493,8 @@ func New(opts Options) *Manager {
 			rec:        rec,
 			objWaiters: map[string]*objWaiter{},
 		}
+		s.sched = m.shardPlane.Attach(i, s.view, &s.mu, s)
+		m.shards[i] = s
 	}
 	if len(opts.Tenants) > 0 {
 		m.plane = newSubmitPlane(m, opts.Tenants, opts.DecisionTrace != nil)
@@ -532,7 +511,7 @@ func NewDefault() *Manager {
 
 // shardFor returns a worker's home shard — a pure function of its ID.
 func (m *Manager) shardFor(workerID string) *shard {
-	return m.shards[m.router.ShardOf(workerID)]
+	return m.shards[m.shardPlane.ShardOf(workerID)]
 }
 
 // ShardDecisions returns each shard's recorded decision trace, in
@@ -547,21 +526,10 @@ func (m *Manager) ShardDecisions() [][]string {
 	return out
 }
 
-// MergedDecisions returns the per-shard decision traces merged by the
-// deterministic rule shared with the simulator's Replay
-// (shardplane.MergeTraces: concatenation in shard-index order), with
-// the global streams — the submission plane's admission/drain trace
-// and the ref plane's ownership/resolve trace, when present —
-// prepended in that order.
+// MergedDecisions returns the whole decision trace, composed by the
+// rule shared with the simulator's Replay (shardplane.ComposeTraces).
 func (m *Manager) MergedDecisions() []string {
-	merged := shardplane.MergeTraces(m.ShardDecisions())
-	if refs := m.RefDecisions(); len(refs) > 0 {
-		merged = append(refs, merged...)
-	}
-	if plane := m.PlaneDecisions(); len(plane) > 0 {
-		return append(plane, merged...)
-	}
-	return merged
+	return shardplane.ComposeTraces(m.PlaneDecisions(), m.RefDecisions(), m.ShardDecisions())
 }
 
 // PlaneDecisions returns the submission plane's recorded trace: one
@@ -639,7 +607,7 @@ func (m *Manager) Stats() Stats {
 
 // WorkersConnected returns the number of live workers.
 func (m *Manager) WorkersConnected() int {
-	return m.router.Live()
+	return m.shardPlane.Live()
 }
 
 // WaitForWorkers blocks until at least n workers are connected or the
@@ -708,12 +676,10 @@ func (m *Manager) libSpec(name string) (*core.LibrarySpec, bool) {
 // no TenantID, no plane, or an unregistered tenant — routes directly.
 func (m *Manager) Submit(t *core.TaskSpec) int64 {
 	t.ID = m.nextID.Add(1)
-	pt := pendingTask{t: t, key: taskRingKey(t.ID)}
-	if t.TenantID != "" && m.plane != nil &&
-		m.plane.submit(t.TenantID, intakeNode{isTask: true, task: pt}, t.ID) {
-		return t.ID
+	it := intakeNode{isTask: true, task: pendingTask{Key: shardplane.TaskKey(t.ID), Spec: taskSpec{t: t}}}
+	if t.TenantID == "" || m.plane == nil || !m.plane.submit(t.TenantID, it, t.ID) {
+		m.route(m.shardPlane.KeyShard(it.task.Key), it)
 	}
-	m.routeTask(pt)
 	return t.ID
 }
 
@@ -721,53 +687,27 @@ func (m *Manager) Submit(t *core.TaskSpec) int64 {
 // handling matches Submit.
 func (m *Manager) SubmitInvocation(inv *core.InvocationSpec) int64 {
 	inv.ID = m.nextID.Add(1)
-	if inv.TenantID != "" && m.plane != nil &&
-		m.plane.submit(inv.TenantID, intakeNode{inv: pendingInv{inv: inv}}, inv.ID) {
-		return inv.ID
+	it := intakeNode{inv: pendingInv{inv: inv}}
+	if inv.TenantID == "" || m.plane == nil || !m.plane.submit(inv.TenantID, it, inv.ID) {
+		m.route(m.shardPlane.InvShard(inv.ID, inv.Library), it)
 	}
-	m.routeInv(pendingInv{inv: inv})
 	return inv.ID
 }
 
-// routeTask delivers a task to the shard owning its ring key — or, in
-// an empty cluster, parks it in the key's home shard until the first
-// worker joins (shardplane routing rules). The hand-off is lock-free:
-// the spec goes onto the shard's intake stack and the wake latch does
-// the rest, so a submit burst never contends with a running pass.
-func (m *Manager) routeTask(pt pendingTask) {
-	s := m.shards[m.router.KeyShard(pt.key)]
-	n := intakeNodePool.Get().(*intakeNode)
-	n.isTask, n.task = true, pt
-	s.pushIntake(n)
-	s.wake()
-}
-
-// routeInv delivers an invocation to a live shard by round-robin over
-// its spec ID — invocations of one library are interchangeable, so
-// spreading them across shards is pure load balancing. In an empty
-// cluster it parks in the library's home shard. Lock-free hand-off,
-// like routeTask.
-func (m *Manager) routeInv(pi pendingInv) {
-	s := m.shards[m.router.InvShard(pi.inv.ID, pi.inv.Library)]
-	n := intakeNodePool.Get().(*intakeNode)
-	n.isTask, n.inv = false, pi
-	s.pushIntake(n)
-	s.wake()
-}
-
-// forwardInvQueue moves one library's whole pending queue into a
-// target shard, preserving order. Whole-queue moves (rather than
-// per-spec re-routing) are the rule the simulator's Replay can
-// mirror exactly — its invocation pool is keyless.
-func (m *Manager) forwardInvQueue(idx int, lib string, q []pendingInv) {
+// route hands a directly submitted spec to its shard (shardplane routing
+// rules): a task's owns its ring key; an invocation's is a live shard by
+// round-robin over the spec ID — invocations of one library are
+// interchangeable, so spreading them is pure load balancing; in an empty
+// cluster both park in a key-derived home shard until the first worker
+// joins. The hand-off is lock-free: the spec goes onto the shard's
+// intake stack and the wake latch does the rest, so a submit burst never
+// contends with a running pass.
+func (m *Manager) route(idx int, it intakeNode) {
 	s := m.shards[idx]
-	s.mu.Lock()
-	s.pendingInvs[lib] = append(s.pendingInvs[lib], q...)
-	s.pendingInvCount += len(q)
-	s.markLibDirtyLocked(lib)
-	s.mu.Unlock()
-	atomic.AddInt64(&m.stats.ShardForwards, int64(len(q)))
-	s.wake()
+	n := intakeNodePool.Get().(*intakeNode)
+	*n = it
+	s.pushIntake(n)
+	s.sched.Wake()
 }
 
 // Collect drains n results from the result stream.
@@ -819,29 +759,14 @@ func (m *Manager) adoptWorker(w *workerState) bool {
 	s.wakeCapacityLocked()
 	s.mu.Unlock()
 	m.peerAdd(w)
-	m.router.Add(w.id)
-	s.wake()
+	m.shardPlane.Add(w.id)
+	s.sched.Wake()
 	// Parked work in workerless shards can now be evacuated here, and
 	// work starving in shards this worker doesn't belong to gets its
 	// overflow hop budget back so it can reach the new capacity.
-	m.wakeParked()
-	m.nudgeStarving()
+	m.shardPlane.WakeParked()
+	m.shardPlane.Nudge()
 	return true
-}
-
-// wakeParked nudges every workerless shard holding queued specs: its
-// wake loop will evacuate them to live shards (shard-crossing path).
-func (m *Manager) wakeParked() {
-	for _, s := range m.shards {
-		s.mu.Lock()
-		if len(s.workers) == 0 && s.hasPendingLocked() {
-			s.wakeCapacityLocked()
-			s.mu.Unlock()
-			s.wake()
-			continue
-		}
-		s.mu.Unlock()
-	}
 }
 
 func (m *Manager) serveWorker(nc net.Conn) {
@@ -941,7 +866,7 @@ func (m *Manager) serveWorker(nc net.Conn) {
 		}
 	}()
 
-	s.wake()
+	s.sched.Wake()
 
 	// strs interns the identifier strings every completion repeats
 	// (worker ID, library instance) — one table per connection, used
@@ -997,11 +922,10 @@ func (s *shard) releaseSourceSlotLocked(src string) {
 }
 
 // onWorkerGone tears down a dead worker in its home shard. Crash
-// requeues stay in the shard (the rule the simulator's Replay
-// mirrors); if the shard just lost its last worker, its wake loop
-// evacuates the queues to live shards.
+// requeues stay in the shard; if it just lost its last worker, its wake
+// loop evacuates the queues to live shards.
 func (m *Manager) onWorkerGone(w *workerState) {
-	m.router.Remove(w.id)
+	m.shardPlane.Remove(w.id)
 	m.peerDrop(w.id)
 	// Re-home every ref the dead worker owned before requeueing its
 	// work: surviving holders adopt ownership (pinning their copies),
@@ -1027,24 +951,20 @@ func (m *Manager) onWorkerGone(w *workerState) {
 	// retry budget; a spec that has already exhausted it fails instead
 	// of bouncing between crashing workers forever. Requeue in
 	// ascending spec-ID order — map iteration order would otherwise
-	// make the post-crash schedule nondeterministic, which the
-	// differential fidelity harness (and anyone replaying a decision
-	// trace) cannot tolerate.
-	var lost []int64
+	// make the post-crash schedule nondeterministic, which anyone
+	// replaying a decision trace cannot tolerate.
+	var tasks []pendingTask
 	for _, id := range core.SortedKeys(s.inflight) {
-		if s.inflight[id].worker == w.id {
-			lost = append(lost, id)
-		}
-	}
-	for _, id := range lost {
 		e := s.inflight[id]
+		if e.worker != w.id {
+			continue
+		}
 		delete(s.inflight, id)
 		if m.opts.MaxRetries >= 0 && e.retries < m.opts.MaxRetries {
 			e.retries++
 			atomic.AddInt64(&m.stats.Requeued, 1)
 			if e.task != nil {
-				s.pendingTasks = append(s.pendingTasks, pendingTask{t: e.task, key: e.ringKey, retries: e.retries, avoid: w.id})
-				s.markTasksDirtyLocked()
+				tasks = append(tasks, e.requeued())
 			} else if e.inv != nil {
 				s.enqueueInvLocked(pendingInv{inv: e.inv, retries: e.retries, avoid: w.id})
 			}
@@ -1059,14 +979,20 @@ func (m *Manager) onWorkerGone(w *workerState) {
 			m.plane.release(specTenant(e), false)
 		}
 	}
+	s.sched.Requeue(w.id, tasks...)
 	// Losing a worker changes the ring; anything whose placement was
 	// pinned behind this worker's state gets another look.
 	s.wakeCapacityLocked()
 	s.mu.Unlock()
-	s.wake()
+	s.sched.Wake()
 	// Membership changed: overflow targets and ring ownership moved,
 	// so rested work elsewhere gets its hop budget back.
-	m.nudgeStarving()
+	m.shardPlane.Nudge()
+}
+
+// requeued is the dispatch's task as it goes back on the queue.
+func (e *inflightEntry) requeued() pendingTask {
+	return pendingTask{Key: e.ringKey, Spec: taskSpec{t: e.task, retries: e.retries}}
 }
 
 func (s *shard) onFileAck(w *workerState, ack proto.FileAck) {
@@ -1137,7 +1063,7 @@ func (s *shard) onFileAck(w *workerState, ack proto.FileAck) {
 	// reconsideration.
 	s.wakeObjWaitersLocked(ack.ID)
 	s.mu.Unlock()
-	s.wake()
+	s.sched.Wake()
 }
 
 // maxLibraryFailures is how many consecutive failed deployments a
@@ -1186,12 +1112,12 @@ func (s *shard) onLibraryAck(w *workerState, ack proto.LibraryAck) {
 			if ack.Retryable {
 				s.libInfraFailures[ack.Library]++
 				if s.libInfraFailures[ack.Library] >= maxLibraryInfraFailures {
-					s.failPendingForLibraryLocked(ack.Library, ack.Err)
+					s.failPendingForLibraryLocked(ack.Library, maxLibraryInfraFailures, ack.Err)
 				}
 			} else {
 				s.libFailures[ack.Library]++
 				if s.libFailures[ack.Library] >= maxLibraryFailures {
-					s.failPendingForLibraryLocked(ack.Library, ack.Err)
+					s.failPendingForLibraryLocked(ack.Library, maxLibraryFailures, ack.Err)
 				}
 			}
 			// The failed install released resources on this worker.
@@ -1199,15 +1125,16 @@ func (s *shard) onLibraryAck(w *workerState, ack proto.LibraryAck) {
 		}
 	}
 	s.mu.Unlock()
-	s.wake()
+	s.sched.Wake()
 	// An instance turning ready (or an install releasing resources)
 	// is capacity other shards' starving work may be waiting for.
-	s.m.nudgeStarving()
+	s.m.shardPlane.Nudge()
 }
 
 // failPendingForLibraryLocked fails every queued invocation of a
-// library that cannot be deployed. Caller holds the shard lock.
-func (s *shard) failPendingForLibraryLocked(library, reason string) {
+// library that cannot be deployed: failures is the budget that tripped.
+// Caller holds the shard lock.
+func (s *shard) failPendingForLibraryLocked(library string, failures int, reason string) {
 	q := s.pendingInvs[library]
 	if len(q) == 0 {
 		return
@@ -1218,7 +1145,7 @@ func (s *shard) failPendingForLibraryLocked(library, reason string) {
 		atomic.AddInt64(&s.m.stats.Failures, 1)
 		s.m.deliver(core.Result{ID: pi.inv.ID, Ok: false,
 			Err: fmt.Sprintf("manager: library %q failed to deploy %d times: %s",
-				library, maxLibraryFailures, reason)})
+				library, failures, reason)})
 		if s.m.plane != nil {
 			s.m.plane.release(pi.inv.TenantID, false)
 		}
@@ -1311,10 +1238,10 @@ func (s *shard) onResult(w *workerState, res core.Result) {
 	if retried {
 		s.requeueAfter(e, w.id, backoff)
 	}
-	s.wake()
+	s.sched.Wake()
 	// Freed capacity is a shard-crossing signal: shards starving on
 	// unplaceable work get another chance to reach it.
-	m.nudgeStarving()
+	m.shardPlane.Nudge()
 }
 
 // retryBackoff computes the delay before retry attempt n (1-based):
@@ -1338,9 +1265,9 @@ func retryBackoff(base, cap time.Duration, attempt int, specID int64) time.Durat
 }
 
 // requeueAfter puts a failed dispatch back on this shard's pending
-// queue once its backoff elapses. Requeues stay shard-local — the rule
-// the simulator's Replay mirrors; if the shard has meanwhile
-// lost its workers, the wake loop's evacuation path takes over.
+// queue once its backoff elapses. Requeues stay shard-local; if the
+// shard has meanwhile lost its workers, the wake loop's evacuation path
+// takes over.
 func (s *shard) requeueAfter(e *inflightEntry, avoid string, delay time.Duration) {
 	s.m.wg.Add(1)
 	time.AfterFunc(delay, func() {
@@ -1352,13 +1279,12 @@ func (s *shard) requeueAfter(e *inflightEntry, avoid string, delay time.Duration
 			return
 		}
 		if e.task != nil {
-			s.pendingTasks = append(s.pendingTasks, pendingTask{t: e.task, key: e.ringKey, retries: e.retries, avoid: avoid})
-			s.markTasksDirtyLocked()
+			s.sched.Requeue(avoid, e.requeued())
 		} else if e.inv != nil {
 			s.enqueueInvLocked(pendingInv{inv: e.inv, retries: e.retries, avoid: avoid})
 		}
 		s.mu.Unlock()
-		s.wake()
+		s.sched.Wake()
 	})
 }
 
@@ -1427,7 +1353,7 @@ func (s *shard) checkQuiescence() error {
 	if n := len(s.inflight); n != 0 {
 		return fmt.Errorf("manager: shard %d has %d dispatches still in flight", s.idx, n)
 	}
-	if n := len(s.pendingTasks) + s.pendingInvCount; n != 0 {
+	if n := len(s.sched.Tasks()) + s.pendingInvCount; n != 0 {
 		return fmt.Errorf("manager: shard %d has %d specs still queued", s.idx, n)
 	}
 	if s.backoffs != 0 {

@@ -12,19 +12,19 @@ import (
 )
 
 // The scheduling passes below are invoked from each shard's coalesced
-// wake loop (index.go): scheduleTasksLocked when the task queue is
-// dirty and scheduleLibQueueLocked per dirty library. They never scan
-// state that their dirty mark could not have changed.
+// wake loop (shardplane.Sched): Plan and Place when the task queue is
+// dirty, scheduleLibQueueLocked per dirty library (PassInvs, index.go).
+// They never scan state that their dirty mark could not have changed.
 //
 // Every scheduling decision — which worker runs a task, where a library
 // instance deploys, which peer sources a transfer, what gets evicted —
 // comes from the pure policy core (internal/policy) reading the shard's
 // ClusterView. This file only *executes* decisions: it sends messages,
 // moves resource commitments, and reports the resulting transitions
-// back into the view. Passes plan in batches (PlanTaskBatch,
-// PlaceReadyBatch) whose contract is strict sequential equivalence, so
-// the decision sequence is identical to the one-at-a-time loop the
-// simulator replays — the differential test in this package proves it.
+// back into the view. Passes plan in batches (PlanTaskBatchInto,
+// PlaceReadyBatchInto) whose contract is strict sequential equivalence,
+// so the decision sequence is that of the one-at-a-time loop the
+// unbatched simulator replays — this package's differential test proves it.
 
 // ---- staging execution ----
 
@@ -197,7 +197,7 @@ func (m *Manager) acquireRemoteSource(objID string, idx int, dstID string) (*wor
 		if p == nil {
 			continue
 		}
-		if src == nil && m.router.ShardOf(id) != idx && p.out < m.opts.PeerTransferCap {
+		if src == nil && m.shardPlane.ShardOf(id) != idx && p.out < m.opts.PeerTransferCap {
 			p.out++
 			src = p.w
 			continue
@@ -229,13 +229,7 @@ func (s *shard) directSendLocked(w *workerState, fs core.FileSpec) {
 	s.m.catalogAdd(fs)
 	s.view.NotePending(w.v, obj.ID)
 	w.enqueue(outMsg{t: proto.MsgPutFileBulk, v: proto.PutFileHdr{
-		File: proto.FileHdr{
-			ID:           obj.ID,
-			Name:         obj.Name,
-			Kind:         int(obj.Kind),
-			LogicalSize:  obj.LogicalSize,
-			UnpackedSize: obj.UnpackedSize,
-		},
+		File:   proto.HdrOf(obj),
 		Cache:  fs.Cache,
 		Unpack: fs.Unpack,
 	}, bulk: true, payload: obj.Data})
@@ -244,80 +238,34 @@ func (s *shard) directSendLocked(w *workerState, fs core.FileSpec) {
 
 // ---- task scheduling ----
 
-// scheduleTasksLocked plans placements for the whole pending-task
-// queue in one batched policy call, then executes the returned
-// decisions in order. PlanTaskBatch's sequential-equivalence contract
-// makes this emit exactly the decision sequence of the old
-// plan-one/execute-one loop.
-func (s *shard) scheduleTasksLocked() (forward []pendingTask, target int) {
-	if len(s.pendingTasks) == 0 {
-		return nil, 0
-	}
-	next, hasNext := s.m.router.NextAlive(s.idx)
-	// Static dead ends leave before planning: a task no non-avoided
-	// worker here is large enough to ever hold must not reach the
-	// planner, whose avoid fallback would otherwise pin it to the
-	// avoided worker forever. The global preference order is
-	// non-avoided local, then any other shard, then the avoided
-	// worker (once the hop budget proves nowhere else wants it).
-	if hasNext {
-		keep := s.pendingTasks[:0]
-		for _, pt := range s.pendingTasks {
-			if pt.hops < len(s.m.shards) && !s.anyEligibleWorkerLocked(pt) {
-				pt.hops++
-				forward = append(forward, pt)
-				continue
-			}
-			keep = append(keep, pt)
-		}
-		s.pendingTasks = keep
-		if len(s.pendingTasks) == 0 {
-			return forward, next
-		}
-	}
+// Plan plans the whole queue in one batched policy call; the batch
+// contract is strict sequential equivalence, so the pass executing the
+// decisions in order emits exactly the plan-one/execute-one sequence.
+// A placement blocked behind first copies in flight registers the task
+// queue's interest in each object's next ack.
+func (s *shard) Plan(dst []policy.PlaceTask, tasks []pendingTask) []policy.PlaceTask {
 	reqs := s.reqScratch[:0]
-	for _, pt := range s.pendingTasks {
-		reqs = append(reqs, policy.TaskReq{Key: pt.key, Res: pt.t.Resources, Inputs: pt.t.Inputs, Avoid: pt.avoid, Tenant: pt.t.TenantID})
+	for _, pt := range tasks {
+		t := pt.Spec.t
+		reqs = append(reqs, policy.TaskReq{Key: pt.Key, Res: t.Resources, Inputs: t.Inputs, Avoid: pt.Avoid, Tenant: t.TenantID})
 	}
-	decisions := s.view.PlanTaskBatchInto(s.planScratch[:0], reqs, nil)
-	s.reqScratch, s.planScratch = reqs, decisions
-	remaining := s.pendingTasks[:0]
-	for i, pt := range s.pendingTasks {
-		d := decisions[i]
-		if d.Worker == nil {
-			if len(d.Blocked) > 0 {
-				// Blocked behind first copies in flight: each object's
-				// next ack re-dirties the task queue.
-				for _, obj := range d.Blocked {
-					s.addObjWaiterLocked(obj, "")
-				}
-				remaining = append(remaining, pt)
-				continue
-			}
-			// Capacity exists on paper but is committed, and nothing
-			// local is in flight to free it (idle deployments pinning
-			// workers): hop to the next live shard.
-			if hasNext && pt.hops < len(s.m.shards) && s.quietLocked() {
-				pt.hops++
-				forward = append(forward, pt)
-				continue
-			}
-			remaining = append(remaining, pt)
-			continue
+	s.reqScratch = reqs
+	dst = s.view.PlanTaskBatchInto(dst, reqs, nil)
+	for _, d := range dst {
+		for _, obj := range d.Blocked {
+			s.addObjWaiterLocked(obj, "")
 		}
-		s.execPlaceTaskLocked(pt, d)
 	}
-	s.pendingTasks = remaining
-	return forward, next
+	return dst
 }
 
-// execPlaceTaskLocked carries out one planned task placement: staging,
-// resource commitment, dispatch, and inflight registration.
-func (s *shard) execPlaceTaskLocked(pt pendingTask, d policy.PlaceTask) {
-	t := pt.t
+// Place carries out one planned task placement: staging, resource
+// commitment, dispatch, and inflight registration.
+func (s *shard) Place(pt pendingTask, d policy.PlaceTask) {
+	t := pt.Spec.t
 	w := s.workers[d.Worker.ID]
 	if s.rec != nil {
-		s.rec.Record(policy.TraceTask(pt.key, d))
+		s.rec.Record(policy.TraceTask(pt.Key, d))
 	}
 	start := time.Now()
 	for _, sf := range d.Stages {
@@ -327,9 +275,9 @@ func (s *shard) execPlaceTaskLocked(pt pendingTask, d policy.PlaceTask) {
 	w.enqueue(outMsg{t: proto.MsgRunTask, v: t})
 	e := &inflightEntry{
 		worker:  w.id,
-		ringKey: pt.key,
+		ringKey: pt.Key,
 		task:    t,
-		retries: pt.retries,
+		retries: pt.Spec.retries,
 		sentAt:  start,
 		waiting: map[string]bool{},
 	}
@@ -351,7 +299,7 @@ func (s *shard) execPlaceTaskLocked(pt pendingTask, d policy.PlaceTask) {
 
 // scheduleLibQueueLocked runs one placement pass over a single
 // library's pending invocations. Ready-instance placements are planned
-// in batches: one PlaceReadyBatch call covers a run of queue entries
+// in batches: one PlaceReadyBatchInto call covers a run of queue entries
 // sharing the same avoid preference, and its cached decisions are
 // popped as the run executes (deploys started mid-pass never change a
 // ready placement — a new instance is not Ready until its ack — so the

@@ -109,9 +109,9 @@ func (p *submitPlane) route(it intakeNode, tenant string, seq int64) {
 	m := p.m
 	var idx int
 	if it.isTask {
-		idx = m.router.KeyShard(it.task.key)
+		idx = m.shardPlane.KeyShard(it.task.Key)
 	} else {
-		idx = m.router.TenantInvShard(tenant, seq, it.inv.inv.Library)
+		idx = m.shardPlane.TenantInvShard(tenant, seq, it.inv.inv.Library)
 	}
 	n := intakeNodePool.Get().(*intakeNode)
 	*n = it
@@ -134,7 +134,7 @@ func (p *submitPlane) takeFedLocked() []int {
 // locks held: wake may run a schedule pass inline.
 func (p *submitPlane) wakeShards(wakes []int) {
 	for _, idx := range wakes {
-		p.m.shards[idx].wake()
+		p.m.shards[idx].sched.Wake()
 	}
 }
 

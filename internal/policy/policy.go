@@ -21,6 +21,9 @@
 package policy
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/hashring"
 )
@@ -108,6 +111,9 @@ func (w *WorkerView) HasFile(id string) bool { return w.Files[id] || w.Pending[i
 type ClusterView struct {
 	Opts    Options
 	Workers map[string]*WorkerView
+	// Sorted is the same workers ordered by ID, for scans that must not
+	// depend on map order.
+	Sorted []*WorkerView
 	// Ring is the consistent-hash ring over worker IDs that task
 	// placement and library deploys walk.
 	Ring *hashring.Ring
@@ -221,6 +227,8 @@ func (v *ClusterView) AddWorker(id, clusterName string, total core.Resources) *W
 		Total:   total,
 	}
 	v.Workers[id] = w
+	v.Sorted = append(v.Sorted, w)
+	slices.SortFunc(v.Sorted, func(a, b *WorkerView) int { return cmp.Compare(a.ID, b.ID) })
 	v.Ring.Add(id)
 	return w
 }
@@ -231,6 +239,7 @@ func (v *ClusterView) AddWorker(id, clusterName string, total core.Resources) *W
 // anything queued behind a first copy that will never confirm).
 func (v *ClusterView) RemoveWorker(w *WorkerView) (droppedReplicas, clearedPending []string) {
 	delete(v.Workers, w.ID)
+	v.Sorted = slices.DeleteFunc(v.Sorted, func(x *WorkerView) bool { return x == w })
 	v.Ring.Remove(w.ID)
 	w.Alive = false
 	for _, name := range core.SortedKeys(w.Libs) {

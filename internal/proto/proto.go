@@ -21,6 +21,8 @@ import (
 	"io"
 	"net"
 	"sync"
+
+	"repro/internal/content"
 	"time"
 
 	"repro/internal/core"
@@ -117,6 +119,17 @@ type FileHdr struct {
 	Kind         int    `json:"kind"`
 	LogicalSize  int64  `json:"logical_size"`
 	UnpackedSize int64  `json:"unpacked_size,omitempty"`
+}
+
+// HdrOf describes o for a bulk frame that carries o.Data as its payload.
+func HdrOf(o *content.Object) FileHdr {
+	return FileHdr{ID: o.ID, Name: o.Name, Kind: int(o.Kind), LogicalSize: o.LogicalSize, UnpackedSize: o.UnpackedSize}
+}
+
+// Object assembles the object a bulk frame carried from its header and
+// raw payload; data is retained as-is, no copy.
+func (h FileHdr) Object(data []byte) *content.Object {
+	return &content.Object{ID: h.ID, Name: h.Name, Kind: content.Kind(h.Kind), Data: data, LogicalSize: h.LogicalSize, UnpackedSize: h.UnpackedSize}
 }
 
 // PutFileHdr is the JSON header of a MsgPutFileBulk frame; the object

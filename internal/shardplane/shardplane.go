@@ -1,11 +1,8 @@
-// Package shardplane is the routing fabric of the sharded dispatch
-// plane (DESIGN.md §12). The manager partitions worker state into N
-// shards — each with its own scheduler lock, event loop, and
-// dirty-mark machinery — and every spec (task or invocation) is routed
-// to exactly one shard at submission. This package owns the routing
-// rules, shared verbatim by the real manager and the simulator's
-// Replay driver so the differential harness can prove the two
-// engines route identically:
+// Package shardplane is the sharded dispatch plane both engines run
+// (DESIGN.md §12). Worker state is partitioned into N shards and every
+// spec (task or invocation) is routed to exactly one at submission.
+// This file is the routing: the Router, a read-mostly membership index
+// that holds no spec state and takes no shard locks.
 //
 //   - A worker's home shard is hashring.Partition(workerID, N) — a
 //     pure function of the ID, so both engines agree without
@@ -21,13 +18,13 @@
 //     never see that case: KeyShard, InvShard and TenantInvShard are
 //     total, each with the fallback inside.
 //
-// The Router holds no spec state and takes no shard locks — it is a
-// read-mostly membership index. Cross-shard spec migration (a shard
-// losing its last worker forwards its queues) is driven by the engines
-// themselves, using these routing rules to pick targets.
+// sched.go is the scheduling: one Sched per shard — task queue, wake
+// loop, task pass, and every path that moves a spec to another shard —
+// around which the manager and sim.Replay are shells.
 package shardplane
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/hashring"
@@ -226,4 +223,11 @@ func MergeTraces(perShard [][]string) []string {
 		out = append(out, t...)
 	}
 	return out
+}
+
+// ComposeTraces is an engine's whole decision trace: the submission
+// plane's stream, then the ref catalog's — each global, each recorded
+// once — then the shard traces merged.
+func ComposeTraces(plane, refs []string, perShard [][]string) []string {
+	return append(append(slices.Clip(plane), refs...), MergeTraces(perShard)...)
 }

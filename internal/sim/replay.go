@@ -3,7 +3,6 @@ package sim
 import (
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -16,20 +15,14 @@ import (
 // staging and deploy decisions still come from the shared policy core
 // against live ClusterViews; what Replay removes is time — the caller
 // says when transfers land (or fail), libraries come up, workers join
-// and die, and invocations finish. It is the manager's architecture
-// (DESIGN.md §12) without sockets or locks, and answers every event the
-// manager can see:
-//
-//   - globally it holds what the manager holds globally: the router
-//     (every worker lives in exactly one shard, tasks route to the
-//     shard owning their ring key, invocations round-robin across live
-//     shards), the spec and worker counters, one submission plane and
-//     one ref catalog;
-//   - per shard (replayShard) it holds a cluster view, the pending
-//     queues, the intake and a coalesced wake loop, and between local
-//     passes it runs the shard-crossing paths — overflow forwarding,
-//     evacuation of workerless shards, starvation nudges — exactly
-//     where the manager's wake loop does.
+// and die, and invocations finish. It is the second shell of the shared
+// dispatch plane (DESIGN.md §12), the one with no sockets and no locks,
+// and answers every event the manager can see. Globally it holds the
+// shardplane.Plane (the router and one scheduler per shard), the spec
+// and worker counters, one submission plane and one ref catalog; per
+// shard (replayShard) a cluster view, the invocation pool and the
+// intake around that shard's scheduler, which owns the keyed task
+// queue, the wake loop, the task pass and every shard-crossing path.
 //
 // One shard is the degenerate case: nothing to forward to, nothing to
 // nudge. The differential harness (internal/manager) feeds one event
@@ -37,11 +30,11 @@ import (
 // plane stream, the ref stream, each shard's trace and the merged
 // trace line for line.
 type Replay struct {
-	cfg    Config
-	shards []*replayShard
-	router *shardplane.Router
-	// nextID numbers specs globally — the manager's nextID counter,
-	// shared by tasks and invocations — so ring keys, owner IDs and
+	cfg        Config
+	shards     []*replayShard
+	shardPlane *shardplane.Plane[replaySpec]
+	// nextID numbers specs globally — one counter shared by tasks and
+	// invocations, as the manager's is — so ring keys, owner IDs and
 	// round-robin routing agree across engines whatever the mix.
 	nextID int
 	// nextWorker numbers workers globally ("wNNNN", dead IDs never
@@ -49,14 +42,11 @@ type Replay struct {
 	// as the manager's is a function of the worker's Hello — not of the
 	// shard count.
 	nextWorker int
-	// home maps each live worker to its shard.
-	home map[string]*replayShard
 	// plane is the submission plane (cfg.Tenants): one plane in front
-	// of all shards with its own recorder — the manager's plane trace is
-	// a separate stream from the shard traces. Specs released by the
-	// fair-share drain route to shard intake queues (routePlane) as the
-	// manager's submitPlane.route pushes them; fed lists the shards fed
-	// and not yet woken, in first-fed order.
+	// of all shards with its own recorder, as the manager's plane trace
+	// is a stream apart from the shard traces. Specs the fair-share drain
+	// releases route to shard intake queues (routePlane); fed lists the
+	// shards fed and not yet woken, in first-fed order.
 	plane *policy.TenantPlane[simIntake]
 	fed   []*replayShard
 	// refs is the one ref catalog (refs.go), shared by every shard's
@@ -64,58 +54,44 @@ type Replay struct {
 	refs *simRefs
 }
 
-// replayShard is one shard's scheduling state and wake-loop marks.
+// replayShard is one shard's scheduling state: the Shell of its
+// scheduler.
 type replayShard struct {
-	idx int
-	st  *state
-	// pendq is the keyed pending-task queue (task workloads): ring keys
-	// are assigned at submission — mirroring the manager, which assigns
-	// task IDs in Submit — and requeued verbatim on worker death or
-	// retryable failure, carrying the failed worker as the avoid
-	// preference. Invocation workloads keep the plain counter
-	// (st.pending): invocations of one library are interchangeable.
-	pendq []replayTask
-	// intake mirrors the manager's lock-free submit intake: routed
-	// specs queue here rather than going straight into the pending
-	// queues, and the wake loop drains them (in submission order) at
-	// the top of each pass — so the decision order stays byte-identical
-	// to the manager's MPSC hand-off.
+	r  *Replay
+	st *state
+	// sched holds the keyed pending-task queue (task workloads): ring
+	// keys are assigned at submission and requeued verbatim. Invocation
+	// workloads keep the plain counter (st.pending): invocations of one
+	// library are interchangeable.
+	sched *shardplane.Sched[replaySpec]
+	// intake is where routed specs wait for the wake loop to drain them,
+	// in submission order, at each look — so the decision order stays
+	// byte-identical to the manager's lock-free hand-off.
 	intake []simIntake
-	// dirty and scheduling implement the manager's coalescing rule: a
-	// wake arriving while the loop runs leaves its mark and returns;
-	// the running loop observes it on the re-check.
-	dirty      bool
-	scheduling bool
-	// starving mirrors the manager's starvation registry entry: queued
-	// work survives a wake with nothing in flight locally, so only a
-	// capacity event in another shard (nudge) can unblock it.
-	starving bool
+	// evacInvs and evacOwners are the invocation pool and its owner FIFO
+	// on their way out of a workerless shard (PassInvs → ForwardInvs).
+	evacInvs   int
+	evacOwners []specRef
 }
 
-type replayTask struct {
-	key   string
-	avoid string
-	// hops counts overflow forwards: once a task has visited every
-	// shard without placing it rests until a membership change or
-	// starvation nudge resets the budget — the manager's
-	// pendingTask.hops.
-	hops int
-	// tenant names the submitting tenant (requeued verbatim, like the
-	// manager's pendingTask.t.TenantID) so completions release the
-	// right quota.
+// replaySpec is the replay's payload of a queued task.
+type replaySpec struct {
+	// tenant is the submitter, whose quota the completion releases.
 	tenant string
 	// refs are proxy-object input IDs (§15): the task's inputs are the
 	// environment plus one RefSpec per entry, resolved through the ref
-	// catalog at stage execution. Requeued verbatim, like the manager
-	// requeueing the task spec whose Inputs carry the refs.
+	// catalog at stage execution.
 	refs []string
 }
 
+func (replaySpec) Need() core.Resources { return oneSlot }
+
+type replayTask = shardplane.Task[replaySpec]
+
 // simIntake is one submitted spec on its way to a shard's pending
-// state — waiting in the submission plane, then in a shard's intake
-// queue: a task by ring key, or (isTask false) one pooled invocation
-// carrying its owner ref (tenant runs thread identity through the
-// pool).
+// state — in the submission plane, then in a shard's intake queue: a
+// task by ring key, or (isTask false) one pooled invocation carrying its
+// owner ref (tenant runs thread identity through the pool).
 type simIntake struct {
 	isTask bool
 	task   replayTask
@@ -129,27 +105,25 @@ type simIntake struct {
 // (work arrives via Submit) and so is cfg.DecisionTrace: every shard
 // records into a recorder of its own.
 func NewReplay(cfg Config, shards int) *Replay {
-	if shards < 1 {
-		shards = shardplane.DefaultShards
-	}
 	cfg.defaults()
 	cfg.Invocations = 0
 	r := &Replay{
-		cfg:    cfg,
-		router: shardplane.NewRouter(shards),
-		home:   map[string]*replayShard{},
-		refs:   newSimRefs(cfg.RefOwnedBytesCap),
+		cfg:        cfg,
+		shardPlane: shardplane.NewPlane[replaySpec](shards),
+		refs:       newSimRefs(cfg.RefOwnedBytesCap),
 	}
 	if len(cfg.Tenants) > 0 {
 		r.plane = policy.NewTenantPlane[simIntake](cfg.Tenants, &policy.Recorder{})
 	}
-	for i := 0; i < shards; i++ {
+	for i := range r.shardPlane.Shards {
 		scfg := cfg
 		scfg.DecisionTrace = &policy.Recorder{}
 		st := newState(scfg, true)
 		st.refs = r.refs
 		st.trackOwners = r.plane != nil
-		r.shards = append(r.shards, &replayShard{idx: i, st: st})
+		sh := &replayShard{r: r, st: st}
+		sh.sched = r.shardPlane.Attach(i, st.view, shardplane.NoLock{}, sh)
+		r.shards = append(r.shards, sh)
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		r.AddWorker()
@@ -159,129 +133,29 @@ func NewReplay(cfg Config, shards int) *Replay {
 
 func (r *Replay) lib() string { return r.shards[0].st.lib }
 
-// ---- the wake loop and the shard-crossing paths ----
+// ---- routing ----
 
 // kick marks shard sh dirty and runs its wake loop — what every local
-// event handler of the manager ends in.
+// event handler ends in. A forward chain arriving back at a shard whose
+// loop is running is absorbed by the latch and seen at its next look.
 func (r *Replay) kick(sh *replayShard) {
-	sh.dirty = true
-	r.wake(sh)
+	sh.sched.MarkDirty()
+	sh.sched.Wake()
 }
 
-// wake runs sh's coalesced schedule loop — the manager's shard.wake
-// without the locking. A re-entrant call (a forward chain arriving back
-// here) finds scheduling set and returns; its dirty mark or intake is
-// picked up by the running loop's re-check. Termination: hop counters
-// only grow within a nudge epoch, so forward chains die out.
-func (r *Replay) wake(sh *replayShard) {
-	if sh.scheduling {
-		return
+// route hands a directly submitted spec to its shard by the shardplane
+// routing rules — a task's owns its ring key, an invocation's is a live
+// shard by round-robin over the spec ID, and in an empty cluster both
+// park in a key-derived home shard. The spec goes through the shard's
+// intake queue and the wake loop moves it into the pending state.
+func (r *Replay) route(it simIntake) {
+	idx := r.shardPlane.InvShard(it.ref.id, r.lib())
+	if it.isTask {
+		idx = r.shardPlane.KeyShard(it.task.Key)
 	}
-	sh.scheduling = true
-	for {
-		sh.drainIntake()
-		if !sh.dirty {
-			break
-		}
-		// Evacuation: a workerless shard can place nothing and no local
-		// event will change that — its queues leave for live shards
-		// before the pass snapshot. Routing cannot pick a workerless
-		// shard, so this never cycles back here.
-		if len(sh.st.byID) == 0 && sh.pending() > 0 && r.router.Live() > 0 {
-			r.forwardEvacuated(sh.extractPending())
-			continue
-		}
-		sh.dirty = false
-		if r.cfg.Level == core.L3 {
-			// Invocation pools never overflow-forward on saturation
-			// (only the static no-worker-ever-fits rule moves them, and
-			// a one-slot instance fits any live worker; the workerless
-			// case evacuated above). The local pass is the whole pass.
-			sh.drainInvs()
-			continue
-		}
-		next, hasNext := r.router.NextAlive(sh.idx)
-		if forward := sh.drainTasks(hasNext, len(r.shards)); len(forward) > 0 {
-			r.forwardTasksTo(r.shards[next], forward)
-		}
-	}
-	sh.starving = sh.pending() > 0 && sh.quiet()
-	sh.scheduling = false
-}
-
-// routeTask delivers a task to the shard owning its ring key — or, in
-// an empty cluster, parks it in the key's home shard (shardplane
-// routing rules, shared verbatim with the manager). Like the manager's
-// routeTask, the spec goes through the shard's intake queue and the
-// wake loop moves it into the pending queue.
-func (r *Replay) routeTask(pt replayTask) {
-	sh := r.shards[r.router.KeyShard(pt.key)]
-	sh.intake = append(sh.intake, simIntake{isTask: true, task: pt})
-	r.wake(sh)
-}
-
-// routeInv delivers one invocation to a live shard by round-robin over
-// its spec ID, parking in the library's home shard when no worker is
-// live anywhere. Intake hand-off, like routeTask.
-func (r *Replay) routeInv(ref specRef) {
-	sh := r.shards[r.router.InvShard(ref.id, r.lib())]
-	sh.intake = append(sh.intake, simIntake{ref: ref})
-	r.wake(sh)
-}
-
-// forwardTasksTo moves overflow tasks into a target shard's queue and
-// wakes it — the manager's forwardTasksTo.
-func (r *Replay) forwardTasksTo(sh *replayShard, tasks []replayTask) {
-	sh.pendq = append(sh.pendq, tasks...)
-	r.kick(sh)
-}
-
-// forwardEvacuated re-routes an evacuated shard's specs: tasks
-// individually by ring key (hop counts preserved), the invocation pool
-// whole — count and owner FIFO, in order — to the library's owner
-// shard, the manager's forwardEvacuated.
-func (r *Replay) forwardEvacuated(tasks []replayTask, invs int, owners []specRef) {
-	for _, pt := range tasks {
-		r.routeTask(pt)
-	}
-	if invs > 0 {
-		sh := r.shards[r.router.KeyShard(r.lib())]
-		sh.st.pending += invs
-		for _, ref := range owners {
-			sh.st.pushOwner(ref)
-		}
-		r.kick(sh)
-	}
-}
-
-// wakeParked nudges every workerless shard holding queued specs after
-// a join: its wake loop evacuates them to live shards.
-func (r *Replay) wakeParked() {
-	for _, sh := range r.shards {
-		if len(sh.st.byID) == 0 && sh.pending() > 0 {
-			r.kick(sh)
-		}
-	}
-}
-
-// nudgeStarving wakes every starving shard after a capacity-freeing
-// event anywhere, resetting overflow hop budgets so rested work
-// circulates again. The starving set is snapshotted first (the
-// manager's rule), then drained in shard-index order — the manager's
-// map order is unordered but its wakes commute.
-func (r *Replay) nudgeStarving() {
-	var starving []*replayShard
-	for _, sh := range r.shards {
-		if sh.starving {
-			starving = append(starving, sh)
-		}
-	}
-	for _, sh := range starving {
-		for j := range sh.pendq {
-			sh.pendq[j].hops = 0
-		}
-		r.kick(sh)
-	}
+	sh := r.shards[idx]
+	sh.intake = append(sh.intake, it)
+	sh.sched.Wake()
 }
 
 // routePlane appends one fair-share-released spec to its shard's
@@ -291,9 +165,9 @@ func (r *Replay) nudgeStarving() {
 func (r *Replay) routePlane(it simIntake, tenant string, seq int64) {
 	var idx int
 	if it.isTask {
-		idx = r.router.KeyShard(it.task.key)
+		idx = r.shardPlane.KeyShard(it.task.Key)
 	} else {
-		idx = r.router.TenantInvShard(tenant, seq, r.lib())
+		idx = r.shardPlane.TenantInvShard(tenant, seq, r.lib())
 	}
 	sh := r.shards[idx]
 	sh.intake = append(sh.intake, it)
@@ -308,127 +182,99 @@ func (r *Replay) wakeFed() {
 	fed := r.fed
 	r.fed = nil
 	for _, sh := range fed {
-		r.wake(sh)
+		sh.sched.Wake()
 	}
 }
 
-// ---- one shard's passes ----
+// ---- one shard's shell (shardplane.Shell; there is no lock) ----
 
-// pending reports the specs queued in this shard.
-func (sh *replayShard) pending() int { return sh.st.pending + len(sh.pendq) }
-
-// drainIntake replays queued intake items into the shard's pending
-// state, marking it dirty — the manager's drainIntakeLocked.
-func (sh *replayShard) drainIntake() {
-	if len(sh.intake) == 0 {
-		return
-	}
+// Intake replays queued intake items into the shard's pending state.
+// The invocation pool's only mark is the scheduler's.
+func (sh *replayShard) Intake() (invs int, invDirty, open bool) {
 	for _, it := range sh.intake {
 		if it.isTask {
-			sh.pendq = append(sh.pendq, it.task)
+			sh.sched.Push(it.task)
 			continue
 		}
 		sh.st.pending++
 		if sh.st.trackOwners {
 			sh.st.pushOwner(it.ref)
 		}
+		sh.sched.MarkDirty()
 	}
 	sh.intake = sh.intake[:0]
-	sh.dirty = true
+	return sh.st.pending, false, true
 }
 
-// drainInvs places pending invocations until the policy core reports
-// no placement is possible — scheduleLibQueueLocked's skip-and-stop
-// pass (every queued invocation of the one library would hit the same
-// cluster state, so the first failure ends the pass).
-func (sh *replayShard) drainInvs() {
+// PassInvs places pending invocations until the policy core reports no
+// placement is possible: every queued invocation of the one library
+// would hit the same cluster state, so the first failure ends the
+// pass. The pool never overflow-forwards (a one-slot instance fits any
+// live worker); evacuation moves it whole — count and owner FIFO, in
+// order: a workerless shard holds no claimed installs.
+func (sh *replayShard) PassInvs(evacuate bool) (forward bool) {
 	st := sh.st
+	if evacuate {
+		sh.evacInvs, st.pending = st.pending, 0
+		for st.owners.Len() > 0 {
+			sh.evacOwners = append(sh.evacOwners, st.popOwner())
+		}
+		return sh.evacInvs > 0
+	}
 	if st.cfg.Batched && st.pending > 0 {
 		// The same pass through the batched entry point the manager
-		// uses: one PlaceReadyBatch call covers the whole pool (its
+		// uses: one PlaceReadyBatchInto call covers the whole pool (its
 		// overlay stops exactly where sequential execution would), and
 		// the remainder tries deploys one at a time — an instance
 		// deployed mid-pass is not Ready until its ack, so no ready
 		// capacity can appear between the batch and the deploys.
-		for _, d := range st.view.PlaceReadyBatch(st.lib, st.pending, nil) {
+		for _, d := range st.view.PlaceReadyBatchInto(nil, st.lib, st.pending, nil) {
 			st.execReady(d)
 		}
 		for st.pending > 0 && st.tryDeploy() != nil {
 		}
-		return
+		return false
 	}
 	for st.pending > 0 && st.place() != nil {
 	}
+	return false
 }
 
-// drainTasks runs one skip-and-continue pass over the keyed queue — the
-// manager's scheduleTasksLocked: a task that cannot place is skipped in
-// place, later tasks still get their try, and queue order is preserved
-// (it matters once requeues make the queue heterogeneous: different
-// keys, different avoid preferences). With another live shard to hop to
-// (hasNext), statically ineligible tasks leave before planning — the
-// avoid fallback would otherwise pin them to the avoided worker forever
-// — and planner failures leave only while the shard is quiet, no local
-// event ever going to free capacity, and within the hop budget. Returns
-// the tasks to forward.
-func (sh *replayShard) drainTasks(hasNext bool, maxHops int) (forward []replayTask) {
-	if len(sh.pendq) == 0 {
-		return nil
+// ForwardInvs delivers an evacuated pool to the library's owner shard.
+func (sh *replayShard) ForwardInvs() {
+	r := sh.r
+	to := r.shards[r.shardPlane.KeyShard(r.lib())]
+	to.st.pending += sh.evacInvs
+	for _, ref := range sh.evacOwners {
+		to.st.pushOwner(ref)
 	}
-	if hasNext {
-		keep := sh.pendq[:0]
-		for _, pt := range sh.pendq {
-			if pt.hops < maxHops && !sh.anyEligible(pt.avoid) {
-				pt.hops++
-				forward = append(forward, pt)
-				continue
-			}
-			keep = append(keep, pt)
-		}
-		sh.pendq = keep
-		if len(sh.pendq) == 0 {
-			return forward
-		}
+	sh.evacInvs, sh.evacOwners = 0, nil
+	r.kick(to)
+}
+
+// Deliver moves tasks into shard i's queue and wakes it.
+func (sh *replayShard) Deliver(i int, tasks []replayTask) {
+	to := sh.r.shards[i]
+	to.sched.Push(tasks...)
+	to.sched.Wake()
+}
+
+func (sh *replayShard) Nudged()   {}
+func (sh *replayShard) Woke(bool) {}
+
+// Plan plans the queue through the batched entry point the manager
+// uses — or, unbatched, only its head, which the pass executes before
+// asking again: plan-one/execute-one, the reference batched_test.go
+// holds the batch contract (strict sequential equivalence) to.
+func (sh *replayShard) Plan(dst []policy.PlaceTask, tasks []replayTask) []policy.PlaceTask {
+	if !sh.st.cfg.Batched {
+		tasks = tasks[:1]
 	}
-	// Batched mode plans the whole queue up front (the manager's
-	// PlanTaskBatch call); unbatched plans each task against the
-	// executed state of its predecessors. The batch contract is strict
-	// sequential equivalence, so the decision streams are identical —
-	// batched_test.go proves it — and quiet() is evaluated at the same
-	// point either way: during execution, after every earlier placement
-	// in the pass has landed.
-	var decisions []policy.PlaceTask
-	if sh.st.cfg.Batched {
-		reqs := make([]policy.TaskReq, len(sh.pendq))
-		for i, pt := range sh.pendq {
-			reqs[i] = policy.TaskReq{Key: pt.key, Res: oneSlot, Inputs: sh.taskInputs(pt), Avoid: pt.avoid, Tenant: pt.tenant}
-		}
-		decisions = sh.st.view.PlanTaskBatch(reqs, sh.st.stackFilter())
+	reqs := make([]policy.TaskReq, len(tasks))
+	for i, pt := range tasks {
+		reqs[i] = policy.TaskReq{Key: pt.Key, Res: oneSlot, Inputs: sh.taskInputs(pt), Avoid: pt.Avoid, Tenant: pt.Spec.tenant}
 	}
-	remaining := sh.pendq[:0]
-	for i, pt := range sh.pendq {
-		var d policy.PlaceTask
-		if decisions != nil {
-			d = decisions[i]
-		} else {
-			d = sh.planKeyed(pt)
-		}
-		if d.Worker != nil {
-			sh.execKeyed(pt, d)
-			continue
-		}
-		// A placement refused only because first copies are in flight
-		// (Blocked) stays local, like the manager's: the copy's ack
-		// re-runs the pass.
-		if len(d.Blocked) == 0 && hasNext && pt.hops < maxHops && sh.quiet() {
-			pt.hops++
-			forward = append(forward, pt)
-			continue
-		}
-		remaining = append(remaining, pt)
-	}
-	sh.pendq = remaining
-	return forward
+	return sh.st.view.PlanTaskBatchInto(dst, reqs, sh.st.stackFilter())
 }
 
 // taskInputs builds one task's input specs: the environment (L2/L3)
@@ -440,33 +286,19 @@ func (sh *replayShard) taskInputs(pt replayTask) []core.FileSpec {
 	if st.cfg.Level != core.L1 {
 		inputs = append(inputs, st.envSpec)
 	}
-	for _, id := range pt.refs {
+	for _, id := range pt.Spec.refs {
 		inputs = append(inputs, st.refs.spec(id))
 	}
 	return inputs
 }
 
-// planKeyed plans one keyed task the way the manager's task pass does:
-// first excluding the avoid worker, then anywhere — the avoided worker
-// beats starving.
-func (sh *replayShard) planKeyed(pt replayTask) policy.PlaceTask {
-	st := sh.st
-	inputs := sh.taskInputs(pt)
-	base := st.stackFilter()
-	d := st.view.PlanTask(pt.key, oneSlot, inputs, andFilter(policy.Excluding(pt.avoid), base))
-	if d.Worker == nil && pt.avoid != "" {
-		d = st.view.PlanTask(pt.key, oneSlot, inputs, base)
-	}
-	return d
-}
-
-// execKeyed carries out one planned keyed placement: trace, staging,
-// slot binding.
-func (sh *replayShard) execKeyed(pt replayTask, d policy.PlaceTask) {
+// Place carries out one planned keyed placement: trace, staging, slot
+// binding.
+func (sh *replayShard) Place(pt replayTask, d policy.PlaceTask) {
 	st := sh.st
 	w := st.byID[d.Worker.ID]
 	if st.rec != nil {
-		st.rec.Record(policy.TraceTask(pt.key, d))
+		st.rec.Record(policy.TraceTask(pt.Key, d))
 	}
 	for _, sf := range d.Stages {
 		st.execStage(sf)
@@ -475,15 +307,15 @@ func (sh *replayShard) execKeyed(pt replayTask, d policy.PlaceTask) {
 	st.takeSlot(w, sl)
 	sl.invIdx = st.nextInv
 	st.nextInv++
-	sl.key = pt.key
-	sl.refs = pt.refs
-	sl.owner, sl.tenant = int64(taskKeyNum(pt.key)), pt.tenant
+	sl.key = pt.Key
+	sl.refs = pt.Spec.refs
+	sl.owner, sl.tenant = shardplane.KeyNum(pt.Key), pt.Spec.tenant
 }
 
-// quiet is the manager's quietLocked: no local event is pending that
-// could change this shard's placement state — nothing dispatched
-// (busy slots double as the inflight table), no copies awaiting acks.
-func (sh *replayShard) quiet() bool {
+// Quiet reports that no local event is pending that could change this
+// shard's placement state — nothing dispatched (busy slots double as
+// the inflight table), no copies awaiting acks.
+func (sh *replayShard) Quiet() bool {
 	if len(sh.st.view.PendingCopies) > 0 {
 		return false
 	}
@@ -493,33 +325,6 @@ func (sh *replayShard) quiet() bool {
 		}
 	}
 	return true
-}
-
-// anyEligible is the manager's anyEligibleWorkerLocked: some live
-// non-avoided worker is large enough to ever hold a one-slot task.
-// The append-only worker slice gives a deterministic scan (the
-// manager's map scan is an existence check, so order is immaterial
-// there too).
-func (sh *replayShard) anyEligible(avoid string) bool {
-	for _, w := range sh.st.workers {
-		if !w.dead && w.id != avoid && oneSlot.Fits(w.v.Total) {
-			return true
-		}
-	}
-	return false
-}
-
-// extractPending removes and returns every queued spec of a workerless
-// shard — the manager's extractPendingLocked. owners carries the
-// invocation pool's owner FIFO (tenant runs): a workerless shard holds
-// no claimed installs, so the FIFO and the pool move whole, in order.
-func (sh *replayShard) extractPending() (tasks []replayTask, invs int, owners []specRef) {
-	tasks, sh.pendq = sh.pendq, nil
-	invs, sh.st.pending = sh.st.pending, 0
-	for sh.st.owners.Len() > 0 {
-		owners = append(owners, sh.st.popOwner())
-	}
-	return tasks, invs, owners
 }
 
 // kill is the owning shard's half of a worker death: the source serving
@@ -547,7 +352,7 @@ func (sh *replayShard) kill(w *wstate) {
 	// tail in ascending spec order — the manager requeues its inflight
 	// sorted by ID — while a riding deploy's claim keeps its original
 	// FIFO position (the owner was never popped). Bound tasks requeue
-	// by key, in the same ascending order.
+	// by key (Sched.Requeue).
 	var owners []specRef
 	var requeue []replayTask
 	for _, sl := range w.slots {
@@ -556,7 +361,7 @@ func (sh *replayShard) kill(w *wstate) {
 		}
 		sl.busy = false
 		if st.cfg.Level != core.L3 {
-			requeue = append(requeue, replayTask{key: sl.key, avoid: w.id, tenant: sl.tenant, refs: sl.refs})
+			requeue = append(requeue, replayTask{Key: sl.key, Spec: replaySpec{tenant: sl.tenant, refs: sl.refs}})
 		} else {
 			if st.trackOwners && sl.libReady {
 				owners = append(owners, specRef{id: sl.owner, tenant: sl.tenant})
@@ -569,8 +374,7 @@ func (sh *replayShard) kill(w *wstate) {
 	for _, ref := range owners {
 		st.pushOwner(ref)
 	}
-	sort.Slice(requeue, func(i, j int) bool { return taskKeyNum(requeue[i].key) < taskKeyNum(requeue[j].key) })
-	sh.pendq = append(sh.pendq, requeue...)
+	sh.sched.Requeue(w.id, requeue...)
 }
 
 // unbind clears the slot's record of the spec it ran.
@@ -579,30 +383,11 @@ func (sl *slot) unbind() {
 	sl.owner, sl.tenant = 0, ""
 }
 
-// andFilter conjoins two optional view filters.
-func andFilter(a, b policy.Filter) policy.Filter {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return func(w *policy.WorkerView) bool { return a(w) && b(w) }
-}
-
-func taskKeyNum(k string) int {
-	n, _ := strconv.Atoi(strings.TrimPrefix(k, "task-"))
-	return n
-}
-
 // ---- the event surface ----
 
-// find returns live worker id and its home shard, nils if unknown.
+// find returns worker id's home shard and the worker, nil unless live.
 func (r *Replay) find(id string) (*replayShard, *wstate) {
-	sh := r.home[id]
-	if sh == nil {
-		return nil, nil
-	}
+	sh := r.shards[r.shardPlane.ShardOf(id)]
 	return sh, sh.st.byID[id]
 }
 
@@ -610,7 +395,7 @@ func (r *Replay) find(id string) (*replayShard, *wstate) {
 // manager derives the ring key from the spec ID).
 func (r *Replay) nextTask() replayTask {
 	r.nextID++
-	return replayTask{key: "task-" + strconv.Itoa(r.nextID)}
+	return replayTask{Key: shardplane.TaskKey(int64(r.nextID))}
 }
 
 // Submit enqueues n specs, routing each like the manager's Submit /
@@ -619,9 +404,9 @@ func (r *Replay) Submit(n int) {
 	for k := 0; k < n; k++ {
 		if r.cfg.Level == core.L3 {
 			r.nextID++
-			r.routeInv(specRef{id: int64(r.nextID)})
+			r.route(simIntake{ref: specRef{id: int64(r.nextID)}})
 		} else {
-			r.routeTask(r.nextTask())
+			r.route(simIntake{isTask: true, task: r.nextTask()})
 		}
 	}
 }
@@ -633,8 +418,8 @@ func (r *Replay) Submit(n int) {
 // (created by earlier CompleteTaskRef calls).
 func (r *Replay) SubmitTaskRefs(refs ...string) {
 	pt := r.nextTask()
-	pt.refs = refs
-	r.routeTask(pt)
+	pt.Spec.refs = refs
+	r.route(simIntake{isTask: true, task: pt})
 }
 
 // SubmitTenant submits one spec for tenant through the submission
@@ -649,7 +434,7 @@ func (r *Replay) SubmitTenant(tenant string) {
 		it = simIntake{ref: specRef{id: int64(r.nextID), tenant: tenant}}
 	} else {
 		it = simIntake{isTask: true, task: r.nextTask()}
-		it.task.tenant = tenant
+		it.task.Spec.tenant = tenant
 	}
 	if r.plane != nil {
 		if _, _, known := r.plane.Submit(tenant, it, r.routePlane); known {
@@ -657,28 +442,23 @@ func (r *Replay) SubmitTenant(tenant string) {
 			return
 		}
 	}
-	if it.isTask {
-		r.routeTask(it.task)
-	} else {
-		r.routeInv(it.ref)
-	}
+	r.route(it)
 }
 
 // AddWorker joins a fresh worker in its home shard, continuing the
 // wNNNN numbering, in the manager's adoptWorker order: register, route,
-// wake the shard, then evacuate parked work and reset starving shards'
-// hop budgets. Returns the new worker's ID.
+// wake the shard, then let parked work evacuate and starving shards'
+// work circulate again. Returns the new worker's ID.
 func (r *Replay) AddWorker() string {
 	i := r.nextWorker
 	r.nextWorker++
 	id := "w" + pad4(i)
-	sh := r.shards[r.router.ShardOf(id)]
+	sh := r.shards[r.shardPlane.ShardOf(id)]
 	sh.st.addWorker(i)
-	r.home[id] = sh
-	r.router.Add(id)
+	r.shardPlane.Add(id)
 	r.kick(sh)
-	r.wakeParked()
-	r.nudgeStarving()
+	r.shardPlane.WakeParked()
+	r.shardPlane.Nudge()
 	return id
 }
 
@@ -695,12 +475,11 @@ func (r *Replay) KillWorker(id string) bool {
 	if w == nil {
 		return false
 	}
-	r.router.Remove(id)
-	delete(r.home, id)
+	r.shardPlane.Remove(id)
 	r.refs.tab.PlanRehome(id, r.refs.rec)
 	sh.kill(w)
 	r.kick(sh)
-	r.nudgeStarving()
+	r.shardPlane.Nudge()
 	return true
 }
 
@@ -790,7 +569,7 @@ func (r *Replay) LibReady(id string) bool {
 		if sl.busy && !sl.libReady {
 			sh.st.markLibReady(w, sl)
 			r.kick(sh)
-			r.nudgeStarving()
+			r.shardPlane.Nudge()
 			return true
 		}
 	}
@@ -858,7 +637,7 @@ func (r *Replay) CompleteTaskRef(id, key string, ref core.ObjectRef) bool {
 
 // Fail fails the task bound to ring key key on worker id retryably —
 // the manager's Retryable-result path: the slot frees and the key
-// requeues at the back of its shard's queue (requeueAfter stays
+// requeues at the back of its shard's queue (requeues stay
 // shard-local) with this worker as the avoid preference — the retry
 // prefers any other placement, falling back to the avoided worker over
 // starving. A retry holds its quota unit — the manager releases only on
@@ -869,7 +648,7 @@ func (r *Replay) Fail(id, key string) bool {
 	if sl == nil {
 		return false
 	}
-	sh.pendq = append(sh.pendq, replayTask{key: key, avoid: id, tenant: sl.tenant, refs: sl.refs})
+	sh.sched.Requeue(id, replayTask{Key: key, Spec: replaySpec{tenant: sl.tenant, refs: sl.refs}})
 	r.finish(sh, w, sl, false)
 	return true
 }
@@ -912,23 +691,20 @@ func (r *Replay) finish(sh *replayShard, w *wstate, sl *slot, delivered bool) {
 		r.plane.Release(tenant, r.routePlane)
 		r.wakeFed()
 	}
-	r.nudgeStarving()
+	r.shardPlane.Nudge()
 }
 
 // Pending reports specs submitted but not yet placed, over all shards.
 func (r *Replay) Pending() int {
 	n := 0
 	for _, sh := range r.shards {
-		n += sh.pending()
+		n += sh.st.pending + len(sh.sched.Tasks())
 	}
 	return n
 }
 
 // The decision trace is composed by one rule on both engines
-// (Manager.MergedDecisions): the submission plane's stream, then the
-// ref catalog's stream — each global, each recorded once — then the
-// shard recorders concatenated in shard-index order
-// (shardplane.MergeTraces). The three parts are also readable apart,
+// (shardplane.ComposeTraces); its three parts are also readable apart,
 // which is how the harness localizes a divergence.
 
 // PlaneDecisions returns the submission plane's recorded trace.
@@ -950,14 +726,7 @@ func (r *Replay) ShardDecisions() [][]string {
 
 // Decisions returns the composed trace.
 func (r *Replay) Decisions() []string {
-	merged := shardplane.MergeTraces(r.ShardDecisions())
-	if refs := r.RefDecisions(); len(refs) > 0 {
-		merged = append(refs, merged...)
-	}
-	if plane := r.PlaneDecisions(); len(plane) > 0 {
-		return append(plane, merged...)
-	}
-	return merged
+	return shardplane.ComposeTraces(r.PlaneDecisions(), r.RefDecisions(), r.ShardDecisions())
 }
 
 // Dump renders the composed trace (diagnostics).

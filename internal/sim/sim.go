@@ -104,7 +104,7 @@ type Config struct {
 	// keeps tracing off the dispatch path.
 	DecisionTrace *policy.Recorder
 	// Batched makes Replay drains plan through the batched policy entry
-	// points (PlanTaskBatch / PlaceReadyBatch) the sharded manager uses,
+	// points (PlanTaskBatchInto / PlaceReadyBatchInto) the manager uses,
 	// instead of one decision at a time. The batch contract is strict
 	// sequential equivalence, so the decision trace must be identical
 	// either way — the batched-vs-unbatched differential test proves it

@@ -31,7 +31,7 @@ func (w *Worker) ackFileFrom(id, source string, cache bool, err error) {
 // worker (Cache false) is staged for the dispatches that use it and
 // goes when the last of them ends.
 func (w *Worker) handlePutFileBulk(hdr proto.PutFileHdr, data []byte) {
-	obj := hdrToObject(hdr.File, data)
+	obj := hdr.File.Object(data)
 	if err := obj.Validate(); err != nil {
 		w.ackFile(obj.ID, hdr.Cache, err)
 		return

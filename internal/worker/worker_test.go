@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/content"
 	"repro/internal/core"
+	"repro/internal/dataplane"
 	"repro/internal/modlib"
 	"repro/internal/poncho"
 	"repro/internal/proto"
@@ -148,17 +149,17 @@ func TestPeerDataServer(t *testing.T) {
 	if err := w.Cache().Put(obj); err != nil {
 		t.Fatal(err)
 	}
-	got, err := FetchFromPeer(hello.DataAddr, obj.ID)
+	got, err := dataplane.FetchPeer(hello.DataAddr, obj.ID, defaultPeerIOTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got.Data) != "hello peers" {
 		t.Errorf("peer fetch data = %q", got.Data)
 	}
-	if _, err := FetchFromPeer(hello.DataAddr, "nonexistent"); err == nil {
+	if _, err := dataplane.FetchPeer(hello.DataAddr, "nonexistent", defaultPeerIOTimeout); err == nil {
 		t.Errorf("fetch of uncached object should fail")
 	}
-	if _, err := FetchFromPeer("127.0.0.1:1", obj.ID); err == nil {
+	if _, err := dataplane.FetchPeer("127.0.0.1:1", obj.ID, defaultPeerIOTimeout); err == nil {
 		t.Errorf("fetch from dead peer should fail")
 	}
 }
@@ -443,7 +444,7 @@ func TestFetchFromPeerTimesOutOnSilentServer(t *testing.T) {
 	}()
 
 	start := time.Now()
-	_, err = fetchFromPeer(ln.Addr().String(), "some-object", 100*time.Millisecond)
+	_, err = dataplane.FetchPeer(ln.Addr().String(), "some-object", 100*time.Millisecond)
 	if err == nil {
 		t.Fatal("fetch from a silent peer should fail")
 	}
@@ -474,7 +475,7 @@ func TestFetchFromPeerTimesOutMidStream(t *testing.T) {
 	}()
 
 	start := time.Now()
-	_, err = fetchFromPeer(ln.Addr().String(), "some-object", 100*time.Millisecond)
+	_, err = dataplane.FetchPeer(ln.Addr().String(), "some-object", 100*time.Millisecond)
 	if err == nil {
 		t.Fatal("fetch from a stalling peer should fail")
 	}
