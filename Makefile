@@ -10,10 +10,11 @@ all: check
 # concurrently, so -race is load-bearing here — the live multi-tenant
 # plane and the proxy-object spill tier get their lock discipline
 # checked there, by taskvine's DispatchTenantsSmoke and RefSpillSmoke),
-# the data-path and decision packages twenty times over under -race,
-# the repository benchmark's own module linted, built, tested and run
-# briefly, a few seconds of each wire fuzzer, and every paper table and
-# figure re-run and compared with the checked-in log.
+# the data-path and decision packages twenty times over under -race and
+# the manager's differentials ten times, the repository benchmark's own
+# module linted, built, tested and run briefly, a few seconds of each
+# wire fuzzer, and every paper table and figure re-run and compared with
+# the checked-in log.
 check: build lint test fidelity race flake benchcheck fuzzsmoke paperlog
 
 # The fidelity gate: the pure policy core's decision-order pins, the
@@ -57,9 +58,13 @@ race:
 # core ride along: their property tests are seeded random scripts held
 # to reference oracles, and must not depend on map order or timing. So
 # does the shared shard scheduler: its wake latch is raced by real
-# goroutines, and its pass is held to a plan-one/execute-one oracle.
+# goroutines, and its passes are held to plan-one/execute-one oracles.
+# The manager's differentials then run ten times (no race detector: ~2 s
+# a run): they wait out real backoff timers, which is where a
+# timing-dependent requeue would show.
 flake:
 	go test -count=20 -race ./internal/dataplane ./internal/worker ./internal/content ./internal/library ./internal/hashring ./internal/policy ./internal/shardplane
+	go test -count=10 -run Differential ./internal/manager
 
 # bench/ is a module of its own (repro/bench, replace repro => ../), so
 # the root go build/vet/test ./... never compile it, yet it imports the
@@ -96,14 +101,14 @@ fuzzsmoke:
 # every package, ~20 s), and the functions in which no test executes a
 # single statement — the commands, the examples, and the methods with no
 # statements to execute (the parser's stmtNode/exprNode markers,
-# shardplane.NoLock's Lock/Unlock, sim.Replay's empty shell hooks)
-# aside. A function on this list is either missing a test or missing a
-# caller: delete it, or give it one. Print-only; not part of `make check`.
+# shardplane.NoLock's Lock/Unlock, sim.Replay's empty Woke hook) aside.
+# A function on this list is either missing a test or missing a caller:
+# delete it, or give it one. Print-only; not part of `make check`.
 cover:
 	go test -coverpkg=./... -coverprofile=cover.out ./... > /dev/null
 	@go tool cover -func=cover.out | awk '\
 		$$1 == "total:" { total = $$NF; next } \
-		$$NF == "0.0%" && $$1 !~ /^repro\/(cmd|examples)\// && $$2 !~ /^(stmtNode|exprNode)$$/ && !($$1 ~ /shardplane\/sched\.go|sim\/replay\.go/ && $$2 ~ /^(Lock|Unlock|Nudged|Woke)$$/) { print "never run:", $$1, $$2; n++ } \
+		$$NF == "0.0%" && $$1 !~ /^repro\/(cmd|examples)\// && $$2 !~ /^(stmtNode|exprNode)$$/ && !($$1 ~ /shardplane\/sched\.go|sim\/replay\.go/ && $$2 ~ /^(Lock|Unlock|Woke)$$/) { print "never run:", $$1, $$2; n++ } \
 		END { print n + 0, "functions never run; total statement coverage", total }'
 
 # Go lines by directory, non-test and test, and for the whole tree

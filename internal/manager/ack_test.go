@@ -36,8 +36,8 @@ func TestOutOfOrderFileAcks(t *testing.T) {
 	s.mu.Lock()
 	s.m.catalogAdd(task.Inputs[0])
 	s.m.catalogAdd(task.Inputs[1])
-	s.notePendingLocked(w, objA.ID)
-	s.notePendingLocked(w, objB.ID)
+	s.view.NotePending(w.v, objA.ID)
+	s.view.NotePending(w.v, objB.ID)
 	w.fetchSources[objA.ID] = "src"
 	w.fetchSources[objB.ID] = "src"
 	src.v.TransfersOut = 2
@@ -128,7 +128,7 @@ func TestDuplicateAndStaleFileAcksAreHarmless(t *testing.T) {
 
 	s.mu.Lock()
 	s.m.catalogAdd(core.FileSpec{Object: obj, Cache: true, PeerTransfer: true})
-	s.notePendingLocked(w, obj.ID)
+	s.view.NotePending(w.v, obj.ID)
 	w.fetchSources[obj.ID] = "src"
 	src.v.TransfersOut = 1
 	s.mu.Unlock()

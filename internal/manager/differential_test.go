@@ -35,13 +35,11 @@ import (
 //   - The sim side runs ManagerSourceCap so high its manager link
 //     never saturates — the real manager's semantics (it has no
 //     self-cap; only the paper's simulator models one).
-//   - For the invocation workload, completions are withheld while a
-//     deploy is in flight and invocations are queued: the manager
-//     binds a queued invocation to a worker only when an instance
-//     becomes ready, while the simulator binds it to the deploying
-//     slot immediately, so a completion elsewhere in that window would
-//     legitimately place it differently. Every other interleaving is
-//     fair game.
+//
+// Every interleaving of the events is fair game: both engines run the
+// one invocation pass (shardplane.Sched) and bind a queued invocation
+// only when an instance is ready, so a completion while a deploy is in
+// flight places the same invocation on the same worker in both.
 
 const (
 	diffLib = "difflib"
@@ -74,6 +72,10 @@ type diffHarness struct {
 	// the identical tenant sequence); submits counts spec submissions.
 	tenantMix []string
 	submits   int
+	// windowDones counts invocation completions delivered while an install
+	// was in flight and an invocation queued — the interleaving a real
+	// burst produces most.
+	windowDones int
 	// refs turns on the proxy-object comparison (opts.refs); producers
 	// marks spec IDs submitted with ResultByRef, refsMade records every
 	// fabricated ref in creation order, and nextRef numbers them — both
@@ -213,15 +215,20 @@ func (h *diffHarness) shardOf(w *workerState) *shard {
 	return h.m.shardFor(w.id)
 }
 
-// pendingInvTotal sums queued invocations across all shards.
-func (h *diffHarness) pendingInvTotal() int {
-	n := 0
+// deployWindowOpen reports whether, on the manager, some invocation is
+// queued while some instance is installing.
+func (h *diffHarness) deployWindowOpen() bool {
+	queued, installing := 0, false
 	for _, s := range h.m.shards {
 		s.mu.Lock()
-		n += s.pendingInvCount
+		queued += s.sched.Invs()
+		for _, id := range core.SortedKeys(s.workers) {
+			li := s.workers[id].libs[diffLib]
+			installing = installing || (li != nil && !li.Ready && !li.Failed)
+		}
 		s.mu.Unlock()
 	}
-	return n
+	return queued > 0 && installing
 }
 
 // live returns the indices of living workers, in worker order.
@@ -361,26 +368,9 @@ func (h *diffHarness) libReady(w *workerState) {
 	}
 }
 
-// completable returns the lowest-ID completable dispatch on w, if any.
-// For tasks that means all staged inputs acked; for invocations it
-// additionally requires no open deferred-binding window (see the
-// harness comment above).
+// completable returns the lowest-ID completable dispatch on w, if any:
+// for tasks one with all staged inputs acked, for invocations any.
 func (h *diffHarness) completable(w *workerState) (int64, bool) {
-	if h.level == core.L3 && h.pendingInvTotal() > 0 {
-		for _, ww := range h.ws {
-			if h.dead[ww.id] {
-				continue // a dead worker's stale instance records gate nothing
-			}
-			ss := h.shardOf(ww)
-			ss.mu.Lock()
-			li := ww.libs[diffLib]
-			installing := li != nil && !li.Ready && !li.Failed
-			ss.mu.Unlock()
-			if installing {
-				return 0, false
-			}
-		}
-	}
 	s := h.shardOf(w)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -405,6 +395,9 @@ func (h *diffHarness) done(w *workerState, id int64) {
 		return
 	}
 	h.opLog = append(h.opLog, fmt.Sprintf("done(%s,%d)", w.id, id))
+	if h.level == core.L3 && h.deployWindowOpen() {
+		h.windowDones++
+	}
 	h.shardOf(w).onResult(w, core.Result{ID: id, Ok: true, Value: []byte("x")})
 	// Task workloads complete by ring key: churn requeues carry keys,
 	// so the engines must agree on which task each slot was running.
@@ -565,12 +558,13 @@ func (h *diffHarness) envFail(w *workerState) {
 	}
 }
 
-func (h *diffHarness) taskFail(w *workerState, id int64) {
+// specFail fails dispatch id — a task or an invocation — on w retryably.
+func (h *diffHarness) specFail(w *workerState, id int64) {
 	h.opLog = append(h.opLog, fmt.Sprintf("fail(%s,%d)", w.id, id))
 	h.shardOf(w).onResult(w, core.Result{ID: id, Ok: false, Retryable: true, Err: "injected fault"})
 	h.waitRetryLanded()
-	if !h.rp.Fail(w.id, shardplane.TaskKey(id)) {
-		h.t.Fatalf("sim rejected Fail(%s, task %d) the manager accepted", w.id, id)
+	if !h.rp.Fail(w.id, id) {
+		h.t.Fatalf("sim rejected Fail(%s, spec %d) the manager accepted", w.id, id)
 	}
 }
 
@@ -586,7 +580,7 @@ func (h *diffHarness) waitRetryLanded() {
 		quiet := true
 		for _, s := range h.m.shards {
 			s.mu.Lock()
-			if s.backoffs != 0 || !s.sched.Settled() || s.dirtyAllLibs || len(s.dirtyLibs) > 0 || s.intake.Load() != nil {
+			if s.backoffs != 0 || !s.sched.Settled() || s.intake.Load() != nil {
 				quiet = false
 			}
 			s.mu.Unlock()
@@ -753,17 +747,15 @@ func (h *diffHarness) injectChaos(rng *rand.Rand, opts diffOpts, joins *int) boo
 			}
 		}
 	case 3:
-		// Retryable task failure: only task workloads — the sim's
-		// invocation pool is keyless, so a specific invocation cannot
-		// be failed-and-avoided there.
-		if opts.fail && h.level != core.L3 {
+		// Retryable failure of a running task or invocation.
+		if opts.fail {
 			for _, k := range rng.Perm(len(h.ws)) {
 				w := h.ws[k]
 				if h.dead[w.id] {
 					continue
 				}
 				if id, ok := h.completable(w); ok {
-					h.taskFail(w, id)
+					h.specFail(w, id)
 					return true
 				}
 			}
@@ -895,6 +887,9 @@ func runDifferential(t *testing.T, level core.ReuseLevel, slots int, seed int64,
 		t.Errorf("sim replay still has %d pending invocations after drain", p)
 	}
 	h.diffTraces(ops / 4)
+	if level == core.L3 && h.windowDones == 0 {
+		t.Errorf("degenerate invocation run: no completion was delivered while a deploy was open and an invocation queued")
+	}
 	if opts.tenants {
 		// A trace where admission control never bit would vacuously
 		// pass: require every verdict class and the fair-share drain to
@@ -937,6 +932,49 @@ func TestDifferentialInvocationWorkload(t *testing.T) {
 	}
 }
 
+func TestDifferentialCompletionDuringDeploy(t *testing.T) {
+	// The window the harness used to withhold completions in: one
+	// invocation queued behind the deploy it triggered, and the only
+	// running invocation completes elsewhere. Both engines bind at ready,
+	// so the queued invocation takes the freed slot and the new instance
+	// comes up idle. (An engine binding at deploy start leaves the freed
+	// slot empty and places on the new instance at its ack.)
+	h := newDiffHarness(t, core.L3, 2, 1, diffOpts{})
+	h.submit(1)
+	var first *workerState
+	for _, w := range h.ws {
+		if h.canEnvAck(w) {
+			h.envAck(w)
+			h.libReady(w)
+			first = w
+		}
+	}
+	id, running := h.completable(first)
+	if !running {
+		t.Fatalf("the first invocation is not running on %s", first.id)
+	}
+	h.submit(1)
+	h.settle()
+	if !h.deployWindowOpen() {
+		t.Fatal("the second invocation did not queue behind a deploy of its own")
+	}
+	h.done(first, id)
+	h.settle()
+	if next, ok := h.completable(first); !ok || next == id || h.deployWindowOpen() {
+		t.Fatalf("the queued invocation did not take the slot freed on %s (running there: %d, %v)", first.id, next, ok)
+	}
+	h.crossCheck("completion during deploy")
+	h.quiesce()
+	h.settle()
+	if err := h.m.CheckQuiescence(); err != nil {
+		t.Errorf("manager not quiescent after drain: %v", err)
+	}
+	if st := h.m.Stats(); st.LibrariesDeployed != 2 || st.InvocationsDone != 2 {
+		t.Errorf("deployed %d instances and finished %d invocations, want 2 and 2", st.LibrariesDeployed, st.InvocationsDone)
+	}
+	h.diffTraces(6)
+}
+
 func TestDifferentialWorkerChurn(t *testing.T) {
 	// Workers join and die mid-trace: exercises ring reshaping, replica
 	// and in-flight-copy teardown, transfer-slot recovery from dead
@@ -950,11 +988,14 @@ func TestDifferentialWorkerChurn(t *testing.T) {
 
 func TestDifferentialRetryAndAvoidance(t *testing.T) {
 	// Injected transfer faults (peer fetch fails → manager restages
-	// direct, no new decision) and retryable task failures (backoff →
-	// requeue at the back with the failing worker avoided): exercises
-	// the manager's recovery paths against the replay's keyed queue.
+	// direct, no new decision) and retryable task and invocation
+	// failures (backoff → requeue at the back with the failing worker
+	// avoided): exercises the manager's recovery paths against the
+	// replay's queues — at L3 the invocation pass's avoid-keyed ready
+	// runs and its avoided-worker fallback.
 	for _, seed := range []int64{1, 2, 3} {
 		runDifferential(t, core.L2, 2, seed, 600, diffOpts{fail: true})
+		runDifferential(t, core.L3, 1, seed, 600, diffOpts{fail: true})
 	}
 }
 
@@ -996,7 +1037,7 @@ func TestDifferentialMultiTenant(t *testing.T) {
 func TestDifferentialMultiTenantChurn(t *testing.T) {
 	// Worker churn with the plane active: deaths requeue dispatched
 	// specs without releasing their quota units (the retry still holds
-	// its admission), evacuations carry the admitted-owner FIFO across
+	// its admission), evacuations carry each queued spec's tenant across
 	// shards, and the fair-share drain keeps feeding a reshaped plane.
 	for _, seed := range []int64{41, 42} {
 		runDifferential(t, core.L3, 1, seed, 600, diffOpts{shards: 3, churn: true, tenants: true})
@@ -1212,7 +1253,7 @@ func scriptOverflow(t *testing.T, workers, shards int) bool {
 	if f := h.m.Stats().ShardForwards; f != 0 {
 		t.Fatalf("%s: %d specs crossed shards before the failure", where, f)
 	}
-	h.taskFail(lone, id)
+	h.specFail(lone, id)
 	h.settle()
 	if f := h.m.Stats().ShardForwards; f != 1 {
 		t.Fatalf("%s: ShardForwards = %d after the lone worker failed task %d, want 1", where, f, id)
@@ -1289,10 +1330,10 @@ func scriptParked(t *testing.T, level core.ReuseLevel, opts diffOpts) {
 				t.Fatalf("%s: %s parked in shard %d, its key's home is %d", where, pt.Key, i, home)
 			}
 		}
-		if home := hashring.Partition(diffLib, opts.shards); s.pendingInvCount > 0 && home != i {
-			t.Fatalf("%s: %d invocations parked in shard %d, the library's home is %d", where, s.pendingInvCount, i, home)
+		if home := hashring.Partition(diffLib, opts.shards); s.sched.Invs() > 0 && home != i {
+			t.Fatalf("%s: %d invocations parked in shard %d, the library's home is %d", where, s.sched.Invs(), i, home)
 		}
-		parked[i] = len(s.sched.Tasks()) + s.pendingInvCount
+		parked[i] = len(s.sched.Tasks()) + s.sched.Invs()
 		total += parked[i]
 		s.mu.Unlock()
 	}

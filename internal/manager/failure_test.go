@@ -91,6 +91,29 @@ func TestWorkerGoneToleratesDeadSource(t *testing.T) {
 	}
 }
 
+func TestWorkerGoneReleasesInstallClaim(t *testing.T) {
+	// A worker dying with an install in flight takes the install's claim
+	// with it: the invocation queued behind that install deploys afresh on
+	// the survivor instead of waiting for an ack that will never come.
+	m := New(Options{Shards: 1})
+	a, b := fakeWorker(m, "a"), fakeWorker(m, "b")
+	if err := m.RegisterLibrary(&core.LibrarySpec{Name: "lib", Functions: []core.FunctionSpec{{Name: "f", Source: "1"}}}); err != nil {
+		t.Fatal(err)
+	}
+	m.SubmitInvocation(&core.InvocationSpec{Library: "lib", Function: "f"})
+	first, second := a, b
+	if a.libs["lib"] == nil {
+		first, second = b, a
+	}
+	if first.libs["lib"] == nil || second.libs["lib"] != nil {
+		t.Fatalf("want one install in flight, have a=%v b=%v", a.libs, b.libs)
+	}
+	m.onWorkerGone(first)
+	if second.libs["lib"] == nil || m.Stats().LibrariesDeployed != 2 {
+		t.Errorf("the queued invocation did not redeploy on %s: libs=%v deployed=%d", second.id, second.libs, m.Stats().LibrariesDeployed)
+	}
+}
+
 func TestWorkerGoneRequeuesWithinBudget(t *testing.T) {
 	m := New(Options{PeerTransfers: true, MaxRetries: 2, Shards: 1})
 	s := m.shards[0]
@@ -160,7 +183,7 @@ func TestFailedPeerFetchRestagesFromManager(t *testing.T) {
 	s.mu.Lock()
 	s.m.catalogAdd(fs)
 	src.v.TransfersOut = 1
-	s.notePendingLocked(dst, obj.ID)
+	s.view.NotePending(dst.v, obj.ID)
 	dst.fetchSources[obj.ID] = "src"
 	s.mu.Unlock()
 
@@ -190,7 +213,7 @@ func TestFailedDirectSendDoesNotRestage(t *testing.T) {
 	obj := content.NewBlob("big", []byte("payload"))
 	s.mu.Lock()
 	s.m.catalogAdd(core.FileSpec{Object: obj, Cache: true})
-	s.notePendingLocked(dst, obj.ID)
+	s.view.NotePending(dst.v, obj.ID)
 	s.mu.Unlock()
 
 	s.onFileAck(dst, proto.FileAck{ID: obj.ID, Ok: false, Err: "cache full"})
@@ -214,7 +237,7 @@ func TestTransferTimeMeasuresDispatchToAck(t *testing.T) {
 	task.ID = 3
 	task.Inputs = []core.FileSpec{{Object: obj, Cache: true}}
 	s.mu.Lock()
-	s.notePendingLocked(w, obj.ID)
+	s.view.NotePending(w.v, obj.ID)
 	w.v.Commit = w.v.Commit.Add(task.Resources)
 	e := &inflightEntry{
 		worker:  "w",
@@ -290,7 +313,7 @@ func TestRepeatedLibraryFailureFailsPendingInvocations(t *testing.T) {
 	m.libSpecs["bad"] = spec
 	m.libMu.Unlock()
 	s.mu.Lock()
-	s.enqueueInvLocked(pendingInv{inv: &core.InvocationSpec{ID: 11, Library: "bad", Function: "f"}})
+	s.sched.PushInvs(queuedInv(&core.InvocationSpec{ID: 11, Library: "bad", Function: "f"}, 0))
 	s.mu.Unlock()
 
 	for i := 0; i < maxLibraryFailures; i++ {
@@ -312,8 +335,8 @@ func TestRepeatedLibraryFailureFailsPendingInvocations(t *testing.T) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.pendingInvCount != 0 {
-		t.Errorf("%d invocations still pending for a quarantined library", s.pendingInvCount)
+	if s.sched.Invs() != 0 {
+		t.Errorf("%d invocations still pending for a quarantined library", s.sched.Invs())
 	}
 }
 
@@ -336,8 +359,8 @@ func TestRetryableLibraryFailureQuarantine(t *testing.T) {
 	for i := 0; i < maxLibraryInfraFailures; i++ {
 		drainMsgs(w)
 		s.mu.Lock()
-		if s.pendingInvCount != 2 || w.libs["flaky"] == nil {
-			t.Fatalf("before failure %d: %d invocations queued, instance %v", i, s.pendingInvCount, w.libs["flaky"])
+		if s.sched.Invs() != 2 || w.libs["flaky"] == nil {
+			t.Fatalf("before failure %d: %d invocations queued, instance %v", i, s.sched.Invs(), w.libs["flaky"])
 		}
 		s.mu.Unlock()
 		s.onLibraryAck(w, proto.LibraryAck{Library: "flaky", Ok: false, Retryable: true, Err: "env lost"})
@@ -376,20 +399,29 @@ func TestRetryableLibraryFailureQuarantine(t *testing.T) {
 }
 
 func TestEvictEmptyAccounting(t *testing.T) {
+	// A deploy that needs the whole worker evicts the idle instance in
+	// its way — through the production path: PlanDeploy's Evict list,
+	// executed by Deploy before the install.
 	m := New(Options{PeerTransfers: true, EvictEmptyLibraries: true, Shards: 1})
 	s := m.shards[0]
 	w := fakeWorker(m, "w")
-	s.mu.Lock()
 	res := core.Resources{Cores: 32, MemoryMB: 64 << 10, DiskMB: 64 << 10}
+	for _, name := range []string{"incoming", "other"} {
+		if err := m.RegisterLibrary(&core.LibrarySpec{Name: name, Resources: res, Functions: []core.FunctionSpec{{Name: "f", Source: "1"}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.mu.Lock()
 	idle := &libInstance{LibraryView: policy.LibraryView{Name: "idle", Ready: true, Slots: 1, MaxInstances: 1, Res: res}}
 	w.libs["idle"] = idle
 	s.view.AddInstance(w.v, &idle.LibraryView)
 	w.v.Commit = w.v.Commit.Add(res)
 
-	if !s.evictForLocked(w, "incoming", res) {
+	if !s.Deploy("incoming") {
 		t.Fatalf("eviction should free the idle library")
 	}
-	if _, there := w.libs["idle"]; there || w.v.Commit.Cores != 0 {
+	// The idle instance's commitment went, the new instance's came.
+	if _, there := w.libs["idle"]; there || w.libs["incoming"] == nil || w.v.Commit != res {
 		t.Errorf("after evict: libs=%v commit=%+v", w.libs, w.v.Commit)
 	}
 	if n := atomic.LoadInt64(&m.stats.LibrariesEvicted); n != 1 {
@@ -397,23 +429,29 @@ func TestEvictEmptyAccounting(t *testing.T) {
 	}
 	s.mu.Unlock()
 	msgs := drainMsgs(w)
-	if len(msgs) != 1 || msgs[0].t != proto.MsgRemoveLibrary {
-		t.Errorf("expected RemoveLibrary, got %v", msgs)
+	if len(msgs) != 2 || msgs[0].t != proto.MsgRemoveLibrary || msgs[1].t != proto.MsgInstallLibrary {
+		t.Errorf("expected RemoveLibrary then InstallLibrary, got %v", msgs)
 	}
 
 	// A busy instance must never be evicted.
+	s.onLibraryAck(w, proto.LibraryAck{Library: "incoming", Ok: true, Instance: "incoming@w#1"})
 	s.mu.Lock()
-	busy := &libInstance{LibraryView: policy.LibraryView{Name: "busy", Ready: true, Slots: 1, SlotsUsed: 1, MaxInstances: 1, Res: res}}
-	w.libs["busy"] = busy
-	s.view.AddInstance(w.v, &busy.LibraryView)
-	w.v.Commit = w.v.Commit.Add(res)
-	if s.evictForLocked(w, "incoming", res) {
+	busy := w.libs["incoming"]
+	busy.SlotsUsed = 1
+	s.libSlotsChangedLocked(w, busy)
+	if s.Deploy("other") {
 		t.Errorf("evicted a library with invocations in flight")
 	}
-	if _, there := w.libs["busy"]; !there {
-		t.Errorf("busy library disappeared from the worker")
+	if _, there := w.libs["incoming"]; !there || w.libs["other"] != nil {
+		t.Errorf("busy library disappeared from the worker: libs=%v", w.libs)
+	}
+	if n := atomic.LoadInt64(&m.stats.LibrariesEvicted); n != 1 {
+		t.Errorf("evicted = %d after the refused deploy", n)
 	}
 	s.mu.Unlock()
+	if msgs := drainMsgs(w); len(msgs) != 0 {
+		t.Errorf("a refused deploy sent %v", msgs)
+	}
 }
 
 func TestDeliverNeverBlocks(t *testing.T) {

@@ -1,7 +1,6 @@
 package manager
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -23,8 +22,8 @@ import (
 //   - dirty marks + Sched.Wake: a burst of events triggers one coalesced
 //     schedule pass, not one per event — per shard.
 //
-// …Locked methods require s.mu, as do the Shell methods but Deliver,
-// ForwardInvs and Woke, which the scheduler calls with none held. The
+// …Locked methods require s.mu, as do the Shell methods but Deliver
+// and Woke, which the scheduler calls with none held. The
 // randomized consistency test (index_test.go) asserts the view's indexes
 // always match a brute-force recomputation from ground-truth state.
 
@@ -34,159 +33,29 @@ type objWaiter struct {
 	libs  map[string]bool
 }
 
-// ---- dirty marks ----
-
-// markLibDirtyLocked queues a reconsideration of one library's pending
-// invocations.
-func (s *shard) markLibDirtyLocked(lib string) {
-	if s.dirtyAllLibs {
-		return
-	}
-	if s.dirtyLibs == nil {
-		s.dirtyLibs = map[string]bool{}
-	}
-	s.dirtyLibs[lib] = true
-}
-
-// markAllLibsDirtyLocked queues a reconsideration of every library with
-// pending invocations (worker churn, freed capacity).
-func (s *shard) markAllLibsDirtyLocked() {
-	s.dirtyAllLibs = true
-	clear(s.dirtyLibs)
-}
-
-// wakeCapacityLocked marks everything that competes for worker
-// resources: pending tasks and every library still waiting to deploy.
-func (s *shard) wakeCapacityLocked() {
-	s.sched.MarkDirty()
-	s.markAllLibsDirtyLocked()
-}
-
 // ---- the scheduler's shell ----
 
 // Quiet reports whether no local event is pending that could change
 // this shard's placement state: nothing in flight, no copies awaiting
-// acks, no installs awaiting acks, no retries waiting out a backoff.
+// acks, no retries waiting out a backoff.
 func (s *shard) Quiet() bool {
-	if len(s.inflight) > 0 || s.backoffs > 0 || len(s.view.PendingCopies) > 0 {
-		return false
-	}
-	for _, n := range s.installing { //vinelint:unordered existence check over a set
-		if n > 0 {
-			return false
-		}
-	}
-	return true
+	return len(s.inflight) == 0 && s.backoffs == 0 && len(s.view.PendingCopies) == 0
 }
 
-// invMove is one library's pending queue on its way to another shard.
-// Queues move whole: submission order survives, and it is the unit the
-// simulator's keyless invocation pool can move too.
-type invMove struct {
-	target int
-	q      []pendingInv
-}
-
-// holdInvsLocked takes lib's queue out of this shard for ForwardInvs to
-// deliver to shard target.
-func (s *shard) holdInvsLocked(lib string, target int) {
-	q := s.pendingInvs[lib]
-	delete(s.pendingInvs, lib)
-	s.pendingInvCount -= len(q)
-	s.fwdInvs = append(s.fwdInvs, invMove{target, q})
-}
-
-// PassInvs runs one placement pass over every library queue marked
-// dirty, in sorted-name order: the queues contend for the same worker
-// capacity, so map order would leak straight into the decision trace. A
-// queue no worker here could ever host an instance for hops to the next
-// live shard instead. Evacuating, every queue leaves for its library's
-// owner shard and blocked-object interest is dropped: the receiving
-// shard re-registers waiters against its own view.
-func (s *shard) PassInvs(evacuate bool) bool {
-	if evacuate {
-		for _, lib := range core.SortedKeys(s.pendingInvs) {
-			s.holdInvsLocked(lib, s.m.shardPlane.KeyShard(lib))
-		}
-		s.objWaiters = map[string]*objWaiter{}
-		return len(s.fwdInvs) > 0
-	}
-	atomic.AddInt64(&s.m.stats.SchedulePasses, 1)
-	// Marks recorded while the pass runs belong to the next one: take
-	// this pass's into the reusable scratch and clear the retained map.
-	libs := s.libScratch[:0]
-	if s.dirtyAllLibs {
-		libs = append(libs, core.SortedKeys(s.pendingInvs)...)
-	} else {
-		for lib := range s.dirtyLibs { //vinelint:unordered collected keys are sorted below
-			libs = append(libs, lib)
-		}
-		sort.Strings(libs)
-	}
-	s.libScratch = libs
-	clear(s.dirtyLibs)
-	s.dirtyAllLibs = false
-	for _, lib := range libs {
-		if q := s.pendingInvs[lib]; len(q) > 0 {
-			if spec, known := s.m.libSpec(lib); known {
-				if next, ok := s.sched.Overflow(q[0].hops, spec.Resources); ok {
-					for i := range q {
-						q[i].hops++
-					}
-					s.holdInvsLocked(lib, next)
-					continue
-				}
-			}
-		}
-		s.scheduleLibQueueLocked(lib)
-	}
-	return len(s.fwdInvs) > 0
-}
-
-// Nudged gives every queued invocation its hop budget back and marks
-// every library queue.
-func (s *shard) Nudged() {
-	for _, lib := range core.SortedKeys(s.pendingInvs) {
-		q := s.pendingInvs[lib]
-		for i := range q {
-			q[i].hops = 0
-		}
-	}
-	s.markAllLibsDirtyLocked()
-}
-
-// forward puts n specs into shard i under its lock and wakes it.
-func (s *shard) forward(i, n int, put func(to *shard)) {
+// Deliver moves specs into shard i's queues and wakes it.
+func (s *shard) Deliver(i int, tasks []pendingTask, invs []pendingInv) {
 	to := s.m.shards[i]
 	to.mu.Lock()
-	put(to)
+	to.sched.Push(tasks...)
+	to.sched.PushInvs(invs...)
 	to.mu.Unlock()
-	atomic.AddInt64(&s.m.stats.ShardForwards, int64(n))
+	atomic.AddInt64(&s.m.stats.ShardForwards, int64(len(tasks)+len(invs)))
 	to.sched.Wake()
-}
-
-// Deliver moves tasks into shard i's queue.
-func (s *shard) Deliver(i int, tasks []pendingTask) {
-	s.forward(i, len(tasks), func(to *shard) { to.sched.Push(tasks...) })
-}
-
-// ForwardInvs delivers the queues PassInvs held. fwdInvs belongs to the
-// goroutine running the loop: filled under s.mu, emptied with none held.
-func (s *shard) ForwardInvs() {
-	for _, mv := range s.fwdInvs {
-		s.forward(mv.target, len(mv.q), func(to *shard) {
-			for _, pi := range mv.q {
-				to.enqueueInvLocked(pi)
-			}
-		})
-	}
-	clear(s.fwdInvs)
-	s.fwdInvs = s.fwdInvs[:0]
 }
 
 // Woke counts a wake the running loop absorbed; after one that ran the
 // loop it flushes the wakes parked by quota released under a shard lock
-// (emitFailure, crash exhaustion, quarantine), now that none is held.
+// (Reject, crash exhaustion, quarantine), now that none is held.
 // pump() may wake further shards inline — bounded, since each flush
 // empties the parked set and only failure-path releases refill it.
 func (s *shard) Woke(ran bool) {
@@ -195,15 +64,6 @@ func (s *shard) Woke(ran bool) {
 	} else if s.m.plane != nil {
 		s.m.plane.pump()
 	}
-}
-
-// ---- pending queues ----
-
-// enqueueInvLocked appends an invocation to its library's wait queue.
-func (s *shard) enqueueInvLocked(pi pendingInv) {
-	s.pendingInvs[pi.inv.Library] = append(s.pendingInvs[pi.inv.Library], pi)
-	s.pendingInvCount++
-	s.markLibDirtyLocked(pi.inv.Library)
 }
 
 // ---- view wrappers ----
@@ -282,18 +142,6 @@ func (m *Manager) catalogGet(id string) (core.FileSpec, bool) {
 	return fs, ok
 }
 
-// notePendingLocked records that a copy of the object is in flight to
-// the worker.
-func (s *shard) notePendingLocked(w *workerState, id string) {
-	s.view.NotePending(w.v, id)
-}
-
-// clearPendingLocked removes the in-flight record, reporting whether
-// one existed.
-func (s *shard) clearPendingLocked(w *workerState, id string) bool {
-	return s.view.ClearPending(w.v, id)
-}
-
 // libSlotsChangedLocked republishes one instance's free ready-slot
 // count after any slot or readiness transition, re-seating it in the
 // view's ready index.
@@ -336,8 +184,8 @@ func (s *shard) wakeObjWaitersLocked(id string) {
 	if ww.tasks {
 		s.sched.MarkDirty()
 	}
-	for lib := range ww.libs { //vinelint:unordered dirty marks form a set; PassInvs drains them in sorted order
-		s.markLibDirtyLocked(lib)
+	for lib := range ww.libs { //vinelint:unordered dirty marks form a set; the pass drains them in sorted order
+		s.sched.MarkLib(lib)
 	}
 }
 
@@ -359,8 +207,8 @@ func (s *shard) dropWorkerLocked(w *workerState) {
 	// Un-acked installs on the dead worker will never ack; release
 	// their claims so queued invocations can trigger fresh deploys.
 	for name, li := range w.libs { //vinelint:unordered per-library counter decrements commute
-		if !li.Ready && !li.Failed && s.installing[name] > 0 {
-			s.installing[name]--
+		if !li.Ready && !li.Failed {
+			s.sched.Unclaim(name)
 		}
 	}
 	dropped, cleared := s.view.RemoveWorker(w.v)

@@ -26,9 +26,12 @@ func TestIndexConsistencyRandomized(t *testing.T) {
 
 	libs := []string{"libA", "libB", "libC"}
 	objs := []string{"o1", "o2", "o3", "o4", "o5", "o6"}
-	specs := map[string]*core.LibrarySpec{}
 	for _, name := range libs {
-		specs[name] = &core.LibrarySpec{Name: name, Slots: 2}
+		spec := &core.LibrarySpec{Name: name, Slots: 2, Resources: core.Resources{Cores: 2},
+			Functions: []core.FunctionSpec{{Name: "f", Source: "1"}}}
+		if err := m.RegisterLibrary(spec); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	done := make(chan struct{})
@@ -184,28 +187,24 @@ func TestIndexConsistencyRandomized(t *testing.T) {
 		case 2: // stage a copy
 			if w := pickWorker(); w != nil {
 				op = "stage"
-				s.notePendingLocked(w, objs[rng.Intn(len(objs))])
+				s.view.NotePending(w.v, objs[rng.Intn(len(objs))])
 			}
 		case 3: // file ack ok
 			if w := pickWorker(); w != nil {
 				op = "ack-ok"
 				obj := objs[rng.Intn(len(objs))]
-				if s.clearPendingLocked(w, obj) {
+				if s.view.ClearPending(w.v, obj) {
 					s.noteReplicaLocked(w, obj)
 				}
 			}
 		case 4: // file ack failed
 			if w := pickWorker(); w != nil {
 				op = "ack-fail"
-				s.clearPendingLocked(w, objs[rng.Intn(len(objs))])
+				s.view.ClearPending(w.v, objs[rng.Intn(len(objs))])
 			}
-		case 5: // deploy a library
-			if w := pickWorker(); w != nil {
-				name := libs[rng.Intn(len(libs))]
-				if w.libs[name] == nil {
-					op = "deploy"
-					s.deployLibraryLocked(w, specs[name], core.Resources{Cores: 2})
-				}
+		case 5: // deploy a library where the policy core finds room
+			if s.Deploy(libs[rng.Intn(len(libs))]) {
+				op = "deploy"
 			}
 		case 6: // library ack ok
 			if w := pickWorker(); w != nil {
@@ -230,8 +229,9 @@ func TestIndexConsistencyRandomized(t *testing.T) {
 			name := libs[rng.Intn(len(libs))]
 			inv := &core.InvocationSpec{ID: nextInv, Library: name}
 			nextInv++
-			if s.placeInvocationOnReadyLocked(pendingInv{inv: inv}, nil) {
+			if ds := s.Ready(nil, name, 1, ""); len(ds) > 0 {
 				op = "place"
+				s.PlaceInv(queuedInv(inv, 0), ds[0])
 			}
 		case 9: // invocation result frees a slot
 			if w := pickWorker(); w != nil {
@@ -254,7 +254,7 @@ func TestIndexConsistencyRandomized(t *testing.T) {
 		case 11: // spurious clear (retry path re-acking an unknown copy)
 			if w := pickWorker(); w != nil {
 				op = "spurious-clear"
-				s.clearPendingLocked(w, "unknown-object")
+				s.view.ClearPending(w.v, "unknown-object")
 			}
 		}
 		verify(step, op)

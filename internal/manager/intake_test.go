@@ -82,8 +82,8 @@ func runIntakeWorkload(t *testing.T, producers, perProducer int, push func(intak
 // bareShard is a shard with queues and a scheduler but no workers,
 // view or manager behind it.
 func bareShard() *shard {
-	s := &shard{m: &Manager{}, pendingInvs: map[string][]pendingInv{}}
-	s.sched = shardplane.NewPlane[taskSpec](1).Attach(0, nil, &s.mu, s)
+	s := &shard{m: &Manager{}}
+	s.sched = shardplane.NewPlane[taskSpec, invSpec](1).Attach(0, nil, &s.mu, s)
 	return s
 }
 
@@ -109,10 +109,10 @@ func TestIntakeConcurrentSubmitDrain(t *testing.T) {
 	push := func(it intakeItem) {
 		n := intakeNodePool.Get().(*intakeNode)
 		n.isTask = false
-		n.inv = pendingInv{inv: &core.InvocationSpec{
+		n.inv = queuedInv(&core.InvocationSpec{
 			ID:      int64(it.p*perProducer + it.k),
 			Library: fmt.Sprintf("lib%d", it.p),
-		}}
+		}, 0)
 		s.pushIntake(n)
 	}
 	drain := func() []intakeItem {
@@ -120,14 +120,11 @@ func TestIntakeConcurrentSubmitDrain(t *testing.T) {
 		s.Intake()
 		var out []intakeItem
 		for p := 0; p < producers; p++ {
-			lib := fmt.Sprintf("lib%d", p)
-			for _, pi := range s.pendingInvs[lib] {
-				id := int(pi.inv.ID)
+			for _, pi := range s.sched.DrainLib(fmt.Sprintf("lib%d", p)) {
+				id := int(pi.Spec.inv.ID)
 				out = append(out, intakeItem{p: id / perProducer, k: id % perProducer})
 			}
-			delete(s.pendingInvs, lib)
 		}
-		s.pendingInvCount = 0
 		s.mu.Unlock()
 		return out
 	}
@@ -172,7 +169,7 @@ func TestIntakeMixedTasksAndInvocations(t *testing.T) {
 					n.task = pendingTask{Spec: taskSpec{t: &core.TaskSpec{ID: int64(p*perProducer + k)}}}
 				} else {
 					n.isTask = false
-					n.inv = pendingInv{inv: &core.InvocationSpec{ID: int64(p*perProducer + k), Library: "lib"}}
+					n.inv = queuedInv(&core.InvocationSpec{ID: int64(p*perProducer + k), Library: "lib"}, 0)
 				}
 				s.pushIntake(n)
 			}
@@ -181,10 +178,11 @@ func TestIntakeMixedTasksAndInvocations(t *testing.T) {
 	wg.Wait()
 	s.mu.Lock()
 	s.Intake()
-	tasks, invs := s.sched.Tasks(), s.pendingInvs["lib"]
-	if s.sched.Settled() || !s.dirtyLibs["lib"] {
+	// (That PushInvs marks the library is held in shardplane's own tests.)
+	if s.sched.Settled() {
 		t.Fatal("drain did not mark the drained queues dirty")
 	}
+	tasks, invs := s.sched.Tasks(), s.sched.DrainLib("lib")
 	s.mu.Unlock()
 	if len(tasks)+len(invs) != producers*perProducer {
 		t.Fatalf("drained %d tasks + %d invs, want %d total", len(tasks), len(invs), producers*perProducer)
@@ -199,7 +197,7 @@ func TestIntakeMixedTasksAndInvocations(t *testing.T) {
 	}
 	lastK = map[int]int{}
 	for _, pi := range invs {
-		p, k := int(pi.inv.ID)/perProducer, int(pi.inv.ID)%perProducer
+		p, k := int(pi.Spec.inv.ID)/perProducer, int(pi.Spec.inv.ID)%perProducer
 		if prev, ok := lastK[p]; ok && k <= prev {
 			t.Fatalf("producer %d: invocation %d drained after item %d", p, k, prev)
 		}

@@ -10,10 +10,10 @@
 // loop, and dirty-mark/coalesced-wake machinery. Every spec is routed
 // to exactly one shard at submission. internal/shardplane owns the
 // routing rules and the per-shard scheduler — the coalesced wake loop,
-// the task pass, and every path that moves a spec across shards (never
-// holding two shard locks at once) — shared with the simulator's Replay
-// driver; this package is the shell around it: locks, sockets, timers,
-// the per-library invocation queues, Stats.
+// the task pass and the invocation pass, and every path that moves a
+// spec across shards (never holding two shard locks at once) — shared
+// with the simulator's Replay driver; this package is the shell around
+// it: locks, sockets, timers, failure budgets, Stats.
 //
 // Within a shard, scheduling is incremental: every event records which
 // queues it could unblock (dirty marks, index.go) and the wake loop
@@ -157,7 +157,7 @@ type Manager struct {
 	// one's scheduler and the router (the worker→shard and spec→shard
 	// rules), both shared with the simulator's Replay driver.
 	shards     []*shard
-	shardPlane *shardplane.Plane[taskSpec]
+	shardPlane *shardplane.Plane[taskSpec, invSpec]
 
 	// libMu guards the registered-library table, read by every shard's
 	// validation path and written only by RegisterLibrary.
@@ -211,12 +211,11 @@ type peerSource struct {
 }
 
 // shard is one partition of the dispatch plane: a worker table, a
-// policy view over exactly those workers, the invocation queues routed
-// here, and the shared scheduler (sched) that holds the task queue and
-// drains both. All
-// mutable state below mu is touched only with mu held; shards never
-// take each other's locks (cross-shard movement goes through the
-// coordinator with at most one shard lock held at a time).
+// policy view over exactly those workers, and the shared scheduler
+// (sched) that holds and drains the specs routed here. All mutable state
+// below mu is touched only with mu held; shards never take each other's
+// locks (the scheduler moves specs across with at most one shard lock
+// held at a time).
 type shard struct {
 	m   *Manager
 	idx int
@@ -229,23 +228,13 @@ type shard struct {
 	// broken-setup failures. Like libFailures it is per shard: a
 	// library quarantines independently in each partition.
 	libInfraFailures map[string]int
-	// installing counts library instances deployed but not yet acked,
-	// per library. Each queued invocation claims one in-flight install
-	// before the scheduler plans a new deploy, so a burst of events
-	// during a slow install cannot over-provision instances beyond the
-	// queue length.
-	installing map[string]int
-	// sched is the shared scheduler: the pending-task queue and its
-	// marks, the wake latch and loop. This shard is its Shell (index.go).
-	sched *shardplane.Sched[taskSpec]
-	// pendingInvs queues invocations per library, so an event touching
-	// one library reconsiders only that library's queue. Order within a
-	// queue is submission order.
-	pendingInvs     map[string][]pendingInv
-	pendingInvCount int
-	inflight        map[int64]*inflightEntry
+	// sched is the shared scheduler: the task queue, the per-library
+	// invocation queues with their install claims, the dirty marks, the
+	// wake latch and loop. This shard is its Shell (index.go).
+	sched    *shardplane.Sched[taskSpec, invSpec]
+	inflight map[int64]*inflightEntry
 	// backoffs counts retries sitting in their backoff timers — work
-	// that is in neither pendingTasks/pendingInvs nor inflight.
+	// that is neither queued in sched nor in inflight.
 	backoffs int
 
 	// ---- scheduler view (policy core) ----
@@ -262,21 +251,10 @@ type shard struct {
 	// objWaiters: object ID → queues blocked on its first copy.
 	objWaiters map[string]*objWaiter
 
-	// ---- library dirty marks for the coalesced wake loop ----
-	dirtyAllLibs bool
-	dirtyLibs    map[string]bool
-	// libScratch is the wake loop's reusable sorted-key buffer for
-	// dirtyLibs — the map and this slice are retained across passes so
-	// the steady-state pass allocates nothing.
-	libScratch []string
-	// reqScratch/invScratch are the scheduling passes' reusable batch
-	// buffers (task requests in, invocation decisions out). Each pass
-	// truncates and refills them under the shard lock, so steady-state
-	// planning allocates no slices.
+	// reqScratch is the task pass's reusable request buffer, truncated
+	// and refilled under the shard lock, so steady-state planning
+	// allocates no slices.
 	reqScratch []policy.TaskReq
-	invScratch []policy.PlaceInvocation
-	// fwdInvs holds library queues leaving this shard (index.go).
-	fwdInvs []invMove
 	// freeInflight recycles invocation inflight entries (only those —
 	// task entries can be referenced by ackWaiters past completion;
 	// invocation entries never register there).
@@ -318,12 +296,11 @@ func (s *shard) pushIntake(n *intakeNode) {
 }
 
 // Intake moves every spec published to the intake stack into the
-// shard's pending queues (marking the matching dirty bits), and reports
-// the per-library queues, their marks, and whether the manager is still
-// open. Called with s.mu held; the single consumer. The swap claims the
-// whole stack, so concurrent pushers are never blocked; reversing it
-// restores submission (FIFO) order.
-func (s *shard) Intake() (invs int, invDirty, open bool) {
+// scheduler's queues (which marks them), and reports whether the manager
+// is still open. Called with s.mu held; the single consumer. The swap
+// claims the whole stack, so concurrent pushers are never blocked;
+// reversing it restores submission (FIFO) order.
+func (s *shard) Intake() (open bool) {
 	head := s.intake.Swap(nil)
 	var rev *intakeNode
 	for head != nil {
@@ -337,13 +314,13 @@ func (s *shard) Intake() (invs int, invDirty, open bool) {
 		if n.isTask {
 			s.sched.Push(n.task)
 		} else {
-			s.enqueueInvLocked(n.inv)
+			s.sched.PushInvs(n.inv)
 		}
 		*n = intakeNode{} // drop spec pointers before pooling
 		intakeNodePool.Put(n)
 		n = next
 	}
-	return s.pendingInvCount, s.dirtyAllLibs || len(s.dirtyLibs) > 0, !s.m.closed.Load()
+	return !s.m.closed.Load()
 }
 
 // taskSpec is the manager's payload of a queued task: the retry count
@@ -358,13 +335,19 @@ func (p taskSpec) Need() core.Resources { return p.t.Resources }
 
 type pendingTask = shardplane.Task[taskSpec]
 
-// pendingInv pairs a queued invocation with its retry state; hops is
-// Task.Hops for the library queue it waits in.
-type pendingInv struct {
+// invSpec is the manager's payload of a queued invocation, retry count
+// included for the same reason.
+type invSpec struct {
 	inv     *core.InvocationSpec
 	retries int
-	avoid   string
-	hops    int
+}
+
+type pendingInv = shardplane.Inv[invSpec]
+
+// queuedInv is an invocation as it enters (or re-enters) its library's
+// queue.
+func queuedInv(inv *core.InvocationSpec, retries int) pendingInv {
+	return pendingInv{Lib: inv.Library, Spec: invSpec{inv: inv, retries: retries}}
 }
 
 type inflightEntry struct {
@@ -458,7 +441,7 @@ func New(opts Options) *Manager {
 	}
 	m := &Manager{
 		opts:       opts,
-		shardPlane: shardplane.NewPlane[taskSpec](opts.Shards),
+		shardPlane: shardplane.NewPlane[taskSpec, invSpec](opts.Shards),
 		libSpecs:   map[string]*core.LibrarySpec{},
 		holders:    map[string]map[string]bool{},
 		peers:      map[string]*peerSource{},
@@ -481,8 +464,6 @@ func New(opts Options) *Manager {
 			workers:          map[string]*workerState{},
 			libFailures:      map[string]int{},
 			libInfraFailures: map[string]int{},
-			installing:       map[string]int{},
-			pendingInvs:      map[string][]pendingInv{},
 			inflight:         map[int64]*inflightEntry{},
 			view: policy.NewClusterView(policy.Options{
 				PeerTransfers:       opts.PeerTransfers,
@@ -571,6 +552,10 @@ func (m *Manager) Results() <-chan core.Result { return m.results }
 // Stats returns a snapshot of manager counters without touching any
 // scheduler lock.
 func (m *Manager) Stats() Stats {
+	var passes int64
+	for _, s := range m.shards {
+		passes += s.sched.Passes()
+	}
 	return Stats{
 		DirectTransfers:   atomic.LoadInt64(&m.stats.DirectTransfers),
 		PeerTransfers:     atomic.LoadInt64(&m.stats.PeerTransfers),
@@ -582,7 +567,7 @@ func (m *Manager) Stats() Stats {
 		Requeued:          atomic.LoadInt64(&m.stats.Requeued),
 		Retries:           atomic.LoadInt64(&m.stats.Retries),
 		Restaged:          atomic.LoadInt64(&m.stats.Restaged),
-		SchedulePasses:    atomic.LoadInt64(&m.stats.SchedulePasses),
+		SchedulePasses:    passes,
 		CoalescedWakeups:  atomic.LoadInt64(&m.stats.CoalescedWakeups),
 		WorkerLogs:        atomic.LoadInt64(&m.stats.WorkerLogs),
 		SendQueueDrops:    atomic.LoadInt64(&m.stats.SendQueueDrops),
@@ -687,7 +672,7 @@ func (m *Manager) Submit(t *core.TaskSpec) int64 {
 // handling matches Submit.
 func (m *Manager) SubmitInvocation(inv *core.InvocationSpec) int64 {
 	inv.ID = m.nextID.Add(1)
-	it := intakeNode{inv: pendingInv{inv: inv}}
+	it := intakeNode{inv: queuedInv(inv, 0)}
 	if inv.TenantID == "" || m.plane == nil || !m.plane.submit(inv.TenantID, it, inv.ID) {
 		m.route(m.shardPlane.InvShard(inv.ID, inv.Library), it)
 	}
@@ -756,7 +741,7 @@ func (m *Manager) adoptWorker(w *workerState) bool {
 	s.registerWorkerLocked(w)
 	// Fresh capacity: pending tasks and every waiting library queue in
 	// this shard may now be placeable here.
-	s.wakeCapacityLocked()
+	s.sched.MarkAll()
 	s.mu.Unlock()
 	m.peerAdd(w)
 	m.shardPlane.Add(w.id)
@@ -953,7 +938,6 @@ func (m *Manager) onWorkerGone(w *workerState) {
 	// ascending spec-ID order — map iteration order would otherwise
 	// make the post-crash schedule nondeterministic, which anyone
 	// replaying a decision trace cannot tolerate.
-	var tasks []pendingTask
 	for _, id := range core.SortedKeys(s.inflight) {
 		e := s.inflight[id]
 		if e.worker != w.id {
@@ -963,11 +947,7 @@ func (m *Manager) onWorkerGone(w *workerState) {
 		if m.opts.MaxRetries >= 0 && e.retries < m.opts.MaxRetries {
 			e.retries++
 			atomic.AddInt64(&m.stats.Requeued, 1)
-			if e.task != nil {
-				tasks = append(tasks, e.requeued())
-			} else if e.inv != nil {
-				s.enqueueInvLocked(pendingInv{inv: e.inv, retries: e.retries, avoid: w.id})
-			}
+			s.requeueLocked(w.id, e)
 			continue
 		}
 		atomic.AddInt64(&m.stats.Failures, 1)
@@ -979,10 +959,9 @@ func (m *Manager) onWorkerGone(w *workerState) {
 			m.plane.release(specTenant(e), false)
 		}
 	}
-	s.sched.Requeue(w.id, tasks...)
 	// Losing a worker changes the ring; anything whose placement was
 	// pinned behind this worker's state gets another look.
-	s.wakeCapacityLocked()
+	s.sched.MarkAll()
 	s.mu.Unlock()
 	s.sched.Wake()
 	// Membership changed: overflow targets and ring ownership moved,
@@ -990,14 +969,19 @@ func (m *Manager) onWorkerGone(w *workerState) {
 	m.shardPlane.Nudge()
 }
 
-// requeued is the dispatch's task as it goes back on the queue.
-func (e *inflightEntry) requeued() pendingTask {
-	return pendingTask{Key: e.ringKey, Spec: taskSpec{t: e.task, retries: e.retries}}
+// requeueLocked puts a dispatch's spec back on its queue, avoid as its
+// avoid preference.
+func (s *shard) requeueLocked(avoid string, e *inflightEntry) {
+	if e.task != nil {
+		s.sched.Requeue(avoid, pendingTask{Key: e.ringKey, Spec: taskSpec{t: e.task, retries: e.retries}})
+	} else if e.inv != nil {
+		s.sched.RequeueInv(avoid, queuedInv(e.inv, e.retries))
+	}
 }
 
 func (s *shard) onFileAck(w *workerState, ack proto.FileAck) {
 	s.mu.Lock()
-	s.clearPendingLocked(w, ack.ID)
+	s.view.ClearPending(w.v, ack.ID)
 	src, fromPeer := w.fetchSources[ack.ID]
 	if fromPeer {
 		delete(w.fetchSources, ack.ID)
@@ -1082,8 +1066,8 @@ func (s *shard) onLibraryAck(w *workerState, ack proto.LibraryAck) {
 	s.mu.Lock()
 	li := w.libs[ack.Library]
 	if li != nil {
-		if !li.Ready && s.installing[ack.Library] > 0 {
-			s.installing[ack.Library]--
+		if !li.Ready {
+			s.sched.Unclaim(ack.Library)
 		}
 		if ack.Ok {
 			li.Ready = true
@@ -1091,12 +1075,12 @@ func (s *shard) onLibraryAck(w *workerState, ack proto.LibraryAck) {
 			s.libFailures[ack.Library] = 0
 			s.libInfraFailures[ack.Library] = 0
 			s.libSlotsChangedLocked(w, li)
-			s.markLibDirtyLocked(ack.Library)
+			s.sched.MarkLib(ack.Library)
 			// A ready instance with no slots in use is an eviction
 			// candidate (§3.5.2): other libraries blocked on capacity
 			// may now be deployable here.
 			if li.SlotsUsed == 0 && s.m.opts.EvictEmptyLibraries {
-				s.markAllLibsDirtyLocked()
+				s.sched.MarkAllLibs()
 			}
 		} else {
 			li.Failed = true
@@ -1121,7 +1105,7 @@ func (s *shard) onLibraryAck(w *workerState, ack proto.LibraryAck) {
 				}
 			}
 			// The failed install released resources on this worker.
-			s.wakeCapacityLocked()
+			s.sched.MarkAll()
 		}
 	}
 	s.mu.Unlock()
@@ -1135,19 +1119,13 @@ func (s *shard) onLibraryAck(w *workerState, ack proto.LibraryAck) {
 // library that cannot be deployed: failures is the budget that tripped.
 // Caller holds the shard lock.
 func (s *shard) failPendingForLibraryLocked(library string, failures int, reason string) {
-	q := s.pendingInvs[library]
-	if len(q) == 0 {
-		return
-	}
-	delete(s.pendingInvs, library)
-	s.pendingInvCount -= len(q)
-	for _, pi := range q {
+	for _, pi := range s.sched.DrainLib(library) {
 		atomic.AddInt64(&s.m.stats.Failures, 1)
-		s.m.deliver(core.Result{ID: pi.inv.ID, Ok: false,
+		s.m.deliver(core.Result{ID: pi.Spec.inv.ID, Ok: false,
 			Err: fmt.Sprintf("manager: library %q failed to deploy %d times: %s",
 				library, failures, reason)})
 		if s.m.plane != nil {
-			s.m.plane.release(pi.inv.TenantID, false)
+			s.m.plane.release(pi.Spec.inv.TenantID, false)
 		}
 	}
 }
@@ -1181,7 +1159,7 @@ func (s *shard) onResult(w *workerState, res core.Result) {
 				}
 			}
 			// Freed resources: tasks and deployments compete for them.
-			s.wakeCapacityLocked()
+			s.sched.MarkAll()
 		} else if e.inv != nil {
 			atomic.AddInt64(&m.stats.InvocationsDone, 1)
 			idle := false
@@ -1197,9 +1175,9 @@ func (s *shard) onResult(w *workerState, res core.Result) {
 			// going fully idle additionally becomes an eviction
 			// candidate, which can unblock every other library waiting
 			// on capacity (§3.5.2).
-			s.markLibDirtyLocked(e.library)
+			s.sched.MarkLib(e.library)
 			if idle && m.opts.EvictEmptyLibraries {
-				s.markAllLibsDirtyLocked()
+				s.sched.MarkAllLibs()
 			}
 		}
 	}
@@ -1278,11 +1256,7 @@ func (s *shard) requeueAfter(e *inflightEntry, avoid string, delay time.Duration
 			s.mu.Unlock()
 			return
 		}
-		if e.task != nil {
-			s.sched.Requeue(avoid, e.requeued())
-		} else if e.inv != nil {
-			s.enqueueInvLocked(pendingInv{inv: e.inv, retries: e.retries, avoid: avoid})
-		}
+		s.requeueLocked(avoid, e)
 		s.mu.Unlock()
 		s.sched.Wake()
 	})
@@ -1353,7 +1327,7 @@ func (s *shard) checkQuiescence() error {
 	if n := len(s.inflight); n != 0 {
 		return fmt.Errorf("manager: shard %d has %d dispatches still in flight", s.idx, n)
 	}
-	if n := len(s.sched.Tasks()) + s.pendingInvCount; n != 0 {
+	if n := len(s.sched.Tasks()) + s.sched.Invs(); n != 0 {
 		return fmt.Errorf("manager: shard %d has %d specs still queued", s.idx, n)
 	}
 	if s.backoffs != 0 {

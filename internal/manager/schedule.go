@@ -11,10 +11,11 @@ import (
 	"repro/internal/proto"
 )
 
-// The scheduling passes below are invoked from each shard's coalesced
-// wake loop (shardplane.Sched): Plan and Place when the task queue is
-// dirty, scheduleLibQueueLocked per dirty library (PassInvs, index.go).
-// They never scan state that their dirty mark could not have changed.
+// The hooks below are invoked from each shard's coalesced wake loop
+// (shardplane.Sched): Plan and Place by the task pass when the task
+// queue is dirty; Reject, Ready, PlaceInv and Deploy by the invocation
+// pass, per dirty library. They never scan state that their dirty mark
+// could not have changed.
 //
 // Every scheduling decision — which worker runs a task, where a library
 // instance deploys, which peer sources a transfer, what gets evicted —
@@ -168,7 +169,7 @@ func (s *shard) execResolveLocked(w *workerState, id, name string, d policy.Reso
 	case policy.ResolveShared:
 		fetch.Shared, fetch.Own = true, d.Promote
 	}
-	s.notePendingLocked(w, id)
+	s.view.NotePending(w.v, id)
 	w.enqueue(outMsg{t: proto.MsgFetchFile, v: fetch})
 	return true
 }
@@ -297,82 +298,38 @@ func (s *shard) Place(pt pendingTask, d policy.PlaceTask) {
 
 // ---- invocation scheduling (§3.5.2) ----
 
-// scheduleLibQueueLocked runs one placement pass over a single
-// library's pending invocations. Ready-instance placements are planned
-// in batches: one PlaceReadyBatchInto call covers a run of queue entries
-// sharing the same avoid preference, and its cached decisions are
-// popped as the run executes (deploys started mid-pass never change a
-// ready placement — a new instance is not Ready until its ack — so the
-// cache stays valid for the whole pass). When an invocation can
-// neither be placed nor make progress by deploying a new instance, the
-// rest of the queue is left untouched: every later invocation of the
-// same library would hit the identical cluster state, so rescanning it
-// is pure waste. (Per-invocation validation of the skipped tail is
-// deferred until the queue drains to it.)
-func (s *shard) scheduleLibQueueLocked(lib string) {
-	q := s.pendingInvs[lib]
-	if len(q) == 0 {
-		return
+// LibNeed is what one instance of a registered library commits on its
+// worker.
+func (s *shard) LibNeed(lib string) (core.Resources, bool) {
+	spec, known := s.m.libSpec(lib)
+	if !known {
+		return core.Resources{}, false
 	}
-	remaining := q[:0]
-	// Installs in flight at pass start can each absorb one queued
-	// invocation when they ack; deploys started *during* this pass
-	// don't join the pool — each one is already the instance its own
-	// invocation will run on.
-	claimable := s.installing[lib]
-	claimed := 0
-	var cache []policy.PlaceInvocation
-	cacheAvoid := ""
-	cacheValid := false
-	for i, pi := range q {
-		if err := s.validateInvLocked(pi.inv); err != nil {
-			atomic.AddInt64(&s.m.stats.Failures, 1)
-			s.emitFailure(pi.inv, err)
-			continue
-		}
-		// First choice: a ready instance with a free slot — preferring
-		// a worker other than the one a retry just failed on, when
-		// possible. The batch is keyed by the avoid preference; cache
-		// exhaustion within a run means no admitted capacity remains.
-		if !cacheValid || cacheAvoid != pi.avoid {
-			// Refilling drops any previous cache slice, so reusing the
-			// shard scratch buffer underneath it is safe.
-			cache = s.view.PlaceReadyBatchInto(s.invScratch[:0], lib, len(q)-i, policy.Excluding(pi.avoid))
-			s.invScratch = cache
-			cacheAvoid, cacheValid = pi.avoid, true
-		}
-		if len(cache) > 0 {
-			d := cache[0]
-			cache = cache[1:]
-			s.execPlaceInvLocked(pi, d)
-			continue
-		}
-		// Avoided-worker fallback: starving beats the preference. Any
-		// capacity found here is on the avoided worker — the filtered
-		// cache excluded it — so the cache stays exhausted, not stale.
-		if pi.avoid != "" && s.placeInvocationOnReadyLocked(pi, nil) {
-			continue
-		}
-		// An install already in flight will serve one queued invocation
-		// when its ack arrives; let this invocation claim it instead of
-		// over-provisioning another instance.
-		if claimed < claimable {
-			claimed++
-			remaining = append(remaining, pi)
-			continue
-		}
-		remaining = append(remaining, pi)
-		if !s.deployForInvocationLocked(pi.inv) {
-			remaining = append(remaining, q[i+1:]...)
-			break
-		}
+	return spec.Resources, true
+}
+
+// Reject fails an invocation that can never run with a synthetic result;
+// deliver never blocks the scheduler on a full results channel.
+func (s *shard) Reject(pi pendingInv) bool {
+	inv := pi.Spec.inv
+	err := s.validateInvLocked(inv)
+	if err == nil {
+		return false
 	}
-	s.pendingInvCount -= len(q) - len(remaining)
-	if len(remaining) == 0 {
-		delete(s.pendingInvs, lib)
-	} else {
-		s.pendingInvs[lib] = remaining
+	atomic.AddInt64(&s.m.stats.Failures, 1)
+	s.m.deliver(core.Result{ID: inv.ID, Ok: false, Err: err.Error()})
+	// A plane-admitted spec resolving here returns its quota unit;
+	// the shard lock is held, so drained wakes park until pump().
+	if s.m.plane != nil {
+		s.m.plane.release(inv.TenantID, false)
 	}
+	return true
+}
+
+// Ready plans ready placements for the next k invocations of lib in one
+// batched policy call.
+func (s *shard) Ready(dst []policy.PlaceInvocation, lib string, k int, avoid string) []policy.PlaceInvocation {
+	return s.view.PlaceReadyBatchInto(dst, lib, k, policy.Excluding(avoid))
 }
 
 // validateInvLocked rejects invocations that can never run: unknown
@@ -393,34 +350,11 @@ func (s *shard) validateInvLocked(inv *core.InvocationSpec) error {
 	return fmt.Errorf("manager: library %q has no function %q", inv.Library, inv.Function)
 }
 
-// emitFailure delivers a synthetic failed result for an unschedulable
-// invocation. Called with the shard lock held; deliver never blocks
-// the scheduler on a full results channel.
-func (s *shard) emitFailure(inv *core.InvocationSpec, err error) {
-	s.m.deliver(core.Result{ID: inv.ID, Ok: false, Err: err.Error()})
-	// A plane-admitted spec resolving here returns its quota unit;
-	// the shard lock is held, so drained wakes park until pump().
-	if s.m.plane != nil {
-		s.m.plane.release(inv.TenantID, false)
-	}
-}
-
-// placeInvocationOnReadyLocked plans and executes a single ready
-// placement — the unbatched path, used for avoided-worker fallback.
-func (s *shard) placeInvocationOnReadyLocked(pi pendingInv, f policy.Filter) bool {
-	d := s.view.PlaceReady(pi.inv.Library, f)
-	if d.Worker == nil {
-		return false
-	}
-	s.execPlaceInvLocked(pi, d)
-	return true
-}
-
-// execPlaceInvLocked dispatches inv to the ready instance the policy
+// PlaceInv dispatches an invocation to the ready instance the policy
 // core picked: most free ready slots, minimum worker ID on ties (the
 // deterministic order shared with the simulator).
-func (s *shard) execPlaceInvLocked(pi pendingInv, d policy.PlaceInvocation) {
-	inv := pi.inv
+func (s *shard) PlaceInv(pi pendingInv, d policy.PlaceInvocation) {
+	inv := pi.Spec.inv
 	w := s.workers[d.Worker.ID]
 	li := w.libs[inv.Library]
 	if s.rec != nil {
@@ -438,16 +372,16 @@ func (s *shard) execPlaceInvLocked(pi pendingInv, d policy.PlaceInvocation) {
 	} else {
 		e = &inflightEntry{}
 	}
-	e.worker, e.library, e.inv, e.retries, e.sentAt = w.id, inv.Library, inv, pi.retries, time.Now()
+	e.worker, e.library, e.inv, e.retries, e.sentAt = w.id, inv.Library, inv, pi.Spec.retries, time.Now()
 	s.inflight[inv.ID] = e
 }
 
-// deployForInvocationLocked asks the policy core for a deploy decision
-// for the invocation's library and executes it: evictions first, then
-// staging, then the install message. Returns whether a deployment was
+// Deploy asks the policy core for a deploy decision for the library and
+// executes it: evictions first, then staging, then the new instance's
+// view record and the install message. Returns whether a deployment was
 // started.
-func (s *shard) deployForInvocationLocked(inv *core.InvocationSpec) bool {
-	spec, known := s.m.libSpec(inv.Library)
+func (s *shard) Deploy(lib string) bool {
+	spec, known := s.m.libSpec(lib)
 	if !known {
 		return false
 	}
@@ -465,7 +399,7 @@ func (s *shard) deployForInvocationLocked(inv *core.InvocationSpec) bool {
 		// Workers blocked only on an in-flight first copy of the
 		// environment: its ack re-dirties this library's queue.
 		for _, obj := range d.Blocked {
-			s.addObjWaiterLocked(obj, inv.Library)
+			s.addObjWaiterLocked(obj, lib)
 		}
 		return false
 	}
@@ -479,8 +413,17 @@ func (s *shard) deployForInvocationLocked(inv *core.InvocationSpec) bool {
 	for _, sf := range d.Stages {
 		s.execStageLocked(w, sf)
 	}
-	s.installLibraryLocked(w, spec, d.Res)
-	// The invocation stays pending until the LibraryAck arrives.
+	li := &libInstance{LibraryView: policy.LibraryView{
+		Name:         spec.Name,
+		Slots:        spec.SlotCount(),
+		MaxInstances: 1,
+		Res:          d.Res,
+	}}
+	w.libs[spec.Name] = li
+	s.view.AddInstance(w.v, &li.LibraryView)
+	w.v.Commit = w.v.Commit.Add(d.Res)
+	w.enqueue(outMsg{t: proto.MsgInstallLibrary, v: spec})
+	atomic.AddInt64(&s.m.stats.LibrariesDeployed, 1)
 	return true
 }
 
@@ -496,58 +439,6 @@ func (s *shard) evictLibraryLocked(w *workerState, name string) {
 	w.v.Commit = w.v.Commit.Sub(li.Res)
 	w.enqueue(outMsg{t: proto.MsgRemoveLibrary, v: proto.RemoveLibrary{Library: name}})
 	atomic.AddInt64(&s.m.stats.LibrariesEvicted, 1)
-}
-
-// evictForLocked plans and executes evictions on w so that need fits.
-// The plan is all-or-nothing: if even evicting every idle instance
-// cannot make room, nothing is evicted and false comes back.
-func (s *shard) evictForLocked(w *workerState, wantLib string, need core.Resources) bool {
-	evict, ok := s.view.PlanEviction(w.v, wantLib, need)
-	if !ok {
-		return false
-	}
-	for _, e := range evict {
-		s.evictLibraryLocked(w, e.Lib)
-	}
-	return true
-}
-
-// deployLibraryLocked stages the library's files on w and installs an
-// instance with commitment res. The staging decisions come from the
-// policy core; a Wait answer is forced direct because the deploy is
-// already committed and the manager's own link is always a valid (if
-// less scalable) source.
-func (s *shard) deployLibraryLocked(w *workerState, spec *core.LibrarySpec, res core.Resources) {
-	var files []core.FileSpec
-	if spec.Env != nil {
-		files = append(files, *spec.Env)
-	}
-	files = append(files, spec.Inputs...)
-	for _, fs := range files {
-		sf := s.view.PlanStage(w.v, fs, nil)
-		if sf.Mode == policy.StageWait {
-			sf.Mode = policy.StageDirect
-		}
-		s.execStageLocked(w, sf)
-	}
-	s.installLibraryLocked(w, spec, res)
-}
-
-// installLibraryLocked records the new instance in the view and sends
-// the install message.
-func (s *shard) installLibraryLocked(w *workerState, spec *core.LibrarySpec, res core.Resources) {
-	li := &libInstance{LibraryView: policy.LibraryView{
-		Name:         spec.Name,
-		Slots:        spec.SlotCount(),
-		MaxInstances: 1,
-		Res:          res,
-	}}
-	w.libs[spec.Name] = li
-	s.view.AddInstance(w.v, &li.LibraryView)
-	w.v.Commit = w.v.Commit.Add(res)
-	s.installing[spec.Name]++
-	w.enqueue(outMsg{t: proto.MsgInstallLibrary, v: spec})
-	atomic.AddInt64(&s.m.stats.LibrariesDeployed, 1)
 }
 
 // ObjectHolders returns how many workers hold the object — visibility

@@ -23,7 +23,7 @@ import (
 // tenant accounting and lock-free intake pushes (shard.pushIntake) —
 // never a shard lock, never a wake. Shard wakes happen after the
 // plane mutex is released; on paths that already hold a shard lock
-// (emitFailure inside a schedule pass, crash-requeue exhaustion,
+// (Reject inside a schedule pass, crash-requeue exhaustion,
 // library quarantine) the wakes are parked and flushed by pump() from
 // the next wake-loop exit, which runs with no locks held.
 type submitPlane struct {
@@ -111,7 +111,7 @@ func (p *submitPlane) route(it intakeNode, tenant string, seq int64) {
 	if it.isTask {
 		idx = m.shardPlane.KeyShard(it.task.Key)
 	} else {
-		idx = m.shardPlane.TenantInvShard(tenant, seq, it.inv.inv.Library)
+		idx = m.shardPlane.TenantInvShard(tenant, seq, it.inv.Lib)
 	}
 	n := intakeNodePool.Get().(*intakeNode)
 	*n = it

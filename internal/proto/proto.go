@@ -78,17 +78,18 @@ const (
 	MsgOwnObject
 )
 
+var msgNames = map[MsgType]string{
+	MsgHello: "hello", MsgFetchFile: "fetch-file",
+	MsgFileAck: "file-ack", MsgRunTask: "run-task",
+	MsgInstallLibrary: "install-library", MsgLibraryAck: "library-ack",
+	MsgRemoveLibrary: "remove-library", MsgInvoke: "invoke",
+	MsgResult: "result", MsgShutdown: "shutdown", MsgGetFile: "get-file",
+	MsgError: "error", MsgPutFileBulk: "put-file-bulk", MsgFileDataBulk: "file-data-bulk",
+	MsgLog: "log", MsgSpillObject: "spill-object", MsgOwnObject: "own-object",
+}
+
 func (t MsgType) String() string {
-	names := map[MsgType]string{
-		MsgHello: "hello", MsgFetchFile: "fetch-file",
-		MsgFileAck: "file-ack", MsgRunTask: "run-task",
-		MsgInstallLibrary: "install-library", MsgLibraryAck: "library-ack",
-		MsgRemoveLibrary: "remove-library", MsgInvoke: "invoke",
-		MsgResult: "result", MsgShutdown: "shutdown", MsgGetFile: "get-file",
-		MsgError: "error", MsgPutFileBulk: "put-file-bulk", MsgFileDataBulk: "file-data-bulk",
-		MsgLog: "log", MsgSpillObject: "spill-object", MsgOwnObject: "own-object",
-	}
-	if s, ok := names[t]; ok {
+	if s, ok := msgNames[t]; ok {
 		return s
 	}
 	return fmt.Sprintf("MsgType(%d)", byte(t))
@@ -582,13 +583,6 @@ func truncated(err error) error {
 		return io.ErrUnexpectedEOF
 	}
 	return err
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // WithIdleTimeout returns a conn that arms a fresh read (write)

@@ -13,10 +13,11 @@ import (
 )
 
 // The per-shard scheduler both engines run (DESIGN.md §12): a keyed
-// task queue with its dirty and starving marks, the coalesced wake loop,
-// the task pass, and every rule that moves a spec to another shard. An
-// engine is a Shell around it — the manager with a mutex, sockets and
-// timers; sim.Replay with none.
+// task queue and one invocation queue per library, their dirty and
+// starving marks, the coalesced wake loop, the task pass, the invocation
+// pass with its install claims, and every rule that moves a spec to
+// another shard. An engine is a Shell around it — the manager with a
+// mutex, sockets and timers; sim.Replay with none.
 
 // Spec is the engine's payload of a queued task; Need is what a worker
 // must offer in total to ever hold it.
@@ -34,6 +35,17 @@ type Task[T Spec] struct {
 	Spec T
 }
 
+// Inv is one queued invocation of library Lib, Spec the engine's
+// payload. Invocations of one library are interchangeable, so they wait
+// in one queue per library, in submission order, and cross shards only
+// as a whole queue; Avoid and Hops are Task's.
+type Inv[I any] struct {
+	Lib   string
+	Avoid string
+	Hops  int
+	Spec  I
+}
+
 // TaskKey is the ring key of spec number n.
 func TaskKey(n int64) string { return "task-" + strconv.FormatInt(n, 10) }
 
@@ -45,15 +57,14 @@ func KeyNum(key string) int64 {
 
 // Shell is what an engine supplies around one shard's Sched. The first
 // group is called with the shard lock held, the second with none.
-type Shell[T Spec] interface {
-	// Intake moves newly routed specs into the queues (Push for tasks).
-	// It reports the engine's own invocation queues — how many specs
-	// wait there, whether any is marked for a pass — and whether the
-	// engine is still scheduling.
-	Intake() (invs int, invDirty, open bool)
+type Shell[T Spec, I any] interface {
+	// Intake moves newly routed specs into the queues (Push, PushInvs)
+	// and reports whether the engine is still scheduling.
+	Intake() (open bool)
 	// Quiet: no local event is outstanding that could change what this
-	// shard can place — nothing in flight, no copy or install awaiting
-	// its ack, no retry waiting out a backoff.
+	// shard can place — nothing in flight, no copy awaiting its ack, no
+	// retry waiting out a backoff. (Installs awaiting their acks the
+	// scheduler counts itself.)
 	Quiet() bool
 	// Plan appends decisions for a non-empty prefix of tasks — all as
 	// one batch, or only the first — against the view as it stands; the
@@ -62,17 +73,26 @@ type Shell[T Spec] interface {
 	Plan(dst []policy.PlaceTask, tasks []Task[T]) []policy.PlaceTask
 	// Place executes one placement (d.Worker is set).
 	Place(t Task[T], d policy.PlaceTask)
-	// PassInvs is the engine's invocation pass, after the task pass — or,
-	// evacuating, the removal of every queued invocation. Queues that
-	// must leave the shard are held for ForwardInvs; it reports any.
-	PassInvs(evacuate bool) (forward bool)
-	// Nudged marks every invocation queue for a pass, hop budgets reset.
-	Nudged()
+	// LibNeed is what one instance of lib needs of a worker, if the
+	// engine knows lib (else Reject fails its invocations).
+	LibNeed(lib string) (need core.Resources, known bool)
+	// Reject reports that inv can never run, having failed it to its
+	// submitter.
+	Reject(inv Inv[I]) bool
+	// Ready is Plan for the next invocations of lib, which share the
+	// avoid preference: ready-instance placements for up to k of them, or
+	// only the first. None: no free ready slot is left off that worker.
+	Ready(dst []policy.PlaceInvocation, lib string, k int, avoid string) []policy.PlaceInvocation
+	// PlaceInv executes one ready placement.
+	PlaceInv(inv Inv[I], d policy.PlaceInvocation)
+	// Deploy starts one new instance of lib if the policy finds room. The
+	// engine calls Unclaim when the install acks, fails or dies with its
+	// worker, and MarkLib on the acks a Blocked refusal waits on.
+	Deploy(lib string) bool
 
-	// Deliver hands tasks to shard i: Push under its lock, then Wake.
-	Deliver(i int, tasks []Task[T])
-	// ForwardInvs delivers what PassInvs held.
-	ForwardInvs()
+	// Deliver hands specs to shard i: Push and PushInvs under its lock,
+	// then Wake.
+	Deliver(i int, tasks []Task[T], invs []Inv[I])
 	// Woke follows every Wake; ran is false for one a running loop
 	// absorbed.
 	Woke(ran bool)
@@ -86,9 +106,9 @@ func (NoLock) Unlock() {}
 
 // Plane is the dispatch plane's shared part: the router and one Sched
 // per shard.
-type Plane[T Spec] struct {
+type Plane[T Spec, I any] struct {
 	*Router
-	Shards []*Sched[T]
+	Shards []*Sched[T, I]
 	// starving counts the starving shards, so Nudge costs one load when
 	// there are none.
 	starving atomic.Int32
@@ -96,37 +116,75 @@ type Plane[T Spec] struct {
 
 // NewPlane builds a plane of n shards (n < 1: DefaultShards) for Attach
 // to fill.
-func NewPlane[T Spec](n int) *Plane[T] {
+func NewPlane[T Spec, I any](n int) *Plane[T, I] {
 	r := NewRouter(n)
-	return &Plane[T]{Router: r, Shards: make([]*Sched[T], r.n)}
+	return &Plane[T, I]{Router: r, Shards: make([]*Sched[T, I], r.n)}
 }
 
 // Attach builds shard i's scheduler over the engine's view of its
 // workers, its lock and its shell.
-func (p *Plane[T]) Attach(i int, view *policy.ClusterView, mu sync.Locker, shell Shell[T]) *Sched[T] {
-	s := &Sched[T]{p: p, idx: i, view: view, mu: mu, shell: shell}
+func (p *Plane[T, I]) Attach(i int, view *policy.ClusterView, mu sync.Locker, shell Shell[T, I]) *Sched[T, I] {
+	s := &Sched[T, I]{p: p, idx: i, view: view, mu: mu, shell: shell}
 	p.Shards[i] = s
 	return s
 }
 
-// Sched is one shard's scheduler. Everything but Wake needs the shard
-// lock.
-type Sched[T Spec] struct {
-	p     *Plane[T]
+// Sched is one shard's scheduler. Everything but Wake and Passes needs
+// the shard lock.
+type Sched[T Spec, I any] struct {
+	p     *Plane[T, I]
 	idx   int
 	view  *policy.ClusterView
 	mu    sync.Locker
-	shell Shell[T]
+	shell Shell[T, I]
 
 	q     []Task[T]
 	dirty bool
 	plan  []policy.PlaceTask // the pass's reusable decision buffer
+
+	// order holds a queue per library ever routed here, by name: the
+	// queues contend for the same workers, so the pass visits them in an
+	// order that is the same on every run.
+	order []*libQueue[I]
+	// invs and claims total the libraries' queued invocations and
+	// installs in flight. libsDirty: some library is marked for a pass —
+	// every one, with allLibs.
+	invs, claims       int
+	libsDirty, allLibs bool
+	// ready is the invocation pass's reusable decision buffer; held is
+	// what is on its way to other shards — filled under the lock, emptied
+	// by the same loop with none held.
+	ready []policy.PlaceInvocation
+	held  []held[T, I]
+
+	// passes counts the looks that ran a pass.
+	passes atomic.Int64
 	// starving: the loop went idle resting work that nothing local is
 	// outstanding to unblock — only another shard's event (Nudge) can.
 	starving atomic.Bool
 	// latch coalesces wakes: idle, running, or running with a rerun
 	// owed because a wake arrived since the loop's last look.
 	latch atomic.Int32
+}
+
+// libQueue is one library's waiting invocations, in submission order.
+// The record outlives its entries: claims can outlast them.
+type libQueue[I any] struct {
+	name  string
+	q     []Inv[I]
+	dirty bool
+	// claims counts the library's instances deployed here and not yet
+	// acked. Each absorbs one queued invocation before the pass deploys
+	// another, so a burst of events during a slow install cannot
+	// provision more instances than the queue is long.
+	claims int
+}
+
+// held is tasks, or one library's queue, leaving for shard to.
+type held[T Spec, I any] struct {
+	to    int
+	tasks []Task[T]
+	invs  []Inv[I]
 }
 
 const (
@@ -136,29 +194,105 @@ const (
 )
 
 // Push queues tasks and marks the queue for a pass.
-func (s *Sched[T]) Push(tasks ...Task[T]) {
+func (s *Sched[T, I]) Push(tasks ...Task[T]) {
 	s.q = append(s.q, tasks...)
 	s.dirty = s.dirty || len(tasks) > 0
 }
 
-// Requeue puts back tasks whose worker died under them or failed them
-// retryably: ascending spec order, that worker as the avoid preference.
-func (s *Sched[T]) Requeue(avoid string, tasks ...Task[T]) {
-	slices.SortFunc(tasks, func(a, b Task[T]) int { return cmp.Compare(KeyNum(a.Key), KeyNum(b.Key)) })
-	for i := range tasks {
-		tasks[i].Avoid = avoid
+// Requeue puts back a task whose worker died under it or failed it
+// retryably, that worker as the avoid preference. What one death
+// requeues, the engines requeue in ascending spec order.
+func (s *Sched[T, I]) Requeue(avoid string, t Task[T]) {
+	t.Avoid = avoid
+	s.Push(t)
+}
+
+// lib is name's queue record: nil if it has none yet, or with add a new
+// one.
+func (s *Sched[T, I]) lib(name string, add bool) *libQueue[I] {
+	at, ok := slices.BinarySearchFunc(s.order, name, func(o *libQueue[I], n string) int { return cmp.Compare(o.name, n) })
+	if !ok {
+		if !add {
+			return nil
+		}
+		s.order = slices.Insert(s.order, at, &libQueue[I]{name: name})
 	}
-	s.Push(tasks...)
+	return s.order[at]
+}
+
+// PushInvs queues invocations, each behind its library's others, and
+// marks those libraries for a pass.
+func (s *Sched[T, I]) PushInvs(invs ...Inv[I]) {
+	var lq *libQueue[I]
+	for _, inv := range invs {
+		if lq == nil || lq.name != inv.Lib {
+			lq = s.lib(inv.Lib, true)
+			lq.dirty, s.libsDirty = true, true
+		}
+		lq.q = append(lq.q, inv)
+	}
+	s.invs += len(invs)
+}
+
+// RequeueInv is Requeue for an invocation.
+func (s *Sched[T, I]) RequeueInv(avoid string, inv Inv[I]) {
+	inv.Avoid = avoid
+	s.PushInvs(inv)
+}
+
+// DrainLib empties lib's queue — a library the engine has given up
+// deploying — and returns what waited there.
+func (s *Sched[T, I]) DrainLib(lib string) (q []Inv[I]) {
+	if lq := s.lib(lib, false); lq != nil {
+		q, lq.q = lq.q, nil
+		s.invs -= len(q)
+	}
+	return q
+}
+
+// Unclaim releases one of lib's install claims: the instance acked,
+// failed, or died with its worker.
+func (s *Sched[T, I]) Unclaim(lib string) {
+	if lq := s.lib(lib, false); lq != nil && lq.claims > 0 {
+		lq.claims--
+		s.claims--
+	}
 }
 
 // MarkDirty marks the task queue for a pass.
-func (s *Sched[T]) MarkDirty() { s.dirty = true }
+func (s *Sched[T, I]) MarkDirty() { s.dirty = true }
+
+// MarkLib marks one library's queue for a pass.
+func (s *Sched[T, I]) MarkLib(lib string) {
+	if lq := s.lib(lib, false); lq != nil {
+		lq.dirty, s.libsDirty = true, true
+	}
+}
+
+// MarkAllLibs marks every library's queue: an instance went idle, which
+// may make room for any other library's.
+func (s *Sched[T, I]) MarkAllLibs() { s.libsDirty, s.allLibs = true, true }
+
+// MarkAll marks everything that competes for worker resources — the
+// task queue and every library's: worker churn, freed capacity.
+func (s *Sched[T, I]) MarkAll() { s.dirty, s.libsDirty, s.allLibs = true, true, true }
 
 // Tasks is the queue, in order; the caller must not keep it.
-func (s *Sched[T]) Tasks() []Task[T] { return s.q }
+func (s *Sched[T, I]) Tasks() []Task[T] { return s.q }
 
-// Settled reports that the queue is unmarked and no loop runs or is owed.
-func (s *Sched[T]) Settled() bool { return !s.dirty && s.latch.Load() == latchIdle }
+// Invs counts the queued invocations.
+func (s *Sched[T, I]) Invs() int { return s.invs }
+
+// Passes counts the passes run so far. No lock needed.
+func (s *Sched[T, I]) Passes() int64 { return s.passes.Load() }
+
+// Settled reports that no queue is marked and no loop runs or is owed.
+func (s *Sched[T, I]) Settled() bool {
+	return !s.dirty && !s.libsDirty && s.latch.Load() == latchIdle
+}
+
+// quiet: no install awaits its ack and the engine is quiet.
+func (s *Sched[T, I]) quiet() bool { return s.claims == 0 && s.shell.Quiet() }
 
 // Wake ensures the loop runs — and keeps running — until no mark and no
 // intake remain. A caller that finds it running leaves a rerun request
@@ -168,7 +302,7 @@ func (s *Sched[T]) Settled() bool { return !s.dirty && s.latch.Load() == latchId
 // running→rerun CAS first (the exit CAS then fails and the loop goes
 // around again) or finds the latch idle and runs the loop. Call with no
 // lock held.
-func (s *Sched[T]) Wake() {
+func (s *Sched[T, I]) Wake() {
 	for {
 		switch state := s.latch.Load(); {
 		case state == latchIdle && s.latch.CompareAndSwap(latchIdle, latchRunning):
@@ -187,14 +321,14 @@ func (s *Sched[T]) Wake() {
 // except while specs cross to another shard, so no two shard locks are
 // ever held together. Forward chains end: hop counts only grow between
 // nudges, and routing never picks a workerless shard.
-func (s *Sched[T]) run() {
+func (s *Sched[T, I]) run() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		invs, invDirty, open := s.shell.Intake()
-		pending := invs+len(s.q) > 0
-		if !open || !(s.dirty || invDirty) {
-			if starving := pending && s.shell.Quiet(); starving != s.starving.Load() {
+		open := s.shell.Intake()
+		pending := s.invs+len(s.q) > 0
+		if !open || !(s.dirty || s.libsDirty) {
+			if starving := pending && s.quiet(); starving != s.starving.Load() {
 				s.starving.Store(starving)
 				if starving {
 					s.p.starving.Add(1)
@@ -210,36 +344,39 @@ func (s *Sched[T]) run() {
 		}
 		// A workerless shard can place nothing and no local event will
 		// change that: every queued spec goes where the router now sends
-		// it — tasks one by one by ring key, order and hop counts kept.
-		evacuate := len(s.view.Workers) == 0 && pending && s.p.Live() > 0
-		var fwd []Task[T]
-		var next int
-		if evacuate {
-			fwd, s.q = s.q, nil
-		} else if s.dirty {
-			s.dirty = false
-			fwd, next = s.pass()
+		// it — tasks one by one by ring key, library queues whole by
+		// library name, order and hop counts kept. The marks stay for the
+		// next look, which finds the queues empty.
+		if len(s.view.Workers) == 0 && pending && s.p.Live() > 0 {
+			for i := range s.q {
+				s.held = append(s.held, held[T, I]{to: s.p.KeyShard(s.q[i].Key), tasks: s.q[i : i+1]})
+			}
+			s.q = nil
+			for _, lq := range s.order {
+				s.hold(lq, s.p.KeyShard(lq.name))
+			}
+		} else {
+			s.passes.Add(1)
+			if s.dirty {
+				s.dirty = false
+				s.pass()
+			}
+			s.passInvs()
 		}
-		invFwd := s.shell.PassInvs(evacuate)
 		// Unlocking is also what lets handlers blocked on the lock leave
 		// their marks before the next look.
 		s.mu.Unlock()
-		if evacuate {
-			for i := range fwd {
-				s.shell.Deliver(s.p.KeyShard(fwd[i].Key), fwd[i:i+1])
-			}
-		} else if len(fwd) > 0 {
-			s.shell.Deliver(next, fwd)
+		for _, h := range s.held {
+			s.shell.Deliver(h.to, h.tasks, h.invs)
 		}
-		if invFwd {
-			s.shell.ForwardInvs()
-		}
+		clear(s.held)
+		s.held = s.held[:0]
 		s.mu.Lock()
 	}
 }
 
 // pass plans the queue and executes what can be placed, keeping order
-// among what stays. A task leaves for the next live shard (fwd) when
+// among what stays. A task leaves for the next live shard (held) when
 // this one is a dead end and its hop budget allows: before planning,
 // when no worker here but the avoided one could ever hold it — the
 // planner's avoid fallback would pin it there for good, and the order
@@ -248,11 +385,12 @@ func (s *Sched[T]) run() {
 // capacity exists on paper but nothing in flight will free it. A
 // refusal over first copies in flight (Blocked) stays, the ack re-runs
 // the pass; a busy shard never forwards, its own completions do.
-func (s *Sched[T]) pass() (fwd []Task[T], next int) {
+func (s *Sched[T, I]) pass() {
 	if len(s.q) == 0 {
-		return nil, 0
+		return
 	}
 	next, hasNext := s.p.NextAlive(s.idx)
+	var fwd []Task[T]
 	keep := s.q[:0]
 	if hasNext {
 		for _, t := range s.q {
@@ -272,7 +410,7 @@ func (s *Sched[T]) pass() (fwd []Task[T], next int) {
 			switch {
 			case d.Worker != nil:
 				s.shell.Place(t, d)
-			case len(d.Blocked) == 0 && hasNext && t.Hops < len(s.p.Shards) && s.shell.Quiet():
+			case len(d.Blocked) == 0 && hasNext && t.Hops < len(s.p.Shards) && s.quiet():
 				t.Hops++
 				fwd = append(fwd, t)
 			default:
@@ -281,12 +419,14 @@ func (s *Sched[T]) pass() (fwd []Task[T], next int) {
 		}
 	}
 	s.q = keep
-	return fwd, next
+	if len(fwd) > 0 {
+		s.held = append(s.held, held[T, I]{to: next, tasks: fwd})
+	}
 }
 
 // deadEnd is the static rule: within the hop budget, and no worker of
 // this shard other than avoid is large enough to ever hold need.
-func (s *Sched[T]) deadEnd(hops int, avoid string, need core.Resources) bool {
+func (s *Sched[T, I]) deadEnd(hops int, avoid string, need core.Resources) bool {
 	if hops >= len(s.p.Shards) {
 		return false
 	}
@@ -298,32 +438,118 @@ func (s *Sched[T]) deadEnd(hops int, avoid string, need core.Resources) bool {
 	return true
 }
 
-// Overflow applies the static rule to a queue the engine keeps itself
-// (one library's invocations, moved whole to keep their order) whose head
-// has made hops forwards and whose instances need need.
-func (s *Sched[T]) Overflow(hops int, need core.Resources) (next int, ok bool) {
-	if !s.deadEnd(hops, "", need) {
-		return 0, false
+// passInvs runs the invocation pass (§3.5.2) over every marked library
+// in name order. A queue whose instances no worker here could ever host
+// is a dead end by the static rule, judged by its head's hops: it leaves
+// whole for the next live shard, every entry one hop on.
+func (s *Sched[T, I]) passInvs() {
+	all := s.allLibs
+	s.libsDirty, s.allLibs = false, false
+	for _, lq := range s.order {
+		marked := all || lq.dirty
+		lq.dirty = false
+		if !marked || len(lq.q) == 0 {
+			continue
+		}
+		if need, known := s.shell.LibNeed(lq.name); known && s.deadEnd(lq.q[0].Hops, "", need) {
+			if next, ok := s.p.NextAlive(s.idx); ok {
+				for i := range lq.q {
+					lq.q[i].Hops++
+				}
+				s.hold(lq, next)
+				continue
+			}
+		}
+		s.passLib(lq)
 	}
-	return s.p.NextAlive(s.idx)
+}
+
+// hold takes lq's queue out of this shard for the loop to deliver to
+// shard to once the lock is dropped.
+func (s *Sched[T, I]) hold(lq *libQueue[I], to int) {
+	if q := s.DrainLib(lq.name); len(q) > 0 {
+		s.held = append(s.held, held[T, I]{to: to, invs: q})
+	}
+}
+
+// passLib places one library's queue, in order, keeping what cannot
+// go. Per entry: a ready instance with a free slot, on a worker other
+// than the one its last attempt failed on; else on that worker —
+// starving beats the preference; else an install already in flight
+// will serve it; else a new instance is deployed and the entry waits
+// for its ack. Ready placements are asked for in runs of entries that
+// share an avoid preference, and a run's answer stays good for the whole
+// pass: an instance deployed mid-pass is not ready until its ack. The
+// first entry that can neither be placed nor deploy ends the pass over
+// this queue — every later one faces the same cluster — and the tail is
+// not looked at, not even by Reject, until the queue drains to it.
+func (s *Sched[T, I]) passLib(lq *libQueue[I]) {
+	q := lq.q
+	keep := q[:0]
+	// Installs in flight at pass start each absorb one entry; deploys
+	// started during the pass do not join them — each is already the
+	// instance its own entry waits for.
+	claimable := lq.claims
+	var ready []policy.PlaceInvocation
+	avoid, dry := "", false
+	for i, inv := range q {
+		if s.shell.Reject(inv) {
+			continue
+		}
+		if inv.Avoid != avoid || (len(ready) == 0 && !dry) {
+			s.ready = s.shell.Ready(s.ready[:0], lq.name, len(q)-i, inv.Avoid)
+			ready, avoid, dry = s.ready, inv.Avoid, len(s.ready) == 0
+		}
+		if len(ready) > 0 {
+			s.shell.PlaceInv(inv, ready[0])
+			ready = ready[1:]
+			continue
+		}
+		// Whatever the fallback finds is on the avoided worker, which the
+		// run's answer left out: the run stays dry, not stale.
+		if inv.Avoid != "" {
+			if s.ready = s.shell.Ready(s.ready[:0], lq.name, 1, ""); len(s.ready) > 0 {
+				s.shell.PlaceInv(inv, s.ready[0])
+				continue
+			}
+		}
+		keep = append(keep, inv)
+		if claimable > 0 {
+			claimable--
+			continue
+		}
+		if !s.shell.Deploy(lq.name) {
+			keep = append(keep, q[i+1:]...)
+			break
+		}
+		lq.claims++
+		s.claims++
+	}
+	s.invs -= len(q) - len(keep)
+	clear(q[len(keep):])
+	lq.q = keep
 }
 
 // Nudge follows a capacity-freeing event anywhere — a result, a ready
 // instance, a join or a death: every starving shard gets its hop budgets
 // back and another pass, so rested work circulates again and can reach
 // what just freed. The set is read first, in index order. No lock held.
-func (p *Plane[T]) Nudge() {
+func (p *Plane[T, I]) Nudge() {
 	if p.starving.Load() == 0 {
 		return
 	}
-	set := slices.DeleteFunc(slices.Clone(p.Shards), func(s *Sched[T]) bool { return !s.starving.Load() })
+	set := slices.DeleteFunc(slices.Clone(p.Shards), func(s *Sched[T, I]) bool { return !s.starving.Load() })
 	for _, s := range set {
 		s.mu.Lock()
 		for i := range s.q {
 			s.q[i].Hops = 0
 		}
-		s.dirty = true
-		s.shell.Nudged()
+		for _, lq := range s.order {
+			for i := range lq.q {
+				lq.q[i].Hops = 0
+			}
+		}
+		s.MarkAll()
 		s.mu.Unlock()
 		s.Wake()
 	}
@@ -332,11 +558,11 @@ func (p *Plane[T]) Nudge() {
 // WakeParked follows a join: every workerless shard holding specs, parked
 // while no worker was live anywhere, runs its loop, which now evacuates
 // them. No lock held.
-func (p *Plane[T]) WakeParked() {
+func (p *Plane[T, I]) WakeParked() {
 	for _, s := range p.Shards {
 		s.mu.Lock()
-		invs, _, _ := s.shell.Intake()
-		parked := len(s.view.Workers) == 0 && invs+len(s.q) > 0
+		s.shell.Intake()
+		parked := len(s.view.Workers) == 0 && s.invs+len(s.q) > 0
 		s.dirty = s.dirty || parked
 		s.mu.Unlock()
 		if parked {

@@ -22,9 +22,17 @@ type testSpec struct {
 
 func (p testSpec) Need() core.Resources { return p.need }
 
-type testTask = Task[testSpec]
+// testInv is a queued invocation's payload: its spec number.
+type testInv int64
 
-// delivery is one Deliver call, flattened.
+type (
+	testTask  = Task[testSpec]
+	testCall  = Inv[testInv]
+	testSched = Sched[testSpec, testInv]
+)
+
+// delivery is one Deliver call, flattened; an invocation's key is
+// "lib#id".
 type delivery struct {
 	to   int
 	key  string
@@ -35,31 +43,38 @@ type testShell struct {
 	idx   int
 	plane *testPlane
 	view  *policy.ClusterView
-	sched *Sched[testSpec]
+	sched *testSched
 	mu    sync.Mutex
 
 	intake []testTask // guarded by inMu: pushed from any goroutine
 	inMu   sync.Mutex
 	quiet  bool
-	invs   int // pretend invocation pool, evacuated whole
+	// planOne makes Ready answer for one invocation at a time.
+	planOne bool
 
-	placed            []string // "key@worker", in execution order
-	passes, evacuated int
-	ran, coalesced    int
+	placed         []string // "key@worker" / "lib#id@worker" / "deploy lib@worker", in execution order
+	rejected       []int64
+	ran, coalesced int
 }
 
 // testPlane is a Plane with a recording shell per shard. forward makes
-// Deliver hand tasks on (Push + Wake); otherwise it only records.
+// Deliver hand specs on (Push + Wake); otherwise it only records. libs is the registered libraries' per-instance need
+// (every instance has two slots); reject the invocations Reject fails.
 type testPlane struct {
-	*Plane[testSpec]
-	shells    []*testShell
-	forward   bool
-	delivered []delivery
-	invsMoved []int
+	*Plane[testSpec, testInv]
+	shells        []*testShell
+	forward       bool
+	delivered     []delivery
+	invsDelivered []delivery
+	libs          map[string]core.Resources
+	reject        map[int64]bool
 }
 
+const testSlots = 2
+
 func newTestPlane(n int, forward bool) *testPlane {
-	tp := &testPlane{Plane: NewPlane[testSpec](n), forward: forward}
+	tp := &testPlane{Plane: NewPlane[testSpec, testInv](n), forward: forward,
+		libs: map[string]core.Resources{}, reject: map[int64]bool{}}
 	for i := range tp.Shards {
 		sh := &testShell{idx: i, plane: tp, quiet: true,
 			view: policy.NewClusterView(policy.Options{PeerTransfers: true})}
@@ -83,15 +98,14 @@ func (tp *testPlane) join(shard, cores int) *policy.WorkerView {
 	}
 }
 
-func (sh *testShell) Intake() (int, bool, bool) {
+func (sh *testShell) Intake() bool {
 	sh.inMu.Lock()
 	defer sh.inMu.Unlock()
 	sh.sched.Push(sh.intake...)
 	sh.intake = nil
-	return sh.invs, false, true
+	return true
 }
 func (sh *testShell) Quiet() bool { return sh.quiet }
-func (sh *testShell) Nudged()     {}
 
 func (sh *testShell) Plan(dst []policy.PlaceTask, tasks []testTask) []policy.PlaceTask {
 	var reqs []policy.TaskReq
@@ -114,28 +128,79 @@ func execPlacement(v *policy.ClusterView, t testTask, d policy.PlaceTask) string
 	return t.Key + "@" + d.Worker.ID
 }
 
-func (sh *testShell) PassInvs(evacuate bool) bool {
-	if !evacuate {
-		sh.passes++
-		return false
+func (sh *testShell) LibNeed(lib string) (core.Resources, bool) {
+	need, known := sh.plane.libs[lib]
+	return need, known
+}
+
+func (sh *testShell) Reject(inv testCall) bool {
+	if sh.plane.reject[int64(inv.Spec)] {
+		sh.rejected = append(sh.rejected, int64(inv.Spec))
+		return true
 	}
-	sh.evacuated, sh.invs = sh.invs, 0
-	return sh.evacuated > 0
+	return false
 }
 
-func (sh *testShell) ForwardInvs() {
-	sh.plane.invsMoved = append(sh.plane.invsMoved, sh.evacuated)
+func (sh *testShell) Ready(dst []policy.PlaceInvocation, lib string, k int, avoid string) []policy.PlaceInvocation {
+	if sh.planOne {
+		k = 1
+	}
+	return sh.view.PlaceReadyBatchInto(dst, lib, k, policy.Excluding(avoid))
 }
 
-func (sh *testShell) Deliver(i int, tasks []testTask) {
+func (sh *testShell) PlaceInv(inv testCall, d policy.PlaceInvocation) {
+	sh.placed = append(sh.placed, execInvPlacement(sh.view, inv, d))
+}
+
+// execInvPlacement takes one free ready slot the way an engine does.
+func execInvPlacement(v *policy.ClusterView, inv testCall, d policy.PlaceInvocation) string {
+	v.SetFreeReady(d.Worker, d.Lib, d.Lib.FreeReady-1)
+	return fmt.Sprintf("%s#%d@%s", inv.Lib, inv.Spec, d.Worker.ID)
+}
+
+func (sh *testShell) Deploy(lib string) bool {
+	at := execDeploy(sh.view, lib, sh.plane.libs[lib])
+	if at != "" {
+		sh.placed = append(sh.placed, at)
+	}
+	return at != ""
+}
+
+// execDeploy installs one instance where PlanDeploy finds room; "" if
+// it finds none.
+func execDeploy(v *policy.ClusterView, lib string, need core.Resources) string {
+	d := v.PlanDeploy(policy.DeploySpec{Name: lib, Res: need}, nil)
+	if d.Worker == nil {
+		return ""
+	}
+	v.AddInstance(d.Worker, &policy.LibraryView{Name: lib, Slots: testSlots, MaxInstances: 1, Res: d.Res})
+	d.Worker.Commit = d.Worker.Commit.Add(d.Res)
+	return "deploy " + lib + "@" + d.Worker.ID
+}
+
+// ack brings lib's installing instance on w up: ready with every slot
+// free, its claim released, the library marked.
+func (sh *testShell) ack(w *policy.WorkerView, lib string) {
+	lv := w.Libs[lib]
+	lv.Ready = true
+	sh.view.SetFreeReady(w, lv, lv.Slots)
+	sh.sched.Unclaim(lib)
+	sh.sched.MarkLib(lib)
+}
+
+func (sh *testShell) Deliver(i int, tasks []testTask, invs []testCall) {
 	tp := sh.plane
 	for _, t := range tasks {
 		tp.delivered = append(tp.delivered, delivery{i, t.Key, t.Hops})
+	}
+	for _, inv := range invs {
+		tp.invsDelivered = append(tp.invsDelivered, delivery{i, fmt.Sprintf("%s#%d", inv.Lib, inv.Spec), inv.Hops})
 	}
 	if tp.forward {
 		to := tp.shells[i]
 		to.mu.Lock()
 		to.sched.Push(tasks...)
+		to.sched.PushInvs(invs...)
 		to.mu.Unlock()
 		to.sched.Wake()
 	}
@@ -240,9 +305,285 @@ func TestPassMatchesPlanOneExecuteOneOracle(t *testing.T) {
 		if !reflect.DeepEqual(tp.delivered, wantFwd) {
 			t.Fatalf("seed %d: forwarded %+v, oracle %+v", seed, tp.delivered, wantFwd)
 		}
-		if sh.passes != 1 || !sh.sched.Settled() {
-			t.Fatalf("seed %d: %d passes, idle=%v after one wake", seed, sh.passes, sh.sched.Settled())
+		if sh.sched.Passes() != 1 || !sh.sched.Settled() {
+			t.Fatalf("seed %d: %d passes, idle=%v after one wake", seed, sh.sched.Passes(), sh.sched.Settled())
 		}
+	}
+}
+
+// TestInvPassMatchesPlaceOneExecuteOneOracle holds the invocation pass,
+// on seeded random queues with mixed avoid preferences, to the loop
+// written out longhand: one PlaceReady per entry under its own avoid
+// filter, the unfiltered retry, the claim count, one PlanDeploy — each
+// against the state its predecessors left — whether the shell answers
+// Ready for whole runs or for one entry at a time.
+func TestInvPassMatchesPlaceOneExecuteOneOracle(t *testing.T) {
+	const shards, lib = 3, "lib"
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		need := core.Resources{Cores: 1 + rng.Intn(2)}
+		// build makes a plane whose shard 0 holds 1–4 workers: some with a
+		// ready instance and 0–2 free slots, some with one installing (a
+		// claim), some part committed; maybe a second live shard.
+		build := func() (*testPlane, []*policy.WorkerView, int) {
+			r := rand.New(rand.NewSource(seed))
+			tp := newTestPlane(shards, false)
+			tp.libs[lib] = need
+			v := tp.shells[0].view
+			var ws []*policy.WorkerView
+			claims := 0
+			for i, n := 0, 1+r.Intn(4); i < n; i++ {
+				w := tp.join(0, []int{1, 2, 4}[r.Intn(3)])
+				ws = append(ws, w)
+				switch r.Intn(4) {
+				case 0:
+					w.Commit.Cores = r.Intn(w.Total.Cores + 1)
+				case 1, 2:
+					if need.Fits(w.Total) {
+						lv := &policy.LibraryView{Name: lib, Slots: testSlots, MaxInstances: 1, Res: need}
+						v.AddInstance(w, lv)
+						w.Commit = w.Commit.Add(need)
+						if r.Intn(3) == 0 {
+							claims++
+						} else {
+							lv.Ready = true
+							v.SetFreeReady(w, lv, r.Intn(testSlots+1))
+						}
+					}
+				}
+			}
+			if r.Intn(4) > 0 {
+				tp.join(1+r.Intn(2), 1)
+			}
+			lq := tp.shells[0].sched.lib(lib, true)
+			lq.claims, tp.shells[0].sched.claims = claims, claims
+			return tp, ws, claims
+		}
+		tp, ws, claims := build()
+		sh := tp.shells[0]
+		sh.planOne = rng.Intn(2) == 0
+		var queue []testCall
+		hops := rng.Intn(shards + 1)
+		for i, n := 0, 1+rng.Intn(12); i < n; i++ {
+			inv := testCall{Lib: lib, Hops: hops, Spec: testInv(i + 1)}
+			if rng.Intn(3) == 0 {
+				inv.Avoid = ws[rng.Intn(len(ws))].ID
+			}
+			if rng.Intn(8) == 0 {
+				tp.reject[int64(i+1)] = true
+			}
+			queue = append(queue, inv)
+		}
+
+		// The oracle, on a second identical plane.
+		ref, _, _ := build()
+		v := ref.shells[0].view
+		var wantPlaced []string
+		var wantRejected []int64
+		var wantKept []testCall
+		var wantFwd []delivery
+		hostable := false
+		for _, w := range v.Workers {
+			hostable = hostable || need.Fits(w.Total)
+		}
+		if next, hasNext := ref.NextAlive(0); hasNext && hops < shards && !hostable {
+			for _, inv := range queue {
+				wantFwd = append(wantFwd, delivery{next, fmt.Sprintf("%s#%d", lib, inv.Spec), hops + 1})
+			}
+		} else {
+			wantClaims := claims
+			for i, inv := range queue {
+				if tp.reject[int64(inv.Spec)] {
+					wantRejected = append(wantRejected, int64(inv.Spec))
+					continue
+				}
+				d := v.PlaceReady(lib, policy.Excluding(inv.Avoid))
+				if d.Worker == nil && inv.Avoid != "" {
+					d = v.PlaceReady(lib, nil)
+				}
+				if d.Worker != nil {
+					wantPlaced = append(wantPlaced, execInvPlacement(v, inv, d))
+					continue
+				}
+				wantKept = append(wantKept, inv)
+				if claims > 0 {
+					claims--
+					continue
+				}
+				at := execDeploy(v, lib, need)
+				if at == "" {
+					wantKept = append(wantKept, queue[i+1:]...)
+					break
+				}
+				wantPlaced = append(wantPlaced, at)
+				wantClaims++
+			}
+			claims = wantClaims
+		}
+
+		sh.sched.PushInvs(queue...)
+		sh.sched.Wake()
+		if !reflect.DeepEqual(sh.placed, wantPlaced) {
+			t.Fatalf("seed %d (planOne=%v): placed %v, oracle %v", seed, sh.planOne, sh.placed, wantPlaced)
+		}
+		if !reflect.DeepEqual(sh.rejected, wantRejected) {
+			t.Fatalf("seed %d: rejected %v, oracle %v", seed, sh.rejected, wantRejected)
+		}
+		if got := sh.sched.lib(lib, false).q; !reflect.DeepEqual(got, wantKept) && len(got)+len(wantKept) > 0 {
+			t.Fatalf("seed %d: kept %+v, oracle %+v", seed, got, wantKept)
+		}
+		if !reflect.DeepEqual(tp.invsDelivered, wantFwd) {
+			t.Fatalf("seed %d: forwarded %+v, oracle %+v", seed, tp.invsDelivered, wantFwd)
+		}
+		if got := sh.sched.lib(lib, false).claims; got != claims || sh.sched.claims != claims || sh.sched.Invs() != len(wantKept) {
+			t.Fatalf("seed %d: %d claims (%d in all), %d queued; oracle %d and %d", seed, got, sh.sched.claims, sh.sched.Invs(), claims, len(wantKept))
+		}
+		if sh.sched.Passes() != 1 || !sh.sched.Settled() {
+			t.Fatalf("seed %d: %d passes, idle=%v after one wake", seed, sh.sched.Passes(), sh.sched.Settled())
+		}
+	}
+}
+
+// TestInstallClaimsAbsorbQueuedInvocations: k installs in flight absorb
+// exactly k queued entries, so no burst of passes deploys more instances
+// than the queue is long; a claim released without an instance coming up
+// (a failed install, a dead worker) lets the next pass deploy again.
+func TestInstallClaimsAbsorbQueuedInvocations(t *testing.T) {
+	const lib = "lib"
+	tp := newTestPlane(1, false)
+	tp.libs[lib] = core.Resources{Cores: 1}
+	sh := tp.shells[0]
+	var ws []*policy.WorkerView
+	for i := 0; i < 4; i++ {
+		ws = append(ws, tp.join(0, 1))
+	}
+	deploys := func() int {
+		n := 0
+		for _, p := range sh.placed {
+			if len(p) > 7 && p[:7] == "deploy " {
+				n++
+			}
+		}
+		return n
+	}
+	pass := func() {
+		sh.mu.Lock()
+		sh.sched.MarkLib(lib)
+		sh.mu.Unlock()
+		sh.sched.Wake()
+	}
+	push := func(from, n int) {
+		sh.mu.Lock()
+		for i := 0; i < n; i++ {
+			sh.sched.PushInvs(testCall{Lib: lib, Spec: testInv(from + i)})
+		}
+		if !sh.sched.lib(lib, false).dirty || sh.sched.Settled() {
+			t.Fatal("PushInvs did not mark the library for a pass")
+		}
+		sh.mu.Unlock()
+		sh.sched.Wake()
+	}
+
+	push(1, 3)
+	for i := 0; i < 5; i++ {
+		pass()
+	}
+	if deploys() != 3 || sh.sched.claims != 3 || sh.sched.Invs() != 3 {
+		t.Fatalf("3 queued through 6 passes: %d deploys, %d claims, %d queued — want 3, 3, 3 (%v)", deploys(), sh.sched.claims, sh.sched.Invs(), sh.placed)
+	}
+	if sh.sched.starving.Load() {
+		t.Fatal("a shard with installs in flight is not starving")
+	}
+	// Two more: one worker is left to deploy on, the fifth entry waits.
+	push(4, 2)
+	pass()
+	if deploys() != 4 || sh.sched.claims != 4 || sh.sched.Invs() != 5 {
+		t.Fatalf("5 queued on 4 workers: %d deploys, %d claims, %d queued — want 4, 4, 5", deploys(), sh.sched.claims, sh.sched.Invs())
+	}
+	// One instance comes up with two slots: two entries run, and the three
+	// installs still in flight absorb exactly the three that remain.
+	var up *policy.WorkerView
+	for _, w := range ws {
+		if w.Libs[lib] != nil {
+			up = w
+			break
+		}
+	}
+	sh.mu.Lock()
+	sh.ack(up, lib)
+	sh.mu.Unlock()
+	sh.sched.Wake()
+	pass()
+	if got := sh.placed[len(sh.placed)-2:]; !reflect.DeepEqual(got, []string{"lib#1@" + up.ID, "lib#2@" + up.ID}) {
+		t.Fatalf("after the ack: %v, want the two oldest entries on %s", got, up.ID)
+	}
+	if deploys() != 4 || sh.sched.claims != 3 || sh.sched.Invs() != 3 {
+		t.Fatalf("after the ack: %d deploys, %d claims, %d queued — want 4, 3, 3", deploys(), sh.sched.claims, sh.sched.Invs())
+	}
+	// Two installs fail: their claims go, their workers are free again,
+	// and the pass deploys for exactly the two entries no claim covers.
+	failed := 0
+	sh.mu.Lock()
+	for _, w := range ws {
+		if lv := w.Libs[lib]; lv != nil && !lv.Ready && failed < 2 {
+			failed++
+			sh.view.RemoveLibrary(w, lib)
+			w.Commit = w.Commit.Sub(lv.Res)
+			sh.sched.Unclaim(lib)
+		}
+	}
+	sh.mu.Unlock()
+	pass()
+	pass()
+	if deploys() != 6 || sh.sched.claims != 3 || sh.sched.Invs() != 3 {
+		t.Fatalf("after two failed installs: %d deploys, %d claims, %d queued — want 6, 3, 3 (%v)", deploys(), sh.sched.claims, sh.sched.Invs(), sh.placed)
+	}
+}
+
+// TestLibraryQueueOverflowsWholeAndRests: a library queue whose
+// instances no worker anywhere can host visits every live shard whole —
+// order kept, every entry one hop on per move — rests where the hop
+// budget ran out, ignores local events, and circulates again only after
+// a nudge.
+func TestLibraryQueueOverflowsWholeAndRests(t *testing.T) {
+	const lib = "big"
+	tp := newTestPlane(3, true)
+	tp.libs[lib] = core.Resources{Cores: 8}
+	for i := range tp.shells {
+		tp.join(i, 1)
+	}
+	home := tp.shells[0]
+	home.sched.PushInvs(testCall{Lib: lib, Spec: 1}, testCall{Lib: lib, Spec: 2, Avoid: "w0000"}, testCall{Lib: lib, Spec: 3})
+	home.sched.Wake()
+	var oneRound []delivery
+	for hop, to := range []int{1, 2, 0} {
+		for id := 1; id <= 3; id++ {
+			oneRound = append(oneRound, delivery{to, fmt.Sprintf("%s#%d", lib, id), hop + 1})
+		}
+	}
+	if !reflect.DeepEqual(tp.invsDelivered, oneRound) {
+		t.Fatalf("first circulation: %+v, want %+v", tp.invsDelivered, oneRound)
+	}
+	rested := func() bool {
+		q := home.sched.lib(lib, false).q
+		return len(q) == 3 && q[0].Hops == 3 && q[1].Hops == 3 && q[1].Avoid == "w0000" && q[2].Spec == 3 && home.sched.Invs() == 3
+	}
+	if !rested() || !home.sched.starving.Load() || tp.starving.Load() != 1 {
+		t.Fatalf("queue should rest whole in shard 0, starving: %+v (flag %v, count %d)", home.sched.lib(lib, false).q, home.sched.starving.Load(), tp.starving.Load())
+	}
+	if len(home.placed) != 0 || tp.shells[1].sched.Invs()+tp.shells[2].sched.Invs() != 0 {
+		t.Fatalf("an unhostable library deployed or left entries behind: %v", home.placed)
+	}
+	home.mu.Lock()
+	home.sched.MarkAll()
+	home.mu.Unlock()
+	home.sched.Wake()
+	if len(tp.invsDelivered) != len(oneRound) {
+		t.Fatalf("rested queue moved without a nudge: %+v", tp.invsDelivered[len(oneRound):])
+	}
+	tp.Nudge()
+	if got := tp.invsDelivered[len(oneRound):]; !reflect.DeepEqual(got, oneRound) || !rested() {
+		t.Fatalf("after the nudge: %+v, want one more circulation %+v", got, oneRound)
 	}
 }
 
@@ -286,27 +627,37 @@ func TestOversizedTaskRestsUntilNudged(t *testing.T) {
 
 // TestEvacuationKeepsOrderAndHops: specs parked in a workerless shard
 // leave on the first join — tasks one by one to their key's shard, in
-// queue order, hop counts untouched; the invocation pool whole.
+// queue order; each library's queue whole to its name's shard, libraries
+// in name order, entries in queue order; hop counts untouched.
 func TestEvacuationKeepsOrderAndHops(t *testing.T) {
 	tp := newTestPlane(3, false)
 	parked := tp.shells[0]
-	var want []delivery
+	var want, wantInvs []delivery
 	for i, hops := range []int{2, 0, 3, 1, 0} {
 		parked.intake = append(parked.intake, testTask{Key: TaskKey(int64(i + 1)), Hops: hops, Spec: testSpec{need: core.Resources{Cores: 1}}})
 		want = append(want, delivery{1, TaskKey(int64(i + 1)), hops})
 	}
-	parked.invs = 7
+	for i, lib := range []string{"zlib", "alib", "zlib", "alib", "alib", "zlib", "zlib"} {
+		parked.sched.PushInvs(testCall{Lib: lib, Hops: i % 3, Spec: testInv(i)})
+	}
+	for _, lib := range []string{"alib", "zlib"} {
+		for i, l := range []string{"zlib", "alib", "zlib", "alib", "alib", "zlib", "zlib"} {
+			if l == lib {
+				wantInvs = append(wantInvs, delivery{1, fmt.Sprintf("%s#%d", lib, i), i % 3})
+			}
+		}
+	}
 	parked.sched.Wake()
-	if len(tp.delivered) != 0 || len(parked.sched.Tasks()) != 5 || parked.passes != 1 {
-		t.Fatalf("with no worker anywhere the specs must park: delivered %+v, queue %d, passes %d", tp.delivered, len(parked.sched.Tasks()), parked.passes)
+	if len(tp.delivered) != 0 || len(parked.sched.Tasks()) != 5 || parked.sched.Invs() != 7 || parked.sched.Passes() != 1 {
+		t.Fatalf("with no worker anywhere the specs must park: delivered %+v, queue %d+%d, passes %d", tp.delivered, len(parked.sched.Tasks()), parked.sched.Invs(), parked.sched.Passes())
 	}
 	tp.join(1, 1)
 	tp.WakeParked()
 	if !reflect.DeepEqual(tp.delivered, want) {
 		t.Fatalf("evacuated %+v, want %+v", tp.delivered, want)
 	}
-	if !reflect.DeepEqual(tp.invsMoved, []int{7}) || parked.invs != 0 || len(parked.sched.Tasks()) != 0 {
-		t.Fatalf("pool moved %v, left %d invocations and %d tasks behind", tp.invsMoved, parked.invs, len(parked.sched.Tasks()))
+	if !reflect.DeepEqual(tp.invsDelivered, wantInvs) || parked.sched.Invs() != 0 || len(parked.sched.Tasks()) != 0 {
+		t.Fatalf("library queues moved %+v, want %+v; left %d invocations and %d tasks behind", tp.invsDelivered, wantInvs, parked.sched.Invs(), len(parked.sched.Tasks()))
 	}
 	if parked.sched.starving.Load() || tp.starving.Load() != 0 {
 		t.Fatal("an emptied shard is still registered as starving")
@@ -330,9 +681,9 @@ func TestReentrantWakeCoalesces(t *testing.T) {
 	if want := []delivery{{1, "task-1", 1}, {0, "task-1", 2}}; !reflect.DeepEqual(tp.delivered, want) {
 		t.Fatalf("chain %+v, want %+v", tp.delivered, want)
 	}
-	if a.ran != 1 || a.coalesced != 1 || a.passes != 2 || b.ran != 1 || b.coalesced != 0 {
+	if a.ran != 1 || a.coalesced != 1 || a.sched.Passes() != 2 || b.ran != 1 || b.coalesced != 0 {
 		t.Fatalf("a: ran %d coalesced %d passes %d; b: ran %d coalesced %d — want the return delivery absorbed by a's one running loop",
-			a.ran, a.coalesced, a.passes, b.ran, b.coalesced)
+			a.ran, a.coalesced, a.sched.Passes(), b.ran, b.coalesced)
 	}
 	if q := a.sched.Tasks(); len(q) != 1 || q[0].Hops != 2 || !a.sched.Settled() || !b.sched.Settled() {
 		t.Fatalf("task should rest in shard 0 with both loops idle, queue %+v", q)

@@ -18,9 +18,10 @@
 //     never see that case: KeyShard, InvShard and TenantInvShard are
 //     total, each with the fallback inside.
 //
-// sched.go is the scheduling: one Sched per shard — task queue, wake
-// loop, task pass, and every path that moves a spec to another shard —
-// around which the manager and sim.Replay are shells.
+// sched.go is the scheduling: one Sched per shard — task queue and
+// library queues, wake loop, task pass and invocation pass, and every
+// path that moves a spec to another shard — around which the manager and
+// sim.Replay are shells.
 package shardplane
 
 import (

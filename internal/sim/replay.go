@@ -2,7 +2,6 @@ package sim
 
 import (
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -20,9 +19,12 @@ import (
 // and answers every event the manager can see. Globally it holds the
 // shardplane.Plane (the router and one scheduler per shard), the spec
 // and worker counters, one submission plane and one ref catalog; per
-// shard (replayShard) a cluster view, the invocation pool and the
-// intake around that shard's scheduler, which owns the keyed task
-// queue, the wake loop, the task pass and every shard-crossing path.
+// shard (replayShard) a cluster view and the intake around that shard's
+// scheduler, which owns the keyed task queue, the library's invocation
+// queue with its install claims, the wake loop, both passes and every
+// shard-crossing path. Like the manager, it binds an invocation when an
+// instance is ready — a deploy consumes none (the timed Run binds at
+// deploy start: sim.go, placeL3).
 //
 // One shard is the degenerate case: nothing to forward to, nothing to
 // nudge. The differential harness (internal/manager) feeds one event
@@ -32,9 +34,9 @@ import (
 type Replay struct {
 	cfg        Config
 	shards     []*replayShard
-	shardPlane *shardplane.Plane[replaySpec]
+	shardPlane *shardplane.Plane[replaySpec, specRef]
 	// nextID numbers specs globally — one counter shared by tasks and
-	// invocations, as the manager's is — so ring keys, owner IDs and
+	// invocations, as the manager's is — so ring keys, spec IDs and
 	// round-robin routing agree across engines whatever the mix.
 	nextID int
 	// nextWorker numbers workers globally ("wNNNN", dead IDs never
@@ -59,19 +61,13 @@ type Replay struct {
 type replayShard struct {
 	r  *Replay
 	st *state
-	// sched holds the keyed pending-task queue (task workloads): ring
-	// keys are assigned at submission and requeued verbatim. Invocation
-	// workloads keep the plain counter (st.pending): invocations of one
-	// library are interchangeable.
-	sched *shardplane.Sched[replaySpec]
+	// sched holds the pending specs: tasks by ring key (assigned at
+	// submission, requeued verbatim), invocations in the library's queue.
+	sched *shardplane.Sched[replaySpec, specRef]
 	// intake is where routed specs wait for the wake loop to drain them,
 	// in submission order, at each look — so the decision order stays
 	// byte-identical to the manager's lock-free hand-off.
 	intake []simIntake
-	// evacInvs and evacOwners are the invocation pool and its owner FIFO
-	// on their way out of a workerless shard (PassInvs → ForwardInvs).
-	evacInvs   int
-	evacOwners []specRef
 }
 
 // replaySpec is the replay's payload of a queued task.
@@ -86,12 +82,15 @@ type replaySpec struct {
 
 func (replaySpec) Need() core.Resources { return oneSlot }
 
-type replayTask = shardplane.Task[replaySpec]
+type (
+	replayTask = shardplane.Task[replaySpec]
+	replayInv  = shardplane.Inv[specRef]
+)
 
 // simIntake is one submitted spec on its way to a shard's pending
 // state — in the submission plane, then in a shard's intake queue: a
-// task by ring key, or (isTask false) one pooled invocation carrying its
-// owner ref (tenant runs thread identity through the pool).
+// task by ring key, or (isTask false) one invocation by its spec ID and
+// tenant.
 type simIntake struct {
 	isTask bool
 	task   replayTask
@@ -109,7 +108,7 @@ func NewReplay(cfg Config, shards int) *Replay {
 	cfg.Invocations = 0
 	r := &Replay{
 		cfg:        cfg,
-		shardPlane: shardplane.NewPlane[replaySpec](shards),
+		shardPlane: shardplane.NewPlane[replaySpec, specRef](shards),
 		refs:       newSimRefs(cfg.RefOwnedBytesCap),
 	}
 	if len(cfg.Tenants) > 0 {
@@ -120,7 +119,6 @@ func NewReplay(cfg Config, shards int) *Replay {
 		scfg.DecisionTrace = &policy.Recorder{}
 		st := newState(scfg, true)
 		st.refs = r.refs
-		st.trackOwners = r.plane != nil
 		sh := &replayShard{r: r, st: st}
 		sh.sched = r.shardPlane.Attach(i, st.view, shardplane.NoLock{}, sh)
 		r.shards = append(r.shards, sh)
@@ -135,11 +133,13 @@ func (r *Replay) lib() string { return r.shards[0].st.lib }
 
 // ---- routing ----
 
-// kick marks shard sh dirty and runs its wake loop — what every local
-// event handler ends in. A forward chain arriving back at a shard whose
-// loop is running is absorbed by the latch and seen at its next look.
+// kick marks every queue of shard sh and runs its wake loop — what every
+// local event handler ends in (the manager marks only what the event
+// could unblock; a pass over the rest decides nothing). A forward chain
+// arriving back at a shard whose loop is running is absorbed by the
+// latch and seen at its next look.
 func (r *Replay) kick(sh *replayShard) {
-	sh.sched.MarkDirty()
+	sh.sched.MarkAll()
 	sh.sched.Wake()
 }
 
@@ -188,78 +188,70 @@ func (r *Replay) wakeFed() {
 
 // ---- one shard's shell (shardplane.Shell; there is no lock) ----
 
-// Intake replays queued intake items into the shard's pending state.
-// The invocation pool's only mark is the scheduler's.
-func (sh *replayShard) Intake() (invs int, invDirty, open bool) {
+// Intake replays queued intake items into the scheduler's queues.
+func (sh *replayShard) Intake() (open bool) {
 	for _, it := range sh.intake {
 		if it.isTask {
 			sh.sched.Push(it.task)
-			continue
+		} else {
+			sh.sched.PushInvs(replayInv{Lib: sh.st.lib, Spec: it.ref})
 		}
-		sh.st.pending++
-		if sh.st.trackOwners {
-			sh.st.pushOwner(it.ref)
-		}
-		sh.sched.MarkDirty()
 	}
 	sh.intake = sh.intake[:0]
-	return sh.st.pending, false, true
+	return true
 }
 
-// PassInvs places pending invocations until the policy core reports no
-// placement is possible: every queued invocation of the one library
-// would hit the same cluster state, so the first failure ends the
-// pass. The pool never overflow-forwards (a one-slot instance fits any
-// live worker); evacuation moves it whole — count and owner FIFO, in
-// order: a workerless shard holds no claimed installs.
-func (sh *replayShard) PassInvs(evacuate bool) (forward bool) {
+// LibNeed: a one-slot instance, which fits any live worker — the queue
+// never overflow-forwards.
+func (sh *replayShard) LibNeed(string) (core.Resources, bool) { return oneSlot, true }
+
+func (sh *replayShard) Reject(replayInv) bool { return false }
+
+// Ready plans ready placements through the batched entry point the
+// manager uses — or, unbatched, only the next one, which the pass
+// executes before asking again: plan-one/execute-one, the reference
+// batched_test.go holds the batch contract to.
+func (sh *replayShard) Ready(dst []policy.PlaceInvocation, lib string, k int, avoid string) []policy.PlaceInvocation {
+	v, f := sh.st.view, policy.Excluding(avoid)
+	if sh.st.cfg.Batched {
+		return v.PlaceReadyBatchInto(dst, lib, k, f)
+	}
+	if d := v.PlaceReady(lib, f); d.Worker != nil {
+		dst = append(dst, d)
+	}
+	return dst
+}
+
+// PlaceInv carries out one ready placement: trace, slot binding.
+func (sh *replayShard) PlaceInv(inv replayInv, d policy.PlaceInvocation) {
 	st := sh.st
-	if evacuate {
-		sh.evacInvs, st.pending = st.pending, 0
-		for st.owners.Len() > 0 {
-			sh.evacOwners = append(sh.evacOwners, st.popOwner())
-		}
-		return sh.evacInvs > 0
+	w := st.byID[d.Worker.ID]
+	if st.rec != nil {
+		st.rec.Record(policy.TracePlace(inv.Lib, d))
 	}
-	if st.cfg.Batched && st.pending > 0 {
-		// The same pass through the batched entry point the manager
-		// uses: one PlaceReadyBatchInto call covers the whole pool (its
-		// overlay stops exactly where sequential execution would), and
-		// the remainder tries deploys one at a time — an instance
-		// deployed mid-pass is not Ready until its ack, so no ready
-		// capacity can appear between the batch and the deploys.
-		for _, d := range st.view.PlaceReadyBatchInto(nil, st.lib, st.pending, nil) {
-			st.execReady(d)
-		}
-		for st.pending > 0 && st.tryDeploy() != nil {
-		}
-		return false
-	}
-	for st.pending > 0 && st.place() != nil {
-	}
-	return false
+	sl := w.firstFree(true)
+	st.takeSlot(w, sl)
+	sl.owner, sl.tenant = inv.Spec.id, inv.Spec.tenant
 }
 
-// ForwardInvs delivers an evacuated pool to the library's owner shard.
-func (sh *replayShard) ForwardInvs() {
-	r := sh.r
-	to := r.shards[r.shardPlane.KeyShard(r.lib())]
-	to.st.pending += sh.evacInvs
-	for _, ref := range sh.evacOwners {
-		to.st.pushOwner(ref)
+// Deploy starts an instance on the worker the policy core picks;
+// LibReady is its ack.
+func (sh *replayShard) Deploy(string) bool {
+	w := sh.st.deploy()
+	if w != nil {
+		w.deploying++
 	}
-	sh.evacInvs, sh.evacOwners = 0, nil
-	r.kick(to)
+	return w != nil
 }
 
-// Deliver moves tasks into shard i's queue and wakes it.
-func (sh *replayShard) Deliver(i int, tasks []replayTask) {
+// Deliver moves specs into shard i's queues and wakes it.
+func (sh *replayShard) Deliver(i int, tasks []replayTask, invs []replayInv) {
 	to := sh.r.shards[i]
 	to.sched.Push(tasks...)
+	to.sched.PushInvs(invs...)
 	to.sched.Wake()
 }
 
-func (sh *replayShard) Nudged()   {}
 func (sh *replayShard) Woke(bool) {}
 
 // Plan plans the queue through the batched entry point the manager
@@ -345,36 +337,37 @@ func (sh *replayShard) kill(w *wstate) {
 	st.view.RemoveWorker(w.v)
 	delete(st.byID, w.id)
 	w.dead = true
-	// Bound invocations (L3) — dispatched or riding a deploy — go back
-	// to the interchangeable pending pool, matching the manager's
-	// requeue of its inflight plus the released install claim. In
-	// tenant runs, dispatched (libReady) slots re-enter the owner FIFO
-	// tail in ascending spec order — the manager requeues its inflight
-	// sorted by ID — while a riding deploy's claim keeps its original
-	// FIFO position (the owner was never popped). Bound tasks requeue
-	// by key (Sched.Requeue).
-	var owners []specRef
-	var requeue []replayTask
-	for _, sl := range w.slots {
-		if !sl.busy {
-			continue
-		}
+	// Each install in progress releases its claim, and everything
+	// dispatched requeues — the manager's requeue of its inflight.
+	for ; w.deploying > 0; w.deploying-- {
+		sh.sched.Unclaim(st.lib)
+	}
+	for sl := w.lowestBusy(); sl != nil; sl = w.lowestBusy() {
 		sl.busy = false
-		if st.cfg.Level != core.L3 {
-			requeue = append(requeue, replayTask{Key: sl.key, Spec: replaySpec{tenant: sl.tenant, refs: sl.refs}})
-		} else {
-			if st.trackOwners && sl.libReady {
-				owners = append(owners, specRef{id: sl.owner, tenant: sl.tenant})
-			}
-			st.pending++
-		}
+		sh.requeue(w.id, sl)
 		sl.unbind()
 	}
-	sort.Slice(owners, func(i, j int) bool { return owners[i].id < owners[j].id })
-	for _, ref := range owners {
-		st.pushOwner(ref)
+}
+
+// lowestBusy is the worker's busy slot bound to the lowest spec ID.
+func (w *wstate) lowestBusy() *slot {
+	var pick *slot
+	for _, sl := range w.slots {
+		if sl.busy && (pick == nil || sl.owner < pick.owner) {
+			pick = sl
+		}
 	}
-	sh.sched.Requeue(w.id, requeue...)
+	return pick
+}
+
+// requeue puts the spec bound to sl back on its queue, avoid as its
+// avoid preference.
+func (sh *replayShard) requeue(avoid string, sl *slot) {
+	if sl.key == "" {
+		sh.sched.RequeueInv(avoid, replayInv{Lib: sh.st.lib, Spec: specRef{id: sl.owner, tenant: sl.tenant}})
+	} else {
+		sh.sched.Requeue(avoid, replayTask{Key: sl.key, Spec: replaySpec{tenant: sl.tenant, refs: sl.refs}})
+	}
 }
 
 // unbind clears the slot's record of the spec it ran.
@@ -555,60 +548,52 @@ func (r *Replay) RefFailed(id, refID string) bool {
 	return true
 }
 
-// LibReady marks the oldest deploy-bound slot on worker id ready (the
-// LibraryAck), which places the invocation bound to it; a new ready
-// instance is capacity starving shards may be waiting for. Returns
-// false if the worker has no deploy in progress or its environment has
-// not arrived.
+// LibReady brings up worker id's oldest install — its first slot with
+// no instance (the LibraryAck) — and releases the install's claim; the pass that follows
+// places a queued invocation on it — or on any better ready instance —
+// and a new ready instance is capacity starving shards may be waiting
+// for. Returns false if the worker has no deploy in progress or its
+// environment has not arrived.
 func (r *Replay) LibReady(id string) bool {
 	sh, w := r.find(id)
-	if w == nil || !w.hasEnv {
+	if w == nil || !w.hasEnv || w.deploying == 0 {
 		return false
 	}
+	w.deploying--
 	for _, sl := range w.slots {
-		if sl.busy && !sl.libReady {
+		if !sl.libReady {
 			sh.st.markLibReady(w, sl)
-			r.kick(sh)
-			r.shardPlane.Nudge()
-			return true
+			break
 		}
 	}
-	return false
+	sh.sched.Unclaim(r.lib())
+	r.kick(sh)
+	r.shardPlane.Nudge()
+	return true
 }
 
-// Complete finishes one running invocation on worker id: the first
-// completable slot, or in tenant runs the one with the lowest owner,
-// because the differential harness completes the manager's lowest
-// in-flight spec ID on that worker.
-// Returns false if nothing on the worker is in a completable state.
-// Task workloads under churn should use CompleteTask: requeues carry
-// ring keys, so the engines must agree on which task each slot was
-// running.
+// Complete finishes the running spec with the lowest ID on worker id:
+// the differential harness completes the manager's lowest in-flight
+// spec ID on that worker. Returns false if nothing on the worker is in
+// a completable state. Task workloads under churn should use
+// CompleteTask: requeues carry ring keys, so the engines must agree on
+// which task each slot was running.
 func (r *Replay) Complete(id string) bool {
 	sh, w := r.find(id)
 	if w == nil || !w.hasEnv {
 		return false
 	}
-	needLib := r.cfg.Level == core.L3
-	var pick *slot
-	for _, sl := range w.slots {
-		if !sl.busy || (needLib && !sl.libReady) {
-			continue
-		}
-		if pick == nil || (sh.st.trackOwners && sl.owner < pick.owner) {
-			pick = sl
-		}
-	}
-	if pick == nil {
+	sl := w.lowestBusy()
+	if sl == nil {
 		return false
 	}
-	r.finish(sh, w, pick, true)
+	r.finish(sh, w, sl, true)
 	return true
 }
 
 // CompleteTask finishes the task bound to ring key key on worker id.
 func (r *Replay) CompleteTask(id, key string) bool {
-	sh, w, sl := r.running(id, key)
+	sh, w, sl := r.running(id, shardplane.KeyNum(key))
 	if sl == nil {
 		return false
 	}
@@ -626,7 +611,7 @@ func (r *Replay) CompleteTask(id, key string) bool {
 // before the freed slot's schedule pass, exactly where the manager's
 // hook runs.
 func (r *Replay) CompleteTaskRef(id, key string, ref core.ObjectRef) bool {
-	sh, w, sl := r.running(id, key)
+	sh, w, sl := r.running(id, shardplane.KeyNum(key))
 	if sl == nil {
 		return false
 	}
@@ -635,33 +620,32 @@ func (r *Replay) CompleteTaskRef(id, key string, ref core.ObjectRef) bool {
 	return true
 }
 
-// Fail fails the task bound to ring key key on worker id retryably —
-// the manager's Retryable-result path: the slot frees and the key
-// requeues at the back of its shard's queue (requeues stay
-// shard-local) with this worker as the avoid preference — the retry
-// prefers any other placement, falling back to the avoided worker over
-// starving. A retry holds its quota unit — the manager releases only on
-// final delivery — so the requeue carries the tenant and nothing is
-// released.
-func (r *Replay) Fail(id, key string) bool {
-	sh, w, sl := r.running(id, key)
+// Fail fails spec number spec, running on worker id, retryably — the
+// manager's Retryable-result path: the slot frees and the spec requeues
+// at the back of its shard's queue (requeues stay shard-local) with this
+// worker as the avoid preference — the retry prefers any other
+// placement, falling back to the avoided worker over starving. A retry
+// holds its quota unit — the manager releases only on final delivery —
+// so the requeue carries the tenant and nothing is released.
+func (r *Replay) Fail(id string, spec int64) bool {
+	sh, w, sl := r.running(id, spec)
 	if sl == nil {
 		return false
 	}
-	sh.sched.Requeue(id, replayTask{Key: key, Spec: replaySpec{tenant: sl.tenant, refs: sl.refs}})
+	sh.requeue(id, sl)
 	r.finish(sh, w, sl, false)
 	return true
 }
 
-// running returns the busy slot bound to ring key key on worker id,
+// running returns the busy slot bound to spec number spec on worker id,
 // with its worker and shard; nils if there is none.
-func (r *Replay) running(id, key string) (*replayShard, *wstate, *slot) {
+func (r *Replay) running(id string, spec int64) (*replayShard, *wstate, *slot) {
 	sh, w := r.find(id)
 	if w == nil || !w.hasEnv {
 		return nil, nil, nil
 	}
 	for _, sl := range w.slots {
-		if sl.busy && sl.key == key {
+		if sl.busy && sl.owner == spec {
 			return sh, w, sl
 		}
 	}
@@ -698,7 +682,7 @@ func (r *Replay) finish(sh *replayShard, w *wstate, sl *slot, delivered bool) {
 func (r *Replay) Pending() int {
 	n := 0
 	for _, sh := range r.shards {
-		n += sh.st.pending + len(sh.sched.Tasks())
+		n += sh.sched.Invs() + len(sh.sched.Tasks())
 	}
 	return n
 }

@@ -263,13 +263,11 @@ type state struct {
 	// shard and with its own recorder, so the plane trace stays a
 	// separate stream exactly as the manager's is.
 	plane *policy.TenantPlane[simIntake]
-	// trackOwners threads admitted-spec identity through the pending
-	// pool: owners is the FIFO of admitted-but-unplaced invocation
-	// refs. The timed path pops at bind; replay pops at each recorded
-	// placement, mirroring the manager placing its queue head at every
-	// TracePlace.
-	trackOwners bool
-	owners      core.FIFO[specRef]
+	// owners threads admitted-spec identity through the timed pending
+	// pool in tenant runs: the FIFO of admitted-but-unplaced invocation
+	// refs, popped at bind. (Replay's invocations wait, refs and all, in
+	// the shared scheduler's library queue.)
+	owners core.FIFO[specRef]
 	// arrivalsLeft and nextSpecID drive the timed per-tenant Poisson
 	// arrival processes.
 	arrivalsLeft []int
@@ -321,13 +319,16 @@ type wstate struct {
 	fetchq      []func()
 
 	slots []*slot
+	// deploying (replay only) counts instances installing with nothing
+	// bound to them yet; the timed path binds the invocation that rides
+	// the deploy to its slot instead (busy && !libReady).
+	deploying int
 
-	// busySlots, freeReady and readySlots are maintained counters so
-	// slot selection scans workers, not workers×slots; freeReady is
-	// also what the view's ready index publishes.
-	busySlots  int
-	freeReady  int
-	readySlots int
+	// busySlots and freeReady are maintained counters so slot selection
+	// scans workers, not workers×slots; freeReady is also what the view's
+	// ready index publishes.
+	busySlots int
+	freeReady int
 }
 
 type slot struct {
@@ -342,10 +343,10 @@ type slot struct {
 	// replicas on the slot's result — the manager's cacheable-input
 	// replica notes in onResult.
 	refs []string
-	// owner and tenant identify the bound spec in tenant runs: owner is
-	// the manager-side spec ID (completions free the lowest owner, the
-	// differential harness's rule), tenant names whose quota the
-	// completion releases.
+	// owner and tenant identify the bound spec (replay always, the timed
+	// path in tenant runs): owner is the manager-side spec ID
+	// (completions free the lowest owner, the differential harness's
+	// rule), tenant names whose quota the completion releases.
 	owner  int64
 	tenant string
 }
@@ -355,8 +356,8 @@ var oneSlot = core.Resources{Cores: 1}
 // takeSlot marks a slot occupied, maintaining the scan counters and
 // the worker's view commitment. Commitment follows the manager's
 // model: tasks (L1/L2) commit per running task, but L3 commits per
-// *installed instance* — charged at deploy time in tryDeploy and held
-// across idle periods, exactly like installLibraryLocked — so binding
+// *installed instance* — charged at deploy time in deploy and held
+// across idle periods, exactly like the manager's Deploy — so binding
 // or freeing an invocation moves no resources.
 func (st *state) takeSlot(w *wstate, sl *slot) {
 	sl.busy = true
@@ -383,25 +384,15 @@ func (st *state) freeSlot(w *wstate, sl *slot) {
 	st.syncLib(w)
 }
 
-// markLibReady flags a deploy-bound slot's instance as ready — the
-// simulator's LibraryAck — and records the resulting invocation
-// placement, mirroring the manager placing the queued invocation when
-// the ack arrives.
+// markLibReady flags a deploying slot's instance as ready — the
+// simulator's LibraryAck.
 func (st *state) markLibReady(w *wstate, sl *slot) {
-	if sl.libReady {
-		return
-	}
 	sl.libReady = true
-	w.readySlots++
 	if !sl.busy {
 		w.freeReady++
 	}
 	w.lv.Ready = true
 	st.syncLib(w)
-	if st.rec != nil {
-		st.rec.Record(policy.TracePlace(st.lib, policy.PlaceInvocation{Worker: w.v}))
-	}
-	st.stampOwner(sl)
 }
 
 // syncLib republishes the worker's free ready-slot count into the
@@ -680,17 +671,16 @@ func (st *state) place() *slot {
 	return st.placeTask()
 }
 
-// bind assigns the next invocation index to the chosen slot. The
-// timed path stamps the spec's owner here (one engine, any consistent
-// assignment works); replay stamps at each recorded placement instead
-// (stampOwner), mirroring the manager's queue-head pop per TracePlace.
+// bind takes the next invocation off the timed pending pool and assigns
+// it to the chosen slot, with its owner in tenant runs (one engine: any
+// consistent assignment works).
 func (st *state) bind(w *wstate, sl *slot) *slot {
 	st.takeSlot(w, sl)
 	sl.invIdx = st.nextInv
 	st.nextInv++
 	st.pending--
-	if st.trackOwners && !st.replay {
-		ref := st.popOwner()
+	if st.plane != nil {
+		ref, _ := st.owners.Pop()
 		sl.owner, sl.tenant = ref.id, ref.tenant
 	}
 	return sl
@@ -719,30 +709,28 @@ func (st *state) placeTask() *slot {
 }
 
 // placeL3 places an invocation on a ready library instance, or deploys
-// a new per-slot instance when none has room (§3.5.2).
+// a new per-slot instance when none has room (§3.5.2) and binds the
+// invocation to the deploying slot: the timed model charges a deploy to
+// the invocation that rides it (Table 4, Figure 7), where the manager
+// and Replay bind only once the instance is ready.
 func (st *state) placeL3() *slot {
 	if d := st.view.PlaceReady(st.lib, nil); d.Worker != nil {
-		return st.execReady(d)
+		w := st.byID[d.Worker.ID]
+		if st.rec != nil {
+			st.rec.Record(policy.TracePlace(st.lib, d))
+		}
+		return st.bind(w, w.firstFree(true))
 	}
-	return st.tryDeploy()
+	if w := st.deploy(); w != nil {
+		return st.bind(w, w.firstFree(false))
+	}
+	return nil
 }
 
-// execReady binds an invocation to the ready instance the policy core
-// picked, recording the placement.
-func (st *state) execReady(d policy.PlaceInvocation) *slot {
-	w := st.byID[d.Worker.ID]
-	if st.rec != nil {
-		st.rec.Record(policy.TracePlace(st.lib, d))
-	}
-	sl := st.bind(w, w.firstFree(true))
-	st.stampOwner(sl)
-	return sl
-}
-
-// tryDeploy asks the policy core for a deploy decision and binds an
-// invocation to the deploying slot. nil means no worker can host a new
-// instance now.
-func (st *state) tryDeploy() *slot {
+// deploy asks the policy core for a deploy decision and starts the
+// instance: staging, the view's instance record, the resource claim.
+// nil means no worker can host a new instance now.
+func (st *state) deploy() *wstate {
 	d := st.view.PlanDeploy(policy.DeploySpec{
 		Name:  st.lib,
 		Res:   oneSlot,
@@ -763,7 +751,7 @@ func (st *state) tryDeploy() *slot {
 	// (the manager releases it only on eviction, install failure, or
 	// worker death — none of which the simulator's instances hit).
 	w.v.Commit = w.v.Commit.Add(oneSlot)
-	return st.bind(w, w.firstFree(false))
+	return w
 }
 
 // ---- environment distribution (§3.3) ----
@@ -1078,6 +1066,10 @@ func (st *state) runL3(sl *slot, start float64) {
 		st.libN++
 		st.S.After(setup, func() {
 			st.markLibReady(w, sl)
+			// The invocation that rode the deploy runs on its instance.
+			if st.rec != nil {
+				st.rec.Record(policy.TracePlace(st.lib, policy.PlaceInvocation{Worker: w.v}))
+			}
 			st.invokeL3(sl, start)
 		})
 	})

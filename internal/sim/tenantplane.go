@@ -11,30 +11,6 @@ type specRef struct {
 	tenant string
 }
 
-// ---- owner threading through the pending pool ----
-
-// pushOwner appends one admitted invocation's identity to the pool's
-// owner FIFO.
-func (st *state) pushOwner(ref specRef) { st.owners.Push(ref) }
-
-// popOwner removes the FIFO head. An empty FIFO yields the zero ref —
-// an untracked spec — rather than panicking.
-func (st *state) popOwner() specRef {
-	ref, _ := st.owners.Pop()
-	return ref
-}
-
-// stampOwner assigns the next placed invocation's identity to the slot
-// in replay runs: the manager pops its pending queue's head at every
-// recorded placement, so the replay pops the owner FIFO at the same
-// points — execReady and the deploy-ack placement in markLibReady.
-func (st *state) stampOwner(sl *slot) {
-	if st.trackOwners && st.replay {
-		ref := st.popOwner()
-		sl.owner, sl.tenant = ref.id, ref.tenant
-	}
-}
-
 // ---- the timed simulator's tenant mode ----
 
 // startTenantArrivals switches a timed run into tenant mode: the
@@ -47,7 +23,6 @@ func (st *state) startTenantArrivals() {
 		return
 	}
 	st.plane = policy.NewTenantPlane[simIntake](st.cfg.Tenants, st.rec)
-	st.trackOwners = true
 	st.pending = 0
 	st.arrivalsLeft = make([]int, len(st.cfg.Tenants))
 	for i := range st.cfg.Tenants {
@@ -93,5 +68,5 @@ func (st *state) arrive(i int) {
 // tryDispatch picks it up.
 func (st *state) routeTimed(it simIntake, _ string, _ int64) {
 	st.pending++
-	st.pushOwner(it.ref)
+	st.owners.Push(it.ref)
 }
