@@ -10,11 +10,11 @@ all: check
 # concurrently, so -race is load-bearing here — the live multi-tenant
 # plane and the proxy-object spill tier get their lock discipline
 # checked there, by taskvine's DispatchTenantsSmoke and RefSpillSmoke),
-# the data-path and decision packages twenty times over under -race and
-# the manager's differentials ten times, the repository benchmark's own
-# module linted, built, tested and run briefly, a few seconds of each
-# wire fuzzer, and every paper table and figure re-run and compared with
-# the checked-in log.
+# the data-path and decision packages twenty times over under -race, the
+# manager's differentials ten times and taskvine ten times under -race,
+# the repository benchmark's own module linted, built, tested and run
+# briefly, a few seconds of each wire fuzzer, and every paper table and
+# figure re-run and compared with the checked-in log.
 check: build lint test fidelity race flake benchcheck fuzzsmoke paperlog
 
 # The fidelity gate: the pure policy core's decision-order pins, the
@@ -61,10 +61,15 @@ race:
 # goroutines, and its passes are held to plan-one/execute-one oracles.
 # The manager's differentials then run ten times (no race detector: ~2 s
 # a run): they wait out real backoff timers, which is where a
-# timing-dependent requeue would show.
+# timing-dependent requeue would show. So does taskvine, ten times under
+# -race (~35 s): fault_test.go's chaos kills workers and stalls transfers
+# under real sockets and checks quiescence after, which is where a requeue
+# that depends on timing or a spec left backing off in the in-flight
+# table would show.
 flake:
 	go test -count=20 -race ./internal/dataplane ./internal/worker ./internal/content ./internal/library ./internal/hashring ./internal/policy ./internal/shardplane
 	go test -count=10 -run Differential ./internal/manager
+	go test -count=10 -race ./taskvine
 
 # bench/ is a module of its own (repro/bench, replace repro => ../), so
 # the root go build/vet/test ./... never compile it, yet it imports the

@@ -46,9 +46,6 @@ func (c *Cache) Used() int64 {
 	return c.used
 }
 
-// Capacity returns the configured byte capacity (0 = unlimited).
-func (c *Cache) Capacity() int64 { return c.capacity }
-
 // Stats returns cumulative hit and miss counts.
 func (c *Cache) Stats() (hits, misses int64) {
 	c.mu.Lock()

@@ -484,8 +484,7 @@ func (p *Plane) Evict(id string) bool {
 	return ok
 }
 
-// Pin pins a cached object (nested); Unpin releases one pin.
-func (p *Plane) Pin(id string) error   { return p.cache.Pin(id) }
+// Unpin releases one pin of a cached object (PinResolve took it).
 func (p *Plane) Unpin(id string) error { return p.cache.Unpin(id) }
 
 // ---- fetch side ----

@@ -124,7 +124,6 @@ func TestGoldenRefPipeline(t *testing.T) {
 		// A 2MB owned budget the 1–3MB results overflow, so spills,
 		// shared-tier resolves and promotes all appear in the trace.
 		RefOwnedBytesCap: 2 << 20,
-		Batched:          true,
 		Seed:             1,
 	}
 	r := sim.NewReplay(cfg, 1)

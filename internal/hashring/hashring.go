@@ -127,18 +127,6 @@ func (r *Ring) Len() int {
 	return len(r.slots)
 }
 
-// Members returns the members, sorted.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.slots))
-	for m := range r.slots {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // first is the index of the first point at or after h, wrapping to 0.
 // The ring must not be empty.
 func (r *Ring) first(h uint64) int {

@@ -281,6 +281,15 @@ def f(x):
 	if got.Repr() != "6" {
 		t.Errorf("f(1) = %s", got.Repr())
 	}
+	// An augmented assignment to a name the tuple already hoisted goes
+	// with it.
+	res, err = Split(define(t, ip, "def g(x):\n    a, b = 2, 3\n    a += b\n    return x + a\n", "g"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runPair(t, res, minipy.Int(1)); res.HoistedStmts != 2 || got.Repr() != "6" {
+		t.Errorf("a += b after the tuple: hoisted %d statements, g(1) = %s", res.HoistedStmts, got.Repr())
+	}
 }
 
 func TestIndexTargetNotHoisted(t *testing.T) {

@@ -215,10 +215,6 @@ func (l *Library) Functions() []string {
 // library's share value.
 func (l *Library) Served() int64 { return l.served.Load() }
 
-// Globals exposes the shared namespace (tests and the worker use it to
-// inspect retained state).
-func (l *Library) Globals() *minipy.Env { return l.globals }
-
 // InvokeResult is the outcome of one invocation, with the state
 // reconstruction (SetupTime) and execution components separated as in
 // Table 5.

@@ -24,33 +24,24 @@ func TestOutOfOrderFileAcks(t *testing.T) {
 	objA := content.NewBlob("a.bin", []byte("first staged"))
 	objB := content.NewBlob("b.bin", []byte("second staged"))
 	task := simpleTask("ooo")
-	task.ID = 21
 	task.Inputs = []core.FileSpec{
 		{Object: objA, Cache: true, PeerTransfer: true},
 		{Object: objB, Cache: true, PeerTransfer: true},
 	}
 
-	// Stage A then B on w (both peer fetches from src), with one
-	// dispatched task waiting on both — the shape tryPlaceTaskOnLocked
-	// builds when it commits a placement behind in-flight copies.
+	// src holds both inputs, so the placement on w stages A then B as peer
+	// fetches from it and the dispatch goes out waiting on both.
 	s.mu.Lock()
-	s.m.catalogAdd(task.Inputs[0])
-	s.m.catalogAdd(task.Inputs[1])
-	s.view.NotePending(w.v, objA.ID)
-	s.view.NotePending(w.v, objB.ID)
-	w.fetchSources[objA.ID] = "src"
-	w.fetchSources[objB.ID] = "src"
-	src.v.TransfersOut = 2
-	w.v.Commit = w.v.Commit.Add(task.Resources)
-	e := &inflightEntry{
-		worker:  "w",
-		task:    task,
-		sentAt:  time.Now(),
-		waiting: map[string]bool{objA.ID: true, objB.ID: true},
+	s.noteReplicaLocked(src, objA.ID)
+	s.noteReplicaLocked(src, objB.ID)
+	s.mu.Unlock()
+	id := dispatchOn(t, m, w, task)
+	s.mu.Lock()
+	e := s.sched.Running("w")[0].Task.Spec.staging
+	if e == nil || !e.waiting[objA.ID] || !e.waiting[objB.ID] || src.v.TransfersOut != 2 ||
+		w.fetchSources[objA.ID] != "src" || w.fetchSources[objB.ID] != "src" {
+		t.Fatalf("the dispatch is not waiting on two peer fetches from src: %+v, %d slots, sources %v", e, src.v.TransfersOut, w.fetchSources)
 	}
-	s.inflight[task.ID] = e
-	w.ackWaiters[objA.ID] = append(w.ackWaiters[objA.ID], e)
-	w.ackWaiters[objB.ID] = append(w.ackWaiters[objB.ID], e)
 	s.mu.Unlock()
 
 	// B's transfer finishes first, even though A was staged first.
@@ -101,7 +92,7 @@ func TestOutOfOrderFileAcks(t *testing.T) {
 	s.mu.Unlock()
 
 	// The task completes; its TransferTime covers dispatch → last ack.
-	s.onResult(w, core.Result{ID: task.ID, Ok: true})
+	s.onResult(w, core.Result{ID: id, Ok: true})
 	select {
 	case res := <-m.Results():
 		if !res.Ok || res.Metrics.TransferTime <= 0 {

@@ -3,6 +3,8 @@ package manager
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -39,7 +41,12 @@ import (
 // Every interleaving of the events is fair game: both engines run the
 // one invocation pass (shardplane.Sched) and bind a queued invocation
 // only when an instance is ready, so a completion while a deploy is in
-// flight places the same invocation on the same worker in both.
+// flight places the same invocation on the same worker in both. Both
+// also host one library instance per worker, with as many slots as the
+// library is registered with, and keep what runs where — with its retry
+// budget, the same on both sides — in the scheduler's one in-flight
+// table, so L3 workloads run at any slot count (l3Slots) and a spec
+// that exhausts its budget is dropped by both at the same event.
 
 const (
 	diffLib = "difflib"
@@ -110,13 +117,13 @@ func newDiffHarness(t *testing.T, level core.ReuseLevel, workers, slots int, opt
 	if shards < 1 {
 		shards = 1
 	}
-	// A retry budget no random trace can exhaust, and a backoff short
-	// enough that the harness's wait for the requeue is instant. The
-	// settings only matter on failure-injecting traces; the happy-path
-	// workloads never draw on them.
+	// The default retry budget — the replay's — and a backoff short enough
+	// that the harness's wait for the requeue is instant. The settings
+	// only matter on failure-injecting traces; the happy-path workloads
+	// never draw on them.
 	mopts := Options{
 		PeerTransfers: true, DecisionTrace: &policy.Recorder{}, Shards: shards,
-		MaxRetries: 1000, RetryBaseDelay: time.Nanosecond, RetryMaxDelay: time.Nanosecond,
+		RetryBaseDelay: time.Nanosecond, RetryMaxDelay: time.Nanosecond,
 	}
 	if opts.tenants {
 		mopts.Tenants = diffTenants()
@@ -137,8 +144,8 @@ func newDiffHarness(t *testing.T, level core.ReuseLevel, workers, slots int, opt
 			Name:      diffLib,
 			Functions: []core.FunctionSpec{{Name: "f", Source: "1"}},
 			Env:       &h.env,
-			Slots:     1,
-			Resources: core.Resources{Cores: 1},
+			Slots:     slots,
+			Resources: core.Resources{Cores: slots},
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -158,18 +165,6 @@ func newDiffHarness(t *testing.T, level core.ReuseLevel, workers, slots int, opt
 	}
 	if opts.refs {
 		cfg.RefOwnedBytesCap = 2 << 20
-		// The manager always plans through PlanTaskBatchInto; for plain
-		// inputs sequential planning is provably equivalent, but a ref
-		// stage's suppression effect (the batch overlay's pending mark)
-		// only matches when the sim plans through the same batch entry
-		// point.
-		cfg.Batched = true
-	}
-	if shards > 1 {
-		// Sharded runs drain through the batched policy entry points,
-		// like the sharded manager; one-shard runs keep the per-decision
-		// reference drain batched_test.go holds the batched one to.
-		cfg.Batched = true
 	}
 	h.rp = sim.NewReplay(cfg, shards)
 	for i := 0; i < workers; i++ {
@@ -201,7 +196,7 @@ func (h *diffHarness) newWorker(id string) *workerState {
 		hello:        proto.Hello{WorkerID: id, Resources: core.Resources{Cores: h.slots}, DataAddr: "sim://" + id},
 		sendq:        make(chan outMsg, 256),
 		fetchSources: map[string]string{},
-		ackWaiters:   map[string][]*inflightEntry{},
+		ackWaiters:   map[string][]*staging{},
 		libs:         map[string]*libInstance{},
 	}
 	if !h.m.adoptWorker(w) {
@@ -374,19 +369,31 @@ func (h *diffHarness) completable(w *workerState) (int64, bool) {
 	s := h.shardOf(w)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	best := int64(-1)
-	for id, e := range s.inflight {
-		if e.worker != w.id {
-			continue
-		}
-		if h.level != core.L3 && len(e.waiting) > 0 {
-			continue
-		}
-		if best < 0 || id < best {
-			best = id
+	for _, run := range s.sched.Running(w.id) {
+		if st := run.Task.Spec.staging; st == nil || len(st.waiting) == 0 {
+			return run.ID(), true
 		}
 	}
-	return best, best >= 0
+	return -1, false
+}
+
+// runningOn returns the live worker dispatch id is in flight on, nil if
+// it is queued, backing off or gone.
+func (h *diffHarness) runningOn(id int64) *workerState {
+	for _, w := range h.ws {
+		if h.dead[w.id] {
+			continue
+		}
+		s := h.shardOf(w)
+		s.mu.Lock()
+		runs := s.sched.Running(w.id)
+		found := slices.ContainsFunc(runs, func(run dispatch) bool { return run.ID() == id })
+		s.mu.Unlock()
+		if found {
+			return w
+		}
+	}
+	return nil
 }
 
 func (h *diffHarness) done(w *workerState, id int64) {
@@ -572,15 +579,15 @@ func (h *diffHarness) specFail(w *workerState, id int64) {
 // and requeued its spec (and the follow-up schedule pass finished), so
 // the manager's decisions from a retry are recorded before the sim's.
 // The dirty marks are part of the predicate: the timer callback sets
-// them and drops the lock before it calls wake, so backoffs can read 0
-// with the requeue's schedule pass still ahead.
+// them and drops the lock before it calls wake, so nothing can be backing
+// off with the requeue's schedule pass still ahead.
 func (h *diffHarness) waitRetryLanded() {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		quiet := true
 		for _, s := range h.m.shards {
 			s.mu.Lock()
-			if s.backoffs != 0 || !s.sched.Settled() || s.intake.Load() != nil {
+			if s.sched.BackingOff() != 0 || !s.sched.Settled() || s.intake.Load() != nil {
 				quiet = false
 			}
 			s.mu.Unlock()
@@ -887,7 +894,9 @@ func runDifferential(t *testing.T, level core.ReuseLevel, slots int, seed int64,
 		t.Errorf("sim replay still has %d pending invocations after drain", p)
 	}
 	h.diffTraces(ops / 4)
-	if level == core.L3 && h.windowDones == 0 {
+	// (Single-slot instances fill at once, so every such trace has the
+	// window; sixteen slots a worker can go a whole trace without.)
+	if level == core.L3 && slots == 1 && h.windowDones == 0 {
 		t.Errorf("degenerate invocation run: no completion was delivered while a deploy was open and an invocation queued")
 	}
 	if opts.tenants {
@@ -914,6 +923,11 @@ func runDifferential(t *testing.T, level core.ReuseLevel, slots int, seed int64,
 	}
 }
 
+// l3Slots are the slots per library instance every L3 differential runs
+// at: the single-slot instance, and the multi-slot ones a real endpoint
+// hosts (bench's invoke_burst runs 16).
+var l3Slots = []int{1, 4, 16}
+
 func TestDifferentialTaskWorkload(t *testing.T) {
 	// L2-style stateless tasks carrying a cached peer-transferable
 	// environment input: exercises ring placement, direct vs peer
@@ -924,11 +938,13 @@ func TestDifferentialTaskWorkload(t *testing.T) {
 }
 
 func TestDifferentialInvocationWorkload(t *testing.T) {
-	// L3 function invocations on single-slot library instances:
+	// L3 function invocations on one library instance per worker:
 	// exercises ready-instance placement, hash-ring deploys with the
 	// saturation guard, and deploy staging.
-	for _, seed := range []int64{1, 2, 3} {
-		runDifferential(t, core.L3, 1, seed, 600, diffOpts{})
+	for _, slots := range l3Slots {
+		for _, seed := range []int64{1, 2, 3} {
+			runDifferential(t, core.L3, slots, seed, 600, diffOpts{})
+		}
 	}
 }
 
@@ -939,40 +955,48 @@ func TestDifferentialCompletionDuringDeploy(t *testing.T) {
 	// so the queued invocation takes the freed slot and the new instance
 	// comes up idle. (An engine binding at deploy start leaves the freed
 	// slot empty and places on the new instance at its ack.)
-	h := newDiffHarness(t, core.L3, 2, 1, diffOpts{})
-	h.submit(1)
-	var first *workerState
-	for _, w := range h.ws {
-		if h.canEnvAck(w) {
-			h.envAck(w)
-			h.libReady(w)
-			first = w
+	// (With more slots the first instance is filled first: the last of the
+	// next burst is the one that queues.)
+	for _, slots := range l3Slots {
+		h := newDiffHarness(t, core.L3, 2, slots, diffOpts{})
+		h.submit(1)
+		var first *workerState
+		for _, w := range h.ws {
+			if h.canEnvAck(w) {
+				h.envAck(w)
+				h.libReady(w)
+				first = w
+			}
 		}
+		id, running := h.completable(first)
+		if !running {
+			t.Fatalf("slots=%d: the first invocation is not running on %s", slots, first.id)
+		}
+		h.submit(slots)
+		h.settle()
+		if !h.deployWindowOpen() {
+			t.Fatalf("slots=%d: the last invocation did not queue behind a deploy of its own", slots)
+		}
+		h.done(first, id)
+		h.settle()
+		s := h.shardOf(first)
+		s.mu.Lock()
+		refilled := len(s.sched.Running(first.id))
+		s.mu.Unlock()
+		if refilled != slots || h.runningOn(id) != nil || h.deployWindowOpen() {
+			t.Fatalf("slots=%d: the queued invocation did not take the slot freed on %s (%d running there)", slots, first.id, refilled)
+		}
+		h.crossCheck("completion during deploy")
+		h.quiesce()
+		h.settle()
+		if err := h.m.CheckQuiescence(); err != nil {
+			t.Errorf("slots=%d: manager not quiescent after drain: %v", slots, err)
+		}
+		if st := h.m.Stats(); st.LibrariesDeployed != 2 || st.InvocationsDone != int64(slots+1) {
+			t.Errorf("slots=%d: deployed %d instances and finished %d invocations, want 2 and %d", slots, st.LibrariesDeployed, st.InvocationsDone, slots+1)
+		}
+		h.diffTraces(6)
 	}
-	id, running := h.completable(first)
-	if !running {
-		t.Fatalf("the first invocation is not running on %s", first.id)
-	}
-	h.submit(1)
-	h.settle()
-	if !h.deployWindowOpen() {
-		t.Fatal("the second invocation did not queue behind a deploy of its own")
-	}
-	h.done(first, id)
-	h.settle()
-	if next, ok := h.completable(first); !ok || next == id || h.deployWindowOpen() {
-		t.Fatalf("the queued invocation did not take the slot freed on %s (running there: %d, %v)", first.id, next, ok)
-	}
-	h.crossCheck("completion during deploy")
-	h.quiesce()
-	h.settle()
-	if err := h.m.CheckQuiescence(); err != nil {
-		t.Errorf("manager not quiescent after drain: %v", err)
-	}
-	if st := h.m.Stats(); st.LibrariesDeployed != 2 || st.InvocationsDone != 2 {
-		t.Errorf("deployed %d instances and finished %d invocations, want 2 and 2", st.LibrariesDeployed, st.InvocationsDone)
-	}
-	h.diffTraces(6)
 }
 
 func TestDifferentialWorkerChurn(t *testing.T) {
@@ -982,7 +1006,9 @@ func TestDifferentialWorkerChurn(t *testing.T) {
 	// requeue with the dead worker as the avoid preference.
 	for _, seed := range []int64{1, 2} {
 		runDifferential(t, core.L2, 2, seed, 600, diffOpts{churn: true})
-		runDifferential(t, core.L3, 1, seed, 600, diffOpts{churn: true})
+		for _, slots := range l3Slots {
+			runDifferential(t, core.L3, slots, seed, 600, diffOpts{churn: true})
+		}
 	}
 }
 
@@ -995,8 +1021,92 @@ func TestDifferentialRetryAndAvoidance(t *testing.T) {
 	// runs and its avoided-worker fallback.
 	for _, seed := range []int64{1, 2, 3} {
 		runDifferential(t, core.L2, 2, seed, 600, diffOpts{fail: true})
-		runDifferential(t, core.L3, 1, seed, 600, diffOpts{fail: true})
+		for _, slots := range l3Slots {
+			runDifferential(t, core.L3, slots, seed, 600, diffOpts{fail: true})
+		}
 	}
+}
+
+func TestDifferentialRetryBudgetExhausted(t *testing.T) {
+	// One spec loses attempt after attempt — a retryable failure, then its
+	// worker's death, in turn — until the shared budget (the manager's
+	// default, the replay's constant) is spent and the next loss drops it:
+	// the manager delivers the failure and returns the tenant's quota unit,
+	// the replay forgets the spec and returns it too. Both exhaustion paths
+	// run (a failed result, a death), at both levels, at one shard and
+	// three; every stream and the tenants' accounts must agree, and both
+	// engines come to rest with no tenant holding quota.
+	for _, shards := range []int{1, 3} {
+		for _, level := range []core.ReuseLevel{core.L2, core.L3} {
+			for _, lastIsDeath := range []bool{false, true} {
+				scriptExhaust(t, level, shards, lastIsDeath)
+			}
+		}
+	}
+}
+
+func scriptExhaust(t *testing.T, level core.ReuseLevel, shards int, lastIsDeath bool) {
+	where := fmt.Sprintf("level=%v shards=%d lastIsDeath=%v", level, shards, lastIsDeath)
+	h := newDiffHarness(t, level, 8, 2, diffOpts{shards: shards, tenants: true})
+	// land brings up everything installing or in transit, completing
+	// nothing, so whatever can run does.
+	land := func() {
+		for progressed := true; progressed; {
+			progressed = false
+			h.settle()
+			for _, w := range h.ws {
+				if !h.dead[w.id] && h.canEnvAck(w) {
+					h.envAck(w)
+					progressed = true
+				}
+				if !h.dead[w.id] && level == core.L3 && h.canLibReady(w) {
+					h.libReady(w)
+					progressed = true
+				}
+			}
+		}
+	}
+	// Specs 1–4 are alpha, beta, alpha, gamma: the victim is beta's, whose
+	// quota of 4 is what its drop must give back.
+	h.submit(4)
+	const victim = 2
+	for lost := 0; lost <= shardplane.DefaultMaxRetries; lost++ {
+		land()
+		w := h.runningOn(victim)
+		if w == nil {
+			t.Fatalf("%s: after %d lost attempts spec %d is not running anywhere", where, lost, victim)
+		}
+		death := lost%2 == 1
+		if lost == shardplane.DefaultMaxRetries {
+			death = lastIsDeath
+		}
+		if death {
+			h.killWorker(w)
+		} else {
+			h.specFail(w, victim)
+		}
+		h.settle()
+		h.crossCheck(fmt.Sprintf("%s: lost attempt %d", where, lost+1))
+	}
+	if w := h.runningOn(victim); w != nil {
+		t.Fatalf("%s: spec %d runs on %s with its budget spent", where, victim, w.id)
+	}
+	if st := h.m.Stats(); st.Failures != 1 || st.Retries+st.Requeued < shardplane.DefaultMaxRetries {
+		t.Fatalf("%s: failures=%d retries=%d requeued=%d, want one failure after %d retried attempts", where, st.Failures, st.Retries, st.Requeued, shardplane.DefaultMaxRetries)
+	}
+	h.submit(6)
+	h.quiesce()
+	h.settle()
+	if err := h.m.CheckQuiescence(); err != nil {
+		t.Errorf("%s: manager not quiescent after drain: %v", where, err)
+	}
+	if err := h.rp.CheckQuiescence(); err != nil {
+		t.Errorf("%s: replay not quiescent after drain: %v", where, err)
+	}
+	if mgr, rep := h.m.TenantStats(), h.rp.TenantStats(); !reflect.DeepEqual(mgr, rep) {
+		t.Errorf("%s: tenant accounts differ:\n  manager: %+v\n  sim:     %+v", where, mgr, rep)
+	}
+	h.diffTraces(8)
 }
 
 func TestDifferentialChurnWithFailures(t *testing.T) {
@@ -1014,7 +1124,9 @@ func TestDifferentialSharded(t *testing.T) {
 	// single-worker-shard and multi-worker-shard layouts appear.
 	for _, shards := range []int{2, 3} {
 		runDifferential(t, core.L2, 2, int64(10+shards), 600, diffOpts{shards: shards})
-		runDifferential(t, core.L3, 1, int64(20+shards), 600, diffOpts{shards: shards})
+		for _, slots := range l3Slots {
+			runDifferential(t, core.L3, slots, int64(20+shards), 600, diffOpts{shards: shards})
+		}
 	}
 }
 
@@ -1028,7 +1140,9 @@ func TestDifferentialMultiTenant(t *testing.T) {
 	// byte-identical.
 	for _, shards := range []int{1, 4} {
 		for _, seed := range []int64{1, 2} {
-			runDifferential(t, core.L3, 1, seed, 600, diffOpts{shards: shards, tenants: true})
+			for _, slots := range l3Slots {
+				runDifferential(t, core.L3, slots, seed, 600, diffOpts{shards: shards, tenants: true})
+			}
 			runDifferential(t, core.L2, 2, seed, 600, diffOpts{shards: shards, tenants: true})
 		}
 	}
@@ -1040,7 +1154,9 @@ func TestDifferentialMultiTenantChurn(t *testing.T) {
 	// its admission), evacuations carry each queued spec's tenant across
 	// shards, and the fair-share drain keeps feeding a reshaped plane.
 	for _, seed := range []int64{41, 42} {
-		runDifferential(t, core.L3, 1, seed, 600, diffOpts{shards: 3, churn: true, tenants: true})
+		for _, slots := range l3Slots {
+			runDifferential(t, core.L3, slots, seed, 600, diffOpts{shards: 3, churn: true, tenants: true})
+		}
 		runDifferential(t, core.L2, 2, seed, 600, diffOpts{shards: 3, churn: true, tenants: true})
 	}
 }
@@ -1179,7 +1295,9 @@ func TestDifferentialShardedChurn(t *testing.T) {
 	// and starvation nudges reset hop budgets on capacity events.
 	for _, seed := range []int64{31, 32} {
 		runDifferential(t, core.L2, 2, seed, 600, diffOpts{shards: 3, churn: true})
-		runDifferential(t, core.L3, 1, seed, 600, diffOpts{shards: 3, churn: true})
+		for _, slots := range l3Slots {
+			runDifferential(t, core.L3, slots, seed, 600, diffOpts{shards: 3, churn: true})
+		}
 	}
 }
 
@@ -1259,15 +1377,9 @@ func scriptOverflow(t *testing.T, workers, shards int) bool {
 		t.Fatalf("%s: ShardForwards = %d after the lone worker failed task %d, want 1", where, f, id)
 	}
 	// The retry must be running in another shard now, on both engines:
-	// the manager's inflight entry says where, the shard traces agree.
-	home := h.shardOf(lone)
-	for _, s := range h.m.shards {
-		s.mu.Lock()
-		e := s.inflight[id]
-		s.mu.Unlock()
-		if e != nil && s == home {
-			t.Fatalf("%s: the retry of task %d was placed back in its home shard (on %s)", where, id, e.worker)
-		}
+	// the manager's in-flight table says where, the shard traces agree.
+	if on := h.runningOn(id); on != nil && h.shardOf(on) == h.shardOf(lone) {
+		t.Fatalf("%s: the retry of task %d was placed back in its home shard (on %s)", where, id, on.id)
 	}
 	h.crossCheck("overflow " + where)
 	h.quiesce()
@@ -1294,21 +1406,18 @@ func TestDifferentialParkedThenJoin(t *testing.T) {
 	// leaves the drain below unfinished) if parked shards are never
 	// woken or never evacuate.
 	for _, shards := range []int{2, 3} {
-		for _, level := range []core.ReuseLevel{core.L2, core.L3} {
-			for _, tenants := range []bool{false, true} {
-				scriptParked(t, level, diffOpts{shards: shards, tenants: tenants, refs: level == core.L2 && !tenants})
+		for _, tenants := range []bool{false, true} {
+			scriptParked(t, core.L2, 2, diffOpts{shards: shards, tenants: tenants, refs: !tenants})
+			for _, slots := range l3Slots {
+				scriptParked(t, core.L3, slots, diffOpts{shards: shards, tenants: tenants})
 			}
 		}
 	}
 }
 
-func scriptParked(t *testing.T, level core.ReuseLevel, opts diffOpts) {
-	slots := 2
-	if level == core.L3 {
-		slots = 1
-	}
+func scriptParked(t *testing.T, level core.ReuseLevel, slots int, opts diffOpts) {
 	h := newDiffHarness(t, level, 0, slots, opts)
-	where := fmt.Sprintf("level=%v shards=%d tenants=%v", level, opts.shards, opts.tenants)
+	where := fmt.Sprintf("level=%v slots=%d shards=%d tenants=%v", level, slots, opts.shards, opts.tenants)
 	nextShard := func() int { return hashring.Partition(fmt.Sprintf("w%04d", h.next), opts.shards) }
 	// Every invocation parks in the library's home shard: burn worker
 	// numbers (join, then die idle) until the next join lands elsewhere.

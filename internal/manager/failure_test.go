@@ -32,7 +32,7 @@ func fakeWorker(m *Manager, id string) *workerState {
 		sendq:        make(chan outMsg, 256),
 		drops:        &m.stats.SendQueueDrops,
 		fetchSources: map[string]string{},
-		ackWaiters:   map[string][]*inflightEntry{},
+		ackWaiters:   map[string][]*staging{},
 		libs:         map[string]*libInstance{},
 	}
 	s := m.shardFor(id)
@@ -41,6 +41,33 @@ func fakeWorker(m *Manager, id string) *workerState {
 	s.mu.Unlock()
 	m.shardPlane.Add(id)
 	return w
+}
+
+// dispatchOn submits task and sees it dispatched to w, returning its ID.
+// The task takes the real path — intake, Plan, Place, the scheduler's
+// in-flight table; for that one pass every other worker of the shard
+// looks full.
+func dispatchOn(t *testing.T, m *Manager, w *workerState, task *core.TaskSpec) int64 {
+	t.Helper()
+	s := m.shardFor(w.id)
+	s.mu.Lock()
+	saved := map[string]core.Resources{}
+	for _, id := range core.SortedKeys(s.workers) {
+		if o := s.workers[id]; o != w {
+			saved[id], o.v.Commit = o.v.Commit, o.v.Total
+		}
+	}
+	s.mu.Unlock()
+	id := m.Submit(task)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, oid := range core.SortedKeys(saved) {
+		s.workers[oid].v.Commit = saved[oid]
+	}
+	if runs := s.sched.Running(w.id); len(runs) == 0 || runs[len(runs)-1].ID() != id {
+		t.Fatalf("task %d was not dispatched to %s (running there: %+v)", id, w.id, runs)
+	}
+	return id
 }
 
 func drainMsgs(w *workerState) []outMsg {
@@ -119,9 +146,7 @@ func TestWorkerGoneRequeuesWithinBudget(t *testing.T) {
 	s := m.shards[0]
 	lost := fakeWorker(m, "lost")
 	survivor := fakeWorker(m, "survivor")
-	task := simpleTask("requeue-me")
-	task.ID = 7
-	s.inflight[7] = &inflightEntry{worker: "lost", task: task, sentAt: time.Now()}
+	id := dispatchOn(t, m, lost, simpleTask("requeue-me"))
 
 	m.onWorkerGone(lost)
 
@@ -133,9 +158,9 @@ func TestWorkerGoneRequeuesWithinBudget(t *testing.T) {
 	}
 	// The schedule pass after requeue must have placed it on the
 	// survivor, not the dead worker — carrying its spent retry budget.
-	e := s.inflight[7]
-	if e == nil || e.worker != "survivor" || e.retries != 1 {
-		t.Fatalf("inflight after requeue: %+v", e)
+	runs := s.sched.Running("survivor")
+	if len(runs) != 1 || runs[0].ID() != id || runs[0].Task.Retries != 1 || s.sched.InFlight() != 1 {
+		t.Fatalf("inflight after requeue: %+v", runs)
 	}
 	if len(drainMsgs(survivor)) == 0 {
 		t.Errorf("nothing dispatched to the survivor")
@@ -145,17 +170,23 @@ func TestWorkerGoneRequeuesWithinBudget(t *testing.T) {
 func TestWorkerGoneFailsWhenBudgetExhausted(t *testing.T) {
 	m := New(Options{PeerTransfers: true, MaxRetries: 1, Shards: 1})
 	s := m.shards[0]
+	first := fakeWorker(m, "first")
 	lost := fakeWorker(m, "lost")
-	task := simpleTask("doomed")
-	task.ID = 9
-	// Budget already spent: the entry carries its retry count.
-	s.inflight[9] = &inflightEntry{worker: "lost", task: task, retries: 1, sentAt: time.Now()}
+	// Budget already spent: the spec carries its retry count from the
+	// first death to its dispatch on the second worker.
+	id := dispatchOn(t, m, first, simpleTask("doomed"))
+	m.onWorkerGone(first)
+	s.mu.Lock()
+	if runs := s.sched.Running("lost"); len(runs) != 1 || runs[0].ID() != id || runs[0].Task.Retries != 1 {
+		t.Fatalf("after the first death: %+v", runs)
+	}
+	s.mu.Unlock()
 
 	m.onWorkerGone(lost)
 
 	select {
 	case res := <-m.Results():
-		if res.Ok || res.ID != 9 || !strings.Contains(res.Err, "retry budget exhausted") {
+		if res.Ok || res.ID != id || !strings.Contains(res.Err, "retry budget exhausted") {
 			t.Errorf("result = %+v", res)
 		}
 	case <-time.After(2 * time.Second):
@@ -164,8 +195,8 @@ func TestWorkerGoneFailsWhenBudgetExhausted(t *testing.T) {
 	failures := m.Stats().Failures
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if failures != 1 || len(s.inflight) != 0 || len(s.sched.Tasks()) != 0 {
-		t.Errorf("failures=%d inflight=%v pending=%v", failures, s.inflight, s.sched.Tasks())
+	if failures != 1 || s.sched.InFlight() != 0 || len(s.sched.Tasks()) != 0 {
+		t.Errorf("failures=%d inflight=%d pending=%v", failures, s.sched.InFlight(), s.sched.Tasks())
 	}
 }
 
@@ -234,25 +265,18 @@ func TestTransferTimeMeasuresDispatchToAck(t *testing.T) {
 	w := fakeWorker(m, "w")
 	obj := content.NewBlob("input", []byte("x"))
 	task := simpleTask("timed")
-	task.ID = 3
 	task.Inputs = []core.FileSpec{{Object: obj, Cache: true}}
+	id := dispatchOn(t, m, w, task)
 	s.mu.Lock()
-	s.view.NotePending(w.v, obj.ID)
-	w.v.Commit = w.v.Commit.Add(task.Resources)
-	e := &inflightEntry{
-		worker:  "w",
-		task:    task,
-		sentAt:  time.Now(),
-		waiting: map[string]bool{obj.ID: true},
+	if st := s.sched.Running("w")[0].Task.Spec.staging; st == nil || !st.waiting[obj.ID] || len(w.ackWaiters[obj.ID]) != 1 {
+		t.Fatalf("the dispatch is not waiting on its staged input: %+v", st)
 	}
-	s.inflight[3] = e
-	w.ackWaiters[obj.ID] = append(w.ackWaiters[obj.ID], e)
 	s.mu.Unlock()
 
 	const wire = 25 * time.Millisecond
 	time.Sleep(wire)
 	s.onFileAck(w, proto.FileAck{ID: obj.ID, Ok: true, Cache: true})
-	s.onResult(w, core.Result{ID: 3, Ok: true})
+	s.onResult(w, core.Result{ID: id, Ok: true})
 
 	select {
 	case res := <-m.Results():
@@ -313,7 +337,7 @@ func TestRepeatedLibraryFailureFailsPendingInvocations(t *testing.T) {
 	m.libSpecs["bad"] = spec
 	m.libMu.Unlock()
 	s.mu.Lock()
-	s.sched.PushInvs(queuedInv(&core.InvocationSpec{ID: 11, Library: "bad", Function: "f"}, 0))
+	s.sched.PushInvs(queuedInv(&core.InvocationSpec{ID: 11, Library: "bad", Function: "f"}))
 	s.mu.Unlock()
 
 	for i := 0; i < maxLibraryFailures; i++ {
@@ -417,7 +441,7 @@ func TestEvictEmptyAccounting(t *testing.T) {
 	s.view.AddInstance(w.v, &idle.LibraryView)
 	w.v.Commit = w.v.Commit.Add(res)
 
-	if !s.Deploy("incoming") {
+	if on, ok := s.Deploy("incoming"); !ok || on != w.id {
 		t.Fatalf("eviction should free the idle library")
 	}
 	// The idle instance's commitment went, the new instance's came.
@@ -439,7 +463,7 @@ func TestEvictEmptyAccounting(t *testing.T) {
 	busy := w.libs["incoming"]
 	busy.SlotsUsed = 1
 	s.libSlotsChangedLocked(w, busy)
-	if s.Deploy("other") {
+	if _, ok := s.Deploy("other"); ok {
 		t.Errorf("evicted a library with invocations in flight")
 	}
 	if _, there := w.libs["incoming"]; !there || w.libs["other"] != nil {
@@ -573,19 +597,14 @@ func TestRetryableResultRetriesWithBackoff(t *testing.T) {
 		RetryBaseDelay: 10 * time.Millisecond, RetryMaxDelay: 40 * time.Millisecond, Shards: 1})
 	s := m.shards[0]
 	w := fakeWorker(m, "w")
-	task := simpleTask("flaky")
-	task.ID = 5
-	s.mu.Lock()
-	w.v.Commit = w.v.Commit.Add(task.Resources)
-	s.inflight[5] = &inflightEntry{worker: "w", task: task, sentAt: time.Now()}
-	s.mu.Unlock()
+	id := dispatchOn(t, m, w, simpleTask("flaky"))
 
-	s.onResult(w, core.Result{ID: 5, Ok: false, Retryable: true, Err: "input not staged"})
+	s.onResult(w, core.Result{ID: id, Ok: false, Retryable: true, Err: "input not staged"})
 
 	retries := m.Stats().Retries
 	s.mu.Lock()
-	if retries != 1 || s.backoffs != 1 {
-		t.Errorf("retries=%d backoffs=%d", retries, s.backoffs)
+	if retries != 1 || s.sched.BackingOff() != 1 {
+		t.Errorf("retries=%d backoffs=%d", retries, s.sched.BackingOff())
 	}
 	s.mu.Unlock()
 
@@ -595,11 +614,16 @@ func TestRetryableResultRetriesWithBackoff(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		s.mu.Lock()
-		e, inflight := s.inflight[5]
+		runs := s.sched.Running("w")
+		inflight := len(runs) == 1 && runs[0].ID() == id
+		retries := 0
+		if inflight {
+			retries = runs[0].Task.Retries
+		}
 		s.mu.Unlock()
 		if inflight {
-			if e.retries != 1 {
-				t.Fatalf("redispatched entry carries retries=%d, want 1", e.retries)
+			if retries != 1 {
+				t.Fatalf("redispatched entry carries retries=%d, want 1", retries)
 			}
 			break
 		}
@@ -610,7 +634,7 @@ func TestRetryableResultRetriesWithBackoff(t *testing.T) {
 	}
 
 	// A non-retryable failure on the same path is final.
-	s.onResult(w, core.Result{ID: 5, Ok: false, Err: "NameError: boom"})
+	s.onResult(w, core.Result{ID: id, Ok: false, Err: "NameError: boom"})
 	select {
 	case res := <-m.Results():
 		if res.Ok || res.Retryable || !strings.Contains(res.Err, "NameError") {
@@ -628,14 +652,9 @@ func TestRetriesDisabledDeliversFirstFailure(t *testing.T) {
 	m := New(Options{PeerTransfers: true, MaxRetries: -1, Shards: 1})
 	s := m.shards[0]
 	w := fakeWorker(m, "w")
-	task := simpleTask("once")
-	task.ID = 2
-	s.mu.Lock()
-	w.v.Commit = w.v.Commit.Add(task.Resources)
-	s.inflight[2] = &inflightEntry{worker: "w", task: task, sentAt: time.Now()}
-	s.mu.Unlock()
+	id := dispatchOn(t, m, w, simpleTask("once"))
 
-	s.onResult(w, core.Result{ID: 2, Ok: false, Retryable: true, Err: "infra hiccup"})
+	s.onResult(w, core.Result{ID: id, Ok: false, Retryable: true, Err: "infra hiccup"})
 	select {
 	case res := <-m.Results():
 		if res.Ok || m.Stats().Retries != 0 {

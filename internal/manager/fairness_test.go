@@ -32,7 +32,7 @@ func TestFairShareNoStarvation(t *testing.T) {
 		hello:        proto.Hello{WorkerID: "w0", Resources: core.Resources{Cores: 1}},
 		sendq:        make(chan outMsg, 256),
 		fetchSources: map[string]string{},
-		ackWaiters:   map[string][]*inflightEntry{},
+		ackWaiters:   map[string][]*staging{},
 		libs:         map[string]*libInstance{},
 	}
 	if !m.adoptWorker(w) {
@@ -56,10 +56,8 @@ func TestFairShareNoStarvation(t *testing.T) {
 			drainMsgs(w)
 			s.mu.Lock()
 			best := int64(-1)
-			for id, e := range s.inflight {
-				if e.worker == w.id && len(e.waiting) == 0 && (best < 0 || id < best) {
-					best = id
-				}
+			if runs := s.sched.Running(w.id); len(runs) > 0 {
+				best = runs[0].ID()
 			}
 			s.mu.Unlock()
 			if best >= 0 {

@@ -18,7 +18,7 @@ import (
 //     so a FileAck wakes exactly those queues.
 //   - per-worker ackWaiters: object → dispatches on that worker still
 //     waiting for the ack (TransferTime stamping without scanning the
-//     whole inflight table).
+//     in-flight table).
 //   - dirty marks + Sched.Wake: a burst of events triggers one coalesced
 //     schedule pass, not one per event — per shard.
 //
@@ -34,13 +34,6 @@ type objWaiter struct {
 }
 
 // ---- the scheduler's shell ----
-
-// Quiet reports whether no local event is pending that could change
-// this shard's placement state: nothing in flight, no copies awaiting
-// acks, no retries waiting out a backoff.
-func (s *shard) Quiet() bool {
-	return len(s.inflight) == 0 && s.backoffs == 0 && len(s.view.PendingCopies) == 0
-}
 
 // Deliver moves specs into shard i's queues and wakes it.
 func (s *shard) Deliver(i int, tasks []pendingTask, invs []pendingInv) {
@@ -204,13 +197,6 @@ func (s *shard) registerWorkerLocked(w *workerState) {
 // queued behind a first copy that will now never confirm.
 func (s *shard) dropWorkerLocked(w *workerState) {
 	delete(s.workers, w.id)
-	// Un-acked installs on the dead worker will never ack; release
-	// their claims so queued invocations can trigger fresh deploys.
-	for name, li := range w.libs { //vinelint:unordered per-library counter decrements commute
-		if !li.Ready && !li.Failed {
-			s.sched.Unclaim(name)
-		}
-	}
 	dropped, cleared := s.view.RemoveWorker(w.v)
 	for _, id := range dropped {
 		s.m.holderDrop(id, w.id)

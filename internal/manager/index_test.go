@@ -56,7 +56,7 @@ func TestIndexConsistencyRandomized(t *testing.T) {
 			hello:        proto.Hello{WorkerID: id, Resources: core.Resources{Cores: 32, MemoryMB: 64 << 10, DiskMB: 64 << 10}},
 			sendq:        make(chan outMsg, 4096),
 			fetchSources: map[string]string{},
-			ackWaiters:   map[string][]*inflightEntry{},
+			ackWaiters:   map[string][]*staging{},
 			libs:         map[string]*libInstance{},
 		}
 	}
@@ -203,7 +203,7 @@ func TestIndexConsistencyRandomized(t *testing.T) {
 				s.view.ClearPending(w.v, objs[rng.Intn(len(objs))])
 			}
 		case 5: // deploy a library where the policy core finds room
-			if s.Deploy(libs[rng.Intn(len(libs))]) {
+			if _, ok := s.Deploy(libs[rng.Intn(len(libs))]); ok {
 				op = "deploy"
 			}
 		case 6: // library ack ok
@@ -231,7 +231,7 @@ func TestIndexConsistencyRandomized(t *testing.T) {
 			nextInv++
 			if ds := s.Ready(nil, name, 1, ""); len(ds) > 0 {
 				op = "place"
-				s.PlaceInv(queuedInv(inv, 0), ds[0])
+				s.PlaceInv(queuedInv(inv), ds[0])
 			}
 		case 9: // invocation result frees a slot
 			if w := pickWorker(); w != nil {

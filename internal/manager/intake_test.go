@@ -83,7 +83,7 @@ func runIntakeWorkload(t *testing.T, producers, perProducer int, push func(intak
 // view or manager behind it.
 func bareShard() *shard {
 	s := &shard{m: &Manager{}}
-	s.sched = shardplane.NewPlane[taskSpec, invSpec](1).Attach(0, nil, &s.mu, s)
+	s.sched = shardplane.NewPlane[taskSpec, *core.InvocationSpec](1, 0).Attach(0, nil, &s.mu, s)
 	return s
 }
 
@@ -108,11 +108,11 @@ func TestIntakeConcurrentSubmitDrain(t *testing.T) {
 	s := bareShard()
 	push := func(it intakeItem) {
 		n := intakeNodePool.Get().(*intakeNode)
-		n.isTask = false
-		n.inv = queuedInv(&core.InvocationSpec{
+		n.spec.IsTask = false
+		n.spec.Inv = queuedInv(&core.InvocationSpec{
 			ID:      int64(it.p*perProducer + it.k),
 			Library: fmt.Sprintf("lib%d", it.p),
-		}, 0)
+		})
 		s.pushIntake(n)
 	}
 	drain := func() []intakeItem {
@@ -121,7 +121,7 @@ func TestIntakeConcurrentSubmitDrain(t *testing.T) {
 		var out []intakeItem
 		for p := 0; p < producers; p++ {
 			for _, pi := range s.sched.DrainLib(fmt.Sprintf("lib%d", p)) {
-				id := int(pi.Spec.inv.ID)
+				id := int(pi.Spec.ID)
 				out = append(out, intakeItem{p: id / perProducer, k: id % perProducer})
 			}
 		}
@@ -165,11 +165,11 @@ func TestIntakeMixedTasksAndInvocations(t *testing.T) {
 			for k := 0; k < perProducer; k++ {
 				n := intakeNodePool.Get().(*intakeNode)
 				if k%2 == 0 {
-					n.isTask = true
-					n.task = pendingTask{Spec: taskSpec{t: &core.TaskSpec{ID: int64(p*perProducer + k)}}}
+					n.spec.IsTask = true
+					n.spec.Task = pendingTask{Spec: taskSpec{t: &core.TaskSpec{ID: int64(p*perProducer + k)}}}
 				} else {
-					n.isTask = false
-					n.inv = queuedInv(&core.InvocationSpec{ID: int64(p*perProducer + k), Library: "lib"}, 0)
+					n.spec.IsTask = false
+					n.spec.Inv = queuedInv(&core.InvocationSpec{ID: int64(p*perProducer + k), Library: "lib"})
 				}
 				s.pushIntake(n)
 			}
@@ -197,7 +197,7 @@ func TestIntakeMixedTasksAndInvocations(t *testing.T) {
 	}
 	lastK = map[int]int{}
 	for _, pi := range invs {
-		p, k := int(pi.Spec.inv.ID)/perProducer, int(pi.Spec.inv.ID)%perProducer
+		p, k := int(pi.Spec.ID)/perProducer, int(pi.Spec.ID)%perProducer
 		if prev, ok := lastK[p]; ok && k <= prev {
 			t.Fatalf("producer %d: invocation %d drained after item %d", p, k, prev)
 		}

@@ -157,7 +157,7 @@ type Manager struct {
 	// one's scheduler and the router (the worker→shard and spec→shard
 	// rules), both shared with the simulator's Replay driver.
 	shards     []*shard
-	shardPlane *shardplane.Plane[taskSpec, invSpec]
+	shardPlane *shardplane.Plane[taskSpec, *core.InvocationSpec]
 
 	// libMu guards the registered-library table, read by every shard's
 	// validation path and written only by RegisterLibrary.
@@ -230,12 +230,10 @@ type shard struct {
 	libInfraFailures map[string]int
 	// sched is the shared scheduler: the task queue, the per-library
 	// invocation queues with their install claims, the dirty marks, the
-	// wake latch and loop. This shard is its Shell (index.go).
-	sched    *shardplane.Sched[taskSpec, invSpec]
-	inflight map[int64]*inflightEntry
-	// backoffs counts retries sitting in their backoff timers — work
-	// that is neither queued in sched nor in inflight.
-	backoffs int
+	// wake latch and loop, and the in-flight table — what runs on which
+	// worker, the retry budget, the specs waiting out a backoff. This
+	// shard is its Shell (index.go).
+	sched *shardplane.Sched[taskSpec, *core.InvocationSpec]
 
 	// ---- scheduler view (policy core) ----
 
@@ -255,10 +253,6 @@ type shard struct {
 	// and refilled under the shard lock, so steady-state planning
 	// allocates no slices.
 	reqScratch []policy.TaskReq
-	// freeInflight recycles invocation inflight entries (only those —
-	// task entries can be referenced by ackWaiters past completion;
-	// invocation entries never register there).
-	freeInflight []*inflightEntry
 
 	// ---- lock-free submit intake (MPSC) ----
 
@@ -271,14 +265,11 @@ type shard struct {
 
 // intakeNode is one submitted spec waiting in a shard's intake stack.
 // Nodes are pooled: the submit path must not trade its lock for an
-// allocation per spec. A tenant's spec waits in the submission plane
-// as an intakeNode value (next unused) and is copied into a pooled
-// node when the plane releases it.
+// allocation per spec. (A tenant's spec waits in the submission plane by
+// value and is copied into a pooled node when the plane releases it.)
 type intakeNode struct {
-	next   *intakeNode
-	isTask bool
-	task   pendingTask
-	inv    pendingInv
+	next *intakeNode
+	spec dispatch
 }
 
 var intakeNodePool = sync.Pool{New: func() any { return new(intakeNode) }}
@@ -311,11 +302,7 @@ func (s *shard) Intake() (open bool) {
 	}
 	for n := rev; n != nil; {
 		next := n.next
-		if n.isTask {
-			s.sched.Push(n.task)
-		} else {
-			s.sched.PushInvs(n.inv)
-		}
+		s.sched.Enqueue(n.spec)
 		*n = intakeNode{} // drop spec pointers before pooling
 		intakeNodePool.Put(n)
 		n = next
@@ -323,41 +310,35 @@ func (s *shard) Intake() (open bool) {
 	return !s.m.closed.Load()
 }
 
-// taskSpec is the manager's payload of a queued task: the retry count
-// travels with the spec, as the shared Task's ring key, avoid preference
-// and hop count do, so it migrates between shards intact.
+// taskSpec is the manager's payload of a task. The shared Task carries
+// the ring key, spec ID, retry count, avoid preference and hop count, so
+// they migrate between shards intact; staging is the current dispatch's
+// alone.
 type taskSpec struct {
-	t       *core.TaskSpec
-	retries int
+	t *core.TaskSpec
+	// staging is set by Place when the dispatch went out ahead of inputs
+	// still on their way, nil otherwise.
+	staging *staging
 }
 
 func (p taskSpec) Need() core.Resources { return p.t.Resources }
 
-type pendingTask = shardplane.Task[taskSpec]
+// An invocation's payload is the spec itself.
+type (
+	pendingTask = shardplane.Task[taskSpec]
+	pendingInv  = shardplane.Inv[*core.InvocationSpec]
+	dispatch    = shardplane.Run[taskSpec, *core.InvocationSpec]
+)
 
-// invSpec is the manager's payload of a queued invocation, retry count
-// included for the same reason.
-type invSpec struct {
-	inv     *core.InvocationSpec
-	retries int
+// queuedInv is an invocation as it enters its library's queue.
+func queuedInv(inv *core.InvocationSpec) pendingInv {
+	return pendingInv{Lib: inv.Library, ID: inv.ID, Spec: inv}
 }
 
-type pendingInv = shardplane.Inv[invSpec]
-
-// queuedInv is an invocation as it enters (or re-enters) its library's
-// queue.
-func queuedInv(inv *core.InvocationSpec, retries int) pendingInv {
-	return pendingInv{Lib: inv.Library, Spec: invSpec{inv: inv, retries: retries}}
-}
-
-type inflightEntry struct {
-	worker  string
-	library string // "" for plain tasks
-	ringKey string // tasks only: consistent-hash key, reused on requeue
-	task    *core.TaskSpec
-	inv     *core.InvocationSpec
-	retries int // re-dispatches so far (crash requeues + retryable failures)
-	sentAt  time.Time
+// staging times one task dispatch's input transfers: TransferTime is
+// dispatch → last FileAck.
+type staging struct {
+	sentAt time.Time
 	// waiting holds object IDs staged for this dispatch whose FileAck
 	// has not arrived yet; the last ack stamps the transfer duration.
 	waiting  map[string]bool
@@ -391,7 +372,7 @@ type workerState struct {
 	fetchSources map[string]string
 	// ackWaiters maps object ID → dispatches on this worker whose
 	// TransferTime is waiting for that object's FileAck.
-	ackWaiters map[string][]*inflightEntry
+	ackWaiters map[string][]*staging
 	libs       map[string]*libInstance
 }
 
@@ -431,7 +412,7 @@ func New(opts Options) *Manager {
 		opts.ResultBuffer = 4096
 	}
 	if opts.MaxRetries == 0 {
-		opts.MaxRetries = 3
+		opts.MaxRetries = shardplane.DefaultMaxRetries
 	}
 	if opts.RetryBaseDelay <= 0 {
 		opts.RetryBaseDelay = 50 * time.Millisecond
@@ -441,7 +422,7 @@ func New(opts Options) *Manager {
 	}
 	m := &Manager{
 		opts:       opts,
-		shardPlane: shardplane.NewPlane[taskSpec, invSpec](opts.Shards),
+		shardPlane: shardplane.NewPlane[taskSpec, *core.InvocationSpec](opts.Shards, opts.MaxRetries),
 		libSpecs:   map[string]*core.LibrarySpec{},
 		holders:    map[string]map[string]bool{},
 		peers:      map[string]*peerSource{},
@@ -464,7 +445,6 @@ func New(opts Options) *Manager {
 			workers:          map[string]*workerState{},
 			libFailures:      map[string]int{},
 			libInfraFailures: map[string]int{},
-			inflight:         map[int64]*inflightEntry{},
 			view: policy.NewClusterView(policy.Options{
 				PeerTransfers:       opts.PeerTransfers,
 				PeerTransferCap:     opts.PeerTransferCap,
@@ -661,9 +641,9 @@ func (m *Manager) libSpec(name string) (*core.LibrarySpec, bool) {
 // no TenantID, no plane, or an unregistered tenant — routes directly.
 func (m *Manager) Submit(t *core.TaskSpec) int64 {
 	t.ID = m.nextID.Add(1)
-	it := intakeNode{isTask: true, task: pendingTask{Key: shardplane.TaskKey(t.ID), Spec: taskSpec{t: t}}}
+	it := dispatch{IsTask: true, Task: pendingTask{Key: shardplane.TaskKey(t.ID), ID: t.ID, Spec: taskSpec{t: t}}}
 	if t.TenantID == "" || m.plane == nil || !m.plane.submit(t.TenantID, it, t.ID) {
-		m.route(m.shardPlane.KeyShard(it.task.Key), it)
+		m.route(m.shardPlane.KeyShard(it.Task.Key), it)
 	}
 	return t.ID
 }
@@ -672,7 +652,7 @@ func (m *Manager) Submit(t *core.TaskSpec) int64 {
 // handling matches Submit.
 func (m *Manager) SubmitInvocation(inv *core.InvocationSpec) int64 {
 	inv.ID = m.nextID.Add(1)
-	it := intakeNode{inv: queuedInv(inv, 0)}
+	it := dispatch{Inv: queuedInv(inv)}
 	if inv.TenantID == "" || m.plane == nil || !m.plane.submit(inv.TenantID, it, inv.ID) {
 		m.route(m.shardPlane.InvShard(inv.ID, inv.Library), it)
 	}
@@ -687,10 +667,10 @@ func (m *Manager) SubmitInvocation(inv *core.InvocationSpec) int64 {
 // joins. The hand-off is lock-free: the spec goes onto the shard's
 // intake stack and the wake latch does the rest, so a submit burst never
 // contends with a running pass.
-func (m *Manager) route(idx int, it intakeNode) {
+func (m *Manager) route(idx int, it dispatch) {
 	s := m.shards[idx]
 	n := intakeNodePool.Get().(*intakeNode)
-	*n = it
+	n.spec = it
 	s.pushIntake(n)
 	s.sched.Wake()
 }
@@ -775,7 +755,7 @@ func (m *Manager) serveWorker(nc net.Conn) {
 		sendq:        make(chan outMsg, sendQueueSize(hello.Resources.Cores)),
 		drops:        &m.stats.SendQueueDrops,
 		fetchSources: map[string]string{},
-		ackWaiters:   map[string][]*inflightEntry{},
+		ackWaiters:   map[string][]*staging{},
 		libs:         map[string]*libInstance{},
 	}
 
@@ -932,32 +912,13 @@ func (m *Manager) onWorkerGone(w *workerState) {
 	// in-flight copies — waking placements queued behind a first copy
 	// that will now never confirm).
 	s.dropWorkerLocked(w)
-	// Requeue everything that was running there, within each spec's
-	// retry budget; a spec that has already exhausted it fails instead
-	// of bouncing between crashing workers forever. Requeue in
-	// ascending spec-ID order — map iteration order would otherwise
-	// make the post-crash schedule nondeterministic, which anyone
-	// replaying a decision trace cannot tolerate.
-	for _, id := range core.SortedKeys(s.inflight) {
-		e := s.inflight[id]
-		if e.worker != w.id {
-			continue
-		}
-		delete(s.inflight, id)
-		if m.opts.MaxRetries >= 0 && e.retries < m.opts.MaxRetries {
-			e.retries++
-			atomic.AddInt64(&m.stats.Requeued, 1)
-			s.requeueLocked(w.id, e)
-			continue
-		}
-		atomic.AddInt64(&m.stats.Failures, 1)
-		m.deliver(core.Result{ID: id, Ok: false,
-			Err: fmt.Sprintf("manager: worker %s lost and retry budget exhausted", w.id)})
-		// Shard lock held: quota returns and the drain runs now, but
-		// the wakes park until pump() at the next wake-loop exit.
-		if m.plane != nil {
-			m.plane.release(specTenant(e), false)
-		}
+	// Everything that was running there requeues within its retry budget
+	// (Sched.Died); a spec that has exhausted it fails instead of bouncing
+	// between crashing workers forever.
+	requeued, lost := s.sched.Died(w.id)
+	atomic.AddInt64(&m.stats.Requeued, int64(requeued))
+	for i := range lost {
+		s.failLocked(lost[i].ID(), specTenant(&lost[i]), fmt.Sprintf("manager: worker %s lost and retry budget exhausted", w.id))
 	}
 	// Losing a worker changes the ring; anything whose placement was
 	// pinned behind this worker's state gets another look.
@@ -967,16 +928,6 @@ func (m *Manager) onWorkerGone(w *workerState) {
 	// Membership changed: overflow targets and ring ownership moved,
 	// so rested work elsewhere gets its hop budget back.
 	m.shardPlane.Nudge()
-}
-
-// requeueLocked puts a dispatch's spec back on its queue, avoid as its
-// avoid preference.
-func (s *shard) requeueLocked(avoid string, e *inflightEntry) {
-	if e.task != nil {
-		s.sched.Requeue(avoid, pendingTask{Key: e.ringKey, Spec: taskSpec{t: e.task, retries: e.retries}})
-	} else if e.inv != nil {
-		s.sched.RequeueInv(avoid, queuedInv(e.inv, e.retries))
-	}
 }
 
 func (s *shard) onFileAck(w *workerState, ack proto.FileAck) {
@@ -1035,10 +986,10 @@ func (s *shard) onFileAck(w *workerState, ack proto.FileAck) {
 	if list := w.ackWaiters[ack.ID]; !restaged && len(list) > 0 {
 		delete(w.ackWaiters, ack.ID)
 		now := time.Now()
-		for _, e := range list {
-			if e.waiting[ack.ID] {
-				delete(e.waiting, ack.ID)
-				e.transfer = now.Sub(e.sentAt).Seconds()
+		for _, st := range list {
+			if st.waiting[ack.ID] {
+				delete(st.waiting, ack.ID)
+				st.transfer = now.Sub(st.sentAt).Seconds()
 			}
 		}
 	}
@@ -1066,9 +1017,7 @@ func (s *shard) onLibraryAck(w *workerState, ack proto.LibraryAck) {
 	s.mu.Lock()
 	li := w.libs[ack.Library]
 	if li != nil {
-		if !li.Ready {
-			s.sched.Unclaim(ack.Library)
-		}
+		s.sched.Unclaim(w.id, ack.Library)
 		if ack.Ok {
 			li.Ready = true
 			li.instance = ack.Instance
@@ -1120,101 +1069,92 @@ func (s *shard) onLibraryAck(w *workerState, ack proto.LibraryAck) {
 // Caller holds the shard lock.
 func (s *shard) failPendingForLibraryLocked(library string, failures int, reason string) {
 	for _, pi := range s.sched.DrainLib(library) {
-		atomic.AddInt64(&s.m.stats.Failures, 1)
-		s.m.deliver(core.Result{ID: pi.Spec.inv.ID, Ok: false,
-			Err: fmt.Sprintf("manager: library %q failed to deploy %d times: %s",
-				library, failures, reason)})
-		if s.m.plane != nil {
-			s.m.plane.release(pi.Spec.inv.TenantID, false)
-		}
+		s.failLocked(pi.ID, pi.Spec.TenantID, fmt.Sprintf("manager: library %q failed to deploy %d times: %s", library, failures, reason))
 	}
+}
+
+// failLocked delivers spec id's final failure and returns its tenant's
+// quota unit. The shard lock is held: the plane's drain runs now, but the
+// wakes it owes park until pump() at the next wake-loop exit.
+func (s *shard) failLocked(id int64, tenant, err string) {
+	atomic.AddInt64(&s.m.stats.Failures, 1)
+	s.m.deliver(core.Result{ID: id, Ok: false, Err: err})
+	s.m.plane.release(tenant, false)
 }
 
 func (s *shard) onResult(w *workerState, res core.Result) {
 	m := s.m
 	s.mu.Lock()
-	e, ok := s.inflight[res.ID]
-	if ok {
-		delete(s.inflight, res.ID)
-		res.Metrics.TransferTime += e.transfer
-		if res.Ok {
-			if res.Ref != nil {
-				// Pass-by-reference completion doubles as the ownership
-				// transfer (§15): the bytes stayed on the producer, the
-				// manager only updates its ref catalog.
-				atomic.AddInt64(&m.stats.RefResults, 1)
-				atomic.AddInt64(&m.stats.BytesByRef, res.Ref.Size)
-				m.refs.noteResult(w.id, res.Ref)
-			} else if n := len(res.Value); n > 0 {
-				atomic.AddInt64(&m.stats.BytesThroughManager, int64(n))
-			}
-		}
-		if e.task != nil {
-			atomic.AddInt64(&m.stats.TasksDone, 1)
-			w.v.Commit = w.v.Commit.Sub(e.task.Resources)
-			// Cacheable inputs are now resident on that worker.
-			for _, in := range e.task.Inputs {
-				if in.Cache {
-					s.noteReplicaLocked(w, in.Object.ID)
-				}
-			}
-			// Freed resources: tasks and deployments compete for them.
-			s.sched.MarkAll()
-		} else if e.inv != nil {
-			atomic.AddInt64(&m.stats.InvocationsDone, 1)
-			idle := false
-			if li := w.libs[e.library]; li != nil {
-				if li.SlotsUsed > 0 {
-					li.SlotsUsed--
-				}
-				li.served++
-				idle = li.SlotsUsed == 0
-				s.libSlotsChangedLocked(w, li)
-			}
-			// A freed slot unblocks this library's queue; an instance
-			// going fully idle additionally becomes an eviction
-			// candidate, which can unblock every other library waiting
-			// on capacity (§3.5.2).
-			s.sched.MarkLib(e.library)
-			if idle && m.opts.EvictEmptyLibraries {
-				s.sched.MarkAllLibs()
-			}
+	// A retryable failure draws on the table's budget: within it (retry n)
+	// the spec backs off there until retryAfter's timer fires.
+	run, retry, ok := s.sched.Done(w.id, res.ID, !res.Ok && res.Retryable && !m.closed.Load())
+	if !ok {
+		s.mu.Unlock()
+		s.sched.Wake()
+		m.shardPlane.Nudge()
+		return
+	}
+	if res.Ok {
+		if res.Ref != nil {
+			// Pass-by-reference completion doubles as the ownership
+			// transfer (§15): the bytes stayed on the producer, the
+			// manager only updates its ref catalog.
+			atomic.AddInt64(&m.stats.RefResults, 1)
+			atomic.AddInt64(&m.stats.BytesByRef, res.Ref.Size)
+			m.refs.noteResult(w.id, res.Ref)
+		} else if n := len(res.Value); n > 0 {
+			atomic.AddInt64(&m.stats.BytesThroughManager, int64(n))
 		}
 	}
-	var backoff time.Duration
-	retried := false
-	if ok && !res.Ok && res.Retryable && m.opts.MaxRetries >= 0 &&
-		e.retries < m.opts.MaxRetries && !m.closed.Load() {
-		e.retries++
-		atomic.AddInt64(&m.stats.Retries, 1)
-		s.backoffs++
-		backoff = retryBackoff(m.opts.RetryBaseDelay, m.opts.RetryMaxDelay, e.retries, res.ID)
-		retried = true
-	}
-	if ok && !retried && !res.Ok {
-		atomic.AddInt64(&m.stats.Failures, 1)
-	}
-	// Read before e goes back on the free list: once the lock drops, the
-	// next placement may reuse it.
-	var tenant string
-	if ok {
-		tenant = specTenant(e)
-	}
-	if ok && !retried && e.inv != nil && len(s.freeInflight) < 1024 {
-		s.freeInflight = append(s.freeInflight, e)
+	if run.IsTask {
+		t := run.Task.Spec.t
+		if st := run.Task.Spec.staging; st != nil {
+			res.Metrics.TransferTime += st.transfer
+		}
+		atomic.AddInt64(&m.stats.TasksDone, 1)
+		w.v.Commit = w.v.Commit.Sub(t.Resources)
+		// Cacheable inputs are now resident on that worker.
+		for _, in := range t.Inputs {
+			if in.Cache {
+				s.noteReplicaLocked(w, in.Object.ID)
+			}
+		}
+		// Freed resources: tasks and deployments compete for them.
+		s.sched.MarkAll()
+	} else {
+		lib := run.Inv.Lib
+		atomic.AddInt64(&m.stats.InvocationsDone, 1)
+		idle := false
+		if li := w.libs[lib]; li != nil {
+			if li.SlotsUsed > 0 {
+				li.SlotsUsed--
+			}
+			li.served++
+			idle = li.SlotsUsed == 0
+			s.libSlotsChangedLocked(w, li)
+		}
+		// A freed slot unblocks this library's queue; an instance
+		// going fully idle additionally becomes an eviction
+		// candidate, which can unblock every other library waiting
+		// on capacity (§3.5.2).
+		s.sched.MarkLib(lib)
+		if idle && m.opts.EvictEmptyLibraries {
+			s.sched.MarkAllLibs()
+		}
 	}
 	s.mu.Unlock()
-	if ok && !retried {
+	if retry > 0 {
+		atomic.AddInt64(&m.stats.Retries, 1)
+		s.retryAfter(res.ID, retryBackoff(m.opts.RetryBaseDelay, m.opts.RetryMaxDelay, retry, res.ID))
+	} else {
+		if !res.Ok {
+			atomic.AddInt64(&m.stats.Failures, 1)
+		}
 		m.deliver(res)
 		// Final delivery returns the spec's tenant quota unit; the
 		// freed capacity may release queued plane work, drained and
 		// woken inline — no shard lock is held here.
-		if m.plane != nil {
-			m.plane.release(tenant, true)
-		}
-	}
-	if retried {
-		s.requeueAfter(e, w.id, backoff)
+		m.plane.release(specTenant(&run), true)
 	}
 	s.sched.Wake()
 	// Freed capacity is a shard-crossing signal: shards starving on
@@ -1242,21 +1182,15 @@ func retryBackoff(base, cap time.Duration, attempt int, specID int64) time.Durat
 	return time.Duration(policy.RetryJitter(int64(d), specID, attempt))
 }
 
-// requeueAfter puts a failed dispatch back on this shard's pending
-// queue once its backoff elapses. Requeues stay shard-local; if the
-// shard has meanwhile lost its workers, the wake loop's evacuation path
-// takes over.
-func (s *shard) requeueAfter(e *inflightEntry, avoid string, delay time.Duration) {
+// retryAfter requeues spec id, backing off in this shard's table, once
+// delay elapses. Requeues stay shard-local; if the shard has meanwhile
+// lost its workers, the wake loop's evacuation path takes over.
+func (s *shard) retryAfter(id int64, delay time.Duration) {
 	s.m.wg.Add(1)
 	time.AfterFunc(delay, func() {
 		defer s.m.wg.Done()
 		s.mu.Lock()
-		s.backoffs--
-		if s.m.closed.Load() {
-			s.mu.Unlock()
-			return
-		}
-		s.requeueLocked(avoid, e)
+		s.sched.Retry(id)
 		s.mu.Unlock()
 		s.sched.Wake()
 	})
@@ -1324,14 +1258,14 @@ func (s *shard) checkQuiescence() error {
 	if n := len(s.view.PendingCopies); n != 0 {
 		return fmt.Errorf("manager: shard %d has %d objects still counted as in-flight copies", s.idx, n)
 	}
-	if n := len(s.inflight); n != 0 {
+	if n := s.sched.InFlight(); n != 0 {
 		return fmt.Errorf("manager: shard %d has %d dispatches still in flight", s.idx, n)
 	}
 	if n := len(s.sched.Tasks()) + s.sched.Invs(); n != 0 {
 		return fmt.Errorf("manager: shard %d has %d specs still queued", s.idx, n)
 	}
-	if s.backoffs != 0 {
-		return fmt.Errorf("manager: shard %d has %d retries waiting out backoff", s.idx, s.backoffs)
+	if n := s.sched.BackingOff(); n != 0 {
+		return fmt.Errorf("manager: shard %d has %d retries waiting out backoff", s.idx, n)
 	}
 	return nil
 }

@@ -15,7 +15,8 @@ import (
 // (shardplane.Sched): Plan and Place by the task pass when the task
 // queue is dirty; Reject, Ready, PlaceInv and Deploy by the invocation
 // pass, per dirty library. They never scan state that their dirty mark
-// could not have changed.
+// could not have changed, and what they place the pass itself enters in
+// the in-flight table.
 //
 // Every scheduling decision — which worker runs a task, where a library
 // instance deploys, which peer sources a transfer, what gets evicted —
@@ -24,8 +25,8 @@ import (
 // moves resource commitments, and reports the resulting transitions
 // back into the view. Passes plan in batches (PlanTaskBatchInto,
 // PlaceReadyBatchInto) whose contract is strict sequential equivalence,
-// so the decision sequence is that of the one-at-a-time loop the
-// unbatched simulator replays — this package's differential test proves it.
+// so the decision sequence is that of the one-at-a-time loop — which the
+// oracles in policy/batch_test.go and shardplane/sched_test.go hold it to.
 
 // ---- staging execution ----
 
@@ -261,8 +262,8 @@ func (s *shard) Plan(dst []policy.PlaceTask, tasks []pendingTask) []policy.Place
 }
 
 // Place carries out one planned task placement: staging, resource
-// commitment, dispatch, and inflight registration.
-func (s *shard) Place(pt pendingTask, d policy.PlaceTask) {
+// commitment, dispatch, and the dispatch's staging stamps.
+func (s *shard) Place(pt *pendingTask, d policy.PlaceTask) {
 	t := pt.Spec.t
 	w := s.workers[d.Worker.ID]
 	if s.rec != nil {
@@ -274,26 +275,22 @@ func (s *shard) Place(pt pendingTask, d policy.PlaceTask) {
 	}
 	w.v.Commit = w.v.Commit.Add(t.Resources)
 	w.enqueue(outMsg{t: proto.MsgRunTask, v: t})
-	e := &inflightEntry{
-		worker:  w.id,
-		ringKey: pt.Key,
-		task:    t,
-		retries: pt.Spec.retries,
-		sentAt:  start,
-		waiting: map[string]bool{},
-	}
 	// TransferTime runs from dispatch until the last input this
 	// dispatch depends on is acked on the worker — not the time
 	// spent enqueueing messages into in-memory channels. Register
-	// in the worker's ack-waiter index so the ack finds this entry
-	// without scanning the inflight table.
+	// in the worker's ack-waiter index so the ack finds the stamps
+	// without scanning the in-flight table.
+	var st *staging
 	for _, in := range t.Inputs {
 		if in.Object != nil && w.v.Pending[in.Object.ID] {
-			e.waiting[in.Object.ID] = true
-			w.ackWaiters[in.Object.ID] = append(w.ackWaiters[in.Object.ID], e)
+			if st == nil {
+				st = &staging{sentAt: start, waiting: map[string]bool{}}
+			}
+			st.waiting[in.Object.ID] = true
+			w.ackWaiters[in.Object.ID] = append(w.ackWaiters[in.Object.ID], st)
 		}
 	}
-	s.inflight[t.ID] = e
+	pt.Spec.staging = st
 }
 
 // ---- invocation scheduling (§3.5.2) ----
@@ -311,19 +308,11 @@ func (s *shard) LibNeed(lib string) (core.Resources, bool) {
 // Reject fails an invocation that can never run with a synthetic result;
 // deliver never blocks the scheduler on a full results channel.
 func (s *shard) Reject(pi pendingInv) bool {
-	inv := pi.Spec.inv
-	err := s.validateInvLocked(inv)
-	if err == nil {
-		return false
+	err := s.validateInvLocked(pi.Spec)
+	if err != nil {
+		s.failLocked(pi.ID, pi.Spec.TenantID, err.Error())
 	}
-	atomic.AddInt64(&s.m.stats.Failures, 1)
-	s.m.deliver(core.Result{ID: inv.ID, Ok: false, Err: err.Error()})
-	// A plane-admitted spec resolving here returns its quota unit;
-	// the shard lock is held, so drained wakes park until pump().
-	if s.m.plane != nil {
-		s.m.plane.release(inv.TenantID, false)
-	}
-	return true
+	return err != nil
 }
 
 // Ready plans ready placements for the next k invocations of lib in one
@@ -354,36 +343,24 @@ func (s *shard) validateInvLocked(inv *core.InvocationSpec) error {
 // core picked: most free ready slots, minimum worker ID on ties (the
 // deterministic order shared with the simulator).
 func (s *shard) PlaceInv(pi pendingInv, d policy.PlaceInvocation) {
-	inv := pi.Spec.inv
 	w := s.workers[d.Worker.ID]
-	li := w.libs[inv.Library]
+	li := w.libs[pi.Lib]
 	if s.rec != nil {
-		s.rec.Record(policy.TracePlace(inv.Library, d))
+		s.rec.Record(policy.TracePlace(pi.Lib, d))
 	}
 	li.SlotsUsed++
 	s.libSlotsChangedLocked(w, li)
-	w.enqueue(outMsg{t: proto.MsgInvoke, v: inv})
-	var e *inflightEntry
-	if n := len(s.freeInflight); n > 0 {
-		e = s.freeInflight[n-1]
-		s.freeInflight[n-1] = nil
-		s.freeInflight = s.freeInflight[:n-1]
-		*e = inflightEntry{}
-	} else {
-		e = &inflightEntry{}
-	}
-	e.worker, e.library, e.inv, e.retries, e.sentAt = w.id, inv.Library, inv, pi.Spec.retries, time.Now()
-	s.inflight[inv.ID] = e
+	w.enqueue(outMsg{t: proto.MsgInvoke, v: pi.Spec})
 }
 
 // Deploy asks the policy core for a deploy decision for the library and
 // executes it: evictions first, then staging, then the new instance's
-// view record and the install message. Returns whether a deployment was
-// started.
-func (s *shard) Deploy(lib string) bool {
+// view record and the install message. Reports the worker a deployment
+// was started on, if one was.
+func (s *shard) Deploy(lib string) (worker string, ok bool) {
 	spec, known := s.m.libSpec(lib)
 	if !known {
-		return false
+		return "", false
 	}
 	var libFiles []core.FileSpec
 	if spec.Env != nil {
@@ -401,7 +378,7 @@ func (s *shard) Deploy(lib string) bool {
 		for _, obj := range d.Blocked {
 			s.addObjWaiterLocked(obj, lib)
 		}
-		return false
+		return "", false
 	}
 	w := s.workers[d.Worker.ID]
 	if s.rec != nil {
@@ -424,7 +401,7 @@ func (s *shard) Deploy(lib string) bool {
 	w.v.Commit = w.v.Commit.Add(d.Res)
 	w.enqueue(outMsg{t: proto.MsgInstallLibrary, v: spec})
 	atomic.AddInt64(&s.m.stats.LibrariesDeployed, 1)
-	return true
+	return w.id, true
 }
 
 // evictLibraryLocked removes one library instance from a worker,

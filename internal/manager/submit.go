@@ -34,7 +34,7 @@ type submitPlane struct {
 	// admissions serialize on the plane mutex while placements
 	// serialize on shard locks, so sharing one recorder would race
 	// under concurrent use.
-	tenants *policy.TenantPlane[intakeNode]
+	tenants *policy.TenantPlane[dispatch]
 	// fed lists the shards a drain pushed intake onto and nobody has
 	// woken yet, in first-fed order; parked makes the empty check one
 	// atomic load for pump().
@@ -47,14 +47,14 @@ func newSubmitPlane(m *Manager, specs []core.TenantSpec, traced bool) *submitPla
 	if traced {
 		rec = &policy.Recorder{}
 	}
-	return &submitPlane{m: m, tenants: policy.NewTenantPlane[intakeNode](specs, rec)}
+	return &submitPlane{m: m, tenants: policy.NewTenantPlane[dispatch](specs, rec)}
 }
 
 // submit runs one spec through admission control. It reports whether
 // the plane consumed the spec: false means the tenant is unregistered
 // and the caller should route directly. On shed the spec's failed
 // result has already been delivered.
-func (p *submitPlane) submit(tenant string, it intakeNode, id int64) bool {
+func (p *submitPlane) submit(tenant string, it dispatch, id int64) bool {
 	m := p.m
 	p.mu.Lock()
 	d, released, known := p.tenants.Submit(tenant, it, p.route)
@@ -84,9 +84,10 @@ func (p *submitPlane) submit(tenant string, it intakeNode, id int64) bool {
 // on every final result delivery for a plane-admitted spec, success
 // or failure — and drains any work the freed quota unblocks. Callers
 // holding a shard lock pass wakeNow=false: the drain still happens
-// (intake pushes are lock-free) but the wakes park until pump().
+// (intake pushes are lock-free) but the wakes park until pump(). A
+// no-op without a plane, or for single-tenant work.
 func (p *submitPlane) release(tenant string, wakeNow bool) {
-	if tenant == "" {
+	if p == nil || tenant == "" {
 		return
 	}
 	p.mu.Lock()
@@ -105,16 +106,16 @@ func (p *submitPlane) release(tenant string, wakeNow bool) {
 // route pushes one released spec onto its shard's intake stack: a task
 // keeps ring-key locality, an invocation follows its tenant's own
 // cursor. Caller holds p.mu.
-func (p *submitPlane) route(it intakeNode, tenant string, seq int64) {
+func (p *submitPlane) route(it dispatch, tenant string, seq int64) {
 	m := p.m
 	var idx int
-	if it.isTask {
-		idx = m.shardPlane.KeyShard(it.task.Key)
+	if it.IsTask {
+		idx = m.shardPlane.KeyShard(it.Task.Key)
 	} else {
-		idx = m.shardPlane.TenantInvShard(tenant, seq, it.inv.Lib)
+		idx = m.shardPlane.TenantInvShard(tenant, seq, it.Inv.Lib)
 	}
 	n := intakeNodePool.Get().(*intakeNode)
-	*n = it
+	n.spec = it
 	m.shards[idx].pushIntake(n)
 	if !slices.Contains(p.fed, idx) {
 		p.fed = append(p.fed, idx)
@@ -154,14 +155,11 @@ func (p *submitPlane) pump() {
 
 // specTenant names the tenant of a resolved in-flight spec — empty
 // for single-tenant work, so release() is a no-op there.
-func specTenant(e *inflightEntry) string {
-	if e.task != nil {
-		return e.task.TenantID
+func specTenant(run *dispatch) string {
+	if run.IsTask {
+		return run.Task.Spec.t.TenantID
 	}
-	if e.inv != nil {
-		return e.inv.TenantID
-	}
-	return ""
+	return run.Inv.Spec.TenantID
 }
 
 // TenantStat is one tenant's submission-plane breakdown.

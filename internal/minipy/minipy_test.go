@@ -75,6 +75,7 @@ func TestArithmetic(t *testing.T) {
 		{"-(3)", "-3"},
 		{"1 + True", "2"},
 		{"3.0 // 2.0", "1.0"},
+		{"[1, 2] * 2", "[1, 2, 1, 2]"},
 	}
 	for _, c := range cases {
 		got := evalExpr(t, c.expr).Repr()
@@ -93,6 +94,7 @@ func TestComparisonAndBool(t *testing.T) {
 		{"2 <= 2", true},
 		{"3 > 4", false},
 		{"1 == 1.0", true},
+		{"True == 1.0", true},
 		{"1 != 2", true},
 		{"'a' < 'b'", true},
 		{"[1, 2] < [1, 3]", true},

@@ -50,11 +50,11 @@ type Options struct {
 }
 
 // LibraryView is the policy-visible state of one library on one
-// worker. The real manager runs one multi-slot instance per worker
-// (Instances/MaxInstances = 1); the simulator runs one single-slot
-// instance per occupied slot (MaxInstances = slots per worker). Both
-// report the same FreeReady quantity — invocation slots that are ready
-// and idle — which is all placement reads.
+// worker. The real manager and sim.Replay run one multi-slot instance
+// per worker (Instances/MaxInstances = 1); the timed sim.Run runs one
+// single-slot instance per occupied slot (MaxInstances = slots per
+// worker). All report the same FreeReady quantity — invocation slots
+// that are ready and idle — which is all placement reads.
 type LibraryView struct {
 	Name   string
 	Ready  bool

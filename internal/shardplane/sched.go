@@ -3,6 +3,7 @@ package shardplane
 import (
 	"cmp"
 	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,17 +16,27 @@ import (
 // The per-shard scheduler both engines run (DESIGN.md §12): a keyed
 // task queue and one invocation queue per library, their dirty and
 // starving marks, the coalesced wake loop, the task pass, the invocation
-// pass with its install claims, and every rule that moves a spec to
-// another shard. An engine is a Shell around it — the manager with a
-// mutex, sockets and timers; sim.Replay with none.
+// pass with its install claims, every rule that moves a spec to another
+// shard, and the in-flight table — what runs on which worker, each
+// spec's retry budget, and the order a death requeues in. An engine is
+// a Shell around it — the manager with a mutex, sockets and timers;
+// sim.Replay with none.
 
 // Spec is the engine's payload of a queued task; Need is what a worker
 // must offer in total to ever hold it.
 type Spec interface{ Need() core.Resources }
 
-// Task is one queued keyed spec.
+// DefaultMaxRetries is the retry budget of a spec when the engine names
+// none: the manager's Options.MaxRetries at zero, and sim.Replay's.
+const DefaultMaxRetries = 3
+
+// Task is one keyed spec, queued or in flight.
 type Task[T Spec] struct {
-	Key string // ring key: TaskKey of the spec number
+	Key string // ring key: TaskKey(ID)
+	ID  int64  // spec number
+	// Retries counts the attempts lost so far, to a worker's death or a
+	// retryable failure alike: both draw on the plane's one budget.
+	Retries int
 	// Avoid is the worker that died under or failed the task's last
 	// attempt: planned around, unless nothing else will have it.
 	Avoid string
@@ -38,12 +49,30 @@ type Task[T Spec] struct {
 // Inv is one queued invocation of library Lib, Spec the engine's
 // payload. Invocations of one library are interchangeable, so they wait
 // in one queue per library, in submission order, and cross shards only
-// as a whole queue; Avoid and Hops are Task's.
+// as a whole queue; ID, Retries, Avoid and Hops are Task's.
 type Inv[I any] struct {
-	Lib   string
-	Avoid string
-	Hops  int
-	Spec  I
+	Lib     string
+	ID      int64
+	Retries int
+	Avoid   string
+	Hops    int
+	Spec    I
+}
+
+// Run is one spec outside the queues — in an engine's intake, in the
+// in-flight table, handed back to the engine: Task if IsTask, else Inv.
+type Run[T Spec, I any] struct {
+	IsTask bool
+	Task   Task[T]
+	Inv    Inv[I]
+}
+
+// ID is the spec number.
+func (r *Run[T, I]) ID() int64 {
+	if r.IsTask {
+		return r.Task.ID
+	}
+	return r.Inv.ID
 }
 
 // TaskKey is the ring key of spec number n.
@@ -58,21 +87,17 @@ func KeyNum(key string) int64 {
 // Shell is what an engine supplies around one shard's Sched. The first
 // group is called with the shard lock held, the second with none.
 type Shell[T Spec, I any] interface {
-	// Intake moves newly routed specs into the queues (Push, PushInvs)
-	// and reports whether the engine is still scheduling.
+	// Intake moves newly routed specs into the queues (Enqueue) and
+	// reports whether the engine is still scheduling.
 	Intake() (open bool)
-	// Quiet: no local event is outstanding that could change what this
-	// shard can place — nothing in flight, no copy awaiting its ack, no
-	// retry waiting out a backoff. (Installs awaiting their acks the
-	// scheduler counts itself.)
-	Quiet() bool
-	// Plan appends decisions for a non-empty prefix of tasks — all as
-	// one batch, or only the first — against the view as it stands; the
-	// pass executes them and asks again for the rest. The engine sees to
-	// it that the acks a Blocked refusal waits on mark the queue dirty.
+	// Plan appends one decision per task, planned as one batch against
+	// the view as it stands. The engine sees to it that the acks a Blocked
+	// refusal waits on mark the queue dirty.
 	Plan(dst []policy.PlaceTask, tasks []Task[T]) []policy.PlaceTask
-	// Place executes one placement (d.Worker is set).
-	Place(t Task[T], d policy.PlaceTask)
+	// Place executes one placement (d.Worker is set) and may stamp t.Spec
+	// with what the engine wants kept with the dispatch; the pass then
+	// enters *t in the in-flight table.
+	Place(t *Task[T], d policy.PlaceTask)
 	// LibNeed is what one instance of lib needs of a worker, if the
 	// engine knows lib (else Reject fails its invocations).
 	LibNeed(lib string) (need core.Resources, known bool)
@@ -80,15 +105,17 @@ type Shell[T Spec, I any] interface {
 	// submitter.
 	Reject(inv Inv[I]) bool
 	// Ready is Plan for the next invocations of lib, which share the
-	// avoid preference: ready-instance placements for up to k of them, or
-	// only the first. None: no free ready slot is left off that worker.
+	// avoid preference: ready-instance placements for up to k of them.
+	// None: no free ready slot is left off that worker.
 	Ready(dst []policy.PlaceInvocation, lib string, k int, avoid string) []policy.PlaceInvocation
-	// PlaceInv executes one ready placement.
+	// PlaceInv executes one ready placement; the pass then enters inv in
+	// the in-flight table.
 	PlaceInv(inv Inv[I], d policy.PlaceInvocation)
-	// Deploy starts one new instance of lib if the policy finds room. The
-	// engine calls Unclaim when the install acks, fails or dies with its
-	// worker, and MarkLib on the acks a Blocked refusal waits on.
-	Deploy(lib string) bool
+	// Deploy starts one new instance of lib if the policy finds room, and
+	// names the worker it chose: the install is that worker's claim until
+	// the engine calls Unclaim (the ack, ready or failed) or Died. The
+	// engine calls MarkLib on the acks a Blocked refusal waits on.
+	Deploy(lib string) (worker string, ok bool)
 
 	// Deliver hands specs to shard i: Push and PushInvs under its lock,
 	// then Wake.
@@ -109,22 +136,25 @@ func (NoLock) Unlock() {}
 type Plane[T Spec, I any] struct {
 	*Router
 	Shards []*Sched[T, I]
+	// maxRetries is every spec's retry budget; negative: no retries.
+	maxRetries int
 	// starving counts the starving shards, so Nudge costs one load when
 	// there are none.
 	starving atomic.Int32
 }
 
 // NewPlane builds a plane of n shards (n < 1: DefaultShards) for Attach
-// to fill.
-func NewPlane[T Spec, I any](n int) *Plane[T, I] {
+// to fill. A spec that has lost maxRetries attempts is not requeued again.
+func NewPlane[T Spec, I any](n, maxRetries int) *Plane[T, I] {
 	r := NewRouter(n)
-	return &Plane[T, I]{Router: r, Shards: make([]*Sched[T, I], r.n)}
+	return &Plane[T, I]{Router: r, Shards: make([]*Sched[T, I], r.n), maxRetries: maxRetries}
 }
 
 // Attach builds shard i's scheduler over the engine's view of its
 // workers, its lock and its shell.
 func (p *Plane[T, I]) Attach(i int, view *policy.ClusterView, mu sync.Locker, shell Shell[T, I]) *Sched[T, I] {
-	s := &Sched[T, I]{p: p, idx: i, view: view, mu: mu, shell: shell}
+	s := &Sched[T, I]{p: p, idx: i, view: view, mu: mu, shell: shell,
+		hosts: map[string]*host[T, I]{}, backoff: map[int64]Run[T, I]{}}
 	p.Shards[i] = s
 	return s
 }
@@ -157,6 +187,13 @@ type Sched[T Spec, I any] struct {
 	ready []policy.PlaceInvocation
 	held  []held[T, I]
 
+	// The in-flight table: per worker what runs there, running in all.
+	// backoff holds the specs a worker failed retryably until Retry:
+	// neither queued nor on any worker.
+	hosts   map[string]*host[T, I]
+	running int
+	backoff map[int64]Run[T, I]
+
 	// passes counts the looks that ran a pass.
 	passes atomic.Int64
 	// starving: the loop went idle resting work that nothing local is
@@ -173,12 +210,16 @@ type libQueue[I any] struct {
 	name  string
 	q     []Inv[I]
 	dirty bool
-	// claims counts the library's instances deployed here and not yet
-	// acked. Each absorbs one queued invocation before the pass deploys
-	// another, so a burst of events during a slow install cannot
-	// provision more instances than the queue is long.
-	claims int
+	// claims are the workers the library's instances were deployed on
+	// here and have not yet acked. Each absorbs one queued invocation
+	// before the pass deploys another, so a burst of events during a slow
+	// install cannot provision more instances than the queue is long.
+	claims []string
 }
+
+// host is one worker's part of the in-flight table: the specs running
+// there, in ascending spec order — the order a death requeues them in.
+type host[T Spec, I any] struct{ runs []Run[T, I] }
 
 // held is tasks, or one library's queue, leaving for shard to.
 type held[T Spec, I any] struct {
@@ -197,14 +238,6 @@ const (
 func (s *Sched[T, I]) Push(tasks ...Task[T]) {
 	s.q = append(s.q, tasks...)
 	s.dirty = s.dirty || len(tasks) > 0
-}
-
-// Requeue puts back a task whose worker died under it or failed it
-// retryably, that worker as the avoid preference. What one death
-// requeues, the engines requeue in ascending spec order.
-func (s *Sched[T, I]) Requeue(avoid string, t Task[T]) {
-	t.Avoid = avoid
-	s.Push(t)
 }
 
 // lib is name's queue record: nil if it has none yet, or with add a new
@@ -234,12 +267,6 @@ func (s *Sched[T, I]) PushInvs(invs ...Inv[I]) {
 	s.invs += len(invs)
 }
 
-// RequeueInv is Requeue for an invocation.
-func (s *Sched[T, I]) RequeueInv(avoid string, inv Inv[I]) {
-	inv.Avoid = avoid
-	s.PushInvs(inv)
-}
-
 // DrainLib empties lib's queue — a library the engine has given up
 // deploying — and returns what waited there.
 func (s *Sched[T, I]) DrainLib(lib string) (q []Inv[I]) {
@@ -250,12 +277,131 @@ func (s *Sched[T, I]) DrainLib(lib string) (q []Inv[I]) {
 	return q
 }
 
-// Unclaim releases one of lib's install claims: the instance acked,
-// failed, or died with its worker.
-func (s *Sched[T, I]) Unclaim(lib string) {
-	if lq := s.lib(lib, false); lq != nil && lq.claims > 0 {
-		lq.claims--
-		s.claims--
+// Unclaim releases worker's install claim for lib, if it holds one: the
+// instance acked, ready or failed.
+func (s *Sched[T, I]) Unclaim(worker, lib string) {
+	if lq := s.lib(lib, false); lq != nil {
+		if i := slices.Index(lq.claims, worker); i >= 0 {
+			lq.claims = slices.Delete(lq.claims, i, i+1)
+			s.claims--
+		}
+	}
+}
+
+// register enters a spec the shell has just placed on worker.
+func (s *Sched[T, I]) register(worker string, r Run[T, I]) {
+	h := s.hosts[worker]
+	if h == nil {
+		h = &host[T, I]{}
+		s.hosts[worker] = h
+	}
+	at, _ := h.find(r.ID())
+	h.runs = slices.Insert(h.runs, at, r)
+	s.running++
+}
+
+// find is where spec id sits, or would, among the worker's runs.
+func (h *host[T, I]) find(id int64) (int, bool) {
+	at := sort.Search(len(h.runs), func(i int) bool { return h.runs[i].ID() >= id })
+	return at, at < len(h.runs) && h.runs[at].ID() == id
+}
+
+// Running is what runs on worker, lowest spec first; the caller must not
+// keep it.
+func (s *Sched[T, I]) Running(worker string) []Run[T, I] {
+	if h := s.hosts[worker]; h != nil {
+		return h.runs
+	}
+	return nil
+}
+
+// InFlight counts the specs running on workers; BackingOff those Done
+// found within their budget and Retry has not yet requeued.
+func (s *Sched[T, I]) InFlight() int   { return s.running }
+func (s *Sched[T, I]) BackingOff() int { return len(s.backoff) }
+
+// Done takes spec id, whose result worker returned, off that worker. After
+// a retryable failure (failed) within the budget it stays in the table,
+// backing off, until the engine's timer — or a replay, at once — calls
+// Retry: retry is then which retry that will be, counting from one. At
+// zero the engine has the spec to finish or to fail.
+func (s *Sched[T, I]) Done(worker string, id int64, failed bool) (r Run[T, I], retry int, ok bool) {
+	h := s.hosts[worker]
+	if h == nil {
+		return r, 0, false
+	}
+	at, ok := h.find(id)
+	if !ok {
+		return r, 0, false
+	}
+	r = h.runs[at]
+	h.runs = slices.Delete(h.runs, at, at+1)
+	s.running--
+	if failed {
+		if retry = s.again(&r, worker); retry > 0 {
+			s.backoff[id] = r
+		}
+	}
+	return r, retry, true
+}
+
+// Retry requeues spec id, its backoff over, with the worker that failed
+// it avoided — alive or not.
+func (s *Sched[T, I]) Retry(id int64) {
+	if r, ok := s.backoff[id]; ok {
+		delete(s.backoff, id)
+		s.Enqueue(r)
+	}
+}
+
+// Died is worker's death: its install claims are released and what ran
+// there is requeued, in ascending spec order and with the worker avoided,
+// each within its budget. The specs past it are handed back in the same
+// order for the engine to fail. Specs backing off are no longer on the
+// worker and stay where they are.
+func (s *Sched[T, I]) Died(worker string) (requeued int, lost []Run[T, I]) {
+	for _, lq := range s.order {
+		s.Unclaim(worker, lq.name)
+	}
+	h := s.hosts[worker]
+	if h == nil {
+		return 0, nil
+	}
+	delete(s.hosts, worker)
+	s.running -= len(h.runs)
+	for _, r := range h.runs {
+		if s.again(&r, worker) > 0 {
+			s.Enqueue(r)
+			requeued++
+		} else {
+			lost = append(lost, r)
+		}
+	}
+	return requeued, lost
+}
+
+// again readies r for another attempt after worker lost or failed it —
+// one retry spent, that worker avoided, the hop budget fresh — and
+// reports how many retries that makes. Zero: the budget is spent.
+func (s *Sched[T, I]) again(r *Run[T, I], worker string) int {
+	retries, avoid, hops := &r.Inv.Retries, &r.Inv.Avoid, &r.Inv.Hops
+	if r.IsTask {
+		retries, avoid, hops = &r.Task.Retries, &r.Task.Avoid, &r.Task.Hops
+	}
+	if *retries >= s.p.maxRetries {
+		return 0
+	}
+	*retries, *avoid, *hops = *retries+1, worker, 0
+	return *retries
+}
+
+// Enqueue puts r at the back of its queue and marks it: a spec fresh from
+// the engine's intake, or back after a lost attempt.
+func (s *Sched[T, I]) Enqueue(r Run[T, I]) {
+	if r.IsTask {
+		s.Push(r.Task)
+	} else {
+		s.PushInvs(r.Inv)
 	}
 }
 
@@ -291,8 +437,12 @@ func (s *Sched[T, I]) Settled() bool {
 	return !s.dirty && !s.libsDirty && s.latch.Load() == latchIdle
 }
 
-// quiet: no install awaits its ack and the engine is quiet.
-func (s *Sched[T, I]) quiet() bool { return s.claims == 0 && s.shell.Quiet() }
+// quiet: no local event is outstanding that could change what this
+// shard can place — no install or copy awaits its ack, nothing is in
+// flight, no retry is waiting out a backoff.
+func (s *Sched[T, I]) quiet() bool {
+	return s.claims == 0 && s.running == 0 && len(s.backoff) == 0 && len(s.view.PendingCopies) == 0
+}
 
 // Wake ensures the loop runs — and keeps running — until no mark and no
 // intake remain. A caller that finds it running leaves a rerun request
@@ -403,19 +553,18 @@ func (s *Sched[T, I]) pass() {
 		}
 		s.q, keep = keep, keep[:0]
 	}
-	for rest := s.q; len(rest) > 0; rest = rest[len(s.plan):] {
-		s.plan = s.shell.Plan(s.plan[:0], rest)
-		for i, d := range s.plan {
-			t := rest[i]
-			switch {
-			case d.Worker != nil:
-				s.shell.Place(t, d)
-			case len(d.Blocked) == 0 && hasNext && t.Hops < len(s.p.Shards) && s.quiet():
-				t.Hops++
-				fwd = append(fwd, t)
-			default:
-				keep = append(keep, t)
-			}
+	s.plan = s.shell.Plan(s.plan[:0], s.q)
+	for i, d := range s.plan {
+		t := &s.q[i]
+		switch {
+		case d.Worker != nil:
+			s.shell.Place(t, d)
+			s.register(d.Worker.ID, Run[T, I]{IsTask: true, Task: *t})
+		case len(d.Blocked) == 0 && hasNext && t.Hops < len(s.p.Shards) && s.quiet():
+			t.Hops++
+			fwd = append(fwd, *t)
+		default:
+			keep = append(keep, *t)
 		}
 	}
 	s.q = keep
@@ -489,7 +638,7 @@ func (s *Sched[T, I]) passLib(lq *libQueue[I]) {
 	// Installs in flight at pass start each absorb one entry; deploys
 	// started during the pass do not join them — each is already the
 	// instance its own entry waits for.
-	claimable := lq.claims
+	claimable := len(lq.claims)
 	var ready []policy.PlaceInvocation
 	avoid, dry := "", false
 	for i, inv := range q {
@@ -501,7 +650,7 @@ func (s *Sched[T, I]) passLib(lq *libQueue[I]) {
 			ready, avoid, dry = s.ready, inv.Avoid, len(s.ready) == 0
 		}
 		if len(ready) > 0 {
-			s.shell.PlaceInv(inv, ready[0])
+			s.placeInv(inv, ready[0])
 			ready = ready[1:]
 			continue
 		}
@@ -509,7 +658,7 @@ func (s *Sched[T, I]) passLib(lq *libQueue[I]) {
 		// run's answer left out: the run stays dry, not stale.
 		if inv.Avoid != "" {
 			if s.ready = s.shell.Ready(s.ready[:0], lq.name, 1, ""); len(s.ready) > 0 {
-				s.shell.PlaceInv(inv, s.ready[0])
+				s.placeInv(inv, s.ready[0])
 				continue
 			}
 		}
@@ -518,16 +667,23 @@ func (s *Sched[T, I]) passLib(lq *libQueue[I]) {
 			claimable--
 			continue
 		}
-		if !s.shell.Deploy(lq.name) {
+		worker, ok := s.shell.Deploy(lq.name)
+		if !ok {
 			keep = append(keep, q[i+1:]...)
 			break
 		}
-		lq.claims++
+		lq.claims = append(lq.claims, worker)
 		s.claims++
 	}
 	s.invs -= len(q) - len(keep)
 	clear(q[len(keep):])
 	lq.q = keep
+}
+
+// placeInv executes one ready placement and enters it in the table.
+func (s *Sched[T, I]) placeInv(inv Inv[I], d policy.PlaceInvocation) {
+	s.shell.PlaceInv(inv, d)
+	s.register(d.Worker.ID, Run[T, I]{Inv: inv})
 }
 
 // Nudge follows a capacity-freeing event anywhere — a result, a ready

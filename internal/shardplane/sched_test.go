@@ -48,7 +48,6 @@ type testShell struct {
 
 	intake []testTask // guarded by inMu: pushed from any goroutine
 	inMu   sync.Mutex
-	quiet  bool
 	// planOne makes Ready answer for one invocation at a time.
 	planOne bool
 
@@ -70,13 +69,17 @@ type testPlane struct {
 	reject        map[int64]bool
 }
 
-const testSlots = 2
+const (
+	testSlots = 2
+	// testBudget is the plane's retry budget.
+	testBudget = 2
+)
 
 func newTestPlane(n int, forward bool) *testPlane {
-	tp := &testPlane{Plane: NewPlane[testSpec, testInv](n), forward: forward,
+	tp := &testPlane{Plane: NewPlane[testSpec, testInv](n, testBudget), forward: forward,
 		libs: map[string]core.Resources{}, reject: map[int64]bool{}}
 	for i := range tp.Shards {
-		sh := &testShell{idx: i, plane: tp, quiet: true,
+		sh := &testShell{idx: i, plane: tp,
 			view: policy.NewClusterView(policy.Options{PeerTransfers: true})}
 		sh.sched = tp.Attach(i, sh.view, &sh.mu, sh)
 		tp.shells = append(tp.shells, sh)
@@ -105,7 +108,6 @@ func (sh *testShell) Intake() bool {
 	sh.intake = nil
 	return true
 }
-func (sh *testShell) Quiet() bool { return sh.quiet }
 
 func (sh *testShell) Plan(dst []policy.PlaceTask, tasks []testTask) []policy.PlaceTask {
 	var reqs []policy.TaskReq
@@ -115,8 +117,8 @@ func (sh *testShell) Plan(dst []policy.PlaceTask, tasks []testTask) []policy.Pla
 	return sh.view.PlanTaskBatchInto(dst, reqs, nil)
 }
 
-func (sh *testShell) Place(t testTask, d policy.PlaceTask) {
-	sh.placed = append(sh.placed, execPlacement(sh.view, t, d))
+func (sh *testShell) Place(t *testTask, d policy.PlaceTask) {
+	sh.placed = append(sh.placed, execPlacement(sh.view, *t, d))
 }
 
 // execPlacement applies a placement to the view the way an engine does.
@@ -158,16 +160,16 @@ func execInvPlacement(v *policy.ClusterView, inv testCall, d policy.PlaceInvocat
 	return fmt.Sprintf("%s#%d@%s", inv.Lib, inv.Spec, d.Worker.ID)
 }
 
-func (sh *testShell) Deploy(lib string) bool {
-	at := execDeploy(sh.view, lib, sh.plane.libs[lib])
-	if at != "" {
-		sh.placed = append(sh.placed, at)
+func (sh *testShell) Deploy(lib string) (string, bool) {
+	on := execDeploy(sh.view, lib, sh.plane.libs[lib])
+	if on != "" {
+		sh.placed = append(sh.placed, "deploy "+lib+"@"+on)
 	}
-	return at != ""
+	return on, on != ""
 }
 
-// execDeploy installs one instance where PlanDeploy finds room; "" if
-// it finds none.
+// execDeploy installs one instance where PlanDeploy finds room and names
+// the worker; "" if it finds none.
 func execDeploy(v *policy.ClusterView, lib string, need core.Resources) string {
 	d := v.PlanDeploy(policy.DeploySpec{Name: lib, Res: need}, nil)
 	if d.Worker == nil {
@@ -175,7 +177,7 @@ func execDeploy(v *policy.ClusterView, lib string, need core.Resources) string {
 	}
 	v.AddInstance(d.Worker, &policy.LibraryView{Name: lib, Slots: testSlots, MaxInstances: 1, Res: d.Res})
 	d.Worker.Commit = d.Worker.Commit.Add(d.Res)
-	return "deploy " + lib + "@" + d.Worker.ID
+	return d.Worker.ID
 }
 
 // ack brings lib's installing instance on w up: ready with every slot
@@ -184,7 +186,7 @@ func (sh *testShell) ack(w *policy.WorkerView, lib string) {
 	lv := w.Libs[lib]
 	lv.Ready = true
 	sh.view.SetFreeReady(w, lv, lv.Slots)
-	sh.sched.Unclaim(lib)
+	sh.sched.Unclaim(w.ID, lib)
 	sh.sched.MarkLib(lib)
 }
 
@@ -216,15 +218,18 @@ func (sh *testShell) Woke(ran bool) {
 	}
 }
 
-// blocker is an input whose first copy is in flight to another worker:
-// planning it anywhere else is refused as Blocked.
+// blocker is an input that, once its first copy is in flight to one
+// worker, is refused as Blocked anywhere else.
 var blocker = core.FileSpec{Object: &content.Object{ID: "blk", Name: "blk"}, Cache: true, PeerTransfer: true}
 
 // TestPassMatchesPlanOneExecuteOneOracle holds the batched pass, on
 // seeded random queues, to the loop it replaced written out longhand:
 // the static dead-end rule by a scan of the worker table, then one
-// PlanTask per task against the state its predecessors left.
+// PlanTask per task against the state its predecessors left — the shard
+// quiet only while nothing runs in it, this pass's own placements
+// included, and no copy is in flight.
 func TestPassMatchesPlanOneExecuteOneOracle(t *testing.T) {
+	quietHops, busyRefusals := 0, 0
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		const shards = 3
@@ -237,7 +242,9 @@ func TestPassMatchesPlanOneExecuteOneOracle(t *testing.T) {
 				w.Commit.Cores = r.Intn(w.Total.Cores + 1)
 				ws = append(ws, w)
 			}
-			tp.shells[0].view.NotePending(ws[0], blocker.Object.ID)
+			if r.Intn(2) == 0 {
+				tp.shells[0].view.NotePending(ws[0], blocker.Object.ID)
+			}
 			if r.Intn(4) > 0 {
 				tp.join(1+r.Intn(2), 1)
 			}
@@ -245,10 +252,13 @@ func TestPassMatchesPlanOneExecuteOneOracle(t *testing.T) {
 		}
 		tp, ws := build()
 		sh := tp.shells[0]
-		sh.quiet = rng.Intn(2) == 0
+		busy := rng.Intn(2) == 0
+		if busy {
+			sh.sched.register(ws[0].ID, Run[testSpec, testInv]{Inv: testCall{Lib: "other", ID: 1000}})
+		}
 		var queue []testTask
 		for i, n := 0, 1+rng.Intn(12); i < n; i++ {
-			task := testTask{Key: TaskKey(int64(i + 1)), Hops: rng.Intn(shards + 1),
+			task := testTask{Key: TaskKey(int64(i + 1)), ID: int64(i + 1), Hops: rng.Intn(shards + 1),
 				Spec: testSpec{need: core.Resources{Cores: []int{1, 2, 4, 8}[rng.Intn(4)]}}}
 			if rng.Intn(3) == 0 {
 				task.Avoid = ws[rng.Intn(len(ws))].ID
@@ -287,10 +297,14 @@ func TestPassMatchesPlanOneExecuteOneOracle(t *testing.T) {
 			switch {
 			case d.Worker != nil:
 				wantPlaced = append(wantPlaced, execPlacement(v, task, d))
-			case len(d.Blocked) == 0 && hasNext && task.Hops < shards && sh.quiet:
+			case len(d.Blocked) == 0 && hasNext && task.Hops < shards && !busy && len(wantPlaced) == 0 && len(v.PendingCopies) == 0:
 				wantFwd = append(wantFwd, delivery{next, task.Key, task.Hops + 1})
+				quietHops++
 			default:
 				wantKept = append(wantKept, task)
+				if len(d.Blocked) == 0 && hasNext && task.Hops < shards {
+					busyRefusals++
+				}
 			}
 		}
 
@@ -308,6 +322,9 @@ func TestPassMatchesPlanOneExecuteOneOracle(t *testing.T) {
 		if sh.sched.Passes() != 1 || !sh.sched.Settled() {
 			t.Fatalf("seed %d: %d passes, idle=%v after one wake", seed, sh.sched.Passes(), sh.sched.Settled())
 		}
+	}
+	if quietHops == 0 || busyRefusals == 0 {
+		t.Fatalf("degenerate seeds: %d refusals hopped from a quiet shard, %d stayed in a busy one", quietHops, busyRefusals)
 	}
 }
 
@@ -331,7 +348,7 @@ func TestInvPassMatchesPlaceOneExecuteOneOracle(t *testing.T) {
 			tp.libs[lib] = need
 			v := tp.shells[0].view
 			var ws []*policy.WorkerView
-			claims := 0
+			claims, lq := 0, tp.shells[0].sched.lib(lib, true)
 			for i, n := 0, 1+r.Intn(4); i < n; i++ {
 				w := tp.join(0, []int{1, 2, 4}[r.Intn(3)])
 				ws = append(ws, w)
@@ -345,6 +362,7 @@ func TestInvPassMatchesPlaceOneExecuteOneOracle(t *testing.T) {
 						w.Commit = w.Commit.Add(need)
 						if r.Intn(3) == 0 {
 							claims++
+							lq.claims, tp.shells[0].sched.claims = append(lq.claims, w.ID), claims
 						} else {
 							lv.Ready = true
 							v.SetFreeReady(w, lv, r.Intn(testSlots+1))
@@ -355,8 +373,6 @@ func TestInvPassMatchesPlaceOneExecuteOneOracle(t *testing.T) {
 			if r.Intn(4) > 0 {
 				tp.join(1+r.Intn(2), 1)
 			}
-			lq := tp.shells[0].sched.lib(lib, true)
-			lq.claims, tp.shells[0].sched.claims = claims, claims
 			return tp, ws, claims
 		}
 		tp, ws, claims := build()
@@ -410,12 +426,12 @@ func TestInvPassMatchesPlaceOneExecuteOneOracle(t *testing.T) {
 					claims--
 					continue
 				}
-				at := execDeploy(v, lib, need)
-				if at == "" {
+				on := execDeploy(v, lib, need)
+				if on == "" {
 					wantKept = append(wantKept, queue[i+1:]...)
 					break
 				}
-				wantPlaced = append(wantPlaced, at)
+				wantPlaced = append(wantPlaced, "deploy "+lib+"@"+on)
 				wantClaims++
 			}
 			claims = wantClaims
@@ -435,7 +451,7 @@ func TestInvPassMatchesPlaceOneExecuteOneOracle(t *testing.T) {
 		if !reflect.DeepEqual(tp.invsDelivered, wantFwd) {
 			t.Fatalf("seed %d: forwarded %+v, oracle %+v", seed, tp.invsDelivered, wantFwd)
 		}
-		if got := sh.sched.lib(lib, false).claims; got != claims || sh.sched.claims != claims || sh.sched.Invs() != len(wantKept) {
+		if got := len(sh.sched.lib(lib, false).claims); got != claims || sh.sched.claims != claims || sh.sched.Invs() != len(wantKept) {
 			t.Fatalf("seed %d: %d claims (%d in all), %d queued; oracle %d and %d", seed, got, sh.sched.claims, sh.sched.Invs(), claims, len(wantKept))
 		}
 		if sh.sched.Passes() != 1 || !sh.sched.Settled() {
@@ -529,7 +545,7 @@ func TestInstallClaimsAbsorbQueuedInvocations(t *testing.T) {
 			failed++
 			sh.view.RemoveLibrary(w, lib)
 			w.Commit = w.Commit.Sub(lv.Res)
-			sh.sched.Unclaim(lib)
+			sh.sched.Unclaim(w.ID, lib)
 		}
 	}
 	sh.mu.Unlock()
@@ -537,6 +553,131 @@ func TestInstallClaimsAbsorbQueuedInvocations(t *testing.T) {
 	pass()
 	if deploys() != 6 || sh.sched.claims != 3 || sh.sched.Invs() != 3 {
 		t.Fatalf("after two failed installs: %d deploys, %d claims, %d queued — want 6, 3, 3 (%v)", deploys(), sh.sched.claims, sh.sched.Invs(), sh.placed)
+	}
+}
+
+// TestDeathRequeuesInSpecOrderWithinBudget: a death requeues exactly
+// that worker's in-flight specs — in ascending spec order whatever order
+// they were placed in, one retry spent, the worker avoided, the hop
+// budget fresh — hands back exactly those past the budget, in the same
+// order, and releases exactly that worker's install claims.
+func TestDeathRequeuesInSpecOrderWithinBudget(t *testing.T) {
+	const lib = "lib"
+	tp := newTestPlane(1, false)
+	sh, s := tp.shells[0], tp.shells[0].sched
+	doomed, other := tp.join(0, 8), tp.join(0, 8)
+	one := core.Resources{Cores: 1}
+	task := func(id int64, retries int) Run[testSpec, testInv] {
+		return Run[testSpec, testInv]{IsTask: true, Task: testTask{Key: TaskKey(id), ID: id, Retries: retries, Hops: 2, Spec: testSpec{need: one}}}
+	}
+	call := func(id int64, retries int) Run[testSpec, testInv] {
+		return Run[testSpec, testInv]{Inv: testCall{Lib: lib, ID: id, Retries: retries, Hops: 2, Spec: testInv(id)}}
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, r := range []Run[testSpec, testInv]{task(9, 0), call(7, testBudget), task(3, testBudget), call(5, 0), task(8, 1), call(2, 1)} {
+		s.register(doomed.ID, r)
+	}
+	s.register(other.ID, call(6, 0))
+	s.register(other.ID, task(4, 0))
+	s.lib(lib, true).claims = []string{doomed.ID, other.ID}
+	s.lib("zlib", true).claims = []string{doomed.ID}
+	s.claims = 3
+
+	requeued, lost := s.Died(doomed.ID)
+
+	if want := []Run[testSpec, testInv]{task(3, testBudget), call(7, testBudget)}; requeued != 4 || !reflect.DeepEqual(lost, want) {
+		t.Fatalf("requeued %d and handed back %+v, want 4 and %+v", requeued, lost, want)
+	}
+	again := func(r Run[testSpec, testInv]) Run[testSpec, testInv] {
+		r.Task.Retries, r.Task.Avoid, r.Task.Hops = r.Task.Retries+1, doomed.ID, 0
+		r.Inv.Retries, r.Inv.Avoid, r.Inv.Hops = r.Inv.Retries+1, doomed.ID, 0
+		return r
+	}
+	if want := []testTask{again(task(8, 1)).Task, again(task(9, 0)).Task}; !reflect.DeepEqual(s.Tasks(), want) {
+		t.Fatalf("task queue %+v, want %+v", s.Tasks(), want)
+	}
+	if want := []testCall{again(call(2, 1)).Inv, again(call(5, 0)).Inv}; !reflect.DeepEqual(s.lib(lib, false).q, want) || s.Invs() != 2 {
+		t.Fatalf("library queue %+v (%d counted), want %+v", s.lib(lib, false).q, s.Invs(), want)
+	}
+	if want := []Run[testSpec, testInv]{task(4, 0), call(6, 0)}; !reflect.DeepEqual(s.Running(other.ID), want) || s.Running(doomed.ID) != nil || s.InFlight() != 2 {
+		t.Fatalf("still running: %+v on the survivor, %+v on the dead worker, %d in all", s.Running(other.ID), s.Running(doomed.ID), s.InFlight())
+	}
+	if l, z := s.lib(lib, false).claims, s.lib("zlib", false).claims; !reflect.DeepEqual(l, []string{other.ID}) || len(z) != 0 || s.claims != 1 {
+		t.Fatalf("claims after the death: %s %v, zlib %v, %d in all — want only the survivor's", lib, l, z, s.claims)
+	}
+	s.Unclaim(doomed.ID, lib)
+	if again, _ := s.Died(doomed.ID); again != 0 || s.claims != 1 || s.InFlight() != 2 {
+		t.Fatalf("a second death notice requeued %d, left %d claims and %d in flight", again, s.claims, s.InFlight())
+	}
+}
+
+// TestBackingOffSpecHoldsTheShardBusy: a spec a worker failed retryably
+// is neither queued nor on any worker until Retry, yet keeps the shard
+// from reading quiet — so nothing overflow-forwards past it — and Retry
+// still places it after the worker it avoids has died.
+func TestBackingOffSpecHoldsTheShardBusy(t *testing.T) {
+	tp := newTestPlane(2, false)
+	sh, s := tp.shells[0], tp.shells[0].sched
+	w := tp.join(0, 1)
+	tp.join(1, 1)
+	one := testSpec{need: core.Resources{Cores: 1}}
+	s.Push(testTask{Key: TaskKey(1), ID: 1, Spec: one})
+	s.Wake()
+	if got := s.Running(w.ID); len(got) != 1 || got[0].ID() != 1 {
+		t.Fatalf("task 1 should run on %s: %+v", w.ID, got)
+	}
+	// The worker fails it; its core stays taken (by other work, say), so
+	// the next task is refused on capacity alone.
+	sh.mu.Lock()
+	r, retry, ok := s.Done(w.ID, 1, true)
+	if !ok || retry != 1 || r.Task.Retries != 1 || r.Task.Avoid != w.ID {
+		t.Fatalf("Done(failed) = %+v, retry %v, ok %v", r, retry, ok)
+	}
+	if _, _, again := s.Done(w.ID, 1, true); again {
+		t.Fatal("a spec backing off is still on its worker")
+	}
+	if s.InFlight() != 0 || s.BackingOff() != 1 || len(s.Tasks()) != 0 {
+		t.Fatalf("backing off: %d in flight, %d backing off, %d queued — want 0, 1, 0", s.InFlight(), s.BackingOff(), len(s.Tasks()))
+	}
+	s.Push(testTask{Key: TaskKey(2), ID: 2, Spec: one})
+	sh.mu.Unlock()
+	s.Wake()
+	if len(tp.delivered) != 0 || len(s.Tasks()) != 1 || s.starving.Load() {
+		t.Fatalf("a refusal hopped past a backing-off spec: delivered %+v, %d queued, starving %v", tp.delivered, len(s.Tasks()), s.starving.Load())
+	}
+	sh.mu.Lock()
+	s.Retry(1)
+	sh.mu.Unlock()
+	s.Wake()
+	// The retry leaves first, by the static rule — the only worker here is
+	// the one it avoids; task 2 follows from the now quiet shard.
+	if want := []delivery{{1, "task-1", 1}, {1, "task-2", 1}}; !reflect.DeepEqual(tp.delivered, want) || s.BackingOff() != 0 {
+		t.Fatalf("once the retry landed the quiet shard should forward both: %+v, want %+v", tp.delivered, want)
+	}
+
+	// Again with room to place: the avoided worker dies during the backoff.
+	tp = newTestPlane(1, false)
+	sh, s = tp.shells[0], tp.shells[0].sched
+	a, b := tp.join(0, 1), tp.join(0, 1)
+	s.Push(testTask{Key: TaskKey(1), ID: 1, Spec: one})
+	s.Wake()
+	failed, survivor := a, b
+	if len(s.Running(a.ID)) == 0 {
+		failed, survivor = b, a
+	}
+	sh.mu.Lock()
+	s.Done(failed.ID, 1, true)
+	tp.Remove(failed.ID)
+	sh.view.RemoveWorker(failed)
+	if requeued, lost := s.Died(failed.ID); requeued != 0 || lost != nil || s.BackingOff() != 1 {
+		t.Fatalf("the death touched a spec no longer on the worker: requeued %d, lost %+v, %d backing off", requeued, lost, s.BackingOff())
+	}
+	s.Retry(1)
+	sh.mu.Unlock()
+	s.Wake()
+	if got := s.Running(survivor.ID); len(got) != 1 || got[0].Task.Retries != 1 || got[0].Task.Avoid != failed.ID || s.BackingOff() != 0 {
+		t.Fatalf("the retry should run on %s, avoiding the dead %s: %+v", survivor.ID, failed.ID, got)
 	}
 }
 

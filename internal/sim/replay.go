@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 
@@ -21,10 +22,14 @@ import (
 // and worker counters, one submission plane and one ref catalog; per
 // shard (replayShard) a cluster view and the intake around that shard's
 // scheduler, which owns the keyed task queue, the library's invocation
-// queue with its install claims, the wake loop, both passes and every
-// shard-crossing path. Like the manager, it binds an invocation when an
-// instance is ready — a deploy consumes none (the timed Run binds at
-// deploy start: sim.go, placeL3).
+// queue with its install claims, the wake loop, both passes, every
+// shard-crossing path and the in-flight table: what runs on which
+// worker, each spec's retry budget, the order a death requeues in. The
+// replay models no slots of its own. Like the manager, it hosts one
+// instance per worker with Config.SlotsPerWorker slots and binds an
+// invocation when the instance is ready — a deploy consumes none (the
+// timed Run hosts one single-slot instance per slot and binds at deploy
+// start: sim.go, placeL3).
 //
 // One shard is the degenerate case: nothing to forward to, nothing to
 // nudge. The differential harness (internal/manager) feeds one event
@@ -49,7 +54,7 @@ type Replay struct {
 	// is a stream apart from the shard traces. Specs the fair-share drain
 	// releases route to shard intake queues (routePlane); fed lists the
 	// shards fed and not yet woken, in first-fed order.
-	plane *policy.TenantPlane[simIntake]
+	plane *policy.TenantPlane[replayRun]
 	fed   []*replayShard
 	// refs is the one ref catalog (refs.go), shared by every shard's
 	// state as the manager's ref plane is shared by every shard.
@@ -67,10 +72,10 @@ type replayShard struct {
 	// intake is where routed specs wait for the wake loop to drain them,
 	// in submission order, at each look — so the decision order stays
 	// byte-identical to the manager's lock-free hand-off.
-	intake []simIntake
+	intake []replayRun
 }
 
-// replaySpec is the replay's payload of a queued task.
+// replaySpec is the replay's payload of a task.
 type replaySpec struct {
 	// tenant is the submitter, whose quota the completion releases.
 	tenant string
@@ -85,17 +90,8 @@ func (replaySpec) Need() core.Resources { return oneSlot }
 type (
 	replayTask = shardplane.Task[replaySpec]
 	replayInv  = shardplane.Inv[specRef]
+	replayRun  = shardplane.Run[replaySpec, specRef]
 )
-
-// simIntake is one submitted spec on its way to a shard's pending
-// state — in the submission plane, then in a shard's intake queue: a
-// task by ring key, or (isTask false) one invocation by its spec ID and
-// tenant.
-type simIntake struct {
-	isTask bool
-	task   replayTask
-	ref    specRef
-}
 
 // NewReplay builds an untimed simulation over shards partitions;
 // shards < 1 means shardplane.DefaultShards, as manager.New reads
@@ -108,11 +104,11 @@ func NewReplay(cfg Config, shards int) *Replay {
 	cfg.Invocations = 0
 	r := &Replay{
 		cfg:        cfg,
-		shardPlane: shardplane.NewPlane[replaySpec, specRef](shards),
+		shardPlane: shardplane.NewPlane[replaySpec, specRef](shards, shardplane.DefaultMaxRetries),
 		refs:       newSimRefs(cfg.RefOwnedBytesCap),
 	}
 	if len(cfg.Tenants) > 0 {
-		r.plane = policy.NewTenantPlane[simIntake](cfg.Tenants, &policy.Recorder{})
+		r.plane = policy.NewTenantPlane[replayRun](cfg.Tenants, &policy.Recorder{})
 	}
 	for i := range r.shardPlane.Shards {
 		scfg := cfg
@@ -148,10 +144,10 @@ func (r *Replay) kick(sh *replayShard) {
 // shard by round-robin over the spec ID, and in an empty cluster both
 // park in a key-derived home shard. The spec goes through the shard's
 // intake queue and the wake loop moves it into the pending state.
-func (r *Replay) route(it simIntake) {
-	idx := r.shardPlane.InvShard(it.ref.id, r.lib())
-	if it.isTask {
-		idx = r.shardPlane.KeyShard(it.task.Key)
+func (r *Replay) route(it replayRun) {
+	idx := r.shardPlane.InvShard(it.Inv.ID, r.lib())
+	if it.IsTask {
+		idx = r.shardPlane.KeyShard(it.Task.Key)
 	}
 	sh := r.shards[idx]
 	sh.intake = append(sh.intake, it)
@@ -162,10 +158,10 @@ func (r *Replay) route(it simIntake) {
 // intake queue — the manager's submitPlane.route. Invocations route by
 // the tenant's own cursor (Router.TenantInvShard); tasks keep ring-key
 // locality.
-func (r *Replay) routePlane(it simIntake, tenant string, seq int64) {
+func (r *Replay) routePlane(it replayRun, tenant string, seq int64) {
 	var idx int
-	if it.isTask {
-		idx = r.shardPlane.KeyShard(it.task.Key)
+	if it.IsTask {
+		idx = r.shardPlane.KeyShard(it.Task.Key)
 	} else {
 		idx = r.shardPlane.TenantInvShard(tenant, seq, r.lib())
 	}
@@ -174,6 +170,20 @@ func (r *Replay) routePlane(it simIntake, tenant string, seq int64) {
 	if !slices.Contains(r.fed, sh) {
 		r.fed = append(r.fed, sh)
 	}
+}
+
+// release returns the quota unit of a spec that will not run again — a
+// final result, or a retry budget spent — to the submission plane, if
+// there is one; wakeFed wakes what the drain feeds.
+func (r *Replay) release(run *replayRun) {
+	if r.plane == nil {
+		return
+	}
+	tenant := run.Inv.Spec.tenant
+	if run.IsTask {
+		tenant = run.Task.Spec.tenant
+	}
+	r.plane.Release(tenant, r.routePlane)
 }
 
 // wakeFed wakes the shards a plane drain fed, in first-fed order — the
@@ -191,57 +201,45 @@ func (r *Replay) wakeFed() {
 // Intake replays queued intake items into the scheduler's queues.
 func (sh *replayShard) Intake() (open bool) {
 	for _, it := range sh.intake {
-		if it.isTask {
-			sh.sched.Push(it.task)
-		} else {
-			sh.sched.PushInvs(replayInv{Lib: sh.st.lib, Spec: it.ref})
-		}
+		sh.sched.Enqueue(it)
 	}
 	sh.intake = sh.intake[:0]
 	return true
 }
 
-// LibNeed: a one-slot instance, which fits any live worker — the queue
-// never overflow-forwards.
-func (sh *replayShard) LibNeed(string) (core.Resources, bool) { return oneSlot, true }
+// LibNeed: an instance takes its worker whole, and any live worker can
+// host one — the queue never overflow-forwards.
+func (sh *replayShard) LibNeed(string) (core.Resources, bool) {
+	return core.Resources{Cores: sh.st.cfg.SlotsPerWorker}, true
+}
 
 func (sh *replayShard) Reject(replayInv) bool { return false }
 
 // Ready plans ready placements through the batched entry point the
-// manager uses — or, unbatched, only the next one, which the pass
-// executes before asking again: plan-one/execute-one, the reference
-// batched_test.go holds the batch contract to.
+// manager uses.
 func (sh *replayShard) Ready(dst []policy.PlaceInvocation, lib string, k int, avoid string) []policy.PlaceInvocation {
-	v, f := sh.st.view, policy.Excluding(avoid)
-	if sh.st.cfg.Batched {
-		return v.PlaceReadyBatchInto(dst, lib, k, f)
-	}
-	if d := v.PlaceReady(lib, f); d.Worker != nil {
-		dst = append(dst, d)
-	}
-	return dst
+	return sh.st.view.PlaceReadyBatchInto(dst, lib, k, policy.Excluding(avoid))
 }
 
-// PlaceInv carries out one ready placement: trace, slot binding.
+// PlaceInv carries out one ready placement: trace, one slot taken.
 func (sh *replayShard) PlaceInv(inv replayInv, d policy.PlaceInvocation) {
 	st := sh.st
 	w := st.byID[d.Worker.ID]
 	if st.rec != nil {
 		st.rec.Record(policy.TracePlace(inv.Lib, d))
 	}
-	sl := w.firstFree(true)
-	st.takeSlot(w, sl)
-	sl.owner, sl.tenant = inv.Spec.id, inv.Spec.tenant
+	w.freeReady--
+	st.syncLib(w)
 }
 
-// Deploy starts an instance on the worker the policy core picks;
+// Deploy starts the worker's instance where the policy core finds room;
 // LibReady is its ack.
-func (sh *replayShard) Deploy(string) bool {
-	w := sh.st.deploy()
-	if w != nil {
-		w.deploying++
+func (sh *replayShard) Deploy(lib string) (string, bool) {
+	need, _ := sh.LibNeed(lib)
+	if w := sh.st.deploy(need, nil); w != nil {
+		return w.id, true
 	}
-	return w != nil
+	return "", false
 }
 
 // Deliver moves specs into shard i's queues and wakes it.
@@ -254,19 +252,13 @@ func (sh *replayShard) Deliver(i int, tasks []replayTask, invs []replayInv) {
 
 func (sh *replayShard) Woke(bool) {}
 
-// Plan plans the queue through the batched entry point the manager
-// uses — or, unbatched, only its head, which the pass executes before
-// asking again: plan-one/execute-one, the reference batched_test.go
-// holds the batch contract (strict sequential equivalence) to.
+// Plan plans the queue through the batched entry point the manager uses.
 func (sh *replayShard) Plan(dst []policy.PlaceTask, tasks []replayTask) []policy.PlaceTask {
-	if !sh.st.cfg.Batched {
-		tasks = tasks[:1]
-	}
 	reqs := make([]policy.TaskReq, len(tasks))
 	for i, pt := range tasks {
 		reqs[i] = policy.TaskReq{Key: pt.Key, Res: oneSlot, Inputs: sh.taskInputs(pt), Avoid: pt.Avoid, Tenant: pt.Spec.tenant}
 	}
-	return sh.st.view.PlanTaskBatchInto(dst, reqs, sh.st.stackFilter())
+	return sh.st.view.PlanTaskBatchInto(dst, reqs, nil)
 }
 
 // taskInputs builds one task's input specs: the environment (L2/L3)
@@ -284,47 +276,25 @@ func (sh *replayShard) taskInputs(pt replayTask) []core.FileSpec {
 	return inputs
 }
 
-// Place carries out one planned keyed placement: trace, staging, slot
-// binding.
-func (sh *replayShard) Place(pt replayTask, d policy.PlaceTask) {
+// Place carries out one planned keyed placement: trace, staging, the
+// task's resource commitment.
+func (sh *replayShard) Place(pt *replayTask, d policy.PlaceTask) {
 	st := sh.st
-	w := st.byID[d.Worker.ID]
 	if st.rec != nil {
 		st.rec.Record(policy.TraceTask(pt.Key, d))
 	}
 	for _, sf := range d.Stages {
 		st.execStage(sf)
 	}
-	sl := w.firstFree(false)
-	st.takeSlot(w, sl)
-	sl.invIdx = st.nextInv
-	st.nextInv++
-	sl.key = pt.Key
-	sl.refs = pt.Spec.refs
-	sl.owner, sl.tenant = shardplane.KeyNum(pt.Key), pt.Spec.tenant
-}
-
-// Quiet reports that no local event is pending that could change this
-// shard's placement state — nothing dispatched (busy slots double as
-// the inflight table), no copies awaiting acks.
-func (sh *replayShard) Quiet() bool {
-	if len(sh.st.view.PendingCopies) > 0 {
-		return false
-	}
-	for _, w := range sh.st.workers {
-		if !w.dead && w.busySlots > 0 {
-			return false
-		}
-	}
-	return true
+	d.Worker.Commit = d.Worker.Commit.Add(oneSlot)
 }
 
 // kill is the owning shard's half of a worker death: the source serving
 // the dead worker's inbound fetch gets its transfer slot back, the view
-// drops its replicas, in-flight copies, instances and ring position,
-// and everything bound to its slots requeues in ascending spec order
-// with the dead worker as the avoid preference.
-func (sh *replayShard) kill(w *wstate) {
+// drops its replicas, in-flight copies, instance and ring position, and
+// the table requeues what ran there (Sched.Died), handing back the specs
+// whose retry budget is spent.
+func (sh *replayShard) kill(w *wstate) []replayRun {
 	st := sh.st
 	if src := w.envSrc; src != nil {
 		w.envSrc = nil
@@ -337,43 +307,8 @@ func (sh *replayShard) kill(w *wstate) {
 	st.view.RemoveWorker(w.v)
 	delete(st.byID, w.id)
 	w.dead = true
-	// Each install in progress releases its claim, and everything
-	// dispatched requeues — the manager's requeue of its inflight.
-	for ; w.deploying > 0; w.deploying-- {
-		sh.sched.Unclaim(st.lib)
-	}
-	for sl := w.lowestBusy(); sl != nil; sl = w.lowestBusy() {
-		sl.busy = false
-		sh.requeue(w.id, sl)
-		sl.unbind()
-	}
-}
-
-// lowestBusy is the worker's busy slot bound to the lowest spec ID.
-func (w *wstate) lowestBusy() *slot {
-	var pick *slot
-	for _, sl := range w.slots {
-		if sl.busy && (pick == nil || sl.owner < pick.owner) {
-			pick = sl
-		}
-	}
-	return pick
-}
-
-// requeue puts the spec bound to sl back on its queue, avoid as its
-// avoid preference.
-func (sh *replayShard) requeue(avoid string, sl *slot) {
-	if sl.key == "" {
-		sh.sched.RequeueInv(avoid, replayInv{Lib: sh.st.lib, Spec: specRef{id: sl.owner, tenant: sl.tenant}})
-	} else {
-		sh.sched.Requeue(avoid, replayTask{Key: sl.key, Spec: replaySpec{tenant: sl.tenant, refs: sl.refs}})
-	}
-}
-
-// unbind clears the slot's record of the spec it ran.
-func (sl *slot) unbind() {
-	sl.key, sl.refs = "", nil
-	sl.owner, sl.tenant = 0, ""
+	_, lost := sh.sched.Died(w.id)
+	return lost
 }
 
 // ---- the event surface ----
@@ -384,23 +319,22 @@ func (r *Replay) find(id string) (*replayShard, *wstate) {
 	return sh, sh.st.byID[id]
 }
 
-// nextTask numbers one new keyed task off the shared spec counter (the
-// manager derives the ring key from the spec ID).
-func (r *Replay) nextTask() replayTask {
+// next numbers one new spec of the configured level off the shared
+// counter (the manager derives a task's ring key from its spec ID).
+func (r *Replay) next(tenant string, refs ...string) replayRun {
 	r.nextID++
-	return replayTask{Key: shardplane.TaskKey(int64(r.nextID))}
+	id := int64(r.nextID)
+	if r.cfg.Level == core.L3 {
+		return replayRun{Inv: replayInv{Lib: r.lib(), ID: id, Spec: specRef{id: id, tenant: tenant}}}
+	}
+	return replayRun{IsTask: true, Task: replayTask{Key: shardplane.TaskKey(id), ID: id, Spec: replaySpec{tenant: tenant, refs: refs}}}
 }
 
 // Submit enqueues n specs, routing each like the manager's Submit /
 // SubmitInvocation, and schedules as much as possible.
 func (r *Replay) Submit(n int) {
 	for k := 0; k < n; k++ {
-		if r.cfg.Level == core.L3 {
-			r.nextID++
-			r.route(simIntake{ref: specRef{id: int64(r.nextID)}})
-		} else {
-			r.route(simIntake{isTask: true, task: r.nextTask()})
-		}
+		r.SubmitTenant("")
 	}
 }
 
@@ -409,26 +343,15 @@ func (r *Replay) Submit(n int) {
 // if possible — the manager's Submit of a TaskSpec whose Inputs carry
 // core.RefSpec bindings. The refs must already exist in the catalog
 // (created by earlier CompleteTaskRef calls).
-func (r *Replay) SubmitTaskRefs(refs ...string) {
-	pt := r.nextTask()
-	pt.Spec.refs = refs
-	r.route(simIntake{isTask: true, task: pt})
-}
+func (r *Replay) SubmitTaskRefs(refs ...string) { r.route(r.next("", refs...)) }
 
 // SubmitTenant submits one spec for tenant through the submission
 // plane — the manager's Submit/SubmitInvocation with a TenantID:
 // admission, plane queue, fair-share drain into shard intake, a wake
-// for every shard fed. Unregistered tenants degrade to the direct
-// routing path.
+// for every shard fed. An unregistered tenant (the empty one included)
+// degrades to the direct routing path.
 func (r *Replay) SubmitTenant(tenant string) {
-	var it simIntake
-	if r.cfg.Level == core.L3 {
-		r.nextID++
-		it = simIntake{ref: specRef{id: int64(r.nextID), tenant: tenant}}
-	} else {
-		it = simIntake{isTask: true, task: r.nextTask()}
-		it.task.Spec.tenant = tenant
-	}
+	it := r.next(tenant)
 	if r.plane != nil {
 		if _, _, known := r.plane.Submit(tenant, it, r.routePlane); known {
 			r.wakeFed()
@@ -459,7 +382,9 @@ func (r *Replay) AddWorker() string {
 // order: membership first (forward targets and ring ownership move),
 // then every ref the dead worker owned re-homes — before its queue
 // teardown, trace-silent when it owned nothing — then the owning
-// shard's surgery, requeue and pass, then the membership-change nudge.
+// shard's surgery and requeue, a spec past its retry budget dropped and
+// its quota returned, then the pass, the wakes that quota fed, and the
+// membership-change nudge.
 // Transfers the dead worker was *serving* are not failed here; the
 // caller fails each stranded destination via EnvFailed, exactly as the
 // real destinations' own failing FileAcks would arrive later.
@@ -470,8 +395,12 @@ func (r *Replay) KillWorker(id string) bool {
 	}
 	r.shardPlane.Remove(id)
 	r.refs.tab.PlanRehome(id, r.refs.rec)
-	sh.kill(w)
+	lost := sh.kill(w)
+	for i := range lost {
+		r.release(&lost[i])
+	}
 	r.kick(sh)
+	r.wakeFed()
 	r.shardPlane.Nudge()
 	return true
 }
@@ -548,25 +477,21 @@ func (r *Replay) RefFailed(id, refID string) bool {
 	return true
 }
 
-// LibReady brings up worker id's oldest install — its first slot with
-// no instance (the LibraryAck) — and releases the install's claim; the pass that follows
-// places a queued invocation on it — or on any better ready instance —
-// and a new ready instance is capacity starving shards may be waiting
-// for. Returns false if the worker has no deploy in progress or its
-// environment has not arrived.
+// LibReady brings up worker id's installing instance (the LibraryAck),
+// every slot free, and releases the install's claim; the pass that
+// follows places queued invocations on it — or on any better ready
+// instance — and a new ready instance is capacity starving shards may be
+// waiting for. Returns false if the worker has no install in progress or
+// its environment has not arrived.
 func (r *Replay) LibReady(id string) bool {
 	sh, w := r.find(id)
-	if w == nil || !w.hasEnv || w.deploying == 0 {
+	if w == nil || !w.hasEnv || w.v.Libs[r.lib()] == nil || w.lv.Ready {
 		return false
 	}
-	w.deploying--
-	for _, sl := range w.slots {
-		if !sl.libReady {
-			sh.st.markLibReady(w, sl)
-			break
-		}
-	}
-	sh.sched.Unclaim(r.lib())
+	w.lv.Ready = true
+	w.freeReady = w.lv.Slots
+	sh.st.syncLib(w)
+	sh.sched.Unclaim(id, r.lib())
 	r.kick(sh)
 	r.shardPlane.Nudge()
 	return true
@@ -575,30 +500,16 @@ func (r *Replay) LibReady(id string) bool {
 // Complete finishes the running spec with the lowest ID on worker id:
 // the differential harness completes the manager's lowest in-flight
 // spec ID on that worker. Returns false if nothing on the worker is in
-// a completable state. Task workloads under churn should use
-// CompleteTask: requeues carry ring keys, so the engines must agree on
-// which task each slot was running.
+// a completable state.
 func (r *Replay) Complete(id string) bool {
-	sh, w := r.find(id)
-	if w == nil || !w.hasEnv {
-		return false
-	}
-	sl := w.lowestBusy()
-	if sl == nil {
-		return false
-	}
-	r.finish(sh, w, sl, true)
-	return true
+	sh, _ := r.find(id)
+	runs := sh.sched.Running(id)
+	return len(runs) > 0 && r.finish(id, runs[0].ID(), false, nil)
 }
 
 // CompleteTask finishes the task bound to ring key key on worker id.
 func (r *Replay) CompleteTask(id, key string) bool {
-	sh, w, sl := r.running(id, shardplane.KeyNum(key))
-	if sl == nil {
-		return false
-	}
-	r.finish(sh, w, sl, true)
-	return true
+	return r.finish(id, shardplane.KeyNum(key), false, nil)
 }
 
 // CompleteTaskRef finishes the task bound to ring key key on worker id
@@ -608,75 +519,84 @@ func (r *Replay) CompleteTask(id, key string) bool {
 // owner's budget cascades re-tier the catalog at decision time, the
 // spill messages themselves carry no state), and the catalog — not the
 // manager's wire — carries the object from then on. The transfer lands
-// before the freed slot's schedule pass, exactly where the manager's
+// before the freed capacity's schedule pass, exactly where the manager's
 // hook runs.
 func (r *Replay) CompleteTaskRef(id, key string, ref core.ObjectRef) bool {
-	sh, w, sl := r.running(id, shardplane.KeyNum(key))
-	if sl == nil {
-		return false
-	}
-	r.refs.tab.NoteRefResult(id, ref.ID, ref.Name, ref.Size, r.refs.rec)
-	r.finish(sh, w, sl, true)
-	return true
+	return r.finish(id, shardplane.KeyNum(key), false, &ref)
 }
 
 // Fail fails spec number spec, running on worker id, retryably — the
-// manager's Retryable-result path: the slot frees and the spec requeues
-// at the back of its shard's queue (requeues stay shard-local) with this
+// manager's Retryable-result path. Within the retry budget the spec
+// requeues at the back of its shard's queue (requeues stay shard-local;
+// the replay has no clock, so the backoff is over at once) with this
 // worker as the avoid preference — the retry prefers any other
-// placement, falling back to the avoided worker over starving. A retry
-// holds its quota unit — the manager releases only on final delivery —
-// so the requeue carries the tenant and nothing is released.
+// placement, falling back to the avoided worker over starving — and
+// holds its quota unit, as the manager releases only on final delivery.
+// Past the budget the spec is dropped and its quota returned.
 func (r *Replay) Fail(id string, spec int64) bool {
-	sh, w, sl := r.running(id, spec)
-	if sl == nil {
-		return false
-	}
-	sh.requeue(id, sl)
-	r.finish(sh, w, sl, false)
-	return true
+	return r.finish(id, spec, true, nil)
 }
 
-// running returns the busy slot bound to spec number spec on worker id,
-// with its worker and shard; nils if there is none.
-func (r *Replay) running(id string, spec int64) (*replayShard, *wstate, *slot) {
+// finish is every result event — the manager's onResult — for spec
+// number spec on worker id, false if it is not running there or the
+// worker's environment has not landed: the spec leaves the worker, a
+// by-ref result (ref) transfers ownership, a finished task's cacheable
+// inputs are noted as replicas (the bytes are
+// resident whatever the outcome; the environment's note is a dedup no-op
+// since its ack gated the result, so only proxy-object inputs are
+// recorded — including a lost ref that never staged, the same vacuous
+// replica on both engines), a retry requeues, the shard runs its pass, a
+// final result returns its quota unit to the plane and wakes what that
+// feeds, and freed capacity nudges starving shards.
+func (r *Replay) finish(id string, spec int64, failed bool, ref *core.ObjectRef) bool {
 	sh, w := r.find(id)
 	if w == nil || !w.hasEnv {
-		return nil, nil, nil
+		return false
 	}
-	for _, sl := range w.slots {
-		if sl.busy && sl.owner == spec {
-			return sh, w, sl
+	run, retry, ok := sh.sched.Done(id, spec, failed)
+	if !ok {
+		return false
+	}
+	if ref != nil {
+		r.refs.tab.NoteRefResult(id, ref.ID, ref.Name, ref.Size, r.refs.rec)
+	}
+	if run.IsTask {
+		w.v.Commit = w.v.Commit.Sub(oneSlot)
+		for _, ref := range run.Task.Spec.refs {
+			sh.st.view.NoteReplica(w.v, ref)
 		}
+	} else {
+		w.freeReady++
+		sh.st.syncLib(w)
 	}
-	return nil, nil, nil
-}
-
-// finish is the tail of every result event — the manager's onResult:
-// the slot frees, the finished task's cacheable inputs are noted as
-// replicas (the bytes are resident whatever the outcome; the
-// environment's note is a dedup no-op since its ack gated the result,
-// so only proxy-object inputs are recorded — including a lost ref that
-// never staged, the same vacuous replica on both engines), the shard
-// runs its pass, a delivered result returns its quota unit to the plane
-// and wakes what that feeds, and freed capacity nudges starving shards.
-func (r *Replay) finish(sh *replayShard, w *wstate, sl *slot, delivered bool) {
-	tenant := sl.tenant
-	sh.st.freeSlot(w, sl)
-	for _, id := range sl.refs {
-		sh.st.view.NoteReplica(w.v, id)
-	}
-	sl.unbind()
-	if delivered {
-		sl.served++
+	if retry > 0 {
+		sh.sched.Retry(spec)
 	}
 	r.kick(sh)
-	if delivered && r.plane != nil {
-		r.plane.Release(tenant, r.routePlane)
+	if retry == 0 {
+		r.release(&run)
 		r.wakeFed()
 	}
 	r.shardPlane.Nudge()
+	return true
 }
+
+// CheckQuiescence is the manager's, for what a replay holds: no spec
+// queued, in flight or backing off in any shard, no tenant holding quota.
+func (r *Replay) CheckQuiescence() error {
+	for i, sh := range r.shards {
+		if n := len(sh.sched.Tasks()) + sh.sched.Invs() + sh.sched.InFlight() + sh.sched.BackingOff(); n != 0 {
+			return fmt.Errorf("sim: shard %d still holds %d specs", i, n)
+		}
+	}
+	if r.plane != nil {
+		return r.plane.Quiescent()
+	}
+	return nil
+}
+
+// TenantStats is the submission plane's breakdown; tenant runs only.
+func (r *Replay) TenantStats() []policy.TenantStat { return r.plane.Stats() }
 
 // Pending reports specs submitted but not yet placed, over all shards.
 func (r *Replay) Pending() int {

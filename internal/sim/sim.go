@@ -58,13 +58,6 @@ type Config struct {
 	// ManagerSourceCap is how many environment copies the manager sends
 	// concurrently itself (1 = the paper's sequential initial sends).
 	ManagerSourceCap int
-	// FetchConcurrency bounds how many inbound transfers one worker
-	// runs concurrently — the virtual-time mirror of the worker data
-	// plane's bounded fetch pool (internal/dataplane). Transfers beyond
-	// the cap queue FIFO on the destination; staging *decisions* are
-	// made (and traced) before the queueing, so the bound shapes timing
-	// only, never decision order.
-	FetchConcurrency int
 	// Machines overrides the default Table 3 proportional sample.
 	Machines []cluster.Machine
 	// Clusters splits workers into k equal network-locality groups with
@@ -74,42 +67,19 @@ type Config struct {
 	// CrossClusterBytesPerSec is the constrained inter-cluster
 	// bandwidth (used when Clusters > 1).
 	CrossClusterBytesPerSec float64
-	// SeriesSamples is the number of points recorded for the
-	// deployed-libraries and share-value series.
-	SeriesSamples int
-	// KeepTimes retains every invocation runtime (Table 4 / Figure 7);
-	// disable to save memory on huge sweeps.
+	// DropTimes discards the per-invocation runtimes (Result.Times;
+	// Table 4 / Figure 7) to save memory on huge sweeps.
 	DropTimes bool
-	// MaxEvents bounds the event count (0 = a generous default backstop).
-	MaxEvents int64
-	// FSPerFlowBW caps one client's shared-FS streaming rate
-	// (bytes/second; default 35 MB/s — the effective per-client rate of
-	// a many-small-file read pattern on the paper's Panasas system).
-	FSPerFlowBW float64
-	// FSPerFlowOps caps one client's shared-FS metadata operation rate
-	// (default 200/s — latency-bound RPCs).
-	FSPerFlowOps float64
 	// ExecDraws optionally fixes the per-invocation base execution
 	// times (reference-machine seconds): invocation i uses ExecDraws[i].
 	// Experiments use this as common random numbers so different reuse
 	// levels face the identical workload and differences reflect only
 	// the mechanisms.
 	ExecDraws []float64
-	// EvictIdleLibraries ablates §3.5.2's empty-library eviction when
-	// running two-app mixes (used by the ablation experiments).
-	// (Single-app runs never evict.)
-	EvictIdleLibraries bool
 	// DecisionTrace, when set, records every scheduling decision the
 	// policy core hands this run (differential and golden tests). nil
 	// keeps tracing off the dispatch path.
 	DecisionTrace *policy.Recorder
-	// Batched makes Replay drains plan through the batched policy entry
-	// points (PlanTaskBatchInto / PlaceReadyBatchInto) the manager uses,
-	// instead of one decision at a time. The batch contract is strict
-	// sequential equivalence, so the decision trace must be identical
-	// either way — the batched-vs-unbatched differential test proves it
-	// on live random traces. Replay-only; the timed path is untouched.
-	Batched bool
 	// Tenants enables the submission plane (DESIGN.md §14): every
 	// arrival passes admission control and waits in its tenant's plane
 	// queue until the weighted fair-share drain releases it — in the
@@ -131,6 +101,30 @@ type Config struct {
 	RefOwnedBytesCap int64
 }
 
+const (
+	// fetchConcurrency bounds how many inbound transfers one worker runs
+	// concurrently — the virtual-time mirror of the worker data plane's
+	// bounded fetch pool (internal/dataplane). Transfers beyond the cap
+	// queue FIFO on the destination; staging *decisions* are made (and
+	// traced) before the queueing, so the bound shapes timing only, never
+	// decision order.
+	fetchConcurrency = 4
+	// seriesSamples is the number of points recorded for the
+	// deployed-libraries and share-value series.
+	seriesSamples = 200
+	// maxEvents bounds a run's event count: a backstop, not a budget.
+	maxEvents = 2_000_000_000
+	// fsPerFlowBW caps one client's shared-FS streaming rate (bytes per
+	// second: the effective per-client rate of a many-small-file read
+	// pattern on the paper's Panasas system); fsPerFlowOps caps its
+	// metadata operation rate (per second — latency-bound RPCs).
+	fsPerFlowBW  = 60e6
+	fsPerFlowOps = 200
+	// evictIdleLibraries: the simulator runs one application per run, so
+	// §3.5.2's empty-library eviction has nothing to reclaim.
+	evictIdleLibraries = false
+)
+
 func (c *Config) defaults() {
 	if c.SlotsPerWorker == 0 {
 		c.SlotsPerWorker = 16
@@ -144,20 +138,8 @@ func (c *Config) defaults() {
 	if c.ManagerSourceCap == 0 {
 		c.ManagerSourceCap = 1
 	}
-	if c.FetchConcurrency == 0 {
-		c.FetchConcurrency = 4
-	}
-	if c.SeriesSamples == 0 {
-		c.SeriesSamples = 200
-	}
 	if c.Seed == 0 {
 		c.Seed = 0xC0FFEE
-	}
-	if c.FSPerFlowBW == 0 {
-		c.FSPerFlowBW = 60e6
-	}
-	if c.FSPerFlowOps == 0 {
-		c.FSPerFlowOps = 200
 	}
 	if len(c.Tenants) > 0 && c.Invocations == 0 {
 		for _, n := range c.TenantInvocations {
@@ -262,7 +244,7 @@ type state struct {
 	// Replay keeps its plane on the driver instead, in front of every
 	// shard and with its own recorder, so the plane trace stays a
 	// separate stream exactly as the manager's is.
-	plane *policy.TenantPlane[simIntake]
+	plane *policy.TenantPlane[specRef]
 	// owners threads admitted-spec identity through the timed pending
 	// pool in tenant runs: the FIFO of admitted-but-unplaced invocation
 	// refs, popped at bind. (Replay's invocations wait, refs and all, in
@@ -287,18 +269,18 @@ type state struct {
 }
 
 type wstate struct {
-	idx     int
 	id      string
 	mach    cluster.Machine
 	cluster int
 	disk    *event.FairShare
 	nic     *event.FairShare
 
-	// v and lv are this worker's entries in the policy view; lv models
-	// the application library with one single-slot instance per
-	// deploy-committed slot (MaxInstances = SlotsPerWorker), so the
-	// policy core sees the same FreeReady quantity the manager
-	// publishes for its one multi-slot instance.
+	// v and lv are this worker's entries in the policy view. Under the
+	// timed Run lv models the application library with one single-slot
+	// instance per deploy-committed slot (MaxInstances = SlotsPerWorker) —
+	// Figure 10 counts those; under Replay it is the manager's one
+	// instance of SlotsPerWorker slots. Either way the policy core sees
+	// the same FreeReady quantity.
 	v  *policy.WorkerView
 	lv *policy.LibraryView
 
@@ -313,21 +295,17 @@ type wstate struct {
 	dead bool
 
 	// fetchActive/fetchq implement the destination-side transfer bound
-	// (Config.FetchConcurrency): inbound transfers beyond the cap wait
+	// (fetchConcurrency): inbound transfers beyond the cap wait
 	// here FIFO, after their staging decision was already recorded.
 	fetchActive int
 	fetchq      []func()
 
+	// slots (timed only) are the worker's invocation slots; Replay keeps
+	// what runs where in the shared scheduler's in-flight table instead.
 	slots []*slot
-	// deploying (replay only) counts instances installing with nothing
-	// bound to them yet; the timed path binds the invocation that rides
-	// the deploy to its slot instead (busy && !libReady).
-	deploying int
 
-	// busySlots and freeReady are maintained counters so slot selection
-	// scans workers, not workers×slots; freeReady is also what the view's
+	// freeReady counts the free slots of ready instances: what the view's
 	// ready index publishes.
-	busySlots int
 	freeReady int
 }
 
@@ -336,24 +314,16 @@ type slot struct {
 	busy     bool
 	libReady bool
 	served   int
-	invIdx   int    // index of the invocation currently assigned
-	key      string // replay only: the bound task's ring key (requeued verbatim on churn)
-	// refs are the bound task's proxy-object input IDs (replay only):
-	// requeued with the key on churn or retry, and noted as view
-	// replicas on the slot's result — the manager's cacheable-input
-	// replica notes in onResult.
-	refs []string
-	// owner and tenant identify the bound spec (replay always, the timed
-	// path in tenant runs): owner is the manager-side spec ID
-	// (completions free the lowest owner, the differential harness's
-	// rule), tenant names whose quota the completion releases.
+	invIdx   int // index of the invocation currently assigned
+	// owner and tenant identify the bound spec in tenant runs: the spec
+	// ID, and whose quota the completion releases.
 	owner  int64
 	tenant string
 }
 
 var oneSlot = core.Resources{Cores: 1}
 
-// takeSlot marks a slot occupied, maintaining the scan counters and
+// takeSlot marks a slot occupied, maintaining the free-ready count and
 // the worker's view commitment. Commitment follows the manager's
 // model: tasks (L1/L2) commit per running task, but L3 commits per
 // *installed instance* — charged at deploy time in deploy and held
@@ -361,7 +331,6 @@ var oneSlot = core.Resources{Cores: 1}
 // or freeing an invocation moves no resources.
 func (st *state) takeSlot(w *wstate, sl *slot) {
 	sl.busy = true
-	w.busySlots++
 	if sl.libReady {
 		w.freeReady--
 	}
@@ -374,7 +343,6 @@ func (st *state) takeSlot(w *wstate, sl *slot) {
 // freeSlot releases a slot.
 func (st *state) freeSlot(w *wstate, sl *slot) {
 	sl.busy = false
-	w.busySlots--
 	if sl.libReady {
 		w.freeReady++
 	}
@@ -454,10 +422,7 @@ func newState(cfg Config, replay bool) *state {
 		byID: map[string]*wstate{},
 		rec:  cfg.DecisionTrace,
 	}
-	if cfg.MaxEvents == 0 {
-		cfg.MaxEvents = 2_000_000_000
-	}
-	st.S.MaxEvents = cfg.MaxEvents
+	st.S.MaxEvents = maxEvents
 	st.res.DeployedSeries.Name = "deployed-libraries"
 	st.res.ShareSeries.Name = "avg-share-value"
 
@@ -465,7 +430,7 @@ func newState(cfg Config, replay bool) *state {
 		PeerTransfers:       cfg.PeerTransfers,
 		PeerTransferCap:     cfg.PeerCap,
 		ClusterAware:        cfg.Clusters > 1,
-		EvictEmptyLibraries: cfg.EvictIdleLibraries,
+		EvictEmptyLibraries: evictIdleLibraries,
 		ManagerSourceCap:    cfg.ManagerSourceCap,
 	})
 	if cfg.App != nil {
@@ -485,7 +450,7 @@ func newState(cfg Config, replay bool) *state {
 
 	// Shared filesystem: the Panasas figures of §4.3 with per-client
 	// effective-rate caps.
-	st.fs = event.NewDualFairShare(st.S, 84e9/8, cfg.FSPerFlowBW, 94000, cfg.FSPerFlowOps)
+	st.fs = event.NewDualFairShare(st.S, 84e9/8, fsPerFlowBW, 94000, fsPerFlowOps)
 	st.managerNIC = event.NewFairShare(st.S, cluster.NIC10GbE, 0)
 	if cfg.Clusters > 1 {
 		bw := cfg.CrossClusterBytesPerSec
@@ -521,7 +486,7 @@ func newState(cfg Config, replay bool) *state {
 	}
 
 	st.pending = cfg.Invocations
-	st.sampleStep = cfg.Invocations / cfg.SeriesSamples
+	st.sampleStep = cfg.Invocations / seriesSamples
 	if st.sampleStep == 0 {
 		st.sampleStep = 1
 	}
@@ -540,7 +505,6 @@ func (st *state) addWorker(i int) *wstate {
 	cfg := st.cfg
 	m := st.machines[i%len(st.machines)]
 	w := &wstate{
-		idx:  i,
 		id:   "w" + pad4(i),
 		mach: m,
 		disk: event.NewFairShare(st.S, m.DiskBytesPerSec, 0),
@@ -557,15 +521,15 @@ func (st *state) addWorker(i int) *wstate {
 	if cfg.Clusters > 1 {
 		clusterName = strconv.Itoa(w.cluster)
 	}
-	w.v = st.view.AddWorker(w.id, clusterName, core.Resources{Cores: cfg.SlotsPerWorker})
-	w.lv = &policy.LibraryView{
-		Name:         st.lib,
-		Slots:        1,
-		MaxInstances: cfg.SlotsPerWorker,
-		Res:          oneSlot,
-	}
-	for k := 0; k < cfg.SlotsPerWorker; k++ {
-		w.slots = append(w.slots, &slot{w: w})
+	total := core.Resources{Cores: cfg.SlotsPerWorker}
+	w.v = st.view.AddWorker(w.id, clusterName, total)
+	if st.replay {
+		w.lv = &policy.LibraryView{Name: st.lib, Slots: cfg.SlotsPerWorker, MaxInstances: 1, Res: total}
+	} else {
+		w.lv = &policy.LibraryView{Name: st.lib, Slots: 1, MaxInstances: cfg.SlotsPerWorker, Res: oneSlot}
+		for k := 0; k < cfg.SlotsPerWorker; k++ {
+			w.slots = append(w.slots, &slot{w: w})
+		}
 	}
 	st.workers = append(st.workers, w)
 	st.byID[w.id] = w
@@ -721,21 +685,22 @@ func (st *state) placeL3() *slot {
 		}
 		return st.bind(w, w.firstFree(true))
 	}
-	if w := st.deploy(); w != nil {
+	if w := st.deploy(oneSlot, st.stackFilter()); w != nil {
 		return st.bind(w, w.firstFree(false))
 	}
 	return nil
 }
 
-// deploy asks the policy core for a deploy decision and starts the
-// instance: staging, the view's instance record, the resource claim.
-// nil means no worker can host a new instance now.
-func (st *state) deploy() *wstate {
+// deploy asks the policy core for a deploy decision — an instance
+// needing res, on a worker f admits — and starts the instance: staging,
+// the view's instance record, the resource claim. nil means no worker
+// can host a new instance now.
+func (st *state) deploy(res core.Resources, f policy.Filter) *wstate {
 	d := st.view.PlanDeploy(policy.DeploySpec{
 		Name:  st.lib,
-		Res:   oneSlot,
+		Res:   res,
 		Files: []core.FileSpec{st.envSpec},
-	}, st.stackFilter())
+	}, f)
 	if d.Worker == nil {
 		return nil
 	}
@@ -750,7 +715,7 @@ func (st *state) deploy() *wstate {
 	// The install's resource claim, held for the instance's lifetime
 	// (the manager releases it only on eviction, install failure, or
 	// worker death — none of which the simulator's instances hit).
-	w.v.Commit = w.v.Commit.Add(oneSlot)
+	w.v.Commit = w.v.Commit.Add(res)
 	return w
 }
 
@@ -762,11 +727,11 @@ func (st *state) envBytes() float64 {
 
 // startFetch admits an inbound transfer on the destination worker:
 // run starts it on its link now if the worker has a free fetch slot
-// (Config.FetchConcurrency — the data plane's bounded pool), otherwise
+// (fetchConcurrency — the data plane's bounded pool), otherwise
 // it queues FIFO until fetchDone frees one. The staging decision was
 // already made and traced; the gate only delays the wire time.
 func (st *state) startFetch(w *wstate, run func()) {
-	if w.fetchActive < st.cfg.FetchConcurrency {
+	if w.fetchActive < fetchConcurrency {
 		w.fetchActive++
 		run()
 		return
@@ -1087,7 +1052,8 @@ func (st *state) invokeL3(sl *slot, start float64) {
 }
 
 // DebugStart initializes a run without executing it, returning the
-// internal state and simulator for diagnostic stepping (cmd/probe).
+// internal state and simulator for stepping the event loop by hand
+// (bench/ times it that way).
 func DebugStart(cfg Config) (*state, *event.Sim) {
 	cfg.defaults()
 	st := newState(cfg, false)

@@ -22,7 +22,7 @@ func (st *state) startTenantArrivals() {
 	if len(st.cfg.Tenants) == 0 || st.replay {
 		return
 	}
-	st.plane = policy.NewTenantPlane[simIntake](st.cfg.Tenants, st.rec)
+	st.plane = policy.NewTenantPlane[specRef](st.cfg.Tenants, st.rec)
 	st.pending = 0
 	st.arrivalsLeft = make([]int, len(st.cfg.Tenants))
 	for i := range st.cfg.Tenants {
@@ -54,8 +54,8 @@ func (st *state) arrive(i int) {
 	st.nextSpecID++
 	tenant := st.cfg.Tenants[i].Name
 	ref := specRef{id: st.nextSpecID, tenant: tenant}
-	if _, _, known := st.plane.Submit(tenant, simIntake{ref: ref}, st.routeTimed); !known {
-		st.routeTimed(simIntake{ref: specRef{id: ref.id}}, "", 0)
+	if _, _, known := st.plane.Submit(tenant, ref, st.routeTimed); !known {
+		st.routeTimed(specRef{id: ref.id}, "", 0)
 	}
 	st.tryDispatch()
 	if st.arrivalsLeft[i] > 0 {
@@ -66,7 +66,7 @@ func (st *state) arrive(i int) {
 // routeTimed is the timed simulator's hand-off from the plane: every
 // fair-share-released spec joins the pending pool, and the caller's
 // tryDispatch picks it up.
-func (st *state) routeTimed(it simIntake, _ string, _ int64) {
+func (st *state) routeTimed(ref specRef, _ string, _ int64) {
 	st.pending++
-	st.owners.Push(it.ref)
+	st.owners.Push(ref)
 }

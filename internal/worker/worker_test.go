@@ -349,6 +349,19 @@ func TestWrapperScriptRunsPickledFunction(t *testing.T) {
 	if !res.Ok {
 		t.Fatalf("wrapper task failed: %s", res.Err)
 	}
+	// The sandbox lists its staged inputs sorted by name, whatever order
+	// the spec gave them in.
+	spec.ID, spec.Script = 6, "import vine_runtime\nvine_runtime.store_result(vine_runtime.input_names())\n"
+	for _, obj := range []*content.Object{funcBlob, argsBlob} {
+		fm.put(t, obj, false, false)
+	}
+	if err := fm.conn.Send(proto.MsgRunTask, spec); err != nil {
+		t.Fatal(err)
+	}
+	res, _ = proto.DecodeResult(fm.expect(t, proto.MsgResult))
+	if names, err := pickle.Unmarshal(res.Value, minipy.NewInterp(nil)); !res.Ok || err != nil || names.Repr() != `["args", "func"]` {
+		t.Fatalf("input_names() = %v (%v), result %+v", names, err, res)
+	}
 }
 
 // TestIdenticalUncachedInputsAcrossTasks: two dispatches whose uncached
