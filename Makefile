@@ -13,7 +13,7 @@ all: check
 # the data-path and decision packages twenty times over under -race, the
 # manager's differentials ten times and taskvine ten times under -race,
 # the repository benchmark's own module linted, built, tested and run
-# briefly, a few seconds of each wire fuzzer, and every paper table and
+# briefly, a few seconds of each fuzzer, and every paper table and
 # figure re-run and compared with the checked-in log.
 check: build lint test fidelity race flake benchcheck fuzzsmoke paperlog
 
@@ -89,10 +89,11 @@ benchcheck:
 	GOMAXPROCS=1 bash bench/run.sh -workload invoke_burst -seed 1 -seconds 2
 	bash bench/run.sh -workload sim_replay -seed 1 -seconds 2
 
-# The wire fuzz targets, five seconds each (go test -fuzz takes one
-# target and one package per run): hostile bytes must not panic a
-# decoder or the frame receiver, size an allocation, or decode to
-# something that re-encodes differently. A failing input is written
+# The fuzz targets, five seconds each (go test -fuzz takes one target
+# and one package per run): the wire decoders and the frame receiver,
+# then the unpickler — bytes a worker takes from a peer. Hostile bytes
+# must not panic a decoder, size an allocation, or decode to something
+# that re-encodes differently. A failing input is written
 # under the package's testdata/fuzz/ — commit it with the fix, it
 # becomes a regression seed.
 fuzzsmoke:
@@ -101,19 +102,20 @@ fuzzsmoke:
 	go test -run '^$$' -fuzz '^FuzzDecodeInvocation$$' -fuzztime 5s ./internal/proto
 	go test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 5s ./internal/proto
 	go test -run '^$$' -fuzz '^FuzzRecvBulk$$' -fuzztime 5s ./internal/proto
+	go test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 5s ./internal/pickle
 
 # Whole-tree statement coverage (every package's tests counted against
 # every package, ~20 s), and the functions in which no test executes a
 # single statement — the commands, the examples, and the methods with no
 # statements to execute (the parser's stmtNode/exprNode markers,
-# shardplane.NoLock's Lock/Unlock, sim.Replay's empty Woke hook) aside.
+# shardplane.NoLock's Lock/Unlock) aside.
 # A function on this list is either missing a test or missing a caller:
 # delete it, or give it one. Print-only; not part of `make check`.
 cover:
 	go test -coverpkg=./... -coverprofile=cover.out ./... > /dev/null
 	@go tool cover -func=cover.out | awk '\
 		$$1 == "total:" { total = $$NF; next } \
-		$$NF == "0.0%" && $$1 !~ /^repro\/(cmd|examples)\// && $$2 !~ /^(stmtNode|exprNode)$$/ && !($$1 ~ /shardplane\/sched\.go|sim\/replay\.go/ && $$2 ~ /^(Lock|Unlock|Woke)$$/) { print "never run:", $$1, $$2; n++ } \
+		$$NF == "0.0%" && $$1 !~ /^repro\/(cmd|examples)\// && $$2 !~ /^(stmtNode|exprNode)$$/ && !($$1 ~ /shardplane\/sched\.go/ && $$2 ~ /^(Lock|Unlock)$$/) { print "never run:", $$1, $$2; n++ } \
 		END { print n + 0, "functions never run; total statement coverage", total }'
 
 # Go lines by directory, non-test and test, and for the whole tree

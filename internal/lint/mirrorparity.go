@@ -23,8 +23,10 @@ import (
 // reachable from that engine's packages — direct references plus
 // policy-internal call chains (PlanTaskBatchInto -> PlanTask ->
 // PlanStageAll -> PickSource all count as reached through the batch
-// entry) — and flags entry points one side cannot reach. A
-// deliberately one-sided entry point carries
+// entry) — and flags entry points one side cannot reach. A policy
+// function referenced from internal/shardplane, the scheduler both
+// engines are shells of, counts as reached by each engine package that
+// imports it. A deliberately one-sided entry point carries
 // //vinelint:ignore mirrorparity with a justification.
 var mirrorparity = &Analyzer{
 	Name: "mirrorparity",
@@ -35,9 +37,13 @@ var mirrorparity = &Analyzer{
 	Run: runMirrorParity,
 }
 
-// mirrorEnginePrefixes names the two engine package suffixes whose
-// parity the analyzer proves.
-var mirrorEngineSuffixes = []string{"internal/manager", "internal/sim"}
+// mirrorEngineSuffixes names the two engine package suffixes whose
+// parity the analyzer proves; mirrorCoreSuffix, the shared core whose
+// policy references count for each engine built on it.
+var (
+	mirrorEngineSuffixes = []string{"internal/manager", "internal/sim"}
+	mirrorCoreSuffix     = "internal/shardplane"
+)
 
 func runMirrorParity(pass *Pass) {
 	// Engine packages that import this policy package. Without both
@@ -69,6 +75,11 @@ func runMirrorParity(pass *Pass) {
 		reached := map[*types.Func]bool{}
 		for _, epkg := range engines[suffix] {
 			seedPolicyRefs(pass, epkg, reached)
+			for _, core := range pass.Prog.Target {
+				if core.Info != nil && hasPathSuffix(core.Path, mirrorCoreSuffix) && importsPackage(epkg.Types, core.Types) {
+					seedPolicyRefs(pass, core, reached)
+				}
+			}
 		}
 		// Close over policy-internal calls: a policy function reached by
 		// the engine drags in everything it calls within the package.
@@ -168,7 +179,7 @@ func isDecisionEntryPoint(pkg *Package, fn *types.Func) bool {
 // seedPolicyRefs adds every policy function the engine package
 // references (calls, assigns, passes as a value) to reached. A method
 // of an instantiated generic type counts as its declaration
-// (Origin): plane.Submit on a TenantPlane[intakeNode] reaches
+// (Origin): plane.Submit on a TenantPlane[dispatch] reaches
 // TenantPlane.Submit, and through its body everything that calls.
 func seedPolicyRefs(pass *Pass, epkg *Package, reached map[*types.Func]bool) {
 	for _, obj := range epkg.Info.Uses {

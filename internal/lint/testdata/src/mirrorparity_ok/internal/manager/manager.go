@@ -2,15 +2,19 @@
 // fixture.
 package manager
 
-import policy "repro/internal/lint/testdata/src/mirrorparity_ok/internal/policy"
+import (
+	policy "repro/internal/lint/testdata/src/mirrorparity_ok/internal/policy"
+	"repro/internal/lint/testdata/src/mirrorparity_ok/internal/shardplane"
+)
 
-// Drive plans a batch, records it, and schedules a retry.
+// Drive plans a batch, records it, schedules a retry, and runs the
+// shared core's pass.
 func Drive(v *policy.View, rec *policy.Recorder, keys []string) int {
 	ds := v.PlanBatch(keys)
 	for _, d := range ds {
 		policy.NoteThing(rec, d.Worker)
 	}
-	return policy.PickDelay(len(ds)) + policy.Helper()
+	return policy.PickDelay(len(ds)) + policy.Helper() + shardplane.Pass(v, len(ds))
 }
 
 type node struct{ id int }

@@ -1,8 +1,9 @@
 // Package policy is a clean fixture for mirrorparity: every decision
 // entry point is reachable from both engines — directly, or through a
 // policy-internal call chain (the batch-wrapper shape, or the methods
-// of a generic type each engine instantiates with its own item) — and
-// the one deliberately one-sided entry carries a justified pragma.
+// of a generic type each engine instantiates with its own item, or from
+// the shared core both engines drive) — and the one deliberately
+// one-sided entry carries a justified pragma.
 package policy
 
 // View is the decision substrate.
@@ -38,6 +39,12 @@ func NoteThing(rec *Recorder, line string) {
 //vinelint:ignore mirrorparity backoff timing is real-engine-only; the untimed replay never waits
 func PickDelay(attempt int) int {
 	return attempt * 2
+}
+
+// PlaceCore is named by neither engine, only by the shared core both
+// are shells of (internal/shardplane), which must count as parity.
+func (v *View) PlaceCore(n int) []Decision {
+	return make([]Decision, min(n, len(v.Workers)))
 }
 
 // Helper is exported but not a decision entry point (no decision

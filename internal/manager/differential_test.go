@@ -578,16 +578,16 @@ func (h *diffHarness) specFail(w *workerState, id int64) {
 // waitRetryLanded blocks until every pending backoff timer has fired
 // and requeued its spec (and the follow-up schedule pass finished), so
 // the manager's decisions from a retry are recorded before the sim's.
-// The dirty marks are part of the predicate: the timer callback sets
-// them and drops the lock before it calls wake, so nothing can be backing
-// off with the requeue's schedule pass still ahead.
+// The dirty marks are part of the predicate (Settled): the timer callback
+// sets them and drops the lock before it calls wake, so nothing can be
+// backing off with the requeue's schedule pass still ahead.
 func (h *diffHarness) waitRetryLanded() {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		quiet := true
 		for _, s := range h.m.shards {
 			s.mu.Lock()
-			if s.sched.BackingOff() != 0 || !s.sched.Settled() || s.intake.Load() != nil {
+			if s.sched.BackingOff() != 0 || !s.sched.Settled() {
 				quiet = false
 			}
 			s.mu.Unlock()

@@ -441,7 +441,7 @@ func TestEvictEmptyAccounting(t *testing.T) {
 	s.view.AddInstance(w.v, &idle.LibraryView)
 	w.v.Commit = w.v.Commit.Add(res)
 
-	if on, ok := s.Deploy("incoming"); !ok || on != w.id {
+	if on, _ := s.Deploy("incoming"); on != w.id {
 		t.Fatalf("eviction should free the idle library")
 	}
 	// The idle instance's commitment went, the new instance's came.
@@ -463,7 +463,7 @@ func TestEvictEmptyAccounting(t *testing.T) {
 	busy := w.libs["incoming"]
 	busy.SlotsUsed = 1
 	s.libSlotsChangedLocked(w, busy)
-	if _, ok := s.Deploy("other"); ok {
+	if on, _ := s.Deploy("other"); on != "" {
 		t.Errorf("evicted a library with invocations in flight")
 	}
 	if _, there := w.libs["incoming"]; !there || w.libs["other"] != nil {

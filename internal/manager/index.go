@@ -1,63 +1,20 @@
 package manager
 
-import (
-	"sync/atomic"
+import "repro/internal/core"
 
-	"repro/internal/core"
-)
-
-// This file keeps each shard's policy.ClusterView current and makes the
-// shard the Shell of its shared scheduler (shardplane.Sched, DESIGN.md
-// §12). The paper's headline result (§4) needs the manager off the
-// critical path while invocations fan out; the view's derived indexes
-// (the ready index, Holders, PendingCopies, LibFull — internal/policy)
-// make each decision O(candidates), and the structures kept here make
-// each *event* cheap:
+// This file keeps each shard's policy.ClusterView current. The paper's
+// headline result (§4) needs the manager off the critical path while
+// invocations fan out; the view's derived indexes (the ready index,
+// Holders, PendingCopies, LibFull — internal/policy) make each decision
+// O(candidates), and each *event* is cheap: the scheduler's verbs
+// (shardplane.Sched) mark exactly the queues it could unblock, a burst
+// of events costs one coalesced pass per shard, and per-worker
+// ackWaiters (object → dispatches on that worker still waiting for the
+// ack) stamp TransferTime without scanning the in-flight table.
 //
-//   - objWaiters: object → the placements its arrival could unblock,
-//     so a FileAck wakes exactly those queues.
-//   - per-worker ackWaiters: object → dispatches on that worker still
-//     waiting for the ack (TransferTime stamping without scanning the
-//     in-flight table).
-//   - dirty marks + Sched.Wake: a burst of events triggers one coalesced
-//     schedule pass, not one per event — per shard.
-//
-// …Locked methods require s.mu, as do the Shell methods but Deliver
-// and Woke, which the scheduler calls with none held. The
-// randomized consistency test (index_test.go) asserts the view's indexes
-// always match a brute-force recomputation from ground-truth state.
-
-// objWaiter records which placements a blocked object is holding up.
-type objWaiter struct {
-	tasks bool
-	libs  map[string]bool
-}
-
-// ---- the scheduler's shell ----
-
-// Deliver moves specs into shard i's queues and wakes it.
-func (s *shard) Deliver(i int, tasks []pendingTask, invs []pendingInv) {
-	to := s.m.shards[i]
-	to.mu.Lock()
-	to.sched.Push(tasks...)
-	to.sched.PushInvs(invs...)
-	to.mu.Unlock()
-	atomic.AddInt64(&s.m.stats.ShardForwards, int64(len(tasks)+len(invs)))
-	to.sched.Wake()
-}
-
-// Woke counts a wake the running loop absorbed; after one that ran the
-// loop it flushes the wakes parked by quota released under a shard lock
-// (Reject, crash exhaustion, quarantine), now that none is held.
-// pump() may wake further shards inline — bounded, since each flush
-// empties the parked set and only failure-path releases refill it.
-func (s *shard) Woke(ran bool) {
-	if !ran {
-		atomic.AddInt64(&s.m.stats.CoalescedWakeups, 1)
-	} else if s.m.plane != nil {
-		s.m.plane.pump()
-	}
-}
+// …Locked methods require s.mu. The randomized consistency test
+// (index_test.go) asserts the view's indexes always match a brute-force
+// recomputation from ground-truth state.
 
 // ---- view wrappers ----
 //
@@ -146,42 +103,6 @@ func (s *shard) libSlotsChangedLocked(w *workerState, li *libInstance) {
 	s.view.SetFreeReady(w.v, &li.LibraryView, free)
 }
 
-// ---- blocked-placement wait queues ----
-
-// addObjWaiterLocked registers interest in an object's next FileAck:
-// either the task queue (lib == "") or one library's queue.
-func (s *shard) addObjWaiterLocked(id, lib string) {
-	ww := s.objWaiters[id]
-	if ww == nil {
-		ww = &objWaiter{}
-		s.objWaiters[id] = ww
-	}
-	if lib == "" {
-		ww.tasks = true
-		return
-	}
-	if ww.libs == nil {
-		ww.libs = map[string]bool{}
-	}
-	ww.libs[lib] = true
-}
-
-// wakeObjWaitersLocked marks dirty exactly the queues an object event
-// (ack, failed transfer, holder death) could unblock.
-func (s *shard) wakeObjWaitersLocked(id string) {
-	ww := s.objWaiters[id]
-	if ww == nil {
-		return
-	}
-	delete(s.objWaiters, id)
-	if ww.tasks {
-		s.sched.MarkDirty()
-	}
-	for lib := range ww.libs { //vinelint:unordered dirty marks form a set; the pass drains them in sorted order
-		s.sched.MarkLib(lib)
-	}
-}
-
 // ---- worker lifecycle ----
 
 // registerWorkerLocked adds a connected worker to the shard's worker
@@ -192,19 +113,15 @@ func (s *shard) registerWorkerLocked(w *workerState) {
 }
 
 // dropWorkerLocked removes a dead worker from the worker table and
-// every view index: its library instances, its replicas, its in-flight
-// copies — republishing observability counters and waking anything
-// queued behind a first copy that will now never confirm.
-func (s *shard) dropWorkerLocked(w *workerState) {
+// every view index — its library instances, its replicas, its in-flight
+// copies — republishing observability counters, and returns the objects
+// whose copies to it were cleared.
+func (s *shard) dropWorkerLocked(w *workerState) (cleared []string) {
 	delete(s.workers, w.id)
 	dropped, cleared := s.view.RemoveWorker(w.v)
 	for _, id := range dropped {
 		s.m.holderDrop(id, w.id)
 	}
-	for _, id := range cleared {
-		if s.view.PendingCopies[id] == 0 {
-			s.wakeObjWaitersLocked(id)
-		}
-	}
 	w.ackWaiters = nil
+	return cleared
 }

@@ -203,7 +203,7 @@ func TestIndexConsistencyRandomized(t *testing.T) {
 				s.view.ClearPending(w.v, objs[rng.Intn(len(objs))])
 			}
 		case 5: // deploy a library where the policy core finds room
-			if _, ok := s.Deploy(libs[rng.Intn(len(libs))]); ok {
+			if on, _ := s.Deploy(libs[rng.Intn(len(libs))]); on != "" {
 				op = "deploy"
 			}
 		case 6: // library ack ok
@@ -229,7 +229,7 @@ func TestIndexConsistencyRandomized(t *testing.T) {
 			name := libs[rng.Intn(len(libs))]
 			inv := &core.InvocationSpec{ID: nextInv, Library: name}
 			nextInv++
-			if ds := s.Ready(nil, name, 1, ""); len(ds) > 0 {
+			if ds := s.view.PlaceReadyBatchInto(nil, name, 1, nil); len(ds) > 0 {
 				op = "place"
 				s.PlaceInv(queuedInv(inv), ds[0])
 			}

@@ -174,7 +174,6 @@ type Manager struct {
 	refs *refPlane
 
 	nextID atomic.Int64
-	closed atomic.Bool
 	stats  Stats
 
 	// obsMu guards the global replica registry: which workers hold a
@@ -228,11 +227,11 @@ type shard struct {
 	// broken-setup failures. Like libFailures it is per shard: a
 	// library quarantines independently in each partition.
 	libInfraFailures map[string]int
-	// sched is the shared scheduler: the task queue, the per-library
-	// invocation queues with their install claims, the dirty marks, the
-	// wake latch and loop, and the in-flight table — what runs on which
-	// worker, the retry budget, the specs waiting out a backoff. This
-	// shard is its Shell (index.go).
+	// sched is the shared scheduler: the intake, the task queue, the
+	// per-library invocation queues with their install claims, the dirty
+	// marks and the objects they wait on, the wake latch and loop, and the
+	// in-flight table — what runs on which worker, the retry budget, the
+	// specs waiting out a backoff. This shard is its Shell (schedule.go).
 	sched *shardplane.Sched[taskSpec, *core.InvocationSpec]
 
 	// ---- scheduler view (policy core) ----
@@ -246,68 +245,11 @@ type shard struct {
 	view *policy.ClusterView
 	// rec, when non-nil, records this shard's decision trace.
 	rec *policy.Recorder
-	// objWaiters: object ID → queues blocked on its first copy.
-	objWaiters map[string]*objWaiter
 
 	// reqScratch is the task pass's reusable request buffer, truncated
 	// and refilled under the shard lock, so steady-state planning
 	// allocates no slices.
 	reqScratch []policy.TaskReq
-
-	// ---- lock-free submit intake (MPSC) ----
-
-	// intake is a Treiber stack submitters push onto without touching
-	// mu, so SubmitInvocation/Submit never contend with a running wake
-	// pass. The wake loop swaps the whole stack out under mu and
-	// replays it in FIFO (reversed) order into the pending queues.
-	intake atomic.Pointer[intakeNode]
-}
-
-// intakeNode is one submitted spec waiting in a shard's intake stack.
-// Nodes are pooled: the submit path must not trade its lock for an
-// allocation per spec. (A tenant's spec waits in the submission plane by
-// value and is copied into a pooled node when the plane releases it.)
-type intakeNode struct {
-	next *intakeNode
-	spec dispatch
-}
-
-var intakeNodePool = sync.Pool{New: func() any { return new(intakeNode) }}
-
-// pushIntake publishes one node onto the shard's intake stack —
-// multiple producers, lock-free.
-func (s *shard) pushIntake(n *intakeNode) {
-	for {
-		old := s.intake.Load()
-		n.next = old
-		if s.intake.CompareAndSwap(old, n) {
-			return
-		}
-	}
-}
-
-// Intake moves every spec published to the intake stack into the
-// scheduler's queues (which marks them), and reports whether the manager
-// is still open. Called with s.mu held; the single consumer. The swap
-// claims the whole stack, so concurrent pushers are never blocked;
-// reversing it restores submission (FIFO) order.
-func (s *shard) Intake() (open bool) {
-	head := s.intake.Swap(nil)
-	var rev *intakeNode
-	for head != nil {
-		next := head.next
-		head.next = rev
-		rev = head
-		head = next
-	}
-	for n := rev; n != nil; {
-		next := n.next
-		s.sched.Enqueue(n.spec)
-		*n = intakeNode{} // drop spec pointers before pooling
-		intakeNodePool.Put(n)
-		n = next
-	}
-	return !s.m.closed.Load()
 }
 
 // taskSpec is the manager's payload of a task. The shared Task carries
@@ -451,8 +393,7 @@ func New(opts Options) *Manager {
 				ClusterAware:        opts.ClusterAware,
 				EvictEmptyLibraries: opts.EvictEmptyLibraries,
 			}),
-			rec:        rec,
-			objWaiters: map[string]*objWaiter{},
+			rec: rec,
 		}
 		s.sched = m.shardPlane.Attach(i, s.view, &s.mu, s)
 		m.shards[i] = s
@@ -532,9 +473,10 @@ func (m *Manager) Results() <-chan core.Result { return m.results }
 // Stats returns a snapshot of manager counters without touching any
 // scheduler lock.
 func (m *Manager) Stats() Stats {
-	var passes int64
+	var passes, coalesced int64
 	for _, s := range m.shards {
-		passes += s.sched.Passes()
+		_, absorbed := s.sched.Wakes()
+		passes, coalesced = passes+s.sched.Passes(), coalesced+absorbed
 	}
 	return Stats{
 		DirectTransfers:   atomic.LoadInt64(&m.stats.DirectTransfers),
@@ -548,10 +490,10 @@ func (m *Manager) Stats() Stats {
 		Retries:           atomic.LoadInt64(&m.stats.Retries),
 		Restaged:          atomic.LoadInt64(&m.stats.Restaged),
 		SchedulePasses:    passes,
-		CoalescedWakeups:  atomic.LoadInt64(&m.stats.CoalescedWakeups),
+		CoalescedWakeups:  coalesced,
 		WorkerLogs:        atomic.LoadInt64(&m.stats.WorkerLogs),
 		SendQueueDrops:    atomic.LoadInt64(&m.stats.SendQueueDrops),
-		ShardForwards:     atomic.LoadInt64(&m.stats.ShardForwards),
+		ShardForwards:     m.shardPlane.Forwards(),
 		SubmitsShed:       atomic.LoadInt64(&m.stats.SubmitsShed),
 		SubmitsThrottled:  atomic.LoadInt64(&m.stats.SubmitsThrottled),
 		FairDrains:        atomic.LoadInt64(&m.stats.FairDrains),
@@ -592,7 +534,7 @@ func (m *Manager) WaitForWorkers(n int, timeout time.Duration) error {
 
 // Shutdown stops the manager and tells all workers to exit.
 func (m *Manager) Shutdown() {
-	if m.closed.Swap(true) {
+	if !m.shardPlane.Close() {
 		return
 	}
 	for _, s := range m.shards {
@@ -643,7 +585,7 @@ func (m *Manager) Submit(t *core.TaskSpec) int64 {
 	t.ID = m.nextID.Add(1)
 	it := dispatch{IsTask: true, Task: pendingTask{Key: shardplane.TaskKey(t.ID), ID: t.ID, Spec: taskSpec{t: t}}}
 	if t.TenantID == "" || m.plane == nil || !m.plane.submit(t.TenantID, it, t.ID) {
-		m.route(m.shardPlane.KeyShard(it.Task.Key), it)
+		m.shardPlane.Submit(it)
 	}
 	return t.ID
 }
@@ -654,25 +596,9 @@ func (m *Manager) SubmitInvocation(inv *core.InvocationSpec) int64 {
 	inv.ID = m.nextID.Add(1)
 	it := dispatch{Inv: queuedInv(inv)}
 	if inv.TenantID == "" || m.plane == nil || !m.plane.submit(inv.TenantID, it, inv.ID) {
-		m.route(m.shardPlane.InvShard(inv.ID, inv.Library), it)
+		m.shardPlane.Submit(it)
 	}
 	return inv.ID
-}
-
-// route hands a directly submitted spec to its shard (shardplane routing
-// rules): a task's owns its ring key; an invocation's is a live shard by
-// round-robin over the spec ID — invocations of one library are
-// interchangeable, so spreading them is pure load balancing; in an empty
-// cluster both park in a key-derived home shard until the first worker
-// joins. The hand-off is lock-free: the spec goes onto the shard's
-// intake stack and the wake latch does the rest, so a submit burst never
-// contends with a running pass.
-func (m *Manager) route(idx int, it dispatch) {
-	s := m.shards[idx]
-	n := intakeNodePool.Get().(*intakeNode)
-	n.spec = it
-	s.pushIntake(n)
-	s.sched.Wake()
 }
 
 // Collect drains n results from the result stream.
@@ -714,14 +640,12 @@ func (w *workerState) enqueue(msg outMsg) {
 func (m *Manager) adoptWorker(w *workerState) bool {
 	s := m.shardFor(w.id)
 	s.mu.Lock()
-	if _, dup := s.workers[w.id]; dup || m.closed.Load() {
+	if _, dup := s.workers[w.id]; dup || m.shardPlane.Closed() {
 		s.mu.Unlock()
 		return false
 	}
 	s.registerWorkerLocked(w)
-	// Fresh capacity: pending tasks and every waiting library queue in
-	// this shard may now be placeable here.
-	s.sched.MarkAll()
+	s.sched.Joined()
 	s.mu.Unlock()
 	m.peerAdd(w)
 	m.shardPlane.Add(w.id)
@@ -909,20 +833,14 @@ func (m *Manager) onWorkerGone(w *workerState) {
 		s.releaseSourceSlotLocked(src)
 	}
 	// Drop the worker from every index (replicas, ready instances,
-	// in-flight copies — waking placements queued behind a first copy
-	// that will now never confirm).
-	s.dropWorkerLocked(w)
-	// Everything that was running there requeues within its retry budget
-	// (Sched.Died); a spec that has exhausted it fails instead of bouncing
-	// between crashing workers forever.
-	requeued, lost := s.sched.Died(w.id)
+	// in-flight copies). Everything that was running there requeues within
+	// its retry budget (Sched.Died); a spec that has exhausted it fails
+	// instead of bouncing between crashing workers forever.
+	requeued, lost := s.sched.Died(w.id, s.dropWorkerLocked(w))
 	atomic.AddInt64(&m.stats.Requeued, int64(requeued))
 	for i := range lost {
 		s.failLocked(lost[i].ID(), specTenant(&lost[i]), fmt.Sprintf("manager: worker %s lost and retry budget exhausted", w.id))
 	}
-	// Losing a worker changes the ring; anything whose placement was
-	// pinned behind this worker's state gets another look.
-	s.sched.MarkAll()
 	s.mu.Unlock()
 	s.sched.Wake()
 	// Membership changed: overflow targets and ring ownership moved,
@@ -993,10 +911,7 @@ func (s *shard) onFileAck(w *workerState, ack proto.FileAck) {
 			}
 		}
 	}
-	// Whether the copy confirmed (new source available) or failed (the
-	// block is gone), everything queued behind this object gets one
-	// reconsideration.
-	s.wakeObjWaitersLocked(ack.ID)
+	s.sched.FileAcked(ack.ID)
 	s.mu.Unlock()
 	s.sched.Wake()
 }
@@ -1017,20 +932,12 @@ func (s *shard) onLibraryAck(w *workerState, ack proto.LibraryAck) {
 	s.mu.Lock()
 	li := w.libs[ack.Library]
 	if li != nil {
-		s.sched.Unclaim(w.id, ack.Library)
 		if ack.Ok {
 			li.Ready = true
 			li.instance = ack.Instance
 			s.libFailures[ack.Library] = 0
 			s.libInfraFailures[ack.Library] = 0
 			s.libSlotsChangedLocked(w, li)
-			s.sched.MarkLib(ack.Library)
-			// A ready instance with no slots in use is an eviction
-			// candidate (§3.5.2): other libraries blocked on capacity
-			// may now be deployable here.
-			if li.SlotsUsed == 0 && s.m.opts.EvictEmptyLibraries {
-				s.sched.MarkAllLibs()
-			}
 		} else {
 			li.Failed = true
 			delete(w.libs, ack.Library)
@@ -1053,9 +960,8 @@ func (s *shard) onLibraryAck(w *workerState, ack proto.LibraryAck) {
 					s.failPendingForLibraryLocked(ack.Library, maxLibraryFailures, ack.Err)
 				}
 			}
-			// The failed install released resources on this worker.
-			s.sched.MarkAll()
 		}
+		s.sched.LibAcked(w.id, ack.Library, ack.Ok)
 	}
 	s.mu.Unlock()
 	s.sched.Wake()
@@ -1074,20 +980,21 @@ func (s *shard) failPendingForLibraryLocked(library string, failures int, reason
 }
 
 // failLocked delivers spec id's final failure and returns its tenant's
-// quota unit. The shard lock is held: the plane's drain runs now, but the
-// wakes it owes park until pump() at the next wake-loop exit.
+// quota unit. The shard lock is held: the plane's drain runs now, and the
+// shards it feeds wake at the next wake-loop exit.
 func (s *shard) failLocked(id int64, tenant, err string) {
 	atomic.AddInt64(&s.m.stats.Failures, 1)
 	s.m.deliver(core.Result{ID: id, Ok: false, Err: err})
-	s.m.plane.release(tenant, false)
+	s.m.plane.release(tenant)
 }
 
 func (s *shard) onResult(w *workerState, res core.Result) {
 	m := s.m
 	s.mu.Lock()
-	// A retryable failure draws on the table's budget: within it (retry n)
-	// the spec backs off there until retryAfter's timer fires.
-	run, retry, ok := s.sched.Done(w.id, res.ID, !res.Ok && res.Retryable && !m.closed.Load())
+	// Done marks what the result frees. A retryable failure draws on the
+	// table's budget: within it (retry n) the spec backs off there until
+	// retryAfter's timer fires.
+	run, retry, ok := s.sched.Done(w.id, res.ID, !res.Ok && res.Retryable && !m.shardPlane.Closed())
 	if !ok {
 		s.mu.Unlock()
 		s.sched.Wake()
@@ -1119,27 +1026,14 @@ func (s *shard) onResult(w *workerState, res core.Result) {
 				s.noteReplicaLocked(w, in.Object.ID)
 			}
 		}
-		// Freed resources: tasks and deployments compete for them.
-		s.sched.MarkAll()
 	} else {
-		lib := run.Inv.Lib
 		atomic.AddInt64(&m.stats.InvocationsDone, 1)
-		idle := false
-		if li := w.libs[lib]; li != nil {
+		if li := w.libs[run.Inv.Lib]; li != nil {
 			if li.SlotsUsed > 0 {
 				li.SlotsUsed--
 			}
 			li.served++
-			idle = li.SlotsUsed == 0
 			s.libSlotsChangedLocked(w, li)
-		}
-		// A freed slot unblocks this library's queue; an instance
-		// going fully idle additionally becomes an eviction
-		// candidate, which can unblock every other library waiting
-		// on capacity (§3.5.2).
-		s.sched.MarkLib(lib)
-		if idle && m.opts.EvictEmptyLibraries {
-			s.sched.MarkAllLibs()
 		}
 	}
 	s.mu.Unlock()
@@ -1151,10 +1045,10 @@ func (s *shard) onResult(w *workerState, res core.Result) {
 			atomic.AddInt64(&m.stats.Failures, 1)
 		}
 		m.deliver(res)
-		// Final delivery returns the spec's tenant quota unit; the
-		// freed capacity may release queued plane work, drained and
-		// woken inline — no shard lock is held here.
-		m.plane.release(specTenant(&run), true)
+		// Final delivery returns the spec's tenant quota unit; the freed
+		// quota may release queued plane work, whose shards wake when this
+		// one's loop exits.
+		m.plane.release(specTenant(&run))
 	}
 	s.sched.Wake()
 	// Freed capacity is a shard-crossing signal: shards starving on

@@ -11,9 +11,10 @@ import (
 	"repro/internal/proto"
 )
 
-// The hooks below are invoked from each shard's coalesced wake loop
-// (shardplane.Sched): Plan and Place by the task pass when the task
-// queue is dirty; Reject, Ready, PlaceInv and Deploy by the invocation
+// Each shard is the Shell of its scheduler (shardplane.Sched, DESIGN.md
+// §12): the hooks below are invoked from its coalesced wake loop, with
+// the shard lock held — Plan and Place by the task pass when the task
+// queue is dirty; LibNeed, Reject, PlaceInv and Deploy by the invocation
 // pass, per dirty library. They never scan state that their dirty mark
 // could not have changed, and what they place the pass itself enters in
 // the in-flight table.
@@ -243,8 +244,6 @@ func (s *shard) directSendLocked(w *workerState, fs core.FileSpec) {
 // Plan plans the whole queue in one batched policy call; the batch
 // contract is strict sequential equivalence, so the pass executing the
 // decisions in order emits exactly the plan-one/execute-one sequence.
-// A placement blocked behind first copies in flight registers the task
-// queue's interest in each object's next ack.
 func (s *shard) Plan(dst []policy.PlaceTask, tasks []pendingTask) []policy.PlaceTask {
 	reqs := s.reqScratch[:0]
 	for _, pt := range tasks {
@@ -252,13 +251,7 @@ func (s *shard) Plan(dst []policy.PlaceTask, tasks []pendingTask) []policy.Place
 		reqs = append(reqs, policy.TaskReq{Key: pt.Key, Res: t.Resources, Inputs: t.Inputs, Avoid: pt.Avoid, Tenant: t.TenantID})
 	}
 	s.reqScratch = reqs
-	dst = s.view.PlanTaskBatchInto(dst, reqs, nil)
-	for _, d := range dst {
-		for _, obj := range d.Blocked {
-			s.addObjWaiterLocked(obj, "")
-		}
-	}
-	return dst
+	return s.view.PlanTaskBatchInto(dst, reqs, nil)
 }
 
 // Place carries out one planned task placement: staging, resource
@@ -315,12 +308,6 @@ func (s *shard) Reject(pi pendingInv) bool {
 	return err != nil
 }
 
-// Ready plans ready placements for the next k invocations of lib in one
-// batched policy call.
-func (s *shard) Ready(dst []policy.PlaceInvocation, lib string, k int, avoid string) []policy.PlaceInvocation {
-	return s.view.PlaceReadyBatchInto(dst, lib, k, policy.Excluding(avoid))
-}
-
 // validateInvLocked rejects invocations that can never run: unknown
 // library, quarantined library, unknown function.
 func (s *shard) validateInvLocked(inv *core.InvocationSpec) error {
@@ -356,11 +343,12 @@ func (s *shard) PlaceInv(pi pendingInv, d policy.PlaceInvocation) {
 // Deploy asks the policy core for a deploy decision for the library and
 // executes it: evictions first, then staging, then the new instance's
 // view record and the install message. Reports the worker a deployment
-// was started on, if one was.
-func (s *shard) Deploy(lib string) (worker string, ok bool) {
+// was started on, or the first copies in flight that held every
+// candidate up.
+func (s *shard) Deploy(lib string) (worker string, blocked []string) {
 	spec, known := s.m.libSpec(lib)
 	if !known {
-		return "", false
+		return "", nil
 	}
 	var libFiles []core.FileSpec
 	if spec.Env != nil {
@@ -373,12 +361,7 @@ func (s *shard) Deploy(lib string) (worker string, ok bool) {
 		Files: libFiles,
 	}, nil)
 	if d.Worker == nil {
-		// Workers blocked only on an in-flight first copy of the
-		// environment: its ack re-dirties this library's queue.
-		for _, obj := range d.Blocked {
-			s.addObjWaiterLocked(obj, lib)
-		}
-		return "", false
+		return "", d.Blocked
 	}
 	w := s.workers[d.Worker.ID]
 	if s.rec != nil {
@@ -401,7 +384,7 @@ func (s *shard) Deploy(lib string) (worker string, ok bool) {
 	w.v.Commit = w.v.Commit.Add(d.Res)
 	w.enqueue(outMsg{t: proto.MsgInstallLibrary, v: spec})
 	atomic.AddInt64(&s.m.stats.LibrariesDeployed, 1)
-	return w.id, true
+	return w.id, nil
 }
 
 // evictLibraryLocked removes one library instance from a worker,

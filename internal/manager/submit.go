@@ -2,7 +2,6 @@ package manager
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -15,17 +14,16 @@ import (
 // TenantID passes admission control, waits in its tenant's bounded
 // plane queue, and is released to a shard's lock-free intake in
 // weighted fair-share order. All of that is policy.TenantPlane, the
-// same value the simulator drives; submitPlane is the manager's shell
-// around it: the mutex, the hand-off to a shard's intake, the wakes,
-// the shed result and the Stats counters.
+// same value the simulator drives, and the hand-off into the shards is
+// shardplane.Plane.Route; submitPlane is the manager's shell around
+// them: the mutex, the shed result and the Stats counters.
 //
 // Locking: the plane mutex is a leaf. Under it the plane only does
-// tenant accounting and lock-free intake pushes (shard.pushIntake) —
-// never a shard lock, never a wake. Shard wakes happen after the
-// plane mutex is released; on paths that already hold a shard lock
-// (Reject inside a schedule pass, crash-requeue exhaustion,
-// library quarantine) the wakes are parked and flushed by pump() from
-// the next wake-loop exit, which runs with no locks held.
+// tenant accounting and lock-free intake posts (Route) — never a shard
+// lock, never a wake. The shards a drain fed wake after the plane mutex
+// is released (WakeFed); on paths that already hold a shard lock (Reject
+// inside a schedule pass, crash-requeue exhaustion, library quarantine)
+// they wake at the next wake-loop exit, which runs with no locks held.
 type submitPlane struct {
 	m *Manager
 
@@ -35,11 +33,6 @@ type submitPlane struct {
 	// serialize on shard locks, so sharing one recorder would race
 	// under concurrent use.
 	tenants *policy.TenantPlane[dispatch]
-	// fed lists the shards a drain pushed intake onto and nobody has
-	// woken yet, in first-fed order; parked makes the empty check one
-	// atomic load for pump().
-	fed    []int
-	parked atomic.Bool
 }
 
 func newSubmitPlane(m *Manager, specs []core.TenantSpec, traced bool) *submitPlane {
@@ -57,13 +50,11 @@ func newSubmitPlane(m *Manager, specs []core.TenantSpec, traced bool) *submitPla
 func (p *submitPlane) submit(tenant string, it dispatch, id int64) bool {
 	m := p.m
 	p.mu.Lock()
-	d, released, known := p.tenants.Submit(tenant, it, p.route)
+	d, released, known := p.tenants.Submit(tenant, it, m.shardPlane.Route)
+	p.mu.Unlock()
 	if !known {
-		p.mu.Unlock()
 		return false
 	}
-	wakes := p.takeFedLocked()
-	p.mu.Unlock()
 	atomic.AddInt64(&m.stats.FairDrains, int64(released))
 	switch d.Verdict {
 	case policy.AdmitThrottle:
@@ -72,7 +63,7 @@ func (p *submitPlane) submit(tenant string, it dispatch, id int64) bool {
 		atomic.AddInt64(&m.stats.SubmitsShed, 1)
 		atomic.AddInt64(&m.stats.Failures, 1)
 	}
-	p.wakeShards(wakes)
+	m.shardPlane.WakeFed()
 	if d.Verdict == policy.AdmitShed {
 		m.deliver(core.Result{ID: id, Ok: false,
 			Err: fmt.Sprintf("manager: submission shed (%s): tenant %q's plane queue is at its MaxQueue", d.Reason, tenant)})
@@ -82,75 +73,17 @@ func (p *submitPlane) submit(tenant string, it dispatch, id int64) bool {
 
 // release returns one unit of a tenant's in-flight capacity — called
 // on every final result delivery for a plane-admitted spec, success
-// or failure — and drains any work the freed quota unblocks. Callers
-// holding a shard lock pass wakeNow=false: the drain still happens
-// (intake pushes are lock-free) but the wakes park until pump(). A
-// no-op without a plane, or for single-tenant work.
-func (p *submitPlane) release(tenant string, wakeNow bool) {
+// or failure — and drains any work the freed quota unblocks into the
+// shards' intakes, which wake at the next wake-loop exit. A no-op
+// without a plane, or for single-tenant work.
+func (p *submitPlane) release(tenant string) {
 	if p == nil || tenant == "" {
 		return
 	}
 	p.mu.Lock()
-	released := p.tenants.Release(tenant, p.route)
-	var wakes []int
-	if wakeNow {
-		wakes = p.takeFedLocked()
-	} else {
-		p.parked.Store(len(p.fed) > 0)
-	}
+	released := p.tenants.Release(tenant, p.m.shardPlane.Route)
 	p.mu.Unlock()
 	atomic.AddInt64(&p.m.stats.FairDrains, int64(released))
-	p.wakeShards(wakes)
-}
-
-// route pushes one released spec onto its shard's intake stack: a task
-// keeps ring-key locality, an invocation follows its tenant's own
-// cursor. Caller holds p.mu.
-func (p *submitPlane) route(it dispatch, tenant string, seq int64) {
-	m := p.m
-	var idx int
-	if it.IsTask {
-		idx = m.shardPlane.KeyShard(it.Task.Key)
-	} else {
-		idx = m.shardPlane.TenantInvShard(tenant, seq, it.Inv.Lib)
-	}
-	n := intakeNodePool.Get().(*intakeNode)
-	n.spec = it
-	m.shards[idx].pushIntake(n)
-	if !slices.Contains(p.fed, idx) {
-		p.fed = append(p.fed, idx)
-	}
-}
-
-// takeFedLocked claims every shard waiting for a wake. Caller holds
-// p.mu and wakes them after releasing it.
-func (p *submitPlane) takeFedLocked() []int {
-	wakes := p.fed
-	p.fed = nil
-	p.parked.Store(false)
-	return wakes
-}
-
-// wakeShards wakes the drained-to shards. Must be called with no
-// locks held: wake may run a schedule pass inline.
-func (p *submitPlane) wakeShards(wakes []int) {
-	for _, idx := range wakes {
-		p.m.shards[idx].sched.Wake()
-	}
-}
-
-// pump flushes wakes parked by shard-lock-holding release paths. The
-// wake-loop exit calls it with no locks held, so a quota release
-// performed inside a schedule pass still wakes the shards its drain
-// fed — without ever waking under a lock.
-func (p *submitPlane) pump() {
-	if !p.parked.Load() {
-		return
-	}
-	p.mu.Lock()
-	wakes := p.takeFedLocked()
-	p.mu.Unlock()
-	p.wakeShards(wakes)
 }
 
 // specTenant names the tenant of a resolved in-flight spec — empty

@@ -700,6 +700,25 @@ def greet(name):
 	}
 }
 
+// TestGetSourceKeepsContinuedLastStatement: a def whose last statement
+// runs past its first line — inside brackets, or a triple-quoted string —
+// is extracted whole (FuzzUnmarshal found the truncated version, which
+// does not re-parse).
+func TestGetSourceKeepsContinuedLastStatement(t *testing.T) {
+	for _, body := range []string{"return f(1,\n        2)", "return (x\n+ 1)", "return \"\"\"a\nb\"\"\"", "y = [x,\n  x]; return y"} {
+		src := "def f(x):\n    " + body + "\nz = 1\n"
+		env, err := NewInterp(nil).RunModule(src, "m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fv, _ := env.Get("f")
+		text, fromAST, err := GetSource(fv.(*Func))
+		if err != nil || fromAST || text != "def f(x):\n    "+body+"\n" {
+			t.Fatalf("source of %q extracted as %q (fromAST %v, %v)", body, text, fromAST, err)
+		}
+	}
+}
+
 func TestGetSourceLambdaFromAST(t *testing.T) {
 	ip := NewInterp(nil)
 	env, err := ip.RunModule("f = lambda x, y=2: x * y\n", "m")

@@ -211,44 +211,17 @@ func (p *parser) defStmt() (Stmt, error) {
 			d.Doc = sl.Value
 		}
 	}
-	d.EndLine = lastLine(body)
+	// The def ends where the newline closing its last token is: bracketed
+	// or triple-quoted text carries a statement past the line it starts on.
+	j := p.pos - 1
+	for k := p.toks[j].Kind; k == NEWLINE || k == DEDENT || k == Semicolon; k = p.toks[j].Kind {
+		j--
+	}
+	d.EndLine = p.toks[j].Line
+	if p.toks[j+1].Kind == NEWLINE {
+		d.EndLine = p.toks[j+1].Line
+	}
 	return d, nil
-}
-
-func lastLine(stmts []Stmt) int {
-	if len(stmts) == 0 {
-		return 0
-	}
-	last := stmts[len(stmts)-1]
-	end := last.Pos()
-	switch v := last.(type) {
-	case *IfStmt:
-		if l := lastLine(v.Else); l > end {
-			end = l
-		}
-		if l := lastLine(v.Body); l > end {
-			end = l
-		}
-	case *WhileStmt:
-		if l := lastLine(v.Body); l > end {
-			end = l
-		}
-	case *ForStmt:
-		if l := lastLine(v.Body); l > end {
-			end = l
-		}
-	case *DefStmt:
-		if v.EndLine > end {
-			end = v.EndLine
-		}
-	case *TryStmt:
-		for _, blk := range [][]Stmt{v.Body, v.Except, v.Finally} {
-			if l := lastLine(blk); l > end {
-				end = l
-			}
-		}
-	}
-	return end
 }
 
 func (p *parser) paramList(end Kind, annotations bool) ([]Param, error) {

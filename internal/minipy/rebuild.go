@@ -47,6 +47,16 @@ func IsUniversalBuiltin(name string, v Value) bool {
 	return exists && b.Name == name
 }
 
+// UniversalBuiltin is the stock builtin name — a fresh value, as
+// NewGlobals binds — if there is one.
+func UniversalBuiltin(name string) (Value, bool) {
+	fn, ok := universalBuiltins[name]
+	if !ok {
+		return nil, false
+	}
+	return &Builtin{Name: name, Fn: fn}, true
+}
+
 // ResolveFree resolves a function's free variables at pickling time,
 // splitting them into closure captures (bound in an enclosing function
 // scope) and module globals. Universal builtins are skipped; names that

@@ -130,12 +130,12 @@ func unmarshal(data []byte, ip *minipy.Interp, borrow bool) (minipy.Value, error
 		return nil, fmt.Errorf("pickle: unsupported version %d", data[1])
 	}
 	d := decoderPool.Get().(*decoder)
-	d.data, d.pos, d.ip, d.borrow = data, 2, ip, borrow
+	d.data, d.pos, d.ip, d.borrow, d.spare = data, 2, ip, borrow, len(data)
 	v, err := d.decode()
 	if err == nil && d.pos != len(d.data) {
 		err = fmt.Errorf("pickle: %d trailing bytes", len(d.data)-d.pos)
 	}
-	d.data, d.ip = nil, nil
+	d.data, d.ip, d.depth = nil, nil, 0
 	if cap(d.memo) <= 1024 {
 		clear(d.memo)
 		d.memo = d.memo[:0]
@@ -355,7 +355,14 @@ type decoder struct {
 	memo []minipy.Value
 	// borrow lets string values alias data (UnmarshalBorrow).
 	borrow bool
+	// depth counts the values being decoded, outermost first; spare is
+	// the input bytes no container has yet reserved an element slot for.
+	depth, spare int
 }
+
+// maxDepth bounds how deep a decoded value nests — the decoder recurses
+// once per level, and a hostile input nests as deep as it is long.
+const maxDepth = 1000
 
 func (d *decoder) readByte() (byte, error) {
 	if d.pos >= len(d.data) {
@@ -408,7 +415,28 @@ func (d *decoder) remember(v minipy.Value) int {
 	return len(d.memo) - 1
 }
 
+// elems reserves the capacity to give n decoded elements: n, up to the
+// bytes left and those no enclosing container reserved — each element
+// costs at least one byte — so no hostile length, nor a nest of them,
+// sizes the allocation.
+func (d *decoder) elems(n uint64) int {
+	c := int(min(n, uint64(len(d.data)-d.pos), uint64(d.spare)))
+	d.spare -= c
+	return c
+}
+
+// decode reads one value, at most maxDepth levels deep.
 func (d *decoder) decode() (minipy.Value, error) {
+	if d.depth == maxDepth {
+		return nil, fmt.Errorf("pickle: value nested deeper than %d levels", maxDepth)
+	}
+	d.depth++
+	v, err := d.value()
+	d.depth--
+	return v, err
+}
+
+func (d *decoder) value() (minipy.Value, error) {
 	tag, err := d.readByte()
 	if err != nil {
 		return nil, err
@@ -449,7 +477,7 @@ func (d *decoder) decode() (minipy.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		l := &minipy.List{Elems: make([]minipy.Value, 0, n)}
+		l := &minipy.List{Elems: make([]minipy.Value, 0, d.elems(n))}
 		d.remember(l)
 		for i := uint64(0); i < n; i++ {
 			el, err := d.decode()
@@ -464,7 +492,7 @@ func (d *decoder) decode() (minipy.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		t := &minipy.Tuple{Elems: make([]minipy.Value, 0, n)}
+		t := &minipy.Tuple{Elems: make([]minipy.Value, 0, d.elems(n))}
 		d.remember(t)
 		for i := uint64(0); i < n; i++ {
 			el, err := d.decode()
@@ -502,8 +530,7 @@ func (d *decoder) decode() (minipy.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		env := d.ip.NewGlobals()
-		v, ok := env.Get(name)
+		v, ok := minipy.UniversalBuiltin(name)
 		if !ok {
 			return nil, fmt.Errorf("pickle: unknown builtin %q", name)
 		}

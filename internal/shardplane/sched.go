@@ -13,14 +13,16 @@ import (
 	"repro/internal/policy"
 )
 
-// The per-shard scheduler both engines run (DESIGN.md §12): a keyed
-// task queue and one invocation queue per library, their dirty and
-// starving marks, the coalesced wake loop, the task pass, the invocation
-// pass with its install claims, every rule that moves a spec to another
-// shard, and the in-flight table — what runs on which worker, each
-// spec's retry budget, and the order a death requeues in. An engine is
-// a Shell around it — the manager with a mutex, sockets and timers;
-// sim.Replay with none.
+// The per-shard scheduler both engines run (DESIGN.md §12): the intake
+// submitters post to, a keyed task queue and one invocation queue per
+// library, their dirty and starving marks, the objects each queue waits
+// on, the coalesced wake loop, the task pass, the invocation pass with
+// its install claims, every rule that moves a spec to another shard, the
+// in-flight table — what runs on which worker, each spec's retry budget,
+// and the order a death requeues in — and the event verbs, which mark
+// exactly what each engine event could unblock. An engine is a Shell
+// around it — the manager with a mutex, sockets and timers; sim.Replay
+// with none.
 
 // Spec is the engine's payload of a queued task; Need is what a worker
 // must offer in total to ever hold it.
@@ -59,8 +61,8 @@ type Inv[I any] struct {
 	Spec    I
 }
 
-// Run is one spec outside the queues — in an engine's intake, in the
-// in-flight table, handed back to the engine: Task if IsTask, else Inv.
+// Run is one spec outside the queues — in the intake, in the in-flight
+// table, handed back to the engine: Task if IsTask, else Inv.
 type Run[T Spec, I any] struct {
 	IsTask bool
 	Task   Task[T]
@@ -84,15 +86,11 @@ func KeyNum(key string) int64 {
 	return n
 }
 
-// Shell is what an engine supplies around one shard's Sched. The first
-// group is called with the shard lock held, the second with none.
+// Shell is what an engine supplies around one shard's Sched: the
+// decisions' execution. Every method is called with the shard lock held.
 type Shell[T Spec, I any] interface {
-	// Intake moves newly routed specs into the queues (Enqueue) and
-	// reports whether the engine is still scheduling.
-	Intake() (open bool)
 	// Plan appends one decision per task, planned as one batch against
-	// the view as it stands. The engine sees to it that the acks a Blocked
-	// refusal waits on mark the queue dirty.
+	// the view as it stands.
 	Plan(dst []policy.PlaceTask, tasks []Task[T]) []policy.PlaceTask
 	// Place executes one placement (d.Worker is set) and may stamp t.Spec
 	// with what the engine wants kept with the dispatch; the pass then
@@ -104,25 +102,14 @@ type Shell[T Spec, I any] interface {
 	// Reject reports that inv can never run, having failed it to its
 	// submitter.
 	Reject(inv Inv[I]) bool
-	// Ready is Plan for the next invocations of lib, which share the
-	// avoid preference: ready-instance placements for up to k of them.
-	// None: no free ready slot is left off that worker.
-	Ready(dst []policy.PlaceInvocation, lib string, k int, avoid string) []policy.PlaceInvocation
 	// PlaceInv executes one ready placement; the pass then enters inv in
 	// the in-flight table.
 	PlaceInv(inv Inv[I], d policy.PlaceInvocation)
 	// Deploy starts one new instance of lib if the policy finds room, and
 	// names the worker it chose: the install is that worker's claim until
-	// the engine calls Unclaim (the ack, ready or failed) or Died. The
-	// engine calls MarkLib on the acks a Blocked refusal waits on.
-	Deploy(lib string) (worker string, ok bool)
-
-	// Deliver hands specs to shard i: Push and PushInvs under its lock,
-	// then Wake.
-	Deliver(i int, tasks []Task[T], invs []Inv[I])
-	// Woke follows every Wake; ran is false for one a running loop
-	// absorbed.
-	Woke(ran bool)
+	// LibAcked or Died. Else blocked names the objects whose first copy in
+	// flight holds every candidate up.
+	Deploy(lib string) (worker string, blocked []string)
 }
 
 // NoLock is the shard lock of an engine that runs on one goroutine.
@@ -131,8 +118,8 @@ type NoLock struct{}
 func (NoLock) Lock()   {}
 func (NoLock) Unlock() {}
 
-// Plane is the dispatch plane's shared part: the router and one Sched
-// per shard.
+// Plane is the dispatch plane's shared part: the router, one Sched per
+// shard, and the hand-offs into them.
 type Plane[T Spec, I any] struct {
 	*Router
 	Shards []*Sched[T, I]
@@ -141,26 +128,97 @@ type Plane[T Spec, I any] struct {
 	// starving counts the starving shards, so Nudge costs one load when
 	// there are none.
 	starving atomic.Int32
+	// pool recycles intake nodes: a submit must not trade its lock for an
+	// allocation per spec.
+	pool     sync.Pool
+	closed   atomic.Bool
+	forwards atomic.Int64
+	// fed lists the shards Route fed that nobody has woken yet, in
+	// first-fed order; hasFed makes the empty check one load.
+	fedMu  sync.Mutex
+	fed    []int
+	hasFed atomic.Bool
 }
 
 // NewPlane builds a plane of n shards (n < 1: DefaultShards) for Attach
 // to fill. A spec that has lost maxRetries attempts is not requeued again.
 func NewPlane[T Spec, I any](n, maxRetries int) *Plane[T, I] {
 	r := NewRouter(n)
-	return &Plane[T, I]{Router: r, Shards: make([]*Sched[T, I], r.n), maxRetries: maxRetries}
+	p := &Plane[T, I]{Router: r, Shards: make([]*Sched[T, I], r.n), maxRetries: maxRetries}
+	p.pool.New = func() any { return new(node[T, I]) }
+	return p
 }
 
 // Attach builds shard i's scheduler over the engine's view of its
 // workers, its lock and its shell.
 func (p *Plane[T, I]) Attach(i int, view *policy.ClusterView, mu sync.Locker, shell Shell[T, I]) *Sched[T, I] {
-	s := &Sched[T, I]{p: p, idx: i, view: view, mu: mu, shell: shell,
+	s := &Sched[T, I]{p: p, idx: i, view: view, mu: mu, shell: shell, waiting: map[string]*waiter{},
 		hosts: map[string]*host[T, I]{}, backoff: map[int64]Run[T, I]{}}
 	p.Shards[i] = s
 	return s
 }
 
-// Sched is one shard's scheduler. Everything but Wake and Passes needs
-// the shard lock.
+// Submit hands a directly submitted spec to its shard — a task's owns
+// its ring key, an invocation's is a live shard by round-robin over the
+// spec ID — and wakes it. The hand-off is lock-free, so a submit burst
+// never contends with a running pass. No lock held.
+func (p *Plane[T, I]) Submit(r Run[T, I]) {
+	var s *Sched[T, I]
+	if r.IsTask {
+		s = p.Shards[p.KeyShard(r.Task.Key)]
+	} else {
+		s = p.Shards[p.InvShard(r.Inv.ID, r.Inv.Lib)]
+	}
+	s.post(r)
+	s.Wake()
+}
+
+// Route is the submission plane's hand-off (a policy.Route): a released
+// task goes to its ring key's shard, an invocation by its tenant's own
+// cursor. It wakes nothing — the engine holds its plane lock, maybe a
+// shard lock — but notes the shard for WakeFed, or for the next loop
+// exit.
+func (p *Plane[T, I]) Route(r Run[T, I], tenant string, seq int64) {
+	var i int
+	if r.IsTask {
+		i = p.KeyShard(r.Task.Key)
+	} else {
+		i = p.TenantInvShard(tenant, seq, r.Inv.Lib)
+	}
+	p.Shards[i].post(r)
+	p.fedMu.Lock()
+	if !slices.Contains(p.fed, i) {
+		p.fed = append(p.fed, i)
+	}
+	p.hasFed.Store(true)
+	p.fedMu.Unlock()
+}
+
+// WakeFed wakes the shards Route fed, in first-fed order. No lock held.
+func (p *Plane[T, I]) WakeFed() {
+	if !p.hasFed.Load() {
+		return
+	}
+	p.fedMu.Lock()
+	fed := p.fed
+	p.fed = nil
+	p.hasFed.Store(false)
+	p.fedMu.Unlock()
+	for _, i := range fed {
+		p.Shards[i].Wake()
+	}
+}
+
+// Close stops every shard placing work, and reports whether this call
+// did; Closed, whether one has.
+func (p *Plane[T, I]) Close() bool  { return !p.closed.Swap(true) }
+func (p *Plane[T, I]) Closed() bool { return p.closed.Load() }
+
+// Forwards counts the specs moved across shards. No lock needed.
+func (p *Plane[T, I]) Forwards() int64 { return p.forwards.Load() }
+
+// Sched is one shard's scheduler. Everything but Wake, Passes and Wakes
+// needs the shard lock.
 type Sched[T Spec, I any] struct {
 	p     *Plane[T, I]
 	idx   int
@@ -168,9 +226,16 @@ type Sched[T Spec, I any] struct {
 	mu    sync.Locker
 	shell Shell[T, I]
 
+	// intake is a Treiber stack of posted specs the loop drains at each
+	// look.
+	intake atomic.Pointer[node[T, I]]
+
 	q     []Task[T]
 	dirty bool
 	plan  []policy.PlaceTask // the pass's reusable decision buffer
+	// waiting holds, per object, the queues a refusal left waiting on its
+	// first copy in flight.
+	waiting map[string]*waiter
 
 	// order holds a queue per library ever routed here, by name: the
 	// queues contend for the same workers, so the pass visits them in an
@@ -194,8 +259,9 @@ type Sched[T Spec, I any] struct {
 	running int
 	backoff map[int64]Run[T, I]
 
-	// passes counts the looks that ran a pass.
-	passes atomic.Int64
+	// passes counts the looks that ran a pass; ran and absorbed, the
+	// Wakes that ran the loop and those a running loop absorbed.
+	passes, ran, absorbed atomic.Int64
 	// starving: the loop went idle resting work that nothing local is
 	// outstanding to unblock — only another shard's event (Nudge) can.
 	starving atomic.Bool
@@ -228,11 +294,55 @@ type held[T Spec, I any] struct {
 	invs  []Inv[I]
 }
 
+// node is one posted spec in a shard's intake, from the plane's pool.
+type node[T Spec, I any] struct {
+	next *node[T, I]
+	run  Run[T, I]
+}
+
+// waiter is what one object's first copy in flight holds up: the task
+// queue, and libraries' queues by name, sorted.
+type waiter struct {
+	tasks bool
+	libs  []string
+}
+
 const (
 	latchIdle int32 = iota
 	latchRunning
 	latchRerun
 )
+
+// post publishes r on the intake: any goroutine, no lock.
+func (s *Sched[T, I]) post(r Run[T, I]) {
+	n := s.p.pool.Get().(*node[T, I])
+	n.run = r
+	for {
+		n.next = s.intake.Load()
+		if s.intake.CompareAndSwap(n.next, n) {
+			return
+		}
+	}
+}
+
+// drain moves everything posted into the queues (which marks them). The
+// swap claims the whole stack, so posters are never blocked; reversing
+// it restores posting (FIFO) order. The loop's lock held.
+func (s *Sched[T, I]) drain() {
+	var rev *node[T, I]
+	for n := s.intake.Swap(nil); n != nil; {
+		next := n.next
+		n.next, rev = rev, n
+		n = next
+	}
+	for rev != nil {
+		n := rev
+		rev = n.next
+		s.enqueue(n.run)
+		*n = node[T, I]{} // drop spec pointers before pooling
+		s.p.pool.Put(n)
+	}
+}
 
 // Push queues tasks and marks the queue for a pass.
 func (s *Sched[T, I]) Push(tasks ...Task[T]) {
@@ -277,9 +387,9 @@ func (s *Sched[T, I]) DrainLib(lib string) (q []Inv[I]) {
 	return q
 }
 
-// Unclaim releases worker's install claim for lib, if it holds one: the
+// unclaim releases worker's install claim for lib, if it holds one: the
 // instance acked, ready or failed.
-func (s *Sched[T, I]) Unclaim(worker, lib string) {
+func (s *Sched[T, I]) unclaim(worker, lib string) {
 	if lq := s.lib(lib, false); lq != nil {
 		if i := slices.Index(lq.claims, worker); i >= 0 {
 			lq.claims = slices.Delete(lq.claims, i, i+1)
@@ -320,11 +430,77 @@ func (s *Sched[T, I]) Running(worker string) []Run[T, I] {
 func (s *Sched[T, I]) InFlight() int   { return s.running }
 func (s *Sched[T, I]) BackingOff() int { return len(s.backoff) }
 
-// Done takes spec id, whose result worker returned, off that worker. After
-// a retryable failure (failed) within the budget it stays in the table,
-// backing off, until the engine's timer — or a replay, at once — calls
-// Retry: retry is then which retry that will be, counting from one. At
-// zero the engine has the spec to finish or to fail.
+// ---- the event verbs ----
+//
+// One per engine event, called under the shard lock: each sets the marks
+// of exactly the queues the event could unblock, and the engine then
+// wakes the shard (and, where capacity moved, nudges the plane) with
+// none held.
+
+// Joined is a worker's arrival here: fresh capacity for every queue.
+func (s *Sched[T, I]) Joined() { s.markAll() }
+
+// FileAcked is the ack, ok or failed, of a copy of obj: either a new
+// source or a block gone, so what waited on its first copy looks again.
+func (s *Sched[T, I]) FileAcked(obj string) {
+	w := s.waiting[obj]
+	if w == nil {
+		return
+	}
+	delete(s.waiting, obj)
+	s.dirty = s.dirty || w.tasks
+	for _, lib := range w.libs {
+		s.markLib(lib)
+	}
+}
+
+// wait leaves lib's queue ("": the task queue) waiting on obj's ack.
+func (s *Sched[T, I]) wait(obj, lib string) {
+	w := s.waiting[obj]
+	if w == nil {
+		w = &waiter{}
+		s.waiting[obj] = w
+	}
+	if lib == "" {
+		w.tasks = true
+	} else if at, found := slices.BinarySearch(w.libs, lib); !found {
+		w.libs = slices.Insert(w.libs, at, lib)
+	}
+}
+
+// LibAcked is the ack of worker's install of lib: its claim goes; a
+// ready instance opens lib's queue (every library's, when it is idle and
+// evictable), a failed one frees resources any queue may want.
+func (s *Sched[T, I]) LibAcked(worker, lib string, ok bool) {
+	s.unclaim(worker, lib)
+	if !ok {
+		s.markAll()
+		return
+	}
+	s.markLib(lib)
+	s.markIdle(worker, lib)
+}
+
+// markIdle marks every library when worker's instance of lib runs nothing
+// and idle instances may be evicted: it is room for any of them (§3.5.2).
+func (s *Sched[T, I]) markIdle(worker, lib string) {
+	if w := s.view.Workers[worker]; !s.view.Opts.EvictEmptyLibraries || w == nil || w.Libs[lib] == nil {
+		return
+	}
+	for _, r := range s.Running(worker) {
+		if !r.IsTask && r.Inv.Lib == lib {
+			return
+		}
+	}
+	s.markAllLibs()
+}
+
+// Done is a result: spec id leaves worker, and what it held opens up — a
+// task's resources to every queue, an invocation's slot to its library's.
+// After a retryable failure (failed) within the budget the spec stays in
+// the table, backing off, until the engine's timer — or a replay, at
+// once — calls Retry: retry is then which retry that will be, counting
+// from one. At zero the engine has the spec to finish or to fail.
 func (s *Sched[T, I]) Done(worker string, id int64, failed bool) (r Run[T, I], retry int, ok bool) {
 	h := s.hosts[worker]
 	if h == nil {
@@ -337,6 +513,12 @@ func (s *Sched[T, I]) Done(worker string, id int64, failed bool) (r Run[T, I], r
 	r = h.runs[at]
 	h.runs = slices.Delete(h.runs, at, at+1)
 	s.running--
+	if r.IsTask {
+		s.markAll()
+	} else {
+		s.markLib(r.Inv.Lib)
+		s.markIdle(worker, r.Inv.Lib)
+	}
 	if failed {
 		if retry = s.again(&r, worker); retry > 0 {
 			s.backoff[id] = r
@@ -350,18 +532,27 @@ func (s *Sched[T, I]) Done(worker string, id int64, failed bool) (r Run[T, I], r
 func (s *Sched[T, I]) Retry(id int64) {
 	if r, ok := s.backoff[id]; ok {
 		delete(s.backoff, id)
-		s.Enqueue(r)
+		s.enqueue(r)
 	}
 }
 
-// Died is worker's death: its install claims are released and what ran
+// Died is worker's death, after the engine took it out of the view,
+// whose RemoveWorker cleared the in-flight copies to it: what waited on a
+// first copy that will now never confirm looks again, as does every
+// queue — the ring changed. Its install claims are released and what ran
 // there is requeued, in ascending spec order and with the worker avoided,
 // each within its budget. The specs past it are handed back in the same
 // order for the engine to fail. Specs backing off are no longer on the
 // worker and stay where they are.
-func (s *Sched[T, I]) Died(worker string) (requeued int, lost []Run[T, I]) {
+func (s *Sched[T, I]) Died(worker string, cleared []string) (requeued int, lost []Run[T, I]) {
+	for _, obj := range cleared {
+		if s.view.PendingCopies[obj] == 0 {
+			s.FileAcked(obj)
+		}
+	}
+	s.markAll()
 	for _, lq := range s.order {
-		s.Unclaim(worker, lq.name)
+		s.unclaim(worker, lq.name)
 	}
 	h := s.hosts[worker]
 	if h == nil {
@@ -371,7 +562,7 @@ func (s *Sched[T, I]) Died(worker string) (requeued int, lost []Run[T, I]) {
 	s.running -= len(h.runs)
 	for _, r := range h.runs {
 		if s.again(&r, worker) > 0 {
-			s.Enqueue(r)
+			s.enqueue(r)
 			requeued++
 		} else {
 			lost = append(lost, r)
@@ -395,9 +586,9 @@ func (s *Sched[T, I]) again(r *Run[T, I], worker string) int {
 	return *retries
 }
 
-// Enqueue puts r at the back of its queue and marks it: a spec fresh from
+// enqueue puts r at the back of its queue and marks it: a spec fresh from
 // the engine's intake, or back after a lost attempt.
-func (s *Sched[T, I]) Enqueue(r Run[T, I]) {
+func (s *Sched[T, I]) enqueue(r Run[T, I]) {
 	if r.IsTask {
 		s.Push(r.Task)
 	} else {
@@ -405,23 +596,20 @@ func (s *Sched[T, I]) Enqueue(r Run[T, I]) {
 	}
 }
 
-// MarkDirty marks the task queue for a pass.
-func (s *Sched[T, I]) MarkDirty() { s.dirty = true }
-
-// MarkLib marks one library's queue for a pass.
-func (s *Sched[T, I]) MarkLib(lib string) {
+// markLib marks one library's queue for a pass.
+func (s *Sched[T, I]) markLib(lib string) {
 	if lq := s.lib(lib, false); lq != nil {
 		lq.dirty, s.libsDirty = true, true
 	}
 }
 
-// MarkAllLibs marks every library's queue: an instance went idle, which
+// markAllLibs marks every library's queue: an instance went idle, which
 // may make room for any other library's.
-func (s *Sched[T, I]) MarkAllLibs() { s.libsDirty, s.allLibs = true, true }
+func (s *Sched[T, I]) markAllLibs() { s.libsDirty, s.allLibs = true, true }
 
-// MarkAll marks everything that competes for worker resources — the
+// markAll marks everything that competes for worker resources — the
 // task queue and every library's: worker churn, freed capacity.
-func (s *Sched[T, I]) MarkAll() { s.dirty, s.libsDirty, s.allLibs = true, true, true }
+func (s *Sched[T, I]) markAll() { s.dirty, s.libsDirty, s.allLibs = true, true, true }
 
 // Tasks is the queue, in order; the caller must not keep it.
 func (s *Sched[T, I]) Tasks() []Task[T] { return s.q }
@@ -429,12 +617,15 @@ func (s *Sched[T, I]) Tasks() []Task[T] { return s.q }
 // Invs counts the queued invocations.
 func (s *Sched[T, I]) Invs() int { return s.invs }
 
-// Passes counts the passes run so far. No lock needed.
-func (s *Sched[T, I]) Passes() int64 { return s.passes.Load() }
+// Passes counts the passes run so far; Wakes, the Wakes that ran the
+// loop and those a running loop absorbed. No lock needed.
+func (s *Sched[T, I]) Passes() int64                { return s.passes.Load() }
+func (s *Sched[T, I]) Wakes() (ran, absorbed int64) { return s.ran.Load(), s.absorbed.Load() }
 
-// Settled reports that no queue is marked and no loop runs or is owed.
+// Settled reports that nothing waits in the intake, no queue is marked
+// and no loop runs or is owed.
 func (s *Sched[T, I]) Settled() bool {
-	return !s.dirty && !s.libsDirty && s.latch.Load() == latchIdle
+	return s.intake.Load() == nil && !s.dirty && !s.libsDirty && s.latch.Load() == latchIdle
 }
 
 // quiet: no local event is outstanding that could change what this
@@ -450,17 +641,20 @@ func (s *Sched[T, I]) quiet() bool {
 // costs one follow-up pass and never queues behind a pass in progress.
 // No wake is lost: one arriving as the loop exits either lands its
 // running→rerun CAS first (the exit CAS then fails and the loop goes
-// around again) or finds the latch idle and runs the loop. Call with no
-// lock held.
+// around again) or finds the latch idle and runs the loop. A loop that
+// ran then wakes the shards a quota release under some shard lock fed
+// (Route), none being held now — bounded, since each flush empties the
+// fed set. Call with no lock held.
 func (s *Sched[T, I]) Wake() {
 	for {
 		switch state := s.latch.Load(); {
 		case state == latchIdle && s.latch.CompareAndSwap(latchIdle, latchRunning):
+			s.ran.Add(1)
 			s.run()
-			s.shell.Woke(true)
+			s.p.WakeFed()
 			return
 		case state == latchRerun || s.latch.CompareAndSwap(latchRunning, latchRerun):
-			s.shell.Woke(false)
+			s.absorbed.Add(1)
 			return
 		}
 	}
@@ -470,14 +664,15 @@ func (s *Sched[T, I]) Wake() {
 // invocation pass → forward → look again. It holds the shard lock
 // except while specs cross to another shard, so no two shard locks are
 // ever held together. Forward chains end: hop counts only grow between
-// nudges, and routing never picks a workerless shard.
+// nudges, and routing never picks a workerless shard. A closed plane's
+// loops drain and place nothing.
 func (s *Sched[T, I]) run() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		open := s.shell.Intake()
+		s.drain()
 		pending := s.invs+len(s.q) > 0
-		if !open || !(s.dirty || s.libsDirty) {
+		if s.p.closed.Load() || !(s.dirty || s.libsDirty) {
 			if starving := pending && s.quiet(); starving != s.starving.Load() {
 				s.starving.Store(starving)
 				if starving {
@@ -514,10 +709,17 @@ func (s *Sched[T, I]) run() {
 			s.passInvs()
 		}
 		// Unlocking is also what lets handlers blocked on the lock leave
-		// their marks before the next look.
+		// their marks before the next look, and what lets the held specs
+		// enter their shards, each under its own lock.
 		s.mu.Unlock()
 		for _, h := range s.held {
-			s.shell.Deliver(h.to, h.tasks, h.invs)
+			to := s.p.Shards[h.to]
+			to.mu.Lock()
+			to.Push(h.tasks...)
+			to.PushInvs(h.invs...)
+			to.mu.Unlock()
+			s.p.forwards.Add(int64(len(h.tasks) + len(h.invs)))
+			to.Wake()
 		}
 		clear(s.held)
 		s.held = s.held[:0]
@@ -533,8 +735,8 @@ func (s *Sched[T, I]) run() {
 // of preference is a non-avoided worker here, any other shard, then
 // the avoided worker — or after a refusal, when the shard is quiet:
 // capacity exists on paper but nothing in flight will free it. A
-// refusal over first copies in flight (Blocked) stays, the ack re-runs
-// the pass; a busy shard never forwards, its own completions do.
+// refusal over first copies in flight (Blocked) stays, waiting on their
+// acks; a busy shard never forwards, its own completions do.
 func (s *Sched[T, I]) pass() {
 	if len(s.q) == 0 {
 		return
@@ -556,6 +758,9 @@ func (s *Sched[T, I]) pass() {
 	s.plan = s.shell.Plan(s.plan[:0], s.q)
 	for i, d := range s.plan {
 		t := &s.q[i]
+		for _, obj := range d.Blocked {
+			s.wait(obj, "")
+		}
 		switch {
 		case d.Worker != nil:
 			s.shell.Place(t, d)
@@ -646,7 +851,7 @@ func (s *Sched[T, I]) passLib(lq *libQueue[I]) {
 			continue
 		}
 		if inv.Avoid != avoid || (len(ready) == 0 && !dry) {
-			s.ready = s.shell.Ready(s.ready[:0], lq.name, len(q)-i, inv.Avoid)
+			s.ready = s.view.PlaceReadyBatchInto(s.ready[:0], lq.name, len(q)-i, policy.Excluding(inv.Avoid))
 			ready, avoid, dry = s.ready, inv.Avoid, len(s.ready) == 0
 		}
 		if len(ready) > 0 {
@@ -657,7 +862,7 @@ func (s *Sched[T, I]) passLib(lq *libQueue[I]) {
 		// Whatever the fallback finds is on the avoided worker, which the
 		// run's answer left out: the run stays dry, not stale.
 		if inv.Avoid != "" {
-			if s.ready = s.shell.Ready(s.ready[:0], lq.name, 1, ""); len(s.ready) > 0 {
+			if s.ready = s.view.PlaceReadyBatchInto(s.ready[:0], lq.name, 1, nil); len(s.ready) > 0 {
 				s.placeInv(inv, s.ready[0])
 				continue
 			}
@@ -667,8 +872,11 @@ func (s *Sched[T, I]) passLib(lq *libQueue[I]) {
 			claimable--
 			continue
 		}
-		worker, ok := s.shell.Deploy(lq.name)
-		if !ok {
+		worker, blocked := s.shell.Deploy(lq.name)
+		if worker == "" {
+			for _, obj := range blocked {
+				s.wait(obj, lq.name)
+			}
 			keep = append(keep, q[i+1:]...)
 			break
 		}
@@ -705,7 +913,7 @@ func (p *Plane[T, I]) Nudge() {
 				lq.q[i].Hops = 0
 			}
 		}
-		s.MarkAll()
+		s.markAll()
 		s.mu.Unlock()
 		s.Wake()
 	}
@@ -717,7 +925,7 @@ func (p *Plane[T, I]) Nudge() {
 func (p *Plane[T, I]) WakeParked() {
 	for _, s := range p.Shards {
 		s.mu.Lock()
-		s.shell.Intake()
+		s.drain()
 		parked := len(s.view.Workers) == 0 && s.invs+len(s.q) > 0
 		s.dirty = s.dirty || parked
 		s.mu.Unlock()

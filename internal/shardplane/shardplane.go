@@ -14,14 +14,15 @@
 //     (RouteSpec): invocations of one library are interchangeable, so
 //     spreading them is pure load balancing.
 //   - With no live workers anywhere, specs park in a key-derived home
-//     shard and are re-routed when the first worker joins. The engines
-//     never see that case: KeyShard, InvShard and TenantInvShard are
-//     total, each with the fallback inside.
+//     shard and are re-routed when the first worker joins. KeyShard,
+//     InvShard and TenantInvShard are total, each with the fallback
+//     inside, and only the plane calls them (sched.go: Submit, Route,
+//     evacuation).
 //
-// sched.go is the scheduling: one Sched per shard — task queue and
-// library queues, wake loop, task pass and invocation pass, and every
-// path that moves a spec to another shard — around which the manager and
-// sim.Replay are shells.
+// sched.go is the scheduling: one Sched per shard — intake, task queue
+// and library queues, wake loop, task pass and invocation pass, every
+// path that moves a spec to another shard, and the event verbs — around
+// which the manager and sim.Replay are shells.
 package shardplane
 
 import (

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -20,12 +19,14 @@ import (
 // and answers every event the manager can see. Globally it holds the
 // shardplane.Plane (the router and one scheduler per shard), the spec
 // and worker counters, one submission plane and one ref catalog; per
-// shard (replayShard) a cluster view and the intake around that shard's
-// scheduler, which owns the keyed task queue, the library's invocation
-// queue with its install claims, the wake loop, both passes, every
-// shard-crossing path and the in-flight table: what runs on which
-// worker, each spec's retry budget, the order a death requeues in. The
-// replay models no slots of its own. Like the manager, it hosts one
+// shard (replayShard) a cluster view around that shard's scheduler, which
+// owns the intake, the keyed task queue, the library's invocation queue
+// with its install claims, what each queue waits on, the wake loop, both
+// passes, every shard-crossing path and the in-flight table: what runs on
+// which worker, each spec's retry budget, the order a death requeues in.
+// Each event handler is the manager's: the scheduler's verb for the
+// event, then the manager's wakes and nudges. The replay models no slots
+// of its own. Like the manager, it hosts one
 // instance per worker with Config.SlotsPerWorker slots and binds an
 // invocation when the instance is ready — a deploy consumes none (the
 // timed Run hosts one single-slot instance per slot and binds at deploy
@@ -52,10 +53,8 @@ type Replay struct {
 	// plane is the submission plane (cfg.Tenants): one plane in front
 	// of all shards with its own recorder, as the manager's plane trace
 	// is a stream apart from the shard traces. Specs the fair-share drain
-	// releases route to shard intake queues (routePlane); fed lists the
-	// shards fed and not yet woken, in first-fed order.
+	// releases go to the shards' intakes through shardplane's Route.
 	plane *policy.TenantPlane[replayRun]
-	fed   []*replayShard
 	// refs is the one ref catalog (refs.go), shared by every shard's
 	// state as the manager's ref plane is shared by every shard.
 	refs *simRefs
@@ -64,15 +63,10 @@ type Replay struct {
 // replayShard is one shard's scheduling state: the Shell of its
 // scheduler.
 type replayShard struct {
-	r  *Replay
 	st *state
 	// sched holds the pending specs: tasks by ring key (assigned at
 	// submission, requeued verbatim), invocations in the library's queue.
 	sched *shardplane.Sched[replaySpec, specRef]
-	// intake is where routed specs wait for the wake loop to drain them,
-	// in submission order, at each look — so the decision order stays
-	// byte-identical to the manager's lock-free hand-off.
-	intake []replayRun
 }
 
 // replaySpec is the replay's payload of a task.
@@ -115,7 +109,7 @@ func NewReplay(cfg Config, shards int) *Replay {
 		scfg.DecisionTrace = &policy.Recorder{}
 		st := newState(scfg, true)
 		st.refs = r.refs
-		sh := &replayShard{r: r, st: st}
+		sh := &replayShard{st: st}
 		sh.sched = r.shardPlane.Attach(i, st.view, shardplane.NoLock{}, sh)
 		r.shards = append(r.shards, sh)
 	}
@@ -127,54 +121,9 @@ func NewReplay(cfg Config, shards int) *Replay {
 
 func (r *Replay) lib() string { return r.shards[0].st.lib }
 
-// ---- routing ----
-
-// kick marks every queue of shard sh and runs its wake loop — what every
-// local event handler ends in (the manager marks only what the event
-// could unblock; a pass over the rest decides nothing). A forward chain
-// arriving back at a shard whose loop is running is absorbed by the
-// latch and seen at its next look.
-func (r *Replay) kick(sh *replayShard) {
-	sh.sched.MarkAll()
-	sh.sched.Wake()
-}
-
-// route hands a directly submitted spec to its shard by the shardplane
-// routing rules — a task's owns its ring key, an invocation's is a live
-// shard by round-robin over the spec ID, and in an empty cluster both
-// park in a key-derived home shard. The spec goes through the shard's
-// intake queue and the wake loop moves it into the pending state.
-func (r *Replay) route(it replayRun) {
-	idx := r.shardPlane.InvShard(it.Inv.ID, r.lib())
-	if it.IsTask {
-		idx = r.shardPlane.KeyShard(it.Task.Key)
-	}
-	sh := r.shards[idx]
-	sh.intake = append(sh.intake, it)
-	sh.sched.Wake()
-}
-
-// routePlane appends one fair-share-released spec to its shard's
-// intake queue — the manager's submitPlane.route. Invocations route by
-// the tenant's own cursor (Router.TenantInvShard); tasks keep ring-key
-// locality.
-func (r *Replay) routePlane(it replayRun, tenant string, seq int64) {
-	var idx int
-	if it.IsTask {
-		idx = r.shardPlane.KeyShard(it.Task.Key)
-	} else {
-		idx = r.shardPlane.TenantInvShard(tenant, seq, r.lib())
-	}
-	sh := r.shards[idx]
-	sh.intake = append(sh.intake, it)
-	if !slices.Contains(r.fed, sh) {
-		r.fed = append(r.fed, sh)
-	}
-}
-
 // release returns the quota unit of a spec that will not run again — a
 // final result, or a retry budget spent — to the submission plane, if
-// there is one; wakeFed wakes what the drain feeds.
+// there is one; the shards its drain feeds wake at the next loop exit.
 func (r *Replay) release(run *replayRun) {
 	if r.plane == nil {
 		return
@@ -183,29 +132,10 @@ func (r *Replay) release(run *replayRun) {
 	if run.IsTask {
 		tenant = run.Task.Spec.tenant
 	}
-	r.plane.Release(tenant, r.routePlane)
-}
-
-// wakeFed wakes the shards a plane drain fed, in first-fed order — the
-// manager's wakeShards.
-func (r *Replay) wakeFed() {
-	fed := r.fed
-	r.fed = nil
-	for _, sh := range fed {
-		sh.sched.Wake()
-	}
+	r.plane.Release(tenant, r.shardPlane.Route)
 }
 
 // ---- one shard's shell (shardplane.Shell; there is no lock) ----
-
-// Intake replays queued intake items into the scheduler's queues.
-func (sh *replayShard) Intake() (open bool) {
-	for _, it := range sh.intake {
-		sh.sched.Enqueue(it)
-	}
-	sh.intake = sh.intake[:0]
-	return true
-}
 
 // LibNeed: an instance takes its worker whole, and any live worker can
 // host one — the queue never overflow-forwards.
@@ -214,12 +144,6 @@ func (sh *replayShard) LibNeed(string) (core.Resources, bool) {
 }
 
 func (sh *replayShard) Reject(replayInv) bool { return false }
-
-// Ready plans ready placements through the batched entry point the
-// manager uses.
-func (sh *replayShard) Ready(dst []policy.PlaceInvocation, lib string, k int, avoid string) []policy.PlaceInvocation {
-	return sh.st.view.PlaceReadyBatchInto(dst, lib, k, policy.Excluding(avoid))
-}
 
 // PlaceInv carries out one ready placement: trace, one slot taken.
 func (sh *replayShard) PlaceInv(inv replayInv, d policy.PlaceInvocation) {
@@ -234,23 +158,14 @@ func (sh *replayShard) PlaceInv(inv replayInv, d policy.PlaceInvocation) {
 
 // Deploy starts the worker's instance where the policy core finds room;
 // LibReady is its ack.
-func (sh *replayShard) Deploy(lib string) (string, bool) {
+func (sh *replayShard) Deploy(lib string) (string, []string) {
 	need, _ := sh.LibNeed(lib)
-	if w := sh.st.deploy(need, nil); w != nil {
-		return w.id, true
+	w, blocked := sh.st.deploy(need, nil)
+	if w == nil {
+		return "", blocked
 	}
-	return "", false
+	return w.id, nil
 }
-
-// Deliver moves specs into shard i's queues and wakes it.
-func (sh *replayShard) Deliver(i int, tasks []replayTask, invs []replayInv) {
-	to := sh.r.shards[i]
-	to.sched.Push(tasks...)
-	to.sched.PushInvs(invs...)
-	to.sched.Wake()
-}
-
-func (sh *replayShard) Woke(bool) {}
 
 // Plan plans the queue through the batched entry point the manager uses.
 func (sh *replayShard) Plan(dst []policy.PlaceTask, tasks []replayTask) []policy.PlaceTask {
@@ -292,8 +207,8 @@ func (sh *replayShard) Place(pt *replayTask, d policy.PlaceTask) {
 // kill is the owning shard's half of a worker death: the source serving
 // the dead worker's inbound fetch gets its transfer slot back, the view
 // drops its replicas, in-flight copies, instance and ring position, and
-// the table requeues what ran there (Sched.Died), handing back the specs
-// whose retry budget is spent.
+// the scheduler requeues what ran there (Sched.Died), handing back the
+// specs whose retry budget is spent.
 func (sh *replayShard) kill(w *wstate) []replayRun {
 	st := sh.st
 	if src := w.envSrc; src != nil {
@@ -304,11 +219,19 @@ func (sh *replayShard) kill(w *wstate) []replayRun {
 	} else if w.v.Pending[st.envObj] && st.view.ManagerSends > 0 {
 		st.view.ManagerSends--
 	}
-	st.view.RemoveWorker(w.v)
+	_, cleared := st.view.RemoveWorker(w.v)
 	delete(st.byID, w.id)
 	w.dead = true
-	_, lost := sh.sched.Died(w.id)
+	_, lost := sh.sched.Died(w.id, cleared)
 	return lost
+}
+
+// ack is a file ack on this shard, the manager's onFileAck after its
+// view surgery: what waited on the object looks again. File acks free no
+// invocation capacity, so no nudge.
+func (sh *replayShard) ack(obj string) {
+	sh.sched.FileAcked(obj)
+	sh.sched.Wake()
 }
 
 // ---- the event surface ----
@@ -343,7 +266,7 @@ func (r *Replay) Submit(n int) {
 // if possible — the manager's Submit of a TaskSpec whose Inputs carry
 // core.RefSpec bindings. The refs must already exist in the catalog
 // (created by earlier CompleteTaskRef calls).
-func (r *Replay) SubmitTaskRefs(refs ...string) { r.route(r.next("", refs...)) }
+func (r *Replay) SubmitTaskRefs(refs ...string) { r.shardPlane.Submit(r.next("", refs...)) }
 
 // SubmitTenant submits one spec for tenant through the submission
 // plane — the manager's Submit/SubmitInvocation with a TenantID:
@@ -353,12 +276,12 @@ func (r *Replay) SubmitTaskRefs(refs ...string) { r.route(r.next("", refs...)) }
 func (r *Replay) SubmitTenant(tenant string) {
 	it := r.next(tenant)
 	if r.plane != nil {
-		if _, _, known := r.plane.Submit(tenant, it, r.routePlane); known {
-			r.wakeFed()
+		if _, _, known := r.plane.Submit(tenant, it, r.shardPlane.Route); known {
+			r.shardPlane.WakeFed()
 			return
 		}
 	}
-	r.route(it)
+	r.shardPlane.Submit(it)
 }
 
 // AddWorker joins a fresh worker in its home shard, continuing the
@@ -372,7 +295,8 @@ func (r *Replay) AddWorker() string {
 	sh := r.shards[r.shardPlane.ShardOf(id)]
 	sh.st.addWorker(i)
 	r.shardPlane.Add(id)
-	r.kick(sh)
+	sh.sched.Joined()
+	sh.sched.Wake()
 	r.shardPlane.WakeParked()
 	r.shardPlane.Nudge()
 	return id
@@ -383,8 +307,8 @@ func (r *Replay) AddWorker() string {
 // then every ref the dead worker owned re-homes — before its queue
 // teardown, trace-silent when it owned nothing — then the owning
 // shard's surgery and requeue, a spec past its retry budget dropped and
-// its quota returned, then the pass, the wakes that quota fed, and the
-// membership-change nudge.
+// its quota returned, then the pass (whose exit wakes the shards that
+// quota fed) and the membership-change nudge.
 // Transfers the dead worker was *serving* are not failed here; the
 // caller fails each stranded destination via EnvFailed, exactly as the
 // real destinations' own failing FileAcks would arrive later.
@@ -399,8 +323,7 @@ func (r *Replay) KillWorker(id string) bool {
 	for i := range lost {
 		r.release(&lost[i])
 	}
-	r.kick(sh)
-	r.wakeFed()
+	sh.sched.Wake()
 	r.shardPlane.Nudge()
 	return true
 }
@@ -417,7 +340,7 @@ func (r *Replay) EnvArrived(id string) bool {
 	}
 	sh.st.envLanded(w)
 	w.hasEnv = true
-	r.kick(sh)
+	sh.ack(sh.st.envObj)
 	return true
 }
 
@@ -443,7 +366,7 @@ func (r *Replay) EnvFailed(id string) bool {
 	st.view.NotePending(w.v, st.envObj)
 	st.view.ManagerSends++
 	st.res.EnvDirect++
-	r.kick(sh)
+	sh.ack(st.envObj)
 	return true
 }
 
@@ -459,7 +382,7 @@ func (r *Replay) RefArrived(id, refID string) bool {
 	sh.st.view.ClearPending(w.v, refID)
 	sh.st.view.NoteReplica(w.v, refID)
 	r.refs.tab.AddRefHolder(id, refID)
-	r.kick(sh)
+	sh.ack(refID)
 	return true
 }
 
@@ -473,7 +396,7 @@ func (r *Replay) RefFailed(id, refID string) bool {
 	}
 	sh.st.view.ClearPending(w.v, refID)
 	r.refs.stage(sh.st.view, w.v, refID, true)
-	r.kick(sh)
+	sh.ack(refID)
 	return true
 }
 
@@ -491,8 +414,8 @@ func (r *Replay) LibReady(id string) bool {
 	w.lv.Ready = true
 	w.freeReady = w.lv.Slots
 	sh.st.syncLib(w)
-	sh.sched.Unclaim(id, r.lib())
-	r.kick(sh)
+	sh.sched.LibAcked(id, r.lib(), true)
+	sh.sched.Wake()
 	r.shardPlane.Nudge()
 	return true
 }
@@ -545,9 +468,9 @@ func (r *Replay) Fail(id string, spec int64) bool {
 // resident whatever the outcome; the environment's note is a dedup no-op
 // since its ack gated the result, so only proxy-object inputs are
 // recorded — including a lost ref that never staged, the same vacuous
-// replica on both engines), a retry requeues, the shard runs its pass, a
-// final result returns its quota unit to the plane and wakes what that
-// feeds, and freed capacity nudges starving shards.
+// replica on both engines), a retry requeues, a final result returns its
+// quota unit to the plane, the shard runs its pass (whose exit wakes what
+// that quota fed), and freed capacity nudges starving shards.
 func (r *Replay) finish(id string, spec int64, failed bool, ref *core.ObjectRef) bool {
 	sh, w := r.find(id)
 	if w == nil || !w.hasEnv {
@@ -571,12 +494,10 @@ func (r *Replay) finish(id string, spec int64, failed bool, ref *core.ObjectRef)
 	}
 	if retry > 0 {
 		sh.sched.Retry(spec)
-	}
-	r.kick(sh)
-	if retry == 0 {
+	} else {
 		r.release(&run)
-		r.wakeFed()
 	}
+	sh.sched.Wake()
 	r.shardPlane.Nudge()
 	return true
 }

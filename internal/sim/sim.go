@@ -685,7 +685,7 @@ func (st *state) placeL3() *slot {
 		}
 		return st.bind(w, w.firstFree(true))
 	}
-	if w := st.deploy(oneSlot, st.stackFilter()); w != nil {
+	if w, _ := st.deploy(oneSlot, st.stackFilter()); w != nil {
 		return st.bind(w, w.firstFree(false))
 	}
 	return nil
@@ -694,17 +694,18 @@ func (st *state) placeL3() *slot {
 // deploy asks the policy core for a deploy decision — an instance
 // needing res, on a worker f admits — and starts the instance: staging,
 // the view's instance record, the resource claim. nil means no worker
-// can host a new instance now.
-func (st *state) deploy(res core.Resources, f policy.Filter) *wstate {
+// can host a new instance now, blocked the first copies in flight that
+// held every candidate up.
+func (st *state) deploy(res core.Resources, f policy.Filter) (w *wstate, blocked []string) {
 	d := st.view.PlanDeploy(policy.DeploySpec{
 		Name:  st.lib,
 		Res:   res,
 		Files: []core.FileSpec{st.envSpec},
 	}, f)
 	if d.Worker == nil {
-		return nil
+		return nil, d.Blocked
 	}
-	w := st.byID[d.Worker.ID]
+	w = st.byID[d.Worker.ID]
 	if st.rec != nil {
 		st.rec.Record(policy.TraceDeploy(st.lib, d))
 	}
@@ -716,7 +717,7 @@ func (st *state) deploy(res core.Resources, f policy.Filter) *wstate {
 	// (the manager releases it only on eviction, install failure, or
 	// worker death — none of which the simulator's instances hit).
 	w.v.Commit = w.v.Commit.Add(res)
-	return w
+	return w, nil
 }
 
 // ---- environment distribution (§3.3) ----

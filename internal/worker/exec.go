@@ -253,6 +253,13 @@ func (e *executor) claimInputs(spec core.TaskSpec) {
 // FS, unpack environments, run the script in a sandbox, return the
 // pickled result.
 func (e *executor) runTask(spec core.TaskSpec) {
+	e.w.sendResult(e.task(spec))
+}
+
+// task runs one task and returns its result once everything it held —
+// its resources, its pins, its transient inputs — is released: the
+// manager may place new work here the moment the result arrives.
+func (e *executor) task(spec core.TaskSpec) core.Result {
 	start := time.Now()
 	var pinned []string
 	defer func() {
@@ -268,8 +275,7 @@ func (e *executor) runTask(spec core.TaskSpec) {
 		}
 	}()
 	if err := e.reserve(spec.Resources); err != nil {
-		e.w.sendResult(infraResult(spec.ID, err))
-		return
+		return infraResult(spec.ID, err)
 	}
 	defer e.release(spec.Resources)
 
@@ -285,14 +291,12 @@ func (e *executor) runTask(spec core.TaskSpec) {
 	for _, in := range spec.Inputs {
 		obj, err := e.plane.PinResolve(in.Object.ID)
 		if err != nil {
-			e.w.sendResult(infraResult(spec.ID, fmt.Errorf("input %q not staged on worker: %v", in.Object.Name, err)))
-			return
+			return infraResult(spec.ID, fmt.Errorf("input %q not staged on worker: %v", in.Object.Name, err))
 		}
 		pinned = append(pinned, in.Object.ID)
 		if in.Unpack {
 			if _, err := e.plane.MarkUnpacked(obj); err != nil {
-				e.w.sendResult(infraResult(spec.ID, err))
-				return
+				return infraResult(spec.ID, err)
 			}
 		}
 		sb.add(obj)
@@ -303,8 +307,7 @@ func (e *executor) runTask(spec core.TaskSpec) {
 		// source — the executor never touches the store directly (§10).
 		obj, err := e.plane.SharedRead(in.Object.ID)
 		if err != nil {
-			e.w.sendResult(infraResult(spec.ID, fmt.Errorf("shared FS read %q: %v", in.Object.Name, err)))
-			return
+			return infraResult(spec.ID, fmt.Errorf("shared FS read %q: %v", in.Object.Name, err))
 		}
 		sb.add(obj)
 		shared = append(shared, obj)
@@ -323,12 +326,10 @@ func (e *executor) runTask(spec core.TaskSpec) {
 	metrics.ExecTime = time.Since(execStart).Seconds()
 
 	if err != nil {
-		e.w.sendResult(core.Result{ID: spec.ID, Ok: false, Err: err.Error(), Metrics: metrics})
-		return
+		return core.Result{ID: spec.ID, Ok: false, Err: err.Error(), Metrics: metrics}
 	}
 	if sb.result == nil {
-		e.w.sendResult(core.Result{ID: spec.ID, Ok: false, Err: "task script did not call vine_runtime.store_result", Metrics: metrics})
-		return
+		return core.Result{ID: spec.ID, Ok: false, Err: "task script did not call vine_runtime.store_result", Metrics: metrics}
 	}
 	if spec.ResultByRef {
 		// Pass-by-reference completion: the result bytes stay here — this
@@ -337,15 +338,13 @@ func (e *executor) runTask(spec core.TaskSpec) {
 		// infrastructure's fault, not the task's.
 		obj := content.NewBlob(fmt.Sprintf("task-%d.out", spec.ID), sb.result)
 		if err := e.plane.PutOwned(obj); err != nil {
-			e.w.sendResult(infraResult(spec.ID, err))
-			return
+			return infraResult(spec.ID, err)
 		}
-		e.w.sendResult(core.Result{ID: spec.ID, Ok: true, Ref: &core.ObjectRef{
+		return core.Result{ID: spec.ID, Ok: true, Ref: &core.ObjectRef{
 			ID: obj.ID, Name: obj.Name, Size: obj.LogicalSize, Owner: e.cfg.ID, Tier: core.TierCache,
-		}, Metrics: metrics})
-		return
+		}, Metrics: metrics}
 	}
-	e.w.sendResult(core.Result{ID: spec.ID, Ok: true, Value: sb.result, Metrics: metrics})
+	return core.Result{ID: spec.ID, Ok: true, Value: sb.result, Metrics: metrics}
 }
 
 // ---- library hosting ----
