@@ -91,7 +91,8 @@ benchcheck:
 
 # The fuzz targets, five seconds each (go test -fuzz takes one target
 # and one package per run): the wire decoders and the frame receiver,
-# then the unpickler — bytes a worker takes from a peer. Hostile bytes
+# then the unpickler and the environment manifest reader — bytes a
+# worker takes from a peer or the shared filesystem. Hostile bytes
 # must not panic a decoder, size an allocation, or decode to something
 # that re-encodes differently. A failing input is written
 # under the package's testdata/fuzz/ — commit it with the fix, it
@@ -103,6 +104,7 @@ fuzzsmoke:
 	go test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 5s ./internal/proto
 	go test -run '^$$' -fuzz '^FuzzRecvBulk$$' -fuzztime 5s ./internal/proto
 	go test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 5s ./internal/pickle
+	go test -run '^$$' -fuzz '^FuzzUnpackManifest$$' -fuzztime 5s ./internal/poncho
 
 # Whole-tree statement coverage (every package's tests counted against
 # every package, ~20 s), and the functions in which no test executes a

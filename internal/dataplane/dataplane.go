@@ -683,37 +683,44 @@ func (p *Plane) OwnedHere(id string) bool {
 }
 
 // MarkUnpacked expands a cached tarball (idempotent; see
-// content.Cache.MarkUnpacked). The first expansion reads the manifest
-// and the cache retains its module list with the unpacked state, so
-// later tasks on this worker ask UnpackedModules instead of parsing the
-// environment again; eviction drops both together. Anything but a
+// content.Cache.MarkUnpacked). The first expansion reads the manifest's
+// name table and the cache retains the sorted module list with the
+// unpacked state, so later tasks on this worker ask UnpackedModules
+// instead of parsing the environment again; eviction drops both
+// together. A manifest that does not decode is an error wrapping
+// poncho.ErrManifest and leaves the tarball packed. Anything but a
 // tarball is left alone.
 func (p *Plane) MarkUnpacked(obj *content.Object) (first bool, err error) {
 	if obj.Kind != content.Tarball || p.cache.IsUnpacked(obj.ID) {
 		return false, nil
 	}
-	return p.cache.MarkUnpacked(obj.ID, ParseModules(obj))
+	modules, err := ParseModules(obj)
+	if err != nil {
+		return false, err
+	}
+	return p.cache.MarkUnpacked(obj.ID, modules)
 }
 
-// UnpackedModules returns the module list retained when the environment
-// was expanded here; ok is false for an object that is not cached or
-// not unpacked.
+// UnpackedModules returns the sorted module list retained when the
+// environment was expanded here; ok is false for an object that is not
+// cached or not unpacked.
 func (p *Plane) UnpackedModules(id string) (modules []string, ok bool) {
 	return p.cache.Unpacked(id)
 }
 
-// ParseModules reads the package names an environment tarball installs
-// from its manifest. Any other kind of object, and an unreadable
-// manifest, installs nothing.
-func ParseModules(obj *content.Object) []string {
+// ParseModules reads the package names an environment tarball installs,
+// sorted, from its manifest's name table. Any other kind of object
+// installs nothing; an unreadable manifest is an error naming the
+// object and wrapping poncho.ErrManifest.
+func ParseModules(obj *content.Object) ([]string, error) {
 	if obj.Kind != content.Tarball {
-		return nil
+		return nil, nil
 	}
-	spec, err := poncho.UnpackManifest(obj.Data)
+	modules, err := poncho.ManifestModules(obj.Data)
 	if err != nil {
-		return nil
+		return nil, fmt.Errorf("environment %q: %w", obj.Name, err)
 	}
-	return spec.Modules()
+	return modules, nil
 }
 
 // ---- serve side ----

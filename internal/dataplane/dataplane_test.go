@@ -1,13 +1,16 @@
 package dataplane
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/content"
+	"repro/internal/poncho"
 )
 
 // gate is an injectable FetchFn whose transfers block until released,
@@ -430,5 +433,27 @@ func TestAltSourceExhaustion(t *testing.T) {
 	}
 	if st.AltSourceRetries != 2 {
 		t.Errorf("AltSourceRetries = %d, want 2", st.AltSourceRetries)
+	}
+}
+
+// TestCorruptManifestIsAnError: a tarball whose manifest does not decode
+// is refused by ParseModules and left packed by MarkUnpacked, with an
+// error that names it — never taken for an environment installing
+// nothing.
+func TestCorruptManifestIsAnError(t *testing.T) {
+	p := New(Config{Cache: content.NewCache(0)})
+	t.Cleanup(p.Close)
+	env := content.NewTarball("bad-env.tar.gz", []byte("not a manifest"), 1, 1)
+	if mods, err := ParseModules(env); mods != nil || !errors.Is(err, poncho.ErrManifest) || !strings.Contains(err.Error(), env.Name) {
+		t.Errorf("ParseModules = %v, %v; want an ErrManifest naming %s", mods, err, env.Name)
+	}
+	if err := p.Put(env, true); !errors.Is(err, poncho.ErrManifest) {
+		t.Errorf("Put with unpack = %v, want an ErrManifest", err)
+	}
+	if first, err := p.MarkUnpacked(env); first || !errors.Is(err, poncho.ErrManifest) {
+		t.Errorf("MarkUnpacked = %v, %v; want an ErrManifest", first, err)
+	}
+	if mods, ok := p.UnpackedModules(env.ID); ok || p.Cache().IsUnpacked(env.ID) {
+		t.Errorf("a corrupt environment counts as unpacked, installing %v", mods)
 	}
 }

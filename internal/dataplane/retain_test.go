@@ -85,8 +85,11 @@ func TestUnpackedModulesLiveAndDieWithTheUnpack(t *testing.T) {
 	if err := p.Put(blob, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := p.UnpackedModules(blob.ID); ok || ParseModules(blob) != nil {
+	if _, ok := p.UnpackedModules(blob.ID); ok {
 		t.Error("a blob has modules")
+	}
+	if mods, err := ParseModules(blob); mods != nil || err != nil {
+		t.Errorf("a blob parses to %v, %v; want nothing and no error", mods, err)
 	}
 }
 

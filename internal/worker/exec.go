@@ -1,8 +1,10 @@
 package worker
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"repro/internal/dataplane"
 	"repro/internal/library"
 	"repro/internal/minipy"
+	"repro/internal/poncho"
 	"repro/internal/proto"
 )
 
@@ -191,47 +194,67 @@ func (e *executor) stdout() io.Writer {
 }
 
 // moduleResolver builds the module-resolution function for a sandbox
-// or library: only modules installed by the unpacked environments in
-// `allowed` (plus the always-present vine_runtime) are importable.
-func (e *executor) moduleResolver(allowed map[string]bool, sb *sandbox) func(*minipy.Interp, string) (*minipy.ModuleVal, error) {
+// or library: only modules some environment in `installed` lists (plus
+// the always-present vine_runtime) are importable. Each list is sorted,
+// so an import is a binary search per environment; nothing is built per
+// task for the imports it never makes.
+func (e *executor) moduleResolver(installed [][]string, sb *sandbox) func(*minipy.Interp, string) (*minipy.ModuleVal, error) {
 	return func(ip *minipy.Interp, name string) (*minipy.ModuleVal, error) {
 		if name == "vine_runtime" && sb != nil {
 			return sb.runtimeModule(ip), nil
 		}
-		if !allowed[name] {
-			return nil, fmt.Errorf("no module named '%s'", name)
-		}
-		if e.cfg.Registry == nil || !e.cfg.Registry.Has(name) {
+		if !installs(installed, name) || e.cfg.Registry == nil || !e.cfg.Registry.Has(name) {
 			return nil, fmt.Errorf("no module named '%s'", name)
 		}
 		return e.cfg.Registry.Build(name)
 	}
 }
 
-// allowedModules collects the package names installed by every
-// environment tarball among the given objects. staged are pinned cache
-// objects: one unpacked here has its module list retained by the data
-// plane, read once when the tarball was expanded. shared are L1 shared
-// FS reads, which by definition retain nothing — their manifest is
-// parsed every time, as is a staged tarball nobody asked to unpack.
-func (e *executor) allowedModules(staged, shared []*content.Object) map[string]bool {
-	allowed := map[string]bool{}
-	add := func(modules []string) {
-		for _, m := range modules {
-			allowed[m] = true
+// installs reports whether any of the sorted lists holds name.
+func installs(installed [][]string, name string) bool {
+	for _, names := range installed {
+		if _, found := slices.BinarySearch(names, name); found {
+			return true
 		}
 	}
+	return false
+}
+
+// allowedModules collects the sorted package-name lists of every
+// environment tarball among the given objects, one list each. staged
+// are pinned cache objects: one unpacked here has its list retained by
+// the data plane, read once when the tarball was expanded. shared are L1
+// shared FS reads, which by definition retain nothing — their name table
+// is parsed every time, as is a staged tarball nobody asked to unpack.
+// An unreadable manifest is an error wrapping poncho.ErrManifest.
+func (e *executor) allowedModules(staged, shared []*content.Object) ([][]string, error) {
+	installed := make([][]string, 0, len(staged)+len(shared))
 	for _, obj := range staged {
 		modules, retained := e.plane.UnpackedModules(obj.ID)
 		if !retained {
-			modules = dataplane.ParseModules(obj)
+			var err error
+			if modules, err = dataplane.ParseModules(obj); err != nil {
+				return nil, err
+			}
 		}
-		add(modules)
+		installed = append(installed, modules)
 	}
 	for _, obj := range shared {
-		add(dataplane.ParseModules(obj))
+		modules, err := dataplane.ParseModules(obj)
+		if err != nil {
+			return nil, err
+		}
+		installed = append(installed, modules)
 	}
-	return allowed
+	return installed, nil
+}
+
+// stagingFailure is the result for a task whose staging failed. A
+// manifest that does not decode is the task's own failure: its bytes are
+// content-addressed, so a retry anywhere reads the same ones. Anything
+// else is the infrastructure's.
+func stagingFailure(id int64, err error) core.Result {
+	return core.Result{ID: id, Ok: false, Err: err.Error(), Retryable: !errors.Is(err, poncho.ErrManifest)}
 }
 
 // ---- task execution ----
@@ -296,7 +319,7 @@ func (e *executor) task(spec core.TaskSpec) core.Result {
 		pinned = append(pinned, in.Object.ID)
 		if in.Unpack {
 			if _, err := e.plane.MarkUnpacked(obj); err != nil {
-				return infraResult(spec.ID, err)
+				return stagingFailure(spec.ID, err)
 			}
 		}
 		sb.add(obj)
@@ -312,17 +335,21 @@ func (e *executor) task(spec core.TaskSpec) core.Result {
 		sb.add(obj)
 		shared = append(shared, obj)
 	}
+	installed, err := e.allowedModules(staged, shared)
+	if err != nil {
+		return stagingFailure(spec.ID, err)
+	}
 	metrics.WorkerTime = time.Since(start).Seconds()
 
 	// Execute the script.
 	execStart := time.Now()
 	host := &library.Host{
-		Resolve: e.moduleResolver(e.allowedModules(staged, shared), sb),
+		Resolve: e.moduleResolver(installed, sb),
 		Out:     e.stdout(),
 	}
 	ip := minipy.NewInterp(host)
 	ip.StepLimit = e.cfg.StepLimit
-	_, err := ip.RunModule(spec.Script, fmt.Sprintf("task-%d", spec.ID))
+	_, err = ip.RunModule(spec.Script, fmt.Sprintf("task-%d", spec.ID))
 	metrics.ExecTime = time.Since(execStart).Seconds()
 
 	if err != nil {
@@ -392,11 +419,18 @@ func (e *executor) installLibrary(spec core.LibrarySpec) {
 		pinned = append(pinned, obj.ID)
 		if in.Unpack {
 			if _, err := e.plane.MarkUnpacked(obj); err != nil {
-				fail(err, true)
+				// An unreadable manifest is the library's, like a context
+				// setup that raises: it counts toward quarantine.
+				fail(err, !errors.Is(err, poncho.ErrManifest))
 				return
 			}
 		}
 		objs = append(objs, obj)
+	}
+	installed, err := e.allowedModules(objs, nil)
+	if err != nil {
+		fail(err, false)
+		return
 	}
 
 	instance := fmt.Sprintf("%s@%s", spec.Name, e.cfg.ID)
@@ -407,7 +441,7 @@ func (e *executor) installLibrary(spec core.LibrarySpec) {
 		}
 	}
 	host := &library.Host{
-		Resolve:   e.moduleResolver(e.allowedModules(objs, nil), nil),
+		Resolve:   e.moduleResolver(installed, nil),
 		Out:       e.stdout(),
 		Inputs:    inputs,
 		StepLimit: e.cfg.StepLimit,

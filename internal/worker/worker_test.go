@@ -13,6 +13,7 @@ import (
 	"repro/internal/modlib"
 	"repro/internal/poncho"
 	"repro/internal/proto"
+	"repro/internal/sharedfs"
 
 	"repro/internal/minipy"
 	"repro/internal/pickle"
@@ -245,6 +246,52 @@ func TestTaskModuleIsolation(t *testing.T) {
 	res2, _ := proto.DecodeResult(fm.expect(t, proto.MsgResult))
 	if !res2.Ok {
 		t.Errorf("task with environment failed: %s", res2.Err)
+	}
+}
+
+// TestCorruptEnvironmentFailsForGood: a tarball whose manifest does not
+// decode fails what uses it with an error naming the environment, not
+// with an import error in the user's code, and not retryably — the bytes
+// are content-addressed, so any other worker reads the same ones.
+func TestCorruptEnvironmentFailsForGood(t *testing.T) {
+	fm := newFakeManager(t)
+	shared := sharedfs.NewStore()
+	startWorker(t, fm, Config{ID: "w", SharedFS: shared})
+	env := content.NewTarball("bad-env.tar.gz", []byte("not a manifest"), 1, 1)
+	const want = `environment "bad-env.tar.gz": poncho: unreadable environment manifest`
+	if ack := fm.put(t, env, true, true); ack.Ok || !strings.Contains(ack.Err, want) {
+		t.Fatalf("staging with unpack: %+v, want a failed ack naming the manifest", ack)
+	}
+	shared.Put(env)
+
+	script := "import mathx\nimport vine_runtime\nvine_runtime.store_result(1)\n"
+	for _, spec := range []core.TaskSpec{
+		{ID: 1, Inputs: []core.FileSpec{{Object: env, Cache: true, Unpack: true}}},
+		{ID: 2, Inputs: []core.FileSpec{{Object: env, Cache: true}}},
+		{ID: 3, SharedFSReads: []core.FileSpec{{Object: env}}},
+	} {
+		spec.Script, spec.Resources = script, core.Resources{Cores: 1}
+		if err := fm.conn.Send(proto.MsgRunTask, spec); err != nil {
+			t.Fatal(err)
+		}
+		res, _ := proto.DecodeResult(fm.expect(t, proto.MsgResult))
+		if res.Ok || res.Retryable || !strings.Contains(res.Err, want) {
+			t.Errorf("task %d: %+v, want a non-retryable %q", spec.ID, res, want)
+		}
+	}
+
+	for _, unpack := range []bool{true, false} {
+		lib := core.LibrarySpec{
+			Name: "lib", Env: &core.FileSpec{Object: env, Cache: true, Unpack: unpack},
+			Functions: []core.FunctionSpec{{Name: "f", Source: "def f(x):\n    return x\n"}},
+			Resources: core.Resources{Cores: 1, MemoryMB: 64, DiskMB: 64},
+		}
+		if err := fm.conn.Send(proto.MsgInstallLibrary, lib); err != nil {
+			t.Fatal(err)
+		}
+		if ack, _ := proto.Decode[proto.LibraryAck](fm.expect(t, proto.MsgLibraryAck)); ack.Ok || ack.Retryable || !strings.Contains(ack.Err, want) {
+			t.Errorf("install, unpack %v: %+v, want a non-retryable %q", unpack, ack, want)
+		}
 	}
 }
 
