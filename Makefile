@@ -105,6 +105,8 @@ fuzzsmoke:
 	go test -run '^$$' -fuzz '^FuzzRecvBulk$$' -fuzztime 5s ./internal/proto
 	go test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 5s ./internal/pickle
 	go test -run '^$$' -fuzz '^FuzzUnpackManifest$$' -fuzztime 5s ./internal/poncho
+	go test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/minipy
+	go test -run '^$$' -fuzz '^FuzzRebuild$$' -fuzztime 5s ./internal/minipy
 
 # Whole-tree statement coverage (every package's tests counted against
 # every package, ~20 s), and the functions in which no test executes a

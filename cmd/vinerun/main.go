@@ -59,7 +59,7 @@ func run(path string, workers, slots int, fork bool, timeout time.Duration) erro
 	if err != nil {
 		return err
 	}
-	m, err := taskvine.NewManager(taskvine.Options{Out: os.Stdout})
+	m, err := taskvine.NewManager(taskvine.Options{})
 	if err != nil {
 		return err
 	}

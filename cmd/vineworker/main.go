@@ -43,7 +43,6 @@ func main() {
 		GFlops:        *gflops,
 		CacheCapacity: *cacheBytes,
 		Registry:      modlib.Standard(),
-		Out:           os.Stdout,
 	})
 	if err := w.Connect(*managerAddr); err != nil {
 		fmt.Fprintf(os.Stderr, "vineworker: %v\n", err)

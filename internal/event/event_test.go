@@ -27,6 +27,9 @@ func TestSimOrdering(t *testing.T) {
 	if end != 3 {
 		t.Errorf("end time = %f", end)
 	}
+	if s.Events() != 4 {
+		t.Errorf("Events() = %d, want 4", s.Events())
+	}
 }
 
 func TestAfterAndNestedScheduling(t *testing.T) {

@@ -241,13 +241,9 @@ func allNamesTargets(e minipy.Expr) bool {
 func bindStmt(st minipy.Stmt, safe map[string]bool) {
 	switch s := st.(type) {
 	case *minipy.ImportStmt:
-		for _, it := range s.Items {
-			safe[rootName(it.Alias)] = true
-		}
+		safe[s.Item.Alias] = true
 	case *minipy.FromImportStmt:
-		for _, it := range s.Items {
-			safe[it.Alias] = true
-		}
+		safe[s.Item.Alias] = true
 	case *minipy.AssignStmt:
 		bindTarget(s.Target, safe)
 	}
@@ -262,13 +258,6 @@ func bindTarget(e minipy.Expr, safe map[string]bool) {
 			bindTarget(el, safe)
 		}
 	}
-}
-
-func rootName(dotted string) string {
-	if i := strings.IndexByte(dotted, '.'); i >= 0 {
-		return dotted[:i]
-	}
-	return dotted
 }
 
 // exprSafe reports whether every free name the expression reads is a

@@ -2,7 +2,6 @@ package hoist
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 
@@ -18,7 +17,6 @@ func (h *host) ResolveModule(_ *minipy.Interp, name string) (*minipy.ModuleVal, 
 	}
 	return h.reg.Build(name)
 }
-func (h *host) Stdout() io.Writer { return io.Discard }
 
 func newInterp() *minipy.Interp {
 	return minipy.NewInterp(&host{reg: modlib.Standard()})

@@ -8,7 +8,6 @@ package library
 
 import (
 	"fmt"
-	"io"
 	"sync/atomic"
 	"time"
 
@@ -19,14 +18,12 @@ import (
 )
 
 // Host is the library's view of its environment: which modules its
-// unpacked software environment makes importable, where prints go, and
-// which input data objects are bound to the context (the
-// data-to-worker binding of §2.2.1).
+// unpacked software environment makes importable, and which input data
+// objects are bound to the context (the data-to-worker binding of
+// §2.2.1).
 type Host struct {
 	// Resolve builds a module instance, or errors if not installed.
 	Resolve func(ip *minipy.Interp, name string) (*minipy.ModuleVal, error)
-	// Out receives print() output from library code.
-	Out io.Writer
 	// Inputs maps staged input names to their cached objects; library
 	// code reads them through the always-importable vine_data module.
 	Inputs map[string]*content.Object
@@ -61,7 +58,7 @@ func (h *Host) dataModule() *minipy.ModuleVal {
 		}
 		return obj, nil
 	})
-	m.Attrs["names"] = &minipy.Builtin{Name: "names", Fn: func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+	m.Attrs["names"] = &minipy.Builtin{Name: "names", Fn: func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 		l := &minipy.List{}
 		for n := range h.Inputs {
 			l.Elems = append(l.Elems, minipy.Str(n))
@@ -79,14 +76,6 @@ func sortStrs(elems []minipy.Value) []minipy.Value {
 		}
 	}
 	return elems
-}
-
-// Stdout implements minipy.Host.
-func (h *Host) Stdout() io.Writer {
-	if h.Out == nil {
-		return io.Discard
-	}
-	return h.Out
 }
 
 // Library is a running library instance on a worker.

@@ -21,14 +21,14 @@ import (
 // object evicted from the cache while a script still holds its text
 // costs nothing but the memory staying reachable a little longer.
 func ObjectLoaders(lookup func(name string) (*content.Object, error)) (loadText, loadPickle *minipy.Builtin) {
-	loadText = &minipy.Builtin{Name: "load_text", Fn: func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+	loadText = &minipy.Builtin{Name: "load_text", Fn: func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 		obj, err := namedObject(lookup, "load_text", args)
 		if err != nil {
 			return nil, err
 		}
 		return minipy.BorrowStr(obj.Data), nil
 	}}
-	loadPickle = &minipy.Builtin{Name: "load_pickle", Fn: func(ip *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+	loadPickle = &minipy.Builtin{Name: "load_pickle", Fn: func(ip *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 		obj, err := namedObject(lookup, "load_pickle", args)
 		if err != nil {
 			return nil, err

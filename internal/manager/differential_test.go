@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -175,16 +176,12 @@ func newDiffHarness(t *testing.T, level core.ReuseLevel, workers, slots int, opt
 
 // mgrTrace and mgrDump read the manager's decision trace through the
 // deterministic per-shard merge (identical to the shared recorder when
-// Shards == 1).
+// Shards == 1); simDump renders the replay's composed trace.
 func (h *diffHarness) mgrTrace() []string { return h.m.MergedDecisions() }
 
-func (h *diffHarness) mgrDump() string {
-	s := ""
-	for _, line := range h.mgrTrace() {
-		s += line + "\n"
-	}
-	return s
-}
+func (h *diffHarness) mgrDump() string { return strings.Join(h.mgrTrace(), "\n") + "\n" }
+
+func (h *diffHarness) simDump() string { return strings.Join(h.rp.Decisions(), "\n") + "\n" }
 
 // newWorker registers a synthetic worker with the manager, triggering
 // the same capacity wake a real connection would.
@@ -259,10 +256,10 @@ func (h *diffHarness) crossCheck(op string) {
 			h.t.Fatalf("after %s: %s live on the manager, gone from the sim", op, w.id)
 		}
 		if w.v.TransfersOut != wv.TransfersOut {
-			h.t.Fatalf("after %s: %s TransfersOut manager=%d sim=%d\nops: %v\nmgr trace:\n%s\nsim trace:\n%s", op, w.id, w.v.TransfersOut, wv.TransfersOut, h.opLog, h.mgrDump(), h.rp.Dump())
+			h.t.Fatalf("after %s: %s TransfersOut manager=%d sim=%d\nops: %v\nmgr trace:\n%s\nsim trace:\n%s", op, w.id, w.v.TransfersOut, wv.TransfersOut, h.opLog, h.mgrDump(), h.simDump())
 		}
 		if w.v.Commit != wv.Commit {
-			h.t.Fatalf("after %s: %s Commit manager=%+v sim=%+v\nops: %v\nmgr trace:\n%s\nsim trace:\n%s", op, w.id, w.v.Commit, wv.Commit, h.opLog, h.mgrDump(), h.rp.Dump())
+			h.t.Fatalf("after %s: %s Commit manager=%+v sim=%+v\nops: %v\nmgr trace:\n%s\nsim trace:\n%s", op, w.id, w.v.Commit, wv.Commit, h.opLog, h.mgrDump(), h.simDump())
 		}
 		if w.v.Pending[diffEnv] != wv.Pending[diffEnv] {
 			h.t.Fatalf("after %s: %s Pending[env] manager=%v sim=%v", op, w.id, w.v.Pending[diffEnv], wv.Pending[diffEnv])
@@ -416,7 +413,7 @@ func (h *diffHarness) done(w *workerState, id int64) {
 	}
 	if !ok {
 		h.t.Fatalf("sim rejected Complete(%s, task %d) the manager accepted\nops: %v\nmgr trace:\n%s\nsim trace:\n%s",
-			w.id, id, h.opLog, h.mgrDump(), h.rp.Dump())
+			w.id, id, h.opLog, h.mgrDump(), h.simDump())
 	}
 }
 
@@ -442,7 +439,7 @@ func (h *diffHarness) doneRef(w *workerState, id int64) {
 	h.shardOf(w).onResult(w, core.Result{ID: id, Ok: true, Ref: &ref})
 	if !h.rp.CompleteTaskRef(w.id, shardplane.TaskKey(id), ref) {
 		h.t.Fatalf("sim rejected CompleteTaskRef(%s, task %d) the manager accepted\nops: %v\nmgr trace:\n%s\nsim trace:\n%s",
-			w.id, id, h.opLog, h.mgrDump(), h.rp.Dump())
+			w.id, id, h.opLog, h.mgrDump(), h.simDump())
 	}
 }
 
@@ -688,12 +685,12 @@ func (h *diffHarness) diffTracePair(what string, mgr, rep []string) {
 				lo = 0
 			}
 			h.t.Fatalf("%s decision traces diverge at line %d:\n  manager: %q\n  sim:     %q\ncontext (manager):\n  %v\ncontext (sim):\n  %v\nFULL mgr:\n%s\nFULL sim:\n%s",
-				what, i, mgr[i], rep[i], mgr[lo:i+1], rep[lo:i+1], h.mgrDump(), h.rp.Dump())
+				what, i, mgr[i], rep[i], mgr[lo:i+1], rep[lo:i+1], h.mgrDump(), h.simDump())
 		}
 	}
 	if len(mgr) != len(rep) {
 		h.t.Fatalf("%s trace lengths differ: manager=%d sim=%d (first %d lines identical)\nFULL mgr:\n%s\nFULL sim:\n%s",
-			what, len(mgr), len(rep), n, h.mgrDump(), h.rp.Dump())
+			what, len(mgr), len(rep), n, h.mgrDump(), h.simDump())
 	}
 }
 

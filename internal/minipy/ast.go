@@ -38,13 +38,11 @@ func (*Module) stmtNode() {}
 // DefStmt is a function definition: def Name(params): body.
 type DefStmt struct {
 	base
-	Name     string
-	Params   []Param
-	Body     []Stmt
-	Doc      string // docstring, if the first body statement is a string literal
-	EndLine  int    // last source line of the body (for source extraction)
-	SrcStart int    // byte offset of "def" in original source, -1 if unknown
-	SrcEnd   int    // byte offset just past the body, -1 if unknown
+	Name    string
+	Params  []Param
+	Body    []Stmt
+	Doc     string // docstring, if the first body statement is a string literal
+	EndLine int    // last source line of the body (for source extraction)
 }
 
 func (*DefStmt) stmtNode() {}
@@ -63,13 +61,11 @@ type ReturnStmt struct {
 
 func (*ReturnStmt) stmtNode() {}
 
-// IfStmt is an if/elif/else chain; Elifs are flattened by the parser into
-// nested IfStmts in Else.
+// IfStmt runs Body when Cond is true.
 type IfStmt struct {
 	base
 	Cond Expr
 	Body []Stmt
-	Else []Stmt // nil if absent
 }
 
 func (*IfStmt) stmtNode() {}
@@ -83,21 +79,21 @@ type WhileStmt struct {
 
 func (*WhileStmt) stmtNode() {}
 
-// ForStmt is a for-in loop. Multiple targets unpack the iterated value.
+// ForStmt is a for-in loop binding one name per element.
 type ForStmt struct {
 	base
-	Targets []string
-	Iter    Expr
-	Body    []Stmt
+	Target string
+	Iter   Expr
+	Body   []Stmt
 }
 
 func (*ForStmt) stmtNode() {}
 
-// AssignStmt assigns Value to Target. Op is Assign for plain "=", or one
-// of PlusAssign etc. for augmented assignment.
+// AssignStmt assigns Value to Target. Op is Assign for plain "=", or
+// PlusAssign for "+=".
 type AssignStmt struct {
 	base
-	Target Expr // NameExpr, AttrExpr, IndexExpr, or TupleExpr of names
+	Target Expr // NameExpr, IndexExpr, or TupleExpr of those
 	Op     Kind
 	Value  Expr
 }
@@ -112,25 +108,25 @@ type ExprStmt struct {
 
 func (*ExprStmt) stmtNode() {}
 
-// ImportStmt imports one or more modules: import a, b as c.
+// ImportStmt imports a module: import m [as alias].
 type ImportStmt struct {
 	base
-	Items []ImportItem
+	Item ImportItem
 }
 
 func (*ImportStmt) stmtNode() {}
 
-// ImportItem is a single module in an import statement.
+// ImportItem names what an import binds.
 type ImportItem struct {
 	Module string
 	Alias  string // bound name; equals Module if no "as" clause
 }
 
-// FromImportStmt imports names from a module: from m import a, b as c.
+// FromImportStmt imports one name from a module: from m import a [as b].
 type FromImportStmt struct {
 	base
 	Module string
-	Items  []ImportItem // Module field holds the imported name here
+	Item   ImportItem // Module field holds the imported name here
 }
 
 func (*FromImportStmt) stmtNode() {}
@@ -148,43 +144,13 @@ type PassStmt struct{ base }
 
 func (*PassStmt) stmtNode() {}
 
-// BreakStmt exits the innermost loop.
-type BreakStmt struct{ base }
-
-func (*BreakStmt) stmtNode() {}
-
-// ContinueStmt continues the innermost loop.
-type ContinueStmt struct{ base }
-
-func (*ContinueStmt) stmtNode() {}
-
-// DelStmt removes a binding or container element.
-type DelStmt struct {
-	base
-	Target Expr
-}
-
-func (*DelStmt) stmtNode() {}
-
 // RaiseStmt raises a runtime error with the given message value.
 type RaiseStmt struct {
 	base
-	Value Expr // nil re-raises inside except
+	Value Expr
 }
 
 func (*RaiseStmt) stmtNode() {}
-
-// TryStmt is try/except/finally. Only a single catch-all except clause
-// (optionally binding the error message) is supported.
-type TryStmt struct {
-	base
-	Body    []Stmt
-	ErrName string // bound name in except clause; "" if unbound
-	Except  []Stmt // nil if no except clause
-	Finally []Stmt // nil if no finally clause
-}
-
-func (*TryStmt) stmtNode() {}
 
 // AssertStmt checks a condition and raises if false.
 type AssertStmt struct {
@@ -267,7 +233,7 @@ type DictLit struct {
 
 func (*DictLit) exprNode() {}
 
-// BinExpr is a binary arithmetic/comparison expression.
+// BinExpr is a binary arithmetic or comparison expression.
 type BinExpr struct {
 	base
 	Op    Kind
@@ -277,40 +243,22 @@ type BinExpr struct {
 
 func (*BinExpr) exprNode() {}
 
-// BoolExpr is short-circuit "and"/"or".
-type BoolExpr struct {
-	base
-	Op    Kind // KwAnd or KwOr
-	Left  Expr
-	Right Expr
-}
-
-func (*BoolExpr) exprNode() {}
-
-// UnaryExpr is -x, +x, or not x.
+// UnaryExpr is -Operand.
 type UnaryExpr struct {
 	base
-	Op      Kind // Minus, Plus, KwNot
 	Operand Expr
 }
 
 func (*UnaryExpr) exprNode() {}
 
-// CallExpr calls Func with positional and keyword arguments.
+// CallExpr calls Func with positional arguments.
 type CallExpr struct {
 	base
-	Func   Expr
-	Args   []Expr
-	KwArgs []KwArg
+	Func Expr
+	Args []Expr
 }
 
 func (*CallExpr) exprNode() {}
-
-// KwArg is a keyword argument in a call.
-type KwArg struct {
-	Name  string
-	Value Expr
-}
 
 // AttrExpr accesses an attribute: X.Name.
 type AttrExpr struct {
@@ -349,7 +297,7 @@ type LambdaExpr struct {
 
 func (*LambdaExpr) exprNode() {}
 
-// CondExpr is the ternary "A if Cond else B".
+// CondExpr is the ternary "Then if Cond else Else".
 type CondExpr struct {
 	base
 	Cond Expr
@@ -359,132 +307,85 @@ type CondExpr struct {
 
 func (*CondExpr) exprNode() {}
 
-// InExpr tests membership: X in Container (negated if Not is set).
-type InExpr struct {
-	base
-	X         Expr
-	Container Expr
-	Not       bool
-}
-
-func (*InExpr) exprNode() {}
-
 // Walk visits every node in the subtree rooted at n in depth-first
 // pre-order, calling fn for each. If fn returns false the node's
 // children are not visited.
 func Walk(n Node, fn func(Node) bool) {
-	if n == nil || !fn(n) {
-		return
-	}
-	walkChildren(n, fn)
-}
-
-func walkStmts(stmts []Stmt, fn func(Node) bool) {
-	for _, s := range stmts {
-		Walk(s, fn)
+	if n != nil && fn(n) {
+		eachChild(n, func(c Node) { Walk(c, fn) })
 	}
 }
 
-func walkExprs(exprs []Expr, fn func(Node) bool) {
-	for _, e := range exprs {
-		if e != nil {
-			Walk(e, fn)
+// eachChild calls fn on each direct child of n, in a fixed order. It is
+// the one place that knows a node's children: Walk and the parser's
+// depth check are both built on it.
+func eachChild(n Node, fn func(Node)) {
+	stmts := func(body []Stmt) {
+		for _, s := range body {
+			fn(s)
 		}
 	}
-}
-
-func walkChildren(n Node, fn func(Node) bool) {
+	exprs := func(es ...Expr) {
+		for _, e := range es {
+			if e != nil {
+				fn(e)
+			}
+		}
+	}
+	params := func(ps []Param) {
+		for _, p := range ps {
+			exprs(p.Default)
+		}
+	}
 	switch v := n.(type) {
 	case *Module:
-		walkStmts(v.Body, fn)
+		stmts(v.Body)
 	case *DefStmt:
-		for _, p := range v.Params {
-			if p.Default != nil {
-				Walk(p.Default, fn)
-			}
-		}
-		walkStmts(v.Body, fn)
+		params(v.Params)
+		stmts(v.Body)
 	case *ReturnStmt:
-		if v.Value != nil {
-			Walk(v.Value, fn)
-		}
+		exprs(v.Value)
 	case *IfStmt:
-		Walk(v.Cond, fn)
-		walkStmts(v.Body, fn)
-		walkStmts(v.Else, fn)
+		exprs(v.Cond)
+		stmts(v.Body)
 	case *WhileStmt:
-		Walk(v.Cond, fn)
-		walkStmts(v.Body, fn)
+		exprs(v.Cond)
+		stmts(v.Body)
 	case *ForStmt:
-		Walk(v.Iter, fn)
-		walkStmts(v.Body, fn)
+		exprs(v.Iter)
+		stmts(v.Body)
 	case *AssignStmt:
-		Walk(v.Target, fn)
-		Walk(v.Value, fn)
+		exprs(v.Target, v.Value)
 	case *ExprStmt:
-		Walk(v.Value, fn)
-	case *DelStmt:
-		Walk(v.Target, fn)
+		exprs(v.Value)
 	case *RaiseStmt:
-		if v.Value != nil {
-			Walk(v.Value, fn)
-		}
-	case *TryStmt:
-		walkStmts(v.Body, fn)
-		walkStmts(v.Except, fn)
-		walkStmts(v.Finally, fn)
+		exprs(v.Value)
 	case *AssertStmt:
-		Walk(v.Cond, fn)
-		if v.Msg != nil {
-			Walk(v.Msg, fn)
-		}
+		exprs(v.Cond, v.Msg)
 	case *ListLit:
-		walkExprs(v.Elems, fn)
+		exprs(v.Elems...)
 	case *TupleExpr:
-		walkExprs(v.Elems, fn)
+		exprs(v.Elems...)
 	case *DictLit:
-		walkExprs(v.Keys, fn)
-		walkExprs(v.Values, fn)
+		exprs(v.Keys...)
+		exprs(v.Values...)
 	case *BinExpr:
-		Walk(v.Left, fn)
-		Walk(v.Right, fn)
-	case *BoolExpr:
-		Walk(v.Left, fn)
-		Walk(v.Right, fn)
+		exprs(v.Left, v.Right)
 	case *UnaryExpr:
-		Walk(v.Operand, fn)
+		exprs(v.Operand)
 	case *CallExpr:
-		Walk(v.Func, fn)
-		walkExprs(v.Args, fn)
-		for _, kw := range v.KwArgs {
-			Walk(kw.Value, fn)
-		}
+		exprs(v.Func)
+		exprs(v.Args...)
 	case *AttrExpr:
-		Walk(v.X, fn)
+		exprs(v.X)
 	case *IndexExpr:
-		Walk(v.X, fn)
-		Walk(v.Index, fn)
+		exprs(v.X, v.Index)
 	case *SliceExpr:
-		Walk(v.X, fn)
-		if v.Lo != nil {
-			Walk(v.Lo, fn)
-		}
-		if v.Hi != nil {
-			Walk(v.Hi, fn)
-		}
+		exprs(v.X, v.Lo, v.Hi)
 	case *LambdaExpr:
-		for _, p := range v.Params {
-			if p.Default != nil {
-				Walk(p.Default, fn)
-			}
-		}
-		Walk(v.Body, fn)
+		params(v.Params)
+		exprs(v.Body)
 	case *CondExpr:
-		Walk(v.Cond, fn)
-		Walk(v.Then, fn)
-		Walk(v.Else, fn)
-	case *InExpr:
-		Walk(v.X, fn)
-		Walk(v.Container, fn)
+		exprs(v.Cond, v.Then, v.Else)
 	}
 }

@@ -40,16 +40,6 @@ func (e *Env) GetLocal(name string) (Value, bool) {
 // Set binds a name in this frame.
 func (e *Env) Set(name string, v Value) { e.vars[name] = v }
 
-// Delete removes a binding from this frame, reporting whether it
-// existed.
-func (e *Env) Delete(name string) bool {
-	if _, ok := e.vars[name]; ok {
-		delete(e.vars, name)
-		return true
-	}
-	return false
-}
-
 // Parent returns the enclosing environment, or nil.
 func (e *Env) Parent() *Env { return e.parent }
 

@@ -116,50 +116,30 @@ func collectFreeStmts(body []Stmt, boundIn map[string]bool, free map[string]bool
 }
 
 func findBound(s Stmt, bound, globals map[string]bool) {
+	var body []Stmt
 	switch st := s.(type) {
 	case *AssignStmt:
 		bindTargets(st.Target, bound)
 	case *ForStmt:
-		for _, t := range st.Targets {
-			bound[t] = true
-		}
-		for _, b := range st.Body {
-			findBound(b, bound, globals)
-		}
+		bound[st.Target] = true
+		body = st.Body
 	case *DefStmt:
 		bound[st.Name] = true
 	case *ImportStmt:
-		for _, it := range st.Items {
-			bound[rootName(it.Alias)] = true
-		}
+		bound[st.Item.Alias] = true
 	case *FromImportStmt:
-		for _, it := range st.Items {
-			bound[it.Alias] = true
-		}
+		bound[st.Item.Alias] = true
 	case *GlobalStmt:
 		for _, n := range st.Names {
 			globals[n] = true
 		}
 	case *IfStmt:
-		for _, b := range st.Body {
-			findBound(b, bound, globals)
-		}
-		for _, b := range st.Else {
-			findBound(b, bound, globals)
-		}
+		body = st.Body
 	case *WhileStmt:
-		for _, b := range st.Body {
-			findBound(b, bound, globals)
-		}
-	case *TryStmt:
-		if st.ErrName != "" {
-			bound[st.ErrName] = true
-		}
-		for _, blk := range [][]Stmt{st.Body, st.Except, st.Finally} {
-			for _, b := range blk {
-				findBound(b, bound, globals)
-			}
-		}
+		body = st.Body
+	}
+	for _, b := range body {
+		findBound(b, bound, globals)
 	}
 }
 
@@ -172,13 +152,6 @@ func bindTargets(e Expr, bound map[string]bool) {
 			bindTargets(el, bound)
 		}
 	}
-}
-
-func rootName(dotted string) string {
-	if i := strings.IndexByte(dotted, '.'); i >= 0 {
-		return dotted[:i]
-	}
-	return dotted
 }
 
 func collectFree(body []Stmt, bound, free map[string]bool) {
@@ -204,46 +177,25 @@ func walkStmtFree(s Stmt, bound, free map[string]bool) {
 	case *AssignStmt:
 		walkExprFree(st.Value, bound, free)
 		walkAssignTargetFree(st.Target, bound, free)
-	case *ExprStmt:
-		walkExprFree(st.Value, bound, free)
-	case *ReturnStmt:
-		if st.Value != nil {
-			walkExprFree(st.Value, bound, free)
-		}
 	case *IfStmt:
 		walkExprFree(st.Cond, bound, free)
 		collectFree(st.Body, bound, free)
-		collectFree(st.Else, bound, free)
 	case *WhileStmt:
 		walkExprFree(st.Cond, bound, free)
 		collectFree(st.Body, bound, free)
 	case *ForStmt:
 		walkExprFree(st.Iter, bound, free)
 		collectFree(st.Body, bound, free)
-	case *DelStmt:
-		walkExprFree(st.Target, bound, free)
-	case *RaiseStmt:
-		if st.Value != nil {
-			walkExprFree(st.Value, bound, free)
-		}
-	case *TryStmt:
-		collectFree(st.Body, bound, free)
-		collectFree(st.Except, bound, free)
-		collectFree(st.Finally, bound, free)
-	case *AssertStmt:
-		walkExprFree(st.Cond, bound, free)
-		if st.Msg != nil {
-			walkExprFree(st.Msg, bound, free)
-		}
+	default:
+		// The rest hold expressions only.
+		eachChild(s, func(c Node) { walkExprFree(c.(Expr), bound, free) })
 	}
 }
 
-// walkAssignTargetFree records names read by attribute/index targets
-// (the container is read even though the element is written).
+// walkAssignTargetFree records names read by index targets (the
+// container is read even though the element is written).
 func walkAssignTargetFree(e Expr, bound, free map[string]bool) {
 	switch t := e.(type) {
-	case *AttrExpr:
-		walkExprFree(t.X, bound, free)
 	case *IndexExpr:
 		walkExprFree(t.X, bound, free)
 		walkExprFree(t.Index, bound, free)
@@ -254,69 +206,49 @@ func walkAssignTargetFree(e Expr, bound, free map[string]bool) {
 	}
 }
 
+// walkExprFree records the names e reads that bound does not hold; a
+// lambda inside binds its own parameters.
 func walkExprFree(e Expr, bound, free map[string]bool) {
-	switch ex := e.(type) {
-	case *NameExpr:
-		if !bound[ex.Name] {
-			free[ex.Name] = true
-		}
-	case *LambdaExpr:
-		inner := map[string]bool{}
-		for k := range bound {
-			inner[k] = true
-		}
-		for _, p := range ex.Params {
-			if p.Default != nil {
-				walkExprFree(p.Default, bound, free)
+	Walk(e, func(n Node) bool {
+		switch v := n.(type) {
+		case *NameExpr:
+			if !bound[v.Name] {
+				free[v.Name] = true
 			}
-			inner[p.Name] = true
+		case *LambdaExpr:
+			inner := map[string]bool{}
+			for k := range bound {
+				inner[k] = true
+			}
+			for _, p := range v.Params {
+				if p.Default != nil {
+					walkExprFree(p.Default, bound, free)
+				}
+				inner[p.Name] = true
+			}
+			walkExprFree(v.Body, inner, free)
+			return false
 		}
-		walkExprFree(ex.Body, inner, free)
-	default:
-		Walk(e, func(n Node) bool {
-			switch v := n.(type) {
-			case *NameExpr:
-				if !bound[v.Name] {
-					free[v.Name] = true
-				}
-			case *LambdaExpr:
-				if v != e {
-					walkExprFree(v, bound, free)
-					return false
-				}
+		return true
+	})
+}
+
+// ImportedModules scans a function's code (including nested functions)
+// for import statements and returns the module names, sorted and
+// deduplicated; a lambda, an expression, imports nothing. This is the
+// AST scan the Poncho toolkit performs to infer software dependencies.
+func ImportedModules(f *Func) []string {
+	seen := map[string]bool{}
+	for _, s := range f.Body {
+		Walk(s, func(n Node) bool {
+			switch st := n.(type) {
+			case *ImportStmt:
+				seen[st.Item.Module] = true
+			case *FromImportStmt:
+				seen[st.Module] = true
 			}
 			return true
 		})
-	}
-}
-
-// ImportedModules scans a function's code (including nested functions
-// and lambdas) for import statements and returns the top-level module
-// names, sorted and deduplicated. This is the AST scan the Poncho
-// toolkit performs to infer software dependencies.
-func ImportedModules(f *Func) []string {
-	seen := map[string]bool{}
-	var scan func(stmts []Stmt)
-	scan = func(stmts []Stmt) {
-		for _, s := range stmts {
-			Walk(s, func(n Node) bool {
-				switch st := n.(type) {
-				case *ImportStmt:
-					for _, it := range st.Items {
-						seen[rootName(it.Module)] = true
-					}
-				case *FromImportStmt:
-					seen[rootName(st.Module)] = true
-				}
-				return true
-			})
-		}
-	}
-	if f.Body != nil {
-		scan(f.Body)
-	}
-	if f.Expr != nil {
-		scan([]Stmt{&ExprStmt{Value: f.Expr}})
 	}
 	out := make([]string, 0, len(seen))
 	for n := range seen {

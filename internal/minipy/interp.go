@@ -2,22 +2,18 @@ package minipy
 
 import (
 	"fmt"
-	"io"
 	"math"
-	"strings"
 	"sync"
 )
 
 // Host provides the interpreter's view of its surroundings: which
 // modules are importable (on a worker this is the unpacked software
-// environment) and where print output goes. Implementations live in the
-// worker and library runtimes.
+// environment). Implementations live in the worker and library
+// runtimes.
 type Host interface {
 	// ResolveModule returns the module for an import statement, or an
 	// error if the module is not installed in the current environment.
 	ResolveModule(ip *Interp, name string) (*ModuleVal, error)
-	// Stdout is the destination for print().
-	Stdout() io.Writer
 }
 
 // RuntimeError is a MiniPy-level runtime error (including those raised
@@ -34,15 +30,11 @@ func (e *RuntimeError) Error() string {
 	return "minipy: runtime error: " + e.Msg
 }
 
-// Control-flow signals are implemented as sentinel error types that
-// propagate out of exec until caught by the enclosing construct.
+// returnSignal is the sentinel error a return statement propagates out
+// of exec until the enclosing call catches it.
 type returnSignal struct{}
-type breakSignal struct{}
-type continueSignal struct{}
 
-func (returnSignal) Error() string   { return "return outside function" }
-func (breakSignal) Error() string    { return "break outside loop" }
-func (continueSignal) Error() string { return "continue outside loop" }
+func (returnSignal) Error() string { return "return outside function" }
 
 // errReturn is the singleton return signal; the value travels in the
 // frame (frame.ret), so signalling a return allocates nothing.
@@ -69,21 +61,18 @@ type Interp struct {
 	envFree []*Env
 }
 
-// defaultHost is used when no host is supplied: no importable modules,
-// print to io.Discard.
-type defaultHost struct{ out io.Writer }
+// defaultHost is used when no host is supplied: no importable modules.
+type defaultHost struct{}
 
-func (h defaultHost) ResolveModule(_ *Interp, name string) (*ModuleVal, error) {
+func (defaultHost) ResolveModule(_ *Interp, name string) (*ModuleVal, error) {
 	return nil, fmt.Errorf("no module named '%s'", name)
 }
-func (h defaultHost) Stdout() io.Writer { return h.out }
 
 // NewInterp creates an interpreter with the given host. A nil host
-// yields an interpreter with no importable modules and discarded print
-// output.
+// yields an interpreter with no importable modules.
 func NewInterp(host Host) *Interp {
 	if host == nil {
-		host = defaultHost{out: io.Discard}
+		host = defaultHost{}
 	}
 	return &Interp{host: host, modules: newModuleCache(), MaxDepth: 200}
 }
@@ -150,8 +139,7 @@ func (ip *Interp) RunModule(src, modName string) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	globals := NewEnv(nil)
-	ip.installUniversalBuiltins(globals)
+	globals := ip.NewGlobals()
 	if err := ip.ExecBlockWithSource(mod.Body, globals, src, modName); err != nil {
 		return nil, err
 	}
@@ -180,9 +168,13 @@ func (ip *Interp) Eval(src string, env *Env) (Value, error) {
 	return ip.eval(e, fr)
 }
 
-// Call invokes a callable MiniPy value with the given arguments.
+// Call invokes a callable MiniPy value with the given positional
+// arguments. MiniPy has no keyword arguments: kwargs must be empty.
 func (ip *Interp) Call(fn Value, args []Value, kwargs map[string]Value) (Value, error) {
-	return ip.callValue(fn, args, kwargs, 0)
+	if len(kwargs) > 0 {
+		return nil, &RuntimeError{Msg: "keyword arguments are not supported"}
+	}
+	return ip.callValue(fn, args, 0)
 }
 
 // frame carries the per-invocation execution state: the local
@@ -213,34 +205,33 @@ func (ip *Interp) exec(s Stmt, fr *frame) error {
 		_, err := ip.eval(st.Value, fr)
 		return err
 	case *AssignStmt:
-		return ip.execAssign(st, fr)
-	case *DefStmt:
-		fn := &Func{
-			Name:    st.Name,
-			Params:  st.Params,
-			Body:    st.Body,
-			Globals: fr.env.Root(),
-			Doc:     st.Doc,
-			Def:     st,
-			Source:  fr.src,
-			Module:  fr.module,
-		}
-		if fr.env.Parent() != nil {
-			fn.Closure = fr.env
-			markEscaped(fr.env)
-		}
-		// Evaluate default expressions at definition time.
-		if err := ip.bindDefaults(fn, fr); err != nil {
+		val, err := ip.eval(st.Value, fr)
+		if err != nil {
 			return err
 		}
+		if st.Op == PlusAssign {
+			cur, err := ip.eval(st.Target, fr)
+			if err != nil {
+				return err
+			}
+			if val, err = binaryOp(Plus, cur, val, st.Pos()); err != nil {
+				return err
+			}
+		}
+		return ip.assignTo(st.Target, val, fr)
+	case *DefStmt:
+		fn, err := ip.newFunc(st.Name, st.Params, fr)
+		if err != nil {
+			return err
+		}
+		fn.Body, fn.Doc, fn.Def, fn.Source = st.Body, st.Doc, st, fr.src
 		fr.env.Set(st.Name, fn)
 		return nil
 	case *ReturnStmt:
 		var v Value = NoneValue
 		if st.Value != nil {
 			var err error
-			v, err = ip.eval(st.Value, fr)
-			if err != nil {
+			if v, err = ip.eval(st.Value, fr); err != nil {
 				return err
 			}
 		}
@@ -248,29 +239,17 @@ func (ip *Interp) exec(s Stmt, fr *frame) error {
 		return errReturn
 	case *IfStmt:
 		cond, err := ip.eval(st.Cond, fr)
-		if err != nil {
+		if err != nil || !cond.Truth() {
 			return err
 		}
-		if cond.Truth() {
-			return ip.execBlock(st.Body, fr)
-		}
-		return ip.execBlock(st.Else, fr)
+		return ip.execBlock(st.Body, fr)
 	case *WhileStmt:
 		for {
 			cond, err := ip.eval(st.Cond, fr)
-			if err != nil {
+			if err != nil || !cond.Truth() {
 				return err
 			}
-			if !cond.Truth() {
-				return nil
-			}
 			if err := ip.execBlock(st.Body, fr); err != nil {
-				if _, ok := err.(breakSignal); ok {
-					return nil
-				}
-				if _, ok := err.(continueSignal); ok {
-					continue
-				}
 				return err
 			}
 		}
@@ -279,47 +258,36 @@ func (ip *Interp) exec(s Stmt, fr *frame) error {
 		if err != nil {
 			return err
 		}
-		items, err := iterate(iter, st.Pos())
-		if err != nil {
-			return err
+		l, ok := iter.(*List)
+		if !ok {
+			return rtErrf(st.Pos(), "'%s' object is not iterable", iter.Type())
 		}
-		for _, item := range items {
-			if err := ip.bindForTargets(st, item, fr); err != nil {
-				return err
-			}
+		// The loop runs over the list as it was when the loop began.
+		for _, item := range append([]Value(nil), l.Elems...) {
+			ip.setName(st.Target, item, fr)
 			if err := ip.execBlock(st.Body, fr); err != nil {
-				if _, ok := err.(breakSignal); ok {
-					return nil
-				}
-				if _, ok := err.(continueSignal); ok {
-					continue
-				}
 				return err
 			}
 		}
 		return nil
 	case *ImportStmt:
-		for _, item := range st.Items {
-			mod, err := ip.importModule(item.Module, st.Pos())
-			if err != nil {
-				return err
-			}
-			// Respect `global name` declarations, as Python does.
-			ip.setName(item.Alias, mod, fr)
+		mod, err := ip.importModule(st.Item.Module, st.Pos())
+		if err != nil {
+			return err
 		}
+		// Respect `global name` declarations, as Python does.
+		ip.setName(st.Item.Alias, mod, fr)
 		return nil
 	case *FromImportStmt:
 		mod, err := ip.importModule(st.Module, st.Pos())
 		if err != nil {
 			return err
 		}
-		for _, item := range st.Items {
-			v, ok := mod.Attrs[item.Module]
-			if !ok {
-				return rtErrf(st.Pos(), "cannot import name '%s' from '%s'", item.Module, st.Module)
-			}
-			ip.setName(item.Alias, v, fr)
+		v, ok := mod.Attrs[st.Item.Module]
+		if !ok {
+			return rtErrf(st.Pos(), "cannot import name '%s' from '%s'", st.Item.Module, st.Module)
 		}
+		ip.setName(st.Item.Alias, v, fr)
 		return nil
 	case *GlobalStmt:
 		if fr.globals == nil {
@@ -331,55 +299,26 @@ func (ip *Interp) exec(s Stmt, fr *frame) error {
 		return nil
 	case *PassStmt:
 		return nil
-	case *BreakStmt:
-		return breakSignal{}
-	case *ContinueStmt:
-		return continueSignal{}
-	case *DelStmt:
-		return ip.execDel(st, fr)
 	case *RaiseStmt:
-		msg := "exception"
-		if st.Value != nil {
-			v, err := ip.eval(st.Value, fr)
-			if err != nil {
-				return err
-			}
-			msg = ToStr(v)
-		}
-		return &RuntimeError{Msg: msg, Line: st.Pos()}
-	case *TryStmt:
-		err := ip.execBlock(st.Body, fr)
-		if err != nil {
-			if re, ok := err.(*RuntimeError); ok && st.Except != nil {
-				if st.ErrName != "" {
-					fr.env.Set(st.ErrName, Str(re.Msg))
-				}
-				err = ip.execBlock(st.Except, fr)
-			}
-		}
-		if st.Finally != nil {
-			if ferr := ip.execBlock(st.Finally, fr); ferr != nil {
-				return ferr
-			}
-		}
-		return err
-	case *AssertStmt:
-		cond, err := ip.eval(st.Cond, fr)
+		v, err := ip.eval(st.Value, fr)
 		if err != nil {
 			return err
 		}
-		if !cond.Truth() {
-			msg := "assertion failed"
-			if st.Msg != nil {
-				mv, err := ip.eval(st.Msg, fr)
-				if err != nil {
-					return err
-				}
-				msg = "assertion failed: " + ToStr(mv)
-			}
-			return &RuntimeError{Msg: msg, Line: st.Pos()}
+		return &RuntimeError{Msg: ToStr(v), Line: st.Pos()}
+	case *AssertStmt:
+		cond, err := ip.eval(st.Cond, fr)
+		if err != nil || cond.Truth() {
+			return err
 		}
-		return nil
+		msg := "assertion failed"
+		if st.Msg != nil {
+			mv, err := ip.eval(st.Msg, fr)
+			if err != nil {
+				return err
+			}
+			msg += ": " + ToStr(mv)
+		}
+		return &RuntimeError{Msg: msg, Line: st.Pos()}
 	}
 	return rtErrf(s.Pos(), "unsupported statement %T", s)
 }
@@ -393,20 +332,27 @@ func (ip *Interp) execBlock(body []Stmt, fr *frame) error {
 	return nil
 }
 
-func (ip *Interp) bindDefaults(fn *Func, fr *frame) error {
-	params := make([]Param, len(fn.Params))
-	copy(params, fn.Params)
+// newFunc makes the function a def or lambda evaluates to: it closes
+// over the frame's environment below module level, and its defaults
+// are evaluated now, at definition time.
+func (ip *Interp) newFunc(name string, params []Param, fr *frame) (*Func, error) {
+	fn := &Func{Name: name, Globals: fr.env.Root(), Module: fr.module}
+	if fr.env.Parent() != nil {
+		fn.Closure = fr.env
+		markEscaped(fr.env)
+	}
+	fn.Params = make([]Param, len(params))
+	copy(fn.Params, params)
 	for i, p := range params {
 		if p.Default != nil {
 			v, err := ip.eval(p.Default, fr)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			params[i].Default = &evaluatedDefault{base: base{Line: 0}, value: v, orig: p.Default}
+			fn.Params[i].Default = &evaluatedDefault{value: v, orig: p.Default}
 		}
 	}
-	fn.Params = params
-	return nil
+	return fn, nil
 }
 
 // evaluatedDefault wraps a pre-evaluated default value so calls don't
@@ -421,24 +367,6 @@ type evaluatedDefault struct {
 
 func (*evaluatedDefault) exprNode() {}
 
-func (ip *Interp) bindForTargets(st *ForStmt, item Value, fr *frame) error {
-	if len(st.Targets) == 1 {
-		ip.setName(st.Targets[0], item, fr)
-		return nil
-	}
-	elems, ok := sequenceElems(item)
-	if !ok {
-		return rtErrf(st.Pos(), "cannot unpack non-sequence %s", item.Type())
-	}
-	if len(elems) != len(st.Targets) {
-		return rtErrf(st.Pos(), "cannot unpack %d values into %d targets", len(elems), len(st.Targets))
-	}
-	for i, t := range st.Targets {
-		ip.setName(t, elems[i], fr)
-	}
-	return nil
-}
-
 // setName binds name respecting any `global` declaration in the frame.
 func (ip *Interp) setName(name string, v Value, fr *frame) {
 	if fr.isGlobal(name) {
@@ -448,46 +376,11 @@ func (ip *Interp) setName(name string, v Value, fr *frame) {
 	fr.env.Set(name, v)
 }
 
-func (ip *Interp) execAssign(st *AssignStmt, fr *frame) error {
-	val, err := ip.eval(st.Value, fr)
-	if err != nil {
-		return err
-	}
-	if st.Op != Assign {
-		cur, err := ip.eval(st.Target, fr)
-		if err != nil {
-			return err
-		}
-		var op Kind
-		switch st.Op {
-		case PlusAssign:
-			op = Plus
-		case MinusAssign:
-			op = Minus
-		case StarAssign:
-			op = Star
-		case SlashAssign:
-			op = Slash
-		}
-		val, err = binaryOp(op, cur, val, st.Pos())
-		if err != nil {
-			return err
-		}
-	}
-	return ip.assignTo(st.Target, val, fr)
-}
-
 func (ip *Interp) assignTo(target Expr, val Value, fr *frame) error {
 	switch t := target.(type) {
 	case *NameExpr:
 		ip.setName(t.Name, val, fr)
 		return nil
-	case *AttrExpr:
-		obj, err := ip.eval(t.X, fr)
-		if err != nil {
-			return err
-		}
-		return setAttr(obj, t.Name, val, t.Pos())
 	case *IndexExpr:
 		obj, err := ip.eval(t.X, fr)
 		if err != nil {
@@ -514,57 +407,6 @@ func (ip *Interp) assignTo(target Expr, val Value, fr *frame) error {
 		return nil
 	}
 	return rtErrf(target.Pos(), "invalid assignment target %T", target)
-}
-
-func (ip *Interp) execDel(st *DelStmt, fr *frame) error {
-	switch t := st.Target.(type) {
-	case *NameExpr:
-		if fr.isGlobal(t.Name) {
-			if !fr.env.Root().Delete(t.Name) {
-				return rtErrf(st.Pos(), "name '%s' is not defined", t.Name)
-			}
-			return nil
-		}
-		if !fr.env.Delete(t.Name) {
-			return rtErrf(st.Pos(), "name '%s' is not defined", t.Name)
-		}
-		return nil
-	case *IndexExpr:
-		obj, err := ip.eval(t.X, fr)
-		if err != nil {
-			return err
-		}
-		idx, err := ip.eval(t.Index, fr)
-		if err != nil {
-			return err
-		}
-		switch c := obj.(type) {
-		case *Dict:
-			if !c.Delete(idx) {
-				return rtErrf(st.Pos(), "KeyError: %s", idx.Repr())
-			}
-			return nil
-		case *List:
-			i, err := listIndex(c, idx, st.Pos())
-			if err != nil {
-				return err
-			}
-			c.Elems = append(c.Elems[:i], c.Elems[i+1:]...)
-			return nil
-		}
-		return rtErrf(st.Pos(), "cannot delete from %s", obj.Type())
-	case *AttrExpr:
-		obj, err := ip.eval(t.X, fr)
-		if err != nil {
-			return err
-		}
-		if o, ok := obj.(*Object); ok {
-			delete(o.Attrs, t.Name)
-			return nil
-		}
-		return rtErrf(st.Pos(), "cannot delete attribute of %s", obj.Type())
-	}
-	return rtErrf(st.Pos(), "invalid del target")
 }
 
 func (ip *Interp) importModule(name string, line int) (*ModuleVal, error) {
@@ -599,34 +441,24 @@ func (ip *Interp) eval(e Expr, fr *frame) (Value, error) {
 	case *evaluatedDefault:
 		return ex.value, nil
 	case *NameExpr:
+		env := fr.env
 		if fr.isGlobal(ex.Name) {
-			if v, ok := fr.env.Root().GetLocal(ex.Name); ok {
-				return v, nil
-			}
-			return nil, rtErrf(ex.Pos(), "name '%s' is not defined", ex.Name)
+			env = env.Root()
 		}
-		if v, ok := fr.env.Get(ex.Name); ok {
+		if v, ok := env.Get(ex.Name); ok {
 			return v, nil
 		}
 		return nil, rtErrf(ex.Pos(), "name '%s' is not defined", ex.Name)
 	case *ListLit:
-		elems := make([]Value, len(ex.Elems))
-		for i, el := range ex.Elems {
-			v, err := ip.eval(el, fr)
-			if err != nil {
-				return nil, err
-			}
-			elems[i] = v
+		elems, err := ip.evalAll(ex.Elems, fr)
+		if err != nil {
+			return nil, err
 		}
 		return &List{Elems: elems}, nil
 	case *TupleExpr:
-		elems := make([]Value, len(ex.Elems))
-		for i, el := range ex.Elems {
-			v, err := ip.eval(el, fr)
-			if err != nil {
-				return nil, err
-			}
-			elems[i] = v
+		elems, err := ip.evalAll(ex.Elems, fr)
+		if err != nil {
+			return nil, err
 		}
 		return &Tuple{Elems: elems}, nil
 	case *DictLit:
@@ -655,48 +487,18 @@ func (ip *Interp) eval(e Expr, fr *frame) (Value, error) {
 			return nil, err
 		}
 		return binaryOp(ex.Op, left, right, ex.Pos())
-	case *BoolExpr:
-		left, err := ip.eval(ex.Left, fr)
-		if err != nil {
-			return nil, err
-		}
-		if ex.Op == KwAnd {
-			if !left.Truth() {
-				return left, nil
-			}
-		} else if left.Truth() {
-			return left, nil
-		}
-		return ip.eval(ex.Right, fr)
 	case *UnaryExpr:
 		v, err := ip.eval(ex.Operand, fr)
 		if err != nil {
 			return nil, err
 		}
-		switch ex.Op {
-		case Minus:
-			switch n := v.(type) {
-			case Int:
-				return -n, nil
-			case Float:
-				return -n, nil
-			case Bool:
-				if n {
-					return Int(-1), nil
-				}
-				return Int(0), nil
-			}
-			return nil, rtErrf(ex.Pos(), "bad operand type for unary -: '%s'", v.Type())
-		case Plus:
-			switch v.(type) {
-			case Int, Float, Bool:
-				return v, nil
-			}
-			return nil, rtErrf(ex.Pos(), "bad operand type for unary +: '%s'", v.Type())
-		case KwNot:
-			return Bool(!v.Truth()), nil
+		switch n := v.(type) {
+		case Int:
+			return -n, nil
+		case Float:
+			return -n, nil
 		}
-		return nil, rtErrf(ex.Pos(), "unsupported unary operator")
+		return nil, rtErrf(ex.Pos(), "bad operand type for unary -: '%s'", v.Type())
 	case *CondExpr:
 		cond, err := ip.eval(ex.Cond, fr)
 		if err != nil {
@@ -706,70 +508,29 @@ func (ip *Interp) eval(e Expr, fr *frame) (Value, error) {
 			return ip.eval(ex.Then, fr)
 		}
 		return ip.eval(ex.Else, fr)
-	case *InExpr:
-		x, err := ip.eval(ex.X, fr)
-		if err != nil {
-			return nil, err
-		}
-		c, err := ip.eval(ex.Container, fr)
-		if err != nil {
-			return nil, err
-		}
-		found, err := contains(c, x, ex.Pos())
-		if err != nil {
-			return nil, err
-		}
-		if ex.Not {
-			found = !found
-		}
-		return Bool(found), nil
 	case *LambdaExpr:
-		fn := &Func{
-			Name:    "",
-			Params:  ex.Params,
-			Expr:    ex.Body,
-			Globals: fr.env.Root(),
-			Module:  fr.module,
-		}
-		if fr.env.Parent() != nil {
-			fn.Closure = fr.env
-			markEscaped(fr.env)
-		}
-		if err := ip.bindDefaults(fn, fr); err != nil {
+		fn, err := ip.newFunc("", ex.Params, fr)
+		if err != nil {
 			return nil, err
 		}
+		fn.Expr = ex.Body
 		return fn, nil
 	case *CallExpr:
 		fn, err := ip.eval(ex.Func, fr)
 		if err != nil {
 			return nil, err
 		}
-		args := make([]Value, len(ex.Args))
-		for i, a := range ex.Args {
-			v, err := ip.eval(a, fr)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
+		args, err := ip.evalAll(ex.Args, fr)
+		if err != nil {
+			return nil, err
 		}
-		var kwargs map[string]Value
-		if len(ex.KwArgs) > 0 {
-			kwargs = make(map[string]Value, len(ex.KwArgs))
-			for _, kw := range ex.KwArgs {
-				v, err := ip.eval(kw.Value, fr)
-				if err != nil {
-					return nil, err
-				}
-				kwargs[kw.Name] = v
-			}
-		}
-		return ip.callValue(fn, args, kwargs, ex.Pos())
+		return ip.callValue(fn, args, ex.Pos())
 	case *AttrExpr:
 		obj, err := ip.eval(ex.X, fr)
 		if err != nil {
 			return nil, err
 		}
-		return getAttr(ip, obj, ex.Name, ex.Pos())
+		return getAttr(obj, ex.Name, ex.Pos())
 	case *IndexExpr:
 		obj, err := ip.eval(ex.X, fr)
 		if err != nil {
@@ -801,47 +562,53 @@ func (ip *Interp) eval(e Expr, fr *frame) (Value, error) {
 	return nil, rtErrf(e.Pos(), "unsupported expression %T", e)
 }
 
+func (ip *Interp) evalAll(es []Expr, fr *frame) ([]Value, error) {
+	vals := make([]Value, len(es))
+	for i, e := range es {
+		v, err := ip.eval(e, fr)
+		if err != nil {
+			return nil, err
+		}
+		vals[i] = v
+	}
+	return vals, nil
+}
+
 // callValue dispatches a call on any callable value.
-func (ip *Interp) callValue(fn Value, args []Value, kwargs map[string]Value, line int) (Value, error) {
+func (ip *Interp) callValue(fn Value, args []Value, line int) (Value, error) {
 	ip.depth++
 	defer func() { ip.depth-- }()
 	if ip.MaxDepth > 0 && ip.depth > ip.MaxDepth {
 		return nil, rtErrf(line, "maximum recursion depth exceeded")
 	}
+	var v Value
+	var err error
 	switch f := fn.(type) {
 	case *Func:
-		return ip.callFunc(f, args, kwargs, line)
+		return ip.callFunc(f, args, line)
 	case *Builtin:
-		v, err := f.Fn(ip, args, kwargs)
-		if err != nil {
-			if _, ok := err.(*RuntimeError); !ok {
-				err = &RuntimeError{Msg: err.Error(), Line: line}
-			}
-			return nil, err
-		}
-		return v, nil
+		v, err = f.Fn(ip, args)
 	case *BoundMethod:
-		v, err := f.Fn(ip, f.Recv, args, kwargs)
-		if err != nil {
-			if _, ok := err.(*RuntimeError); !ok {
-				err = &RuntimeError{Msg: err.Error(), Line: line}
-			}
-			return nil, err
-		}
-		return v, nil
+		v, err = f.Fn(f.Recv, args)
+	default:
+		return nil, rtErrf(line, "'%s' object is not callable", fn.Type())
 	}
-	return nil, rtErrf(line, "'%s' object is not callable", fn.Type())
+	if err != nil {
+		if _, ok := err.(*RuntimeError); !ok {
+			err = &RuntimeError{Msg: err.Error(), Line: line}
+		}
+		return nil, err
+	}
+	return v, nil
 }
 
-func (ip *Interp) callFunc(f *Func, args []Value, kwargs map[string]Value, line int) (Value, error) {
-	var parent *Env
+func (ip *Interp) callFunc(f *Func, args []Value, line int) (Value, error) {
+	parent := f.Globals
 	if f.Closure != nil {
 		parent = f.Closure
-	} else {
-		parent = f.Globals
 	}
 	locals := ip.newLocalEnv(parent)
-	if err := bindParams(f, args, kwargs, locals, line); err != nil {
+	if err := bindParams(f, args, locals, line); err != nil {
 		ip.releaseEnv(locals)
 		return nil, err
 	}
@@ -894,7 +661,7 @@ func markEscaped(e *Env) {
 	}
 }
 
-func bindParams(f *Func, args []Value, kwargs map[string]Value, locals *Env, line int) error {
+func bindParams(f *Func, args []Value, locals *Env, line int) error {
 	name := f.Name
 	if name == "" {
 		name = "<lambda>"
@@ -903,53 +670,16 @@ func bindParams(f *Func, args []Value, kwargs map[string]Value, locals *Env, lin
 		return rtErrf(line, "%s() takes %d positional arguments but %d were given",
 			name, len(f.Params), len(args))
 	}
-	// used tracks kwarg consumption; positional-only calls never need it.
-	var used map[string]bool
-	if len(kwargs) > 0 {
-		used = map[string]bool{}
-	}
 	for i, p := range f.Params {
-		if i < len(args) {
+		switch ed, ok := p.Default.(*evaluatedDefault); {
+		case i < len(args):
 			locals.Set(p.Name, args[i])
-			if used != nil {
-				used[p.Name] = true
-			}
-			continue
-		}
-		if v, ok := kwargs[p.Name]; ok {
-			locals.Set(p.Name, v)
-			used[p.Name] = true
-			continue
-		}
-		if p.Default != nil {
-			if ed, ok := p.Default.(*evaluatedDefault); ok {
-				locals.Set(p.Name, ed.value)
-			} else {
-				return rtErrf(line, "internal: unevaluated default for %s", p.Name)
-			}
-			continue
-		}
-		return rtErrf(line, "%s() missing required argument: '%s'", name, p.Name)
-	}
-	for i, p := range f.Params {
-		if i < len(args) {
-			if _, dup := kwargs[p.Name]; dup {
-				return rtErrf(line, "%s() got multiple values for argument '%s'", name, p.Name)
-			}
-		}
-	}
-	for k := range kwargs {
-		if !used[k] {
-			found := false
-			for _, p := range f.Params {
-				if p.Name == k {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return rtErrf(line, "%s() got an unexpected keyword argument '%s'", name, k)
-			}
+		case ok:
+			locals.Set(p.Name, ed.value)
+		case p.Default != nil:
+			return rtErrf(line, "internal: unevaluated default for %s", p.Name)
+		default:
+			return rtErrf(line, "%s() missing required argument: '%s'", name, p.Name)
 		}
 	}
 	return nil
@@ -966,52 +696,8 @@ func binaryOp(op Kind, a, b Value, line int) (Value, error) {
 			}
 			return nil, rtErrf(line, "can only concatenate str to str, not %s", b.Type())
 		}
-		if x, ok := a.(*List); ok {
-			if y, ok := b.(*List); ok {
-				out := make([]Value, 0, len(x.Elems)+len(y.Elems))
-				out = append(out, x.Elems...)
-				out = append(out, y.Elems...)
-				return &List{Elems: out}, nil
-			}
-			return nil, rtErrf(line, "can only concatenate list to list, not %s", b.Type())
-		}
-		if x, ok := a.(*Tuple); ok {
-			if y, ok := b.(*Tuple); ok {
-				out := make([]Value, 0, len(x.Elems)+len(y.Elems))
-				out = append(out, x.Elems...)
-				out = append(out, y.Elems...)
-				return &Tuple{Elems: out}, nil
-			}
-		}
 		return numericOp(op, a, b, line)
-	case Star:
-		if x, ok := a.(Str); ok {
-			if n, ok := b.(Int); ok {
-				return Str(strings.Repeat(string(x), clampRepeat(int(n)))), nil
-			}
-		}
-		if n, ok := a.(Int); ok {
-			if x, ok := b.(Str); ok {
-				return Str(strings.Repeat(string(x), clampRepeat(int(n)))), nil
-			}
-		}
-		if x, ok := a.(*List); ok {
-			if n, ok := b.(Int); ok {
-				return repeatList(x, int(n)), nil
-			}
-		}
-		if n, ok := a.(Int); ok {
-			if x, ok := b.(*List); ok {
-				return repeatList(x, int(n)), nil
-			}
-		}
-		return numericOp(op, a, b, line)
-	case Percent:
-		if x, ok := a.(Str); ok {
-			return formatPercent(x, b, line)
-		}
-		return numericOp(op, a, b, line)
-	case Minus, Slash, SlashSlash, StarStar:
+	case Minus, Star, Slash, SlashSlash, Percent:
 		return numericOp(op, a, b, line)
 	case Eq:
 		return Bool(Equal(a, b)), nil
@@ -1029,30 +715,10 @@ func binaryOp(op Kind, a, b Value, line int) (Value, error) {
 			return Bool(c > 0), nil
 		case Le:
 			return Bool(c <= 0), nil
-		case Ge:
-			return Bool(c >= 0), nil
 		}
+		return Bool(c >= 0), nil
 	}
 	return nil, rtErrf(line, "unsupported operator %v", op)
-}
-
-func clampRepeat(n int) int {
-	if n < 0 {
-		return 0
-	}
-	if n > 1<<20 {
-		return 1 << 20
-	}
-	return n
-}
-
-func repeatList(x *List, n int) *List {
-	n = clampRepeat(n)
-	out := make([]Value, 0, len(x.Elems)*n)
-	for i := 0; i < n; i++ {
-		out = append(out, x.Elems...)
-	}
-	return &List{Elems: out}
 }
 
 func numericOp(op Kind, a, b Value, line int) (Value, error) {
@@ -1071,21 +737,14 @@ func numericOp(op Kind, a, b Value, line int) (Value, error) {
 				return nil, rtErrf(line, "division by zero")
 			}
 			return Float(float64(ai) / float64(bi)), nil
-		case SlashSlash:
+		case SlashSlash, Percent:
 			if bi == 0 {
 				return nil, rtErrf(line, "integer division or modulo by zero")
 			}
-			return Int(floorDiv(ai, bi)), nil
-		case Percent:
-			if bi == 0 {
-				return nil, rtErrf(line, "integer division or modulo by zero")
+			if op == SlashSlash {
+				return Int(floorDiv(ai, bi)), nil
 			}
 			return Int(pyMod(ai, bi)), nil
-		case StarStar:
-			if bi >= 0 {
-				return Int(ipow(ai, bi)), nil
-			}
-			return Float(math.Pow(float64(ai), float64(bi))), nil
 		}
 	}
 	af, aok := numAsFloat(a)
@@ -1101,29 +760,21 @@ func numericOp(op Kind, a, b Value, line int) (Value, error) {
 		return Float(af - bf), nil
 	case Star:
 		return Float(af * bf), nil
+	}
+	if bf == 0 {
+		return nil, rtErrf(line, "float division or modulo by zero")
+	}
+	switch op {
 	case Slash:
-		if bf == 0 {
-			return nil, rtErrf(line, "float division by zero")
-		}
 		return Float(af / bf), nil
 	case SlashSlash:
-		if bf == 0 {
-			return nil, rtErrf(line, "float floor division by zero")
-		}
 		return Float(math.Floor(af / bf)), nil
-	case Percent:
-		if bf == 0 {
-			return nil, rtErrf(line, "float modulo by zero")
-		}
-		m := math.Mod(af, bf)
-		if m != 0 && (m < 0) != (bf < 0) {
-			m += bf
-		}
-		return Float(m), nil
-	case StarStar:
-		return Float(math.Pow(af, bf)), nil
 	}
-	return nil, rtErrf(line, "unsupported operator %v", op)
+	m := math.Mod(af, bf)
+	if m != 0 && (m < 0) != (bf < 0) {
+		m += bf
+	}
+	return Float(m), nil
 }
 
 func asInt(v Value) (int64, bool) {
@@ -1155,139 +806,6 @@ func pyMod(a, b int64) int64 {
 	return m
 }
 
-func ipow(a, b int64) int64 {
-	var r int64 = 1
-	for i := int64(0); i < b; i++ {
-		r *= a
-	}
-	return r
-}
-
-// formatPercent implements a useful subset of Python %-formatting:
-// %s %d %f %.Nf %x %%.
-func formatPercent(format Str, arg Value, line int) (Value, error) {
-	var args []Value
-	if t, ok := arg.(*Tuple); ok {
-		args = t.Elems
-	} else {
-		args = []Value{arg}
-	}
-	var sb strings.Builder
-	argi := 0
-	s := string(format)
-	for i := 0; i < len(s); i++ {
-		if s[i] != '%' {
-			sb.WriteByte(s[i])
-			continue
-		}
-		i++
-		if i >= len(s) {
-			return nil, rtErrf(line, "incomplete format")
-		}
-		if s[i] == '%' {
-			sb.WriteByte('%')
-			continue
-		}
-		spec := "%"
-		for i < len(s) && (s[i] == '.' || s[i] == '-' || s[i] == '+' || s[i] == '0' || isDigit(s[i])) {
-			spec += string(s[i])
-			i++
-		}
-		if i >= len(s) {
-			return nil, rtErrf(line, "incomplete format")
-		}
-		verb := s[i]
-		if argi >= len(args) {
-			return nil, rtErrf(line, "not enough arguments for format string")
-		}
-		a := args[argi]
-		argi++
-		switch verb {
-		case 's':
-			sb.WriteString(fmt.Sprintf(spec+"s", ToStr(a)))
-		case 'd':
-			n, ok := asInt(a)
-			if !ok {
-				if f, isf := a.(Float); isf {
-					n = int64(f)
-				} else {
-					return nil, rtErrf(line, "%%d format: a number is required, not %s", a.Type())
-				}
-			}
-			sb.WriteString(fmt.Sprintf(spec+"d", n))
-		case 'f', 'g', 'e':
-			f, ok := numAsFloat(a)
-			if !ok {
-				return nil, rtErrf(line, "float required, not %s", a.Type())
-			}
-			sb.WriteString(fmt.Sprintf(spec+string(verb), f))
-		case 'x':
-			n, ok := asInt(a)
-			if !ok {
-				return nil, rtErrf(line, "%%x format: an integer is required")
-			}
-			sb.WriteString(fmt.Sprintf(spec+"x", n))
-		case 'r':
-			sb.WriteString(fmt.Sprintf(spec+"s", a.Repr()))
-		default:
-			return nil, rtErrf(line, "unsupported format character %q", verb)
-		}
-	}
-	if argi < len(args) {
-		return nil, rtErrf(line, "not all arguments converted during string formatting")
-	}
-	return Str(sb.String()), nil
-}
-
-func iterate(v Value, line int) ([]Value, error) {
-	switch x := v.(type) {
-	case *List:
-		out := make([]Value, len(x.Elems))
-		copy(out, x.Elems)
-		return out, nil
-	case *Tuple:
-		return x.Elems, nil
-	case Str:
-		out := make([]Value, 0, len(x))
-		for _, r := range string(x) {
-			out = append(out, Str(string(r)))
-		}
-		return out, nil
-	case *Dict:
-		return x.Keys(), nil
-	}
-	return nil, rtErrf(line, "'%s' object is not iterable", v.Type())
-}
-
-func contains(container, x Value, line int) (bool, error) {
-	switch c := container.(type) {
-	case *List:
-		for _, e := range c.Elems {
-			if Equal(e, x) {
-				return true, nil
-			}
-		}
-		return false, nil
-	case *Tuple:
-		for _, e := range c.Elems {
-			if Equal(e, x) {
-				return true, nil
-			}
-		}
-		return false, nil
-	case *Dict:
-		_, ok := c.Get(x)
-		return ok, nil
-	case Str:
-		s, ok := x.(Str)
-		if !ok {
-			return false, rtErrf(line, "'in <string>' requires string as left operand, not %s", x.Type())
-		}
-		return strings.Contains(string(c), string(s)), nil
-	}
-	return false, rtErrf(line, "argument of type '%s' is not iterable", container.Type())
-}
-
 func listIndex(l *List, idx Value, line int) (int, error) {
 	n, ok := asInt(idx)
 	if !ok {
@@ -1312,18 +830,7 @@ func getIndex(obj, idx Value, line int) (Value, error) {
 		}
 		return c.Elems[i], nil
 	case *Tuple:
-		n, ok := asInt(idx)
-		if !ok {
-			return nil, rtErrf(line, "tuple indices must be integers")
-		}
-		i := int(n)
-		if i < 0 {
-			i += len(c.Elems)
-		}
-		if i < 0 || i >= len(c.Elems) {
-			return nil, rtErrf(line, "tuple index out of range")
-		}
-		return c.Elems[i], nil
+		return getIndex(&List{Elems: c.Elems}, idx, line)
 	case Str:
 		n, ok := asInt(idx)
 		if !ok {
@@ -1364,33 +871,12 @@ func setIndex(obj, idx, val Value, line int) error {
 
 func getSlice(obj, lo, hi Value, line int) (Value, error) {
 	bounds := func(n int) (int, int, error) {
-		start, end := 0, n
-		if lo != nil {
-			li, ok := asInt(lo)
-			if !ok {
-				return 0, 0, rtErrf(line, "slice indices must be integers")
-			}
-			start = int(li)
-			if start < 0 {
-				start += n
-			}
-			start = clamp(start, 0, n)
+		start, err := sliceBound(lo, 0, n, line)
+		if err != nil {
+			return 0, 0, err
 		}
-		if hi != nil {
-			hiN, ok := asInt(hi)
-			if !ok {
-				return 0, 0, rtErrf(line, "slice indices must be integers")
-			}
-			end = int(hiN)
-			if end < 0 {
-				end += n
-			}
-			end = clamp(end, 0, n)
-		}
-		if end < start {
-			end = start
-		}
-		return start, end, nil
+		end, err := sliceBound(hi, n, n, line)
+		return start, max(start, end), err
 	}
 	switch c := obj.(type) {
 	case *List:
@@ -1398,17 +884,13 @@ func getSlice(obj, lo, hi Value, line int) (Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := make([]Value, e-s)
-		copy(out, c.Elems[s:e])
-		return &List{Elems: out}, nil
+		return &List{Elems: append([]Value(nil), c.Elems[s:e]...)}, nil
 	case *Tuple:
 		s, e, err := bounds(len(c.Elems))
 		if err != nil {
 			return nil, err
 		}
-		out := make([]Value, e-s)
-		copy(out, c.Elems[s:e])
-		return &Tuple{Elems: out}, nil
+		return &Tuple{Elems: append([]Value(nil), c.Elems[s:e]...)}, nil
 	case Str:
 		out, err := strSlice(string(c), bounds)
 		if err != nil {
@@ -1419,24 +901,18 @@ func getSlice(obj, lo, hi Value, line int) (Value, error) {
 	return nil, rtErrf(line, "'%s' object is not sliceable", obj.Type())
 }
 
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
+// sliceBound resolves one slice bound against length n, clamped to
+// [0, n]; an absent bound is def.
+func sliceBound(v Value, def, n, line int) (int, error) {
+	if v == nil {
+		return def, nil
 	}
-	if v > hi {
-		return hi
+	i, ok := asInt(v)
+	if !ok {
+		return 0, rtErrf(line, "slice indices must be integers")
 	}
-	return v
-}
-
-func setAttr(obj Value, name string, val Value, line int) error {
-	switch o := obj.(type) {
-	case *Object:
-		o.Attrs[name] = val
-		return nil
-	case *ModuleVal:
-		o.Attrs[name] = val
-		return nil
+	if i < 0 {
+		i += int64(n)
 	}
-	return rtErrf(line, "'%s' object has no settable attribute '%s'", obj.Type(), name)
+	return int(max(0, min(i, int64(n)))), nil
 }

@@ -17,7 +17,9 @@ func (e *SyntaxError) Error() string {
 }
 
 // lexer converts source text into a token stream with INDENT/DEDENT
-// tokens synthesized from leading whitespace, as in Python.
+// tokens synthesized from leading whitespace, as in Python. The parser
+// pulls one token at a time, so a syntax error early in a long input
+// costs no more than the tokens before it.
 type lexer struct {
 	src     string
 	pos     int
@@ -29,25 +31,8 @@ type lexer struct {
 	atLine  bool
 }
 
-func newLexer(src string) *lexer {
-	return &lexer{src: src, line: 1, col: 1, indents: []int{0}, atLine: true}
-}
-
-// Tokenize lexes the entire source, returning the token stream or a
-// *SyntaxError.
-func Tokenize(src string) ([]Token, error) {
-	lx := newLexer(src)
-	var toks []Token
-	for {
-		t, err := lx.next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.Kind == EOF {
-			return toks, nil
-		}
-	}
+func newLexer(src string) lexer {
+	return lexer{src: src, line: 1, col: 1, indents: []int{0}, atLine: true}
 }
 
 func (lx *lexer) errf(format string, args ...any) error {
@@ -80,58 +65,53 @@ func (lx *lexer) advance() byte {
 	return c
 }
 
+// next returns the next token, or a *SyntaxError.
 func (lx *lexer) next() (Token, error) {
-	if len(lx.pending) > 0 {
-		t := lx.pending[0]
-		lx.pending = lx.pending[1:]
-		return t, nil
-	}
-	if lx.atLine && lx.parens == 0 {
-		if err := lx.handleIndent(); err != nil {
-			return Token{}, err
-		}
+	for {
 		if len(lx.pending) > 0 {
 			t := lx.pending[0]
 			lx.pending = lx.pending[1:]
 			return t, nil
 		}
-	}
-	lx.skipSpacesAndComments()
-	if lx.pos >= len(lx.src) {
-		return lx.finish()
-	}
-	c := lx.peekByte()
-	if c == '\n' {
-		lx.advance()
-		if lx.parens > 0 {
-			return lx.next()
+		if lx.atLine && lx.parens == 0 {
+			if err := lx.handleIndent(); err != nil {
+				return Token{}, err
+			}
+			if len(lx.pending) > 0 {
+				continue
+			}
 		}
-		lx.atLine = true
-		return Token{Kind: NEWLINE, Line: lx.line - 1, Col: lx.col}, nil
+		lx.skipSpacesAndComments()
+		if lx.pos >= len(lx.src) {
+			return lx.finish(), nil
+		}
+		c := lx.peekByte()
+		if c == '\n' {
+			lx.advance()
+			if lx.parens > 0 {
+				continue
+			}
+			lx.atLine = true
+			return Token{Kind: NEWLINE, Line: lx.line - 1, Col: lx.col}, nil
+		}
+		startLine, startCol := lx.line, lx.col
+		switch {
+		case isIdentStart(c):
+			return lx.lexIdent(startLine, startCol), nil
+		case isDigit(c):
+			return lx.lexNumber(startLine, startCol), nil
+		case c == '"' || c == '\'':
+			return lx.lexString(startLine, startCol)
+		}
+		return lx.lexOperator(startLine, startCol)
 	}
-	if c == '\\' && lx.peekByteAt(1) == '\n' {
-		lx.advance()
-		lx.advance()
-		return lx.next()
-	}
-	startLine, startCol := lx.line, lx.col
-	if isIdentStart(c) {
-		return lx.lexIdent(startLine, startCol), nil
-	}
-	if isDigit(c) || (c == '.' && isDigit(lx.peekByteAt(1))) {
-		return lx.lexNumber(startLine, startCol)
-	}
-	if c == '"' || c == '\'' {
-		return lx.lexString(startLine, startCol)
-	}
-	return lx.lexOperator(startLine, startCol)
 }
 
-// finish emits trailing DEDENTs and the EOF token.
-func (lx *lexer) finish() (Token, error) {
+// finish emits the last NEWLINE, the trailing DEDENTs and the EOF token.
+func (lx *lexer) finish() Token {
 	if !lx.atLine {
 		lx.atLine = true
-		return Token{Kind: NEWLINE, Line: lx.line, Col: lx.col}, nil
+		return Token{Kind: NEWLINE, Line: lx.line, Col: lx.col}
 	}
 	for len(lx.indents) > 1 {
 		lx.indents = lx.indents[:len(lx.indents)-1]
@@ -140,7 +120,7 @@ func (lx *lexer) finish() (Token, error) {
 	lx.pending = append(lx.pending, Token{Kind: EOF, Line: lx.line, Col: lx.col})
 	t := lx.pending[0]
 	lx.pending = lx.pending[1:]
-	return t, nil
+	return t
 }
 
 // handleIndent measures the leading whitespace of the current line and
@@ -148,7 +128,6 @@ func (lx *lexer) finish() (Token, error) {
 // skipped entirely.
 func (lx *lexer) handleIndent() error {
 	for {
-		start := lx.pos
 		width := 0
 		for lx.pos < len(lx.src) {
 			c := lx.peekByte()
@@ -173,12 +152,9 @@ func (lx *lexer) handleIndent() error {
 			continue // blank line
 		}
 		if c == '#' {
-			for lx.pos < len(lx.src) && lx.peekByte() != '\n' {
-				lx.advance()
-			}
+			lx.skipSpacesAndComments()
 			continue
 		}
-		_ = start
 		lx.atLine = false
 		cur := lx.indents[len(lx.indents)-1]
 		switch {
@@ -225,165 +201,147 @@ func (lx *lexer) lexIdent(line, col int) Token {
 	return Token{Kind: IDENT, Text: text, Line: line, Col: col}
 }
 
-func (lx *lexer) lexNumber(line, col int) (Token, error) {
+// lexNumber reads digits, an optional fraction and an optional
+// exponent — every form Float.Repr prints.
+func (lx *lexer) lexNumber(line, col int) Token {
 	start := lx.pos
-	isFloat := false
-	for lx.pos < len(lx.src) {
-		c := lx.peekByte()
-		if isDigit(c) || c == '_' {
+	kind := INT
+	digits := func() {
+		for isDigit(lx.peekByte()) {
 			lx.advance()
-		} else if c == '.' && !isFloat && isDigit(lx.peekByteAt(1)) {
-			isFloat = true
-			lx.advance()
-		} else if c == '.' && !isFloat && !isIdentStart(lx.peekByteAt(1)) {
-			// trailing dot as in "1."
-			isFloat = true
-			lx.advance()
-		} else if (c == 'e' || c == 'E') && (isDigit(lx.peekByteAt(1)) ||
-			((lx.peekByteAt(1) == '+' || lx.peekByteAt(1) == '-') && isDigit(lx.peekByteAt(2)))) {
-			isFloat = true
-			lx.advance() // e
-			if lx.peekByte() == '+' || lx.peekByte() == '-' {
-				lx.advance()
-			}
-		} else {
-			break
 		}
 	}
-	text := strings.ReplaceAll(lx.src[start:lx.pos], "_", "")
-	kind := INT
-	if isFloat {
+	digits()
+	if lx.peekByte() == '.' && isDigit(lx.peekByteAt(1)) {
 		kind = FLOAT
+		lx.advance()
+		digits()
 	}
-	return Token{Kind: kind, Text: text, Line: line, Col: col}, nil
+	if c, sign := lx.peekByte(), lx.peekByteAt(1); (c == 'e' || c == 'E') &&
+		(isDigit(sign) || (sign == '+' || sign == '-') && isDigit(lx.peekByteAt(2))) {
+		kind = FLOAT
+		lx.advance()
+		if !isDigit(sign) {
+			lx.advance()
+		}
+		digits()
+	}
+	return Token{Kind: kind, Text: lx.src[start:lx.pos], Line: line, Col: col}
 }
 
+// lexString reads a string in single or double quotes. The escapes are
+// \n, \\, \" and \' — the forms quote writes, and either quote; any
+// other is a syntax error rather than a silently different string.
 func (lx *lexer) lexString(line, col int) (Token, error) {
-	quote := lx.advance()
-	triple := false
-	if lx.peekByte() == quote && lx.peekByteAt(1) == quote {
-		lx.advance()
-		lx.advance()
-		triple = true
-	}
-	var sb strings.Builder
+	q := lx.advance()
+	start := lx.pos
+	var sb *strings.Builder // nil until the first escape
 	for {
 		if lx.pos >= len(lx.src) {
 			return Token{}, lx.errf("unterminated string literal")
 		}
-		c := lx.peekByte()
-		if !triple && c == '\n' {
+		c := lx.advance()
+		switch c {
+		case q:
+			text := lx.src[start : lx.pos-1]
+			if sb != nil {
+				text = sb.String()
+			}
+			return Token{Kind: STRING, Text: text, Line: line, Col: col}, nil
+		case '\n':
 			return Token{}, lx.errf("newline in string literal")
-		}
-		if c == quote {
-			if !triple {
-				lx.advance()
-				break
+		case '\\':
+			if sb == nil {
+				sb = &strings.Builder{}
+				sb.WriteString(lx.src[start : lx.pos-1])
 			}
-			if lx.peekByteAt(1) == quote && lx.peekByteAt(2) == quote {
-				lx.advance()
-				lx.advance()
-				lx.advance()
-				break
-			}
-			sb.WriteByte(lx.advance())
-			continue
-		}
-		if c == '\\' {
-			lx.advance()
 			if lx.pos >= len(lx.src) {
-				return Token{}, lx.errf("unterminated string escape")
+				return Token{}, lx.errf("unterminated string literal")
 			}
-			e := lx.advance()
-			switch e {
+			switch e := lx.advance(); e {
 			case 'n':
 				sb.WriteByte('\n')
-			case 't':
-				sb.WriteByte('\t')
-			case 'r':
-				sb.WriteByte('\r')
-			case '\\':
-				sb.WriteByte('\\')
-			case '\'':
-				sb.WriteByte('\'')
-			case '"':
-				sb.WriteByte('"')
-			case '0':
-				sb.WriteByte(0)
-			case '\n':
-				// line continuation inside string
-			default:
-				sb.WriteByte('\\')
+			case '\\', '"', '\'':
 				sb.WriteByte(e)
+			default:
+				return Token{}, lx.errf("unknown escape \\%c in string literal", e)
 			}
-			continue
+		default:
+			if sb != nil {
+				sb.WriteByte(c)
+			}
 		}
-		sb.WriteByte(lx.advance())
 	}
-	return Token{Kind: STRING, Text: sb.String(), Line: line, Col: col}, nil
+}
+
+// quote renders s as a string literal that lexes back to s: a
+// backslash, a double quote and a newline are escaped, and every other
+// byte is written as it is.
+func quote(s string) string {
+	var sb strings.Builder
+	sb.Grow(len(s) + 2)
+	sb.WriteByte('"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '\\', '"':
+			sb.WriteByte('\\')
+			sb.WriteByte(c)
+		case '\n':
+			sb.WriteString(`\n`)
+		default:
+			sb.WriteByte(c)
+		}
+	}
+	sb.WriteByte('"')
+	return sb.String()
 }
 
 func (lx *lexer) lexOperator(line, col int) (Token, error) {
 	c := lx.advance()
-	mk := func(k Kind) (Token, error) {
-		return Token{Kind: k, Line: line, Col: col}, nil
-	}
+	tok := func(k Kind) (Token, error) { return Token{Kind: k, Line: line, Col: col}, nil }
+	// two is k2 when next follows, k1 otherwise.
 	two := func(next byte, k2, k1 Kind) (Token, error) {
 		if lx.peekByte() == next {
 			lx.advance()
-			return mk(k2)
+			return tok(k2)
 		}
-		return mk(k1)
+		return tok(k1)
 	}
 	switch c {
 	case '(':
 		lx.parens++
-		return mk(LParen)
+		return tok(LParen)
 	case ')':
 		lx.parens--
-		return mk(RParen)
+		return tok(RParen)
 	case '[':
 		lx.parens++
-		return mk(LBracket)
+		return tok(LBracket)
 	case ']':
 		lx.parens--
-		return mk(RBracket)
+		return tok(RBracket)
 	case '{':
 		lx.parens++
-		return mk(LBrace)
+		return tok(LBrace)
 	case '}':
 		lx.parens--
-		return mk(RBrace)
+		return tok(RBrace)
 	case ',':
-		return mk(Comma)
+		return tok(Comma)
 	case ':':
-		return mk(Colon)
-	case ';':
-		return mk(Semicolon)
+		return tok(Colon)
 	case '.':
-		return mk(Dot)
+		return tok(Dot)
 	case '+':
 		return two('=', PlusAssign, Plus)
 	case '-':
-		if lx.peekByte() == '>' {
-			lx.advance()
-			return mk(Arrow)
-		}
-		return two('=', MinusAssign, Minus)
+		return tok(Minus)
 	case '*':
-		if lx.peekByte() == '*' {
-			lx.advance()
-			return mk(StarStar)
-		}
-		return two('=', StarAssign, Star)
+		return tok(Star)
 	case '/':
-		if lx.peekByte() == '/' {
-			lx.advance()
-			return mk(SlashSlash)
-		}
-		return two('=', SlashAssign, Slash)
+		return two('/', SlashSlash, Slash)
 	case '%':
-		return mk(Percent)
+		return tok(Percent)
 	case '<':
 		return two('=', Le, Lt)
 	case '>':
@@ -393,11 +351,10 @@ func (lx *lexer) lexOperator(line, col int) (Token, error) {
 	case '!':
 		if lx.peekByte() == '=' {
 			lx.advance()
-			return mk(Ne)
+			return tok(Ne)
 		}
-		return Token{}, lx.errf("unexpected character %q", '!')
 	}
-	return Token{}, lx.errf("unexpected character %q", c)
+	return Token{}, &SyntaxError{Msg: fmt.Sprintf("unexpected character %q", c), Line: line, Col: col}
 }
 
 func isIdentStart(c byte) bool {

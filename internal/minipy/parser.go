@@ -5,31 +5,53 @@ import (
 	"strconv"
 )
 
-// parser is a recursive-descent parser over the lexed token stream.
+// maxDepth bounds how deep a parsed tree nests: a statement or
+// expression inside maxDepth others is a syntax error. Everything that
+// walks a tree — eval, the printer, the inspect walkers, pickling —
+// recurses once per level, and source reaches a worker from peers it
+// has not authenticated (pickled functions, task scripts, library
+// sources), so no input may nest as deep as it is long. Left-associative
+// chains count: a+b+c is three levels, not one. The deepest tree any
+// workload in this repository builds is 9 levels
+// (TestWorkloadsNestFarBelowTheBound).
+const maxDepth = 200
+
+// parser is a recursive-descent parser over the token stream, pulled
+// one token at a time from the lexer.
 type parser struct {
-	src  string
-	toks []Token
-	pos  int
+	lx  lexer
+	tok Token
+	// err is the lexer's error, if any; the token stream ends there.
+	err error
+	// lastNewline is the line the last NEWLINE taken ends: a def's body
+	// ends on the line its last statement's newline closes.
+	lastNewline int
+	// nest counts the productions open on the parser's own stack. Every
+	// tree level costs at most two of them in source the printer wrote
+	// (one for the node, one for the parentheses around it), so 2 ×
+	// maxDepth admits the printed form of every tree Parse returns.
+	nest int
+}
+
+func newParser(src string) *parser {
+	p := &parser{lx: newLexer(src)}
+	p.load()
+	return p
 }
 
 // Parse parses a complete MiniPy source file into a *Module.
 func Parse(src string) (*Module, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{src: src, toks: toks}
+	p := newParser(src)
 	mod := &Module{base: base{Line: 1}}
 	for !p.at(EOF) {
-		p.skipNewlines()
-		if p.at(EOF) {
-			break
-		}
 		s, err := p.statement()
 		if err != nil {
-			return nil, err
+			return nil, p.fail(err)
 		}
 		mod.Body = append(mod.Body, s)
+	}
+	if err := p.finish(mod); err != nil {
+		return nil, err
 	}
 	return mod, nil
 }
@@ -37,108 +59,131 @@ func Parse(src string) (*Module, error) {
 // ParseExpr parses a single expression (used by eval and pickling of
 // lambda sources).
 func ParseExpr(src string) (Expr, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{src: src, toks: toks}
+	p := newParser(src)
 	e, err := p.exprOrTuple()
-	if err != nil {
-		return nil, err
+	for err == nil && p.at(NEWLINE) {
+		p.take()
 	}
-	p.skipNewlines()
-	if !p.at(EOF) {
-		return nil, p.errf("unexpected trailing tokens after expression")
+	if err == nil && !p.at(EOF) {
+		err = p.errf("unexpected trailing tokens after expression")
+	}
+	if err != nil {
+		return nil, p.fail(err)
+	}
+	if err := p.finish(e); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
 
-func (p *parser) cur() Token     { return p.toks[p.pos] }
-func (p *parser) at(k Kind) bool { return p.toks[p.pos].Kind == k }
-
-func (p *parser) peek(k Kind) bool {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1].Kind == k
+// fail reports the lexer's error in place of the parse error it caused.
+func (p *parser) fail(err error) error {
+	if p.err != nil {
+		return p.err
 	}
-	return false
+	return err
 }
 
+// finish checks a parsed tree against maxDepth, a level at a time; the
+// chains and productions the parser bounded as it went cannot nest
+// deeper than its stack, but their combination can.
+func (p *parser) finish(root Node) error {
+	if p.err != nil {
+		return p.err
+	}
+	start := 1
+	if _, ok := root.(*Module); ok {
+		start = 0 // the module's statements are the first level
+	}
+	if tooDeep(root, start) {
+		return &SyntaxError{Msg: fmt.Sprintf("nested deeper than %d levels", maxDepth), Line: 1, Col: 1}
+	}
+	return nil
+}
+
+// tooDeep reports whether some node of the tree under n, which sits at
+// depth d, is deeper than maxDepth.
+func tooDeep(n Node, d int) bool {
+	if d > maxDepth {
+		return true
+	}
+	deep := false
+	eachChild(n, func(c Node) { deep = deep || tooDeep(c, d+1) })
+	return deep
+}
+
+func (p *parser) at(k Kind) bool { return p.tok.Kind == k }
+
+// take returns the current token and moves to the next.
 func (p *parser) take() Token {
-	t := p.toks[p.pos]
+	t := p.tok
+	if t.Kind == NEWLINE {
+		p.lastNewline = t.Line
+	}
 	if t.Kind != EOF {
-		p.pos++
+		p.load()
 	}
 	return t
 }
 
+// load reads the next token. A lexer error ends the stream: p.err keeps
+// it, and the parser sees EOF.
+func (p *parser) load() {
+	var err error
+	if p.tok, err = p.lx.next(); err != nil {
+		p.err = err
+		p.tok = Token{Kind: EOF, Line: p.lx.line, Col: p.lx.col}
+	}
+}
+
 func (p *parser) expect(k Kind) (Token, error) {
 	if !p.at(k) {
-		return Token{}, p.errf("expected %v, found %v", k, p.cur())
+		return Token{}, p.errf("expected %v, found %v", k, p.tok)
 	}
 	return p.take(), nil
 }
 
 func (p *parser) errf(format string, args ...any) error {
-	t := p.cur()
-	return &SyntaxError{Msg: fmt.Sprintf(format, args...), Line: t.Line, Col: t.Col}
+	return &SyntaxError{Msg: fmt.Sprintf(format, args...), Line: p.tok.Line, Col: p.tok.Col}
 }
 
-func (p *parser) skipNewlines() {
-	for p.at(NEWLINE) || p.at(Semicolon) {
-		p.take()
+// enter opens a production that may recurse; leave closes it.
+func (p *parser) enter() error {
+	p.nest++
+	if p.nest > 2*maxDepth {
+		return p.errf("nested deeper than %d levels", maxDepth)
 	}
+	return nil
 }
 
-func (p *parser) endOfStmt() error {
-	if p.at(NEWLINE) || p.at(Semicolon) {
-		p.take()
-		return nil
+func (p *parser) leave() { p.nest-- }
+
+// chain bounds a loop that wraps its result in one more node per turn:
+// the n-th turn puts the first operand n levels down.
+func (p *parser) chain(n int) error {
+	if n > maxDepth {
+		return p.errf("nested deeper than %d levels", maxDepth)
 	}
-	if p.at(EOF) || p.at(DEDENT) {
-		return nil
-	}
-	return p.errf("expected end of statement, found %v", p.cur())
+	return nil
 }
 
-// block parses ": NEWLINE INDENT stmts DEDENT" or a single-line suite
-// ": stmt".
+// block parses ": NEWLINE INDENT stmts DEDENT".
 func (p *parser) block() ([]Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	if _, err := p.expect(Colon); err != nil {
 		return nil, err
 	}
-	if !p.at(NEWLINE) {
-		// Single-line suite: one or more simple statements on this line.
-		var body []Stmt
-		for {
-			s, err := p.simpleStatement()
-			if err != nil {
-				return nil, err
-			}
-			body = append(body, s)
-			if p.at(Semicolon) {
-				p.take()
-				if p.at(NEWLINE) || p.at(EOF) {
-					break
-				}
-				continue
-			}
-			break
-		}
-		if p.at(NEWLINE) {
-			p.take()
-		}
-		return body, nil
+	if _, err := p.expect(NEWLINE); err != nil {
+		return nil, err
 	}
-	p.take() // NEWLINE
 	if _, err := p.expect(INDENT); err != nil {
 		return nil, err
 	}
 	var body []Stmt
 	for !p.at(DEDENT) && !p.at(EOF) {
-		p.skipNewlines()
-		if p.at(DEDENT) || p.at(EOF) {
-			break
-		}
 		s, err := p.statement()
 		if err != nil {
 			return nil, err
@@ -152,27 +197,36 @@ func (p *parser) block() ([]Stmt, error) {
 }
 
 func (p *parser) statement() (Stmt, error) {
-	switch p.cur().Kind {
+	switch p.tok.Kind {
 	case KwDef:
 		return p.defStmt()
-	case KwIf:
-		return p.ifStmt()
-	case KwWhile:
-		return p.whileStmt()
-	case KwFor:
-		return p.forStmt()
-	case KwTry:
-		return p.tryStmt()
-	default:
-		s, err := p.simpleStatement()
+	case KwIf, KwWhile:
+		t := p.take()
+		cond, err := p.exprOrTuple()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.endOfStmt(); err != nil {
+		body, err := p.block()
+		if err != nil {
 			return nil, err
 		}
-		return s, nil
+		if t.Kind == KwIf {
+			return &IfStmt{base: base{Line: t.Line}, Cond: cond, Body: body}, nil
+		}
+		return &WhileStmt{base: base{Line: t.Line}, Cond: cond, Body: body}, nil
+	case KwFor:
+		return p.forStmt()
 	}
+	s, err := p.simpleStatement()
+	if err != nil {
+		return nil, err
+	}
+	if !p.at(EOF) {
+		if _, err := p.expect(NEWLINE); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
 }
 
 func (p *parser) defStmt() (Stmt, error) {
@@ -184,18 +238,12 @@ func (p *parser) defStmt() (Stmt, error) {
 	if _, err := p.expect(LParen); err != nil {
 		return nil, err
 	}
-	params, err := p.paramList(RParen, true)
+	params, err := p.paramList(RParen)
 	if err != nil {
 		return nil, err
 	}
 	if _, err := p.expect(RParen); err != nil {
 		return nil, err
-	}
-	if p.at(Arrow) { // optional return annotation, parsed and discarded
-		p.take()
-		if _, err := p.expr(); err != nil {
-			return nil, err
-		}
 	}
 	body, err := p.block()
 	if err != nil {
@@ -204,27 +252,16 @@ func (p *parser) defStmt() (Stmt, error) {
 	if len(body) == 0 {
 		return nil, p.errf("empty function body")
 	}
-	d := &DefStmt{base: base{Line: t.Line}, Name: name.Text, Params: params, Body: body,
-		SrcStart: -1, SrcEnd: -1}
+	d := &DefStmt{base: base{Line: t.Line}, Name: name.Text, Params: params, Body: body, EndLine: p.lastNewline}
 	if es, ok := body[0].(*ExprStmt); ok {
 		if sl, ok := es.Value.(*StringLit); ok {
 			d.Doc = sl.Value
 		}
 	}
-	// The def ends where the newline closing its last token is: bracketed
-	// or triple-quoted text carries a statement past the line it starts on.
-	j := p.pos - 1
-	for k := p.toks[j].Kind; k == NEWLINE || k == DEDENT || k == Semicolon; k = p.toks[j].Kind {
-		j--
-	}
-	d.EndLine = p.toks[j].Line
-	if p.toks[j+1].Kind == NEWLINE {
-		d.EndLine = p.toks[j+1].Line
-	}
 	return d, nil
 }
 
-func (p *parser) paramList(end Kind, annotations bool) ([]Param, error) {
+func (p *parser) paramList(end Kind) ([]Param, error) {
 	var params []Param
 	seenDefault := false
 	for !p.at(end) {
@@ -233,12 +270,6 @@ func (p *parser) paramList(end Kind, annotations bool) ([]Param, error) {
 			return nil, err
 		}
 		var def Expr
-		if annotations && p.at(Colon) { // type annotation, parsed and discarded
-			p.take()
-			if _, err := p.expr(); err != nil {
-				return nil, err
-			}
-		}
 		if p.at(Assign) {
 			p.take()
 			def, err = p.expr()
@@ -250,85 +281,19 @@ func (p *parser) paramList(end Kind, annotations bool) ([]Param, error) {
 			return nil, p.errf("non-default parameter %q follows default parameter", name.Text)
 		}
 		params = append(params, Param{Name: name.Text, Default: def})
-		if p.at(Comma) {
-			p.take()
-			continue
+		if !p.at(Comma) {
+			break
 		}
-		break
+		p.take()
 	}
 	return params, nil
 }
 
-func (p *parser) ifStmt() (Stmt, error) {
-	t := p.take() // if or elif
-	cond, err := p.exprOrTuple()
-	if err != nil {
-		return nil, err
-	}
-	body, err := p.block()
-	if err != nil {
-		return nil, err
-	}
-	node := &IfStmt{base: base{Line: t.Line}, Cond: cond, Body: body}
-	p.skipBlankBeforeClause()
-	switch p.cur().Kind {
-	case KwElif:
-		els, err := p.ifStmt()
-		if err != nil {
-			return nil, err
-		}
-		node.Else = []Stmt{els}
-	case KwElse:
-		p.take()
-		els, err := p.block()
-		if err != nil {
-			return nil, err
-		}
-		node.Else = els
-	}
-	return node, nil
-}
-
-// skipBlankBeforeClause consumes stray NEWLINEs that can precede an
-// elif/else/except/finally clause after a DEDENT.
-func (p *parser) skipBlankBeforeClause() {
-	for p.at(NEWLINE) {
-		k := p.toks[p.pos+1].Kind
-		if k == KwElif || k == KwElse || k == KwExcept || k == KwFinally {
-			p.take()
-			continue
-		}
-		return
-	}
-}
-
-func (p *parser) whileStmt() (Stmt, error) {
-	t := p.take()
-	cond, err := p.exprOrTuple()
-	if err != nil {
-		return nil, err
-	}
-	body, err := p.block()
-	if err != nil {
-		return nil, err
-	}
-	return &WhileStmt{base: base{Line: t.Line}, Cond: cond, Body: body}, nil
-}
-
 func (p *parser) forStmt() (Stmt, error) {
 	t := p.take()
-	var targets []string
-	for {
-		name, err := p.expect(IDENT)
-		if err != nil {
-			return nil, err
-		}
-		targets = append(targets, name.Text)
-		if p.at(Comma) {
-			p.take()
-			continue
-		}
-		break
+	name, err := p.expect(IDENT)
+	if err != nil {
+		return nil, err
 	}
 	if _, err := p.expect(KwIn); err != nil {
 		return nil, err
@@ -341,61 +306,18 @@ func (p *parser) forStmt() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ForStmt{base: base{Line: t.Line}, Targets: targets, Iter: iter, Body: body}, nil
-}
-
-func (p *parser) tryStmt() (Stmt, error) {
-	t := p.take()
-	body, err := p.block()
-	if err != nil {
-		return nil, err
-	}
-	node := &TryStmt{base: base{Line: t.Line}, Body: body}
-	p.skipBlankBeforeClause()
-	if p.at(KwExcept) {
-		p.take()
-		if p.at(IDENT) { // "except Exception" or "except Exception as e"
-			p.take()
-			if p.at(KwAs) {
-				p.take()
-				name, err := p.expect(IDENT)
-				if err != nil {
-					return nil, err
-				}
-				node.ErrName = name.Text
-			}
-		}
-		exc, err := p.block()
-		if err != nil {
-			return nil, err
-		}
-		node.Except = exc
-	}
-	p.skipBlankBeforeClause()
-	if p.at(KwFinally) {
-		p.take()
-		fin, err := p.block()
-		if err != nil {
-			return nil, err
-		}
-		node.Finally = fin
-	}
-	if node.Except == nil && node.Finally == nil {
-		return nil, p.errf("try statement must have except or finally clause")
-	}
-	return node, nil
+	return &ForStmt{base: base{Line: t.Line}, Target: name.Text, Iter: iter, Body: body}, nil
 }
 
 func (p *parser) simpleStatement() (Stmt, error) {
-	t := p.cur()
+	t := p.tok
 	switch t.Kind {
 	case KwReturn:
 		p.take()
 		var val Expr
-		if !p.at(NEWLINE) && !p.at(EOF) && !p.at(Semicolon) && !p.at(DEDENT) {
+		if !p.at(NEWLINE) && !p.at(EOF) {
 			var err error
-			val, err = p.exprOrTuple()
-			if err != nil {
+			if val, err = p.exprOrTuple(); err != nil {
 				return nil, err
 			}
 		}
@@ -403,16 +325,27 @@ func (p *parser) simpleStatement() (Stmt, error) {
 	case KwPass:
 		p.take()
 		return &PassStmt{base: base{Line: t.Line}}, nil
-	case KwBreak:
-		p.take()
-		return &BreakStmt{base: base{Line: t.Line}}, nil
-	case KwContinue:
-		p.take()
-		return &ContinueStmt{base: base{Line: t.Line}}, nil
 	case KwImport:
-		return p.importStmt()
+		p.take()
+		item, err := p.importItem()
+		if err != nil {
+			return nil, err
+		}
+		return &ImportStmt{base: base{Line: t.Line}, Item: item}, nil
 	case KwFrom:
-		return p.fromImportStmt()
+		p.take()
+		mod, err := p.expect(IDENT)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := p.expect(KwImport); err != nil {
+			return nil, err
+		}
+		item, err := p.importItem()
+		if err != nil {
+			return nil, err
+		}
+		return &FromImportStmt{base: base{Line: t.Line}, Module: mod.Text, Item: item}, nil
 	case KwGlobal:
 		p.take()
 		var names []string
@@ -422,29 +355,17 @@ func (p *parser) simpleStatement() (Stmt, error) {
 				return nil, err
 			}
 			names = append(names, name.Text)
-			if p.at(Comma) {
-				p.take()
-				continue
+			if !p.at(Comma) {
+				break
 			}
-			break
+			p.take()
 		}
 		return &GlobalStmt{base: base{Line: t.Line}, Names: names}, nil
-	case KwDel:
-		p.take()
-		target, err := p.postfixExprFromPrimary()
-		if err != nil {
-			return nil, err
-		}
-		return &DelStmt{base: base{Line: t.Line}, Target: target}, nil
 	case KwRaise:
 		p.take()
-		var val Expr
-		if !p.at(NEWLINE) && !p.at(EOF) && !p.at(Semicolon) && !p.at(DEDENT) {
-			var err error
-			val, err = p.expr()
-			if err != nil {
-				return nil, err
-			}
+		val, err := p.expr()
+		if err != nil {
+			return nil, err
 		}
 		return &RaiseStmt{base: base{Line: t.Line}, Value: val}, nil
 	case KwAssert:
@@ -456,8 +377,7 @@ func (p *parser) simpleStatement() (Stmt, error) {
 		var msg Expr
 		if p.at(Comma) {
 			p.take()
-			msg, err = p.expr()
-			if err != nil {
+			if msg, err = p.expr(); err != nil {
 				return nil, err
 			}
 		}
@@ -468,128 +388,51 @@ func (p *parser) simpleStatement() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch p.cur().Kind {
-	case Assign, PlusAssign, MinusAssign, StarAssign, SlashAssign:
-		op := p.take().Kind
-		if err := checkAssignable(lhs); err != nil {
-			return nil, &SyntaxError{Msg: err.Error(), Line: t.Line, Col: t.Col}
-		}
-		rhs, err := p.exprOrTuple()
-		if err != nil {
-			return nil, err
-		}
-		// Chained assignment a = b = expr.
-		for p.at(Assign) && op == Assign {
-			p.take()
-			if err := checkAssignable(rhs); err != nil {
-				return nil, &SyntaxError{Msg: err.Error(), Line: t.Line, Col: t.Col}
-			}
-			next, err := p.exprOrTuple()
-			if err != nil {
-				return nil, err
-			}
-			// Desugar "a = b = v" into "b = v; a = b" is complex; treat the
-			// middle expression as an additional target by nesting.
-			inner := &AssignStmt{base: base{Line: t.Line}, Target: rhs, Op: Assign, Value: next}
-			_ = inner
-			rhs = next
-		}
-		return &AssignStmt{base: base{Line: t.Line}, Target: lhs, Op: op, Value: rhs}, nil
+	if !p.at(Assign) && !p.at(PlusAssign) {
+		return &ExprStmt{base: base{Line: t.Line}, Value: lhs}, nil
 	}
-	return &ExprStmt{base: base{Line: t.Line}, Value: lhs}, nil
-}
-
-func checkAssignable(e Expr) error {
-	switch v := e.(type) {
-	case *NameExpr, *AttrExpr, *IndexExpr:
-		return nil
-	case *TupleExpr:
-		for _, el := range v.Elems {
-			if err := checkAssignable(el); err != nil {
-				return err
-			}
-		}
-		return nil
+	op := p.take().Kind
+	if !assignable(lhs) {
+		return nil, &SyntaxError{Msg: "cannot assign to this expression", Line: t.Line, Col: t.Col}
 	}
-	return fmt.Errorf("cannot assign to this expression")
-}
-
-func (p *parser) importStmt() (Stmt, error) {
-	t := p.take() // import
-	var items []ImportItem
-	for {
-		name, err := p.dottedName()
-		if err != nil {
-			return nil, err
-		}
-		alias := name
-		if p.at(KwAs) {
-			p.take()
-			a, err := p.expect(IDENT)
-			if err != nil {
-				return nil, err
-			}
-			alias = a.Text
-		}
-		items = append(items, ImportItem{Module: name, Alias: alias})
-		if p.at(Comma) {
-			p.take()
-			continue
-		}
-		break
-	}
-	return &ImportStmt{base: base{Line: t.Line}, Items: items}, nil
-}
-
-func (p *parser) fromImportStmt() (Stmt, error) {
-	t := p.take() // from
-	mod, err := p.dottedName()
+	rhs, err := p.exprOrTuple()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(KwImport); err != nil {
-		return nil, err
-	}
-	var items []ImportItem
-	for {
-		name, err := p.expect(IDENT)
-		if err != nil {
-			return nil, err
-		}
-		alias := name.Text
-		if p.at(KwAs) {
-			p.take()
-			a, err := p.expect(IDENT)
-			if err != nil {
-				return nil, err
-			}
-			alias = a.Text
-		}
-		items = append(items, ImportItem{Module: name.Text, Alias: alias})
-		if p.at(Comma) {
-			p.take()
-			continue
-		}
-		break
-	}
-	return &FromImportStmt{base: base{Line: t.Line}, Module: mod, Items: items}, nil
+	return &AssignStmt{base: base{Line: t.Line}, Target: lhs, Op: op, Value: rhs}, nil
 }
 
-func (p *parser) dottedName() (string, error) {
+// importItem parses "name [as alias]".
+func (p *parser) importItem() (ImportItem, error) {
 	name, err := p.expect(IDENT)
 	if err != nil {
-		return "", err
+		return ImportItem{}, err
 	}
-	full := name.Text
-	for p.at(Dot) {
+	item := ImportItem{Module: name.Text, Alias: name.Text}
+	if p.at(KwAs) {
 		p.take()
-		part, err := p.expect(IDENT)
+		alias, err := p.expect(IDENT)
 		if err != nil {
-			return "", err
+			return ImportItem{}, err
 		}
-		full += "." + part.Text
+		item.Alias = alias.Text
 	}
-	return full, nil
+	return item, nil
+}
+
+func assignable(e Expr) bool {
+	switch v := e.(type) {
+	case *NameExpr, *IndexExpr:
+		return true
+	case *TupleExpr:
+		for _, el := range v.Elems {
+			if !assignable(el) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // ---- Expressions ----
@@ -598,16 +441,13 @@ func (p *parser) dottedName() (string, error) {
 // expressions into a TupleExpr.
 func (p *parser) exprOrTuple() (Expr, error) {
 	first, err := p.expr()
-	if err != nil {
-		return nil, err
-	}
-	if !p.at(Comma) {
-		return first, nil
+	if err != nil || !p.at(Comma) {
+		return first, err
 	}
 	elems := []Expr{first}
 	for p.at(Comma) {
 		p.take()
-		if isExprEnd(p.cur().Kind) {
+		if isExprEnd(p.tok.Kind) {
 			break // trailing comma
 		}
 		e, err := p.expr()
@@ -621,268 +461,171 @@ func (p *parser) exprOrTuple() (Expr, error) {
 
 func isExprEnd(k Kind) bool {
 	switch k {
-	case NEWLINE, EOF, DEDENT, RParen, RBracket, RBrace, Colon, Assign, Semicolon:
+	case NEWLINE, EOF, DEDENT, RParen, RBracket, RBrace, Colon, Assign, PlusAssign:
 		return true
 	}
 	return false
 }
 
-// expr parses a conditional expression (the lowest-precedence form).
+// expr parses a lambda or a conditional expression, the
+// lowest-precedence forms.
 func (p *parser) expr() (Expr, error) {
-	if p.at(KwLambda) {
-		return p.lambda()
+	if err := p.enter(); err != nil {
+		return nil, err
 	}
-	e, err := p.orExpr()
+	defer p.leave()
+	if p.at(KwLambda) {
+		t := p.take()
+		params, err := p.paramList(Colon)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := p.expect(Colon); err != nil {
+			return nil, err
+		}
+		body, err := p.expr()
+		if err != nil {
+			return nil, err
+		}
+		return &LambdaExpr{base: base{Line: t.Line}, Params: params, Body: body}, nil
+	}
+	e, err := p.comparison()
+	if err != nil || !p.at(KwIf) {
+		return e, err
+	}
+	t := p.take()
+	cond, err := p.comparison()
 	if err != nil {
 		return nil, err
 	}
-	if p.at(KwIf) {
+	if _, err := p.expect(KwElse); err != nil {
+		return nil, err
+	}
+	els, err := p.expr()
+	if err != nil {
+		return nil, err
+	}
+	return &CondExpr{base: base{Line: t.Line}, Cond: cond, Then: e, Else: els}, nil
+}
+
+// comparison parses one optional comparison of two sums.
+func (p *parser) comparison() (Expr, error) {
+	left, err := p.binary(arithOps, p.term)
+	if err != nil {
+		return nil, err
+	}
+	switch p.tok.Kind {
+	case Lt, Gt, Le, Ge, Eq, Ne:
 		t := p.take()
-		cond, err := p.orExpr()
+		right, err := p.binary(arithOps, p.term)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(KwElse); err != nil {
+		return &BinExpr{base: base{Line: t.Line}, Op: t.Kind, Left: left, Right: right}, nil
+	}
+	return left, nil
+}
+
+var (
+	arithOps = []Kind{Plus, Minus}
+	termOps  = []Kind{Star, Slash, SlashSlash, Percent}
+)
+
+func (p *parser) term() (Expr, error) { return p.binary(termOps, p.unary) }
+
+// binary parses a left-associative chain of operand (ops operand)*.
+func (p *parser) binary(ops []Kind, operand func() (Expr, error)) (Expr, error) {
+	left, err := operand()
+	if err != nil {
+		return nil, err
+	}
+	for n := 1; ; n++ {
+		t := p.tok
+		if !isOneOf(t.Kind, ops) {
+			return left, nil
+		}
+		if err := p.chain(n); err != nil {
 			return nil, err
 		}
-		els, err := p.expr()
+		p.take()
+		right, err := operand()
 		if err != nil {
 			return nil, err
 		}
-		return &CondExpr{base: base{Line: t.Line}, Cond: cond, Then: e, Else: els}, nil
+		left = &BinExpr{base: base{Line: t.Line}, Op: t.Kind, Left: left, Right: right}
+	}
+}
+
+func isOneOf(k Kind, ks []Kind) bool {
+	for _, x := range ks {
+		if k == x {
+			return true
+		}
+	}
+	return false
+}
+
+// unary parses any number of leading minus signs, then a postfix
+// expression.
+func (p *parser) unary() (Expr, error) {
+	var signs []Token
+	for p.at(Minus) {
+		if err := p.chain(len(signs) + 1); err != nil {
+			return nil, err
+		}
+		signs = append(signs, p.take())
+	}
+	e, err := p.postfix()
+	if err != nil {
+		return nil, err
+	}
+	for i := len(signs) - 1; i >= 0; i-- {
+		e = &UnaryExpr{base: base{Line: signs[i].Line}, Operand: e}
 	}
 	return e, nil
 }
 
-func (p *parser) lambda() (Expr, error) {
-	t := p.take() // lambda
-	params, err := p.paramList(Colon, false)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(Colon); err != nil {
-		return nil, err
-	}
-	body, err := p.expr()
-	if err != nil {
-		return nil, err
-	}
-	return &LambdaExpr{base: base{Line: t.Line}, Params: params, Body: body}, nil
-}
-
-func (p *parser) orExpr() (Expr, error) {
-	left, err := p.andExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(KwOr) {
-		t := p.take()
-		right, err := p.andExpr()
-		if err != nil {
-			return nil, err
-		}
-		left = &BoolExpr{base: base{Line: t.Line}, Op: KwOr, Left: left, Right: right}
-	}
-	return left, nil
-}
-
-func (p *parser) andExpr() (Expr, error) {
-	left, err := p.notExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(KwAnd) {
-		t := p.take()
-		right, err := p.notExpr()
-		if err != nil {
-			return nil, err
-		}
-		left = &BoolExpr{base: base{Line: t.Line}, Op: KwAnd, Left: left, Right: right}
-	}
-	return left, nil
-}
-
-func (p *parser) notExpr() (Expr, error) {
-	if p.at(KwNot) {
-		t := p.take()
-		operand, err := p.notExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{base: base{Line: t.Line}, Op: KwNot, Operand: operand}, nil
-	}
-	return p.comparison()
-}
-
-func (p *parser) comparison() (Expr, error) {
-	left, err := p.arith()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch p.cur().Kind {
-		case Lt, Gt, Le, Ge, Eq, Ne:
-			t := p.take()
-			right, err := p.arith()
-			if err != nil {
-				return nil, err
-			}
-			left = &BinExpr{base: base{Line: t.Line}, Op: t.Kind, Left: left, Right: right}
-		case KwIn:
-			t := p.take()
-			right, err := p.arith()
-			if err != nil {
-				return nil, err
-			}
-			left = &InExpr{base: base{Line: t.Line}, X: left, Container: right}
-		case KwNot:
-			if !p.peek(KwIn) {
-				return left, nil
-			}
-			t := p.take() // not
-			p.take()      // in
-			right, err := p.arith()
-			if err != nil {
-				return nil, err
-			}
-			left = &InExpr{base: base{Line: t.Line}, X: left, Container: right, Not: true}
-		default:
-			return left, nil
-		}
-	}
-}
-
-func (p *parser) arith() (Expr, error) {
-	left, err := p.term()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(Plus) || p.at(Minus) {
-		t := p.take()
-		right, err := p.term()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinExpr{base: base{Line: t.Line}, Op: t.Kind, Left: left, Right: right}
-	}
-	return left, nil
-}
-
-func (p *parser) term() (Expr, error) {
-	left, err := p.factor()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(Star) || p.at(Slash) || p.at(SlashSlash) || p.at(Percent) {
-		t := p.take()
-		right, err := p.factor()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinExpr{base: base{Line: t.Line}, Op: t.Kind, Left: left, Right: right}
-	}
-	return left, nil
-}
-
-func (p *parser) factor() (Expr, error) {
-	if p.at(Minus) || p.at(Plus) {
-		t := p.take()
-		operand, err := p.factor()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{base: base{Line: t.Line}, Op: t.Kind, Operand: operand}, nil
-	}
-	return p.power()
-}
-
-func (p *parser) power() (Expr, error) {
-	left, err := p.postfix()
-	if err != nil {
-		return nil, err
-	}
-	if p.at(StarStar) {
-		t := p.take()
-		right, err := p.factor() // right-associative
-		if err != nil {
-			return nil, err
-		}
-		return &BinExpr{base: base{Line: t.Line}, Op: StarStar, Left: left, Right: right}, nil
-	}
-	return left, nil
-}
-
+// postfix parses a primary followed by calls, attribute accesses,
+// indexes and slices.
 func (p *parser) postfix() (Expr, error) {
 	e, err := p.primary()
 	if err != nil {
 		return nil, err
 	}
-	return p.postfixOps(e)
-}
-
-// postfixExprFromPrimary is like postfix but exposed for del targets.
-func (p *parser) postfixExprFromPrimary() (Expr, error) { return p.postfix() }
-
-func (p *parser) postfixOps(e Expr) (Expr, error) {
-	for {
-		switch p.cur().Kind {
+	for n := 1; ; n++ {
+		t := p.tok
+		if t.Kind != LParen && t.Kind != Dot && t.Kind != LBracket {
+			return e, nil
+		}
+		if err := p.chain(n); err != nil {
+			return nil, err
+		}
+		p.take()
+		switch t.Kind {
 		case LParen:
-			t := p.take()
-			var args []Expr
-			var kwargs []KwArg
-			for !p.at(RParen) {
-				if p.at(IDENT) && p.peek(Assign) {
-					name := p.take()
-					p.take() // =
-					val, err := p.expr()
-					if err != nil {
-						return nil, err
-					}
-					kwargs = append(kwargs, KwArg{Name: name.Text, Value: val})
-				} else {
-					if len(kwargs) > 0 {
-						return nil, p.errf("positional argument follows keyword argument")
-					}
-					a, err := p.expr()
-					if err != nil {
-						return nil, err
-					}
-					args = append(args, a)
-				}
-				if p.at(Comma) {
-					p.take()
-					continue
-				}
-				break
-			}
-			if _, err := p.expect(RParen); err != nil {
+			args, err := p.exprList(RParen)
+			if err != nil {
 				return nil, err
 			}
-			e = &CallExpr{base: base{Line: t.Line}, Func: e, Args: args, KwArgs: kwargs}
+			e = &CallExpr{base: base{Line: t.Line}, Func: e, Args: args}
 		case Dot:
-			t := p.take()
 			name, err := p.expect(IDENT)
 			if err != nil {
 				return nil, err
 			}
 			e = &AttrExpr{base: base{Line: t.Line}, X: e, Name: name.Text}
 		case LBracket:
-			t := p.take()
 			var lo, hi Expr
-			var err error
-			isSlice := false
 			if !p.at(Colon) {
-				lo, err = p.expr()
-				if err != nil {
+				if lo, err = p.expr(); err != nil {
 					return nil, err
 				}
 			}
-			if p.at(Colon) {
-				isSlice = true
+			isSlice := p.at(Colon)
+			if isSlice {
 				p.take()
 				if !p.at(RBracket) {
-					hi, err = p.expr()
-					if err != nil {
+					if hi, err = p.expr(); err != nil {
 						return nil, err
 					}
 				}
@@ -895,14 +638,30 @@ func (p *parser) postfixOps(e Expr) (Expr, error) {
 			} else {
 				e = &IndexExpr{base: base{Line: t.Line}, X: e, Index: lo}
 			}
-		default:
-			return e, nil
 		}
 	}
 }
 
+// exprList parses comma-separated expressions up to and including end.
+func (p *parser) exprList(end Kind) ([]Expr, error) {
+	var elems []Expr
+	for !p.at(end) {
+		e, err := p.expr()
+		if err != nil {
+			return nil, err
+		}
+		elems = append(elems, e)
+		if !p.at(Comma) {
+			break
+		}
+		p.take()
+	}
+	_, err := p.expect(end)
+	return elems, err
+}
+
 func (p *parser) primary() (Expr, error) {
-	t := p.cur()
+	t := p.tok
 	switch t.Kind {
 	case IDENT:
 		p.take()
@@ -911,35 +670,25 @@ func (p *parser) primary() (Expr, error) {
 		p.take()
 		v, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {
-			return nil, p.errf("invalid integer literal %q", t.Text)
+			return nil, &SyntaxError{Msg: fmt.Sprintf("invalid integer literal %q", t.Text), Line: t.Line, Col: t.Col}
 		}
 		return &IntLit{base: base{Line: t.Line}, Value: v}, nil
 	case FLOAT:
 		p.take()
 		v, err := strconv.ParseFloat(t.Text, 64)
 		if err != nil {
-			return nil, p.errf("invalid float literal %q", t.Text)
+			return nil, &SyntaxError{Msg: fmt.Sprintf("invalid float literal %q", t.Text), Line: t.Line, Col: t.Col}
 		}
 		return &FloatLit{base: base{Line: t.Line}, Value: v}, nil
 	case STRING:
 		p.take()
-		val := t.Text
-		// Adjacent string literals concatenate.
-		for p.at(STRING) {
-			val += p.take().Text
-		}
-		return &StringLit{base: base{Line: t.Line}, Value: val}, nil
-	case KwTrue:
+		return &StringLit{base: base{Line: t.Line}, Value: t.Text}, nil
+	case KwTrue, KwFalse:
 		p.take()
-		return &BoolLit{base: base{Line: t.Line}, Value: true}, nil
-	case KwFalse:
-		p.take()
-		return &BoolLit{base: base{Line: t.Line}, Value: false}, nil
+		return &BoolLit{base: base{Line: t.Line}, Value: t.Kind == KwTrue}, nil
 	case KwNone:
 		p.take()
 		return &NoneLit{base: base{Line: t.Line}}, nil
-	case KwLambda:
-		return p.lambda()
 	case LParen:
 		p.take()
 		if p.at(RParen) {
@@ -956,26 +705,14 @@ func (p *parser) primary() (Expr, error) {
 		return e, nil
 	case LBracket:
 		p.take()
-		var elems []Expr
-		for !p.at(RBracket) {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			elems = append(elems, e)
-			if p.at(Comma) {
-				p.take()
-				continue
-			}
-			break
-		}
-		if _, err := p.expect(RBracket); err != nil {
+		elems, err := p.exprList(RBracket)
+		if err != nil {
 			return nil, err
 		}
 		return &ListLit{base: base{Line: t.Line}, Elems: elems}, nil
 	case LBrace:
 		p.take()
-		var keys, values []Expr
+		d := &DictLit{base: base{Line: t.Line}}
 		for !p.at(RBrace) {
 			k, err := p.expr()
 			if err != nil {
@@ -988,18 +725,17 @@ func (p *parser) primary() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			keys = append(keys, k)
-			values = append(values, v)
-			if p.at(Comma) {
-				p.take()
-				continue
+			d.Keys = append(d.Keys, k)
+			d.Values = append(d.Values, v)
+			if !p.at(Comma) {
+				break
 			}
-			break
+			p.take()
 		}
 		if _, err := p.expect(RBrace); err != nil {
 			return nil, err
 		}
-		return &DictLit{base: base{Line: t.Line}, Keys: keys, Values: values}, nil
+		return d, nil
 	}
 	return nil, p.errf("unexpected token %v in expression", t)
 }

@@ -33,29 +33,31 @@ type printer struct {
 	sb *strings.Builder
 }
 
-func (p *printer) indent(level int) {
-	for i := 0; i < level; i++ {
-		p.sb.WriteString("    ")
-	}
-}
-
 func (p *printer) stmts(stmts []Stmt, level int) {
 	for _, s := range stmts {
 		p.stmt(s, level)
 	}
 }
 
-func (p *printer) line(level int, text string) {
-	p.indent(level)
-	p.sb.WriteString(text)
+// line writes one line at the given indentation: its parts, strings
+// written as they are and expressions printed.
+func (p *printer) line(level int, parts ...any) {
+	p.sb.WriteString(strings.Repeat("    ", level))
+	for _, part := range parts {
+		switch v := part.(type) {
+		case string:
+			p.sb.WriteString(v)
+		case Expr:
+			p.expr(v)
+		}
+	}
 	p.sb.WriteByte('\n')
 }
 
 func (p *printer) stmt(s Stmt, level int) {
 	switch st := s.(type) {
 	case *DefStmt:
-		p.indent(level)
-		p.sb.WriteString("def " + st.Name + "(")
+		p.sb.WriteString(strings.Repeat("    ", level) + "def " + st.Name + "(")
 		p.params(st.Params)
 		p.sb.WriteString("):\n")
 		p.stmts(st.Body, level+1)
@@ -63,107 +65,47 @@ func (p *printer) stmt(s Stmt, level int) {
 		if st.Value == nil {
 			p.line(level, "return")
 		} else {
-			p.line(level, "return "+PrintExpr(st.Value))
+			p.line(level, "return ", st.Value)
 		}
 	case *IfStmt:
-		p.printIf(st, level, "if")
+		p.line(level, "if ", st.Cond, ":")
+		p.stmts(st.Body, level+1)
 	case *WhileStmt:
-		p.line(level, "while "+PrintExpr(st.Cond)+":")
+		p.line(level, "while ", st.Cond, ":")
 		p.stmts(st.Body, level+1)
 	case *ForStmt:
-		p.line(level, "for "+strings.Join(st.Targets, ", ")+" in "+PrintExpr(st.Iter)+":")
+		p.line(level, "for "+st.Target+" in ", st.Iter, ":")
 		p.stmts(st.Body, level+1)
 	case *AssignStmt:
-		op := "="
-		switch st.Op {
-		case PlusAssign:
-			op = "+="
-		case MinusAssign:
-			op = "-="
-		case StarAssign:
-			op = "*="
-		case SlashAssign:
-			op = "/="
-		}
-		p.line(level, PrintExpr(st.Target)+" "+op+" "+PrintExpr(st.Value))
+		p.line(level, st.Target, " "+st.Op.String()+" ", st.Value)
 	case *ExprStmt:
-		p.line(level, PrintExpr(st.Value))
+		p.line(level, st.Value)
 	case *ImportStmt:
-		parts := make([]string, len(st.Items))
-		for i, it := range st.Items {
-			if it.Alias != it.Module {
-				parts[i] = it.Module + " as " + it.Alias
-			} else {
-				parts[i] = it.Module
-			}
-		}
-		p.line(level, "import "+strings.Join(parts, ", "))
+		p.line(level, "import "+importItem(st.Item))
 	case *FromImportStmt:
-		parts := make([]string, len(st.Items))
-		for i, it := range st.Items {
-			if it.Alias != it.Module {
-				parts[i] = it.Module + " as " + it.Alias
-			} else {
-				parts[i] = it.Module
-			}
-		}
-		p.line(level, "from "+st.Module+" import "+strings.Join(parts, ", "))
+		p.line(level, "from "+st.Module+" import "+importItem(st.Item))
 	case *GlobalStmt:
 		p.line(level, "global "+strings.Join(st.Names, ", "))
 	case *PassStmt:
 		p.line(level, "pass")
-	case *BreakStmt:
-		p.line(level, "break")
-	case *ContinueStmt:
-		p.line(level, "continue")
-	case *DelStmt:
-		p.line(level, "del "+PrintExpr(st.Target))
 	case *RaiseStmt:
-		if st.Value == nil {
-			p.line(level, "raise")
-		} else {
-			p.line(level, "raise "+PrintExpr(st.Value))
-		}
-	case *TryStmt:
-		p.line(level, "try:")
-		p.stmts(st.Body, level+1)
-		if st.Except != nil {
-			if st.ErrName != "" {
-				p.line(level, "except Exception as "+st.ErrName+":")
-			} else {
-				p.line(level, "except:")
-			}
-			p.stmts(st.Except, level+1)
-		}
-		if st.Finally != nil {
-			p.line(level, "finally:")
-			p.stmts(st.Finally, level+1)
-		}
+		p.line(level, "raise ", st.Value)
 	case *AssertStmt:
 		if st.Msg != nil {
-			p.line(level, "assert "+PrintExpr(st.Cond)+", "+PrintExpr(st.Msg))
+			p.line(level, "assert ", st.Cond, ", ", st.Msg)
 		} else {
-			p.line(level, "assert "+PrintExpr(st.Cond))
+			p.line(level, "assert ", st.Cond)
 		}
 	default:
-		p.line(level, fmt.Sprintf("# <unprintable %T>", s))
+		panic(fmt.Sprintf("minipy: cannot print %T", s))
 	}
 }
 
-func (p *printer) printIf(st *IfStmt, level int, kw string) {
-	p.line(level, kw+" "+PrintExpr(st.Cond)+":")
-	p.stmts(st.Body, level+1)
-	if len(st.Else) == 0 {
-		return
+func importItem(it ImportItem) string {
+	if it.Alias != it.Module {
+		return it.Module + " as " + it.Alias
 	}
-	if len(st.Else) == 1 {
-		if elif, ok := st.Else[0].(*IfStmt); ok {
-			p.printIf(elif, level, "elif")
-			return
-		}
-	}
-	p.line(level, "else:")
-	p.stmts(st.Else, level+1)
+	return it.Module
 }
 
 func (p *printer) params(params []Param) {
@@ -174,25 +116,22 @@ func (p *printer) params(params []Param) {
 		p.sb.WriteString(prm.Name)
 		if prm.Default != nil {
 			p.sb.WriteString("=")
-			p.expr(defaultExpr(prm.Default))
+			p.expr(prm.Default)
 		}
 	}
 }
 
-// defaultExpr unwraps evaluated defaults back to their original
+// defaultExpr unwraps an evaluated default back to its original
 // expression for printing; if the value has no printable original (a
 // default reconstructed from a pickle), it renders the value itself.
-func defaultExpr(d Expr) Expr {
-	if ed, ok := d.(*evaluatedDefault); ok {
-		if ed.orig != nil {
-			return ed.orig
-		}
-		if lit := valueToLiteral(ed.value); lit != nil {
-			return lit
-		}
-		return &NoneLit{}
+func defaultExpr(ed *evaluatedDefault) Expr {
+	if ed.orig != nil {
+		return ed.orig
 	}
-	return d
+	if lit := valueToLiteral(ed.value); lit != nil {
+		return lit
+	}
+	return &NoneLit{}
 }
 
 // valueToLiteral converts simple values back to literal expressions.
@@ -209,29 +148,30 @@ func valueToLiteral(v Value) Expr {
 	case Str:
 		return &StringLit{Value: string(x)}
 	case *List:
-		elems := make([]Expr, len(x.Elems))
-		for i, e := range x.Elems {
-			le := valueToLiteral(e)
-			if le == nil {
-				return nil
-			}
-			elems[i] = le
+		if elems := literals(x.Elems); elems != nil {
+			return &ListLit{Elems: elems}
 		}
-		return &ListLit{Elems: elems}
 	case *Tuple:
-		elems := make([]Expr, len(x.Elems))
-		for i, e := range x.Elems {
-			le := valueToLiteral(e)
-			if le == nil {
-				return nil
-			}
-			elems[i] = le
+		if elems := literals(x.Elems); elems != nil {
+			return &TupleExpr{Elems: elems}
 		}
-		return &TupleExpr{Elems: elems}
 	}
 	return nil
 }
 
+// literals converts every value, or returns nil if one has no literal.
+func literals(vs []Value) []Expr {
+	out := make([]Expr, len(vs))
+	for i, v := range vs {
+		if out[i] = valueToLiteral(v); out[i] == nil {
+			return nil
+		}
+	}
+	return out
+}
+
+// expr prints e; every operator form is parenthesized, so the printed
+// source parses back to the same tree whatever the precedences.
 func (p *printer) expr(e Expr) {
 	switch ex := e.(type) {
 	case *NameExpr:
@@ -241,34 +181,20 @@ func (p *printer) expr(e Expr) {
 	case *FloatLit:
 		p.sb.WriteString(Float(ex.Value).Repr())
 	case *StringLit:
-		p.sb.WriteString(strconv.Quote(ex.Value))
+		p.sb.WriteString(quote(ex.Value))
 	case *BoolLit:
-		if ex.Value {
-			p.sb.WriteString("True")
-		} else {
-			p.sb.WriteString("False")
-		}
+		p.sb.WriteString(Bool(ex.Value).Repr())
 	case *NoneLit:
 		p.sb.WriteString("None")
 	case *evaluatedDefault:
 		p.expr(defaultExpr(ex))
 	case *ListLit:
 		p.sb.WriteByte('[')
-		for i, el := range ex.Elems {
-			if i > 0 {
-				p.sb.WriteString(", ")
-			}
-			p.expr(el)
-		}
+		p.list(ex.Elems)
 		p.sb.WriteByte(']')
 	case *TupleExpr:
 		p.sb.WriteByte('(')
-		for i, el := range ex.Elems {
-			if i > 0 {
-				p.sb.WriteString(", ")
-			}
-			p.expr(el)
-		}
+		p.list(ex.Elems)
 		if len(ex.Elems) == 1 {
 			p.sb.WriteByte(',')
 		}
@@ -290,48 +216,18 @@ func (p *printer) expr(e Expr) {
 		p.sb.WriteString(" " + ex.Op.String() + " ")
 		p.expr(ex.Right)
 		p.sb.WriteByte(')')
-	case *BoolExpr:
-		p.sb.WriteByte('(')
-		p.expr(ex.Left)
-		if ex.Op == KwAnd {
-			p.sb.WriteString(" and ")
-		} else {
-			p.sb.WriteString(" or ")
-		}
-		p.expr(ex.Right)
-		p.sb.WriteByte(')')
 	case *UnaryExpr:
-		switch ex.Op {
-		case Minus:
-			p.sb.WriteString("(-")
-		case Plus:
-			p.sb.WriteString("(+")
-		case KwNot:
-			p.sb.WriteString("(not ")
-		}
+		p.sb.WriteString("(-")
 		p.expr(ex.Operand)
 		p.sb.WriteByte(')')
 	case *CallExpr:
 		p.expr(ex.Func)
 		p.sb.WriteByte('(')
-		for i, a := range ex.Args {
-			if i > 0 {
-				p.sb.WriteString(", ")
-			}
-			p.expr(a)
-		}
-		for i, kw := range ex.KwArgs {
-			if i > 0 || len(ex.Args) > 0 {
-				p.sb.WriteString(", ")
-			}
-			p.sb.WriteString(kw.Name + "=")
-			p.expr(kw.Value)
-		}
+		p.list(ex.Args)
 		p.sb.WriteByte(')')
 	case *AttrExpr:
 		p.expr(ex.X)
-		p.sb.WriteByte('.')
-		p.sb.WriteString(ex.Name)
+		p.sb.WriteString("." + ex.Name)
 	case *IndexExpr:
 		p.expr(ex.X)
 		p.sb.WriteByte('[')
@@ -365,17 +261,16 @@ func (p *printer) expr(e Expr) {
 		p.sb.WriteString(" else ")
 		p.expr(ex.Else)
 		p.sb.WriteByte(')')
-	case *InExpr:
-		p.sb.WriteByte('(')
-		p.expr(ex.X)
-		if ex.Not {
-			p.sb.WriteString(" not in ")
-		} else {
-			p.sb.WriteString(" in ")
-		}
-		p.expr(ex.Container)
-		p.sb.WriteByte(')')
 	default:
-		p.sb.WriteString(fmt.Sprintf("<unprintable %T>", e))
+		panic(fmt.Sprintf("minipy: cannot print %T", e))
+	}
+}
+
+func (p *printer) list(es []Expr) {
+	for i, e := range es {
+		if i > 0 {
+			p.sb.WriteString(", ")
+		}
+		p.expr(e)
 	}
 }

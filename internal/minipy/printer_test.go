@@ -20,25 +20,33 @@ func TestPrintStatementForms(t *testing.T) {
 		src  string
 		want []string // substrings of the printed form
 	}{
-		{"import a.b as c, d\n", []string{"import a.b as c, d"}},
-		{"from m import x as y\n", []string{"from m import x as y"}},
+		{"import a as c\nimport d\n", []string{"import a as c\n", "import d\n"}},
+		{"from m import x as y\nfrom m import z\n", []string{"from m import x as y\n", "from m import z\n"}},
 		{"global a, b\n", []string{"global a, b"}},
-		{"del x\n", []string{"del x"}},
 		{"raise 'err'\n", []string{`raise "err"`}},
-		{"assert x, 'msg'\n", []string{`assert x, "msg"`}},
+		{"assert x, 'msg'\nassert y\n", []string{`assert x, "msg"`, "assert y\n"}},
 		{"x += 1\n", []string{"x += 1"}},
-		{"x -= 1\ny *= 2\nz /= 3\n", []string{"x -= 1", "y *= 2", "z /= 3"}},
-		{"pass\nbreak\ncontinue\n", []string{"pass"}},
-		{"x = a if b else c\n", []string{"if", "else"}},
-		{"x = lambda a, b=2: a + b\n", []string{"lambda a, b=2"}},
-		{"x = not (a in b)\n", []string{"not", "in"}},
+		{"a, b = b, a\n", []string{"(a, b) = (b, a)"}},
+		{"pass\n", []string{"pass"}},
+		{"def f():\n    return\n", []string{"def f():\n    return\n"}},
+		{"if x:\n    y = 1\n", []string{"if x:\n    y = 1\n"}},
+		{"while x:\n    y = 1\n", []string{"while x:\n    y = 1\n"}},
+		{"for i in xs:\n    f(i)\n", []string{"for i in xs:\n    f(i)\n"}},
+		{"x = a if b else c\n", []string{"(a if b else c)"}},
+		{"x = lambda a, b=2: a + b\n", []string{"(lambda a, b=2: (a + b))"}},
+		{"x = lambda: 1\n", []string{"(lambda: 1)"}},
 		{"x = y[1:5]\n", []string{"[1:5]"}},
 		{"x = y[:5]\n", []string{"[:5]"}},
-		{"x = y[1:]\n", []string{"[1:"}},
+		{"x = y[1:]\n", []string{"[1:]"}},
+		{"x = y[0].z\n", []string{"y[0].z"}},
 		{"x = (1,)\n", []string{"(1,)"}},
+		{"x = ()\n", []string{"x = ()"}},
 		{"x = {1: 'a', 2: 'b'}\n", []string{`{1: "a", 2: "b"}`}},
-		{"x = -y ** 2\n", []string{"**"}},
-		{"f(a, b, k=1, j=2)\n", []string{"k=1", "j=2"}},
+		{"x = [True, False, None, 1.5, 'a\\nb']\n", []string{`[True, False, None, 1.5, "a\nb"]`}},
+		{"x = -y * 2\n", []string{"((-y) * 2)"}},
+		{"a = 1 <= 2\nb = 3 != 4\nc = 5 >= 6\nd = 1 < 2\ne = 1 > 2\nf = 1 == 2\n",
+			[]string{"(1 <= 2)", "(3 != 4)", "(5 >= 6)", "(1 < 2)", "(1 > 2)", "(1 == 2)"}},
+		{"f(a, b, 1 // 2 % 3)\n", []string{"f(a, b, ((1 // 2) % 3))"}},
 	}
 	for _, c := range cases {
 		printed := parsePrint(t, c.src)
@@ -63,8 +71,9 @@ def collatz(n):
     while n != 1:
         if n % 2 == 0:
             n = n // 2
-        else:
-            n = 3 * n + 1
+        if n % 2 == 1:
+            if n != 1:
+                n = 3 * n + 1
         steps += 1
     return steps
 r = collatz(27)
@@ -74,7 +83,7 @@ acc = {}
 for i in range(20):
     key = "k" + str(i % 3)
     acc[key] = acc.get(key, 0) + i
-r = sorted(acc.items())
+r = [acc["k0"], acc["k1"], acc["k2"], len(acc)]
 `,
 		`
 def apply_all(fs, x):
@@ -82,7 +91,7 @@ def apply_all(fs, x):
     for f in fs:
         out.append(f(x))
     return out
-r = apply_all([lambda v: v + 1, lambda v: v * 2], 10)
+r = apply_all([lambda v: v + 1, lambda v: v * 2, lambda v: -v if v > 5 else v], 10)
 `,
 	}
 	for _, src := range srcs {
@@ -114,6 +123,7 @@ func TestValueToLiteral(t *testing.T) {
 		Str("hi"),
 		NewList(Int(1), Str("x")),
 		NewTuple(Int(1), Int(2)),
+		NewList(),
 	}
 	for _, v := range values {
 		lit := valueToLiteral(v)
@@ -136,39 +146,18 @@ func TestValueToLiteral(t *testing.T) {
 	if valueToLiteral(&Builtin{Name: "len"}) != nil {
 		t.Errorf("builtin should not literalize")
 	}
+	if valueToLiteral(NewList(Int(1), NewDict())) != nil {
+		t.Errorf("a list holding a dict should not literalize")
+	}
 	d := NewDict()
 	if valueToLiteral(d) != nil {
 		t.Errorf("dict literalization not supported (by design)")
 	}
-}
-
-func TestPrintTryFinally(t *testing.T) {
-	src := `
-def f(x):
-    try:
-        return 1 / x
-    except Exception as e:
-        return e
-    finally:
-        pass
-`
-	printed := parsePrint(t, src)
-	for _, w := range []string{"try:", "except Exception as e:", "finally:"} {
-		if !strings.Contains(printed, w) {
-			t.Errorf("missing %q in:\n%s", w, printed)
+	// A default with no source expression prints as its value, or as
+	// None when the value has no literal.
+	for v, want := range map[Value]string{Int(7): "7", NewDict(): "None"} {
+		if got := PrintExpr(&evaluatedDefault{value: v}); got != want {
+			t.Errorf("default %s prints as %q, want %q", v.Repr(), got, want)
 		}
-	}
-	ip := NewInterp(nil)
-	env, err := ip.RunModule(printed, "m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fv, _ := env.Get("f")
-	v, err := ip.Call(fv, []Value{Int(0)}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(ToStr(v), "division") {
-		t.Errorf("printed try/except lost semantics: %s", v.Repr())
 	}
 }

@@ -1,6 +1,7 @@
 package minipy
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -33,8 +34,8 @@ def f(x, k=3):
     for i in range(x):
         if i % 2 == 0:
             total += i * k
-        else:
-            total -= i
+        if i % 2 != 0:
+            total += -i
     return total
 r = f(10)
 `
@@ -154,4 +155,109 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(digits)
+}
+
+// hostileParens and hostileChain are the two inputs that overflowed the
+// stack before the parser bounded its trees: 3×10⁶ nested parentheses
+// died inside Parse, and a 3×10⁶-term sum parsed, left-associatively
+// and without recursion, into a tree 3×10⁶ deep that died in eval. Each
+// is 6 MB, well under a frame's limit.
+func hostileParens() string {
+	return strings.Repeat("(", 3_000_000) + strings.Repeat(")", 3_000_000)
+}
+
+func hostileChain() string { return "x = " + strings.Repeat("1+", 3_000_000) + "1\n" }
+
+// TestHostileNestingIsAnError: both inputs are syntax errors through
+// Parse, ParseExpr and RunModule, and rejecting them costs the parser no
+// more than the tokens it read before giving up.
+func TestHostileNestingIsAnError(t *testing.T) {
+	for name, src := range map[string]string{"parens": hostileParens(), "chain": hostileChain()} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Parse(src)
+		runtime.ReadMemStats(&after)
+		if _, ok := err.(*SyntaxError); !ok || !strings.Contains(err.Error(), "nested deeper") {
+			t.Errorf("%s: Parse err = %v, want a nesting syntax error", name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Errorf("%s: rejecting %d bytes allocated %d", name, len(src), alloc)
+		}
+		if _, err := ParseExpr(strings.TrimPrefix(src, "x = ")); err == nil {
+			t.Errorf("%s: ParseExpr accepted it", name)
+		}
+		if _, err := NewInterp(nil).RunModule(src, "m"); err == nil {
+			t.Errorf("%s: RunModule accepted it", name)
+		}
+	}
+}
+
+// TestNestingBoundIsExact: for each way a tree grows a level — blocks,
+// left-associative chains, unary minus, postfix chains, brackets,
+// lambdas, conditionals, and their mixes — a tree maxDepth deep parses,
+// runs where it can, and prints to source that parses back to the same
+// print, while one level more is a syntax error.
+func TestNestingBoundIsExact(t *testing.T) {
+	// Each shape builds a module whose deepest node is at depth d; the
+	// statement holding the expression is depth 1.
+	shapes := map[string]func(d int) string{
+		"blocks": func(d int) string {
+			var sb strings.Builder
+			for i := 0; i < d-1; i++ {
+				sb.WriteString(strings.Repeat("    ", i) + "if x:\n")
+			}
+			return sb.String() + strings.Repeat("    ", d-1) + "pass\n"
+		},
+		"sum":     func(d int) string { return "x = 1" + strings.Repeat(" + 1", d-2) + "\n" },
+		"product": func(d int) string { return "x = 2" + strings.Repeat(" * 1", d-2) + "\n" },
+		"minus":   func(d int) string { return "x = " + strings.Repeat("-", d-2) + "1\n" },
+		"attrs":   func(d int) string { return "x = a" + strings.Repeat(".b", d-2) + "\n" },
+		"calls":   func(d int) string { return "x = f" + strings.Repeat("()", d-2) + "\n" },
+		"lists":   func(d int) string { return "x = " + strings.Repeat("[", d-1) + strings.Repeat("]", d-1) + "\n" },
+		"parens": func(d int) string {
+			return "x = " + strings.Repeat("(1 + ", d-2) + "1" + strings.Repeat(")", d-2) + "\n"
+		},
+		"lambdas": func(d int) string { return "x = " + strings.Repeat("lambda: ", d-2) + "1\n" },
+		"conds":   func(d int) string { return "x = " + strings.Repeat("1 if 1 else ", d-2) + "1\n" },
+		"defs": func(d int) string {
+			var sb strings.Builder
+			for i := 0; i < d-1; i++ {
+				sb.WriteString(strings.Repeat("    ", i) + "def f(a=1):\n")
+			}
+			return sb.String() + strings.Repeat("    ", d-1) + "pass\n"
+		},
+		"mixed": func(d int) string {
+			return "x = " + strings.Repeat("-[(lambda: ", (d-2)/3) + "1" + strings.Repeat(")]", (d-2)/3) + strings.Repeat(" + 1", (d-2)%3) + "\n"
+		},
+	}
+	for name, shape := range shapes {
+		src := shape(maxDepth)
+		mod, err := Parse(src)
+		if err != nil {
+			t.Errorf("%s: a tree %d deep: %v", name, maxDepth, err)
+			continue
+		}
+		printed := PrintModule(mod.Body)
+		again, err := Parse(printed)
+		if err != nil {
+			t.Errorf("%s: the printed tree does not parse: %v", name, err)
+		} else if PrintModule(again.Body) != printed {
+			t.Errorf("%s: print is not stable", name)
+		}
+		ip := NewInterp(nil)
+		ip.StepLimit = 1 << 20
+		env := ip.NewGlobals()
+		env.Set("x", Bool(true))
+		_ = ip.ExecBlockWithSource(mod.Body, env, src, "m")
+		if _, err := Parse(shape(maxDepth + 1)); err == nil || !strings.Contains(err.Error(), "nested deeper") {
+			t.Errorf("%s: a tree %d deep: err = %v, want a nesting syntax error", name, maxDepth+1, err)
+		}
+	}
+	// An expression alone starts at depth 1.
+	if _, err := ParseExpr(strings.Repeat("-", maxDepth-1) + "1"); err != nil {
+		t.Errorf("ParseExpr of %d levels: %v", maxDepth, err)
+	}
+	if _, err := ParseExpr(strings.Repeat("-", maxDepth) + "1"); err == nil {
+		t.Errorf("ParseExpr of %d levels succeeded", maxDepth+1)
+	}
 }

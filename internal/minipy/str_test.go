@@ -29,7 +29,7 @@ func TestStringPositionsMatchRunes(t *testing.T) {
 				return false
 			}
 		}
-		lo, hi := clamp(i, 0, len(runes)), clamp(j, 0, len(runes))
+		lo, hi := min(max(i, 0), len(runes)), min(max(j, 0), len(runes))
 		if hi < lo {
 			hi = lo
 		}

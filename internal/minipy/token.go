@@ -5,10 +5,8 @@
 // are not statically known and must be discovered, serialized, and
 // reconstructed on remote workers.
 //
-// The language is deliberately small but complete enough to express the
-// paper's workloads: function definitions with default arguments,
-// closures over enclosing scopes, lambdas, list/dict/string manipulation,
-// arithmetic, control flow, and imports of host-provided modules.
+// The language is the subset the paper's mechanisms and this repo's
+// workloads use, and no more; DESIGN.md §2 lists it.
 package minipy
 
 import "fmt"
@@ -33,30 +31,20 @@ const (
 	KwDef
 	KwReturn
 	KwIf
-	KwElif
 	KwElse
 	KwWhile
 	KwFor
 	KwIn
-	KwBreak
-	KwContinue
 	KwPass
 	KwImport
 	KwFrom
 	KwAs
 	KwGlobal
 	KwLambda
-	KwAnd
-	KwOr
-	KwNot
 	KwTrue
 	KwFalse
 	KwNone
-	KwDel
 	KwRaise
-	KwTry
-	KwExcept
-	KwFinally
 	KwAssert
 
 	// Punctuation and operators.
@@ -68,17 +56,12 @@ const (
 	RBrace
 	Comma
 	Colon
-	Semicolon
 	Dot
 	Assign
 	PlusAssign
-	MinusAssign
-	StarAssign
-	SlashAssign
 	Plus
 	Minus
 	Star
-	StarStar
 	Slash
 	SlashSlash
 	Percent
@@ -88,28 +71,22 @@ const (
 	Ge
 	Eq
 	Ne
-	Arrow
 )
 
 var kindNames = map[Kind]string{
 	EOF: "EOF", NEWLINE: "NEWLINE", INDENT: "INDENT", DEDENT: "DEDENT",
 	IDENT: "IDENT", INT: "INT", FLOAT: "FLOAT", STRING: "STRING",
-	KwDef: "def", KwReturn: "return", KwIf: "if", KwElif: "elif",
-	KwElse: "else", KwWhile: "while", KwFor: "for", KwIn: "in",
-	KwBreak: "break", KwContinue: "continue", KwPass: "pass",
+	KwDef: "def", KwReturn: "return", KwIf: "if", KwElse: "else",
+	KwWhile: "while", KwFor: "for", KwIn: "in", KwPass: "pass",
 	KwImport: "import", KwFrom: "from", KwAs: "as", KwGlobal: "global",
-	KwLambda: "lambda", KwAnd: "and", KwOr: "or", KwNot: "not",
-	KwTrue: "True", KwFalse: "False", KwNone: "None", KwDel: "del",
-	KwRaise: "raise", KwTry: "try", KwExcept: "except",
-	KwFinally: "finally", KwAssert: "assert",
+	KwLambda: "lambda", KwTrue: "True", KwFalse: "False", KwNone: "None",
+	KwRaise: "raise", KwAssert: "assert",
 	LParen: "(", RParen: ")", LBracket: "[", RBracket: "]",
-	LBrace: "{", RBrace: "}", Comma: ",", Colon: ":", Semicolon: ";",
-	Dot: ".", Assign: "=", PlusAssign: "+=", MinusAssign: "-=",
-	StarAssign: "*=", SlashAssign: "/=",
-	Plus: "+", Minus: "-", Star: "*", StarStar: "**", Slash: "/",
+	LBrace: "{", RBrace: "}", Comma: ",", Colon: ":",
+	Dot: ".", Assign: "=", PlusAssign: "+=",
+	Plus: "+", Minus: "-", Star: "*", Slash: "/",
 	SlashSlash: "//", Percent: "%",
 	Lt: "<", Gt: ">", Le: "<=", Ge: ">=", Eq: "==", Ne: "!=",
-	Arrow: "->",
 }
 
 // String returns a human-readable name for the token kind.
@@ -121,14 +98,11 @@ func (k Kind) String() string {
 }
 
 var keywords = map[string]Kind{
-	"def": KwDef, "return": KwReturn, "if": KwIf, "elif": KwElif,
-	"else": KwElse, "while": KwWhile, "for": KwFor, "in": KwIn,
-	"break": KwBreak, "continue": KwContinue, "pass": KwPass,
+	"def": KwDef, "return": KwReturn, "if": KwIf, "else": KwElse,
+	"while": KwWhile, "for": KwFor, "in": KwIn, "pass": KwPass,
 	"import": KwImport, "from": KwFrom, "as": KwAs, "global": KwGlobal,
-	"lambda": KwLambda, "and": KwAnd, "or": KwOr, "not": KwNot,
-	"True": KwTrue, "False": KwFalse, "None": KwNone, "del": KwDel,
-	"raise": KwRaise, "try": KwTry, "except": KwExcept,
-	"finally": KwFinally, "assert": KwAssert,
+	"lambda": KwLambda, "True": KwTrue, "False": KwFalse, "None": KwNone,
+	"raise": KwRaise, "assert": KwAssert,
 }
 
 // Token is a single lexical token with its source position.
@@ -144,7 +118,7 @@ func (t Token) String() string {
 	case IDENT, INT, FLOAT:
 		return t.Text
 	case STRING:
-		return fmt.Sprintf("%q", t.Text)
+		return quote(t.Text)
 	default:
 		return t.Kind.String()
 	}

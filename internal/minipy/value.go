@@ -3,14 +3,13 @@ package minipy
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
 
 // Value is a runtime MiniPy value. The concrete types are None, Bool,
-// Int, Float, Str, *List, *Tuple, *Dict, *Func, *Builtin, *Module and
-// *Object.
+// Int, Float, Str, *List, *Tuple, *Dict, *Func, *Builtin, *BoundMethod,
+// *ModuleVal and *Object.
 type Value interface {
 	Type() string
 	Repr() string
@@ -63,7 +62,7 @@ func (f Float) Truth() bool { return f != 0 }
 type Str string
 
 func (Str) Type() string   { return "str" }
-func (s Str) Repr() string { return strconv.Quote(string(s)) }
+func (s Str) Repr() string { return quote(string(s)) }
 func (s Str) Truth() bool  { return len(s) > 0 }
 
 // List is a mutable sequence.
@@ -108,29 +107,23 @@ func (t *Tuple) Truth() bool { return len(t.Elems) > 0 }
 // Dict is a mutable hash map. Keys must be hashable (None, bool, int,
 // float, str, tuple of hashables). Insertion order is preserved.
 type Dict struct {
-	keys    []Value
-	entries map[string]dictEntry
-}
-
-type dictEntry struct {
-	key   Value
-	value Value
-	order int
+	keys   []Value          // in insertion order
+	values map[string]Value // by HashKey
 }
 
 // NewDict creates an empty Dict.
-func NewDict() *Dict { return &Dict{entries: map[string]dictEntry{}} }
+func NewDict() *Dict { return &Dict{values: map[string]Value{}} }
 
 func (*Dict) Type() string { return "dict" }
 func (d *Dict) Repr() string {
 	parts := make([]string, 0, len(d.keys))
-	for _, k := range d.Keys() {
+	for _, k := range d.keys {
 		v, _ := d.Get(k)
 		parts = append(parts, k.Repr()+": "+v.Repr())
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
 }
-func (d *Dict) Truth() bool { return len(d.entries) > 0 }
+func (d *Dict) Truth() bool { return len(d.keys) > 0 }
 
 // HashKey computes the hash-map key string for a hashable value, or an
 // error for unhashable types.
@@ -177,10 +170,10 @@ func (d *Dict) Set(key, value Value) error {
 	if err != nil {
 		return err
 	}
-	if _, exists := d.entries[hk]; !exists {
+	if _, exists := d.values[hk]; !exists {
 		d.keys = append(d.keys, key)
 	}
-	d.entries[hk] = dictEntry{key: key, value: value, order: len(d.keys)}
+	d.values[hk] = value
 	return nil
 }
 
@@ -190,47 +183,15 @@ func (d *Dict) Get(key Value) (Value, bool) {
 	if err != nil {
 		return nil, false
 	}
-	e, ok := d.entries[hk]
-	if !ok {
-		return nil, false
-	}
-	return e.value, true
-}
-
-// Delete removes a key, reporting whether it was present.
-func (d *Dict) Delete(key Value) bool {
-	hk, err := HashKey(key)
-	if err != nil {
-		return false
-	}
-	if _, ok := d.entries[hk]; !ok {
-		return false
-	}
-	delete(d.entries, hk)
-	for i, k := range d.keys {
-		if kk, _ := HashKey(k); kk == hk {
-			d.keys = append(d.keys[:i], d.keys[i+1:]...)
-			break
-		}
-	}
-	return true
+	v, ok := d.values[hk]
+	return v, ok
 }
 
 // Len returns the number of entries.
-func (d *Dict) Len() int { return len(d.entries) }
+func (d *Dict) Len() int { return len(d.keys) }
 
 // Keys returns the keys in insertion order.
-func (d *Dict) Keys() []Value {
-	out := make([]Value, 0, len(d.keys))
-	for _, k := range d.keys {
-		if hk, err := HashKey(k); err == nil {
-			if _, ok := d.entries[hk]; ok {
-				out = append(out, k)
-			}
-		}
-	}
-	return out
-}
+func (d *Dict) Keys() []Value { return append([]Value(nil), d.keys...) }
 
 // Func is a user-defined function: a code object (the DefStmt or
 // LambdaExpr AST), the globals environment of its defining module, and
@@ -266,7 +227,7 @@ func (f *Func) Truth() bool { return true }
 // Builtin is a function implemented in Go.
 type Builtin struct {
 	Name string
-	Fn   func(ip *Interp, args []Value, kwargs map[string]Value) (Value, error)
+	Fn   func(ip *Interp, args []Value) (Value, error)
 }
 
 func (*Builtin) Type() string   { return "builtin" }
@@ -277,14 +238,14 @@ func (b *Builtin) Truth() bool  { return true }
 type BoundMethod struct {
 	Recv Value
 	Name string
-	Fn   func(ip *Interp, recv Value, args []Value, kwargs map[string]Value) (Value, error)
+	Fn   func(recv Value, args []Value) (Value, error)
 }
 
 func (*BoundMethod) Type() string   { return "method" }
 func (m *BoundMethod) Repr() string { return fmt.Sprintf("<method %s of %s>", m.Name, m.Recv.Type()) }
 func (m *BoundMethod) Truth() bool  { return true }
 
-// Module is an imported module: a named attribute namespace.
+// ModuleVal is an imported module: a named attribute namespace.
 type ModuleVal struct {
 	Name  string
 	Attrs map[string]Value
@@ -312,12 +273,7 @@ func NewObject(class string) *Object {
 
 func (o *Object) Type() string { return o.Class }
 func (o *Object) Repr() string {
-	names := make([]string, 0, len(o.Attrs))
-	for k := range o.Attrs {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return fmt.Sprintf("<%s object with %d attrs>", o.Class, len(names))
+	return fmt.Sprintf("<%s object with %d attrs>", o.Class, len(o.Attrs))
 }
 func (o *Object) Truth() bool { return true }
 
@@ -462,7 +418,7 @@ func sequenceElems(v Value) ([]Value, bool) {
 	return nil, false
 }
 
-// Str returns the str() form of a value (unquoted strings, Repr for the
+// ToStr returns the str() form of a value (unquoted strings, Repr for the
 // rest).
 func ToStr(v Value) string {
 	if s, ok := v.(Str); ok {

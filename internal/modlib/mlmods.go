@@ -39,7 +39,7 @@ func (h *resnetHandle) inferOne(image int64) int64 {
 
 func buildResnet() *minipy.ModuleVal {
 	m := &minipy.ModuleVal{Name: "resnet", Attrs: map[string]minipy.Value{}}
-	m.Attrs["load_model"] = fn("load_model", func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+	m.Attrs["load_model"] = fn("load_model", func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 		name := "resnet50"
 		if len(args) > 0 {
 			s, err := wantStr(args, 0, "load_model")
@@ -61,14 +61,14 @@ func buildResnet() *minipy.ModuleVal {
 		model.Attrs["checksum"] = minipy.Int(int64(checksum % 1000000))
 		h := &resnetHandle{layers: 50, classes: 1000, seed: checksum}
 		model.Host = h
-		model.Attrs["infer"] = fn("infer", func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+		model.Attrs["infer"] = fn("infer", func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 			img, err := wantInt(args, 0, "infer")
 			if err != nil {
 				return nil, err
 			}
 			return minipy.Int(h.inferOne(img)), nil
 		})
-		model.Attrs["infer_batch"] = fn("infer_batch", func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+		model.Attrs["infer_batch"] = fn("infer_batch", func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 			batch, err := wantList(args, 0, "infer_batch")
 			if err != nil {
 				return nil, err
@@ -90,7 +90,7 @@ func buildResnet() *minipy.ModuleVal {
 
 func buildImageproc() *minipy.ModuleVal {
 	m := &minipy.ModuleVal{Name: "imageproc", Attrs: map[string]minipy.Value{}}
-	m.Attrs["generate_batch"] = fn("generate_batch", func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+	m.Attrs["generate_batch"] = fn("generate_batch", func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 		seed, err := wantInt(args, 0, "generate_batch")
 		if err != nil {
 			return nil, err
@@ -109,7 +109,7 @@ func buildImageproc() *minipy.ModuleVal {
 		}
 		return out, nil
 	})
-	m.Attrs["normalize"] = fn("normalize", func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+	m.Attrs["normalize"] = fn("normalize", func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 		img, err := wantInt(args, 0, "normalize")
 		if err != nil {
 			return nil, err
@@ -121,7 +121,7 @@ func buildImageproc() *minipy.ModuleVal {
 
 func buildWeightstore() *minipy.ModuleVal {
 	m := &minipy.ModuleVal{Name: "weightstore", Attrs: map[string]minipy.Value{}}
-	m.Attrs["manifest"] = fn("manifest", func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+	m.Attrs["manifest"] = fn("manifest", func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 		name := "resnet50"
 		if len(args) > 0 {
 			s, err := wantStr(args, 0, "manifest")
@@ -143,7 +143,7 @@ func buildWeightstore() *minipy.ModuleVal {
 
 func buildChemtools() *minipy.ModuleVal {
 	m := &minipy.ModuleVal{Name: "chemtools", Attrs: map[string]minipy.Value{}}
-	m.Attrs["parse_smiles"] = fn("parse_smiles", func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+	m.Attrs["parse_smiles"] = fn("parse_smiles", func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 		s, err := wantStr(args, 0, "parse_smiles")
 		if err != nil {
 			return nil, err
@@ -170,7 +170,7 @@ func buildChemtools() *minipy.ModuleVal {
 		mol.Attrs["rings"] = minipy.Int(int64(rings / 2))
 		return mol, nil
 	})
-	m.Attrs["featurize"] = fn("featurize", func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+	m.Attrs["featurize"] = fn("featurize", func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 		if len(args) != 1 {
 			return nil, fmt.Errorf("featurize() takes 1 argument")
 		}
@@ -196,7 +196,7 @@ func buildQuantumsim() *minipy.ModuleVal {
 	m := &minipy.ModuleVal{Name: "quantumsim", Attrs: map[string]minipy.Value{}}
 	// pm7_energy runs an iterative SCF-like loop: deterministic but
 	// genuinely iterative, so compute scales with the step count.
-	m.Attrs["pm7_energy"] = fn("pm7_energy", func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+	m.Attrs["pm7_energy"] = fn("pm7_energy", func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 		if len(args) < 1 {
 			return nil, fmt.Errorf("pm7_energy() takes a molecule and optional step count")
 		}
@@ -219,8 +219,8 @@ func buildQuantumsim() *minipy.ModuleVal {
 		}
 		return minipy.Float(energy), nil
 	})
-	m.Attrs["ionization_potential"] = fn("ionization_potential", func(ip *minipy.Interp, args []minipy.Value, kw map[string]minipy.Value) (minipy.Value, error) {
-		eNeutral, err := m.Attrs["pm7_energy"].(*minipy.Builtin).Fn(ip, args, kw)
+	m.Attrs["ionization_potential"] = fn("ionization_potential", func(ip *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
+		eNeutral, err := m.Attrs["pm7_energy"].(*minipy.Builtin).Fn(ip, args)
 		if err != nil {
 			return nil, err
 		}
@@ -239,7 +239,7 @@ func buildMlpack() *minipy.ModuleVal {
 	// train builds a linear model by gradient descent over the feature
 	// vectors; the returned model is a plain Object (picklable) so
 	// trained surrogates can travel back to the manager.
-	m.Attrs["train"] = fn("train", func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+	m.Attrs["train"] = fn("train", func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 		xs, err := wantList(args, 0, "train")
 		if err != nil {
 			return nil, err
@@ -311,7 +311,7 @@ func buildMlpack() *minipy.ModuleVal {
 		model.Attrs["dim"] = minipy.Int(int64(dim))
 		return model, nil
 	})
-	m.Attrs["predict"] = fn("predict", func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+	m.Attrs["predict"] = fn("predict", func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 		if len(args) != 2 {
 			return nil, fmt.Errorf("predict() takes a model and a feature list")
 		}
@@ -351,7 +351,7 @@ func buildMlpack() *minipy.ModuleVal {
 
 func buildSurrogates() *minipy.ModuleVal {
 	m := &minipy.ModuleVal{Name: "surrogates", Attrs: map[string]minipy.Value{}}
-	m.Attrs["acquisition"] = fn("acquisition", func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+	m.Attrs["acquisition"] = fn("acquisition", func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 		// Upper-confidence-bound style score: prediction + exploration
 		// bonus that shrinks with observations.
 		pred, err := wantFloat(args, 0, "acquisition")

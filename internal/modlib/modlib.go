@@ -77,7 +77,7 @@ func Standard() *Registry {
 }
 
 // fn wraps a Go function as a module attribute.
-func fn(name string, f func(ip *minipy.Interp, args []minipy.Value, kwargs map[string]minipy.Value) (minipy.Value, error)) *minipy.Builtin {
+func fn(name string, f func(ip *minipy.Interp, args []minipy.Value) (minipy.Value, error)) *minipy.Builtin {
 	return &minipy.Builtin{Name: name, Fn: f}
 }
 
@@ -144,7 +144,7 @@ func buildMathx() *minipy.ModuleVal {
 	m.Attrs["pi"] = minipy.Float(math.Pi)
 	m.Attrs["e"] = minipy.Float(math.E)
 	unary := func(name string, f func(float64) float64) {
-		m.Attrs[name] = fn(name, func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+		m.Attrs[name] = fn(name, func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 			x, err := wantFloat(args, 0, name)
 			if err != nil {
 				return nil, err
@@ -160,7 +160,7 @@ func buildMathx() *minipy.ModuleVal {
 	unary("tanh", math.Tanh)
 	unary("floor", math.Floor)
 	unary("ceil", math.Ceil)
-	m.Attrs["pow"] = fn("pow", func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+	m.Attrs["pow"] = fn("pow", func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 		x, err := wantFloat(args, 0, "pow")
 		if err != nil {
 			return nil, err
@@ -171,7 +171,7 @@ func buildMathx() *minipy.ModuleVal {
 		}
 		return minipy.Float(math.Pow(x, y)), nil
 	})
-	m.Attrs["hypot"] = fn("hypot", func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+	m.Attrs["hypot"] = fn("hypot", func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 		x, err := wantFloat(args, 0, "hypot")
 		if err != nil {
 			return nil, err
@@ -208,7 +208,7 @@ func buildRandomx() *minipy.ModuleVal {
 		return splitmix64(&state)
 	}
 	m := &minipy.ModuleVal{Name: "randomx", Attrs: map[string]minipy.Value{}}
-	m.Attrs["seed"] = fn("seed", func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+	m.Attrs["seed"] = fn("seed", func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 		n, err := wantInt(args, 0, "seed")
 		if err != nil {
 			return nil, err
@@ -218,10 +218,10 @@ func buildRandomx() *minipy.ModuleVal {
 		mu.Unlock()
 		return minipy.NoneValue, nil
 	})
-	m.Attrs["random"] = fn("random", func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+	m.Attrs["random"] = fn("random", func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 		return minipy.Float(float64(next()>>11) / float64(1<<53)), nil
 	})
-	m.Attrs["randint"] = fn("randint", func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+	m.Attrs["randint"] = fn("randint", func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 		lo, err := wantInt(args, 0, "randint")
 		if err != nil {
 			return nil, err
@@ -236,7 +236,7 @@ func buildRandomx() *minipy.ModuleVal {
 		span := uint64(hi - lo + 1)
 		return minipy.Int(lo + int64(next()%span)), nil
 	})
-	m.Attrs["choice"] = fn("choice", func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+	m.Attrs["choice"] = fn("choice", func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 		l, err := wantList(args, 0, "choice")
 		if err != nil {
 			return nil, err
@@ -253,7 +253,7 @@ func buildRandomx() *minipy.ModuleVal {
 
 func buildJsonx() *minipy.ModuleVal {
 	m := &minipy.ModuleVal{Name: "jsonx", Attrs: map[string]minipy.Value{}}
-	m.Attrs["dumps"] = fn("dumps", func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+	m.Attrs["dumps"] = fn("dumps", func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 		if len(args) != 1 {
 			return nil, fmt.Errorf("dumps() takes 1 argument")
 		}
@@ -267,7 +267,7 @@ func buildJsonx() *minipy.ModuleVal {
 		}
 		return minipy.Str(data), nil
 	})
-	m.Attrs["loads"] = fn("loads", func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+	m.Attrs["loads"] = fn("loads", func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 		s, err := wantStr(args, 0, "loads")
 		if err != nil {
 			return nil, err
@@ -381,7 +381,7 @@ func fromGo(g any) (minipy.Value, error) {
 func buildTimex() *minipy.ModuleVal {
 	m := &minipy.ModuleVal{Name: "timex", Attrs: map[string]minipy.Value{}}
 	var tick atomic.Int64
-	m.Attrs["monotonic"] = fn("monotonic", func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+	m.Attrs["monotonic"] = fn("monotonic", func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 		return minipy.Int(tick.Add(1)), nil
 	})
 	return m

@@ -2,7 +2,6 @@ package modlib
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"strings"
 	"testing"
@@ -21,7 +20,6 @@ func (h *registryHost) ResolveModule(_ *minipy.Interp, name string) (*minipy.Mod
 	}
 	return h.reg.Build(name)
 }
-func (h *registryHost) Stdout() io.Writer { return io.Discard }
 
 func run(t *testing.T, src string) (*minipy.Interp, *minipy.Env) {
 	t.Helper()

@@ -3,7 +3,6 @@ package pickle
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -66,6 +65,51 @@ func TestNestingDepthIsBounded(t *testing.T) {
 	}
 }
 
+// funcPickle is a pickled function with no parameters or captures
+// whose source is src: what a peer can send in place of a real one.
+func funcPickle(lambda bool, src string) []byte {
+	b := []byte{magic, version, tagFunc}
+	str := func(s string) {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		b = append(b, s...)
+	}
+	str("f")
+	str("__main__")
+	if lambda {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	str(src)
+	return append(b, 0, 0, 0) // no parameters, closure cells or globals
+}
+
+// TestHostileSourceIsAnError: a pickled def or lambda whose source nests
+// 3×10⁶ parentheses, or sums 3×10⁶ terms, is an unpickling error — it
+// used to overflow the worker's stack, which no recover catches.
+func TestHostileSourceIsAnError(t *testing.T) {
+	parens := strings.Repeat("(", 3_000_000) + strings.Repeat(")", 3_000_000)
+	chain := strings.Repeat("1+", 3_000_000) + "1"
+	for _, body := range []string{parens, chain} {
+		for _, data := range [][]byte{
+			funcPickle(true, "lambda: "+body),
+			funcPickle(false, "def f():\n    return "+body+"\n"),
+		} {
+			for _, unmarshal := range []func([]byte, *minipy.Interp) (minipy.Value, error){Unmarshal, UnmarshalBorrow} {
+				if _, err := unmarshal(data, minipy.NewInterp(nil)); err == nil || !strings.Contains(err.Error(), "nested deeper") {
+					t.Errorf("%d-byte pickle: err = %v, want a nesting syntax error", len(data), err)
+				}
+			}
+		}
+	}
+	// The same shapes, small, decode.
+	for _, data := range [][]byte{funcPickle(true, "lambda: ((1+1))"), funcPickle(false, "def f():\n    return ((1+1))\n")} {
+		if _, err := Unmarshal(data, minipy.NewInterp(nil)); err != nil {
+			t.Errorf("a small function: %v", err)
+		}
+	}
+}
+
 // modHost resolves the modlib modules, each built once, so that after
 // the first a module reference costs what its bytes do.
 type modHost struct {
@@ -84,8 +128,6 @@ func (h *modHost) ResolveModule(_ *minipy.Interp, name string) (*minipy.ModuleVa
 	h.mods[name] = m
 	return m, nil
 }
-
-func (h *modHost) Stdout() io.Writer { return io.Discard }
 
 // The functions the round-trip tests pickle, as (source, name).
 var fuzzFuncs = [][2]string{

@@ -2,7 +2,6 @@ package pickle
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -18,12 +17,11 @@ func (h *host) ResolveModule(_ *minipy.Interp, name string) (*minipy.ModuleVal, 
 	}
 	return nil, fmt.Errorf("no module named '%s'", name)
 }
-func (h *host) Stdout() io.Writer { return io.Discard }
 
 func newHost() *host {
 	h := &host{modules: map[string]*minipy.ModuleVal{}}
 	h.modules["mathx"] = &minipy.ModuleVal{Name: "mathx", Attrs: map[string]minipy.Value{
-		"double": &minipy.Builtin{Name: "double", Fn: func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+		"double": &minipy.Builtin{Name: "double", Fn: func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 			n := args[0].(minipy.Int)
 			return n * 2, nil
 		}},

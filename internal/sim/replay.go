@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/policy"
@@ -553,9 +552,6 @@ func (r *Replay) ShardDecisions() [][]string {
 func (r *Replay) Decisions() []string {
 	return shardplane.ComposeTraces(r.PlaneDecisions(), r.RefDecisions(), r.ShardDecisions())
 }
-
-// Dump renders the composed trace (diagnostics).
-func (r *Replay) Dump() string { return strings.Join(r.Decisions(), "\n") + "\n" }
 
 // ViewFor returns worker id's view entry in its owning shard, nil if
 // the worker is not live — the cross-check hook for per-worker

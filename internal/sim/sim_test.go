@@ -75,6 +75,11 @@ func TestAllInvocationsComplete(t *testing.T) {
 				t.Fatalf("%v: invocation %d has non-positive runtime %f", level, i, x)
 			}
 		}
+		// The same run stepped by hand, as bench/ times it.
+		st, loop := DebugStart(lnni(level, 20, 1500))
+		if end := loop.Run(); DebugCompleted(st) != 1500 || end != r.TotalTime {
+			t.Errorf("%v: a stepped run completed %d of 1500 in %v, Run took %v", level, DebugCompleted(st), end, r.TotalTime)
+		}
 	}
 }
 

@@ -105,7 +105,7 @@ func TestBorrowedTextOutlivesEviction(t *testing.T) {
 		if err := plane.Put(obj, false); err != nil {
 			t.Fatal(err)
 		}
-		v, err := c.load.Fn(minipy.NewInterp(nil), []minipy.Value{minipy.Str(obj.ID)}, nil)
+		v, err := c.load.Fn(minipy.NewInterp(nil), []minipy.Value{minipy.Str(obj.ID)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package worker
 import (
 	"errors"
 	"fmt"
-	"io"
 	"slices"
 	"sync"
 	"time"
@@ -186,13 +185,6 @@ func infraResult(id int64, err error) core.Result {
 	return core.Result{ID: id, Ok: false, Err: err.Error(), Retryable: true}
 }
 
-func (e *executor) stdout() io.Writer {
-	if e.cfg.Out == nil {
-		return io.Discard
-	}
-	return e.cfg.Out
-}
-
 // moduleResolver builds the module-resolution function for a sandbox
 // or library: only modules some environment in `installed` lists (plus
 // the always-present vine_runtime) are importable. Each list is sorted,
@@ -345,7 +337,6 @@ func (e *executor) task(spec core.TaskSpec) core.Result {
 	execStart := time.Now()
 	host := &library.Host{
 		Resolve: e.moduleResolver(installed, sb),
-		Out:     e.stdout(),
 	}
 	ip := minipy.NewInterp(host)
 	ip.StepLimit = e.cfg.StepLimit
@@ -442,7 +433,6 @@ func (e *executor) installLibrary(spec core.LibrarySpec) {
 	}
 	host := &library.Host{
 		Resolve:   e.moduleResolver(installed, nil),
-		Out:       e.stdout(),
 		Inputs:    inputs,
 		StepLimit: e.cfg.StepLimit,
 	}

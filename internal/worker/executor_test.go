@@ -37,7 +37,7 @@ func (p *probe) open() { p.once.Do(func() { close(p.gate) }) }
 
 func (p *probe) module() *minipy.ModuleVal {
 	builtin := func(name string, f func()) *minipy.Builtin {
-		return &minipy.Builtin{Name: name, Fn: func(*minipy.Interp, []minipy.Value, map[string]minipy.Value) (minipy.Value, error) {
+		return &minipy.Builtin{Name: name, Fn: func(*minipy.Interp, []minipy.Value) (minipy.Value, error) {
 			f()
 			return minipy.NoneValue, nil
 		}}

@@ -34,7 +34,7 @@ func (sb *sandbox) add(obj *content.Object) {
 func (sb *sandbox) runtimeModule(ip *minipy.Interp) *minipy.ModuleVal {
 	m := &minipy.ModuleVal{Name: "vine_runtime", Attrs: map[string]minipy.Value{}}
 	m.Attrs["load_text"], m.Attrs["load_pickle"] = library.ObjectLoaders(sb.lookup)
-	m.Attrs["call"] = &minipy.Builtin{Name: "call", Fn: func(ip *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+	m.Attrs["call"] = &minipy.Builtin{Name: "call", Fn: func(ip *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 		if len(args) != 2 {
 			return nil, fmt.Errorf("call() takes a function and an argument list")
 		}
@@ -44,7 +44,7 @@ func (sb *sandbox) runtimeModule(ip *minipy.Interp) *minipy.ModuleVal {
 		}
 		return ip.Call(args[0], elems, nil)
 	}}
-	m.Attrs["store_result"] = &minipy.Builtin{Name: "store_result", Fn: func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+	m.Attrs["store_result"] = &minipy.Builtin{Name: "store_result", Fn: func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 		if len(args) != 1 {
 			return nil, fmt.Errorf("store_result() takes 1 argument")
 		}
@@ -57,7 +57,7 @@ func (sb *sandbox) runtimeModule(ip *minipy.Interp) *minipy.ModuleVal {
 		sb.mu.Unlock()
 		return minipy.NoneValue, nil
 	}}
-	m.Attrs["input_names"] = &minipy.Builtin{Name: "input_names", Fn: func(_ *minipy.Interp, args []minipy.Value, _ map[string]minipy.Value) (minipy.Value, error) {
+	m.Attrs["input_names"] = &minipy.Builtin{Name: "input_names", Fn: func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
 		sb.mu.Lock()
 		defer sb.mu.Unlock()
 		l := &minipy.List{}

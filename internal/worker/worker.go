@@ -20,7 +20,6 @@ package worker
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -51,8 +50,6 @@ type Config struct {
 	// SharedFS is the shared filesystem L1 tasks read from; nil
 	// disables shared FS reads.
 	SharedFS *sharedfs.Store
-	// Out receives task print output (nil discards).
-	Out io.Writer
 	// StepLimit bounds interpreter steps per task/invocation (0 = the
 	// default of 50M).
 	StepLimit int64

@@ -82,6 +82,10 @@ func TestWrapFunctionPublishesToSharedFS(t *testing.T) {
 	if !w.Environment().Has("mathx") {
 		t.Errorf("environment missing mathx")
 	}
+	// With no Options.Index the manager resolves against the standard one.
+	if _, ok := m.Index().Lookup("mathx"); !ok {
+		t.Errorf("the manager's index has no mathx")
+	}
 	// L3 is not a wrapped level.
 	if _, err := m.SubmitWrappedCall(w, core.L3, core.Resources{}); err == nil {
 		t.Errorf("L3 wrapped call accepted")

@@ -33,7 +33,6 @@ package taskvine
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -65,8 +64,6 @@ type Options struct {
 	// Index resolves software dependencies; nil uses the standard
 	// synthetic index.
 	Index *pkgindex.Index
-	// Out receives application print output (nil discards).
-	Out io.Writer
 	// MaxRetries bounds how many times a retryable failure (worker
 	// loss, staging race) is retried before the failure is delivered.
 	// 0 means the default budget; negative disables retries.
@@ -97,7 +94,6 @@ type WorkerOptions struct {
 	Cluster       string
 	GFlops        float64
 	CacheCapacity int64
-	Out           io.Writer
 	// PeerIOTimeout bounds how long a peer data transfer may sit idle
 	// before the worker abandons it; zero uses the worker default.
 	PeerIOTimeout time.Duration
@@ -134,7 +130,6 @@ type Manager struct {
 // login environment in the paper).
 type appHost struct {
 	reg *modlib.Registry
-	out io.Writer
 }
 
 func (h *appHost) ResolveModule(_ *minipy.Interp, name string) (*minipy.ModuleVal, error) {
@@ -142,13 +137,6 @@ func (h *appHost) ResolveModule(_ *minipy.Interp, name string) (*minipy.ModuleVa
 		return nil, fmt.Errorf("no module named '%s'", name)
 	}
 	return h.reg.Build(name)
-}
-
-func (h *appHost) Stdout() io.Writer {
-	if h.out == nil {
-		return io.Discard
-	}
-	return h.out
 }
 
 // NewManager creates a manager listening for workers.
@@ -174,7 +162,7 @@ func NewManager(opts Options) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	host := &appHost{reg: modlib.Standard(), out: opts.Out}
+	host := &appHost{reg: modlib.Standard()}
 	return &Manager{
 		inner: inner,
 		addr:  addr,
@@ -248,7 +236,6 @@ func (m *Manager) SpawnLocalWorkers(n int, wo WorkerOptions) error {
 			CacheCapacity:    wo.CacheCapacity,
 			Registry:         modlib.Standard(),
 			SharedFS:         m.fs,
-			Out:              wo.Out,
 			PeerIOTimeout:    wo.PeerIOTimeout,
 			FetchConcurrency: wo.FetchConcurrency,
 			ServeConcurrency: wo.ServeConcurrency,
