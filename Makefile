@@ -28,8 +28,9 @@ fidelity:
 
 # The repo's own analyzer suite (internal/lint): policy purity, map
 # determinism, lock discipline, I/O deadlines, worker layering, pool
-# hygiene, and the fidelity-contract four (trace-schema stability,
-# sim/manager mirror parity, stats discipline, goroutine lifecycle).
+# hygiene, and the fidelity-contract three (sim/manager mirror parity,
+# stats discipline, goroutine lifecycle; the trace vocabulary is the
+# policy.Decision type, which needs no analyzer).
 # Zero unsuppressed findings is the bar; suppressions need justified
 # //vinelint: pragmas. lint-extra layers on pinned third-party
 # checkers when the environment can run them (see the script).

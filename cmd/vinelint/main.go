@@ -6,7 +6,6 @@
 //
 //	go run ./cmd/vinelint ./...
 //	go run ./cmd/vinelint -json ./...
-//	go run ./cmd/vinelint -write-traceschema
 //	go run ./cmd/vinelint ./internal/lint/testdata/src/policypurity_bad/...
 //
 // Exit status: 0 when every analyzer is clean, 1 when findings or
@@ -15,9 +14,7 @@
 // counted and reported so they stay visible. With -json each finding
 // is one JSON object per line ({file, line, col, analyzer, message,
 // severity}) and the summary is suppressed, so CI can turn the stream
-// into per-line annotations. -write-traceschema regenerates
-// internal/lint/traceschema.go — the pinned decision-trace vocabulary
-// — from the tree's policy Trace* helpers and Record call sites.
+// into per-line annotations.
 package main
 
 import (
@@ -54,7 +51,6 @@ func runTo(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	quiet := fs.Bool("q", false, "print findings only, no summary line")
 	jsonOut := fs.Bool("json", false, "emit one JSON object per finding, no summary line")
-	writeSchema := fs.Bool("write-traceschema", false, "regenerate internal/lint/traceschema.go from the tree and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -78,10 +74,6 @@ func runTo(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintf(stderr, "vinelint: %v\n", err)
 		return 2
-	}
-
-	if *writeSchema {
-		return writeTraceSchema(prog, moduleDir, stdout, stderr)
 	}
 
 	res := lint.RunAnalyzers(prog, lint.All())
@@ -113,24 +105,6 @@ func runTo(args []string, stdout, stderr io.Writer) int {
 	if !res.Clean() {
 		return 1
 	}
-	return 0
-}
-
-// writeTraceSchema regenerates the pinned trace vocabulary from the
-// loaded program.
-func writeTraceSchema(prog *lint.Program, moduleDir string, stdout, stderr io.Writer) int {
-	formats := lint.TraceFormats(prog)
-	src, err := lint.GenTraceSchema(formats)
-	if err != nil {
-		fmt.Fprintf(stderr, "vinelint: rendering traceschema: %v\n", err)
-		return 2
-	}
-	dst := filepath.Join(moduleDir, "internal", "lint", "traceschema.go")
-	if err := os.WriteFile(dst, src, 0o644); err != nil {
-		fmt.Fprintf(stderr, "vinelint: %v\n", err)
-		return 2
-	}
-	fmt.Fprintf(stdout, "vinelint: pinned %d trace formats in %s\n", len(formats), dst)
 	return 0
 }
 

@@ -64,11 +64,11 @@ func compareGolden(t *testing.T, path, got string) {
 // simulator's plane deterministically; the differential harness proves
 // the manager produces the same stream.
 func TestGoldenBurstyMultiTenant(t *testing.T) {
-	rec := &policy.Recorder{Max: 2000}
+	rec := &policy.Recorder{}
 	cfg := BurstyGoldenConfig()
 	cfg.DecisionTrace = rec
 	r := sim.Run(cfg)
-	got := rec.Dump()
+	got := policy.Dump(rec.Decisions)
 	if r.SubmitsShed == 0 || r.SubmitsThrottled == 0 {
 		t.Fatalf("degenerate seed: shed=%d throttled=%d — the burst tenant never hit its bounds", r.SubmitsShed, r.SubmitsThrottled)
 	}
@@ -91,11 +91,11 @@ func TestGoldenDecisionTraces(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := &policy.Recorder{Max: 600}
+			rec := &policy.Recorder{}
 			cfg := SeedConfig(tc.level, 8, 64)
 			cfg.DecisionTrace = rec
 			sim.Run(cfg)
-			got := rec.Dump()
+			got := policy.Dump(rec.Decisions)
 			if len(rec.Decisions) == 0 {
 				t.Fatalf("seed run recorded no decisions")
 			}
@@ -209,7 +209,7 @@ func TestGoldenRefPipeline(t *testing.T) {
 		t.Fatalf("replay still has %d pending specs after the pipeline", p)
 	}
 
-	got := strings.Join(r.Decisions(), "\n") + "\n"
+	got := policy.Dump(r.Decisions())
 	// The pipeline must actually exhibit the plane's behaviors before
 	// the byte-level pin means anything.
 	for _, needle := range []string{"own obj=ref-a", "spill obj=", "mode=ref", "resolve obj=", "mode=shared", "promote obj=ref-c", "rehome obj=ref-b owner="} {

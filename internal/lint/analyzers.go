@@ -9,7 +9,6 @@ func All() []*Analyzer {
 		pooldiscipline,
 		ctxdeadline,
 		pinresolve,
-		tracestability,
 		mirrorparity,
 		statdiscipline,
 		goroutinelifecycle,

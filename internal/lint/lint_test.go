@@ -1,9 +1,7 @@
 package lint
 
 import (
-	"bytes"
 	"fmt"
-	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -160,14 +158,6 @@ func TestPinResolve(t *testing.T) {
 	checkWants(t, prog, res)
 }
 
-func TestTraceStability(t *testing.T) {
-	prog, res := loadCase(t, []*Analyzer{tracestability}, "tracestability_bad", "tracestability_ok")
-	checkWants(t, prog, res)
-	if res.Suppressed != 0 {
-		t.Errorf("suppressed = %d, want 0", res.Suppressed)
-	}
-}
-
 func TestMirrorParity(t *testing.T) {
 	prog, res := loadCase(t, []*Analyzer{mirrorparity}, "mirrorparity_bad", "mirrorparity_ok")
 	checkWants(t, prog, res)
@@ -193,104 +183,6 @@ func TestGoroutineLifecycle(t *testing.T) {
 	// design and carries a justified pragma.
 	if res.Suppressed != 1 {
 		t.Errorf("suppressed = %d, want 1", res.Suppressed)
-	}
-}
-
-// loadReal loads real module packages (not fixtures) through the
-// shared loader.
-func loadReal(t *testing.T, patterns ...string) *Program {
-	t.Helper()
-	moduleDir, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sharedLoader == nil {
-		sharedLoader = NewLoader("repro", moduleDir)
-	}
-	dirs, err := ExpandPatterns(moduleDir, patterns)
-	if err != nil {
-		t.Fatalf("expanding %v: %v", patterns, err)
-	}
-	prog, err := sharedLoader.Load(dirs...)
-	if err != nil {
-		t.Fatalf("loading %v: %v", patterns, err)
-	}
-	return prog
-}
-
-// TestTraceVocabularyCoversGoldenTraces proves the pinned vocabulary
-// is complete against the ground truth: every line of every golden
-// trace must match some vocabulary format (with %s and %d widened to
-// value patterns). A golden line no format can produce means the
-// vocabulary — and therefore tracestability — has drifted from what
-// the engines actually emit.
-func TestTraceVocabularyCoversGoldenTraces(t *testing.T) {
-	var res []*regexp.Regexp
-	for format := range traceVocabulary {
-		pat := regexp.QuoteMeta(format)
-		pat = strings.ReplaceAll(pat, "%s", `[^ ]*`)
-		pat = strings.ReplaceAll(pat, "%d", `-?\d+`)
-		res = append(res, regexp.MustCompile("^"+pat+"$"))
-	}
-	goldens, err := filepath.Glob("../experiments/testdata/golden_trace_*.txt")
-	if err != nil || len(goldens) == 0 {
-		t.Fatalf("no golden traces found: %v", err)
-	}
-	for _, path := range goldens {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, line := range strings.Split(string(data), "\n") {
-			if line == "" {
-				continue
-			}
-			matched := false
-			for _, re := range res {
-				if re.MatchString(line) {
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				t.Errorf("%s:%d: golden trace line %q matches no pinned vocabulary format", filepath.Base(path), i+1, line)
-			}
-		}
-	}
-}
-
-// TestTraceSchemaCurrent proves traceschema.go is regenerated: the
-// vocabulary extracted from the real policy package and engine
-// recorders must equal the pinned map exactly, both directions.
-func TestTraceSchemaCurrent(t *testing.T) {
-	prog := loadReal(t, "internal/policy", "internal/manager", "internal/sim")
-	got := TraceFormats(prog)
-	for _, format := range got {
-		if !traceVocabulary[format] {
-			t.Errorf("format %q is in the tree but not in traceschema.go; regenerate with `go run ./cmd/vinelint -write-traceschema`", format)
-		}
-	}
-	gotSet := map[string]bool{}
-	for _, format := range got {
-		gotSet[format] = true
-	}
-	for format := range traceVocabulary {
-		if !gotSet[format] {
-			t.Errorf("format %q is pinned in traceschema.go but no longer in the tree; regenerate with `go run ./cmd/vinelint -write-traceschema`", format)
-		}
-	}
-	// Regeneration must round-trip byte-identically, so running
-	// -write-traceschema on a clean tree never dirties the checkout.
-	src, err := GenTraceSchema(got)
-	if err != nil {
-		t.Fatalf("GenTraceSchema: %v", err)
-	}
-	disk, err := os.ReadFile("traceschema.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(src, disk) {
-		t.Errorf("GenTraceSchema output differs from traceschema.go on disk; regenerate with `go run ./cmd/vinelint -write-traceschema`")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -123,7 +122,7 @@ func newDiffHarness(t *testing.T, level core.ReuseLevel, workers, slots int, opt
 	// only matter on failure-injecting traces; the happy-path workloads
 	// never draw on them.
 	mopts := Options{
-		PeerTransfers: true, DecisionTrace: &policy.Recorder{}, Shards: shards,
+		PeerTransfers: true, DecisionTrace: true, Shards: shards,
 		RetryBaseDelay: time.Nanosecond, RetryMaxDelay: time.Nanosecond,
 	}
 	if opts.tenants {
@@ -175,13 +174,13 @@ func newDiffHarness(t *testing.T, level core.ReuseLevel, workers, slots int, opt
 }
 
 // mgrTrace and mgrDump read the manager's decision trace through the
-// deterministic per-shard merge (identical to the shared recorder when
-// Shards == 1); simDump renders the replay's composed trace.
-func (h *diffHarness) mgrTrace() []string { return h.m.MergedDecisions() }
+// deterministic per-shard merge; simDump renders the replay's composed
+// trace.
+func (h *diffHarness) mgrTrace() []policy.Decision { return h.m.MergedDecisions() }
 
-func (h *diffHarness) mgrDump() string { return strings.Join(h.mgrTrace(), "\n") + "\n" }
+func (h *diffHarness) mgrDump() string { return policy.Dump(h.mgrTrace()) }
 
-func (h *diffHarness) simDump() string { return strings.Join(h.rp.Decisions(), "\n") + "\n" }
+func (h *diffHarness) simDump() string { return policy.Dump(h.rp.Decisions()) }
 
 // newWorker registers a synthetic worker with the manager, triggering
 // the same capacity wake a real connection would.
@@ -335,7 +334,7 @@ func (h *diffHarness) envAck(w *workerState) {
 	}
 }
 
-func tail(s []string, n int) []string {
+func tail(s []policy.Decision, n int) []policy.Decision {
 	if len(s) <= n {
 		return s
 	}
@@ -639,8 +638,9 @@ func (h *diffHarness) quiesce() {
 	}
 }
 
-// diffTraces asserts the two decision traces are identical, printing
-// the first divergence with context. Sharded runs are compared shard
+// diffTraces asserts the two decision traces are identical, spec IDs
+// included, printing the first divergence with context. Sharded runs
+// are compared shard
 // by shard first (a divergence names its shard), then as the merged
 // trace — proving the per-shard streams AND the deterministic merge
 // rule agree.
@@ -673,19 +673,13 @@ func (h *diffHarness) diffTraces(minLines int) {
 	}
 }
 
-func (h *diffHarness) diffTracePair(what string, mgr, rep []string) {
-	n := len(mgr)
-	if len(rep) < n {
-		n = len(rep)
-	}
+func (h *diffHarness) diffTracePair(what string, mgr, rep []policy.Decision) {
+	n := min(len(mgr), len(rep))
 	for i := 0; i < n; i++ {
 		if mgr[i] != rep[i] {
-			lo := i - 3
-			if lo < 0 {
-				lo = 0
-			}
-			h.t.Fatalf("%s decision traces diverge at line %d:\n  manager: %q\n  sim:     %q\ncontext (manager):\n  %v\ncontext (sim):\n  %v\nFULL mgr:\n%s\nFULL sim:\n%s",
-				what, i, mgr[i], rep[i], mgr[lo:i+1], rep[lo:i+1], h.mgrDump(), h.simDump())
+			lo := max(i-3, 0)
+			h.t.Fatalf("%s decision traces diverge at decision %d:\n  manager: %q (spec %d)\n  sim:     %q (spec %d)\ncontext (manager):\n  %v\ncontext (sim):\n  %v\nFULL mgr:\n%s\nFULL sim:\n%s",
+				what, i, mgr[i], mgr[i].Spec, rep[i], rep[i].Spec, mgr[lo:i+1], rep[lo:i+1], h.mgrDump(), h.simDump())
 		}
 	}
 	if len(mgr) != len(rep) {
@@ -1264,14 +1258,14 @@ func TestDifferentialRefOwnerDeathMidResolve(t *testing.T) {
 	// The ref stream must show the scripted fate: ownership, the
 	// rehome onto wA, and a post-death resolve onto the new owner.
 	trace := h.m.RefDecisions()
-	wantRehome := fmt.Sprintf("rehome obj=%s owner=%s", ref.ID, wA.id)
-	wantResolve := fmt.Sprintf("resolve obj=%s dst=%s mode=peer src=%s", ref.ID, wB.id, wA.id)
+	wantRehome := policy.Decision{Kind: policy.KindRehome, Obj: ref.ID, Worker: wA.id}
+	wantResolve := policy.Decision{Kind: policy.KindResolve, Obj: ref.ID, Dst: wB.id, Mode: policy.ResolvePeer.String(), Src: wA.id}
 	var sawRehome, sawResolve bool
-	for _, line := range trace {
-		if line == wantRehome {
+	for _, d := range trace {
+		if d == wantRehome {
 			sawRehome = true
 		}
-		if sawRehome && line == wantResolve {
+		if sawRehome && d == wantResolve {
 			sawResolve = true
 		}
 	}

@@ -1,7 +1,6 @@
 package manager
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -20,7 +19,7 @@ import (
 // proportional to its share, not after the flood.
 func TestFairShareNoStarvation(t *testing.T) {
 	m := New(Options{
-		DecisionTrace: &policy.Recorder{},
+		DecisionTrace: true,
 		Shards:        1,
 		Tenants: []core.TenantSpec{
 			{Name: "heavy", Weight: 1, Quota: 2},
@@ -85,9 +84,9 @@ func TestFairShareNoStarvation(t *testing.T) {
 	// whole light queue must drain in a window proportional to its
 	// share — not trail the flood.
 	var picks []string
-	for _, line := range m.PlaneDecisions() {
-		if rest, ok := strings.CutPrefix(line, "tenant pick="); ok {
-			picks = append(picks, rest[:strings.IndexByte(rest, ' ')])
+	for _, d := range m.PlaneDecisions() {
+		if d.Kind == policy.KindTenant {
+			picks = append(picks, d.Tenant)
 		}
 	}
 	if len(picks) != heavyN+lightN {

@@ -91,14 +91,12 @@ type Options struct {
 	// — keeps the plane entirely off: single-tenant submission is
 	// byte-for-byte the old path.
 	Tenants []core.TenantSpec
-	// DecisionTrace, when set, enables decision tracing (differential
-	// and golden tests). With Shards == 1 every decision lands in this
-	// recorder — the legacy single-loop contract. With Shards > 1 each
-	// shard records into its own internal recorder (interleaving all
-	// shards into one recorder would be nondeterministic); read them
-	// with ShardDecisions or MergedDecisions. nil — the default —
-	// keeps tracing entirely off the hot path.
-	DecisionTrace *policy.Recorder
+	// DecisionTrace records every decision (differential tests): each
+	// shard, the submission plane and the ref plane into recorders of
+	// their own (interleaving shards into one would be nondeterministic),
+	// read with ShardDecisions, PlaneDecisions, RefDecisions or
+	// MergedDecisions. Off — the default — records nothing.
+	DecisionTrace bool
 }
 
 // Stats counts manager-side activity for tests and experiments. All
@@ -374,12 +372,8 @@ func New(opts Options) *Manager {
 	m.shards = make([]*shard, opts.Shards)
 	for i := range m.shards {
 		var rec *policy.Recorder
-		if opts.DecisionTrace != nil {
-			if opts.Shards == 1 {
-				rec = opts.DecisionTrace
-			} else {
-				rec = &policy.Recorder{}
-			}
+		if opts.DecisionTrace {
+			rec = &policy.Recorder{}
 		}
 		s := &shard{
 			m:                m,
@@ -399,9 +393,9 @@ func New(opts Options) *Manager {
 		m.shards[i] = s
 	}
 	if len(opts.Tenants) > 0 {
-		m.plane = newSubmitPlane(m, opts.Tenants, opts.DecisionTrace != nil)
+		m.plane = newSubmitPlane(m, opts.Tenants, opts.DecisionTrace)
 	}
-	m.refs = newRefPlane(m, opts.RefOwnedBytesCap, opts.DecisionTrace != nil)
+	m.refs = newRefPlane(m, opts.RefOwnedBytesCap, opts.DecisionTrace)
 	return m
 }
 
@@ -418,11 +412,11 @@ func (m *Manager) shardFor(workerID string) *shard {
 
 // ShardDecisions returns each shard's recorded decision trace, in
 // shard-index order. Empty unless Options.DecisionTrace was set.
-func (m *Manager) ShardDecisions() [][]string {
-	out := make([][]string, len(m.shards))
+func (m *Manager) ShardDecisions() [][]policy.Decision {
+	out := make([][]policy.Decision, len(m.shards))
 	for i, s := range m.shards {
 		if s.rec != nil {
-			out[i] = append([]string(nil), s.rec.Decisions...)
+			out[i] = append([]policy.Decision(nil), s.rec.Decisions...)
 		}
 	}
 	return out
@@ -430,14 +424,14 @@ func (m *Manager) ShardDecisions() [][]string {
 
 // MergedDecisions returns the whole decision trace, composed by the
 // rule shared with the simulator's Replay (shardplane.ComposeTraces).
-func (m *Manager) MergedDecisions() []string {
+func (m *Manager) MergedDecisions() []policy.Decision {
 	return shardplane.ComposeTraces(m.PlaneDecisions(), m.RefDecisions(), m.ShardDecisions())
 }
 
 // PlaneDecisions returns the submission plane's recorded trace: one
-// admit line per submission, one pick line per fair-share drain.
+// admit decision per submission, one pick per fair-share drain.
 // Empty without Options.Tenants or Options.DecisionTrace.
-func (m *Manager) PlaneDecisions() []string {
+func (m *Manager) PlaneDecisions() []policy.Decision {
 	return m.plane.Decisions()
 }
 

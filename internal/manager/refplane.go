@@ -170,19 +170,19 @@ func (p *refPlane) rehome(deadID string) {
 }
 
 // Decisions returns a copy of the recorded ref decision stream.
-func (p *refPlane) Decisions() []string {
+func (p *refPlane) Decisions() []policy.Decision {
 	if p == nil || p.rec == nil {
 		return nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]string(nil), p.rec.Decisions...)
+	return append([]policy.Decision(nil), p.rec.Decisions...)
 }
 
-// RefDecisions returns the global ref-plane decision trace: one line
+// RefDecisions returns the global ref-plane decision trace: one decision
 // per ownership transfer, spill, resolve, promote, and rehome. Empty
 // unless Options.DecisionTrace was set.
-func (m *Manager) RefDecisions() []string {
+func (m *Manager) RefDecisions() []policy.Decision {
 	return m.refs.Decisions()
 }
 

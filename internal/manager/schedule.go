@@ -57,11 +57,13 @@ func (s *shard) altSourcesLocked(objID, src, dst string) []string {
 	return alts
 }
 
-// execStageLocked carries out one staging decision on a worker: a peer
-// fetch from the chosen source or a direct bulk send from the manager.
-// StageReady decisions are no-ops by construction and StageWait never
-// reaches execution (placements with waiting inputs are not committed).
+// execStageLocked carries out one staging decision on a worker, and
+// records it: a peer fetch from the chosen source or a direct bulk send
+// from the manager. StageReady decisions are no-ops by construction and
+// StageWait never reaches execution (placements with waiting inputs are
+// not committed).
 func (s *shard) execStageLocked(w *workerState, sf policy.StageFile) {
+	d := policy.Decision{Kind: policy.KindStage, Obj: sf.Object, Dst: sf.Dst.ID, Mode: sf.Mode.String()}
 	switch sf.Mode {
 	case policy.StagePeer:
 		src := s.workers[sf.Src.ID]
@@ -74,36 +76,34 @@ func (s *shard) execStageLocked(w *workerState, sf policy.StageFile) {
 		}
 		src.v.TransfersOut++
 		s.peerFetchLocked(w, src, sf, s.altSourcesLocked(sf.Spec.Object.ID, src.id, w.id))
+		d.Src = src.id
 	case policy.StageDirect:
+		// Cross-shard peer sourcing: the policy core planned a manager
+		// send because this shard's view holds no replica — but another
+		// shard's worker may. Then the transport upgrades to a peer fetch
+		// from that holder, and the trace keeps the planned StageDirect:
+		// which link carries the bytes across shards is a transport
+		// concern, invisible to the pure per-shard policy and to the
+		// simulator's replay.
+		var src *workerState
+		var alts []string
 		if s.m.opts.PeerTransfers && sf.Spec.PeerTransfer {
-			if src, alts := s.m.acquireRemoteSource(sf.Spec.Object.ID, s.idx, w.id); src != nil {
-				// Cross-shard peer sourcing: the policy core planned a
-				// manager send because this shard's view holds no
-				// replica — but another shard's worker does. Upgrade
-				// the transport to a peer fetch from that holder. The
-				// decision trace keeps the planned StageDirect: which
-				// link carries the bytes across shards is a transport
-				// concern, invisible to the pure per-shard policy and
-				// to the simulator's replay.
-				s.peerFetchLocked(w, src, sf, alts)
-				return
-			}
+			src, alts = s.m.acquireRemoteSource(sf.Spec.Object.ID, s.idx, w.id)
 		}
-		s.directSendLocked(w, sf.Spec)
-		if s.rec != nil {
-			s.rec.Record(policy.TraceStage(sf))
+		if src != nil {
+			s.peerFetchLocked(w, src, sf, alts)
+		} else {
+			s.directSendLocked(w, sf.Spec)
 		}
 	case policy.StageRef:
 		// Proxy-object input: the per-shard view cannot plan this copy —
 		// the bytes never transited the manager — so the shard trace
 		// records only that a ref stage ran and the global ref plane
 		// plans (and traces) the actual source.
-		if s.rec != nil {
-			s.rec.Record(policy.TraceStage(sf))
-		}
-		d, _, _ := s.m.refs.resolve(w.id, sf.Object, false)
-		s.execResolveLocked(w, sf.Object, sf.Spec.Object.Name, d)
+		rd, _, _ := s.m.refs.resolve(w.id, sf.Object, false)
+		s.execResolveLocked(w, sf.Object, sf.Spec.Object.Name, rd)
 	}
+	s.rec.Record(d)
 }
 
 // peerFetchLocked tells w to fetch the staged object from src's data
@@ -126,9 +126,6 @@ func (s *shard) peerFetchLocked(w, src *workerState, sf policy.StageFile, alts [
 		Unpack:   sf.Spec.Unpack,
 	}})
 	atomic.AddInt64(&s.m.stats.PeerTransfers, 1)
-	if s.rec != nil {
-		s.rec.Record(policy.TraceStage(sf))
-	}
 }
 
 // execResolveLocked executes one ref-plane decision for the copy of
@@ -259,9 +256,7 @@ func (s *shard) Plan(dst []policy.PlaceTask, tasks []pendingTask) []policy.Place
 func (s *shard) Place(pt *pendingTask, d policy.PlaceTask) {
 	t := pt.Spec.t
 	w := s.workers[d.Worker.ID]
-	if s.rec != nil {
-		s.rec.Record(policy.TraceTask(pt.Key, d))
-	}
+	s.rec.Record(policy.Decision{Kind: policy.KindTask, Spec: pt.ID, Key: pt.Key, Worker: w.id, Stages: len(d.Stages)})
 	start := time.Now()
 	for _, sf := range d.Stages {
 		s.execStageLocked(w, sf)
@@ -332,9 +327,7 @@ func (s *shard) validateInvLocked(inv *core.InvocationSpec) error {
 func (s *shard) PlaceInv(pi pendingInv, d policy.PlaceInvocation) {
 	w := s.workers[d.Worker.ID]
 	li := w.libs[pi.Lib]
-	if s.rec != nil {
-		s.rec.Record(policy.TracePlace(pi.Lib, d))
-	}
+	s.rec.Record(policy.Decision{Kind: policy.KindPlace, Spec: pi.ID, Lib: pi.Lib, Worker: w.id})
 	li.SlotsUsed++
 	s.libSlotsChangedLocked(w, li)
 	w.enqueue(outMsg{t: proto.MsgInvoke, v: pi.Spec})
@@ -364,8 +357,8 @@ func (s *shard) Deploy(lib string) (worker string, blocked []string) {
 		return "", d.Blocked
 	}
 	w := s.workers[d.Worker.ID]
-	if s.rec != nil {
-		s.rec.Record(policy.TraceDeploy(spec.Name, d))
+	if s.rec != nil { // EvictNames allocates
+		s.rec.Record(policy.Decision{Kind: policy.KindDeploy, Lib: spec.Name, Worker: w.id, Stages: len(d.Stages), Evict: d.EvictNames()})
 	}
 	for _, e := range d.Evict {
 		s.evictLibraryLocked(w, e.Lib)

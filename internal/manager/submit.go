@@ -111,7 +111,7 @@ func (m *Manager) TenantStats() []TenantStat {
 }
 
 // Decisions returns the plane's recorded admission/drain trace.
-func (p *submitPlane) Decisions() []string {
+func (p *submitPlane) Decisions() []policy.Decision {
 	if p == nil {
 		return nil
 	}

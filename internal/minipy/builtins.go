@@ -146,6 +146,10 @@ var universalBuiltins = map[string]builtinFn{
 		if err := checkArity("str", args, 1, 1); err != nil {
 			return nil, err
 		}
-		return Str(ToStr(args[0])), nil
+		if s, ok := args[0].(Str); ok {
+			return s, nil
+		}
+		s, err := repr(args[0])
+		return Str(s), err
 	},
 }

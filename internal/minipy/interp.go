@@ -699,10 +699,12 @@ func binaryOp(op Kind, a, b Value, line int) (Value, error) {
 		return numericOp(op, a, b, line)
 	case Minus, Star, Slash, SlashSlash, Percent:
 		return numericOp(op, a, b, line)
-	case Eq:
-		return Bool(Equal(a, b)), nil
-	case Ne:
-		return Bool(!Equal(a, b)), nil
+	case Eq, Ne:
+		eq, err := equal(a, b, 0)
+		if err != nil {
+			return nil, &RuntimeError{Msg: err.Error(), Line: line}
+		}
+		return Bool(eq == (op == Eq)), nil
 	case Lt, Gt, Le, Ge:
 		c, err := Compare(a, b)
 		if err != nil {

@@ -261,3 +261,62 @@ func TestNestingBoundIsExact(t *testing.T) {
 		t.Errorf("ParseExpr of %d levels succeeded", maxDepth+1)
 	}
 }
+
+// deepList is depth lists, each the only element of the one before.
+func deepList(depth int) *List {
+	l := NewList()
+	for i := 1; i < depth; i++ {
+		l = NewList(l)
+	}
+	return l
+}
+
+// TestDeepValuesAreBounded: Repr, Equal, Compare and HashKey follow a
+// value MaxValueDepth levels deep and no further, whether it is nested
+// that deep or contains itself — both used to recurse until the stack
+// overflowed — and a script that meets one through str(), ==, != or <
+// gets an error naming the bound.
+func TestDeepValuesAreBounded(t *testing.T) {
+	const bound = "nested deeper than 1000 levels"
+	edge := deepList(MaxValueDepth)
+	if s, err := repr(edge); err != nil || s != strings.Repeat("[", MaxValueDepth)+strings.Repeat("]", MaxValueDepth) {
+		t.Errorf("repr of %d levels: %v", MaxValueDepth, err)
+	}
+	if c, err := Compare(edge, deepList(MaxValueDepth)); err != nil || c != 0 || !Equal(edge, deepList(MaxValueDepth)) {
+		t.Errorf("%d levels do not compare equal: %d, %v", MaxValueDepth, c, err)
+	}
+	self := NewList(Int(1))
+	self.Elems = append(self.Elems, self)
+	for name, v := range map[string]*List{"deep": deepList(MaxValueDepth + 1), "self": self} {
+		if _, err := repr(v); err == nil || !strings.Contains(err.Error(), bound) {
+			t.Errorf("%s: repr err = %v", name, err)
+		}
+		if r := v.Repr(); !strings.HasSuffix(r, "...") || len(r) > 8*MaxValueDepth {
+			t.Errorf("%s: Repr is %d bytes, not cut short", name, len(r))
+		}
+		if _, err := equal(v, v, 0); err == nil || !strings.Contains(err.Error(), bound) || Equal(v, v) {
+			t.Errorf("%s: equal err = %v", name, err)
+		}
+		if _, err := Compare(v, v); err == nil || !strings.Contains(err.Error(), bound) {
+			t.Errorf("%s: Compare err = %v", name, err)
+		}
+	}
+	tuple := Value(NewTuple())
+	for i := 0; i < MaxValueDepth; i++ {
+		tuple = NewTuple(tuple)
+	}
+	if _, err := HashKey(tuple); err == nil || !strings.Contains(err.Error(), bound) {
+		t.Errorf("HashKey of %d levels: err = %v", MaxValueDepth+1, err)
+	}
+
+	ip := NewInterp(nil)
+	env, err := ip.RunModule("l = [1]\nl.append(l)\nd = []\nfor i in range(1000):\n    d = [d]\n", "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, expr := range []string{"str(l)", "l == l", "l != l", "l < l", "str(d)", "d == d", "d < d"} {
+		if _, err := ip.Eval(expr, env); err == nil || !strings.Contains(err.Error(), bound) {
+			t.Errorf("%s: err = %v", expr, err)
+		}
+	}
+}

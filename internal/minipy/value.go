@@ -7,6 +7,14 @@ import (
 	"strings"
 )
 
+// MaxValueDepth bounds how deep Repr, Equal, Compare and HashKey — and
+// pickle, both ways — follow nested containers. A script can nest a
+// list 10^7 deep, or append a list to itself; a walk recursing once per
+// level would die of a stack overflow, which no recover catches.
+const MaxValueDepth = 1000
+
+var errTooDeep = fmt.Errorf("value nested deeper than %d levels", MaxValueDepth)
+
 // Value is a runtime MiniPy value. The concrete types are None, Bool,
 // Int, Float, Str, *List, *Tuple, *Dict, *Func, *Builtin, *BoundMethod,
 // *ModuleVal and *Object.
@@ -73,15 +81,9 @@ type List struct {
 // NewList builds a List from elements.
 func NewList(elems ...Value) *List { return &List{Elems: elems} }
 
-func (*List) Type() string { return "list" }
-func (l *List) Repr() string {
-	parts := make([]string, len(l.Elems))
-	for i, e := range l.Elems {
-		parts[i] = e.Repr()
-	}
-	return "[" + strings.Join(parts, ", ") + "]"
-}
-func (l *List) Truth() bool { return len(l.Elems) > 0 }
+func (*List) Type() string   { return "list" }
+func (l *List) Repr() string { return shortRepr(l) }
+func (l *List) Truth() bool  { return len(l.Elems) > 0 }
 
 // Tuple is an immutable sequence.
 type Tuple struct {
@@ -91,18 +93,9 @@ type Tuple struct {
 // NewTuple builds a Tuple from elements.
 func NewTuple(elems ...Value) *Tuple { return &Tuple{Elems: elems} }
 
-func (*Tuple) Type() string { return "tuple" }
-func (t *Tuple) Repr() string {
-	parts := make([]string, len(t.Elems))
-	for i, e := range t.Elems {
-		parts[i] = e.Repr()
-	}
-	if len(parts) == 1 {
-		return "(" + parts[0] + ",)"
-	}
-	return "(" + strings.Join(parts, ", ") + ")"
-}
-func (t *Tuple) Truth() bool { return len(t.Elems) > 0 }
+func (*Tuple) Type() string   { return "tuple" }
+func (t *Tuple) Repr() string { return shortRepr(t) }
+func (t *Tuple) Truth() bool  { return len(t.Elems) > 0 }
 
 // Dict is a mutable hash map. Keys must be hashable (None, bool, int,
 // float, str, tuple of hashables). Insertion order is preserved.
@@ -114,20 +107,83 @@ type Dict struct {
 // NewDict creates an empty Dict.
 func NewDict() *Dict { return &Dict{values: map[string]Value{}} }
 
-func (*Dict) Type() string { return "dict" }
-func (d *Dict) Repr() string {
-	parts := make([]string, 0, len(d.keys))
-	for _, k := range d.keys {
-		v, _ := d.Get(k)
-		parts = append(parts, k.Repr()+": "+v.Repr())
-	}
-	return "{" + strings.Join(parts, ", ") + "}"
+func (*Dict) Type() string   { return "dict" }
+func (d *Dict) Repr() string { return shortRepr(d) }
+func (d *Dict) Truth() bool  { return len(d.keys) > 0 }
+
+// repr renders a value the way str() does a container, and fails past
+// MaxValueDepth.
+func repr(v Value) (string, error) {
+	var sb strings.Builder
+	err := writeRepr(&sb, v, 0)
+	return sb.String(), err
 }
-func (d *Dict) Truth() bool { return len(d.keys) > 0 }
+
+// shortRepr is a container's Repr, cut short with "..." past
+// MaxValueDepth.
+func shortRepr(v Value) string {
+	s, err := repr(v)
+	if err != nil {
+		s += "..."
+	}
+	return s
+}
+
+func writeRepr(sb *strings.Builder, v Value, depth int) error {
+	if depth == MaxValueDepth {
+		return errTooDeep
+	}
+	elems, open, close := []Value(nil), "[", "]"
+	switch x := v.(type) {
+	case *List:
+		elems = x.Elems
+	case *Tuple:
+		elems, open, close = x.Elems, "(", ")"
+		if len(elems) == 1 {
+			close = ",)"
+		}
+	case *Dict:
+		sb.WriteByte('{')
+		for i, k := range x.keys {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			val, _ := x.Get(k)
+			if err := writeRepr(sb, k, depth+1); err != nil {
+				return err
+			}
+			sb.WriteString(": ")
+			if err := writeRepr(sb, val, depth+1); err != nil {
+				return err
+			}
+		}
+		sb.WriteByte('}')
+		return nil
+	default:
+		sb.WriteString(v.Repr())
+		return nil
+	}
+	sb.WriteString(open)
+	for i, e := range elems {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		if err := writeRepr(sb, e, depth+1); err != nil {
+			return err
+		}
+	}
+	sb.WriteString(close)
+	return nil
+}
 
 // HashKey computes the hash-map key string for a hashable value, or an
-// error for unhashable types.
-func HashKey(v Value) (string, error) {
+// error for unhashable types and for a tuple nested past MaxValueDepth.
+func HashKey(v Value) (string, error) { return hashKey(v, 0) }
+
+func hashKey(v Value, depth int) (string, error) {
+	if depth == MaxValueDepth {
+		return "", errTooDeep
+	}
 	switch x := v.(type) {
 	case None:
 		return "N", nil
@@ -150,7 +206,7 @@ func HashKey(v Value) (string, error) {
 		var sb strings.Builder
 		sb.WriteString("t(")
 		for _, e := range x.Elems {
-			k, err := HashKey(e)
+			k, err := hashKey(e, depth+1)
 			if err != nil {
 				return "", err
 			}
@@ -278,73 +334,69 @@ func (o *Object) Repr() string {
 func (o *Object) Truth() bool { return true }
 
 // Equal reports deep value equality between two MiniPy values, with
-// numeric int/float cross-comparison like Python's ==.
+// numeric int/float cross-comparison like Python's ==. Values nested
+// past MaxValueDepth compare unequal; == fails on them instead (equal).
 func Equal(a, b Value) bool {
+	eq, _ := equal(a, b, 0) // false with the error
+	return eq
+}
+
+func equal(a, b Value, depth int) (bool, error) {
+	if depth == MaxValueDepth {
+		return false, errTooDeep
+	}
 	switch x := a.(type) {
 	case None:
 		_, ok := b.(None)
-		return ok
+		return ok, nil
 	case Bool:
 		if y, ok := b.(Bool); ok {
-			return x == y
+			return x == y, nil
 		}
-		if y, ok := numAsFloat(b); ok {
-			return boolToFloat(bool(x)) == y
-		}
-		return false
+		y, ok := numAsFloat(b)
+		return ok && boolToFloat(bool(x)) == y, nil
 	case Int:
 		if y, ok := b.(Int); ok {
-			return x == y
+			return x == y, nil
 		}
-		if y, ok := numAsFloat(b); ok {
-			return float64(x) == y
-		}
-		return false
+		y, ok := numAsFloat(b)
+		return ok && float64(x) == y, nil
 	case Float:
-		if y, ok := numAsFloat(b); ok {
-			return float64(x) == y
-		}
-		return false
+		y, ok := numAsFloat(b)
+		return ok && float64(x) == y, nil
 	case Str:
 		y, ok := b.(Str)
-		return ok && x == y
-	case *List:
-		y, ok := b.(*List)
-		if !ok || len(x.Elems) != len(y.Elems) {
-			return false
+		return ok && x == y, nil
+	case *List, *Tuple:
+		xl, _ := sequenceElems(a)
+		yl, ok := sequenceElems(b)
+		if !ok || a.Type() != b.Type() || len(xl) != len(yl) {
+			return false, nil
 		}
-		for i := range x.Elems {
-			if !Equal(x.Elems[i], y.Elems[i]) {
-				return false
+		for i := range xl {
+			if eq, err := equal(xl[i], yl[i], depth+1); !eq || err != nil {
+				return false, err
 			}
 		}
-		return true
-	case *Tuple:
-		y, ok := b.(*Tuple)
-		if !ok || len(x.Elems) != len(y.Elems) {
-			return false
-		}
-		for i := range x.Elems {
-			if !Equal(x.Elems[i], y.Elems[i]) {
-				return false
-			}
-		}
-		return true
+		return true, nil
 	case *Dict:
 		y, ok := b.(*Dict)
 		if !ok || x.Len() != y.Len() {
-			return false
+			return false, nil
 		}
-		for _, k := range x.Keys() {
+		for _, k := range x.keys {
 			xv, _ := x.Get(k)
 			yv, present := y.Get(k)
-			if !present || !Equal(xv, yv) {
-				return false
+			if !present {
+				return false, nil
+			}
+			if eq, err := equal(xv, yv, depth+1); !eq || err != nil {
+				return false, err
 			}
 		}
-		return true
+		return true, nil
 	}
-	return a == b
+	return a == b, nil
 }
 
 func numAsFloat(v Value) (float64, bool) {
@@ -367,8 +419,13 @@ func boolToFloat(b bool) float64 {
 }
 
 // Compare orders two values, returning -1, 0, or 1, or an error for
-// unorderable types.
-func Compare(a, b Value) (int, error) {
+// unorderable types and for sequences nested past MaxValueDepth.
+func Compare(a, b Value) (int, error) { return compare(a, b, 0) }
+
+func compare(a, b Value, depth int) (int, error) {
+	if depth == MaxValueDepth {
+		return 0, errTooDeep
+	}
 	if x, ok := numAsFloat(a); ok {
 		if y, ok := numAsFloat(b); ok {
 			switch {
@@ -389,7 +446,7 @@ func Compare(a, b Value) (int, error) {
 	yl, yok := sequenceElems(b)
 	if xok && yok && a.Type() == b.Type() {
 		for i := 0; i < len(xl) && i < len(yl); i++ {
-			c, err := Compare(xl[i], yl[i])
+			c, err := compare(xl[i], yl[i], depth+1)
 			if err != nil {
 				return 0, err
 			}

@@ -155,6 +155,8 @@ type encoder struct {
 	buf  bytes.Buffer
 	memo map[any]int // pointer identity -> memo id
 	next int
+	// depth counts the values being encoded, outermost first.
+	depth int
 }
 
 func (e *encoder) writeUvarint(n uint64) {
@@ -190,7 +192,19 @@ func (e *encoder) emitRef(id int) {
 	e.writeUvarint(uint64(id))
 }
 
+// encode writes one value, at most maxDepth levels deep: whatever
+// Marshal emits, Unmarshal accepts.
 func (e *encoder) encode(v minipy.Value) error {
+	if e.depth == maxDepth {
+		return fmt.Errorf("pickle: value nested deeper than %d levels", maxDepth)
+	}
+	e.depth++
+	err := e.value(v)
+	e.depth--
+	return err
+}
+
+func (e *encoder) value(v minipy.Value) error {
 	switch x := v.(type) {
 	case minipy.None:
 		e.buf.WriteByte(tagNone)
@@ -360,9 +374,10 @@ type decoder struct {
 	depth, spare int
 }
 
-// maxDepth bounds how deep a decoded value nests — the decoder recurses
-// once per level, and a hostile input nests as deep as it is long.
-const maxDepth = 1000
+// maxDepth bounds how deep a value nests, encoded or decoded — both
+// recurse once per level, and a hostile input nests as deep as it is
+// long.
+const maxDepth = minipy.MaxValueDepth
 
 func (d *decoder) readByte() (byte, error) {
 	if d.pos >= len(d.data) {

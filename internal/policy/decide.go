@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"strings"
+
 	"repro/internal/core"
 )
 
@@ -44,6 +46,21 @@ const (
 	// stages never block placement and never gate on transfer caps.
 	StageRef
 )
+
+func (m StageMode) String() string {
+	switch m {
+	case StagePeer:
+		return "peer"
+	case StageDirect:
+		return "direct"
+	case StageWait:
+		return "wait"
+	case StageRef:
+		return "ref"
+	default:
+		return "ready"
+	}
+}
 
 // StageFile is one per-object staging decision. Spec carries the
 // original file spec so the executing driver has the object payload
@@ -259,6 +276,19 @@ type DeployLibrary struct {
 	Stages  []StageFile
 	Evict   []EvictCandidate
 	Blocked []string
+}
+
+// EvictNames is the eviction plan as a deploy decision records it: the
+// library names in plan order, comma-joined.
+func (d DeployLibrary) EvictNames() string {
+	var b strings.Builder
+	for i, e := range d.Evict {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(e.Lib)
+	}
+	return b.String()
 }
 
 // PlanDeploy picks the worker for a new instance of spec: skip

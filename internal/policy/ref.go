@@ -28,8 +28,8 @@ import (
 //
 // Like the rest of the package these functions are side-effect free
 // with respect to the world: they mutate only the table, and every
-// decision is recorded through the shared trace helpers so the manager
-// and the simulator emit byte-identical sequences.
+// decision is recorded here, so the manager and the simulator record
+// identical sequences.
 //
 // The table is driver-serialized (the manager guards it with the ref
 // plane's own mutex, the simulators are single-threaded); it is not
@@ -77,6 +77,21 @@ const (
 	// ResolveLost: no copy of the object survives anywhere.
 	ResolveLost
 )
+
+func (m ResolveMode) String() string {
+	switch m {
+	case ResolvePeer:
+		return "peer"
+	case ResolveShared:
+		return "shared"
+	case ResolveDirect:
+		return "direct"
+	case ResolveLost:
+		return "lost"
+	default:
+		return "ready"
+	}
+}
 
 // ResolveDecision is PlanResolve's outcome.
 type ResolveDecision struct {
@@ -201,7 +216,7 @@ func (t *RefTable) noteOwned(worker, id string, size int64, rec *Recorder) []Ref
 		}
 		sp := RefSpill{ID: victim, Worker: worker, Size: ref.Size}
 		t.applySpill(ref, sp)
-		rec.Record(TraceSpill(sp))
+		rec.Record(Decision{Kind: KindSpill, Obj: victim, Worker: worker})
 		spills = append(spills, sp)
 	}
 	return spills
@@ -254,7 +269,7 @@ func (t *RefTable) NoteRefResult(worker, id, name string, size int64, rec *Recor
 	ref := &RefInfo{ID: id, Name: name, Size: size, Owner: worker, Tier: core.TierCache}
 	t.refs[id] = ref
 	t.addHolder(ref, worker)
-	rec.Record(TraceOwn(id, worker, size))
+	rec.Record(Decision{Kind: KindOwn, Obj: id, Worker: worker, Size: size})
 	return t.noteOwned(worker, id, size, rec)
 }
 
@@ -294,44 +309,35 @@ func altHolders(ref *RefInfo, src, dst string) []string {
 // could restage the bytes (the true last resort).
 func (t *RefTable) PlanResolve(dst, id string, catalog bool, rec *Recorder) ResolveDecision {
 	ref := t.refs[id]
-	if ref == nil {
+	d := ResolveDecision{Mode: ResolveLost}
+	switch {
+	case ref == nil:
 		if catalog {
-			rec.Record(TraceResolve(id, dst, ResolveDecision{Mode: ResolveDirect}))
-			return ResolveDecision{Mode: ResolveDirect}
+			d.Mode = ResolveDirect
 		}
-		rec.Record(TraceResolve(id, dst, ResolveDecision{Mode: ResolveLost}))
-		return ResolveDecision{Mode: ResolveLost}
+	case ref.Holders[dst]:
+		d = ResolveDecision{Mode: ResolveReady, Size: ref.Size}
+	default:
+		d.Size = ref.Size
+		if src := pickHolder(ref, dst); src != "" {
+			d.Mode, d.Src, d.Alts = ResolvePeer, src, altHolders(ref, src, dst)
+		} else if ref.Spilled {
+			// Promote on re-use: the consumer becomes the ref's cache-tier
+			// owner (the shared copy stays as a fallback), charged against
+			// its owned budget like a fresh result.
+			d.Mode, d.Promote = ResolveShared, true
+		} else if catalog {
+			d.Mode = ResolveDirect
+		}
 	}
-	if ref.Holders[dst] {
-		d := ResolveDecision{Mode: ResolveReady, Size: ref.Size}
-		rec.Record(TraceResolve(id, dst, d))
-		return d
-	}
-	if src := pickHolder(ref, dst); src != "" {
-		d := ResolveDecision{Mode: ResolvePeer, Src: src, Alts: altHolders(ref, src, dst), Size: ref.Size}
-		rec.Record(TraceResolve(id, dst, d))
-		return d
-	}
-	if ref.Spilled {
-		// Promote on re-use: the consumer becomes the ref's cache-tier
-		// owner (the shared copy stays as a fallback), charged against
-		// its owned budget like a fresh result.
-		d := ResolveDecision{Mode: ResolveShared, Promote: true, Size: ref.Size}
-		rec.Record(TraceResolve(id, dst, d))
+	rec.Record(Decision{Kind: KindResolve, Obj: id, Dst: dst, Mode: d.Mode.String(), Src: d.Src})
+	if d.Promote {
 		ref.Owner = dst
 		ref.Tier = core.TierCache
 		t.addHolder(ref, dst)
-		rec.Record(TracePromote(id, dst))
+		rec.Record(Decision{Kind: KindPromote, Obj: id, Worker: dst})
 		d.Spills = t.noteOwned(dst, id, ref.Size, rec)
-		return d
 	}
-	if catalog {
-		d := ResolveDecision{Mode: ResolveDirect, Size: ref.Size}
-		rec.Record(TraceResolve(id, dst, d))
-		return d
-	}
-	d := ResolveDecision{Mode: ResolveLost, Size: ref.Size}
-	rec.Record(TraceResolve(id, dst, d))
 	return d
 }
 
@@ -386,17 +392,17 @@ func (t *RefTable) PlanRehome(dead string, rec *Recorder) []Rehome {
 		if next := pickHolder(ref, ""); next != "" {
 			ref.Owner = next
 			rh.Owner = next
-			rec.Record(TraceRehome(rh))
+			rec.Record(Decision{Kind: KindRehome, Obj: id, Worker: next})
 			rh.Spills = t.noteOwned(next, id, ref.Size, rec)
 		} else if ref.Spilled {
 			ref.Owner = ""
 			ref.Tier = core.TierShared
 			rh.Shared = true
-			rec.Record(TraceRehome(rh))
+			rec.Record(Decision{Kind: KindRehome, Obj: id, Mode: ResolveShared.String()})
 		} else {
 			ref.Owner = ""
 			rh.Lost = true
-			rec.Record(TraceRehome(rh))
+			rec.Record(Decision{Kind: KindRehome, Obj: id, Mode: ResolveLost.String()})
 		}
 		out = append(out, rh)
 	}

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -27,14 +28,14 @@ func TestRefOwnershipAndSpill(t *testing.T) {
 	if got := tab.OwnedBytes("w1"); got != 80 {
 		t.Fatalf("owned bytes after spill = %d, want 80", got)
 	}
-	want := []string{
-		"own obj=a worker=w1 size=60",
-		"own obj=b worker=w1 size=30",
-		"own obj=c worker=w1 size=50",
-		"spill obj=a worker=w1 tier=shared",
+	want := []Decision{
+		{Kind: KindOwn, Obj: "a", Worker: "w1", Size: 60},
+		{Kind: KindOwn, Obj: "b", Worker: "w1", Size: 30},
+		{Kind: KindOwn, Obj: "c", Worker: "w1", Size: 50},
+		{Kind: KindSpill, Obj: "a", Worker: "w1"},
 	}
-	if !reflect.DeepEqual(rec.Decisions, want) {
-		t.Fatalf("trace = %q, want %q", rec.Decisions, want)
+	if !slices.Equal(rec.Decisions, want) {
+		t.Fatalf("trace = %v, want %v", rec.Decisions, want)
 	}
 }
 
@@ -80,6 +81,18 @@ func TestRefResolveModes(t *testing.T) {
 	if ref := tab.Get("a"); ref.Owner != "w7" || !ref.Holders["w7"] {
 		t.Fatalf("promote did not re-home: %+v", ref)
 	}
+	want := []Decision{
+		{Kind: KindOwn, Obj: "a", Worker: "w3", Size: 10},
+		{Kind: KindResolve, Obj: "a", Dst: "w9", Mode: "peer", Src: "w2"},
+		{Kind: KindResolve, Obj: "a", Dst: "w2", Mode: "ready"},
+		{Kind: KindResolve, Obj: "zzz", Dst: "w1", Mode: "direct"},
+		{Kind: KindResolve, Obj: "zzz", Dst: "w1", Mode: "lost"},
+		{Kind: KindResolve, Obj: "a", Dst: "w7", Mode: "shared"},
+		{Kind: KindPromote, Obj: "a", Worker: "w7"},
+	}
+	if !slices.Equal(rec.Decisions, want) {
+		t.Fatalf("trace = %v, want %v", rec.Decisions, want)
+	}
 }
 
 // TestRefRehome pins owner-death semantics: re-home to the min-ID
@@ -116,9 +129,13 @@ func TestRefRehome(t *testing.T) {
 		t.Fatalf("unexpected rehomes: %v", rhs)
 	}
 	tail := rec.Decisions[len(rec.Decisions)-3:]
-	want := []string{"rehome obj=a owner=w5", "rehome obj=b lost", "rehome obj=c tier=shared"}
-	if !reflect.DeepEqual(tail, want) {
-		t.Fatalf("trace tail = %q, want %q", tail, want)
+	want := []Decision{
+		{Kind: KindRehome, Obj: "a", Worker: "w5"},
+		{Kind: KindRehome, Obj: "b", Mode: "lost"},
+		{Kind: KindRehome, Obj: "c", Mode: "shared"},
+	}
+	if !slices.Equal(tail, want) {
+		t.Fatalf("trace tail = %v, want %v", tail, want)
 	}
 }
 
@@ -148,12 +165,12 @@ func TestRefRestage(t *testing.T) {
 	if d, name, tracked := tab.PlanRestage("w9", "zzz", true, rec); tracked || name != "" || d.Mode != ResolveReady || len(rec.Decisions) != n {
 		t.Fatalf("an untracked ID must be a silent no-op, got %+v name=%q tracked=%v", d, name, tracked)
 	}
-	want := []string{
-		"own obj=a worker=w3 size=10",
-		"resolve obj=a dst=w9 mode=peer src=w3",
-		"resolve obj=a dst=w9 mode=lost",
+	want := []Decision{
+		{Kind: KindOwn, Obj: "a", Worker: "w3", Size: 10},
+		{Kind: KindResolve, Obj: "a", Dst: "w9", Mode: "peer", Src: "w3"},
+		{Kind: KindResolve, Obj: "a", Dst: "w9", Mode: "lost"},
 	}
-	if !reflect.DeepEqual(rec.Decisions, want) {
-		t.Fatalf("trace = %q, want %q", rec.Decisions, want)
+	if !slices.Equal(rec.Decisions, want) {
+		t.Fatalf("trace = %v, want %v", rec.Decisions, want)
 	}
 }

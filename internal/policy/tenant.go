@@ -186,7 +186,7 @@ func PlanSubmitBatch(ts []*TenantState, max int, rec *Recorder) []int {
 			break
 		}
 		t := ts[i]
-		rec.Record(TraceNextTenant(t.Spec.Name, t.VTime, t.Queued))
+		rec.Record(Decision{Kind: KindTenant, Tenant: t.Spec.Name, VTime: t.VTime, Queued: t.Queued})
 		t.Queued--
 		t.InFlight++
 		ChargeDispatch(t)

@@ -196,12 +196,3 @@ func TestNormalizeTenants(t *testing.T) {
 		t.Fatalf("normalize weights: %+v", got)
 	}
 }
-
-func TestTenantTraceFormats(t *testing.T) {
-	if got := TraceAdmit("acme", AdmitDecision{Verdict: AdmitShed, Reason: "queue-full"}); got != "admit tenant=acme verdict=shed reason=queue-full" {
-		t.Fatalf("TraceAdmit = %q", got)
-	}
-	if got := TraceNextTenant("acme", 720720, 3); got != "tenant pick=acme v=720720 queued=3" {
-		t.Fatalf("TraceNextTenant = %q", got)
-	}
-}

@@ -10,11 +10,11 @@ import (
 // one implementation under every engine: the tenant registry, each
 // tenant's FIFO of admitted-but-unreleased items, the accounting the
 // pure decisions above read, and the trace of every admit verdict and
-// fair-share pick. T is whatever the engine queues for a shard — the
-// plane never looks inside an item. It holds no lock and starts no
-// goroutine: the manager serializes calls under its plane mutex, the
-// simulator drivers are single-threaded.
-type TenantPlane[T any] struct {
+// fair-share pick. T is whatever the engine queues for a shard; the
+// plane reads only its spec number, which the admit decision records.
+// It holds no lock and starts no goroutine: the manager serializes calls
+// under its plane mutex, the simulator drivers are single-threaded.
+type TenantPlane[T Item] struct {
 	tenants []planeTenant[T]
 	// states aliases each tenant's TenantState in registry order — the
 	// slice the pure policy calls take.
@@ -22,6 +22,10 @@ type TenantPlane[T any] struct {
 	byName map[string]int
 	rec    *Recorder
 }
+
+// Item is what an engine queues in the submission plane; ID is its spec
+// number, which the admit decision records.
+type Item interface{ ID() int64 }
 
 type planeTenant[T any] struct {
 	state TenantState
@@ -57,7 +61,7 @@ type TenantStat struct {
 
 // NewTenantPlane builds the plane over the normalized tenant registry,
 // recording into rec (nil records nothing).
-func NewTenantPlane[T any](specs []core.TenantSpec, rec *Recorder) *TenantPlane[T] {
+func NewTenantPlane[T Item](specs []core.TenantSpec, rec *Recorder) *TenantPlane[T] {
 	norm := core.NormalizeTenants(specs, MaxTenantWeight)
 	p := &TenantPlane[T]{
 		tenants: make([]planeTenant[T], len(norm)),
@@ -86,7 +90,7 @@ func (p *TenantPlane[T]) Submit(tenant string, item T, route Route[T]) (d AdmitD
 	t := &p.tenants[ti]
 	t.submits++
 	d = AdmitSubmit(&t.state)
-	p.rec.Record(TraceAdmit(tenant, d))
+	p.rec.Record(Decision{Kind: KindAdmit, Spec: item.ID(), Tenant: tenant, Verdict: d.Verdict, Reason: d.Reason})
 	switch d.Verdict {
 	case AdmitShed:
 		t.shed++
@@ -170,9 +174,9 @@ func (p *TenantPlane[T]) Quiescent() error {
 
 // Decisions returns a copy of the plane's recorded admission/drain
 // trace; nil for a nil plane or one built without a recorder.
-func (p *TenantPlane[T]) Decisions() []string {
+func (p *TenantPlane[T]) Decisions() []Decision {
 	if p == nil || p.rec == nil {
 		return nil
 	}
-	return append([]string(nil), p.rec.Decisions...)
+	return append([]Decision(nil), p.rec.Decisions...)
 }

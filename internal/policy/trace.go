@@ -5,139 +5,139 @@ import (
 	"strings"
 )
 
-// Recorder collects the canonical decision trace of an engine run. The
-// differential harness replays one event trace through both engines
-// and diffs their recorders line for line; the golden tests pin the
-// seed workloads' traces. A nil *Recorder is valid and records
-// nothing, so drivers can leave tracing off on hot paths.
+// Kind says what a Decision decided: which of its fields are set, and
+// which line it renders as.
+type Kind uint8
+
+const (
+	// KindTask places a stateless task: Spec, Key, Worker, Stages.
+	KindTask Kind = iota + 1
+	// KindPlace places an invocation on a ready instance: Spec, Lib,
+	// Worker. It carries no free-slot count: the engines agree on which
+	// worker runs the invocation, not on when earlier invocations on that
+	// worker finished.
+	KindPlace
+	// KindDeploy deploys a library instance: Lib, Worker, Stages, Evict.
+	KindDeploy
+	// KindAdmit is one admission-control verdict: Spec, Tenant, Verdict,
+	// Reason.
+	KindAdmit
+	// KindTenant is one fair-share drain pick: Tenant, and its VTime and
+	// Queued at pick time, before the pick's own dequeue and charge.
+	KindTenant
+	// KindOwn makes a ref result's producer its holder of record: Obj,
+	// Worker, Size.
+	KindOwn
+	// KindSpill demotes an owned object to the shared tier: Obj, Worker.
+	KindSpill
+	// KindResolve is a consumer's ref resolution: Obj, Dst, Mode (a
+	// ResolveMode), Src for a peer.
+	KindResolve
+	// KindPromote brings a shared-tier object back to the cache tier on
+	// re-use: Obj, Worker.
+	KindPromote
+	// KindRehome is one ref's fate after its owner died: Obj, and the new
+	// owner in Worker or else Mode "shared" or "lost".
+	KindRehome
+	// KindStage executes one staging decision: Obj, Dst, Mode (a
+	// StageMode), Src for a peer.
+	KindStage
+)
+
+// Decision is one entry of an engine's decision trace, as plain values.
+// Both engines record the same type, the differential harness compares
+// the values, and String renders a line only for whoever reads one. Spec
+// — the spec number a task, place or admit decision is about — is
+// compared but never rendered.
+//
+// Every field is comparable and renders the same in every run: no
+// float, map, pointer or interface field (TestDecisionFieldKinds).
+type Decision struct {
+	Kind    Kind
+	Spec    int64
+	Key     string // a task's ring key
+	Lib     string
+	Obj     string // an object or ref ID
+	Worker  string
+	Dst     string
+	Src     string
+	Mode    string
+	Stages  int
+	Evict   string // a deploy's evicted libraries, comma-joined in plan order
+	Tenant  string
+	Verdict AdmitVerdict
+	Reason  string
+	VTime   int64
+	Queued  int
+	Size    int64
+}
+
+// String renders the decision as its trace line, the format the golden
+// traces pin.
+func (d Decision) String() string {
+	switch d.Kind {
+	case KindTask:
+		return fmt.Sprintf("task key=%s worker=%s stages=%d", d.Key, d.Worker, d.Stages)
+	case KindPlace:
+		return fmt.Sprintf("place lib=%s worker=%s", d.Lib, d.Worker)
+	case KindDeploy:
+		return fmt.Sprintf("deploy lib=%s worker=%s stages=%d evict=[%s]", d.Lib, d.Worker, d.Stages, d.Evict)
+	case KindAdmit:
+		return fmt.Sprintf("admit tenant=%s verdict=%s reason=%s", d.Tenant, d.Verdict, d.Reason)
+	case KindTenant:
+		return fmt.Sprintf("tenant pick=%s v=%d queued=%d", d.Tenant, d.VTime, d.Queued)
+	case KindOwn:
+		return fmt.Sprintf("own obj=%s worker=%s size=%d", d.Obj, d.Worker, d.Size)
+	case KindSpill:
+		return fmt.Sprintf("spill obj=%s worker=%s tier=shared", d.Obj, d.Worker)
+	case KindPromote:
+		return fmt.Sprintf("promote obj=%s worker=%s", d.Obj, d.Worker)
+	case KindRehome:
+		switch {
+		case d.Worker != "":
+			return fmt.Sprintf("rehome obj=%s owner=%s", d.Obj, d.Worker)
+		case d.Mode == "shared":
+			return fmt.Sprintf("rehome obj=%s tier=shared", d.Obj)
+		default:
+			return fmt.Sprintf("rehome obj=%s lost", d.Obj)
+		}
+	case KindResolve, KindStage:
+		verb := "resolve"
+		if d.Kind == KindStage {
+			verb = "stage"
+		}
+		line := fmt.Sprintf("%s obj=%s dst=%s mode=%s", verb, d.Obj, d.Dst, d.Mode)
+		if d.Src != "" {
+			line += " src=" + d.Src
+		}
+		return line
+	}
+	return fmt.Sprintf("decision kind=%d", d.Kind)
+}
+
+// Recorder collects the decision trace of an engine run. The
+// differential harness replays one event trace through both engines and
+// compares their recorders decision for decision; the golden tests pin
+// the seed workloads' traces. A nil *Recorder is valid and records
+// nothing, and building a Decision allocates nothing, so call sites
+// record unconditionally.
 type Recorder struct {
-	// Max bounds the retained trace; 0 means unbounded. Decisions past
-	// Max are counted in Dropped instead of stored.
-	Max       int
-	Decisions []string
-	Dropped   int
+	Decisions []Decision
 }
 
-// Record appends one decision line.
-func (r *Recorder) Record(line string) {
-	if r == nil {
-		return
+// Record appends one decision.
+func (r *Recorder) Record(d Decision) {
+	if r != nil {
+		r.Decisions = append(r.Decisions, d)
 	}
-	if r.Max > 0 && len(r.Decisions) >= r.Max {
-		r.Dropped++
-		return
-	}
-	r.Decisions = append(r.Decisions, line)
 }
 
-// Dump renders the trace one decision per line.
-func (r *Recorder) Dump() string {
-	if r == nil {
-		return ""
-	}
+// Dump renders a trace one decision per line.
+func Dump(ds []Decision) string {
 	var b strings.Builder
-	for _, d := range r.Decisions {
-		b.WriteString(d)
+	for _, d := range ds {
+		b.WriteString(d.String())
 		b.WriteByte('\n')
 	}
-	if r.Dropped > 0 {
-		fmt.Fprintf(&b, "... %d more decisions dropped\n", r.Dropped)
-	}
 	return b.String()
-}
-
-// The Trace helpers below are the single source of the decision-string
-// format. Both drivers must record through them so the differential
-// diff compares semantics, not formatting.
-
-// TraceTask renders a stateless-task placement.
-func TraceTask(key string, d PlaceTask) string {
-	return fmt.Sprintf("task key=%s worker=%s stages=%d", key, d.Worker.ID, len(d.Stages))
-}
-
-// TracePlace renders a ready-instance invocation placement. It
-// deliberately omits the free-slot count: the engines agree on which
-// worker runs the invocation, not on when earlier invocations on that
-// worker finished.
-func TracePlace(lib string, d PlaceInvocation) string {
-	return fmt.Sprintf("place lib=%s worker=%s", lib, d.Worker.ID)
-}
-
-// TraceDeploy renders a library deploy, including the eviction plan.
-func TraceDeploy(name string, d DeployLibrary) string {
-	evict := make([]string, len(d.Evict))
-	for i, e := range d.Evict {
-		evict[i] = e.Lib
-	}
-	return fmt.Sprintf("deploy lib=%s worker=%s stages=%d evict=[%s]",
-		name, d.Worker.ID, len(d.Stages), strings.Join(evict, ","))
-}
-
-// TraceAdmit renders one admission-control verdict.
-func TraceAdmit(tenant string, d AdmitDecision) string {
-	return fmt.Sprintf("admit tenant=%s verdict=%s reason=%s", tenant, d.Verdict, d.Reason)
-}
-
-// TraceNextTenant renders one fair-share drain pick: the tenant's
-// virtual time and queue depth at pick time, before the pick's own
-// dequeue and charge are applied.
-func TraceNextTenant(tenant string, vtime int64, queued int) string {
-	return fmt.Sprintf("tenant pick=%s v=%d queued=%d", tenant, vtime, queued)
-}
-
-// TraceOwn renders the ownership transfer of a ref result: the
-// producing worker becomes holder of record.
-func TraceOwn(id, worker string, size int64) string {
-	return fmt.Sprintf("own obj=%s worker=%s size=%d", id, worker, size)
-}
-
-// TraceSpill renders one owned object's demotion to the shared tier.
-func TraceSpill(sp RefSpill) string {
-	return fmt.Sprintf("spill obj=%s worker=%s tier=shared", sp.ID, sp.Worker)
-}
-
-// TraceResolve renders a consumer's ref resolution.
-func TraceResolve(id, dst string, d ResolveDecision) string {
-	switch d.Mode {
-	case ResolvePeer:
-		return fmt.Sprintf("resolve obj=%s dst=%s mode=peer src=%s", id, dst, d.Src)
-	case ResolveShared:
-		return fmt.Sprintf("resolve obj=%s dst=%s mode=shared", id, dst)
-	case ResolveDirect:
-		return fmt.Sprintf("resolve obj=%s dst=%s mode=direct", id, dst)
-	case ResolveLost:
-		return fmt.Sprintf("resolve obj=%s dst=%s mode=lost", id, dst)
-	default:
-		return fmt.Sprintf("resolve obj=%s dst=%s mode=ready", id, dst)
-	}
-}
-
-// TracePromote renders a shared-tier object's promotion back to the
-// cache tier on re-use.
-func TracePromote(id, worker string) string {
-	return fmt.Sprintf("promote obj=%s worker=%s", id, worker)
-}
-
-// TraceRehome renders one ref's fate after its owner died.
-func TraceRehome(rh Rehome) string {
-	switch {
-	case rh.Owner != "":
-		return fmt.Sprintf("rehome obj=%s owner=%s", rh.ID, rh.Owner)
-	case rh.Shared:
-		return fmt.Sprintf("rehome obj=%s tier=shared", rh.ID)
-	default:
-		return fmt.Sprintf("rehome obj=%s lost", rh.ID)
-	}
-}
-
-// TraceStage renders the execution of one staging decision.
-func TraceStage(sf StageFile) string {
-	switch sf.Mode {
-	case StagePeer:
-		return fmt.Sprintf("stage obj=%s dst=%s mode=peer src=%s", sf.Object, sf.Dst.ID, sf.Src.ID)
-	case StageRef:
-		return fmt.Sprintf("stage obj=%s dst=%s mode=ref", sf.Object, sf.Dst.ID)
-	default:
-		return fmt.Sprintf("stage obj=%s dst=%s mode=direct", sf.Object, sf.Dst.ID)
-	}
 }

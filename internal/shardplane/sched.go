@@ -70,7 +70,7 @@ type Run[T Spec, I any] struct {
 }
 
 // ID is the spec number.
-func (r *Run[T, I]) ID() int64 {
+func (r Run[T, I]) ID() int64 {
 	if r.IsTask {
 		return r.Task.ID
 	}

@@ -30,6 +30,7 @@ import (
 	"sync"
 
 	"repro/internal/hashring"
+	"repro/internal/policy"
 )
 
 // DefaultShards is the dispatch plane's default partition count. It is
@@ -219,8 +220,8 @@ func (r *Router) NextAlive(after int) (int, bool) {
 // is already the shard's own deterministic decision order; across
 // shards no order is defined (the shards are independent loops), so
 // the merge pins one.
-func MergeTraces(perShard [][]string) []string {
-	var out []string
+func MergeTraces(perShard [][]policy.Decision) []policy.Decision {
+	var out []policy.Decision
 	for _, t := range perShard {
 		out = append(out, t...)
 	}
@@ -230,6 +231,6 @@ func MergeTraces(perShard [][]string) []string {
 // ComposeTraces is an engine's whole decision trace: the submission
 // plane's stream, then the ref catalog's — each global, each recorded
 // once — then the shard traces merged.
-func ComposeTraces(plane, refs []string, perShard [][]string) []string {
+func ComposeTraces(plane, refs []policy.Decision, perShard [][]policy.Decision) []policy.Decision {
 	return append(append(slices.Clip(plane), refs...), MergeTraces(perShard)...)
 }

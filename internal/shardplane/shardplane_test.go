@@ -2,9 +2,11 @@ package shardplane
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/hashring"
+	"repro/internal/policy"
 )
 
 func TestShardOfIsStableAndInRange(t *testing.T) {
@@ -106,15 +108,10 @@ func TestAddRemoveIdempotent(t *testing.T) {
 }
 
 func TestMergeTracesConcatenatesInShardOrder(t *testing.T) {
-	got := MergeTraces([][]string{{"a", "b"}, nil, {"c"}})
-	want := []string{"a", "b", "c"}
-	if len(got) != len(want) {
-		t.Fatalf("merged %d lines, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("line %d = %q, want %q", i, got[i], want[i])
-		}
+	a, b, c := policy.Decision{Spec: 1}, policy.Decision{Spec: 2}, policy.Decision{Spec: 3}
+	got := MergeTraces([][]policy.Decision{{a, b}, nil, {c}})
+	if want := []policy.Decision{a, b, c}; !slices.Equal(got, want) {
+		t.Fatalf("merged %v, want %v", got, want)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // failed fetches (PlanRestage), rehoming on owner death (PlanRehome) —
 // and recording into its own recorder, so the global ref decision
 // stream stays a separate trace compared against Manager.RefDecisions
-// line for line.
+// decision for decision.
 //
 // The sequencing is the table's; what is left here is what the manager
 // keeps in refplane.go minus the transport. The manager's spill/adopt

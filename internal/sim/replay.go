@@ -35,7 +35,7 @@ import (
 // nudge. The differential harness (internal/manager) feeds one event
 // trace through a Replay and through the real manager and diffs the
 // plane stream, the ref stream, each shard's trace and the merged
-// trace line for line.
+// trace decision for decision.
 type Replay struct {
 	cfg        Config
 	shards     []*replayShard
@@ -148,9 +148,7 @@ func (sh *replayShard) Reject(replayInv) bool { return false }
 func (sh *replayShard) PlaceInv(inv replayInv, d policy.PlaceInvocation) {
 	st := sh.st
 	w := st.byID[d.Worker.ID]
-	if st.rec != nil {
-		st.rec.Record(policy.TracePlace(inv.Lib, d))
-	}
+	st.rec.Record(policy.Decision{Kind: policy.KindPlace, Spec: inv.ID, Lib: inv.Lib, Worker: w.id})
 	w.freeReady--
 	st.syncLib(w)
 }
@@ -194,9 +192,7 @@ func (sh *replayShard) taskInputs(pt replayTask) []core.FileSpec {
 // task's resource commitment.
 func (sh *replayShard) Place(pt *replayTask, d policy.PlaceTask) {
 	st := sh.st
-	if st.rec != nil {
-		st.rec.Record(policy.TraceTask(pt.Key, d))
-	}
+	st.rec.Record(policy.Decision{Kind: policy.KindTask, Spec: pt.ID, Key: pt.Key, Worker: d.Worker.ID, Stages: len(d.Stages)})
 	for _, sf := range d.Stages {
 		st.execStage(sf)
 	}
@@ -532,16 +528,16 @@ func (r *Replay) Pending() int {
 // which is how the harness localizes a divergence.
 
 // PlaneDecisions returns the submission plane's recorded trace.
-func (r *Replay) PlaneDecisions() []string { return r.plane.Decisions() }
+func (r *Replay) PlaneDecisions() []policy.Decision { return r.plane.Decisions() }
 
 // RefDecisions returns a copy of the ref catalog's recorded stream.
-func (r *Replay) RefDecisions() []string {
-	return append([]string(nil), r.refs.rec.Decisions...)
+func (r *Replay) RefDecisions() []policy.Decision {
+	return append([]policy.Decision(nil), r.refs.rec.Decisions...)
 }
 
 // ShardDecisions returns each shard's own decision trace.
-func (r *Replay) ShardDecisions() [][]string {
-	out := make([][]string, len(r.shards))
+func (r *Replay) ShardDecisions() [][]policy.Decision {
+	out := make([][]policy.Decision, len(r.shards))
 	for i, sh := range r.shards {
 		out[i] = sh.st.rec.Decisions
 	}
@@ -549,7 +545,7 @@ func (r *Replay) ShardDecisions() [][]string {
 }
 
 // Decisions returns the composed trace.
-func (r *Replay) Decisions() []string {
+func (r *Replay) Decisions() []policy.Decision {
 	return shardplane.ComposeTraces(r.PlaneDecisions(), r.RefDecisions(), r.ShardDecisions())
 }
 

@@ -663,9 +663,7 @@ func (st *state) placeTask() *slot {
 		return nil
 	}
 	w := st.byID[d.Worker.ID]
-	if st.rec != nil {
-		st.rec.Record(policy.TraceTask(key, d))
-	}
+	st.rec.Record(policy.Decision{Kind: policy.KindTask, Key: key, Worker: w.id, Stages: len(d.Stages)})
 	for _, sf := range d.Stages {
 		st.execStage(sf)
 	}
@@ -680,9 +678,7 @@ func (st *state) placeTask() *slot {
 func (st *state) placeL3() *slot {
 	if d := st.view.PlaceReady(st.lib, nil); d.Worker != nil {
 		w := st.byID[d.Worker.ID]
-		if st.rec != nil {
-			st.rec.Record(policy.TracePlace(st.lib, d))
-		}
+		st.rec.Record(policy.Decision{Kind: policy.KindPlace, Lib: st.lib, Worker: w.id})
 		return st.bind(w, w.firstFree(true))
 	}
 	if w, _ := st.deploy(oneSlot, st.stackFilter()); w != nil {
@@ -706,8 +702,8 @@ func (st *state) deploy(res core.Resources, f policy.Filter) (w *wstate, blocked
 		return nil, d.Blocked
 	}
 	w = st.byID[d.Worker.ID]
-	if st.rec != nil {
-		st.rec.Record(policy.TraceDeploy(st.lib, d))
+	if st.rec != nil { // EvictNames allocates
+		st.rec.Record(policy.Decision{Kind: policy.KindDeploy, Lib: st.lib, Worker: w.id, Stages: len(d.Stages), Evict: d.EvictNames()})
 	}
 	for _, sf := range d.Stages {
 		st.execStage(sf)
@@ -768,9 +764,7 @@ func (st *state) execStage(sf policy.StageFile) {
 		src.v.TransfersOut++
 		dst.envSrc = src
 		st.res.EnvPeer++
-		if st.rec != nil {
-			st.rec.Record(policy.TraceStage(sf))
-		}
+		st.rec.Record(policy.Decision{Kind: policy.KindStage, Obj: sf.Object, Dst: dst.id, Mode: sf.Mode.String(), Src: src.id})
 		dst.envReqAt = st.S.Now()
 		if !st.replay {
 			link := src.nic
@@ -788,9 +782,7 @@ func (st *state) execStage(sf policy.StageFile) {
 		st.view.NotePending(dst.v, sf.Object)
 		st.view.ManagerSends++
 		st.res.EnvDirect++
-		if st.rec != nil {
-			st.rec.Record(policy.TraceStage(sf))
-		}
+		st.rec.Record(policy.Decision{Kind: policy.KindStage, Obj: sf.Object, Dst: dst.id, Mode: sf.Mode.String()})
 		dst.envReqAt = st.S.Now()
 		if !st.replay {
 			st.startFetch(dst, func() {
@@ -805,9 +797,7 @@ func (st *state) execStage(sf policy.StageFile) {
 		// ref stage ran — the per-shard view cannot plan the copy — and
 		// the global ref catalog plans (and traces) the actual source,
 		// exactly as the manager's ref plane does.
-		if st.rec != nil {
-			st.rec.Record(policy.TraceStage(sf))
-		}
+		st.rec.Record(policy.Decision{Kind: policy.KindStage, Obj: sf.Object, Dst: dst.id, Mode: sf.Mode.String()})
 		if st.refs != nil {
 			st.refs.stage(st.view, dst.v, sf.Object, false)
 		}
@@ -1033,9 +1023,7 @@ func (st *state) runL3(sl *slot, start float64) {
 		st.S.After(setup, func() {
 			st.markLibReady(w, sl)
 			// The invocation that rode the deploy runs on its instance.
-			if st.rec != nil {
-				st.rec.Record(policy.TracePlace(st.lib, policy.PlaceInvocation{Worker: w.v}))
-			}
+			st.rec.Record(policy.Decision{Kind: policy.KindPlace, Lib: st.lib, Worker: w.id})
 			st.invokeL3(sl, start)
 		})
 	})

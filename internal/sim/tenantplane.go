@@ -11,6 +11,8 @@ type specRef struct {
 	tenant string
 }
 
+func (r specRef) ID() int64 { return r.id }
+
 // ---- the timed simulator's tenant mode ----
 
 // startTenantArrivals switches a timed run into tenant mode: the

@@ -468,6 +468,63 @@ func TestInvocationErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestDeepValuesFailTheInvocation: a result nested past
+// minipy.MaxValueDepth, or a self-containing list met by str(), == or <,
+// fails its invocation with an error naming the bound — each used to
+// kill the worker with a stack overflow — and the worker serves the next
+// call.
+func TestDeepValuesFailTheInvocation(t *testing.T) {
+	m := newTestManager(t, 1, Options{})
+	env, err := m.Exec(`
+def nest(n):
+    x = []
+    for i in range(n):
+        x = [x]
+    return x
+
+def loop(op):
+    l = [1]
+    l.append(l)
+    if op == 0:
+        return str(l)
+    if op == 1:
+        return l == l
+    return l < l
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err := m.CreateLibraryFromFunctions("deeplib", LibraryOptions{}, env, "nest", "loop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.InstallLibrary(lib); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		fn  string
+		arg int
+	}{{"nest", 5000}, {"loop", 0}, {"loop", 1}, {"loop", 2}, {"nest", 10}} {
+		if _, err := m.Call("deeplib", c.fn, minipy.Int(c.arg)); err != nil {
+			t.Fatal(err)
+		}
+		results, err := m.Collect(1, collectTimeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := results[0]
+		if c.arg == 10 {
+			if !r.Ok {
+				t.Fatalf("the worker did not serve the call after: %s", r.Err)
+			}
+			continue
+		}
+		if r.Ok || !strings.Contains(r.Err, "nested deeper than 1000 levels") {
+			t.Errorf("%s(%d): %+v, want a failure naming the bound", c.fn, c.arg, r)
+		}
+	}
+}
+
 func TestDirectModeRetainsMutations(t *testing.T) {
 	// A direct-mode library shares memory between invocations: a
 	// counter bumped by each invocation keeps growing (§3.4 step 4).
