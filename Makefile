@@ -103,6 +103,7 @@ fuzzsmoke:
 	go test -run '^$$' -fuzz '^FuzzDecodeLibrary$$' -fuzztime 5s ./internal/proto
 	go test -run '^$$' -fuzz '^FuzzDecodeInvocation$$' -fuzztime 5s ./internal/proto
 	go test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 5s ./internal/proto
+	go test -run '^$$' -fuzz '^FuzzDecodeControl$$' -fuzztime 5s ./internal/proto
 	go test -run '^$$' -fuzz '^FuzzRecvBulk$$' -fuzztime 5s ./internal/proto
 	go test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 5s ./internal/pickle
 	go test -run '^$$' -fuzz '^FuzzUnpackManifest$$' -fuzztime 5s ./internal/poncho

@@ -773,21 +773,21 @@ func (p *Plane) answer(pc *proto.Conn) {
 		p.serveErrors.Add(1)
 		return
 	}
-	req, err := proto.Decode[proto.GetFile](raw)
+	id, err := proto.DecodeString(raw)
 	if err != nil {
 		p.serveErrors.Add(1)
 		return
 	}
-	obj, ok := p.cache.Get(req.ID)
+	obj, ok := p.cache.Get(id)
 	if !ok {
 		// A peer may still name this worker as a source for an object it
 		// spilled moments ago; answer from the shared tier rather than
 		// bouncing the requester through the manager's restage path.
 		p.mu.Lock()
-		spilled := p.spilled[req.ID]
+		spilled := p.spilled[id]
 		p.mu.Unlock()
 		if spilled && p.cfg.Shared != nil {
-			if sObj, err := p.cfg.Shared.Fetch(req.ID); err == nil {
+			if sObj, err := p.cfg.Shared.Fetch(id); err == nil {
 				p.served.Add(1)
 				_ = pc.SendBulk(proto.MsgFileDataBulk, proto.HdrOf(sObj), sObj.Data)
 				return

@@ -42,7 +42,7 @@ func request(pc *proto.Conn, id string) (*content.Object, error) {
 	}
 	switch t {
 	case proto.MsgFileDataBulk:
-		hdr, payload, err := proto.DecodeBulk[proto.FileHdr](raw)
+		hdr, payload, err := proto.DecodeFileData(raw)
 		if err != nil {
 			return nil, err
 		}
@@ -55,8 +55,11 @@ func request(pc *proto.Conn, id string) (*content.Object, error) {
 		}
 		return obj, nil
 	case proto.MsgError:
-		em, _ := proto.Decode[proto.ErrorMsg](raw)
-		return nil, fmt.Errorf("dataplane: peer error: %s", em.Err)
+		msg, err := proto.DecodeString(raw)
+		if err != nil {
+			return nil, fmt.Errorf("dataplane: decoding peer error: %w", err)
+		}
+		return nil, fmt.Errorf("dataplane: peer error: %s", msg)
 	}
 	return nil, fmt.Errorf("dataplane: unexpected peer message %v", t)
 }

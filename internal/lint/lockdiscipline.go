@@ -235,7 +235,7 @@ func (w *lockWalker) checkCall(call *ast.CallExpr, held []heldLock) {
 	if fn != nil && fn.Pkg() != nil {
 		path := fn.Pkg().Path()
 		switch {
-		case strings.HasSuffix(path, "internal/proto") && fn.Name() != "Decode" && fn.Name() != "DecodeBulk" && fn.Name() != "SplitBulk" && fn.Name() != "NewConn" && fn.Name() != "WithIdleTimeout":
+		case strings.HasSuffix(path, "internal/proto") && !protoPure(fn.Name()):
 			w.pass.Reportf(call.Pos(), "proto I/O (%s) while %s is held; frame the message after releasing the lock", fn.Name(), lock)
 		case path == "net":
 			w.pass.Reportf(call.Pos(), "net.%s while %s is held; network I/O must not run under the scheduler lock", fn.Name(), lock)
@@ -252,6 +252,13 @@ func (w *lockWalker) checkCall(call *ast.CallExpr, held []heldLock) {
 			w.pass.Reportf(call.Pos(), "%s on a network connection while %s is held", sel.Sel.Name, lock)
 		}
 	}
+}
+
+// protoPure reports whether the internal/proto function named name
+// does no I/O: a decoder (every one is named Decode…) or one of the
+// constructors that only wrap or describe a value.
+func protoPure(name string) bool {
+	return strings.HasPrefix(name, "Decode") || name == "NewConn" || name == "HdrOf" || name == "WithIdleTimeout"
 }
 
 // isNetConnish reports whether t is net.Conn, net.Listener, or a named

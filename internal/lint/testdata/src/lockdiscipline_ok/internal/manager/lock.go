@@ -1,14 +1,20 @@
 // Package manager is a clean fixture for lock hygiene: work happens
-// after release, sends under the lock are non-blocking selects, and
-// goroutine bodies are their own lock frames.
+// after release, sends under the lock are non-blocking selects,
+// goroutine bodies are their own lock frames, and decoding a frame
+// does no I/O.
 package manager
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/proto"
+)
 
 type state struct {
-	mu  sync.Mutex
-	out chan int
-	n   int
+	mu   sync.Mutex
+	out  chan int
+	n    int
+	last proto.FileAck
 }
 
 func (s *state) IncThenSend() {
@@ -44,4 +50,12 @@ func (s *state) Branchy(cond bool) {
 		return
 	}
 	s.mu.Unlock()
+}
+
+func (s *state) DecodeUnderLock(raw []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ack, err := proto.DecodeFileAck(raw) // a decoder is pure: no finding
+	s.last = ack
+	return err
 }

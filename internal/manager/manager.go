@@ -116,6 +116,7 @@ type Stats struct {
 	SchedulePasses    int64 // coalesced scheduling passes executed
 	CoalescedWakeups  int64 // wakeups absorbed by an already-running pass
 	WorkerLogs        int64 // worker-side diagnostics received (MsgLog), e.g. protocol decode errors
+	ProtocolErrors    int64 // worker connections refused or closed for a frame that did not decode or was not expected
 	SendQueueDrops    int64 // worker connections dropped because their outbound queue overflowed
 	ShardForwards     int64 // specs moved across shards (evacuation, parked work meeting its first worker)
 	SubmitsShed       int64 // submissions rejected by admission control (tenant queue bound hit)
@@ -288,7 +289,7 @@ type staging struct {
 type outMsg struct {
 	t proto.MsgType
 	v any
-	// bulk frames carry v as a JSON header and payload as raw bytes
+	// bulk frames carry v as the header and payload as raw bytes
 	// (proto.SendBulk) — no base64, no second buffer.
 	bulk    bool
 	payload []byte
@@ -486,6 +487,7 @@ func (m *Manager) Stats() Stats {
 		SchedulePasses:    passes,
 		CoalescedWakeups:  coalesced,
 		WorkerLogs:        atomic.LoadInt64(&m.stats.WorkerLogs),
+		ProtocolErrors:    atomic.LoadInt64(&m.stats.ProtocolErrors),
 		SendQueueDrops:    atomic.LoadInt64(&m.stats.SendQueueDrops),
 		ShardForwards:     m.shardPlane.Forwards(),
 		SubmitsShed:       atomic.LoadInt64(&m.stats.SubmitsShed),
@@ -534,7 +536,7 @@ func (m *Manager) Shutdown() {
 	for _, s := range m.shards {
 		s.mu.Lock()
 		for _, id := range core.SortedKeys(s.workers) {
-			s.workers[id].enqueue(outMsg{t: proto.MsgShutdown, v: struct{}{}})
+			s.workers[id].enqueue(outMsg{t: proto.MsgShutdown, v: proto.Shutdown{}})
 		}
 		s.mu.Unlock()
 	}
@@ -655,12 +657,22 @@ func (m *Manager) adoptWorker(w *workerState) bool {
 func (m *Manager) serveWorker(nc net.Conn) {
 	conn := proto.NewConn(nc)
 	t, raw, err := conn.Recv()
-	if err != nil || t != proto.MsgHello {
+	if err != nil {
 		nc.Close()
 		return
 	}
-	hello, err := proto.Decode[proto.Hello](raw)
-	if err != nil || hello.WorkerID == "" {
+	hello, err := proto.DecodeHello(raw)
+	switch {
+	case t != proto.MsgHello:
+		err = fmt.Errorf("first frame is %v", t)
+	case err == nil && hello.WorkerID == "":
+		err = fmt.Errorf("no worker ID")
+	}
+	if err != nil {
+		// A peer on another protocol version fails here, on its first
+		// frame, before it is ever registered.
+		atomic.AddInt64(&m.stats.ProtocolErrors, 1)
+		log.Printf("manager %s: refusing a worker: bad hello: %v", m.opts.Name, err)
 		nc.Close()
 		return
 	}
@@ -762,32 +774,54 @@ func (m *Manager) serveWorker(nc net.Conn) {
 		if err != nil {
 			break
 		}
-		switch t {
-		case proto.MsgFileAck:
-			if ack, err := proto.Decode[proto.FileAck](raw); err == nil {
-				s.onFileAck(w, ack)
-			}
-		case proto.MsgLibraryAck:
-			if ack, err := proto.Decode[proto.LibraryAck](raw); err == nil {
-				s.onLibraryAck(w, ack)
-			}
-		case proto.MsgResult:
-			if res, err := proto.DecodeResultInterned(raw, &strs); err == nil {
-				s.onResult(w, res)
-			}
-		case proto.MsgLog:
-			// Worker-side diagnostics (today: protocol decode errors the
-			// worker would otherwise swallow). Surface them in the
-			// manager's log and count them so tests and operators notice.
-			if lm, err := proto.Decode[proto.LogMsg](raw); err == nil {
-				atomic.AddInt64(&m.stats.WorkerLogs, 1)
-				log.Printf("manager %s: worker %s: %s", m.opts.Name, lm.Worker, lm.Text)
-			}
+		if err := m.handleWorkerFrame(s, w, t, raw, &strs); err != nil {
+			// The work a lost frame answered would wait forever: drop the
+			// worker instead, and onWorkerGone requeues what it held.
+			atomic.AddInt64(&m.stats.ProtocolErrors, 1)
+			log.Printf("manager %s: worker %s: protocol error: %v frame: %v", m.opts.Name, w.id, t, err)
+			break
 		}
 	}
 	close(done)
 	m.onWorkerGone(w)
 	nc.Close()
+}
+
+// handleWorkerFrame decodes one frame from worker w and hands it to its
+// handler. A frame that does not decode, or is not one a worker sends,
+// is an error.
+func (m *Manager) handleWorkerFrame(s *shard, w *workerState, t proto.MsgType, raw []byte, strs *proto.Interner) error {
+	switch t {
+	case proto.MsgFileAck:
+		ack, err := proto.DecodeFileAck(raw)
+		if err == nil {
+			s.onFileAck(w, ack)
+		}
+		return err
+	case proto.MsgLibraryAck:
+		ack, err := proto.DecodeLibraryAck(raw)
+		if err == nil {
+			s.onLibraryAck(w, ack)
+		}
+		return err
+	case proto.MsgResult:
+		res, err := proto.DecodeResultInterned(raw, strs)
+		if err == nil {
+			s.onResult(w, res)
+		}
+		return err
+	case proto.MsgLog:
+		// Worker-side diagnostics (today: protocol decode errors the
+		// worker would otherwise swallow). Surface them in the
+		// manager's log and count them so tests and operators notice.
+		lm, err := proto.DecodeLog(raw)
+		if err == nil {
+			atomic.AddInt64(&m.stats.WorkerLogs, 1)
+			log.Printf("manager %s: worker %s: %s", m.opts.Name, lm.Worker, lm.Text)
+		}
+		return err
+	}
+	return fmt.Errorf("unexpected message type")
 }
 
 // releaseSourceSlotLocked returns a peer-fetch source's transfer

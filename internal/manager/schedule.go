@@ -223,7 +223,7 @@ func (m *Manager) releaseRemoteSource(workerID string) {
 }
 
 // directSendLocked stages an object from the manager's own link as a
-// bulk frame: JSON header plus the raw bytes, no base64 expansion.
+// bulk frame: a binary header plus the raw bytes, no base64 expansion.
 func (s *shard) directSendLocked(w *workerState, fs core.FileSpec) {
 	obj := fs.Object
 	s.m.catalogAdd(fs)

@@ -1,19 +1,13 @@
-// Binary bodies for the messages that travel per invocation or carry
-// code and object names.
+// Binary bodies for every frame: one encoder and one decoder per
+// message type, built from the same few primitives — varint-prefixed
+// strings and raw byte slices, varints, fixed-width floats and flag
+// bytes — with no reflection and no base64.
 //
-// Every control frame used to carry JSON. For most of the vocabulary
-// that is the right trade — staging and lifecycle messages are rare —
-// but MsgInvoke and MsgResult travel once per invocation, and at
-// dispatch-benchmark rates (tens of thousands of invocations per
-// second) reflective JSON encode/decode plus base64 for the pickled
-// argument/value bytes dominated the manager's CPU profile. These two
-// messages get a hand-rolled binary body instead: length-prefixed
-// strings and raw byte slices, fixed-width floats, no reflection, no
-// base64.
-//
-// A binary body leads with binMarker, a byte no JSON body can start
-// with, and a decoder refuses a body that does not: nothing emits these
-// four messages as JSON, so nothing accepts them as JSON.
+// A body leads with binMarker and holds exactly its fields; a decoder
+// refuses a body that does not start with the marker or has bytes left
+// over after its last field. A bulk frame's body is its header followed
+// by the object bytes: the header delimits itself, and the payload is
+// whatever follows it.
 //
 // MsgRunTask and MsgInstallLibrary are where "what a FileSpec looks
 // like on the wire" is decided: its object's header (ID, name, kind,
@@ -28,39 +22,98 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/content"
 	"repro/internal/core"
 )
 
-// binMarker is the first byte of a binary-encoded message body; a JSON
-// body starts with '{', so one can never be taken for the other.
+// binMarker is the first byte of every body. Control frames were JSON
+// once, and a JSON body starts with '{': a peer on such a build is
+// refused cleanly by the first byte of its first frame instead of
+// being misparsed.
 const binMarker = 0xB1
 
-// encodeBinaryBody appends the binary body for the message types that
-// have one, reporting whether v did. Everything else returns false and
-// is JSON-encoded by the caller.
-func encodeBinaryBody(buf *bytes.Buffer, v any) bool {
+// writeBody appends v's body to buf, refusing a value that has no
+// encoding or is not a body of t.
+func writeBody(buf *bytes.Buffer, t MsgType, v any) error {
+	body, mt := appendBody(buf.AvailableBuffer(), v)
+	if mt != t {
+		return fmt.Errorf("proto: no %v encoding for %T", t, v)
+	}
+	buf.Write(body)
+	return nil
+}
+
+// appendBody appends v's body to b and reports the frame type it is the
+// body of, or 0 when v has no encoding.
+func appendBody(b []byte, v any) ([]byte, MsgType) {
 	switch m := v.(type) {
 	case *core.InvocationSpec:
-		buf.Write(appendInvocation(buf.AvailableBuffer(), m))
+		return appendInvocation(b, m), MsgInvoke
 	case core.InvocationSpec:
-		buf.Write(appendInvocation(buf.AvailableBuffer(), &m))
+		return appendInvocation(b, &m), MsgInvoke
 	case *core.Result:
-		buf.Write(appendResult(buf.AvailableBuffer(), m))
+		return appendResult(b, m), MsgResult
 	case core.Result:
-		buf.Write(appendResult(buf.AvailableBuffer(), &m))
+		return appendResult(b, &m), MsgResult
 	case *core.TaskSpec:
-		buf.Write(appendTask(buf.AvailableBuffer(), m))
+		return appendTask(b, m), MsgRunTask
 	case core.TaskSpec:
-		buf.Write(appendTask(buf.AvailableBuffer(), &m))
+		return appendTask(b, &m), MsgRunTask
 	case *core.LibrarySpec:
-		buf.Write(appendLibrary(buf.AvailableBuffer(), m))
+		return appendLibrary(b, m), MsgInstallLibrary
 	case core.LibrarySpec:
-		buf.Write(appendLibrary(buf.AvailableBuffer(), &m))
-	default:
-		return false
+		return appendLibrary(b, &m), MsgInstallLibrary
+	case Hello:
+		b = append(b, binMarker)
+		b = appendStr(b, m.WorkerID)
+		b = appendResources(b, m.Resources)
+		b = appendStr(b, m.Cluster)
+		b = appendStr(b, m.DataAddr)
+		return appendFloat(b, m.MachineGFlops), MsgHello
+	case FetchFile:
+		return appendFetchFile(b, &m), MsgFetchFile
+	case FileAck:
+		b = append(b, binMarker, flagBits(m.Ok, m.Cache))
+		b = appendStr(b, m.ID)
+		b = appendStr(b, m.Source)
+		return appendStr(b, m.Err), MsgFileAck
+	case LibraryAck:
+		b = append(b, binMarker, flagBits(m.Ok, m.Retryable))
+		b = appendStr(b, m.Library)
+		b = appendStr(b, m.Instance)
+		b = appendStr(b, m.Err)
+		return appendFloat(b, m.SetupTime), MsgLibraryAck
+	case LogMsg:
+		b = appendStr(append(b, binMarker), m.Worker)
+		return appendStr(b, m.Text), MsgLog
+	case RemoveLibrary:
+		return appendStr(append(b, binMarker), m.Library), MsgRemoveLibrary
+	case SpillObject:
+		return appendStr(append(b, binMarker), m.ID), MsgSpillObject
+	case OwnObject:
+		return appendStr(append(b, binMarker), m.ID), MsgOwnObject
+	case GetFile:
+		return appendStr(append(b, binMarker), m.ID), MsgGetFile
+	case ErrorMsg:
+		return appendStr(append(b, binMarker), m.Err), MsgError
+	case Shutdown:
+		return append(b, binMarker), MsgShutdown
+	case PutFileHdr:
+		return appendFileHdr(append(b, binMarker, flagBits(m.Cache, m.Unpack)), m.File), MsgPutFileBulk
+	case FileHdr:
+		return appendFileHdr(append(b, binMarker), m), MsgFileDataBulk
 	}
-	return true
+	return b, 0
+}
+
+// flagBits packs bools into a flag byte, the first argument in bit 0.
+func flagBits(bits ...bool) byte {
+	var flags byte
+	for i, set := range bits {
+		if set {
+			flags |= 1 << i
+		}
+	}
+	return flags
 }
 
 func appendStr(b []byte, s string) []byte {
@@ -88,17 +141,7 @@ func appendInvocation(b []byte, inv *core.InvocationSpec) []byte {
 func appendResult(b []byte, r *core.Result) []byte {
 	b = append(b, binMarker)
 	b = binary.BigEndian.AppendUint64(b, uint64(r.ID))
-	var flags byte
-	if r.Ok {
-		flags |= 1
-	}
-	if r.Retryable {
-		flags |= 2
-	}
-	if r.Ref != nil {
-		flags |= 4
-	}
-	b = append(b, flags)
+	b = append(b, flagBits(r.Ok, r.Retryable, r.Ref != nil))
 	b = appendStr(b, r.Err)
 	b = appendBytes(b, r.Value)
 	if r.Ref != nil {
@@ -120,29 +163,34 @@ func appendResult(b []byte, r *core.Result) []byte {
 // binding's flag bits. Object.Data has no place here: the bytes reach
 // the worker in a bulk frame, before the frame that names them.
 func appendFileSpec(b []byte, fs *core.FileSpec) []byte {
-	var flags byte
-	if fs.Cache {
-		flags |= 1
+	b = append(b, flagBits(fs.Cache, fs.PeerTransfer, fs.Unpack, fs.ByRef))
+	if fs.Object == nil {
+		return appendFileHdr(b, FileHdr{})
 	}
-	if fs.PeerTransfer {
-		flags |= 2
+	return appendFileHdr(b, HdrOf(fs.Object))
+}
+
+// appendFileHdr writes an object's header: what a control frame names
+// it by, and what travels in front of its bytes in a bulk frame.
+func appendFileHdr(b []byte, h FileHdr) []byte {
+	b = appendStr(b, h.ID)
+	b = appendStr(b, h.Name)
+	b = binary.AppendVarint(b, int64(h.Kind))
+	b = binary.AppendVarint(b, h.LogicalSize)
+	return binary.AppendVarint(b, h.UnpackedSize)
+}
+
+func appendFetchFile(b []byte, f *FetchFile) []byte {
+	b = append(b, binMarker, flagBits(f.Cache, f.Unpack, f.Shared, f.Own))
+	b = appendStr(b, f.ID)
+	b = appendStr(b, f.Name)
+	b = appendStr(b, f.FromAddr)
+	b = binary.AppendUvarint(b, uint64(len(f.AltAddrs)))
+	for _, addr := range f.AltAddrs {
+		b = appendStr(b, addr)
 	}
-	if fs.Unpack {
-		flags |= 4
-	}
-	if fs.ByRef {
-		flags |= 8
-	}
-	b = append(b, flags)
-	obj := fs.Object
-	if obj == nil {
-		obj = &content.Object{}
-	}
-	b = appendStr(b, obj.ID)
-	b = appendStr(b, obj.Name)
-	b = binary.AppendVarint(b, int64(obj.Kind))
-	b = binary.AppendVarint(b, obj.LogicalSize)
-	return binary.AppendVarint(b, obj.UnpackedSize)
+	b = appendStr(b, f.Source)
+	return binary.AppendVarint(b, f.Size)
 }
 
 func appendFileSpecs(b []byte, specs []core.FileSpec) []byte {
@@ -162,11 +210,7 @@ func appendResources(b []byte, r core.Resources) []byte {
 func appendTask(b []byte, t *core.TaskSpec) []byte {
 	b = append(b, binMarker)
 	b = binary.BigEndian.AppendUint64(b, uint64(t.ID))
-	var flags byte
-	if t.ResultByRef {
-		flags |= 1
-	}
-	b = append(b, flags)
+	b = append(b, flagBits(t.ResultByRef))
 	b = appendStr(b, t.TenantID)
 	b = appendStr(b, t.Script)
 	b = appendFileSpecs(b, t.Inputs)
@@ -175,12 +219,7 @@ func appendTask(b []byte, t *core.TaskSpec) []byte {
 }
 
 func appendLibrary(b []byte, l *core.LibrarySpec) []byte {
-	b = append(b, binMarker)
-	var flags byte
-	if l.Env != nil {
-		flags |= 1
-	}
-	b = append(b, flags)
+	b = append(b, binMarker, flagBits(l.Env != nil))
 	b = appendStr(b, l.Name)
 	b = binary.AppendUvarint(b, uint64(len(l.Functions)))
 	for i := range l.Functions {
@@ -327,6 +366,16 @@ func (r *binReader) count(what string, minSize int) int {
 	return int(n)
 }
 
+// rest is the bulk payload: every byte after the header.
+func (r *binReader) rest() []byte {
+	if r.err != nil {
+		return nil
+	}
+	p := r.b[r.off:]
+	r.off = len(r.b)
+	return p
+}
+
 // copied is bytes for a value that outlives the receive buffer the
 // cursor aliases; empty decodes to nil.
 func (r *binReader) copied(what string) []byte {
@@ -399,18 +448,22 @@ const (
 
 func (r *binReader) fileSpec() core.FileSpec {
 	flags := r.byte("file flags")
-	obj := &content.Object{}
-	obj.ID = r.str("object id")
-	obj.Name = r.str("object name")
-	obj.Kind = content.Kind(r.int("object kind"))
-	obj.LogicalSize = r.int("object logical size")
-	obj.UnpackedSize = r.int("object unpacked size")
 	return core.FileSpec{
-		Object:       obj,
+		Object:       r.fileHdr().Object(nil),
 		Cache:        flags&1 != 0,
 		PeerTransfer: flags&2 != 0,
 		Unpack:       flags&4 != 0,
 		ByRef:        flags&8 != 0,
+	}
+}
+
+func (r *binReader) fileHdr() FileHdr {
+	return FileHdr{
+		ID:           r.str("object id"),
+		Name:         r.str("object name"),
+		Kind:         int(r.int("object kind")),
+		LogicalSize:  r.int("object logical size"),
+		UnpackedSize: r.int("object unpacked size"),
 	}
 }
 
@@ -494,4 +547,116 @@ func DecodeLibrary(raw []byte) (core.LibrarySpec, error) {
 	l.Mode = core.ExecMode(r.int("mode"))
 	l.Resources = r.resources()
 	return l, r.done()
+}
+
+// DecodeHello decodes a MsgHello body.
+func DecodeHello(raw []byte) (Hello, error) {
+	var h Hello
+	r := &binReader{b: raw}
+	r.marker()
+	h.WorkerID = r.str("worker id")
+	h.Resources = r.resources()
+	h.Cluster = r.str("cluster")
+	h.DataAddr = r.str("data addr")
+	h.MachineGFlops = r.float("gflops")
+	return h, r.done()
+}
+
+// DecodeFetchFile decodes a MsgFetchFile body.
+func DecodeFetchFile(raw []byte) (FetchFile, error) {
+	var f FetchFile
+	r := &binReader{b: raw}
+	r.marker()
+	flags := r.byte("flags")
+	f.Cache, f.Unpack, f.Shared, f.Own = flags&1 != 0, flags&2 != 0, flags&4 != 0, flags&8 != 0
+	f.ID = r.str("id")
+	f.Name = r.str("name")
+	f.FromAddr = r.str("from addr")
+	if n := r.count("alt addrs", 1); n > 0 {
+		f.AltAddrs = make([]string, n)
+		for i := range f.AltAddrs {
+			f.AltAddrs[i] = r.str("alt addr")
+		}
+	}
+	f.Source = r.str("source")
+	f.Size = r.int("size")
+	return f, r.done()
+}
+
+// DecodeFileAck decodes a MsgFileAck body.
+func DecodeFileAck(raw []byte) (FileAck, error) {
+	var a FileAck
+	r := &binReader{b: raw}
+	r.marker()
+	flags := r.byte("flags")
+	a.Ok, a.Cache = flags&1 != 0, flags&2 != 0
+	a.ID = r.str("id")
+	a.Source = r.str("source")
+	a.Err = r.str("err")
+	return a, r.done()
+}
+
+// DecodeLibraryAck decodes a MsgLibraryAck body.
+func DecodeLibraryAck(raw []byte) (LibraryAck, error) {
+	var a LibraryAck
+	r := &binReader{b: raw}
+	r.marker()
+	flags := r.byte("flags")
+	a.Ok, a.Retryable = flags&1 != 0, flags&2 != 0
+	a.Library = r.str("library")
+	a.Instance = r.str("instance")
+	a.Err = r.str("err")
+	a.SetupTime = r.float("setup time")
+	return a, r.done()
+}
+
+// DecodeLog decodes a MsgLog body.
+func DecodeLog(raw []byte) (LogMsg, error) {
+	var m LogMsg
+	r := &binReader{b: raw}
+	r.marker()
+	m.Worker = r.str("worker")
+	m.Text = r.str("text")
+	return m, r.done()
+}
+
+// DecodeString decodes the body of a one-string message: the library of
+// a MsgRemoveLibrary, the object ID of a MsgSpillObject, MsgOwnObject or
+// MsgGetFile, the text of a MsgError.
+func DecodeString(raw []byte) (string, error) {
+	r := &binReader{b: raw}
+	r.marker()
+	s := r.str("string")
+	return s, r.done()
+}
+
+// DecodeShutdown checks a MsgShutdown body, which is the marker alone.
+func DecodeShutdown(raw []byte) error {
+	r := &binReader{b: raw}
+	r.marker()
+	return r.done()
+}
+
+// DecodePutFile decodes a MsgPutFileBulk body into its header and the
+// object bytes after it. The payload aliases raw, which a bulk frame
+// never shares with another frame: the caller may keep it as the
+// object's bytes.
+func DecodePutFile(raw []byte) (PutFileHdr, []byte, error) {
+	var h PutFileHdr
+	r := &binReader{b: raw}
+	r.marker()
+	flags := r.byte("flags")
+	h.Cache, h.Unpack = flags&1 != 0, flags&2 != 0
+	h.File = r.fileHdr()
+	payload := r.rest()
+	return h, payload, r.done()
+}
+
+// DecodeFileData decodes a MsgFileDataBulk body like DecodePutFile.
+func DecodeFileData(raw []byte) (FileHdr, []byte, error) {
+	r := &binReader{b: raw}
+	r.marker()
+	h := r.fileHdr()
+	payload := r.rest()
+	return h, payload, r.done()
 }

@@ -113,7 +113,7 @@ func TestSendPoolBalance(t *testing.T) {
 			name: "encode error",
 			run: func() error {
 				c := NewConn(&failingRW{okWrites: 100})
-				return c.Send(MsgHello, make(chan int)) // json: unsupported type
+				return c.Send(MsgHello, make(chan int)) // no encoding
 			},
 			wantErr: "encoding",
 		},
@@ -249,7 +249,7 @@ func TestBufferErrorLeavesPendingIntact(t *testing.T) {
 	if err != nil || mt != MsgHello {
 		t.Fatalf("recv after partial-failure flush: type=%v err=%v", mt, err)
 	}
-	h, err := Decode[Hello](raw)
+	h, err := DecodeHello(raw)
 	if err != nil || h.WorkerID != "w1" {
 		t.Fatalf("decoded hello = %+v, err=%v", h, err)
 	}

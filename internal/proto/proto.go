@@ -4,19 +4,19 @@
 // file staging (direct and peer-to-peer), task execution, library
 // installation and removal, invocations, and results.
 //
-// Control messages are JSON, except the four with a binary body in
-// codec.go. Object bytes move only as bulk frames (MsgPutFileBulk,
-// MsgFileDataBulk): a small JSON header followed by the raw payload, so
-// a multi-MB environment tarball is written straight from its backing
-// slice — no base64 expansion and no second in-memory copy on either
-// side of the connection. No other frame carries object bytes.
+// Every frame body is binary, written and read by codec.go: one
+// encoder and one decoder per message type, no reflection. Object bytes
+// move only as bulk frames (MsgPutFileBulk, MsgFileDataBulk): a small
+// binary header followed by the raw payload, so a multi-MB environment
+// tarball is written straight from its backing slice — no base64
+// expansion and no second in-memory copy on either side of the
+// connection. No other frame carries object bytes.
 package proto
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -57,10 +57,10 @@ const (
 	// MsgError answers MsgGetFile when the object is unavailable.
 	MsgError
 	// MsgPutFileBulk carries an object manager→worker as a bulk frame:
-	// a PutFileHdr JSON header followed by the raw object bytes.
+	// a PutFileHdr header followed by the raw object bytes.
 	MsgPutFileBulk
 	// MsgFileDataBulk answers MsgGetFile as a bulk frame: a FileHdr
-	// JSON header followed by the raw object bytes.
+	// header followed by the raw object bytes.
 	MsgFileDataBulk
 	// MsgLog carries a worker-side diagnostic line to the manager —
 	// today, protocol decode failures that would otherwise vanish
@@ -101,25 +101,25 @@ const MaxFrame = 512 << 20
 
 // Hello announces a worker to the manager.
 type Hello struct {
-	WorkerID  string         `json:"worker_id"`
-	Resources core.Resources `json:"resources"`
+	WorkerID  string
+	Resources core.Resources
 	// Cluster names the worker's network locality group (Figure 3c).
-	Cluster string `json:"cluster,omitempty"`
+	Cluster string
 	// DataAddr is where peers can fetch this worker's cached objects.
-	DataAddr string `json:"data_addr,omitempty"`
+	DataAddr string
 	// MachineGFlops is the worker machine's compute rating, used for
 	// heterogeneity-aware metrics.
-	MachineGFlops float64 `json:"machine_gflops,omitempty"`
+	MachineGFlops float64
 }
 
 // FileHdr describes an object whose bytes travel out-of-band in the
 // binary part of a bulk frame.
 type FileHdr struct {
-	ID           string `json:"id"`
-	Name         string `json:"name"`
-	Kind         int    `json:"kind"`
-	LogicalSize  int64  `json:"logical_size"`
-	UnpackedSize int64  `json:"unpacked_size,omitempty"`
+	ID           string
+	Name         string
+	Kind         int
+	LogicalSize  int64
+	UnpackedSize int64
 }
 
 // HdrOf describes o for a bulk frame that carries o.Data as its payload.
@@ -133,107 +133,111 @@ func (h FileHdr) Object(data []byte) *content.Object {
 	return &content.Object{ID: h.ID, Name: h.Name, Kind: content.Kind(h.Kind), Data: data, LogicalSize: h.LogicalSize, UnpackedSize: h.UnpackedSize}
 }
 
-// PutFileHdr is the JSON header of a MsgPutFileBulk frame; the object
-// bytes follow as the frame's binary payload.
+// PutFileHdr is the header of a MsgPutFileBulk frame; the object bytes
+// follow as the frame's payload.
 type PutFileHdr struct {
-	File  FileHdr `json:"file"`
-	Cache bool    `json:"cache"`
+	File  FileHdr
+	Cache bool
 	// Unpack asks the worker to expand the tarball after caching.
-	Unpack bool `json:"unpack"`
+	Unpack bool
 }
 
 // FetchFile instructs a worker to fetch an object from a peer's data
 // server (spanning-tree distribution, Figure 3b).
 type FetchFile struct {
-	ID       string `json:"id"`
-	Name     string `json:"name"`
-	FromAddr string `json:"from_addr"`
+	ID       string
+	Name     string
+	FromAddr string
 	// AltAddrs lists alternate holders' data addresses. On a transfer
 	// error against FromAddr the worker's data plane retries these in
 	// order before surfacing failure — first-error surrender would
 	// otherwise fall back to a full manager restage (§4.3).
-	AltAddrs []string `json:"alt_addrs,omitempty"`
+	AltAddrs []string
 	// Source is the worker ID serving the fetch; the worker echoes it
 	// in its FileAck so the manager can return the source's transfer
 	// slot even when its own fetch record was displaced by recovery.
-	Source string `json:"source,omitempty"`
-	Cache  bool   `json:"cache"`
-	Unpack bool   `json:"unpack"`
+	Source string
+	Cache  bool
+	Unpack bool
 	// Shared redirects the fetch to the shared filesystem tier: the
 	// object was spilled there and no live worker holds a cache copy.
 	// FromAddr/AltAddrs are unused on this path.
-	Shared bool `json:"shared,omitempty"`
+	Shared bool
 	// Own marks the fetched object as owned on arrival (a shared-tier
 	// promote: the fetching worker becomes the ref's new holder of
 	// record and must protect the copy from plain eviction).
-	Own bool `json:"own,omitempty"`
+	Own bool
 	// Size is the object's logical size, needed for shared-tier fetches
 	// where no peer FileHdr travels with the bytes.
-	Size int64 `json:"size,omitempty"`
+	Size int64
 }
 
 // SpillObject demotes one owned object to the shared tier
 // (MsgSpillObject).
 type SpillObject struct {
-	ID string `json:"id"`
+	ID string
 }
 
 // OwnObject transfers ownership of a cached object to this worker
 // (MsgOwnObject).
 type OwnObject struct {
-	ID string `json:"id"`
+	ID string
 }
 
 // FileAck confirms (or denies) that an object is now cached. Cache
 // echoes whether the object was staged as worker-resident (so the
 // manager only records durable replicas as transfer sources).
 type FileAck struct {
-	ID    string `json:"id"`
-	Ok    bool   `json:"ok"`
-	Cache bool   `json:"cache"`
+	ID    string
+	Ok    bool
+	Cache bool
 	// Source echoes FetchFile.Source for peer fetches ("" for direct
 	// puts), closing the transfer-slot accounting loop.
-	Source string `json:"source,omitempty"`
-	Err    string `json:"err,omitempty"`
+	Source string
+	Err    string
 }
 
 // LibraryAck reports library installation outcome.
 type LibraryAck struct {
-	Library string `json:"library"`
+	Library string
 	// Instance distinguishes multiple instances of one library across
 	// workers (share-value accounting).
-	Instance string `json:"instance"`
-	Ok       bool   `json:"ok"`
-	Err      string `json:"err,omitempty"`
+	Instance string
+	Ok       bool
+	Err      string
 	// Retryable marks a failed install as infrastructure-caused (inputs
 	// not staged, no resources) rather than a broken library; the
 	// manager redeploys without counting it toward quarantine.
-	Retryable bool `json:"retryable,omitempty"`
+	Retryable bool
 	// SetupTime is the context-setup duration in seconds (Table 5, L3
 	// library row).
-	SetupTime float64 `json:"setup_time"`
+	SetupTime float64
 }
 
 // RemoveLibrary evicts a library instance by name.
 type RemoveLibrary struct {
-	Library string `json:"library"`
+	Library string
 }
 
 // GetFile requests an object from a peer data server.
 type GetFile struct {
-	ID string `json:"id"`
+	ID string
 }
 
 // ErrorMsg is a generic failure answer.
 type ErrorMsg struct {
-	Err string `json:"err"`
+	Err string
 }
 
 // LogMsg is a worker diagnostic surfaced to the manager (MsgLog).
 type LogMsg struct {
-	Worker string `json:"worker"`
-	Text   string `json:"text"`
+	Worker string
+	Text   string
 }
+
+// Shutdown tells a worker to exit (MsgShutdown); its body is the
+// marker alone.
+type Shutdown struct{}
 
 // Conn is a framed, type-tagged message connection. Reads and writes
 // are independently serialized, so one goroutine may receive while
@@ -330,7 +334,7 @@ func putEncBuf(buf *bytes.Buffer) {
 }
 
 // Send encodes v as a frame of the given type. The frame is assembled
-// in a pooled buffer (header placeholder + JSON body) and written with
+// in a pooled buffer (header placeholder + binary body) and written with
 // a single Write call (after draining any frames pending from Buffer,
 // so cross-path ordering holds).
 func (c *Conn) Send(t MsgType, v any) error {
@@ -350,16 +354,13 @@ func (c *Conn) Send(t MsgType, v any) error {
 	return nil
 }
 
-// encodeFrame appends one [length][type][body] frame to buf.
-// Invocations, results, tasks and libraries get the binary body of
-// codec.go; everything else is JSON.
+// encodeFrame appends one [length][type][body] frame to buf. v must be
+// a value whose codec.go body is a body of t; anything else is an error.
 func encodeFrame(buf *bytes.Buffer, t MsgType, v any) error {
 	start := buf.Len()
 	buf.Write([]byte{0, 0, 0, 0, byte(t)})
-	if !encodeBinaryBody(buf, v) {
-		if err := json.NewEncoder(buf).Encode(v); err != nil {
-			return fmt.Errorf("proto: encoding %v: %w", t, err)
-		}
+	if err := writeBody(buf, t, v); err != nil {
+		return err
 	}
 	frame := buf.Bytes()[start:]
 	if len(frame)-4 > MaxFrame {
@@ -414,30 +415,30 @@ func (c *Conn) flushLocked() error {
 	return nil
 }
 
-// SendBulk writes a bulk frame: the JSON-encoded header hdr followed
-// by the raw payload bytes. The payload is written directly from the
-// caller's slice — never base64-encoded, never copied into a staging
-// buffer — so shipping a multi-MB object costs one small header
-// allocation regardless of payload size.
+// SendBulk writes a bulk frame: the binary header hdr followed by the
+// raw payload bytes. The payload is written directly from the caller's
+// slice — never base64-encoded, never copied into a staging buffer — so
+// shipping a multi-MB object costs one small header regardless of
+// payload size.
 //
 // Wire layout inside the standard [length][type] frame:
 //
-//	[4B header length][header JSON][payload bytes]
+//	[header][payload bytes]
+//
+// The header delimits itself, so the payload is whatever follows it.
 func (c *Conn) SendBulk(t MsgType, hdr any, payload []byte) error {
 	buf := getEncBuf()
 	defer putEncBuf(buf)
-	buf.Write([]byte{0, 0, 0, 0, byte(t), 0, 0, 0, 0})
-	if err := json.NewEncoder(buf).Encode(hdr); err != nil {
-		return fmt.Errorf("proto: encoding %v header: %w", t, err)
+	buf.Write([]byte{0, 0, 0, 0, byte(t)})
+	if err := writeBody(buf, t, hdr); err != nil {
+		return err
 	}
 	meta := buf.Bytes()
-	hdrLen := len(meta) - 9
-	total := 1 + 4 + hdrLen + len(payload)
+	total := len(meta) - 4 + len(payload)
 	if total > MaxFrame {
 		return fmt.Errorf("proto: frame too large (%d bytes)", total)
 	}
 	binary.BigEndian.PutUint32(meta[:4], uint32(total))
-	binary.BigEndian.PutUint32(meta[5:9], uint32(hdrLen))
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	// Drain coalesced frames first: a bulk send must not overtake
@@ -454,44 +455,16 @@ func (c *Conn) SendBulk(t MsgType, hdr any, payload []byte) error {
 	return nil
 }
 
-// SplitBulk separates a received bulk frame body (as returned by Recv
-// or RecvReuse) into its JSON header and raw payload. The payload
-// aliases the frame's buffer, which a bulk frame never shares with
-// another frame — the caller may retain it as the object's bytes.
-func SplitBulk(raw []byte) (hdr json.RawMessage, payload []byte, err error) {
-	if len(raw) < 4 {
-		return nil, nil, fmt.Errorf("proto: bulk frame too short (%d bytes)", len(raw))
-	}
-	n := int(binary.BigEndian.Uint32(raw[:4]))
-	if n < 0 || 4+n > len(raw) {
-		return nil, nil, fmt.Errorf("proto: bad bulk header length %d in %d-byte frame", n, len(raw))
-	}
-	return json.RawMessage(raw[4 : 4+n]), raw[4+n:], nil
-}
-
-// DecodeBulk splits a bulk frame and unmarshals its header into T.
-func DecodeBulk[T any](raw json.RawMessage) (T, []byte, error) {
-	var v T
-	hdr, payload, err := SplitBulk(raw)
-	if err != nil {
-		return v, nil, err
-	}
-	if err := json.Unmarshal(hdr, &v); err != nil {
-		return v, nil, fmt.Errorf("proto: decoding bulk %T header: %w", v, err)
-	}
-	return v, payload, nil
-}
-
 // Recv reads the next frame, returning its type and raw payload in a
 // fresh buffer the caller may retain.
-func (c *Conn) Recv() (MsgType, json.RawMessage, error) {
+func (c *Conn) Recv() (MsgType, []byte, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
 	buf, err := c.recvFrame(nil)
 	if err != nil {
 		return 0, nil, err
 	}
-	return MsgType(buf[0]), json.RawMessage(buf[1:]), nil
+	return MsgType(buf[0]), buf[1:], nil
 }
 
 // RecvReuse reads the next frame like Recv, but the returned payload
@@ -504,7 +477,7 @@ func (c *Conn) Recv() (MsgType, json.RawMessage, error) {
 // copy it first. A bulk frame is the exception: its body is the object,
 // so it always arrives in a buffer of its own that the caller owns, as
 // from Recv — the object's bytes are allocated once, here.
-func (c *Conn) RecvReuse() (MsgType, json.RawMessage, error) {
+func (c *Conn) RecvReuse() (MsgType, []byte, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
 	buf, err := c.recvFrame(c.rbuf)
@@ -515,7 +488,7 @@ func (c *Conn) RecvReuse() (MsgType, json.RawMessage, error) {
 	if !t.bulk() && cap(buf) <= maxPooledBuf {
 		c.rbuf = buf
 	}
-	return t, json.RawMessage(buf[1:]), nil
+	return t, buf[1:], nil
 }
 
 // bulk reports whether frames of this type carry object bytes.
@@ -615,13 +588,4 @@ func (c *idleConn) Write(p []byte) (int, error) {
 		return 0, err
 	}
 	return c.Conn.Write(p)
-}
-
-// Decode unmarshals a payload into T.
-func Decode[T any](raw json.RawMessage) (T, error) {
-	var v T
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return v, fmt.Errorf("proto: decoding %T: %w", v, err)
-	}
-	return v, nil
 }

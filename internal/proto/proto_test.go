@@ -2,7 +2,6 @@ package proto
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -30,7 +29,7 @@ func TestSendRecvRoundTrip(t *testing.T) {
 	if typ != MsgHello {
 		t.Fatalf("type = %v", typ)
 	}
-	got, err := Decode[Hello](raw)
+	got, err := DecodeHello(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +51,7 @@ func TestMultipleFramesInOrder(t *testing.T) {
 		if err != nil || typ != MsgFileAck {
 			t.Fatalf("frame %d: %v %v", i, typ, err)
 		}
-		ack, err := Decode[FileAck](raw)
+		ack, err := DecodeFileAck(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +99,7 @@ func TestConcurrentSendersOverTCP(t *testing.T) {
 			if err != nil {
 				break
 			}
-			ack, err := Decode[FileAck](raw)
+			ack, err := DecodeFileAck(raw)
 			if err != nil {
 				break
 			}
@@ -152,27 +151,6 @@ func TestMsgTypeStrings(t *testing.T) {
 	}
 	if s := MsgType(200).String(); !strings.HasPrefix(s, "MsgType(") {
 		t.Errorf("unknown type should fall back: %q", s)
-	}
-}
-
-// Property: any FileAck survives a frame round trip.
-func TestQuickFileAckRoundTrip(t *testing.T) {
-	f := func(id string, ok bool, errMsg string) bool {
-		var buf bytes.Buffer
-		c := NewConn(&buf)
-		in := FileAck{ID: id, Ok: ok, Err: errMsg}
-		if err := c.Send(MsgFileAck, in); err != nil {
-			return false
-		}
-		typ, raw, err := c.Recv()
-		if err != nil || typ != MsgFileAck {
-			return false
-		}
-		out, err := Decode[FileAck](raw)
-		return err == nil && out == in
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -267,7 +245,7 @@ func TestBulkFrameRoundTrip(t *testing.T) {
 	if typ != MsgPutFileBulk {
 		t.Fatalf("type = %v", typ)
 	}
-	got, data, err := DecodeBulk[PutFileHdr](raw)
+	got, data, err := DecodePutFile(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +267,7 @@ func TestBulkFrameEmptyPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr, data, err := DecodeBulk[FileHdr](raw)
+	hdr, data, err := DecodeFileData(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +276,7 @@ func TestBulkFrameEmptyPayload(t *testing.T) {
 	}
 }
 
-func TestBulkAndJSONFramesInterleave(t *testing.T) {
+func TestBulkAndControlFramesInterleave(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewConn(&buf)
 	if err := c.Send(MsgFileAck, FileAck{ID: "a", Ok: true}); err != nil {
@@ -312,14 +290,14 @@ func TestBulkAndJSONFramesInterleave(t *testing.T) {
 	}
 	if typ, raw, err := c.Recv(); err != nil || typ != MsgFileAck {
 		t.Fatalf("frame 1: %v %v", typ, err)
-	} else if ack, _ := Decode[FileAck](raw); ack.ID != "a" {
+	} else if ack, _ := DecodeFileAck(raw); ack.ID != "a" {
 		t.Errorf("frame 1 = %+v", ack)
 	}
 	typ, raw, err := c.Recv()
 	if err != nil || typ != MsgPutFileBulk {
 		t.Fatalf("frame 2: %v %v", typ, err)
 	}
-	hdr, data, err := DecodeBulk[PutFileHdr](raw)
+	hdr, data, err := DecodePutFile(raw)
 	if err != nil || hdr.File.ID != "b" || string(data) != "bytes" {
 		t.Fatalf("frame 2 = %+v %q %v", hdr, data, err)
 	}
@@ -355,11 +333,11 @@ func TestRecvAllocatesFrameOnce(t *testing.T) {
 	const slack = 64 << 10
 	const runs = 8
 	var before, after runtime.MemStats
-	for name, recv := range map[string]func(*Conn) (MsgType, json.RawMessage, error){
+	for name, recv := range map[string]func(*Conn) (MsgType, []byte, error){
 		"Recv": (*Conn).Recv, "RecvReuse": (*Conn).RecvReuse,
 	} {
 		c := NewConn(&loopReader{frame: wire.Bytes()})
-		var last json.RawMessage
+		var last []byte
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
 			_, raw, err := recv(c)
@@ -416,7 +394,7 @@ func TestRecvLongFrameGrowsWithArrival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, got, err := DecodeBulk[FileHdr](raw); err != nil || !bytes.Equal(got, payload) {
+	if _, got, err := DecodeFileData(raw); err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("a %d-byte payload did not survive the stepwise receive (%v)", n, err)
 	}
 	step := uint64(recvTrust * readBufSize)
@@ -460,7 +438,7 @@ func TestRecvReuseKeepsBulkFramesApart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, payload, err := DecodeBulk[PutFileHdr](raw)
+	_, payload, err := DecodePutFile(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,18 +452,36 @@ func TestRecvReuseKeepsBulkFramesApart(t *testing.T) {
 	}
 }
 
-func TestSplitBulkRejectsCorruptHeaders(t *testing.T) {
-	if _, _, err := SplitBulk([]byte{1, 2}); err == nil {
-		t.Errorf("short frame accepted")
+// TestBulkHeaderTruncation: a bulk frame whose header is cut short, or
+// is not binary, fails to decode instead of handing out a payload.
+func TestBulkHeaderTruncation(t *testing.T) {
+	put := PutFileHdr{File: FileHdr{ID: "obj", Name: "env.tar.gz", Kind: 1, LogicalSize: 9, UnpackedSize: 90}, Cache: true}
+	cases := []struct {
+		name   string
+		hdr    any
+		decode func([]byte) error
+	}{
+		{"put-file", put, func(b []byte) error { _, _, err := DecodePutFile(b); return err }},
+		{"file-data", put.File, func(b []byte) error { _, _, err := DecodeFileData(b); return err }},
 	}
-	// Header length pointing past the end of the frame.
-	bad := []byte{0, 0, 0, 200, 'x', 'y'}
-	if _, _, err := SplitBulk(bad); err == nil {
-		t.Errorf("oversized header length accepted")
+	for _, c := range cases {
+		hdr, _ := appendBody(nil, c.hdr)
+		if err := c.decode(append(hdr, "payload"...)); err != nil {
+			t.Fatalf("%s: intact frame: %v", c.name, err)
+		}
+		for n := 0; n < len(hdr); n++ {
+			if c.decode(hdr[:n]) == nil {
+				t.Fatalf("%s: header prefix of %d/%d bytes decoded without error", c.name, n, len(hdr))
+			}
+		}
+		// The JSON-era layout: a 4-byte header length, then JSON.
+		if c.decode([]byte("\x00\x00\x00\x0c{\"id\":\"obj\"}payload")) == nil {
+			t.Errorf("%s: a length-prefixed JSON header decoded without error", c.name)
+		}
 	}
 }
 
-// BenchmarkPutFileEncodeBulk64MB is the binary bulk path: a small JSON
+// BenchmarkPutFileEncodeBulk64MB is the bulk path: a small binary
 // header, then the payload written straight from its backing slice.
 // B/op must stay near zero no matter the payload size — this is the
 // "no base64 copy" acceptance check.

@@ -280,7 +280,7 @@ func TestSpecFramesCarryNoObjectBytes(t *testing.T) {
 	}
 }
 
-// fuzzDecode is the contract both decoders are fuzzed against: no
+// fuzzDecode is the contract every decoder is fuzzed against: no
 // panic; memory allocated stays within a constant factor of the input,
 // so no length or count field can size an allocation on its own; and
 // what decodes re-encodes to bytes that decode and re-encode to
@@ -307,12 +307,12 @@ func fuzzDecode[T any](t *testing.T, mt proto.MsgType, decode func([]byte) (T, e
 	if err != nil {
 		return
 	}
-	once := body(t, mt, &spec)
+	once := body(t, mt, spec)
 	again, err := decode(once)
 	if err != nil {
 		t.Fatalf("re-encoded body does not decode: %v", err)
 	}
-	if twice := body(t, mt, &again); !bytes.Equal(once, twice) {
+	if twice := body(t, mt, again); !bytes.Equal(once, twice) {
 		t.Fatalf("encoding is not stable:\n once  %x\n twice %x", once, twice)
 	}
 }

@@ -102,7 +102,7 @@ func TestStalledFetchDoesNotBlockExecution(t *testing.T) {
 	// Release the stall; the fetch fails (connection cut mid-request)
 	// and its FileAck arrives — completing, not wedging.
 	stop()
-	ack, _ := proto.Decode[proto.FileAck](fm.expect(t, proto.MsgFileAck))
+	ack, _ := proto.DecodeFileAck(fm.expect(t, proto.MsgFileAck))
 	if ack.ID != "deadbeef" || ack.Ok {
 		t.Errorf("stalled fetch ack = %+v, want a failure for deadbeef", ack)
 	}
@@ -132,8 +132,7 @@ func TestDuplicateFetchesShareOneWireTransfer(t *testing.T) {
 				if err != nil || typ != proto.MsgGetFile {
 					return
 				}
-				req, _ := proto.Decode[proto.GetFile](raw)
-				if req.ID != obj.ID {
+				if id, _ := proto.DecodeString(raw); id != obj.ID {
 					return
 				}
 				// Linger before answering so the duplicates pile up on the
@@ -157,7 +156,7 @@ func TestDuplicateFetchesShareOneWireTransfer(t *testing.T) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		ack, _ := proto.Decode[proto.FileAck](fm.expect(t, proto.MsgFileAck))
+		ack, _ := proto.DecodeFileAck(fm.expect(t, proto.MsgFileAck))
 		if !ack.Ok {
 			t.Fatalf("fetch %d failed: %s", i, ack.Err)
 		}
@@ -193,7 +192,7 @@ func TestUndecodableFrameIsCountedAndReported(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lm, _ := proto.Decode[proto.LogMsg](fm.expect(t, proto.MsgLog))
+	lm, _ := proto.DecodeLog(fm.expect(t, proto.MsgLog))
 	if lm.Worker != "w" || !strings.Contains(lm.Text, "protocol error") || !strings.Contains(lm.Text, "truncated") {
 		t.Errorf("log message = %+v", lm)
 	}
@@ -206,7 +205,7 @@ func TestUndecodableFrameIsCountedAndReported(t *testing.T) {
 	if _, err := fm.nc.Write(unknown); err != nil {
 		t.Fatal(err)
 	}
-	lm2, _ := proto.Decode[proto.LogMsg](fm.expect(t, proto.MsgLog))
+	lm2, _ := proto.DecodeLog(fm.expect(t, proto.MsgLog))
 	if !strings.Contains(lm2.Text, "unknown") {
 		t.Errorf("unknown-type log = %+v", lm2)
 	}
@@ -226,5 +225,29 @@ func TestUndecodableFrameIsCountedAndReported(t *testing.T) {
 	res, _ := proto.DecodeResult(fm.expect(t, proto.MsgResult))
 	if !res.Ok {
 		t.Errorf("task after protocol errors failed: %s", res.Err)
+	}
+}
+
+// TestJSONFetchFileIsAProtocolError: a FetchFile with the JSON body a
+// manager of an older build sends is refused by the decoder — counted
+// and reported — and never reaches the fetch handler.
+func TestJSONFetchFileIsAProtocolError(t *testing.T) {
+	fm := newFakeManager(t)
+	w, _ := startWorker(t, fm, Config{ID: "w"})
+
+	body := `{"id":"5feceb66","name":"env.tar.gz","from_addr":"127.0.0.1:1","cache":true}`
+	frame := binary.BigEndian.AppendUint32(nil, uint32(1+len(body)))
+	frame = append(append(frame, byte(proto.MsgFetchFile)), body...)
+	if _, err := fm.nc.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	lm, _ := proto.DecodeLog(fm.expect(t, proto.MsgLog))
+	if !strings.Contains(lm.Text, "protocol error: fetch-file frame") {
+		t.Errorf("log message = %+v", lm)
+	}
+	st := w.Stats()
+	if st.ProtocolErrors != 1 || st.Data.Fetches != 0 || st.Data.FetchErrors != 0 {
+		t.Errorf("ProtocolErrors = %d, Fetches = %d, FetchErrors = %d; want 1, 0, 0",
+			st.ProtocolErrors, st.Data.Fetches, st.Data.FetchErrors)
 	}
 }

@@ -94,7 +94,7 @@ func (fm *fakeManager) install(t *testing.T, spec core.LibrarySpec) {
 	if err := fm.conn.Send(proto.MsgInstallLibrary, spec); err != nil {
 		t.Fatal(err)
 	}
-	if ack, _ := proto.Decode[proto.LibraryAck](fm.expect(t, proto.MsgLibraryAck)); !ack.Ok {
+	if ack, _ := proto.DecodeLibraryAck(fm.expect(t, proto.MsgLibraryAck)); !ack.Ok {
 		t.Fatalf("install %s: %+v", spec.Name, ack)
 	}
 }

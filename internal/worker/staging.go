@@ -62,16 +62,16 @@ func (w *Worker) handleFetchFile(msg proto.FetchFile) {
 // manager re-tiered its catalog at decision time; failure here is
 // surfaced as a log line — the shared copy simply never materializes
 // and a later resolve walks the remaining replicas.
-func (w *Worker) handleSpillObject(msg proto.SpillObject) {
-	if err := w.plane.Spill(msg.ID); err != nil {
+func (w *Worker) handleSpillObject(id string) {
+	if err := w.plane.Spill(id); err != nil {
 		w.sendMsg(proto.MsgLog, proto.LogMsg{Worker: w.cfg.ID, Text: "spill: " + err.Error()})
 	}
 }
 
 // handleOwnObject adopts a replica as this worker's owned copy after
 // the previous owner died.
-func (w *Worker) handleOwnObject(msg proto.OwnObject) {
-	if err := w.plane.AdoptOwned(msg.ID); err != nil {
+func (w *Worker) handleOwnObject(id string) {
+	if err := w.plane.AdoptOwned(id); err != nil {
 		w.sendMsg(proto.MsgLog, proto.LogMsg{Worker: w.cfg.ID, Text: "own: " + err.Error()})
 	}
 }

@@ -313,33 +313,33 @@ func (w *Worker) loop(nc net.Conn) {
 		}
 		switch t {
 		case proto.MsgPutFileBulk:
-			hdr, payload, err := proto.DecodeBulk[proto.PutFileHdr](raw)
+			hdr, payload, err := proto.DecodePutFile(raw)
 			if err != nil {
 				w.protocolError(t, err)
 				continue
 			}
 			w.handlePutFileBulk(hdr, payload)
 		case proto.MsgFetchFile:
-			msg, err := proto.Decode[proto.FetchFile](raw)
+			msg, err := proto.DecodeFetchFile(raw)
 			if err != nil {
 				w.protocolError(t, err)
 				continue
 			}
 			w.handleFetchFile(msg)
 		case proto.MsgSpillObject:
-			msg, err := proto.Decode[proto.SpillObject](raw)
+			id, err := proto.DecodeString(raw)
 			if err != nil {
 				w.protocolError(t, err)
 				continue
 			}
-			w.handleSpillObject(msg)
+			w.handleSpillObject(id)
 		case proto.MsgOwnObject:
-			msg, err := proto.Decode[proto.OwnObject](raw)
+			id, err := proto.DecodeString(raw)
 			if err != nil {
 				w.protocolError(t, err)
 				continue
 			}
-			w.handleOwnObject(msg)
+			w.handleOwnObject(id)
 		case proto.MsgRunTask:
 			msg, err := proto.DecodeTask(raw)
 			if err != nil {
@@ -356,12 +356,12 @@ func (w *Worker) loop(nc net.Conn) {
 			}
 			w.spawn(func() { w.exec.installLibrary(msg) })
 		case proto.MsgRemoveLibrary:
-			msg, err := proto.Decode[proto.RemoveLibrary](raw)
+			name, err := proto.DecodeString(raw)
 			if err != nil {
 				w.protocolError(t, err)
 				continue
 			}
-			w.exec.removeLibrary(msg.Library)
+			w.exec.removeLibrary(name)
 		case proto.MsgInvoke:
 			msg, err := proto.DecodeInvocationInterned(raw, &strs)
 			if err != nil {
@@ -370,6 +370,10 @@ func (w *Worker) loop(nc net.Conn) {
 			}
 			w.exec.invoke(msg)
 		case proto.MsgShutdown:
+			if err := proto.DecodeShutdown(raw); err != nil {
+				w.protocolError(t, err)
+				continue
+			}
 			w.Shutdown()
 			return
 		default:

@@ -56,7 +56,7 @@ func (fm *fakeManager) accept(t *testing.T) proto.Hello {
 	if err != nil || typ != proto.MsgHello {
 		t.Fatalf("expected hello, got %v %v", typ, err)
 	}
-	hello, err := proto.Decode[proto.Hello](raw)
+	hello, err := proto.DecodeHello(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func (fm *fakeManager) put(t *testing.T, obj *content.Object, cache, unpack bool
 	if err := fm.conn.SendBulk(proto.MsgPutFileBulk, hdr, obj.Data); err != nil {
 		t.Fatal(err)
 	}
-	ack, err := proto.Decode[proto.FileAck](fm.expect(t, proto.MsgFileAck))
+	ack, err := proto.DecodeFileAck(fm.expect(t, proto.MsgFileAck))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestFetchFileChainsWorkers(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ack, _ := proto.Decode[proto.FileAck](fmB.expect(t, proto.MsgFileAck))
+	ack, _ := proto.DecodeFileAck(fmB.expect(t, proto.MsgFileAck))
 	if !ack.Ok {
 		t.Fatalf("fetch failed: %s", ack.Err)
 	}
@@ -289,7 +289,7 @@ func TestCorruptEnvironmentFailsForGood(t *testing.T) {
 		if err := fm.conn.Send(proto.MsgInstallLibrary, lib); err != nil {
 			t.Fatal(err)
 		}
-		if ack, _ := proto.Decode[proto.LibraryAck](fm.expect(t, proto.MsgLibraryAck)); ack.Ok || ack.Retryable || !strings.Contains(ack.Err, want) {
+		if ack, _ := proto.DecodeLibraryAck(fm.expect(t, proto.MsgLibraryAck)); ack.Ok || ack.Retryable || !strings.Contains(ack.Err, want) {
 			t.Errorf("install, unpack %v: %+v, want a non-retryable %q", unpack, ack, want)
 		}
 	}
@@ -340,7 +340,7 @@ func TestLibraryInstallAndRemove(t *testing.T) {
 	if err := fm.conn.Send(proto.MsgInstallLibrary, spec); err != nil {
 		t.Fatal(err)
 	}
-	ack, _ := proto.Decode[proto.LibraryAck](fm.expect(t, proto.MsgLibraryAck))
+	ack, _ := proto.DecodeLibraryAck(fm.expect(t, proto.MsgLibraryAck))
 	if !ack.Ok || ack.Library != "lib" || ack.Instance == "" {
 		t.Fatalf("install ack = %+v", ack)
 	}
@@ -351,7 +351,7 @@ func TestLibraryInstallAndRemove(t *testing.T) {
 	if err := fm.conn.Send(proto.MsgInstallLibrary, spec); err != nil {
 		t.Fatal(err)
 	}
-	dup, _ := proto.Decode[proto.LibraryAck](fm.expect(t, proto.MsgLibraryAck))
+	dup, _ := proto.DecodeLibraryAck(fm.expect(t, proto.MsgLibraryAck))
 	if dup.Ok {
 		t.Errorf("duplicate install accepted")
 	}
