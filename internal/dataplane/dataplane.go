@@ -13,10 +13,12 @@
 //     one object ID share a single transfer. Each request still gets
 //     its own completion callback (each FetchFile must ack with its
 //     own Source echo), but the network is hit once.
-//   - A per-object state machine — Absent → Fetching → Cached →
-//     Evicting → Absent — that the executor synchronizes with through
-//     PinResolve: a task whose input is still in flight waits for the
-//     flight instead of failing, and a pin can never race an eviction.
+//   - A per-object state machine — Absent → Fetching → Cached → Absent,
+//     with Owned (a pinned holder-of-record copy) and Spilled (demoted
+//     to the shared tier) beside Cached — that the executor synchronizes
+//     with through PinResolve: a task whose input is still in flight
+//     waits for the flight instead of failing, and a pin can never race
+//     an eviction, because every removal runs under the plane lock.
 //
 // The serve side (peers pulling from this worker's cache) runs under
 // its own concurrency cap so a thundering herd of requesters degrades
@@ -45,8 +47,6 @@ const (
 	Fetching
 	// Cached: resident in the content cache.
 	Cached
-	// Evicting: being removed; resolves refuse it until it is gone.
-	Evicting
 	// Owned: cached and pinned as this worker's holder-of-record copy —
 	// a ref result produced here, or adopted after the previous owner
 	// died. Owned objects never fall to plain LRU eviction; they leave
@@ -66,8 +66,6 @@ func (s State) String() string {
 		return "fetching"
 	case Cached:
 		return "cached"
-	case Evicting:
-		return "evicting"
 	case Owned:
 		return "owned"
 	case Spilled:
@@ -161,13 +159,12 @@ type Plane struct {
 	cfg   Config
 	cache *content.Cache
 
-	mu       sync.Mutex
-	flights  map[string]*flight
-	queue    []queued
-	active   int
-	evicting map[string]bool
-	owned    map[string]bool // holder-of-record copies, pinned against LRU
-	spilled  map[string]bool // demoted to the shared tier by this worker
+	mu      sync.Mutex
+	flights map[string]*flight
+	queue   []queued
+	active  int
+	owned   map[string]bool // holder-of-record copies, pinned against LRU
+	spilled map[string]bool // demoted to the shared tier by this worker
 	// transient counts the uses of inputs bound to a dispatch rather than
 	// to the worker (FileSpec.Cache false); see PutTransient.
 	transient map[string]transientUse
@@ -209,7 +206,6 @@ func New(cfg Config) *Plane {
 		cfg:       cfg,
 		cache:     cfg.Cache,
 		flights:   map[string]*flight{},
-		evicting:  map[string]bool{},
 		owned:     map[string]bool{},
 		spilled:   map[string]bool{},
 		transient: map[string]transientUse{},
@@ -244,9 +240,6 @@ func (p *Plane) StateOf(id string) State {
 }
 
 func (p *Plane) stateLocked(id string) State {
-	if p.evicting[id] {
-		return Evicting
-	}
 	if p.flights[id] != nil {
 		return Fetching
 	}
@@ -359,7 +352,7 @@ func (p *Plane) Release(id string) {
 	delete(p.transient, id)
 	// Under the plane lock, like PinResolve's pin: no resolve can land
 	// between the count reaching zero and the removal.
-	if !p.owned[id] && !p.evicting[id] {
+	if !p.owned[id] {
 		p.cache.Evict(id)
 	}
 }
@@ -463,25 +456,15 @@ func (p *Plane) AdoptOwned(id string) error {
 	return nil
 }
 
-// Evict removes an unpinned object through the Evicting state so a
-// concurrent PinResolve observes "going away" rather than racing the
-// removal. Owned objects refuse eviction — the holder of record drops
-// its copy only through Spill. Reports whether the object was removed.
+// Evict removes an unpinned object. It runs under the plane lock, like
+// every removal, so a concurrent PinResolve sees the object either
+// cached (and pins it first) or absent. Owned objects refuse eviction —
+// the holder of record drops its copy only through Spill. Reports
+// whether the object was removed.
 func (p *Plane) Evict(id string) bool {
 	p.mu.Lock()
-	if p.evicting[id] || p.owned[id] || !p.cache.Has(id) {
-		p.mu.Unlock()
-		return false
-	}
-	p.evicting[id] = true
-	p.mu.Unlock()
-
-	ok := p.cache.Evict(id)
-
-	p.mu.Lock()
-	delete(p.evicting, id)
-	p.mu.Unlock()
-	return ok
+	defer p.mu.Unlock()
+	return !p.owned[id] && p.cache.Evict(id)
 }
 
 // Unpin releases one pin of a cached object (PinResolve took it).
@@ -606,25 +589,14 @@ func (p *Plane) transfer(req Request) error {
 // ---- executor synchronization ----
 
 // PinResolve returns the object pinned, waiting out an in-flight fetch
-// or an in-progress eviction first. It is the executor's only read
-// path: Absent fails immediately (the manager never promised the
-// object), Fetching parks on the flight, Evicting yields to the
-// eviction and re-checks, Cached pins — atomically with respect to
-// eviction, so a resolved input can never be evicted underneath a
-// task. Callers must Unpin.
+// first. It is the executor's only read path: Absent fails immediately
+// (the manager never promised the object), Fetching parks on the
+// flight, Spilled refetches from the shared tier, Cached and Owned pin —
+// under the plane lock every removal takes, so a resolved input can
+// never be evicted underneath a task. Callers must Unpin.
 func (p *Plane) PinResolve(id string) (*content.Object, error) {
 	for {
 		p.mu.Lock()
-		if p.evicting[id] {
-			// Eviction is quick (in-memory); spin on the state change.
-			p.mu.Unlock()
-			select {
-			case <-p.done:
-				return nil, fmt.Errorf("dataplane: shutting down")
-			case <-time.After(100 * time.Microsecond):
-			}
-			continue
-		}
 		if fl := p.flights[id]; fl != nil {
 			p.mu.Unlock()
 			select {
@@ -634,8 +606,8 @@ func (p *Plane) PinResolve(id string) (*content.Object, error) {
 			}
 			continue
 		}
-		// Pin under the plane lock: Evict's cache removal happens only
-		// after it wins the evicting mark, which we hold off here.
+		// Pin under the plane lock: no plane removal (Evict, Release,
+		// Spill) can land between the Get and the Pin.
 		obj, ok := p.cache.Get(id)
 		if !ok {
 			if p.spilled[id] && p.cfg.Shared != nil && !p.closed {

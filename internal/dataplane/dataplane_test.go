@@ -230,6 +230,24 @@ func TestStateMachine(t *testing.T) {
 	}
 }
 
+func TestStateString(t *testing.T) {
+	for _, tc := range []struct {
+		s    State
+		want string
+	}{
+		{Absent, "absent"},
+		{Fetching, "fetching"},
+		{Cached, "cached"},
+		{Owned, "owned"},
+		{Spilled, "spilled"},
+		{Spilled + 1, "State(5)"},
+	} {
+		if got := tc.s.String(); got != tc.want {
+			t.Errorf("State(%d).String() = %q, want %q", int(tc.s), got, tc.want)
+		}
+	}
+}
+
 func TestPinResolveWaitsForFlight(t *testing.T) {
 	// An executor resolving an input whose transfer is still in flight
 	// must wait for the flight, not fail with "not staged".

@@ -3,6 +3,8 @@ package dataplane
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -134,6 +136,57 @@ func TestRandomizedConcurrentPlaneOps(t *testing.T) {
 	if n := p.Cache().Len(); n != 0 {
 		t.Fatalf("drained cache still holds %d entries", n)
 	}
+}
+
+// TestEvictRacingPinResolve races Evict against resolvers that pin and
+// unpin one object without pause. Eviction takes the plane lock, as
+// every removal does, so there is no in-between state to wait out: once
+// an Evict reports success, the object is absent, and a PinResolve of
+// it fails at once instead of waiting or pinning a removed copy.
+func TestEvictRacingPinResolve(t *testing.T) {
+	obj := content.NewBlob("contended.bin", []byte("contended"))
+	p := New(Config{Cache: content.NewCache(0)})
+	defer p.Close()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if got, err := p.PinResolve(obj.ID); err == nil {
+					if got.ID != obj.ID {
+						t.Errorf("PinResolve returned wrong object %v", got)
+					}
+					if err := p.Unpin(obj.ID); err != nil {
+						t.Errorf("pin vanished under a resolver: %v", err)
+					}
+				}
+			}
+		}()
+	}
+	for round := 0; round < 200; round++ {
+		if err := p.Put(obj, false); err != nil {
+			t.Fatal(err)
+		}
+		for !p.Evict(obj.ID) {
+			runtime.Gosched() // a resolver holds a pin; let it unpin
+		}
+		if st := p.StateOf(obj.ID); st != Absent {
+			t.Fatalf("round %d: state after a successful evict = %v, want absent", round, st)
+		}
+		if _, err := p.PinResolve(obj.ID); err == nil || !strings.Contains(err.Error(), "not staged") {
+			t.Fatalf("round %d: PinResolve after a successful evict = %v, want a not-staged error", round, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // TestSpillRacingPinResolve pins the self-heal path deterministically:

@@ -194,6 +194,12 @@ type Manager struct {
 	catMu   sync.RWMutex
 	catalog map[string]core.FileSpec
 
+	// memberMu guards joined, which is closed and replaced after every
+	// worker join and at Shutdown: WaitForWorkers blocks on it instead of
+	// polling the live count.
+	memberMu sync.Mutex
+	joined   chan struct{}
+
 	results chan core.Result
 	wg      sync.WaitGroup
 }
@@ -368,6 +374,7 @@ func New(opts Options) *Manager {
 		holders:    map[string]map[string]bool{},
 		peers:      map[string]*peerSource{},
 		catalog:    map[string]core.FileSpec{},
+		joined:     make(chan struct{}),
 		results:    make(chan core.Result, opts.ResultBuffer),
 	}
 	m.shards = make([]*shard, opts.Shards)
@@ -513,19 +520,38 @@ func (m *Manager) WorkersConnected() int {
 	return m.shardPlane.Live()
 }
 
-// WaitForWorkers blocks until at least n workers are connected or the
-// timeout elapses.
+// WaitForWorkers blocks until at least n workers are connected, the
+// timeout elapses, or the manager shuts down.
 func (m *Manager) WaitForWorkers(n int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
 	for {
+		// Take the channel before reading the state: a join or a Shutdown
+		// that the reads below miss closes this channel after them.
+		m.memberMu.Lock()
+		joined := m.joined
+		m.memberMu.Unlock()
+		if m.shardPlane.Closed() {
+			return fmt.Errorf("manager: closed with %d of %d workers connected", m.WorkersConnected(), n)
+		}
 		if m.WorkersConnected() >= n {
 			return nil
 		}
-		if time.Now().After(deadline) {
+		select {
+		case <-joined:
+		case <-deadline.C:
 			return fmt.Errorf("manager: only %d of %d workers connected after %v", m.WorkersConnected(), n, timeout)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// membershipChanged wakes every WaitForWorkers blocked on the current
+// membership channel.
+func (m *Manager) membershipChanged() {
+	m.memberMu.Lock()
+	close(m.joined)
+	m.joined = make(chan struct{})
+	m.memberMu.Unlock()
 }
 
 // Shutdown stops the manager and tells all workers to exit.
@@ -533,6 +559,7 @@ func (m *Manager) Shutdown() {
 	if !m.shardPlane.Close() {
 		return
 	}
+	m.membershipChanged()
 	for _, s := range m.shards {
 		s.mu.Lock()
 		for _, id := range core.SortedKeys(s.workers) {
@@ -645,6 +672,7 @@ func (m *Manager) adoptWorker(w *workerState) bool {
 	s.mu.Unlock()
 	m.peerAdd(w)
 	m.shardPlane.Add(w.id)
+	m.membershipChanged()
 	s.sched.Wake()
 	// Parked work in workerless shards can now be evacuated here, and
 	// work starving in shards this worker doesn't belong to gets its

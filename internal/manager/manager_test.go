@@ -3,6 +3,7 @@ package manager
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/modlib"
 	"repro/internal/pickle"
+	"repro/internal/proto"
 	"repro/internal/worker"
 
 	"repro/internal/minipy"
@@ -272,5 +274,110 @@ func TestLateWorkerPicksUpPendingWork(t *testing.T) {
 	}
 	if decodeStr(t, results[0]) != "late" {
 		t.Errorf("late result wrong")
+	}
+}
+
+// TestWaitForWorkersWakesOnJoin: a waiter blocked on one more worker
+// returns as soon as that worker joins — it blocks on the join, not on
+// a polling tick. A 5 ms poll would land within 1 ms of the join in
+// about one trial in five. The join is the manager's own registration
+// step (adoptWorker, as serveWorker calls it after the Hello), so the
+// measured delay is the wakeup alone, not a TCP accept.
+func TestWaitForWorkersWakesOnJoin(t *testing.T) {
+	h := newHarness(t, 0, Options{})
+	const trials = 20
+	prompt := 0
+	var late []time.Duration
+	for i := 0; i < trials; i++ {
+		woke := make(chan time.Time, 1)
+		go func(n int) {
+			if err := h.m.WaitForWorkers(n, 10*time.Second); err != nil {
+				t.Error(err)
+			}
+			woke <- time.Now()
+		}(i + 1)
+		// Give the waiter time to block, so a polling wait would be
+		// between ticks when the worker joins.
+		time.Sleep(2 * time.Millisecond)
+		id := fmt.Sprintf("w%02d", i)
+		w := &workerState{
+			id:           id,
+			hello:        proto.Hello{WorkerID: id, Resources: core.Resources{Cores: 1}},
+			sendq:        make(chan outMsg, 16),
+			fetchSources: map[string]string{},
+			ackWaiters:   map[string][]*staging{},
+			libs:         map[string]*libInstance{},
+		}
+		joined := time.Now()
+		if !h.m.adoptWorker(w) {
+			t.Fatalf("adoptWorker(%s) refused", id)
+		}
+		if d := (<-woke).Sub(joined); d <= time.Millisecond {
+			prompt++
+		} else {
+			late = append(late, d)
+		}
+	}
+	if prompt < trials-2 {
+		t.Fatalf("WaitForWorkers returned within 1ms of the join in %d of %d trials; late by %v", prompt, trials, late)
+	}
+}
+
+// TestWaitForWorkersConcurrentJoins: waiters for every count from 1 to
+// 8 all return nil while eight workers connect at once — no join's
+// wakeup is lost between a waiter's count check and its block.
+func TestWaitForWorkersConcurrentJoins(t *testing.T) {
+	h := newHarness(t, 0, Options{})
+	const n = 8
+	errs := make(chan error, n)
+	for k := 1; k <= n; k++ {
+		go func(k int) { errs <- h.m.WaitForWorkers(k, 10*time.Second) }(k)
+	}
+	workers := make([]*worker.Worker, n)
+	var wg sync.WaitGroup
+	for i := range workers {
+		workers[i] = worker.New(worker.Config{ID: fmt.Sprintf("w%02d", i), Registry: modlib.Standard()})
+		wg.Add(1)
+		go func(w *worker.Worker) {
+			defer wg.Done()
+			if err := w.Connect(h.addr); err != nil {
+				t.Error(err)
+			}
+		}(workers[i])
+	}
+	wg.Wait()
+	h.workers = append(h.workers, workers...)
+	for k := 0; k < n; k++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestWaitForWorkersTimesOut: with too few workers the wait ends at its
+// timeout and says how many did connect.
+func TestWaitForWorkersTimesOut(t *testing.T) {
+	h := newHarness(t, 1, Options{})
+	err := h.m.WaitForWorkers(2, 20*time.Millisecond)
+	if err == nil || !strings.Contains(err.Error(), "only 1 of 2 workers connected") {
+		t.Fatalf("WaitForWorkers(2) with 1 worker = %v, want a timeout naming 1 of 2", err)
+	}
+}
+
+// TestShutdownWakesWorkerWaiters: a waiter blocked on workers that will
+// never come returns a closed error as soon as the manager shuts down,
+// not at the end of its timeout.
+func TestShutdownWakesWorkerWaiters(t *testing.T) {
+	h := newHarness(t, 1, Options{})
+	errs := make(chan error, 1)
+	go func() { errs <- h.m.WaitForWorkers(2, 10*time.Second) }()
+	h.m.Shutdown()
+	select {
+	case err := <-errs:
+		if err == nil || !strings.Contains(err.Error(), "closed") {
+			t.Fatalf("WaitForWorkers after Shutdown = %v, want a closed error", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("WaitForWorkers still blocked 2s after Shutdown")
 	}
 }
