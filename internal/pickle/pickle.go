@@ -19,13 +19,12 @@
 package pickle
 
 import (
-	"bytes"
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
+	"repro/internal/bincode"
 	"repro/internal/minipy"
 )
 
@@ -67,20 +66,20 @@ func Marshal(v minipy.Value) ([]byte, error) {
 	if s, ok := v.(minipy.Str); ok && len(s) >= maxPooledEncoder {
 		// A string root too large for the pool — a task result that is
 		// megabytes of text — has a size known up front: one allocation of
-		// it, not a doubling series, in a buffer the caller will keep.
-		e.buf = *bytes.NewBuffer(make([]byte, 0, len(s)+3+binary.MaxVarintLen64))
+		// it, not a doubling series, in a buffer the caller will keep. The
+		// header is magic, version, tag and a uvarint length.
+		e.buf = make([]byte, 0, len(s)+3+10)
 	}
-	e.buf.WriteByte(magic)
-	e.buf.WriteByte(version)
+	e.buf = append(e.buf, magic, version)
 	if err := e.encode(v); err != nil {
 		e.release()
 		return nil, err
 	}
-	out := e.buf.Bytes()
-	if e.buf.Cap() > maxPooledEncoder {
+	out := e.buf
+	if cap(e.buf) > maxPooledEncoder {
 		// Too big to go back in the pool: the caller gets the buffer
 		// itself rather than a copy of it.
-		e.buf = bytes.Buffer{}
+		e.buf = nil
 	} else {
 		out = append([]byte(nil), out...)
 	}
@@ -90,10 +89,10 @@ func Marshal(v minipy.Value) ([]byte, error) {
 
 // release resets the encoder and returns it to the pool.
 func (e *encoder) release() {
-	if e.buf.Cap() > maxPooledEncoder || len(e.memo) > 1024 {
+	if cap(e.buf) > maxPooledEncoder || len(e.memo) > 1024 {
 		return
 	}
-	e.buf.Reset()
+	e.buf = e.buf[:0]
 	clear(e.memo)
 	e.next = 0
 	encoderPool.Put(e)
@@ -123,26 +122,24 @@ func UnmarshalBorrow(data []byte, ip *minipy.Interp) (minipy.Value, error) {
 }
 
 func unmarshal(data []byte, ip *minipy.Interp, borrow bool) (minipy.Value, error) {
-	if len(data) < 2 || data[0] != magic {
-		return nil, fmt.Errorf("pickle: bad magic")
-	}
-	if data[1] != version {
-		return nil, fmt.Errorf("pickle: unsupported version %d", data[1])
-	}
 	d := decoderPool.Get().(*decoder)
-	d.data, d.pos, d.ip, d.borrow, d.spare = data, 2, ip, borrow, len(data)
-	v, err := d.decode()
-	if err == nil && d.pos != len(d.data) {
-		err = fmt.Errorf("pickle: %d trailing bytes", len(d.data)-d.pos)
+	d.Reader, d.ip, d.borrow = bincode.NewReader(data), ip, borrow
+	if d.Byte() != magic {
+		d.Fail(errors.New("bad magic"))
 	}
-	d.data, d.ip, d.depth = nil, nil, 0
+	if v := d.Byte(); v != version {
+		d.Fail(fmt.Errorf("unsupported version %d", v))
+	}
+	v := d.decode()
+	err := d.Done()
+	d.Reader, d.ip = bincode.Reader{}, nil
 	if cap(d.memo) <= 1024 {
 		clear(d.memo)
 		d.memo = d.memo[:0]
 		decoderPool.Put(d)
 	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pickle: %w", err)
 	}
 	return v, nil
 }
@@ -152,44 +149,23 @@ func unmarshal(data []byte, ip *minipy.Interp, borrow bool) (minipy.Value, error
 var decoderPool = sync.Pool{New: func() any { return new(decoder) }}
 
 type encoder struct {
-	buf  bytes.Buffer
+	buf  []byte
 	memo map[any]int // pointer identity -> memo id
 	next int
 	// depth counts the values being encoded, outermost first.
 	depth int
 }
 
-func (e *encoder) writeUvarint(n uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	k := binary.PutUvarint(tmp[:], n)
-	e.buf.Write(tmp[:k])
-}
-
-func (e *encoder) writeVarint(n int64) {
-	var tmp [binary.MaxVarintLen64]byte
-	k := binary.PutVarint(tmp[:], n)
-	e.buf.Write(tmp[:k])
-}
-
-func (e *encoder) writeString(s string) {
-	e.writeUvarint(uint64(len(s)))
-	e.buf.WriteString(s)
-}
-
-// memoize registers ptr and returns (id, alreadySeen).
-func (e *encoder) memoize(ptr any) (int, bool) {
+// seen writes a reference to ptr if it was encoded before, and reports
+// whether it was; otherwise ptr is memoized and the caller encodes it.
+func (e *encoder) seen(ptr any) bool {
 	if id, ok := e.memo[ptr]; ok {
-		return id, true
+		e.buf = bincode.AppendUvarint(append(e.buf, tagRef), uint64(id))
+		return true
 	}
-	id := e.next
+	e.memo[ptr] = e.next
 	e.next++
-	e.memo[ptr] = id
-	return id, false
-}
-
-func (e *encoder) emitRef(id int) {
-	e.buf.WriteByte(tagRef)
-	e.writeUvarint(uint64(id))
+	return false
 }
 
 // encode writes one value, at most maxDepth levels deep: whatever
@@ -204,59 +180,47 @@ func (e *encoder) encode(v minipy.Value) error {
 	return err
 }
 
+// encodeSeq writes a list's or tuple's elements, counted, after tag.
+func (e *encoder) encodeSeq(tag byte, vs []minipy.Value) error {
+	e.buf = bincode.AppendUvarint(append(e.buf, tag), uint64(len(vs)))
+	for _, v := range vs {
+		if err := e.encode(v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (e *encoder) value(v minipy.Value) error {
 	switch x := v.(type) {
 	case minipy.None:
-		e.buf.WriteByte(tagNone)
+		e.buf = append(e.buf, tagNone)
 	case minipy.Bool:
 		if x {
-			e.buf.WriteByte(tagTrue)
+			e.buf = append(e.buf, tagTrue)
 		} else {
-			e.buf.WriteByte(tagFalse)
+			e.buf = append(e.buf, tagFalse)
 		}
 	case minipy.Int:
-		e.buf.WriteByte(tagInt)
-		e.writeVarint(int64(x))
+		e.buf = bincode.AppendVarint(append(e.buf, tagInt), int64(x))
 	case minipy.Float:
-		e.buf.WriteByte(tagFloat)
-		var tmp [8]byte
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(float64(x)))
-		e.buf.Write(tmp[:])
+		e.buf = bincode.AppendFloat64LE(append(e.buf, tagFloat), float64(x))
 	case minipy.Str:
-		e.buf.WriteByte(tagStr)
-		e.writeString(string(x))
+		e.buf = bincode.AppendString(append(e.buf, tagStr), string(x))
 	case *minipy.List:
-		if id, seen := e.memoize(x); seen {
-			e.emitRef(id)
-			return nil
-		}
-		e.buf.WriteByte(tagList)
-		e.writeUvarint(uint64(len(x.Elems)))
-		for _, el := range x.Elems {
-			if err := e.encode(el); err != nil {
-				return err
-			}
+		if !e.seen(x) {
+			return e.encodeSeq(tagList, x.Elems)
 		}
 	case *minipy.Tuple:
-		if id, seen := e.memoize(x); seen {
-			e.emitRef(id)
-			return nil
-		}
-		e.buf.WriteByte(tagTuple)
-		e.writeUvarint(uint64(len(x.Elems)))
-		for _, el := range x.Elems {
-			if err := e.encode(el); err != nil {
-				return err
-			}
+		if !e.seen(x) {
+			return e.encodeSeq(tagTuple, x.Elems)
 		}
 	case *minipy.Dict:
-		if id, seen := e.memoize(x); seen {
-			e.emitRef(id)
+		if e.seen(x) {
 			return nil
 		}
-		e.buf.WriteByte(tagDict)
 		keys := x.Keys()
-		e.writeUvarint(uint64(len(keys)))
+		e.buf = bincode.AppendUvarint(append(e.buf, tagDict), uint64(len(keys)))
 		for _, k := range keys {
 			val, _ := x.Get(k)
 			if err := e.encode(k); err != nil {
@@ -269,33 +233,19 @@ func (e *encoder) value(v minipy.Value) error {
 	case *minipy.Func:
 		return e.encodeFunc(x)
 	case *minipy.Builtin:
-		e.buf.WriteByte(tagBuiltin)
-		e.writeString(x.Name)
+		e.buf = bincode.AppendString(append(e.buf, tagBuiltin), x.Name)
 	case *minipy.ModuleVal:
-		e.buf.WriteByte(tagModule)
-		e.writeString(x.Name)
+		e.buf = bincode.AppendString(append(e.buf, tagModule), x.Name)
 	case *minipy.Object:
 		if x.Host != nil {
 			return fmt.Errorf("pickle: cannot serialize %s object holding a host resource handle", x.Class)
 		}
-		if id, seen := e.memoize(x); seen {
-			e.emitRef(id)
+		if e.seen(x) {
 			return nil
 		}
-		e.buf.WriteByte(tagObject)
-		e.writeString(x.Class)
-		names := make([]string, 0, len(x.Attrs))
-		for k := range x.Attrs {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-		e.writeUvarint(uint64(len(names)))
-		for _, k := range names {
-			e.writeString(k)
-			if err := e.encode(x.Attrs[k]); err != nil {
-				return err
-			}
-		}
+		e.buf = bincode.AppendString(append(e.buf, tagObject), x.Class)
+		_, err := e.encodeStringMap(x.Attrs)
+		return err
 	case *minipy.BoundMethod:
 		return fmt.Errorf("pickle: cannot serialize bound method %s of %s", x.Name, x.Recv.Type())
 	default:
@@ -305,8 +255,7 @@ func (e *encoder) value(v minipy.Value) error {
 }
 
 func (e *encoder) encodeFunc(f *minipy.Func) error {
-	if id, seen := e.memoize(f); seen {
-		e.emitRef(id)
+	if e.seen(f) {
 		return nil
 	}
 	src, _, err := minipy.GetSource(f)
@@ -316,62 +265,50 @@ func (e *encoder) encodeFunc(f *minipy.Func) error {
 	closure, globals, _ := minipy.ResolveFree(f)
 	params := minipy.FuncParams(f)
 
-	e.buf.WriteByte(tagFunc)
-	e.writeString(f.Name)
-	e.writeString(f.Module)
-	if f.Expr != nil {
-		e.buf.WriteByte(1) // lambda
-	} else {
-		e.buf.WriteByte(0)
-	}
-	e.writeString(src)
-	e.writeUvarint(uint64(len(params)))
+	e.buf = bincode.AppendString(append(e.buf, tagFunc), f.Name)
+	e.buf = bincode.AppendString(e.buf, f.Module)
+	e.buf = bincode.AppendString(append(e.buf, bincode.Flags(f.Expr != nil)), src)
+	e.buf = bincode.AppendUvarint(e.buf, uint64(len(params)))
 	for _, p := range params {
-		e.writeString(p.Name)
+		e.buf = append(bincode.AppendString(e.buf, p.Name), bincode.Flags(p.HasDefault))
 		if p.HasDefault {
-			e.buf.WriteByte(1)
 			if err := e.encode(p.Default); err != nil {
 				return err
 			}
-		} else {
-			e.buf.WriteByte(0)
 		}
 	}
-	if err := e.encodeStringMap(closure, f.Name); err != nil {
-		return err
-	}
-	if err := e.encodeStringMap(globals, f.Name); err != nil {
-		return err
+	for _, m := range []map[string]minipy.Value{closure, globals} {
+		if k, err := e.encodeStringMap(m); err != nil {
+			return fmt.Errorf("pickle: capturing %q for function %q: %w", k, f.Name, err)
+		}
 	}
 	return nil
 }
 
-func (e *encoder) encodeStringMap(m map[string]minipy.Value, fname string) error {
+// encodeStringMap writes m's entries sorted by key; on failure it
+// reports the key whose value did not encode.
+func (e *encoder) encodeStringMap(m map[string]minipy.Value) (string, error) {
 	names := make([]string, 0, len(m))
 	for k := range m {
 		names = append(names, k)
 	}
 	sort.Strings(names)
-	e.writeUvarint(uint64(len(names)))
+	e.buf = bincode.AppendUvarint(e.buf, uint64(len(names)))
 	for _, k := range names {
-		e.writeString(k)
+		e.buf = bincode.AppendString(e.buf, k)
 		if err := e.encode(m[k]); err != nil {
-			return fmt.Errorf("pickle: capturing %q for function %q: %w", k, fname, err)
+			return k, err
 		}
 	}
-	return nil
+	return "", nil
 }
 
 type decoder struct {
-	data []byte
-	pos  int
+	bincode.Reader
 	ip   *minipy.Interp
 	memo []minipy.Value
 	// borrow lets string values alias data (UnmarshalBorrow).
 	borrow bool
-	// depth counts the values being decoded, outermost first; spare is
-	// the input bytes no container has yet reserved an element slot for.
-	depth, spare int
 }
 
 // maxDepth bounds how deep a value nests, encoded or decoded — both
@@ -379,245 +316,124 @@ type decoder struct {
 // long.
 const maxDepth = minipy.MaxValueDepth
 
-func (d *decoder) readByte() (byte, error) {
-	if d.pos >= len(d.data) {
-		return 0, fmt.Errorf("pickle: truncated data")
-	}
-	b := d.data[d.pos]
-	d.pos++
-	return b, nil
-}
-
-func (d *decoder) readUvarint() (uint64, error) {
-	n, k := binary.Uvarint(d.data[d.pos:])
-	if k <= 0 {
-		return 0, fmt.Errorf("pickle: bad uvarint")
-	}
-	d.pos += k
-	return n, nil
-}
-
-func (d *decoder) readVarint() (int64, error) {
-	n, k := binary.Varint(d.data[d.pos:])
-	if k <= 0 {
-		return 0, fmt.Errorf("pickle: bad varint")
-	}
-	d.pos += k
-	return n, nil
-}
-
-// readBytes returns the next length-prefixed run of data, uncopied.
-func (d *decoder) readBytes() ([]byte, error) {
-	n, err := d.readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(d.data)-d.pos) {
-		return nil, fmt.Errorf("pickle: truncated string")
-	}
-	b := d.data[d.pos : d.pos+int(n)]
-	d.pos += int(n)
-	return b, nil
-}
-
-func (d *decoder) readString() (string, error) {
-	b, err := d.readBytes()
-	return string(b), err
-}
-
-func (d *decoder) remember(v minipy.Value) int {
+func (d *decoder) remember(v minipy.Value) {
 	d.memo = append(d.memo, v)
-	return len(d.memo) - 1
 }
 
-// elems reserves the capacity to give n decoded elements: n, up to the
-// bytes left and those no enclosing container reserved — each element
-// costs at least one byte — so no hostile length, nor a nest of them,
-// sizes the allocation.
-func (d *decoder) elems(n uint64) int {
-	c := int(min(n, uint64(len(d.data)-d.pos), uint64(d.spare)))
-	d.spare -= c
-	return c
-}
-
-// decode reads one value, at most maxDepth levels deep.
-func (d *decoder) decode() (minipy.Value, error) {
-	if d.depth == maxDepth {
-		return nil, fmt.Errorf("pickle: value nested deeper than %d levels", maxDepth)
+// decode reads one value, at most maxDepth levels deep. After the
+// reader fails it returns nil or a placeholder, never more work.
+func (d *decoder) decode() minipy.Value {
+	if !d.Enter(maxDepth) {
+		return nil
 	}
-	d.depth++
-	v, err := d.value()
-	d.depth--
-	return v, err
+	v := d.value()
+	d.Leave()
+	return v
 }
 
-func (d *decoder) value() (minipy.Value, error) {
-	tag, err := d.readByte()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
+func (d *decoder) value() minipy.Value {
+	switch tag := d.Byte(); tag {
 	case tagNone:
-		return minipy.NoneValue, nil
+		return minipy.NoneValue
 	case tagTrue:
-		return minipy.Bool(true), nil
+		return minipy.Bool(true)
 	case tagFalse:
-		return minipy.Bool(false), nil
+		return minipy.Bool(false)
 	case tagInt:
-		n, err := d.readVarint()
-		if err != nil {
-			return nil, err
-		}
-		return minipy.Int(n), nil
+		return minipy.Int(d.Varint())
 	case tagFloat:
-		if d.pos+8 > len(d.data) {
-			return nil, fmt.Errorf("pickle: truncated float")
-		}
-		bits := binary.LittleEndian.Uint64(d.data[d.pos:])
-		d.pos += 8
-		return minipy.Float(math.Float64frombits(bits)), nil
+		return minipy.Float(d.Float64LE())
 	case tagStr:
-		b, err := d.readBytes()
-		if err != nil {
-			return nil, err
-		}
+		b := d.Bytes()
 		// A view of the input when borrowing and the string is worth it,
 		// a copy otherwise.
 		if d.borrow && len(b) >= borrowFloor {
-			return minipy.BorrowStr(b), nil
+			return minipy.BorrowStr(b)
 		}
-		return minipy.Str(b), nil
+		return minipy.Str(b)
 	case tagList:
-		n, err := d.readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		l := &minipy.List{Elems: make([]minipy.Value, 0, d.elems(n))}
+		// Each element is at least its tag byte.
+		l := &minipy.List{Elems: make([]minipy.Value, d.Count(1))}
 		d.remember(l)
-		for i := uint64(0); i < n; i++ {
-			el, err := d.decode()
-			if err != nil {
-				return nil, err
-			}
-			l.Elems = append(l.Elems, el)
-		}
-		return l, nil
+		d.fill(l.Elems)
+		return l
 	case tagTuple:
-		n, err := d.readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		t := &minipy.Tuple{Elems: make([]minipy.Value, 0, d.elems(n))}
+		t := &minipy.Tuple{Elems: make([]minipy.Value, d.Count(1))}
 		d.remember(t)
-		for i := uint64(0); i < n; i++ {
-			el, err := d.decode()
-			if err != nil {
-				return nil, err
-			}
-			t.Elems = append(t.Elems, el)
-		}
-		return t, nil
+		d.fill(t.Elems)
+		return t
 	case tagDict:
-		n, err := d.readUvarint()
-		if err != nil {
-			return nil, err
-		}
 		dict := minipy.NewDict()
 		d.remember(dict)
-		for i := uint64(0); i < n; i++ {
-			k, err := d.decode()
-			if err != nil {
-				return nil, err
-			}
-			v, err := d.decode()
-			if err != nil {
-				return nil, err
+		for n := d.Count(2); n > 0; n-- {
+			k, v := d.decode(), d.decode()
+			if d.Err() != nil {
+				break
 			}
 			if err := dict.Set(k, v); err != nil {
-				return nil, fmt.Errorf("pickle: %w", err)
+				d.Fail(err)
 			}
 		}
-		return dict, nil
+		return dict
 	case tagFunc:
 		return d.decodeFunc()
 	case tagBuiltin:
-		name, err := d.readString()
-		if err != nil {
-			return nil, err
-		}
+		name := d.Str()
 		v, ok := minipy.UniversalBuiltin(name)
 		if !ok {
-			return nil, fmt.Errorf("pickle: unknown builtin %q", name)
+			d.Fail(fmt.Errorf("unknown builtin %q", name))
 		}
-		return v, nil
+		return v
 	case tagModule:
-		name, err := d.readString()
-		if err != nil {
-			return nil, err
+		name := d.Str()
+		if d.Err() != nil {
+			return nil
 		}
 		mod, err := d.ip.Host().ResolveModule(d.ip, name)
 		if err != nil {
-			return nil, fmt.Errorf("pickle: resolving module reference: %w", err)
+			d.Fail(fmt.Errorf("resolving module reference: %w", err))
+			return nil
 		}
-		return mod, nil
+		return mod
 	case tagObject:
-		class, err := d.readString()
-		if err != nil {
-			return nil, err
-		}
-		obj := minipy.NewObject(class)
+		obj := minipy.NewObject(d.Str())
 		d.remember(obj)
-		n, err := d.readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		for i := uint64(0); i < n; i++ {
-			k, err := d.readString()
-			if err != nil {
-				return nil, err
-			}
-			v, err := d.decode()
-			if err != nil {
-				return nil, err
-			}
-			obj.Attrs[k] = v
-		}
-		return obj, nil
+		d.stringMap(obj.Attrs)
+		return obj
 	case tagRef:
-		id, err := d.readUvarint()
-		if err != nil {
-			return nil, err
+		id := d.Uvarint()
+		if id < uint64(len(d.memo)) {
+			return d.memo[id]
 		}
-		if id >= uint64(len(d.memo)) {
-			return nil, fmt.Errorf("pickle: dangling memo reference %d", id)
-		}
-		return d.memo[id], nil
+		d.Fail(fmt.Errorf("dangling memo reference %d", id))
+	default:
+		d.Fail(fmt.Errorf("unknown tag 0x%02x", tag))
 	}
-	return nil, fmt.Errorf("pickle: unknown tag 0x%02x", tag)
+	return nil
 }
 
-func (d *decoder) decodeFunc() (minipy.Value, error) {
-	name, err := d.readString()
-	if err != nil {
-		return nil, err
+// fill decodes into every slot of vs.
+func (d *decoder) fill(vs []minipy.Value) {
+	for i := range vs {
+		vs[i] = d.decode()
 	}
-	module, err := d.readString()
-	if err != nil {
-		return nil, err
+}
+
+// stringMap decodes counted (string, value) entries into m, each at
+// least two bytes: a length and a tag.
+func (d *decoder) stringMap(m map[string]minipy.Value) {
+	for n := d.Count(2); n > 0; n-- {
+		k := d.Str()
+		m[k] = d.decode()
 	}
-	lambdaByte, err := d.readByte()
-	if err != nil {
-		return nil, err
-	}
-	src, err := d.readString()
-	if err != nil {
-		return nil, err
-	}
+}
+
+func (d *decoder) decodeFunc() minipy.Value {
 	spec := &minipy.RebuildSpec{
-		Name:     name,
-		Module:   module,
-		IsLambda: lambdaByte == 1,
-		Source:   src,
+		Name:     d.Str(),
+		Module:   d.Str(),
+		IsLambda: d.Byte() == 1,
+		Source:   d.Str(),
 		Closure:  map[string]minipy.Value{},
 		Globals:  map[string]minipy.Value{},
 	}
@@ -626,57 +442,22 @@ func (d *decoder) decodeFunc() (minipy.Value, error) {
 	// references resolve to the final object.
 	fn := &minipy.Func{}
 	d.remember(fn)
-
-	np, err := d.readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < np; i++ {
-		pname, err := d.readString()
-		if err != nil {
-			return nil, err
-		}
-		hasDef, err := d.readByte()
-		if err != nil {
-			return nil, err
-		}
-		info := minipy.ParamInfo{Name: pname}
-		if hasDef == 1 {
-			def, err := d.decode()
-			if err != nil {
-				return nil, err
-			}
-			info.HasDefault = true
-			info.Default = def
+	// A parameter is at least two bytes: its name's length and a flag.
+	for n := d.Count(2); n > 0; n-- {
+		info := minipy.ParamInfo{Name: d.Str()}
+		if d.Byte() == 1 {
+			info.HasDefault, info.Default = true, d.decode()
 		}
 		spec.Params = append(spec.Params, info)
 	}
-	readMap := func(dst map[string]minipy.Value) error {
-		n, err := d.readUvarint()
-		if err != nil {
-			return err
-		}
-		for i := uint64(0); i < n; i++ {
-			k, err := d.readString()
-			if err != nil {
-				return err
-			}
-			v, err := d.decode()
-			if err != nil {
-				return err
-			}
-			dst[k] = v
-		}
+	d.stringMap(spec.Closure)
+	d.stringMap(spec.Globals)
+	if d.Err() != nil {
 		return nil
 	}
-	if err := readMap(spec.Closure); err != nil {
-		return nil, err
-	}
-	if err := readMap(spec.Globals); err != nil {
-		return nil, err
-	}
 	if err := minipy.RebuildFuncInto(d.ip, spec, fn); err != nil {
-		return nil, err
+		d.Fail(err)
+		return nil
 	}
-	return fn, nil
+	return fn
 }

@@ -421,18 +421,29 @@ func TestCorruptData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := [][]byte{
-		nil,
-		{},
-		{0x00},
-		{magic},
-		{magic, 99},
-		data[:len(data)/2],
-		append(append([]byte{}, data...), 0xFF),
+	header := []byte{magic, version}
+	nest := append(header, tagList, 22, tagList, 20)
+	nest = append(nest, make([]byte, 20)...) // twenty Nones
+	cases := []struct {
+		rule string
+		data []byte
+		want string // in the error; empty for any error
+	}{
+		{"no input", nil, ""},
+		{"empty input", []byte{}, ""},
+		{"no magic", []byte{0x00}, ""},
+		{"no version", []byte{magic}, ""},
+		{"unknown version", []byte{magic, 99}, ""},
+		{"a value cut short", data[:len(data)/2], ""},
+		{"a byte after the value", append(append([]byte{}, data...), 0xFF), ""},
+		{"a length in its shortest form only", append(header, tagStr, 0x81, 0x00, 'a'), "shortest form"},
+		{"a list count no larger than the bytes left", append(header, tagList, 5, tagNone, tagNone), "truncated: count 5"},
+		{"a nest of counts reserves no more than the input's length", nest, "reserves more than the 26-byte input"},
 	}
-	for i, c := range cases {
-		if _, err := Unmarshal(c, minipy.NewInterp(nil)); err == nil {
-			t.Errorf("case %d: corrupt data unexpectedly decoded", i)
+	for _, c := range cases {
+		_, err := Unmarshal(c.data, minipy.NewInterp(nil))
+		if err == nil || !strings.HasPrefix(err.Error(), "pickle: ") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Unmarshal error %v, want a pickle error naming %q", c.rule, err, c.want)
 		}
 	}
 }

@@ -7,7 +7,6 @@ package poncho
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -15,6 +14,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/bincode"
 	"repro/internal/content"
 	"repro/internal/minipy"
 	"repro/internal/pkgindex"
@@ -147,7 +147,7 @@ func (s *EnvSpec) Has(name string) bool {
 }
 
 // The packed manifest is a small binary layout, read by a worker on
-// every L1 task:
+// every L1 task, written and read with internal/bincode:
 //
 //	magic     "PNC" and the format version byte
 //	count     uvarint
@@ -157,8 +157,8 @@ func (s *EnvSpec) Has(name string) bool {
 //
 // The names come first and alone, so ManifestModules — all a worker
 // needs to learn what an environment makes importable — stops at the end
-// of the name table. Every encoding is canonical: a manifest decodes
-// only if it is exactly what Pack writes for what it decodes to.
+// of the name table. A manifest decodes only if it is exactly what Pack
+// writes for what it decodes to.
 var manifestMagic = [4]byte{'P', 'N', 'C', 1}
 
 // minPackageSize is the fewest bytes one package takes: an empty name,
@@ -178,8 +178,9 @@ var ErrManifest = errors.New("poncho: unreadable environment manifest")
 func (s *EnvSpec) Pack(name string) (*content.Object, error) {
 	pkgs := slices.Clone(s.Packages)
 	slices.SortFunc(pkgs, func(a, b PinnedPackage) int { return strings.Compare(a.Name, b.Name) })
-	data := make([]byte, 0, len(manifestMagic)+binary.MaxVarintLen64+32*len(pkgs))
-	data = binary.AppendUvarint(append(data, manifestMagic[:]...), uint64(len(pkgs)))
+	// The magic, the longest uvarint count, and about 32 bytes a package.
+	data := make([]byte, 0, len(manifestMagic)+10+32*len(pkgs))
+	data = bincode.AppendUvarint(append(data, manifestMagic[:]...), uint64(len(pkgs)))
 	for i, p := range pkgs {
 		if i > 0 && p.Name == pkgs[i-1].Name {
 			return nil, fmt.Errorf("poncho: packing environment: package %q listed twice", p.Name)
@@ -187,36 +188,31 @@ func (s *EnvSpec) Pack(name string) (*content.Object, error) {
 		if p.InstalledSize < 0 || p.PackedSize < 0 {
 			return nil, fmt.Errorf("poncho: packing environment: package %q has a negative size", p.Name)
 		}
-		data = appendStr(data, p.Name)
+		data = bincode.AppendString(data, p.Name)
 	}
 	for _, p := range pkgs {
-		data = appendStr(data, p.Version)
-		data = binary.AppendUvarint(data, uint64(p.InstalledSize))
-		data = binary.AppendUvarint(data, uint64(p.PackedSize))
+		data = bincode.AppendString(data, p.Version)
+		data = bincode.AppendUvarint(data, uint64(p.InstalledSize))
+		data = bincode.AppendUvarint(data, uint64(p.PackedSize))
 	}
 	return content.NewTarball(name, data, s.PackedSize(), s.InstalledSize()), nil
-}
-
-func appendStr(b []byte, s string) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
 // UnpackManifest parses a packed environment back into its spec,
 // strictly: anything but the exact bytes Pack writes is an error
 // wrapping ErrManifest.
 func UnpackManifest(data []byte) (*EnvSpec, error) {
-	r := manifestReader{b: data}
-	names := r.names()
+	r, names := readNames(data)
 	spec := &EnvSpec{Packages: make([]PinnedPackage, len(names))}
 	for i := range spec.Packages {
 		p := &spec.Packages[i]
 		p.Name = names[i]
-		p.Version = string(r.bytes("version"))
-		p.InstalledSize = r.size("installed size")
-		p.PackedSize = r.size("packed size")
+		p.Version = r.Str()
+		p.InstalledSize = readSize(&r)
+		p.PackedSize = readSize(&r)
 	}
-	if err := r.done(); err != nil {
-		return nil, err
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrManifest, err)
 	}
 	return spec, nil
 }
@@ -227,111 +223,50 @@ func UnpackManifest(data []byte) (*EnvSpec, error) {
 // one copy of the table, so a manifest costs two allocations however
 // many packages it lists.
 func ManifestModules(data []byte) ([]string, error) {
-	r := manifestReader{b: data}
-	names := r.names()
-	return names, r.err
+	r, names := readNames(data)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrManifest, err)
+	}
+	return names, nil
 }
 
-// manifestReader is a bounds-checked cursor over a packed manifest.
-// Errors stick: after the first failure every read returns zero values,
-// so decoders check err once at the end.
-type manifestReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *manifestReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s (offset %d of %d)", ErrManifest, fmt.Sprintf(format, args...), r.off, len(r.b))
-	}
-}
-
-// uvarint reads a uvarint in its shortest encoding, the only one Pack
-// writes: a longer one ends in a zero byte.
-func (r *manifestReader) uvarint(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 || (n > 1 && r.b[r.off+n-1] == 0) {
-		r.fail("bad %s", what)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// bytes reads a length-prefixed field, aliasing the manifest.
-func (r *manifestReader) bytes(what string) []byte {
-	n := r.uvarint(what)
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.b)-r.off) {
-		r.fail("%s of %d bytes runs past the end", what, n)
-		return nil
-	}
-	v := r.b[r.off : r.off+int(n)]
-	r.off += int(n)
-	return v
-}
-
-func (r *manifestReader) size(what string) int64 {
-	v := r.uvarint(what)
+func readSize(r *bincode.Reader) int64 {
+	v := r.Uvarint()
 	if v > math.MaxInt64 {
-		r.fail("%s %d out of range", what, v)
-		return 0
+		r.Fail(fmt.Errorf("size %d out of range", v))
 	}
 	return int64(v)
 }
 
-// done reports the sticky error, or bytes left after the last package:
-// a manifest is exactly its fields.
-func (r *manifestReader) done() error {
-	if r.off != len(r.b) {
-		r.fail("%d trailing bytes", len(r.b)-r.off)
+// readNames checks the magic, reads the package count and then the name
+// table, as substrings of one copy of it, leaving r at the packages.
+func readNames(data []byte) (r bincode.Reader, names []string) {
+	r = bincode.NewReader(data)
+	if [4]byte{r.Byte(), r.Byte(), r.Byte(), r.Byte()} != manifestMagic {
+		r.Fail(errors.New("not a packed environment manifest"))
 	}
-	return r.err
-}
-
-// names checks the magic, reads the package count — refusing one the
-// rest of the manifest cannot hold, so no count sizes an allocation
-// unchecked — and then the name table, as substrings of one copy of it.
-func (r *manifestReader) names() []string {
-	if len(r.b) < len(manifestMagic) || [4]byte(r.b) != manifestMagic {
-		r.fail("not a packed environment manifest")
-		return nil
-	}
-	r.off = len(manifestMagic)
-	count := r.uvarint("package count")
-	if r.err == nil && count > uint64(len(r.b)-r.off)/minPackageSize {
-		r.fail("package count %d larger than the manifest", count)
-	}
-	if r.err != nil {
-		return nil
-	}
-	start := r.off
+	count := r.Count(minPackageSize)
+	start := len(data) - r.Len()
 	var prev []byte
-	for i := uint64(0); i < count && r.err == nil; i++ {
-		name := r.bytes("name")
-		if r.err == nil && i > 0 && bytes.Compare(prev, name) >= 0 {
-			r.fail("name %q not after %q", name, prev)
+	for i := 0; i < count && r.Err() == nil; i++ {
+		name := r.Bytes()
+		if r.Err() == nil && i > 0 && bytes.Compare(prev, name) >= 0 {
+			r.Fail(fmt.Errorf("name %q not after %q", name, prev))
 		}
 		prev = name
 	}
-	if r.err != nil {
-		return nil
+	if r.Err() != nil {
+		return r, nil
 	}
 	// The table is valid; walk it again to cut the names from one copy.
-	table := string(r.b[start:r.off])
-	names := make([]string, count)
-	off := 0
+	table := data[start : len(data)-r.Len()]
+	copied := string(table)
+	names = make([]string, count)
+	t := bincode.NewReader(table)
 	for i := range names {
-		n, w := binary.Uvarint(r.b[start+off:])
-		off += w
-		names[i] = table[off : off+int(n)]
-		off += int(n)
+		n := len(t.Bytes())
+		end := len(table) - t.Len()
+		names[i] = copied[end-n : end]
 	}
-	return names
+	return r, names
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bincode"
 	"repro/internal/minipy"
 	"repro/internal/pkgindex"
 )
@@ -304,7 +305,7 @@ func corruptManifests(t *testing.T) []corruptManifest {
 	// package section are ManifestModules' to refuse too.
 	tableEnd := len(real)
 	for _, p := range spec.Packages {
-		tableEnd -= len(binary.AppendUvarint(binary.AppendUvarint(appendStr(nil, p.Version), uint64(p.InstalledSize)), uint64(p.PackedSize)))
+		tableEnd -= len(binary.AppendUvarint(binary.AppendUvarint(bincode.AppendString(nil, p.Version), uint64(p.InstalledSize)), uint64(p.PackedSize)))
 	}
 	for n := 0; n < len(real); n++ {
 		cases = append(cases, corruptManifest{fmt.Sprintf("truncated to %d of %d bytes", n, len(real)), real[:n], n < tableEnd})
@@ -326,7 +327,7 @@ func TestUnpackManifestCorrupt(t *testing.T) {
 		}
 	}
 	// A count the bytes cannot hold is refused as read, before any name.
-	if _, err := ManifestModules(manifest(1<<40, 1, []byte("a"))); err == nil || !strings.Contains(err.Error(), "package count") {
+	if _, err := ManifestModules(manifest(1<<40, 1, []byte("a"))); err == nil || !strings.Contains(err.Error(), "count 1099511627776") {
 		t.Errorf("oversized count: %v, want it refused at the count", err)
 	}
 }

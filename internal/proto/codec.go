@@ -1,13 +1,10 @@
 // Binary bodies for every frame: one encoder and one decoder per
-// message type, built from the same few primitives — varint-prefixed
-// strings and raw byte slices, varints, fixed-width floats and flag
-// bytes — with no reflection and no base64.
+// message type, written and read with internal/bincode, whose reader
+// holds the rules for bytes a peer sends.
 //
-// A body leads with binMarker and holds exactly its fields; a decoder
-// refuses a body that does not start with the marker or has bytes left
-// over after its last field. A bulk frame's body is its header followed
-// by the object bytes: the header delimits itself, and the payload is
-// whatever follows it.
+// A body leads with binMarker. A bulk frame's body is its header
+// followed by the object bytes: the header delimits itself, and the
+// payload is whatever follows it.
 //
 // MsgRunTask and MsgInstallLibrary are where "what a FileSpec looks
 // like on the wire" is decided: its object's header (ID, name, kind,
@@ -18,10 +15,10 @@ package proto
 
 import (
 	"bytes"
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"math"
 
+	"repro/internal/bincode"
 	"repro/internal/core"
 )
 
@@ -63,107 +60,79 @@ func appendBody(b []byte, v any) ([]byte, MsgType) {
 	case core.LibrarySpec:
 		return appendLibrary(b, &m), MsgInstallLibrary
 	case Hello:
-		b = append(b, binMarker)
-		b = appendStr(b, m.WorkerID)
+		b = bincode.AppendString(append(b, binMarker), m.WorkerID)
 		b = appendResources(b, m.Resources)
-		b = appendStr(b, m.Cluster)
-		b = appendStr(b, m.DataAddr)
-		return appendFloat(b, m.MachineGFlops), MsgHello
+		b = bincode.AppendString(b, m.Cluster)
+		b = bincode.AppendString(b, m.DataAddr)
+		return bincode.AppendFloat64BE(b, m.MachineGFlops), MsgHello
 	case FetchFile:
 		return appendFetchFile(b, &m), MsgFetchFile
 	case FileAck:
-		b = append(b, binMarker, flagBits(m.Ok, m.Cache))
-		b = appendStr(b, m.ID)
-		b = appendStr(b, m.Source)
-		return appendStr(b, m.Err), MsgFileAck
+		b = append(b, binMarker, bincode.Flags(m.Ok, m.Cache))
+		b = bincode.AppendString(b, m.ID)
+		b = bincode.AppendString(b, m.Source)
+		return bincode.AppendString(b, m.Err), MsgFileAck
 	case LibraryAck:
-		b = append(b, binMarker, flagBits(m.Ok, m.Retryable))
-		b = appendStr(b, m.Library)
-		b = appendStr(b, m.Instance)
-		b = appendStr(b, m.Err)
-		return appendFloat(b, m.SetupTime), MsgLibraryAck
+		b = append(b, binMarker, bincode.Flags(m.Ok, m.Retryable))
+		b = bincode.AppendString(b, m.Library)
+		b = bincode.AppendString(b, m.Instance)
+		b = bincode.AppendString(b, m.Err)
+		return bincode.AppendFloat64BE(b, m.SetupTime), MsgLibraryAck
 	case LogMsg:
-		b = appendStr(append(b, binMarker), m.Worker)
-		return appendStr(b, m.Text), MsgLog
+		b = bincode.AppendString(append(b, binMarker), m.Worker)
+		return bincode.AppendString(b, m.Text), MsgLog
 	case RemoveLibrary:
-		return appendStr(append(b, binMarker), m.Library), MsgRemoveLibrary
+		return bincode.AppendString(append(b, binMarker), m.Library), MsgRemoveLibrary
 	case SpillObject:
-		return appendStr(append(b, binMarker), m.ID), MsgSpillObject
+		return bincode.AppendString(append(b, binMarker), m.ID), MsgSpillObject
 	case OwnObject:
-		return appendStr(append(b, binMarker), m.ID), MsgOwnObject
+		return bincode.AppendString(append(b, binMarker), m.ID), MsgOwnObject
 	case GetFile:
-		return appendStr(append(b, binMarker), m.ID), MsgGetFile
+		return bincode.AppendString(append(b, binMarker), m.ID), MsgGetFile
 	case ErrorMsg:
-		return appendStr(append(b, binMarker), m.Err), MsgError
+		return bincode.AppendString(append(b, binMarker), m.Err), MsgError
 	case Shutdown:
 		return append(b, binMarker), MsgShutdown
 	case PutFileHdr:
-		return appendFileHdr(append(b, binMarker, flagBits(m.Cache, m.Unpack)), m.File), MsgPutFileBulk
+		return appendFileHdr(append(b, binMarker, bincode.Flags(m.Cache, m.Unpack)), m.File), MsgPutFileBulk
 	case FileHdr:
 		return appendFileHdr(append(b, binMarker), m), MsgFileDataBulk
 	}
 	return b, 0
 }
 
-// flagBits packs bools into a flag byte, the first argument in bit 0.
-func flagBits(bits ...bool) byte {
-	var flags byte
-	for i, set := range bits {
-		if set {
-			flags |= 1 << i
-		}
-	}
-	return flags
-}
-
-func appendStr(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendBytes(b, p []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(p)))
-	return append(b, p...)
-}
-
-func appendFloat(b []byte, f float64) []byte {
-	return binary.BigEndian.AppendUint64(b, math.Float64bits(f))
-}
-
 func appendInvocation(b []byte, inv *core.InvocationSpec) []byte {
-	b = append(b, binMarker)
-	b = binary.BigEndian.AppendUint64(b, uint64(inv.ID))
-	b = appendStr(b, inv.Library)
-	b = appendStr(b, inv.Function)
-	return appendBytes(b, inv.Args)
+	b = bincode.AppendUint64BE(append(b, binMarker), uint64(inv.ID))
+	b = bincode.AppendString(b, inv.Library)
+	b = bincode.AppendString(b, inv.Function)
+	return bincode.AppendBytes(b, inv.Args)
 }
 
 func appendResult(b []byte, r *core.Result) []byte {
-	b = append(b, binMarker)
-	b = binary.BigEndian.AppendUint64(b, uint64(r.ID))
-	b = append(b, flagBits(r.Ok, r.Retryable, r.Ref != nil))
-	b = appendStr(b, r.Err)
-	b = appendBytes(b, r.Value)
+	b = bincode.AppendUint64BE(append(b, binMarker), uint64(r.ID))
+	b = append(b, bincode.Flags(r.Ok, r.Retryable, r.Ref != nil))
+	b = bincode.AppendString(b, r.Err)
+	b = bincode.AppendBytes(b, r.Value)
 	if r.Ref != nil {
-		b = appendStr(b, r.Ref.ID)
-		b = appendStr(b, r.Ref.Name)
-		b = binary.BigEndian.AppendUint64(b, uint64(r.Ref.Size))
-		b = appendStr(b, r.Ref.Owner)
+		b = bincode.AppendString(b, r.Ref.ID)
+		b = bincode.AppendString(b, r.Ref.Name)
+		b = bincode.AppendUint64BE(b, uint64(r.Ref.Size))
+		b = bincode.AppendString(b, r.Ref.Owner)
 		b = append(b, byte(r.Ref.Tier))
 	}
-	b = appendFloat(b, r.Metrics.TransferTime)
-	b = appendFloat(b, r.Metrics.WorkerTime)
-	b = appendFloat(b, r.Metrics.SetupTime)
-	b = appendFloat(b, r.Metrics.ExecTime)
-	b = appendStr(b, r.Metrics.WorkerID)
-	return appendStr(b, r.Metrics.LibraryInstance)
+	b = bincode.AppendFloat64BE(b, r.Metrics.TransferTime)
+	b = bincode.AppendFloat64BE(b, r.Metrics.WorkerTime)
+	b = bincode.AppendFloat64BE(b, r.Metrics.SetupTime)
+	b = bincode.AppendFloat64BE(b, r.Metrics.ExecTime)
+	b = bincode.AppendString(b, r.Metrics.WorkerID)
+	return bincode.AppendString(b, r.Metrics.LibraryInstance)
 }
 
 // appendFileSpec writes an input binding as the object's header and the
 // binding's flag bits. Object.Data has no place here: the bytes reach
 // the worker in a bulk frame, before the frame that names them.
 func appendFileSpec(b []byte, fs *core.FileSpec) []byte {
-	b = append(b, flagBits(fs.Cache, fs.PeerTransfer, fs.Unpack, fs.ByRef))
+	b = append(b, bincode.Flags(fs.Cache, fs.PeerTransfer, fs.Unpack, fs.ByRef))
 	if fs.Object == nil {
 		return appendFileHdr(b, FileHdr{})
 	}
@@ -173,28 +142,28 @@ func appendFileSpec(b []byte, fs *core.FileSpec) []byte {
 // appendFileHdr writes an object's header: what a control frame names
 // it by, and what travels in front of its bytes in a bulk frame.
 func appendFileHdr(b []byte, h FileHdr) []byte {
-	b = appendStr(b, h.ID)
-	b = appendStr(b, h.Name)
-	b = binary.AppendVarint(b, int64(h.Kind))
-	b = binary.AppendVarint(b, h.LogicalSize)
-	return binary.AppendVarint(b, h.UnpackedSize)
+	b = bincode.AppendString(b, h.ID)
+	b = bincode.AppendString(b, h.Name)
+	b = bincode.AppendVarint(b, int64(h.Kind))
+	b = bincode.AppendVarint(b, h.LogicalSize)
+	return bincode.AppendVarint(b, h.UnpackedSize)
 }
 
 func appendFetchFile(b []byte, f *FetchFile) []byte {
-	b = append(b, binMarker, flagBits(f.Cache, f.Unpack, f.Shared, f.Own))
-	b = appendStr(b, f.ID)
-	b = appendStr(b, f.Name)
-	b = appendStr(b, f.FromAddr)
-	b = binary.AppendUvarint(b, uint64(len(f.AltAddrs)))
+	b = append(b, binMarker, bincode.Flags(f.Cache, f.Unpack, f.Shared, f.Own))
+	b = bincode.AppendString(b, f.ID)
+	b = bincode.AppendString(b, f.Name)
+	b = bincode.AppendString(b, f.FromAddr)
+	b = bincode.AppendUvarint(b, uint64(len(f.AltAddrs)))
 	for _, addr := range f.AltAddrs {
-		b = appendStr(b, addr)
+		b = bincode.AppendString(b, addr)
 	}
-	b = appendStr(b, f.Source)
-	return binary.AppendVarint(b, f.Size)
+	b = bincode.AppendString(b, f.Source)
+	return bincode.AppendVarint(b, f.Size)
 }
 
 func appendFileSpecs(b []byte, specs []core.FileSpec) []byte {
-	b = binary.AppendUvarint(b, uint64(len(specs)))
+	b = bincode.AppendUvarint(b, uint64(len(specs)))
 	for i := range specs {
 		b = appendFileSpec(b, &specs[i])
 	}
@@ -202,40 +171,39 @@ func appendFileSpecs(b []byte, specs []core.FileSpec) []byte {
 }
 
 func appendResources(b []byte, r core.Resources) []byte {
-	b = binary.AppendVarint(b, int64(r.Cores))
-	b = binary.AppendVarint(b, r.MemoryMB)
-	return binary.AppendVarint(b, r.DiskMB)
+	b = bincode.AppendVarint(b, int64(r.Cores))
+	b = bincode.AppendVarint(b, r.MemoryMB)
+	return bincode.AppendVarint(b, r.DiskMB)
 }
 
 func appendTask(b []byte, t *core.TaskSpec) []byte {
-	b = append(b, binMarker)
-	b = binary.BigEndian.AppendUint64(b, uint64(t.ID))
-	b = append(b, flagBits(t.ResultByRef))
-	b = appendStr(b, t.TenantID)
-	b = appendStr(b, t.Script)
+	b = bincode.AppendUint64BE(append(b, binMarker), uint64(t.ID))
+	b = append(b, bincode.Flags(t.ResultByRef))
+	b = bincode.AppendString(b, t.TenantID)
+	b = bincode.AppendString(b, t.Script)
 	b = appendFileSpecs(b, t.Inputs)
 	b = appendFileSpecs(b, t.SharedFSReads)
 	return appendResources(b, t.Resources)
 }
 
 func appendLibrary(b []byte, l *core.LibrarySpec) []byte {
-	b = append(b, binMarker, flagBits(l.Env != nil))
-	b = appendStr(b, l.Name)
-	b = binary.AppendUvarint(b, uint64(len(l.Functions)))
+	b = append(b, binMarker, bincode.Flags(l.Env != nil))
+	b = bincode.AppendString(b, l.Name)
+	b = bincode.AppendUvarint(b, uint64(len(l.Functions)))
 	for i := range l.Functions {
 		f := &l.Functions[i]
-		b = appendStr(b, f.Name)
-		b = appendStr(b, f.Source)
-		b = appendBytes(b, f.Pickled)
+		b = bincode.AppendString(b, f.Name)
+		b = bincode.AppendString(b, f.Source)
+		b = bincode.AppendBytes(b, f.Pickled)
 	}
-	b = appendBytes(b, l.ContextSetup)
-	b = appendBytes(b, l.ContextArgs)
+	b = bincode.AppendBytes(b, l.ContextSetup)
+	b = bincode.AppendBytes(b, l.ContextArgs)
 	if l.Env != nil {
 		b = appendFileSpec(b, l.Env)
 	}
 	b = appendFileSpecs(b, l.Inputs)
-	b = binary.AppendVarint(b, int64(l.Slots))
-	b = binary.AppendVarint(b, int64(l.Mode))
+	b = bincode.AppendVarint(b, int64(l.Slots))
+	b = bincode.AppendVarint(b, int64(l.Mode))
 	return appendResources(b, l.Resources)
 }
 
@@ -273,113 +241,29 @@ func (in *Interner) intern(b []byte) string {
 	return s
 }
 
-// binReader is a bounds-checked cursor over a binary body. Errors
-// stick: after the first failure every read returns zero values, so
-// decoders check err once at the end.
-type binReader struct {
-	b   []byte
-	off int
-	err error
+// open returns a reader over raw, past its marker.
+func open(raw []byte) bincode.Reader {
+	r := bincode.NewReader(raw)
+	if r.Byte() != binMarker {
+		r.Fail(errNotBinary)
+	}
+	return r
 }
 
-func (r *binReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("proto: truncated binary frame at %s (offset %d of %d)", what, r.off, len(r.b))
-	}
-}
+var errNotBinary = errors.New("body is not binary-encoded")
 
-func (r *binReader) u64(what string) uint64 {
-	if r.err != nil {
-		return 0
+// done is the decoders' one error: the reader's, in proto's words.
+func done(r *bincode.Reader) error {
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("proto: binary frame: %w", err)
 	}
-	if r.off+8 > len(r.b) {
-		r.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *binReader) byte(what string) byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.b) {
-		r.fail(what)
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *binReader) bytes(what string) []byte {
-	if r.err != nil {
-		return nil
-	}
-	n, w := binary.Uvarint(r.b[r.off:])
-	if w <= 0 || n > uint64(len(r.b)-r.off-w) {
-		r.fail(what)
-		return nil
-	}
-	r.off += w
-	v := r.b[r.off : r.off+int(n) : r.off+int(n)]
-	r.off += int(n)
-	return v
-}
-
-func (r *binReader) str(what string) string {
-	return string(r.bytes(what))
-}
-
-func (r *binReader) float(what string) float64 {
-	return math.Float64frombits(r.u64(what))
-}
-
-func (r *binReader) int(what string) int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, w := binary.Varint(r.b[r.off:])
-	if w <= 0 {
-		r.fail(what)
-		return 0
-	}
-	r.off += w
-	return v
-}
-
-// count reads an element count and refuses one the rest of the body
-// cannot hold at minSize encoded bytes per element, so a corrupt count
-// fails here instead of sizing an allocation.
-func (r *binReader) count(what string, minSize int) int {
-	if r.err != nil {
-		return 0
-	}
-	n, w := binary.Uvarint(r.b[r.off:])
-	if w <= 0 || n > uint64(len(r.b)-r.off-w)/uint64(minSize) {
-		r.fail(what)
-		return 0
-	}
-	r.off += w
-	return int(n)
-}
-
-// rest is the bulk payload: every byte after the header.
-func (r *binReader) rest() []byte {
-	if r.err != nil {
-		return nil
-	}
-	p := r.b[r.off:]
-	r.off = len(r.b)
-	return p
+	return nil
 }
 
 // copied is bytes for a value that outlives the receive buffer the
-// cursor aliases; empty decodes to nil.
-func (r *binReader) copied(what string) []byte {
-	if b := r.bytes(what); len(b) > 0 {
+// reader aliases; empty decodes to nil.
+func copied(r *bincode.Reader) []byte {
+	if b := r.Bytes(); len(b) > 0 {
 		return append([]byte(nil), b...)
 	}
 	return nil
@@ -395,13 +279,12 @@ func DecodeInvocation(raw []byte) (core.InvocationSpec, error) {
 // sees the same few names tens of thousands of times per second.
 func DecodeInvocationInterned(raw []byte, in *Interner) (core.InvocationSpec, error) {
 	var inv core.InvocationSpec
-	r := &binReader{b: raw}
-	r.marker()
-	inv.ID = int64(r.u64("id"))
-	inv.Library = in.intern(r.bytes("library"))
-	inv.Function = in.intern(r.bytes("function"))
-	inv.Args = r.copied("args")
-	return inv, r.done()
+	r := open(raw)
+	inv.ID = int64(r.Uint64BE())
+	inv.Library = in.intern(r.Bytes())
+	inv.Function = in.intern(r.Bytes())
+	inv.Args = copied(&r)
+	return inv, done(&r)
 }
 
 // DecodeResult decodes a MsgResult body.
@@ -414,42 +297,41 @@ func DecodeResult(raw []byte) (core.Result, error) {
 // receive loop sees the same identifiers on every completion.
 func DecodeResultInterned(raw []byte, in *Interner) (core.Result, error) {
 	var res core.Result
-	r := &binReader{b: raw}
-	r.marker()
-	res.ID = int64(r.u64("id"))
-	flags := r.byte("flags")
+	r := open(raw)
+	res.ID = int64(r.Uint64BE())
+	flags := r.Byte()
 	res.Ok = flags&1 != 0
 	res.Retryable = flags&2 != 0
-	res.Err = r.str("err")
-	res.Value = r.copied("value")
+	res.Err = r.Str()
+	res.Value = copied(&r)
 	if flags&4 != 0 {
 		ref := &core.ObjectRef{}
-		ref.ID = r.str("ref_id")
-		ref.Name = r.str("ref_name")
-		ref.Size = int64(r.u64("ref_size"))
-		ref.Owner = in.intern(r.bytes("ref_owner"))
-		ref.Tier = int(r.byte("ref_tier"))
+		ref.ID = r.Str()
+		ref.Name = r.Str()
+		ref.Size = int64(r.Uint64BE())
+		ref.Owner = in.intern(r.Bytes())
+		ref.Tier = int(r.Byte())
 		res.Ref = ref
 	}
-	res.Metrics.TransferTime = r.float("transfer_time")
-	res.Metrics.WorkerTime = r.float("worker_time")
-	res.Metrics.SetupTime = r.float("setup_time")
-	res.Metrics.ExecTime = r.float("exec_time")
-	res.Metrics.WorkerID = in.intern(r.bytes("worker_id"))
-	res.Metrics.LibraryInstance = in.intern(r.bytes("library_instance"))
-	return res, r.done()
+	res.Metrics.TransferTime = r.Float64BE()
+	res.Metrics.WorkerTime = r.Float64BE()
+	res.Metrics.SetupTime = r.Float64BE()
+	res.Metrics.ExecTime = r.Float64BE()
+	res.Metrics.WorkerID = in.intern(r.Bytes())
+	res.Metrics.LibraryInstance = in.intern(r.Bytes())
+	return res, done(&r)
 }
 
-// Smallest encodings of the repeated elements, for binReader.count.
+// Smallest encodings of the repeated elements, for Reader.Count.
 const (
 	minFileSpecSize = 6 // flags, two empty strings, three one-byte ints
 	minFunctionSize = 3 // three empty fields
 )
 
-func (r *binReader) fileSpec() core.FileSpec {
-	flags := r.byte("file flags")
+func readFileSpec(r *bincode.Reader) core.FileSpec {
+	flags := r.Byte()
 	return core.FileSpec{
-		Object:       r.fileHdr().Object(nil),
+		Object:       readFileHdr(r).Object(nil),
 		Cache:        flags&1 != 0,
 		PeerTransfer: flags&2 != 0,
 		Unpack:       flags&4 != 0,
@@ -457,48 +339,33 @@ func (r *binReader) fileSpec() core.FileSpec {
 	}
 }
 
-func (r *binReader) fileHdr() FileHdr {
+func readFileHdr(r *bincode.Reader) FileHdr {
 	return FileHdr{
-		ID:           r.str("object id"),
-		Name:         r.str("object name"),
-		Kind:         int(r.int("object kind")),
-		LogicalSize:  r.int("object logical size"),
-		UnpackedSize: r.int("object unpacked size"),
+		ID:           r.Str(),
+		Name:         r.Str(),
+		Kind:         int(r.Varint()),
+		LogicalSize:  r.Varint(),
+		UnpackedSize: r.Varint(),
 	}
 }
 
-func (r *binReader) fileSpecs(what string) []core.FileSpec {
-	n := r.count(what, minFileSpecSize)
+func readFileSpecs(r *bincode.Reader) []core.FileSpec {
+	n := r.Count(minFileSpecSize)
 	if n == 0 {
 		return nil
 	}
 	specs := make([]core.FileSpec, n)
 	for i := range specs {
-		specs[i] = r.fileSpec()
+		specs[i] = readFileSpec(r)
 	}
 	return specs
 }
 
-func (r *binReader) resources() core.Resources {
+func readResources(r *bincode.Reader) core.Resources {
 	return core.Resources{
-		Cores:    int(r.int("cores")),
-		MemoryMB: r.int("memory"),
-		DiskMB:   r.int("disk"),
-	}
-}
-
-// done reports the cursor's sticky error, or bytes left over after the
-// last field: a body is exactly its fields.
-func (r *binReader) done() error {
-	if r.err == nil && r.off != len(r.b) {
-		return fmt.Errorf("proto: %d trailing bytes after binary frame", len(r.b)-r.off)
-	}
-	return r.err
-}
-
-func (r *binReader) marker() {
-	if r.byte("marker") != binMarker && r.err == nil {
-		r.err = fmt.Errorf("proto: body is not binary-encoded")
+		Cores:    int(r.Varint()),
+		MemoryMB: r.Varint(),
+		DiskMB:   r.Varint(),
 	}
 }
 
@@ -507,134 +374,125 @@ func (r *binReader) marker() {
 // data plane.
 func DecodeTask(raw []byte) (core.TaskSpec, error) {
 	var t core.TaskSpec
-	r := &binReader{b: raw}
-	r.marker()
-	t.ID = int64(r.u64("id"))
-	t.ResultByRef = r.byte("flags")&1 != 0
-	t.TenantID = r.str("tenant")
-	t.Script = r.str("script")
-	t.Inputs = r.fileSpecs("inputs")
-	t.SharedFSReads = r.fileSpecs("shared fs reads")
-	t.Resources = r.resources()
-	return t, r.done()
+	r := open(raw)
+	t.ID = int64(r.Uint64BE())
+	t.ResultByRef = r.Byte()&1 != 0
+	t.TenantID = r.Str()
+	t.Script = r.Str()
+	t.Inputs = readFileSpecs(&r)
+	t.SharedFSReads = readFileSpecs(&r)
+	t.Resources = readResources(&r)
+	return t, done(&r)
 }
 
 // DecodeLibrary decodes a MsgInstallLibrary body; as with DecodeTask,
 // the environment and inputs come back as headers.
 func DecodeLibrary(raw []byte) (core.LibrarySpec, error) {
 	var l core.LibrarySpec
-	r := &binReader{b: raw}
-	r.marker()
-	flags := r.byte("flags")
-	l.Name = r.str("name")
-	if n := r.count("functions", minFunctionSize); n > 0 {
+	r := open(raw)
+	flags := r.Byte()
+	l.Name = r.Str()
+	if n := r.Count(minFunctionSize); n > 0 {
 		l.Functions = make([]core.FunctionSpec, n)
 		for i := range l.Functions {
 			f := &l.Functions[i]
-			f.Name = r.str("function name")
-			f.Source = r.str("function source")
-			f.Pickled = r.copied("pickled function")
+			f.Name = r.Str()
+			f.Source = r.Str()
+			f.Pickled = copied(&r)
 		}
 	}
-	l.ContextSetup = r.copied("context setup")
-	l.ContextArgs = r.copied("context args")
+	l.ContextSetup = copied(&r)
+	l.ContextArgs = copied(&r)
 	if flags&1 != 0 {
-		env := r.fileSpec()
+		env := readFileSpec(&r)
 		l.Env = &env
 	}
-	l.Inputs = r.fileSpecs("inputs")
-	l.Slots = int(r.int("slots"))
-	l.Mode = core.ExecMode(r.int("mode"))
-	l.Resources = r.resources()
-	return l, r.done()
+	l.Inputs = readFileSpecs(&r)
+	l.Slots = int(r.Varint())
+	l.Mode = core.ExecMode(r.Varint())
+	l.Resources = readResources(&r)
+	return l, done(&r)
 }
 
 // DecodeHello decodes a MsgHello body.
 func DecodeHello(raw []byte) (Hello, error) {
 	var h Hello
-	r := &binReader{b: raw}
-	r.marker()
-	h.WorkerID = r.str("worker id")
-	h.Resources = r.resources()
-	h.Cluster = r.str("cluster")
-	h.DataAddr = r.str("data addr")
-	h.MachineGFlops = r.float("gflops")
-	return h, r.done()
+	r := open(raw)
+	h.WorkerID = r.Str()
+	h.Resources = readResources(&r)
+	h.Cluster = r.Str()
+	h.DataAddr = r.Str()
+	h.MachineGFlops = r.Float64BE()
+	return h, done(&r)
 }
 
 // DecodeFetchFile decodes a MsgFetchFile body.
 func DecodeFetchFile(raw []byte) (FetchFile, error) {
 	var f FetchFile
-	r := &binReader{b: raw}
-	r.marker()
-	flags := r.byte("flags")
+	r := open(raw)
+	flags := r.Byte()
 	f.Cache, f.Unpack, f.Shared, f.Own = flags&1 != 0, flags&2 != 0, flags&4 != 0, flags&8 != 0
-	f.ID = r.str("id")
-	f.Name = r.str("name")
-	f.FromAddr = r.str("from addr")
-	if n := r.count("alt addrs", 1); n > 0 {
+	f.ID = r.Str()
+	f.Name = r.Str()
+	f.FromAddr = r.Str()
+	if n := r.Count(1); n > 0 {
 		f.AltAddrs = make([]string, n)
 		for i := range f.AltAddrs {
-			f.AltAddrs[i] = r.str("alt addr")
+			f.AltAddrs[i] = r.Str()
 		}
 	}
-	f.Source = r.str("source")
-	f.Size = r.int("size")
-	return f, r.done()
+	f.Source = r.Str()
+	f.Size = r.Varint()
+	return f, done(&r)
 }
 
 // DecodeFileAck decodes a MsgFileAck body.
 func DecodeFileAck(raw []byte) (FileAck, error) {
 	var a FileAck
-	r := &binReader{b: raw}
-	r.marker()
-	flags := r.byte("flags")
+	r := open(raw)
+	flags := r.Byte()
 	a.Ok, a.Cache = flags&1 != 0, flags&2 != 0
-	a.ID = r.str("id")
-	a.Source = r.str("source")
-	a.Err = r.str("err")
-	return a, r.done()
+	a.ID = r.Str()
+	a.Source = r.Str()
+	a.Err = r.Str()
+	return a, done(&r)
 }
 
 // DecodeLibraryAck decodes a MsgLibraryAck body.
 func DecodeLibraryAck(raw []byte) (LibraryAck, error) {
 	var a LibraryAck
-	r := &binReader{b: raw}
-	r.marker()
-	flags := r.byte("flags")
+	r := open(raw)
+	flags := r.Byte()
 	a.Ok, a.Retryable = flags&1 != 0, flags&2 != 0
-	a.Library = r.str("library")
-	a.Instance = r.str("instance")
-	a.Err = r.str("err")
-	a.SetupTime = r.float("setup time")
-	return a, r.done()
+	a.Library = r.Str()
+	a.Instance = r.Str()
+	a.Err = r.Str()
+	a.SetupTime = r.Float64BE()
+	return a, done(&r)
 }
 
 // DecodeLog decodes a MsgLog body.
 func DecodeLog(raw []byte) (LogMsg, error) {
 	var m LogMsg
-	r := &binReader{b: raw}
-	r.marker()
-	m.Worker = r.str("worker")
-	m.Text = r.str("text")
-	return m, r.done()
+	r := open(raw)
+	m.Worker = r.Str()
+	m.Text = r.Str()
+	return m, done(&r)
 }
 
 // DecodeString decodes the body of a one-string message: the library of
 // a MsgRemoveLibrary, the object ID of a MsgSpillObject, MsgOwnObject or
 // MsgGetFile, the text of a MsgError.
 func DecodeString(raw []byte) (string, error) {
-	r := &binReader{b: raw}
-	r.marker()
-	s := r.str("string")
-	return s, r.done()
+	r := open(raw)
+	s := r.Str()
+	return s, done(&r)
 }
 
 // DecodeShutdown checks a MsgShutdown body, which is the marker alone.
 func DecodeShutdown(raw []byte) error {
-	r := &binReader{b: raw}
-	r.marker()
-	return r.done()
+	r := open(raw)
+	return done(&r)
 }
 
 // DecodePutFile decodes a MsgPutFileBulk body into its header and the
@@ -643,20 +501,18 @@ func DecodeShutdown(raw []byte) error {
 // object's bytes.
 func DecodePutFile(raw []byte) (PutFileHdr, []byte, error) {
 	var h PutFileHdr
-	r := &binReader{b: raw}
-	r.marker()
-	flags := r.byte("flags")
+	r := open(raw)
+	flags := r.Byte()
 	h.Cache, h.Unpack = flags&1 != 0, flags&2 != 0
-	h.File = r.fileHdr()
-	payload := r.rest()
-	return h, payload, r.done()
+	h.File = readFileHdr(&r)
+	payload := r.Rest()
+	return h, payload, done(&r)
 }
 
 // DecodeFileData decodes a MsgFileDataBulk body like DecodePutFile.
 func DecodeFileData(raw []byte) (FileHdr, []byte, error) {
-	r := &binReader{b: raw}
-	r.marker()
-	h := r.fileHdr()
-	payload := r.rest()
-	return h, payload, r.done()
+	r := open(raw)
+	h := readFileHdr(&r)
+	payload := r.Rest()
+	return h, payload, done(&r)
 }

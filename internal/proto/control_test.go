@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -87,14 +88,32 @@ func TestQuickControlRoundTrip(t *testing.T) {
 	}
 }
 
+// stretched re-encodes the one-byte uvarint at raw[i] in two bytes: the
+// same value, not in its shortest form, which no encoder writes.
+func stretched(raw []byte, i int) []byte {
+	return append(append(append([]byte(nil), raw[:i]...), raw[i]|0x80, 0), raw[i+1:]...)
+}
+
 // TestControlCodecRejectsDamage: for every control message, every
-// proper prefix of a body, a body with a byte to spare, and the JSON
-// body a peer of an older build would send all fail to decode.
+// proper prefix of a body, a body with a byte to spare, a length not in
+// its shortest form, and the JSON body a peer of an older build would
+// send all fail to decode.
 func TestControlCodecRejectsDamage(t *testing.T) {
 	for mt, decode := range controlDecoders {
 		raw := body(t, mt, controlSamples[mt])
 		if _, err := decode(raw); err != nil {
 			t.Fatalf("%v: intact body: %v", mt, err)
+		}
+		// The first length follows the marker and, in the three messages
+		// that have one, a flag byte; a shutdown body is the marker alone.
+		if mt != proto.MsgShutdown {
+			first := 1
+			if mt == proto.MsgFetchFile || mt == proto.MsgFileAck || mt == proto.MsgLibraryAck {
+				first = 2
+			}
+			if _, err := decode(stretched(raw, first)); err == nil || !strings.Contains(err.Error(), "shortest form") {
+				t.Errorf("%v: a length not in its shortest form: %v", mt, err)
+			}
 		}
 		for n := 0; n < len(raw); n++ {
 			if _, err := decode(raw[:n]); err == nil {

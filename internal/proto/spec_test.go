@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/content"
@@ -227,20 +228,25 @@ func TestSpecCodecNamesObjectsOnly(t *testing.T) {
 }
 
 // TestSpecCodecRejectsDamage: every proper prefix of a body, a body with
-// bytes after its last field, and a body of another encoding all error.
+// bytes after its last field, a length not in its shortest form, and a
+// body of another encoding all error.
 func TestSpecCodecRejectsDamage(t *testing.T) {
 	ts, ls := lnniSpecs(t, 16)
 	cases := []struct {
 		name   string
 		raw    []byte
 		decode func([]byte) error
+		lenAt  int // where the first length is: after the ID and flags, or the flags
 	}{
-		{"task", body(t, proto.MsgRunTask, &ts), func(b []byte) error { _, err := proto.DecodeTask(b); return err }},
-		{"library", body(t, proto.MsgInstallLibrary, &ls), func(b []byte) error { _, err := proto.DecodeLibrary(b); return err }},
+		{"task", body(t, proto.MsgRunTask, &ts), func(b []byte) error { _, err := proto.DecodeTask(b); return err }, 10},
+		{"library", body(t, proto.MsgInstallLibrary, &ls), func(b []byte) error { _, err := proto.DecodeLibrary(b); return err }, 2},
 	}
 	for _, c := range cases {
 		if err := c.decode(c.raw); err != nil {
 			t.Fatalf("%s: intact body: %v", c.name, err)
+		}
+		if err := c.decode(stretched(c.raw, c.lenAt)); err == nil || !strings.Contains(err.Error(), "shortest form") {
+			t.Errorf("%s: a length not in its shortest form: %v", c.name, err)
 		}
 		for n := 0; n < len(c.raw); n++ {
 			if c.decode(c.raw[:n]) == nil {
