@@ -353,14 +353,16 @@ func (d *decoder) value() minipy.Value {
 		return minipy.Str(b)
 	case tagList:
 		// Each element is at least its tag byte.
-		l := &minipy.List{Elems: make([]minipy.Value, d.Count(1))}
+		n := d.Count(1)
+		l := &minipy.List{Elems: make([]minipy.Value, 0, n)}
 		d.remember(l)
-		d.fill(l.Elems)
+		d.fill(&l.Elems, n)
 		return l
 	case tagTuple:
-		t := &minipy.Tuple{Elems: make([]minipy.Value, d.Count(1))}
+		n := d.Count(1)
+		t := &minipy.Tuple{Elems: make([]minipy.Value, 0, n)}
 		d.remember(t)
-		d.fill(t.Elems)
+		d.fill(&t.Elems, n)
 		return t
 	case tagDict:
 		dict := minipy.NewDict()
@@ -372,6 +374,8 @@ func (d *decoder) value() minipy.Value {
 			}
 			if err := dict.Set(k, v); err != nil {
 				d.Fail(err)
+			} else if unfinished(k) {
+				d.Fail(errors.New("a dict key refers to a tuple still being decoded"))
 			}
 		}
 		return dict
@@ -412,11 +416,34 @@ func (d *decoder) value() minipy.Value {
 	return nil
 }
 
-// fill decodes into every slot of vs.
-func (d *decoder) fill(vs []minipy.Value) {
-	for i := range vs {
-		vs[i] = d.decode()
+// fill appends n decoded elements to the container's *vs, made with
+// capacity n, one at a time: a reference back to the unfinished
+// container sees only elements already decoded, never a nil slot, and
+// until the last one it holds fewer elements than its capacity.
+func (d *decoder) fill(vs *[]minipy.Value, n int) {
+	for ; n > 0 && d.Err() == nil; n-- {
+		*vs = append(*vs, d.decode())
 	}
+}
+
+// unfinished reports whether a hashable value reaches a tuple fill has
+// not finished. As a dict key, its hash would change once the tuple is
+// filled and strand the entry. No value Marshal accepts does this: a key
+// reaching a tuple that holds the dict would itself hold the dict.
+func unfinished(v minipy.Value) bool {
+	t, ok := v.(*minipy.Tuple)
+	if !ok {
+		return false
+	}
+	if len(t.Elems) < cap(t.Elems) {
+		return true
+	}
+	for _, e := range t.Elems {
+		if unfinished(e) {
+			return true
+		}
+	}
+	return false
 }
 
 // stringMap decodes counted (string, value) entries into m, each at

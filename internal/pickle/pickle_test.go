@@ -439,6 +439,13 @@ func TestCorruptData(t *testing.T) {
 		{"a length in its shortest form only", append(header, tagStr, 0x81, 0x00, 'a'), "shortest form"},
 		{"a list count no larger than the bytes left", append(header, tagList, 5, tagNone, tagNone), "truncated: count 5"},
 		{"a nest of counts reserves no more than the input's length", nest, "reserves more than the 26-byte input"},
+		// (dict{<the tuple>: None},): hashing the key once read a slot
+		// not yet decoded and panicked.
+		{"a key refers to its own unfinished tuple", append(header, tagTuple, 1, tagDict, 1, tagRef, 0, tagNone), "still being decoded"},
+		// T = ((K, dict{K: None}),) with K = (T,): K is finished, but
+		// the T it reaches is not, so K's hash would change as T fills.
+		{"a key reaches an unfinished tuple through a finished one",
+			append(header, tagTuple, 1, tagTuple, 2, tagTuple, 1, tagRef, 0, tagDict, 1, tagRef, 2, tagNone), "still being decoded"},
 	}
 	for _, c := range cases {
 		_, err := Unmarshal(c.data, minipy.NewInterp(nil))
