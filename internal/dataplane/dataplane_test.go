@@ -3,6 +3,7 @@ package dataplane
 import (
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -451,6 +452,42 @@ func TestAltSourceExhaustion(t *testing.T) {
 	}
 	if st.AltSourceRetries != 2 {
 		t.Errorf("AltSourceRetries = %d, want 2", st.AltSourceRetries)
+	}
+}
+
+// TestServeIdleTimeoutFreesStalledSlot: a requester that connects and
+// sends nothing holds the plane's one serve slot only until the serve
+// side's idle timeout, so the fetch queued behind it is answered and the
+// stall counts as a serve error. Without that deadline the stall keeps
+// the slot, and the fetch fails at its own 10 s idle bound.
+func TestServeIdleTimeoutFreesStalledSlot(t *testing.T) {
+	p := New(Config{Cache: content.NewCache(0), ServeConcurrency: 1, IdleTimeout: 50 * time.Millisecond})
+	t.Cleanup(p.Close)
+	obj := content.NewBlob("served.bin", []byte("payload"))
+	if err := p.Put(obj, false); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go p.Serve(ln)
+	// Accepted first (the backlog is FIFO), the stall takes the slot.
+	stall, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { stall.Close() })
+	got, err := FetchPeer(ln.Addr().String(), obj.ID, 10*time.Second)
+	if err != nil {
+		t.Fatalf("fetch behind a stalled requester: %v", err)
+	}
+	if got.ID != obj.ID {
+		t.Errorf("fetched %s, want %s", got.ID, obj.ID)
+	}
+	if n := p.Snapshot().ServeErrors; n != 1 {
+		t.Errorf("ServeErrors = %d, want 1 (the stall)", n)
 	}
 }
 

@@ -129,28 +129,6 @@ func AblationDispatch(opts Options) *Report {
 	return rep
 }
 
-// All runs every experiment at the given scale, in paper order.
-func All(opts Options) []*Report {
-	return []*Report{
-		Table2(opts),
-		Fig6a(opts),
-		Fig6b(opts),
-		Fig7(opts),
-		Table4(opts),
-		Fig8(opts),
-		Fig9(opts),
-		Fig10(opts),
-		Fig11(opts),
-		Table5(opts),
-		AblationTransfer(opts),
-		AblationPeerCap(opts),
-		AblationSlots(opts),
-		AblationDispatch(opts),
-		ExaMolL3Projection(opts),
-		BurstyMultiTenant(opts),
-	}
-}
-
 // ByName returns the experiment runner for a CLI name.
 func ByName(name string) (func(Options) *Report, bool) {
 	m := map[string]func(Options) *Report{

@@ -183,6 +183,11 @@ func TestAblations(t *testing.T) {
 	if slow <= fast {
 		t.Errorf("higher dispatch cost should slow the run: %f vs %f", fast, slow)
 	}
+	ex := ExaMolL3Projection(Options{Scale: 1, Seed: testOpts.Seed})
+	l1, l2, l3 := ex.MustGet("L1 execution time"), ex.MustGet("L2 execution time"), ex.MustGet("L3 execution time")
+	if !(l3 < l2 && l2 < l1) {
+		t.Errorf("projected ExaMol should speed up with each level: L1 %f, L2 %f, L3 %f", l1, l2, l3)
+	}
 }
 
 func TestBurstyMultiTenantShape(t *testing.T) {

@@ -27,11 +27,17 @@ func (a *Analyzer) Applies(pkgPath string) bool {
 		return true
 	}
 	for _, s := range a.Suffixes {
-		if pkgPath == s || strings.HasSuffix(pkgPath, "/"+s) {
+		if hasPathSuffix(pkgPath, s) {
 			return true
 		}
 	}
 	return false
+}
+
+// hasPathSuffix reports whether an import path ends in suffix, aligned
+// on a path segment.
+func hasPathSuffix(path, suffix string) bool {
+	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }
 
 // Pass carries one analyzer's view of one package.

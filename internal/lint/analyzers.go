@@ -6,11 +6,9 @@ func All() []*Analyzer {
 		policypurity,
 		mapdeterminism,
 		lockdiscipline,
-		pooldiscipline,
 		ctxdeadline,
 		pinresolve,
 		mirrorparity,
-		statdiscipline,
 		goroutinelifecycle,
 	}
 }

@@ -56,11 +56,7 @@ func runCtxDeadline(pass *Pass) {
 }
 
 func isProtoPkg(pkg *types.Package) bool {
-	return pkg != nil && (pkg.Path() == "internal/proto" || hasPathSuffix(pkg.Path(), "internal/proto"))
-}
-
-func hasPathSuffix(path, suffix string) bool {
-	return path == suffix || (len(path) > len(suffix) && path[len(path)-len(suffix)-1] == '/' && path[len(path)-len(suffix):] == suffix)
+	return pkg != nil && hasPathSuffix(pkg.Path(), "internal/proto")
 }
 
 // isNetConnType reports whether the expression's static type is (or

@@ -137,17 +137,6 @@ func TestLockDiscipline(t *testing.T) {
 	checkWants(t, prog, res)
 }
 
-func TestPoolDiscipline(t *testing.T) {
-	prog, res := loadCase(t, []*Analyzer{pooldiscipline}, "pooldiscipline_bad", "pooldiscipline_ok")
-	checkWants(t, prog, res)
-	// pooldiscipline_ok's ParkBuffer leak is absorbed by its justified
-	// pragma; pooldiscipline_bad's stale pragma surfaces as a pragma
-	// error (claimed by a want annotation), not a suppression.
-	if res.Suppressed != 1 {
-		t.Errorf("suppressed = %d, want 1", res.Suppressed)
-	}
-}
-
 func TestCtxDeadline(t *testing.T) {
 	prog, res := loadCase(t, []*Analyzer{ctxdeadline}, "ctxdeadline_bad", "ctxdeadline_ok")
 	checkWants(t, prog, res)
@@ -165,14 +154,6 @@ func TestMirrorParity(t *testing.T) {
 	// a justified pragma: one suppression, no stale-pragma error.
 	if res.Suppressed != 1 {
 		t.Errorf("suppressed = %d, want 1", res.Suppressed)
-	}
-}
-
-func TestStatDiscipline(t *testing.T) {
-	prog, res := loadCase(t, []*Analyzer{statdiscipline}, "statdiscipline_bad", "statdiscipline_ok")
-	checkWants(t, prog, res)
-	if res.Suppressed != 0 {
-		t.Errorf("suppressed = %d, want 0", res.Suppressed)
 	}
 }
 

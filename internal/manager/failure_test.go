@@ -5,7 +5,6 @@ import (
 	"io"
 	"net"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,7 +29,7 @@ func fakeWorker(m *Manager, id string) *workerState {
 		id:           id,
 		hello:        proto.Hello{WorkerID: id, Resources: core.Resources{Cores: 32, MemoryMB: 64 << 10, DiskMB: 64 << 10}},
 		sendq:        make(chan outMsg, 256),
-		drops:        &m.stats.SendQueueDrops,
+		drops:        &m.ctr.SendQueueDrops,
 		fetchSources: map[string]string{},
 		ackWaiters:   map[string][]*staging{},
 		libs:         map[string]*libInstance{},
@@ -448,7 +447,7 @@ func TestEvictEmptyAccounting(t *testing.T) {
 	if _, there := w.libs["idle"]; there || w.libs["incoming"] == nil || w.v.Commit != res {
 		t.Errorf("after evict: libs=%v commit=%+v", w.libs, w.v.Commit)
 	}
-	if n := atomic.LoadInt64(&m.stats.LibrariesEvicted); n != 1 {
+	if n := m.ctr.LibrariesEvicted.Load(); n != 1 {
 		t.Errorf("evicted = %d", n)
 	}
 	s.mu.Unlock()
@@ -469,7 +468,7 @@ func TestEvictEmptyAccounting(t *testing.T) {
 	if _, there := w.libs["incoming"]; !there || w.libs["other"] != nil {
 		t.Errorf("busy library disappeared from the worker: libs=%v", w.libs)
 	}
-	if n := atomic.LoadInt64(&m.stats.LibrariesEvicted); n != 1 {
+	if n := m.ctr.LibrariesEvicted.Load(); n != 1 {
 		t.Errorf("evicted = %d after the refused deploy", n)
 	}
 	s.mu.Unlock()

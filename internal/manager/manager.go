@@ -99,9 +99,9 @@ type Options struct {
 	DecisionTrace bool
 }
 
-// Stats counts manager-side activity for tests and experiments. All
-// fields are maintained with atomic adds so Stats() never takes a
-// scheduler lock.
+// Stats counts manager-side activity for tests and experiments. It is a
+// plain snapshot: Stats() copies it out of the manager's counters
+// without taking a scheduler lock.
 type Stats struct {
 	DirectTransfers   int64 // manager→worker file sends
 	PeerTransfers     int64 // worker→worker file sends
@@ -147,6 +147,23 @@ type Stats struct {
 	MaxFlushBatch int64
 }
 
+// counters is the live store behind Stats: one typed atomic for every
+// Stats field the manager adds to (SchedulePasses, CoalescedWakeups and
+// ShardForwards are read from the scheduler instead), so a plain read or
+// write of a counter does not compile and go vet refuses a copy.
+type counters struct {
+	DirectTransfers, PeerTransfers                   atomic.Int64
+	LibrariesDeployed, LibrariesEvicted              atomic.Int64
+	TasksDone, InvocationsDone                       atomic.Int64
+	Failures, Requeued, Retries, Restaged            atomic.Int64
+	WorkerLogs, ProtocolErrors, SendQueueDrops       atomic.Int64
+	SubmitsShed, SubmitsThrottled, FairDrains        atomic.Int64
+	RefResults, RefTransfers, RefSpills, RefPromotes atomic.Int64
+	RefRehomes, RefLost                              atomic.Int64
+	BytesThroughManager, BytesByRef                  atomic.Int64
+	FramesSent, FlushBatches, MaxFlushBatch          atomic.Int64
+}
+
 // Manager coordinates workers across the sharded dispatch plane.
 type Manager struct {
 	opts Options
@@ -173,7 +190,7 @@ type Manager struct {
 	refs *refPlane
 
 	nextID atomic.Int64
-	stats  Stats
+	ctr    counters
 
 	// obsMu guards the global replica registry: which workers hold a
 	// confirmed copy of each object (holders), and the live-worker
@@ -307,9 +324,9 @@ type workerState struct {
 	conn  *proto.Conn
 	nc    net.Conn
 	sendq chan outMsg
-	// drops points at the shared Stats.SendQueueDrops counter so a
+	// drops points at the manager's SendQueueDrops counter so a
 	// queue-overflow disconnect is counted, not silent.
-	drops *int64
+	drops *atomic.Int64
 	// v is this worker's entry in the policy view: resources, cached
 	// and in-flight files, transfer slots, liveness. index.go binds it
 	// at registration and every handler reports transitions through it.
@@ -481,37 +498,37 @@ func (m *Manager) Stats() Stats {
 		passes, coalesced = passes+s.sched.Passes(), coalesced+absorbed
 	}
 	return Stats{
-		DirectTransfers:   atomic.LoadInt64(&m.stats.DirectTransfers),
-		PeerTransfers:     atomic.LoadInt64(&m.stats.PeerTransfers),
-		LibrariesDeployed: atomic.LoadInt64(&m.stats.LibrariesDeployed),
-		LibrariesEvicted:  atomic.LoadInt64(&m.stats.LibrariesEvicted),
-		TasksDone:         atomic.LoadInt64(&m.stats.TasksDone),
-		InvocationsDone:   atomic.LoadInt64(&m.stats.InvocationsDone),
-		Failures:          atomic.LoadInt64(&m.stats.Failures),
-		Requeued:          atomic.LoadInt64(&m.stats.Requeued),
-		Retries:           atomic.LoadInt64(&m.stats.Retries),
-		Restaged:          atomic.LoadInt64(&m.stats.Restaged),
+		DirectTransfers:   m.ctr.DirectTransfers.Load(),
+		PeerTransfers:     m.ctr.PeerTransfers.Load(),
+		LibrariesDeployed: m.ctr.LibrariesDeployed.Load(),
+		LibrariesEvicted:  m.ctr.LibrariesEvicted.Load(),
+		TasksDone:         m.ctr.TasksDone.Load(),
+		InvocationsDone:   m.ctr.InvocationsDone.Load(),
+		Failures:          m.ctr.Failures.Load(),
+		Requeued:          m.ctr.Requeued.Load(),
+		Retries:           m.ctr.Retries.Load(),
+		Restaged:          m.ctr.Restaged.Load(),
 		SchedulePasses:    passes,
 		CoalescedWakeups:  coalesced,
-		WorkerLogs:        atomic.LoadInt64(&m.stats.WorkerLogs),
-		ProtocolErrors:    atomic.LoadInt64(&m.stats.ProtocolErrors),
-		SendQueueDrops:    atomic.LoadInt64(&m.stats.SendQueueDrops),
+		WorkerLogs:        m.ctr.WorkerLogs.Load(),
+		ProtocolErrors:    m.ctr.ProtocolErrors.Load(),
+		SendQueueDrops:    m.ctr.SendQueueDrops.Load(),
 		ShardForwards:     m.shardPlane.Forwards(),
-		SubmitsShed:       atomic.LoadInt64(&m.stats.SubmitsShed),
-		SubmitsThrottled:  atomic.LoadInt64(&m.stats.SubmitsThrottled),
-		FairDrains:        atomic.LoadInt64(&m.stats.FairDrains),
-		RefResults:        atomic.LoadInt64(&m.stats.RefResults),
-		RefTransfers:      atomic.LoadInt64(&m.stats.RefTransfers),
-		RefSpills:         atomic.LoadInt64(&m.stats.RefSpills),
-		RefPromotes:       atomic.LoadInt64(&m.stats.RefPromotes),
-		RefRehomes:        atomic.LoadInt64(&m.stats.RefRehomes),
-		RefLost:           atomic.LoadInt64(&m.stats.RefLost),
+		SubmitsShed:       m.ctr.SubmitsShed.Load(),
+		SubmitsThrottled:  m.ctr.SubmitsThrottled.Load(),
+		FairDrains:        m.ctr.FairDrains.Load(),
+		RefResults:        m.ctr.RefResults.Load(),
+		RefTransfers:      m.ctr.RefTransfers.Load(),
+		RefSpills:         m.ctr.RefSpills.Load(),
+		RefPromotes:       m.ctr.RefPromotes.Load(),
+		RefRehomes:        m.ctr.RefRehomes.Load(),
+		RefLost:           m.ctr.RefLost.Load(),
 
-		BytesThroughManager: atomic.LoadInt64(&m.stats.BytesThroughManager),
-		BytesByRef:          atomic.LoadInt64(&m.stats.BytesByRef),
-		FramesSent:          atomic.LoadInt64(&m.stats.FramesSent),
-		FlushBatches:        atomic.LoadInt64(&m.stats.FlushBatches),
-		MaxFlushBatch:       atomic.LoadInt64(&m.stats.MaxFlushBatch),
+		BytesThroughManager: m.ctr.BytesThroughManager.Load(),
+		BytesByRef:          m.ctr.BytesByRef.Load(),
+		FramesSent:          m.ctr.FramesSent.Load(),
+		FlushBatches:        m.ctr.FlushBatches.Load(),
+		MaxFlushBatch:       m.ctr.MaxFlushBatch.Load(),
 	}
 }
 
@@ -650,7 +667,7 @@ func (w *workerState) enqueue(msg outMsg) {
 		// drop — a silent disconnect here looks exactly like a worker
 		// crash from the outside and is otherwise undiagnosable.
 		if w.drops != nil {
-			atomic.AddInt64(w.drops, 1)
+			w.drops.Add(1)
 		}
 		log.Printf("manager: worker %s outbound queue full (%d); dropping connection", w.id, cap(w.sendq))
 		w.nc.Close()
@@ -699,7 +716,7 @@ func (m *Manager) serveWorker(nc net.Conn) {
 	if err != nil {
 		// A peer on another protocol version fails here, on its first
 		// frame, before it is ever registered.
-		atomic.AddInt64(&m.stats.ProtocolErrors, 1)
+		m.ctr.ProtocolErrors.Add(1)
 		log.Printf("manager %s: refusing a worker: bad hello: %v", m.opts.Name, err)
 		nc.Close()
 		return
@@ -711,7 +728,7 @@ func (m *Manager) serveWorker(nc net.Conn) {
 		conn:         conn,
 		nc:           nc,
 		sendq:        make(chan outMsg, sendQueueSize(hello.Resources.Cores)),
-		drops:        &m.stats.SendQueueDrops,
+		drops:        &m.ctr.SendQueueDrops,
 		fetchSources: map[string]string{},
 		ackWaiters:   map[string][]*staging{},
 		libs:         map[string]*libInstance{},
@@ -778,11 +795,11 @@ func (m *Manager) serveWorker(nc net.Conn) {
 				nc.Close()
 				return
 			}
-			atomic.AddInt64(&m.stats.FramesSent, batch)
-			atomic.AddInt64(&m.stats.FlushBatches, 1)
+			m.ctr.FramesSent.Add(batch)
+			m.ctr.FlushBatches.Add(1)
 			for {
-				max := atomic.LoadInt64(&m.stats.MaxFlushBatch)
-				if batch <= max || atomic.CompareAndSwapInt64(&m.stats.MaxFlushBatch, max, batch) {
+				max := m.ctr.MaxFlushBatch.Load()
+				if batch <= max || m.ctr.MaxFlushBatch.CompareAndSwap(max, batch) {
 					break
 				}
 			}
@@ -805,7 +822,7 @@ func (m *Manager) serveWorker(nc net.Conn) {
 		if err := m.handleWorkerFrame(s, w, t, raw, &strs); err != nil {
 			// The work a lost frame answered would wait forever: drop the
 			// worker instead, and onWorkerGone requeues what it held.
-			atomic.AddInt64(&m.stats.ProtocolErrors, 1)
+			m.ctr.ProtocolErrors.Add(1)
 			log.Printf("manager %s: worker %s: protocol error: %v frame: %v", m.opts.Name, w.id, t, err)
 			break
 		}
@@ -844,7 +861,7 @@ func (m *Manager) handleWorkerFrame(s *shard, w *workerState, t proto.MsgType, r
 		// manager's log and count them so tests and operators notice.
 		lm, err := proto.DecodeLog(raw)
 		if err == nil {
-			atomic.AddInt64(&m.stats.WorkerLogs, 1)
+			m.ctr.WorkerLogs.Add(1)
 			log.Printf("manager %s: worker %s: %s", m.opts.Name, lm.Worker, lm.Text)
 		}
 		return err
@@ -893,7 +910,7 @@ func (m *Manager) onWorkerGone(w *workerState) {
 	// its retry budget (Sched.Died); a spec that has exhausted it fails
 	// instead of bouncing between crashing workers forever.
 	requeued, lost := s.sched.Died(w.id, s.dropWorkerLocked(w))
-	atomic.AddInt64(&m.stats.Requeued, int64(requeued))
+	m.ctr.Requeued.Add(int64(requeued))
 	for i := range lost {
 		s.failLocked(lost[i].ID(), specTenant(&lost[i]), fmt.Sprintf("manager: worker %s lost and retry budget exhausted", w.id))
 	}
@@ -936,7 +953,7 @@ func (s *shard) onFileAck(w *workerState, ack proto.FileAck) {
 			// what survives — the owner's pinned copy, the shared tier,
 			// or lost.
 			if restaged = s.execResolveLocked(w, ack.ID, name, d); restaged {
-				atomic.AddInt64(&s.m.stats.Restaged, 1)
+				s.m.ctr.Restaged.Add(1)
 			}
 		} else if fromPeer {
 			// The peer fetch failed on every source the data plane tried —
@@ -946,7 +963,7 @@ func (s *shard) onFileAck(w *workerState, ack proto.FileAck) {
 			// this copy to die on "input not staged".
 			if fs, known := s.m.catalogGet(ack.ID); known {
 				s.directSendLocked(w, fs)
-				atomic.AddInt64(&s.m.stats.Restaged, 1)
+				s.m.ctr.Restaged.Add(1)
 				restaged = true
 			}
 		}
@@ -1039,7 +1056,7 @@ func (s *shard) failPendingForLibraryLocked(library string, failures int, reason
 // quota unit. The shard lock is held: the plane's drain runs now, and the
 // shards it feeds wake at the next wake-loop exit.
 func (s *shard) failLocked(id int64, tenant, err string) {
-	atomic.AddInt64(&s.m.stats.Failures, 1)
+	s.m.ctr.Failures.Add(1)
 	s.m.deliver(core.Result{ID: id, Ok: false, Err: err})
 	s.m.plane.release(tenant)
 }
@@ -1062,11 +1079,11 @@ func (s *shard) onResult(w *workerState, res core.Result) {
 			// Pass-by-reference completion doubles as the ownership
 			// transfer (§15): the bytes stayed on the producer, the
 			// manager only updates its ref catalog.
-			atomic.AddInt64(&m.stats.RefResults, 1)
-			atomic.AddInt64(&m.stats.BytesByRef, res.Ref.Size)
+			m.ctr.RefResults.Add(1)
+			m.ctr.BytesByRef.Add(res.Ref.Size)
 			m.refs.noteResult(w.id, res.Ref)
 		} else if n := len(res.Value); n > 0 {
-			atomic.AddInt64(&m.stats.BytesThroughManager, int64(n))
+			m.ctr.BytesThroughManager.Add(int64(n))
 		}
 	}
 	if run.IsTask {
@@ -1074,7 +1091,7 @@ func (s *shard) onResult(w *workerState, res core.Result) {
 		if st := run.Task.Spec.staging; st != nil {
 			res.Metrics.TransferTime += st.transfer
 		}
-		atomic.AddInt64(&m.stats.TasksDone, 1)
+		m.ctr.TasksDone.Add(1)
 		w.v.Commit = w.v.Commit.Sub(t.Resources)
 		// Cacheable inputs are now resident on that worker.
 		for _, in := range t.Inputs {
@@ -1083,7 +1100,7 @@ func (s *shard) onResult(w *workerState, res core.Result) {
 			}
 		}
 	} else {
-		atomic.AddInt64(&m.stats.InvocationsDone, 1)
+		m.ctr.InvocationsDone.Add(1)
 		if li := w.libs[run.Inv.Lib]; li != nil {
 			if li.SlotsUsed > 0 {
 				li.SlotsUsed--
@@ -1094,11 +1111,11 @@ func (s *shard) onResult(w *workerState, res core.Result) {
 	}
 	s.mu.Unlock()
 	if retry > 0 {
-		atomic.AddInt64(&m.stats.Retries, 1)
+		m.ctr.Retries.Add(1)
 		s.retryAfter(res.ID, retryBackoff(m.opts.RetryBaseDelay, m.opts.RetryMaxDelay, retry, res.ID))
 	} else {
 		if !res.Ok {
-			atomic.AddInt64(&m.stats.Failures, 1)
+			m.ctr.Failures.Add(1)
 		}
 		m.deliver(res)
 		// Final delivery returns the spec's tenant quota unit; the freed

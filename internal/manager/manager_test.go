@@ -2,9 +2,11 @@ package manager
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -388,5 +390,33 @@ func TestShutdownWakesWorkerWaiters(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("WaitForWorkers still blocked 2s after Shutdown")
+	}
+}
+
+// TestStatsReportsEveryCounter sets each counter to a distinct value and
+// expects Stats to report it under the field of the same name, so a
+// counter added to the store but not to the snapshot fails here. A Stats
+// field with no counter must be one Stats reads from the scheduler.
+func TestStatsReportsEveryCounter(t *testing.T) {
+	m := New(Options{Shards: 1})
+	ctr := reflect.ValueOf(&m.ctr).Elem()
+	for i := 0; i < ctr.NumField(); i++ {
+		ctr.Field(i).Addr().Interface().(*atomic.Int64).Store(int64(1000 + i))
+	}
+	st := reflect.ValueOf(m.Stats())
+	for i := 0; i < ctr.NumField(); i++ {
+		name := ctr.Type().Field(i).Name
+		if f := st.FieldByName(name); !f.IsValid() {
+			t.Errorf("counter %s has no Stats field", name)
+		} else if f.Int() != int64(1000+i) {
+			t.Errorf("Stats().%s = %d, want %d", name, f.Int(), 1000+i)
+		}
+	}
+	fromScheduler := map[string]bool{"SchedulePasses": true, "CoalescedWakeups": true, "ShardForwards": true}
+	for i := 0; i < st.NumField(); i++ {
+		name := st.Type().Field(i).Name
+		if _, ok := ctr.Type().FieldByName(name); !ok && !fromScheduler[name] {
+			t.Errorf("Stats().%s has no counter behind it", name)
+		}
 	}
 }

@@ -97,7 +97,7 @@ func (p *refPlane) resolve(dst, id string, failed bool) (d policy.ResolveDecisio
 	}
 	p.mu.Unlock()
 	if d.Promote {
-		atomic.AddInt64(&p.m.stats.RefPromotes, 1)
+		p.m.ctr.RefPromotes.Add(1)
 	}
 	p.execSpills(d.Spills)
 	return d, name, tracked
@@ -113,7 +113,7 @@ func (p *refPlane) execSpills(spills []policy.RefSpill) {
 	if len(spills) == 0 {
 		return
 	}
-	atomic.AddInt64(&p.m.stats.RefSpills, int64(len(spills)))
+	p.m.ctr.RefSpills.Add(int64(len(spills)))
 	p.m.obsMu.RLock()
 	for _, sp := range spills {
 		if ps := p.m.peers[sp.Worker]; ps != nil {
@@ -149,12 +149,12 @@ func (p *refPlane) rehome(deadID string) {
 	if len(rhs) == 0 {
 		return
 	}
-	atomic.AddInt64(&p.m.stats.RefRehomes, int64(len(rhs)))
+	p.m.ctr.RefRehomes.Add(int64(len(rhs)))
 	var spills []policy.RefSpill
 	p.m.obsMu.RLock()
 	for _, rh := range rhs {
 		if rh.Lost {
-			atomic.AddInt64(&p.m.stats.RefLost, 1)
+			p.m.ctr.RefLost.Add(1)
 			continue
 		}
 		if rh.Owner == "" {

@@ -2,7 +2,6 @@ package manager
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/content"
@@ -125,7 +124,7 @@ func (s *shard) peerFetchLocked(w, src *workerState, sf policy.StageFile, alts [
 		Cache:    sf.Spec.Cache,
 		Unpack:   sf.Spec.Unpack,
 	}})
-	atomic.AddInt64(&s.m.stats.PeerTransfers, 1)
+	s.m.ctr.PeerTransfers.Add(1)
 }
 
 // execResolveLocked executes one ref-plane decision for the copy of
@@ -152,7 +151,7 @@ func (s *shard) execResolveLocked(w *workerState, id, name string, d policy.Reso
 	case policy.ResolvePeer:
 		fetch.FromAddr, fetch.AltAddrs = m.refSourceAddrs(d.Src, d.Alts)
 		if fetch.FromAddr != "" {
-			atomic.AddInt64(&m.stats.RefTransfers, 1)
+			m.ctr.RefTransfers.Add(1)
 			break
 		}
 		// The chosen holder died between decision and execution; the
@@ -233,7 +232,7 @@ func (s *shard) directSendLocked(w *workerState, fs core.FileSpec) {
 		Cache:  fs.Cache,
 		Unpack: fs.Unpack,
 	}, bulk: true, payload: obj.Data})
-	atomic.AddInt64(&s.m.stats.DirectTransfers, 1)
+	s.m.ctr.DirectTransfers.Add(1)
 }
 
 // ---- task scheduling ----
@@ -376,7 +375,7 @@ func (s *shard) Deploy(lib string) (worker string, blocked []string) {
 	s.view.AddInstance(w.v, &li.LibraryView)
 	w.v.Commit = w.v.Commit.Add(d.Res)
 	w.enqueue(outMsg{t: proto.MsgInstallLibrary, v: spec})
-	atomic.AddInt64(&s.m.stats.LibrariesDeployed, 1)
+	s.m.ctr.LibrariesDeployed.Add(1)
 	return w.id, nil
 }
 
@@ -391,7 +390,7 @@ func (s *shard) evictLibraryLocked(w *workerState, name string) {
 	s.view.RemoveLibrary(w.v, name)
 	w.v.Commit = w.v.Commit.Sub(li.Res)
 	w.enqueue(outMsg{t: proto.MsgRemoveLibrary, v: proto.RemoveLibrary{Library: name}})
-	atomic.AddInt64(&s.m.stats.LibrariesEvicted, 1)
+	s.m.ctr.LibrariesEvicted.Add(1)
 }
 
 // ObjectHolders returns how many workers hold the object — visibility

@@ -3,7 +3,6 @@ package manager
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/policy"
@@ -55,13 +54,13 @@ func (p *submitPlane) submit(tenant string, it dispatch, id int64) bool {
 	if !known {
 		return false
 	}
-	atomic.AddInt64(&m.stats.FairDrains, int64(released))
+	m.ctr.FairDrains.Add(int64(released))
 	switch d.Verdict {
 	case policy.AdmitThrottle:
-		atomic.AddInt64(&m.stats.SubmitsThrottled, 1)
+		m.ctr.SubmitsThrottled.Add(1)
 	case policy.AdmitShed:
-		atomic.AddInt64(&m.stats.SubmitsShed, 1)
-		atomic.AddInt64(&m.stats.Failures, 1)
+		m.ctr.SubmitsShed.Add(1)
+		m.ctr.Failures.Add(1)
 	}
 	m.shardPlane.WakeFed()
 	if d.Verdict == policy.AdmitShed {
@@ -83,7 +82,7 @@ func (p *submitPlane) release(tenant string) {
 	p.mu.Lock()
 	released := p.tenants.Release(tenant, p.m.shardPlane.Route)
 	p.mu.Unlock()
-	atomic.AddInt64(&p.m.stats.FairDrains, int64(released))
+	p.m.ctr.FairDrains.Add(int64(released))
 }
 
 // specTenant names the tenant of a resolved in-flight spec — empty

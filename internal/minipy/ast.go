@@ -152,15 +152,6 @@ type RaiseStmt struct {
 
 func (*RaiseStmt) stmtNode() {}
 
-// AssertStmt checks a condition and raises if false.
-type AssertStmt struct {
-	base
-	Cond Expr
-	Msg  Expr // nil if absent
-}
-
-func (*AssertStmt) stmtNode() {}
-
 // ---- Expressions ----
 
 // NameExpr references a variable by name.
@@ -278,16 +269,6 @@ type IndexExpr struct {
 
 func (*IndexExpr) exprNode() {}
 
-// SliceExpr slices a sequence: X[Lo:Hi]. Either bound may be nil.
-type SliceExpr struct {
-	base
-	X  Expr
-	Lo Expr
-	Hi Expr
-}
-
-func (*SliceExpr) exprNode() {}
-
 // LambdaExpr is an anonymous function expression.
 type LambdaExpr struct {
 	base
@@ -296,16 +277,6 @@ type LambdaExpr struct {
 }
 
 func (*LambdaExpr) exprNode() {}
-
-// CondExpr is the ternary "Then if Cond else Else".
-type CondExpr struct {
-	base
-	Cond Expr
-	Then Expr
-	Else Expr
-}
-
-func (*CondExpr) exprNode() {}
 
 // Walk visits every node in the subtree rooted at n in depth-first
 // pre-order, calling fn for each. If fn returns false the node's
@@ -360,8 +331,6 @@ func eachChild(n Node, fn func(Node)) {
 		exprs(v.Value)
 	case *RaiseStmt:
 		exprs(v.Value)
-	case *AssertStmt:
-		exprs(v.Cond, v.Msg)
 	case *ListLit:
 		exprs(v.Elems...)
 	case *TupleExpr:
@@ -380,12 +349,8 @@ func eachChild(n Node, fn func(Node)) {
 		exprs(v.X)
 	case *IndexExpr:
 		exprs(v.X, v.Index)
-	case *SliceExpr:
-		exprs(v.X, v.Lo, v.Hi)
 	case *LambdaExpr:
 		params(v.Params)
 		exprs(v.Body)
-	case *CondExpr:
-		exprs(v.Cond, v.Then, v.Else)
 	}
 }

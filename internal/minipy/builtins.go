@@ -2,7 +2,6 @@ package minipy
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -62,24 +61,6 @@ var listMethods = map[string]methodFn{
 		}
 		l := recv.(*List)
 		l.Elems = append(l.Elems, args[0])
-		return NoneValue, nil
-	},
-	"sort": func(recv Value, args []Value) (Value, error) {
-		if err := checkArity("sort", args, 0, 0); err != nil {
-			return nil, err
-		}
-		l := recv.(*List)
-		var sortErr error
-		sort.SliceStable(l.Elems, func(i, j int) bool {
-			c, err := Compare(l.Elems[i], l.Elems[j])
-			if err != nil && sortErr == nil {
-				sortErr = err
-			}
-			return c < 0
-		})
-		if sortErr != nil {
-			return nil, sortErr
-		}
 		return NoneValue, nil
 	},
 }

@@ -305,20 +305,6 @@ func (ip *Interp) exec(s Stmt, fr *frame) error {
 			return err
 		}
 		return &RuntimeError{Msg: ToStr(v), Line: st.Pos()}
-	case *AssertStmt:
-		cond, err := ip.eval(st.Cond, fr)
-		if err != nil || cond.Truth() {
-			return err
-		}
-		msg := "assertion failed"
-		if st.Msg != nil {
-			mv, err := ip.eval(st.Msg, fr)
-			if err != nil {
-				return err
-			}
-			msg += ": " + ToStr(mv)
-		}
-		return &RuntimeError{Msg: msg, Line: st.Pos()}
 	}
 	return rtErrf(s.Pos(), "unsupported statement %T", s)
 }
@@ -499,15 +485,6 @@ func (ip *Interp) eval(e Expr, fr *frame) (Value, error) {
 			return -n, nil
 		}
 		return nil, rtErrf(ex.Pos(), "bad operand type for unary -: '%s'", v.Type())
-	case *CondExpr:
-		cond, err := ip.eval(ex.Cond, fr)
-		if err != nil {
-			return nil, err
-		}
-		if cond.Truth() {
-			return ip.eval(ex.Then, fr)
-		}
-		return ip.eval(ex.Else, fr)
 	case *LambdaExpr:
 		fn, err := ip.newFunc("", ex.Params, fr)
 		if err != nil {
@@ -541,23 +518,6 @@ func (ip *Interp) eval(e Expr, fr *frame) (Value, error) {
 			return nil, err
 		}
 		return getIndex(obj, idx, ex.Pos())
-	case *SliceExpr:
-		obj, err := ip.eval(ex.X, fr)
-		if err != nil {
-			return nil, err
-		}
-		var lo, hi Value
-		if ex.Lo != nil {
-			if lo, err = ip.eval(ex.Lo, fr); err != nil {
-				return nil, err
-			}
-		}
-		if ex.Hi != nil {
-			if hi, err = ip.eval(ex.Hi, fr); err != nil {
-				return nil, err
-			}
-		}
-		return getSlice(obj, lo, hi, ex.Pos())
 	}
 	return nil, rtErrf(e.Pos(), "unsupported expression %T", e)
 }
@@ -869,52 +829,4 @@ func setIndex(obj, idx, val Value, line int) error {
 		return nil
 	}
 	return rtErrf(line, "'%s' object does not support item assignment", obj.Type())
-}
-
-func getSlice(obj, lo, hi Value, line int) (Value, error) {
-	bounds := func(n int) (int, int, error) {
-		start, err := sliceBound(lo, 0, n, line)
-		if err != nil {
-			return 0, 0, err
-		}
-		end, err := sliceBound(hi, n, n, line)
-		return start, max(start, end), err
-	}
-	switch c := obj.(type) {
-	case *List:
-		s, e, err := bounds(len(c.Elems))
-		if err != nil {
-			return nil, err
-		}
-		return &List{Elems: append([]Value(nil), c.Elems[s:e]...)}, nil
-	case *Tuple:
-		s, e, err := bounds(len(c.Elems))
-		if err != nil {
-			return nil, err
-		}
-		return &Tuple{Elems: append([]Value(nil), c.Elems[s:e]...)}, nil
-	case Str:
-		out, err := strSlice(string(c), bounds)
-		if err != nil {
-			return nil, err
-		}
-		return Str(out), nil
-	}
-	return nil, rtErrf(line, "'%s' object is not sliceable", obj.Type())
-}
-
-// sliceBound resolves one slice bound against length n, clamped to
-// [0, n]; an absent bound is def.
-func sliceBound(v Value, def, n, line int) (int, error) {
-	if v == nil {
-		return def, nil
-	}
-	i, ok := asInt(v)
-	if !ok {
-		return 0, rtErrf(line, "slice indices must be integers")
-	}
-	if i < 0 {
-		i += int64(n)
-	}
-	return int(max(0, min(i, int64(n)))), nil
 }

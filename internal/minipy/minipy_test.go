@@ -123,7 +123,6 @@ func TestStringOps(t *testing.T) {
 		{`"a\nb\\c\'"`, `"a\nb\\c'"`},
 		{`"Hello"[1]`, `"e"`},
 		{`"Hello"[-1]`, `"o"`},
-		{`"Hello"[1:3]`, `"el"`},
 		{`"banana".count("an")`, "2"},
 		{`len("hello")`, "5"},
 		{`str(4.0) + str(None)`, `"4.0None"`},
@@ -131,11 +130,8 @@ func TestStringOps(t *testing.T) {
 		{`len("héllo wörld")`, "11"},
 		{`"héllo wörld"[1]`, `"é"`},
 		{`"héllo wörld"[-4]`, `"ö"`},
-		{`"héllo wörld"[1:3]`, `"él"`},
-		{`"héllo wörld"[-4:]`, `"örld"`},
 		{`"hello wörld"[4]`, `"o"`},
 		{`"hello wörld"[8]`, `"r"`},
-		{`"hello wörld"[:5]`, `"hello"`},
 	}
 	for _, c := range cases {
 		got := evalExpr(t, c.expr).Repr()
@@ -149,28 +145,19 @@ func TestListOps(t *testing.T) {
 	src := `
 xs = [3, 1, 2]
 xs.append(4)
-xs.sort()
-ys = xs[1:3]
-zs = xs[:]
-zs.append(9)
+xs[0] = 5
 total = 0
 for x in xs:
     total += x
-t = (5, 6, 7)[1:]
+t = (5, 6, 7)[-1]
 `
-	if got := evalIn(t, src, "xs").Repr(); got != "[1, 2, 3, 4]" {
+	if got := evalIn(t, src, "xs").Repr(); got != "[5, 1, 2, 4]" {
 		t.Errorf("xs = %s", got)
 	}
-	if got := evalIn(t, src, "ys").Repr(); got != "[2, 3]" {
-		t.Errorf("ys = %s", got)
-	}
-	if got := evalIn(t, src, "total").Repr(); got != "10" {
+	if got := evalIn(t, src, "total").Repr(); got != "12" {
 		t.Errorf("total = %s", got)
 	}
-	if got := evalIn(t, src, "zs[-1]").Repr(); got != "9" {
-		t.Errorf("zs[-1] = %s", got)
-	}
-	if got := evalIn(t, src, "t").Repr(); got != "(6, 7)" {
+	if got := evalIn(t, src, "t").Repr(); got != "7" {
 		t.Errorf("t = %s", got)
 	}
 }
@@ -405,7 +392,7 @@ def compose(f, g):
 
 xs = [5, 3, 1, 4, 2]
 doubled = apply(lambda x: x * 2, xs)
-parity = apply(lambda x: "even" if x % 2 == 0 else "odd", xs)
+parity = apply(lambda x: ["even", "odd"][x % 2], xs)
 inc_then_square = compose(lambda x: x * x, lambda x: x + 1)
 `
 	if got := evalIn(t, src, "doubled").Repr(); got != "[10, 6, 2, 8, 4]" {
@@ -466,20 +453,6 @@ func TestReturnOutsideFunction(t *testing.T) {
 	}
 }
 
-func TestAssert(t *testing.T) {
-	ip := NewInterp(nil)
-	_, err := ip.RunModule("assert 1 == 2, \"broken math\"\n", "m")
-	if err == nil || !strings.Contains(err.Error(), "broken math") {
-		t.Errorf("expected assertion error, got %v", err)
-	}
-	if _, err := ip.RunModule("assert 1 == 1\n", "m"); err != nil {
-		t.Errorf("passing assert should not error: %v", err)
-	}
-	if _, err := ip.RunModule("assert []\n", "m"); err == nil || err.Error() != "minipy: runtime error at line 1: assertion failed" {
-		t.Errorf("assert without a message: err = %v", err)
-	}
-}
-
 func TestAugmentedAssignTargets(t *testing.T) {
 	src := `
 d = {"n": 0}
@@ -534,15 +507,11 @@ func TestErrors(t *testing.T) {
 		{"len()", "takes 1 to 1 arguments"},
 		{"range('3')", "must be int"},
 		{"'abc'.count(1)", "must be str"},
-		{"[2, 'a'].sort()", "not supported"},
-		{"[].sort(1)", "takes 0 to 0 arguments"},
 		{"{}.get()", "takes 1 to 2 arguments"},
 		{"'abc'.upper()", "has no attribute 'upper'"},
 		{"(1, 2)[5]", "index out of range"},
 		{"'abc'[1.5]", "string indices must be integers"},
 		{"'abc'[7]", "string index out of range"},
-		{"[1][0:'x']", "slice indices must be integers"},
-		{"3[1:2]", "not sliceable"},
 		{"3[0]", "not subscriptable"},
 		{"-'a'", "bad operand type for unary -"},
 		{"1 // 0", "modulo by zero"},
@@ -605,12 +574,8 @@ func TestSyntaxErrors(t *testing.T) {
 		"import m as\n",
 		"global\n",
 		"raise\n",
-		"assert\n",
-		"assert x,\n",
 		"return 1 1\n",
 		"lambda x 1\n",
-		"x = 1 if 2\n",
-		"x = 1 if 2 else\n",
 		"def f(a=1 b):\n    pass\n",
 		"def f():\npass\n",
 		"x.1\n",
@@ -678,12 +643,6 @@ xs = [
 	}
 	if got := evalIn(t, src, "len(xs)").Repr(); got != "3" {
 		t.Errorf("len(xs) = %s", got)
-	}
-}
-
-func TestTernaryExpr(t *testing.T) {
-	if got := evalExpr(t, "'big' if 10 > 5 else 'small'").Repr(); got != `"big"` {
-		t.Errorf("ternary = %s", got)
 	}
 }
 
@@ -895,8 +854,7 @@ func TestPrintRoundTrip(t *testing.T) {
 		"def g(xs):\n    total = 0\n    for x in xs:\n        total += x * 2\n    return total\n",
 		"def h(n):\n    while n > 0:\n        n = n - 1\n    return n\n",
 		"def k(d, keys):\n    out = []\n    for key in keys:\n        out.append((key, d.get(key, -1)))\n    return out\n",
-		"def m(x):\n    assert x != 0, \"zero\"\n    raise \"got \" + str(x)\n",
-		"def s(a):\n    return \"x\" if a else \"y\"\n",
+		"def m(x):\n    raise \"got \" + str(x)\n",
 		"import mathx as m\nfrom mathx import sqrt as r\nglobal g, h\npass\n",
 	}
 	for _, src := range srcs {
@@ -961,32 +919,6 @@ func TestQuickHashKeyConsistency(t *testing.T) {
 		return (ka == kb) == Equal(Str(a), Str(b))
 	}
 	if err := quick.Check(g, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: list sort is idempotent and produces an ordered permutation.
-func TestQuickSortProperty(t *testing.T) {
-	f := func(xs []int16) bool {
-		l := &List{}
-		for _, x := range xs {
-			l.Elems = append(l.Elems, Int(x))
-		}
-		if _, err := listMethods["sort"](l, nil); err != nil {
-			return false
-		}
-		if len(l.Elems) != len(xs) {
-			return false
-		}
-		for i := 1; i < len(l.Elems); i++ {
-			c, err := Compare(l.Elems[i-1], l.Elems[i])
-			if err != nil || c > 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }

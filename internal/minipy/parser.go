@@ -368,20 +368,6 @@ func (p *parser) simpleStatement() (Stmt, error) {
 			return nil, err
 		}
 		return &RaiseStmt{base: base{Line: t.Line}, Value: val}, nil
-	case KwAssert:
-		p.take()
-		cond, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		var msg Expr
-		if p.at(Comma) {
-			p.take()
-			if msg, err = p.expr(); err != nil {
-				return nil, err
-			}
-		}
-		return &AssertStmt{base: base{Line: t.Line}, Cond: cond, Msg: msg}, nil
 	}
 	// Expression statement or assignment.
 	lhs, err := p.exprOrTuple()
@@ -489,23 +475,7 @@ func (p *parser) expr() (Expr, error) {
 		}
 		return &LambdaExpr{base: base{Line: t.Line}, Params: params, Body: body}, nil
 	}
-	e, err := p.comparison()
-	if err != nil || !p.at(KwIf) {
-		return e, err
-	}
-	t := p.take()
-	cond, err := p.comparison()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(KwElse); err != nil {
-		return nil, err
-	}
-	els, err := p.expr()
-	if err != nil {
-		return nil, err
-	}
-	return &CondExpr{base: base{Line: t.Line}, Cond: cond, Then: e, Else: els}, nil
+	return p.comparison()
 }
 
 // comparison parses one optional comparison of two sums.
@@ -585,8 +555,8 @@ func (p *parser) unary() (Expr, error) {
 	return e, nil
 }
 
-// postfix parses a primary followed by calls, attribute accesses,
-// indexes and slices.
+// postfix parses a primary followed by calls, attribute accesses and
+// indexes.
 func (p *parser) postfix() (Expr, error) {
 	e, err := p.primary()
 	if err != nil {
@@ -615,29 +585,14 @@ func (p *parser) postfix() (Expr, error) {
 			}
 			e = &AttrExpr{base: base{Line: t.Line}, X: e, Name: name.Text}
 		case LBracket:
-			var lo, hi Expr
-			if !p.at(Colon) {
-				if lo, err = p.expr(); err != nil {
-					return nil, err
-				}
-			}
-			isSlice := p.at(Colon)
-			if isSlice {
-				p.take()
-				if !p.at(RBracket) {
-					if hi, err = p.expr(); err != nil {
-						return nil, err
-					}
-				}
+			index, err := p.expr()
+			if err != nil {
+				return nil, err
 			}
 			if _, err := p.expect(RBracket); err != nil {
 				return nil, err
 			}
-			if isSlice {
-				e = &SliceExpr{base: base{Line: t.Line}, X: e, Lo: lo, Hi: hi}
-			} else {
-				e = &IndexExpr{base: base{Line: t.Line}, X: e, Index: lo}
-			}
+			e = &IndexExpr{base: base{Line: t.Line}, X: e, Index: index}
 		}
 	}
 }

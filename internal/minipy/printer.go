@@ -90,12 +90,6 @@ func (p *printer) stmt(s Stmt, level int) {
 		p.line(level, "pass")
 	case *RaiseStmt:
 		p.line(level, "raise ", st.Value)
-	case *AssertStmt:
-		if st.Msg != nil {
-			p.line(level, "assert ", st.Cond, ", ", st.Msg)
-		} else {
-			p.line(level, "assert ", st.Cond)
-		}
 	default:
 		panic(fmt.Sprintf("minipy: cannot print %T", s))
 	}
@@ -233,17 +227,6 @@ func (p *printer) expr(e Expr) {
 		p.sb.WriteByte('[')
 		p.expr(ex.Index)
 		p.sb.WriteByte(']')
-	case *SliceExpr:
-		p.expr(ex.X)
-		p.sb.WriteByte('[')
-		if ex.Lo != nil {
-			p.expr(ex.Lo)
-		}
-		p.sb.WriteByte(':')
-		if ex.Hi != nil {
-			p.expr(ex.Hi)
-		}
-		p.sb.WriteByte(']')
 	case *LambdaExpr:
 		p.sb.WriteString("(lambda")
 		if len(ex.Params) > 0 {
@@ -252,14 +235,6 @@ func (p *printer) expr(e Expr) {
 		}
 		p.sb.WriteString(": ")
 		p.expr(ex.Body)
-		p.sb.WriteByte(')')
-	case *CondExpr:
-		p.sb.WriteByte('(')
-		p.expr(ex.Then)
-		p.sb.WriteString(" if ")
-		p.expr(ex.Cond)
-		p.sb.WriteString(" else ")
-		p.expr(ex.Else)
 		p.sb.WriteByte(')')
 	default:
 		panic(fmt.Sprintf("minipy: cannot print %T", e))

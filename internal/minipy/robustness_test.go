@@ -218,7 +218,6 @@ func TestNestingBoundIsExact(t *testing.T) {
 			return "x = " + strings.Repeat("(1 + ", d-2) + "1" + strings.Repeat(")", d-2) + "\n"
 		},
 		"lambdas": func(d int) string { return "x = " + strings.Repeat("lambda: ", d-2) + "1\n" },
-		"conds":   func(d int) string { return "x = " + strings.Repeat("1 if 1 else ", d-2) + "1\n" },
 		"defs": func(d int) string {
 			var sb strings.Builder
 			for i := 0; i < d-1; i++ {
@@ -318,5 +317,48 @@ func TestDeepValuesAreBounded(t *testing.T) {
 		if _, err := ip.Eval(expr, env); err == nil || !strings.Contains(err.Error(), bound) {
 			t.Errorf("%s: err = %v", expr, err)
 		}
+	}
+}
+
+// TestSharedTuplesCostTheirDistinctTuples: a tuple holding one tuple
+// twice, sixty levels deep, has 2⁶⁰ elements unshared. As a dict key it
+// hashes once per distinct tuple, and it finds its entry through a copy
+// built apart, which Equal walks pair by distinct pair.
+func TestSharedTuplesCostTheirDistinctTuples(t *testing.T) {
+	build := func() *Tuple {
+		k := NewTuple(NoneValue)
+		for i := 0; i < 60; i++ {
+			k = NewTuple(k, k)
+		}
+		return k
+	}
+	a, b := build(), build()
+	d := NewDict()
+	if err := d.Set(a, Int(1)); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := d.Get(b); !ok || v != Int(1) || !Equal(a, b) {
+		t.Fatalf("a copy built apart is not the same key: %v, %v", v, ok)
+	}
+	if _, ok := d.Get(NewTuple(b, Int(0))); ok {
+		t.Fatal("a different key found the entry")
+	}
+}
+
+// TestEqualKeysAreOneKey: keys that compare equal are one entry, as in
+// Python — 1, 1.0 and True among them — and a dict keeps the order of
+// first insertion.
+func TestEqualKeysAreOneKey(t *testing.T) {
+	d := NewDict()
+	for i, k := range []Value{Int(1), Str("a"), Float(1), Bool(true), NewTuple(Int(0)), NewTuple(Float(0))} {
+		if err := d.Set(k, Int(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := d.Repr(), `{1: 3, "a": 1, (0,): 5}`; got != want {
+		t.Errorf("dict = %s, want %s", got, want)
+	}
+	if _, err := HashKey(NewList()); err == nil {
+		t.Error("a list hashed")
 	}
 }

@@ -1,9 +1,6 @@
 package minipy
 
-import (
-	"strings"
-	"unicode/utf8"
-)
+import "unicode/utf8"
 
 // String positions are rune positions, but the strings that matter for
 // cost — megabytes of staged input — are ASCII, where rune i is byte i.
@@ -72,23 +69,4 @@ func strIndex(s string, i int) (ch string, ok bool) {
 		return "", false
 	}
 	return string(runes[i]), true
-}
-
-// strSlice returns runes [lo, hi) of s, as bounds(n) resolves them
-// against the rune length n. The result is a copy, never a view: a short
-// slice must not pin a long (possibly borrowed) string.
-func strSlice(s string, bounds func(n int) (lo, hi int, err error)) (string, error) {
-	if asciiPrefix(s) == len(s) {
-		lo, hi, err := bounds(len(s))
-		if err != nil {
-			return "", err
-		}
-		return strings.Clone(s[lo:hi]), nil
-	}
-	runes := []rune(s)
-	lo, hi, err := bounds(len(runes))
-	if err != nil {
-		return "", err
-	}
-	return string(runes[lo:hi]), nil
 }

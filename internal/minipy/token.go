@@ -45,7 +45,6 @@ const (
 	KwFalse
 	KwNone
 	KwRaise
-	KwAssert
 
 	// Punctuation and operators.
 	LParen
@@ -80,8 +79,8 @@ var kindNames = map[Kind]string{
 	KwWhile: "while", KwFor: "for", KwIn: "in", KwPass: "pass",
 	KwImport: "import", KwFrom: "from", KwAs: "as", KwGlobal: "global",
 	KwLambda: "lambda", KwTrue: "True", KwFalse: "False", KwNone: "None",
-	KwRaise: "raise", KwAssert: "assert",
-	LParen: "(", RParen: ")", LBracket: "[", RBracket: "]",
+	KwRaise: "raise",
+	LParen:  "(", RParen: ")", LBracket: "[", RBracket: "]",
 	LBrace: "{", RBrace: "}", Comma: ",", Colon: ":",
 	Dot: ".", Assign: "=", PlusAssign: "+=",
 	Plus: "+", Minus: "-", Star: "*", Slash: "/",
@@ -102,7 +101,7 @@ var keywords = map[string]Kind{
 	"while": KwWhile, "for": KwFor, "in": KwIn, "pass": KwPass,
 	"import": KwImport, "from": KwFrom, "as": KwAs, "global": KwGlobal,
 	"lambda": KwLambda, "True": KwTrue, "False": KwFalse, "None": KwNone,
-	"raise": KwRaise, "assert": KwAssert,
+	"raise": KwRaise,
 }
 
 // Token is a single lexical token with its source position.

@@ -1,7 +1,9 @@
 package minipy
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"strconv"
 	"strings"
@@ -100,16 +102,23 @@ func (t *Tuple) Truth() bool  { return len(t.Elems) > 0 }
 // Dict is a mutable hash map. Keys must be hashable (None, bool, int,
 // float, str, tuple of hashables). Insertion order is preserved.
 type Dict struct {
-	keys   []Value          // in insertion order
-	values map[string]Value // by HashKey
+	entries []dictEntry    // in insertion order
+	index   map[uint64]int // by HashKey: the first entry with that hash
+}
+
+// dictEntry is one key and its value. Entries whose keys hash alike
+// chain through next and are told apart by Equal.
+type dictEntry struct {
+	key, value Value
+	next       int // one more than the next such entry's index; 0 ends the chain
 }
 
 // NewDict creates an empty Dict.
-func NewDict() *Dict { return &Dict{values: map[string]Value{}} }
+func NewDict() *Dict { return &Dict{index: map[uint64]int{}} }
 
 func (*Dict) Type() string   { return "dict" }
 func (d *Dict) Repr() string { return shortRepr(d) }
-func (d *Dict) Truth() bool  { return len(d.keys) > 0 }
+func (d *Dict) Truth() bool  { return len(d.entries) > 0 }
 
 // repr renders a value the way str() does a container, and fails past
 // MaxValueDepth.
@@ -144,16 +153,15 @@ func writeRepr(sb *strings.Builder, v Value, depth int) error {
 		}
 	case *Dict:
 		sb.WriteByte('{')
-		for i, k := range x.keys {
+		for i, e := range x.entries {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
-			val, _ := x.Get(k)
-			if err := writeRepr(sb, k, depth+1); err != nil {
+			if err := writeRepr(sb, e.key, depth+1); err != nil {
 				return err
 			}
 			sb.WriteString(": ")
-			if err := writeRepr(sb, val, depth+1); err != nil {
+			if err := writeRepr(sb, e.value, depth+1); err != nil {
 				return err
 			}
 		}
@@ -176,78 +184,154 @@ func writeRepr(sb *strings.Builder, v Value, depth int) error {
 	return nil
 }
 
-// HashKey computes the hash-map key string for a hashable value, or an
-// error for unhashable types and for a tuple nested past MaxValueDepth.
-func HashKey(v Value) (string, error) { return hashKey(v, 0) }
+// HashKey computes a hashable value's key hash, or an error for
+// unhashable types and for a tuple nested past MaxValueDepth. Values that
+// are Equal hash alike (a bool or an integral float as the int it equals).
+// Each tuple inside the key is hashed once, so a key costs its distinct
+// tuples however often it shares them.
+func HashKey(v Value) (uint64, error) {
+	var k keyHasher
+	h, _, err := k.hash(v, 0)
+	return h, err
+}
 
-func hashKey(v Value, depth int) (string, error) {
+// keySeed seeds every key hash. It is drawn per process, so no input can
+// be built to make keys collide; nothing observable depends on it, since
+// a Dict keeps insertion order.
+var keySeed = maphash.MakeSeed()
+
+// Tags keeping the hashes of different kinds of key apart.
+const (
+	hashNone = iota + 1
+	hashInt
+	hashFloat
+	hashTuple
+)
+
+// keyHasher hashes one key. seen, made when the key first nests a tuple,
+// holds the hash and height of each nested tuple already hashed.
+type keyHasher struct {
+	seen map[*Tuple][2]uint64
+}
+
+// hash returns v's hash and its height (1 for a scalar, one more than
+// its tallest element for a tuple), failing where v reaches
+// MaxValueDepth levels below depth.
+func (k *keyHasher) hash(v Value, depth int) (uint64, int, error) {
 	if depth == MaxValueDepth {
-		return "", errTooDeep
+		return 0, 0, errTooDeep
 	}
 	switch x := v.(type) {
 	case None:
-		return "N", nil
+		return mix(hashNone, 0), 1, nil
 	case Bool:
 		if x {
-			return "b1", nil
+			return mix(hashInt, 1), 1, nil
 		}
-		return "b0", nil
+		return mix(hashInt, 0), 1, nil
 	case Int:
-		return "i" + strconv.FormatInt(int64(x), 10), nil
+		return mix(hashInt, uint64(x)), 1, nil
 	case Float:
-		// Integral floats hash like ints, matching Python semantics.
-		if f := float64(x); f == math.Trunc(f) && !math.IsInf(f, 0) {
-			return "i" + strconv.FormatInt(int64(f), 10), nil
+		if f := float64(x); f == math.Trunc(f) && f >= math.MinInt64 && f < math.MaxInt64 {
+			return mix(hashInt, uint64(int64(f))), 1, nil
 		}
-		return "f" + strconv.FormatFloat(float64(x), 'g', -1, 64), nil
+		return mix(hashFloat, math.Float64bits(float64(x))), 1, nil
 	case Str:
-		return "s" + string(x), nil
+		return maphash.String(keySeed, string(x)), 1, nil
 	case *Tuple:
-		var sb strings.Builder
-		sb.WriteString("t(")
-		for _, e := range x.Elems {
-			k, err := hashKey(e, depth+1)
-			if err != nil {
-				return "", err
+		if m, ok := k.seen[x]; ok {
+			if depth+int(m[1]) > MaxValueDepth {
+				return 0, 0, errTooDeep
 			}
-			sb.WriteString(strconv.Itoa(len(k)))
-			sb.WriteByte(':')
-			sb.WriteString(k)
+			return m[0], int(m[1]), nil
 		}
-		sb.WriteByte(')')
-		return sb.String(), nil
+		h, height := mix(hashTuple, uint64(len(x.Elems))), 1
+		for _, e := range x.Elems {
+			eh, eheight, err := k.hash(e, depth+1)
+			if err != nil {
+				return 0, 0, err
+			}
+			h, height = mix(h, eh), max(height, eheight+1)
+		}
+		// Only a nested tuple can be met again: a key cannot hold itself.
+		if depth > 0 {
+			if k.seen == nil {
+				k.seen = map[*Tuple][2]uint64{}
+			}
+			k.seen[x] = [2]uint64{h, uint64(height)}
+		}
+		return h, height, nil
 	}
-	return "", fmt.Errorf("unhashable type: '%s'", v.Type())
+	return 0, 0, fmt.Errorf("unhashable type: '%s'", v.Type())
+}
+
+// mix hashes two words.
+func mix(a, b uint64) uint64 {
+	var buf [16]byte
+	binary.LittleEndian.PutUint64(buf[:8], a)
+	binary.LittleEndian.PutUint64(buf[8:], b)
+	return maphash.Bytes(keySeed, buf[:])
 }
 
 // Set inserts or updates a key.
 func (d *Dict) Set(key, value Value) error {
-	hk, err := HashKey(key)
+	h, err := HashKey(key)
 	if err != nil {
 		return err
 	}
-	if _, exists := d.values[hk]; !exists {
-		d.keys = append(d.keys, key)
+	i, last := d.find(key, h)
+	switch {
+	case i >= 0:
+		d.entries[i].value = value
+		return nil
+	case last >= 0:
+		d.entries[last].next = len(d.entries) + 1
+	default:
+		d.index[h] = len(d.entries)
 	}
-	d.values[hk] = value
+	d.entries = append(d.entries, dictEntry{key: key, value: value})
 	return nil
 }
 
 // Get looks up a key, reporting whether it was present.
 func (d *Dict) Get(key Value) (Value, bool) {
-	hk, err := HashKey(key)
+	h, err := HashKey(key)
 	if err != nil {
 		return nil, false
 	}
-	v, ok := d.values[hk]
-	return v, ok
+	if i, _ := d.find(key, h); i >= 0 {
+		return d.entries[i].value, true
+	}
+	return nil, false
+}
+
+// find walks the entries whose keys hash to h. It returns the index of
+// key's entry, or -1 and the last entry walked (-1 if there was none).
+func (d *Dict) find(key Value, h uint64) (int, int) {
+	i, ok := d.index[h]
+	if !ok {
+		return -1, -1
+	}
+	for {
+		e := &d.entries[i]
+		if Equal(e.key, key) {
+			return i, -1
+		}
+		if e.next == 0 {
+			return -1, i
+		}
+		i = e.next - 1
+	}
 }
 
 // Len returns the number of entries.
-func (d *Dict) Len() int { return len(d.keys) }
+func (d *Dict) Len() int { return len(d.entries) }
 
-// Keys returns the keys in insertion order.
-func (d *Dict) Keys() []Value { return append([]Value(nil), d.keys...) }
+// Item returns the i'th entry in insertion order.
+func (d *Dict) Item(i int) (key, value Value) {
+	e := &d.entries[i]
+	return e.key, e.value
+}
 
 // Func is a user-defined function: a code object (the DefStmt or
 // LambdaExpr AST), the globals environment of its defining module, and
@@ -367,14 +451,19 @@ func equal(a, b Value, depth int) (bool, error) {
 	case Str:
 		y, ok := b.(Str)
 		return ok && x == y, nil
-	case *List, *Tuple:
-		xl, _ := sequenceElems(a)
-		yl, ok := sequenceElems(b)
-		if !ok || a.Type() != b.Type() || len(xl) != len(yl) {
+	case *Tuple:
+		y, ok := b.(*Tuple)
+		if !ok {
 			return false, nil
 		}
-		for i := range xl {
-			if eq, err := equal(xl[i], yl[i], depth+1); !eq || err != nil {
+		return equalTuples(x, y, depth, nil)
+	case *List:
+		y, ok := b.(*List)
+		if !ok || len(x.Elems) != len(y.Elems) {
+			return false, nil
+		}
+		for i := range x.Elems {
+			if eq, err := equal(x.Elems[i], y.Elems[i], depth+1); !eq || err != nil {
 				return false, err
 			}
 		}
@@ -384,19 +473,55 @@ func equal(a, b Value, depth int) (bool, error) {
 		if !ok || x.Len() != y.Len() {
 			return false, nil
 		}
-		for _, k := range x.keys {
-			xv, _ := x.Get(k)
-			yv, present := y.Get(k)
+		for _, e := range x.entries {
+			yv, present := y.Get(e.key)
 			if !present {
 				return false, nil
 			}
-			if eq, err := equal(xv, yv, depth+1); !eq || err != nil {
+			if eq, err := equal(e.value, yv, depth+1); !eq || err != nil {
 				return false, err
 			}
 		}
 		return true, nil
 	}
 	return a == b, nil
+}
+
+// equalTuples compares two tuples. Identical tuples are equal at once,
+// and a pair of nested tuples found equal is not compared again (seen,
+// made on first need), so keys sharing subtuples compare in time linear
+// in their distinct tuples, not in their size unshared.
+func equalTuples(x, y *Tuple, depth int, seen map[[2]*Tuple]bool) (bool, error) {
+	if x == y || seen[[2]*Tuple{x, y}] {
+		return true, nil
+	}
+	if depth == MaxValueDepth {
+		return false, errTooDeep
+	}
+	if len(x.Elems) != len(y.Elems) {
+		return false, nil
+	}
+	for i, xe := range x.Elems {
+		var eq bool
+		var err error
+		xt, xok := xe.(*Tuple)
+		yt, yok := y.Elems[i].(*Tuple)
+		if xok && yok && xt != yt {
+			if seen == nil {
+				seen = map[[2]*Tuple]bool{}
+			}
+			eq, err = equalTuples(xt, yt, depth+1, seen)
+		} else {
+			eq, err = equal(xe, y.Elems[i], depth+1)
+		}
+		if !eq || err != nil {
+			return false, err
+		}
+	}
+	if seen != nil {
+		seen[[2]*Tuple{x, y}] = true
+	}
+	return true, nil
 }
 
 func numAsFloat(v Value) (float64, bool) {

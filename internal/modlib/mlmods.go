@@ -119,26 +119,6 @@ func buildImageproc() *minipy.ModuleVal {
 	return m
 }
 
-func buildWeightstore() *minipy.ModuleVal {
-	m := &minipy.ModuleVal{Name: "weightstore", Attrs: map[string]minipy.Value{}}
-	m.Attrs["manifest"] = fn("manifest", func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
-		name := "resnet50"
-		if len(args) > 0 {
-			s, err := wantStr(args, 0, "manifest")
-			if err != nil {
-				return nil, err
-			}
-			name = s
-		}
-		d := minipy.NewDict()
-		_ = d.Set(minipy.Str("name"), minipy.Str(name))
-		_ = d.Set(minipy.Str("bytes"), minipy.Int(102*1024*1024))
-		_ = d.Set(minipy.Str("shards"), minipy.Int(4))
-		return d, nil
-	})
-	return m
-}
-
 // ---- chemistry stack ----
 
 func buildChemtools() *minipy.ModuleVal {

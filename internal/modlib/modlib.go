@@ -68,7 +68,6 @@ func Standard() *Registry {
 	r.Register("timex", buildTimex)
 	r.Register("imageproc", buildImageproc)
 	r.Register("resnet", buildResnet)
-	r.Register("weightstore", buildWeightstore)
 	r.Register("chemtools", buildChemtools)
 	r.Register("quantumsim", buildQuantumsim)
 	r.Register("mlpack", buildMlpack)
@@ -315,12 +314,12 @@ func toGo(v minipy.Value) (any, error) {
 		return out, nil
 	case *minipy.Dict:
 		out := map[string]any{}
-		for _, k := range x.Keys() {
+		for i := range x.Len() {
+			k, val := x.Item(i)
 			ks, ok := k.(minipy.Str)
 			if !ok {
 				return nil, fmt.Errorf("json keys must be strings, not %s", k.Type())
 			}
-			val, _ := x.Get(k)
 			g, err := toGo(val)
 			if err != nil {
 				return nil, err

@@ -44,13 +44,13 @@ func TestUnmarshalBorrowFloor(t *testing.T) {
 	if got := allocated(func() { v, err = UnmarshalBorrow(data, ip) }); err != nil || got > 64<<10 {
 		t.Fatalf("UnmarshalBorrow of a %d-byte string allocated %d bytes (err %v), want a view", len(big), got, err)
 	}
-	keys := v.(*minipy.Dict).Keys()
-	if val, _ := v.(*minipy.Dict).Get(keys[0]); string(val.(minipy.Str)) != big {
+	key, val := v.(*minipy.Dict).Item(0)
+	if string(val.(minipy.Str)) != big {
 		t.Fatal("borrowed string differs from the one pickled")
 	}
 	// Only the copy may be read from here on: the view's bytes are gone.
 	overwrite(data)
-	if string(keys[0].(minipy.Str)) != under {
+	if string(key.(minipy.Str)) != under {
 		t.Errorf("a %d-byte string, under the %d-byte floor, aliases its source", len(under), borrowFloor)
 	}
 }

@@ -36,6 +36,47 @@ func TestHostileLengthIsAnError(t *testing.T) {
 	}
 }
 
+// sharedKey is a dict whose one key is T_k, with T_0 = (None, None) and
+// T_i = (T_{i-1}, <ref T_{i-1}>): 4k+9 bytes for 2^k tuples unshared. In
+// a one-tuple, when inTuple is set.
+func sharedKey(k int, inTuple bool) []byte {
+	b, id := []byte{magic, version}, 1
+	if inTuple {
+		b, id = append(b, tagTuple, 1), 2
+	}
+	b = append(b, tagDict, 1)
+	var tuple func(i int)
+	tuple = func(i int) {
+		if i == 0 {
+			b = append(b, tagTuple, 2, tagNone, tagNone)
+			return
+		}
+		b = append(b, tagTuple, 2)
+		tuple(i - 1)
+		b = append(b, tagRef, byte(id+k-i+1))
+	}
+	tuple(k)
+	return append(b, tagNone)
+}
+
+// TestSharedTupleKeys: a key sharing its subtuples decodes, and
+// re-encodes to its own bytes, at the cost of its distinct tuples — its
+// hash once rendered the key unshared, 31 MB at k = 16. Inside a tuple
+// still being filled, the check that the key does not reach that tuple
+// costs the same.
+func TestSharedTupleKeys(t *testing.T) {
+	for _, inTuple := range []bool{false, true} {
+		data := sharedKey(60, inTuple)
+		v, err := Unmarshal(data, minipy.NewInterp(nil))
+		if err != nil {
+			t.Fatalf("in a tuple %v: %v", inTuple, err)
+		}
+		if again, err := Marshal(v); err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("in a tuple %v: re-encoded to %x (%v), want %x", inTuple, again, err, data)
+		}
+	}
+}
+
 // nested is depth lists, each the only element of the one before: depth
 // levels of value.
 func nested(depth int) minipy.Value {

@@ -219,10 +219,9 @@ func (e *encoder) value(v minipy.Value) error {
 		if e.seen(x) {
 			return nil
 		}
-		keys := x.Keys()
-		e.buf = bincode.AppendUvarint(append(e.buf, tagDict), uint64(len(keys)))
-		for _, k := range keys {
-			val, _ := x.Get(k)
+		e.buf = bincode.AppendUvarint(append(e.buf, tagDict), uint64(x.Len()))
+		for i := range x.Len() {
+			k, val := x.Item(i)
 			if err := e.encode(k); err != nil {
 				return err
 			}
@@ -309,6 +308,10 @@ type decoder struct {
 	memo []minipy.Value
 	// borrow lets string values alias data (UnmarshalBorrow).
 	borrow bool
+	// open counts the tuples being filled; done holds tuples found
+	// finished, with all they reach (see unfinished).
+	open int
+	done map[*minipy.Tuple]bool
 }
 
 // maxDepth bounds how deep a value nests, encoded or decoded — both
@@ -362,7 +365,9 @@ func (d *decoder) value() minipy.Value {
 		n := d.Count(1)
 		t := &minipy.Tuple{Elems: make([]minipy.Value, 0, n)}
 		d.remember(t)
+		d.open++
 		d.fill(&t.Elems, n)
+		d.open--
 		return t
 	case tagDict:
 		dict := minipy.NewDict()
@@ -374,7 +379,7 @@ func (d *decoder) value() minipy.Value {
 			}
 			if err := dict.Set(k, v); err != nil {
 				d.Fail(err)
-			} else if unfinished(k) {
+			} else if d.unfinished(k) {
 				d.Fail(errors.New("a dict key refers to a tuple still being decoded"))
 			}
 		}
@@ -429,20 +434,26 @@ func (d *decoder) fill(vs *[]minipy.Value, n int) {
 // unfinished reports whether a hashable value reaches a tuple fill has
 // not finished. As a dict key, its hash would change once the tuple is
 // filled and strand the entry. No value Marshal accepts does this: a key
-// reaching a tuple that holds the dict would itself hold the dict.
-func unfinished(v minipy.Value) bool {
+// reaching a tuple that holds the dict would itself hold the dict. With
+// no tuple open there is nothing to find, and a tuple found finished is
+// remembered, so a key sharing subtuples costs its distinct tuples.
+func (d *decoder) unfinished(v minipy.Value) bool {
 	t, ok := v.(*minipy.Tuple)
-	if !ok {
+	if !ok || d.open == 0 || d.done[t] {
 		return false
 	}
 	if len(t.Elems) < cap(t.Elems) {
 		return true
 	}
 	for _, e := range t.Elems {
-		if unfinished(e) {
+		if d.unfinished(e) {
 			return true
 		}
 	}
+	if d.done == nil {
+		d.done = map[*minipy.Tuple]bool{}
+	}
+	d.done[t] = true
 	return false
 }
 

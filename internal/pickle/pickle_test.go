@@ -83,10 +83,9 @@ func TestDictOrderPreserved(t *testing.T) {
 	}
 	got := roundTrip(t, d).(*minipy.Dict)
 	want := []string{"z", "a", "m", "b"}
-	keys := got.Keys()
-	for i, k := range keys {
-		if string(k.(minipy.Str)) != want[i] {
-			t.Fatalf("key order changed: %v", keys)
+	for i := range got.Len() {
+		if k, _ := got.Item(i); string(k.(minipy.Str)) != want[i] {
+			t.Fatalf("key order changed: %s", got.Repr())
 		}
 	}
 }

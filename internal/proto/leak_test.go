@@ -1,23 +1,25 @@
 package proto
 
-// Pool-discipline leak tests. The encode-buffer pool is an interface
-// (bufferPool) precisely so these tests can swap in a counting
-// implementation and prove the dynamic property the pooldiscipline
-// analyzer can only check lexically: every buffer taken by getEncBuf
-// comes back through putEncBuf on every path — success, encode error,
-// flush error, and mid-frame write error alike.
+// Pool leak tests. The encode-buffer pool is an interface (bufferPool)
+// so these tests can swap in a counting implementation and check that
+// every buffer taken by getEncBuf comes back through putEncBuf on every
+// path — success, encode error, flush error, and mid-frame write error
+// alike. No analyzer looks at the pool sites: these tests are the check.
 //
 // Audit map of the package's pool surface (keep in sync with proto.go):
 //
 //	Send      getEncBuf + defer putEncBuf — error paths: encodeFrame
-//	          (JSON error, oversized frame), flushLocked, rw.Write
-//	SendBulk  getEncBuf + defer putEncBuf — error paths: header JSON
-//	          error, oversized frame, flushLocked, header Write,
+//	          (a value with no encoding, oversized frame), flushLocked,
+//	          rw.Write
+//	SendBulk  getEncBuf + defer putEncBuf — error paths: a header with
+//	          no encoding, oversized frame, flushLocked, header Write,
 //	          payload Write
+//	OneShot   readerPool.Get + defer readerPool.Put, checked by the
+//	          bytes it allocates (TestOneShotReturnsReader)
 //	Buffer    no pool use: encodes into the per-conn pending buffer,
 //	          truncating it back on error
-//	codec.go  no pool use: encodeBinaryBody appends into the caller's
-//	          buffer; decode copies out of the caller's frame
+//	codec.go  no pool use: writeBody appends into the caller's buffer;
+//	          decode copies out of the caller's frame
 //
 // putEncBuf intentionally drops buffers above maxPooledBuf, so these
 // tests keep every frame far below that bound: any Get/Put imbalance
@@ -27,6 +29,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -284,5 +287,40 @@ func TestSendPoolBalanceConcurrent(t *testing.T) {
 	wg.Wait()
 	if n := cp.outstanding(); n != 0 {
 		t.Fatalf("%d encode buffer(s) leaked under concurrency (gets=%d puts=%d)", n, cp.gets, cp.puts)
+	}
+}
+
+// TestOneShotReturnsReader: OneShot borrows its read buffer from
+// readerPool and must give it back, so a run of exchanges allocates far
+// less than one buffer each. Under the race detector sync.Pool drops a
+// quarter of its Puts, which still keeps the average under half.
+func TestOneShotReturnsReader(t *testing.T) {
+	var frame bytes.Buffer
+	if err := NewConn(&frame).Send(MsgHello, Hello{WorkerID: "w1"}); err != nil {
+		t.Fatal(err)
+	}
+	var r bytes.Reader
+	rw := struct {
+		io.Reader
+		io.Writer
+	}{&r, io.Discard}
+	exchange := func() {
+		r.Reset(frame.Bytes())
+		OneShot(rw, func(c *Conn) {
+			if _, _, err := c.Recv(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	exchange() // fill the pool
+	const n = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		exchange()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > readBufSize/2 {
+		t.Fatalf("OneShot allocates %d bytes per exchange, want under %d: its reader is not going back to the pool", per, readBufSize/2)
 	}
 }

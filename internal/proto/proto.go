@@ -297,9 +297,8 @@ func OneShot(rw io.ReadWriter, f func(*Conn)) {
 
 // bufferPool is the encode-buffer supply contract. The default is a
 // sync.Pool; tests swap in a counting pool to prove the pool
-// discipline below — every Get is returned by a Put on every path,
-// success or error (the pooldiscipline analyzer enforces the
-// lexical shape, the leak test the dynamic one).
+// discipline below: every Get is returned by a Put on every path,
+// success or error (leak_test.go).
 type bufferPool interface {
 	Get() *bytes.Buffer
 	Put(*bytes.Buffer)

@@ -187,7 +187,8 @@ func (w *Worker) Plane() *dataplane.Plane { return w.plane }
 // ID returns the worker's identifier.
 func (w *Worker) ID() string { return w.cfg.ID }
 
-// DataAddr returns the address peers fetch cached objects from.
+// DataAddr returns the address peers fetch cached objects from;
+// cmd/vineworker prints it.
 func (w *Worker) DataAddr() string { return w.dataAddr }
 
 // Stats returns a snapshot of the worker's counters.
