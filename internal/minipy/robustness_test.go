@@ -1,6 +1,7 @@
 package minipy
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -347,16 +348,22 @@ func TestSharedTuplesCostTheirDistinctTuples(t *testing.T) {
 
 // TestEqualKeysAreOneKey: keys that compare equal are one entry, as in
 // Python — 1, 1.0 and True among them — and a dict keeps the order of
-// first insertion.
+// first insertion. Every NaN is one key too, bare or in a tuple, though
+// NaN != NaN: a dict holding one still equals itself.
 func TestEqualKeysAreOneKey(t *testing.T) {
 	d := NewDict()
-	for i, k := range []Value{Int(1), Str("a"), Float(1), Bool(true), NewTuple(Int(0)), NewTuple(Float(0))} {
+	nan, otherNaN := Float(math.NaN()), Float(math.Float64frombits(math.Float64bits(math.NaN())|0xff))
+	for i, k := range []Value{Int(1), Str("a"), Float(1), Bool(true), NewTuple(Int(0)), NewTuple(Float(0)),
+		nan, NewTuple(nan), otherNaN, NewTuple(otherNaN)} {
 		if err := d.Set(k, Int(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got, want := d.Repr(), `{1: 3, "a": 1, (0,): 5}`; got != want {
+	if got, want := d.Repr(), `{1: 3, "a": 1, (0,): 5, NaN: 8, (NaN,): 9}`; got != want {
 		t.Errorf("dict = %s, want %s", got, want)
+	}
+	if !Equal(d, d) || Equal(nan, nan) {
+		t.Error("a dict with NaN keys is not equal to itself, or NaN == NaN")
 	}
 	if _, err := HashKey(NewList()); err == nil {
 		t.Error("a list hashed")

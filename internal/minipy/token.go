@@ -31,7 +31,6 @@ const (
 	KwDef
 	KwReturn
 	KwIf
-	KwElse
 	KwWhile
 	KwFor
 	KwIn
@@ -75,7 +74,7 @@ const (
 var kindNames = map[Kind]string{
 	EOF: "EOF", NEWLINE: "NEWLINE", INDENT: "INDENT", DEDENT: "DEDENT",
 	IDENT: "IDENT", INT: "INT", FLOAT: "FLOAT", STRING: "STRING",
-	KwDef: "def", KwReturn: "return", KwIf: "if", KwElse: "else",
+	KwDef: "def", KwReturn: "return", KwIf: "if",
 	KwWhile: "while", KwFor: "for", KwIn: "in", KwPass: "pass",
 	KwImport: "import", KwFrom: "from", KwAs: "as", KwGlobal: "global",
 	KwLambda: "lambda", KwTrue: "True", KwFalse: "False", KwNone: "None",
@@ -97,7 +96,7 @@ func (k Kind) String() string {
 }
 
 var keywords = map[string]Kind{
-	"def": KwDef, "return": KwReturn, "if": KwIf, "else": KwElse,
+	"def": KwDef, "return": KwReturn, "if": KwIf,
 	"while": KwWhile, "for": KwFor, "in": KwIn, "pass": KwPass,
 	"import": KwImport, "from": KwFrom, "as": KwAs, "global": KwGlobal,
 	"lambda": KwLambda, "True": KwTrue, "False": KwFalse, "None": KwNone,

@@ -186,9 +186,9 @@ func writeRepr(sb *strings.Builder, v Value, depth int) error {
 
 // HashKey computes a hashable value's key hash, or an error for
 // unhashable types and for a tuple nested past MaxValueDepth. Values that
-// are Equal hash alike (a bool or an integral float as the int it equals).
-// Each tuple inside the key is hashed once, so a key costs its distinct
-// tuples however often it shares them.
+// are one key hash alike (a bool or an integral float as the int it
+// equals, every NaN as one). Each tuple inside the key is hashed once, so
+// a key costs its distinct tuples however often it shares them.
 func HashKey(v Value) (uint64, error) {
 	var k keyHasher
 	h, _, err := k.hash(v, 0)
@@ -205,6 +205,7 @@ const (
 	hashNone = iota + 1
 	hashInt
 	hashFloat
+	hashNaN
 	hashTuple
 )
 
@@ -232,8 +233,11 @@ func (k *keyHasher) hash(v Value, depth int) (uint64, int, error) {
 	case Int:
 		return mix(hashInt, uint64(x)), 1, nil
 	case Float:
-		if f := float64(x); f == math.Trunc(f) && f >= math.MinInt64 && f < math.MaxInt64 {
+		switch f := float64(x); {
+		case f == math.Trunc(f) && f >= math.MinInt64 && f < math.MaxInt64:
 			return mix(hashInt, uint64(int64(f))), 1, nil
+		case f != f:
+			return mix(hashNaN, 0), 1, nil
 		}
 		return mix(hashFloat, math.Float64bits(float64(x))), 1, nil
 	case Str:
@@ -314,7 +318,7 @@ func (d *Dict) find(key Value, h uint64) (int, int) {
 	}
 	for {
 		e := &d.entries[i]
-		if Equal(e.key, key) {
+		if sameKey(e.key, key) {
 			return i, -1
 		}
 		if e.next == 0 {
@@ -456,7 +460,7 @@ func equal(a, b Value, depth int) (bool, error) {
 		if !ok {
 			return false, nil
 		}
-		return equalTuples(x, y, depth, nil)
+		return equalTuples(x, y, depth, false, nil)
 	case *List:
 		y, ok := b.(*List)
 		if !ok || len(x.Elems) != len(y.Elems) {
@@ -487,11 +491,32 @@ func equal(a, b Value, depth int) (bool, error) {
 	return a == b, nil
 }
 
-// equalTuples compares two tuples. Identical tuples are equal at once,
-// and a pair of nested tuples found equal is not compared again (seen,
-// made on first need), so keys sharing subtuples compare in time linear
-// in their distinct tuples, not in their size unshared.
-func equalTuples(x, y *Tuple, depth int, seen map[[2]*Tuple]bool) (bool, error) {
+// sameKey reports whether two hashable values are one dict key: whether
+// they are Equal, except that every NaN is one key, as it hashes. By
+// Equal alone NaN != NaN, so each NaN key would be a new entry chained
+// behind all the others, and n of them would cost n² comparisons.
+func sameKey(a, b Value) bool {
+	x, xok := a.(*Tuple)
+	y, yok := b.(*Tuple)
+	if xok && yok {
+		eq, _ := equalTuples(x, y, 0, true, nil) // false with the error
+		return eq
+	}
+	return bothNaN(a, b) || Equal(a, b)
+}
+
+func bothNaN(a, b Value) bool {
+	x, xok := a.(Float)
+	y, yok := b.(Float)
+	return xok && yok && x != x && y != y
+}
+
+// equalTuples compares two tuples, as keys (NaN equal to NaN) when keys
+// is set. Identical tuples are equal at once, and a pair of nested tuples
+// found equal is not compared again (seen, made on first need), so keys
+// sharing subtuples compare in time linear in their distinct tuples, not
+// in their size unshared.
+func equalTuples(x, y *Tuple, depth int, keys bool, seen map[[2]*Tuple]bool) (bool, error) {
 	if x == y || seen[[2]*Tuple{x, y}] {
 		return true, nil
 	}
@@ -502,17 +527,18 @@ func equalTuples(x, y *Tuple, depth int, seen map[[2]*Tuple]bool) (bool, error) 
 		return false, nil
 	}
 	for i, xe := range x.Elems {
-		var eq bool
-		var err error
+		ye := y.Elems[i]
 		xt, xok := xe.(*Tuple)
-		yt, yok := y.Elems[i].(*Tuple)
-		if xok && yok && xt != yt {
+		yt, yok := ye.(*Tuple)
+		eq, err := true, error(nil)
+		switch {
+		case xok && yok && xt != yt:
 			if seen == nil {
 				seen = map[[2]*Tuple]bool{}
 			}
-			eq, err = equalTuples(xt, yt, depth+1, seen)
-		} else {
-			eq, err = equal(xe, y.Elems[i], depth+1)
+			eq, err = equalTuples(xt, yt, depth+1, keys, seen)
+		case !keys || !bothNaN(xe, ye):
+			eq, err = equal(xe, ye, depth+1)
 		}
 		if !eq || err != nil {
 			return false, err

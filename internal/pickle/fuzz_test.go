@@ -3,7 +3,9 @@ package pickle
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -74,6 +76,67 @@ func TestSharedTupleKeys(t *testing.T) {
 		if again, err := Marshal(v); err != nil || !bytes.Equal(again, data) {
 			t.Fatalf("in a tuple %v: re-encoded to %x (%v), want %x", inTuple, again, err, data)
 		}
+	}
+}
+
+// nanKeys is a dict of n keys, ten or twelve bytes each: a NaN, or a
+// one-tuple of a NaN, every NaN with its own payload bits.
+func nanKeys(n int) []byte {
+	b := binary.AppendUvarint([]byte{magic, version, tagDict}, uint64(n))
+	for i := range n {
+		if i%2 == 1 {
+			b = append(b, tagTuple, 1)
+		}
+		b = binary.LittleEndian.AppendUint64(append(b, tagFloat), math.Float64bits(math.NaN())|uint64(i))
+		b = append(b, tagNone)
+	}
+	return b
+}
+
+// TestNaNKeysAreOneKey: every NaN is one dict key, bare or in a tuple,
+// whatever its payload bits. All NaNs hash alike, so were each a new key
+// (NaN != NaN) they would chain, and decoding n of them would cost n²/2
+// comparisons: 2·10⁸ here, 5·10⁹ for a megabyte.
+func TestNaNKeysAreOneKey(t *testing.T) {
+	const n = 20_000
+	v, err := Unmarshal(nanKeys(n), minipy.NewInterp(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := v.(*minipy.Dict)
+	if d.Len() != 2 {
+		t.Fatalf("%d NaN keys made %d entries, want 2", n, d.Len())
+	}
+	if got, want := d.Repr(), "{NaN: None, (NaN,): None}"; got != want {
+		t.Fatalf("dict = %s, want %s", got, want)
+	}
+	if !minipy.Equal(d, d) {
+		t.Error("a dict with NaN keys is not equal to itself")
+	}
+}
+
+// TestPooledDecoderKeepsNothing: a decoder goes back to the pool holding
+// nothing it decoded — no memoized value, no tuple a key was checked
+// against — so the pool pins no value and no input a view borrows.
+func TestPooledDecoderKeepsNothing(t *testing.T) {
+	// (dict{(1,): None},): the key is checked while the outer tuple fills.
+	dict := minipy.NewDict()
+	if err := dict.Set(minipy.NewTuple(minipy.Int(1)), minipy.NoneValue); err != nil {
+		t.Fatal(err)
+	}
+	data, err := Marshal(minipy.NewTuple(dict))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 10 {
+		if _, err := Unmarshal(data, minipy.NewInterp(nil)); err != nil {
+			t.Fatal(err)
+		}
+		d := decoderPool.Get().(*decoder)
+		if len(d.done) > 0 || slices.ContainsFunc(d.memo[:cap(d.memo)], func(v minipy.Value) bool { return v != nil }) {
+			t.Fatalf("a pooled decoder holds %d finished tuples and memo %v", len(d.done), d.memo[:cap(d.memo)])
+		}
+		decoderPool.Put(d)
 	}
 }
 
@@ -240,6 +303,7 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(hostileLength)
 	f.Add(hostileDepth(maxDepth + 1))
 	f.Add(builtinFlood(100))
+	f.Add(nanKeys(1000))
 	ip = minipy.NewInterp(&modHost{reg: modlib.Standard(), mods: map[string]*minipy.ModuleVal{}})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		for _, unmarshal := range []func([]byte, *minipy.Interp) (minipy.Value, error){Unmarshal, UnmarshalBorrow} {

@@ -133,9 +133,12 @@ func unmarshal(data []byte, ip *minipy.Interp, borrow bool) (minipy.Value, error
 	v := d.decode()
 	err := d.Done()
 	d.Reader, d.ip = bincode.Reader{}, nil
+	// A pooled decoder keeps nothing it decoded. done holds only tuples
+	// the memo does, so it is small whenever the memo is.
 	if cap(d.memo) <= 1024 {
 		clear(d.memo)
 		d.memo = d.memo[:0]
+		clear(d.done)
 		decoderPool.Put(d)
 	}
 	if err != nil {
