@@ -61,6 +61,8 @@ race:
 # to reference oracles, and must not depend on map order or timing. So
 # does the shared shard scheduler: its wake latch is raced by real
 # goroutines, and its passes are held to plan-one/execute-one oracles.
+# So does the send queue: its one-slot wake channel is the same kind of
+# lost-wakeup hazard, raced by eight producers against its consumer.
 # The manager's differentials then run ten times (no race detector: ~2 s
 # a run): they wait out real backoff timers, which is where a
 # timing-dependent requeue would show. So does taskvine, ten times under
@@ -69,7 +71,7 @@ race:
 # that depends on timing or a spec left backing off in the in-flight
 # table would show.
 flake:
-	go test -count=20 -race ./internal/dataplane ./internal/worker ./internal/content ./internal/library ./internal/hashring ./internal/policy ./internal/shardplane
+	go test -count=20 -race ./internal/dataplane ./internal/worker ./internal/content ./internal/library ./internal/hashring ./internal/policy ./internal/shardplane ./internal/sendq
 	go test -count=10 -run Differential ./internal/manager
 	go test -count=10 -race ./taskvine
 

@@ -26,7 +26,7 @@ type Ring struct {
 	slots map[string]uint32 // member → slot
 	names []string          // slot → member
 	free  []uint32          // slots of departed members
-	fresh []point           // Add's scratch: the joining member's own points
+	fresh []point           // Add's scratch: the joining members' points
 }
 
 type point struct {
@@ -49,51 +49,57 @@ func hashOf(s string) uint64 {
 	return binary.BigEndian.Uint64(sum[:8])
 }
 
-// before orders points by hash, then by member name: two members'
+// compare orders points by hash, then by member name: two members'
 // points that collide sit in the same order whoever joined first.
-func (r *Ring) before(a, b point) bool {
-	if a.hash != b.hash {
-		return a.hash < b.hash
+func (r *Ring) compare(a, b point) int {
+	if c := cmp.Compare(a.hash, b.hash); c != 0 {
+		return c
 	}
-	return r.names[a.slot] < r.names[b.slot]
+	return cmp.Compare(r.names[a.slot], r.names[b.slot])
 }
 
-// Add inserts a member: its own points are sorted and merged into the
-// sorted ring in place, so a join moves each existing point at most
-// once and compares only to find where its own points go.
-func (r *Ring) Add(member string) {
+// Add inserts members: their points are sorted together and merged into
+// the sorted ring in place, so one call moves each existing point at most
+// once and compares only to find where the new points go. A roster joined
+// in one call therefore costs one sort, where joining it member by member
+// moves the whole ring once per member. Members already present are
+// skipped.
+func (r *Ring) Add(members ...string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.slots[member]; ok {
-		return
+	fresh := slices.Grow(r.fresh[:0], len(members)*r.replicas)
+	for _, member := range members {
+		if _, ok := r.slots[member]; ok {
+			continue
+		}
+		var slot uint32
+		if n := len(r.free); n > 0 {
+			slot, r.free = r.free[n-1], r.free[:n-1]
+			r.names[slot] = member
+		} else {
+			slot = uint32(len(r.names))
+			r.names = append(r.names, member)
+		}
+		r.slots[member] = slot
+		for i := 0; i < r.replicas; i++ {
+			h := hashOf(member + "#" + string(rune('0'+i%10)) + string(rune('a'+i/10)))
+			fresh = append(fresh, point{hash: h, slot: slot})
+		}
 	}
-	var slot uint32
-	if n := len(r.free); n > 0 {
-		slot, r.free = r.free[n-1], r.free[:n-1]
-		r.names[slot] = member
-	} else {
-		slot = uint32(len(r.names))
-		r.names = append(r.names, member)
+	slices.SortFunc(fresh, r.compare)
+	if len(members) == 1 {
+		r.fresh = fresh[:0] // kept for the next join; a roster's is not
 	}
-	r.slots[member] = slot
 
-	fresh := r.fresh[:0]
-	for i := 0; i < r.replicas; i++ {
-		h := hashOf(member + "#" + string(rune('0'+i%10)) + string(rune('a'+i/10)))
-		fresh = append(fresh, point{hash: h, slot: slot})
-	}
-	slices.SortFunc(fresh, func(a, b point) int { return cmp.Compare(a.hash, b.hash) })
-	r.fresh = fresh
-
-	// Merge backwards, in place: the member's last point goes behind the
-	// block of ring points that sort after it, which moves up as one copy
-	// to make room, then the next-to-last, and so on down.
+	// Merge backwards, in place: the last new point goes behind the block
+	// of ring points that sort after it, which moves up as one copy to
+	// make room, then the next-to-last, and so on down.
 	end := len(r.points)
 	r.points = append(r.points, fresh...) // room only: the merge rewrites it
 	pts := r.points
 	for j := len(fresh) - 1; j >= 0; j-- {
 		p := fresh[j]
-		pos := sort.Search(end, func(i int) bool { return r.before(p, pts[i]) })
+		pos := sort.Search(end, func(i int) bool { return r.compare(p, pts[i]) < 0 })
 		copy(pts[pos+j+1:], pts[pos:end])
 		pts[pos+j] = p
 		end = pos

@@ -180,7 +180,7 @@ func checkRing(t *testing.T, r *Ring, members map[string]bool) {
 		if !members[r.names[p.slot]] {
 			t.Fatalf("point %d belongs to %q, not a member", i, r.names[p.slot])
 		}
-		if i > 0 && !r.before(r.points[i-1], p) {
+		if i > 0 && r.compare(r.points[i-1], p) >= 0 {
 			t.Fatalf("points %d and %d out of order", i-1, i)
 		}
 	}
@@ -296,8 +296,56 @@ func TestRingIsPureFunctionOfMembers(t *testing.T) {
 	}
 
 	tie := &Ring{names: []string{"b", "a"}}
-	if p, q := (point{hash: 9, slot: 0}), (point{hash: 9, slot: 1}); tie.before(p, q) || !tie.before(q, p) {
+	if p, q := (point{hash: 9, slot: 0}), (point{hash: 9, slot: 1}); tie.compare(p, q) < 0 || tie.compare(q, p) >= 0 {
 		t.Fatal("equal hashes must order by member name, not by slot")
+	}
+}
+
+// TestBatchAddEqualsJoinByJoin: a roster added in one call — onto an
+// empty ring, and onto a ring with members and freed slots, repeating a
+// member and naming one already present — holds exactly the points, in
+// exactly the order, of the same members joined one at a time.
+func TestBatchAddEqualsJoinByJoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	names := make([]string, 300)
+	for i := range names {
+		names[i] = fmt.Sprintf("m-%d", rng.Intn(1000))
+	}
+	points := func(r *Ring) []string {
+		out := make([]string, len(r.points))
+		for i, p := range r.points {
+			out[i] = fmt.Sprintf("%016x %s", p.hash, r.names[p.slot])
+		}
+		return out
+	}
+
+	one := New(8)
+	for _, m := range names {
+		one.Add(m)
+	}
+	batch := New(8)
+	batch.Add(names...)
+	if !slices.Equal(points(one), points(batch)) {
+		t.Fatal("a roster added at once differs from the same members joined one by one")
+	}
+
+	mixed := New(8)
+	for i := 0; i < 50; i++ {
+		mixed.Add(names[i], fmt.Sprintf("gone-%d", i))
+	}
+	for i := 0; i < 50; i++ {
+		mixed.Remove(fmt.Sprintf("gone-%d", i))
+	}
+	mixed.Add(append(names[40:], names[100], names[7])...)
+	checkRing(t, mixed, func() map[string]bool {
+		set := map[string]bool{}
+		for _, m := range names {
+			set[m] = true
+		}
+		return set
+	}())
+	if !slices.Equal(points(one), points(mixed)) {
+		t.Fatal("a roster added onto a ring with freed slots differs from joining one by one")
 	}
 }
 

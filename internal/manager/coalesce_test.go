@@ -1,8 +1,9 @@
 package manager
 
 // Race-mode tests for the coalesced per-worker writer: the sender
-// goroutine in serveWorker drains a worker's sendq into the
-// connection's pending buffer and flushes whole bursts in one write.
+// goroutine in serveWorker takes everything in a worker's sendq in one
+// swap, encodes it into the connection's pending buffer and flushes the
+// burst in one write.
 // These tests drive the real sender over a net.Pipe whose peer stalls
 // mid-frame, and assert the two properties coalescing must not break:
 // every frame arrives intact and exactly once (no interleaving, no
@@ -153,9 +154,10 @@ func TestCoalescedWriterOverflowUnderFullStall(t *testing.T) {
 	w, _ := startPipeWorker(t, m, "wedged", 1, peerSide, mgrSide)
 	s := m.shardFor("wedged")
 
-	// Each frame carries a 4 KiB script so the queue, the pending
-	// buffer (maxPending), and the wedged in-flight write together
-	// absorb far less than the flood.
+	// Each frame carries a 4 KiB script. The wedged sender holds the one
+	// batch it took, at most a full queue, and the queue fills again
+	// behind it: together they absorb at most twice the bound, less than
+	// the flood.
 	pad := strings.Repeat("#", 4096)
 	total := 2*sendQueueSize(1) + 512
 	var wg sync.WaitGroup

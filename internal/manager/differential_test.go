@@ -14,6 +14,7 @@ import (
 	"repro/internal/hashring"
 	"repro/internal/policy"
 	"repro/internal/proto"
+	"repro/internal/sendq"
 	"repro/internal/shardplane"
 	"repro/internal/sim"
 )
@@ -190,7 +191,7 @@ func (h *diffHarness) newWorker(id string) *workerState {
 		// DataAddr must be non-empty: the ref plane treats an
 		// address-less resolve source as dead (refSourceAddrs).
 		hello:        proto.Hello{WorkerID: id, Resources: core.Resources{Cores: h.slots}, DataAddr: "sim://" + id},
-		sendq:        make(chan outMsg, 256),
+		sendq:        sendq.New[outMsg](256),
 		fetchSources: map[string]string{},
 		ackWaiters:   map[string][]*staging{},
 		libs:         map[string]*libInstance{},

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/proto"
+	"repro/internal/sendq"
 )
 
 // These tests drive the manager's failure-path bookkeeping directly,
@@ -28,7 +29,7 @@ func fakeWorker(m *Manager, id string) *workerState {
 	w := &workerState{
 		id:           id,
 		hello:        proto.Hello{WorkerID: id, Resources: core.Resources{Cores: 32, MemoryMB: 64 << 10, DiskMB: 64 << 10}},
-		sendq:        make(chan outMsg, 256),
+		sendq:        sendq.New[outMsg](256),
 		drops:        &m.ctr.SendQueueDrops,
 		fetchSources: map[string]string{},
 		ackWaiters:   map[string][]*staging{},
@@ -70,15 +71,7 @@ func dispatchOn(t *testing.T, m *Manager, w *workerState, task *core.TaskSpec) i
 }
 
 func drainMsgs(w *workerState) []outMsg {
-	var out []outMsg
-	for {
-		select {
-		case msg := <-w.sendq:
-			out = append(out, msg)
-		default:
-			return out
-		}
-	}
+	return w.sendq.Take()
 }
 
 func TestWorkerGoneReleasesPeerTransferSlots(t *testing.T) {
@@ -564,7 +557,7 @@ func TestEnqueueOverflowDropsAndCounts(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	w.nc = a
-	w.sendq = make(chan outMsg, 2)
+	w.sendq = sendq.New[outMsg](2)
 	for i := 0; i < 2; i++ {
 		w.enqueue(outMsg{t: proto.MsgRunTask, v: simpleTask("fill")})
 	}

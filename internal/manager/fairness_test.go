@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/proto"
+	"repro/internal/sendq"
 )
 
 // TestFairShareNoStarvation is the bounded-wait guarantee behind the
@@ -29,7 +30,7 @@ func TestFairShareNoStarvation(t *testing.T) {
 	w := &workerState{
 		id:           "w0",
 		hello:        proto.Hello{WorkerID: "w0", Resources: core.Resources{Cores: 1}},
-		sendq:        make(chan outMsg, 256),
+		sendq:        sendq.New[outMsg](256),
 		fetchSources: map[string]string{},
 		ackWaiters:   map[string][]*staging{},
 		libs:         map[string]*libInstance{},

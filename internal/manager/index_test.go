@@ -9,6 +9,7 @@ import (
 	"repro/internal/content"
 	"repro/internal/core"
 	"repro/internal/proto"
+	"repro/internal/sendq"
 )
 
 // TestIndexConsistencyRandomized drives the scheduler's incremental
@@ -54,7 +55,7 @@ func TestIndexConsistencyRandomized(t *testing.T) {
 		return &workerState{
 			id:           id,
 			hello:        proto.Hello{WorkerID: id, Resources: core.Resources{Cores: 32, MemoryMB: 64 << 10, DiskMB: 64 << 10}},
-			sendq:        make(chan outMsg, 4096),
+			sendq:        sendq.New[outMsg](4096),
 			fetchSources: map[string]string{},
 			ackWaiters:   map[string][]*staging{},
 			libs:         map[string]*libInstance{},
@@ -153,14 +154,7 @@ func TestIndexConsistencyRandomized(t *testing.T) {
 
 	drain := func() {
 		for _, w := range live {
-			for {
-				select {
-				case <-w.sendq:
-				default:
-					goto next
-				}
-			}
-		next:
+			w.sendq.Take()
 		}
 	}
 

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,6 +34,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/proto"
+	"repro/internal/sendq"
 	"repro/internal/shardplane"
 )
 
@@ -323,7 +323,9 @@ type workerState struct {
 	hello proto.Hello
 	conn  *proto.Conn
 	nc    net.Conn
-	sendq chan outMsg
+	// sendq feeds the worker's sender goroutine; it holds at most
+	// sendQueueSize(cores) frames and reserves none of them.
+	sendq *sendq.Queue[outMsg]
 	// drops points at the manager's SendQueueDrops counter so a
 	// queue-overflow disconnect is counted, not silent.
 	drops *atomic.Int64
@@ -349,12 +351,11 @@ type libInstance struct {
 	served   int64
 }
 
-// sendQueueSize derives a worker's outbound queue depth from its slot
+// sendQueueSize derives a worker's outbound queue bound from its slot
 // count: each occupied slot can have a dispatch, its staging messages,
 // and a few control frames outstanding, with generous headroom for
-// bursts. The old flat 16384 wasted memory on small workers and still
-// had no principled relation to how much the scheduler can reasonably
-// have in flight to one worker.
+// bursts. A worker whose queue passes it is dropped. The bound reserves
+// nothing: an idle worker's queue holds no frames and no array for them.
 func sendQueueSize(cores int) int {
 	const perSlot, floor = 128, 1024
 	n := cores * perSlot
@@ -659,19 +660,18 @@ func (m *Manager) Collect(n int, timeout time.Duration) ([]core.Result, error) {
 // ---- worker connection handling ----
 
 func (w *workerState) enqueue(msg outMsg) {
-	select {
-	case w.sendq <- msg:
-	default:
-		// Queue full: drop the connection rather than deadlock the
-		// scheduler; the reader loop will clean up. Count and log the
-		// drop — a silent disconnect here looks exactly like a worker
-		// crash from the outside and is otherwise undiagnosable.
-		if w.drops != nil {
-			w.drops.Add(1)
-		}
-		log.Printf("manager: worker %s outbound queue full (%d); dropping connection", w.id, cap(w.sendq))
-		w.nc.Close()
+	if w.sendq.TryPush(msg) {
+		return
 	}
+	// Queue full: drop the connection rather than deadlock the
+	// scheduler; the reader loop will clean up. Count and log the
+	// drop — a silent disconnect here looks exactly like a worker
+	// crash from the outside and is otherwise undiagnosable.
+	if w.drops != nil {
+		w.drops.Add(1)
+	}
+	log.Printf("manager: worker %s outbound queue full (%d); dropping connection", w.id, w.sendq.Limit())
+	w.nc.Close()
 }
 
 // adoptWorker registers a connected worker in its home shard and the
@@ -727,7 +727,7 @@ func (m *Manager) serveWorker(nc net.Conn) {
 		hello:        hello,
 		conn:         conn,
 		nc:           nc,
-		sendq:        make(chan outMsg, sendQueueSize(hello.Resources.Cores)),
+		sendq:        sendq.New[outMsg](sendQueueSize(hello.Resources.Cores)),
 		drops:        &m.ctr.SendQueueDrops,
 		fetchSources: map[string]string{},
 		ackWaiters:   map[string][]*staging{},
@@ -741,60 +741,34 @@ func (m *Manager) serveWorker(nc net.Conn) {
 	s := m.shardFor(w.id)
 
 	// Sender goroutine drains the queue so scheduling never blocks on
-	// TCP backpressure. Frames are coalesced: a burst of queued
-	// messages is encoded into the connection's pending buffer and
-	// flushed in one write syscall once the queue runs momentarily dry.
+	// TCP backpressure. Frames are coalesced: everything queued is
+	// encoded into the connection's pending buffer and flushed in one
+	// write syscall once the queue runs momentarily dry.
 	done := make(chan struct{})
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
+		put := func(msg outMsg) error {
+			if msg.bulk {
+				// SendBulk drains the pending buffer first, so
+				// ordering with buffered frames is preserved.
+				return conn.SendBulk(msg.t, msg.v, msg.payload)
+			}
+			return conn.Buffer(msg.t, msg.v)
+		}
 		for {
-			var msg outMsg
-			select {
-			case msg = <-w.sendq:
-			case <-done:
-				return
+			n, err := w.sendq.Drain(done, put)
+			if n == 0 && err == nil {
+				return // the reader loop has ended
 			}
-			var batch int64
-			yielded := false
-			for {
-				var err error
-				if msg.bulk {
-					// SendBulk drains the pending buffer first, so
-					// ordering with buffered frames is preserved.
-					err = conn.SendBulk(msg.t, msg.v, msg.payload)
-				} else {
-					err = conn.Buffer(msg.t, msg.v)
-				}
-				if err != nil {
-					nc.Close()
-					return
-				}
-				batch++
-				select {
-				case msg = <-w.sendq:
-					continue
-				default:
-				}
-				// One cooperative yield before flushing lets same-core
-				// producers (the scheduler mid-burst) top the queue off,
-				// so the flush carries a bigger batch in one write
-				// syscall instead of many near-empty ones.
-				if !yielded {
-					yielded = true
-					runtime.Gosched()
-					select {
-					case msg = <-w.sendq:
-						continue
-					default:
-					}
-				}
-				break
+			if err == nil {
+				err = conn.Flush()
 			}
-			if err := conn.Flush(); err != nil {
+			if err != nil {
 				nc.Close()
 				return
 			}
+			batch := int64(n)
 			m.ctr.FramesSent.Add(batch)
 			m.ctr.FlushBatches.Add(1)
 			for {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/modlib"
 	"repro/internal/pickle"
 	"repro/internal/proto"
+	"repro/internal/sendq"
 	"repro/internal/worker"
 
 	"repro/internal/minipy"
@@ -308,7 +309,7 @@ func TestWaitForWorkersWakesOnJoin(t *testing.T) {
 		w := &workerState{
 			id:           id,
 			hello:        proto.Hello{WorkerID: id, Resources: core.Resources{Cores: 1}},
-			sendq:        make(chan outMsg, 16),
+			sendq:        sendq.New[outMsg](16),
 			fetchSources: map[string]string{},
 			ackWaiters:   map[string][]*staging{},
 			libs:         map[string]*libInstance{},

@@ -8,7 +8,9 @@ package pkgindex
 
 import (
 	"fmt"
+	"maps"
 	"sort"
+	"sync"
 )
 
 // Package describes one installable package version.
@@ -99,8 +101,8 @@ const (
 	mb = int64(1) << 20
 )
 
-// StandardIndex builds the deterministic synthetic package universe
-// used throughout this repository. It contains:
+// StandardIndex returns an index over the deterministic synthetic
+// package universe used throughout this repository. It contains:
 //
 //   - The ML inference stack the LNNI application imports (resnet →
 //     tensorstore → ... ) whose closure is exactly 144 packages totaling
@@ -108,7 +110,16 @@ const (
 //   - The chemistry/ML stack ExaMol imports (chemtools, mlpack,
 //     quantumsim), a smaller environment.
 //   - Assorted small utility packages.
+//
+// The packages are built once per process and shared by every index
+// StandardIndex returns, so they must not be modified; each index is a
+// map of its own, and Add on one changes no other.
 func StandardIndex() *Index {
+	return &Index{pkgs: maps.Clone(standard())}
+}
+
+// standard is the standard package table, built on first use.
+var standard = sync.OnceValue(func() map[string]*Package {
 	ix := New()
 
 	// Utility packages available to any environment.
@@ -179,5 +190,5 @@ func StandardIndex() *Index {
 		Deps:          []string{"mlpack"},
 		InstalledSize: 25 * mb, PackedSize: 6 * mb,
 	})
-	return ix
-}
+	return ix.pkgs
+})

@@ -98,3 +98,26 @@ func TestLookupAndNames(t *testing.T) {
 		}
 	}
 }
+
+// Every StandardIndex shares one package table, built once, but is a map
+// of its own: Add on one index changes no other, and a second index
+// costs a map copy, not the ~500 allocations of building the table.
+func TestStandardIndexIsBuiltOnceAndOwnedByEach(t *testing.T) {
+	a, b := StandardIndex(), StandardIndex()
+	a.Add(&Package{Name: "local-only", Version: "1"})
+	a.Add(&Package{Name: "mathx", Version: "9.9"})
+	if _, ok := b.Lookup("local-only"); ok {
+		t.Error("a package added to one index shows in another")
+	}
+	if p, _ := b.Lookup("mathx"); p.Version != "2.1.0" {
+		t.Errorf("replacing a package in one index changed another: mathx %s", p.Version)
+	}
+	pa, _ := StandardIndex().Lookup("tensorstore")
+	pb, _ := b.Lookup("tensorstore")
+	if pa != pb {
+		t.Error("indexes do not share the standard packages")
+	}
+	if n := testing.AllocsPerRun(20, func() { StandardIndex() }); n > 10 {
+		t.Errorf("StandardIndex makes %v allocations, want a map copy's few", n)
+	}
+}

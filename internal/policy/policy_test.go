@@ -1,11 +1,14 @@
 package policy
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/content"
 	"repro/internal/core"
+	"repro/internal/hashring"
 )
 
 func newView(t *testing.T, opts Options, n int) (*ClusterView, []*WorkerView) {
@@ -215,5 +218,53 @@ func TestRemoveWorkerCleansIndexes(t *testing.T) {
 	}
 	if d := v.PlaceReady("lib", nil); d.Worker != nil {
 		t.Fatalf("dead worker still placeable: %v", d.Worker.ID)
+	}
+}
+
+// TestAddWorkersEqualsJoinByJoin: a roster registered in one AddWorkers
+// call leaves Sorted, the worker table and the ring as the same workers
+// joined one by one do, in another order and onto a view that already
+// lost a worker.
+func TestAddWorkersEqualsJoinByJoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ids := make([]string, 400)
+	for i, k := range rng.Perm(len(ids)) {
+		ids[i] = fmt.Sprintf("w%05d", k*37)
+	}
+	res := core.Resources{Cores: 4}
+
+	one := NewClusterView(Options{})
+	one.RemoveWorker(one.AddWorker("gone", "", res))
+	for _, i := range rng.Perm(len(ids)) {
+		one.AddWorker(ids[i], "c"+ids[i][5:], res)
+	}
+	batch := NewClusterView(Options{})
+	roster := make([]*WorkerView, len(ids))
+	for i, id := range ids {
+		roster[i] = &WorkerView{ID: id, Cluster: "c" + id[5:], Total: res}
+	}
+	batch.AddWorkers(roster)
+
+	if len(one.Sorted) != len(ids) || len(batch.Sorted) != len(ids) {
+		t.Fatalf("Sorted holds %d and %d workers, want %d", len(one.Sorted), len(batch.Sorted), len(ids))
+	}
+	for i := range one.Sorted {
+		a, b := one.Sorted[i], batch.Sorted[i]
+		if !reflect.DeepEqual(a, b) || batch.Workers[b.ID] != b {
+			t.Fatalf("Sorted[%d]: %+v join by join, %+v in a batch", i, a, b)
+		}
+		if i > 0 && a.ID <= one.Sorted[i-1].ID {
+			t.Fatalf("Sorted out of order at %d: %s after %s", i, a.ID, one.Sorted[i-1].ID)
+		}
+	}
+	var seenA, seenB hashring.Visited
+	for k := 0; k < 200; k++ {
+		key := fmt.Sprintf("lib-%d", k)
+		var a, b []string
+		one.Ring.Walk(key, &seenA, func(m string) bool { a = append(a, m); return true })
+		batch.Ring.Walk(key, &seenB, func(m string) bool { b = append(b, m); return true })
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("ring walk from %q differs between a batch and joins one by one", key)
+		}
 	}
 }

@@ -288,7 +288,7 @@ func (r *Replay) AddWorker() string {
 	r.nextWorker++
 	id := "w" + pad4(i)
 	sh := r.shards[r.shardPlane.ShardOf(id)]
-	sh.st.addWorker(i)
+	sh.st.view.AddWorkers([]*policy.WorkerView{sh.st.addWorker(i).v})
 	r.shardPlane.Add(id)
 	sh.sched.Joined()
 	sh.sched.Wake()

@@ -480,9 +480,13 @@ func newState(cfg Config, replay bool) *state {
 	}
 	st.machines = machines
 	if !replay {
-		for i := 0; i < cfg.Workers; i++ {
-			st.addWorker(i)
+		// The whole roster joins in one batch: the ring sorts once rather
+		// than merging each join into a ring that grows with the roster.
+		roster := make([]*policy.WorkerView, cfg.Workers)
+		for i := range roster {
+			roster[i] = st.addWorker(i).v
 		}
+		st.view.AddWorkers(roster)
 	}
 
 	st.pending = cfg.Invocations
@@ -496,11 +500,11 @@ func newState(cfg Config, replay bool) *state {
 	return st
 }
 
-// addWorker builds the cluster's i-th worker ("wNNNN") and registers it
-// in the view, which puts it on the placement ring. i is the index over
-// the whole cluster — a Replay's shards each hold a subset — so the ID,
-// the machine and the locality cluster do not depend on how the cluster
-// is partitioned.
+// addWorker builds the cluster's i-th worker ("wNNNN") with a fresh
+// view, which the caller registers (ClusterView.AddWorkers). i is the
+// index over the whole cluster — a Replay's shards each hold a subset —
+// so the ID, the machine and the locality cluster do not depend on how
+// the cluster is partitioned.
 func (st *state) addWorker(i int) *wstate {
 	cfg := st.cfg
 	m := st.machines[i%len(st.machines)]
@@ -522,7 +526,7 @@ func (st *state) addWorker(i int) *wstate {
 		clusterName = strconv.Itoa(w.cluster)
 	}
 	total := core.Resources{Cores: cfg.SlotsPerWorker}
-	w.v = st.view.AddWorker(w.id, clusterName, total)
+	w.v = &policy.WorkerView{ID: w.id, Cluster: clusterName, Total: total}
 	if st.replay {
 		w.lv = &policy.LibraryView{Name: st.lib, Slots: cfg.SlotsPerWorker, MaxInstances: 1, Res: total}
 	} else {

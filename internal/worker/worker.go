@@ -21,7 +21,6 @@ package worker
 import (
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,6 +30,7 @@ import (
 	"repro/internal/dataplane"
 	"repro/internal/modlib"
 	"repro/internal/proto"
+	"repro/internal/sendq"
 	"repro/internal/sharedfs"
 )
 
@@ -110,7 +110,7 @@ type Worker struct {
 	// through one drain loop lets a burst of K frames coalesce into one
 	// write syscall via the conn's Buffer/Flush pair instead of costing
 	// K syscalls from K goroutines.
-	sendq chan outFrame
+	sendq *sendq.Queue[outFrame]
 
 	protoErrors atomic.Int64
 
@@ -131,8 +131,8 @@ type outFrame struct {
 
 // sendQueueSize bounds the outbound frame queue. Results are small and
 // the sender drains in batches, so the queue only fills if the manager
-// link itself has stalled — then enqueues block, which is the right
-// backpressure.
+// link itself has stalled — then producers wait, which is the right
+// backpressure. The bound reserves nothing.
 const sendQueueSize = 1024
 
 // New creates a worker (not yet connected).
@@ -158,7 +158,7 @@ func New(cfg Config) *Worker {
 	w := &Worker{
 		cfg:   cfg,
 		cache: content.NewCache(cfg.CacheCapacity),
-		sendq: make(chan outFrame, sendQueueSize),
+		sendq: sendq.New[outFrame](sendQueueSize),
 		done:  make(chan struct{}),
 	}
 	pcfg := dataplane.Config{
@@ -418,10 +418,7 @@ func (w *Worker) protocolError(t proto.MsgType, err error) {
 
 func (w *Worker) sendResult(res core.Result) {
 	res.Metrics.WorkerID = w.cfg.ID
-	select {
-	case w.sendq <- outFrame{t: proto.MsgResult, res: res, hasRes: true}:
-	case <-w.done:
-	}
+	w.sendq.Push(outFrame{t: proto.MsgResult, res: res, hasRes: true}, w.done)
 }
 
 // sendMsg queues a result or ack for the manager unless the worker is
@@ -429,60 +426,37 @@ func (w *Worker) sendResult(res core.Result) {
 // fails, libraries die) for reasons that are not the work's fault; the
 // manager must learn of them from the connection closing — which
 // requeues everything in flight — not from a racing "shutting down"
-// failure result that would burn the spec's retry budget.
+// failure result that would burn the spec's retry budget. Push checks
+// for shutdown before it queues, so after Shutdown nothing is.
 func (w *Worker) sendMsg(t proto.MsgType, v any) {
-	select {
-	case w.sendq <- outFrame{t: t, v: v}:
-	case <-w.done:
-	}
+	w.sendq.Push(outFrame{t: t, v: v}, w.done)
 }
 
-// sendLoop is the single writer on the manager link: it blocks for one
-// frame, then drains everything already queued into the conn's pending
-// buffer and flushes once, so a completion burst coalesces into a
-// single write syscall. Its producers — a library's slot goroutines,
-// one goroutine per task or install — give up on a full queue once the
-// worker is shutting down, so none outlives Wait. Write errors are
-// ignored here for the same reason sendMsg ignores shutdown: a broken
-// manager link is reported by the read loop tearing the worker down.
+// sendLoop is the single writer on the manager link: it waits for
+// frames, drains everything queued into the conn's pending buffer and
+// flushes once, so a completion burst coalesces into a single write
+// syscall. Its producers — a library's slot goroutines, one goroutine
+// per task or install — give up on a full queue once the worker is
+// shutting down, so none outlives Wait. Write errors are ignored here
+// for the same reason sendMsg ignores shutdown: a broken manager link is
+// reported by the read loop tearing the worker down.
 func (w *Worker) sendLoop() {
 	// scratch is one stable heap slot for unboxed result frames: Buffer
 	// encodes synchronously, so the pointer never outlives the call and
 	// every result frame reuses the same allocation.
 	var scratch core.Result
-	buffer := func(f outFrame) {
+	buffer := func(f outFrame) error {
 		if f.hasRes {
 			scratch = f.res
 			_ = w.conn.Buffer(f.t, &scratch)
-			return
+			return nil
 		}
 		_ = w.conn.Buffer(f.t, f.v)
+		return nil
 	}
 	for {
-		var f outFrame
-		select {
-		case f = <-w.sendq:
-		case <-w.done:
+		if n, _ := w.sendq.Drain(w.done, buffer); n == 0 {
 			return
-		}
-		buffer(f)
-		yielded := false
-		for {
-			select {
-			case f = <-w.sendq:
-				buffer(f)
-				continue
-			default:
-			}
-			// One cooperative yield before flushing lets same-core slot
-			// goroutines finish results into the queue, so the
-			// flush coalesces a completion burst into one write syscall.
-			if !yielded {
-				yielded = true
-				runtime.Gosched()
-				continue
-			}
-			break
 		}
 		_ = w.conn.Flush()
 	}

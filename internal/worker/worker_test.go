@@ -124,6 +124,22 @@ func TestHelloAnnouncesResources(t *testing.T) {
 	}
 }
 
+// After Shutdown a worker queues nothing for the manager: a failure
+// produced while it stops is not the work's fault and must not reach the
+// manager as a result (sendMsg). Nothing drains this unconnected worker's
+// queue, so whatever was queued is still there to count.
+func TestNothingQueuedAfterShutdown(t *testing.T) {
+	w := New(Config{ID: "w"})
+	w.Shutdown()
+	for i := 0; i < 100; i++ {
+		w.sendMsg(proto.MsgLibraryAck, proto.LibraryAck{Library: "lib", Err: "shutting down"})
+		w.sendResult(core.Result{ID: int64(i), Err: "shutting down", Retryable: true})
+	}
+	if got := w.sendq.Take(); len(got) != 0 {
+		t.Fatalf("%d frames queued after Shutdown", len(got))
+	}
+}
+
 func TestPutFileValidatesContent(t *testing.T) {
 	fm := newFakeManager(t)
 	w, _ := startWorker(t, fm, Config{ID: "w"})
