@@ -84,7 +84,9 @@ flake:
 # cooperative yields there, and must neither deadlock nor drop a frame.
 # Then context_cold for two seconds: the only run here that takes a
 # cluster through its whole life, spawn → environment and library deploy
-# → first calls → quiescence → shutdown, over and over.
+# → first calls → quiescence → shutdown, over and over. Then
+# context_reload for two seconds: the wrapped-call path, SubmitWrappedCall
+# → wrapper task → load_pickle("args"), at L1 and L2.
 # The last is the simulator at paper scale, on the seed whose TotalTime
 # bench/testdata/sim_pinned.json pins to the last bit (seed 1): a policy
 # change that moves one decision in 100000 fails it.
@@ -95,6 +97,7 @@ benchcheck:
 	bash bench/run.sh -workload invoke_paced -seed 1 -seconds 2
 	GOMAXPROCS=1 bash bench/run.sh -workload invoke_burst -seed 1 -seconds 2
 	bash bench/run.sh -workload context_cold -seed 1 -seconds 2
+	bash bench/run.sh -workload context_reload -seed 1 -seconds 2
 	bash bench/run.sh -workload sim_replay -seed 1 -seconds 2
 
 # The fuzz targets, five seconds each (go test -fuzz takes one target

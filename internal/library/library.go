@@ -223,7 +223,15 @@ type InvokeResult struct {
 type Slot struct {
 	lib *Library
 	ip  *minipy.Interp
+	// args holds the running invocation's decoded arguments and is
+	// cleared when it returns: the slot keeps the slice, not what was in
+	// it.
+	args []minipy.Value
 }
+
+// maxKeptArgs bounds the argument slice a slot keeps between calls, so
+// one call with a huge argument list does not pin its slice for good.
+const maxKeptArgs = 64
 
 // NewSlot returns a slot serving l's functions.
 func (l *Library) NewSlot() *Slot {
@@ -258,23 +266,27 @@ func (s *Slot) Invoke(function string, args []byte) (InvokeResult, error) {
 	if l.Spec.Mode == core.ExecFork {
 		fn = minipy.ForkFunc(fn)
 	}
-	var argVals []minipy.Value
 	if len(args) > 0 {
-		av, err := pickle.Unmarshal(args, s.ip)
+		elems, other, err := pickle.UnmarshalTuple(s.args[:0], args, s.ip)
 		if err != nil {
 			return InvokeResult{}, fmt.Errorf("library %s: deserializing args for %s: %w", l.Spec.Name, function, err)
 		}
-		tup, ok := av.(*minipy.Tuple)
-		if !ok {
-			return InvokeResult{}, fmt.Errorf("library %s: args for %s must be a tuple, got %s", l.Spec.Name, function, av.Type())
+		if other != nil {
+			return InvokeResult{}, fmt.Errorf("library %s: args for %s must be a tuple, got %s", l.Spec.Name, function, other.Type())
 		}
-		argVals = tup.Elems
+		s.args = elems
 	}
 	// Setup ends where execution starts: one clock read serves both.
 	execStart := time.Now()
 	setupTime := execStart.Sub(setupStart).Seconds()
 
-	out, err := s.ip.Call(fn, argVals, nil)
+	// A function call binds its arguments to fresh locals and keeps no
+	// reference to the slice.
+	out, err := s.ip.Call(fn, s.args, nil)
+	clear(s.args)
+	if s.args = s.args[:0]; cap(s.args) > maxKeptArgs {
+		s.args = nil
+	}
 	if err != nil {
 		return InvokeResult{}, fmt.Errorf("invocation of %s.%s failed: %w", l.Spec.Name, function, err)
 	}

@@ -3,6 +3,7 @@ package library
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +14,10 @@ import (
 	"repro/internal/modlib"
 	"repro/internal/pickle"
 )
+
+// raceDetector is set under -race (race_test.go), where sync.Pool drops
+// some of what it is given and the pickle coders are then allocated.
+var raceDetector bool
 
 // testHost exposes the full module registry.
 func testHost() *Host {
@@ -488,6 +493,51 @@ func TestStepLimitBoundsSetupAndEachInvocation(t *testing.T) {
 			if _, err := slot.Invoke("count", pickledArgs(t, k)); err != nil {
 				t.Fatalf("%v: invocation %d after the runaway one: %v", mode, i, err)
 			}
+		}
+	}
+}
+
+// noopSlot is a slot of a direct library serving the benchmark's no-op,
+// which returns its one argument.
+func noopSlot(t *testing.T) *Slot {
+	t.Helper()
+	spec := core.LibrarySpec{Name: "dispatch", Functions: []core.FunctionSpec{{Name: "noop", Source: "def noop(x):\n    return x\n"}}}
+	lib, err := Start(spec, "dispatch@test", testHost())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lib.NewSlot()
+}
+
+// TestSlotInvokeAllocatesOnlyItsResult: a warm slot decodes its arguments
+// into a slice it keeps, so an invocation allocates its result's bytes
+// and nothing else — no argument tuple, no element slice.
+func TestSlotInvokeAllocatesOnlyItsResult(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops encoders and decoders under -race")
+	}
+	slot, args := noopSlot(t), pickledArgs(t, minipy.Int(7))
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := slot.Invoke("noop", args); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("an invocation allocated %v times, want 1 (its result)", n)
+	}
+}
+
+// TestSlotKeepsNoArgument: once an invocation returns, successful or not,
+// its slot holds none of its arguments, so a large argument is garbage as
+// soon as its call is over.
+func TestSlotKeepsNoArgument(t *testing.T) {
+	slot := noopSlot(t)
+	big := minipy.NewList(minipy.Str(strings.Repeat("x", 1<<10)))
+	for _, args := range [][]minipy.Value{{big}, {big, big}} {
+		if _, err := slot.Invoke("noop", pickledArgs(t, args...)); len(args) == 1 && err != nil {
+			t.Fatal(err)
+		}
+		if kept := slot.args[:cap(slot.args)]; len(slot.args) != 0 || slices.ContainsFunc(kept, func(v minipy.Value) bool { return v != nil }) {
+			t.Fatalf("after a call with %d arguments the slot holds %v", len(args), kept)
 		}
 	}
 }

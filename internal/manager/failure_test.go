@@ -501,6 +501,41 @@ func TestDeliverNeverBlocks(t *testing.T) {
 	}
 }
 
+// TestSpilledResultsEndAtShutdown: a result spilled past a full results
+// channel that nobody reads is dropped at Shutdown, and its goroutine
+// ends, instead of waiting for a reader forever.
+func TestSpilledResultsEndAtShutdown(t *testing.T) {
+	m := New(Options{ResultBuffer: 1})
+	for i := int64(1); i <= 3; i++ {
+		m.deliver(core.Result{ID: i, Ok: true})
+	}
+	m.Shutdown()
+	ended := make(chan struct{})
+	go func() {
+		m.wg.Wait()
+		close(ended)
+	}()
+	select {
+	case <-ended:
+	case <-time.After(5 * time.Second):
+		t.Fatal("spilled results still wait for a reader after Shutdown")
+	}
+}
+
+// TestDeliverAllocatesNothing: a result that fits in the channel costs no
+// allocation; only the rare spill moves one to the heap.
+func TestDeliverAllocatesNothing(t *testing.T) {
+	m := New(Options{ResultBuffer: 1})
+	defer m.Shutdown()
+	res := core.Result{ID: 1, Ok: true, Value: []byte("v")}
+	if n := testing.AllocsPerRun(100, func() {
+		m.deliver(res)
+		<-m.results
+	}); n != 0 {
+		t.Errorf("deliver allocated %v times into a channel with room, want 0", n)
+	}
+}
+
 func TestBackoffDelayProgression(t *testing.T) {
 	base, cap := 50*time.Millisecond, 400*time.Millisecond
 	unjittered := []time.Duration{

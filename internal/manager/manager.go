@@ -218,6 +218,8 @@ type Manager struct {
 	joined   chan struct{}
 
 	results chan core.Result
+	// stopped is closed by Shutdown.
+	stopped chan struct{}
 	wg      sync.WaitGroup
 }
 
@@ -394,6 +396,7 @@ func New(opts Options) *Manager {
 		catalog:    map[string]core.FileSpec{},
 		joined:     make(chan struct{}),
 		results:    make(chan core.Result, opts.ResultBuffer),
+		stopped:    make(chan struct{}),
 	}
 	m.shards = make([]*shard, opts.Shards)
 	for i := range m.shards {
@@ -577,6 +580,7 @@ func (m *Manager) Shutdown() {
 	if !m.shardPlane.Close() {
 		return
 	}
+	close(m.stopped)
 	m.membershipChanged()
 	for _, s := range m.shards {
 		s.mu.Lock()
@@ -1141,16 +1145,24 @@ func (s *shard) retryAfter(id int64, delay time.Duration) {
 // the caller: a full results channel spills into a goroutine instead
 // of stalling the worker's reader goroutine (which would stop its
 // FileAcks and LibraryAcks from draining). Safe to call with or
-// without a shard lock held.
+// without a shard lock held. The spill is a method, not a closure, so
+// res moves to the heap only when the channel is full.
 func (m *Manager) deliver(res core.Result) {
 	select {
 	case m.results <- res:
 	default:
 		m.wg.Add(1)
-		go func() {
-			defer m.wg.Done()
-			m.results <- res
-		}()
+		go m.spill(res)
+	}
+}
+
+// spill waits for room for res in the results channel, or drops it once
+// Shutdown stops the manager: after that nobody need be reading.
+func (m *Manager) spill(res core.Result) {
+	defer m.wg.Done()
+	select {
+	case m.results <- res:
+	case <-m.stopped:
 	}
 }
 

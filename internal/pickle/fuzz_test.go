@@ -3,6 +3,7 @@ package pickle
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -278,7 +279,8 @@ func fuzzValues() []minipy.Value {
 // FuzzUnmarshal holds Unmarshal and UnmarshalBorrow to the properties of
 // the wire fuzzers (internal/proto): no panic; allocation at most a
 // constant times the input; and a decoded value re-encodes to bytes that
-// decode and encode to themselves.
+// decode and encode to themselves. UnmarshalTuple, which decodes every
+// invocation's arguments, agrees with Unmarshal on every input.
 func FuzzUnmarshal(f *testing.F) {
 	ip := minipy.NewInterp(newHost())
 	for _, fn := range fuzzFuncs {
@@ -304,6 +306,8 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(hostileDepth(maxDepth + 1))
 	f.Add(builtinFlood(100))
 	f.Add(nanKeys(1000))
+	f.Add(sharedKey(8, true))
+	f.Add([]byte{magic, version, tagTuple, 2, tagInt, 2, tagRef, 0}) // (1, <itself>)
 	ip = minipy.NewInterp(&modHost{reg: modlib.Standard(), mods: map[string]*minipy.ModuleVal{}})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		for _, unmarshal := range []func([]byte, *minipy.Interp) (minipy.Value, error){Unmarshal, UnmarshalBorrow} {
@@ -347,5 +351,22 @@ func FuzzUnmarshal(f *testing.F) {
 				t.Fatalf("encoding is not stable (%v):\n once  %x\n twice %x", err, once, twice)
 			}
 		}
+		// A slot's argument decoder agrees with Unmarshal: the same
+		// elements, the same value that is not a tuple, or the same error.
+		want, wantErr := Unmarshal(raw, ip)
+		elems, other, err := UnmarshalTuple(nil, raw, ip)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("UnmarshalTuple error %v, Unmarshal's %v", err, wantErr)
+		}
+		if tup, ok := want.(*minipy.Tuple); ok {
+			if other != nil || encoded(MarshalTuple(elems)) != encoded(MarshalTuple(tup.Elems)) {
+				t.Fatalf("UnmarshalTuple decoded %v (other %v), Unmarshal %v", elems, other, tup.Elems)
+			}
+		} else if len(elems) != 0 || (other == nil) != (want == nil) || other != nil && encoded(Marshal(other)) != encoded(Marshal(want)) {
+			t.Fatalf("UnmarshalTuple decoded %v (other %v), Unmarshal %v", elems, other, want)
+		}
 	})
 }
+
+// encoded renders a Marshal outcome for comparison.
+func encoded(data []byte, err error) string { return fmt.Sprintf("%x %v", data, err) }

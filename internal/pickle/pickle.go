@@ -75,6 +75,31 @@ func Marshal(v minipy.Value) ([]byte, error) {
 		e.release()
 		return nil, err
 	}
+	return e.finish(), nil
+}
+
+// MarshalTuple writes exactly the bytes Marshal(minipy.NewTuple(vs...))
+// writes, the tuple in memo slot 0, without building the tuple: an
+// invocation's arguments cost only their bytes, and neither a tuple nor
+// the caller's slice of them escapes.
+func MarshalTuple(vs []minipy.Value) ([]byte, error) {
+	e := encoderPool.Get().(*encoder)
+	e.buf = append(e.buf, magic, version)
+	// The tuple is one level of value and takes the first memo slot; no
+	// element can refer to it, as none can reach a tuple that does not
+	// exist.
+	e.depth, e.next = 1, 1
+	err := e.encodeSeq(tagTuple, vs)
+	e.depth = 0
+	if err != nil {
+		e.release()
+		return nil, err
+	}
+	return e.finish(), nil
+}
+
+// finish hands the encoded bytes to the caller and releases e.
+func (e *encoder) finish() []byte {
 	out := e.buf
 	if cap(e.buf) > maxPooledEncoder {
 		// Too big to go back in the pool: the caller gets the buffer
@@ -84,7 +109,7 @@ func Marshal(v minipy.Value) ([]byte, error) {
 		out = append([]byte(nil), out...)
 	}
 	e.release()
-	return out, nil
+	return out
 }
 
 // release resets the encoder and returns it to the pool.
@@ -122,6 +147,55 @@ func UnmarshalBorrow(data []byte, ip *minipy.Interp) (minipy.Value, error) {
 }
 
 func unmarshal(data []byte, ip *minipy.Interp, borrow bool) (minipy.Value, error) {
+	d := newDecoder(data, ip, borrow)
+	v := d.decode()
+	if err := d.release(); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// errTupleRef stops UnmarshalTuple at a reference to the tuple it does
+// not build.
+var errTupleRef = errors.New("an element refers to its tuple")
+
+// UnmarshalTuple is Unmarshal for what MarshalTuple writes: it appends
+// the tuple's elements to dst and builds no tuple, so an invocation's
+// arguments decode into a slice the caller keeps. A value that is not a
+// tuple comes back as other, with dst unchanged. Elements and errors are
+// Unmarshal's on every input: one whose elements refer back to the tuple
+// decodes through Unmarshal.
+func UnmarshalTuple(dst []minipy.Value, data []byte, ip *minipy.Interp) (elems []minipy.Value, other minipy.Value, err error) {
+	if len(data) > 2 && data[2] == tagTuple {
+		d := newDecoder(data, ip, false)
+		elems = dst
+		d.Byte() // the tag
+		if d.Enter(maxDepth) {
+			// The tag case of value, with the tuple's memo slot left nil.
+			n := d.Count(1)
+			d.remember(nil)
+			d.open++
+			d.fill(&elems, n)
+			d.open--
+			d.Leave()
+		}
+		if err = d.release(); err == nil {
+			return elems, nil, nil
+		}
+		clear(elems[len(dst):])
+		if !errors.Is(err, errTupleRef) {
+			return dst, nil, err
+		}
+	}
+	v, err := Unmarshal(data, ip)
+	if tup, ok := v.(*minipy.Tuple); ok {
+		return append(dst, tup.Elems...), nil, nil
+	}
+	return dst, v, err
+}
+
+// newDecoder takes a pooled decoder over data and reads the header.
+func newDecoder(data []byte, ip *minipy.Interp, borrow bool) *decoder {
 	d := decoderPool.Get().(*decoder)
 	d.Reader, d.ip, d.borrow = bincode.NewReader(data), ip, borrow
 	if d.Byte() != magic {
@@ -130,7 +204,11 @@ func unmarshal(data []byte, ip *minipy.Interp, borrow bool) (minipy.Value, error
 	if v := d.Byte(); v != version {
 		d.Fail(fmt.Errorf("unsupported version %d", v))
 	}
-	v := d.decode()
+	return d
+}
+
+// release returns d to the pool and reports how its input ended.
+func (d *decoder) release() error {
 	err := d.Done()
 	d.Reader, d.ip = bincode.Reader{}, nil
 	// A pooled decoder keeps nothing it decoded. done holds only tuples
@@ -142,9 +220,9 @@ func unmarshal(data []byte, ip *minipy.Interp, borrow bool) (minipy.Value, error
 		decoderPool.Put(d)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("pickle: %w", err)
+		return fmt.Errorf("pickle: %w", err)
 	}
-	return v, nil
+	return nil
 }
 
 // decoderPool recycles decoders (struct plus memo slice) — the decode
@@ -413,11 +491,15 @@ func (d *decoder) value() minipy.Value {
 		d.stringMap(obj.Attrs)
 		return obj
 	case tagRef:
-		id := d.Uvarint()
-		if id < uint64(len(d.memo)) {
+		switch id := d.Uvarint(); {
+		case id >= uint64(len(d.memo)):
+			d.Fail(fmt.Errorf("dangling memo reference %d", id))
+		case d.memo[id] == nil:
+			// UnmarshalTuple's unbuilt tuple: only a nil slot there.
+			d.Fail(errTupleRef)
+		default:
 			return d.memo[id]
 		}
-		d.Fail(fmt.Errorf("dangling memo reference %d", id))
 	default:
 		d.Fail(fmt.Errorf("unknown tag 0x%02x", tag))
 	}

@@ -394,7 +394,7 @@ func (m *Manager) CreateLibraryFromFunctions(name string, opts LibraryOptions, e
 			return nil, err
 		}
 		if len(opts.ContextArgs) > 0 {
-			argsData, err := pickle.Marshal(minipy.NewTuple(opts.ContextArgs...))
+			argsData, err := pickle.MarshalTuple(opts.ContextArgs)
 			if err != nil {
 				return nil, fmt.Errorf("taskvine: serializing context args: %w", err)
 			}
@@ -459,16 +459,7 @@ func (m *Manager) InstallLibrary(lib *Library) error {
 
 // Call submits a FunctionCall: only the arguments travel (Table 1).
 func (m *Manager) Call(libName, fnName string, args ...minipy.Value) (int64, error) {
-	data, err := pickle.Marshal(minipy.NewTuple(args...))
-	if err != nil {
-		return 0, fmt.Errorf("taskvine: serializing arguments: %w", err)
-	}
-	id := m.inner.SubmitInvocation(&core.InvocationSpec{
-		Library:  libName,
-		Function: fnName,
-		Args:     data,
-	})
-	return id, nil
+	return m.CallTenant("", libName, fnName, args...)
 }
 
 // CallTenant is Call on behalf of a tenant: the invocation passes the
@@ -476,7 +467,7 @@ func (m *Manager) Call(libName, fnName string, args ...minipy.Value) (int64, err
 // reaches dispatch. Unknown or empty tenant names take the direct
 // single-tenant path.
 func (m *Manager) CallTenant(tenant, libName, fnName string, args ...minipy.Value) (int64, error) {
-	data, err := pickle.Marshal(minipy.NewTuple(args...))
+	data, err := pickle.MarshalTuple(args)
 	if err != nil {
 		return 0, fmt.Errorf("taskvine: serializing arguments: %w", err)
 	}

@@ -70,7 +70,7 @@ func (w *WrappedFunction) Environment() *poncho.EnvSpec { return w.envSpec }
 //
 // L3 is not a task mode — use Call on an installed library.
 func (m *Manager) SubmitWrappedCall(w *WrappedFunction, level core.ReuseLevel, res core.Resources, args ...minipy.Value) (int64, error) {
-	argsData, err := pickle.Marshal(minipy.NewTuple(args...))
+	argsData, err := pickle.MarshalTuple(args)
 	if err != nil {
 		return 0, fmt.Errorf("taskvine: serializing arguments: %w", err)
 	}
