@@ -63,6 +63,9 @@ race:
 # goroutines, and its passes are held to plan-one/execute-one oracles.
 # So does the send queue: its one-slot wake channel is the same kind of
 # lost-wakeup hazard, raced by eight producers against its consumer.
+# So does the framed connection: every receiver in the process borrows
+# a long frame's first piece from one chunk pool, raced by eight
+# receivers that each check their own bytes.
 # The manager's differentials then run ten times (no race detector: ~2 s
 # a run): they wait out real backoff timers, which is where a
 # timing-dependent requeue would show. So does taskvine, ten times under
@@ -71,7 +74,7 @@ race:
 # that depends on timing or a spec left backing off in the in-flight
 # table would show.
 flake:
-	go test -count=20 -race ./internal/dataplane ./internal/worker ./internal/content ./internal/library ./internal/hashring ./internal/policy ./internal/shardplane ./internal/sendq
+	go test -count=20 -race ./internal/dataplane ./internal/worker ./internal/content ./internal/library ./internal/hashring ./internal/policy ./internal/shardplane ./internal/sendq ./internal/proto
 	go test -count=10 -run Differential ./internal/manager
 	go test -count=10 -race ./taskvine
 

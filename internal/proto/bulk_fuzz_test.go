@@ -45,6 +45,13 @@ func FuzzRecvBulk(f *testing.F) {
 	f.Add(golden[:len(golden)/2], true)                                                  // cut inside a payload
 	f.Add([]byte{0x20, 0, 0, 0, byte(proto.MsgFileDataBulk)}, false)                     // MaxFrame claimed, nothing sent
 	f.Add([]byte{0, 0, 0, 6, byte(proto.MsgPutFileBulk), 0xB1, 1, 0x7F, 'a', 'b'}, true) // header ID length past the frame
+	// Longer than the read buffer: its first piece goes through a pooled
+	// chunk, whole or cut short.
+	long := bulkWire(f, func(c *proto.Conn) error {
+		return c.SendBulk(proto.MsgFileDataBulk, put.File, bytes.Repeat(payload, 400))
+	})
+	f.Add(long, true)
+	f.Add(long[:len(long)-1], false)
 
 	f.Fuzz(func(t *testing.T, wire []byte, reuse bool) {
 		type kept struct {
@@ -72,8 +79,11 @@ func FuzzRecvBulk(f *testing.F) {
 				}
 			}
 		}
-		// The read buffers come from OneShot's pool, so a reading holds
-		// only what the stream made the receiver allocate. TotalAlloc counts
+		// The read buffers come from OneShot's pool and a long frame's first
+		// piece from the chunk pool (one fresh 64 KiB chunk at most, paid
+		// for by the 4 KiB read buffer the stream filled first, within the
+		// limit below), so a reading holds only what the stream made the
+		// receiver allocate. TotalAlloc counts
 		// the whole process, the fuzzing engine's own goroutines included;
 		// they only ever add, so a reading over the limit is taken again and
 		// the least of three is the receiver's.

@@ -16,6 +16,10 @@ package proto
 //	          payload Write
 //	OneShot   readerPool.Get + defer readerPool.Put, checked by the
 //	          bytes it allocates (TestOneShotReturnsReader)
+//	recvFirst chunkPool.Get + defer chunkPool.Put, checked by what a long
+//	          frame and one cut inside its first piece allocate
+//	          (TestRecvLongFrameBorrowsFirstPiece,
+//	          TestRecvCutFirstPieceReturnsChunk, recv_test.go)
 //	Buffer    no pool use: encodes into the per-conn pending buffer,
 //	          truncating it back on error
 //	codec.go  no pool use: writeBody appends into the caller's buffer;

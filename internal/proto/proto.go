@@ -246,7 +246,10 @@ type Shutdown struct{}
 // Reads are buffered: the dispatch plane's hot path is thousands of
 // small control frames per second, and an unbuffered framed read costs
 // two syscalls per frame (length prefix, then body). The internal
-// reader amortizes that to one syscall per kernel-buffer drain.
+// reader amortizes that to one syscall per burst of control frames. It
+// is small: a frame longer than it has its first piece waited for in a
+// chunk borrowed from a process-wide pool (recvLong), so a connection
+// reserves nothing for the large frames it may one day receive.
 //
 // Writes support explicit coalescing: Send writes one frame in one
 // syscall (as before), while Buffer appends a frame to a pending
@@ -265,10 +268,11 @@ type Conn struct {
 	pend bytes.Buffer // frames buffered by Buffer, awaiting Flush
 }
 
-// readBufSize is the framed reader's buffer: large enough to drain a
-// burst of control frames per syscall, small enough to be irrelevant
-// next to a worker's data-plane transfers.
-const readBufSize = 64 << 10
+// readBufSize is the framed reader's buffer, one per connection: large
+// enough to drain a burst of control frames per syscall. Longer frames
+// pass through it (bufio hands a read this size or larger straight to
+// the stream), so it need not be sized for them.
+const readBufSize = 4 << 10
 
 // NewConn wraps a stream in a framed message connection.
 func NewConn(rw io.ReadWriter) *Conn {
@@ -276,7 +280,7 @@ func NewConn(rw io.ReadWriter) *Conn {
 }
 
 // readerPool recycles the read buffers of one-shot connections: a peer
-// transfer is one request and one response, and a fresh 64 KB reader per
+// transfer is one request and one response, and a fresh reader per
 // transfer is garbage the moment the object has arrived.
 var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, readBufSize) }}
 
@@ -475,7 +479,10 @@ func (c *Conn) Recv() (MsgType, []byte, error) {
 // that retain any part of a control frame past the next receive must
 // copy it first. A bulk frame is the exception: its body is the object,
 // so it always arrives in a buffer of its own that the caller owns, as
-// from Recv — the object's bytes are allocated once, here.
+// from Recv — the object's bytes are allocated once, here. The scratch
+// buffer grows to the longest control frame received, up to a first
+// piece: a longer one is allocated for itself and not kept, so one long
+// frame does not pin its size for the life of the connection.
 func (c *Conn) RecvReuse() (MsgType, []byte, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
@@ -484,7 +491,7 @@ func (c *Conn) RecvReuse() (MsgType, []byte, error) {
 		return 0, nil, err
 	}
 	t := MsgType(buf[0])
-	if !t.bulk() && cap(buf) <= maxPooledBuf {
+	if !t.bulk() && cap(buf) <= firstPiece {
 		c.rbuf = buf
 	}
 	return t, buf[1:], nil
@@ -494,11 +501,21 @@ func (c *Conn) RecvReuse() (MsgType, []byte, error) {
 func (t MsgType) bulk() bool { return t == MsgPutFileBulk || t == MsgFileDataBulk }
 
 // recvTrust bounds a frame buffer to this many times the body bytes that
-// have really arrived. The first piece of a body is waited for in the
-// read buffer, so a frame of up to recvTrust read buffers (4 MiB) is
-// allocated exactly once at its exact size; a longer one grows in steps
-// of the same factor.
+// have really arrived. The first piece of a body is waited for before
+// anything is allocated, so a frame of up to recvTrust first pieces
+// (4 MiB) is allocated exactly once at its exact size; a longer one grows
+// in steps of the same factor.
 const recvTrust = 64
+
+// firstPiece is how much of a frame longer than the read buffer is
+// waited for, in a chunk from chunkPool, before the frame's own buffer
+// is allocated.
+const firstPiece = 64 << 10
+
+// chunkPool lends first-piece chunks. A chunk is held only while its
+// piece arrives and is copied out, so the whole process needs about as
+// many chunks as it has connections receiving a long frame at once.
+var chunkPool = sync.Pool{New: func() any { return new([firstPiece]byte) }}
 
 // recvFrame reads one frame body into scratch, or into a new buffer of
 // exactly the frame's size when scratch is too small or the frame is a
@@ -528,25 +545,56 @@ func (c *Conn) recvFrame(scratch []byte) ([]byte, error) {
 		}
 		return scratch[:n], nil
 	}
-	piece, err := c.br.Peek(min(n, c.br.Size()))
+	// A read buffer's worth of the body, or all of a shorter one, arrives
+	// before anything is taken, pooled or not.
+	if _, err := c.br.Peek(min(n, c.br.Size())); err != nil {
+		return nil, fmt.Errorf("proto: reading frame body: %w", truncated(err))
+	}
+	if n > c.br.Size() {
+		return c.recvLong(n)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(c.br, buf); err != nil {
+		return nil, fmt.Errorf("proto: reading frame body: %w", err)
+	}
+	return buf, nil
+}
+
+// recvLong reads the body of a frame longer than the read buffer into a
+// buffer of its own: its first piece into a pooled chunk, then the rest
+// into a buffer recvTrust times what has arrived, grown by that factor
+// until the frame fits.
+func (c *Conn) recvLong(n int) ([]byte, error) {
+	buf, have, err := c.recvFirst(n)
+	for err == nil {
+		if _, err = io.ReadFull(c.br, buf[have:]); err != nil || len(buf) == n {
+			break
+		}
+		grown := make([]byte, min(n, recvTrust*len(buf)))
+		// Not a copy statement straight after the make: the compiler would
+		// fuse the two into an allocation that clears its tail by hand,
+		// where a plain make of fresh pages clears nothing.
+		have = copy(grown, buf)
+		buf = grown
+	}
 	if err != nil {
 		return nil, fmt.Errorf("proto: reading frame body: %w", truncated(err))
 	}
-	var buf []byte
-	for arrived := len(piece); len(buf) < n; arrived = len(buf) {
-		grown := make([]byte, min(n, recvTrust*arrived))
-		// Not make-then-copy back to back: the compiler would fuse the two
-		// into an allocation that clears its tail by hand, where a plain
-		// make of fresh pages clears nothing.
-		if len(buf) > 0 {
-			copy(grown, buf)
-		}
-		if _, err := io.ReadFull(c.br, grown[len(buf):]); err != nil {
-			return nil, fmt.Errorf("proto: reading frame body: %w", err)
-		}
-		buf = grown
-	}
 	return buf, nil
+}
+
+// recvFirst reads the first piece of an n-byte frame body into a chunk
+// borrowed from chunkPool, then copies it into the frame's first buffer.
+// It returns that buffer and how much of it is filled.
+func (c *Conn) recvFirst(n int) ([]byte, int, error) {
+	chunk := chunkPool.Get().(*[firstPiece]byte)
+	defer chunkPool.Put(chunk)
+	piece := chunk[:min(n, firstPiece)]
+	if _, err := io.ReadFull(c.br, piece); err != nil {
+		return nil, 0, err
+	}
+	buf := make([]byte, min(n, recvTrust*len(piece)))
+	return buf, copy(buf, piece), nil
 }
 
 // truncated is the error for a stream that ended inside a frame.

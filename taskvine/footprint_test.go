@@ -17,12 +17,14 @@ import (
 
 // TestConnectedWorkerFootprint holds what an idle connection costs each
 // side of the link, in bytes allocated per joined worker. Each side keeps
-// its framed reader's 64 KiB buffer and a little bookkeeping; neither
-// reserves room for frames it has not been asked to send. (A manager used
-// to reserve sendQueueSize(32) = 4 096 slots, 224 KiB, per 32-core worker,
-// and a worker 1 024 slots, 168 KiB, before either carried a frame.)
+// its framed reader's 4 KiB buffer and a little bookkeeping; neither
+// reserves room for frames it has not been asked to send or receive. (A
+// manager used to reserve sendQueueSize(32) = 4 096 slots, 224 KiB, per
+// 32-core worker, and a worker 1 024 slots, 168 KiB, before either carried
+// a frame; then each kept a 64 KiB read buffer sized for long frames,
+// which now wait for their first piece in a pooled chunk.)
 func TestConnectedWorkerFootprint(t *testing.T) {
-	const n, budget = 64, 128 << 10
+	const n, budget = 64, 24 << 10
 	res := core.Resources{Cores: 32, MemoryMB: 64 << 10, DiskMB: 64 << 10}
 
 	t.Run("manager", func(t *testing.T) {
