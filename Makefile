@@ -18,11 +18,14 @@ all: check
 check: build lint test fidelity race flake benchcheck fuzzsmoke paperlog
 
 # The fidelity gate: the pure policy core's decision-order pins, the
-# manager-vs-simulator differential replays, and the golden decision
-# traces for the seed workloads — all under -race so view maintenance
-# stays data-race-free too.
+# shared plane that records and composes every trace (the per-shard
+# scheduler and the two global streams, the submission plane and the ref
+# catalog), the manager-vs-simulator differential replays, and the golden
+# decision traces for the seed workloads — all under -race so view
+# maintenance stays data-race-free too.
 fidelity:
 	go test -race ./internal/policy
+	go test -race ./internal/shardplane
 	go test -race -run Differential ./internal/manager
 	go test -race -run Golden ./internal/experiments
 

@@ -209,7 +209,7 @@ func TestGoldenRefPipeline(t *testing.T) {
 		t.Fatalf("replay still has %d pending specs after the pipeline", p)
 	}
 
-	got := policy.Dump(r.Decisions())
+	got := policy.Dump(r.Trace().All())
 	// The pipeline must actually exhibit the plane's behaviors before
 	// the byte-level pin means anything.
 	for _, needle := range []string{"own obj=ref-a", "spill obj=", "mode=ref", "resolve obj=", "mode=shared", "promote obj=ref-c", "rehome obj=ref-b owner="} {

@@ -177,11 +177,11 @@ func newDiffHarness(t *testing.T, level core.ReuseLevel, workers, slots int, opt
 // mgrTrace and mgrDump read the manager's decision trace through the
 // deterministic per-shard merge; simDump renders the replay's composed
 // trace.
-func (h *diffHarness) mgrTrace() []policy.Decision { return h.m.MergedDecisions() }
+func (h *diffHarness) mgrTrace() []policy.Decision { return h.m.Trace().All() }
 
 func (h *diffHarness) mgrDump() string { return policy.Dump(h.mgrTrace()) }
 
-func (h *diffHarness) simDump() string { return policy.Dump(h.rp.Decisions()) }
+func (h *diffHarness) simDump() string { return policy.Dump(h.rp.Trace().All()) }
 
 // newWorker registers a synthetic worker with the manager, triggering
 // the same capacity wake a real connection would.
@@ -646,28 +646,27 @@ func (h *diffHarness) quiesce() {
 // trace — proving the per-shard streams AND the deterministic merge
 // rule agree.
 func (h *diffHarness) diffTraces(minLines int) {
+	mgrTrace, simTrace := h.m.Trace(), h.rp.Trace()
 	if h.tenantMix != nil {
 		// The submission plane's trace (admit verdicts, fair-share
 		// picks) is its own stream, compared before the shard traces so
 		// an admission or drain-order divergence names itself directly.
-		h.diffTracePair("plane", h.m.PlaneDecisions(), h.rp.PlaneDecisions())
+		h.diffTracePair("plane", mgrTrace.Tenants, simTrace.Tenants)
 	}
 	if h.refs {
 		// The global ref stream (ownership transfers, spills, resolves,
 		// promotes, rehomes) is likewise its own trace, compared before
 		// the merged view so a proxy-object divergence names itself.
-		h.diffTracePair("refs", h.m.RefDecisions(), h.rp.RefDecisions())
+		h.diffTracePair("refs", mgrTrace.Refs, simTrace.Refs)
 	}
-	mgrShards := h.m.ShardDecisions()
-	simShards := h.rp.ShardDecisions()
+	mgrShards, simShards := mgrTrace.Shards, simTrace.Shards
 	if len(mgrShards) != len(simShards) {
 		h.t.Fatalf("shard counts differ: manager=%d sim=%d", len(mgrShards), len(simShards))
 	}
 	for i := range mgrShards {
 		h.diffTracePair(fmt.Sprintf("shard %d", i), mgrShards[i], simShards[i])
 	}
-	mgr := h.mgrTrace()
-	rep := h.rp.Decisions()
+	mgr, rep := mgrTrace.All(), simTrace.All()
 	h.diffTracePair("merged", mgr, rep)
 	if len(mgr) < minLines {
 		h.t.Fatalf("degenerate run: only %d decisions recorded, want >= %d", len(mgr), minLines)
@@ -712,7 +711,7 @@ type diffOpts struct {
 	// with the global ref decision stream added to the comparison. Task
 	// workloads only, single tenant, any shard count — the harness
 	// injects events one at a time, so the one ref stream every shard's
-	// handlers write to has a defined order (see refPlane).
+	// handlers write to has a defined order (see shardplane/streams.go).
 	refs bool
 }
 
@@ -1258,7 +1257,7 @@ func TestDifferentialRefOwnerDeathMidResolve(t *testing.T) {
 
 	// The ref stream must show the scripted fate: ownership, the
 	// rehome onto wA, and a post-death resolve onto the new owner.
-	trace := h.m.RefDecisions()
+	trace := h.m.Trace().Refs
 	wantRehome := policy.Decision{Kind: policy.KindRehome, Obj: ref.ID, Worker: wA.id}
 	wantResolve := policy.Decision{Kind: policy.KindResolve, Obj: ref.ID, Dst: wB.id, Mode: policy.ResolvePeer.String(), Src: wA.id}
 	var sawRehome, sawResolve bool
@@ -1441,8 +1440,8 @@ func scriptParked(t *testing.T, level core.ReuseLevel, slots int, opts diffOpts)
 	if p := h.rp.Pending(); total < 6 || p != total {
 		t.Fatalf("%s: %d specs parked on the manager (want >= 6), %d in the sim", where, total, p)
 	}
-	if st := h.m.Stats(); st.ShardForwards != 0 || len(h.m.MergedDecisions()) != len(h.m.PlaneDecisions()) {
-		t.Fatalf("%s: an empty cluster forwarded %d specs and decided %v", where, st.ShardForwards, h.m.MergedDecisions())
+	if st, tr := h.m.Stats(), h.m.Trace(); st.ShardForwards != 0 || len(tr.All()) != len(tr.Tenants) {
+		t.Fatalf("%s: an empty cluster forwarded %d specs and decided %v", where, st.ShardForwards, tr.All())
 	}
 
 	first := nextShard()

@@ -85,7 +85,7 @@ func TestFairShareNoStarvation(t *testing.T) {
 	// whole light queue must drain in a window proportional to its
 	// share — not trail the flood.
 	var picks []string
-	for _, d := range m.PlaneDecisions() {
+	for _, d := range m.Trace().Tenants {
 		if d.Kind == policy.KindTenant {
 			picks = append(picks, d.Tenant)
 		}

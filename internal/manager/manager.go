@@ -94,8 +94,7 @@ type Options struct {
 	// DecisionTrace records every decision (differential tests): each
 	// shard, the submission plane and the ref plane into recorders of
 	// their own (interleaving shards into one would be nondeterministic),
-	// read with ShardDecisions, PlaneDecisions, RefDecisions or
-	// MergedDecisions. Off — the default — records nothing.
+	// read with Trace. Off — the default — records nothing.
 	DecisionTrace bool
 }
 
@@ -170,8 +169,9 @@ type Manager struct {
 	ln   net.Listener
 
 	// shards partition all worker and spec state; shardPlane holds each
-	// one's scheduler and the router (the worker→shard and spec→shard
-	// rules), both shared with the simulator's Replay driver.
+	// one's scheduler, the router (the worker→shard and spec→shard rules)
+	// and the two global decision streams — the submission plane and the
+	// ref catalog — all shared with the simulator's Replay driver.
 	shards     []*shard
 	shardPlane *shardplane.Plane[taskSpec, *core.InvocationSpec]
 
@@ -179,15 +179,6 @@ type Manager struct {
 	// validation path and written only by RegisterLibrary.
 	libMu    sync.RWMutex
 	libSpecs map[string]*core.LibrarySpec
-
-	// plane is the multi-tenant submission plane, nil without
-	// Options.Tenants and never reassigned after New: the
-	// single-tenant hot path's tenancy cost is one nil check.
-	plane *submitPlane
-
-	// refs is the proxy-object plane (refplane.go): the global catalog
-	// of pass-by-reference results and the decision stream over it.
-	refs *refPlane
 
 	nextID atomic.Int64
 	ctr    counters
@@ -263,12 +254,11 @@ type shard struct {
 	// view is the cluster snapshot every scheduling decision reads: the
 	// shard's worker table, its placement ring, and the derived indexes
 	// (Holders, PendingCopies, the ready index, LibFull). index.go keeps
-	// it current; internal/policy decides against it; schedule.go executes.
+	// it current; internal/policy decides against it; schedule.go executes
+	// and records into the scheduler's recorder (sched.Rec).
 	// Peer-transfer sources are shard-local by construction: PickSource
 	// only sees this shard's holders.
 	view *policy.ClusterView
-	// rec, when non-nil, records this shard's decision trace.
-	rec *policy.Recorder
 
 	// reqScratch is the task pass's reusable request buffer, truncated
 	// and refilled under the shard lock, so steady-state planning
@@ -388,22 +378,28 @@ func New(opts Options) *Manager {
 		opts.RetryMaxDelay = 2 * time.Second
 	}
 	m := &Manager{
-		opts:       opts,
-		shardPlane: shardplane.NewPlane[taskSpec, *core.InvocationSpec](opts.Shards, opts.MaxRetries),
-		libSpecs:   map[string]*core.LibrarySpec{},
-		holders:    map[string]map[string]bool{},
-		peers:      map[string]*peerSource{},
-		catalog:    map[string]core.FileSpec{},
-		joined:     make(chan struct{}),
-		results:    make(chan core.Result, opts.ResultBuffer),
-		stopped:    make(chan struct{}),
+		opts:     opts,
+		libSpecs: map[string]*core.LibrarySpec{},
+		holders:  map[string]map[string]bool{},
+		peers:    map[string]*peerSource{},
+		catalog:  map[string]core.FileSpec{},
+		joined:   make(chan struct{}),
+		results:  make(chan core.Result, opts.ResultBuffer),
+		stopped:  make(chan struct{}),
 	}
+	m.shardPlane = shardplane.NewPlane[taskSpec, *core.InvocationSpec](shardplane.Config{
+		Shards:           opts.Shards,
+		MaxRetries:       opts.MaxRetries,
+		Tenants:          opts.Tenants,
+		RefOwnedBytesCap: opts.RefOwnedBytesCap,
+		Trace:            opts.DecisionTrace,
+		Catalog: func(id string) bool {
+			_, known := m.catalogGet(id)
+			return known
+		},
+	})
 	m.shards = make([]*shard, opts.Shards)
 	for i := range m.shards {
-		var rec *policy.Recorder
-		if opts.DecisionTrace {
-			rec = &policy.Recorder{}
-		}
 		s := &shard{
 			m:                m,
 			idx:              i,
@@ -416,15 +412,10 @@ func New(opts Options) *Manager {
 				ClusterAware:        opts.ClusterAware,
 				EvictEmptyLibraries: opts.EvictEmptyLibraries,
 			}),
-			rec: rec,
 		}
 		s.sched = m.shardPlane.Attach(i, s.view, &s.mu, s)
 		m.shards[i] = s
 	}
-	if len(opts.Tenants) > 0 {
-		m.plane = newSubmitPlane(m, opts.Tenants, opts.DecisionTrace)
-	}
-	m.refs = newRefPlane(m, opts.RefOwnedBytesCap, opts.DecisionTrace)
 	return m
 }
 
@@ -439,30 +430,18 @@ func (m *Manager) shardFor(workerID string) *shard {
 	return m.shards[m.shardPlane.ShardOf(workerID)]
 }
 
-// ShardDecisions returns each shard's recorded decision trace, in
-// shard-index order. Empty unless Options.DecisionTrace was set.
-func (m *Manager) ShardDecisions() [][]policy.Decision {
-	out := make([][]policy.Decision, len(m.shards))
-	for i, s := range m.shards {
-		if s.rec != nil {
-			out[i] = append([]policy.Decision(nil), s.rec.Decisions...)
-		}
-	}
-	return out
-}
+// Trace returns the recorded decision trace: the submission plane's
+// stream (one admit per submission, one pick per fair-share drain), the
+// ref catalog's, and each shard's. Empty unless Options.DecisionTrace was
+// set.
+func (m *Manager) Trace() shardplane.Trace { return m.shardPlane.Trace() }
 
-// MergedDecisions returns the whole decision trace, composed by the
-// rule shared with the simulator's Replay (shardplane.ComposeTraces).
-func (m *Manager) MergedDecisions() []policy.Decision {
-	return shardplane.ComposeTraces(m.PlaneDecisions(), m.RefDecisions(), m.ShardDecisions())
-}
+// TenantStat is one tenant's submission-plane breakdown.
+type TenantStat = policy.TenantStat
 
-// PlaneDecisions returns the submission plane's recorded trace: one
-// admit decision per submission, one pick per fair-share drain.
-// Empty without Options.Tenants or Options.DecisionTrace.
-func (m *Manager) PlaneDecisions() []policy.Decision {
-	return m.plane.Decisions()
-}
+// TenantStats returns the per-tenant submission-plane breakdown in
+// tenant-registry (sorted-name) order. Nil when the plane is off.
+func (m *Manager) TenantStats() []TenantStat { return m.shardPlane.TenantStats() }
 
 // Listen starts accepting worker connections on 127.0.0.1 and returns
 // the address workers should dial.
@@ -623,15 +602,13 @@ func (m *Manager) libSpec(name string) (*core.LibrarySpec, bool) {
 // ---- spec routing (the cross-shard submit path) ----
 
 // Submit enqueues a stateless task and returns its ID. A task naming
-// a registered tenant enters through the submission plane (admission
-// control, per-tenant queue, fair-share release); everything else —
-// no TenantID, no plane, or an unregistered tenant — routes directly.
+// a registered tenant enters through the submission plane (DESIGN.md
+// §14: admission control, per-tenant queue, fair-share release);
+// everything else — no TenantID, no plane, or an unregistered tenant —
+// routes directly.
 func (m *Manager) Submit(t *core.TaskSpec) int64 {
 	t.ID = m.nextID.Add(1)
-	it := dispatch{IsTask: true, Task: pendingTask{Key: shardplane.TaskKey(t.ID), ID: t.ID, Spec: taskSpec{t: t}}}
-	if t.TenantID == "" || m.plane == nil || !m.plane.submit(t.TenantID, it, t.ID) {
-		m.shardPlane.Submit(it)
-	}
+	m.submit(t.TenantID, dispatch{IsTask: true, Task: pendingTask{Key: shardplane.TaskKey(t.ID), ID: t.ID, Spec: taskSpec{t: t}}})
 	return t.ID
 }
 
@@ -639,11 +616,47 @@ func (m *Manager) Submit(t *core.TaskSpec) int64 {
 // handling matches Submit.
 func (m *Manager) SubmitInvocation(inv *core.InvocationSpec) int64 {
 	inv.ID = m.nextID.Add(1)
-	it := dispatch{Inv: queuedInv(inv)}
-	if inv.TenantID == "" || m.plane == nil || !m.plane.submit(inv.TenantID, it, inv.ID) {
-		m.shardPlane.Submit(it)
-	}
+	m.submit(inv.TenantID, dispatch{Inv: queuedInv(inv)})
 	return inv.ID
+}
+
+// submit hands one spec to the plane, and counts and answers what the
+// submission plane decided: a shed spec's failed result is delivered
+// here.
+func (m *Manager) submit(tenant string, it dispatch) {
+	d, released, known := m.shardPlane.SubmitTenant(tenant, it)
+	if !known {
+		return
+	}
+	m.ctr.FairDrains.Add(int64(released))
+	switch d.Verdict {
+	case policy.AdmitThrottle:
+		m.ctr.SubmitsThrottled.Add(1)
+	case policy.AdmitShed:
+		m.ctr.SubmitsShed.Add(1)
+		m.ctr.Failures.Add(1)
+		m.deliver(core.Result{ID: it.ID(), Ok: false,
+			Err: fmt.Sprintf("manager: submission shed (%s): tenant %q's plane queue is at its MaxQueue", d.Reason, tenant)})
+	}
+}
+
+// release returns one unit of tenant's quota — on every final result of
+// a spec it submitted — and counts what the freed quota drained into the
+// shards' intakes, which wake at the next wake-loop exit. A no-op for
+// untenanted work.
+func (m *Manager) release(tenant string) {
+	if n := m.shardPlane.Release(tenant); n > 0 {
+		m.ctr.FairDrains.Add(int64(n))
+	}
+}
+
+// specTenant names the tenant of a resolved in-flight spec — empty for
+// untenanted work.
+func specTenant(run *dispatch) string {
+	if run.IsTask {
+		return run.Task.Spec.t.TenantID
+	}
+	return run.Inv.Spec.TenantID
 }
 
 // Collect drains n results from the result stream.
@@ -871,7 +884,7 @@ func (m *Manager) onWorkerGone(w *workerState) {
 	// work: surviving holders adopt ownership (pinning their copies),
 	// spilled refs fall back to the durable shared tier, and the rest
 	// are declared lost — the traced failure semantics of §15.
-	m.refs.rehome(w.id)
+	m.rehomeRefs(w.id)
 	s := m.shardFor(w.id)
 	s.mu.Lock()
 	// The dead worker may have been the destination of in-flight peer
@@ -919,11 +932,11 @@ func (s *shard) onFileAck(w *workerState, ack proto.FileAck) {
 		// A confirmed ref replica also registers in the global ref
 		// catalog, so later resolves can source from this consumer.
 		// No-op for ordinary objects.
-		s.m.refs.noteHolder(w.id, ack.ID)
+		s.m.shardPlane.RefHeld(w.id, ack.ID)
 	}
 	restaged := false
 	if !ack.Ok && w.v.Alive {
-		if d, name, isRef := s.m.refs.resolve(w.id, ack.ID, true); isRef {
+		if d, name, isRef := s.m.shardPlane.ResolveRef(w.id, ack.ID, true); isRef {
 			// A ref fetch failed on every source the data plane tried.
 			// The manager never held these bytes, so the catalog restage
 			// below cannot apply: the ref plane retracted the unreliable
@@ -1036,7 +1049,7 @@ func (s *shard) failPendingForLibraryLocked(library string, failures int, reason
 func (s *shard) failLocked(id int64, tenant, err string) {
 	s.m.ctr.Failures.Add(1)
 	s.m.deliver(core.Result{ID: id, Ok: false, Err: err})
-	s.m.plane.release(tenant)
+	s.m.release(tenant)
 }
 
 func (s *shard) onResult(w *workerState, res core.Result) {
@@ -1059,7 +1072,7 @@ func (s *shard) onResult(w *workerState, res core.Result) {
 			// manager only updates its ref catalog.
 			m.ctr.RefResults.Add(1)
 			m.ctr.BytesByRef.Add(res.Ref.Size)
-			m.refs.noteResult(w.id, res.Ref)
+			m.execSpills(m.shardPlane.RefResult(w.id, res.Ref))
 		} else if n := len(res.Value); n > 0 {
 			m.ctr.BytesThroughManager.Add(int64(n))
 		}
@@ -1099,7 +1112,7 @@ func (s *shard) onResult(w *workerState, res core.Result) {
 		// Final delivery returns the spec's tenant quota unit; the freed
 		// quota may release queued plane work, whose shards wake when this
 		// one's loop exits.
-		m.plane.release(specTenant(&run))
+		m.release(specTenant(&run))
 	}
 	s.sched.Wake()
 	// Freed capacity is a shard-crossing signal: shards starving on
@@ -1173,10 +1186,8 @@ func (m *Manager) spill(res core.Result) {
 // all results; a non-nil error means bookkeeping leaked somewhere
 // along a failure path.
 func (m *Manager) CheckQuiescence() error {
-	if m.plane != nil {
-		if err := m.plane.checkQuiescence(); err != nil {
-			return err
-		}
+	if err := m.shardPlane.Quiescent(); err != nil {
+		return fmt.Errorf("manager: %w", err)
 	}
 	for _, s := range m.shards {
 		if err := s.checkQuiescence(); err != nil {
@@ -1210,15 +1221,6 @@ func (s *shard) checkQuiescence() error {
 	}
 	if n := len(s.view.PendingCopies); n != 0 {
 		return fmt.Errorf("manager: shard %d has %d objects still counted as in-flight copies", s.idx, n)
-	}
-	if n := s.sched.InFlight(); n != 0 {
-		return fmt.Errorf("manager: shard %d has %d dispatches still in flight", s.idx, n)
-	}
-	if n := len(s.sched.Tasks()) + s.sched.Invs(); n != 0 {
-		return fmt.Errorf("manager: shard %d has %d specs still queued", s.idx, n)
-	}
-	if n := s.sched.BackingOff(); n != 0 {
-		return fmt.Errorf("manager: shard %d has %d retries waiting out backoff", s.idx, n)
 	}
 	return nil
 }

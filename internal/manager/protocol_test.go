@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/policy"
 	"repro/internal/proto"
 )
 
@@ -18,16 +19,15 @@ func rawFrame(t proto.MsgType, body []byte) []byte {
 	return append(append(frame, byte(t)), body...)
 }
 
-// TestUndecodableWorkerFrameDropsTheWorker: a FileAck the manager
-// cannot decode closes that worker's connection instead of vanishing —
-// the dispatch it answered is requeued and completes on another worker.
-func TestUndecodableWorkerFrameDropsTheWorker(t *testing.T) {
-	h := newHarness(t, 0, Options{})
+// joinFake connects a worker that is only a socket: the test writes its
+// frames and reads what the manager sends it.
+func joinFake(t *testing.T, h *harness) (net.Conn, *proto.Conn) {
+	t.Helper()
 	nc, err := net.Dial("tcp", h.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nc.Close()
+	t.Cleanup(func() { nc.Close() })
 	fake := proto.NewConn(nc)
 	if err := fake.Send(proto.MsgHello, proto.Hello{
 		WorkerID: "fake", Resources: core.Resources{Cores: 4, MemoryMB: 1 << 10, DiskMB: 1 << 10},
@@ -37,12 +37,32 @@ func TestUndecodableWorkerFrameDropsTheWorker(t *testing.T) {
 	if err := h.m.WaitForWorkers(1, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-
-	id := h.m.Submit(simpleTask("survives"))
 	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if mt, _, err := fake.Recv(); err != nil || mt != proto.MsgRunTask {
+	return nc, fake
+}
+
+// expectRunTask reads the fake worker's next frame, which must dispatch
+// task id.
+func expectRunTask(t *testing.T, fake *proto.Conn, id int64) {
+	t.Helper()
+	mt, raw, err := fake.Recv()
+	if err != nil || mt != proto.MsgRunTask {
 		t.Fatalf("fake worker got %v, %v; want a run-task dispatch", mt, err)
 	}
+	if task, err := proto.DecodeTask(raw); err != nil || task.ID != id {
+		t.Fatalf("fake worker was sent task %d (%v), want %d", task.ID, err, id)
+	}
+}
+
+// TestUndecodableWorkerFrameDropsTheWorker: a FileAck the manager
+// cannot decode closes that worker's connection instead of vanishing —
+// the dispatch it answered is requeued and completes on another worker.
+func TestUndecodableWorkerFrameDropsTheWorker(t *testing.T) {
+	h := newHarness(t, 0, Options{})
+	nc, fake := joinFake(t, h)
+
+	id := h.m.Submit(simpleTask("survives"))
+	expectRunTask(t, fake, id)
 	var ack bytes.Buffer
 	if err := proto.NewConn(&ack).Send(proto.MsgFileAck, proto.FileAck{ID: "5feceb66", Ok: true, Cache: true}); err != nil {
 		t.Fatal(err)
@@ -67,6 +87,61 @@ func TestUndecodableWorkerFrameDropsTheWorker(t *testing.T) {
 	}
 	if st := h.m.Stats(); st.ProtocolErrors != 1 || st.Requeued != 1 {
 		t.Errorf("ProtocolErrors = %d, Requeued = %d; want 1, 1", st.ProtocolErrors, st.Requeued)
+	}
+}
+
+// TestStaleAndDuplicateResultsCountOnce: a worker that answers a by-ref
+// task twice, then sends a Result for a spec it was never given, gets one
+// delivery out of the manager, one quota unit back for the tenant and one
+// ownership transfer in the ref stream; the rest is dropped.
+func TestStaleAndDuplicateResultsCountOnce(t *testing.T) {
+	h := newHarness(t, 0, Options{Tenants: []core.TenantSpec{{Name: "a"}}, DecisionTrace: true})
+	_, fake := joinFake(t, h)
+
+	task := simpleTask("by-ref")
+	task.TenantID, task.ResultByRef = "a", true
+	id := h.m.Submit(task)
+	expectRunTask(t, fake, id)
+	res := core.Result{ID: id, Ok: true, Ref: &core.ObjectRef{ID: "ref-1", Name: "r1.out", Size: 64}}
+	stale := core.Result{ID: id + 100, Ok: true, Ref: &core.ObjectRef{ID: "ref-2", Name: "r2.out", Size: 64}}
+	for _, r := range []core.Result{res, res, stale} {
+		if err := fake.Send(proto.MsgResult, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One worker's frames are handled in order: once the next task's
+	// result is delivered, so is everything the three above produced.
+	next := h.m.Submit(simpleTask("next"))
+	expectRunTask(t, fake, next)
+	if err := fake.Send(proto.MsgResult, core.Result{ID: next, Ok: true}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := h.m.Collect(2, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0].ID != id || got[1].ID != next {
+		t.Fatalf("delivered specs %d, %d; want %d, %d", got[0].ID, got[1].ID, id, next)
+	}
+	select {
+	case r := <-h.m.Results():
+		t.Fatalf("a second delivery: %+v", r)
+	default:
+	}
+	if st := h.m.TenantStats(); len(st) != 1 || st[0].Done != 1 || st[0].InFlight != 0 {
+		t.Errorf("tenant stats %+v; want Done 1, InFlight 0", st)
+	}
+	owns := 0
+	for _, d := range h.m.Trace().Refs {
+		if d.Kind == policy.KindOwn {
+			owns++
+		}
+	}
+	if owns != 1 {
+		t.Errorf("%d ownership transfers in the ref stream, want 1:\n%s", owns, policy.Dump(h.m.Trace().Refs))
+	}
+	if err := h.m.CheckQuiescence(); err != nil {
+		t.Error(err)
 	}
 }
 

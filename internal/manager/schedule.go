@@ -97,12 +97,12 @@ func (s *shard) execStageLocked(w *workerState, sf policy.StageFile) {
 	case policy.StageRef:
 		// Proxy-object input: the per-shard view cannot plan this copy —
 		// the bytes never transited the manager — so the shard trace
-		// records only that a ref stage ran and the global ref plane
+		// records only that a ref stage ran and the global ref catalog
 		// plans (and traces) the actual source.
-		rd, _, _ := s.m.refs.resolve(w.id, sf.Object, false)
+		rd, _, _ := s.m.shardPlane.ResolveRef(w.id, sf.Object, false)
 		s.execResolveLocked(w, sf.Object, sf.Spec.Object.Name, rd)
 	}
-	s.rec.Record(d)
+	s.sched.Rec().Record(d)
 }
 
 // peerFetchLocked tells w to fetch the staged object from src's data
@@ -127,17 +127,21 @@ func (s *shard) peerFetchLocked(w, src *workerState, sf policy.StageFile, alts [
 	s.m.ctr.PeerTransfers.Add(1)
 }
 
-// execResolveLocked executes one ref-plane decision for the copy of
+// execResolveLocked executes one ref-catalog resolve for the copy of
 // ref id (file name name) on w — a first resolve at ref-stage
-// execution, or the recovery resolve after a failed fetch — and reports
-// whether a transfer was issued, whose own ack settles whatever waits
-// on the copy. Ref transfers consume no view-tracked transfer slots and
-// register no fetch-source record — they are bounded by the workers'
-// data-plane serve concurrency, not the spanning-tree cap — so the
-// FileAck plumbing sees them as direct sends that happen to arrive from
-// a peer.
+// execution, or the recovery resolve after a failed fetch: the spills a
+// promote cascaded first, then the copy. It reports whether a transfer
+// was issued, whose own ack settles whatever waits on the copy. Ref
+// transfers consume no view-tracked transfer slots and register no
+// fetch-source record — they are bounded by the workers' data-plane
+// serve concurrency, not the spanning-tree cap — so the FileAck plumbing
+// sees them as direct sends that happen to arrive from a peer.
 func (s *shard) execResolveLocked(w *workerState, id, name string, d policy.ResolveDecision) bool {
 	m := s.m
+	if d.Promote {
+		m.ctr.RefPromotes.Add(1)
+	}
+	m.execSpills(d.Spills)
 	fetch := proto.FetchFile{ID: id, Name: name, Cache: true, Size: d.Size}
 	switch d.Mode {
 	case policy.ResolveReady:
@@ -244,7 +248,7 @@ func (s *shard) Plan(dst []policy.PlaceTask, tasks []pendingTask) []policy.Place
 	reqs := s.reqScratch[:0]
 	for _, pt := range tasks {
 		t := pt.Spec.t
-		reqs = append(reqs, policy.TaskReq{Key: pt.Key, Res: t.Resources, Inputs: t.Inputs, Avoid: pt.Avoid, Tenant: t.TenantID})
+		reqs = append(reqs, policy.TaskReq{Key: pt.Key, Res: t.Resources, Inputs: t.Inputs, Avoid: pt.Avoid})
 	}
 	s.reqScratch = reqs
 	return s.view.PlanTaskBatchInto(dst, reqs, nil)
@@ -255,7 +259,7 @@ func (s *shard) Plan(dst []policy.PlaceTask, tasks []pendingTask) []policy.Place
 func (s *shard) Place(pt *pendingTask, d policy.PlaceTask) {
 	t := pt.Spec.t
 	w := s.workers[d.Worker.ID]
-	s.rec.Record(policy.Decision{Kind: policy.KindTask, Spec: pt.ID, Key: pt.Key, Worker: w.id, Stages: len(d.Stages)})
+	s.sched.Rec().Record(policy.Decision{Kind: policy.KindTask, Spec: pt.ID, Key: pt.Key, Worker: w.id, Stages: len(d.Stages)})
 	start := time.Now()
 	for _, sf := range d.Stages {
 		s.execStageLocked(w, sf)
@@ -326,7 +330,7 @@ func (s *shard) validateInvLocked(inv *core.InvocationSpec) error {
 func (s *shard) PlaceInv(pi pendingInv, d policy.PlaceInvocation) {
 	w := s.workers[d.Worker.ID]
 	li := w.libs[pi.Lib]
-	s.rec.Record(policy.Decision{Kind: policy.KindPlace, Spec: pi.ID, Lib: pi.Lib, Worker: w.id})
+	s.sched.Rec().Record(policy.Decision{Kind: policy.KindPlace, Spec: pi.ID, Lib: pi.Lib, Worker: w.id})
 	li.SlotsUsed++
 	s.libSlotsChangedLocked(w, li)
 	w.enqueue(outMsg{t: proto.MsgInvoke, v: pi.Spec})
@@ -356,8 +360,8 @@ func (s *shard) Deploy(lib string) (worker string, blocked []string) {
 		return "", d.Blocked
 	}
 	w := s.workers[d.Worker.ID]
-	if s.rec != nil { // EvictNames allocates
-		s.rec.Record(policy.Decision{Kind: policy.KindDeploy, Lib: spec.Name, Worker: w.id, Stages: len(d.Stages), Evict: d.EvictNames()})
+	if rec := s.sched.Rec(); rec != nil { // EvictNames allocates
+		rec.Record(policy.Decision{Kind: policy.KindDeploy, Lib: spec.Name, Worker: w.id, Stages: len(d.Stages), Evict: d.EvictNames()})
 	}
 	for _, e := range d.Evict {
 		s.evictLibraryLocked(w, e.Lib)

@@ -32,12 +32,6 @@ type TaskReq struct {
 	// beats starving) — the same two-stage rule both engines' unbatched
 	// paths apply.
 	Avoid string
-	// Tenant names the submitting tenant (empty for single-tenant
-	// work). Placement itself is tenant-neutral — fairness is enforced
-	// at the submission plane (tenant.go), not by skewing worker choice
-	// — but the identity rides the request so tenant-aware placement
-	// policies can read it without another plumbing pass.
-	Tenant string
 }
 
 // PlanTaskBatchInto plans a placement for every request, in order,

@@ -119,12 +119,23 @@ func (NoLock) Lock()   {}
 func (NoLock) Unlock() {}
 
 // Plane is the dispatch plane's shared part: the router, one Sched per
-// shard, and the hand-offs into them.
+// shard, the hand-offs into them, and the two global decision streams
+// (streams.go): the tenant plane and the ref catalog.
 type Plane[T Spec, I any] struct {
 	*Router
 	Shards []*Sched[T, I]
-	// maxRetries is every spec's retry budget; negative: no retries.
-	maxRetries int
+	cfg    Config
+
+	// The tenant stream (streams.go), nil without tenants; tenantMu is a
+	// leaf.
+	tenantMu sync.Mutex
+	tenants  *policy.TenantPlane[Run[T, I]]
+	// The ref stream (streams.go); refMu is a leaf below the shard locks.
+	// refActive flips on the first by-ref result.
+	refActive atomic.Bool
+	refMu     sync.Mutex
+	refTab    *policy.RefTable
+	refRec    *policy.Recorder
 	// starving counts the starving shards, so Nudge costs one load when
 	// there are none.
 	starving atomic.Int32
@@ -140,19 +151,51 @@ type Plane[T Spec, I any] struct {
 	hasFed atomic.Bool
 }
 
-// NewPlane builds a plane of n shards (n < 1: DefaultShards) for Attach
-// to fill. A spec that has lost maxRetries attempts is not requeued again.
-func NewPlane[T Spec, I any](n, maxRetries int) *Plane[T, I] {
-	r := NewRouter(n)
-	p := &Plane[T, I]{Router: r, Shards: make([]*Sched[T, I], r.n), maxRetries: maxRetries}
+// Config is what an engine builds its plane from.
+type Config struct {
+	// Shards is the partition count (< 1: DefaultShards).
+	Shards int
+	// MaxRetries is every spec's retry budget: a spec that has lost this
+	// many attempts is not requeued again. Negative: no retries.
+	MaxRetries int
+	// Tenants turns the tenant plane on; empty keeps it off.
+	Tenants []core.TenantSpec
+	// RefOwnedBytesCap bounds the ref catalog's owned bytes per worker
+	// (0: unbounded).
+	RefOwnedBytesCap int64
+	// Trace records every decision: each shard and each stream into a
+	// recorder of its own.
+	Trace bool
+	// Catalog reports whether the engine could restage object id from
+	// its own staging catalog, a ref resolve's last resort. Nil: never.
+	Catalog func(id string) bool
+}
+
+// NewPlane builds a plane for Attach to fill.
+func NewPlane[T Spec, I any](cfg Config) *Plane[T, I] {
+	r := NewRouter(cfg.Shards)
+	p := &Plane[T, I]{Router: r, Shards: make([]*Sched[T, I], r.n), cfg: cfg}
 	p.pool.New = func() any { return new(node[T, I]) }
+	if len(cfg.Tenants) > 0 {
+		p.tenants = policy.NewTenantPlane[Run[T, I]](cfg.Tenants, p.recorder())
+	}
+	p.refTab, p.refRec = policy.NewRefTable(cfg.RefOwnedBytesCap), p.recorder()
 	return p
+}
+
+// recorder is a fresh recorder when the plane is traced, else nil — on
+// which Record is a no-op.
+func (p *Plane[T, I]) recorder() *policy.Recorder {
+	if p.cfg.Trace {
+		return &policy.Recorder{}
+	}
+	return nil
 }
 
 // Attach builds shard i's scheduler over the engine's view of its
 // workers, its lock and its shell.
 func (p *Plane[T, I]) Attach(i int, view *policy.ClusterView, mu sync.Locker, shell Shell[T, I]) *Sched[T, I] {
-	s := &Sched[T, I]{p: p, idx: i, view: view, mu: mu, shell: shell, waiting: map[string]*waiter{},
+	s := &Sched[T, I]{p: p, idx: i, view: view, mu: mu, shell: shell, rec: p.recorder(), waiting: map[string]*waiter{},
 		hosts: map[string]*host[T, I]{}, backoff: map[int64]Run[T, I]{}}
 	p.Shards[i] = s
 	return s
@@ -225,6 +268,9 @@ type Sched[T Spec, I any] struct {
 	view  *policy.ClusterView
 	mu    sync.Locker
 	shell Shell[T, I]
+	// rec records this shard's decisions, the shell's included (nil when
+	// the plane is untraced).
+	rec *policy.Recorder
 
 	// intake is a Treiber stack of posted specs the loop drains at each
 	// look.
@@ -425,6 +471,10 @@ func (s *Sched[T, I]) Running(worker string) []Run[T, I] {
 	return nil
 }
 
+// Rec is the shard's recorder, nil when the plane is untraced: the shell
+// records what it executes into it. No lock needed.
+func (s *Sched[T, I]) Rec() *policy.Recorder { return s.rec }
+
 // InFlight counts the specs running on workers; BackingOff those Done
 // found within their budget and Retry has not yet requeued.
 func (s *Sched[T, I]) InFlight() int   { return s.running }
@@ -579,7 +629,7 @@ func (s *Sched[T, I]) again(r *Run[T, I], worker string) int {
 	if r.IsTask {
 		retries, avoid, hops = &r.Task.Retries, &r.Task.Avoid, &r.Task.Hops
 	}
-	if *retries >= s.p.maxRetries {
+	if *retries >= s.p.cfg.MaxRetries {
 		return 0
 	}
 	*retries, *avoid, *hops = *retries+1, worker, 0

@@ -71,7 +71,7 @@ const (
 )
 
 func newTestPlane(n int) *testPlane {
-	tp := &testPlane{Plane: NewPlane[testSpec, testInv](n, testBudget),
+	tp := &testPlane{Plane: NewPlane[testSpec, testInv](Config{Shards: n, MaxRetries: testBudget}),
 		libs: map[string]core.Resources{}, files: map[string][]core.FileSpec{}, reject: map[int64]bool{}}
 	for i := range tp.Shards {
 		sh := &testShell{idx: i, plane: tp,

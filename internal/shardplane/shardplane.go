@@ -26,11 +26,9 @@
 package shardplane
 
 import (
-	"slices"
 	"sync"
 
 	"repro/internal/hashring"
-	"repro/internal/policy"
 )
 
 // DefaultShards is the dispatch plane's default partition count. It is
@@ -213,24 +211,4 @@ func (r *Router) NextAlive(after int) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// MergeTraces is the deterministic merge rule for per-shard decision
-// traces: concatenate in shard-index order. Within a shard the trace
-// is already the shard's own deterministic decision order; across
-// shards no order is defined (the shards are independent loops), so
-// the merge pins one.
-func MergeTraces(perShard [][]policy.Decision) []policy.Decision {
-	var out []policy.Decision
-	for _, t := range perShard {
-		out = append(out, t...)
-	}
-	return out
-}
-
-// ComposeTraces is an engine's whole decision trace: the submission
-// plane's stream, then the ref catalog's — each global, each recorded
-// once — then the shard traces merged.
-func ComposeTraces(plane, refs []policy.Decision, perShard [][]policy.Decision) []policy.Decision {
-	return append(append(slices.Clip(plane), refs...), MergeTraces(perShard)...)
 }

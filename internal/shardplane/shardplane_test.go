@@ -107,11 +107,20 @@ func TestAddRemoveIdempotent(t *testing.T) {
 	}
 }
 
+// TestMergeTracesConcatenatesInShardOrder: the whole trace is the tenant
+// stream, then the ref stream, then the shard traces in shard order, and
+// composing it leaves its parts as they were.
 func TestMergeTracesConcatenatesInShardOrder(t *testing.T) {
 	a, b, c := policy.Decision{Spec: 1}, policy.Decision{Spec: 2}, policy.Decision{Spec: 3}
-	got := MergeTraces([][]policy.Decision{{a, b}, nil, {c}})
-	if want := []policy.Decision{a, b, c}; !slices.Equal(got, want) {
+	ten, ref := policy.Decision{Kind: policy.KindAdmit}, policy.Decision{Kind: policy.KindOwn}
+	tr := Trace{Tenants: make([]policy.Decision, 1, 4), Refs: []policy.Decision{ref}, Shards: [][]policy.Decision{{a, b}, nil, {c}}}
+	tr.Tenants[0] = ten
+	got := tr.All()
+	if want := []policy.Decision{ten, ref, a, b, c}; !slices.Equal(got, want) {
 		t.Fatalf("merged %v, want %v", got, want)
+	}
+	if spare := tr.Tenants[:2]; spare[1] != (policy.Decision{}) {
+		t.Fatalf("composing wrote into the tenant stream's spare capacity: %v", spare[1])
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 // and die, and invocations finish. It is the second shell of the shared
 // dispatch plane (DESIGN.md §12), the one with no sockets and no locks,
 // and answers every event the manager can see. Globally it holds the
-// shardplane.Plane (the router and one scheduler per shard), the spec
-// and worker counters, one submission plane and one ref catalog; per
+// shardplane.Plane (the router, one scheduler per shard, the submission
+// plane and the ref catalog) and the spec and worker counters; per
 // shard (replayShard) a cluster view around that shard's scheduler, which
 // owns the intake, the keyed task queue, the library's invocation queue
 // with its install claims, what each queue waits on, the wake loop, both
@@ -35,7 +35,7 @@ import (
 // nudge. The differential harness (internal/manager) feeds one event
 // trace through a Replay and through the real manager and diffs the
 // plane stream, the ref stream, each shard's trace and the merged
-// trace decision for decision.
+// trace decision for decision (Trace).
 type Replay struct {
 	cfg        Config
 	shards     []*replayShard
@@ -49,19 +49,12 @@ type Replay struct {
 	// as the manager's is a function of the worker's Hello — not of the
 	// shard count.
 	nextWorker int
-	// plane is the submission plane (cfg.Tenants): one plane in front
-	// of all shards with its own recorder, as the manager's plane trace
-	// is a stream apart from the shard traces. Specs the fair-share drain
-	// releases go to the shards' intakes through shardplane's Route.
-	plane *policy.TenantPlane[replayRun]
-	// refs is the one ref catalog (refs.go), shared by every shard's
-	// state as the manager's ref plane is shared by every shard.
-	refs *simRefs
 }
 
 // replayShard is one shard's scheduling state: the Shell of its
 // scheduler.
 type replayShard struct {
+	r  *Replay
 	st *state
 	// sched holds the pending specs: tasks by ring key (assigned at
 	// submission, requeued verbatim), invocations in the library's queue.
@@ -90,26 +83,24 @@ type (
 // shards < 1 means shardplane.DefaultShards, as manager.New reads
 // Options.Shards. cfg.Workers initial workers join through the event
 // surface (global numbering, shard routing). cfg.Invocations is ignored
-// (work arrives via Submit) and so is cfg.DecisionTrace: every shard
-// records into a recorder of its own.
+// (work arrives via Submit) and so is cfg.DecisionTrace: the plane
+// records every shard and each stream into a recorder of its own.
 func NewReplay(cfg Config, shards int) *Replay {
 	cfg.defaults()
 	cfg.Invocations = 0
-	r := &Replay{
-		cfg:        cfg,
-		shardPlane: shardplane.NewPlane[replaySpec, specRef](shards, shardplane.DefaultMaxRetries),
-		refs:       newSimRefs(cfg.RefOwnedBytesCap),
-	}
-	if len(cfg.Tenants) > 0 {
-		r.plane = policy.NewTenantPlane[replayRun](cfg.Tenants, &policy.Recorder{})
-	}
+	r := &Replay{cfg: cfg, shardPlane: shardplane.NewPlane[replaySpec, specRef](shardplane.Config{
+		Shards:           shards,
+		MaxRetries:       shardplane.DefaultMaxRetries,
+		Tenants:          cfg.Tenants,
+		RefOwnedBytesCap: cfg.RefOwnedBytesCap,
+		Trace:            true,
+	})}
 	for i := range r.shardPlane.Shards {
-		scfg := cfg
-		scfg.DecisionTrace = &policy.Recorder{}
-		st := newState(scfg, true)
-		st.refs = r.refs
-		sh := &replayShard{st: st}
+		st := newState(cfg, true)
+		sh := &replayShard{r: r, st: st}
 		sh.sched = r.shardPlane.Attach(i, st.view, shardplane.NoLock{}, sh)
+		st.rec = sh.sched.Rec()
+		st.stageRef = func(dst *policy.WorkerView, id string) { r.stageRef(st.view, dst, id, false) }
 		r.shards = append(r.shards, sh)
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -124,14 +115,24 @@ func (r *Replay) lib() string { return r.shards[0].st.lib }
 // final result, or a retry budget spent — to the submission plane, if
 // there is one; the shards its drain feeds wake at the next loop exit.
 func (r *Replay) release(run *replayRun) {
-	if r.plane == nil {
-		return
-	}
 	tenant := run.Inv.Spec.tenant
 	if run.IsTask {
 		tenant = run.Task.Spec.tenant
 	}
-	r.plane.Release(tenant, r.shardPlane.Route)
+	r.shardPlane.Release(tenant)
+}
+
+// stageRef executes one proxy-object copy onto dst in view v, the
+// manager's execResolveLocked less its messages, which carry no state: a
+// first resolve at ref-stage execution, or (failed) a failed fetch's
+// recovery. Peer and shared fetches mark the in-flight copy; ready and
+// lost stage nothing (a lost ref's dispatch fails retryably on the
+// worker). With no catalog and no dead sources in the synchronous replay,
+// neither ResolveDirect nor the manager's dead-source fallback arises.
+func (r *Replay) stageRef(v *policy.ClusterView, dst *policy.WorkerView, id string, failed bool) {
+	if d, _, _ := r.shardPlane.ResolveRef(dst.ID, id, failed); d.Mode == policy.ResolvePeer || d.Mode == policy.ResolveShared {
+		v.NotePending(dst, id)
+	}
 }
 
 // ---- one shard's shell (shardplane.Shell; there is no lock) ----
@@ -168,14 +169,15 @@ func (sh *replayShard) Deploy(lib string) (string, []string) {
 func (sh *replayShard) Plan(dst []policy.PlaceTask, tasks []replayTask) []policy.PlaceTask {
 	reqs := make([]policy.TaskReq, len(tasks))
 	for i, pt := range tasks {
-		reqs[i] = policy.TaskReq{Key: pt.Key, Res: oneSlot, Inputs: sh.taskInputs(pt), Avoid: pt.Avoid, Tenant: pt.Spec.tenant}
+		reqs[i] = policy.TaskReq{Key: pt.Key, Res: oneSlot, Inputs: sh.taskInputs(pt), Avoid: pt.Avoid}
 	}
 	return sh.st.view.PlanTaskBatchInto(dst, reqs, nil)
 }
 
 // taskInputs builds one task's input specs: the environment (L2/L3)
 // plus a RefSpec per proxy-object input, rebuilt from the ref catalog
-// so both engines plan over identical bindings.
+// so both engines plan over identical bindings. The harness submits
+// consumers only of refs already created.
 func (sh *replayShard) taskInputs(pt replayTask) []core.FileSpec {
 	st := sh.st
 	var inputs []core.FileSpec
@@ -183,7 +185,11 @@ func (sh *replayShard) taskInputs(pt replayTask) []core.FileSpec {
 		inputs = append(inputs, st.envSpec)
 	}
 	for _, id := range pt.Spec.refs {
-		inputs = append(inputs, st.refs.spec(id))
+		fs, ok := sh.r.shardPlane.RefInput(id)
+		if !ok {
+			panic("sim: ref input " + id + " is not in the replay's ref catalog")
+		}
+		inputs = append(inputs, fs)
 	}
 	return inputs
 }
@@ -268,16 +274,7 @@ func (r *Replay) SubmitTaskRefs(refs ...string) { r.shardPlane.Submit(r.next("",
 // admission, plane queue, fair-share drain into shard intake, a wake
 // for every shard fed. An unregistered tenant (the empty one included)
 // degrades to the direct routing path.
-func (r *Replay) SubmitTenant(tenant string) {
-	it := r.next(tenant)
-	if r.plane != nil {
-		if _, _, known := r.plane.Submit(tenant, it, r.shardPlane.Route); known {
-			r.shardPlane.WakeFed()
-			return
-		}
-	}
-	r.shardPlane.Submit(it)
-}
+func (r *Replay) SubmitTenant(tenant string) { r.shardPlane.SubmitTenant(tenant, r.next(tenant)) }
 
 // AddWorker joins a fresh worker in its home shard, continuing the
 // wNNNN numbering, in the manager's adoptWorker order: register, route,
@@ -313,7 +310,7 @@ func (r *Replay) KillWorker(id string) bool {
 		return false
 	}
 	r.shardPlane.Remove(id)
-	r.refs.tab.PlanRehome(id, r.refs.rec)
+	r.shardPlane.RefOwnerDied(id)
 	lost := sh.kill(w)
 	for i := range lost {
 		r.release(&lost[i])
@@ -376,21 +373,21 @@ func (r *Replay) RefArrived(id, refID string) bool {
 	}
 	sh.st.view.ClearPending(w.v, refID)
 	sh.st.view.NoteReplica(w.v, refID)
-	r.refs.tab.AddRefHolder(id, refID)
+	r.shardPlane.RefHeld(id, refID)
 	sh.ack(refID)
 	return true
 }
 
 // RefFailed fails a consumer's in-flight ref fetch on worker id (the
-// FileAck{Ok:false} path), recovered by policy.RefTable.PlanRestage on
-// both engines. Returns false if no ref copy is in flight there.
+// FileAck{Ok:false} path), recovered by the ref catalog's restage
+// (Plane.ResolveRef) on both engines. Returns false if no ref copy is in flight there.
 func (r *Replay) RefFailed(id, refID string) bool {
 	sh, w := r.find(id)
 	if w == nil || !w.v.Pending[refID] {
 		return false
 	}
 	sh.st.view.ClearPending(w.v, refID)
-	r.refs.stage(sh.st.view, w.v, refID, true)
+	r.stageRef(sh.st.view, w.v, refID, true)
 	sh.ack(refID)
 	return true
 }
@@ -433,7 +430,7 @@ func (r *Replay) CompleteTask(id, key string) bool {
 // CompleteTaskRef finishes the task bound to ring key key on worker id
 // with a pass-by-reference result — the manager's onResult for a
 // Result carrying an ObjectRef: the producing worker becomes the ref's
-// owner and holder of record (refPlane.noteResult; the spills the
+// owner and holder of record (Plane.RefResult; the spills the
 // owner's budget cascades re-tier the catalog at decision time, the
 // spill messages themselves carry no state), and the catalog — not the
 // manager's wire — carries the object from then on. The transfer lands
@@ -476,7 +473,7 @@ func (r *Replay) finish(id string, spec int64, failed bool, ref *core.ObjectRef)
 		return false
 	}
 	if ref != nil {
-		r.refs.tab.NoteRefResult(id, ref.ID, ref.Name, ref.Size, r.refs.rec)
+		r.shardPlane.RefResult(id, ref)
 	}
 	if run.IsTask {
 		w.v.Commit = w.v.Commit.Sub(oneSlot)
@@ -500,19 +497,14 @@ func (r *Replay) finish(id string, spec int64, failed bool, ref *core.ObjectRef)
 // CheckQuiescence is the manager's, for what a replay holds: no spec
 // queued, in flight or backing off in any shard, no tenant holding quota.
 func (r *Replay) CheckQuiescence() error {
-	for i, sh := range r.shards {
-		if n := len(sh.sched.Tasks()) + sh.sched.Invs() + sh.sched.InFlight() + sh.sched.BackingOff(); n != 0 {
-			return fmt.Errorf("sim: shard %d still holds %d specs", i, n)
-		}
-	}
-	if r.plane != nil {
-		return r.plane.Quiescent()
+	if err := r.shardPlane.Quiescent(); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
 	return nil
 }
 
 // TenantStats is the submission plane's breakdown; tenant runs only.
-func (r *Replay) TenantStats() []policy.TenantStat { return r.plane.Stats() }
+func (r *Replay) TenantStats() []policy.TenantStat { return r.shardPlane.TenantStats() }
 
 // Pending reports specs submitted but not yet placed, over all shards.
 func (r *Replay) Pending() int {
@@ -523,31 +515,10 @@ func (r *Replay) Pending() int {
 	return n
 }
 
-// The decision trace is composed by one rule on both engines
-// (shardplane.ComposeTraces); its three parts are also readable apart,
-// which is how the harness localizes a divergence.
-
-// PlaneDecisions returns the submission plane's recorded trace.
-func (r *Replay) PlaneDecisions() []policy.Decision { return r.plane.Decisions() }
-
-// RefDecisions returns a copy of the ref catalog's recorded stream.
-func (r *Replay) RefDecisions() []policy.Decision {
-	return append([]policy.Decision(nil), r.refs.rec.Decisions...)
-}
-
-// ShardDecisions returns each shard's own decision trace.
-func (r *Replay) ShardDecisions() [][]policy.Decision {
-	out := make([][]policy.Decision, len(r.shards))
-	for i, sh := range r.shards {
-		out[i] = sh.st.rec.Decisions
-	}
-	return out
-}
-
-// Decisions returns the composed trace.
-func (r *Replay) Decisions() []policy.Decision {
-	return shardplane.ComposeTraces(r.PlaneDecisions(), r.RefDecisions(), r.ShardDecisions())
-}
+// Trace returns the recorded decision trace: the submission plane's
+// stream, the ref catalog's and each shard's, composed by the rule the
+// manager's is (Trace.All).
+func (r *Replay) Trace() shardplane.Trace { return r.shardPlane.Trace() }
 
 // ViewFor returns worker id's view entry in its owning shard, nil if
 // the worker is not live — the cross-check hook for per-worker

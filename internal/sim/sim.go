@@ -17,8 +17,8 @@
 // one (Run): it executes decisions under the virtual clock. replay.go
 // is the untimed one (Replay): N shards behind the event surface the
 // manager has — submissions, tenants, acks and faults, results by value
-// and by reference, joins and deaths — with one router, one submission
-// plane and one ref catalog (refs.go) over per-shard views, so the
+// and by reference, joins and deaths — over shardplane.Plane's router,
+// submission plane and ref catalog and per-shard views, so the
 // differential harness can diff its decision traces against the real
 // manager's at any shard count.
 package sim
@@ -239,11 +239,14 @@ type state struct {
 	completed  int
 	inFlight   int
 	sampleStep int
+	// deployed counts the timed run's ready instances: a ready slot
+	// never un-readies, and every L3 completion runs on one, so the
+	// completions they served sum to completed.
+	deployed int
 
 	// plane is the timed simulator's submission plane (Config.Tenants);
-	// Replay keeps its plane on the driver instead, in front of every
-	// shard and with its own recorder, so the plane trace stays a
-	// separate stream exactly as the manager's is.
+	// a Replay's is its shardplane.Plane's, in front of every shard and
+	// with its own recorder, exactly as the manager's is.
 	plane *policy.TenantPlane[specRef]
 	// owners threads admitted-spec identity through the timed pending
 	// pool in tenant runs: the FIFO of admitted-but-unplaced invocation
@@ -259,9 +262,9 @@ type state struct {
 	// advance, timing callbacks do not (replay.go drives transitions).
 	replay bool
 
-	// refs is the Replay's one ref catalog (refs.go), shared by all its
-	// shards; nil on the timed path, which never builds by-ref inputs.
-	refs *simRefs
+	// stageRef executes a Replay's ref stage through the plane's one ref
+	// catalog; nil on the timed path, which never builds by-ref inputs.
+	stageRef func(dst *policy.WorkerView, id string)
 
 	res *Result
 
@@ -313,7 +316,6 @@ type slot struct {
 	w        *wstate
 	busy     bool
 	libReady bool
-	served   int
 	invIdx   int // index of the invocation currently assigned
 	// owner and tenant identify the bound spec in tenant runs: the spec
 	// ID, and whose quota the completion releases.
@@ -356,6 +358,7 @@ func (st *state) freeSlot(w *wstate, sl *slot) {
 // simulator's LibraryAck.
 func (st *state) markLibReady(w *wstate, sl *slot) {
 	sl.libReady = true
+	st.deployed++
 	if !sl.busy {
 		w.freeReady++
 	}
@@ -802,8 +805,8 @@ func (st *state) execStage(sf policy.StageFile) {
 		// the global ref catalog plans (and traces) the actual source,
 		// exactly as the manager's ref plane does.
 		st.rec.Record(policy.Decision{Kind: policy.KindStage, Obj: sf.Object, Dst: dst.id, Mode: sf.Mode.String()})
-		if st.refs != nil {
-			st.refs.stage(st.view, dst.v, sf.Object, false)
+		if st.stageRef != nil {
+			st.stageRef(dst.v, sf.Object)
 		}
 	}
 }
@@ -908,7 +911,6 @@ func (st *state) complete(sl *slot, start float64) {
 		st.res.Times = append(st.res.Times, runtime)
 	}
 	st.freeSlot(sl.w, sl)
-	sl.served++
 	st.inFlight--
 	st.completed++
 	if st.cfg.Level == core.L3 && st.completed%st.sampleStep == 0 {
@@ -922,23 +924,15 @@ func (st *state) complete(sl *slot, start float64) {
 	st.tryDispatch()
 }
 
+// sampleSeries records one point of Figures 10 and 11: the ready
+// instances, and the invocations each has served on average.
 func (st *state) sampleSeries() {
-	deployed := 0
-	served := 0
-	for _, w := range st.workers {
-		for _, sl := range w.slots {
-			if sl.libReady {
-				deployed++
-				served += sl.served
-			}
-		}
-	}
 	x := float64(st.completed)
-	st.res.DeployedSeries.Add(x, float64(deployed))
-	if deployed > 0 {
-		st.res.ShareSeries.Add(x, float64(served)/float64(deployed))
+	st.res.DeployedSeries.Add(x, float64(st.deployed))
+	if st.deployed > 0 {
+		st.res.ShareSeries.Add(x, float64(st.completed)/float64(st.deployed))
 	}
-	st.res.LibsDeployed = deployed
+	st.res.LibsDeployed = st.deployed
 }
 
 // ---- L1: no reuse; everything through the shared filesystem ----
