@@ -92,7 +92,9 @@ flake:
 # cluster through its whole life, spawn → environment and library deploy
 # → first calls → quiescence → shutdown, over and over. Then
 # context_reload for two seconds: the wrapped-call path, SubmitWrappedCall
-# → wrapper task → load_pickle("args"), at L1 and L2.
+# → wrapper task → load_pickle("args"), at L1 and L2. Then data_fanout
+# for two seconds: the only workload that drives the ref catalog, a
+# by-ref result that consumers resolve worker to worker.
 # The last is the simulator at paper scale, on the seed whose TotalTime
 # bench/testdata/sim_pinned.json pins to the last bit (seed 1): a policy
 # change that moves one decision in 100000 fails it.
@@ -104,6 +106,7 @@ benchcheck:
 	GOMAXPROCS=1 bash bench/run.sh -workload invoke_burst -seed 1 -seconds 2
 	bash bench/run.sh -workload context_cold -seed 1 -seconds 2
 	bash bench/run.sh -workload context_reload -seed 1 -seconds 2
+	bash bench/run.sh -workload data_fanout -seed 1 -seconds 2
 	bash bench/run.sh -workload sim_replay -seed 1 -seconds 2
 
 # The fuzz targets, five seconds each (go test -fuzz takes one target

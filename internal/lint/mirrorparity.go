@@ -21,9 +21,9 @@ import (
 // (the recording decision shape, e.g. NoteRefResult). The analyzer
 // computes, for each engine, the set of policy functions statically
 // reachable from that engine's packages — direct references plus
-// policy-internal call chains (PlanTaskBatchInto -> PlanTask ->
-// PlanStageAll -> PickSource all count as reached through the batch
-// entry) — and flags entry points one side cannot reach. A policy
+// policy-internal call chains (PlanTask -> PlanStageAll -> PickSource
+// all count as reached through the task pass's PlanTask) — and flags
+// entry points one side cannot reach. A policy
 // function referenced from internal/shardplane, the scheduler both
 // engines are shells of, counts as reached by each engine package that
 // imports it. A deliberately one-sided entry point carries

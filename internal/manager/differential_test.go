@@ -1110,7 +1110,7 @@ func TestDifferentialChurnWithFailures(t *testing.T) {
 func TestDifferentialSharded(t *testing.T) {
 	// The sharded dispatch plane against a sharded Replay: identical
 	// routing (ring-key owners for tasks, spec-ID round-robin for
-	// invocations), identical batched decision sequences per shard, and
+	// invocations), identical decision sequences per shard, and
 	// the same deterministic trace merge. 2 and 3 shards make both the
 	// single-worker-shard and multi-worker-shard layouts appear.
 	for _, shards := range []int{2, 3} {
@@ -1275,6 +1275,91 @@ func TestDifferentialRefOwnerDeathMidResolve(t *testing.T) {
 	}
 	if st := h.m.Stats(); st.RefRehomes == 0 {
 		t.Errorf("RefRehomes stat never counted the scripted rehome")
+	}
+}
+
+// TestDifferentialRefStagedPerConsumer: two consumers of one ref placed
+// on one worker in one pass each stage it, so each resolves through the
+// ref catalog — whose ready and lost verdicts mark no copy in flight that
+// a second consumer could count on. Both engines must trace the second
+// consumer with its ref stage and the ref stream with a second resolve.
+func TestDifferentialRefStagedPerConsumer(t *testing.T) {
+	for _, tc := range []struct {
+		mode   policy.ResolveMode
+		stages []int // the two consumers' task stages
+	}{
+		// The owner's own worker: the environment is there, the ref
+		// resolves ready.
+		{policy.ResolveReady, []int{1, 1}},
+		// A fresh worker after the owner died with no other holder, no
+		// spill and no catalog copy: the first consumer also stages the
+		// environment, whose copy in flight the second counts on.
+		{policy.ResolveLost, []int{2, 1}},
+	} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			h := newDiffHarness(t, core.L2, 1, 2, diffOpts{refs: true})
+			h.submitProducer()
+			h.quiesce()
+			h.settle()
+			ref, owner := h.refsMade[0], h.ws[0]
+			// event runs the one pass that places both consumers, and
+			// names the worker it places them on.
+			var event func() *workerState
+			if tc.mode == policy.ResolveReady {
+				// Fill the owner, run both consumers on a second worker,
+				// free the owner, then kill the second worker: its requeue
+				// places both consumers on the owner in one pass.
+				h.submit(2)
+				h.addWorker()
+				other := h.ws[1]
+				h.submitConsumer([]string{ref.ID})
+				h.submitConsumer([]string{ref.ID})
+				for _, id := range []int64{2, 3} {
+					h.done(owner, id)
+				}
+				h.settle()
+				event = func() *workerState { h.killWorker(other); return owner }
+			} else {
+				// Kill the owner, queue both consumers on no worker, then
+				// join one: its pass places both there.
+				h.killWorker(owner)
+				h.submitConsumer([]string{ref.ID})
+				h.submitConsumer([]string{ref.ID})
+				event = func() *workerState { h.addWorker(); return h.ws[len(h.ws)-1] }
+			}
+			mgr0, sim0 := h.m.Trace(), h.rp.Trace()
+			dst := event()
+			h.settle()
+			for _, side := range []struct {
+				name        string
+				before, now shardplane.Trace
+			}{{"manager", mgr0, h.m.Trace()}, {"sim", sim0, h.rp.Trace()}} {
+				var stages []int
+				for _, d := range side.now.Shards[0][len(side.before.Shards[0]):] {
+					if d.Kind == policy.KindTask {
+						stages = append(stages, d.Stages)
+					}
+				}
+				want := policy.Decision{Kind: policy.KindResolve, Obj: ref.ID, Dst: dst.id, Mode: tc.mode.String()}
+				resolves := 0
+				for _, d := range side.now.Refs[len(side.before.Refs):] {
+					if d == want {
+						resolves++
+					}
+				}
+				if !slices.Equal(stages, tc.stages) || resolves != 2 {
+					t.Errorf("%s: consumers placed with stages %v and %d %q lines; want %v and 2\nshard:\n%s\nrefs:\n%s",
+						side.name, stages, resolves, want, tc.stages, policy.Dump(side.now.Shards[0]), policy.Dump(side.now.Refs))
+				}
+			}
+			h.quiesce()
+			h.settle()
+			if err := h.m.CheckQuiescence(); err != nil {
+				t.Errorf("manager not quiescent after drain: %v", err)
+			}
+			h.crossCheck("final")
+			h.diffTraces(1)
+		})
 	}
 }
 

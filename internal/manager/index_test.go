@@ -223,9 +223,9 @@ func TestIndexConsistencyRandomized(t *testing.T) {
 			name := libs[rng.Intn(len(libs))]
 			inv := &core.InvocationSpec{ID: nextInv, Library: name}
 			nextInv++
-			if ds := s.view.PlaceReadyBatchInto(nil, name, 1, nil); len(ds) > 0 {
+			if d := s.view.PlaceReady(name, nil); d.Worker != nil {
 				op = "place"
-				s.PlaceInv(queuedInv(inv), ds[0])
+				s.PlaceInv(queuedInv(inv), d)
 			}
 		case 9: // invocation result frees a slot
 			if w := pickWorker(); w != nil {

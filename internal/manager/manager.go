@@ -17,10 +17,8 @@
 //
 // Within a shard, scheduling is incremental: every event records which
 // queues it could unblock (dirty marks, index.go) and the wake loop
-// runs one coalesced pass over exactly those queues. Each pass plans
-// placements in batches — one policy call plans K placements with
-// strict sequential equivalence (internal/policy batch entry points) —
-// so pass setup amortizes over the queue.
+// runs one coalesced pass over exactly those queues. A pass plans one
+// placement, executes it and plans the next, under one lock hold.
 package manager
 
 import (
@@ -259,11 +257,6 @@ type shard struct {
 	// Peer-transfer sources are shard-local by construction: PickSource
 	// only sees this shard's holders.
 	view *policy.ClusterView
-
-	// reqScratch is the task pass's reusable request buffer, truncated
-	// and refilled under the shard lock, so steady-state planning
-	// allocates no slices.
-	reqScratch []policy.TaskReq
 }
 
 // taskSpec is the manager's payload of a task. The shared Task carries
@@ -277,7 +270,8 @@ type taskSpec struct {
 	staging *staging
 }
 
-func (p taskSpec) Need() core.Resources { return p.t.Resources }
+func (p taskSpec) Need() core.Resources    { return p.t.Resources }
+func (p taskSpec) Inputs() []core.FileSpec { return p.t.Inputs }
 
 // An invocation's payload is the spec itself.
 type (

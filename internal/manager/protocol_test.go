@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"net"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,9 +21,9 @@ func rawFrame(t proto.MsgType, body []byte) []byte {
 	return append(append(frame, byte(t)), body...)
 }
 
-// joinFake connects a worker that is only a socket: the test writes its
-// frames and reads what the manager sends it.
-func joinFake(t *testing.T, h *harness) (net.Conn, *proto.Conn) {
+// joinFake connects a worker that is only a socket, named id: the test
+// writes its frames and reads what the manager sends it.
+func joinFake(t *testing.T, h *harness, id string) (net.Conn, *proto.Conn) {
 	t.Helper()
 	nc, err := net.Dial("tcp", h.addr)
 	if err != nil {
@@ -30,7 +32,7 @@ func joinFake(t *testing.T, h *harness) (net.Conn, *proto.Conn) {
 	t.Cleanup(func() { nc.Close() })
 	fake := proto.NewConn(nc)
 	if err := fake.Send(proto.MsgHello, proto.Hello{
-		WorkerID: "fake", Resources: core.Resources{Cores: 4, MemoryMB: 1 << 10, DiskMB: 1 << 10},
+		WorkerID: id, Resources: core.Resources{Cores: 4, MemoryMB: 1 << 10, DiskMB: 1 << 10},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +61,7 @@ func expectRunTask(t *testing.T, fake *proto.Conn, id int64) {
 // the dispatch it answered is requeued and completes on another worker.
 func TestUndecodableWorkerFrameDropsTheWorker(t *testing.T) {
 	h := newHarness(t, 0, Options{})
-	nc, fake := joinFake(t, h)
+	nc, fake := joinFake(t, h, "fake")
 
 	id := h.m.Submit(simpleTask("survives"))
 	expectRunTask(t, fake, id)
@@ -96,7 +98,7 @@ func TestUndecodableWorkerFrameDropsTheWorker(t *testing.T) {
 // ownership transfer in the ref stream; the rest is dropped.
 func TestStaleAndDuplicateResultsCountOnce(t *testing.T) {
 	h := newHarness(t, 0, Options{Tenants: []core.TenantSpec{{Name: "a"}}, DecisionTrace: true})
-	_, fake := joinFake(t, h)
+	_, fake := joinFake(t, h, "fake")
 
 	task := simpleTask("by-ref")
 	task.TenantID, task.ResultByRef = "a", true
@@ -139,6 +141,94 @@ func TestStaleAndDuplicateResultsCountOnce(t *testing.T) {
 	}
 	if owns != 1 {
 		t.Errorf("%d ownership transfers in the ref stream, want 1:\n%s", owns, policy.Dump(h.m.Trace().Refs))
+	}
+	if err := h.m.CheckQuiescence(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestLostRefFailsEachConsumerOnItsBudget: the owner of a by-ref
+// result dies with no other holder, no spill and no catalog copy. Two
+// consumers of the ref then reach one worker in one pass: each stages
+// the ref, resolves it lost and is dispatched without it. The worker
+// fails each with a retryable "not staged", and each spends its retry
+// budget to a final failure that says so.
+func TestLostRefFailsEachConsumerOnItsBudget(t *testing.T) {
+	const budget = 2
+	h := newHarness(t, 0, Options{Shards: 1, DecisionTrace: true, MaxRetries: budget,
+		RetryBaseDelay: time.Millisecond, RetryMaxDelay: time.Millisecond})
+	owner, fake := joinFake(t, h, "owner")
+
+	task := simpleTask("producer")
+	task.ResultByRef = true
+	id := h.m.Submit(task)
+	expectRunTask(t, fake, id)
+	ref := core.ObjectRef{ID: "ref-1", Name: "r1.out", Size: 64}
+	if err := fake.Send(proto.MsgResult, core.Result{ID: id, Ok: true, Ref: &ref}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.m.Collect(1, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	owner.Close()
+	lost := policy.Decision{Kind: policy.KindRehome, Obj: ref.ID, Mode: policy.ResolveLost.String()}
+	for deadline := time.Now().Add(10 * time.Second); h.m.WorkersConnected() != 0 || !slices.Contains(h.m.Trace().Refs, lost); {
+		if time.Now().After(deadline) {
+			t.Fatalf("the owner's death never lost the ref:\n%s", policy.Dump(h.m.Trace().Refs))
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	var ids []int64
+	for range 2 {
+		ids = append(ids, h.m.Submit(&core.TaskSpec{Script: "1", Inputs: []core.FileSpec{core.RefSpec(&ref)}, Resources: core.Resources{Cores: 1}}))
+	}
+	_, fake = joinFake(t, h, "consumer")
+	for n := 0; n < len(ids)*(budget+1); n++ {
+		mt, raw, err := fake.Recv()
+		if err != nil || mt != proto.MsgRunTask {
+			t.Fatalf("dispatch %d: fake worker got %v, %v; want a run-task", n, mt, err)
+		}
+		run, err := proto.DecodeTask(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := core.Result{ID: run.ID, Retryable: true, Err: `input "r1.out" not staged on worker`}
+		if err := fake.Send(proto.MsgResult, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := h.m.Collect(len(ids), 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range got {
+		if res.Ok || !slices.Contains(ids, res.ID) || !strings.Contains(res.Err, "not staged") {
+			t.Errorf("final result %+v; want a failed consumer that names the unstaged input", res)
+		}
+	}
+	if st := h.m.Stats(); st.Retries != int64(len(ids)*budget) {
+		t.Errorf("Retries = %d, want %d", st.Retries, len(ids)*budget)
+	}
+
+	// Both first placements were one pass, and the second staged the ref
+	// too: two lost resolves. A result notes its task's cacheable inputs
+	// on the worker whatever the outcome, so every retry finds the ref
+	// "there" and stages nothing.
+	var stages []int
+	for _, d := range h.m.Trace().All() {
+		if d.Kind == policy.KindTask && d.Worker == "consumer" {
+			stages = append(stages, d.Stages)
+		}
+	}
+	resolves := 0
+	for _, d := range h.m.Trace().Refs {
+		if d == (policy.Decision{Kind: policy.KindResolve, Obj: ref.ID, Dst: "consumer", Mode: policy.ResolveLost.String()}) {
+			resolves++
+		}
+	}
+	if want := []int{1, 1, 0, 0, 0, 0}; !slices.Equal(stages, want) || resolves != 2 {
+		t.Errorf("consumer placements staged %v with %d lost resolves; want %v and 2:\n%s", stages, resolves, want, policy.Dump(h.m.Trace().All()))
 	}
 	if err := h.m.CheckQuiescence(); err != nil {
 		t.Error(err)

@@ -12,21 +12,18 @@ import (
 
 // Each shard is the Shell of its scheduler (shardplane.Sched, DESIGN.md
 // §12): the hooks below are invoked from its coalesced wake loop, with
-// the shard lock held — Plan and Place by the task pass when the task
-// queue is dirty; LibNeed, Reject, PlaceInv and Deploy by the invocation
-// pass, per dirty library. They never scan state that their dirty mark
-// could not have changed, and what they place the pass itself enters in
-// the in-flight table.
+// the shard lock held — Place by the task pass when the task queue is
+// dirty; LibNeed, Reject, PlaceInv and Deploy by the invocation pass,
+// per dirty library. They never scan state that their dirty mark could
+// not have changed, and what they place the pass itself enters in the
+// in-flight table.
 //
 // Every scheduling decision — which worker runs a task, where a library
 // instance deploys, which peer sources a transfer, what gets evicted —
 // comes from the pure policy core (internal/policy) reading the shard's
 // ClusterView. This file only *executes* decisions: it sends messages,
 // moves resource commitments, and reports the resulting transitions
-// back into the view. Passes plan in batches (PlanTaskBatchInto,
-// PlaceReadyBatchInto) whose contract is strict sequential equivalence,
-// so the decision sequence is that of the one-at-a-time loop — which the
-// oracles in policy/batch_test.go and shardplane/sched_test.go hold it to.
+// back into the view.
 
 // ---- staging execution ----
 
@@ -240,19 +237,6 @@ func (s *shard) directSendLocked(w *workerState, fs core.FileSpec) {
 }
 
 // ---- task scheduling ----
-
-// Plan plans the whole queue in one batched policy call; the batch
-// contract is strict sequential equivalence, so the pass executing the
-// decisions in order emits exactly the plan-one/execute-one sequence.
-func (s *shard) Plan(dst []policy.PlaceTask, tasks []pendingTask) []policy.PlaceTask {
-	reqs := s.reqScratch[:0]
-	for _, pt := range tasks {
-		t := pt.Spec.t
-		reqs = append(reqs, policy.TaskReq{Key: pt.Key, Res: t.Resources, Inputs: t.Inputs, Avoid: pt.Avoid})
-	}
-	s.reqScratch = reqs
-	return s.view.PlanTaskBatchInto(dst, reqs, nil)
-}
 
 // Place carries out one planned task placement: staging, resource
 // commitment, dispatch, and the dispatch's staging stamps.

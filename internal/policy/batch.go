@@ -4,23 +4,25 @@ import (
 	"repro/internal/core"
 )
 
-// Batched decision entry points (DESIGN.md §12): one call plans K
-// placements instead of one, so a driver's lock acquisition and pass
-// setup amortize over the whole batch. The contract is strict
-// sequential equivalence — PlanTaskBatchInto and PlaceReadyBatchInto
-// return exactly the decision sequence the unbatched calls would
-// produce if the driver executed each placement before planning the
-// next.
+// Batched decision entry points, kept only as the probes of the bench
+// module's policy layer: no engine path runs them. Both scheduler passes
+// plan one placement, execute it, then plan the next (DESIGN.md §12).
 //
-// Internally each planned placement's view effects (resource
-// commitment, in-flight copies, source transfer slots, manager sends,
-// free ready slots) are applied to the live view while the rest of the
-// batch is planned, then undone in reverse before returning. The view
-// is observably unchanged — every count is what it was and the ready
-// index gives the same answers, though its members may sit in a
-// different valid heap arrangement; the driver executes the returned
-// placements in order, re-applying the same effects for real, and
-// lands on the identical end state.
+// One call plans K placements against the view with each planned
+// placement's effects (resource commitment, in-flight copies, source
+// transfer slots, manager sends, free ready slots) overlaid while the
+// rest is planned, then undone in reverse before returning. The view is
+// observably unchanged — every count is what it was and the ready index
+// gives the same answers, though its members may sit in a different
+// valid heap arrangement.
+//
+// The overlay equals plan-one/execute-one only where the view alone
+// decides an effect. A StageRef's does not: execution marks the copy
+// pending for a peer or shared resolve, but not for a ready or lost one,
+// and only the ref catalog knows which (§15). The overlay always marks
+// it, so a second consumer of one ref on one worker plans 0 stages here
+// where execution plans 1. No test holds these planners to execution for
+// every resolve outcome; none could pass.
 
 // TaskReq is one task placement request in a batch.
 type TaskReq struct {
@@ -41,6 +43,8 @@ type TaskReq struct {
 // zero Worker with Blocked set means "wait for those objects", a zero
 // Worker with no Blocked means no candidate fits now — exactly
 // PlanTask's contract. The view is unchanged on return.
+//
+//vinelint:ignore mirrorparity called only by bench/internal/layers/policy.go; ROADMAP item 10's bench edit deletes it and this pragma
 func (v *ClusterView) PlanTaskBatchInto(dst []PlaceTask, reqs []TaskReq, f Filter) []PlaceTask {
 	undo := v.undoScratch[:0]
 	for _, r := range reqs {
@@ -63,6 +67,8 @@ func (v *ClusterView) PlanTaskBatchInto(dst []PlaceTask, reqs []TaskReq, f Filte
 // skip-and-stop rule of a library queue pass (every queued invocation
 // of one library faces the same cluster state) — appending to dst as
 // PlanTaskBatchInto does. The view is unchanged on return.
+//
+//vinelint:ignore mirrorparity called only by bench/internal/layers/policy.go; ROADMAP item 10's bench edit deletes it and this pragma
 func (v *ClusterView) PlaceReadyBatchInto(dst []PlaceInvocation, lib string, k int, f Filter) []PlaceInvocation {
 	start := len(dst)
 	for i := 0; i < k; i++ {

@@ -24,9 +24,13 @@ import (
 // around it — the manager with a mutex, sockets and timers; sim.Replay
 // with none.
 
-// Spec is the engine's payload of a queued task; Need is what a worker
-// must offer in total to ever hold it.
-type Spec interface{ Need() core.Resources }
+// Spec is the engine's payload of a queued task: Need is what a worker
+// must offer in total to ever hold it, Inputs what must be staged there
+// before it runs.
+type Spec interface {
+	Need() core.Resources
+	Inputs() []core.FileSpec
+}
 
 // DefaultMaxRetries is the retry budget of a spec when the engine names
 // none: the manager's Options.MaxRetries at zero, and sim.Replay's.
@@ -89,9 +93,6 @@ func KeyNum(key string) int64 {
 // Shell is what an engine supplies around one shard's Sched: the
 // decisions' execution. Every method is called with the shard lock held.
 type Shell[T Spec, I any] interface {
-	// Plan appends one decision per task, planned as one batch against
-	// the view as it stands.
-	Plan(dst []policy.PlaceTask, tasks []Task[T]) []policy.PlaceTask
 	// Place executes one placement (d.Worker is set) and may stamp t.Spec
 	// with what the engine wants kept with the dispatch; the pass then
 	// enters *t in the in-flight table.
@@ -278,7 +279,6 @@ type Sched[T Spec, I any] struct {
 
 	q     []Task[T]
 	dirty bool
-	plan  []policy.PlaceTask // the pass's reusable decision buffer
 	// waiting holds, per object, the queues a refusal left waiting on its
 	// first copy in flight.
 	waiting map[string]*waiter
@@ -292,11 +292,9 @@ type Sched[T Spec, I any] struct {
 	// every one, with allLibs.
 	invs, claims       int
 	libsDirty, allLibs bool
-	// ready is the invocation pass's reusable decision buffer; held is
-	// what is on its way to other shards — filled under the lock, emptied
-	// by the same loop with none held.
-	ready []policy.PlaceInvocation
-	held  []held[T, I]
+	// held is what is on its way to other shards — filled under the
+	// lock, emptied by the same loop with none held.
+	held []held[T, I]
 
 	// The in-flight table: per worker what runs there, running in all.
 	// backoff holds the specs a worker failed retryably until Retry:
@@ -777,16 +775,17 @@ func (s *Sched[T, I]) run() {
 	}
 }
 
-// pass plans the queue and executes what can be placed, keeping order
-// among what stays. A task leaves for the next live shard (held) when
-// this one is a dead end and its hop budget allows: before planning,
-// when no worker here but the avoided one could ever hold it — the
-// planner's avoid fallback would pin it there for good, and the order
-// of preference is a non-avoided worker here, any other shard, then
-// the avoided worker — or after a refusal, when the shard is quiet:
-// capacity exists on paper but nothing in flight will free it. A
-// refusal over first copies in flight (Blocked) stays, waiting on their
-// acks; a busy shard never forwards, its own completions do.
+// pass places the queue one task at a time, each planned against what
+// its predecessors' placements left, keeping order among what stays. A
+// task leaves for the next live shard (held) when this one is a dead end
+// and its hop budget allows: before planning, when no worker here but
+// the avoided one could ever hold it — the avoid fallback would pin it
+// there for good, and the order of preference is a non-avoided worker
+// here, any other shard, then the avoided worker — or after a refusal,
+// when the shard is quiet: capacity exists on paper but nothing in
+// flight will free it. A refusal over first copies in flight (Blocked)
+// stays, waiting on their acks; a busy shard never forwards, its own
+// completions do.
 func (s *Sched[T, I]) pass() {
 	if len(s.q) == 0 {
 		return
@@ -805,9 +804,12 @@ func (s *Sched[T, I]) pass() {
 		}
 		s.q, keep = keep, keep[:0]
 	}
-	s.plan = s.shell.Plan(s.plan[:0], s.q)
-	for i, d := range s.plan {
+	for i := range s.q {
 		t := &s.q[i]
+		d := s.view.PlanTask(t.Key, t.Spec.Need(), t.Spec.Inputs(), policy.Excluding(t.Avoid))
+		if d.Worker == nil && t.Avoid != "" {
+			d = s.view.PlanTask(t.Key, t.Spec.Need(), t.Spec.Inputs(), nil)
+		}
 		for _, obj := range d.Blocked {
 			s.wait(obj, "")
 		}
@@ -881,12 +883,10 @@ func (s *Sched[T, I]) hold(lq *libQueue[I], to int) {
 // than the one its last attempt failed on; else on that worker —
 // starving beats the preference; else an install already in flight
 // will serve it; else a new instance is deployed and the entry waits
-// for its ack. Ready placements are asked for in runs of entries that
-// share an avoid preference, and a run's answer stays good for the whole
-// pass: an instance deployed mid-pass is not ready until its ack. The
-// first entry that can neither be placed nor deploy ends the pass over
-// this queue — every later one faces the same cluster — and the tail is
-// not looked at, not even by Reject, until the queue drains to it.
+// for its ack. The first entry that can neither be placed nor deploy
+// ends the pass over this queue — every later one faces the same
+// cluster — and the tail is not looked at, not even by Reject, until
+// the queue drains to it.
 func (s *Sched[T, I]) passLib(lq *libQueue[I]) {
 	q := lq.q
 	keep := q[:0]
@@ -894,28 +894,18 @@ func (s *Sched[T, I]) passLib(lq *libQueue[I]) {
 	// started during the pass do not join them — each is already the
 	// instance its own entry waits for.
 	claimable := len(lq.claims)
-	var ready []policy.PlaceInvocation
-	avoid, dry := "", false
 	for i, inv := range q {
 		if s.shell.Reject(inv) {
 			continue
 		}
-		if inv.Avoid != avoid || (len(ready) == 0 && !dry) {
-			s.ready = s.view.PlaceReadyBatchInto(s.ready[:0], lq.name, len(q)-i, policy.Excluding(inv.Avoid))
-			ready, avoid, dry = s.ready, inv.Avoid, len(s.ready) == 0
+		d := s.view.PlaceReady(lq.name, policy.Excluding(inv.Avoid))
+		if d.Worker == nil && inv.Avoid != "" {
+			d = s.view.PlaceReady(lq.name, nil)
 		}
-		if len(ready) > 0 {
-			s.placeInv(inv, ready[0])
-			ready = ready[1:]
+		if d.Worker != nil {
+			s.shell.PlaceInv(inv, d)
+			s.register(d.Worker.ID, Run[T, I]{Inv: inv})
 			continue
-		}
-		// Whatever the fallback finds is on the avoided worker, which the
-		// run's answer left out: the run stays dry, not stale.
-		if inv.Avoid != "" {
-			if s.ready = s.view.PlaceReadyBatchInto(s.ready[:0], lq.name, 1, nil); len(s.ready) > 0 {
-				s.placeInv(inv, s.ready[0])
-				continue
-			}
 		}
 		keep = append(keep, inv)
 		if claimable > 0 {
@@ -936,12 +926,6 @@ func (s *Sched[T, I]) passLib(lq *libQueue[I]) {
 	s.invs -= len(q) - len(keep)
 	clear(q[len(keep):])
 	lq.q = keep
-}
-
-// placeInv executes one ready placement and enters it in the table.
-func (s *Sched[T, I]) placeInv(inv Inv[I], d policy.PlaceInvocation) {
-	s.shell.PlaceInv(inv, d)
-	s.register(d.Worker.ID, Run[T, I]{Inv: inv})
 }
 
 // Nudge follows a capacity-freeing event anywhere — a result, a ready

@@ -21,7 +21,8 @@ type testSpec struct {
 	inputs []core.FileSpec
 }
 
-func (p testSpec) Need() core.Resources { return p.need }
+func (p testSpec) Need() core.Resources    { return p.need }
+func (p testSpec) Inputs() []core.FileSpec { return p.inputs }
 
 // testInv is a queued invocation's payload: its spec number.
 type testInv int64
@@ -138,14 +139,6 @@ func (tp *testPlane) follow(home int, via ...int) []delivery {
 	return append(got, tp.arrived(home)...)
 }
 
-func (sh *testShell) Plan(dst []policy.PlaceTask, tasks []testTask) []policy.PlaceTask {
-	var reqs []policy.TaskReq
-	for _, t := range tasks {
-		reqs = append(reqs, policy.TaskReq{Key: t.Key, Res: t.Spec.need, Inputs: t.Spec.inputs, Avoid: t.Avoid})
-	}
-	return sh.view.PlanTaskBatchInto(dst, reqs, nil)
-}
-
 func (sh *testShell) Place(t *testTask, d policy.PlaceTask) {
 	sh.placed = append(sh.placed, execPlacement(sh.view, *t, d))
 }
@@ -218,12 +211,12 @@ func (sh *testShell) ack(w *policy.WorkerView, lib string) {
 // worker, is refused as Blocked anywhere else.
 var blocker = core.FileSpec{Object: &content.Object{ID: "blk", Name: "blk"}, Cache: true, PeerTransfer: true}
 
-// TestPassMatchesPlanOneExecuteOneOracle holds the batched pass, on
-// seeded random queues, to the loop it replaced written out longhand:
-// the static dead-end rule by a scan of the worker table, then one
-// PlanTask per task against the state its predecessors left — the shard
-// quiet only while nothing runs in it, this pass's own placements
-// included, and no copy is in flight.
+// TestPassMatchesPlanOneExecuteOneOracle holds the task pass, on seeded
+// random queues, to the same loop written out longhand: the static
+// dead-end rule by a scan of the worker table, then one PlanTask per
+// task against the state its predecessors left — the shard quiet only
+// while nothing runs in it, this pass's own placements included, and no
+// copy is in flight.
 func TestPassMatchesPlanOneExecuteOneOracle(t *testing.T) {
 	quietHops, busyRefusals := 0, 0
 	for seed := int64(1); seed <= 200; seed++ {

@@ -65,13 +65,13 @@ type replayShard struct {
 type replaySpec struct {
 	// tenant is the submitter, whose quota the completion releases.
 	tenant string
-	// refs are proxy-object input IDs (§15): the task's inputs are the
-	// environment plus one RefSpec per entry, resolved through the ref
-	// catalog at stage execution.
-	refs []string
+	// inputs are the environment (L2/L3) plus one RefSpec per
+	// proxy-object input (§15), bound at submission.
+	inputs []core.FileSpec
 }
 
-func (replaySpec) Need() core.Resources { return oneSlot }
+func (replaySpec) Need() core.Resources      { return oneSlot }
+func (p replaySpec) Inputs() []core.FileSpec { return p.inputs }
 
 type (
 	replayTask = shardplane.Task[replaySpec]
@@ -165,35 +165,6 @@ func (sh *replayShard) Deploy(lib string) (string, []string) {
 	return w.id, nil
 }
 
-// Plan plans the queue through the batched entry point the manager uses.
-func (sh *replayShard) Plan(dst []policy.PlaceTask, tasks []replayTask) []policy.PlaceTask {
-	reqs := make([]policy.TaskReq, len(tasks))
-	for i, pt := range tasks {
-		reqs[i] = policy.TaskReq{Key: pt.Key, Res: oneSlot, Inputs: sh.taskInputs(pt), Avoid: pt.Avoid}
-	}
-	return sh.st.view.PlanTaskBatchInto(dst, reqs, nil)
-}
-
-// taskInputs builds one task's input specs: the environment (L2/L3)
-// plus a RefSpec per proxy-object input, rebuilt from the ref catalog
-// so both engines plan over identical bindings. The harness submits
-// consumers only of refs already created.
-func (sh *replayShard) taskInputs(pt replayTask) []core.FileSpec {
-	st := sh.st
-	var inputs []core.FileSpec
-	if st.cfg.Level != core.L1 {
-		inputs = append(inputs, st.envSpec)
-	}
-	for _, id := range pt.Spec.refs {
-		fs, ok := sh.r.shardPlane.RefInput(id)
-		if !ok {
-			panic("sim: ref input " + id + " is not in the replay's ref catalog")
-		}
-		inputs = append(inputs, fs)
-	}
-	return inputs
-}
-
 // Place carries out one planned keyed placement: trace, staging, the
 // task's resource commitment.
 func (sh *replayShard) Place(pt *replayTask, d policy.PlaceTask) {
@@ -244,14 +215,29 @@ func (r *Replay) find(id string) (*replayShard, *wstate) {
 }
 
 // next numbers one new spec of the configured level off the shared
-// counter (the manager derives a task's ring key from its spec ID).
+// counter (the manager derives a task's ring key from its spec ID). A
+// task's inputs are bound here, a RefSpec per proxy-object input rebuilt
+// from the ref catalog — ID, name and size, fixed since RefResult — so
+// both engines plan over identical bindings. The harness submits
+// consumers only of refs already created.
 func (r *Replay) next(tenant string, refs ...string) replayRun {
 	r.nextID++
 	id := int64(r.nextID)
 	if r.cfg.Level == core.L3 {
 		return replayRun{Inv: replayInv{Lib: r.lib(), ID: id, Spec: specRef{id: id, tenant: tenant}}}
 	}
-	return replayRun{IsTask: true, Task: replayTask{Key: shardplane.TaskKey(id), ID: id, Spec: replaySpec{tenant: tenant, refs: refs}}}
+	var inputs []core.FileSpec
+	if r.cfg.Level != core.L1 {
+		inputs = append(inputs, r.shards[0].st.envSpec)
+	}
+	for _, ref := range refs {
+		fs, ok := r.shardPlane.RefInput(ref)
+		if !ok {
+			panic("sim: ref input " + ref + " is not in the replay's ref catalog")
+		}
+		inputs = append(inputs, fs)
+	}
+	return replayRun{IsTask: true, Task: replayTask{Key: shardplane.TaskKey(id), ID: id, Spec: replaySpec{tenant: tenant, inputs: inputs}}}
 }
 
 // Submit enqueues n specs, routing each like the manager's Submit /
@@ -477,8 +463,10 @@ func (r *Replay) finish(id string, spec int64, failed bool, ref *core.ObjectRef)
 	}
 	if run.IsTask {
 		w.v.Commit = w.v.Commit.Sub(oneSlot)
-		for _, ref := range run.Task.Spec.refs {
-			sh.st.view.NoteReplica(w.v, ref)
+		for _, in := range run.Task.Spec.inputs {
+			if in.ByRef {
+				sh.st.view.NoteReplica(w.v, in.Object.ID)
+			}
 		}
 	} else {
 		w.freeReady++
