@@ -1,6 +1,6 @@
 # Convenience targets for the go-taskvine-context reproduction.
 
-.PHONY: all check build test race flake fidelity lint lint-extra benchcheck fuzzsmoke paperlog cover loc experiments examples clean
+.PHONY: all check build test race flake fidelity lint lint-extra benchcheck fuzzsmoke paperlog cover reach loc experiments examples clean
 
 all: check
 
@@ -133,21 +133,34 @@ fuzzsmoke:
 
 # Whole-tree statement coverage (every package's tests counted against
 # every package, ~20 s), and the functions in which no test executes a
-# single statement — the commands, the examples, and the methods with no
-# statements to execute (the parser's stmtNode/exprNode markers,
-# shardplane.NoLock's Lock/Unlock) aside. Two more are kept for callers no
-# test reaches: Worker.DataAddr, which cmd/vineworker prints, and the lint
-# Loader's Import, which types.Importer requires (go/types calls its
-# ImportFrom instead).
+# single statement — the commands and the examples aside, and the
+# functions scripts/reach.allow names with no reaching test ("-"): the
+# methods with no statements to run (the parser's stmtNode/exprNode
+# markers, shardplane.NoLock's Lock/Unlock), Worker.DataAddr, which
+# only cmd/vineworker calls, and the lint Loader's Import, which
+# types.Importer requires (go/types calls its ImportFrom instead).
 # A function on this list is either missing a test or missing a caller:
 # delete it, or give it one. Print-only; not part of `make check`.
 cover:
 	go test -coverpkg=./... -coverprofile=cover.out ./... > /dev/null
-	@go tool cover -func=cover.out | awk '\
+	@go tool cover -func=cover.out | awk -v allow=scripts/reach.allow '\
+		BEGIN { while ((getline line < allow) > 0) { sub(/#.*/, "", line); if (split(line, f) >= 4 && f[4] == "-") skip[f[1] " " f[2]] = 1 } } \
 		$$1 == "total:" { total = $$NF; next } \
-		$$NF == "0.0%" && $$1 !~ /^repro\/(cmd|examples)\// && $$2 !~ /^(stmtNode|exprNode)$$/ && !($$1 ~ /shardplane\/sched\.go/ && $$2 ~ /^(Lock|Unlock)$$/) \
-			&& !($$1 ~ /worker\/worker\.go/ && $$2 == "DataAddr") && !($$1 ~ /lint\/load\.go/ && $$2 == "Import") { print "never run:", $$1, $$2; n++ } \
+		{ path = $$1; sub(/^repro\//, "", path); sub(/:[0-9]+:$$/, "", path) } \
+		$$NF == "0.0%" && path !~ /^(cmd|examples)\// && !((path " " $$2) in skip) { print "never run:", $$1, $$2; n++ } \
 		END { print n + 0, "functions never run; total statement coverage", total }'
+
+# The other question: which functions does no user entry point run?
+# Builds vinebench, vinerun, the five examples and bench/ with
+# integration coverage, runs each briefly (every paper table, each
+# example, both example workflows, every bench/ workload for a second
+# untraced and a second traced), merges what they ran, and prints every
+# function outside cmd/, examples/, bench/ and internal/lint that none of
+# them entered, with its class from scripts/reach.allow: a fault path, a
+# test oracle, paper-facing API, or a method with no statement. Fails
+# when any is unclassified or an entry names no function (~2.5 min).
+reach:
+	bash scripts/reach.sh
 
 # Go lines by directory, non-test and test, and for the whole tree
 # outside bench/ — by wc -l, comments and blanks included: the numbers a

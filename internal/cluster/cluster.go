@@ -143,15 +143,3 @@ func SampleBiased(groups []MachineGroup, n int, group string, fraction float64) 
 	out = append(out, Sample(rest, n-len(out))...)
 	return out
 }
-
-// MeanGFlops returns the average rating of a machine set.
-func MeanGFlops(ms []Machine) float64 {
-	if len(ms) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, m := range ms {
-		sum += m.GFlops
-	}
-	return sum / float64(len(ms))
-}

@@ -17,10 +17,6 @@ type Cache struct {
 	used     int64
 	entries  map[string]*cacheEntry
 	clock    int64 // logical LRU clock
-
-	// Hits and Misses count Get outcomes for share-value metrics.
-	hits   int64
-	misses int64
 }
 
 type cacheEntry struct {
@@ -46,13 +42,6 @@ func (c *Cache) Used() int64 {
 	return c.used
 }
 
-// Stats returns cumulative hit and miss counts.
-func (c *Cache) Stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
 // Len returns the number of cached objects.
 func (c *Cache) Len() int {
 	c.mu.Lock()
@@ -74,10 +63,8 @@ func (c *Cache) Get(id string) (*Object, bool) {
 	defer c.mu.Unlock()
 	e, ok := c.entries[id]
 	if !ok {
-		c.misses++
 		return nil, false
 	}
-	c.hits++
 	c.clock++
 	e.lastUse = c.clock
 	return e.obj, true
@@ -241,17 +228,6 @@ func (c *Cache) Unpacked(id string) (listing []string, ok bool) {
 func (c *Cache) IsUnpacked(id string) bool {
 	_, ok := c.Unpacked(id)
 	return ok
-}
-
-// IDs returns the cached object IDs (unordered).
-func (c *Cache) IDs() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.entries))
-	for id := range c.entries {
-		out = append(out, id)
-	}
-	return out
 }
 
 func shortID(id string) string {

@@ -75,10 +75,6 @@ func TestCachePutGet(t *testing.T) {
 	if _, ok := c.Get("nope"); ok {
 		t.Errorf("Get of missing object succeeded")
 	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("stats = %d hits %d misses", hits, misses)
-	}
 }
 
 func TestCacheDoublePutIsNoop(t *testing.T) {
@@ -278,7 +274,7 @@ func TestQuickCacheAccounting(t *testing.T) {
 			// The cache may have evicted arbitrary objects to make room;
 			// recompute residency from the cache's own view.
 			var want int64
-			for _, id := range c.IDs() {
+			for id := range c.entries {
 				if sz, ok := resident[id]; ok {
 					want += sz
 				} else {

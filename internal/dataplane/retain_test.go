@@ -20,7 +20,11 @@ func packedEnv(t *testing.T, modules ...string) (*content.Object, []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tarball, spec.Modules()
+	names := make([]string, len(spec.Packages))
+	for i, p := range spec.Packages {
+		names[i] = p.Name
+	}
+	return tarball, names
 }
 
 // TestUnpackedModulesLiveAndDieWithTheUnpack: the module list is read

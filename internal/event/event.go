@@ -124,19 +124,6 @@ func (s *Sim) Run() Time {
 	return s.now
 }
 
-// RunUntil executes events with at <= t, then sets the clock to t.
-func (s *Sim) RunUntil(t Time) {
-	for len(s.queue) > 0 && s.queue[0].at <= t {
-		e := s.queue.pop()
-		s.now = e.at
-		s.events++
-		e.fn()
-	}
-	if s.now < t {
-		s.now = t
-	}
-}
-
 // RNG is a small deterministic random source (splitmix64 core).
 type RNG struct{ state uint64 }
 
@@ -163,11 +150,6 @@ func (r *RNG) Intn(n int) int {
 		return 0
 	}
 	return int(r.Uint64() % uint64(n))
-}
-
-// Uniform returns a uniform value in [lo, hi).
-func (r *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
 }
 
 // Exp returns an exponential variate with the given mean.

@@ -64,25 +64,6 @@ func TestPastEventClamped(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	s := NewSim()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		s.At(float64(i), func() { count++ })
-	}
-	s.RunUntil(5.5)
-	if count != 5 {
-		t.Errorf("count = %d after RunUntil(5.5)", count)
-	}
-	if s.Now() != 5.5 {
-		t.Errorf("now = %f", s.Now())
-	}
-	s.Run()
-	if count != 10 {
-		t.Errorf("count = %d after Run", count)
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a := NewRNG(42)
 	b := NewRNG(42)

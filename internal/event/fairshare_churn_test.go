@@ -71,31 +71,39 @@ func TestFairShareCancelChurn(t *testing.T) {
 	start := func() {
 		i := len(state)
 		state = append(state, statePending)
-		handles = append(handles, fs.Start(rng.Uniform(1, 200), func() {
+		handles = append(handles, fs.Start(1+199*rng.Float64(), func() {
 			if state[i] != statePending {
 				t.Fatalf("flow %d completed from state %d", i, state[i])
 			}
 			state[i] = stateDone
 		}))
 	}
-	for round := 0; round < 400; round++ {
-		switch rng.Intn(4) {
-		case 0, 1:
-			start()
-		case 2:
-			// Cancel a uniformly random handle from the full history —
-			// mostly stale (done or already cancelled), sometimes live.
-			if len(handles) > 0 {
-				i := rng.Intn(len(handles))
-				fs.Cancel(handles[i])
-				if state[i] == statePending {
-					state[i] = stateCancelled
+	// The rounds run as events: a round that waits lets the flows run
+	// until the next round is due.
+	var rounds func(round int)
+	rounds = func(round int) {
+		for ; round < 400; round++ {
+			switch rng.Intn(4) {
+			case 0, 1:
+				start()
+			case 2:
+				// Cancel a uniformly random handle from the full history —
+				// mostly stale (done or already cancelled), sometimes live.
+				if len(handles) > 0 {
+					i := rng.Intn(len(handles))
+					fs.Cancel(handles[i])
+					if state[i] == statePending {
+						state[i] = stateCancelled
+					}
 				}
+			default:
+				next := round + 1
+				s.After(3*rng.Float64(), func() { rounds(next) })
+				return
 			}
-		default:
-			s.RunUntil(s.Now() + rng.Uniform(0, 3))
 		}
 	}
+	rounds(0)
 	s.Run()
 	if fs.Active() != 0 {
 		t.Fatalf("flows still active after drain: %d", fs.Active())

@@ -65,7 +65,7 @@ func compareGolden(t *testing.T, path, got string) {
 // the manager produces the same stream.
 func TestGoldenBurstyMultiTenant(t *testing.T) {
 	rec := &policy.Recorder{}
-	cfg := BurstyGoldenConfig()
+	cfg := burstyGoldenConfig()
 	cfg.DecisionTrace = rec
 	r := sim.Run(cfg)
 	got := policy.Dump(rec.Decisions)
@@ -218,4 +218,30 @@ func TestGoldenRefPipeline(t *testing.T) {
 		}
 	}
 	compareGolden(t, filepath.Join("testdata", "golden_trace_refpipeline.txt"), got)
+}
+
+// BurstyGoldenConfig is the reduced-scale bursty-multi-tenant workload
+// whose decision trace the golden test pins: the same three-tenant
+// shape (steady heavy, interactive light, shedding burst) small enough
+// that the full trace — admit verdicts, fair-share picks, and
+// placements interleaved — stays reviewable.
+func burstyGoldenConfig() sim.Config {
+	rng := newExpRNG(Options{}.seed())
+	draws := make([]float64, 80)
+	for i := range draws {
+		draws[i] = rng.LogNormal(3.0, 1.2)
+	}
+	return sim.Config{
+		App: apps.LNNI(), Level: core.L3,
+		Workers: 4, SlotsPerWorker: 2,
+		Units: 16, Seed: Options{}.seed(), PeerTransfers: true,
+		ExecDraws: draws, DropTimes: true,
+		Tenants: []core.TenantSpec{
+			{Name: "heavy", Weight: 2, Quota: 6},
+			{Name: "light", Weight: 2},
+			{Name: "burst", Weight: 1, Quota: 3, MaxQueue: 5, ThrottleAt: 3},
+		},
+		TenantRates:       []float64{4, 1, 20},
+		TenantInvocations: []int{40, 10, 30},
+	}
 }

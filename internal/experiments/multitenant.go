@@ -66,30 +66,3 @@ func BurstyMultiTenant(opts Options) *Report {
 	)
 	return rep
 }
-
-// BurstyGoldenConfig is the reduced-scale bursty-multi-tenant workload
-// whose decision trace the golden test pins: the same three-tenant
-// shape (steady heavy, interactive light, shedding burst) small enough
-// that the full trace — admit verdicts, fair-share picks, and
-// placements interleaved — stays reviewable. Exported so CI drives the
-// identical configuration.
-func BurstyGoldenConfig() sim.Config {
-	rng := newExpRNG(Options{}.seed())
-	draws := make([]float64, 80)
-	for i := range draws {
-		draws[i] = rng.LogNormal(3.0, 1.2)
-	}
-	return sim.Config{
-		App: apps.LNNI(), Level: core.L3,
-		Workers: 4, SlotsPerWorker: 2,
-		Units: 16, Seed: Options{}.seed(), PeerTransfers: true,
-		ExecDraws: draws, DropTimes: true,
-		Tenants: []core.TenantSpec{
-			{Name: "heavy", Weight: 2, Quota: 6},
-			{Name: "light", Weight: 2},
-			{Name: "burst", Weight: 1, Quota: 3, MaxQueue: 5, ThrottleAt: 3},
-		},
-		TenantRates:       []float64{4, 1, 20},
-		TenantInvocations: []int{40, 10, 30},
-	}
-}

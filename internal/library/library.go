@@ -8,7 +8,6 @@ package library
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/content"
@@ -88,8 +87,6 @@ type Library struct {
 	ip      *minipy.Interp
 	globals *minipy.Env
 	funcs   map[string]*minipy.Func
-
-	served atomic.Int64 // completed invocations — the share value of Figure 11
 
 	// SetupDuration is the wall time the context setup took (the
 	// library overhead row of Table 5).
@@ -191,19 +188,6 @@ func (l *Library) buildFunction(fs core.FunctionSpec) (*minipy.Func, error) {
 	return fn, nil
 }
 
-// Functions returns the names this library serves, for scheduling.
-func (l *Library) Functions() []string {
-	out := make([]string, 0, len(l.funcs))
-	for name := range l.funcs {
-		out = append(out, name)
-	}
-	return out
-}
-
-// Served returns the number of invocations completed so far — the
-// library's share value.
-func (l *Library) Served() int64 { return l.served.Load() }
-
 // InvokeResult is the outcome of one invocation, with the state
 // reconstruction (SetupTime) and execution components separated as in
 // Table 5.
@@ -296,6 +280,5 @@ func (s *Slot) Invoke(function string, args []byte) (InvokeResult, error) {
 	if err != nil {
 		return InvokeResult{}, fmt.Errorf("library %s: serializing result of %s: %w", l.Spec.Name, function, err)
 	}
-	l.served.Add(1)
 	return InvokeResult{Value: value, SetupTime: setupTime, ExecTime: execTime}, nil
 }

@@ -82,9 +82,6 @@ func TestStartFromSource(t *testing.T) {
 	if v.Repr() != "42" {
 		t.Errorf("double(21) = %s", v.Repr())
 	}
-	if lib.Served() != 1 {
-		t.Errorf("served = %d", lib.Served())
-	}
 }
 
 func TestContextSetupSharedNamespace(t *testing.T) {
@@ -278,9 +275,8 @@ def geta():
 	if minipy.ToStr(v) != "hello" {
 		t.Errorf("functions do not share the library namespace: %s", v.Repr())
 	}
-	names := lib.Functions()
-	if len(names) != 2 {
-		t.Errorf("functions = %v", names)
+	if len(lib.funcs) != 2 {
+		t.Errorf("%d functions, want 2", len(lib.funcs))
 	}
 }
 
@@ -446,9 +442,6 @@ func TestForkSlotsServeConcurrently(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := lib.Served(); got != slots*each {
-		t.Errorf("served = %d, want %d", got, slots*each)
-	}
 }
 
 // TestStepLimitBoundsSetupAndEachInvocation: Host.StepLimit stops a

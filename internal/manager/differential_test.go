@@ -1327,30 +1327,52 @@ func TestDifferentialRefStagedPerConsumer(t *testing.T) {
 				h.submitConsumer([]string{ref.ID})
 				event = func() *workerState { h.addWorker(); return h.ws[len(h.ws)-1] }
 			}
+			// expect checks, on both engines, the task stages and the
+			// resolves of ref to dst that were traced since mgr0 and sim0.
+			expect := func(leg string, mgr0, sim0 shardplane.Trace, dst *workerState, stages []int, resolves int) {
+				t.Helper()
+				for _, side := range []struct {
+					name        string
+					before, now shardplane.Trace
+				}{{"manager", mgr0, h.m.Trace()}, {"sim", sim0, h.rp.Trace()}} {
+					var got []int
+					for _, d := range side.now.Shards[0][len(side.before.Shards[0]):] {
+						if d.Kind == policy.KindTask {
+							got = append(got, d.Stages)
+						}
+					}
+					want := policy.Decision{Kind: policy.KindResolve, Obj: ref.ID, Dst: dst.id, Mode: tc.mode.String()}
+					n := 0
+					for _, d := range side.now.Refs[len(side.before.Refs):] {
+						if d == want {
+							n++
+						}
+					}
+					if !slices.Equal(got, stages) || n != resolves {
+						t.Errorf("%s, %s: consumers placed with stages %v and %d %q lines; want %v and %d\nshard:\n%s\nrefs:\n%s",
+							leg, side.name, got, n, want, stages, resolves, policy.Dump(side.now.Shards[0]), policy.Dump(side.now.Refs))
+					}
+				}
+			}
 			mgr0, sim0 := h.m.Trace(), h.rp.Trace()
 			dst := event()
 			h.settle()
-			for _, side := range []struct {
-				name        string
-				before, now shardplane.Trace
-			}{{"manager", mgr0, h.m.Trace()}, {"sim", sim0, h.rp.Trace()}} {
-				var stages []int
-				for _, d := range side.now.Shards[0][len(side.before.Shards[0]):] {
-					if d.Kind == policy.KindTask {
-						stages = append(stages, d.Stages)
-					}
+			expect("placement", mgr0, sim0, dst, tc.stages, 2)
+			if tc.mode == policy.ResolveLost {
+				// The retry leg: once the environment lands, a consumer
+				// fails retryably, as a worker fails a task whose input
+				// never staged. The failed attempt notes no replica, so the
+				// retry stages the ref again and resolves it lost again.
+				h.envAck(dst)
+				h.settle()
+				id, ok := h.completable(dst)
+				if !ok {
+					t.Fatal("no consumer to fail on the joined worker")
 				}
-				want := policy.Decision{Kind: policy.KindResolve, Obj: ref.ID, Dst: dst.id, Mode: tc.mode.String()}
-				resolves := 0
-				for _, d := range side.now.Refs[len(side.before.Refs):] {
-					if d == want {
-						resolves++
-					}
-				}
-				if !slices.Equal(stages, tc.stages) || resolves != 2 {
-					t.Errorf("%s: consumers placed with stages %v and %d %q lines; want %v and 2\nshard:\n%s\nrefs:\n%s",
-						side.name, stages, resolves, want, tc.stages, policy.Dump(side.now.Shards[0]), policy.Dump(side.now.Refs))
-				}
+				mgr1, sim1 := h.m.Trace(), h.rp.Trace()
+				h.specFail(dst, id)
+				h.settle()
+				expect("retry", mgr1, sim1, dst, []int{1}, 1)
 			}
 			h.quiesce()
 			h.settle()

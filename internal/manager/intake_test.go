@@ -19,7 +19,7 @@ import (
 // exit. A lost wakeup strands invocations in the intake stack and
 // times this test out.
 func TestIntakeNoLostWakeup(t *testing.T) {
-	m := NewDefault()
+	m := New(Options{PeerTransfers: true, EvictEmptyLibraries: true})
 	defer m.Shutdown()
 	const producers, perProducer = 8, 250
 	var wg sync.WaitGroup

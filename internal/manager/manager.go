@@ -413,12 +413,6 @@ func New(opts Options) *Manager {
 	return m
 }
 
-// NewDefault creates a manager with peer transfers and empty-library
-// eviction enabled — the paper's recommended configuration.
-func NewDefault() *Manager {
-	return New(Options{PeerTransfers: true, EvictEmptyLibraries: true})
-}
-
 // shardFor returns a worker's home shard — a pure function of its ID.
 func (m *Manager) shardFor(workerID string) *shard {
 	return m.shards[m.shardPlane.ShardOf(workerID)]
@@ -1078,9 +1072,11 @@ func (s *shard) onResult(w *workerState, res core.Result) {
 		}
 		m.ctr.TasksDone.Add(1)
 		w.v.Commit = w.v.Commit.Sub(t.Resources)
-		// Cacheable inputs are now resident on that worker.
+		// Cacheable inputs are now resident on that worker, unless the
+		// attempt failed retryably: "input not staged" is one such
+		// failure, and a retry must stage what this attempt did not.
 		for _, in := range t.Inputs {
-			if in.Cache {
+			if in.Cache && (res.Ok || !res.Retryable) {
 				s.noteReplicaLocked(w, in.Object.ID)
 			}
 		}

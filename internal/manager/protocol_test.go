@@ -212,9 +212,9 @@ func TestLostRefFailsEachConsumerOnItsBudget(t *testing.T) {
 	}
 
 	// Both first placements were one pass, and the second staged the ref
-	// too: two lost resolves. A result notes its task's cacheable inputs
-	// on the worker whatever the outcome, so every retry finds the ref
-	// "there" and stages nothing.
+	// too. A retryable failure notes no replica — "not staged" means the
+	// input is not there — so every retry stages the ref again and
+	// resolves it lost again: six placements, six lost resolves.
 	var stages []int
 	for _, d := range h.m.Trace().All() {
 		if d.Kind == policy.KindTask && d.Worker == "consumer" {
@@ -227,8 +227,8 @@ func TestLostRefFailsEachConsumerOnItsBudget(t *testing.T) {
 			resolves++
 		}
 	}
-	if want := []int{1, 1, 0, 0, 0, 0}; !slices.Equal(stages, want) || resolves != 2 {
-		t.Errorf("consumer placements staged %v with %d lost resolves; want %v and 2:\n%s", stages, resolves, want, policy.Dump(h.m.Trace().All()))
+	if want := []int{1, 1, 1, 1, 1, 1}; !slices.Equal(stages, want) || resolves != len(want) {
+		t.Errorf("consumer placements staged %v with %d lost resolves; want %v and %d:\n%s", stages, resolves, want, len(want), policy.Dump(h.m.Trace().All()))
 	}
 	if err := h.m.CheckQuiescence(); err != nil {
 		t.Error(err)

@@ -26,21 +26,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {100, 10}, {50, 5.5}, {25, 3.25},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("P%.0f = %f, want %f", c.p, got, c.want)
-		}
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Errorf("percentile of empty should be 0")
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(0, 10, 5)
 	for _, x := range []float64{-1, 0, 1.9, 2, 5.5, 9.99, 10, 100} {

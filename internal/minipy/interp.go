@@ -158,16 +158,6 @@ func (ip *Interp) ExecBlockWithSource(body []Stmt, env *Env, src, modName string
 	return nil
 }
 
-// Eval parses and evaluates a single expression in env.
-func (ip *Interp) Eval(src string, env *Env) (Value, error) {
-	e, err := ParseExpr(src)
-	if err != nil {
-		return nil, err
-	}
-	fr := &frame{env: env}
-	return ip.eval(e, fr)
-}
-
 // Call invokes a callable MiniPy value with the given positional
 // arguments. MiniPy has no keyword arguments: kwargs must be empty.
 func (ip *Interp) Call(fn Value, args []Value, kwargs map[string]Value) (Value, error) {

@@ -39,7 +39,7 @@ func evalIn(t *testing.T, src, expr string) Value {
 	if err != nil {
 		t.Fatalf("RunModule(%q): %v", src, err)
 	}
-	v, err := ip.Eval(expr, env)
+	v, err := evalSrc(ip, expr, env)
 	if err != nil {
 		t.Fatalf("Eval(%q): %v", expr, err)
 	}
@@ -338,7 +338,7 @@ func TestRecursionLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = ip.Eval("f(0)", env)
+	_, err = evalSrc(ip, "f(0)", env)
 	if err == nil || !strings.Contains(err.Error(), "recursion") {
 		t.Errorf("expected recursion error, got %v", err)
 	}
@@ -526,7 +526,7 @@ func TestErrors(t *testing.T) {
 	for _, c := range cases {
 		ip := NewInterp(nil)
 		env := ip.NewGlobals()
-		_, err := ip.Eval(c.src, env)
+		_, err := evalSrc(ip, c.src, env)
 		if err == nil || !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("Eval(%q) error = %v, want substring %q", c.src, err, c.wantSub)
 		}
@@ -975,4 +975,13 @@ func TestForkInterpreterIndependentSteps(t *testing.T) {
 	if child.Steps() != 0 {
 		t.Errorf("forked interp should start with fresh step count")
 	}
+}
+
+// evalSrc parses and evaluates a single expression in env.
+func evalSrc(ip *Interp, src string, env *Env) (Value, error) {
+	e, err := ParseExpr(src)
+	if err != nil {
+		return nil, err
+	}
+	return ip.eval(e, &frame{env: env})
 }

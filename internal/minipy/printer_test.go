@@ -128,7 +128,7 @@ func TestValueToLiteral(t *testing.T) {
 		}
 		printed := PrintExpr(lit)
 		ip := NewInterp(nil)
-		got, err := ip.Eval(printed, ip.NewGlobals())
+		got, err := evalSrc(ip, printed, ip.NewGlobals())
 		if err != nil {
 			t.Errorf("literal %q does not eval: %v", printed, err)
 			continue

@@ -315,7 +315,7 @@ func TestDeepValuesAreBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, expr := range []string{"str(l)", "l == l", "l != l", "l < l", "str(d)", "d == d", "d < d"} {
-		if _, err := ip.Eval(expr, env); err == nil || !strings.Contains(err.Error(), bound) {
+		if _, err := evalSrc(ip, expr, env); err == nil || !strings.Contains(err.Error(), bound) {
 			t.Errorf("%s: err = %v", expr, err)
 		}
 	}

@@ -130,28 +130,6 @@ func (d *DFK) countFail() {
 // Wait blocks until every submitted invocation has resolved.
 func (d *DFK) Wait() { d.wg.Wait() }
 
-// ---- LocalExecutor ----
-
-// LocalExecutor runs invocations in-process — the Parsl ThreadPool
-// equivalent, used for tests and as the Local Invocation baseline of
-// Table 2.
-type LocalExecutor struct {
-	ip *minipy.Interp
-	mu sync.Mutex
-}
-
-// NewLocalExecutor wraps an interpreter.
-func NewLocalExecutor(ip *minipy.Interp) *LocalExecutor {
-	return &LocalExecutor{ip: ip}
-}
-
-// Execute implements Executor.
-func (e *LocalExecutor) Execute(fn *minipy.Func, args []minipy.Value) (minipy.Value, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.ip.Call(fn, args, nil)
-}
-
 // ---- TaskVineExecutor ----
 
 // Mode selects how the executor packages invocations (§3.6: "packages

@@ -24,12 +24,25 @@ func defineFn(t *testing.T, ip *minipy.Interp, src, name string) *minipy.Func {
 	return v.(*minipy.Func)
 }
 
+// localExecutor runs invocations in-process on one interpreter, one at
+// a time: the smallest Executor, for the dataflow kernel's own tests.
+type localExecutor struct {
+	ip *minipy.Interp
+	mu sync.Mutex
+}
+
+func (e *localExecutor) Execute(fn *minipy.Func, args []minipy.Value) (minipy.Value, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.ip.Call(fn, args, nil)
+}
+
 func TestLocalExecutorChain(t *testing.T) {
 	ip := minipy.NewInterp(nil)
 	add := defineFn(t, ip, "def add(a, b):\n    return a + b\n", "add")
 	dbl := defineFn(t, ip, "def dbl(a):\n    return a * 2\n", "dbl")
 
-	dfk := NewDFK(NewLocalExecutor(ip))
+	dfk := NewDFK(&localExecutor{ip: ip})
 	f1 := dfk.Submit(add, minipy.Int(1), minipy.Int(2))
 	f2 := dfk.Submit(dbl, f1)
 	f3 := dfk.Submit(add, f1, f2)
@@ -52,7 +65,7 @@ func TestDependencyFailurePropagates(t *testing.T) {
 	boom := defineFn(t, ip, "def boom(a):\n    return 1 / a\n", "boom")
 	dbl := defineFn(t, ip, "def dbl(a):\n    return a * 2\n", "dbl")
 
-	dfk := NewDFK(NewLocalExecutor(ip))
+	dfk := NewDFK(&localExecutor{ip: ip})
 	f1 := dfk.Submit(boom, minipy.Int(0))
 	f2 := dfk.Submit(dbl, f1)
 	_, err := f2.Result()
@@ -69,7 +82,7 @@ func TestDependencyFailurePropagates(t *testing.T) {
 func TestUnsupportedArgType(t *testing.T) {
 	ip := minipy.NewInterp(nil)
 	dbl := defineFn(t, ip, "def dbl(a):\n    return a * 2\n", "dbl")
-	dfk := NewDFK(NewLocalExecutor(ip))
+	dfk := NewDFK(&localExecutor{ip: ip})
 	f := dfk.Submit(dbl, 42) // raw Go int: unsupported
 	if _, err := f.Result(); err == nil {
 		t.Errorf("expected type error")

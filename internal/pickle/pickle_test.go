@@ -349,11 +349,11 @@ func TestHostHandleNotSerializable(t *testing.T) {
 
 func TestBoundMethodNotSerializable(t *testing.T) {
 	ip := minipy.NewInterp(nil)
-	env := ip.NewGlobals()
-	v, err := ip.Eval("[1].append", env)
+	env, err := ip.RunModule("v = [1].append\n", "m")
 	if err != nil {
 		t.Fatal(err)
 	}
+	v, _ := env.Get("v")
 	if _, err := Marshal(v); err == nil {
 		t.Errorf("bound method marshal should fail")
 	}

@@ -41,15 +41,6 @@ func New() *Index {
 // Add registers a package, replacing any same-named entry.
 func (ix *Index) Add(p *Package) { ix.pkgs[p.Name] = p }
 
-// Lookup finds a package by name.
-func (ix *Index) Lookup(name string) (*Package, bool) {
-	p, ok := ix.pkgs[name]
-	return p, ok
-}
-
-// Len returns the number of packages in the index.
-func (ix *Index) Len() int { return len(ix.pkgs) }
-
 // Names returns all package names, sorted.
 func (ix *Index) Names() []string {
 	out := make([]string, 0, len(ix.pkgs))

@@ -411,7 +411,3 @@ func (t *RefTable) PlanRehome(dead string, rec *Recorder) []Rehome {
 	}
 	return out
 }
-
-// OwnedBytes reports a worker's current owned-bytes charge (tests and
-// stats).
-func (t *RefTable) OwnedBytes(worker string) int64 { return t.ownedBytes[worker] }

@@ -25,7 +25,7 @@ func TestRefOwnershipAndSpill(t *testing.T) {
 	if ref := tab.Get("a"); !ref.Spilled || ref.Owner != "" || ref.Holders["w1"] {
 		t.Fatalf("spilled ref state wrong: %+v", ref)
 	}
-	if got := tab.OwnedBytes("w1"); got != 80 {
+	if got := tab.ownedBytes["w1"]; got != 80 {
 		t.Fatalf("owned bytes after spill = %d, want 80", got)
 	}
 	want := []Decision{
@@ -118,11 +118,11 @@ func TestRefRehome(t *testing.T) {
 	if tab.Get("a").Owner != "w5" {
 		t.Fatalf("a owner = %q", tab.Get("a").Owner)
 	}
-	if got := tab.OwnedBytes("w5"); got != 10 {
+	if got := tab.ownedBytes["w5"]; got != 10 {
 		t.Fatalf("new owner charge = %d", got)
 	}
-	if tab.OwnedBytes("w1") != 0 {
-		t.Fatalf("dead owner still charged %d", tab.OwnedBytes("w1"))
+	if tab.ownedBytes["w1"] != 0 {
+		t.Fatalf("dead owner still charged %d", tab.ownedBytes["w1"])
 	}
 	// A second death with nothing tracked is a silent no-op.
 	if rhs := tab.PlanRehome("w1", rec); rhs != nil {

@@ -102,12 +102,6 @@ func Resolve(ix *pkgindex.Index, modules []string) (*EnvSpec, error) {
 	return spec, nil
 }
 
-// ResolveForFunction is the full Discover pipeline for software
-// dependencies: scan the function, then resolve what it imports.
-func ResolveForFunction(ix *pkgindex.Index, fn *minipy.Func) (*EnvSpec, error) {
-	return Resolve(ix, ScanFunction(fn))
-}
-
 // PackedSize is the tarball size of the environment in bytes.
 func (s *EnvSpec) PackedSize() int64 {
 	var total int64
@@ -124,26 +118,6 @@ func (s *EnvSpec) InstalledSize() int64 {
 		total += p.InstalledSize
 	}
 	return total
-}
-
-// Modules returns the installed package names, sorted.
-func (s *EnvSpec) Modules() []string {
-	out := make([]string, 0, len(s.Packages))
-	for _, p := range s.Packages {
-		out = append(out, p.Name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Has reports whether the environment installs the named package.
-func (s *EnvSpec) Has(name string) bool {
-	for _, p := range s.Packages {
-		if p.Name == name {
-			return true
-		}
-	}
-	return false
 }
 
 // The packed manifest is a small binary layout, read by a worker on

@@ -188,12 +188,12 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 			t.Errorf("%s: round trip changed the spec:\n got  %v\n want %v", name, got, spec)
 		}
 		modules, err := ManifestModules(obj.Data)
-		if err != nil || !slices.Equal(modules, spec.Modules()) {
-			t.Errorf("%s: ManifestModules = %v, %v; want %v", name, modules, err, spec.Modules())
+		if err != nil || !slices.Equal(modules, names(spec)) {
+			t.Errorf("%s: ManifestModules = %v, %v; want %v", name, modules, err, names(spec))
 		}
 	}
 	lnni, _ := packed(t, appRoots["lnni"]...)
-	if len(lnni.Packages) != 144 || !lnni.Has("resnet") || lnni.Has("chemtools") {
+	if len(lnni.Packages) != 144 || !has(lnni, "resnet") || has(lnni, "chemtools") {
 		t.Errorf("LNNI environment: %d packages, want 144 with resnet and without chemtools", len(lnni.Packages))
 	}
 }
@@ -342,11 +342,11 @@ def infer(seed, n):
     return model.infer_batch(batch)
 `, "infer")
 	ix := pkgindex.StandardIndex()
-	spec, err := ResolveForFunction(ix, fn)
+	spec, err := Resolve(ix, ScanFunction(fn))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !spec.Has("resnet") || !spec.Has("tensorstore") || !spec.Has("mlrt-000") {
+	if !has(spec, "resnet") || !has(spec, "tensorstore") || !has(spec, "mlrt-000") {
 		t.Errorf("LNNI env missing transitive deps: %d packages", len(spec.Packages))
 	}
 }
@@ -364,3 +364,14 @@ def f(x):
 		t.Errorf("ScanFunction = %v, want [mathx] only", got)
 	}
 }
+
+// names is the spec's package names in order: what its manifest lists.
+func names(s *EnvSpec) []string {
+	out := make([]string, len(s.Packages))
+	for i, p := range s.Packages {
+		out[i] = p.Name
+	}
+	return out
+}
+
+func has(s *EnvSpec, name string) bool { return slices.Contains(names(s), name) }

@@ -269,14 +269,10 @@ func copied(r *bincode.Reader) []byte {
 	return nil
 }
 
-// DecodeInvocation decodes a MsgInvoke body.
-func DecodeInvocation(raw []byte) (core.InvocationSpec, error) {
-	return DecodeInvocationInterned(raw, nil)
-}
-
-// DecodeInvocationInterned is DecodeInvocation with identifier strings
-// (library, function) interned through in — the worker's receive loop
-// sees the same few names tens of thousands of times per second.
+// DecodeInvocationInterned decodes a MsgInvoke body, interning its
+// identifier strings (library, function) through in — the worker's
+// receive loop sees the same few names tens of thousands of times per
+// second.
 func DecodeInvocationInterned(raw []byte, in *Interner) (core.InvocationSpec, error) {
 	var inv core.InvocationSpec
 	r := open(raw)
@@ -287,14 +283,10 @@ func DecodeInvocationInterned(raw []byte, in *Interner) (core.InvocationSpec, er
 	return inv, done(&r)
 }
 
-// DecodeResult decodes a MsgResult body.
-func DecodeResult(raw []byte) (core.Result, error) {
-	return DecodeResultInterned(raw, nil)
-}
-
-// DecodeResultInterned is DecodeResult with identifier strings (worker
-// ID, library instance) interned through in — the manager's per-worker
-// receive loop sees the same identifiers on every completion.
+// DecodeResultInterned decodes a MsgResult body, interning its
+// identifier strings (worker ID, library instance) through in — the
+// manager's per-worker receive loop sees the same identifiers on every
+// completion.
 func DecodeResultInterned(raw []byte, in *Interner) (core.Result, error) {
 	var res core.Result
 	r := open(raw)

@@ -29,6 +29,7 @@ var codecResults = []core.Result{
 // connection and asserts exact reconstruction — and that the wire body
 // really took the binary path.
 func TestBinaryCodecRoundTrip(t *testing.T) {
+	var in Interner // as a receive loop decodes: one table for every frame
 	for _, inv := range codecInvocations {
 		var buf bytes.Buffer
 		c := NewConn(&buf)
@@ -42,7 +43,7 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 		if raw[0] != binMarker {
 			t.Fatalf("invocation %d: body not binary-encoded (first byte %#x)", inv.ID, raw[0])
 		}
-		got, err := DecodeInvocation(raw)
+		got, err := DecodeInvocationInterned(raw, &in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +64,7 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 		if raw[0] != binMarker {
 			t.Fatalf("result %d: body not binary-encoded (first byte %#x)", res.ID, raw[0])
 		}
-		got, err := DecodeResult(raw)
+		got, err := DecodeResultInterned(raw, &in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,34 +82,34 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 func TestBinaryCodecTruncation(t *testing.T) {
 	inv := appendInvocation(nil, &codecInvocations[1])
 	for n := 0; n < len(inv); n++ {
-		if _, err := DecodeInvocation(inv[:n]); err == nil {
+		if _, err := DecodeInvocationInterned(inv[:n], nil); err == nil {
 			t.Fatalf("invocation prefix of %d/%d bytes decoded without error", n, len(inv))
 		}
 	}
 	res := appendResult(nil, &codecResults[1])
 	for n := 0; n < len(res); n++ {
-		if _, err := DecodeResult(res[:n]); err == nil {
+		if _, err := DecodeResultInterned(res[:n], nil); err == nil {
 			t.Fatalf("result prefix of %d/%d bytes decoded without error", n, len(res))
 		}
 	}
-	if _, err := DecodeInvocation(append(inv, 0)); err == nil {
+	if _, err := DecodeInvocationInterned(append(inv, 0), nil); err == nil {
 		t.Error("invocation body with a trailing byte decoded without error")
 	}
-	if _, err := DecodeResult(append(res, 0)); err == nil {
+	if _, err := DecodeResultInterned(append(res, 0), nil); err == nil {
 		t.Error("result body with a trailing byte decoded without error")
 	}
 	invJSON, err := json.Marshal(codecInvocations[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeInvocation(invJSON); err == nil {
+	if _, err := DecodeInvocationInterned(invJSON, nil); err == nil {
 		t.Error("JSON invocation body decoded without error")
 	}
 	resJSON, err := json.Marshal(codecResults[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeResult(resJSON); err == nil {
+	if _, err := DecodeResultInterned(resJSON, nil); err == nil {
 		t.Error("JSON result body decoded without error")
 	}
 }
@@ -117,10 +118,10 @@ func TestBinaryCodecTruncation(t *testing.T) {
 // end of the body is rejected (no over-read, no giant allocation).
 func TestBinaryCodecBogusLength(t *testing.T) {
 	body := []byte{binMarker, 0, 0, 0, 0, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
-	if _, err := DecodeInvocation(body); err == nil {
+	if _, err := DecodeInvocationInterned(body, nil); err == nil {
 		t.Fatal("bogus string length decoded without error")
 	}
-	if _, err := DecodeResult(body); err == nil {
+	if _, err := DecodeResultInterned(body, nil); err == nil {
 		t.Fatal("bogus result length decoded without error")
 	}
 }

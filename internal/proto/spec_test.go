@@ -365,12 +365,18 @@ var (
 	}
 )
 
+// The worker and the manager decode these two frames through a receive
+// loop's Interner, and so do their fuzzers: one Interner across every
+// input, so a repeated name takes the hit path and a long run fills the
+// table to its cap.
 func FuzzDecodeInvocation(f *testing.F) {
 	for i := range fuzzInvocations {
 		f.Add(body(f, proto.MsgInvoke, &fuzzInvocations[i]))
 	}
+	var in proto.Interner
+	decode := func(raw []byte) (core.InvocationSpec, error) { return proto.DecodeInvocationInterned(raw, &in) }
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		fuzzDecode(t, proto.MsgInvoke, proto.DecodeInvocation, raw)
+		fuzzDecode(t, proto.MsgInvoke, decode, raw)
 	})
 }
 
@@ -378,7 +384,9 @@ func FuzzDecodeResult(f *testing.F) {
 	for i := range fuzzResults {
 		f.Add(body(f, proto.MsgResult, &fuzzResults[i]))
 	}
+	var in proto.Interner
+	decode := func(raw []byte) (core.Result, error) { return proto.DecodeResultInterned(raw, &in) }
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		fuzzDecode(t, proto.MsgResult, proto.DecodeResult, raw)
+		fuzzDecode(t, proto.MsgResult, decode, raw)
 	})
 }

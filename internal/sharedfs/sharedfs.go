@@ -2,93 +2,48 @@
 // Panasas ActiveStor 16 of §4.2): the common data storage L1 tasks pull
 // code, data, and dependencies from on every execution.
 //
-// Two pieces live here. Store is the functional in-process store the
-// real engine's L1 path reads from, with operation counters and an
-// optional artificial per-byte delay. Model is the analytic contention
-// model the scale simulator uses to charge realistic read times when
-// dozens of workers hammer the filesystem at once — the effect that
-// produces L1's long tail in Table 4.
+// Store is the functional in-process store the real engine's L1 path
+// reads from, with operation counters. The simulator charges shared
+// filesystem contention through an event.DualFairShare instead.
 package sharedfs
 
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/content"
 )
 
-// Store is a thread-safe shared object store addressed by content ID
-// and by name.
+// Store is a thread-safe shared object store addressed by content ID.
 type Store struct {
-	mu      sync.Mutex
-	byID    map[string]*content.Object
-	byName  map[string]*content.Object
-	reads   int64
-	bytes   int64
-	perByte time.Duration // optional artificial read delay
+	mu    sync.Mutex
+	byID  map[string]*content.Object
+	reads int64
+	bytes int64
 }
 
 // NewStore creates an empty store.
 func NewStore() *Store {
-	return &Store{byID: map[string]*content.Object{}, byName: map[string]*content.Object{}}
+	return &Store{byID: map[string]*content.Object{}}
 }
 
-// SetReadDelay sets an artificial delay charged per byte read,
-// letting real-engine tests observe shared-FS slowness without a
-// simulator. Zero disables delays.
-func (s *Store) SetReadDelay(perByte time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.perByte = perByte
-}
-
-// Put stores an object (by ID and by name; a later Put with the same
-// name replaces the name binding).
+// Put stores an object.
 func (s *Store) Put(obj *content.Object) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.byID[obj.ID] = obj
-	s.byName[obj.Name] = obj
 }
 
-// Fetch reads an object by content ID, charging the read delay.
+// Fetch reads an object by content ID.
 func (s *Store) Fetch(id string) (*content.Object, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	obj, ok := s.byID[id]
-	var delay time.Duration
-	if ok {
-		s.reads++
-		s.bytes += obj.LogicalSize
-		delay = s.perByte * time.Duration(obj.LogicalSize)
-	}
-	s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("sharedfs: no object with id %s", short(id))
 	}
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	return obj, nil
-}
-
-// FetchByName reads an object by its name.
-func (s *Store) FetchByName(name string) (*content.Object, error) {
-	s.mu.Lock()
-	obj, ok := s.byName[name]
-	var delay time.Duration
-	if ok {
-		s.reads++
-		s.bytes += obj.LogicalSize
-		delay = s.perByte * time.Duration(obj.LogicalSize)
-	}
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("sharedfs: no object named %q", name)
-	}
-	if delay > 0 {
-		time.Sleep(delay)
-	}
+	s.reads++
+	s.bytes += obj.LogicalSize
 	return obj, nil
 }
 
@@ -104,52 +59,4 @@ func short(id string) string {
 		return id[:12]
 	}
 	return id
-}
-
-// Model is the analytic shared-filesystem contention model used by the
-// simulator. It follows the published shape of the Panasas ActiveStor
-// 16 deployment in §4.3: an aggregate read bandwidth and an IOPS
-// ceiling shared fairly among concurrent readers.
-type Model struct {
-	// AggregateBandwidth is total read bandwidth in bytes/second
-	// (84 Gb/s for the paper's system).
-	AggregateBandwidth float64
-	// MaxIOPS is the read-operations ceiling (94,000 for the paper's
-	// system).
-	MaxIOPS float64
-	// PerOpBytes is the average bytes moved per read operation, used to
-	// convert a transfer into an op count for the IOPS limit.
-	PerOpBytes float64
-}
-
-// PaperPanasas returns the model configured with §4.3's published
-// figures.
-func PaperPanasas() *Model {
-	return &Model{
-		AggregateBandwidth: 84e9 / 8, // 84 Gb/s in bytes/s
-		MaxIOPS:            94000,
-		PerOpBytes:         256 << 10,
-	}
-}
-
-// ReadTime returns the seconds a read of size bytes takes when
-// `concurrent` clients are reading simultaneously. Bandwidth is shared
-// fairly; the IOPS ceiling adds a second constraint that dominates for
-// many small operations.
-func (m *Model) ReadTime(size int64, concurrent int) float64 {
-	if size <= 0 {
-		return 0
-	}
-	if concurrent < 1 {
-		concurrent = 1
-	}
-	bwShare := m.AggregateBandwidth / float64(concurrent)
-	tBW := float64(size) / bwShare
-	ops := float64(size)/m.PerOpBytes + 1
-	iopsShare := m.MaxIOPS / float64(concurrent)
-	tIOPS := ops / iopsShare
-	if tIOPS > tBW {
-		return tIOPS
-	}
-	return tBW
 }

@@ -3,7 +3,6 @@ package sharedfs
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/content"
 )
@@ -17,49 +16,28 @@ func TestStorePutFetch(t *testing.T) {
 	if err != nil || got != obj {
 		t.Fatalf("Fetch: %v", err)
 	}
-	byName, err := s.FetchByName("data.bin")
-	if err != nil || byName != obj {
-		t.Fatalf("FetchByName: %v", err)
-	}
 	if _, err := s.Fetch("missing"); err == nil {
 		t.Errorf("missing ID should fail")
 	}
-	if _, err := s.FetchByName("missing"); err == nil {
-		t.Errorf("missing name should fail")
-	}
 	reads, bytes := s.Stats()
-	if reads != 2 || bytes != 2*obj.LogicalSize {
+	if reads != 1 || bytes != obj.LogicalSize {
 		t.Errorf("stats = %d reads, %d bytes", reads, bytes)
 	}
 }
 
+// TestStoreNameReplacement: a new version stored under an old name
+// replaces nothing; the store is addressed by content, so both
+// versions stay readable.
 func TestStoreNameReplacement(t *testing.T) {
 	s := NewStore()
 	a := content.NewBlob("f", []byte("v1"))
 	b := content.NewBlob("f", []byte("v2"))
 	s.Put(a)
 	s.Put(b)
-	got, err := s.FetchByName("f")
-	if err != nil || got != b {
-		t.Errorf("name should resolve to the latest object")
-	}
-	// Both remain addressable by content.
-	if _, err := s.Fetch(a.ID); err != nil {
-		t.Errorf("old version lost: %v", err)
-	}
-}
-
-func TestStoreReadDelay(t *testing.T) {
-	s := NewStore()
-	obj := content.NewDataset("big", []byte("x"), 1000)
-	s.Put(obj)
-	s.SetReadDelay(50 * time.Microsecond) // 1000 * 50us = 50ms
-	start := time.Now()
-	if _, err := s.Fetch(obj.ID); err != nil {
-		t.Fatal(err)
-	}
-	if el := time.Since(start); el < 40*time.Millisecond {
-		t.Errorf("read returned in %v, expected ~50ms of modeled delay", el)
+	for _, want := range []*content.Object{a, b} {
+		if got, err := s.Fetch(want.ID); err != nil || got != want {
+			t.Errorf("version %s lost: %v", want.ID[:8], err)
+		}
 	}
 }
 
@@ -84,39 +62,5 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	reads, _ := s.Stats()
 	if reads != 3200 {
 		t.Errorf("reads = %d, want 3200", reads)
-	}
-}
-
-func TestModelBandwidthBound(t *testing.T) {
-	m := PaperPanasas()
-	// One reader of 1 GB: bandwidth-bound at 10.5 GB/s aggregate.
-	one := m.ReadTime(1<<30, 1)
-	if one < 0.08 || one > 0.15 {
-		t.Errorf("single 1GB read = %.3f s", one)
-	}
-	// 100 readers: each gets 1/100 of the bandwidth.
-	hundred := m.ReadTime(1<<30, 100)
-	if hundred < one*80 || hundred > one*120 {
-		t.Errorf("contended read %.2f s, want ~100x of %.3f", hundred, one)
-	}
-}
-
-func TestModelIOPSBound(t *testing.T) {
-	// With the published 256 KB/op streaming pattern, bandwidth always
-	// dominates (10.5 GB/s < 256 KB x 94k/s). Small-file patterns flip
-	// that: at 4 KB/op the op count explodes and the IOPS ceiling
-	// binds.
-	m := PaperPanasas()
-	m.PerOpBytes = 4 << 10
-	small := m.ReadTime(256<<20, 100)
-	bwOnly := float64(256<<20) / (m.AggregateBandwidth / 100)
-	if small <= bwOnly {
-		t.Errorf("IOPS limit should dominate for small files: %.2f vs bandwidth-only %.2f", small, bwOnly)
-	}
-	if m.ReadTime(0, 10) != 0 {
-		t.Errorf("zero-size read should take no time")
-	}
-	if m.ReadTime(100, 0) <= 0 {
-		t.Errorf("concurrency clamps to 1")
 	}
 }

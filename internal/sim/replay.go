@@ -441,12 +441,12 @@ func (r *Replay) Fail(id string, spec int64) bool {
 // finish is every result event — the manager's onResult — for spec
 // number spec on worker id, false if it is not running there or the
 // worker's environment has not landed: the spec leaves the worker, a
-// by-ref result (ref) transfers ownership, a finished task's cacheable
-// inputs are noted as replicas (the bytes are
-// resident whatever the outcome; the environment's note is a dedup no-op
-// since its ack gated the result, so only proxy-object inputs are
-// recorded — including a lost ref that never staged, the same vacuous
-// replica on both engines), a retry requeues, a final result returns its
+// by-ref result (ref) transfers ownership, a task's cacheable inputs are
+// noted as replicas unless the attempt failed (the environment's note is
+// a dedup no-op since its ack gated the result, so only proxy-object
+// inputs are recorded; a failed attempt — a lost ref that never staged,
+// say — notes none on either engine, so its retry stages again), a retry
+// requeues, a final result returns its
 // quota unit to the plane, the shard runs its pass (whose exit wakes what
 // that quota fed), and freed capacity nudges starving shards.
 func (r *Replay) finish(id string, spec int64, failed bool, ref *core.ObjectRef) bool {
@@ -464,7 +464,7 @@ func (r *Replay) finish(id string, spec int64, failed bool, ref *core.ObjectRef)
 	if run.IsTask {
 		w.v.Commit = w.v.Commit.Sub(oneSlot)
 		for _, in := range run.Task.Spec.inputs {
-			if in.ByRef {
+			if in.ByRef && !failed {
 				sh.st.view.NoteReplica(w.v, in.Object.ID)
 			}
 		}

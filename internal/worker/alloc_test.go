@@ -23,7 +23,7 @@ func (fm *fakeManager) runTaskOK(t *testing.T, spec core.TaskSpec) core.Result {
 	if err := fm.conn.Send(proto.MsgRunTask, spec); err != nil {
 		t.Fatal(err)
 	}
-	res, err := proto.DecodeResult(fm.expect(t, proto.MsgResult))
+	res, err := proto.DecodeResultInterned(fm.expect(t, proto.MsgResult), nil)
 	if err != nil || !res.Ok {
 		t.Fatalf("task %d: %+v %v", spec.ID, res, err)
 	}

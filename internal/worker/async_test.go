@@ -91,7 +91,7 @@ func TestStalledFetchDoesNotBlockExecution(t *testing.T) {
 		if f.t != proto.MsgResult {
 			t.Fatalf("expected the task result first, got %v", f.t)
 		}
-		res, _ := proto.DecodeResult(f.raw)
+		res, _ := proto.DecodeResultInterned(f.raw, nil)
 		if !res.Ok {
 			t.Fatalf("task failed: %s", res.Err)
 		}
@@ -222,7 +222,7 @@ func TestUndecodableFrameIsCountedAndReported(t *testing.T) {
 	if err := fm.conn.Send(proto.MsgRunTask, spec); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := proto.DecodeResult(fm.expect(t, proto.MsgResult))
+	res, _ := proto.DecodeResultInterned(fm.expect(t, proto.MsgResult), nil)
 	if !res.Ok {
 		t.Errorf("task after protocol errors failed: %s", res.Err)
 	}

@@ -505,26 +505,3 @@ func (e *executor) stop() {
 		h.wakeAll(false)
 	}
 }
-
-// Libraries returns the installed library names (tests).
-func (w *Worker) Libraries() []string {
-	w.exec.mu.Lock()
-	defer w.exec.mu.Unlock()
-	out := make([]string, 0, len(w.exec.libs))
-	for name := range w.exec.libs {
-		out = append(out, name)
-	}
-	return out
-}
-
-// LibraryShare returns the share value (invocations served) of an
-// installed library, or -1.
-func (w *Worker) LibraryShare(name string) int64 {
-	w.exec.mu.Lock()
-	h, ok := w.exec.libs[name]
-	w.exec.mu.Unlock()
-	if !ok {
-		return -1
-	}
-	return h.lib.Served()
-}

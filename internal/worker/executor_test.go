@@ -116,7 +116,7 @@ func (fm *fakeManager) result(t *testing.T) core.Result {
 	t.Helper()
 	fm.nc.SetReadDeadline(time.Now().Add(20 * time.Second))
 	defer fm.nc.SetReadDeadline(time.Time{})
-	res, err := proto.DecodeResult(fm.expect(t, proto.MsgResult))
+	res, err := proto.DecodeResultInterned(fm.expect(t, proto.MsgResult), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -220,7 +220,7 @@ func TestTaskNeedsStagedInputs(t *testing.T) {
 	if err := fm.conn.Send(proto.MsgRunTask, spec); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := proto.DecodeResult(fm.expect(t, proto.MsgResult))
+	res, _ := proto.DecodeResultInterned(fm.expect(t, proto.MsgResult), nil)
 	if res.Ok || !strings.Contains(res.Err, "not staged") {
 		t.Errorf("task with missing input: %+v", res)
 	}
@@ -239,7 +239,7 @@ func TestTaskModuleIsolation(t *testing.T) {
 	if err := fm.conn.Send(proto.MsgRunTask, spec); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := proto.DecodeResult(fm.expect(t, proto.MsgResult))
+	res, _ := proto.DecodeResultInterned(fm.expect(t, proto.MsgResult), nil)
 	if res.Ok || !strings.Contains(res.Err, "no module named 'mathx'") {
 		t.Errorf("import without environment should fail: %+v", res)
 	}
@@ -259,7 +259,7 @@ func TestTaskModuleIsolation(t *testing.T) {
 	if err := fm.conn.Send(proto.MsgRunTask, spec); err != nil {
 		t.Fatal(err)
 	}
-	res2, _ := proto.DecodeResult(fm.expect(t, proto.MsgResult))
+	res2, _ := proto.DecodeResultInterned(fm.expect(t, proto.MsgResult), nil)
 	if !res2.Ok {
 		t.Errorf("task with environment failed: %s", res2.Err)
 	}
@@ -290,7 +290,7 @@ func TestCorruptEnvironmentFailsForGood(t *testing.T) {
 		if err := fm.conn.Send(proto.MsgRunTask, spec); err != nil {
 			t.Fatal(err)
 		}
-		res, _ := proto.DecodeResult(fm.expect(t, proto.MsgResult))
+		res, _ := proto.DecodeResultInterned(fm.expect(t, proto.MsgResult), nil)
 		if res.Ok || res.Retryable || !strings.Contains(res.Err, want) {
 			t.Errorf("task %d: %+v, want a non-retryable %q", spec.ID, res, want)
 		}
@@ -322,7 +322,7 @@ func TestResourceEnforcement(t *testing.T) {
 	if err := fm.conn.Send(proto.MsgRunTask, spec); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := proto.DecodeResult(fm.expect(t, proto.MsgResult))
+	res, _ := proto.DecodeResultInterned(fm.expect(t, proto.MsgResult), nil)
 	if res.Ok || !strings.Contains(res.Err, "insufficient resources") {
 		t.Errorf("oversized task accepted: %+v", res)
 	}
@@ -339,7 +339,7 @@ func TestStepLimitStopsRunawayTask(t *testing.T) {
 	if err := fm.conn.Send(proto.MsgRunTask, spec); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := proto.DecodeResult(fm.expect(t, proto.MsgResult))
+	res, _ := proto.DecodeResultInterned(fm.expect(t, proto.MsgResult), nil)
 	if res.Ok || !strings.Contains(res.Err, "step limit") {
 		t.Errorf("runaway task not stopped: %+v", res)
 	}
@@ -360,8 +360,8 @@ func TestLibraryInstallAndRemove(t *testing.T) {
 	if !ack.Ok || ack.Library != "lib" || ack.Instance == "" {
 		t.Fatalf("install ack = %+v", ack)
 	}
-	if len(w.Libraries()) != 1 {
-		t.Errorf("libraries = %v", w.Libraries())
+	if n := installed(w); n != 1 {
+		t.Errorf("%d libraries installed, want 1", n)
 	}
 	// Duplicate install fails.
 	if err := fm.conn.Send(proto.MsgInstallLibrary, spec); err != nil {
@@ -371,20 +371,24 @@ func TestLibraryInstallAndRemove(t *testing.T) {
 	if dup.Ok {
 		t.Errorf("duplicate install accepted")
 	}
-	// Remove frees it; share value resets to "not installed".
+	// Remove frees it.
 	if err := fm.conn.Send(proto.MsgRemoveLibrary, proto.RemoveLibrary{Library: "lib"}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for len(w.Libraries()) != 0 {
+	for installed(w) != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("library not removed")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if w.LibraryShare("lib") != -1 {
-		t.Errorf("share of removed library should be -1")
-	}
+}
+
+// installed is the number of libraries the worker holds.
+func installed(w *Worker) int {
+	w.exec.mu.Lock()
+	defer w.exec.mu.Unlock()
+	return len(w.exec.libs)
 }
 
 func TestWrapperScriptRunsPickledFunction(t *testing.T) {
@@ -408,7 +412,7 @@ func TestWrapperScriptRunsPickledFunction(t *testing.T) {
 	if err := fm.conn.Send(proto.MsgRunTask, spec); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := proto.DecodeResult(fm.expect(t, proto.MsgResult))
+	res, _ := proto.DecodeResultInterned(fm.expect(t, proto.MsgResult), nil)
 	if !res.Ok {
 		t.Fatalf("wrapper task failed: %s", res.Err)
 	}
@@ -421,7 +425,7 @@ func TestWrapperScriptRunsPickledFunction(t *testing.T) {
 	if err := fm.conn.Send(proto.MsgRunTask, spec); err != nil {
 		t.Fatal(err)
 	}
-	res, _ = proto.DecodeResult(fm.expect(t, proto.MsgResult))
+	res, _ = proto.DecodeResultInterned(fm.expect(t, proto.MsgResult), nil)
 	if names, err := pickle.Unmarshal(res.Value, minipy.NewInterp(nil)); !res.Ok || err != nil || names.Repr() != `["args", "func"]` {
 		t.Fatalf("input_names() = %v (%v), result %+v", names, err, res)
 	}
@@ -453,7 +457,7 @@ func TestIdenticalUncachedInputsAcrossTasks(t *testing.T) {
 	}
 	result := func(id int64) {
 		t.Helper()
-		res, _ := proto.DecodeResult(fm.expect(t, proto.MsgResult))
+		res, _ := proto.DecodeResultInterned(fm.expect(t, proto.MsgResult), nil)
 		if res.ID != id || !res.Ok {
 			t.Fatalf("task %d: %+v", id, res)
 		}

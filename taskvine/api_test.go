@@ -73,17 +73,17 @@ func TestWrapFunctionPublishesToSharedFS(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Code and environment are retrievable from the shared FS for L1.
-	if _, err := m.SharedFS().FetchByName("func"); err != nil {
+	if _, err := m.SharedFS().Fetch(w.funcOby.ID); err != nil {
 		t.Errorf("func blob not on shared FS: %v", err)
 	}
-	if _, err := m.SharedFS().FetchByName("wrapped-env.tar.gz"); err != nil {
+	if _, err := m.SharedFS().Fetch(w.env.ID); err != nil {
 		t.Errorf("env tarball not on shared FS: %v", err)
 	}
-	if !w.Environment().Has("mathx") {
+	if !installs(w.Environment(), "mathx") {
 		t.Errorf("environment missing mathx")
 	}
 	// With no Options.Index the manager resolves against the standard one.
-	if _, ok := m.Index().Lookup("mathx"); !ok {
+	if _, err := m.Index().ResolveClosure([]string{"mathx"}); err != nil {
 		t.Errorf("the manager's index has no mathx")
 	}
 	// L3 is not a wrapped level.

@@ -1,6 +1,7 @@
 package taskvine
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/content"
@@ -9,9 +10,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/minipy"
+	"repro/internal/pickle"
+	"repro/internal/poncho"
 )
 
 const collectTimeout = 30 * time.Second
+
+// installs reports whether env installs the named package.
+func installs(env *poncho.EnvSpec, name string) bool {
+	return env != nil && slices.ContainsFunc(env.Packages, func(p poncho.PinnedPackage) bool { return p.Name == name })
+}
 
 // newDatasetObject builds a small shareable dataset artifact.
 func newDatasetObject() *content.Object {
@@ -85,7 +93,7 @@ func TestL3LibraryInvocationEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lib.Environment() == nil || !lib.Environment().Has("resnet") {
+	if !installs(lib.Environment(), "resnet") {
 		t.Fatalf("library environment should include resnet: %v", lib.Environment())
 	}
 	if err := m.InstallLibrary(lib); err != nil {
@@ -825,8 +833,7 @@ func TestLibraryReadsBoundInputData(t *testing.T) {
 def setup():
     global rows
     import vine_data
-    import jsonx
-    rows = jsonx.loads(vine_data.load_text("table.json"))
+    rows = vine_data.load_pickle("table.pkl")
 
 def lookup(key):
     global rows
@@ -841,7 +848,17 @@ def lookup(key):
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := content.NewDataset("table.json", []byte(`{"a": 10, "b": 20}`), 1<<20)
+	rows := minipy.NewDict()
+	for key, v := range map[string]int64{"a": 10, "b": 20} {
+		if err := rows.Set(minipy.Str(key), minipy.Int(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := pickle.Marshal(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := content.NewDataset("table.pkl", data, 1<<20)
 	lib.AddInput(table, true)
 	if err := m.InstallLibrary(lib); err != nil {
 		t.Fatal(err)
