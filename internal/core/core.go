@@ -235,6 +235,10 @@ type InvocationSpec struct {
 	TenantID string
 }
 
+// Tenant names the submitting tenant, whose quota the dispatch plane
+// holds for the invocation.
+func (inv *InvocationSpec) Tenant() string { return inv.TenantID }
+
 // Result is the outcome of a task or invocation.
 type Result struct {
 	ID int64

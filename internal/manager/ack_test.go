@@ -32,8 +32,8 @@ func TestOutOfOrderFileAcks(t *testing.T) {
 	// src holds both inputs, so the placement on w stages A then B as peer
 	// fetches from it and the dispatch goes out waiting on both.
 	s.mu.Lock()
-	s.noteReplicaLocked(src, objA.ID)
-	s.noteReplicaLocked(src, objB.ID)
+	noteReplica(s, src, objA.ID)
+	noteReplica(s, src, objB.ID)
 	s.mu.Unlock()
 	id := dispatchOn(t, m, w, task)
 	s.mu.Lock()

@@ -43,6 +43,30 @@ func fakeWorker(m *Manager, id string) *workerState {
 	return w
 }
 
+// noteReplica records a confirmed replica of id on w the way an ack
+// does. The shard lock is held.
+func noteReplica(s *shard, w *workerState, id string) {
+	if s.view.NoteReplica(w.v, id) {
+		s.Held(w.id, id)
+	}
+}
+
+// deploy starts one instance of lib where the policy core finds room, as
+// the scheduler's invocation pass does, and names the worker ("": none).
+// The shard lock is held.
+func deploy(s *shard, lib string) string {
+	spec, _ := s.Library(lib)
+	d := s.view.PlanDeploy(*spec, nil)
+	if d.Worker == nil {
+		return ""
+	}
+	for _, sf := range d.Stages {
+		s.Stage(sf)
+	}
+	s.Deploy(lib, d)
+	return d.Worker.ID
+}
+
 // dispatchOn submits task and sees it dispatched to w, returning its ID.
 // The task takes the real path — intake, Plan, Place, the scheduler's
 // in-flight table; for that one pass every other worker of the shard
@@ -285,9 +309,9 @@ func TestLibraryAckAccounting(t *testing.T) {
 	s := m.shards[0]
 	w := fakeWorker(m, "w")
 	spec := &core.LibrarySpec{Name: "lib", Functions: []core.FunctionSpec{{Name: "f", Source: "def f():\n    return 1\n"}}}
-	m.libMu.Lock()
-	m.libSpecs["lib"] = spec
-	m.libMu.Unlock()
+	if err := m.RegisterLibrary(spec); err != nil {
+		t.Fatal(err)
+	}
 	res := core.Resources{Cores: 8}
 	install := func() {
 		s.mu.Lock()
@@ -325,9 +349,9 @@ func TestRepeatedLibraryFailureFailsPendingInvocations(t *testing.T) {
 	s := m.shards[0]
 	w := fakeWorker(m, "w")
 	spec := &core.LibrarySpec{Name: "bad", Functions: []core.FunctionSpec{{Name: "f", Source: "def f():\n    return 1\n"}}}
-	m.libMu.Lock()
-	m.libSpecs["bad"] = spec
-	m.libMu.Unlock()
+	if err := m.RegisterLibrary(spec); err != nil {
+		t.Fatal(err)
+	}
 	s.mu.Lock()
 	s.sched.PushInvs(queuedInv(&core.InvocationSpec{ID: 11, Library: "bad", Function: "f"}))
 	s.mu.Unlock()
@@ -433,7 +457,7 @@ func TestEvictEmptyAccounting(t *testing.T) {
 	s.view.AddInstance(w.v, &idle.LibraryView)
 	w.v.Commit = w.v.Commit.Add(res)
 
-	if on, _ := s.Deploy("incoming"); on != w.id {
+	if on := deploy(s, "incoming"); on != w.id {
 		t.Fatalf("eviction should free the idle library")
 	}
 	// The idle instance's commitment went, the new instance's came.
@@ -455,7 +479,7 @@ func TestEvictEmptyAccounting(t *testing.T) {
 	busy := w.libs["incoming"]
 	busy.SlotsUsed = 1
 	s.libSlotsChangedLocked(w, busy)
-	if on, _ := s.Deploy("other"); on != "" {
+	if on := deploy(s, "other"); on != "" {
 		t.Errorf("evicted a library with invocations in flight")
 	}
 	if _, there := w.libs["incoming"]; !there || w.libs["other"] != nil {

@@ -19,29 +19,23 @@ import "repro/internal/core"
 // ---- view wrappers ----
 //
 // The scheduler's cluster state lives in s.view (policy.ClusterView);
-// the wrappers below forward transitions and keep the lock-free
-// observability counter in sync with the view's Holders index. Holder
-// counts are global across shards, so the wrappers publish deltas.
+// the wrappers below forward transitions and keep the global replica
+// registry in sync with the view's Holders index. Holder counts are
+// global across shards, so the wrappers publish deltas.
 
-// noteReplicaLocked records a confirmed cached copy of an object on a
-// worker.
-func (s *shard) noteReplicaLocked(w *workerState, id string) {
-	if s.view.NoteReplica(w.v, id) {
-		s.m.holderAdd(id, w.id)
-	}
-}
-
-// holderAdd publishes a worker's confirmed replica in the global
-// registry, under its own lock so ObjectHolders reads and cross-shard
-// source picks never contend with any shard's scheduler.
-func (m *Manager) holderAdd(id, workerID string) {
+// Held publishes a replica the view has just noted (the plane's replica
+// rule, shardplane events.go) in the global registry, under its own lock
+// so ObjectHolders reads and cross-shard source picks never contend with
+// any shard's scheduler.
+func (s *shard) Held(worker, id string) {
+	m := s.m
 	m.obsMu.Lock()
 	hs := m.holders[id]
 	if hs == nil {
 		hs = map[string]bool{}
 		m.holders[id] = hs
 	}
-	hs[workerID] = true
+	hs[worker] = true
 	m.obsMu.Unlock()
 }
 
@@ -57,12 +51,16 @@ func (m *Manager) holderDrop(id, workerID string) {
 	m.obsMu.Unlock()
 }
 
-// peerAdd registers a live worker as a potential cross-shard peer
-// source.
-func (m *Manager) peerAdd(w *workerState) {
+// peerAdd registers a connected worker as live and a potential
+// cross-shard peer source, unless one of that ID already is.
+func (m *Manager) peerAdd(w *workerState) bool {
 	m.obsMu.Lock()
+	defer m.obsMu.Unlock()
+	if m.peers[w.id] != nil {
+		return false
+	}
 	m.peers[w.id] = &peerSource{w: w}
-	m.obsMu.Unlock()
+	return true
 }
 
 // peerDrop unregisters a dead worker. In-flight release attempts

@@ -188,7 +188,7 @@ func TestIndexConsistencyRandomized(t *testing.T) {
 				op = "ack-ok"
 				obj := objs[rng.Intn(len(objs))]
 				if s.view.ClearPending(w.v, obj) {
-					s.noteReplicaLocked(w, obj)
+					noteReplica(s, w, obj)
 				}
 			}
 		case 4: // file ack failed
@@ -197,7 +197,7 @@ func TestIndexConsistencyRandomized(t *testing.T) {
 				s.view.ClearPending(w.v, objs[rng.Intn(len(objs))])
 			}
 		case 5: // deploy a library where the policy core finds room
-			if on, _ := s.Deploy(libs[rng.Intn(len(libs))]); on != "" {
+			if on := deploy(s, libs[rng.Intn(len(libs))]); on != "" {
 				op = "deploy"
 			}
 		case 6: // library ack ok

@@ -145,16 +145,17 @@ type Stats struct {
 }
 
 // counters is the live store behind Stats: one typed atomic for every
-// Stats field the manager adds to (SchedulePasses, CoalescedWakeups and
-// ShardForwards are read from the scheduler instead), so a plain read or
-// write of a counter does not compile and go vet refuses a copy.
+// Stats field the manager adds to (SchedulePasses, CoalescedWakeups,
+// ShardForwards and FairDrains are read from the plane instead), so a
+// plain read or write of a counter does not compile and go vet refuses a
+// copy.
 type counters struct {
 	DirectTransfers, PeerTransfers                   atomic.Int64
 	LibrariesDeployed, LibrariesEvicted              atomic.Int64
 	TasksDone, InvocationsDone                       atomic.Int64
 	Failures, Requeued, Retries, Restaged            atomic.Int64
 	WorkerLogs, ProtocolErrors, SendQueueDrops       atomic.Int64
-	SubmitsShed, SubmitsThrottled, FairDrains        atomic.Int64
+	SubmitsShed, SubmitsThrottled                    atomic.Int64
 	RefResults, RefTransfers, RefSpills, RefPromotes atomic.Int64
 	RefRehomes, RefLost                              atomic.Int64
 	BytesThroughManager, BytesByRef                  atomic.Int64
@@ -174,9 +175,9 @@ type Manager struct {
 	shardPlane *shardplane.Plane[taskSpec, *core.InvocationSpec]
 
 	// libMu guards the registered-library table, read by every shard's
-	// validation path and written only by RegisterLibrary.
-	libMu    sync.RWMutex
-	libSpecs map[string]*core.LibrarySpec
+	// validation and deploy paths and written only by RegisterLibrary.
+	libMu sync.RWMutex
+	libs  map[string]*library
 
 	nextID atomic.Int64
 	ctr    counters
@@ -210,6 +211,13 @@ type Manager struct {
 	// stopped is closed by Shutdown.
 	stopped chan struct{}
 	wg      sync.WaitGroup
+}
+
+// library is a registered library: its spec, and the deploy spec every
+// plan of an instance of it reads, built once at registration.
+type library struct {
+	spec   *core.LibrarySpec
+	deploy policy.DeploySpec
 }
 
 // peerSource is a live worker's entry in the global replica registry:
@@ -252,10 +260,10 @@ type shard struct {
 	// view is the cluster snapshot every scheduling decision reads: the
 	// shard's worker table, its placement ring, and the derived indexes
 	// (Holders, PendingCopies, the ready index, LibFull). index.go keeps
-	// it current; internal/policy decides against it; schedule.go executes
-	// and records into the scheduler's recorder (sched.Rec).
-	// Peer-transfer sources are shard-local by construction: PickSource
-	// only sees this shard's holders.
+	// it current; the scheduler plans against it through internal/policy
+	// and records; schedule.go executes. Peer-transfer sources are
+	// shard-local by construction: PickSource only sees this shard's
+	// holders.
 	view *policy.ClusterView
 }
 
@@ -272,6 +280,7 @@ type taskSpec struct {
 
 func (p taskSpec) Need() core.Resources    { return p.t.Resources }
 func (p taskSpec) Inputs() []core.FileSpec { return p.t.Inputs }
+func (p taskSpec) Tenant() string          { return p.t.TenantID }
 
 // An invocation's payload is the spec itself.
 type (
@@ -372,14 +381,14 @@ func New(opts Options) *Manager {
 		opts.RetryMaxDelay = 2 * time.Second
 	}
 	m := &Manager{
-		opts:     opts,
-		libSpecs: map[string]*core.LibrarySpec{},
-		holders:  map[string]map[string]bool{},
-		peers:    map[string]*peerSource{},
-		catalog:  map[string]core.FileSpec{},
-		joined:   make(chan struct{}),
-		results:  make(chan core.Result, opts.ResultBuffer),
-		stopped:  make(chan struct{}),
+		opts:    opts,
+		libs:    map[string]*library{},
+		holders: map[string]map[string]bool{},
+		peers:   map[string]*peerSource{},
+		catalog: map[string]core.FileSpec{},
+		joined:  make(chan struct{}),
+		results: make(chan core.Result, opts.ResultBuffer),
+		stopped: make(chan struct{}),
 	}
 	m.shardPlane = shardplane.NewPlane[taskSpec, *core.InvocationSpec](shardplane.Config{
 		Shards:           opts.Shards,
@@ -487,7 +496,7 @@ func (m *Manager) Stats() Stats {
 		ShardForwards:     m.shardPlane.Forwards(),
 		SubmitsShed:       m.ctr.SubmitsShed.Load(),
 		SubmitsThrottled:  m.ctr.SubmitsThrottled.Load(),
-		FairDrains:        m.ctr.FairDrains.Load(),
+		FairDrains:        m.shardPlane.Drains(),
 		RefResults:        m.ctr.RefResults.Load(),
 		RefTransfers:      m.ctr.RefTransfers.Load(),
 		RefSpills:         m.ctr.RefSpills.Load(),
@@ -572,19 +581,27 @@ func (m *Manager) RegisterLibrary(spec *core.LibrarySpec) error {
 	}
 	m.libMu.Lock()
 	defer m.libMu.Unlock()
-	if _, dup := m.libSpecs[spec.Name]; dup {
+	if _, dup := m.libs[spec.Name]; dup {
 		return fmt.Errorf("manager: library %q already registered", spec.Name)
 	}
-	m.libSpecs[spec.Name] = spec
+	var files []core.FileSpec
+	if spec.Env != nil {
+		files = append(files, *spec.Env)
+	}
+	m.libs[spec.Name] = &library{spec: spec, deploy: policy.DeploySpec{
+		Name:  spec.Name,
+		Res:   spec.Resources,
+		Files: append(files, spec.Inputs...),
+	}}
 	return nil
 }
 
-// libSpec looks up a registered library.
-func (m *Manager) libSpec(name string) (*core.LibrarySpec, bool) {
+// library looks up a registered library, nil if there is none.
+func (m *Manager) library(name string) *library {
 	m.libMu.RLock()
-	spec, ok := m.libSpecs[name]
+	l := m.libs[name]
 	m.libMu.RUnlock()
-	return spec, ok
+	return l
 }
 
 // ---- spec routing (the cross-shard submit path) ----
@@ -612,39 +629,17 @@ func (m *Manager) SubmitInvocation(inv *core.InvocationSpec) int64 {
 // submission plane decided: a shed spec's failed result is delivered
 // here.
 func (m *Manager) submit(tenant string, it dispatch) {
-	d, released, known := m.shardPlane.SubmitTenant(tenant, it)
+	d, known := m.shardPlane.SubmitTenant(tenant, it)
 	if !known {
 		return
 	}
-	m.ctr.FairDrains.Add(int64(released))
 	switch d.Verdict {
 	case policy.AdmitThrottle:
 		m.ctr.SubmitsThrottled.Add(1)
 	case policy.AdmitShed:
 		m.ctr.SubmitsShed.Add(1)
-		m.ctr.Failures.Add(1)
-		m.deliver(core.Result{ID: it.ID(), Ok: false,
-			Err: fmt.Sprintf("manager: submission shed (%s): tenant %q's plane queue is at its MaxQueue", d.Reason, tenant)})
+		m.fail(it.ID(), fmt.Sprintf("manager: submission shed (%s): tenant %q's plane queue is at its MaxQueue", d.Reason, tenant))
 	}
-}
-
-// release returns one unit of tenant's quota — on every final result of
-// a spec it submitted — and counts what the freed quota drained into the
-// shards' intakes, which wake at the next wake-loop exit. A no-op for
-// untenanted work.
-func (m *Manager) release(tenant string) {
-	if n := m.shardPlane.Release(tenant); n > 0 {
-		m.ctr.FairDrains.Add(int64(n))
-	}
-}
-
-// specTenant names the tenant of a resolved in-flight spec — empty for
-// untenanted work.
-func specTenant(run *dispatch) string {
-	if run.IsTask {
-		return run.Task.Spec.t.TenantID
-	}
-	return run.Inv.Spec.TenantID
 }
 
 // Collect drains n results from the result stream.
@@ -679,28 +674,31 @@ func (w *workerState) enqueue(msg outMsg) {
 	w.nc.Close()
 }
 
-// adoptWorker registers a connected worker in its home shard and the
-// routing fabric. It reports false (without registering) for duplicate
-// IDs or a closed manager.
+// adoptWorker enters a connected worker in the live-worker registry and
+// joins it to its home shard through the plane. It reports false, having
+// registered nothing, for a duplicate ID or a closed manager.
 func (m *Manager) adoptWorker(w *workerState) bool {
-	s := m.shardFor(w.id)
-	s.mu.Lock()
-	if _, dup := s.workers[w.id]; dup || m.shardPlane.Closed() {
-		s.mu.Unlock()
+	if !m.peerAdd(w) {
 		return false
 	}
-	s.registerWorkerLocked(w)
-	s.sched.Joined()
-	s.mu.Unlock()
-	m.peerAdd(w)
-	m.shardPlane.Add(w.id)
+	if !m.shardPlane.Join(w.id) {
+		m.peerDrop(w.id)
+		return false
+	}
 	m.membershipChanged()
-	s.sched.Wake()
-	// Parked work in workerless shards can now be evacuated here, and
-	// work starving in shards this worker doesn't belong to gets its
-	// overflow hop budget back so it can reach the new capacity.
-	m.shardPlane.WakeParked()
-	m.shardPlane.Nudge()
+	return true
+}
+
+// Join registers the connected worker the live-worker registry holds
+// under worker, unless one of that ID is still registered here.
+func (s *shard) Join(worker string) bool {
+	if _, dup := s.workers[worker]; dup {
+		return false
+	}
+	s.m.obsMu.RLock()
+	w := s.m.peers[worker].w
+	s.m.obsMu.RUnlock()
+	s.registerWorkerLocked(w)
 	return true
 }
 
@@ -862,98 +860,72 @@ func (s *shard) releaseSourceSlotLocked(src string) {
 	s.m.releaseRemoteSource(src)
 }
 
-// onWorkerGone tears down a dead worker in its home shard. Crash
-// requeues stay in the shard; if it just lost its last worker, its wake
-// loop evacuates the queues to live shards.
+// onWorkerGone tears a dead worker down through the plane and fails what
+// it held past its retry budget. Crash requeues stay in the shard; if it
+// just lost its last worker, its wake loop evacuates the queues to live
+// shards.
 func (m *Manager) onWorkerGone(w *workerState) {
-	m.shardPlane.Remove(w.id)
 	m.peerDrop(w.id)
-	// Re-home every ref the dead worker owned before requeueing its
-	// work: surviving holders adopt ownership (pinning their copies),
-	// spilled refs fall back to the durable shared tier, and the rest
-	// are declared lost — the traced failure semantics of §15.
-	m.rehomeRefs(w.id)
-	s := m.shardFor(w.id)
-	s.mu.Lock()
-	// The dead worker may have been the destination of in-flight peer
-	// fetches: release each source's transfer slot, or the sources are
-	// bled dry one crash at a time until PickSource permanently
-	// excludes them and the spanning tree degrades to manager-only
-	// sends.
+	requeued, lost := m.shardPlane.Leave(w.id)
+	m.ctr.Requeued.Add(int64(requeued))
+	for i := range lost {
+		m.fail(lost[i].ID(), fmt.Sprintf("manager: worker %s lost and retry budget exhausted", w.id))
+	}
+}
+
+// Leave drops a dead worker from the shard. It may have been the
+// destination of in-flight peer fetches: each source gets its transfer
+// slot back, or the sources bleed dry one crash at a time until
+// PickSource excludes them for good and the spanning tree degrades to
+// manager-only sends. Then the worker leaves every index (replicas, ready
+// instances, in-flight copies).
+func (s *shard) Leave(worker string) []string {
+	w := s.workers[worker]
 	for id, src := range w.fetchSources { //vinelint:unordered slot releases commute; each entry touches a distinct record
 		delete(w.fetchSources, id)
 		s.releaseSourceSlotLocked(src)
 	}
-	// Drop the worker from every index (replicas, ready instances,
-	// in-flight copies). Everything that was running there requeues within
-	// its retry budget (Sched.Died); a spec that has exhausted it fails
-	// instead of bouncing between crashing workers forever.
-	requeued, lost := s.sched.Died(w.id, s.dropWorkerLocked(w))
-	m.ctr.Requeued.Add(int64(requeued))
-	for i := range lost {
-		s.failLocked(lost[i].ID(), specTenant(&lost[i]), fmt.Sprintf("manager: worker %s lost and retry budget exhausted", w.id))
-	}
-	s.mu.Unlock()
-	s.sched.Wake()
-	// Membership changed: overflow targets and ring ownership moved,
-	// so rested work elsewhere gets its hop budget back.
-	m.shardPlane.Nudge()
+	return s.dropWorkerLocked(w)
 }
 
-func (s *shard) onFileAck(w *workerState, ack proto.FileAck) {
-	s.mu.Lock()
-	s.view.ClearPending(w.v, ack.ID)
-	src, fromPeer := w.fetchSources[ack.ID]
-	if fromPeer {
+func (s *shard) onFileAck(w *workerState, ack proto.FileAck) { s.m.shardPlane.FileAck(w.id, ack) }
+
+// Restage re-sends a copy whose peer fetch failed on every source the
+// data plane tried — the assigned one and the alternates it retried on
+// its own (§4.3) — over the manager's own link, which is always a valid
+// source, rather than leaving every dispatch behind it to die on "input
+// not staged". A failed direct send is not retried.
+func (s *shard) Restage(worker string, ack proto.FileAck) bool {
+	w := s.workers[worker]
+	if _, fromPeer := w.fetchSources[ack.ID]; !fromPeer && ack.Source == "" {
+		return false
+	}
+	fs, known := s.m.catalogGet(ack.ID)
+	if known {
+		s.directSendLocked(w, fs)
+	}
+	return known
+}
+
+// Acked settles a copy's ack: the source of a peer fetch gets its
+// transfer slot back — the worker echoes the assigned source
+// (proto.FetchFile.Source), so a fetch the manager no longer tracks, its
+// record displaced by recovery, still returns it — and every dispatch
+// that waited for the copy is stamped: TransferTime is dispatch→last ack.
+// A restaged copy's dispatches wait on, for the replacement's own ack.
+func (s *shard) Acked(worker string, ack proto.FileAck, restaged bool) {
+	w := s.workers[worker]
+	if src, fromPeer := w.fetchSources[ack.ID]; fromPeer {
 		delete(w.fetchSources, ack.ID)
 		s.releaseSourceSlotLocked(src)
 	} else if ack.Source != "" {
-		// The worker echoes the source the fetch was assigned
-		// (proto.FetchFile.Source), so a fetch the manager no longer
-		// tracks — its record displaced by recovery — still returns the
-		// source's transfer slot instead of bleeding it.
-		fromPeer = true
 		s.releaseSourceSlotLocked(ack.Source)
 	}
-	if ack.Ok && ack.Cache {
-		s.noteReplicaLocked(w, ack.ID)
-		// A confirmed ref replica also registers in the global ref
-		// catalog, so later resolves can source from this consumer.
-		// No-op for ordinary objects.
-		s.m.shardPlane.RefHeld(w.id, ack.ID)
+	if restaged {
+		s.m.ctr.Restaged.Add(1)
+		return
 	}
-	restaged := false
-	if !ack.Ok && w.v.Alive {
-		if d, name, isRef := s.m.shardPlane.ResolveRef(w.id, ack.ID, true); isRef {
-			// A ref fetch failed on every source the data plane tried.
-			// The manager never held these bytes, so the catalog restage
-			// below cannot apply: the ref plane retracted the unreliable
-			// replica records and planned a fresh traced resolve against
-			// what survives — the owner's pinned copy, the shared tier,
-			// or lost.
-			if restaged = s.execResolveLocked(w, ack.ID, name, d); restaged {
-				s.m.ctr.Restaged.Add(1)
-			}
-		} else if fromPeer {
-			// The peer fetch failed on every source the data plane tried —
-			// the assigned one and the alternates it retried on its own
-			// (§4.3). The manager's own link is always a valid source:
-			// re-stage directly rather than leaving every dispatch behind
-			// this copy to die on "input not staged".
-			if fs, known := s.m.catalogGet(ack.ID); known {
-				s.directSendLocked(w, fs)
-				s.m.ctr.Restaged.Add(1)
-				restaged = true
-			}
-		}
-	}
-	// Stamp staging completion on every dispatch that was waiting for
-	// this object on this worker: TransferTime is dispatch→last ack,
-	// not the time spent enqueueing messages. The per-worker waiter
-	// index hands us exactly those dispatches — unless the copy is
-	// being restaged, in which case they are still waiting: the
-	// replacement transfer's own ack will settle them.
-	if list := w.ackWaiters[ack.ID]; !restaged && len(list) > 0 {
+	if list := w.ackWaiters[ack.ID]; len(list) > 0 {
 		delete(w.ackWaiters, ack.ID)
 		now := time.Now()
 		for _, st := range list {
@@ -963,9 +935,6 @@ func (s *shard) onFileAck(w *workerState, ack proto.FileAck) {
 			}
 		}
 	}
-	s.sched.FileAcked(ack.ID)
-	s.mu.Unlock()
-	s.sched.Wake()
 }
 
 // maxLibraryFailures is how many consecutive failed deployments a
@@ -980,46 +949,42 @@ const maxLibraryFailures = 3
 // never be staged must eventually fail its invocations cleanly.
 const maxLibraryInfraFailures = 20
 
-func (s *shard) onLibraryAck(w *workerState, ack proto.LibraryAck) {
-	s.mu.Lock()
+func (s *shard) onLibraryAck(w *workerState, ack proto.LibraryAck) { s.m.shardPlane.LibAck(w.id, ack) }
+
+// Installed settles worker's instance of ack.Library: ready, or removed
+// with its commitment released and the failure drawn on the library's
+// budget — one that trips it fails every queued invocation.
+func (s *shard) Installed(worker string, ack proto.LibraryAck) bool {
+	w := s.workers[worker]
 	li := w.libs[ack.Library]
-	if li != nil {
-		if ack.Ok {
-			li.Ready = true
-			li.instance = ack.Instance
-			s.libFailures[ack.Library] = 0
-			s.libInfraFailures[ack.Library] = 0
-			s.libSlotsChangedLocked(w, li)
-		} else {
-			li.Failed = true
-			delete(w.libs, ack.Library)
-			s.view.RemoveLibrary(w.v, ack.Library)
-			w.v.Commit = w.v.Commit.Sub(li.Res)
-			// Infrastructure-caused install failures (inputs lost to a
-			// stalled transfer, resources gone) draw on a much larger
-			// budget than broken-setup failures: transient chaos should
-			// not quarantine a healthy library, but a persistently
-			// unstageable one must still fail cleanly instead of
-			// redeploying forever.
-			if ack.Retryable {
-				s.libInfraFailures[ack.Library]++
-				if s.libInfraFailures[ack.Library] >= maxLibraryInfraFailures {
-					s.failPendingForLibraryLocked(ack.Library, maxLibraryInfraFailures, ack.Err)
-				}
-			} else {
-				s.libFailures[ack.Library]++
-				if s.libFailures[ack.Library] >= maxLibraryFailures {
-					s.failPendingForLibraryLocked(ack.Library, maxLibraryFailures, ack.Err)
-				}
-			}
-		}
-		s.sched.LibAcked(w.id, ack.Library, ack.Ok)
+	switch {
+	case li == nil:
+		return false
+	case ack.Ok:
+		li.Ready = true
+		li.instance = ack.Instance
+		s.libFailures[ack.Library] = 0
+		s.libInfraFailures[ack.Library] = 0
+		s.libSlotsChangedLocked(w, li)
+		return true
 	}
-	s.mu.Unlock()
-	s.sched.Wake()
-	// An instance turning ready (or an install releasing resources)
-	// is capacity other shards' starving work may be waiting for.
-	s.m.shardPlane.Nudge()
+	li.Failed = true
+	delete(w.libs, ack.Library)
+	s.view.RemoveLibrary(w.v, ack.Library)
+	w.v.Commit = w.v.Commit.Sub(li.Res)
+	// Infrastructure-caused install failures (inputs lost to a stalled
+	// transfer, resources gone) draw on a much larger budget than
+	// broken-setup failures: transient chaos should not quarantine a
+	// healthy library, but a persistently unstageable one must still fail
+	// cleanly instead of redeploying forever.
+	failures, budget := s.libFailures, maxLibraryFailures
+	if ack.Retryable {
+		failures, budget = s.libInfraFailures, maxLibraryInfraFailures
+	}
+	if failures[ack.Library]++; failures[ack.Library] >= budget {
+		s.failPendingForLibraryLocked(ack.Library, budget, ack.Err)
+	}
+	return true
 }
 
 // failPendingForLibraryLocked fails every queued invocation of a
@@ -1031,83 +996,67 @@ func (s *shard) failPendingForLibraryLocked(library string, failures int, reason
 	}
 }
 
-// failLocked delivers spec id's final failure and returns its tenant's
-// quota unit. The shard lock is held: the plane's drain runs now, and the
-// shards it feeds wake at the next wake-loop exit.
-func (s *shard) failLocked(id int64, tenant, err string) {
-	s.m.ctr.Failures.Add(1)
-	s.m.deliver(core.Result{ID: id, Ok: false, Err: err})
-	s.m.release(tenant)
+// fail delivers spec id's final failure.
+func (m *Manager) fail(id int64, err string) {
+	m.ctr.Failures.Add(1)
+	m.deliver(core.Result{ID: id, Ok: false, Err: err})
 }
 
-func (s *shard) onResult(w *workerState, res core.Result) {
-	m := s.m
-	s.mu.Lock()
-	// Done marks what the result frees. A retryable failure draws on the
-	// table's budget: within it (retry n) the spec backs off there until
-	// retryAfter's timer fires.
-	run, retry, ok := s.sched.Done(w.id, res.ID, !res.Ok && res.Retryable && !m.shardPlane.Closed())
-	if !ok {
-		s.mu.Unlock()
-		s.sched.Wake()
-		m.shardPlane.Nudge()
-		return
+// failLocked fails spec id and returns its tenant's quota unit. The shard
+// lock is held: the plane's drain runs now, and the shards it feeds wake
+// at the next wake-loop exit.
+func (s *shard) failLocked(id int64, tenant, err string) {
+	s.m.fail(id, err)
+	s.m.shardPlane.Release(tenant)
+}
+
+func (s *shard) onResult(w *workerState, res core.Result) { s.m.shardPlane.Result(w.id, res) }
+
+// Freed gives a finished invocation's slot back to its instance.
+func (s *shard) Freed(worker, lib string) {
+	w := s.workers[worker]
+	if li := w.libs[lib]; li != nil {
+		if li.SlotsUsed > 0 {
+			li.SlotsUsed--
+		}
+		li.served++
+		s.libSlotsChangedLocked(w, li)
 	}
+}
+
+// Done is a result's engine work, no lock held: the counters and the
+// delivery — or, within the retry budget, the backoff timer whose end
+// requeues the spec (retryAfter). The dispatch's staging stamp needs no
+// lock: only this worker's acks write it, and they arrive on this
+// goroutine.
+func (s *shard) Done(_ string, r dispatch, res core.Result, retry int) {
+	m := s.m
 	if res.Ok {
 		if res.Ref != nil {
-			// Pass-by-reference completion doubles as the ownership
-			// transfer (§15): the bytes stayed on the producer, the
-			// manager only updates its ref catalog.
+			// A by-ref result's bytes stayed on the producer (§15).
 			m.ctr.RefResults.Add(1)
 			m.ctr.BytesByRef.Add(res.Ref.Size)
-			m.execSpills(m.shardPlane.RefResult(w.id, res.Ref))
 		} else if n := len(res.Value); n > 0 {
 			m.ctr.BytesThroughManager.Add(int64(n))
 		}
 	}
-	if run.IsTask {
-		t := run.Task.Spec.t
-		if st := run.Task.Spec.staging; st != nil {
+	if r.IsTask {
+		if st := r.Task.Spec.staging; st != nil {
 			res.Metrics.TransferTime += st.transfer
 		}
 		m.ctr.TasksDone.Add(1)
-		w.v.Commit = w.v.Commit.Sub(t.Resources)
-		// Cacheable inputs are now resident on that worker, unless the
-		// attempt failed retryably: "input not staged" is one such
-		// failure, and a retry must stage what this attempt did not.
-		for _, in := range t.Inputs {
-			if in.Cache && (res.Ok || !res.Retryable) {
-				s.noteReplicaLocked(w, in.Object.ID)
-			}
-		}
 	} else {
 		m.ctr.InvocationsDone.Add(1)
-		if li := w.libs[run.Inv.Lib]; li != nil {
-			if li.SlotsUsed > 0 {
-				li.SlotsUsed--
-			}
-			li.served++
-			s.libSlotsChangedLocked(w, li)
-		}
 	}
-	s.mu.Unlock()
 	if retry > 0 {
 		m.ctr.Retries.Add(1)
 		s.retryAfter(res.ID, retryBackoff(m.opts.RetryBaseDelay, m.opts.RetryMaxDelay, retry, res.ID))
-	} else {
-		if !res.Ok {
-			m.ctr.Failures.Add(1)
-		}
-		m.deliver(res)
-		// Final delivery returns the spec's tenant quota unit; the freed
-		// quota may release queued plane work, whose shards wake when this
-		// one's loop exits.
-		m.release(specTenant(&run))
+		return
 	}
-	s.sched.Wake()
-	// Freed capacity is a shard-crossing signal: shards starving on
-	// unplaceable work get another chance to reach it.
-	m.shardPlane.Nudge()
+	if !res.Ok {
+		m.ctr.Failures.Add(1)
+	}
+	m.deliver(res)
 }
 
 // retryBackoff computes the delay before retry attempt n (1-based):

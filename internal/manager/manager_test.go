@@ -413,7 +413,7 @@ func TestStatsReportsEveryCounter(t *testing.T) {
 			t.Errorf("Stats().%s = %d, want %d", name, f.Int(), 1000+i)
 		}
 	}
-	fromScheduler := map[string]bool{"SchedulePasses": true, "CoalescedWakeups": true, "ShardForwards": true}
+	fromScheduler := map[string]bool{"SchedulePasses": true, "CoalescedWakeups": true, "ShardForwards": true, "FairDrains": true}
 	for i := 0; i < st.NumField(); i++ {
 		name := st.Type().Field(i).Name
 		if _, ok := ctr.Type().FieldByName(name); !ok && !fromScheduler[name] {

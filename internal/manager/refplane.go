@@ -34,17 +34,14 @@ func (m *Manager) execSpills(spills []policy.RefSpill) {
 	m.obsMu.RUnlock()
 }
 
-// rehomeRefs carries out an owner's death: every ref it owned is
-// re-homed onto a surviving holder (told to adopt the copy), falls back
-// to its shared-tier copy, or is declared lost. Called from onWorkerGone
-// with no shard lock held.
-func (m *Manager) rehomeRefs(deadID string) {
-	rhs := m.shardPlane.RefOwnerDied(deadID)
-	if len(rhs) == 0 {
-		return
-	}
+// Refs carries out what the ref stream decided at an owner's death or a
+// by-ref result: every ref a dead owner owned is re-homed onto a
+// surviving holder (told to adopt the copy), falls back to its
+// shared-tier copy, or is declared lost; then the spills go out, the
+// re-homes' included.
+func (s *shard) Refs(rhs []policy.Rehome, spills []policy.RefSpill) {
+	m := s.m
 	m.ctr.RefRehomes.Add(int64(len(rhs)))
-	var spills []policy.RefSpill
 	m.obsMu.RLock()
 	for _, rh := range rhs {
 		if rh.Lost {

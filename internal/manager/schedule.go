@@ -11,19 +11,14 @@ import (
 )
 
 // Each shard is the Shell of its scheduler (shardplane.Sched, DESIGN.md
-// §12): the hooks below are invoked from its coalesced wake loop, with
-// the shard lock held — Place by the task pass when the task queue is
-// dirty; LibNeed, Reject, PlaceInv and Deploy by the invocation pass,
-// per dirty library. They never scan state that their dirty mark could
-// not have changed, and what they place the pass itself enters in the
-// in-flight table.
-//
-// Every scheduling decision — which worker runs a task, where a library
-// instance deploys, which peer sources a transfer, what gets evicted —
-// comes from the pure policy core (internal/policy) reading the shard's
-// ClusterView. This file only *executes* decisions: it sends messages,
-// moves resource commitments, and reports the resulting transitions
-// back into the view.
+// §12). The scheduler decides: its passes plan every placement, staging
+// and deploy against the shard's ClusterView through the pure policy core
+// (internal/policy), record it, and hand it here — Stage, Resolve, Place,
+// PlaceInv and Deploy, with the shard lock held. This file only
+// *executes* decisions: it sends messages, moves resource commitments,
+// and reports the resulting transitions back into the view. The events'
+// engine work (Join, Leave, Installed, Restage, Acked, Held, Done, Refs)
+// is in manager.go, refplane.go and index.go.
 
 // ---- staging execution ----
 
@@ -53,53 +48,32 @@ func (s *shard) altSourcesLocked(objID, src, dst string) []string {
 	return alts
 }
 
-// execStageLocked carries out one staging decision on a worker, and
-// records it: a peer fetch from the chosen source or a direct bulk send
-// from the manager. StageReady decisions are no-ops by construction and
-// StageWait never reaches execution (placements with waiting inputs are
-// not committed).
-func (s *shard) execStageLocked(w *workerState, sf policy.StageFile) {
-	d := policy.Decision{Kind: policy.KindStage, Obj: sf.Object, Dst: sf.Dst.ID, Mode: sf.Mode.String()}
-	switch sf.Mode {
-	case policy.StagePeer:
+// Stage carries out one staging decision on its destination: a peer
+// fetch from the chosen source or a direct bulk send from the manager.
+func (s *shard) Stage(sf policy.StageFile) {
+	w := s.workers[sf.Dst.ID]
+	if sf.Mode == policy.StagePeer {
 		src := s.workers[sf.Src.ID]
-		if src == nil {
-			// The source died between decision and execution (same lock
-			// hold in practice, but the fallback is free): the manager's
-			// own link is always valid.
-			s.directSendLocked(w, sf.Spec)
-			return
-		}
 		src.v.TransfersOut++
 		s.peerFetchLocked(w, src, sf, s.altSourcesLocked(sf.Spec.Object.ID, src.id, w.id))
-		d.Src = src.id
-	case policy.StageDirect:
-		// Cross-shard peer sourcing: the policy core planned a manager
-		// send because this shard's view holds no replica — but another
-		// shard's worker may. Then the transport upgrades to a peer fetch
-		// from that holder, and the trace keeps the planned StageDirect:
-		// which link carries the bytes across shards is a transport
-		// concern, invisible to the pure per-shard policy and to the
-		// simulator's replay.
-		var src *workerState
-		var alts []string
-		if s.m.opts.PeerTransfers && sf.Spec.PeerTransfer {
-			src, alts = s.m.acquireRemoteSource(sf.Spec.Object.ID, s.idx, w.id)
-		}
-		if src != nil {
-			s.peerFetchLocked(w, src, sf, alts)
-		} else {
-			s.directSendLocked(w, sf.Spec)
-		}
-	case policy.StageRef:
-		// Proxy-object input: the per-shard view cannot plan this copy —
-		// the bytes never transited the manager — so the shard trace
-		// records only that a ref stage ran and the global ref catalog
-		// plans (and traces) the actual source.
-		rd, _, _ := s.m.shardPlane.ResolveRef(w.id, sf.Object, false)
-		s.execResolveLocked(w, sf.Object, sf.Spec.Object.Name, rd)
+		return
 	}
-	s.sched.Rec().Record(d)
+	// Cross-shard peer sourcing: the policy core planned a manager send
+	// because this shard's view holds no replica — but another shard's
+	// worker may. Then the transport upgrades to a peer fetch from that
+	// holder, and the trace keeps the planned StageDirect: which link
+	// carries the bytes across shards is a transport concern, invisible
+	// to the pure per-shard policy and to the simulator's replay.
+	var src *workerState
+	var alts []string
+	if s.m.opts.PeerTransfers && sf.Spec.PeerTransfer {
+		src, alts = s.m.acquireRemoteSource(sf.Spec.Object.ID, s.idx, w.id)
+	}
+	if src != nil {
+		s.peerFetchLocked(w, src, sf, alts)
+	} else {
+		s.directSendLocked(w, sf.Spec)
+	}
 }
 
 // peerFetchLocked tells w to fetch the staged object from src's data
@@ -124,17 +98,17 @@ func (s *shard) peerFetchLocked(w, src *workerState, sf policy.StageFile, alts [
 	s.m.ctr.PeerTransfers.Add(1)
 }
 
-// execResolveLocked executes one ref-catalog resolve for the copy of
-// ref id (file name name) on w — a first resolve at ref-stage
-// execution, or the recovery resolve after a failed fetch: the spills a
+// Resolve executes one ref-catalog resolve for the copy of ref id (file
+// name name) on worker — a first resolve at ref-stage execution, or the
+// recovery resolve after a failed fetch: the spills a
 // promote cascaded first, then the copy. It reports whether a transfer
 // was issued, whose own ack settles whatever waits on the copy. Ref
 // transfers consume no view-tracked transfer slots and register no
 // fetch-source record — they are bounded by the workers' data-plane
 // serve concurrency, not the spanning-tree cap — so the FileAck plumbing
 // sees them as direct sends that happen to arrive from a peer.
-func (s *shard) execResolveLocked(w *workerState, id, name string, d policy.ResolveDecision) bool {
-	m := s.m
+func (s *shard) Resolve(worker, id, name string, d policy.ResolveDecision) bool {
+	m, w := s.m, s.workers[worker]
 	if d.Promote {
 		m.ctr.RefPromotes.Add(1)
 	}
@@ -238,16 +212,12 @@ func (s *shard) directSendLocked(w *workerState, fs core.FileSpec) {
 
 // ---- task scheduling ----
 
-// Place carries out one planned task placement: staging, resource
+// Place carries out one planned task placement, its stages out: resource
 // commitment, dispatch, and the dispatch's staging stamps.
 func (s *shard) Place(pt *pendingTask, d policy.PlaceTask) {
 	t := pt.Spec.t
 	w := s.workers[d.Worker.ID]
-	s.sched.Rec().Record(policy.Decision{Kind: policy.KindTask, Spec: pt.ID, Key: pt.Key, Worker: w.id, Stages: len(d.Stages)})
 	start := time.Now()
-	for _, sf := range d.Stages {
-		s.execStageLocked(w, sf)
-	}
 	w.v.Commit = w.v.Commit.Add(t.Resources)
 	w.enqueue(outMsg{t: proto.MsgRunTask, v: t})
 	// TransferTime runs from dispatch until the last input this
@@ -270,14 +240,12 @@ func (s *shard) Place(pt *pendingTask, d policy.PlaceTask) {
 
 // ---- invocation scheduling (§3.5.2) ----
 
-// LibNeed is what one instance of a registered library commits on its
-// worker.
-func (s *shard) LibNeed(lib string) (core.Resources, bool) {
-	spec, known := s.m.libSpec(lib)
-	if !known {
-		return core.Resources{}, false
+// Library is a registered library's deploy spec, built at registration.
+func (s *shard) Library(lib string) (*policy.DeploySpec, bool) {
+	if l := s.m.library(lib); l != nil {
+		return &l.deploy, true
 	}
-	return spec.Resources, true
+	return nil, false
 }
 
 // Reject fails an invocation that can never run with a synthetic result;
@@ -293,14 +261,14 @@ func (s *shard) Reject(pi pendingInv) bool {
 // validateInvLocked rejects invocations that can never run: unknown
 // library, quarantined library, unknown function.
 func (s *shard) validateInvLocked(inv *core.InvocationSpec) error {
-	spec, known := s.m.libSpec(inv.Library)
-	if !known {
+	l := s.m.library(inv.Library)
+	if l == nil {
 		return fmt.Errorf("manager: invocation %d names unknown library %q", inv.ID, inv.Library)
 	}
 	if s.libFailures[inv.Library] >= maxLibraryFailures || s.libInfraFailures[inv.Library] >= maxLibraryInfraFailures {
 		return fmt.Errorf("manager: library %q is marked broken after repeated deployment failures", inv.Library)
 	}
-	for _, f := range spec.Functions {
+	for _, f := range l.spec.Functions {
 		if f.Name == inv.Function {
 			return nil
 		}
@@ -314,44 +282,19 @@ func (s *shard) validateInvLocked(inv *core.InvocationSpec) error {
 func (s *shard) PlaceInv(pi pendingInv, d policy.PlaceInvocation) {
 	w := s.workers[d.Worker.ID]
 	li := w.libs[pi.Lib]
-	s.sched.Rec().Record(policy.Decision{Kind: policy.KindPlace, Spec: pi.ID, Lib: pi.Lib, Worker: w.id})
 	li.SlotsUsed++
 	s.libSlotsChangedLocked(w, li)
 	w.enqueue(outMsg{t: proto.MsgInvoke, v: pi.Spec})
 }
 
-// Deploy asks the policy core for a deploy decision for the library and
-// executes it: evictions first, then staging, then the new instance's
-// view record and the install message. Reports the worker a deployment
-// was started on, or the first copies in flight that held every
-// candidate up.
-func (s *shard) Deploy(lib string) (worker string, blocked []string) {
-	spec, known := s.m.libSpec(lib)
-	if !known {
-		return "", nil
-	}
-	var libFiles []core.FileSpec
-	if spec.Env != nil {
-		libFiles = append(libFiles, *spec.Env)
-	}
-	libFiles = append(libFiles, spec.Inputs...)
-	d := s.view.PlanDeploy(policy.DeploySpec{
-		Name:  spec.Name,
-		Res:   spec.Resources,
-		Files: libFiles,
-	}, nil)
-	if d.Worker == nil {
-		return "", d.Blocked
-	}
+// Deploy starts the instance of lib the scheduler planned, its stages
+// out: the evictions it needs, then the new instance's view record and
+// resource commitment and the install message.
+func (s *shard) Deploy(lib string, d policy.DeployLibrary) {
+	spec := s.m.library(lib).spec
 	w := s.workers[d.Worker.ID]
-	if rec := s.sched.Rec(); rec != nil { // EvictNames allocates
-		rec.Record(policy.Decision{Kind: policy.KindDeploy, Lib: spec.Name, Worker: w.id, Stages: len(d.Stages), Evict: d.EvictNames()})
-	}
 	for _, e := range d.Evict {
 		s.evictLibraryLocked(w, e.Lib)
-	}
-	for _, sf := range d.Stages {
-		s.execStageLocked(w, sf)
 	}
 	li := &libInstance{LibraryView: policy.LibraryView{
 		Name:         spec.Name,
@@ -364,7 +307,6 @@ func (s *shard) Deploy(lib string) (worker string, blocked []string) {
 	w.v.Commit = w.v.Commit.Add(d.Res)
 	w.enqueue(outMsg{t: proto.MsgInstallLibrary, v: spec})
 	s.m.ctr.LibrariesDeployed.Add(1)
-	return w.id, nil
 }
 
 // evictLibraryLocked removes one library instance from a worker,

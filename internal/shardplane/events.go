@@ -1,0 +1,155 @@
+package shardplane
+
+import (
+	"repro/internal/core"
+	"repro/internal/policy"
+	"repro/internal/proto"
+)
+
+// The plane's event methods (DESIGN.md §12): one per engine event — a
+// worker's join and death, a result, a file ack, a library ack — each the
+// one way its event enters, running its whole fixed order: the router
+// change, the ref stream, under the shard lock the verb, the replica
+// notes and the shell's hooks, the quota release, then with no lock held
+// the wakes and the nudge. The engine keeps its clock: a retry's backoff
+// is its Shell's Done to arrange.
+
+// home is worker's shard.
+func (p *Plane[T, I]) home(worker string) *Sched[T, I] { return p.Shards[p.ShardOf(worker)] }
+
+// note records a confirmed replica of obj on worker, and has the shell
+// follow a new one.
+func (s *Sched[T, I]) note(worker string, wv *policy.WorkerView, obj string) {
+	if s.view.NoteReplica(wv, obj) {
+		s.shell.Held(worker, obj)
+	}
+}
+
+// Join is worker's arrival, false if the plane is closed or the shell
+// refuses it: its shard takes it into the view and marks every queue, the
+// router learns it, and the shard runs, then the workerless shards —
+// whose parked specs can now leave — and the starving ones.
+func (p *Plane[T, I]) Join(worker string) bool {
+	s := p.home(worker)
+	s.mu.Lock()
+	ok := !p.Closed() && s.shell.Join(worker)
+	if ok {
+		s.Joined()
+	}
+	s.mu.Unlock()
+	if !ok {
+		return false
+	}
+	p.Add(worker)
+	s.Wake()
+	p.WakeParked()
+	p.Nudge()
+	return true
+}
+
+// Leave is worker's death. The router forgets it first — forward targets
+// and ring ownership move — then every ref it owned re-homes (trace-silent
+// when it owned none), then its shard takes it out of the view and
+// requeues what ran there within the retry budget; what is past it returns
+// its quota and is handed back, lost, for the engine to fail. Then the
+// shard runs and starving shards get another chance.
+func (p *Plane[T, I]) Leave(worker string) (requeued int, lost []Run[T, I]) {
+	p.Remove(worker)
+	s := p.home(worker)
+	s.mu.Lock()
+	s.shell.Refs(p.RefOwnerDied(worker), nil)
+	requeued, lost = s.Died(worker, s.shell.Leave(worker))
+	for i := range lost {
+		p.Release(lost[i].Tenant())
+	}
+	s.mu.Unlock()
+	s.Wake()
+	p.Nudge()
+	return requeued, lost
+}
+
+// Result is worker's result of spec res.ID, false if no such spec runs
+// there. The spec leaves the worker — a retryable failure within the
+// budget backs off in the table — a by-ref result makes the producer the
+// ref's owner, a task's resources come back and its cacheable inputs are
+// noted as replicas unless the attempt failed retryably (a copy that
+// never staged must stage again); the shell frees an invocation's slot
+// and, the lock released, delivers the result or backs it off. A final
+// result returns its quota. The shard runs, and the freed capacity
+// nudges starving shards.
+func (p *Plane[T, I]) Result(worker string, res core.Result) bool {
+	s := p.home(worker)
+	s.mu.Lock()
+	r, retry, ok := s.Done(worker, res.ID, !res.Ok && res.Retryable && !p.Closed())
+	if !ok {
+		s.mu.Unlock()
+		return false
+	}
+	if res.Ok && res.Ref != nil {
+		s.shell.Refs(nil, p.RefResult(worker, res.Ref))
+	}
+	if r.IsTask {
+		wv := s.view.Workers[worker]
+		wv.Commit = wv.Commit.Sub(r.Task.Spec.Need())
+		for _, in := range r.Task.Spec.Inputs() {
+			if in.Cache && (res.Ok || !res.Retryable) {
+				s.note(worker, wv, in.Object.ID)
+			}
+		}
+	} else {
+		s.shell.Freed(worker, r.Inv.Lib)
+	}
+	s.mu.Unlock()
+	s.shell.Done(worker, r, res, retry)
+	if retry == 0 {
+		p.Release(r.Tenant())
+	}
+	s.Wake()
+	p.Nudge()
+	return true
+}
+
+// FileAck is worker's ack of its copy of ack.ID. The copy is no longer in
+// flight; a cached one is a replica, in the view and in the ref catalog.
+// A failed one is recovered: a ref's by the catalog's restage, planned
+// here and executed by the shell, any other over the engine's own link if
+// it can. The shell settles the ack, and what waited on the object's
+// first copy looks again. A file ack frees no invocation capacity, so no
+// nudge.
+func (p *Plane[T, I]) FileAck(worker string, ack proto.FileAck) {
+	s := p.home(worker)
+	s.mu.Lock()
+	wv := s.view.Workers[worker]
+	s.view.ClearPending(wv, ack.ID)
+	restaged := false
+	switch {
+	case ack.Ok && ack.Cache:
+		s.note(worker, wv, ack.ID)
+		p.RefHeld(worker, ack.ID)
+	case !ack.Ok:
+		if d, name, isRef := p.ResolveRef(worker, ack.ID, true); isRef {
+			restaged = s.shell.Resolve(worker, ack.ID, name, d)
+		} else {
+			restaged = s.shell.Restage(worker, ack)
+		}
+	}
+	s.shell.Acked(worker, ack, restaged)
+	s.FileAcked(ack.ID)
+	s.mu.Unlock()
+	s.Wake()
+}
+
+// LibAck is worker's ack of its install of ack.Library: the shell settles
+// the instance — ready, or gone — and, if one was installing, its claim
+// goes and what it opens looks again. A ready instance, or the resources
+// a failed one frees, is capacity starving shards may want.
+func (p *Plane[T, I]) LibAck(worker string, ack proto.LibraryAck) {
+	s := p.home(worker)
+	s.mu.Lock()
+	if s.shell.Installed(worker, ack) {
+		s.LibAcked(worker, ack.Library, ack.Ok)
+	}
+	s.mu.Unlock()
+	s.Wake()
+	p.Nudge()
+}

@@ -11,23 +11,29 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/policy"
+	"repro/internal/proto"
 )
 
 // The per-shard scheduler both engines run (DESIGN.md §12): the intake
 // submitters post to, a keyed task queue and one invocation queue per
 // library, their dirty and starving marks, the objects each queue waits
 // on, the coalesced wake loop, the task pass, the invocation pass with
-// its install claims, every rule that moves a spec to another shard, the
-// in-flight table — what runs on which worker, each spec's retry budget,
-// and the order a death requeues in — and the event verbs, which mark
-// exactly what each engine event could unblock. An engine is a Shell
-// around it — the manager with a mutex, sockets and timers; sim.Replay
-// with none.
+// its deploys and install claims, every rule that moves a spec to another
+// shard, the in-flight table — what runs on which worker, each spec's
+// retry budget, and the order a death requeues in — and the event verbs,
+// which mark exactly what each engine event could unblock. The passes
+// record what they plan and hand it to a Shell to carry out — the
+// manager with a mutex, sockets and timers; sim.Replay with none.
+
+// Payload is what the plane asks of every spec an engine queues: the
+// tenant whose quota it holds ("" for none).
+type Payload interface{ Tenant() string }
 
 // Spec is the engine's payload of a queued task: Need is what a worker
 // must offer in total to ever hold it, Inputs what must be staged there
 // before it runs.
 type Spec interface {
+	Payload
 	Need() core.Resources
 	Inputs() []core.FileSpec
 }
@@ -67,7 +73,7 @@ type Inv[I any] struct {
 
 // Run is one spec outside the queues — in the intake, in the in-flight
 // table, handed back to the engine: Task if IsTask, else Inv.
-type Run[T Spec, I any] struct {
+type Run[T Spec, I Payload] struct {
 	IsTask bool
 	Task   Task[T]
 	Inv    Inv[I]
@@ -81,6 +87,14 @@ func (r Run[T, I]) ID() int64 {
 	return r.Inv.ID
 }
 
+// Tenant names the tenant whose quota the spec holds.
+func (r Run[T, I]) Tenant() string {
+	if r.IsTask {
+		return r.Task.Spec.Tenant()
+	}
+	return r.Inv.Spec.Tenant()
+}
+
 // TaskKey is the ring key of spec number n.
 func TaskKey(n int64) string { return "task-" + strconv.FormatInt(n, 10) }
 
@@ -90,27 +104,51 @@ func KeyNum(key string) int64 {
 	return n
 }
 
-// Shell is what an engine supplies around one shard's Sched: the
-// decisions' execution. Every method is called with the shard lock held.
-type Shell[T Spec, I any] interface {
-	// Place executes one placement (d.Worker is set) and may stamp t.Spec
-	// with what the engine wants kept with the dispatch; the pass then
-	// enters *t in the in-flight table.
-	Place(t *Task[T], d policy.PlaceTask)
-	// LibNeed is what one instance of lib needs of a worker, if the
-	// engine knows lib (else Reject fails its invocations).
-	LibNeed(lib string) (need core.Resources, known bool)
+// Shell is what an engine supplies around one shard's Sched. It decides
+// and records nothing: it carries out what a pass decided, and does an
+// event's engine work — view surgery, messages, counters — where the
+// Plane's event method (events.go) calls for it. Every method but Done is
+// called with the shard lock held.
+type Shell[T Spec, I Payload] interface {
+	// Library is lib's deploy spec, if the engine knows lib (else Reject
+	// fails its invocations); it must not allocate.
+	Library(lib string) (spec *policy.DeploySpec, known bool)
 	// Reject reports that inv can never run, having failed it to its
 	// submitter.
 	Reject(inv Inv[I]) bool
-	// PlaceInv executes one ready placement; the pass then enters inv in
-	// the in-flight table.
+	// Stage executes a peer or direct staging decision; Resolve, the ref
+	// catalog's resolve of a copy of ref obj (file name) onto worker,
+	// reporting whether a transfer went out.
+	Stage(sf policy.StageFile)
+	Resolve(worker, obj, name string, d policy.ResolveDecision) (sent bool)
+	// Place and PlaceInv execute a placement whose stages are out; Place
+	// may stamp t.Spec with what the engine keeps with the dispatch.
+	Place(t *Task[T], d policy.PlaceTask)
 	PlaceInv(inv Inv[I], d policy.PlaceInvocation)
-	// Deploy starts one new instance of lib if the policy finds room, and
-	// names the worker it chose: the install is that worker's claim until
-	// LibAcked or Died. Else blocked names the objects whose first copy in
-	// flight holds every candidate up.
-	Deploy(lib string) (worker string, blocked []string)
+	// Deploy starts the instance of lib d plans, its stages out: its
+	// worker's claim until LibAcked or Died.
+	Deploy(lib string, d policy.DeployLibrary)
+
+	// Join enters worker in the view, or refuses it; Leave takes it out,
+	// returning the objects whose copies to it were cleared.
+	Join(worker string) bool
+	Leave(worker string) (cleared []string)
+	// Installed settles worker's instance of ack.Library, if one was
+	// installing there.
+	Installed(worker string, ack proto.LibraryAck) (known bool)
+	// Restage resends a failed copy, not a ref's, over the engine's own
+	// link if it can; Acked settles the ack after the recovery.
+	Restage(worker string, ack proto.FileAck) bool
+	Acked(worker string, ack proto.FileAck, restaged bool)
+	// Held follows the view's note of a new replica of obj on worker;
+	// Freed, an invocation of lib leaving its slot there.
+	Held(worker, obj string)
+	Freed(worker, lib string)
+	// Done is a result's engine work once the lock is released: the
+	// delivery — or, with retry > 0, the backoff whose end calls Retry.
+	Done(worker string, r Run[T, I], res core.Result, retry int)
+	// Refs executes the re-homes and spills the ref stream decided.
+	Refs(rehomes []policy.Rehome, spills []policy.RefSpill)
 }
 
 // NoLock is the shard lock of an engine that runs on one goroutine.
@@ -122,7 +160,7 @@ func (NoLock) Unlock() {}
 // Plane is the dispatch plane's shared part: the router, one Sched per
 // shard, the hand-offs into them, and the two global decision streams
 // (streams.go): the tenant plane and the ref catalog.
-type Plane[T Spec, I any] struct {
+type Plane[T Spec, I Payload] struct {
 	*Router
 	Shards []*Sched[T, I]
 	cfg    Config
@@ -145,6 +183,7 @@ type Plane[T Spec, I any] struct {
 	pool     sync.Pool
 	closed   atomic.Bool
 	forwards atomic.Int64
+	drains   atomic.Int64
 	// fed lists the shards Route fed that nobody has woken yet, in
 	// first-fed order; hasFed makes the empty check one load.
 	fedMu  sync.Mutex
@@ -173,7 +212,7 @@ type Config struct {
 }
 
 // NewPlane builds a plane for Attach to fill.
-func NewPlane[T Spec, I any](cfg Config) *Plane[T, I] {
+func NewPlane[T Spec, I Payload](cfg Config) *Plane[T, I] {
 	r := NewRouter(cfg.Shards)
 	p := &Plane[T, I]{Router: r, Shards: make([]*Sched[T, I], r.n), cfg: cfg}
 	p.pool.New = func() any { return new(node[T, I]) }
@@ -263,14 +302,14 @@ func (p *Plane[T, I]) Forwards() int64 { return p.forwards.Load() }
 
 // Sched is one shard's scheduler. Everything but Wake, Passes and Wakes
 // needs the shard lock.
-type Sched[T Spec, I any] struct {
+type Sched[T Spec, I Payload] struct {
 	p     *Plane[T, I]
 	idx   int
 	view  *policy.ClusterView
 	mu    sync.Locker
 	shell Shell[T, I]
-	// rec records this shard's decisions, the shell's included (nil when
-	// the plane is untraced).
+	// rec records the decisions this shard's passes plan (nil when the
+	// plane is untraced).
 	rec *policy.Recorder
 
 	// intake is a Treiber stack of posted specs the loop drains at each
@@ -329,7 +368,7 @@ type libQueue[I any] struct {
 
 // host is one worker's part of the in-flight table: the specs running
 // there, in ascending spec order — the order a death requeues them in.
-type host[T Spec, I any] struct{ runs []Run[T, I] }
+type host[T Spec, I Payload] struct{ runs []Run[T, I] }
 
 // held is tasks, or one library's queue, leaving for shard to.
 type held[T Spec, I any] struct {
@@ -339,7 +378,7 @@ type held[T Spec, I any] struct {
 }
 
 // node is one posted spec in a shard's intake, from the plane's pool.
-type node[T Spec, I any] struct {
+type node[T Spec, I Payload] struct {
 	next *node[T, I]
 	run  Run[T, I]
 }
@@ -469,10 +508,6 @@ func (s *Sched[T, I]) Running(worker string) []Run[T, I] {
 	return nil
 }
 
-// Rec is the shard's recorder, nil when the plane is untraced: the shell
-// records what it executes into it. No lock needed.
-func (s *Sched[T, I]) Rec() *policy.Recorder { return s.rec }
-
 // InFlight counts the specs running on workers; BackingOff those Done
 // found within their budget and Retry has not yet requeued.
 func (s *Sched[T, I]) InFlight() int   { return s.running }
@@ -480,10 +515,11 @@ func (s *Sched[T, I]) BackingOff() int { return len(s.backoff) }
 
 // ---- the event verbs ----
 //
-// One per engine event, called under the shard lock: each sets the marks
-// of exactly the queues the event could unblock, and the engine then
-// wakes the shard (and, where capacity moved, nudges the plane) with
-// none held.
+// One per engine event, called by the Plane's event method (events.go)
+// under the shard lock: each sets the marks of exactly the queues the
+// event could unblock, and the event method then wakes the shard (and,
+// where capacity moved, nudges the plane) with none held. Retry alone is
+// the engine's to call, when its backoff ends.
 
 // Joined is a worker's arrival here: fresh capacity for every queue.
 func (s *Sched[T, I]) Joined() { s.markAll() }
@@ -815,6 +851,10 @@ func (s *Sched[T, I]) pass() {
 		}
 		switch {
 		case d.Worker != nil:
+			s.rec.Record(policy.Decision{Kind: policy.KindTask, Spec: t.ID, Key: t.Key, Worker: d.Worker.ID, Stages: len(d.Stages)})
+			for _, sf := range d.Stages {
+				s.stage(sf)
+			}
 			s.shell.Place(t, d)
 			s.register(d.Worker.ID, Run[T, I]{IsTask: true, Task: *t})
 		case len(d.Blocked) == 0 && hasNext && t.Hops < len(s.p.Shards) && s.quiet():
@@ -828,6 +868,23 @@ func (s *Sched[T, I]) pass() {
 	if len(fwd) > 0 {
 		s.held = append(s.held, held[T, I]{to: next, tasks: fwd})
 	}
+}
+
+// stage records one staging decision and has it executed: a ref copy's
+// source is the ref catalog's to plan (Plane.ResolveRef), the shard view
+// cannot see it.
+func (s *Sched[T, I]) stage(sf policy.StageFile) {
+	d := policy.Decision{Kind: policy.KindStage, Obj: sf.Object, Dst: sf.Dst.ID, Mode: sf.Mode.String()}
+	if sf.Mode == policy.StagePeer {
+		d.Src = sf.Src.ID
+	}
+	s.rec.Record(d)
+	if sf.Mode == policy.StageRef {
+		rd, _, _ := s.p.ResolveRef(sf.Dst.ID, sf.Object, false)
+		s.shell.Resolve(sf.Dst.ID, sf.Object, sf.Spec.Object.Name, rd)
+		return
+	}
+	s.shell.Stage(sf)
 }
 
 // deadEnd is the static rule: within the hop budget, and no worker of
@@ -857,7 +914,8 @@ func (s *Sched[T, I]) passInvs() {
 		if !marked || len(lq.q) == 0 {
 			continue
 		}
-		if need, known := s.shell.LibNeed(lq.name); known && s.deadEnd(lq.q[0].Hops, "", need) {
+		spec, known := s.shell.Library(lq.name)
+		if known && s.deadEnd(lq.q[0].Hops, "", spec.Res) {
 			if next, ok := s.p.NextAlive(s.idx); ok {
 				for i := range lq.q {
 					lq.q[i].Hops++
@@ -866,7 +924,7 @@ func (s *Sched[T, I]) passInvs() {
 				continue
 			}
 		}
-		s.passLib(lq)
+		s.passLib(lq, spec)
 	}
 }
 
@@ -882,12 +940,12 @@ func (s *Sched[T, I]) hold(lq *libQueue[I], to int) {
 // go. Per entry: a ready instance with a free slot, on a worker other
 // than the one its last attempt failed on; else on that worker —
 // starving beats the preference; else an install already in flight
-// will serve it; else a new instance is deployed and the entry waits
-// for its ack. The first entry that can neither be placed nor deploy
-// ends the pass over this queue — every later one faces the same
-// cluster — and the tail is not looked at, not even by Reject, until
-// the queue drains to it.
-func (s *Sched[T, I]) passLib(lq *libQueue[I]) {
+// will serve it; else a new instance of spec (nil: a library the engine
+// does not know) is deployed and the entry waits for its ack. The first
+// entry that can neither be placed nor deploy ends the pass over this
+// queue — every later one faces the same cluster — and the tail is not
+// looked at, not even by Reject, until the queue drains to it.
+func (s *Sched[T, I]) passLib(lq *libQueue[I], spec *policy.DeploySpec) {
 	q := lq.q
 	keep := q[:0]
 	// Installs in flight at pass start each absorb one entry; deploys
@@ -903,6 +961,7 @@ func (s *Sched[T, I]) passLib(lq *libQueue[I]) {
 			d = s.view.PlaceReady(lq.name, nil)
 		}
 		if d.Worker != nil {
+			s.rec.Record(policy.Decision{Kind: policy.KindPlace, Spec: inv.ID, Lib: inv.Lib, Worker: d.Worker.ID})
 			s.shell.PlaceInv(inv, d)
 			s.register(d.Worker.ID, Run[T, I]{Inv: inv})
 			continue
@@ -912,20 +971,41 @@ func (s *Sched[T, I]) passLib(lq *libQueue[I]) {
 			claimable--
 			continue
 		}
-		worker, blocked := s.shell.Deploy(lq.name)
-		if worker == "" {
-			for _, obj := range blocked {
-				s.wait(obj, lq.name)
-			}
+		if !s.deploy(lq, spec) {
 			keep = append(keep, q[i+1:]...)
 			break
 		}
-		lq.claims = append(lq.claims, worker)
-		s.claims++
 	}
 	s.invs -= len(q) - len(keep)
 	clear(q[len(keep):])
 	lq.q = keep
+}
+
+// deploy plans one new instance of lq's library, records it and has it
+// executed, its stages first; the worker's install becomes the queue's
+// claim. False when no worker can take one now: the queue then waits on
+// the first copies in flight that held every candidate up.
+func (s *Sched[T, I]) deploy(lq *libQueue[I], spec *policy.DeploySpec) bool {
+	if spec == nil {
+		return false
+	}
+	d := s.view.PlanDeploy(*spec, nil)
+	if d.Worker == nil {
+		for _, obj := range d.Blocked {
+			s.wait(obj, lq.name)
+		}
+		return false
+	}
+	if s.rec != nil { // EvictNames allocates
+		s.rec.Record(policy.Decision{Kind: policy.KindDeploy, Lib: lq.name, Worker: d.Worker.ID, Stages: len(d.Stages), Evict: d.EvictNames()})
+	}
+	for _, sf := range d.Stages {
+		s.stage(sf)
+	}
+	s.shell.Deploy(lq.name, d)
+	lq.claims = append(lq.claims, d.Worker.ID)
+	s.claims++
+	return true
 }
 
 // Nudge follows a capacity-freeing event anywhere — a result, a ready

@@ -11,6 +11,7 @@ import (
 	"repro/internal/content"
 	"repro/internal/core"
 	"repro/internal/policy"
+	"repro/internal/proto"
 )
 
 // The scheduler on bare policy.ClusterViews: no engine, only a shell
@@ -23,9 +24,12 @@ type testSpec struct {
 
 func (p testSpec) Need() core.Resources    { return p.need }
 func (p testSpec) Inputs() []core.FileSpec { return p.inputs }
+func (testSpec) Tenant() string            { return "" }
 
 // testInv is a queued invocation's payload: its spec number.
 type testInv int64
+
+func (testInv) Tenant() string { return "" }
 
 type (
 	testTask  = Task[testSpec]
@@ -72,11 +76,16 @@ const (
 )
 
 func newTestPlane(n int) *testPlane {
-	tp := &testPlane{Plane: NewPlane[testSpec, testInv](Config{Shards: n, MaxRetries: testBudget}),
+	return newPlaneWith(Config{Shards: n, MaxRetries: testBudget}, policy.Options{PeerTransfers: true})
+}
+
+// newPlaneWith is newTestPlane with the plane's config and the shards'
+// view options given.
+func newPlaneWith(cfg Config, opts policy.Options) *testPlane {
+	tp := &testPlane{Plane: NewPlane[testSpec, testInv](cfg),
 		libs: map[string]core.Resources{}, files: map[string][]core.FileSpec{}, reject: map[int64]bool{}}
 	for i := range tp.Shards {
-		sh := &testShell{idx: i, plane: tp,
-			view: policy.NewClusterView(policy.Options{PeerTransfers: true})}
+		sh := &testShell{idx: i, plane: tp, view: policy.NewClusterView(opts)}
 		sh.sched = tp.Attach(i, sh.view, &sh.mu, sh)
 		tp.shells = append(tp.shells, sh)
 	}
@@ -152,9 +161,24 @@ func execPlacement(v *policy.ClusterView, t testTask, d policy.PlaceTask) string
 	return t.Key + "@" + d.Worker.ID
 }
 
-func (sh *testShell) LibNeed(lib string) (core.Resources, bool) {
+func (sh *testShell) Library(lib string) (*policy.DeploySpec, bool) {
 	need, known := sh.plane.libs[lib]
-	return need, known
+	if !known {
+		return nil, false
+	}
+	return &policy.DeploySpec{Name: lib, Res: need, Files: sh.plane.files[lib]}, true
+}
+
+// Stage notes nothing: the test shell notes a placement's or deploy's
+// copies with it (execPlacement, install), as the oracles do.
+func (sh *testShell) Stage(policy.StageFile) {}
+
+func (sh *testShell) Resolve(worker, obj, _ string, d policy.ResolveDecision) bool {
+	if d.Mode != policy.ResolvePeer && d.Mode != policy.ResolveShared {
+		return false
+	}
+	sh.view.NotePending(sh.view.Workers[worker], obj)
+	return true
 }
 
 func (sh *testShell) Reject(inv testCall) bool {
@@ -175,12 +199,8 @@ func execInvPlacement(v *policy.ClusterView, inv testCall, d policy.PlaceInvocat
 	return fmt.Sprintf("%s#%d@%s", inv.Lib, inv.Spec, d.Worker.ID)
 }
 
-func (sh *testShell) Deploy(lib string) (string, []string) {
-	on, blocked := execDeploy(sh.view, lib, sh.plane.libs[lib], sh.plane.files[lib])
-	if on != "" {
-		sh.placed = append(sh.placed, "deploy "+lib+"@"+on)
-	}
-	return on, blocked
+func (sh *testShell) Deploy(lib string, d policy.DeployLibrary) {
+	sh.placed = append(sh.placed, "deploy "+lib+"@"+install(sh.view, lib, d))
 }
 
 // execDeploy installs one instance where PlanDeploy finds room, staging
@@ -190,12 +210,66 @@ func execDeploy(v *policy.ClusterView, lib string, need core.Resources, files []
 	if d.Worker == nil {
 		return "", d.Blocked
 	}
+	return install(v, lib, d), nil
+}
+
+// install starts the instance d plans the way an engine does: its
+// evictions, its staged files, its instance and commitment.
+func install(v *policy.ClusterView, lib string, d policy.DeployLibrary) string {
+	for _, e := range d.Evict {
+		d.Worker.Commit = d.Worker.Commit.Sub(d.Worker.Libs[e.Lib].Res)
+		v.RemoveLibrary(d.Worker, e.Lib)
+	}
 	for _, sf := range d.Stages {
 		v.NotePending(sf.Dst, sf.Object)
 	}
 	v.AddInstance(d.Worker, &policy.LibraryView{Name: lib, Slots: testSlots, MaxInstances: 1, Res: d.Res})
 	d.Worker.Commit = d.Worker.Commit.Add(d.Res)
-	return d.Worker.ID, nil
+	return d.Worker.ID
+}
+
+// The events' engine work, on the view alone: a joining worker has
+// testJoinCores cores, an instance comes up with every slot free, a
+// finished invocation frees its slot, and a retry's backoff is over at
+// once.
+const testJoinCores = 4
+
+func (sh *testShell) Join(worker string) bool {
+	sh.view.AddWorker(worker, "", core.Resources{Cores: testJoinCores})
+	return true
+}
+
+func (sh *testShell) Leave(worker string) []string {
+	_, cleared := sh.view.RemoveWorker(sh.view.Workers[worker])
+	return cleared
+}
+
+func (sh *testShell) Installed(worker string, ack proto.LibraryAck) bool {
+	w := sh.view.Workers[worker]
+	lv := w.Libs[ack.Library]
+	if lv != nil && ack.Ok {
+		lv.Ready = true
+		sh.view.SetFreeReady(w, lv, lv.Slots)
+	}
+	return lv != nil
+}
+
+func (sh *testShell) Restage(string, proto.FileAck) bool      { return false }
+func (sh *testShell) Acked(string, proto.FileAck, bool)       {}
+func (sh *testShell) Held(string, string)                     {}
+func (sh *testShell) Refs([]policy.Rehome, []policy.RefSpill) {}
+
+func (sh *testShell) Freed(worker, lib string) {
+	w := sh.view.Workers[worker]
+	sh.view.SetFreeReady(w, w.Libs[lib], w.Libs[lib].FreeReady+1)
+}
+
+func (sh *testShell) Done(_ string, r testRun, _ core.Result, retry int) {
+	if retry > 0 {
+		sh.mu.Lock()
+		sh.sched.Retry(r.ID())
+		sh.mu.Unlock()
+	}
 }
 
 // ack brings lib's installing instance on w up: ready with every slot

@@ -22,7 +22,8 @@
 // sched.go is the scheduling: one Sched per shard — intake, task queue
 // and library queues, wake loop, task pass and invocation pass, every
 // path that moves a spec to another shard, and the event verbs — around
-// which the manager and sim.Replay are shells.
+// which the manager and sim.Replay are shells; events.go is the one way
+// each engine event enters.
 package shardplane
 
 import (

@@ -20,14 +20,13 @@ import (
 //     results that stayed on their producers, with the ownership
 //     transfers, spills, resolves, promotes and rehomes over it.
 //
-// An engine calls these where its events happen and keeps only the
-// transport: the manager sends the spill, adopt and fetch messages these
-// return and counts them; sim.Replay drops the messages, which carry no
-// state. Both mutexes are leaves, taken under a shard lock or none: under
-// tenantMu only Route runs (lock-free posts), never a shard lock or a
-// wake — the shards a drain fed wake at WakeFed, or at the next wake-loop
-// exit on paths that hold a shard lock — and the engine sends what the
-// ref stream returns after refMu is released.
+// The plane's passes and event methods (events.go) call these; an engine
+// keeps the transport, sending the spill, adopt and fetch messages its
+// Shell is handed (sim.Replay drops them: they carry no state). Both
+// mutexes are leaves, taken under a shard lock or none: under tenantMu
+// only Route runs (lock-free posts), never a shard lock or a wake — the
+// shards a drain fed wake at WakeFed, or at the next wake-loop exit on
+// paths that hold a shard lock.
 //
 // Determinism: each stream is written in the order its mutex is taken.
 // Where events arrive one at a time — the differentials at any shard
@@ -39,9 +38,9 @@ import (
 // SubmitTenant submits r for tenant through the tenant plane and wakes
 // the shards its drain fed. An unregistered tenant, the empty one
 // included, or a plane without tenants routes r directly (Submit), and
-// known is false; d and released are the admission verdict and the
-// count of specs the drain released.
-func (p *Plane[T, I]) SubmitTenant(tenant string, r Run[T, I]) (d policy.AdmitDecision, released int, known bool) {
+// known is false; d is the admission verdict.
+func (p *Plane[T, I]) SubmitTenant(tenant string, r Run[T, I]) (d policy.AdmitDecision, known bool) {
+	var released int
 	if tenant != "" && p.tenants != nil {
 		p.tenantMu.Lock()
 		d, released, known = p.tenants.Submit(tenant, r, p.Route)
@@ -49,24 +48,29 @@ func (p *Plane[T, I]) SubmitTenant(tenant string, r Run[T, I]) (d policy.AdmitDe
 	}
 	if !known {
 		p.Submit(r)
-		return d, 0, false
+		return d, false
 	}
+	p.drains.Add(int64(released))
 	p.WakeFed()
-	return d, released, true
+	return d, true
 }
 
 // Release returns one unit of tenant's quota — a final result of a spec
-// it submitted, or a retry budget spent — and reports how many specs the
-// freed quota released into the shards' intakes; they wake at the next
-// wake-loop exit. Free without tenants or for untenanted work.
-func (p *Plane[T, I]) Release(tenant string) int {
+// it submitted, or a retry budget spent — and the specs the freed quota
+// releases enter the shards' intakes; they wake at the next wake-loop
+// exit. Free without tenants or for untenanted work.
+func (p *Plane[T, I]) Release(tenant string) {
 	if tenant == "" || p.tenants == nil {
-		return 0
+		return
 	}
 	p.tenantMu.Lock()
-	defer p.tenantMu.Unlock()
-	return p.tenants.Release(tenant, p.Route)
+	p.drains.Add(int64(p.tenants.Release(tenant, p.Route)))
+	p.tenantMu.Unlock()
 }
+
+// Drains counts the specs the tenant plane has released into the shards'
+// intakes. No lock needed.
+func (p *Plane[T, I]) Drains() int64 { return p.drains.Load() }
 
 // TenantStats is the per-tenant breakdown in sorted-name order; nil
 // without tenants.

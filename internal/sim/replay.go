@@ -2,34 +2,27 @@ package sim
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/policy"
+	"repro/internal/proto"
 	"repro/internal/shardplane"
 )
 
 // Replay drives the simulator's scheduling state machine from an
-// explicit event sequence instead of the virtual clock. Placement,
-// staging and deploy decisions still come from the shared policy core
-// against live ClusterViews; what Replay removes is time — the caller
-// says when transfers land (or fail), libraries come up, workers join
-// and die, and invocations finish. It is the second shell of the shared
-// dispatch plane (DESIGN.md §12), the one with no sockets and no locks,
-// and answers every event the manager can see. Globally it holds the
-// shardplane.Plane (the router, one scheduler per shard, the submission
-// plane and the ref catalog) and the spec and worker counters; per
-// shard (replayShard) a cluster view around that shard's scheduler, which
-// owns the intake, the keyed task queue, the library's invocation queue
-// with its install claims, what each queue waits on, the wake loop, both
-// passes, every shard-crossing path and the in-flight table: what runs on
-// which worker, each spec's retry budget, the order a death requeues in.
-// Each event handler is the manager's: the scheduler's verb for the
-// event, then the manager's wakes and nudges. The replay models no slots
-// of its own. Like the manager, it hosts one
+// explicit event sequence instead of the virtual clock: the caller says
+// when transfers land (or fail), libraries come up, workers join and die,
+// and invocations finish. It is the second shell of the shared dispatch
+// plane (DESIGN.md §12), the one with no sockets and no locks. The plane
+// decides — its schedulers plan and record every decision against this
+// replay's ClusterViews — and runs each event in the manager's order
+// (shardplane events.go); a handler here checks what only the replay
+// knows, such as whether a copy is in flight, and makes that one call,
+// and the shell (replayShard) executes. Like the manager, it hosts one
 // instance per worker with Config.SlotsPerWorker slots and binds an
-// invocation when the instance is ready — a deploy consumes none (the
-// timed Run hosts one single-slot instance per slot and binds at deploy
-// start: sim.go, placeL3).
+// invocation when the instance is ready (the timed Run hosts one
+// single-slot instance per slot and binds at deploy start: placeL3).
 //
 // One shard is the degenerate case: nothing to forward to, nothing to
 // nudge. The differential harness (internal/manager) feeds one event
@@ -51,10 +44,8 @@ type Replay struct {
 	nextWorker int
 }
 
-// replayShard is one shard's scheduling state: the Shell of its
-// scheduler.
+// replayShard is one shard's state: the Shell of its scheduler.
 type replayShard struct {
-	r  *Replay
 	st *state
 	// sched holds the pending specs: tasks by ring key (assigned at
 	// submission, requeued verbatim), invocations in the library's queue.
@@ -72,6 +63,7 @@ type replaySpec struct {
 
 func (replaySpec) Need() core.Resources      { return oneSlot }
 func (p replaySpec) Inputs() []core.FileSpec { return p.inputs }
+func (p replaySpec) Tenant() string          { return p.tenant }
 
 type (
 	replayTask = shardplane.Task[replaySpec]
@@ -87,7 +79,7 @@ type (
 // records every shard and each stream into a recorder of its own.
 func NewReplay(cfg Config, shards int) *Replay {
 	cfg.defaults()
-	cfg.Invocations = 0
+	cfg.Invocations, cfg.DecisionTrace = 0, nil
 	r := &Replay{cfg: cfg, shardPlane: shardplane.NewPlane[replaySpec, specRef](shardplane.Config{
 		Shards:           shards,
 		MaxRetries:       shardplane.DefaultMaxRetries,
@@ -96,11 +88,8 @@ func NewReplay(cfg Config, shards int) *Replay {
 		Trace:            true,
 	})}
 	for i := range r.shardPlane.Shards {
-		st := newState(cfg, true)
-		sh := &replayShard{r: r, st: st}
-		sh.sched = r.shardPlane.Attach(i, st.view, shardplane.NoLock{}, sh)
-		st.rec = sh.sched.Rec()
-		st.stageRef = func(dst *policy.WorkerView, id string) { r.stageRef(st.view, dst, id, false) }
+		sh := &replayShard{st: newState(cfg, true)}
+		sh.sched = r.shardPlane.Attach(i, sh.st.view, shardplane.NoLock{}, sh)
 		r.shards = append(r.shards, sh)
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -110,116 +99,126 @@ func NewReplay(cfg Config, shards int) *Replay {
 }
 
 func (r *Replay) lib() string { return r.shards[0].st.lib }
-
-// release returns the quota unit of a spec that will not run again — a
-// final result, or a retry budget spent — to the submission plane, if
-// there is one; the shards its drain feeds wake at the next loop exit.
-func (r *Replay) release(run *replayRun) {
-	tenant := run.Inv.Spec.tenant
-	if run.IsTask {
-		tenant = run.Task.Spec.tenant
-	}
-	r.shardPlane.Release(tenant)
-}
-
-// stageRef executes one proxy-object copy onto dst in view v, the
-// manager's execResolveLocked less its messages, which carry no state: a
-// first resolve at ref-stage execution, or (failed) a failed fetch's
-// recovery. Peer and shared fetches mark the in-flight copy; ready and
-// lost stage nothing (a lost ref's dispatch fails retryably on the
-// worker). With no catalog and no dead sources in the synchronous replay,
-// neither ResolveDirect nor the manager's dead-source fallback arises.
-func (r *Replay) stageRef(v *policy.ClusterView, dst *policy.WorkerView, id string, failed bool) {
-	if d, _, _ := r.shardPlane.ResolveRef(dst.ID, id, failed); d.Mode == policy.ResolvePeer || d.Mode == policy.ResolveShared {
-		v.NotePending(dst, id)
-	}
-}
+func (r *Replay) env() string { return r.shards[0].st.envObj }
 
 // ---- one shard's shell (shardplane.Shell; there is no lock) ----
 
-// LibNeed: an instance takes its worker whole, and any live worker can
+// Library: an instance takes its worker whole, and any live worker can
 // host one — the queue never overflow-forwards.
-func (sh *replayShard) LibNeed(string) (core.Resources, bool) {
-	return core.Resources{Cores: sh.st.cfg.SlotsPerWorker}, true
-}
+func (sh *replayShard) Library(string) (*policy.DeploySpec, bool) { return &sh.st.deploy, true }
 
 func (sh *replayShard) Reject(replayInv) bool { return false }
 
-// PlaceInv carries out one ready placement: trace, one slot taken.
-func (sh *replayShard) PlaceInv(inv replayInv, d policy.PlaceInvocation) {
-	st := sh.st
-	w := st.byID[d.Worker.ID]
-	st.rec.Record(policy.Decision{Kind: policy.KindPlace, Spec: inv.ID, Lib: inv.Lib, Worker: w.id})
-	w.freeReady--
-	st.syncLib(w)
+func (sh *replayShard) Stage(sf policy.StageFile) { sh.st.execStage(sf) }
+
+// Resolve executes one proxy-object copy, the manager's Resolve less its
+// messages, which carry no state: a peer or shared fetch marks the copy
+// in flight; ready and lost stage nothing. With no catalog and no dead
+// sources, neither ResolveDirect nor the dead-source fallback arises.
+func (sh *replayShard) Resolve(worker, obj, _ string, d policy.ResolveDecision) bool {
+	if d.Mode != policy.ResolvePeer && d.Mode != policy.ResolveShared {
+		return false
+	}
+	sh.st.view.NotePending(sh.st.byID[worker].v, obj)
+	return true
 }
 
-// Deploy starts the worker's instance where the policy core finds room;
-// LibReady is its ack.
-func (sh *replayShard) Deploy(lib string) (string, []string) {
-	need, _ := sh.LibNeed(lib)
-	w, blocked := sh.st.deploy(need, nil)
-	if w == nil {
-		return "", blocked
-	}
-	return w.id, nil
-}
-
-// Place carries out one planned keyed placement: trace, staging, the
-// task's resource commitment.
-func (sh *replayShard) Place(pt *replayTask, d policy.PlaceTask) {
-	st := sh.st
-	st.rec.Record(policy.Decision{Kind: policy.KindTask, Spec: pt.ID, Key: pt.Key, Worker: d.Worker.ID, Stages: len(d.Stages)})
-	for _, sf := range d.Stages {
-		st.execStage(sf)
-	}
+// Place commits the task's slot; PlaceInv takes a ready slot.
+func (sh *replayShard) Place(_ *replayTask, d policy.PlaceTask) {
 	d.Worker.Commit = d.Worker.Commit.Add(oneSlot)
 }
 
-// kill is the owning shard's half of a worker death: the source serving
-// the dead worker's inbound fetch gets its transfer slot back, the view
-// drops its replicas, in-flight copies, instance and ring position, and
-// the scheduler requeues what ran there (Sched.Died), handing back the
-// specs whose retry budget is spent.
-func (sh *replayShard) kill(w *wstate) []replayRun {
-	st := sh.st
-	if src := w.envSrc; src != nil {
-		w.envSrc = nil
-		if !src.dead && src.v.TransfersOut > 0 {
-			src.v.TransfersOut--
-		}
-	} else if w.v.Pending[st.envObj] && st.view.ManagerSends > 0 {
-		st.view.ManagerSends--
+func (sh *replayShard) PlaceInv(_ replayInv, d policy.PlaceInvocation) {
+	w := sh.st.byID[d.Worker.ID]
+	w.freeReady--
+	sh.st.syncLib(w)
+}
+
+// Deploy starts the worker's instance; LibReady is its ack.
+func (sh *replayShard) Deploy(_ string, d policy.DeployLibrary) { sh.st.install(d) }
+
+// Join builds worker wNNNN into this shard's view: its machine and
+// locality cluster are functions of NNNN.
+func (sh *replayShard) Join(worker string) bool {
+	i, _ := strconv.Atoi(worker[1:])
+	sh.st.view.AddWorkers([]*policy.WorkerView{sh.st.addWorker(i).v})
+	return true
+}
+
+// Leave drops a dead worker: the source serving its inbound fetch gets
+// its transfer slot back, and the view drops its replicas, in-flight
+// copies, instance and ring position.
+func (sh *replayShard) Leave(worker string) []string {
+	st, w := sh.st, sh.st.byID[worker]
+	if w.envSrc != nil || w.v.Pending[st.envObj] {
+		st.unsource(w)
 	}
 	_, cleared := st.view.RemoveWorker(w.v)
 	delete(st.byID, w.id)
 	w.dead = true
-	_, lost := sh.sched.Died(w.id, cleared)
-	return lost
+	return cleared
 }
 
-// ack is a file ack on this shard, the manager's onFileAck after its
-// view surgery: what waited on the object looks again. File acks free no
-// invocation capacity, so no nudge.
-func (sh *replayShard) ack(obj string) {
-	sh.sched.FileAcked(obj)
-	sh.sched.Wake()
+// Installed brings the installing instance up, every slot free.
+func (sh *replayShard) Installed(worker string, _ proto.LibraryAck) bool {
+	w := sh.st.byID[worker]
+	w.lv.Ready = true
+	w.freeReady = w.lv.Slots
+	sh.st.syncLib(w)
+	return true
 }
+
+// Restage re-sends the environment whose peer fetch failed over the
+// manager's own link, bypassing the policy core as the manager does.
+func (sh *replayShard) Restage(worker string, ack proto.FileAck) bool {
+	sh.st.view.NotePending(sh.st.byID[worker].v, ack.ID)
+	sh.st.view.ManagerSends++
+	return true
+}
+
+// Acked settles an environment copy's link: the serving slot is
+// released, and a landed environment is usable at once.
+func (sh *replayShard) Acked(worker string, ack proto.FileAck, _ bool) {
+	if w := sh.st.byID[worker]; ack.ID == sh.st.envObj {
+		sh.st.unsource(w)
+		w.hasEnv = ack.Ok
+	}
+}
+
+func (sh *replayShard) Held(string, string) {}
+
+// Freed gives an invocation's slot back.
+func (sh *replayShard) Freed(worker, _ string) {
+	w := sh.st.byID[worker]
+	w.freeReady++
+	sh.st.syncLib(w)
+}
+
+// Done: the replay has no clock, so a retry's backoff is over at once.
+func (sh *replayShard) Done(_ string, r replayRun, _ core.Result, retry int) {
+	if retry > 0 {
+		sh.sched.Retry(r.ID())
+	}
+}
+
+func (sh *replayShard) Refs([]policy.Rehome, []policy.RefSpill) {}
 
 // ---- the event surface ----
 
-// find returns worker id's home shard and the worker, nil unless live.
+// find returns live worker id and its shard; nils if it is not live.
 func (r *Replay) find(id string) (*replayShard, *wstate) {
-	sh := r.shards[r.shardPlane.ShardOf(id)]
-	return sh, sh.st.byID[id]
+	for _, sh := range r.shards {
+		if w := sh.st.byID[id]; w != nil {
+			return sh, w
+		}
+	}
+	return nil, nil
 }
 
 // next numbers one new spec of the configured level off the shared
 // counter (the manager derives a task's ring key from its spec ID). A
 // task's inputs are bound here, a RefSpec per proxy-object input rebuilt
-// from the ref catalog — ID, name and size, fixed since RefResult — so
-// both engines plan over identical bindings. The harness submits
-// consumers only of refs already created.
+// from the ref catalog, so both engines plan over identical bindings.
 func (r *Replay) next(tenant string, refs ...string) replayRun {
 	r.nextID++
 	id := int64(r.nextID)
@@ -249,152 +248,89 @@ func (r *Replay) Submit(n int) {
 }
 
 // SubmitTaskRefs enqueues one task consuming the given proxy-object
-// results (inputs: environment + one RefSpec per ID) and schedules it
-// if possible — the manager's Submit of a TaskSpec whose Inputs carry
-// core.RefSpec bindings. The refs must already exist in the catalog
-// (created by earlier CompleteTaskRef calls).
+// results, created by earlier CompleteTaskRef calls — the manager's
+// Submit of a TaskSpec whose Inputs carry core.RefSpec bindings.
 func (r *Replay) SubmitTaskRefs(refs ...string) { r.shardPlane.Submit(r.next("", refs...)) }
 
 // SubmitTenant submits one spec for tenant through the submission
-// plane — the manager's Submit/SubmitInvocation with a TenantID:
-// admission, plane queue, fair-share drain into shard intake, a wake
-// for every shard fed. An unregistered tenant (the empty one included)
-// degrades to the direct routing path.
+// plane — the manager's Submit/SubmitInvocation with a TenantID. An
+// unregistered tenant (the empty one included) routes directly.
 func (r *Replay) SubmitTenant(tenant string) { r.shardPlane.SubmitTenant(tenant, r.next(tenant)) }
 
 // AddWorker joins a fresh worker in its home shard, continuing the
-// wNNNN numbering, in the manager's adoptWorker order: register, route,
-// wake the shard, then let parked work evacuate and starving shards'
-// work circulate again. Returns the new worker's ID.
+// wNNNN numbering (Plane.Join). Returns the new worker's ID.
 func (r *Replay) AddWorker() string {
-	i := r.nextWorker
+	id := "w" + pad4(r.nextWorker)
 	r.nextWorker++
-	id := "w" + pad4(i)
-	sh := r.shards[r.shardPlane.ShardOf(id)]
-	sh.st.view.AddWorkers([]*policy.WorkerView{sh.st.addWorker(i).v})
-	r.shardPlane.Add(id)
-	sh.sched.Joined()
-	sh.sched.Wake()
-	r.shardPlane.WakeParked()
-	r.shardPlane.Nudge()
+	r.shardPlane.Join(id)
 	return id
 }
 
-// KillWorker removes worker id mid-run in the manager's onWorkerGone
-// order: membership first (forward targets and ring ownership move),
-// then every ref the dead worker owned re-homes — before its queue
-// teardown, trace-silent when it owned nothing — then the owning
-// shard's surgery and requeue, a spec past its retry budget dropped and
-// its quota returned, then the pass (whose exit wakes the shards that
-// quota fed) and the membership-change nudge.
-// Transfers the dead worker was *serving* are not failed here; the
-// caller fails each stranded destination via EnvFailed, exactly as the
-// real destinations' own failing FileAcks would arrive later.
+// KillWorker removes worker id mid-run (Plane.Leave): a spec past its
+// retry budget is dropped and its quota returned. Transfers the dead
+// worker was *serving* are not failed here; the caller fails each
+// stranded destination via EnvFailed, exactly as the real destinations'
+// own failing FileAcks would arrive later.
 func (r *Replay) KillWorker(id string) bool {
-	sh, w := r.find(id)
-	if w == nil {
+	if _, w := r.find(id); w == nil {
 		return false
 	}
-	r.shardPlane.Remove(id)
-	r.shardPlane.RefOwnerDied(id)
-	lost := sh.kill(w)
-	for i := range lost {
-		r.release(&lost[i])
-	}
-	sh.sched.Wake()
-	r.shardPlane.Nudge()
+	r.shardPlane.Leave(id)
 	return true
 }
 
 // EnvArrived delivers the environment tarball on worker id (the
-// FileAck): the in-flight copy becomes a replica, the serving slot is
-// released, and the environment is immediately usable. File acks free
-// no invocation capacity, so no nudge. Returns false if no copy was in
-// flight there.
+// FileAck), usable at once; false if no copy was in flight there.
 func (r *Replay) EnvArrived(id string) bool {
-	sh, w := r.find(id)
-	if w == nil || w.hasEnv || !w.v.Pending[sh.st.envObj] {
+	_, w := r.find(id)
+	if w == nil || w.hasEnv || !w.v.Pending[r.env()] {
 		return false
 	}
-	sh.st.envLanded(w)
-	w.hasEnv = true
-	sh.ack(sh.st.envObj)
+	r.shardPlane.FileAck(id, proto.FileAck{ID: r.env(), Ok: true, Cache: true})
 	return true
 }
 
-// EnvFailed fails worker id's in-flight *peer* environment fetch (the
-// FileAck{Ok:false} path): the source's transfer slot comes back (if
-// the source is still alive), the in-flight copy is cleared, and —
-// mirroring the manager's recovery — the copy is immediately restaged
-// over the manager's own link. Recovery bypasses the policy core on
-// both engines, so no decision is traced. Returns false if no peer
-// fetch is in flight there (failed direct sends are never restaged).
+// EnvFailed fails worker id's in-flight *peer* environment fetch, which
+// restages over the manager's link; false if no peer fetch is in flight
+// there (failed direct sends are never restaged).
 func (r *Replay) EnvFailed(id string) bool {
-	sh, w := r.find(id)
-	if w == nil || w.hasEnv || !w.v.Pending[sh.st.envObj] || w.envSrc == nil {
+	_, w := r.find(id)
+	if w == nil || w.hasEnv || !w.v.Pending[r.env()] || w.envSrc == nil {
 		return false
 	}
-	st := sh.st
-	src := w.envSrc
-	w.envSrc = nil
-	if !src.dead && src.v.TransfersOut > 0 {
-		src.v.TransfersOut--
-	}
-	st.view.ClearPending(w.v, st.envObj)
-	st.view.NotePending(w.v, st.envObj)
-	st.view.ManagerSends++
-	st.res.EnvDirect++
-	sh.ack(st.envObj)
+	r.shardPlane.FileAck(id, proto.FileAck{ID: r.env()})
 	return true
 }
 
-// RefArrived confirms a consumer's ref fetch on worker id (the
-// FileAck{Ok:true, Cache:true}): the in-flight copy becomes a view
-// replica and the consumer registers as a holder in the ref catalog.
-// Returns false if no ref copy is in flight there.
+// RefArrived confirms a consumer's ref fetch on worker id, and RefFailed
+// fails it, recovered by the ref catalog's restage; false if no ref copy
+// is in flight there.
 func (r *Replay) RefArrived(id, refID string) bool {
-	sh, w := r.find(id)
+	_, w := r.find(id)
 	if w == nil || !w.v.Pending[refID] {
 		return false
 	}
-	sh.st.view.ClearPending(w.v, refID)
-	sh.st.view.NoteReplica(w.v, refID)
-	r.shardPlane.RefHeld(id, refID)
-	sh.ack(refID)
+	r.shardPlane.FileAck(id, proto.FileAck{ID: refID, Ok: true, Cache: true})
 	return true
 }
 
-// RefFailed fails a consumer's in-flight ref fetch on worker id (the
-// FileAck{Ok:false} path), recovered by the ref catalog's restage
-// (Plane.ResolveRef) on both engines. Returns false if no ref copy is in flight there.
 func (r *Replay) RefFailed(id, refID string) bool {
-	sh, w := r.find(id)
+	_, w := r.find(id)
 	if w == nil || !w.v.Pending[refID] {
 		return false
 	}
-	sh.st.view.ClearPending(w.v, refID)
-	r.stageRef(sh.st.view, w.v, refID, true)
-	sh.ack(refID)
+	r.shardPlane.FileAck(id, proto.FileAck{ID: refID})
 	return true
 }
 
-// LibReady brings up worker id's installing instance (the LibraryAck),
-// every slot free, and releases the install's claim; the pass that
-// follows places queued invocations on it — or on any better ready
-// instance — and a new ready instance is capacity starving shards may be
-// waiting for. Returns false if the worker has no install in progress or
-// its environment has not arrived.
+// LibReady brings up worker id's installing instance (the LibraryAck);
+// false if none is installing or its environment has not arrived.
 func (r *Replay) LibReady(id string) bool {
-	sh, w := r.find(id)
+	_, w := r.find(id)
 	if w == nil || !w.hasEnv || w.v.Libs[r.lib()] == nil || w.lv.Ready {
 		return false
 	}
-	w.lv.Ready = true
-	w.freeReady = w.lv.Slots
-	sh.st.syncLib(w)
-	sh.sched.LibAcked(id, r.lib(), true)
-	sh.sched.Wake()
-	r.shardPlane.Nudge()
+	r.shardPlane.LibAck(id, proto.LibraryAck{Library: r.lib(), Ok: true})
 	return true
 }
 
@@ -403,8 +339,7 @@ func (r *Replay) LibReady(id string) bool {
 // spec ID on that worker. Returns false if nothing on the worker is in
 // a completable state.
 func (r *Replay) Complete(id string) bool {
-	sh, _ := r.find(id)
-	runs := sh.sched.Running(id)
+	runs := r.shards[r.shardPlane.ShardOf(id)].sched.Running(id)
 	return len(runs) > 0 && r.finish(id, runs[0].ID(), false, nil)
 }
 
@@ -414,72 +349,26 @@ func (r *Replay) CompleteTask(id, key string) bool {
 }
 
 // CompleteTaskRef finishes the task bound to ring key key on worker id
-// with a pass-by-reference result — the manager's onResult for a
-// Result carrying an ObjectRef: the producing worker becomes the ref's
-// owner and holder of record (Plane.RefResult; the spills the
-// owner's budget cascades re-tier the catalog at decision time, the
-// spill messages themselves carry no state), and the catalog — not the
-// manager's wire — carries the object from then on. The transfer lands
-// before the freed capacity's schedule pass, exactly where the manager's
-// hook runs.
+// with a pass-by-reference result: the producer becomes the ref's owner.
 func (r *Replay) CompleteTaskRef(id, key string, ref core.ObjectRef) bool {
 	return r.finish(id, shardplane.KeyNum(key), false, &ref)
 }
 
-// Fail fails spec number spec, running on worker id, retryably — the
-// manager's Retryable-result path. Within the retry budget the spec
-// requeues at the back of its shard's queue (requeues stay shard-local;
-// the replay has no clock, so the backoff is over at once) with this
-// worker as the avoid preference — the retry prefers any other
-// placement, falling back to the avoided worker over starving — and
-// holds its quota unit, as the manager releases only on final delivery.
-// Past the budget the spec is dropped and its quota returned.
+// Fail fails spec number spec, running on worker id, retryably: within
+// the retry budget it requeues at once, avoiding this worker.
 func (r *Replay) Fail(id string, spec int64) bool {
 	return r.finish(id, spec, true, nil)
 }
 
-// finish is every result event — the manager's onResult — for spec
-// number spec on worker id, false if it is not running there or the
-// worker's environment has not landed: the spec leaves the worker, a
-// by-ref result (ref) transfers ownership, a task's cacheable inputs are
-// noted as replicas unless the attempt failed (the environment's note is
-// a dedup no-op since its ack gated the result, so only proxy-object
-// inputs are recorded; a failed attempt — a lost ref that never staged,
-// say — notes none on either engine, so its retry stages again), a retry
-// requeues, a final result returns its
-// quota unit to the plane, the shard runs its pass (whose exit wakes what
-// that quota fed), and freed capacity nudges starving shards.
+// finish is every result event (Plane.Result) for spec number spec on
+// worker id, false if it is not running there or the worker's
+// environment has not landed.
 func (r *Replay) finish(id string, spec int64, failed bool, ref *core.ObjectRef) bool {
-	sh, w := r.find(id)
+	_, w := r.find(id)
 	if w == nil || !w.hasEnv {
 		return false
 	}
-	run, retry, ok := sh.sched.Done(id, spec, failed)
-	if !ok {
-		return false
-	}
-	if ref != nil {
-		r.shardPlane.RefResult(id, ref)
-	}
-	if run.IsTask {
-		w.v.Commit = w.v.Commit.Sub(oneSlot)
-		for _, in := range run.Task.Spec.inputs {
-			if in.ByRef && !failed {
-				sh.st.view.NoteReplica(w.v, in.Object.ID)
-			}
-		}
-	} else {
-		w.freeReady++
-		sh.st.syncLib(w)
-	}
-	if retry > 0 {
-		sh.sched.Retry(spec)
-	} else {
-		r.release(&run)
-	}
-	sh.sched.Wake()
-	r.shardPlane.Nudge()
-	return true
+	return r.shardPlane.Result(id, core.Result{ID: spec, Ok: !failed, Retryable: failed, Ref: ref})
 }
 
 // CheckQuiescence is the manager's, for what a replay holds: no spec

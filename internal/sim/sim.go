@@ -258,13 +258,13 @@ type state struct {
 	arrivalsLeft []int
 	nextSpecID   int64
 
+	// deploy is the library's deploy spec: one instance per slot on the
+	// timed path, one taking the worker whole under Replay.
+	deploy policy.DeploySpec
+
 	// replay bypasses the virtual clock: decisions and view/slot state
 	// advance, timing callbacks do not (replay.go drives transitions).
 	replay bool
-
-	// stageRef executes a Replay's ref stage through the plane's one ref
-	// catalog; nil on the timed path, which never builds by-ref inputs.
-	stageRef func(dst *policy.WorkerView, id string)
 
 	res *Result
 
@@ -449,6 +449,10 @@ func newState(cfg Config, replay bool) *state {
 			PeerTransfer: true,
 			Unpack:       true,
 		}
+	}
+	st.deploy = policy.DeploySpec{Name: st.lib, Res: oneSlot, Files: []core.FileSpec{st.envSpec}}
+	if replay {
+		st.deploy.Res = core.Resources{Cores: cfg.SlotsPerWorker}
 	}
 
 	// Shared filesystem: the Panasas figures of §4.3 with per-client
@@ -688,39 +692,30 @@ func (st *state) placeL3() *slot {
 		st.rec.Record(policy.Decision{Kind: policy.KindPlace, Lib: st.lib, Worker: w.id})
 		return st.bind(w, w.firstFree(true))
 	}
-	if w, _ := st.deploy(oneSlot, st.stackFilter()); w != nil {
-		return st.bind(w, w.firstFree(false))
-	}
-	return nil
-}
-
-// deploy asks the policy core for a deploy decision — an instance
-// needing res, on a worker f admits — and starts the instance: staging,
-// the view's instance record, the resource claim. nil means no worker
-// can host a new instance now, blocked the first copies in flight that
-// held every candidate up.
-func (st *state) deploy(res core.Resources, f policy.Filter) (w *wstate, blocked []string) {
-	d := st.view.PlanDeploy(policy.DeploySpec{
-		Name:  st.lib,
-		Res:   res,
-		Files: []core.FileSpec{st.envSpec},
-	}, f)
+	d := st.view.PlanDeploy(st.deploy, st.stackFilter())
 	if d.Worker == nil {
-		return nil, d.Blocked
+		return nil
 	}
-	w = st.byID[d.Worker.ID]
 	if st.rec != nil { // EvictNames allocates
-		st.rec.Record(policy.Decision{Kind: policy.KindDeploy, Lib: st.lib, Worker: w.id, Stages: len(d.Stages), Evict: d.EvictNames()})
+		st.rec.Record(policy.Decision{Kind: policy.KindDeploy, Lib: st.lib, Worker: d.Worker.ID, Stages: len(d.Stages), Evict: d.EvictNames()})
 	}
 	for _, sf := range d.Stages {
 		st.execStage(sf)
 	}
+	w := st.install(d)
+	return st.bind(w, w.firstFree(false))
+}
+
+// install starts the instance d plans, its stages out — Run's deploys and
+// the Replay shell's Deploy alike: the view's instance record and the
+// install's resource claim, held for the instance's lifetime (the manager
+// releases it only on eviction, install failure, or worker death — none
+// of which the simulator's instances hit).
+func (st *state) install(d policy.DeployLibrary) *wstate {
+	w := st.byID[d.Worker.ID]
 	st.view.AddInstance(w.v, w.lv)
-	// The install's resource claim, held for the instance's lifetime
-	// (the manager releases it only on eviction, install failure, or
-	// worker death — none of which the simulator's instances hit).
-	w.v.Commit = w.v.Commit.Add(res)
-	return w, nil
+	w.v.Commit = w.v.Commit.Add(d.Res)
+	return w
 }
 
 // ---- environment distribution (§3.3) ----
@@ -757,75 +752,52 @@ func (st *state) fetchDone(w *wstate) {
 	}
 }
 
-// execStage carries out one staging decision: account it in the view
-// (in-flight copy, source transfer slot, manager sends) and start the
-// transfer on the owning link. StageReady is a no-op by construction;
-// StageWait never reaches execution (the policy returns it only from
-// rejected placements).
+// execStage carries out one environment staging decision, peer or
+// direct — Run's and the Replay shell's Stage alike: record it (Run
+// only: a Replay's scheduler records its own), account it in the view
+// (in-flight copy, source transfer slot, manager sends) and, timed,
+// start the transfer on the owning link.
 func (st *state) execStage(sf policy.StageFile) {
 	dst := st.byID[sf.Dst.ID]
-	switch sf.Mode {
-	case policy.StagePeer:
+	d := policy.Decision{Kind: policy.KindStage, Obj: sf.Object, Dst: dst.id, Mode: sf.Mode.String()}
+	link := st.managerNIC
+	if sf.Mode == policy.StagePeer {
 		src := st.byID[sf.Src.ID]
-		st.view.NotePending(dst.v, sf.Object)
 		src.v.TransfersOut++
 		dst.envSrc = src
 		st.res.EnvPeer++
-		st.rec.Record(policy.Decision{Kind: policy.KindStage, Obj: sf.Object, Dst: dst.id, Mode: sf.Mode.String(), Src: src.id})
-		dst.envReqAt = st.S.Now()
-		if !st.replay {
-			link := src.nic
-			if st.crossNIC != nil && src.cluster != dst.cluster {
-				link = st.crossNIC
-			}
-			st.startFetch(dst, func() {
-				link.Start(st.envBytes(), func() {
-					st.fetchDone(dst)
-					st.envArrived(dst)
-				})
-			})
+		d.Src, link = src.id, src.nic
+		if st.crossNIC != nil && src.cluster != dst.cluster {
+			link = st.crossNIC
 		}
-	case policy.StageDirect:
-		st.view.NotePending(dst.v, sf.Object)
+	} else {
 		st.view.ManagerSends++
 		st.res.EnvDirect++
-		st.rec.Record(policy.Decision{Kind: policy.KindStage, Obj: sf.Object, Dst: dst.id, Mode: sf.Mode.String()})
-		dst.envReqAt = st.S.Now()
-		if !st.replay {
-			st.startFetch(dst, func() {
-				st.managerNIC.Start(st.envBytes(), func() {
-					st.fetchDone(dst)
-					st.envArrived(dst)
-				})
+	}
+	st.view.NotePending(dst.v, sf.Object)
+	st.rec.Record(d)
+	dst.envReqAt = st.S.Now()
+	if !st.replay {
+		st.startFetch(dst, func() {
+			link.Start(st.envBytes(), func() {
+				st.fetchDone(dst)
+				st.envArrived(dst)
 			})
-		}
-	case policy.StageRef:
-		// Proxy-object input (§15): the shard trace records only that a
-		// ref stage ran — the per-shard view cannot plan the copy — and
-		// the global ref catalog plans (and traces) the actual source,
-		// exactly as the manager's ref plane does.
-		st.rec.Record(policy.Decision{Kind: policy.KindStage, Obj: sf.Object, Dst: dst.id, Mode: sf.Mode.String()})
-		if st.stageRef != nil {
-			st.stageRef(dst.v, sf.Object)
-		}
+		})
 	}
 }
 
-// envLanded settles the transfer's accounting once the tarball is on
-// the destination: release the serving link's slot and flip the
-// in-flight copy into a confirmed replica (a peer-transfer source,
-// before unpacking even starts).
-func (st *state) envLanded(w *wstate) {
+// unsource releases the link serving w's environment copy: the peer's
+// transfer slot (unless the peer died), or one of the manager's sends.
+func (st *state) unsource(w *wstate) {
 	if src := w.envSrc; src != nil {
 		w.envSrc = nil
-		if src.v.TransfersOut > 0 {
+		if !src.dead && src.v.TransfersOut > 0 {
 			src.v.TransfersOut--
 		}
 	} else if st.view.ManagerSends > 0 {
 		st.view.ManagerSends--
 	}
-	st.view.ClearPending(w.v, st.envObj)
-	st.view.NoteReplica(w.v, st.envObj)
 }
 
 // envArrived (timed path) charges the transfer and unpack breakdowns,
@@ -841,7 +813,11 @@ func (st *state) envArrived(w *wstate) {
 		st.res.ColdBreakdown.Worker += unpack
 		st.res.ColdBreakdown.Transfer += transfer
 	}
-	st.envLanded(w)
+	// The in-flight copy is a confirmed replica (a peer-transfer source,
+	// before unpacking even starts).
+	st.unsource(w)
+	st.view.ClearPending(w.v, st.envObj)
+	st.view.NoteReplica(w.v, st.envObj)
 	// A new source (and a freed serving slot) can unblock placements
 	// that the policy answered with Wait.
 	st.tryDispatch()

@@ -11,7 +11,8 @@ type specRef struct {
 	tenant string
 }
 
-func (r specRef) ID() int64 { return r.id }
+func (r specRef) ID() int64      { return r.id }
+func (r specRef) Tenant() string { return r.tenant }
 
 // ---- the timed simulator's tenant mode ----
 
