@@ -211,11 +211,19 @@ type Slot struct {
 	// cleared when it returns: the slot keeps the slice, not what was in
 	// it.
 	args []minipy.Value
+	// out is the buffer results are pickled into, kept from one call to
+	// the next while it holds at most maxKeptResult bytes.
+	out []byte
 }
 
 // maxKeptArgs bounds the argument slice a slot keeps between calls, so
 // one call with a huge argument list does not pin its slice for good.
 const maxKeptArgs = 64
+
+// maxKeptResult bounds the result buffer a slot keeps: what a short
+// call's pickled value takes, and no more than a worker's result frame
+// carries inline, so a longer result is always a buffer of its own.
+const maxKeptResult = 16
 
 // NewSlot returns a slot serving l's functions.
 func (l *Library) NewSlot() *Slot {
@@ -238,6 +246,11 @@ func (l *Library) Invoke(function string, args []byte) (InvokeResult, error) {
 // library's memory space; in fork mode it runs on a copy-on-write
 // clone of the function's globals, made per invocation, so concurrent
 // invocations and global mutations cannot corrupt the retained context.
+//
+// The result's Value is valid until the slot's next Invoke. A value of
+// up to maxKeptResult bytes is pickled into a buffer the slot keeps and
+// overwrites on its next call; a longer one is allocated for this call
+// alone, and the caller may keep it.
 func (s *Slot) Invoke(function string, args []byte) (InvokeResult, error) {
 	l := s.lib
 	fn, ok := l.funcs[function]
@@ -276,9 +289,12 @@ func (s *Slot) Invoke(function string, args []byte) (InvokeResult, error) {
 	}
 	execTime := time.Since(execStart).Seconds()
 
-	value, err := pickle.Marshal(out)
+	value, err := pickle.Append(s.out[:0], out)
 	if err != nil {
 		return InvokeResult{}, fmt.Errorf("library %s: serializing result of %s: %w", l.Spec.Name, function, err)
+	}
+	if cap(value) <= maxKeptResult {
+		s.out = value
 	}
 	return InvokeResult{Value: value, SetupTime: setupTime, ExecTime: execTime}, nil
 }

@@ -503,19 +503,74 @@ func noopSlot(t *testing.T) *Slot {
 }
 
 // TestSlotInvokeAllocatesOnlyItsResult: a warm slot decodes its arguments
-// into a slice it keeps, so an invocation allocates its result's bytes
-// and nothing else — no argument tuple, no element slice.
+// into a slice it keeps and pickles its result into a buffer it keeps, so
+// an invocation allocates nothing — no argument tuple, no element slice,
+// no result bytes — while its result fits that buffer, and only its
+// result's bytes once it does not. A one-shot Library.Invoke has no warm
+// slot and pays for its argument slice and its result.
 func TestSlotInvokeAllocatesOnlyItsResult(t *testing.T) {
 	if raceDetector {
 		t.Skip("sync.Pool drops encoders and decoders under -race")
 	}
-	slot, args := noopSlot(t), pickledArgs(t, minipy.Int(7))
+	atCap, overCap := strings.Repeat("k", maxKeptResult-4), strings.Repeat("o", maxKeptResult-3)
+	spec := core.LibrarySpec{Name: "dispatch", Functions: []core.FunctionSpec{
+		{Name: "noop", Source: "def noop(x):\n    return x\n"},
+		// A global, not a literal: the interpreter boxes a literal each time.
+		{Name: "at_cap", Source: "AT = '" + atCap + "'\ndef at_cap(x):\n    return AT\n"},
+		{Name: "over_cap", Source: "OVER = '" + overCap + "'\ndef over_cap(x):\n    return OVER\n"},
+	}}
+	lib, err := Start(spec, "dispatch@test", testHost())
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot, args := lib.NewSlot(), pickledArgs(t, minipy.Int(7))
+	for _, c := range []struct {
+		function string
+		size     int
+		want     float64
+	}{{"noop", 4, 0}, {"at_cap", maxKeptResult, 0}, {"over_cap", maxKeptResult + 1, 1}} {
+		var res InvokeResult
+		if n := testing.AllocsPerRun(100, func() {
+			if res, err = slot.Invoke(c.function, args); err != nil {
+				t.Fatal(err)
+			}
+		}); n != c.want {
+			t.Errorf("%s: an invocation allocated %v times, want %v", c.function, n, c.want)
+		}
+		if len(res.Value) != c.size {
+			t.Errorf("%s: a %d-byte result, want %d", c.function, len(res.Value), c.size)
+		}
+	}
 	if n := testing.AllocsPerRun(100, func() {
-		if _, err := slot.Invoke("noop", args); err != nil {
+		if _, err := lib.Invoke("noop", args); err != nil {
 			t.Fatal(err)
 		}
-	}); n != 1 {
-		t.Errorf("an invocation allocated %v times, want 1 (its result)", n)
+	}); n != 2 {
+		t.Errorf("a one-shot invocation allocated %v times, want 2 (its argument slice, its result)", n)
+	}
+}
+
+// TestSlotResultValidUntilNextInvoke: a result the slot's buffer holds is
+// overwritten by the slot's next call, and one too long for it is the
+// caller's to keep.
+func TestSlotResultValidUntilNextInvoke(t *testing.T) {
+	slot := noopSlot(t)
+	for _, size := range []int{maxKeptResult, maxKeptResult + 1} {
+		first := strings.Repeat("a", size-4)
+		want, err := pickle.Marshal(minipy.Str(first))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := slot.Invoke("noop", pickledArgs(t, minipy.Str(first)))
+		if err != nil || !bytes.Equal(res.Value, want) {
+			t.Fatalf("a %d-byte result: %x (%v), want %x", size, res.Value, err, want)
+		}
+		if _, err := slot.Invoke("noop", pickledArgs(t, minipy.Str(strings.Repeat("b", size-4)))); err != nil {
+			t.Fatal(err)
+		}
+		if kept := bytes.Equal(res.Value, want); kept != (size > maxKeptResult) {
+			t.Errorf("a %d-byte result after the next call: %x, kept %v", size, res.Value, kept)
+		}
 	}
 }
 

@@ -61,7 +61,11 @@ var encoderPool = sync.Pool{New: func() any { return &encoder{memo: map[any]int{
 const maxPooledEncoder = 1 << 20
 
 // Marshal serializes a MiniPy value graph to bytes.
-func Marshal(v minipy.Value) ([]byte, error) {
+func Marshal(v minipy.Value) ([]byte, error) { return Append(nil, v) }
+
+// Append is Marshal appending to dst: a caller that keeps a buffer with
+// room for the bytes pickles into it without allocating.
+func Append(dst []byte, v minipy.Value) ([]byte, error) {
 	e := encoderPool.Get().(*encoder)
 	if s, ok := v.(minipy.Str); ok && len(s) >= maxPooledEncoder {
 		// A string root too large for the pool — a task result that is
@@ -73,16 +77,19 @@ func Marshal(v minipy.Value) ([]byte, error) {
 	e.buf = append(e.buf, magic, version)
 	if err := e.encode(v); err != nil {
 		e.release()
-		return nil, err
+		return dst, err
 	}
-	return e.finish(), nil
+	return e.finish(dst), nil
 }
 
 // MarshalTuple writes exactly the bytes Marshal(minipy.NewTuple(vs...))
 // writes, the tuple in memo slot 0, without building the tuple: an
 // invocation's arguments cost only their bytes, and neither a tuple nor
 // the caller's slice of them escapes.
-func MarshalTuple(vs []minipy.Value) ([]byte, error) {
+func MarshalTuple(vs []minipy.Value) ([]byte, error) { return AppendTuple(nil, vs) }
+
+// AppendTuple is MarshalTuple appending to dst.
+func AppendTuple(dst []byte, vs []minipy.Value) ([]byte, error) {
 	e := encoderPool.Get().(*encoder)
 	e.buf = append(e.buf, magic, version)
 	// The tuple is one level of value and takes the first memo slot; no
@@ -93,20 +100,21 @@ func MarshalTuple(vs []minipy.Value) ([]byte, error) {
 	e.depth = 0
 	if err != nil {
 		e.release()
-		return nil, err
+		return dst, err
 	}
-	return e.finish(), nil
+	return e.finish(dst), nil
 }
 
-// finish hands the encoded bytes to the caller and releases e.
-func (e *encoder) finish() []byte {
-	out := e.buf
-	if cap(e.buf) > maxPooledEncoder {
+// finish appends the encoded bytes to dst and releases e. The copy is
+// the only allocation, and only when dst has no room for them.
+func (e *encoder) finish(dst []byte) []byte {
+	var out []byte
+	if cap(e.buf) > maxPooledEncoder && len(dst) == 0 && cap(dst) < len(e.buf) {
 		// Too big to go back in the pool: the caller gets the buffer
 		// itself rather than a copy of it.
-		e.buf = nil
+		out, e.buf = e.buf, nil
 	} else {
-		out = append([]byte(nil), out...)
+		out = append(dst, e.buf...)
 	}
 	e.release()
 	return out

@@ -36,8 +36,9 @@ func tupleCases(t *testing.T) [][]minipy.Value {
 
 // TestMarshalTupleMatchesMarshal: MarshalTuple writes Marshal's bytes for
 // the tuple it does not build — shared and cyclic elements included, the
-// depth bound counted from the same level — and UnmarshalTuple decodes
-// them to the elements Unmarshal finds in that tuple.
+// depth bound counted from the same level — AppendTuple and Append append
+// what MarshalTuple and Marshal return, and UnmarshalTuple decodes them
+// to the elements Unmarshal finds in that tuple.
 func TestMarshalTupleMatchesMarshal(t *testing.T) {
 	ip := minipy.NewInterp(newHost())
 	for i, vs := range tupleCases(t) {
@@ -48,6 +49,16 @@ func TestMarshalTupleMatchesMarshal(t *testing.T) {
 		got, err := MarshalTuple(vs)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("case %d: MarshalTuple = %x (%v), want %x", i, got, err, want)
+		}
+		prefix := []byte("prefix")
+		if appended, err := AppendTuple(prefix, vs); err != nil || !bytes.Equal(appended, append(prefix, want...)) {
+			t.Fatalf("case %d: AppendTuple = %x (%v), want the prefix and %x", i, appended, err, want)
+		}
+		for _, v := range vs {
+			one, err := Marshal(v)
+			if appended, aerr := Append(prefix, v); aerr != nil || err != nil || !bytes.Equal(appended, append(prefix, one...)) {
+				t.Fatalf("case %d: Append = %x (%v), want the prefix and %x (%v)", i, appended, aerr, one, err)
+			}
 		}
 		elems, other, err := UnmarshalTuple(nil, got, ip)
 		if err != nil || other != nil {
@@ -67,7 +78,9 @@ func TestMarshalTupleMatchesMarshal(t *testing.T) {
 }
 
 // TestMarshalTupleAllocatesOnce: pickling arguments allocates their bytes
-// and nothing else — no tuple, no copy of the caller's slice.
+// and nothing else — no tuple, no copy of the caller's slice — and
+// appending them, or a value, to a buffer with room for them allocates
+// nothing.
 func TestMarshalTupleAllocatesOnce(t *testing.T) {
 	if raceDetector {
 		t.Skip("sync.Pool drops encoders under -race")
@@ -79,6 +92,17 @@ func TestMarshalTupleAllocatesOnce(t *testing.T) {
 		}
 	}); n != 1 {
 		t.Errorf("MarshalTuple allocated %v times, want 1", n)
+	}
+	buf := make([]byte, 0, 16)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := AppendTuple(buf, args); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Append(buf, args[0]); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("AppendTuple and Append into room allocated %v times, want 0", n)
 	}
 }
 

@@ -272,14 +272,18 @@ func copied(r *bincode.Reader) []byte {
 // DecodeInvocationInterned decodes a MsgInvoke body, interning its
 // identifier strings (library, function) through in — the worker's
 // receive loop sees the same few names tens of thousands of times per
-// second.
+// second. Args is not copied: it aliases raw, and a caller that keeps it
+// past the next receive copies it (the worker does, into its library's
+// queue).
 func DecodeInvocationInterned(raw []byte, in *Interner) (core.InvocationSpec, error) {
 	var inv core.InvocationSpec
 	r := open(raw)
 	inv.ID = int64(r.Uint64BE())
 	inv.Library = in.intern(r.Bytes())
 	inv.Function = in.intern(r.Bytes())
-	inv.Args = copied(&r)
+	if args := r.Bytes(); len(args) > 0 {
+		inv.Args = args
+	}
 	return inv, done(&r)
 }
 

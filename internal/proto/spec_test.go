@@ -369,6 +369,10 @@ var (
 // loop's Interner, and so do their fuzzers: one Interner across every
 // input, so a repeated name takes the hit path and a long run fills the
 // table to its cap.
+//
+// The worker's decode hands out Args as a view of the frame, not a copy:
+// the fuzzer also holds it to that, so a decode that started copying, or
+// that pointed Args anywhere but into its input, fails here.
 func FuzzDecodeInvocation(f *testing.F) {
 	for i := range fuzzInvocations {
 		f.Add(body(f, proto.MsgInvoke, &fuzzInvocations[i]))
@@ -377,7 +381,24 @@ func FuzzDecodeInvocation(f *testing.F) {
 	decode := func(raw []byte) (core.InvocationSpec, error) { return proto.DecodeInvocationInterned(raw, &in) }
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		fuzzDecode(t, proto.MsgInvoke, decode, raw)
+		inv, err := decode(raw)
+		if err != nil || len(inv.Args) == 0 {
+			return
+		}
+		if !aliases(raw, inv.Args) {
+			t.Fatalf("Args %x is a copy, not a view of the frame", inv.Args)
+		}
 	})
+}
+
+// aliases reports whether sub is a subslice of b.
+func aliases(b, sub []byte) bool {
+	for i := 0; i+len(sub) <= len(b); i++ {
+		if &b[i] == &sub[0] {
+			return true
+		}
+	}
+	return false
 }
 
 func FuzzDecodeResult(f *testing.F) {

@@ -1,6 +1,8 @@
 package shardplane
 
 import (
+	"maps"
+
 	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/proto"
@@ -14,8 +16,29 @@ import (
 // the wakes and the nudge. The engine keeps its clock: a retry's backoff
 // is its Shell's Done to arrange.
 
-// home is worker's shard.
-func (p *Plane[T, I]) home(worker string) *Sched[T, I] { return p.Shards[p.ShardOf(worker)] }
+// home is worker's shard: the one its join resolved, or ShardOf's hash
+// of the ID for a worker that has none — the same shard either way.
+func (p *Plane[T, I]) home(worker string) *Sched[T, I] {
+	if s, ok := (*p.homes.Load())[worker]; ok {
+		return s
+	}
+	return p.Shards[p.ShardOf(worker)]
+}
+
+// setHome resolves worker's home shard once, at its join, for the events
+// that follow — or, with s nil, forgets it at its death. Joins and deaths
+// are rare: each writes a new map, so an event's lookup takes no lock.
+func (p *Plane[T, I]) setHome(worker string, s *Sched[T, I]) {
+	p.homesMu.Lock()
+	defer p.homesMu.Unlock()
+	homes := maps.Clone(*p.homes.Load())
+	if s == nil {
+		delete(homes, worker)
+	} else {
+		homes[worker] = s
+	}
+	p.homes.Store(&homes)
+}
 
 // note records a confirmed replica of obj on worker, and has the shell
 // follow a new one.
@@ -40,6 +63,7 @@ func (p *Plane[T, I]) Join(worker string) bool {
 	if !ok {
 		return false
 	}
+	p.setHome(worker, s)
 	p.Add(worker)
 	s.Wake()
 	p.WakeParked()
@@ -63,6 +87,7 @@ func (p *Plane[T, I]) Leave(worker string) (requeued int, lost []Run[T, I]) {
 		p.Release(lost[i].Tenant())
 	}
 	s.mu.Unlock()
+	p.setHome(worker, nil)
 	s.Wake()
 	p.Nudge()
 	return requeued, lost

@@ -115,3 +115,24 @@ func TestResultNotesReplicasUnlessRetryable(t *testing.T) {
 		})
 	}
 }
+
+// TestHomeResolvedAtJoin: a worker's home shard is resolved once, at its
+// join, to the shard ShardOf names, and forgotten at its death.
+func TestHomeResolvedAtJoin(t *testing.T) {
+	tp := newTestPlane(4)
+	ids := []string{"w0", "w1", "w2", "w3", "w4", "w5"}
+	for _, id := range ids {
+		if !tp.Join(id) {
+			t.Fatalf("join %s refused", id)
+		}
+		if s, ok := (*tp.homes.Load())[id]; !ok || s != tp.Shards[tp.ShardOf(id)] {
+			t.Fatalf("%s: resolved home %v, want shard %d", id, ok, tp.ShardOf(id))
+		}
+	}
+	for _, id := range ids {
+		tp.Leave(id)
+	}
+	if homes := *tp.homes.Load(); len(homes) != 0 {
+		t.Errorf("after every death the plane still holds homes for %v", homes)
+	}
+}

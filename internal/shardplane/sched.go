@@ -80,7 +80,10 @@ type Run[T Spec, I Payload] struct {
 }
 
 // ID is the spec number.
-func (r Run[T, I]) ID() int64 {
+func (r Run[T, I]) ID() int64 { return r.id() }
+
+// id is ID read in place: a Run is too large to copy per look.
+func (r *Run[T, I]) id() int64 {
 	if r.IsTask {
 		return r.Task.ID
 	}
@@ -189,6 +192,10 @@ type Plane[T Spec, I Payload] struct {
 	fedMu  sync.Mutex
 	fed    []int
 	hasFed atomic.Bool
+	// homes maps each joined worker to its home shard (events.go);
+	// homesMu orders its writers.
+	homesMu sync.Mutex
+	homes   atomic.Pointer[map[string]*Sched[T, I]]
 }
 
 // Config is what an engine builds its plane from.
@@ -216,6 +223,7 @@ func NewPlane[T Spec, I Payload](cfg Config) *Plane[T, I] {
 	r := NewRouter(cfg.Shards)
 	p := &Plane[T, I]{Router: r, Shards: make([]*Sched[T, I], r.n), cfg: cfg}
 	p.pool.New = func() any { return new(node[T, I]) }
+	p.homes.Store(&map[string]*Sched[T, I]{})
 	if len(cfg.Tenants) > 0 {
 		p.tenants = policy.NewTenantPlane[Run[T, I]](cfg.Tenants, p.recorder())
 	}
@@ -495,8 +503,8 @@ func (s *Sched[T, I]) register(worker string, r Run[T, I]) {
 
 // find is where spec id sits, or would, among the worker's runs.
 func (h *host[T, I]) find(id int64) (int, bool) {
-	at := sort.Search(len(h.runs), func(i int) bool { return h.runs[i].ID() >= id })
-	return at, at < len(h.runs) && h.runs[at].ID() == id
+	at := sort.Search(len(h.runs), func(i int) bool { return h.runs[i].id() >= id })
+	return at, at < len(h.runs) && h.runs[at].id() == id
 }
 
 // Running is what runs on worker, lowest spec first; the caller must not
@@ -571,8 +579,9 @@ func (s *Sched[T, I]) markIdle(worker, lib string) {
 	if w := s.view.Workers[worker]; !s.view.Opts.EvictEmptyLibraries || w == nil || w.Libs[lib] == nil {
 		return
 	}
-	for _, r := range s.Running(worker) {
-		if !r.IsTask && r.Inv.Lib == lib {
+	runs := s.Running(worker)
+	for i := range runs {
+		if !runs[i].IsTask && runs[i].Inv.Lib == lib {
 			return
 		}
 	}

@@ -176,3 +176,102 @@ func TestInvocationArgsSurviveNextFrame(t *testing.T) {
 		t.Error("an argument the library kept was overwritten by a later frame")
 	}
 }
+
+// payloadSizes are the argument and value lengths either side of
+// inlinePayload, with the allocations queuing one of them may cost.
+var payloadSizes = []struct {
+	size   int
+	allocs float64
+}{{inlinePayload - 1, 0}, {inlinePayload, 0}, {inlinePayload + 1, 1}}
+
+// TestLibraryQueueAllocatesNothingInline: an invocation's arguments, which
+// the control loop decodes as a view of its receive buffer, are copied by
+// value into the library queue's entry and from there into the slot's
+// own buffer, so queuing and taking one allocates nothing while they fit
+// inlinePayload — and one copy, their own, once they do not.
+func TestLibraryQueueAllocatesNothingInline(t *testing.T) {
+	w := New(Config{ID: "w"})
+	h := &libHolder{w: w} // max 0: submit starts no slot
+	h.wake.L = &h.mu
+	buf := make([]byte, 0, inlinePayload)
+	for _, c := range payloadSizes {
+		args := bytes.Repeat([]byte{byte(c.size)}, c.size)
+		spec := core.InvocationSpec{ID: 1, Library: "lib", Function: "f", Args: args}
+		var got core.InvocationSpec
+		if n := testing.AllocsPerRun(100, func() {
+			h.submit(spec)
+			got, _ = h.next(buf)
+		}); n != c.allocs {
+			t.Errorf("%d bytes of arguments: submit and next allocated %v times, want %v", c.size, n, c.allocs)
+		}
+		if !bytes.Equal(got.Args, args) || &got.Args[0] == &args[0] {
+			t.Fatalf("%d bytes of arguments came out as %x, or as the receive buffer itself", c.size, got.Args)
+		}
+		if inline := &got.Args[0] == &buf[:1][0]; inline != (c.size <= inlinePayload) {
+			t.Errorf("%d bytes of arguments: in the slot's buffer %v", c.size, inline)
+		}
+	}
+}
+
+// TestSendResultAllocatesNothing: a result's value is copied by value into
+// the frame it is queued in while it fits inlinePayload, so its producer
+// may reuse its buffer at once; a longer one is queued as it is, the
+// producer's own to give away. Neither allocates.
+func TestSendResultAllocatesNothing(t *testing.T) {
+	w := New(Config{ID: "w"})
+	var sent outFrame
+	take := func(f outFrame) error {
+		sent = f
+		return nil
+	}
+	for _, c := range payloadSizes {
+		value := bytes.Repeat([]byte{byte(c.size)}, c.size)
+		if n := testing.AllocsPerRun(100, func() {
+			w.sendResult(core.Result{ID: 1, Ok: true, Value: value})
+			w.sendq.Drain(w.done, take)
+		}); n != 0 {
+			t.Errorf("a %d-byte value: sendResult allocated %v times, want 0", c.size, n)
+		}
+		got := sent.res.Value
+		if c.size <= inlinePayload {
+			if got != nil {
+				t.Errorf("a %d-byte value was queued by reference, not copied into the frame", c.size)
+			}
+			got = sent.val[:sent.n]
+		}
+		if !bytes.Equal(got, value) {
+			t.Errorf("a %d-byte value was queued as %x", c.size, got)
+		}
+	}
+}
+
+// TestSlotResultsSendResultMoves: sendResult queues a value longer than
+// inlinePayload without copying it, which is safe only because a library
+// slot never keeps such a result's buffer for its next call.
+func TestSlotResultsSendResultMoves(t *testing.T) {
+	lib, err := library.Start(core.LibrarySpec{Name: "lib", Functions: []core.FunctionSpec{
+		{Name: "echo", Source: "def echo(s):\n    return s\n"},
+	}}, "lib@w", &library.Host{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot := lib.NewSlot()
+	invoke := func(s string) []byte {
+		args, err := pickle.MarshalTuple([]minipy.Value{minipy.Str(s)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := slot.Invoke("echo", args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Value
+	}
+	// A string of n bytes pickles to n+4.
+	first := invoke(strings.Repeat("a", inlinePayload+1-4))
+	want := bytes.Clone(first)
+	invoke(strings.Repeat("b", inlinePayload+1-4))
+	if len(want) != inlinePayload+1 || !bytes.Equal(first, want) {
+		t.Errorf("a %d-byte result changed under the slot's next call", len(want))
+	}
+}

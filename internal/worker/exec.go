@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -55,7 +56,7 @@ type libHolder struct {
 	// wake is signalled once per queued invocation while a slot is
 	// parked, and broadcast on removal and on shutdown.
 	wake     sync.Cond
-	queue    core.FIFO[core.InvocationSpec]
+	queue    core.FIFO[queued]
 	slots    int  // slot goroutines started
 	idle     int  // of those, parked and not yet signalled
 	draining bool // removed: serve what is queued, then end
@@ -70,12 +71,34 @@ func newLibHolder(w *Worker, lib *library.Library, res core.Resources) *libHolde
 	return h
 }
 
-// submit queues one invocation. Only the control loop calls it; it
-// never blocks on execution.
+// inlinePayload is how many bytes of pickled arguments a queued
+// invocation, and of pickled value a queued result, carries by value in
+// its own record: what a short call's arguments or result take. A
+// longer payload costs one heap copy.
+const inlinePayload = 16
+
+// queued is an invocation waiting for a slot, its arguments copied out
+// of the receive buffer they were decoded from: into args when they fit,
+// with spec.Args nil, or else to the heap as spec.Args.
+type queued struct {
+	spec core.InvocationSpec
+	n    uint8
+	args [inlinePayload]byte
+}
+
+// submit queues one invocation, whose Args may alias a receive buffer.
+// Only the control loop calls it; it never blocks on execution.
 func (h *libHolder) submit(spec core.InvocationSpec) {
+	q := queued{spec: spec}
+	if len(spec.Args) <= inlinePayload {
+		q.n = uint8(copy(q.args[:], spec.Args))
+		q.spec.Args = nil
+	} else {
+		q.spec.Args = bytes.Clone(spec.Args)
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.queue.Push(spec)
+	h.queue.Push(q)
 	switch {
 	case h.idle > 0:
 		// The signaller does the counting: a second invocation arriving
@@ -94,8 +117,10 @@ func (h *libHolder) submit(spec core.InvocationSpec) {
 func (h *libHolder) serve() {
 	defer h.w.wg.Done()
 	slot := h.lib.NewSlot()
+	// args receives each queued invocation's inline arguments.
+	args := make([]byte, 0, inlinePayload)
 	for {
-		spec, ok := h.next()
+		spec, ok := h.next(args)
 		if !ok {
 			return
 		}
@@ -103,9 +128,10 @@ func (h *libHolder) serve() {
 	}
 }
 
-// next takes the oldest queued invocation, parking until there is one.
-// It reports false when the slot should end.
-func (h *libHolder) next() (core.InvocationSpec, bool) {
+// next takes the oldest queued invocation, parking until there is one,
+// with arguments that were inline copied into args, which must have room
+// for inlinePayload bytes. It reports false when the slot should end.
+func (h *libHolder) next(args []byte) (core.InvocationSpec, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for h.queue.Len() == 0 && !h.draining && !h.w.stopping() {
@@ -115,7 +141,11 @@ func (h *libHolder) next() (core.InvocationSpec, bool) {
 	if h.w.stopping() {
 		return core.InvocationSpec{}, false
 	}
-	return h.queue.Pop()
+	q, ok := h.queue.Pop()
+	if ok && q.spec.Args == nil {
+		q.spec.Args = append(args[:0], q.args[:q.n]...)
+	}
+	return q.spec, ok
 }
 
 // wakeAll wakes every parked slot to look at draining and the worker's

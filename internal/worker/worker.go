@@ -121,12 +121,17 @@ type Worker struct {
 // outFrame is one queued control frame headed for the manager.
 // Results — the once-per-invocation hot payload — travel in the typed
 // res field instead of v: boxing each core.Result into an interface
-// would cost one heap allocation per completion.
+// would cost one heap allocation per completion. A result's value of up
+// to inlinePayload bytes travels in the first n bytes of val, with
+// res.Value nil: copied by value, it needs no buffer the producer would
+// have to get back from the sender.
 type outFrame struct {
 	t      proto.MsgType
+	hasRes bool
+	n      uint8
+	val    [inlinePayload]byte
 	v      any
 	res    core.Result
-	hasRes bool
 }
 
 // sendQueueSize bounds the outbound frame queue. Results are small and
@@ -416,9 +421,19 @@ func (w *Worker) protocolError(t proto.MsgType, err error) {
 // Staging-message handlers (PutFile, FetchFile, acks) live in
 // staging.go; wire-format conversion helpers live in wire.go.
 
+// sendResult queues res for the manager. A value of up to inlinePayload
+// bytes is copied into the frame, so its producer may reuse its buffer at
+// once (a library slot does); a longer one is the producer's to give
+// away and is queued as it is — a task's result, or an invocation's too
+// long for its slot to keep.
 func (w *Worker) sendResult(res core.Result) {
 	res.Metrics.WorkerID = w.cfg.ID
-	w.sendq.Push(outFrame{t: proto.MsgResult, res: res, hasRes: true}, w.done)
+	f := outFrame{t: proto.MsgResult, hasRes: true, res: res}
+	if len(res.Value) <= inlinePayload {
+		f.n = uint8(copy(f.val[:], res.Value))
+		f.res.Value = nil
+	}
+	w.sendq.Push(f, w.done)
 }
 
 // sendMsg queues a result or ack for the manager unless the worker is
@@ -441,13 +456,18 @@ func (w *Worker) sendMsg(t proto.MsgType, v any) {
 // for the same reason sendMsg ignores shutdown: a broken manager link is
 // reported by the read loop tearing the worker down.
 func (w *Worker) sendLoop() {
-	// scratch is one stable heap slot for unboxed result frames: Buffer
-	// encodes synchronously, so the pointer never outlives the call and
-	// every result frame reuses the same allocation.
+	// scratch is one stable heap slot for unboxed result frames, and val
+	// one for their inline values: Buffer encodes synchronously, so the
+	// pointer never outlives the call and every result frame reuses the
+	// same allocations.
 	var scratch core.Result
+	val := make([]byte, 0, inlinePayload)
 	buffer := func(f outFrame) error {
 		if f.hasRes {
 			scratch = f.res
+			if scratch.Value == nil {
+				scratch.Value = append(val[:0], f.val[:f.n]...)
+			}
 			_ = w.conn.Buffer(f.t, &scratch)
 			return nil
 		}
