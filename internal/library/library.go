@@ -32,6 +32,9 @@ type Host struct {
 	// runaway invocation fails without costing the ones after it
 	// anything. Zero means no limit.
 	StepLimit int64
+	// Code is the worker's code cache, which the library's function
+	// sources and pickles are parsed through; nil parses each one.
+	Code *minipy.CodeCache
 }
 
 // ResolveModule implements minipy.Host.
@@ -100,6 +103,7 @@ type Library struct {
 func Start(spec core.LibrarySpec, instance string, host *Host) (*Library, error) {
 	ip := minipy.NewInterp(host)
 	ip.StepLimit = host.StepLimit
+	ip.Code = host.Code
 	lib := &Library{
 		Spec:     spec,
 		Instance: instance,
@@ -156,7 +160,7 @@ func Start(spec core.LibrarySpec, instance string, host *Host) (*Library, error)
 // and falling back to the pickled code object.
 func (l *Library) buildFunction(fs core.FunctionSpec) (*minipy.Func, error) {
 	if fs.Source != "" {
-		mod, err := minipy.Parse(fs.Source)
+		mod, err := l.ip.Code.Module(fs.Source)
 		if err != nil {
 			return nil, fmt.Errorf("function %s: parsing source: %w", fs.Name, err)
 		}

@@ -3,6 +3,7 @@ package minipy_test
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -242,7 +243,11 @@ func specParams(spec string) []minipy.ParamInfo {
 // FuzzRebuild drives RebuildFuncInto — the unpickler's hook — with def
 // and lambda specs. No spec may panic it, and a function it rebuilds
 // must survive the next hop: GetSource of it is source that rebuilds,
-// to a function whose source is the same text again.
+// to a function whose source is the same text again. Rebuilt twice
+// through one code cache, as a worker rebuilds a function it has run
+// before, the spec gives functions that share one tree and print as the
+// cold rebuild does: installing the pickled defaults writes nothing into
+// the shared tree.
 func FuzzRebuild(f *testing.F) {
 	for _, fn := range seedFuncs(f) {
 		src, _, _ := minipy.GetSource(fn)
@@ -251,11 +256,30 @@ func FuzzRebuild(f *testing.F) {
 	f.Add("lambda: "+strings.Repeat("(", 500)+strings.Repeat(")", 500), true, "")
 	f.Add("def f():\n    return "+strings.Repeat("1+", 500)+"1\n", false, "")
 	ip := minipy.NewInterp(nil)
+	cached := minipy.NewInterp(nil)
+	cached.Code = new(minipy.CodeCache)
 	f.Fuzz(func(t *testing.T, src string, lambda bool, params string) {
 		spec := &minipy.RebuildSpec{Name: "f", Module: "m", IsLambda: lambda, Source: src, Params: specParams(params)}
 		fn := &minipy.Func{}
-		if err := minipy.RebuildFuncInto(ip, spec, fn); err != nil {
+		err := minipy.RebuildFuncInto(ip, spec, fn)
+		var warm [2]*minipy.Func
+		for i := range warm {
+			warm[i] = &minipy.Func{}
+			if cerr := minipy.RebuildFuncInto(cached, spec, warm[i]); (cerr == nil) != (err == nil) || cerr != nil && cerr.Error() != err.Error() {
+				t.Fatalf("rebuild %d through the cache: %v, cold: %v", i+1, cerr, err)
+			}
+		}
+		if err != nil {
 			return
+		}
+		cold := printFunc(fn)
+		for i, w := range warm {
+			if got := printFunc(w); got != cold {
+				t.Fatalf("rebuild %d through the cache prints\n%s\ncold:\n%s", i+1, got, cold)
+			}
+		}
+		if !sameTree(warm[0], warm[1]) {
+			t.Fatalf("two rebuilds through one cache hold two trees")
 		}
 		once, _, err := minipy.GetSource(fn)
 		if err != nil {
@@ -271,4 +295,22 @@ func FuzzRebuild(f *testing.F) {
 			t.Fatalf("source is not stable (%v):\nonce:\n%s\ntwice:\n%s", err, once, twice)
 		}
 	})
+}
+
+// printFunc prints a rebuilt function's tree: the definition and its
+// parameters with the defaults installed, or the lambda's.
+func printFunc(fn *minipy.Func) string {
+	params := fmt.Sprint(minipy.FuncParams(fn))
+	if fn.Def != nil {
+		return minipy.PrintStmt(fn.Def) + params
+	}
+	return minipy.PrintExpr(fn.Expr) + params
+}
+
+// sameTree reports whether two functions run one parsed tree.
+func sameTree(a, b *minipy.Func) bool {
+	if a.Def != nil {
+		return a.Def == b.Def
+	}
+	return a.Expr == b.Expr
 }

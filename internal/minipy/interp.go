@@ -55,6 +55,10 @@ type Interp struct {
 	depth     int
 	// MaxDepth bounds call recursion.
 	MaxDepth int
+	// Code, when set, is the worker's code cache: RunModule and the
+	// rebuild of a pickled function parse each text once through it.
+	// Nil parses every text.
+	Code *CodeCache
 	// envFree recycles function-local environments between calls: a
 	// call whose frame was not captured by a closure returns its Env
 	// (and its bucket memory) here instead of to the garbage collector.
@@ -107,7 +111,7 @@ func (ip *Interp) Host() Host { return ip.host }
 // Fork creates a child interpreter sharing the host and module cache,
 // used by the library fork execution mode.
 func (ip *Interp) Fork() *Interp {
-	return &Interp{host: ip.host, modules: ip.modules, StepLimit: ip.StepLimit, MaxDepth: ip.MaxDepth}
+	return &Interp{host: ip.host, modules: ip.modules, StepLimit: ip.StepLimit, MaxDepth: ip.MaxDepth, Code: ip.Code}
 }
 
 // Steps returns the number of evaluation steps performed so far.
@@ -131,11 +135,11 @@ func rtErrf(line int, format string, args ...any) error {
 	return &RuntimeError{Msg: fmt.Sprintf(format, args...), Line: line}
 }
 
-// RunModule parses and executes src as a module body in a fresh globals
-// environment, returning the globals. The source text is remembered on
-// functions it defines, enabling source extraction.
+// RunModule parses (through ip.Code) and executes src as a module body
+// in a fresh globals environment, returning the globals. The source text
+// is remembered on functions it defines, enabling source extraction.
 func (ip *Interp) RunModule(src, modName string) (*Env, error) {
-	mod, err := Parse(src)
+	mod, err := ip.Code.Module(src)
 	if err != nil {
 		return nil, err
 	}

@@ -111,10 +111,11 @@ type RebuildSpec struct {
 
 // RebuildFuncInto reconstructs a function value from a spec into an
 // existing (empty) Func shell. The function's code is re-parsed from
-// source; its globals environment is a fresh builtins environment
-// extended with the pickled globals; closure captures become an
-// intermediate frame. Parameter defaults are the pickled
-// definition-time values, not re-evaluated expressions. Deserializers
+// source (once per text through ip.Code, which shares the tree); its
+// globals environment is a fresh builtins environment extended with the
+// pickled globals; closure captures become an intermediate frame.
+// Parameter defaults are the pickled definition-time values, set in a
+// copy of the tree's parameter list, not re-evaluated. Deserializers
 // allocate the shell first so that cyclic references — self-recursive
 // and mutually recursive functions — can point at the final function
 // object before its own captures finish decoding.
@@ -137,7 +138,7 @@ func RebuildFuncInto(ip *Interp, spec *RebuildSpec, fn *Func) error {
 	fn.Module = spec.Module
 	fn.Source = spec.Source
 	if spec.IsLambda {
-		expr, err := ParseExpr(strings.TrimSpace(spec.Source))
+		expr, err := ip.Code.lambda(strings.TrimSpace(spec.Source))
 		if err != nil {
 			return fmt.Errorf("minipy: rebuild lambda %q: %w", spec.Name, err)
 		}
@@ -148,7 +149,7 @@ func RebuildFuncInto(ip *Interp, spec *RebuildSpec, fn *Func) error {
 		fn.Params = le.Params
 		fn.Expr = le.Body
 	} else {
-		mod, err := Parse(spec.Source)
+		mod, err := ip.Code.Module(spec.Source)
 		if err != nil {
 			return fmt.Errorf("minipy: rebuild function %q: %w", spec.Name, err)
 		}

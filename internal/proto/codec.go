@@ -324,10 +324,18 @@ const (
 	minFunctionSize = 3 // three empty fields
 )
 
-func readFileSpec(r *bincode.Reader) core.FileSpec {
+// readFileSpec reads one FileSpec, interning its header's strings
+// through in. A task's transient input (Cache false: its pickled
+// arguments) has an ID no later frame repeats, so with transient set
+// that ID is copied rather than interned: it would only fill the table.
+func readFileSpec(r *bincode.Reader, in *Interner, transient bool) core.FileSpec {
 	flags := r.Byte()
+	ids := in
+	if transient && flags&1 == 0 {
+		ids = nil
+	}
 	return core.FileSpec{
-		Object:       readFileHdr(r).Object(nil),
+		Object:       readFileHdr(r, ids, in).Object(nil),
 		Cache:        flags&1 != 0,
 		PeerTransfer: flags&2 != 0,
 		Unpack:       flags&4 != 0,
@@ -335,24 +343,24 @@ func readFileSpec(r *bincode.Reader) core.FileSpec {
 	}
 }
 
-func readFileHdr(r *bincode.Reader) FileHdr {
+func readFileHdr(r *bincode.Reader, ids, names *Interner) FileHdr {
 	return FileHdr{
-		ID:           r.Str(),
-		Name:         r.Str(),
+		ID:           ids.intern(r.Bytes()),
+		Name:         names.intern(r.Bytes()),
 		Kind:         int(r.Varint()),
 		LogicalSize:  r.Varint(),
 		UnpackedSize: r.Varint(),
 	}
 }
 
-func readFileSpecs(r *bincode.Reader) []core.FileSpec {
+func readFileSpecs(r *bincode.Reader, in *Interner, transient bool) []core.FileSpec {
 	n := r.Count(minFileSpecSize)
 	if n == 0 {
 		return nil
 	}
 	specs := make([]core.FileSpec, n)
 	for i := range specs {
-		specs[i] = readFileSpec(r)
+		specs[i] = readFileSpec(r, in, transient)
 	}
 	return specs
 }
@@ -369,14 +377,23 @@ func readResources(r *bincode.Reader) core.Resources {
 // header — Data is nil; the worker resolves the bytes by ID through its
 // data plane.
 func DecodeTask(raw []byte) (core.TaskSpec, error) {
+	return DecodeTaskInterned(raw, nil)
+}
+
+// DecodeTaskInterned is DecodeTask interning its strings through in:
+// the script, the tenant, every input's name and the ID of every input
+// but a transient one. A worker running wrapped calls sees the same
+// wrapper script, function and environment on every task frame; only
+// the arguments are new each time.
+func DecodeTaskInterned(raw []byte, in *Interner) (core.TaskSpec, error) {
 	var t core.TaskSpec
 	r := open(raw)
 	t.ID = int64(r.Uint64BE())
 	t.ResultByRef = r.Byte()&1 != 0
-	t.TenantID = r.Str()
-	t.Script = r.Str()
-	t.Inputs = readFileSpecs(&r)
-	t.SharedFSReads = readFileSpecs(&r)
+	t.TenantID = in.intern(r.Bytes())
+	t.Script = in.intern(r.Bytes())
+	t.Inputs = readFileSpecs(&r, in, true)
+	t.SharedFSReads = readFileSpecs(&r, in, false)
 	t.Resources = readResources(&r)
 	return t, done(&r)
 }
@@ -400,10 +417,10 @@ func DecodeLibrary(raw []byte) (core.LibrarySpec, error) {
 	l.ContextSetup = copied(&r)
 	l.ContextArgs = copied(&r)
 	if flags&1 != 0 {
-		env := readFileSpec(&r)
+		env := readFileSpec(&r, nil, false)
 		l.Env = &env
 	}
-	l.Inputs = readFileSpecs(&r)
+	l.Inputs = readFileSpecs(&r, nil, false)
 	l.Slots = int(r.Varint())
 	l.Mode = core.ExecMode(r.Varint())
 	l.Resources = readResources(&r)
@@ -500,7 +517,7 @@ func DecodePutFile(raw []byte) (PutFileHdr, []byte, error) {
 	r := open(raw)
 	flags := r.Byte()
 	h.Cache, h.Unpack = flags&1 != 0, flags&2 != 0
-	h.File = readFileHdr(&r)
+	h.File = readFileHdr(&r, nil, nil)
 	payload := r.Rest()
 	return h, payload, done(&r)
 }
@@ -508,7 +525,7 @@ func DecodePutFile(raw []byte) (PutFileHdr, []byte, error) {
 // DecodeFileData decodes a MsgFileDataBulk body like DecodePutFile.
 func DecodeFileData(raw []byte) (FileHdr, []byte, error) {
 	r := open(raw)
-	h := readFileHdr(&r)
+	h := readFileHdr(&r, nil, nil)
 	payload := r.Rest()
 	return h, payload, done(&r)
 }

@@ -323,14 +323,64 @@ func fuzzDecode[T any](t *testing.T, mt proto.MsgType, decode func([]byte) (T, e
 	}
 }
 
+// TestDecodeTaskInternedAllocatesOnlyTheTask: a warm L2 wrapped call's
+// task frame, decoded through the worker loop's Interner, allocates the
+// input list, one header object per input and the arguments' ID — a
+// transient input's ID is new on every frame, so it is copied, not
+// interned. The script and every other ID and name are the table's.
+func TestDecodeTaskInternedAllocatesOnlyTheTask(t *testing.T) {
+	ts := core.TaskSpec{
+		ID:       7,
+		TenantID: "tenant",
+		Script:   worker.WrapperScript,
+		Inputs: []core.FileSpec{
+			{Object: content.NewBlob("func", []byte("pickled function")), Cache: true, PeerTransfer: true},
+			{Object: content.NewBlob("wrapped-env.tar.gz", []byte("environment")), Cache: true, PeerTransfer: true, Unpack: true},
+			{Object: content.NewBlob("args", []byte("arguments"))},
+		},
+		Resources: core.Resources{Cores: 2},
+	}
+	raw := body(t, proto.MsgRunTask, &ts)
+	var in proto.Interner
+	decode := func(in *proto.Interner) {
+		if _, err := proto.DecodeTaskInterned(raw, in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode(&in)
+	for _, c := range []struct {
+		name string
+		in   *proto.Interner
+		want float64
+	}{{"interned", &in, 5}, {"plain", nil, 12}} {
+		if got := testing.AllocsPerRun(100, func() { decode(c.in) }); got != c.want {
+			t.Errorf("%s decode of a wrapped-call task allocates %v times, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// FuzzDecodeTask drives both task decodes: the plain one and the
+// worker's, through one Interner across every input as its receive loop
+// keeps it. The interned decode is the plain one, error and value.
 func FuzzDecodeTask(f *testing.F) {
 	ts, _ := lnniSpecs(f, 64)
 	f.Add(body(f, proto.MsgRunTask, &ts))
 	for i := range specTasks {
 		f.Add(body(f, proto.MsgRunTask, &specTasks[i]))
 	}
+	var in proto.Interner
+	interned := func(raw []byte) (core.TaskSpec, error) { return proto.DecodeTaskInterned(raw, &in) }
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		fuzzDecode(t, proto.MsgRunTask, proto.DecodeTask, raw)
+		fuzzDecode(t, proto.MsgRunTask, interned, raw)
+		plain, perr := proto.DecodeTask(raw)
+		got, err := interned(raw)
+		if (err == nil) != (perr == nil) || err != nil && err.Error() != perr.Error() {
+			t.Fatalf("interned decode: %v, plain: %v", err, perr)
+		}
+		if !reflect.DeepEqual(got, plain) {
+			t.Fatalf("interned decode\n%+v\nplain\n%+v", got, plain)
+		}
 	})
 }
 

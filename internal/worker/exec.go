@@ -26,6 +26,10 @@ type executor struct {
 	cfg   *Config
 	plane *dataplane.Plane
 	w     *Worker // result/ack delivery, goroutine accounting
+	// code is this worker's alone: every task and library interpreter
+	// parses through it, so a text the worker has run is not parsed
+	// again (the wrapper script, a wrapped function's source).
+	code minipy.CodeCache
 
 	mu        sync.Mutex
 	libs      map[string]*libHolder
@@ -370,6 +374,7 @@ func (e *executor) task(spec core.TaskSpec) core.Result {
 	}
 	ip := minipy.NewInterp(host)
 	ip.StepLimit = e.cfg.StepLimit
+	ip.Code = &e.code
 	_, err = ip.RunModule(spec.Script, fmt.Sprintf("task-%d", spec.ID))
 	metrics.ExecTime = time.Since(execStart).Seconds()
 
@@ -465,6 +470,7 @@ func (e *executor) installLibrary(spec core.LibrarySpec) {
 		Resolve:   e.moduleResolver(installed, nil),
 		Inputs:    inputs,
 		StepLimit: e.cfg.StepLimit,
+		Code:      &e.code,
 	}
 	lib, err := library.Start(spec, instance, host)
 	if err != nil {

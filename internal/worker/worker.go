@@ -306,8 +306,11 @@ func (w *Worker) Shutdown() {
 func (w *Worker) loop(nc net.Conn) {
 	defer nc.Close()
 	// strs interns the identifier strings every invocation repeats
-	// (library, function) — used only by this loop goroutine.
-	var strs proto.Interner
+	// (library, function), and tasks what every task frame repeats (the
+	// script, input names and IDs) — used only by this loop goroutine.
+	// Two tables: both are capped, and task scripts must not crowd the
+	// invocation names out.
+	var strs, tasks proto.Interner
 	for {
 		// RecvReuse: every case below decodes (copying what it keeps)
 		// before the next receive. A bulk frame's payload needs no copy:
@@ -347,7 +350,7 @@ func (w *Worker) loop(nc net.Conn) {
 			}
 			w.handleOwnObject(id)
 		case proto.MsgRunTask:
-			msg, err := proto.DecodeTask(raw)
+			msg, err := proto.DecodeTaskInterned(raw, &tasks)
 			if err != nil {
 				w.protocolError(t, err)
 				continue

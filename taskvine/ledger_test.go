@@ -94,6 +94,77 @@ func TestInvocationLedger(t *testing.T) {
 	}
 }
 
+// TestWrappedCallLedger pins what a warm stateless task costs: an L2
+// wrapped call (SubmitWrappedCall → wrapper task → load_pickle of the
+// cached function and of its arguments) on an in-process manager and
+// worker. The worker parsed the wrapper script and the function's source
+// in the warm-up, and its task frames decode through the control loop's
+// Interner, so what is left is the task's own context reload —
+// unpickling and rebuilding the function, a fresh interpreter and
+// globals, staging and releasing the arguments — and the manager's
+// dispatch of the task and its argument object. Quiet runs read
+// 97.0–97.1, where parsing both texts on every call read 152 (the
+// wrapper script's parse is 34 allocations, this function's 17). The
+// tolerance, 1 a call, admits pools refilled and queues grown now and
+// then; any parse per call is far outside it.
+func TestWrappedCallLedger(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops encoders, decoders and intake nodes under -race")
+	}
+	const (
+		calls, burst = 2_000, 16
+		ledger       = 97
+		tolerance    = 1
+	)
+	m := newTestManager(t, 1, Options{})
+	env, err := m.Exec("def scale(x):\n    return x * 3 + 1\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn, err := FuncFrom(env, "scale")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrapped, err := m.WrapFunction(fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := m.Results()
+	deadline := time.NewTimer(time.Minute)
+	defer deadline.Stop()
+	next := int64(1000) // outside 0–255: every argument is boxed
+	run := func(n int) {
+		for sent := 0; sent < n; sent += burst {
+			for i := 0; i < burst; i++ {
+				next++
+				if _, err := m.SubmitWrappedCall(wrapped, core.L2, core.Resources{Cores: 1}, minipy.Int(next)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < burst; i++ {
+				select {
+				case res := <-results:
+					if !res.Ok {
+						t.Fatalf("call %d failed: %s", res.ID, res.Err)
+					}
+				case <-deadline.C:
+					t.Fatal("the calls did not complete in a minute")
+				}
+			}
+		}
+	}
+	run(10 * burst) // stage the function and parse both texts
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(calls)
+	runtime.ReadMemStats(&after)
+	per := float64(after.Mallocs-before.Mallocs) / calls
+	t.Logf("%.2f allocations per wrapped call", per)
+	if per > ledger+tolerance {
+		t.Errorf("a warm wrapped call allocates %.2f times, want at most %d (+%d)", per, ledger, tolerance)
+	}
+}
+
 // TestCallAllocatesOnce: Call pickles its arguments into the block that
 // holds their spec, and submits it: one allocation while the arguments
 // fit the block, and one more, their own, once they do not. The block
