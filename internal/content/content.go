@@ -61,8 +61,16 @@ type Object struct {
 
 // HashBytes returns the content ID for a byte slice.
 func HashBytes(b []byte) string {
+	id := hashHex(b)
+	return string(id[:])
+}
+
+// hashHex is the content ID of b, encoded on the stack.
+func hashHex(b []byte) [2 * sha256.Size]byte {
+	var id [2 * sha256.Size]byte
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	hex.Encode(id[:], sum[:])
+	return id
 }
 
 // NewBlob creates a blob object whose logical size is its actual size.
@@ -108,10 +116,11 @@ func NewTarball(name string, data []byte, packedSize, unpackedSize int64) *Objec
 	}
 }
 
-// Validate checks that the object's ID matches its data.
+// Validate checks that the object's ID matches its data. A match
+// allocates nothing; only a mismatch formats the two IDs.
 func (o *Object) Validate() error {
-	if got := HashBytes(o.Data); got != o.ID {
-		return fmt.Errorf("content: object %q corrupt: id %s, data hashes to %s", o.Name, o.ID, got)
+	if got := hashHex(o.Data); string(got[:]) != o.ID {
+		return fmt.Errorf("content: object %q corrupt: id %s, data hashes to %s", o.Name, o.ID, string(got[:]))
 	}
 	return nil
 }

@@ -292,3 +292,34 @@ func TestQuickCacheAccounting(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestValidateAllocatesNothing: every object a worker receives is
+// validated once before it is cached, so a match costs no allocation.
+// A mismatch still names both IDs.
+func TestValidateAllocatesNothing(t *testing.T) {
+	obj := NewBlob("args", []byte("hello"))
+	if n := testing.AllocsPerRun(100, func() {
+		if err := obj.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Validate allocates %.1f times, want 0", n)
+	}
+	bad := &Object{ID: HashBytes([]byte("hellp")), Name: "args", Data: obj.Data}
+	want := fmt.Sprintf("content: object %q corrupt: id %s, data hashes to %s", "args", bad.ID, obj.ID)
+	if err := bad.Validate(); err == nil || err.Error() != want {
+		t.Errorf("Validate() = %v, want %s", err, want)
+	}
+}
+
+// TestHashBytesAllocatesOnlyItsID: the digest is encoded on the stack,
+// and the one allocation is the ID string itself.
+func TestHashBytesAllocatesOnlyItsID(t *testing.T) {
+	data := []byte("hello")
+	if id := HashBytes(data); id != "2cf24dba5fb0a30e26e83b2ac5b9e29e1b161e5c1fa7425e73043362938b9824" {
+		t.Fatalf("HashBytes(hello) = %s", id)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = HashBytes(data) }); n != 1 {
+		t.Errorf("HashBytes allocates %.1f times, want 1", n)
+	}
+}

@@ -7,6 +7,7 @@
 package library
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -40,7 +41,7 @@ type Host struct {
 // ResolveModule implements minipy.Host.
 func (h *Host) ResolveModule(ip *minipy.Interp, name string) (*minipy.ModuleVal, error) {
 	if name == "vine_data" {
-		return h.dataModule(), nil
+		return vineData, nil
 	}
 	if h.Resolve == nil {
 		return nil, fmt.Errorf("no module named '%s'", name)
@@ -48,36 +49,40 @@ func (h *Host) ResolveModule(ip *minipy.Interp, name string) (*minipy.ModuleVal,
 	return h.Resolve(ip, name)
 }
 
-// dataModule exposes the context's bound input data to library code:
-// the one shared copy every invocation reads (§2.2.1's
-// data-to-invocation binding).
-func (h *Host) dataModule() *minipy.ModuleVal {
-	m := &minipy.ModuleVal{Name: "vine_data", Attrs: map[string]minipy.Value{}}
-	m.Attrs["load_text"], m.Attrs["load_pickle"] = ObjectLoaders(func(name string) (*content.Object, error) {
-		obj, ok := h.Inputs[name]
-		if !ok {
-			return nil, fmt.Errorf("no input data named %q bound to this context", name)
-		}
-		return obj, nil
-	})
-	m.Attrs["names"] = &minipy.Builtin{Name: "names", Fn: func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
-		l := &minipy.List{}
-		for n := range h.Inputs {
-			l.Elems = append(l.Elems, minipy.Str(n))
-		}
-		l.Elems = sortStrs(l.Elems)
-		return l, nil
+// vineData exposes the context's bound input data to library code: the
+// one shared copy every invocation reads (§2.2.1's data-to-invocation
+// binding). It is built once; its builtins find the calling library's
+// Host through the interpreter.
+var vineData = func() *minipy.ModuleVal {
+	loadText, loadPickle := ObjectLoaders(boundInput)
+	return &minipy.ModuleVal{Name: "vine_data", Attrs: map[string]minipy.Value{
+		"load_text": loadText, "load_pickle": loadPickle, "names": &minipy.Builtin{Name: "names", Fn: boundNames},
 	}}
-	return m
+}()
+
+var errNotLibrary = errors.New("vine_data is only available to library code")
+
+func boundInput(ip *minipy.Interp, name string) (*content.Object, error) {
+	h, ok := ip.Host().(*Host)
+	if !ok {
+		return nil, errNotLibrary
+	}
+	if obj, ok := h.Inputs[name]; ok {
+		return obj, nil
+	}
+	return nil, fmt.Errorf("no input data named %q bound to this context", name)
 }
 
-func sortStrs(elems []minipy.Value) []minipy.Value {
-	for i := 1; i < len(elems); i++ {
-		for j := i; j > 0 && string(elems[j].(minipy.Str)) < string(elems[j-1].(minipy.Str)); j-- {
-			elems[j], elems[j-1] = elems[j-1], elems[j]
-		}
+func boundNames(ip *minipy.Interp, _ []minipy.Value) (minipy.Value, error) {
+	h, ok := ip.Host().(*Host)
+	if !ok {
+		return nil, errNotLibrary
 	}
-	return elems
+	l := &minipy.List{Elems: make([]minipy.Value, 0, len(h.Inputs))}
+	for n := range h.Inputs {
+		l.Elems = append(l.Elems, minipy.Str(n))
+	}
+	return SortedNames(l), nil
 }
 
 // Library is a running library instance on a worker.

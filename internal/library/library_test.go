@@ -377,6 +377,24 @@ def bad():
 	}
 }
 
+// TestVineDataIsSharedAndNeedsALibrary: every library resolves one
+// vine_data module, and its builtins called from an interpreter that is
+// no library's say so instead of reading some other library's inputs.
+func TestVineDataIsSharedAndNeedsALibrary(t *testing.T) {
+	a, _ := testHost().ResolveModule(nil, "vine_data")
+	b, _ := (&Host{}).ResolveModule(nil, "vine_data")
+	if a != b {
+		t.Error("two libraries resolve vine_data to different modules")
+	}
+	for _, name := range []string{"load_text", "load_pickle", "names"} {
+		fn := a.Attrs[name].(*minipy.Builtin)
+		_, err := fn.Fn(minipy.NewInterp(nil), []minipy.Value{minipy.Str("notes.txt")})
+		if err == nil || !strings.Contains(err.Error(), "only available to library code") {
+			t.Errorf("%s() outside a library: %v", name, err)
+		}
+	}
+}
+
 const counterSrc = `
 def setup():
     global n

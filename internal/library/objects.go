@@ -1,7 +1,9 @@
 package library
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/content"
 	"repro/internal/minipy"
@@ -10,8 +12,10 @@ import (
 
 // ObjectLoaders builds the load_text and load_pickle builtins that both
 // runtime modules — a task's vine_runtime and a library's vine_data —
-// expose over their staged objects; lookup finds an object by the name
-// the script gives.
+// expose over their staged objects. Each module is built once per
+// process, so lookup finds an object by the name the script gives
+// through the calling interpreter, whose host is the running task or
+// library.
 //
 // This is where a content object becomes an interpreter value, and it
 // does so without copying: an object's bytes are immutable from the
@@ -20,32 +24,31 @@ import (
 // the value alias it. The views keep the bytes alive on their own, so an
 // object evicted from the cache while a script still holds its text
 // costs nothing but the memory staying reachable a little longer.
-func ObjectLoaders(lookup func(name string) (*content.Object, error)) (loadText, loadPickle *minipy.Builtin) {
-	loadText = &minipy.Builtin{Name: "load_text", Fn: func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
-		obj, err := namedObject(lookup, "load_text", args)
-		if err != nil {
-			return nil, err
-		}
-		return minipy.BorrowStr(obj.Data), nil
-	}}
-	loadPickle = &minipy.Builtin{Name: "load_pickle", Fn: func(ip *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
-		obj, err := namedObject(lookup, "load_pickle", args)
-		if err != nil {
-			return nil, err
-		}
-		return pickle.UnmarshalBorrow(obj.Data, ip)
-	}}
-	return loadText, loadPickle
+func ObjectLoaders(lookup func(ip *minipy.Interp, name string) (*content.Object, error)) (loadText, loadPickle *minipy.Builtin) {
+	loader := func(fname string, decode func([]byte, *minipy.Interp) (minipy.Value, error)) *minipy.Builtin {
+		return &minipy.Builtin{Name: fname, Fn: func(ip *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
+			if len(args) != 1 {
+				return nil, fmt.Errorf("%s() takes 1 argument", fname)
+			}
+			name, ok := args[0].(minipy.Str)
+			if !ok {
+				return nil, fmt.Errorf("%s() argument must be a str", fname)
+			}
+			obj, err := lookup(ip, string(name))
+			if err != nil {
+				return nil, err
+			}
+			return decode(obj.Data, ip)
+		}}
+	}
+	borrowText := func(data []byte, _ *minipy.Interp) (minipy.Value, error) { return minipy.BorrowStr(data), nil }
+	return loader("load_text", borrowText), loader("load_pickle", pickle.UnmarshalBorrow)
 }
 
-// namedObject resolves a loader's single argument, the object's name.
-func namedObject(lookup func(string) (*content.Object, error), fname string, args []minipy.Value) (*content.Object, error) {
-	if len(args) != 1 {
-		return nil, fmt.Errorf("%s() takes 1 argument", fname)
-	}
-	name, ok := args[0].(minipy.Str)
-	if !ok {
-		return nil, fmt.Errorf("%s() argument must be a str", fname)
-	}
-	return lookup(string(name))
+// SortedNames sorts a list of str values by name and drops repeats:
+// what vine_runtime.input_names() and vine_data.names() return.
+func SortedNames(l *minipy.List) *minipy.List {
+	slices.SortFunc(l.Elems, func(a, b minipy.Value) int { return cmp.Compare(a.(minipy.Str), b.(minipy.Str)) })
+	l.Elems = slices.Compact(l.Elems)
+	return l
 }

@@ -81,19 +81,19 @@ var dictMethods = map[string]methodFn{
 }
 
 // NewGlobals creates a fresh globals environment pre-populated with the
-// builtin functions.
+// builtin functions. Every environment binds the same builtin values: a
+// Builtin is never written once built, and `len = 5` rebinds the name in
+// one environment's frame, not the value the others hold.
 func (ip *Interp) NewGlobals() *Env {
 	env := NewEnv(nil)
-	for name, fn := range universalBuiltins {
-		env.Set(name, &Builtin{Name: name, Fn: fn})
+	for name, b := range universalBuiltins {
+		env.Set(name, b)
 	}
 	return env
 }
 
-type builtinFn = func(ip *Interp, args []Value) (Value, error)
-
-var universalBuiltins = map[string]builtinFn{
-	"len": func(_ *Interp, args []Value) (Value, error) {
+var universalBuiltins = map[string]*Builtin{
+	"len": {Name: "len", Fn: func(_ *Interp, args []Value) (Value, error) {
 		if err := checkArity("len", args, 1, 1); err != nil {
 			return nil, err
 		}
@@ -108,8 +108,8 @@ var universalBuiltins = map[string]builtinFn{
 			return Int(v.Len()), nil
 		}
 		return nil, fmt.Errorf("object of type '%s' has no len()", args[0].Type())
-	},
-	"range": func(_ *Interp, args []Value) (Value, error) {
+	}},
+	"range": {Name: "range", Fn: func(_ *Interp, args []Value) (Value, error) {
 		if err := checkArity("range", args, 1, 1); err != nil {
 			return nil, err
 		}
@@ -122,8 +122,8 @@ var universalBuiltins = map[string]builtinFn{
 			out = append(out, Int(i))
 		}
 		return &List{Elems: out}, nil
-	},
-	"str": func(_ *Interp, args []Value) (Value, error) {
+	}},
+	"str": {Name: "str", Fn: func(_ *Interp, args []Value) (Value, error) {
 		if err := checkArity("str", args, 1, 1); err != nil {
 			return nil, err
 		}
@@ -132,5 +132,5 @@ var universalBuiltins = map[string]builtinFn{
 		}
 		s, err := repr(args[0])
 		return Str(s), err
-	},
+	}},
 }

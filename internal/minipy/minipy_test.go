@@ -985,3 +985,47 @@ func evalSrc(ip *Interp, src string, env *Env) (Value, error) {
 	}
 	return ip.eval(e, &frame{env: env})
 }
+
+// TestNewGlobalsSharesBuiltins: every globals environment binds the same
+// builtin values, so NewGlobals allocates what an environment holding
+// three names allocates and nothing for the builtins (3 fewer times than
+// a fresh Builtin each). Rebinding `len` in one module rebinds it in that
+// module only.
+func TestNewGlobalsSharesBuiltins(t *testing.T) {
+	ip := NewInterp(nil)
+	a, b := ip.NewGlobals(), ip.NewGlobals()
+	for _, name := range []string{"len", "range", "str"} {
+		va, _ := a.Get(name)
+		vb, _ := b.Get(name)
+		if va != vb {
+			t.Errorf("two globals hold different %s builtins", name)
+		}
+		if v, ok := UniversalBuiltin(name); !ok || v != va {
+			t.Errorf("UniversalBuiltin(%q) is not the value NewGlobals binds", name)
+		}
+	}
+	plain := testing.AllocsPerRun(100, func() {
+		env := NewEnv(nil)
+		env.Set("len", NoneValue)
+		env.Set("range", NoneValue)
+		env.Set("str", NoneValue)
+	})
+	if n := testing.AllocsPerRun(100, func() { ip.NewGlobals() }); n != plain {
+		t.Errorf("NewGlobals allocates %.1f times, want %.1f: the environment's own", n, plain)
+	}
+
+	first, err := ip.RunModule("len = 5\n", "first")
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := ip.RunModule("n = len([1, 2])\n", "second")
+	if err != nil {
+		t.Fatalf("len after another module rebound it: %v", err)
+	}
+	if v, _ := first.Get("len"); v.Repr() != "5" {
+		t.Errorf("first module's len = %s, want 5", v.Repr())
+	}
+	if v, _ := second.Get("n"); v.Repr() != "2" {
+		t.Errorf("second module's len([1, 2]) = %s, want 2", v.Repr())
+	}
+}

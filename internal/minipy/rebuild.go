@@ -47,14 +47,14 @@ func IsUniversalBuiltin(name string, v Value) bool {
 	return exists && b.Name == name
 }
 
-// UniversalBuiltin is the stock builtin name — a fresh value, as
+// UniversalBuiltin is the stock builtin name — the shared value
 // NewGlobals binds — if there is one.
 func UniversalBuiltin(name string) (Value, bool) {
-	fn, ok := universalBuiltins[name]
+	b, ok := universalBuiltins[name]
 	if !ok {
 		return nil, false
 	}
-	return &Builtin{Name: name, Fn: fn}, true
+	return b, true
 }
 
 // ResolveFree resolves a function's free variables at pickling time,

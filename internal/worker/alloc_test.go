@@ -93,7 +93,7 @@ func TestBorrowedTextOutlivesEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	plane := dataplane.New(dataplane.Config{Cache: content.NewCache(4 * size)})
-	loadText, loadPickle := library.ObjectLoaders(func(name string) (*content.Object, error) {
+	loadText, loadPickle := library.ObjectLoaders(func(_ *minipy.Interp, name string) (*content.Object, error) {
 		return plane.PinResolve(name)
 	})
 	var views []minipy.Value

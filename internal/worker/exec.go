@@ -219,43 +219,28 @@ func infraResult(id int64, err error) core.Result {
 	return core.Result{ID: id, Ok: false, Err: err.Error(), Retryable: true}
 }
 
-// moduleResolver builds the module-resolution function for a sandbox
-// or library: only modules some environment in `installed` lists (plus
-// the always-present vine_runtime) are importable. Each list is sorted,
-// so an import is a binary search per environment; nothing is built per
-// task for the imports it never makes.
-func (e *executor) moduleResolver(installed [][]string, sb *sandbox) func(*minipy.Interp, string) (*minipy.ModuleVal, error) {
-	return func(ip *minipy.Interp, name string) (*minipy.ModuleVal, error) {
-		if name == "vine_runtime" && sb != nil {
-			return sb.runtimeModule(ip), nil
-		}
-		if !installs(installed, name) || e.cfg.Registry == nil || !e.cfg.Registry.Has(name) {
-			return nil, fmt.Errorf("no module named '%s'", name)
-		}
-		return e.cfg.Registry.Build(name)
-	}
-}
-
-// installs reports whether any of the sorted lists holds name.
-func installs(installed [][]string, name string) bool {
+// resolveModule builds the module called name for a task or library whose
+// environments install the sorted lists in installed: only a module one
+// of them lists is importable. An import is a binary search per
+// environment; nothing is built for the imports a script never makes.
+func (e *executor) resolveModule(installed [][]string, name string) (*minipy.ModuleVal, error) {
 	for _, names := range installed {
-		if _, found := slices.BinarySearch(names, name); found {
-			return true
+		if _, found := slices.BinarySearch(names, name); found && e.cfg.Registry != nil && e.cfg.Registry.Has(name) {
+			return e.cfg.Registry.Build(name)
 		}
 	}
-	return false
+	return nil, fmt.Errorf("no module named '%s'", name)
 }
 
-// allowedModules collects the sorted package-name lists of every
-// environment tarball among the given objects, one list each. staged
-// are pinned cache objects: one unpacked here has its list retained by
-// the data plane, read once when the tarball was expanded. shared are L1
-// shared FS reads, which by definition retain nothing — their name table
-// is parsed every time, as is a staged tarball nobody asked to unpack.
-// An unreadable manifest is an error wrapping poncho.ErrManifest.
-func (e *executor) allowedModules(staged, shared []*content.Object) ([][]string, error) {
-	installed := make([][]string, 0, len(staged)+len(shared))
-	for _, obj := range staged {
+// allowedModules appends to installed the sorted package-name list of
+// every environment tarball among objs. The data plane retains the list
+// of one it unpacked, read once when the tarball was expanded; any other
+// — an L1 shared FS read, which by definition retains nothing, or a
+// staged tarball nobody asked to unpack — has its name table parsed
+// every time. An unreadable manifest is an error wrapping
+// poncho.ErrManifest.
+func (e *executor) allowedModules(installed [][]string, objs []*content.Object) ([][]string, error) {
+	for _, obj := range objs {
 		modules, retained := e.plane.UnpackedModules(obj.ID)
 		if !retained {
 			var err error
@@ -263,14 +248,9 @@ func (e *executor) allowedModules(staged, shared []*content.Object) ([][]string,
 				return nil, err
 			}
 		}
-		installed = append(installed, modules)
-	}
-	for _, obj := range shared {
-		modules, err := dataplane.ParseModules(obj)
-		if err != nil {
-			return nil, err
+		if len(modules) > 0 {
+			installed = append(installed, modules)
 		}
-		installed = append(installed, modules)
 	}
 	return installed, nil
 }
@@ -310,10 +290,11 @@ func (e *executor) runTask(spec core.TaskSpec) {
 // manager may place new work here the moment the result arrives.
 func (e *executor) task(spec core.TaskSpec) core.Result {
 	start := time.Now()
-	var pinned []string
+	t := &task{e: e}
+	t.inputs, t.installed = t.inputBuf[:0], t.installedBuf[:0]
 	defer func() {
-		for _, id := range pinned {
-			_ = e.plane.Unpin(id)
+		for _, obj := range t.inputs[:t.pinned] {
+			_ = e.plane.Unpin(obj.ID)
 		}
 		// Stateless tasks leave nothing behind: an input not bound to the
 		// worker goes with the last task that claimed it.
@@ -335,21 +316,18 @@ func (e *executor) task(spec core.TaskSpec) core.Result {
 	// still in flight (the control loop no longer serializes staging
 	// ahead of dispatch). Shared FS reads happen now (and are the L1
 	// bottleneck in the paper).
-	sb := newSandbox()
-	var staged, shared []*content.Object
 	for _, in := range spec.Inputs {
 		obj, err := e.plane.PinResolve(in.Object.ID)
 		if err != nil {
 			return infraResult(spec.ID, fmt.Errorf("input %q not staged on worker: %v", in.Object.Name, err))
 		}
-		pinned = append(pinned, in.Object.ID)
+		t.inputs = append(t.inputs, obj)
+		t.pinned++
 		if in.Unpack {
 			if _, err := e.plane.MarkUnpacked(obj); err != nil {
 				return stagingFailure(spec.ID, err)
 			}
 		}
-		sb.add(obj)
-		staged = append(staged, obj)
 	}
 	for _, in := range spec.SharedFSReads {
 		// Shared FS reads go through the plane like every other byte
@@ -358,21 +336,17 @@ func (e *executor) task(spec core.TaskSpec) core.Result {
 		if err != nil {
 			return infraResult(spec.ID, fmt.Errorf("shared FS read %q: %v", in.Object.Name, err))
 		}
-		sb.add(obj)
-		shared = append(shared, obj)
+		t.inputs = append(t.inputs, obj)
 	}
-	installed, err := e.allowedModules(staged, shared)
-	if err != nil {
+	var err error
+	if t.installed, err = e.allowedModules(t.installed, t.inputs); err != nil {
 		return stagingFailure(spec.ID, err)
 	}
 	metrics.WorkerTime = time.Since(start).Seconds()
 
 	// Execute the script.
 	execStart := time.Now()
-	host := &library.Host{
-		Resolve: e.moduleResolver(installed, sb),
-	}
-	ip := minipy.NewInterp(host)
+	ip := minipy.NewInterp(t)
 	ip.StepLimit = e.cfg.StepLimit
 	ip.Code = &e.code
 	_, err = ip.RunModule(spec.Script, fmt.Sprintf("task-%d", spec.ID))
@@ -381,7 +355,7 @@ func (e *executor) task(spec core.TaskSpec) core.Result {
 	if err != nil {
 		return core.Result{ID: spec.ID, Ok: false, Err: err.Error(), Metrics: metrics}
 	}
-	if sb.result == nil {
+	if t.result == nil {
 		return core.Result{ID: spec.ID, Ok: false, Err: "task script did not call vine_runtime.store_result", Metrics: metrics}
 	}
 	if spec.ResultByRef {
@@ -389,7 +363,7 @@ func (e *executor) task(spec core.TaskSpec) core.Result {
 		// worker becomes the ref's owner — and only the proxy handle
 		// travels to the manager. A store failure is the
 		// infrastructure's fault, not the task's.
-		obj := content.NewBlob(fmt.Sprintf("task-%d.out", spec.ID), sb.result)
+		obj := content.NewBlob(fmt.Sprintf("task-%d.out", spec.ID), t.result)
 		if err := e.plane.PutOwned(obj); err != nil {
 			return infraResult(spec.ID, err)
 		}
@@ -397,7 +371,7 @@ func (e *executor) task(spec core.TaskSpec) core.Result {
 			ID: obj.ID, Name: obj.Name, Size: obj.LogicalSize, Owner: e.cfg.ID, Tier: core.TierCache,
 		}, Metrics: metrics}
 	}
-	return core.Result{ID: spec.ID, Ok: true, Value: sb.result, Metrics: metrics}
+	return core.Result{ID: spec.ID, Ok: true, Value: t.result, Metrics: metrics}
 }
 
 // ---- library hosting ----
@@ -453,7 +427,7 @@ func (e *executor) installLibrary(spec core.LibrarySpec) {
 		}
 		objs = append(objs, obj)
 	}
-	installed, err := e.allowedModules(objs, nil)
+	installed, err := e.allowedModules(nil, objs)
 	if err != nil {
 		fail(err, false)
 		return
@@ -467,7 +441,9 @@ func (e *executor) installLibrary(spec core.LibrarySpec) {
 		}
 	}
 	host := &library.Host{
-		Resolve:   e.moduleResolver(installed, nil),
+		Resolve: func(_ *minipy.Interp, name string) (*minipy.ModuleVal, error) {
+			return e.resolveModule(installed, name)
+		},
 		Inputs:    inputs,
 		StepLimit: e.cfg.StepLimit,
 		Code:      &e.code,

@@ -2,7 +2,6 @@ package worker
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/content"
 	"repro/internal/library"
@@ -10,100 +9,116 @@ import (
 	"repro/internal/pickle"
 )
 
-// sandbox is the per-task working directory: staged input objects by
-// name, plus the result file the script writes.
-type sandbox struct {
-	mu     sync.Mutex
-	inputs map[string]*content.Object
-	result []byte
+// taskInline is how many inputs and environments a task holds in its
+// own record: a wrapped call stages at most three (function,
+// environment, arguments), and allocates no list for them.
+const taskInline = 4
+
+// task is one stateless task while it runs, and the minipy.Host of the
+// interpreter that runs its script: the inputs it staged, the
+// environments whose modules it may import, and the result the script
+// stores. vine_runtime's builtins find it through that interpreter, so
+// nothing of the module is built per task.
+type task struct {
+	e *executor
+	// inputs are the pinned cache objects, then the shared FS reads;
+	// inputs[:pinned] are unpinned when the task ends.
+	inputs    []*content.Object
+	pinned    int
+	installed [][]string
+	result    []byte
+
+	inputBuf     [taskInline]*content.Object
+	installedBuf [taskInline][]string
 }
 
-func newSandbox() *sandbox {
-	return &sandbox{inputs: map[string]*content.Object{}}
+// ResolveModule implements minipy.Host: vine_runtime, and whatever the
+// task's environments install.
+func (t *task) ResolveModule(_ *minipy.Interp, name string) (*minipy.ModuleVal, error) {
+	if name == "vine_runtime" {
+		return runtimeModule, nil
+	}
+	return t.e.resolveModule(t.installed, name)
 }
 
-func (sb *sandbox) add(obj *content.Object) {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	sb.inputs[obj.Name] = obj
+// runningTask is the task whose script called a vine_runtime builtin.
+func runningTask(ip *minipy.Interp) (*task, error) {
+	if t, ok := ip.Host().(*task); ok {
+		return t, nil
+	}
+	return nil, fmt.Errorf("vine_runtime is only available to a task's script")
 }
 
-// runtimeModule exposes the sandbox to task scripts as the
-// vine_runtime module: load staged inputs, unpickle them, apply
-// functions, and store the pickled result.
-func (sb *sandbox) runtimeModule(ip *minipy.Interp) *minipy.ModuleVal {
-	m := &minipy.ModuleVal{Name: "vine_runtime", Attrs: map[string]minipy.Value{}}
-	m.Attrs["load_text"], m.Attrs["load_pickle"] = library.ObjectLoaders(sb.lookup)
-	m.Attrs["call"] = &minipy.Builtin{Name: "call", Fn: func(ip *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
-		if len(args) != 2 {
-			return nil, fmt.Errorf("call() takes a function and an argument list")
+// stagedInput finds the running task's input by name; of two with one
+// name, the later one, as a later file replaces an earlier one.
+func stagedInput(ip *minipy.Interp, name string) (*content.Object, error) {
+	t, err := runningTask(ip)
+	if err != nil {
+		return nil, err
+	}
+	for i := len(t.inputs) - 1; i >= 0; i-- {
+		if t.inputs[i].Name == name {
+			return t.inputs[i], nil
 		}
-		elems, ok := seqElems(args[1])
-		if !ok {
-			return nil, fmt.Errorf("call() second argument must be a list or tuple")
-		}
-		return ip.Call(args[0], elems, nil)
+	}
+	return nil, fmt.Errorf("no staged input named %q", name)
+}
+
+// runtimeModule is vine_runtime, the one module every task script
+// reaches its sandbox through: load staged inputs, unpickle them, apply
+// functions, and store the pickled result. It is built once and shared
+// by every task of every worker in the process: its builtins hold no
+// state, and MiniPy has no attribute assignment, so no script can write
+// to it.
+var runtimeModule = func() *minipy.ModuleVal {
+	loadText, loadPickle := library.ObjectLoaders(stagedInput)
+	return &minipy.ModuleVal{Name: "vine_runtime", Attrs: map[string]minipy.Value{
+		"load_text":    loadText,
+		"load_pickle":  loadPickle,
+		"call":         &minipy.Builtin{Name: "call", Fn: callFunc},
+		"store_result": &minipy.Builtin{Name: "store_result", Fn: storeResult},
+		"input_names":  &minipy.Builtin{Name: "input_names", Fn: inputNames},
 	}}
-	m.Attrs["store_result"] = &minipy.Builtin{Name: "store_result", Fn: func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("store_result() takes 1 argument")
+}()
+
+func callFunc(ip *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
+	if len(args) == 2 {
+		switch seq := args[1].(type) {
+		case *minipy.List:
+			return ip.Call(args[0], seq.Elems, nil)
+		case *minipy.Tuple:
+			return ip.Call(args[0], seq.Elems, nil)
 		}
-		data, err := pickle.Marshal(args[0])
-		if err != nil {
-			return nil, fmt.Errorf("store_result(): %v", err)
-		}
-		sb.mu.Lock()
-		sb.result = data
-		sb.mu.Unlock()
-		return minipy.NoneValue, nil
-	}}
-	m.Attrs["input_names"] = &minipy.Builtin{Name: "input_names", Fn: func(_ *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
-		sb.mu.Lock()
-		defer sb.mu.Unlock()
-		l := &minipy.List{}
-		for name := range sb.inputs {
-			l.Elems = append(l.Elems, minipy.Str(name))
-		}
-		sortStrValues(l)
-		return l, nil
-	}}
-	return m
+	}
+	return nil, fmt.Errorf("call() takes a function and a list or tuple of arguments")
 }
 
-func (sb *sandbox) lookup(name string) (*content.Object, error) {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	obj, ok := sb.inputs[name]
-	if !ok {
-		return nil, fmt.Errorf("no staged input named %q", name)
+func storeResult(ip *minipy.Interp, args []minipy.Value) (minipy.Value, error) {
+	t, err := runningTask(ip)
+	if err != nil {
+		return nil, err
 	}
-	return obj, nil
+	if len(args) != 1 {
+		return nil, fmt.Errorf("store_result() takes 1 argument")
+	}
+	data, err := pickle.Marshal(args[0])
+	if err != nil {
+		return nil, fmt.Errorf("store_result(): %v", err)
+	}
+	t.result = data
+	return minipy.NoneValue, nil
 }
 
-func seqElems(v minipy.Value) ([]minipy.Value, bool) {
-	switch x := v.(type) {
-	case *minipy.List:
-		return x.Elems, true
-	case *minipy.Tuple:
-		return x.Elems, true
+func inputNames(ip *minipy.Interp, _ []minipy.Value) (minipy.Value, error) {
+	t, err := runningTask(ip)
+	if err != nil {
+		return nil, err
 	}
-	return nil, false
-}
-
-func sortStrValues(l *minipy.List) {
-	strs := make([]string, len(l.Elems))
-	for i, e := range l.Elems {
-		strs[i] = string(e.(minipy.Str))
+	l := &minipy.List{Elems: make([]minipy.Value, len(t.inputs))}
+	for i, obj := range t.inputs {
+		l.Elems[i] = minipy.Str(obj.Name)
 	}
-	// insertion sort; lists are tiny
-	for i := 1; i < len(strs); i++ {
-		for j := i; j > 0 && strs[j] < strs[j-1]; j-- {
-			strs[j], strs[j-1] = strs[j-1], strs[j]
-		}
-	}
-	for i, s := range strs {
-		l.Elems[i] = minipy.Str(s)
-	}
+	return library.SortedNames(l), nil
 }
 
 // WrapperScript is the generic script that turns a function invocation

@@ -98,22 +98,23 @@ func TestInvocationLedger(t *testing.T) {
 // wrapped call (SubmitWrappedCall → wrapper task → load_pickle of the
 // cached function and of its arguments) on an in-process manager and
 // worker. The worker parsed the wrapper script and the function's source
-// in the warm-up, and its task frames decode through the control loop's
-// Interner, so what is left is the task's own context reload —
-// unpickling and rebuilding the function, a fresh interpreter and
-// globals, staging and releasing the arguments — and the manager's
-// dispatch of the task and its argument object. Quiet runs read
-// 97.0–97.1, where parsing both texts on every call read 152 (the
-// wrapper script's parse is 34 allocations, this function's 17). The
+// in the warm-up, its task frames decode through the control loop's
+// Interner, and vine_runtime and the universal builtins are built once
+// per process, so what is left is the task's own context reload —
+// unpickling and rebuilding the function, importing vine_runtime into a
+// fresh interpreter and globals, the call, staging and releasing the
+// arguments — and the manager's dispatch of the task and its argument
+// object. Quiet runs read 64.0, where parsing both texts on every call
+// read 152 and building vine_runtime and the builtins per task 97. The
 // tolerance, 1 a call, admits pools refilled and queues grown now and
-// then; any parse per call is far outside it.
+// then; any parse or module build per call is far outside it.
 func TestWrappedCallLedger(t *testing.T) {
 	if raceDetector {
 		t.Skip("sync.Pool drops encoders, decoders and intake nodes under -race")
 	}
 	const (
 		calls, burst = 2_000, 16
-		ledger       = 97
+		ledger       = 64
 		tolerance    = 1
 	)
 	m := newTestManager(t, 1, Options{})

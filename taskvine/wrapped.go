@@ -76,25 +76,32 @@ func (m *Manager) SubmitWrappedCall(w *WrappedFunction, level core.ReuseLevel, r
 	}
 	argsObj := content.NewBlob("args", argsData)
 
-	spec := &core.TaskSpec{
-		Script:    worker.WrapperScript,
-		Resources: res,
-	}
+	// One allocation holds the spec and its at most three files. Each
+	// list is cut with cap == len, so a later append copies it rather
+	// than writing over its neighbour.
+	b := &struct {
+		spec  core.TaskSpec
+		files [3]core.FileSpec
+	}{spec: core.TaskSpec{Script: worker.WrapperScript, Resources: res}}
+	files := b.files[:0]
 	switch level {
 	case core.L1:
-		spec.SharedFSReads = append(spec.SharedFSReads, core.FileSpec{Object: w.funcOby})
+		files = append(files, core.FileSpec{Object: w.funcOby})
 		if w.env != nil {
-			spec.SharedFSReads = append(spec.SharedFSReads, core.FileSpec{Object: w.env})
+			files = append(files, core.FileSpec{Object: w.env})
 		}
-		spec.Inputs = append(spec.Inputs, core.FileSpec{Object: argsObj})
+		b.spec.SharedFSReads = files[:len(files):len(files)]
+		files = append(files, core.FileSpec{Object: argsObj})
+		b.spec.Inputs = files[len(files)-1 : len(files) : len(files)]
 	case core.L2:
-		spec.Inputs = append(spec.Inputs, core.FileSpec{Object: w.funcOby, Cache: true, PeerTransfer: true})
+		files = append(files, core.FileSpec{Object: w.funcOby, Cache: true, PeerTransfer: true})
 		if w.env != nil {
-			spec.Inputs = append(spec.Inputs, core.FileSpec{Object: w.env, Cache: true, PeerTransfer: true, Unpack: true})
+			files = append(files, core.FileSpec{Object: w.env, Cache: true, PeerTransfer: true, Unpack: true})
 		}
-		spec.Inputs = append(spec.Inputs, core.FileSpec{Object: argsObj})
+		files = append(files, core.FileSpec{Object: argsObj})
+		b.spec.Inputs = files[:len(files):len(files)]
 	default:
 		return 0, fmt.Errorf("taskvine: SubmitWrappedCall supports L1 and L2, not %v", level)
 	}
-	return m.inner.Submit(spec), nil
+	return m.inner.Submit(&b.spec), nil
 }
