@@ -1,6 +1,6 @@
 # Convenience targets for the go-taskvine-context reproduction.
 
-.PHONY: all check build test race flake fidelity lint lint-extra benchcheck fuzzsmoke paperlog cover reach loc experiments examples clean
+.PHONY: all check build test race flake fidelity lint lint-extra benchcheck fuzzsmoke paperlog cover reach allocs loc experiments examples clean
 
 all: check
 
@@ -78,12 +78,13 @@ race:
 # table would show. Last, every allocation pin twenty times without the
 # race detector, under which the pool-exact ones skip: a pin that reads
 # one allocation too many one run in twenty is measuring something else.
-# MiniPy's shared builtins and the content ID's hashing are among them.
+# MiniPy's shared builtins, the content ID's hashing and the package
+# index's closure walk are among them.
 flake:
 	go test -count=20 -race ./internal/dataplane ./internal/worker ./internal/content ./internal/library ./internal/hashring ./internal/policy ./internal/shardplane ./internal/sendq ./internal/proto
 	go test -count=10 -run Differential ./internal/manager
 	go test -count=10 -race ./taskvine
-	go test -count=20 -run 'Alloc|Ledger|SharesBuiltins' ./internal/proto ./internal/sendq ./internal/library ./internal/policy ./internal/hashring ./internal/worker ./internal/pickle ./internal/minipy ./internal/content ./internal/manager ./taskvine
+	go test -count=20 -run 'Alloc|Ledger|SharesBuiltins' ./internal/proto ./internal/sendq ./internal/library ./internal/policy ./internal/hashring ./internal/worker ./internal/pickle ./internal/minipy ./internal/content ./internal/pkgindex ./internal/manager ./taskvine
 
 # bench/ is a module of its own (repro/bench, replace repro => ../), so
 # the root go build/vet/test ./... never compile it, yet it imports the
@@ -165,6 +166,12 @@ cover:
 # when any is unclassified or an entry names no function (~2.5 min).
 reach:
 	bash scripts/reach.sh
+
+# Where a warm call allocates: taskvine's two ledger tests, an L3 call
+# and an L2 wrapped call, each under -memprofilerate=1, with every
+# allocation site of the profile divided per call. Print-only.
+allocs:
+	bash scripts/allocs.sh
 
 # Go lines by directory, non-test and test, and for the whole tree
 # outside bench/ — by wc -l, comments and blanks included: the numbers a

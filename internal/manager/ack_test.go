@@ -1,6 +1,7 @@
 package manager
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -38,7 +39,7 @@ func TestOutOfOrderFileAcks(t *testing.T) {
 	id := dispatchOn(t, m, w, task)
 	s.mu.Lock()
 	e := s.sched.Running("w")[0].Task.Spec.staging
-	if e == nil || !e.waiting[objA.ID] || !e.waiting[objB.ID] || src.v.TransfersOut != 2 ||
+	if e == nil || e.pending != 2 || !waitsFor(w, objA.ID, e) || !waitsFor(w, objB.ID, e) || src.v.TransfersOut != 2 ||
 		w.fetchSources[objA.ID] != "src" || w.fetchSources[objB.ID] != "src" {
 		t.Fatalf("the dispatch is not waiting on two peer fetches from src: %+v, %d slots, sources %v", e, src.v.TransfersOut, w.fetchSources)
 	}
@@ -54,8 +55,9 @@ func TestOutOfOrderFileAcks(t *testing.T) {
 	if !w.v.Pending[objA.ID] {
 		t.Errorf("A's pending mark cleared by B's ack")
 	}
-	if !e.waiting[objA.ID] || e.waiting[objB.ID] {
-		t.Errorf("waiting set after B's ack = %v", e.waiting)
+	if e.pending != 1 || !waitsFor(w, objA.ID, e) || waitsFor(w, objB.ID, e) {
+		t.Errorf("after B's ack the dispatch waits on %d objects (A %v, B %v), want A alone",
+			e.pending, waitsFor(w, objA.ID, e), waitsFor(w, objB.ID, e))
 	}
 	if src.v.TransfersOut != 1 {
 		t.Errorf("source slots after one ack = %d, want 1", src.v.TransfersOut)
@@ -74,8 +76,8 @@ func TestOutOfOrderFileAcks(t *testing.T) {
 	s.onFileAck(w, proto.FileAck{ID: objA.ID, Ok: true, Cache: true})
 
 	s.mu.Lock()
-	if len(e.waiting) != 0 {
-		t.Errorf("waiting set after both acks = %v", e.waiting)
+	if e.pending != 0 {
+		t.Errorf("the dispatch waits on %d objects after both acks", e.pending)
 	}
 	if len(w.v.Pending) != 0 {
 		t.Errorf("pending after both acks = %v", w.v.Pending)
@@ -144,5 +146,95 @@ func TestDuplicateAndStaleFileAcksAreHarmless(t *testing.T) {
 	s.mu.Lock()
 	if len(w.v.Pending) != 0 || len(w.ackWaiters) != 0 {
 		t.Errorf("stale ack left residue: pending=%v waiters=%v", w.v.Pending, w.ackWaiters)
+	}
+}
+
+// waitsFor reports whether st is among w's dispatches waiting for id's
+// FileAck. The shard lock is held.
+func waitsFor(w *workerState, id string, st *staging) bool {
+	ws := w.ackWaiters[id]
+	return st != nil && (ws.first == st || slices.Contains(ws.rest, st))
+}
+
+// nWaiters is how many dispatches on w wait for id's FileAck. The shard
+// lock is held.
+func nWaiters(w *workerState, id string) int {
+	ws, ok := w.ackWaiters[id]
+	if !ok {
+		return 0
+	}
+	return 1 + len(ws.rest)
+}
+
+// A task that names one pending object twice waits on it once: one ack
+// waiter, one count, and the one ack closes its staging window.
+func TestInputNamedTwiceRegistersOneWaiter(t *testing.T) {
+	m := New(Options{PeerTransfers: true, Shards: 1})
+	s := m.shards[0]
+	w := fakeWorker(m, "w")
+	obj := content.NewBlob("twice.bin", []byte("named twice"))
+	task := simpleTask("twice")
+	task.Inputs = []core.FileSpec{{Object: obj, Cache: true}, {Object: obj, Cache: true}}
+	dispatchOn(t, m, w, task)
+
+	s.mu.Lock()
+	e := s.sched.Running("w")[0].Task.Spec.staging
+	if e == nil || e.pending != 1 || nWaiters(w, obj.ID) != 1 || !waitsFor(w, obj.ID, e) {
+		t.Fatalf("staging %+v with %d waiters for the object, want one count and one waiter", e, nWaiters(w, obj.ID))
+	}
+	s.mu.Unlock()
+
+	s.onFileAck(w, proto.FileAck{ID: obj.ID, Ok: true, Cache: true})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e.pending != 0 || e.transfer <= 0 || len(w.ackWaiters) != 0 {
+		t.Errorf("after the ack: %d pending, transfer %.9f, waiters %v", e.pending, e.transfer, w.ackWaiters)
+	}
+}
+
+// Two tasks that wait on one object are both stamped by its ack, and a
+// duplicate of that ack moves nothing.
+func TestOneAckStampsEveryWaiter(t *testing.T) {
+	m := New(Options{PeerTransfers: true, Shards: 1})
+	s := m.shards[0]
+	w := fakeWorker(m, "w")
+	obj := content.NewBlob("shared.bin", []byte("waited on twice"))
+	var stagings []*staging
+	for _, tag := range []string{"first", "second"} {
+		task := simpleTask(tag)
+		task.Inputs = []core.FileSpec{{Object: obj, Cache: true}}
+		dispatchOn(t, m, w, task)
+		s.mu.Lock()
+		runs := s.sched.Running("w")
+		stagings = append(stagings, runs[len(runs)-1].Task.Spec.staging)
+		s.mu.Unlock()
+	}
+	s.mu.Lock()
+	if stagings[0] == nil || stagings[1] == nil || stagings[0] == stagings[1] || nWaiters(w, obj.ID) != 2 {
+		t.Fatalf("stagings %+v with %d waiters for the object, want two of each", stagings, nWaiters(w, obj.ID))
+	}
+	s.mu.Unlock()
+
+	s.onFileAck(w, proto.FileAck{ID: obj.ID, Ok: true, Cache: true})
+	s.mu.Lock()
+	stamped := []float64{stagings[0].transfer, stagings[1].transfer}
+	for i, st := range stagings {
+		if st.pending != 0 || st.transfer <= 0 {
+			t.Errorf("task %d after the ack: %d pending, transfer %.9f", i, st.pending, st.transfer)
+		}
+	}
+	s.mu.Unlock()
+
+	time.Sleep(time.Millisecond)
+	s.onFileAck(w, proto.FileAck{ID: obj.ID, Ok: true, Cache: true})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, st := range stagings {
+		if st.pending != 0 || st.transfer != stamped[i] {
+			t.Errorf("task %d after a duplicate ack: %d pending, transfer %.9f, was %.9f", i, st.pending, st.transfer, stamped[i])
+		}
+	}
+	if len(w.ackWaiters) != 0 || len(w.v.Pending) != 0 {
+		t.Errorf("a duplicate ack left waiters %v, pending %v", w.ackWaiters, w.v.Pending)
 	}
 }

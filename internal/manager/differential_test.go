@@ -193,7 +193,7 @@ func (h *diffHarness) newWorker(id string) *workerState {
 		hello:        proto.Hello{WorkerID: id, Resources: core.Resources{Cores: h.slots}, DataAddr: "sim://" + id},
 		sendq:        sendq.New[outMsg](256),
 		fetchSources: map[string]string{},
-		ackWaiters:   map[string][]*staging{},
+		ackWaiters:   map[string]waiters{},
 		libs:         map[string]*libInstance{},
 	}
 	if !h.m.adoptWorker(w) {
@@ -367,7 +367,7 @@ func (h *diffHarness) completable(w *workerState) (int64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, run := range s.sched.Running(w.id) {
-		if st := run.Task.Spec.staging; st == nil || len(st.waiting) == 0 {
+		if st := run.Task.Spec.staging; st == nil || st.pending == 0 {
 			return run.ID(), true
 		}
 	}

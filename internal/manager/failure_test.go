@@ -32,7 +32,7 @@ func fakeWorker(m *Manager, id string) *workerState {
 		sendq:        sendq.New[outMsg](256),
 		drops:        &m.ctr.SendQueueDrops,
 		fetchSources: map[string]string{},
-		ackWaiters:   map[string][]*staging{},
+		ackWaiters:   map[string]waiters{},
 		libs:         map[string]*libInstance{},
 	}
 	s := m.shardFor(id)
@@ -284,7 +284,7 @@ func TestTransferTimeMeasuresDispatchToAck(t *testing.T) {
 	task.Inputs = []core.FileSpec{{Object: obj, Cache: true}}
 	id := dispatchOn(t, m, w, task)
 	s.mu.Lock()
-	if st := s.sched.Running("w")[0].Task.Spec.staging; st == nil || !st.waiting[obj.ID] || len(w.ackWaiters[obj.ID]) != 1 {
+	if st := s.sched.Running("w")[0].Task.Spec.staging; st == nil || st.pending != 1 || !waitsFor(w, obj.ID, st) || nWaiters(w, obj.ID) != 1 {
 		t.Fatalf("the dispatch is not waiting on its staged input: %+v", st)
 	}
 	s.mu.Unlock()

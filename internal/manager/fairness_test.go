@@ -32,7 +32,7 @@ func TestFairShareNoStarvation(t *testing.T) {
 		hello:        proto.Hello{WorkerID: "w0", Resources: core.Resources{Cores: 1}},
 		sendq:        sendq.New[outMsg](256),
 		fetchSources: map[string]string{},
-		ackWaiters:   map[string][]*staging{},
+		ackWaiters:   map[string]waiters{},
 		libs:         map[string]*libInstance{},
 	}
 	if !m.adoptWorker(w) {

@@ -57,7 +57,7 @@ func TestIndexConsistencyRandomized(t *testing.T) {
 			hello:        proto.Hello{WorkerID: id, Resources: core.Resources{Cores: 32, MemoryMB: 64 << 10, DiskMB: 64 << 10}},
 			sendq:        sendq.New[outMsg](4096),
 			fetchSources: map[string]string{},
-			ackWaiters:   map[string][]*staging{},
+			ackWaiters:   map[string]waiters{},
 			libs:         map[string]*libInstance{},
 		}
 	}

@@ -298,10 +298,27 @@ func queuedInv(inv *core.InvocationSpec) pendingInv {
 // dispatch → last FileAck.
 type staging struct {
 	sentAt time.Time
-	// waiting holds object IDs staged for this dispatch whose FileAck
-	// has not arrived yet; the last ack stamps the transfer duration.
-	waiting  map[string]bool
+	// pending counts the distinct objects staged for this dispatch whose
+	// FileAck has not arrived yet; each ack stamps the transfer
+	// duration, so the last one's stands.
+	pending  int
 	transfer float64 // dispatch→last FileAck, seconds
+}
+
+// waiters are the dispatches on one worker waiting for one object's
+// FileAck, the first inline: mostly there is one.
+type waiters struct {
+	first *staging
+	rest  []*staging
+}
+
+func (ws waiters) add(st *staging) waiters {
+	if ws.first == nil {
+		ws.first = st
+	} else {
+		ws.rest = append(ws.rest, st)
+	}
+	return ws
 }
 
 type outMsg struct {
@@ -333,7 +350,7 @@ type workerState struct {
 	fetchSources map[string]string
 	// ackWaiters maps object ID → dispatches on this worker whose
 	// TransferTime is waiting for that object's FileAck.
-	ackWaiters map[string][]*staging
+	ackWaiters map[string]waiters
 	libs       map[string]*libInstance
 }
 
@@ -733,7 +750,7 @@ func (m *Manager) serveWorker(nc net.Conn) {
 		sendq:        sendq.New[outMsg](sendQueueSize(hello.Resources.Cores)),
 		drops:        &m.ctr.SendQueueDrops,
 		fetchSources: map[string]string{},
-		ackWaiters:   map[string][]*staging{},
+		ackWaiters:   map[string]waiters{},
 		libs:         map[string]*libInstance{},
 	}
 
@@ -925,14 +942,18 @@ func (s *shard) Acked(worker string, ack proto.FileAck, restaged bool) {
 		s.m.ctr.Restaged.Add(1)
 		return
 	}
-	if list := w.ackWaiters[ack.ID]; len(list) > 0 {
+	if ws, ok := w.ackWaiters[ack.ID]; ok {
 		delete(w.ackWaiters, ack.ID)
 		now := time.Now()
-		for _, st := range list {
-			if st.waiting[ack.ID] {
-				delete(st.waiting, ack.ID)
+		stamp := func(st *staging) {
+			if st.pending > 0 {
+				st.pending--
 				st.transfer = now.Sub(st.sentAt).Seconds()
 			}
+		}
+		stamp(ws.first)
+		for _, st := range ws.rest {
+			stamp(st)
 		}
 	}
 }

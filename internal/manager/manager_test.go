@@ -311,7 +311,7 @@ func TestWaitForWorkersWakesOnJoin(t *testing.T) {
 			hello:        proto.Hello{WorkerID: id, Resources: core.Resources{Cores: 1}},
 			sendq:        sendq.New[outMsg](16),
 			fetchSources: map[string]string{},
-			ackWaiters:   map[string][]*staging{},
+			ackWaiters:   map[string]waiters{},
 			libs:         map[string]*libInstance{},
 		}
 		if !h.m.adoptWorker(w) {

@@ -224,18 +224,30 @@ func (s *shard) Place(pt *pendingTask, d policy.PlaceTask) {
 	// dispatch depends on is acked on the worker — not the time
 	// spent enqueueing messages into in-memory channels. Register
 	// in the worker's ack-waiter index so the ack finds the stamps
-	// without scanning the in-flight table.
+	// without scanning the in-flight table: once per object, however
+	// often the task names it.
 	var st *staging
-	for _, in := range t.Inputs {
-		if in.Object != nil && w.v.Pending[in.Object.ID] {
-			if st == nil {
-				st = &staging{sentAt: start, waiting: map[string]bool{}}
-			}
-			st.waiting[in.Object.ID] = true
-			w.ackWaiters[in.Object.ID] = append(w.ackWaiters[in.Object.ID], st)
+	for i, in := range t.Inputs {
+		if in.Object == nil || !w.v.Pending[in.Object.ID] || named(t.Inputs[:i], in.Object.ID) {
+			continue
 		}
+		if st == nil {
+			st = &staging{sentAt: start}
+		}
+		st.pending++
+		w.ackWaiters[in.Object.ID] = w.ackWaiters[in.Object.ID].add(st)
 	}
 	pt.Spec.staging = st
+}
+
+// named reports whether one of files is the object id.
+func named(files []core.FileSpec, id string) bool {
+	for _, f := range files {
+		if f.Object != nil && f.Object.ID == id {
+			return true
+		}
+	}
+	return false
 }
 
 // ---- invocation scheduling (§3.5.2) ----

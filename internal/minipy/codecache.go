@@ -85,6 +85,22 @@ func (c *CodeCache) Module(src string) (*Module, error) {
 	return tree.(*Module), nil
 }
 
+// Source returns the module text whose bytes are b: the string the
+// cache keeps with its tree when it holds one, so a function unpickled
+// on a worker that parsed its source before shares that text rather than
+// copying it; a copy of b otherwise, and always from a nil cache.
+func (c *CodeCache) Source(b []byte) string {
+	if c == nil {
+		return string(b)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if i, ok := c.find(codeKey{src: string(BorrowStr(b))}); ok {
+		return c.ring[i].key.src
+	}
+	return string(b)
+}
+
 // lambda returns src's parse as an expression, for a lambda's source.
 func (c *CodeCache) lambda(src string) (Expr, error) {
 	tree, err := c.tree(codeKey{src: src, lambda: true})

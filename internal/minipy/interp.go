@@ -42,12 +42,16 @@ var errReturn error = returnSignal{}
 
 // Interp executes MiniPy programs. An Interp is not safe for concurrent
 // use; library fork mode creates a child Interp sharing the Host and
-// the module cache (which is independently locked, since forked
-// children run concurrently).
+// the module table (which is independently locked, since forked
+// children run concurrently). An Interp must not be copied: NewInterp
+// returns one, and Init readies one held in place by its owner.
 type Interp struct {
-	host    Host
-	modules *moduleCache
-	steps   int64
+	host Host
+	// shared is a forked child's import table: its root's, locked, since
+	// the family runs concurrently. Nil for a root, whose table is own.
+	shared *moduleTable
+	own    moduleTable
+	steps  int64
 	// StepLimit bounds the number of statements+expressions evaluated,
 	// guarding against runaway loops in untrusted task code. Zero means
 	// no limit.
@@ -62,8 +66,14 @@ type Interp struct {
 	// envFree recycles function-local environments between calls: a
 	// call whose frame was not captured by a closure returns its Env
 	// (and its bucket memory) here instead of to the garbage collector.
+	// Its first envInline entries are envBuf's.
 	envFree []*Env
+	envBuf  [envInline]*Env
 }
+
+// envInline is how many recycled frames an interpreter keeps without a
+// list of its own: as deep as the calls of a short task nest.
+const envInline = 4
 
 // defaultHost is used when no host is supplied: no importable modules.
 type defaultHost struct{}
@@ -75,43 +85,87 @@ func (defaultHost) ResolveModule(_ *Interp, name string) (*ModuleVal, error) {
 // NewInterp creates an interpreter with the given host. A nil host
 // yields an interpreter with no importable modules.
 func NewInterp(host Host) *Interp {
+	ip := new(Interp)
+	ip.Init(host)
+	return ip
+}
+
+// Init readies a zero Interp as NewInterp does, in place: a worker's
+// task record holds its interpreter rather than allocating one.
+func (ip *Interp) Init(host Host) {
 	if host == nil {
 		host = defaultHost{}
 	}
-	return &Interp{host: host, modules: newModuleCache(), MaxDepth: 200}
+	ip.host, ip.MaxDepth = host, 200
 }
 
-// moduleCache is the import cache shared between an interpreter and
-// its forked children.
-type moduleCache struct {
-	mu sync.Mutex
-	m  map[string]*ModuleVal
+// inlineModules is how many imports a module table holds before it
+// needs a map: a task imports vine_runtime and what its function does.
+const inlineModules = 4
+
+// moduleTable is an interpreter's import cache: a root interpreter's
+// own, shared with its forked children.
+type moduleTable struct {
+	mu   sync.Mutex
+	n    int
+	few  [inlineModules]importedModule
+	more map[string]*ModuleVal
 }
 
-func newModuleCache() *moduleCache {
-	return &moduleCache{m: map[string]*ModuleVal{}}
+type importedModule struct {
+	name string
+	mod  *ModuleVal
 }
 
-func (c *moduleCache) get(name string) (*ModuleVal, bool) {
+func (c *moduleTable) get(name string) (*ModuleVal, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v, ok := c.m[name]
+	for _, m := range c.few[:c.n] {
+		if m.name == name {
+			return m.mod, true
+		}
+	}
+	v, ok := c.more[name]
 	return v, ok
 }
 
-func (c *moduleCache) put(name string, mod *ModuleVal) {
+// put records an import; a fork that resolved name at the same time as
+// another replaces its entry, as a map store would.
+func (c *moduleTable) put(name string, mod *ModuleVal) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m[name] = mod
+	for i := range c.few[:c.n] {
+		if c.few[i].name == name {
+			c.few[i].mod = mod
+			return
+		}
+	}
+	if c.n < inlineModules {
+		c.few[c.n] = importedModule{name, mod}
+		c.n++
+		return
+	}
+	if c.more == nil {
+		c.more = map[string]*ModuleVal{}
+	}
+	c.more[name] = mod
+}
+
+// modules is the interpreter's import table.
+func (ip *Interp) modules() *moduleTable {
+	if ip.shared != nil {
+		return ip.shared
+	}
+	return &ip.own
 }
 
 // Host returns the interpreter's host.
 func (ip *Interp) Host() Host { return ip.host }
 
-// Fork creates a child interpreter sharing the host and module cache,
+// Fork creates a child interpreter sharing the host and module table,
 // used by the library fork execution mode.
 func (ip *Interp) Fork() *Interp {
-	return &Interp{host: ip.host, modules: ip.modules, StepLimit: ip.StepLimit, MaxDepth: ip.MaxDepth, Code: ip.Code}
+	return &Interp{host: ip.host, shared: ip.modules(), StepLimit: ip.StepLimit, MaxDepth: ip.MaxDepth, Code: ip.Code}
 }
 
 // Steps returns the number of evaluation steps performed so far.
@@ -390,14 +444,14 @@ func (ip *Interp) assignTo(target Expr, val Value, fr *frame) error {
 }
 
 func (ip *Interp) importModule(name string, line int) (*ModuleVal, error) {
-	if m, ok := ip.modules.get(name); ok {
+	if m, ok := ip.modules().get(name); ok {
 		return m, nil
 	}
 	m, err := ip.host.ResolveModule(ip, name)
 	if err != nil {
 		return nil, &RuntimeError{Msg: err.Error(), Line: line}
 	}
-	ip.modules.put(name, m)
+	ip.modules().put(name, m)
 	return m, nil
 }
 
@@ -604,6 +658,9 @@ func (ip *Interp) releaseEnv(e *Env) {
 	}
 	clear(e.vars)
 	e.parent = nil
+	if ip.envFree == nil {
+		ip.envFree = ip.envBuf[:0]
+	}
 	ip.envFree = append(ip.envFree, e)
 }
 

@@ -3,6 +3,7 @@ package minipy
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -1027,5 +1028,62 @@ func TestNewGlobalsSharesBuiltins(t *testing.T) {
 	}
 	if v, _ := second.Get("n"); v.Repr() != "2" {
 		t.Errorf("second module's len([1, 2]) = %s, want 2", v.Repr())
+	}
+}
+
+// countingHost resolves any module name to a fresh module and counts the
+// resolutions, safely from forked interpreters at once.
+type countingHost struct {
+	mu       sync.Mutex
+	resolved map[string]int
+}
+
+func (h *countingHost) ResolveModule(_ *Interp, name string) (*ModuleVal, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.resolved[name]++
+	return &ModuleVal{Name: name, Attrs: map[string]Value{"name": Str(name)}}, nil
+}
+
+// An interpreter resolves each module once, past the table's inline
+// entries too, and its forks share that table: what the root imported
+// they find, and what one fork imports the others and the root find.
+func TestImportsAreCachedAndSharedByForks(t *testing.T) {
+	h := &countingHost{resolved: map[string]int{}}
+	ip := NewInterp(h)
+	var src strings.Builder
+	for i := 0; i < 2*inlineModules; i++ {
+		fmt.Fprintf(&src, "import m%d\nimport m%d\n", i, i)
+	}
+	if _, err := ip.RunModule(src.String(), "root"); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(child *Interp) {
+			defer wg.Done()
+			if _, err := child.RunModule(src.String()+"import late\n", "child"); err != nil {
+				t.Error(err)
+			}
+		}(ip.Fork())
+	}
+	wg.Wait()
+	for i := 0; i < 2*inlineModules; i++ {
+		if n := h.resolved[fmt.Sprintf("m%d", i)]; n != 1 {
+			t.Errorf("m%d resolved %d times, want once", i, n)
+		}
+	}
+	// Forks racing on a first import may each resolve it; the root then
+	// finds one of theirs.
+	late := h.resolved["late"]
+	if late < 1 || late > 8 {
+		t.Errorf("late resolved %d times by eight forks, want 1 to 8", late)
+	}
+	if _, err := ip.RunModule("import late\n", "root"); err != nil {
+		t.Fatal(err)
+	}
+	if n := h.resolved["late"]; n != late {
+		t.Errorf("the root resolved late again (%d times, then %d): its forks' import is not its own", late, n)
 	}
 }

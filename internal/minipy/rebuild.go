@@ -115,7 +115,8 @@ type RebuildSpec struct {
 // globals environment is a fresh builtins environment extended with the
 // pickled globals; closure captures become an intermediate frame.
 // Parameter defaults are the pickled definition-time values, set in a
-// copy of the tree's parameter list, not re-evaluated. Deserializers
+// copy of the tree's parameter list, not re-evaluated; a function with
+// no defaults shares the tree's list, which nothing writes. Deserializers
 // allocate the shell first so that cyclic references — self-recursive
 // and mutually recursive functions — can point at the final function
 // object before its own captures finish decoding.
@@ -172,14 +173,22 @@ func RebuildFuncInto(ip *Interp, spec *RebuildSpec, fn *Func) error {
 		return fmt.Errorf("minipy: rebuild function %q: source has %d params, spec has %d",
 			spec.Name, len(fn.Params), len(spec.Params))
 	}
+	defaults := false
+	for i, pi := range spec.Params {
+		if fn.Params[i].Name != pi.Name {
+			return fmt.Errorf("minipy: rebuild function %q: param %d is %q in source, %q in spec",
+				spec.Name, i, fn.Params[i].Name, pi.Name)
+		}
+		defaults = defaults || pi.HasDefault || fn.Params[i].Default != nil
+	}
+	if !defaults {
+		// No parameter has a default: the function shares the tree's list.
+		return nil
+	}
 	// Install the pickled definition-time default values.
 	params := make([]Param, len(fn.Params))
 	copy(params, fn.Params)
 	for i, pi := range spec.Params {
-		if params[i].Name != pi.Name {
-			return fmt.Errorf("minipy: rebuild function %q: param %d is %q in source, %q in spec",
-				spec.Name, i, params[i].Name, pi.Name)
-		}
 		if pi.HasDefault {
 			params[i].Default = &evaluatedDefault{value: pi.Default, orig: params[i].Default}
 		} else {

@@ -551,12 +551,18 @@ func (d *decoder) unfinished(v minipy.Value) bool {
 }
 
 // stringMap decodes counted (string, value) entries into m, each at
-// least two bytes: a length and a tag.
-func (d *decoder) stringMap(m map[string]minipy.Value) {
-	for n := d.Count(2); n > 0; n-- {
+// least two bytes: a length and a tag. A nil m is made when there are
+// entries, and stays nil when there are none.
+func (d *decoder) stringMap(m map[string]minipy.Value) map[string]minipy.Value {
+	n := d.Count(2)
+	if m == nil && n > 0 {
+		m = make(map[string]minipy.Value, n)
+	}
+	for ; n > 0; n-- {
 		k := d.Str()
 		m[k] = d.decode()
 	}
+	return m
 }
 
 func (d *decoder) decodeFunc() minipy.Value {
@@ -564,9 +570,9 @@ func (d *decoder) decodeFunc() minipy.Value {
 		Name:     d.Str(),
 		Module:   d.Str(),
 		IsLambda: d.Byte() == 1,
-		Source:   d.Str(),
-		Closure:  map[string]minipy.Value{},
-		Globals:  map[string]minipy.Value{},
+		// The worker's code cache holds the text of a function it has
+		// rebuilt before: the rebuilt function shares it.
+		Source: d.ip.Code.Source(d.Bytes()),
 	}
 	// Allocate the function shell and register it in the memo *before*
 	// decoding its captures, so self-recursive and mutually recursive
@@ -574,15 +580,18 @@ func (d *decoder) decodeFunc() minipy.Value {
 	fn := &minipy.Func{}
 	d.remember(fn)
 	// A parameter is at least two bytes: its name's length and a flag.
-	for n := d.Count(2); n > 0; n-- {
-		info := minipy.ParamInfo{Name: d.Str()}
-		if d.Byte() == 1 {
-			info.HasDefault, info.Default = true, d.decode()
+	if n := d.Count(2); n > 0 {
+		spec.Params = make([]minipy.ParamInfo, 0, n)
+		for ; n > 0; n-- {
+			info := minipy.ParamInfo{Name: d.Str()}
+			if d.Byte() == 1 {
+				info.HasDefault, info.Default = true, d.decode()
+			}
+			spec.Params = append(spec.Params, info)
 		}
-		spec.Params = append(spec.Params, info)
 	}
-	d.stringMap(spec.Closure)
-	d.stringMap(spec.Globals)
+	spec.Closure = d.stringMap(nil)
+	spec.Globals = d.stringMap(nil)
 	if d.Err() != nil {
 		return nil
 	}

@@ -57,8 +57,11 @@ func (ix *Index) Names() []string {
 func (ix *Index) ResolveClosure(roots []string) ([]*Package, error) {
 	seen := map[string]bool{}
 	var out []*Package
-	var visit func(name string, path []string) error
-	visit = func(name string, path []string) error {
+	// path is the chain of packages requiring the one visited, a single
+	// stack for the whole walk; only a missing package's error copies it.
+	var path []string
+	var visit func(name string) error
+	visit = func(name string) error {
 		if seen[name] {
 			return nil
 		}
@@ -70,16 +73,18 @@ func (ix *Index) ResolveClosure(roots []string) ([]*Package, error) {
 			return fmt.Errorf("pkgindex: no package %q (required via %v)", name, path)
 		}
 		seen[name] = true
+		path = append(path, name)
 		for _, d := range p.Deps {
-			if err := visit(d, append(path, name)); err != nil {
+			if err := visit(d); err != nil {
 				return err
 			}
 		}
+		path = path[:len(path)-1]
 		out = append(out, p)
 		return nil
 	}
 	for _, r := range roots {
-		if err := visit(r, nil); err != nil {
+		if err := visit(r); err != nil {
 			return nil, err
 		}
 	}

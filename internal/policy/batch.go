@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"slices"
+
 	"repro/internal/core"
 )
 
@@ -52,6 +54,8 @@ func (v *ClusterView) PlanTaskBatchInto(dst []PlaceTask, reqs []TaskReq, f Filte
 		if d.Worker == nil && r.Avoid != "" {
 			d = v.PlanTask(r.Key, r.Res, r.Inputs, f)
 		}
+		// The stages outlive the next plan, which reuses the view's list.
+		d.Stages = slices.Clone(d.Stages)
 		dst = append(dst, d)
 		if d.Worker != nil {
 			undo = v.applyPlacement(undo, d.Worker, r.Res, d.Stages)

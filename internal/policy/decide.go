@@ -139,9 +139,12 @@ func (v *ClusterView) PlanStage(dst *WorkerView, fs core.FileSpec, committed map
 }
 
 // PlanStageAll plans every input of a placement on dst. ok is false if
-// any input must wait; blocked lists the objects holding it up.
+// any input must wait; blocked lists the objects holding it up. stages
+// is the view's scratch list, valid until its next plan: a placement's
+// stages are carried out before the next is planned.
 func (v *ClusterView) PlanStageAll(dst *WorkerView, inputs []core.FileSpec, committed map[string]bool) (stages []StageFile, blocked []string, ok bool) {
 	ok = true
+	stages = v.stageList[:0]
 	for _, fs := range inputs {
 		sf := v.PlanStage(dst, fs, committed)
 		switch sf.Mode {
@@ -154,6 +157,9 @@ func (v *ClusterView) PlanStageAll(dst *WorkerView, inputs []core.FileSpec, comm
 				committed[sf.Object] = true
 			}
 		}
+	}
+	if v.stageList = stages[:0]; len(stages) == 0 {
+		stages = nil
 	}
 	return stages, blocked, ok
 }

@@ -153,6 +153,8 @@ type ClusterView struct {
 	ringSeen     hashring.Visited
 	seenScratch  map[string]bool
 	stageScratch map[string]bool
+	// stageList is PlanStageAll's reusable list of the stages it plans.
+	stageList []StageFile
 }
 
 // clearedSeen returns the reusable blocked-object dedup set, emptied.

@@ -17,8 +17,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 
 	"repro/internal/bincode"
+	"repro/internal/content"
 	"repro/internal/core"
 )
 
@@ -29,11 +31,13 @@ import (
 const binMarker = 0xB1
 
 // writeBody appends v's body to buf, refusing a value that has no
-// encoding or is not a body of t.
+// encoding or is not a body of t. Its error names v's type, not v, so v
+// does not escape: a value a sender boxes for Send or Buffer stays on
+// its stack.
 func writeBody(buf *bytes.Buffer, t MsgType, v any) error {
 	body, mt := appendBody(buf.AvailableBuffer(), v)
 	if mt != t {
-		return fmt.Errorf("proto: no %v encoding for %T", t, v)
+		return fmt.Errorf("proto: no %v encoding for %v", t, reflect.TypeOf(v))
 	}
 	buf.Write(body)
 	return nil
@@ -324,18 +328,20 @@ const (
 	minFunctionSize = 3 // three empty fields
 )
 
-// readFileSpec reads one FileSpec, interning its header's strings
-// through in. A task's transient input (Cache false: its pickled
-// arguments) has an ID no later frame repeats, so with transient set
-// that ID is copied rather than interned: it would only fill the table.
-func readFileSpec(r *bincode.Reader, in *Interner, transient bool) core.FileSpec {
+// readFileSpec reads one FileSpec, its object's header into hdr,
+// interning the header's strings through in. A task's transient input
+// (Cache false: its pickled arguments) has an ID no later frame repeats,
+// so with transient set that ID is copied rather than interned: it would
+// only fill the table.
+func readFileSpec(r *bincode.Reader, in *Interner, transient bool, hdr *content.Object) core.FileSpec {
 	flags := r.Byte()
 	ids := in
 	if transient && flags&1 == 0 {
 		ids = nil
 	}
+	*hdr = readFileHdr(r, ids, in).object(nil)
 	return core.FileSpec{
-		Object:       readFileHdr(r, ids, in).Object(nil),
+		Object:       hdr,
 		Cache:        flags&1 != 0,
 		PeerTransfer: flags&2 != 0,
 		Unpack:       flags&4 != 0,
@@ -353,14 +359,39 @@ func readFileHdr(r *bincode.Reader, ids, names *Interner) FileHdr {
 	}
 }
 
+// readFileSpecs reads a list of FileSpecs. A list of up to three — a
+// wrapped call's task frame names at most three files — is one block
+// that holds the specs and their objects' headers, each list cut with
+// cap == len; a longer one is two.
 func readFileSpecs(r *bincode.Reader, in *Interner, transient bool) []core.FileSpec {
-	n := r.Count(minFileSpecSize)
-	if n == 0 {
+	var specs []core.FileSpec
+	var hdrs []content.Object
+	switch n := r.Count(minFileSpecSize); n {
+	case 0:
 		return nil
+	case 1:
+		b := new(struct {
+			specs [1]core.FileSpec
+			hdrs  [1]content.Object
+		})
+		specs, hdrs = b.specs[:], b.hdrs[:]
+	case 2:
+		b := new(struct {
+			specs [2]core.FileSpec
+			hdrs  [2]content.Object
+		})
+		specs, hdrs = b.specs[:], b.hdrs[:]
+	case 3:
+		b := new(struct {
+			specs [3]core.FileSpec
+			hdrs  [3]content.Object
+		})
+		specs, hdrs = b.specs[:], b.hdrs[:]
+	default:
+		specs, hdrs = make([]core.FileSpec, n), make([]content.Object, n)
 	}
-	specs := make([]core.FileSpec, n)
 	for i := range specs {
-		specs[i] = readFileSpec(r, in, transient)
+		specs[i] = readFileSpec(r, in, transient, &hdrs[i])
 	}
 	return specs
 }
@@ -417,7 +448,7 @@ func DecodeLibrary(raw []byte) (core.LibrarySpec, error) {
 	l.ContextSetup = copied(&r)
 	l.ContextArgs = copied(&r)
 	if flags&1 != 0 {
-		env := readFileSpec(&r, nil, false)
+		env := readFileSpec(&r, nil, false, new(content.Object))
 		l.Env = &env
 	}
 	l.Inputs = readFileSpecs(&r, nil, false)

@@ -130,7 +130,12 @@ func HdrOf(o *content.Object) FileHdr {
 // Object assembles the object a bulk frame carried from its header and
 // raw payload; data is retained as-is, no copy.
 func (h FileHdr) Object(data []byte) *content.Object {
-	return &content.Object{ID: h.ID, Name: h.Name, Kind: content.Kind(h.Kind), Data: data, LogicalSize: h.LogicalSize, UnpackedSize: h.UnpackedSize}
+	o := h.object(data)
+	return &o
+}
+
+func (h FileHdr) object(data []byte) content.Object {
+	return content.Object{ID: h.ID, Name: h.Name, Kind: content.Kind(h.Kind), Data: data, LogicalSize: h.LogicalSize, UnpackedSize: h.UnpackedSize}
 }
 
 // PutFileHdr is the header of a MsgPutFileBulk frame; the object bytes

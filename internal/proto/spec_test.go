@@ -324,10 +324,11 @@ func fuzzDecode[T any](t *testing.T, mt proto.MsgType, decode func([]byte) (T, e
 }
 
 // TestDecodeTaskInternedAllocatesOnlyTheTask: a warm L2 wrapped call's
-// task frame, decoded through the worker loop's Interner, allocates the
-// input list, one header object per input and the arguments' ID — a
-// transient input's ID is new on every frame, so it is copied, not
-// interned. The script and every other ID and name are the table's.
+// task frame, decoded through the worker loop's Interner, allocates one
+// block holding the input list and its header objects, and the
+// arguments' ID — a transient input's ID is new on every frame, so it is
+// copied, not interned. The script and every other ID and name are the
+// table's; the plain decode copies those eight strings.
 func TestDecodeTaskInternedAllocatesOnlyTheTask(t *testing.T) {
 	ts := core.TaskSpec{
 		ID:       7,
@@ -352,7 +353,7 @@ func TestDecodeTaskInternedAllocatesOnlyTheTask(t *testing.T) {
 		name string
 		in   *proto.Interner
 		want float64
-	}{{"interned", &in, 5}, {"plain", nil, 12}} {
+	}{{"interned", &in, 2}, {"plain", nil, 9}} {
 		if got := testing.AllocsPerRun(100, func() { decode(c.in) }); got != c.want {
 			t.Errorf("%s decode of a wrapped-call task allocates %v times, want %v", c.name, got, c.want)
 		}

@@ -98,8 +98,12 @@ func (r Run[T, I]) Tenant() string {
 	return r.Inv.Spec.Tenant()
 }
 
-// TaskKey is the ring key of spec number n.
-func TaskKey(n int64) string { return "task-" + strconv.FormatInt(n, 10) }
+// TaskKey is the ring key of spec number n, formatted on the stack: the
+// key is the one allocation.
+func TaskKey(n int64) string {
+	var b [32]byte
+	return string(strconv.AppendInt(append(b[:0], "task-"...), n, 10))
+}
 
 // KeyNum recovers the spec number from a TaskKey.
 func KeyNum(key string) int64 {

@@ -280,8 +280,10 @@ func (e *executor) claimInputs(spec core.TaskSpec) {
 // runTask executes a stateless task (the L1/L2 path): resolve inputs
 // through the data plane (waiting out in-flight fetches), read shared
 // FS, unpack environments, run the script in a sandbox, return the
-// pickled result.
+// pickled result. It is the task's goroutine, counted in the worker's
+// WaitGroup by the control loop that starts it.
 func (e *executor) runTask(spec core.TaskSpec) {
+	defer e.w.wg.Done()
 	e.w.sendResult(e.task(spec))
 }
 
@@ -346,10 +348,10 @@ func (e *executor) task(spec core.TaskSpec) core.Result {
 
 	// Execute the script.
 	execStart := time.Now()
-	ip := minipy.NewInterp(t)
-	ip.StepLimit = e.cfg.StepLimit
-	ip.Code = &e.code
-	_, err = ip.RunModule(spec.Script, fmt.Sprintf("task-%d", spec.ID))
+	t.ip.Init(t)
+	t.ip.StepLimit = e.cfg.StepLimit
+	t.ip.Code = &e.code
+	_, err = t.ip.RunModule(spec.Script, "task")
 	metrics.ExecTime = time.Since(execStart).Seconds()
 
 	if err != nil {
@@ -376,7 +378,10 @@ func (e *executor) task(spec core.TaskSpec) core.Result {
 
 // ---- library hosting ----
 
+// installLibrary starts a library instance on a goroutine of its own,
+// counted in the worker's WaitGroup by the control loop that starts it.
 func (e *executor) installLibrary(spec core.LibrarySpec) {
+	defer e.w.wg.Done()
 	res := spec.Resources
 	if res == (core.Resources{}) {
 		// A library by default takes all resources of a worker (§3.5.2).

@@ -15,12 +15,13 @@ import (
 const taskInline = 4
 
 // task is one stateless task while it runs, and the minipy.Host of the
-// interpreter that runs its script: the inputs it staged, the
-// environments whose modules it may import, and the result the script
-// stores. vine_runtime's builtins find it through that interpreter, so
-// nothing of the module is built per task.
+// interpreter that runs its script, which it holds: the inputs it
+// staged, the environments whose modules it may import, and the result
+// the script stores. vine_runtime's builtins find it through that
+// interpreter, so nothing of the module is built per task.
 type task struct {
-	e *executor
+	e  *executor
+	ip minipy.Interp
 	// inputs are the pinned cache objects, then the shared FS reads;
 	// inputs[:pinned] are unpinned when the task ends.
 	inputs    []*content.Object

@@ -356,14 +356,16 @@ func (w *Worker) loop(nc net.Conn) {
 				continue
 			}
 			w.exec.claimInputs(msg)
-			w.spawn(func() { w.exec.runTask(msg) })
+			w.wg.Add(1)
+			go w.exec.runTask(msg)
 		case proto.MsgInstallLibrary:
 			msg, err := proto.DecodeLibrary(raw)
 			if err != nil {
 				w.protocolError(t, err)
 				continue
 			}
-			w.spawn(func() { w.exec.installLibrary(msg) })
+			w.wg.Add(1)
+			go w.exec.installLibrary(msg)
 		case proto.MsgRemoveLibrary:
 			name, err := proto.DecodeString(raw)
 			if err != nil {
@@ -399,14 +401,6 @@ func (w *Worker) stopping() bool {
 	default:
 		return false
 	}
-}
-
-func (w *Worker) spawn(f func()) {
-	w.wg.Add(1)
-	go func() {
-		defer w.wg.Done()
-		f()
-	}()
 }
 
 // protocolError counts an undecodable (or unknown) manager frame and
