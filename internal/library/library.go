@@ -229,10 +229,9 @@ type Slot struct {
 // one call with a huge argument list does not pin its slice for good.
 const maxKeptArgs = 64
 
-// maxKeptResult bounds the result buffer a slot keeps: what a short
-// call's pickled value takes, and no more than a worker's result frame
-// carries inline, so a longer result is always a buffer of its own.
-const maxKeptResult = 16
+// maxKeptResult bounds the result buffer a slot keeps between calls, so
+// one call with a huge result does not pin its buffer for good.
+const maxKeptResult = 4 << 10
 
 // NewSlot returns a slot serving l's functions.
 func (l *Library) NewSlot() *Slot {
@@ -256,10 +255,8 @@ func (l *Library) Invoke(function string, args []byte) (InvokeResult, error) {
 // clone of the function's globals, made per invocation, so concurrent
 // invocations and global mutations cannot corrupt the retained context.
 //
-// The result's Value is valid until the slot's next Invoke. A value of
-// up to maxKeptResult bytes is pickled into a buffer the slot keeps and
-// overwrites on its next call; a longer one is allocated for this call
-// alone, and the caller may keep it.
+// The result's Value is pickled into a buffer the slot keeps and
+// overwrites on its next call: it is valid until the slot's next Invoke.
 func (s *Slot) Invoke(function string, args []byte) (InvokeResult, error) {
 	l := s.lib
 	fn, ok := l.funcs[function]

@@ -530,7 +530,8 @@ func TestSlotInvokeAllocatesOnlyItsResult(t *testing.T) {
 	if raceDetector {
 		t.Skip("sync.Pool drops encoders and decoders under -race")
 	}
-	atCap, overCap := strings.Repeat("k", maxKeptResult-4), strings.Repeat("o", maxKeptResult-3)
+	// A string of 128 bytes to 16 KiB pickles to 5 bytes more.
+	atCap, overCap := strings.Repeat("k", maxKeptResult-5), strings.Repeat("o", maxKeptResult-4)
 	spec := core.LibrarySpec{Name: "dispatch", Functions: []core.FunctionSpec{
 		{Name: "noop", Source: "def noop(x):\n    return x\n"},
 		// A global, not a literal: the interpreter boxes a literal each time.
@@ -568,13 +569,14 @@ func TestSlotInvokeAllocatesOnlyItsResult(t *testing.T) {
 	}
 }
 
-// TestSlotResultValidUntilNextInvoke: a result the slot's buffer holds is
-// overwritten by the slot's next call, and one too long for it is the
-// caller's to keep.
+// TestSlotResultValidUntilNextInvoke: a result is pickled into the slot's
+// buffer and overwritten by the slot's next call, and a result too long
+// for the buffer the slot keeps leaves no buffer behind that long.
 func TestSlotResultValidUntilNextInvoke(t *testing.T) {
 	slot := noopSlot(t)
+	// A string of 128 bytes to 16 KiB pickles to 5 bytes more.
 	for _, size := range []int{maxKeptResult, maxKeptResult + 1} {
-		first := strings.Repeat("a", size-4)
+		first := strings.Repeat("a", size-5)
 		want, err := pickle.Marshal(minipy.Str(first))
 		if err != nil {
 			t.Fatal(err)
@@ -583,12 +585,48 @@ func TestSlotResultValidUntilNextInvoke(t *testing.T) {
 		if err != nil || !bytes.Equal(res.Value, want) {
 			t.Fatalf("a %d-byte result: %x (%v), want %x", size, res.Value, err, want)
 		}
-		if _, err := slot.Invoke("noop", pickledArgs(t, minipy.Str(strings.Repeat("b", size-4)))); err != nil {
+		if cap(slot.out) > maxKeptResult {
+			t.Errorf("after a %d-byte result the slot keeps a %d-byte buffer, over its %d-byte bound", size, cap(slot.out), maxKeptResult)
+		}
+		if _, err := slot.Invoke("noop", pickledArgs(t, minipy.Str(strings.Repeat("b", size-5)))); err != nil {
 			t.Fatal(err)
 		}
-		if kept := bytes.Equal(res.Value, want); kept != (size > maxKeptResult) {
-			t.Errorf("a %d-byte result after the next call: %x, kept %v", size, res.Value, kept)
+		if size <= maxKeptResult && bytes.Equal(res.Value, want) {
+			t.Errorf("a %d-byte result outlived the slot's next call: the slot did not reuse its buffer", size)
 		}
+	}
+}
+
+// TestSlotKilobyteResultAllocatesNothing: a thousand calls that each return a 1 KiB
+// value pickle it into the one buffer the slot keeps: no call after the
+// first allocates for its result.
+func TestSlotKilobyteResultAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops encoders and decoders under -race")
+	}
+	kib := strings.Repeat("k", 1<<10)
+	spec := core.LibrarySpec{Name: "kib", Functions: []core.FunctionSpec{
+		{Name: "kib", Source: "KIB = '" + kib + "'\ndef kib(x):\n    return KIB\n"},
+	}}
+	lib, err := Start(spec, "kib@test", testHost())
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot, args := lib.NewSlot(), pickledArgs(t, minipy.Int(1))
+	want, err := pickle.Marshal(minipy.Str(kib))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res InvokeResult
+	if n := testing.AllocsPerRun(1000, func() {
+		if res, err = slot.Invoke("kib", args); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a call returning 1 KiB allocated %v times, want 0", n)
+	}
+	if !bytes.Equal(res.Value, want) {
+		t.Errorf("the 1 KiB result came out as %d bytes", len(res.Value))
 	}
 }
 

@@ -1,23 +1,26 @@
 package manager
 
-// Race-mode tests for the coalesced per-worker writer: the sender
-// goroutine in serveWorker takes everything in a worker's sendq in one
-// swap, encodes it into the connection's pending buffer and flushes the
-// burst in one write.
-// These tests drive the real sender over a net.Pipe whose peer stalls
-// mid-frame, and assert the two properties coalescing must not break:
-// every frame arrives intact and exactly once (no interleaving, no
-// truncation), and the send-queue overflow path still disconnects and
-// counts when the peer stops draining entirely. Run with -race (make
-// check does).
+// Race-mode tests for the coalesced per-worker writer: producers encode
+// their frames into the worker link's outbound queue, and the writer
+// goroutine in serveWorker takes everything queued in one swap and writes
+// the burst at once.
+// These tests drive the real writer over a net.Pipe whose peer stalls
+// mid-frame, and assert the properties coalescing must not break: every
+// frame arrives intact, exactly once and in queue order (no interleaving,
+// no truncation, a bulk frame's payload in its place), and the overflow
+// path still disconnects and counts when the peer stops draining
+// entirely. Run with -race (make check does).
 
 import (
+	"bytes"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/content"
 	"repro/internal/core"
 	"repro/internal/proto"
 )
@@ -93,10 +96,10 @@ func TestCoalescedWriterFrameIntegrityUnderStall(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for k := 0; k < perProducer; k++ {
-				w.enqueue(outMsg{t: proto.MsgRunTask, v: &core.TaskSpec{
+				w.enqueue(proto.MsgRunTask, &core.TaskSpec{
 					ID:     int64(p*perProducer + k),
 					Script: strings.Repeat("#", 64), // multi-chunk frame body
-				}})
+				})
 			}
 		}(p)
 	}
@@ -149,12 +152,12 @@ func TestCoalescedWriterOverflowUnderFullStall(t *testing.T) {
 	defer peerSide.Close()
 
 	// Cores=1 gives the floor queue size; after the Hello the peer never
-	// reads again, so the sender wedges mid-frame on the pipe with the
-	// coalescing buffer full behind it.
+	// reads again, so the writer wedges mid-frame on the pipe with the
+	// queue filling behind it.
 	w, _ := startPipeWorker(t, m, "wedged", 1, peerSide, mgrSide)
 	s := m.shardFor("wedged")
 
-	// Each frame carries a 4 KiB script. The wedged sender holds the one
+	// Each frame carries a 4 KiB script. The wedged writer holds the one
 	// batch it took, at most a full queue, and the queue fills again
 	// behind it: together they absorb at most twice the bound, less than
 	// the flood.
@@ -166,7 +169,7 @@ func TestCoalescedWriterOverflowUnderFullStall(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for k := p; k < total; k += 8 {
-				w.enqueue(outMsg{t: proto.MsgRunTask, v: &core.TaskSpec{ID: int64(k), Script: pad}})
+				w.enqueue(proto.MsgRunTask, &core.TaskSpec{ID: int64(k), Script: pad})
 			}
 		}(p)
 	}
@@ -190,4 +193,51 @@ func TestCoalescedWriterOverflowUnderFullStall(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// A bulk frame queued between two control frames reaches the worker
+// between them, its payload written from the producer's slice: queueing
+// it copies none of the payload.
+func TestCoalescedWriterKeepsBulkInOrder(t *testing.T) {
+	m := New(Options{Shards: 1})
+	defer m.Shutdown()
+	mgrSide, peerSide := net.Pipe()
+	defer mgrSide.Close()
+	defer peerSide.Close()
+	w, peer := startPipeWorker(t, m, "bulk", 4, peerSide, mgrSide)
+
+	obj := content.NewBlob("blob", bytes.Repeat([]byte("0123456789abcdef"), 1<<18)) // 4 MiB
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w.enqueue(proto.MsgRunTask, &core.TaskSpec{ID: 1, Script: "1"})
+	w.enqueueBulk(proto.MsgPutFileBulk, proto.PutFileHdr{File: proto.HdrOf(obj), Cache: true}, obj.Data)
+	w.enqueue(proto.MsgRunTask, &core.TaskSpec{ID: 2, Script: "2"})
+	// Nothing is read yet, so the peer has allocated nothing: what was
+	// allocated is the three frames' queueing.
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= uint64(len(obj.Data))/4 {
+		t.Errorf("queueing a %d-byte bulk frame allocated %d bytes: its payload was copied", len(obj.Data), grew)
+	}
+
+	peerSide.SetReadDeadline(time.Now().Add(30 * time.Second))
+	task := func(want int64) {
+		t.Helper()
+		mt, raw, err := peer.Recv()
+		if err != nil || mt != proto.MsgRunTask {
+			t.Fatalf("read %v (%v), want task %d", mt, err, want)
+		}
+		if ts, err := proto.DecodeTask(raw); err != nil || ts.ID != want {
+			t.Fatalf("task %d (%v), want task %d", ts.ID, err, want)
+		}
+	}
+	task(1)
+	mt, raw, err := peer.Recv()
+	if err != nil || mt != proto.MsgPutFileBulk {
+		t.Fatalf("read %v (%v), want the bulk frame between the tasks", mt, err)
+	}
+	hdr, payload, err := proto.DecodePutFile(raw)
+	if err != nil || hdr.File.ID != obj.ID || !bytes.Equal(payload, obj.Data) {
+		t.Fatalf("bulk frame %+v (%v): payload intact %v", hdr, err, bytes.Equal(payload, obj.Data))
+	}
+	task(2)
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/hashring"
 	"repro/internal/policy"
 	"repro/internal/proto"
-	"repro/internal/sendq"
 	"repro/internal/shardplane"
 	"repro/internal/sim"
 )
@@ -191,7 +190,7 @@ func (h *diffHarness) newWorker(id string) *workerState {
 		// DataAddr must be non-empty: the ref plane treats an
 		// address-less resolve source as dead (refSourceAddrs).
 		hello:        proto.Hello{WorkerID: id, Resources: core.Resources{Cores: h.slots}, DataAddr: "sim://" + id},
-		sendq:        sendq.New[outMsg](256),
+		conn:         linkConn(256),
 		fetchSources: map[string]string{},
 		ackWaiters:   map[string]waiters{},
 		libs:         map[string]*libInstance{},

@@ -1,6 +1,7 @@
 package manager
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -12,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/proto"
-	"repro/internal/sendq"
 )
 
 // These tests drive the manager's failure-path bookkeeping directly,
@@ -23,13 +23,13 @@ import (
 // m.shards[0], whose fields they inspect.
 
 // fakeWorker registers a synthetic worker state in its home shard and
-// the router. The send queue is buffered and never drained; tests only
-// inspect what was enqueued.
+// the router. No writer takes its link's queue; tests read what was
+// queued with drainMsgs.
 func fakeWorker(m *Manager, id string) *workerState {
 	w := &workerState{
 		id:           id,
 		hello:        proto.Hello{WorkerID: id, Resources: core.Resources{Cores: 32, MemoryMB: 64 << 10, DiskMB: 64 << 10}},
-		sendq:        sendq.New[outMsg](256),
+		conn:         linkConn(256),
 		drops:        &m.ctr.SendQueueDrops,
 		fetchSources: map[string]string{},
 		ackWaiters:   map[string]waiters{},
@@ -94,8 +94,34 @@ func dispatchOn(t *testing.T, m *Manager, w *workerState, task *core.TaskSpec) i
 	return id
 }
 
-func drainMsgs(w *workerState) []outMsg {
-	return w.sendq.Take()
+// linkConn is a synthetic worker's link, its outbound queue bounded at
+// limit frames. It reads what it writes: drainMsgs flushes the queue into
+// the link's buffer and reads the frames back.
+func linkConn(limit int) *proto.Conn {
+	c := proto.NewConn(new(bytes.Buffer))
+	c.SetQueueLimit(limit)
+	return c
+}
+
+// sentFrame is one frame queued for a synthetic worker.
+type sentFrame struct {
+	t   proto.MsgType
+	raw []byte
+}
+
+// drainMsgs takes every frame queued for w, oldest first.
+func drainMsgs(w *workerState) []sentFrame {
+	if err := w.conn.Flush(); err != nil {
+		panic(err)
+	}
+	var out []sentFrame
+	for {
+		t, raw, err := w.conn.Recv()
+		if err != nil {
+			return out
+		}
+		out = append(out, sentFrame{t, raw})
+	}
 }
 
 func TestWorkerGoneReleasesPeerTransferSlots(t *testing.T) {
@@ -616,14 +642,14 @@ func TestEnqueueOverflowDropsAndCounts(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	w.nc = a
-	w.sendq = sendq.New[outMsg](2)
+	w.conn = linkConn(2)
 	for i := 0; i < 2; i++ {
-		w.enqueue(outMsg{t: proto.MsgRunTask, v: simpleTask("fill")})
+		w.enqueue(proto.MsgRunTask, simpleTask("fill"))
 	}
 	if got := m.Stats().SendQueueDrops; got != 0 {
 		t.Fatalf("drops before overflow = %d", got)
 	}
-	w.enqueue(outMsg{t: proto.MsgRunTask, v: simpleTask("overflow")})
+	w.enqueue(proto.MsgRunTask, simpleTask("overflow"))
 	if got := m.Stats().SendQueueDrops; got != 1 {
 		t.Errorf("SendQueueDrops = %d, want 1", got)
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/proto"
-	"repro/internal/sendq"
 )
 
 // TestFairShareNoStarvation is the bounded-wait guarantee behind the
@@ -30,7 +29,7 @@ func TestFairShareNoStarvation(t *testing.T) {
 	w := &workerState{
 		id:           "w0",
 		hello:        proto.Hello{WorkerID: "w0", Resources: core.Resources{Cores: 1}},
-		sendq:        sendq.New[outMsg](256),
+		conn:         linkConn(256),
 		fetchSources: map[string]string{},
 		ackWaiters:   map[string]waiters{},
 		libs:         map[string]*libInstance{},

@@ -9,7 +9,6 @@ import (
 	"repro/internal/content"
 	"repro/internal/core"
 	"repro/internal/proto"
-	"repro/internal/sendq"
 )
 
 // TestIndexConsistencyRandomized drives the scheduler's incremental
@@ -55,7 +54,7 @@ func TestIndexConsistencyRandomized(t *testing.T) {
 		return &workerState{
 			id:           id,
 			hello:        proto.Hello{WorkerID: id, Resources: core.Resources{Cores: 32, MemoryMB: 64 << 10, DiskMB: 64 << 10}},
-			sendq:        sendq.New[outMsg](4096),
+			conn:         linkConn(4096),
 			fetchSources: map[string]string{},
 			ackWaiters:   map[string]waiters{},
 			libs:         map[string]*libInstance{},
@@ -154,7 +153,7 @@ func TestIndexConsistencyRandomized(t *testing.T) {
 
 	drain := func() {
 		for _, w := range live {
-			w.sendq.Take()
+			drainMsgs(w)
 		}
 	}
 

@@ -22,6 +22,7 @@
 package manager
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"net"
@@ -32,7 +33,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/proto"
-	"repro/internal/sendq"
 	"repro/internal/shardplane"
 )
 
@@ -134,14 +134,12 @@ type Stats struct {
 	BytesThroughManager int64 // inline result bytes relayed through the manager
 	BytesByRef          int64 // result bytes that never transited the manager
 
-	// Coalesced-writer accounting: each per-worker sender goroutine
-	// drains its queue greedily into the connection's pending buffer
-	// and issues one flush per drain batch, so FramesSent/FlushBatches
-	// is the mean frames-per-write — the wire path's syscall
-	// amortization factor. MaxFlushBatch is the largest single batch.
-	FramesSent    int64
-	FlushBatches  int64
-	MaxFlushBatch int64
+	// Coalesced-writer accounting: each worker link's writer goroutine
+	// takes everything queued for the worker and writes it at once, so
+	// FramesSent/FlushBatches is the mean frames per write — the wire
+	// path's syscall amortization factor.
+	FramesSent   int64
+	FlushBatches int64
 }
 
 // counters is the live store behind Stats: one typed atomic for every
@@ -159,7 +157,7 @@ type counters struct {
 	RefResults, RefTransfers, RefSpills, RefPromotes atomic.Int64
 	RefRehomes, RefLost                              atomic.Int64
 	BytesThroughManager, BytesByRef                  atomic.Int64
-	FramesSent, FlushBatches, MaxFlushBatch          atomic.Int64
+	FramesSent, FlushBatches                         atomic.Int64
 }
 
 // Manager coordinates workers across the sharded dispatch plane.
@@ -221,7 +219,7 @@ type library struct {
 }
 
 // peerSource is a live worker's entry in the global replica registry:
-// the connection (for its data address and send queue) plus how many
+// the connection (for its data address and outbound queue) plus how many
 // cross-shard peer fetches it is currently serving. Local-shard
 // transfer slots are accounted in the shard's policy view; cross-shard
 // assignments use this counter, under the same cap.
@@ -321,23 +319,14 @@ func (ws waiters) add(st *staging) waiters {
 	return ws
 }
 
-type outMsg struct {
-	t proto.MsgType
-	v any
-	// bulk frames carry v as the header and payload as raw bytes
-	// (proto.SendBulk) — no base64, no second buffer.
-	bulk    bool
-	payload []byte
-}
-
 type workerState struct {
 	id    string
 	hello proto.Hello
-	conn  *proto.Conn
-	nc    net.Conn
-	// sendq feeds the worker's sender goroutine; it holds at most
-	// sendQueueSize(cores) frames and reserves none of them.
-	sendq *sendq.Queue[outMsg]
+	// conn is the worker's link: enqueue encodes frames into its outbound
+	// queue, bounded at sendQueueSize(cores), and serveWorker's writer
+	// goroutine writes it.
+	conn *proto.Conn
+	nc   net.Conn
 	// drops points at the manager's SendQueueDrops counter so a
 	// queue-overflow disconnect is counted, not silent.
 	drops *atomic.Int64
@@ -364,18 +353,10 @@ type libInstance struct {
 }
 
 // sendQueueSize derives a worker's outbound queue bound from its slot
-// count: each occupied slot can have a dispatch, its staging messages,
-// and a few control frames outstanding, with generous headroom for
-// bursts. A worker whose queue passes it is dropped. The bound reserves
-// nothing: an idle worker's queue holds no frames and no array for them.
-func sendQueueSize(cores int) int {
-	const perSlot, floor = 128, 1024
-	n := cores * perSlot
-	if n < floor {
-		n = floor
-	}
-	return n
-}
+// count: each occupied slot can have a dispatch, its staging messages
+// and a few control frames outstanding, with headroom for bursts. A
+// worker whose queue passes it is dropped. The bound reserves nothing.
+func sendQueueSize(cores int) int { return max(cores*128, 1024) }
 
 // New creates a manager with defaults applied.
 func New(opts Options) *Manager {
@@ -525,7 +506,6 @@ func (m *Manager) Stats() Stats {
 		BytesByRef:          m.ctr.BytesByRef.Load(),
 		FramesSent:          m.ctr.FramesSent.Load(),
 		FlushBatches:        m.ctr.FlushBatches.Load(),
-		MaxFlushBatch:       m.ctr.MaxFlushBatch.Load(),
 	}
 }
 
@@ -578,7 +558,7 @@ func (m *Manager) Shutdown() {
 	for _, s := range m.shards {
 		s.mu.Lock()
 		for _, id := range core.SortedKeys(s.workers) {
-			s.workers[id].enqueue(outMsg{t: proto.MsgShutdown, v: proto.Shutdown{}})
+			s.workers[id].enqueue(proto.MsgShutdown, proto.Shutdown{})
 		}
 		s.mu.Unlock()
 	}
@@ -676,18 +656,22 @@ func (m *Manager) Collect(n int, timeout time.Duration) ([]core.Result, error) {
 
 // ---- worker connection handling ----
 
-func (w *workerState) enqueue(msg outMsg) {
-	if w.sendq.TryPush(msg) {
+// enqueue encodes one frame into the worker's outbound queue.
+func (w *workerState) enqueue(t proto.MsgType, v any) { w.enqueueBulk(t, v, nil) }
+
+// enqueueBulk queues a frame with a bulk payload, kept by reference. A
+// refused frame drops the connection rather than block the scheduler,
+// and the reader loop cleans up. The drop is counted and logged: silent,
+// it would look exactly like a worker crash from the outside.
+func (w *workerState) enqueueBulk(t proto.MsgType, hdr any, payload []byte) {
+	err := w.conn.TryQueueBulk(t, hdr, payload)
+	if err == nil {
 		return
 	}
-	// Queue full: drop the connection rather than deadlock the
-	// scheduler; the reader loop will clean up. Count and log the
-	// drop — a silent disconnect here looks exactly like a worker
-	// crash from the outside and is otherwise undiagnosable.
-	if w.drops != nil {
+	if errors.Is(err, proto.ErrQueueFull) && w.drops != nil {
 		w.drops.Add(1)
 	}
-	log.Printf("manager: worker %s outbound queue full (%d); dropping connection", w.id, w.sendq.Limit())
+	log.Printf("manager: worker %s: %v; dropping connection", w.id, err)
 	w.nc.Close()
 }
 
@@ -742,12 +726,12 @@ func (m *Manager) serveWorker(nc net.Conn) {
 		return
 	}
 
+	conn.SetQueueLimit(sendQueueSize(hello.Resources.Cores))
 	w := &workerState{
 		id:           hello.WorkerID,
 		hello:        hello,
 		conn:         conn,
 		nc:           nc,
-		sendq:        sendq.New[outMsg](sendQueueSize(hello.Resources.Cores)),
 		drops:        &m.ctr.SendQueueDrops,
 		fetchSources: map[string]string{},
 		ackWaiters:   map[string]waiters{},
@@ -760,43 +744,20 @@ func (m *Manager) serveWorker(nc net.Conn) {
 	}
 	s := m.shardFor(w.id)
 
-	// Sender goroutine drains the queue so scheduling never blocks on
-	// TCP backpressure. Frames are coalesced: everything queued is
-	// encoded into the connection's pending buffer and flushed in one
-	// write syscall once the queue runs momentarily dry.
+	// The link's one writer, so scheduling never blocks on TCP
+	// backpressure: it writes everything queued at once, until the reader
+	// loop ends (done) or a write fails.
 	done := make(chan struct{})
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
-		put := func(msg outMsg) error {
-			if msg.bulk {
-				// SendBulk drains the pending buffer first, so
-				// ordering with buffered frames is preserved.
-				return conn.SendBulk(msg.t, msg.v, msg.payload)
-			}
-			return conn.Buffer(msg.t, msg.v)
-		}
-		for {
-			n, err := w.sendq.Drain(done, put)
-			if n == 0 && err == nil {
-				return // the reader loop has ended
-			}
-			if err == nil {
-				err = conn.Flush()
-			}
-			if err != nil {
-				nc.Close()
-				return
-			}
-			batch := int64(n)
-			m.ctr.FramesSent.Add(batch)
+		n, err := conn.Drain(done)
+		for ; n > 0 && err == nil; n, err = conn.Drain(done) {
+			m.ctr.FramesSent.Add(int64(n))
 			m.ctr.FlushBatches.Add(1)
-			for {
-				max := m.ctr.MaxFlushBatch.Load()
-				if batch <= max || m.ctr.MaxFlushBatch.CompareAndSwap(max, batch) {
-					break
-				}
-			}
+		}
+		if err != nil {
+			nc.Close()
 		}
 	}()
 

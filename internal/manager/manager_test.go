@@ -15,7 +15,6 @@ import (
 	"repro/internal/modlib"
 	"repro/internal/pickle"
 	"repro/internal/proto"
-	"repro/internal/sendq"
 	"repro/internal/worker"
 
 	"repro/internal/minipy"
@@ -309,7 +308,7 @@ func TestWaitForWorkersWakesOnJoin(t *testing.T) {
 		w := &workerState{
 			id:           id,
 			hello:        proto.Hello{WorkerID: id, Resources: core.Resources{Cores: 1}},
-			sendq:        sendq.New[outMsg](16),
+			conn:         linkConn(16),
 			fetchSources: map[string]string{},
 			ackWaiters:   map[string]waiters{},
 			libs:         map[string]*libInstance{},

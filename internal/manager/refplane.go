@@ -28,7 +28,7 @@ func (m *Manager) execSpills(spills []policy.RefSpill) {
 	m.obsMu.RLock()
 	for _, sp := range spills {
 		if ps := m.peers[sp.Worker]; ps != nil {
-			ps.w.enqueue(outMsg{t: proto.MsgSpillObject, v: proto.SpillObject{ID: sp.ID}})
+			ps.w.enqueue(proto.MsgSpillObject, proto.SpillObject{ID: sp.ID})
 		}
 	}
 	m.obsMu.RUnlock()
@@ -52,7 +52,7 @@ func (s *shard) Refs(rhs []policy.Rehome, spills []policy.RefSpill) {
 			continue // fell back to the durable shared-tier copy
 		}
 		if ps := m.peers[rh.Owner]; ps != nil {
-			ps.w.enqueue(outMsg{t: proto.MsgOwnObject, v: proto.OwnObject{ID: rh.ID}})
+			ps.w.enqueue(proto.MsgOwnObject, proto.OwnObject{ID: rh.ID})
 		}
 		spills = append(spills, rh.Spills...)
 	}

@@ -86,7 +86,7 @@ func (s *shard) peerFetchLocked(w, src *workerState, sf policy.StageFile, alts [
 	s.m.catalogAdd(sf.Spec)
 	s.view.NotePending(w.v, obj.ID)
 	w.fetchSources[obj.ID] = src.id
-	w.enqueue(outMsg{t: proto.MsgFetchFile, v: proto.FetchFile{
+	w.enqueue(proto.MsgFetchFile, proto.FetchFile{
 		ID:       obj.ID,
 		Name:     obj.Name,
 		FromAddr: src.hello.DataAddr,
@@ -94,7 +94,7 @@ func (s *shard) peerFetchLocked(w, src *workerState, sf policy.StageFile, alts [
 		Source:   src.id,
 		Cache:    sf.Spec.Cache,
 		Unpack:   sf.Spec.Unpack,
-	}})
+	})
 	s.m.ctr.PeerTransfers.Add(1)
 }
 
@@ -143,7 +143,7 @@ func (s *shard) Resolve(worker, id, name string, d policy.ResolveDecision) bool 
 		fetch.Shared, fetch.Own = true, d.Promote
 	}
 	s.view.NotePending(w.v, id)
-	w.enqueue(outMsg{t: proto.MsgFetchFile, v: fetch})
+	w.enqueue(proto.MsgFetchFile, fetch)
 	return true
 }
 
@@ -202,11 +202,11 @@ func (s *shard) directSendLocked(w *workerState, fs core.FileSpec) {
 	obj := fs.Object
 	s.m.catalogAdd(fs)
 	s.view.NotePending(w.v, obj.ID)
-	w.enqueue(outMsg{t: proto.MsgPutFileBulk, v: proto.PutFileHdr{
+	w.enqueueBulk(proto.MsgPutFileBulk, proto.PutFileHdr{
 		File:   proto.HdrOf(obj),
 		Cache:  fs.Cache,
 		Unpack: fs.Unpack,
-	}, bulk: true, payload: obj.Data})
+	}, obj.Data)
 	s.m.ctr.DirectTransfers.Add(1)
 }
 
@@ -219,7 +219,7 @@ func (s *shard) Place(pt *pendingTask, d policy.PlaceTask) {
 	w := s.workers[d.Worker.ID]
 	start := time.Now()
 	w.v.Commit = w.v.Commit.Add(t.Resources)
-	w.enqueue(outMsg{t: proto.MsgRunTask, v: t})
+	w.enqueue(proto.MsgRunTask, t)
 	// TransferTime runs from dispatch until the last input this
 	// dispatch depends on is acked on the worker — not the time
 	// spent enqueueing messages into in-memory channels. Register
@@ -296,7 +296,7 @@ func (s *shard) PlaceInv(pi pendingInv, d policy.PlaceInvocation) {
 	li := w.libs[pi.Lib]
 	li.SlotsUsed++
 	s.libSlotsChangedLocked(w, li)
-	w.enqueue(outMsg{t: proto.MsgInvoke, v: pi.Spec})
+	w.enqueue(proto.MsgInvoke, pi.Spec)
 }
 
 // Deploy starts the instance of lib the scheduler planned, its stages
@@ -317,7 +317,7 @@ func (s *shard) Deploy(lib string, d policy.DeployLibrary) {
 	w.libs[spec.Name] = li
 	s.view.AddInstance(w.v, &li.LibraryView)
 	w.v.Commit = w.v.Commit.Add(d.Res)
-	w.enqueue(outMsg{t: proto.MsgInstallLibrary, v: spec})
+	w.enqueue(proto.MsgInstallLibrary, spec)
 	s.m.ctr.LibrariesDeployed.Add(1)
 }
 
@@ -331,7 +331,7 @@ func (s *shard) evictLibraryLocked(w *workerState, name string) {
 	delete(w.libs, name)
 	s.view.RemoveLibrary(w.v, name)
 	w.v.Commit = w.v.Commit.Sub(li.Res)
-	w.enqueue(outMsg{t: proto.MsgRemoveLibrary, v: proto.RemoveLibrary{Library: name}})
+	w.enqueue(proto.MsgRemoveLibrary, proto.RemoveLibrary{Library: name})
 	s.m.ctr.LibrariesEvicted.Add(1)
 }
 

@@ -32,7 +32,7 @@ const binMarker = 0xB1
 
 // writeBody appends v's body to buf, refusing a value that has no
 // encoding or is not a body of t. Its error names v's type, not v, so v
-// does not escape: a value a sender boxes for Send or Buffer stays on
+// does not escape: a value a producer boxes to send or queue it stays on
 // its stack.
 func writeBody(buf *bytes.Buffer, t MsgType, v any) error {
 	body, mt := appendBody(buf.AvailableBuffer(), v)

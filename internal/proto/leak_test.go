@@ -6,22 +6,21 @@ package proto
 // path — success, encode error, flush error, and mid-frame write error
 // alike. No analyzer looks at the pool sites: these tests are the check.
 //
-// Audit map of the package's pool surface (keep in sync with proto.go):
+// Audit map of the package's pool surface (keep in sync with proto.go
+// and queue.go):
 //
-//	Send      getEncBuf + defer putEncBuf — error paths: encodeFrame
-//	          (a value with no encoding, oversized frame), flushLocked,
-//	          rw.Write
 //	SendBulk  getEncBuf + defer putEncBuf — error paths: a header with
 //	          no encoding, oversized frame, flushLocked, header Write,
-//	          payload Write
+//	          payload Write; Send is SendBulk with no payload
 //	OneShot   readerPool.Get + defer readerPool.Put, checked by the
 //	          bytes it allocates (TestOneShotReturnsReader)
 //	recvFirst chunkPool.Get + defer chunkPool.Put, checked by what a long
 //	          frame and one cut inside its first piece allocate
 //	          (TestRecvLongFrameBorrowsFirstPiece,
 //	          TestRecvCutFirstPieceReturnsChunk, recv_test.go)
-//	Buffer    no pool use: encodes into the per-conn pending buffer,
-//	          truncating it back on error
+//	Buffer,   no pool use: encode into the per-conn outbound queue,
+//	TryQueue, truncating it back on error
+//	Queue
 //	codec.go  no pool use: writeBody appends into the caller's buffer;
 //	          decode copies out of the caller's frame
 //
@@ -241,12 +240,12 @@ func TestBufferErrorLeavesPendingIntact(t *testing.T) {
 	if err := c.Buffer(MsgHello, Hello{WorkerID: "w1"}); err != nil {
 		t.Fatalf("buffer: %v", err)
 	}
-	before := c.pend.Len()
+	before := c.pend.buf.Len()
 	if err := c.Buffer(MsgHello, make(chan int)); err == nil {
 		t.Fatal("buffering an unencodable value succeeded")
 	}
-	if c.pend.Len() != before {
-		t.Fatalf("failed Buffer left %d pending bytes, want %d", c.pend.Len(), before)
+	if c.pend.buf.Len() != before {
+		t.Fatalf("failed Buffer left %d pending bytes, want %d", c.pend.buf.Len(), before)
 	}
 	if err := c.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)

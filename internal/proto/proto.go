@@ -256,21 +256,26 @@ type Shutdown struct{}
 // chunk borrowed from a process-wide pool (recvLong), so a connection
 // reserves nothing for the large frames it may one day receive.
 //
-// Writes support explicit coalescing: Send writes one frame in one
-// syscall (as before), while Buffer appends a frame to a pending
-// buffer and Flush writes everything pending at once — the sender
-// loops of the manager and worker drain their outbound queues through
-// Buffer and flush once per drain, so a dispatch burst of K frames
-// costs one write syscall instead of K. Ordering between Send,
-// Buffer/Flush, and SendBulk is preserved: every path drains the
-// pending buffer first under the shared write lock.
+// Writes go through one outbound queue of encoded frames (queue.go), so
+// a burst of K frames costs one write syscall instead of K. Send and
+// SendBulk write the queue first: frames reach the peer in the order
+// they were queued or sent.
 type Conn struct {
 	rw   io.ReadWriter
 	br   *bufio.Reader
 	rmu  sync.Mutex
 	rbuf []byte // RecvReuse's per-connection frame buffer
-	wmu  sync.Mutex
-	pend bytes.Buffer // frames buffered by Buffer, awaiting Flush
+
+	// wmu is held by whoever writes to rw, and guards spare, the last batch
+	// written, kept for the next swap. qmu guards the rest and is never held
+	// across a write.
+	wmu   sync.Mutex
+	spare outbound
+	qmu   sync.Mutex
+	pend  outbound      // the queue
+	limit int           // its bound in frames; 0: none
+	room  chan struct{} // made by a Queue at the bound, closed by the next take
+	wake  chan struct{} // the one-slot wake channel
 }
 
 // readBufSize is the framed reader's buffer, one per connection: large
@@ -281,7 +286,7 @@ const readBufSize = 4 << 10
 
 // NewConn wraps a stream in a framed message connection.
 func NewConn(rw io.ReadWriter) *Conn {
-	return &Conn{rw: rw, br: bufio.NewReaderSize(rw, readBufSize)}
+	return &Conn{rw: rw, br: bufio.NewReaderSize(rw, readBufSize), wake: make(chan struct{}, 1)}
 }
 
 // readerPool recycles the read buffers of one-shot connections: a peer
@@ -341,85 +346,26 @@ func putEncBuf(buf *bytes.Buffer) {
 	}
 }
 
-// Send encodes v as a frame of the given type. The frame is assembled
-// in a pooled buffer (header placeholder + binary body) and written with
-// a single Write call (after draining any frames pending from Buffer,
-// so cross-path ordering holds).
-func (c *Conn) Send(t MsgType, v any) error {
-	buf := getEncBuf()
-	defer putEncBuf(buf)
-	if err := encodeFrame(buf, t, v); err != nil {
-		return err
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if err := c.flushLocked(); err != nil {
-		return err
-	}
-	if _, err := c.rw.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("proto: writing frame: %w", err)
-	}
-	return nil
-}
+// Send encodes v as a frame of the given type and writes it with a
+// single Write call, after the frames queued before it.
+func (c *Conn) Send(t MsgType, v any) error { return c.SendBulk(t, v, nil) }
 
-// encodeFrame appends one [length][type][body] frame to buf. v must be
-// a value whose codec.go body is a body of t; anything else is an error.
-func encodeFrame(buf *bytes.Buffer, t MsgType, v any) error {
+// encodeFrame appends one [length][type][body] frame to buf, whose length
+// counts extra bytes more: a bulk frame's payload, written after it. v
+// must be a value whose codec.go body is a body of t; anything else is an
+// error.
+func encodeFrame(buf *bytes.Buffer, t MsgType, v any, extra int) error {
 	start := buf.Len()
 	buf.Write([]byte{0, 0, 0, 0, byte(t)})
 	if err := writeBody(buf, t, v); err != nil {
 		return err
 	}
 	frame := buf.Bytes()[start:]
-	if len(frame)-4 > MaxFrame {
-		return fmt.Errorf("proto: frame too large (%d bytes)", len(frame)-5)
+	n := len(frame) - 4 + extra
+	if n > MaxFrame {
+		return fmt.Errorf("proto: frame too large (%d bytes)", n)
 	}
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
-	return nil
-}
-
-// maxPending bounds the coalescing buffer: a Buffer call that would
-// grow it past this flushes first, so a long drain cannot pin
-// megabytes before its Flush.
-const maxPending = 256 << 10
-
-// Buffer encodes v as a frame into the connection's pending write
-// buffer without touching the wire. The frame is not visible to the
-// peer until Flush (or any Send/SendBulk, which drain pending frames
-// first). An encoding error leaves the pending buffer unchanged.
-func (c *Conn) Buffer(t MsgType, v any) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if c.pend.Len() > maxPending {
-		if err := c.flushLocked(); err != nil {
-			return err
-		}
-	}
-	start := c.pend.Len()
-	if err := encodeFrame(&c.pend, t, v); err != nil {
-		c.pend.Truncate(start)
-		return err
-	}
-	return nil
-}
-
-// Flush writes every frame buffered since the last flush in one Write
-// call. A no-op when nothing is pending.
-func (c *Conn) Flush() error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.flushLocked()
-}
-
-func (c *Conn) flushLocked() error {
-	if c.pend.Len() == 0 {
-		return nil
-	}
-	_, err := c.rw.Write(c.pend.Bytes())
-	c.pend.Reset()
-	if err != nil {
-		return fmt.Errorf("proto: flushing frames: %w", err)
-	}
+	binary.BigEndian.PutUint32(frame[:4], uint32(n))
 	return nil
 }
 
@@ -427,7 +373,8 @@ func (c *Conn) flushLocked() error {
 // raw payload bytes. The payload is written directly from the caller's
 // slice — never base64-encoded, never copied into a staging buffer — so
 // shipping a multi-MB object costs one small header regardless of
-// payload size.
+// payload size. The frame is assembled in a pooled buffer and written
+// after the frames queued before it.
 //
 // Wire layout inside the standard [length][type] frame:
 //
@@ -437,25 +384,23 @@ func (c *Conn) flushLocked() error {
 func (c *Conn) SendBulk(t MsgType, hdr any, payload []byte) error {
 	buf := getEncBuf()
 	defer putEncBuf(buf)
-	buf.Write([]byte{0, 0, 0, 0, byte(t)})
-	if err := writeBody(buf, t, hdr); err != nil {
+	if err := encodeFrame(buf, t, hdr, len(payload)); err != nil {
 		return err
 	}
-	meta := buf.Bytes()
-	total := len(meta) - 4 + len(payload)
-	if total > MaxFrame {
-		return fmt.Errorf("proto: frame too large (%d bytes)", total)
-	}
-	binary.BigEndian.PutUint32(meta[:4], uint32(total))
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	// Drain coalesced frames first: a bulk send must not overtake
-	// frames already buffered on this connection.
-	if err := c.flushLocked(); err != nil {
+	if _, err := c.flushLocked(); err != nil {
 		return err
 	}
-	if _, err := c.rw.Write(meta); err != nil {
-		return fmt.Errorf("proto: writing bulk frame header: %w", err)
+	what := "frame"
+	if t.bulk() {
+		what = "bulk frame header"
+	}
+	if _, err := c.rw.Write(buf.Bytes()); err != nil {
+		return fmt.Errorf("proto: writing %s: %w", what, err)
+	}
+	if len(payload) == 0 {
+		return nil
 	}
 	if _, err := c.rw.Write(payload); err != nil {
 		return fmt.Errorf("proto: writing bulk frame payload: %w", err)

@@ -213,65 +213,62 @@ func TestLibraryQueueAllocatesNothingInline(t *testing.T) {
 	}
 }
 
-// TestSendResultAllocatesNothing: a result's value is copied by value into
-// the frame it is queued in while it fits inlinePayload, so its producer
-// may reuse its buffer at once; a longer one is queued as it is, the
-// producer's own to give away. Neither allocates.
+// TestSendResultAllocatesNothing: a result's value is encoded into the
+// link's outbound queue before sendResult returns, so its producer may
+// reuse its buffer at once, and queueing it allocates nothing, whatever
+// its size.
 func TestSendResultAllocatesNothing(t *testing.T) {
 	w := New(Config{ID: "w"})
-	var sent outFrame
-	take := func(f outFrame) error {
-		sent = f
-		return nil
-	}
+	var link bytes.Buffer
+	w.conn = proto.NewConn(&link)
 	for _, c := range payloadSizes {
 		value := bytes.Repeat([]byte{byte(c.size)}, c.size)
 		if n := testing.AllocsPerRun(100, func() {
 			w.sendResult(core.Result{ID: 1, Ok: true, Value: value})
-			w.sendq.Drain(w.done, take)
+			w.conn.Flush()
+			link.Reset()
 		}); n != 0 {
 			t.Errorf("a %d-byte value: sendResult allocated %v times, want 0", c.size, n)
 		}
-		got := sent.res.Value
-		if c.size <= inlinePayload {
-			if got != nil {
-				t.Errorf("a %d-byte value was queued by reference, not copied into the frame", c.size)
-			}
-			got = sent.val[:sent.n]
+		w.sendResult(core.Result{ID: 1, Ok: true, Value: value})
+		want := bytes.Clone(value)
+		clear(value) // the producer reuses its buffer
+		if err := w.conn.Flush(); err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(got, value) {
-			t.Errorf("a %d-byte value was queued as %x", c.size, got)
+		mt, raw, err := w.conn.Recv()
+		if err != nil || mt != proto.MsgResult {
+			t.Fatalf("a %d-byte value: read back %v, %v", c.size, mt, err)
+		}
+		if res, err := proto.DecodeResultInterned(raw, nil); err != nil || !bytes.Equal(res.Value, want) {
+			t.Errorf("a %d-byte value was queued as %x (%v)", c.size, res.Value, err)
 		}
 	}
 }
 
-// TestSlotResultsSendResultMoves: sendResult queues a value longer than
-// inlinePayload without copying it, which is safe only because a library
-// slot never keeps such a result's buffer for its next call.
+// TestSlotResultsSendResultMoves: a library slot pickles every result
+// into the one buffer it keeps, and sendResult moves each into the link
+// before the slot's next call overwrites it: each result frame decodes to
+// its own call's value, a short one or a kilobyte.
 func TestSlotResultsSendResultMoves(t *testing.T) {
-	lib, err := library.Start(core.LibrarySpec{Name: "lib", Functions: []core.FunctionSpec{
+	fm := newFakeManager(t)
+	startWorker(t, fm, Config{ID: "w"})
+	fm.install(t, core.LibrarySpec{Name: "lib", Functions: []core.FunctionSpec{
 		{Name: "echo", Source: "def echo(s):\n    return s\n"},
-	}}, "lib@w", &library.Host{})
-	if err != nil {
-		t.Fatal(err)
+	}})
+	const calls = 64
+	arg := func(i int) string { return strings.Repeat(string(rune('a'+i%26)), 1+i*16) }
+	for i := 0; i < calls; i++ {
+		fm.invoke(t, int64(i), "lib", "echo", minipy.Str(arg(i)))
 	}
-	slot := lib.NewSlot()
-	invoke := func(s string) []byte {
-		args, err := pickle.MarshalTuple([]minipy.Value{minipy.Str(s)})
+	for i := 0; i < calls; i++ {
+		res := fm.result(t)
+		want, err := pickle.Marshal(minipy.Str(arg(int(res.ID))))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := slot.Invoke("echo", args)
-		if err != nil {
-			t.Fatal(err)
+		if !res.Ok || !bytes.Equal(res.Value, want) {
+			t.Fatalf("call %d: result %q (%s), want its own value, %d bytes", res.ID, res.Value, res.Err, len(want))
 		}
-		return res.Value
-	}
-	// A string of n bytes pickles to n+4.
-	first := invoke(strings.Repeat("a", inlinePayload+1-4))
-	want := bytes.Clone(first)
-	invoke(strings.Repeat("b", inlinePayload+1-4))
-	if len(want) != inlinePayload+1 || !bytes.Equal(first, want) {
-		t.Errorf("a %d-byte result changed under the slot's next call", len(want))
 	}
 }

@@ -76,9 +76,8 @@ func newLibHolder(w *Worker, lib *library.Library, res core.Resources) *libHolde
 }
 
 // inlinePayload is how many bytes of pickled arguments a queued
-// invocation, and of pickled value a queued result, carries by value in
-// its own record: what a short call's arguments or result take. A
-// longer payload costs one heap copy.
+// invocation carries by value in its own record: what a short call's
+// arguments take. Longer arguments cost one heap copy.
 const inlinePayload = 16
 
 // queued is an invocation waiting for a slot, its arguments copied out

@@ -7,23 +7,18 @@ import (
 
 // Staging-message handlers: the control loop's entry points into the
 // data plane. Each hands the work to dataplane.Plane and returns
-// immediately — acks are sent from the plane's completion callbacks,
-// never inline in the read loop.
+// immediately; a fetch is acked from the plane's completion callback.
 
-func (w *Worker) ackFile(id string, cache bool, err error) {
-	w.ackFileFrom(id, "", cache, err)
-}
-
-// ackFileFrom acknowledges a staged file, echoing the peer source the
+// ackFile acknowledges a staged file, echoing the peer source the
 // transfer was assigned ("" for direct puts) so the manager can return
 // the source's outbound transfer slot even if its own fetch record is
 // gone.
-func (w *Worker) ackFileFrom(id, source string, cache bool, err error) {
+func (w *Worker) ackFile(id, source string, cache bool, err error) {
 	ack := proto.FileAck{ID: id, Ok: err == nil, Cache: cache, Source: source}
 	if err != nil {
 		ack.Err = err.Error()
 	}
-	_ = w.conn.Send(proto.MsgFileAck, ack)
+	w.sendMsg(proto.MsgFileAck, ack)
 }
 
 // handlePutFileBulk stores an object sent over the manager's own link;
@@ -33,14 +28,14 @@ func (w *Worker) ackFileFrom(id, source string, cache bool, err error) {
 func (w *Worker) handlePutFileBulk(hdr proto.PutFileHdr, data []byte) {
 	obj := hdr.File.Object(data)
 	if err := obj.Validate(); err != nil {
-		w.ackFile(obj.ID, hdr.Cache, err)
+		w.ackFile(obj.ID, "", hdr.Cache, err)
 		return
 	}
 	put := w.plane.PutTransient
 	if hdr.Cache {
 		put = w.plane.Put
 	}
-	w.ackFile(obj.ID, hdr.Cache, put(obj, hdr.Unpack))
+	w.ackFile(obj.ID, "", hdr.Cache, put(obj, hdr.Unpack))
 }
 
 // handleFetchFile hands a peer pull — one edge of the spanning-tree
@@ -54,7 +49,7 @@ func (w *Worker) handleFetchFile(msg proto.FetchFile) {
 		Unpack: msg.Unpack, Shared: msg.Shared, Own: msg.Own,
 	}
 	w.plane.Fetch(req, func(err error) {
-		w.ackFileFrom(msg.ID, msg.Source, msg.Cache, err)
+		w.ackFile(msg.ID, msg.Source, msg.Cache, err)
 	})
 }
 

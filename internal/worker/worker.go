@@ -30,7 +30,6 @@ import (
 	"repro/internal/dataplane"
 	"repro/internal/modlib"
 	"repro/internal/proto"
-	"repro/internal/sendq"
 	"repro/internal/sharedfs"
 )
 
@@ -97,7 +96,10 @@ type Worker struct {
 	cache *content.Cache
 	plane *dataplane.Plane
 	exec  *executor
-	conn  *proto.Conn
+	// conn is the manager link. Slot, task and install goroutines, data
+	// plane callbacks and the read loop encode their frames into its
+	// outbound queue (sendMsg), and sendLoop writes each burst at once.
+	conn *proto.Conn
 
 	dataLn   net.Listener
 	dataAddr string
@@ -105,38 +107,14 @@ type Worker struct {
 	mu     sync.Mutex
 	closed bool
 
-	// sendq feeds the single sender goroutine. Slot and task goroutines
-	// finish work concurrently; funneling their results (and acks)
-	// through one drain loop lets a burst of K frames coalesce into one
-	// write syscall via the conn's Buffer/Flush pair instead of costing
-	// K syscalls from K goroutines.
-	sendq *sendq.Queue[outFrame]
-
 	protoErrors atomic.Int64
 
 	wg   sync.WaitGroup
 	done chan struct{}
 }
 
-// outFrame is one queued control frame headed for the manager.
-// Results — the once-per-invocation hot payload — travel in the typed
-// res field instead of v: boxing each core.Result into an interface
-// would cost one heap allocation per completion. A result's value of up
-// to inlinePayload bytes travels in the first n bytes of val, with
-// res.Value nil: copied by value, it needs no buffer the producer would
-// have to get back from the sender.
-type outFrame struct {
-	t      proto.MsgType
-	hasRes bool
-	n      uint8
-	val    [inlinePayload]byte
-	v      any
-	res    core.Result
-}
-
-// sendQueueSize bounds the outbound frame queue. Results are small and
-// the sender drains in batches, so the queue only fills if the manager
-// link itself has stalled — then producers wait, which is the right
+// sendQueueSize bounds the outbound frame queue. It only fills if the
+// manager link has stalled; then producers wait, which is the right
 // backpressure. The bound reserves nothing.
 const sendQueueSize = 1024
 
@@ -163,7 +141,6 @@ func New(cfg Config) *Worker {
 	w := &Worker{
 		cfg:   cfg,
 		cache: content.NewCache(cfg.CacheCapacity),
-		sendq: sendq.New[outFrame](sendQueueSize),
 		done:  make(chan struct{}),
 	}
 	pcfg := dataplane.Config{
@@ -232,6 +209,7 @@ func (w *Worker) Serve(nc net.Conn) error {
 	// carries no idle deadline; liveness is the manager's job via its
 	// per-worker send deadlines and gone-detection (§7).
 	w.conn = proto.NewConn(nc) //vinelint:ignore ctxdeadline control link is idle-by-design; manager side owns liveness detection
+	w.conn.SetQueueLimit(sendQueueSize)
 
 	hello := proto.Hello{
 		WorkerID:      w.cfg.ID,
@@ -409,72 +387,38 @@ func (w *Worker) stopping() bool {
 // and the work it carried is lost — someone must find out.
 func (w *Worker) protocolError(t proto.MsgType, err error) {
 	w.protoErrors.Add(1)
-	_ = w.conn.Send(proto.MsgLog, proto.LogMsg{
+	w.sendMsg(proto.MsgLog, proto.LogMsg{
 		Worker: w.cfg.ID,
 		Text:   fmt.Sprintf("protocol error: %v frame: %v", t, err),
 	})
 }
 
-// Staging-message handlers (PutFile, FetchFile, acks) live in
-// staging.go; wire-format conversion helpers live in wire.go.
-
-// sendResult queues res for the manager. A value of up to inlinePayload
-// bytes is copied into the frame, so its producer may reuse its buffer at
-// once (a library slot does); a longer one is the producer's to give
-// away and is queued as it is — a task's result, or an invocation's too
-// long for its slot to keep.
+// sendResult queues res for the manager, encoding its value before it
+// returns: its producer may reuse the buffer at once (a library slot does).
 func (w *Worker) sendResult(res core.Result) {
 	res.Metrics.WorkerID = w.cfg.ID
-	f := outFrame{t: proto.MsgResult, hasRes: true, res: res}
-	if len(res.Value) <= inlinePayload {
-		f.n = uint8(copy(f.val[:], res.Value))
-		f.res.Value = nil
-	}
-	w.sendq.Push(f, w.done)
+	w.sendMsg(proto.MsgResult, &res)
 }
 
-// sendMsg queues a result or ack for the manager unless the worker is
-// shutting down. Once Shutdown has begun, execution aborts (PinResolve
-// fails, libraries die) for reasons that are not the work's fault; the
-// manager must learn of them from the connection closing — which
-// requeues everything in flight — not from a racing "shutting down"
-// failure result that would burn the spec's retry budget. Push checks
-// for shutdown before it queues, so after Shutdown nothing is.
+// sendMsg queues a frame for the manager, waiting for room, unless the
+// worker is shutting down: after Shutdown nothing is queued. Execution
+// then aborts for reasons that are not the work's fault, and the manager
+// must learn of it from the connection closing, which requeues what was
+// in flight, not from failure results that burn retry budgets. The only
+// other error, a value with no encoding, is a bug.
 func (w *Worker) sendMsg(t proto.MsgType, v any) {
-	w.sendq.Push(outFrame{t: t, v: v}, w.done)
+	_ = w.conn.Queue(t, v, w.done)
 }
 
-// sendLoop is the single writer on the manager link: it waits for
-// frames, drains everything queued into the conn's pending buffer and
-// flushes once, so a completion burst coalesces into a single write
-// syscall. Its producers — a library's slot goroutines, one goroutine
-// per task or install — give up on a full queue once the worker is
-// shutting down, so none outlives Wait. Write errors are ignored here
-// for the same reason sendMsg ignores shutdown: a broken manager link is
-// reported by the read loop tearing the worker down.
+// sendLoop is the single writer on the manager link. Its producers give
+// up on a full queue once the worker is shutting down, so none outlives
+// Wait. Write errors are ignored for the same reason sendMsg ignores
+// shutdown: the read loop reports a broken link by tearing the worker
+// down.
 func (w *Worker) sendLoop() {
-	// scratch is one stable heap slot for unboxed result frames, and val
-	// one for their inline values: Buffer encodes synchronously, so the
-	// pointer never outlives the call and every result frame reuses the
-	// same allocations.
-	var scratch core.Result
-	val := make([]byte, 0, inlinePayload)
-	buffer := func(f outFrame) error {
-		if f.hasRes {
-			scratch = f.res
-			if scratch.Value == nil {
-				scratch.Value = append(val[:0], f.val[:f.n]...)
-			}
-			_ = w.conn.Buffer(f.t, &scratch)
-			return nil
-		}
-		_ = w.conn.Buffer(f.t, f.v)
-		return nil
-	}
 	for {
-		if n, _ := w.sendq.Drain(w.done, buffer); n == 0 {
+		if n, _ := w.conn.Drain(w.done); n == 0 {
 			return
 		}
-		_ = w.conn.Flush()
 	}
 }

@@ -1,8 +1,10 @@
 package worker
 
 import (
+	"bytes"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/content"
 	"repro/internal/core"
 	"repro/internal/dataplane"
+	"repro/internal/library"
 	"repro/internal/modlib"
 	"repro/internal/poncho"
 	"repro/internal/proto"
@@ -126,17 +129,87 @@ func TestHelloAnnouncesResources(t *testing.T) {
 
 // After Shutdown a worker queues nothing for the manager: a failure
 // produced while it stops is not the work's fault and must not reach the
-// manager as a result (sendMsg). Nothing drains this unconnected worker's
-// queue, so whatever was queued is still there to count.
+// manager as a result (sendMsg). Nothing writes this worker's link, so
+// whatever was queued is still there for a Flush to write.
 func TestNothingQueuedAfterShutdown(t *testing.T) {
 	w := New(Config{ID: "w"})
+	var link bytes.Buffer
+	w.conn = proto.NewConn(&link)
 	w.Shutdown()
 	for i := 0; i < 100; i++ {
 		w.sendMsg(proto.MsgLibraryAck, proto.LibraryAck{Library: "lib", Err: "shutting down"})
 		w.sendResult(core.Result{ID: int64(i), Err: "shutting down", Retryable: true})
+		w.ackFile("obj", "", false, nil)
 	}
-	if got := w.sendq.Take(); len(got) != 0 {
-		t.Fatalf("%d frames queued after Shutdown", len(got))
+	if err := w.conn.Flush(); err != nil || link.Len() != 0 {
+		t.Fatalf("%d bytes queued after Shutdown (%v)", link.Len(), err)
+	}
+}
+
+// A FileAck queued from a data-plane callback and a Result queued by a
+// library slot share the link's one outbound queue: they reach the
+// manager in the order they were queued. Nothing writes this worker's
+// link until the test flushes it, so every frame waits in the queue.
+func TestFileAcksAndResultsShareOneQueue(t *testing.T) {
+	w := New(Config{ID: "w"})
+	t.Cleanup(w.Shutdown)
+	var link bytes.Buffer
+	w.conn = proto.NewConn(&link)
+	// A source that refuses at once: each fetch fails on its data-plane
+	// goroutine, which queues the FileAck from its completion callback.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	fetch := func(id string) {
+		w.handleFetchFile(proto.FetchFile{ID: id, FromAddr: dead, Source: "peer"})
+		w.plane.Wait()
+	}
+	lib, err := library.Start(core.LibrarySpec{Name: "lib", Functions: []core.FunctionSpec{
+		{Name: "echo", Source: "def echo(s):\n    return s\n"},
+	}}, "lib@w", &library.Host{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	args, err := pickle.MarshalTuple([]minipy.Value{minipy.Str("value")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	invoke := func(id int64) {
+		h := newLibHolder(w, lib, core.Resources{})
+		h.submit(core.InvocationSpec{ID: id, Library: "lib", Function: "echo", Args: args})
+		h.wakeAll(true) // the slot serves the call, then ends
+		w.wg.Wait()
+	}
+
+	fetch("first")
+	invoke(7)
+	fetch("second")
+	invoke(8)
+	if err := w.conn.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for {
+		mt, raw, err := w.conn.Recv()
+		if err != nil {
+			break
+		}
+		switch mt {
+		case proto.MsgFileAck:
+			ack, _ := proto.DecodeFileAck(raw)
+			got = append(got, "ack "+ack.ID)
+		case proto.MsgResult:
+			res, _ := proto.DecodeResultInterned(raw, nil)
+			got = append(got, fmt.Sprintf("result %d", res.ID))
+		default:
+			got = append(got, mt.String())
+		}
+	}
+	if want := []string{"ack first", "result 7", "ack second", "result 8"}; !slices.Equal(got, want) {
+		t.Errorf("the manager reads %q, want %q", got, want)
 	}
 }
 
