@@ -78,13 +78,14 @@ race:
 # table would show. Last, every allocation pin twenty times without the
 # race detector, under which the pool-exact ones skip: a pin that reads
 # one allocation too many one run in twenty is measuring something else.
-# MiniPy's shared builtins, the content ID's hashing and the package
-# index's closure walk are among them.
+# MiniPy's shared builtins, the content ID's hashing, the package index's
+# closure walk and a peer fetch over a reused data-plane link are among
+# them.
 flake:
 	go test -count=20 -race ./internal/dataplane ./internal/worker ./internal/content ./internal/library ./internal/hashring ./internal/policy ./internal/shardplane ./internal/proto
 	go test -count=10 -run Differential ./internal/manager
 	go test -count=10 -race ./taskvine
-	go test -count=20 -run 'Alloc|Ledger|SharesBuiltins' ./internal/proto ./internal/library ./internal/policy ./internal/hashring ./internal/worker ./internal/pickle ./internal/minipy ./internal/content ./internal/pkgindex ./internal/manager ./taskvine
+	go test -count=20 -run 'Alloc|Ledger|SharesBuiltins' ./internal/proto ./internal/dataplane ./internal/library ./internal/policy ./internal/hashring ./internal/worker ./internal/pickle ./internal/minipy ./internal/content ./internal/pkgindex ./internal/manager ./taskvine
 
 # bench/ is a module of its own (repro/bench, replace repro => ../), so
 # the root go build/vet/test ./... never compile it, yet it imports the

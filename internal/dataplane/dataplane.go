@@ -20,13 +20,16 @@
 //     waits for the flight instead of failing, and a pin can never race
 //     an eviction, because every removal runs under the plane lock.
 //
-// The serve side (peers pulling from this worker's cache) runs under
-// its own concurrency cap so a thundering herd of requesters degrades
-// to queueing, not to unbounded goroutines.
+// Peers reach each other over persistent links: a plane keeps one idle
+// connection per peer data address and reuses it for the next fetch
+// there. The serve side (peers pulling from this worker's cache) answers
+// each link's requests in turn under its own concurrency cap, held per
+// request, so a thundering herd of requesters degrades to queueing.
 package dataplane
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -76,7 +79,7 @@ func (s State) String() string {
 
 // FetchFn transfers one object from a peer data server. Injectable so
 // tests can count transfers or stall them without sockets.
-type FetchFn func(addr, id string, idle time.Duration) (*content.Object, error)
+type FetchFn func(addr, id string) (*content.Object, error)
 
 // SharedTier is the second cache tier: durable shared storage that
 // owned objects spill to under local pressure and resolves fall back
@@ -97,14 +100,15 @@ type Config struct {
 	// stalled source occupies one pool slot while unrelated fetches,
 	// puts, and every invocation keep moving.
 	FetchConcurrency int
-	// ServeConcurrency bounds concurrent peer-serve connections
+	// ServeConcurrency bounds the peer requests answered at once
 	// (default 64).
 	ServeConcurrency int
-	// IdleTimeout bounds idle time on peer data connections, fetch and
-	// serve alike (default 30s).
+	// IdleTimeout bounds idle time on peer data links, fetch and serve
+	// alike (default 30s): every read and write must make progress
+	// within it, and a server drops a link idle for longer.
 	IdleTimeout time.Duration
-	// Fetch overrides the peer transfer function (tests). Nil uses the
-	// real socket fetch installed by the worker.
+	// Fetch overrides the peer transfer function (tests). Nil uses
+	// FetchPeer.
 	Fetch FetchFn
 	// Shared is the spill tier for owned objects (optional). With no
 	// shared tier configured, Spill fails and shared-source fetches
@@ -168,6 +172,8 @@ type Plane struct {
 	// transient counts the uses of inputs bound to a dispatch rather than
 	// to the worker (FileSpec.Cache false); see PutTransient.
 	transient map[string]transientUse
+	idle      *link // idle outbound links, at most one per peer address
+	inbound   *link // every link a peer holds to this server
 	closed    bool
 
 	done  chan struct{}
@@ -198,9 +204,6 @@ func New(cfg Config) *Plane {
 	}
 	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = 30 * time.Second
-	}
-	if cfg.Fetch == nil {
-		cfg.Fetch = FetchPeer
 	}
 	return &Plane{
 		cfg:       cfg,
@@ -256,9 +259,11 @@ func (p *Plane) stateLocked(id string) State {
 }
 
 // Close stops the plane: queued fetches fail immediately, waiters are
-// released, and no new work is accepted. It does not wait for running
-// transfers — they finish (or hit their I/O deadline) on their own;
-// use Wait to drain them.
+// released, no new work is accepted, and every peer link closes — the
+// idle outbound ones and every inbound one — so no serve goroutine waits
+// out the idle deadline. It does not wait for running transfers — they
+// finish (or fail on their closed link) on their own; use Wait to drain
+// them.
 func (p *Plane) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -276,8 +281,14 @@ func (p *Plane) Close() {
 			cb(e.fl.err)
 		}
 	}
+	// Each serve goroutine unlinks its own link when it ends; with the
+	// list detached here, none touches these again.
+	idle, inbound := p.idle, p.inbound
+	p.idle, p.inbound = nil, nil
 	p.mu.Unlock()
 	close(p.done)
+	closeAll(idle)
+	closeAll(inbound)
 }
 
 // Wait blocks until all in-flight transfers and serve connections have
@@ -568,13 +579,13 @@ func (p *Plane) transfer(req Request) error {
 		obj, err = p.cfg.Shared.Fetch(req.ID)
 	} else {
 		p.fetches.Add(1)
-		obj, err = p.cfg.Fetch(req.Addr, req.ID, p.cfg.IdleTimeout)
+		obj, err = p.fetchFrom(req.Addr, req.ID)
 		for _, alt := range req.AltAddrs {
 			if err == nil {
 				break
 			}
 			p.altRetries.Add(1)
-			obj, err = p.cfg.Fetch(alt, req.ID, p.cfg.IdleTimeout)
+			obj, err = p.fetchFrom(alt, req.ID)
 		}
 	}
 	if err != nil {
@@ -584,6 +595,14 @@ func (p *Plane) transfer(req Request) error {
 		return p.PutOwned(obj)
 	}
 	return p.Put(obj, req.Unpack)
+}
+
+// fetchFrom fetches over Config.Fetch, or FetchPeer where none is set.
+func (p *Plane) fetchFrom(addr, id string) (*content.Object, error) {
+	if p.cfg.Fetch != nil {
+		return p.cfg.Fetch(addr, id)
+	}
+	return p.FetchPeer(addr, id)
 }
 
 // ---- executor synchronization ----
@@ -697,58 +716,82 @@ func ParseModules(obj *content.Object) ([]string, error) {
 
 // ---- serve side ----
 
-// Serve answers MsgGetFile requests from peers on the listener until
-// it closes. At most ServeConcurrency requests are in flight at once;
-// excess connections queue in the accept backlog. Callers own the
-// listener's lifetime.
+// Serve answers MsgGetFile requests from peers on the listener until it
+// closes, each connection on a goroutine of its own for as long as the
+// peer keeps it. At most ServeConcurrency requests are answered at once;
+// a slot is held per request, so idle links never keep a new requester
+// waiting. Callers own the listener's lifetime.
 func (p *Plane) Serve(ln net.Listener) {
 	for {
 		nc, err := ln.Accept()
 		if err != nil {
 			return
 		}
-		select {
-		case p.serve <- struct{}{}:
-		case <-p.done:
-			nc.Close()
-			return
-		}
+		l := &link{conn: proto.WithIdleTimeout(nc, p.cfg.IdleTimeout)}
 		p.mu.Lock()
 		if p.closed {
 			p.mu.Unlock()
-			<-p.serve
 			nc.Close()
 			return
 		}
+		l.next, p.inbound = p.inbound, l
 		p.wg.Add(1)
 		p.mu.Unlock()
-		go func() {
-			defer p.wg.Done()
-			defer func() { <-p.serve }()
-			p.serveConn(nc)
-		}()
+		go p.serveLink(l)
 	}
 }
 
-// serveConn answers one peer request: bulk frame straight from the
-// cache's backing slice, or an error message.
-func (p *Plane) serveConn(nc net.Conn) {
-	defer nc.Close()
-	// A requester that stops reading must not pin this slot forever.
-	proto.OneShot(proto.WithIdleTimeout(nc, p.cfg.IdleTimeout), p.answer)
+// serveLink answers the requests a peer sends on l until it closes the
+// link, goes idle past the deadline, or breaks the protocol. Between
+// requests it waits with no read buffer and no serve slot held; EOF or
+// the deadline there ends the link quietly, while a stall inside a
+// request is a serve error.
+func (p *Plane) serveLink(l *link) {
+	defer p.wg.Done()
+	defer func() {
+		// A link no longer listed was closed by Close.
+		p.mu.Lock()
+		listed := unlink(&p.inbound, l)
+		p.mu.Unlock()
+		if listed {
+			l.conn.Close()
+		}
+	}()
+	for {
+		l.read = 0
+		if _, err := io.ReadFull(l.conn, l.head[:]); err != nil {
+			return
+		}
+		l.held = true
+		select {
+		case p.serve <- struct{}{}:
+		case <-p.done:
+			return
+		}
+		more := false
+		proto.OneShot(l, func(pc *proto.Conn) { more = p.answer(pc, l) })
+		<-p.serve
+		if !more {
+			return
+		}
+	}
 }
 
-// answer serves the one request a peer sends on pc.
-func (p *Plane) answer(pc *proto.Conn) {
+// answer serves one request a peer sends on l: a bulk frame straight from
+// the cache's backing slice, or an error message. It reports whether the
+// link may carry another request: this one was read whole with nothing
+// after it, and the answer went out.
+func (p *Plane) answer(pc *proto.Conn, l *link) bool {
 	t, raw, err := pc.Recv()
 	if err != nil || t != proto.MsgGetFile {
 		p.serveErrors.Add(1)
-		return
+		return false
 	}
+	clean := l.read == frameLen(raw)
 	id, err := proto.DecodeString(raw)
 	if err != nil {
 		p.serveErrors.Add(1)
-		return
+		return false
 	}
 	obj, ok := p.cache.Get(id)
 	if !ok {
@@ -760,17 +803,16 @@ func (p *Plane) answer(pc *proto.Conn) {
 		p.mu.Unlock()
 		if spilled && p.cfg.Shared != nil {
 			if sObj, err := p.cfg.Shared.Fetch(id); err == nil {
-				p.served.Add(1)
-				_ = pc.SendBulk(proto.MsgFileDataBulk, proto.HdrOf(sObj), sObj.Data)
-				return
+				obj, ok = sObj, true
 			}
 		}
+	}
+	if !ok {
 		p.serveErrors.Add(1)
-		_ = pc.Send(proto.MsgError, proto.ErrorMsg{Err: "object not cached"})
-		return
+		return pc.Send(proto.MsgError, proto.ErrorMsg{Err: "object not cached"}) == nil && clean
 	}
 	p.served.Add(1)
-	_ = pc.SendBulk(proto.MsgFileDataBulk, proto.HdrOf(obj), obj.Data)
+	return pc.SendBulk(proto.MsgFileDataBulk, proto.HdrOf(obj), obj.Data) == nil && clean
 }
 
 func shortID(id string) string {

@@ -38,7 +38,7 @@ func newGate(objs ...*content.Object) *gate {
 	return g
 }
 
-func (g *gate) fetch(addr, id string, idle time.Duration) (*content.Object, error) {
+func (g *gate) fetch(addr, id string) (*content.Object, error) {
 	g.mu.Lock()
 	g.calls++
 	g.active++
@@ -394,7 +394,7 @@ func TestConcurrentPinResolveAndEvict(t *testing.T) {
 func TestAltSourceRetry(t *testing.T) {
 	obj := content.NewBlob("env.tar", []byte("environment"))
 	var tried []string
-	fetch := func(addr, id string, idle time.Duration) (*content.Object, error) {
+	fetch := func(addr, id string) (*content.Object, error) {
 		tried = append(tried, addr)
 		if addr == "alt:2" {
 			return obj, nil
@@ -430,7 +430,7 @@ func TestAltSourceRetry(t *testing.T) {
 // once, after all alternates were attempted.
 func TestAltSourceExhaustion(t *testing.T) {
 	var calls int
-	fetch := func(addr, id string, idle time.Duration) (*content.Object, error) {
+	fetch := func(addr, id string) (*content.Object, error) {
 		calls++
 		return nil, fmt.Errorf("peer %s is gone", addr)
 	}
@@ -455,31 +455,26 @@ func TestAltSourceExhaustion(t *testing.T) {
 	}
 }
 
-// TestServeIdleTimeoutFreesStalledSlot: a requester that connects and
-// sends nothing holds the plane's one serve slot only until the serve
-// side's idle timeout, so the fetch queued behind it is answered and the
-// stall counts as a serve error. Without that deadline the stall keeps
-// the slot, and the fetch fails at its own 10 s idle bound.
+// TestServeIdleTimeoutFreesStalledSlot: a requester that sends the first
+// byte of a request and then nothing holds the plane's one serve slot
+// only until the serve side's idle timeout, so the fetch queued behind it
+// is answered and the stall counts as a serve error. Without that
+// deadline the stall keeps the slot, and the fetch fails at its own 10 s
+// idle bound.
 func TestServeIdleTimeoutFreesStalledSlot(t *testing.T) {
-	p := New(Config{Cache: content.NewCache(0), ServeConcurrency: 1, IdleTimeout: 50 * time.Millisecond})
-	t.Cleanup(p.Close)
 	obj := content.NewBlob("served.bin", []byte("payload"))
-	if err := p.Put(obj, false); err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go p.Serve(ln)
-	// Accepted first (the backlog is FIFO), the stall takes the slot.
+	p, ln := servingPlane(t, Config{ServeConcurrency: 1, IdleTimeout: 50 * time.Millisecond}, obj)
 	stall, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { stall.Close() })
-	got, err := FetchPeer(ln.Addr().String(), obj.ID, 10*time.Second)
+	if _, err := stall.Write([]byte{0}); err != nil {
+		t.Fatal(err)
+	}
+	// A request has begun: the stall takes the slot.
+	waitFor(t, "the stalled request to take the slot", func() bool { return len(p.serve) == 1 })
+	got, err := client(t, 10*time.Second).FetchPeer(ln.Addr().String(), obj.ID)
 	if err != nil {
 		t.Fatalf("fetch behind a stalled requester: %v", err)
 	}

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/content"
 	"repro/internal/sharedfs"
@@ -56,7 +55,7 @@ func TestRandomizedConcurrentPlaneOps(t *testing.T) {
 		Cache:            content.NewCache(capacity),
 		FetchConcurrency: 3,
 		Shared:           shared,
-		Fetch: func(addr, id string, idle time.Duration) (*content.Object, error) {
+		Fetch: func(addr, id string) (*content.Object, error) {
 			if o := byID[id]; o != nil {
 				return o, nil
 			}

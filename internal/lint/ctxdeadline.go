@@ -18,6 +18,10 @@ import (
 //     proto.WithIdleTimeout first, so every read and write must make
 //     progress. (A control link that is idle by design carries a
 //     //vinelint:ignore ctxdeadline justification instead.)
+//   - a net.Conn kept in a struct field (a data-plane link, framed one
+//     exchange at a time) is set from proto.WithIdleTimeout, so the
+//     connections a framed one is later built over are wrapped where
+//     they are made.
 var ctxdeadline = &Analyzer{
 	Name: "ctxdeadline",
 	Doc:  "peer/network I/O must flow through proto.WithIdleTimeout or a deadline-bounded dial",
@@ -31,6 +35,10 @@ var ctxdeadline = &Analyzer{
 func runCtxDeadline(pass *Pass) {
 	info := pass.Pkg.Info
 	pass.InspectPkg(func(n ast.Node) bool {
+		if lit, ok := n.(*ast.CompositeLit); ok {
+			checkConnFields(pass, lit)
+			return true
+		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -53,6 +61,35 @@ func runCtxDeadline(pass *Pass) {
 		}
 		return true
 	})
+}
+
+// checkConnFields reports each net.Conn field of a struct literal that is
+// set to anything but a proto.WithIdleTimeout call.
+func checkConnFields(pass *Pass, lit *ast.CompositeLit) {
+	info := pass.Pkg.Info
+	for _, elt := range lit.Elts {
+		kv, ok := elt.(*ast.KeyValueExpr)
+		if !ok {
+			continue
+		}
+		key, ok := kv.Key.(*ast.Ident)
+		if !ok {
+			continue
+		}
+		field, ok := info.Uses[key].(*types.Var)
+		if !ok || !field.IsField() || !isNamed(field.Type(), "net", "Conn") {
+			continue
+		}
+		if !wrappedInIdleTimeout(info, kv.Value) {
+			pass.Reportf(kv.Pos(), "net.Conn field %s set to a raw connection; wrap it in proto.WithIdleTimeout so stalled I/O times out (§7 failure model)", key.Name)
+		}
+	}
+}
+
+// isNamed reports whether t is the named type pkg.name.
+func isNamed(t types.Type, pkg, name string) bool {
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == pkg && named.Obj().Name() == name
 }
 
 func isProtoPkg(pkg *types.Package) bool {

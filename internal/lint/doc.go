@@ -22,8 +22,9 @@
 //     without a dominating Unlock or defer in the same function.
 //   - ctxdeadline: peer/network I/O in internal/worker and
 //     internal/dataplane must be deadline-armed — dials bounded by
-//     net.DialTimeout/DialContext and framed conns built over
-//     proto.WithIdleTimeout (the PR 1 failure-model contract).
+//     net.DialTimeout/DialContext, and framed conns and the net.Conn
+//     fields of data-plane links built over proto.WithIdleTimeout (the
+//     failure-model contract).
 //   - pinresolve: executor-layer code (internal/worker) reaches cached
 //     objects only through the data plane's Pin/Resolve API, never by
 //     calling content.Cache methods or unwrapping Plane.Cache().

@@ -1,5 +1,6 @@
 // Package worker is a fixture violating the deadline contract: an
-// unbounded dial and a framed connection over a raw net.Conn.
+// unbounded dial, a framed connection over a raw net.Conn, and a raw
+// net.Conn kept in a struct.
 package worker
 
 import (
@@ -18,4 +19,10 @@ func Connect(addr string) (*proto.Conn, error) {
 
 func Ask(nc net.Conn) {
 	proto.OneShot(nc, func(c *proto.Conn) { _ = c.Flush() }) // want `proto.OneShot over a raw net.Conn`
+}
+
+type link struct{ conn net.Conn }
+
+func Keep(nc net.Conn) *link {
+	return &link{conn: nc} // want `net.Conn field conn set to a raw connection`
 }

@@ -26,3 +26,12 @@ func Loopback(buf *bytes.Buffer) *proto.Conn {
 func Ask(nc net.Conn, idle time.Duration) {
 	proto.OneShot(proto.WithIdleTimeout(nc, idle), func(c *proto.Conn) { _ = c.Flush() })
 }
+
+type link struct {
+	conn net.Conn
+	ln   net.Listener
+}
+
+func Keep(nc net.Conn, ln net.Listener, idle time.Duration) *link {
+	return &link{conn: proto.WithIdleTimeout(nc, idle), ln: ln} // a listener is not a conn
+}

@@ -12,8 +12,8 @@ package proto
 //	SendBulk  getEncBuf + defer putEncBuf — error paths: a header with
 //	          no encoding, oversized frame, flushLocked, header Write,
 //	          payload Write; Send is SendBulk with no payload
-//	OneShot   readerPool.Get + defer readerPool.Put, checked by the
-//	          bytes it allocates (TestOneShotReturnsReader)
+//	OneShot   oneShotPool.Get + deferred oneShotPool.Put, checked by
+//	          the bytes it allocates (TestOneShotReturnsReader)
 //	recvFirst chunkPool.Get + defer chunkPool.Put, checked by what a long
 //	          frame and one cut inside its first piece allocate
 //	          (TestRecvLongFrameBorrowsFirstPiece,
@@ -293,8 +293,8 @@ func TestSendPoolBalanceConcurrent(t *testing.T) {
 	}
 }
 
-// TestOneShotReturnsReader: OneShot borrows its read buffer from
-// readerPool and must give it back, so a run of exchanges allocates far
+// TestOneShotReturnsReader: OneShot borrows its connection and read
+// buffer from oneShotPool and must give them back, so a run of exchanges allocates far
 // less than one buffer each. Under the race detector sync.Pool drops a
 // quarter of its Puts, which still keeps the average under half.
 func TestOneShotReturnsReader(t *testing.T) {

@@ -289,24 +289,30 @@ func NewConn(rw io.ReadWriter) *Conn {
 	return &Conn{rw: rw, br: bufio.NewReaderSize(rw, readBufSize), wake: make(chan struct{}, 1)}
 }
 
-// readerPool recycles the read buffers of one-shot connections: a peer
-// transfer is one request and one response, and a fresh reader per
-// transfer is garbage the moment the object has arrived.
-var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, readBufSize) }}
+// oneShotPool recycles one-shot connections, each with its read buffer:
+// a peer exchange is one request and one response, and a fresh
+// connection record and reader per exchange are garbage the moment the
+// answer has arrived.
+var oneShotPool = sync.Pool{New: func() any { return &Conn{br: bufio.NewReaderSize(nil, readBufSize)} }}
 
-// OneShot runs one exchange over rw on a framed connection whose read
-// buffer is borrowed from a pool for the duration of f. The connection
+// OneShot runs one exchange over rw on a framed connection borrowed,
+// with its read buffer, from a pool for the duration of f. The connection
 // must not be used once f has returned. What f received stays valid (a
 // bulk frame's payload included): frames pass through the pooled buffer
 // into buffers of their own and are never handed out from it.
 func OneShot(rw io.ReadWriter, f func(*Conn)) {
-	br := readerPool.Get().(*bufio.Reader)
-	defer readerPool.Put(br)
-	br.Reset(rw)
-	// Drop the stream before the reader goes back, so the pool pins no
-	// closed connection.
-	defer br.Reset(nil)
-	f(&Conn{rw: rw, br: br})
+	c := oneShotPool.Get().(*Conn)
+	c.rw = rw
+	c.br.Reset(rw)
+	defer func() {
+		// Drop the stream before the connection goes back, so the pool
+		// pins no closed connection.
+		br := c.br
+		br.Reset(nil)
+		*c = Conn{br: br}
+		oneShotPool.Put(c)
+	}()
+	f(c)
 }
 
 // bufferPool is the encode-buffer supply contract. The default is a

@@ -239,19 +239,31 @@ func TestPeerDataServer(t *testing.T) {
 	if err := w.Cache().Put(obj); err != nil {
 		t.Fatal(err)
 	}
-	got, err := dataplane.FetchPeer(hello.DataAddr, obj.ID, defaultPeerIOTimeout)
+	got, err := peerFetch(t, hello.DataAddr, obj.ID, defaultPeerIOTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got.Data) != "hello peers" {
 		t.Errorf("peer fetch data = %q", got.Data)
 	}
-	if _, err := dataplane.FetchPeer(hello.DataAddr, "nonexistent", defaultPeerIOTimeout); err == nil {
+	if _, err := peerFetch(t, hello.DataAddr, "nonexistent", defaultPeerIOTimeout); err == nil {
 		t.Errorf("fetch of uncached object should fail")
 	}
-	if _, err := dataplane.FetchPeer("127.0.0.1:1", obj.ID, defaultPeerIOTimeout); err == nil {
+	if _, err := peerFetch(t, "127.0.0.1:1", obj.ID, defaultPeerIOTimeout); err == nil {
 		t.Errorf("fetch from dead peer should fail")
 	}
+}
+
+// peerFetch fetches one object from the data server at addr, as a fresh
+// data plane whose peer I/O must make progress within idle.
+func peerFetch(t *testing.T, addr, id string, idle time.Duration) (*content.Object, error) {
+	t.Helper()
+	p := dataplane.New(dataplane.Config{Cache: content.NewCache(0), IdleTimeout: idle})
+	defer func() {
+		p.Close()
+		p.Wait()
+	}()
+	return p.FetchPeer(addr, id)
 }
 
 func TestFetchFileChainsWorkers(t *testing.T) {
@@ -597,7 +609,7 @@ func TestFetchFromPeerTimesOutOnSilentServer(t *testing.T) {
 	}()
 
 	start := time.Now()
-	_, err = dataplane.FetchPeer(ln.Addr().String(), "some-object", 100*time.Millisecond)
+	_, err = peerFetch(t, ln.Addr().String(), "some-object", 100*time.Millisecond)
 	if err == nil {
 		t.Fatal("fetch from a silent peer should fail")
 	}
@@ -628,7 +640,7 @@ func TestFetchFromPeerTimesOutMidStream(t *testing.T) {
 	}()
 
 	start := time.Now()
-	_, err = dataplane.FetchPeer(ln.Addr().String(), "some-object", 100*time.Millisecond)
+	_, err = peerFetch(t, ln.Addr().String(), "some-object", 100*time.Millisecond)
 	if err == nil {
 		t.Fatal("fetch from a stalling peer should fail")
 	}

@@ -3,16 +3,18 @@
 #
 # taskvine's two ledger tests pin what a warm call costs in allocations:
 # TestInvocationLedger an L3 call to an installed library,
-# TestWrappedCallLedger an L2 wrapped call (a stateless task). This runs
-# each alone with every allocation profiled (go test -memprofilerate=1
-# -memprofile) and prints the profile's allocation sites (go tool pprof
-# -sample_index=alloc_objects -top) with their counts divided by the
-# calls the test made, its warm-up included: the per-site inventory
-# behind a change to either ledger. A site's one-off allocations (the
-# cluster's start, the library's deploy, the first parse of a text) are
-# spread over those calls, and sites under 0.1% of the total are left
-# out. Print-only: it needs no network and changes nothing; the test
-# binaries and profiles go to a temporary directory removed on exit.
+# TestWrappedCallLedger an L2 wrapped call (a stateless task), and the
+# data plane's TestReusedPeerFetchAllocs a peer fetch over a link kept
+# from the fetch before. This runs each alone with every allocation
+# profiled (go test -memprofilerate=1 -memprofile) and prints the
+# profile's allocation sites (go tool pprof -sample_index=alloc_objects
+# -top) with their counts divided by the calls the test made, its warm-up
+# included: the per-site inventory behind a change to any of the pins. A
+# site's one-off allocations (the cluster's start, the library's deploy,
+# the first parse of a text, the link's dial) are spread over those
+# calls, and sites under 0.1% of the total are left out. Print-only: it
+# needs no network and changes nothing; the test binaries and profiles go
+# to a temporary directory removed on exit.
 #
 #   bash scripts/allocs.sh            (or: make allocs)
 set -euo pipefail
@@ -22,11 +24,14 @@ work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
 go test -c -o "$work/taskvine.test" ./taskvine
+go test -c -o "$work/dataplane.test" ./internal/dataplane
 
-for name in TestInvocationLedger TestWrappedCallLedger; do
+for pin in taskvine:TestInvocationLedger taskvine:TestWrappedCallLedger internal/dataplane:TestReusedPeerFetchAllocs; do
+	dir="${pin%%:*}" name="${pin#*:}"
+	bin="$work/$(basename "$dir").test"
 	# The pin's verdict is the test's business: a profile is printed
 	# whatever it reads. Its log line gives the calls it made in all.
-	out="$(cd taskvine && "$work/taskvine.test" -test.run "^$name\$" -test.count=1 -test.v \
+	out="$(cd "$dir" && "$bin" -test.run "^$name\$" -test.count=1 -test.v \
 		-test.memprofilerate=1 -test.memprofile "$work/$name.prof" || true)"
 	calls="$(sed -n 's/.* \([0-9][0-9]*\) calls in all.*/\1/p' <<<"$out")"
 	if [[ -z "$calls" ]]; then
@@ -36,7 +41,7 @@ for name in TestInvocationLedger TestWrappedCallLedger; do
 	fi
 	echo "== $name: $(grep -o '[0-9.]* allocations per [a-z ]*call' <<<"$out"), $calls calls profiled"
 	go tool pprof -sample_index=alloc_objects -top -nodefraction=0.001 \
-		"$work/taskvine.test" "$work/$name.prof" 2>/dev/null |
+		"$bin" "$work/$name.prof" 2>/dev/null |
 		awk -v calls="$calls" '
 			$1 == "flat" { printf "%10s %10s  %s\n", "flat/call", "cum/call", "site"; body = 1; next }
 			body && NF >= 6 && $1 ~ /^[0-9]+$/ && $1 > 0 && $4 ~ /^[0-9]+$/ {
