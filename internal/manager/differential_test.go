@@ -193,7 +193,6 @@ func (h *diffHarness) newWorker(id string) *workerState {
 		conn:         linkConn(256),
 		fetchSources: map[string]string{},
 		ackWaiters:   map[string]waiters{},
-		libs:         map[string]*libInstance{},
 	}
 	if !h.m.adoptWorker(w) {
 		h.t.Fatalf("duplicate worker %s", w.id)
@@ -214,7 +213,7 @@ func (h *diffHarness) deployWindowOpen() bool {
 		s.mu.Lock()
 		queued += s.sched.Invs()
 		for _, id := range core.SortedKeys(s.workers) {
-			li := s.workers[id].libs[diffLib]
+			li := s.workers[id].v.Libs[diffLib]
 			installing = installing || (li != nil && !li.Ready && !li.Failed)
 		}
 		s.mu.Unlock()
@@ -347,7 +346,7 @@ func (h *diffHarness) canLibReady(w *workerState) bool {
 	s := h.shardOf(w)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	li := w.libs[diffLib]
+	li := w.v.Libs[diffLib]
 	return li != nil && !li.Ready && !li.Failed && w.v.Files[diffEnv]
 }
 

@@ -33,7 +33,6 @@ func fakeWorker(m *Manager, id string) *workerState {
 		drops:        &m.ctr.SendQueueDrops,
 		fetchSources: map[string]string{},
 		ackWaiters:   map[string]waiters{},
-		libs:         map[string]*libInstance{},
 	}
 	s := m.shardFor(id)
 	s.mu.Lock()
@@ -51,20 +50,28 @@ func noteReplica(s *shard, w *workerState, id string) {
 	}
 }
 
-// deploy starts one instance of lib where the policy core finds room, as
-// the scheduler's invocation pass does, and names the worker ("": none).
-// The shard lock is held.
+// deploy queues one call of lib's function f in shard s and runs the
+// scheduler's pass, which places it on a ready instance or starts a new
+// one where the policy core finds room, and names the worker of the new
+// instance ("": none). A call waiting on the install stays queued as its
+// claim, and runs once the instance acks. No lock held.
 func deploy(s *shard, lib string) string {
-	spec, _ := s.Library(lib)
-	d := s.view.PlanDeploy(*spec, nil)
-	if d.Worker == nil {
-		return ""
+	s.mu.Lock()
+	had := map[string]*policy.LibraryView{}
+	for _, w := range s.view.Sorted {
+		had[w.ID] = w.Libs[lib]
 	}
-	for _, sf := range d.Stages {
-		s.Stage(sf)
+	s.sched.PushInvs(queuedInv(&core.InvocationSpec{ID: s.m.nextID.Add(1), Library: lib, Function: "f"}))
+	s.mu.Unlock()
+	s.sched.Wake()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, w := range s.view.Sorted {
+		if lv := w.Libs[lib]; lv != nil && lv != had[w.ID] {
+			return w.ID
+		}
 	}
-	s.Deploy(lib, d)
-	return d.Worker.ID
+	return ""
 }
 
 // dispatchOn submits task and sees it dispatched to w, returning its ID.
@@ -171,15 +178,15 @@ func TestWorkerGoneReleasesInstallClaim(t *testing.T) {
 	}
 	m.SubmitInvocation(&core.InvocationSpec{Library: "lib", Function: "f"})
 	first, second := a, b
-	if a.libs["lib"] == nil {
+	if a.v.Libs["lib"] == nil {
 		first, second = b, a
 	}
-	if first.libs["lib"] == nil || second.libs["lib"] != nil {
-		t.Fatalf("want one install in flight, have a=%v b=%v", a.libs, b.libs)
+	if first.v.Libs["lib"] == nil || second.v.Libs["lib"] != nil {
+		t.Fatalf("want one install in flight, have a=%v b=%v", a.v.Libs, b.v.Libs)
 	}
 	m.onWorkerGone(first)
-	if second.libs["lib"] == nil || m.Stats().LibrariesDeployed != 2 {
-		t.Errorf("the queued invocation did not redeploy on %s: libs=%v deployed=%d", second.id, second.libs, m.Stats().LibrariesDeployed)
+	if second.v.Libs["lib"] == nil || m.Stats().LibrariesDeployed != 2 {
+		t.Errorf("the queued invocation did not redeploy on %s: libs=%v deployed=%d", second.id, second.v.Libs, m.Stats().LibrariesDeployed)
 	}
 }
 
@@ -341,9 +348,7 @@ func TestLibraryAckAccounting(t *testing.T) {
 	res := core.Resources{Cores: 8}
 	install := func() {
 		s.mu.Lock()
-		li := &libInstance{LibraryView: policy.LibraryView{Name: "lib", Slots: 1, MaxInstances: 1, Res: res}}
-		w.libs["lib"] = li
-		s.view.AddInstance(w.v, &li.LibraryView)
+		s.view.AddInstance(w.v, &policy.LibraryView{Name: "lib", Slots: 1, MaxInstances: 1, Res: res})
 		w.v.Commit = w.v.Commit.Add(res)
 		s.mu.Unlock()
 	}
@@ -353,8 +358,8 @@ func TestLibraryAckAccounting(t *testing.T) {
 	install()
 	s.onLibraryAck(w, proto.LibraryAck{Library: "lib", Ok: false, Err: "setup exploded"})
 	s.mu.Lock()
-	if _, there := w.libs["lib"]; there || w.v.Commit.Cores != 0 || s.libFailures["lib"] != 1 {
-		t.Errorf("after failed ack: libs=%v commit=%+v failures=%d", w.libs, w.v.Commit, s.libFailures["lib"])
+	if _, there := w.v.Libs["lib"]; there || w.v.Commit.Cores != 0 || s.libFailures["lib"] != 1 {
+		t.Errorf("after failed ack: libs=%v commit=%+v failures=%d", w.v.Libs, w.v.Commit, s.libFailures["lib"])
 	}
 	s.mu.Unlock()
 
@@ -363,9 +368,9 @@ func TestLibraryAckAccounting(t *testing.T) {
 	install()
 	s.onLibraryAck(w, proto.LibraryAck{Library: "lib", Ok: true, Instance: "lib@w#1"})
 	s.mu.Lock()
-	li := w.libs["lib"]
-	if li == nil || !li.Ready || li.instance != "lib@w#1" || s.libFailures["lib"] != 0 {
-		t.Errorf("after ok ack: li=%+v failures=%d", li, s.libFailures["lib"])
+	lv := w.v.Libs["lib"]
+	if lv == nil || !lv.Ready || lv.FreeReady != 1 || s.libFailures["lib"] != 0 {
+		t.Errorf("after ok ack: lv=%+v failures=%d", lv, s.libFailures["lib"])
 	}
 	s.mu.Unlock()
 }
@@ -384,9 +389,9 @@ func TestRepeatedLibraryFailureFailsPendingInvocations(t *testing.T) {
 
 	for i := 0; i < maxLibraryFailures; i++ {
 		s.mu.Lock()
-		bi := &libInstance{LibraryView: policy.LibraryView{Name: "bad", MaxInstances: 1}}
-		w.libs["bad"] = bi
-		s.view.AddInstance(w.v, &bi.LibraryView)
+		if w.v.Libs["bad"] == nil { // after the first failure, the pass's redeploy
+			s.view.AddInstance(w.v, &policy.LibraryView{Name: "bad", MaxInstances: 1})
+		}
 		s.mu.Unlock()
 		s.onLibraryAck(w, proto.LibraryAck{Library: "bad", Ok: false, Err: "setup exploded"})
 	}
@@ -425,8 +430,8 @@ func TestRetryableLibraryFailureQuarantine(t *testing.T) {
 	for i := 0; i < maxLibraryInfraFailures; i++ {
 		drainMsgs(w)
 		s.mu.Lock()
-		if s.sched.Invs() != 2 || w.libs["flaky"] == nil {
-			t.Fatalf("before failure %d: %d invocations queued, instance %v", i, s.sched.Invs(), w.libs["flaky"])
+		if s.sched.Invs() != 2 || w.v.Libs["flaky"] == nil {
+			t.Fatalf("before failure %d: %d invocations queued, instance %v", i, s.sched.Invs(), w.v.Libs["flaky"])
 		}
 		s.mu.Unlock()
 		s.onLibraryAck(w, proto.LibraryAck{Library: "flaky", Ok: false, Retryable: true, Err: "env lost"})
@@ -478,17 +483,17 @@ func TestEvictEmptyAccounting(t *testing.T) {
 		}
 	}
 	s.mu.Lock()
-	idle := &libInstance{LibraryView: policy.LibraryView{Name: "idle", Ready: true, Slots: 1, MaxInstances: 1, Res: res}}
-	w.libs["idle"] = idle
-	s.view.AddInstance(w.v, &idle.LibraryView)
+	s.view.AddInstance(w.v, &policy.LibraryView{Name: "idle", Ready: true, Slots: 1, MaxInstances: 1, Res: res})
 	w.v.Commit = w.v.Commit.Add(res)
+	s.mu.Unlock()
 
 	if on := deploy(s, "incoming"); on != w.id {
 		t.Fatalf("eviction should free the idle library")
 	}
 	// The idle instance's commitment went, the new instance's came.
-	if _, there := w.libs["idle"]; there || w.libs["incoming"] == nil || w.v.Commit != res {
-		t.Errorf("after evict: libs=%v commit=%+v", w.libs, w.v.Commit)
+	s.mu.Lock()
+	if _, there := w.v.Libs["idle"]; there || w.v.Libs["incoming"] == nil || w.v.Commit != res {
+		t.Errorf("after evict: libs=%v commit=%+v", w.v.Libs, w.v.Commit)
 	}
 	if n := m.ctr.LibrariesEvicted.Load(); n != 1 {
 		t.Errorf("evicted = %d", n)
@@ -499,17 +504,18 @@ func TestEvictEmptyAccounting(t *testing.T) {
 		t.Errorf("expected RemoveLibrary then InstallLibrary, got %v", msgs)
 	}
 
-	// A busy instance must never be evicted.
+	// A busy instance must never be evicted: once up, it runs the call
+	// that waited on its install.
 	s.onLibraryAck(w, proto.LibraryAck{Library: "incoming", Ok: true, Instance: "incoming@w#1"})
-	s.mu.Lock()
-	busy := w.libs["incoming"]
-	busy.SlotsUsed = 1
-	s.libSlotsChangedLocked(w, busy)
+	if msgs := drainMsgs(w); len(msgs) != 1 || msgs[0].t != proto.MsgInvoke {
+		t.Fatalf("the waiting call was not dispatched to the new instance: %v", msgs)
+	}
 	if on := deploy(s, "other"); on != "" {
 		t.Errorf("evicted a library with invocations in flight")
 	}
-	if _, there := w.libs["incoming"]; !there || w.libs["other"] != nil {
-		t.Errorf("busy library disappeared from the worker: libs=%v", w.libs)
+	s.mu.Lock()
+	if lv := w.v.Libs["incoming"]; lv == nil || lv.SlotsUsed != 1 || w.v.Libs["other"] != nil {
+		t.Errorf("busy library disappeared from the worker: libs=%v", w.v.Libs)
 	}
 	if n := m.ctr.LibrariesEvicted.Load(); n != 1 {
 		t.Errorf("evicted = %d after the refused deploy", n)
@@ -520,11 +526,20 @@ func TestEvictEmptyAccounting(t *testing.T) {
 	}
 }
 
+// fillResults leaves room for n results in m's results channel, filling
+// the rest with results of spec 0: a reader that has fallen behind.
+func fillResults(m *Manager, n int) {
+	for len(m.results) < cap(m.results)-n {
+		m.results <- core.Result{}
+	}
+}
+
 func TestDeliverNeverBlocks(t *testing.T) {
 	// With a full results buffer and no reader, deliver must return
 	// immediately — blocking here would wedge the worker's reader
 	// goroutine and stop FileAcks from draining.
-	m := New(Options{ResultBuffer: 1})
+	m := New(Options{})
+	fillResults(m, 1)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -538,10 +553,12 @@ func TestDeliverNeverBlocks(t *testing.T) {
 		t.Fatal("deliver blocked on a full results channel")
 	}
 	seen := map[int64]bool{}
-	for i := 0; i < 3; i++ {
+	for len(seen) < 3 {
 		select {
 		case res := <-m.Results():
-			seen[res.ID] = true
+			if res.ID != 0 {
+				seen[res.ID] = true
+			}
 		case <-time.After(2 * time.Second):
 			t.Fatalf("only %d of 3 spilled results arrived", len(seen))
 		}
@@ -555,7 +572,8 @@ func TestDeliverNeverBlocks(t *testing.T) {
 // channel that nobody reads is dropped at Shutdown, and its goroutine
 // ends, instead of waiting for a reader forever.
 func TestSpilledResultsEndAtShutdown(t *testing.T) {
-	m := New(Options{ResultBuffer: 1})
+	m := New(Options{})
+	fillResults(m, 1)
 	for i := int64(1); i <= 3; i++ {
 		m.deliver(core.Result{ID: i, Ok: true})
 	}
@@ -575,7 +593,7 @@ func TestSpilledResultsEndAtShutdown(t *testing.T) {
 // TestDeliverAllocatesNothing: a result that fits in the channel costs no
 // allocation; only the rare spill moves one to the heap.
 func TestDeliverAllocatesNothing(t *testing.T) {
-	m := New(Options{ResultBuffer: 1})
+	m := New(Options{})
 	defer m.Shutdown()
 	res := core.Result{ID: 1, Ok: true, Value: []byte("v")}
 	if n := testing.AllocsPerRun(100, func() {

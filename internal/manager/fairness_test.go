@@ -15,7 +15,7 @@ import (
 // worker, a light equal-weight tenant then submits 20; the virtual-time
 // fair share must interleave the light tenant's specs from its first
 // eligible drain — never banking the heavy tenant's head start as
-// credit (CatchUpVTime) — so the light tenant drains in a window
+// credit (catchUpVTime) — so the light tenant drains in a window
 // proportional to its share, not after the flood.
 func TestFairShareNoStarvation(t *testing.T) {
 	m := New(Options{
@@ -32,7 +32,6 @@ func TestFairShareNoStarvation(t *testing.T) {
 		conn:         linkConn(256),
 		fetchSources: map[string]string{},
 		ackWaiters:   map[string]waiters{},
-		libs:         map[string]*libInstance{},
 	}
 	if !m.adoptWorker(w) {
 		t.Fatal("adoptWorker failed")

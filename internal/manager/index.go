@@ -90,17 +90,6 @@ func (m *Manager) catalogGet(id string) (core.FileSpec, bool) {
 	return fs, ok
 }
 
-// libSlotsChangedLocked republishes one instance's free ready-slot
-// count after any slot or readiness transition, re-seating it in the
-// view's ready index.
-func (s *shard) libSlotsChangedLocked(w *workerState, li *libInstance) {
-	free := 0
-	if li.Ready && !li.Failed && li.SlotsUsed < li.Slots {
-		free = li.Slots - li.SlotsUsed
-	}
-	s.view.SetFreeReady(w.v, &li.LibraryView, free)
-}
-
 // ---- worker lifecycle ----
 
 // registerWorkerLocked adds a connected worker to the shard's worker

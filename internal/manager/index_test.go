@@ -13,12 +13,15 @@ import (
 
 // TestIndexConsistencyRandomized drives the scheduler's incremental
 // indexes through 1000 random events — worker joins and deaths, file
-// staging and acks (success and failure), library deploys, ready acks,
-// failed installs, slot take/release, and evictions — and after every
-// operation asserts each index matches a brute-force recomputation
-// from the ground-truth worker state. A concurrent goroutine hammers
-// the lock-free observability APIs (Stats, ObjectHolders) the whole
-// time, so running under -race also checks the obsMu split.
+// staging and acks (success and failure), invocations that deploy
+// instances (evicting idle ones where a worker is full) or take a ready
+// slot, ready acks, failed installs, and results that free a slot — each
+// through the plane's own event path, and after every one asserts each
+// index, and each worker's commitment and slot counts, match a
+// brute-force recomputation from the ground-truth worker state. A
+// concurrent goroutine hammers the observability APIs (Stats,
+// ObjectHolders, LibraryDeployments) the whole time, so running under
+// -race also checks the obsMu split.
 func TestIndexConsistencyRandomized(t *testing.T) {
 	m := New(Options{PeerTransfers: true, EvictEmptyLibraries: true, Shards: 1})
 	s := m.shards[0]
@@ -26,8 +29,9 @@ func TestIndexConsistencyRandomized(t *testing.T) {
 
 	libs := []string{"libA", "libB", "libC"}
 	objs := []string{"o1", "o2", "o3", "o4", "o5", "o6"}
+	instance := core.Resources{Cores: 2}
 	for _, name := range libs {
-		spec := &core.LibrarySpec{Name: name, Slots: 2, Resources: core.Resources{Cores: 2},
+		spec := &core.LibrarySpec{Name: name, Slots: 2, Resources: instance,
 			Functions: []core.FunctionSpec{{Name: "f", Source: "1"}}}
 		if err := m.RegisterLibrary(spec); err != nil {
 			t.Fatal(err)
@@ -44,30 +48,42 @@ func TestIndexConsistencyRandomized(t *testing.T) {
 			default:
 				m.Stats()
 				m.ObjectHolders(obj)
+				m.LibraryDeployments()
 			}
 		}
 	}()
 	defer close(done)
 
+	// A worker has room for two instances: a deploy of a third library
+	// there must evict an idle one.
 	newWorker := func(i int) *workerState {
 		id := fmt.Sprintf("w%03d", i)
 		return &workerState{
 			id:           id,
-			hello:        proto.Hello{WorkerID: id, Resources: core.Resources{Cores: 32, MemoryMB: 64 << 10, DiskMB: 64 << 10}},
+			hello:        proto.Hello{WorkerID: id, Resources: core.Resources{Cores: 2 * instance.Cores}},
 			conn:         linkConn(4096),
 			fetchSources: map[string]string{},
 			ackWaiters:   map[string]waiters{},
-			libs:         map[string]*libInstance{},
 		}
 	}
 	var live []*workerState
-	nextWorker, nextInv := 0, int64(0)
+	nextWorker := 0
 
 	pickWorker := func() *workerState {
 		if len(live) == 0 {
 			return nil
 		}
 		return live[rng.Intn(len(live))]
+	}
+	// installing is a library with an instance on w awaiting its ack.
+	installing := func(w *workerState) string {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		name := libs[rng.Intn(len(libs))]
+		if lv := w.v.Libs[name]; lv != nil && !lv.Ready {
+			return name
+		}
+		return ""
 	}
 
 	// verify recomputes every index from the worker table and compares.
@@ -87,14 +103,29 @@ func TestIndexConsistencyRandomized(t *testing.T) {
 			for obj := range w.v.Pending {
 				wantPending[obj]++
 			}
-			for name, li := range w.libs {
+			running := map[string]int{}
+			for _, r := range s.sched.Running(id) {
+				running[r.Inv.Lib]++
+			}
+			var commit core.Resources
+			for name, lv := range w.v.Libs {
 				wantLibOn[name]++
-				if li.Ready && !li.Failed && w.v.Alive && li.SlotsUsed < li.Slots {
+				commit = commit.Add(lv.Res)
+				if lv.SlotsUsed != running[name] {
+					t.Fatalf("step %d (%s): %s's %s uses %d slots, %d invocations run there", step, op, id, name, lv.SlotsUsed, running[name])
+				}
+				if free := lv.Slots - lv.SlotsUsed; lv.Ready && lv.FreeReady != free || !lv.Ready && lv.FreeReady != 0 {
+					t.Fatalf("step %d (%s): %s's %s offers %d free slots (ready %v, %d of %d used)", step, op, id, name, lv.FreeReady, lv.Ready, lv.SlotsUsed, lv.Slots)
+				}
+				if lv.Ready && !lv.Failed && w.v.Alive && lv.SlotsUsed < lv.Slots {
 					if wantReady[name] == nil {
 						wantReady[name] = map[string]bool{}
 					}
 					wantReady[name][id] = true
 				}
+			}
+			if w.v.Commit != commit {
+				t.Fatalf("step %d (%s): %s commits %+v, its instances %+v", step, op, id, w.v.Commit, commit)
 			}
 		}
 
@@ -158,8 +189,8 @@ func TestIndexConsistencyRandomized(t *testing.T) {
 	}
 
 	const steps = 1000
+	ran := map[string]int{}
 	for step := 0; step < steps; step++ {
-		s.mu.Lock()
 		op := "noop"
 		switch k := rng.Intn(12); k {
 		case 0: // join
@@ -167,91 +198,97 @@ func TestIndexConsistencyRandomized(t *testing.T) {
 				op = "join"
 				w := newWorker(nextWorker)
 				nextWorker++
-				s.registerWorkerLocked(w)
+				if !m.adoptWorker(w) {
+					t.Fatalf("join of %s refused", w.id)
+				}
 				live = append(live, w)
 			}
 		case 1: // death
 			if len(live) > 1 && rng.Intn(4) == 0 {
 				op = "death"
 				i := rng.Intn(len(live))
-				s.dropWorkerLocked(live[i])
+				m.onWorkerGone(live[i])
 				live = append(live[:i], live[i+1:]...)
 			}
 		case 2: // stage a copy
 			if w := pickWorker(); w != nil {
 				op = "stage"
+				s.mu.Lock()
 				s.view.NotePending(w.v, objs[rng.Intn(len(objs))])
+				s.mu.Unlock()
 			}
 		case 3: // file ack ok
 			if w := pickWorker(); w != nil {
-				op = "ack-ok"
 				obj := objs[rng.Intn(len(objs))]
-				if s.view.ClearPending(w.v, obj) {
-					noteReplica(s, w, obj)
+				s.mu.Lock()
+				pending := w.v.Pending[obj]
+				s.mu.Unlock()
+				if pending {
+					op = "ack-ok"
+					s.onFileAck(w, proto.FileAck{ID: obj, Ok: true, Cache: true})
 				}
 			}
 		case 4: // file ack failed
 			if w := pickWorker(); w != nil {
 				op = "ack-fail"
-				s.view.ClearPending(w.v, objs[rng.Intn(len(objs))])
+				s.onFileAck(w, proto.FileAck{ID: objs[rng.Intn(len(objs))]})
 			}
-		case 5: // deploy a library where the policy core finds room
-			if on := deploy(s, libs[rng.Intn(len(libs))]); on != "" {
-				op = "deploy"
+		case 5, 8: // an invocation: a ready slot, or a deploy where the policy core finds room
+			if len(live) > 0 {
+				op = "submit"
+				if deploy(s, libs[rng.Intn(len(libs))]) != "" {
+					op = "deploy"
+				}
 			}
 		case 6: // library ack ok
 			if w := pickWorker(); w != nil {
-				name := libs[rng.Intn(len(libs))]
-				if li := w.libs[name]; li != nil && !li.Ready && !li.Failed {
+				if name := installing(w); name != "" {
 					op = "lib-ok"
-					li.Ready = true
-					s.libSlotsChangedLocked(w, li)
+					s.onLibraryAck(w, proto.LibraryAck{Library: name, Ok: true})
 				}
 			}
 		case 7: // library ack failed
 			if w := pickWorker(); w != nil {
-				name := libs[rng.Intn(len(libs))]
-				if li := w.libs[name]; li != nil && !li.Ready {
+				if name := installing(w); name != "" {
 					op = "lib-fail"
-					li.Failed = true
-					delete(w.libs, name)
-					s.view.RemoveLibrary(w.v, name)
+					s.onLibraryAck(w, proto.LibraryAck{Library: name, Retryable: true, Err: "env lost"})
 				}
 			}
-		case 8: // place an invocation on a ready instance
-			name := libs[rng.Intn(len(libs))]
-			inv := &core.InvocationSpec{ID: nextInv, Library: name}
-			nextInv++
-			if d := s.view.PlaceReady(name, nil); d.Worker != nil {
-				op = "place"
-				s.PlaceInv(queuedInv(inv), d)
-			}
-		case 9: // invocation result frees a slot
+		case 9, 10: // an invocation's result, ok or failed, frees its slot
 			if w := pickWorker(); w != nil {
-				name := libs[rng.Intn(len(libs))]
-				if li := w.libs[name]; li != nil && li.SlotsUsed > 0 {
+				s.mu.Lock()
+				runs := s.sched.Running(w.id)
+				var id int64
+				if len(runs) > 0 {
+					id = runs[rng.Intn(len(runs))].ID()
+				}
+				s.mu.Unlock()
+				if id != 0 {
 					op = "result"
-					li.SlotsUsed--
-					s.libSlotsChangedLocked(w, li)
-				}
-			}
-		case 10: // evict everything idle on one worker
-			if w := pickWorker(); w != nil {
-				op = "evict"
-				for name, li := range w.libs {
-					if li.Ready && li.SlotsUsed == 0 {
-						s.evictLibraryLocked(w, name)
-					}
+					s.onResult(w, core.Result{ID: id, Ok: k == 9})
 				}
 			}
 		case 11: // spurious clear (retry path re-acking an unknown copy)
 			if w := pickWorker(); w != nil {
 				op = "spurious-clear"
+				s.mu.Lock()
 				s.view.ClearPending(w.v, "unknown-object")
+				s.mu.Unlock()
 			}
 		}
+		ran[op]++
+		s.mu.Lock()
 		verify(step, op)
 		drain()
 		s.mu.Unlock()
+	}
+	for _, op := range []string{"join", "death", "ack-ok", "deploy", "submit", "lib-ok", "lib-fail", "result"} {
+		if ran[op] == 0 {
+			t.Errorf("no %s among %d steps: %v", op, steps, ran)
+		}
+	}
+	t.Logf("ops %v, evicted %d", ran, m.ctr.LibrariesEvicted.Load())
+	if m.ctr.LibrariesEvicted.Load() == 0 {
+		t.Errorf("no deploy evicted an idle instance: %v", ran)
 	}
 }

@@ -59,8 +59,6 @@ type Options struct {
 	// libraries when another library needs the space (§3.5.2). Defaults
 	// to true via New.
 	EvictEmptyLibraries bool
-	// ResultBuffer sizes the results channel (default 4096).
-	ResultBuffer int
 	// MaxRetries bounds how many times one task or invocation is
 	// retried after infrastructure failures; worker-crash requeues and
 	// retryable worker errors both draw on the same per-spec budget.
@@ -257,9 +255,10 @@ type shard struct {
 
 	// view is the cluster snapshot every scheduling decision reads: the
 	// shard's worker table, its placement ring, and the derived indexes
-	// (Holders, PendingCopies, the ready index, LibFull). index.go keeps
-	// it current; the scheduler plans against it through internal/policy
-	// and records; schedule.go executes. Peer-transfer sources are
+	// (Holders, PendingCopies, the ready index, LibFull). The scheduler
+	// plans against it through internal/policy, records, and applies every
+	// resource, instance and slot change; index.go enters and drops
+	// workers; schedule.go executes. Peer-transfer sources are
 	// shard-local by construction: PickSource only sees this shard's
 	// holders.
 	view *policy.ClusterView
@@ -340,17 +339,11 @@ type workerState struct {
 	// ackWaiters maps object ID → dispatches on this worker whose
 	// TransferTime is waiting for that object's FileAck.
 	ackWaiters map[string]waiters
-	libs       map[string]*libInstance
 }
 
-// libInstance is one deployed library instance: the policy-visible
-// state (embedded view, shared by pointer with the ClusterView) plus
-// engine-only bookkeeping.
-type libInstance struct {
-	policy.LibraryView
-	instance string
-	served   int64
-}
+// resultBuffer sizes the results channel: a burst of results that finds
+// it full spills, one goroutine per result (deliver).
+const resultBuffer = 4096
 
 // sendQueueSize derives a worker's outbound queue bound from its slot
 // count: each occupied slot can have a dispatch, its staging messages
@@ -365,9 +358,6 @@ func New(opts Options) *Manager {
 	}
 	if opts.PeerTransferCap <= 0 {
 		opts.PeerTransferCap = 3
-	}
-	if opts.ResultBuffer <= 0 {
-		opts.ResultBuffer = 4096
 	}
 	if opts.MaxRetries == 0 {
 		opts.MaxRetries = shardplane.DefaultMaxRetries
@@ -385,7 +375,7 @@ func New(opts Options) *Manager {
 		peers:   map[string]*peerSource{},
 		catalog: map[string]core.FileSpec{},
 		joined:  make(chan struct{}),
-		results: make(chan core.Result, opts.ResultBuffer),
+		results: make(chan core.Result, resultBuffer),
 		stopped: make(chan struct{}),
 	}
 	m.shardPlane = shardplane.NewPlane[taskSpec, *core.InvocationSpec](shardplane.Config{
@@ -588,6 +578,7 @@ func (m *Manager) RegisterLibrary(spec *core.LibrarySpec) error {
 	m.libs[spec.Name] = &library{spec: spec, deploy: policy.DeploySpec{
 		Name:  spec.Name,
 		Res:   spec.Resources,
+		Slots: spec.SlotCount(),
 		Files: append(files, spec.Inputs...),
 	}}
 	return nil
@@ -735,7 +726,6 @@ func (m *Manager) serveWorker(nc net.Conn) {
 		drops:        &m.ctr.SendQueueDrops,
 		fetchSources: map[string]string{},
 		ackWaiters:   map[string]waiters{},
-		libs:         map[string]*libInstance{},
 	}
 
 	if !m.adoptWorker(w) {
@@ -933,27 +923,15 @@ const maxLibraryInfraFailures = 20
 
 func (s *shard) onLibraryAck(w *workerState, ack proto.LibraryAck) { s.m.shardPlane.LibAck(w.id, ack) }
 
-// Installed settles worker's instance of ack.Library: ready, or removed
-// with its commitment released and the failure drawn on the library's
+// Installed settles an install ack's quarantine budgets: a ready
+// instance ends the library's failure streaks, a failed one draws on a
 // budget — one that trips it fails every queued invocation.
-func (s *shard) Installed(worker string, ack proto.LibraryAck) bool {
-	w := s.workers[worker]
-	li := w.libs[ack.Library]
-	switch {
-	case li == nil:
-		return false
-	case ack.Ok:
-		li.Ready = true
-		li.instance = ack.Instance
+func (s *shard) Installed(_ string, ack proto.LibraryAck) {
+	if ack.Ok {
 		s.libFailures[ack.Library] = 0
 		s.libInfraFailures[ack.Library] = 0
-		s.libSlotsChangedLocked(w, li)
-		return true
+		return
 	}
-	li.Failed = true
-	delete(w.libs, ack.Library)
-	s.view.RemoveLibrary(w.v, ack.Library)
-	w.v.Commit = w.v.Commit.Sub(li.Res)
 	// Infrastructure-caused install failures (inputs lost to a stalled
 	// transfer, resources gone) draw on a much larger budget than
 	// broken-setup failures: transient chaos should not quarantine a
@@ -966,7 +944,6 @@ func (s *shard) Installed(worker string, ack proto.LibraryAck) bool {
 	if failures[ack.Library]++; failures[ack.Library] >= budget {
 		s.failPendingForLibraryLocked(ack.Library, budget, ack.Err)
 	}
-	return true
 }
 
 // failPendingForLibraryLocked fails every queued invocation of a
@@ -993,18 +970,6 @@ func (s *shard) failLocked(id int64, tenant, err string) {
 }
 
 func (s *shard) onResult(w *workerState, res core.Result) { s.m.shardPlane.Result(w.id, res) }
-
-// Freed gives a finished invocation's slot back to its instance.
-func (s *shard) Freed(worker, lib string) {
-	w := s.workers[worker]
-	if li := w.libs[lib]; li != nil {
-		if li.SlotsUsed > 0 {
-			li.SlotsUsed--
-		}
-		li.served++
-		s.libSlotsChangedLocked(w, li)
-	}
-}
 
 // Done is a result's engine work, no lock held: the counters and the
 // delivery — or, within the retry budget, the backoff timer whose end
@@ -1152,11 +1117,11 @@ func (s *shard) checkQuiescence() error {
 func (m *Manager) LibraryDeployments() (instances int, totalServed int64) {
 	for _, s := range m.shards {
 		s.mu.Lock()
-		for _, w := range s.workers { //vinelint:unordered summing counters commutes
-			for _, li := range w.libs { //vinelint:unordered summing counters commutes
-				if li.Ready {
+		for _, w := range s.view.Sorted {
+			for _, lv := range w.Libs { //vinelint:unordered summing counters commutes
+				if lv.Ready {
 					instances++
-					totalServed += li.served
+					totalServed += lv.Served
 				}
 			}
 		}

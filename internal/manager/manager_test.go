@@ -311,7 +311,6 @@ func TestWaitForWorkersWakesOnJoin(t *testing.T) {
 			conn:         linkConn(16),
 			fetchSources: map[string]string{},
 			ackWaiters:   map[string]waiters{},
-			libs:         map[string]*libInstance{},
 		}
 		if !h.m.adoptWorker(w) {
 			t.Fatalf("adoptWorker(%s) refused", id)

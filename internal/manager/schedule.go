@@ -14,11 +14,12 @@ import (
 // §12). The scheduler decides: its passes plan every placement, staging
 // and deploy against the shard's ClusterView through the pure policy core
 // (internal/policy), record it, and hand it here — Stage, Resolve, Place,
-// PlaceInv and Deploy, with the shard lock held. This file only
-// *executes* decisions: it sends messages, moves resource commitments,
-// and reports the resulting transitions back into the view. The events'
-// engine work (Join, Leave, Installed, Restage, Acked, Held, Done, Refs)
-// is in manager.go, refplane.go and index.go.
+// PlaceInv and Deploy, with the shard lock held, once the plane has
+// applied them to the view's resources, instances and slots. This file
+// only *executes* decisions: it sends messages and notes the copies and
+// transfer slots they put in flight. The events' engine work (Join,
+// Leave, Installed, Restage, Acked, Held, Done, Refs) is in manager.go,
+// refplane.go and index.go.
 
 // ---- staging execution ----
 
@@ -212,13 +213,12 @@ func (s *shard) directSendLocked(w *workerState, fs core.FileSpec) {
 
 // ---- task scheduling ----
 
-// Place carries out one planned task placement, its stages out: resource
-// commitment, dispatch, and the dispatch's staging stamps.
+// Place carries out one planned task placement, its stages out: the
+// dispatch and its staging stamps.
 func (s *shard) Place(pt *pendingTask, d policy.PlaceTask) {
 	t := pt.Spec.t
 	w := s.workers[d.Worker.ID]
 	start := time.Now()
-	w.v.Commit = w.v.Commit.Add(t.Resources)
 	w.enqueue(proto.MsgRunTask, t)
 	// TransferTime runs from dispatch until the last input this
 	// dispatch depends on is acked on the worker — not the time
@@ -292,47 +292,19 @@ func (s *shard) validateInvLocked(inv *core.InvocationSpec) error {
 // core picked: most free ready slots, minimum worker ID on ties (the
 // deterministic order shared with the simulator).
 func (s *shard) PlaceInv(pi pendingInv, d policy.PlaceInvocation) {
-	w := s.workers[d.Worker.ID]
-	li := w.libs[pi.Lib]
-	li.SlotsUsed++
-	s.libSlotsChangedLocked(w, li)
-	w.enqueue(proto.MsgInvoke, pi.Spec)
+	s.workers[d.Worker.ID].enqueue(proto.MsgInvoke, pi.Spec)
 }
 
-// Deploy starts the instance of lib the scheduler planned, its stages
-// out: the evictions it needs, then the new instance's view record and
-// resource commitment and the install message.
+// Deploy tells the worker to tear down the idle instances the deploy
+// evicts, then to install lib.
 func (s *shard) Deploy(lib string, d policy.DeployLibrary) {
-	spec := s.m.library(lib).spec
 	w := s.workers[d.Worker.ID]
 	for _, e := range d.Evict {
-		s.evictLibraryLocked(w, e.Lib)
+		w.enqueue(proto.MsgRemoveLibrary, proto.RemoveLibrary{Library: e.Lib})
+		s.m.ctr.LibrariesEvicted.Add(1)
 	}
-	li := &libInstance{LibraryView: policy.LibraryView{
-		Name:         spec.Name,
-		Slots:        spec.SlotCount(),
-		MaxInstances: 1,
-		Res:          d.Res,
-	}}
-	w.libs[spec.Name] = li
-	s.view.AddInstance(w.v, &li.LibraryView)
-	w.v.Commit = w.v.Commit.Add(d.Res)
-	w.enqueue(proto.MsgInstallLibrary, spec)
+	w.enqueue(proto.MsgInstallLibrary, s.m.library(lib).spec)
 	s.m.ctr.LibrariesDeployed.Add(1)
-}
-
-// evictLibraryLocked removes one library instance from a worker,
-// releasing its resources and telling the worker to tear it down.
-func (s *shard) evictLibraryLocked(w *workerState, name string) {
-	li := w.libs[name]
-	if li == nil {
-		return
-	}
-	delete(w.libs, name)
-	s.view.RemoveLibrary(w.v, name)
-	w.v.Commit = w.v.Commit.Sub(li.Res)
-	w.enqueue(proto.MsgRemoveLibrary, proto.RemoveLibrary{Library: name})
-	s.m.ctr.LibrariesEvicted.Add(1)
 }
 
 // ObjectHolders returns how many workers hold the object — visibility

@@ -264,11 +264,13 @@ func (v *ClusterView) PlanEviction(w *WorkerView, wantLib string, need core.Reso
 }
 
 // DeploySpec describes the library a deploy would install: its
-// per-instance resource ask (zero means "the whole worker") and the
-// files an instance needs on the destination.
+// per-instance resource ask (zero means "the whole worker"), the
+// invocation slots an instance serves, and the files an instance needs
+// on the destination.
 type DeploySpec struct {
 	Name  string
 	Res   core.Resources
+	Slots int
 	Files []core.FileSpec
 }
 

@@ -71,6 +71,8 @@ type LibraryView struct {
 	MaxInstances int
 	// Res is the resource commitment of one instance.
 	Res core.Resources
+	// Served counts the invocations the instance has finished.
+	Served int64
 
 	// worker is the worker whose library table holds this entry (set by
 	// AddInstance when it binds, cleared by RemoveLibrary); readyPos is

@@ -39,7 +39,7 @@ type TenantState struct {
 	// Quota gates on it.
 	InFlight int
 	// VTime is the tenant's fair-share virtual time: total drained
-	// service normalized by weight. See ChargeDispatch / CatchUpVTime.
+	// service normalized by weight. See chargeDispatch / catchUpVTime.
 	VTime int64
 }
 
@@ -88,11 +88,11 @@ type AdmitDecision struct {
 	Reason  string
 }
 
-// AdmitSubmit decides one submission against the tenant's current
+// admitSubmit decides one submission against the tenant's current
 // accounting, in strict precedence order: a full plane queue sheds,
 // quota pressure throttles, a deep queue throttles, everything else is
 // accepted. Pure — the caller applies the queue/in-flight updates.
-func AdmitSubmit(t *TenantState) AdmitDecision {
+func admitSubmit(t *TenantState) AdmitDecision {
 	if t.Spec.MaxQueue > 0 && t.Queued >= t.Spec.MaxQueue {
 		return AdmitDecision{Verdict: AdmitShed, Reason: "queue-full"}
 	}
@@ -105,11 +105,11 @@ func AdmitSubmit(t *TenantState) AdmitDecision {
 	return AdmitDecision{Verdict: AdmitAccept, Reason: "ok"}
 }
 
-// NextTenant picks the tenant the plane drains next: among tenants
+// nextTenant picks the tenant the plane drains next: among tenants
 // with queued work and quota headroom, the one with the smallest
 // virtual time; ties break on the lowest index. Returns -1 when no
-// tenant is eligible. Pure — PlanSubmitBatch applies the accounting.
-func NextTenant(ts []*TenantState) int {
+// tenant is eligible. Pure — planSubmitBatch applies the accounting.
+func nextTenant(ts []*TenantState) int {
 	best := -1
 	for i, t := range ts {
 		if t.Queued == 0 {
@@ -125,20 +125,20 @@ func NextTenant(ts []*TenantState) int {
 	return best
 }
 
-// ChargeDispatch advances a tenant's virtual time for one drained
+// chargeDispatch advances a tenant's virtual time for one drained
 // spec: vtScale/weight, so a weight-w tenant's clock runs 1/w as fast
 // and it drains w specs per competitor's one when both are backlogged.
-func ChargeDispatch(t *TenantState) {
+func chargeDispatch(t *TenantState) {
 	t.VTime += int64(vtScale / t.weight())
 }
 
-// CatchUpVTime forwards a tenant's virtual time to the backlog
+// catchUpVTime forwards a tenant's virtual time to the backlog
 // frontier: the smallest virtual time among *other* tenants with
 // queued work, or the largest virtual time anywhere when none are
 // backlogged. A tenant going idle would otherwise bank credit — its
 // stale clock would let a later burst monopolize the drain until the
 // clock caught up. Never moves a clock backwards.
-func CatchUpVTime(ts []*TenantState, t *TenantState) {
+func catchUpVTime(ts []*TenantState, t *TenantState) {
 	frontier := int64(0)
 	found := false
 	for _, o := range ts {
@@ -162,26 +162,26 @@ func CatchUpVTime(ts []*TenantState, t *TenantState) {
 	}
 }
 
-// NoteQueued accounts one accepted submission: on the tenant's
+// noteQueued accounts one accepted submission: on the tenant's
 // idle→backlogged transition its clock first catches up to the
 // frontier (no banked credit), then the queue deepens by one.
-func NoteQueued(ts []*TenantState, t *TenantState) {
+func noteQueued(ts []*TenantState, t *TenantState) {
 	if t.Queued == 0 {
-		CatchUpVTime(ts, t)
+		catchUpVTime(ts, t)
 	}
 	t.Queued++
 }
 
-// PlanSubmitBatch drains the plane: repeatedly pick the fair-share
+// planSubmitBatch drains the plane: repeatedly pick the fair-share
 // next tenant, record the pick, and move one of its specs from queued
 // to in flight, until no tenant is eligible or max picks are made
 // (max <= 0 means unbounded). Returns the picked tenant indexes in
 // drain order; TenantPlane hands each tenant's queue head to the
 // engine in exactly this order.
-func PlanSubmitBatch(ts []*TenantState, max int, rec *Recorder) []int {
+func planSubmitBatch(ts []*TenantState, max int, rec *Recorder) []int {
 	var out []int
 	for max <= 0 || len(out) < max {
-		i := NextTenant(ts)
+		i := nextTenant(ts)
 		if i < 0 {
 			break
 		}
@@ -189,7 +189,7 @@ func PlanSubmitBatch(ts []*TenantState, max int, rec *Recorder) []int {
 		rec.Record(Decision{Kind: KindTenant, Tenant: t.Spec.Name, VTime: t.VTime, Queued: t.Queued})
 		t.Queued--
 		t.InFlight++
-		ChargeDispatch(t)
+		chargeDispatch(t)
 		out = append(out, i)
 	}
 	return out

@@ -18,27 +18,27 @@ func tenants(specs ...core.TenantSpec) []*TenantState {
 
 func TestAdmitSubmitPrecedence(t *testing.T) {
 	ts := &TenantState{Spec: core.TenantSpec{Name: "a", Quota: 4, MaxQueue: 3, ThrottleAt: 2}}
-	if d := AdmitSubmit(ts); d.Verdict != AdmitAccept || d.Reason != "ok" {
+	if d := admitSubmit(ts); d.Verdict != AdmitAccept || d.Reason != "ok" {
 		t.Fatalf("empty tenant: %+v", d)
 	}
 	// Queue at the throttle mark: accepted but flagged.
 	ts.Queued = 2
-	if d := AdmitSubmit(ts); d.Verdict != AdmitThrottle || d.Reason != "queue-pressure" {
+	if d := admitSubmit(ts); d.Verdict != AdmitThrottle || d.Reason != "queue-pressure" {
 		t.Fatalf("at throttle mark: %+v", d)
 	}
 	// Quota pressure outranks queue pressure.
 	ts.InFlight = 2
-	if d := AdmitSubmit(ts); d.Verdict != AdmitThrottle || d.Reason != "quota-pressure" {
+	if d := admitSubmit(ts); d.Verdict != AdmitThrottle || d.Reason != "quota-pressure" {
 		t.Fatalf("quota pressure: %+v", d)
 	}
 	// A full plane queue sheds regardless of anything else.
 	ts.Queued = 3
-	if d := AdmitSubmit(ts); d.Verdict != AdmitShed || d.Reason != "queue-full" {
+	if d := admitSubmit(ts); d.Verdict != AdmitShed || d.Reason != "queue-full" {
 		t.Fatalf("full queue: %+v", d)
 	}
 	// Zero-valued bounds never bite.
 	open := &TenantState{Spec: core.TenantSpec{Name: "b"}, Queued: 1 << 20, InFlight: 1 << 20}
-	if d := AdmitSubmit(open); d.Verdict != AdmitAccept {
+	if d := admitSubmit(open); d.Verdict != AdmitAccept {
 		t.Fatalf("unbounded tenant: %+v", d)
 	}
 }
@@ -49,26 +49,26 @@ func TestNextTenantEligibilityAndTies(t *testing.T) {
 		core.TenantSpec{Name: "b"},
 		core.TenantSpec{Name: "c"},
 	)
-	if got := NextTenant(ts); got != -1 {
+	if got := nextTenant(ts); got != -1 {
 		t.Fatalf("no queued work: pick %d, want -1", got)
 	}
 	// Equal virtual time: lowest index wins.
 	ts[1].Queued, ts[2].Queued = 1, 1
-	if got := NextTenant(ts); got != 1 {
+	if got := nextTenant(ts); got != 1 {
 		t.Fatalf("tie: pick %d, want 1", got)
 	}
 	// Smaller virtual time wins over index.
 	ts[2].VTime = -1
-	if got := NextTenant(ts); got != 2 {
+	if got := nextTenant(ts); got != 2 {
 		t.Fatalf("vtime: pick %d, want 2", got)
 	}
 	// A tenant at quota is ineligible even with queued work.
 	ts[0].Queued, ts[0].InFlight, ts[0].VTime = 5, 1, -100
-	if got := NextTenant(ts); got != 2 {
+	if got := nextTenant(ts); got != 2 {
 		t.Fatalf("quota-blocked: pick %d, want 2", got)
 	}
 	ts[0].InFlight = 0
-	if got := NextTenant(ts); got != 0 {
+	if got := nextTenant(ts); got != 0 {
 		t.Fatalf("quota headroom: pick %d, want 0", got)
 	}
 }
@@ -82,7 +82,7 @@ func TestPlanSubmitBatchWeightedShare(t *testing.T) {
 	)
 	ts[0].Queued, ts[1].Queued = 40, 40
 	rec := &Recorder{}
-	picks := PlanSubmitBatch(ts, 40, rec)
+	picks := planSubmitBatch(ts, 40, rec)
 	if len(picks) != 40 {
 		t.Fatalf("picks = %d, want 40", len(picks))
 	}
@@ -122,7 +122,7 @@ func TestCatchUpVTimeNoBankedCredit(t *testing.T) {
 	ts := tenants(core.TenantSpec{Name: "busy"}, core.TenantSpec{Name: "idle"})
 	busy, idle := ts[0], ts[1]
 	busy.Queued = 100
-	PlanSubmitBatch(ts, 50, nil)
+	planSubmitBatch(ts, 50, nil)
 	if busy.VTime != 50*vtScale {
 		t.Fatalf("busy vtime = %d, want %d", busy.VTime, 50*vtScale)
 	}
@@ -130,12 +130,12 @@ func TestCatchUpVTimeNoBankedCredit(t *testing.T) {
 	// frontier before queueing, so the next 10 picks alternate instead
 	// of going 10-0 to the newcomer.
 	for i := 0; i < 5; i++ {
-		NoteQueued(ts, idle)
+		noteQueued(ts, idle)
 	}
 	if idle.VTime != busy.VTime {
 		t.Fatalf("idle vtime = %d after catch-up, want %d", idle.VTime, busy.VTime)
 	}
-	picks := PlanSubmitBatch(ts, 10, nil)
+	picks := planSubmitBatch(ts, 10, nil)
 	want := []int{0, 1, 0, 1, 0, 1, 0, 1, 0, 1}
 	if !reflect.DeepEqual(picks, want) {
 		t.Fatalf("post-idle picks = %v, want alternating %v", picks, want)
@@ -147,11 +147,11 @@ func TestCatchUpVTimeNoBankedCredit(t *testing.T) {
 func TestCatchUpVTimeAllIdle(t *testing.T) {
 	ts := tenants(core.TenantSpec{Name: "a"}, core.TenantSpec{Name: "b"})
 	ts[0].VTime = 7 * vtScale
-	CatchUpVTime(ts, ts[1])
+	catchUpVTime(ts, ts[1])
 	if ts[1].VTime != 7*vtScale {
 		t.Fatalf("vtime = %d, want %d", ts[1].VTime, 7*vtScale)
 	}
-	CatchUpVTime(ts, ts[0])
+	catchUpVTime(ts, ts[0])
 	if ts[0].VTime != 7*vtScale {
 		t.Fatalf("clock moved: %d", ts[0].VTime)
 	}
@@ -162,7 +162,7 @@ func TestCatchUpVTimeAllIdle(t *testing.T) {
 func TestPlanSubmitBatchQuotaGate(t *testing.T) {
 	ts := tenants(core.TenantSpec{Name: "capped", Quota: 2}, core.TenantSpec{Name: "open"})
 	ts[0].Queued, ts[1].Queued = 10, 3
-	picks := PlanSubmitBatch(ts, 0, nil)
+	picks := planSubmitBatch(ts, 0, nil)
 	// capped drains 2 (hitting quota), open drains all 3.
 	if ts[0].InFlight != 2 || ts[0].Queued != 8 {
 		t.Fatalf("capped: inflight %d queued %d, want 2/8", ts[0].InFlight, ts[0].Queued)
@@ -175,7 +175,7 @@ func TestPlanSubmitBatchQuotaGate(t *testing.T) {
 	}
 	// One completion releases one slot: exactly one more drain.
 	ts[0].InFlight--
-	more := PlanSubmitBatch(ts, 0, nil)
+	more := planSubmitBatch(ts, 0, nil)
 	if !reflect.DeepEqual(more, []int{0}) {
 		t.Fatalf("post-release picks = %v, want [0]", more)
 	}

@@ -89,7 +89,7 @@ func (p *TenantPlane[T]) Submit(tenant string, item T, route Route[T]) (d AdmitD
 	}
 	t := &p.tenants[ti]
 	t.submits++
-	d = AdmitSubmit(&t.state)
+	d = admitSubmit(&t.state)
 	p.rec.Record(Decision{Kind: KindAdmit, Spec: item.ID(), Tenant: tenant, Verdict: d.Verdict, Reason: d.Reason})
 	switch d.Verdict {
 	case AdmitShed:
@@ -98,7 +98,7 @@ func (p *TenantPlane[T]) Submit(tenant string, item T, route Route[T]) (d AdmitD
 	case AdmitThrottle:
 		t.throttled++
 	}
-	NoteQueued(p.states, &t.state)
+	noteQueued(p.states, &t.state)
 	t.queue.Push(item)
 	return d, p.drain(route), true
 }
@@ -124,7 +124,7 @@ func (p *TenantPlane[T]) Release(tenant string, route Route[T]) (released int) {
 // batch plan picks the order, and each picked tenant's queue head goes
 // to route with the tenant's cursor.
 func (p *TenantPlane[T]) drain(route Route[T]) int {
-	picks := PlanSubmitBatch(p.states, 0, p.rec)
+	picks := planSubmitBatch(p.states, 0, p.rec)
 	for _, ti := range picks {
 		t := &p.tenants[ti]
 		item, _ := t.queue.Pop()

@@ -11,9 +11,10 @@ import (
 // The plane's event methods (DESIGN.md §12): one per engine event — a
 // worker's join and death, a result, a file ack, a library ack — each the
 // one way its event enters, running its whole fixed order: the router
-// change, the ref stream, under the shard lock the verb, the replica
-// notes and the shell's hooks, the quota release, then with no lock held
-// the wakes and the nudge. The engine keeps its clock: a retry's backoff
+// change, the ref stream, under the shard lock the verb — which applies
+// the event to the view's capacity — the replica notes and the shell's
+// hooks, the quota release, then with no lock held the wakes and the
+// nudge. The engine keeps its clock: a retry's backoff
 // is its Shell's Done to arrange.
 
 // home is worker's shard: the one its join resolved, or ShardOf's hash
@@ -94,14 +95,13 @@ func (p *Plane[T, I]) Leave(worker string) (requeued int, lost []Run[T, I]) {
 }
 
 // Result is worker's result of spec res.ID, false if no such spec runs
-// there. The spec leaves the worker — a retryable failure within the
-// budget backs off in the table — a by-ref result makes the producer the
-// ref's owner, a task's resources come back and its cacheable inputs are
-// noted as replicas unless the attempt failed retryably (a copy that
-// never staged must stage again); the shell frees an invocation's slot
-// and, the lock released, delivers the result or backs it off. A final
-// result returns its quota. The shard runs, and the freed capacity
-// nudges starving shards.
+// there. The spec leaves the worker with its resources or its slot — a
+// retryable failure within the budget backs off in the table — a by-ref
+// result makes the producer the ref's owner, a task's cacheable inputs
+// are noted as replicas unless the attempt failed retryably (a copy that
+// never staged must stage again); the shell, the lock released, delivers
+// the result or backs it off. A final result returns its quota. The shard
+// runs, and the freed capacity nudges starving shards.
 func (p *Plane[T, I]) Result(worker string, res core.Result) bool {
 	s := p.home(worker)
 	s.mu.Lock()
@@ -115,14 +115,11 @@ func (p *Plane[T, I]) Result(worker string, res core.Result) bool {
 	}
 	if r.IsTask {
 		wv := s.view.Workers[worker]
-		wv.Commit = wv.Commit.Sub(r.Task.Spec.Need())
 		for _, in := range r.Task.Spec.Inputs() {
 			if in.Cache && (res.Ok || !res.Retryable) {
 				s.note(worker, wv, in.Object.ID)
 			}
 		}
-	} else {
-		s.shell.Freed(worker, r.Inv.Lib)
 	}
 	s.mu.Unlock()
 	s.shell.Done(worker, r, res, retry)
@@ -164,15 +161,15 @@ func (p *Plane[T, I]) FileAck(worker string, ack proto.FileAck) {
 	s.Wake()
 }
 
-// LibAck is worker's ack of its install of ack.Library: the shell settles
-// the instance — ready, or gone — and, if one was installing, its claim
-// goes and what it opens looks again. A ready instance, or the resources
-// a failed one frees, is capacity starving shards may want.
+// LibAck is worker's ack of its install of ack.Library: if the view holds
+// that instance it is settled — ready, or gone — its claim goes and what
+// it opens looks again, and the shell does its part. A ready instance, or
+// the resources a failed one frees, is capacity starving shards may want.
 func (p *Plane[T, I]) LibAck(worker string, ack proto.LibraryAck) {
 	s := p.home(worker)
 	s.mu.Lock()
-	if s.shell.Installed(worker, ack) {
-		s.LibAcked(worker, ack.Library, ack.Ok)
+	if s.LibAcked(worker, ack.Library, ack.Ok) {
+		s.shell.Installed(worker, ack)
 	}
 	s.mu.Unlock()
 	s.Wake()

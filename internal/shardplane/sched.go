@@ -22,8 +22,9 @@ import (
 // shard, the in-flight table — what runs on which worker, each spec's
 // retry budget, and the order a death requeues in — and the event verbs,
 // which mark exactly what each engine event could unblock. The passes
-// record what they plan and hand it to a Shell to carry out — the
-// manager with a mutex, sockets and timers; sim.Replay with none.
+// record what they plan, apply it to the view's capacity and hand it to a
+// Shell to send — the manager with a mutex, sockets and timers;
+// sim.Replay with none.
 
 // Payload is what the plane asks of every spec an engine queues: the
 // tenant whose quota it holds ("" for none).
@@ -112,10 +113,12 @@ func KeyNum(key string) int64 {
 }
 
 // Shell is what an engine supplies around one shard's Sched. It decides
-// and records nothing: it carries out what a pass decided, and does an
-// event's engine work — view surgery, messages, counters — where the
-// Plane's event method (events.go) calls for it. Every method but Done is
-// called with the shard lock held.
+// and records nothing, and moves none of the view's capacity — the passes
+// and the verbs apply every commitment, instance and slot change
+// themselves. It carries out what a pass decided, and does an event's engine
+// work — joins and deaths in the view, copies in flight, transfer slots,
+// messages, counters — where the Plane's event method (events.go) calls
+// for it. Every method but Done is called with the shard lock held.
 type Shell[T Spec, I Payload] interface {
 	// Library is lib's deploy spec, if the engine knows lib (else Reject
 	// fails its invocations); it must not allocate.
@@ -128,29 +131,29 @@ type Shell[T Spec, I Payload] interface {
 	// reporting whether a transfer went out.
 	Stage(sf policy.StageFile)
 	Resolve(worker, obj, name string, d policy.ResolveDecision) (sent bool)
-	// Place and PlaceInv execute a placement whose stages are out; Place
-	// may stamp t.Spec with what the engine keeps with the dispatch.
+	// Place and PlaceInv send a placement whose stages are out and whose
+	// resources or slot the view has taken; Place may stamp t.Spec with
+	// what the engine keeps with the dispatch.
 	Place(t *Task[T], d policy.PlaceTask)
 	PlaceInv(inv Inv[I], d policy.PlaceInvocation)
-	// Deploy starts the instance of lib d plans, its stages out: its
-	// worker's claim until LibAcked or Died.
+	// Deploy sends the evictions and the install of lib d plans, its
+	// stages out and the view's instance record made: its worker's claim
+	// until LibAcked or Died.
 	Deploy(lib string, d policy.DeployLibrary)
 
 	// Join enters worker in the view, or refuses it; Leave takes it out,
 	// returning the objects whose copies to it were cleared.
 	Join(worker string) bool
 	Leave(worker string) (cleared []string)
-	// Installed settles worker's instance of ack.Library, if one was
-	// installing there.
-	Installed(worker string, ack proto.LibraryAck) (known bool)
+	// Installed does the engine's part of an ack of an instance the view
+	// holds, which LibAcked has settled.
+	Installed(worker string, ack proto.LibraryAck)
 	// Restage resends a failed copy, not a ref's, over the engine's own
 	// link if it can; Acked settles the ack after the recovery.
 	Restage(worker string, ack proto.FileAck) bool
 	Acked(worker string, ack proto.FileAck, restaged bool)
-	// Held follows the view's note of a new replica of obj on worker;
-	// Freed, an invocation of lib leaving its slot there.
+	// Held follows the view's note of a new replica of obj on worker.
 	Held(worker, obj string)
-	Freed(worker, lib string)
 	// Done is a result's engine work once the lock is released: the
 	// delivery — or, with retry > 0, the backoff whose end calls Retry.
 	Done(worker string, r Run[T, I], res core.Result, retry int)
@@ -564,17 +567,40 @@ func (s *Sched[T, I]) wait(obj, lib string) {
 	}
 }
 
-// LibAcked is the ack of worker's install of lib: its claim goes; a
-// ready instance opens lib's queue (every library's, when it is idle and
+// LibAcked is the ack of worker's install of lib, false if the view holds
+// no instance of lib there. The instance is ready with every free slot,
+// or failed: gone, its resources released. Its claim goes; a ready
+// instance opens lib's queue (every library's, when it is idle and
 // evictable), a failed one frees resources any queue may want.
-func (s *Sched[T, I]) LibAcked(worker, lib string, ok bool) {
+func (s *Sched[T, I]) LibAcked(worker, lib string, ok bool) bool {
+	w := s.view.Workers[worker]
+	lv := w.Libs[lib]
+	if lv == nil {
+		return false
+	}
 	s.unclaim(worker, lib)
 	if !ok {
+		lv.Failed = true
+		s.view.RemoveLibrary(w, lib)
+		w.Commit = w.Commit.Sub(lv.Res)
 		s.markAll()
-		return
+		return true
 	}
+	lv.Ready = true
+	s.seat(w, lv)
 	s.markLib(lib)
 	s.markIdle(worker, lib)
+	return true
+}
+
+// seat republishes the free slots of w's instance lv to the view's ready
+// index: every slot no invocation holds, once the instance is ready.
+func (s *Sched[T, I]) seat(w *policy.WorkerView, lv *policy.LibraryView) {
+	free := 0
+	if lv.Ready {
+		free = max(lv.Slots-lv.SlotsUsed, 0)
+	}
+	s.view.SetFreeReady(w, lv, free)
 }
 
 // markIdle marks every library when worker's instance of lib runs nothing
@@ -592,8 +618,9 @@ func (s *Sched[T, I]) markIdle(worker, lib string) {
 	s.markAllLibs()
 }
 
-// Done is a result: spec id leaves worker, and what it held opens up — a
-// task's resources to every queue, an invocation's slot to its library's.
+// Done is a result: spec id leaves worker, and what it held is free again
+// — a task's resources, for every queue; an invocation's slot, which its
+// instance has served, for its library's.
 // After a retryable failure (failed) within the budget the spec stays in
 // the table, backing off, until the engine's timer — or a replay, at
 // once — calls Retry: retry is then which retry that will be, counting
@@ -610,9 +637,16 @@ func (s *Sched[T, I]) Done(worker string, id int64, failed bool) (r Run[T, I], r
 	r = h.runs[at]
 	h.runs = slices.Delete(h.runs, at, at+1)
 	s.running--
+	w := s.view.Workers[worker]
 	if r.IsTask {
+		w.Commit = w.Commit.Sub(r.Task.Spec.Need())
 		s.markAll()
 	} else {
+		if lv := w.Libs[r.Inv.Lib]; lv != nil {
+			lv.SlotsUsed = max(lv.SlotsUsed-1, 0)
+			lv.Served++
+			s.seat(w, lv)
+		}
 		s.markLib(r.Inv.Lib)
 		s.markIdle(worker, r.Inv.Lib)
 	}
@@ -868,6 +902,7 @@ func (s *Sched[T, I]) pass() {
 			for _, sf := range d.Stages {
 				s.stage(sf)
 			}
+			d.Worker.Commit = d.Worker.Commit.Add(t.Spec.Need())
 			s.shell.Place(t, d)
 			s.register(d.Worker.ID, Run[T, I]{IsTask: true, Task: *t})
 		case len(d.Blocked) == 0 && hasNext && t.Hops < len(s.p.Shards) && s.quiet():
@@ -975,6 +1010,8 @@ func (s *Sched[T, I]) passLib(lq *libQueue[I], spec *policy.DeploySpec) {
 		}
 		if d.Worker != nil {
 			s.rec.Record(policy.Decision{Kind: policy.KindPlace, Spec: inv.ID, Lib: inv.Lib, Worker: d.Worker.ID})
+			d.Lib.SlotsUsed++
+			s.seat(d.Worker, d.Lib)
 			s.shell.PlaceInv(inv, d)
 			s.register(d.Worker.ID, Run[T, I]{Inv: inv})
 			continue
@@ -995,9 +1032,12 @@ func (s *Sched[T, I]) passLib(lq *libQueue[I], spec *policy.DeploySpec) {
 }
 
 // deploy plans one new instance of lq's library, records it and has it
-// executed, its stages first; the worker's install becomes the queue's
-// claim. False when no worker can take one now: the queue then waits on
-// the first copies in flight that held every candidate up.
+// executed: its stages, then in the view its evictions — each instance
+// gone, its resources released — and the new instance of spec's shape,
+// not ready, its resources committed, then the shell's messages. The
+// worker's install becomes the queue's claim. False when no worker can
+// take one now: the queue then waits on the first copies in flight that
+// held every candidate up.
 func (s *Sched[T, I]) deploy(lq *libQueue[I], spec *policy.DeploySpec) bool {
 	if spec == nil {
 		return false
@@ -1015,6 +1055,13 @@ func (s *Sched[T, I]) deploy(lq *libQueue[I], spec *policy.DeploySpec) bool {
 	for _, sf := range d.Stages {
 		s.stage(sf)
 	}
+	w := d.Worker
+	for _, e := range d.Evict {
+		w.Commit = w.Commit.Sub(w.Libs[e.Lib].Res)
+		s.view.RemoveLibrary(w, e.Lib)
+	}
+	s.view.AddInstance(w, &policy.LibraryView{Name: lq.name, Slots: spec.Slots, MaxInstances: 1, Res: d.Res})
+	w.Commit = w.Commit.Add(d.Res)
 	s.shell.Deploy(lq.name, d)
 	lq.claims = append(lq.claims, d.Worker.ID)
 	s.claims++

@@ -15,7 +15,7 @@ import (
 )
 
 // The scheduler on bare policy.ClusterViews: no engine, only a shell
-// that commits placements into the view and records them.
+// that notes the copies a placement puts in flight and records it.
 
 type testSpec struct {
 	need   core.Resources
@@ -149,10 +149,11 @@ func (tp *testPlane) follow(home int, via ...int) []delivery {
 }
 
 func (sh *testShell) Place(t *testTask, d policy.PlaceTask) {
-	sh.placed = append(sh.placed, execPlacement(sh.view, *t, d))
+	sh.placed = append(sh.placed, t.Key+"@"+d.Worker.ID)
 }
 
-// execPlacement applies a placement to the view the way an engine does.
+// execPlacement applies a placement to the view the way the plane and a
+// shell do together: the oracles' longhand.
 func execPlacement(v *policy.ClusterView, t testTask, d policy.PlaceTask) string {
 	d.Worker.Commit = d.Worker.Commit.Add(t.Spec.need)
 	for _, sf := range d.Stages {
@@ -166,12 +167,10 @@ func (sh *testShell) Library(lib string) (*policy.DeploySpec, bool) {
 	if !known {
 		return nil, false
 	}
-	return &policy.DeploySpec{Name: lib, Res: need, Files: sh.plane.files[lib]}, true
+	return &policy.DeploySpec{Name: lib, Res: need, Slots: testSlots, Files: sh.plane.files[lib]}, true
 }
 
-// Stage notes nothing: the test shell notes a placement's or deploy's
-// copies with it (execPlacement, install), as the oracles do.
-func (sh *testShell) Stage(policy.StageFile) {}
+func (sh *testShell) Stage(sf policy.StageFile) { sh.view.NotePending(sf.Dst, sf.Object) }
 
 func (sh *testShell) Resolve(worker, obj, _ string, d policy.ResolveDecision) bool {
 	if d.Mode != policy.ResolvePeer && d.Mode != policy.ResolveShared {
@@ -190,17 +189,24 @@ func (sh *testShell) Reject(inv testCall) bool {
 }
 
 func (sh *testShell) PlaceInv(inv testCall, d policy.PlaceInvocation) {
-	sh.placed = append(sh.placed, execInvPlacement(sh.view, inv, d))
+	sh.placed = append(sh.placed, invPlaced(inv, d))
 }
 
-// execInvPlacement takes one free ready slot the way an engine does.
-func execInvPlacement(v *policy.ClusterView, inv testCall, d policy.PlaceInvocation) string {
-	v.SetFreeReady(d.Worker, d.Lib, d.Lib.FreeReady-1)
+// invPlaced names an invocation placement as the shell records it.
+func invPlaced(inv testCall, d policy.PlaceInvocation) string {
 	return fmt.Sprintf("%s#%d@%s", inv.Lib, inv.Spec, d.Worker.ID)
 }
 
+// execInvPlacement takes one free ready slot the way the plane does: the
+// oracles' longhand.
+func execInvPlacement(v *policy.ClusterView, inv testCall, d policy.PlaceInvocation) string {
+	d.Lib.SlotsUsed++
+	v.SetFreeReady(d.Worker, d.Lib, d.Lib.FreeReady-1)
+	return invPlaced(inv, d)
+}
+
 func (sh *testShell) Deploy(lib string, d policy.DeployLibrary) {
-	sh.placed = append(sh.placed, "deploy "+lib+"@"+install(sh.view, lib, d))
+	sh.placed = append(sh.placed, "deploy "+lib+"@"+d.Worker.ID)
 }
 
 // execDeploy installs one instance where PlanDeploy finds room, staging
@@ -213,8 +219,9 @@ func execDeploy(v *policy.ClusterView, lib string, need core.Resources, files []
 	return install(v, lib, d), nil
 }
 
-// install starts the instance d plans the way an engine does: its
-// evictions, its staged files, its instance and commitment.
+// install starts the instance d plans the way the plane and a shell do
+// together: its evictions, its staged files, its instance and commitment
+// — the oracles' longhand.
 func install(v *policy.ClusterView, lib string, d policy.DeployLibrary) string {
 	for _, e := range d.Evict {
 		d.Worker.Commit = d.Worker.Commit.Sub(d.Worker.Libs[e.Lib].Res)
@@ -229,9 +236,7 @@ func install(v *policy.ClusterView, lib string, d policy.DeployLibrary) string {
 }
 
 // The events' engine work, on the view alone: a joining worker has
-// testJoinCores cores, an instance comes up with every slot free, a
-// finished invocation frees its slot, and a retry's backoff is over at
-// once.
+// testJoinCores cores, and a retry's backoff is over at once.
 const testJoinCores = 4
 
 func (sh *testShell) Join(worker string) bool {
@@ -244,25 +249,11 @@ func (sh *testShell) Leave(worker string) []string {
 	return cleared
 }
 
-func (sh *testShell) Installed(worker string, ack proto.LibraryAck) bool {
-	w := sh.view.Workers[worker]
-	lv := w.Libs[ack.Library]
-	if lv != nil && ack.Ok {
-		lv.Ready = true
-		sh.view.SetFreeReady(w, lv, lv.Slots)
-	}
-	return lv != nil
-}
-
+func (sh *testShell) Installed(string, proto.LibraryAck)      {}
 func (sh *testShell) Restage(string, proto.FileAck) bool      { return false }
 func (sh *testShell) Acked(string, proto.FileAck, bool)       {}
 func (sh *testShell) Held(string, string)                     {}
 func (sh *testShell) Refs([]policy.Rehome, []policy.RefSpill) {}
-
-func (sh *testShell) Freed(worker, lib string) {
-	w := sh.view.Workers[worker]
-	sh.view.SetFreeReady(w, w.Libs[lib], w.Libs[lib].FreeReady+1)
-}
 
 func (sh *testShell) Done(_ string, r testRun, _ core.Result, retry int) {
 	if retry > 0 {
@@ -270,15 +261,6 @@ func (sh *testShell) Done(_ string, r testRun, _ core.Result, retry int) {
 		sh.sched.Retry(r.ID())
 		sh.mu.Unlock()
 	}
-}
-
-// ack brings lib's installing instance on w up: ready with every slot
-// free — the engine's part — then the verb.
-func (sh *testShell) ack(w *policy.WorkerView, lib string) {
-	lv := w.Libs[lib]
-	lv.Ready = true
-	sh.view.SetFreeReady(w, lv, lv.Slots)
-	sh.sched.LibAcked(w.ID, lib, true)
 }
 
 // blocker is an input that, once its first copy is in flight to one
@@ -427,8 +409,9 @@ func TestInvPassMatchesPlaceOneExecuteOneOracle(t *testing.T) {
 							claims++
 							lq.claims, tp.shells[0].sched.claims = append(lq.claims, w.ID), claims
 						} else {
-							lv.Ready = true
-							v.SetFreeReady(w, lv, r.Intn(testSlots+1))
+							free := r.Intn(testSlots + 1)
+							lv.Ready, lv.SlotsUsed = true, testSlots-free
+							v.SetFreeReady(w, lv, free)
 						}
 					}
 				}
@@ -588,10 +571,7 @@ func TestInstallClaimsAbsorbQueuedInvocations(t *testing.T) {
 			break
 		}
 	}
-	sh.mu.Lock()
-	sh.ack(up, lib)
-	sh.mu.Unlock()
-	sh.sched.Wake()
+	tp.LibAck(up.ID, proto.LibraryAck{Library: lib, Ok: true})
 	pass()
 	if got := sh.placed[len(sh.placed)-2:]; !reflect.DeepEqual(got, []string{"lib#1@" + up.ID, "lib#2@" + up.ID}) {
 		t.Fatalf("after the ack: %v, want the two oldest entries on %s", got, up.ID)
@@ -606,8 +586,6 @@ func TestInstallClaimsAbsorbQueuedInvocations(t *testing.T) {
 	for _, w := range ws {
 		if lv := w.Libs[lib]; lv != nil && !lv.Ready && failed < 2 {
 			failed++
-			sh.view.RemoveLibrary(w, lib)
-			w.Commit = w.Commit.Sub(lv.Res)
 			sh.sched.LibAcked(w.ID, lib, false)
 		}
 	}
@@ -691,13 +669,17 @@ func TestBackingOffSpecHoldsTheShardBusy(t *testing.T) {
 	if got := s.Running(w.ID); len(got) != 1 || got[0].ID() != 1 {
 		t.Fatalf("task 1 should run on %s: %+v", w.ID, got)
 	}
-	// The worker fails it; its core stays taken (by other work, say), so
-	// the next task is refused on capacity alone.
+	// The worker fails it, and other work takes the core it freed, so the
+	// next task is refused on capacity alone.
 	sh.mu.Lock()
 	r, retry, ok := s.Done(w.ID, 1, true)
 	if !ok || retry != 1 || r.Task.Retries != 1 || r.Task.Avoid != w.ID {
 		t.Fatalf("Done(failed) = %+v, retry %v, ok %v", r, retry, ok)
 	}
+	if w.Commit.Cores != 0 {
+		t.Fatalf("the failed task still holds %+v", w.Commit)
+	}
+	w.Commit = w.Total
 	if _, _, again := s.Done(w.ID, 1, true); again {
 		t.Fatal("a spec backing off is still on its worker")
 	}
@@ -1341,16 +1323,7 @@ func scriptEvent(rng *rand.Rand, tp *testPlane, next *int64) (verbEvent, string)
 			if w == nil || w.Libs[lib] == nil || w.Libs[lib].Ready {
 				return false
 			}
-			lv := w.Libs[lib]
-			if ok {
-				lv.Ready = true
-				v.SetFreeReady(w, lv, lv.Slots)
-			} else {
-				v.RemoveLibrary(w, lib)
-				w.Commit = w.Commit.Sub(lv.Res)
-			}
-			tp.Shards[0].LibAcked(id, lib, ok)
-			return true
+			return tp.Shards[0].LibAcked(id, lib, ok)
 		}, "lib ack " + lib
 	default:
 		w := pick()
@@ -1360,16 +1333,10 @@ func scriptEvent(rng *rand.Rand, tp *testPlane, next *int64) (verbEvent, string)
 		runs := s.Running(w.ID)
 		id, spec, failed := w.ID, runs[rng.Intn(len(runs))].ID(), k == 13
 		return func(tp *testPlane) bool {
-			v, s := tp.shells[0].view, tp.Shards[0]
-			r, retry, ok := s.Done(id, spec, failed)
+			s := tp.Shards[0]
+			_, retry, ok := s.Done(id, spec, failed)
 			if !ok {
 				return false
-			}
-			w := v.Workers[id]
-			if r.IsTask {
-				w.Commit = w.Commit.Sub(r.Task.Spec.need)
-			} else if lv := w.Libs[r.Inv.Lib]; lv != nil {
-				v.SetFreeReady(w, lv, lv.FreeReady+1)
 			}
 			if retry > 0 {
 				s.Retry(spec)
@@ -1377,4 +1344,78 @@ func scriptEvent(rng *rand.Rand, tp *testPlane, next *int64) (verbEvent, string)
 			return true
 		}, fmt.Sprintf("result %d", spec)
 	}
+}
+
+// TestPlaneOwnsCapacity runs TestEventVerbsPlaceAsMarkingEverythingWould's
+// seeded event scripts on a plane whose shell moves no capacity, and after
+// every event holds the view to what the in-flight table says runs where:
+// each worker commits its running tasks' needs plus its instances'
+// resources, each instance holds one slot per invocation running on it,
+// and it offers the others only once it is ready.
+func TestPlaneOwnsCapacity(t *testing.T) {
+	busy, ready, tasks := 0, 0, 0
+	for seed := int64(1); seed <= 80; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tp := newTestPlane(1)
+		tp.libs["la"], tp.files["la"] = core.Resources{Cores: 1}, []core.FileSpec{envFile}
+		tp.libs["lb"], tp.files["lb"] = core.Resources{Cores: 2}, []core.FileSpec{datFile}
+		sh, s := tp.shells[0], tp.Shards[0]
+		next := int64(0)
+		for step := 0; step < 120; step++ {
+			ev, what := scriptEvent(rng, tp, &next)
+			if ev == nil {
+				continue
+			}
+			sh.mu.Lock()
+			if !ev(tp) {
+				t.Fatalf("seed %d step %d: %s does not apply", seed, step, what)
+			}
+			sh.mu.Unlock()
+			s.Wake()
+			sh.mu.Lock()
+			for _, w := range sh.view.Sorted {
+				var commit core.Resources
+				running := map[string]int{}
+				for _, r := range s.Running(w.ID) {
+					if r.IsTask {
+						commit = commit.Add(r.Task.Spec.need)
+						tasks++
+					} else {
+						running[r.Inv.Lib]++
+					}
+				}
+				for _, lib := range core.SortedKeys(running) {
+					if w.Libs[lib] == nil {
+						t.Fatalf("seed %d step %d (%s): %d invocations of %s run on %s, which holds no instance", seed, step, what, running[lib], lib, w.ID)
+					}
+				}
+				for _, lib := range core.SortedKeys(w.Libs) {
+					lv := w.Libs[lib]
+					commit = commit.Add(lv.Res)
+					if lv.SlotsUsed != running[lib] {
+						t.Fatalf("seed %d step %d (%s): %s's %s uses %d slots, %d invocations run there", seed, step, what, w.ID, lib, lv.SlotsUsed, running[lib])
+					}
+					want := 0
+					if lv.Ready {
+						want = lv.Slots - lv.SlotsUsed
+						ready++
+					}
+					if lv.FreeReady != want {
+						t.Fatalf("seed %d step %d (%s): %s's %s offers %d free slots, want %d (ready %v, %d of %d used)", seed, step, what, w.ID, lib, lv.FreeReady, want, lv.Ready, lv.SlotsUsed, lv.Slots)
+					}
+					if lv.SlotsUsed > 0 {
+						busy++
+					}
+				}
+				if w.Commit != commit {
+					t.Fatalf("seed %d step %d (%s): %s commits %+v, what runs there %+v", seed, step, what, w.ID, w.Commit, commit)
+				}
+			}
+			sh.mu.Unlock()
+		}
+	}
+	if busy < 500 || ready < 1000 || tasks < 1000 {
+		t.Fatalf("degenerate scripts: %d busy instances, %d ready, %d running tasks checked", busy, ready, tasks)
+	}
+	t.Logf("checked %d busy instances, %d ready, %d running tasks", busy, ready, tasks)
 }

@@ -123,19 +123,11 @@ func (sh *replayShard) Resolve(worker, obj, _ string, d policy.ResolveDecision) 
 	return true
 }
 
-// Place commits the task's slot; PlaceInv takes a ready slot.
-func (sh *replayShard) Place(_ *replayTask, d policy.PlaceTask) {
-	d.Worker.Commit = d.Worker.Commit.Add(oneSlot)
-}
-
-func (sh *replayShard) PlaceInv(_ replayInv, d policy.PlaceInvocation) {
-	w := sh.st.byID[d.Worker.ID]
-	w.freeReady--
-	sh.st.syncLib(w)
-}
-
-// Deploy starts the worker's instance; LibReady is its ack.
-func (sh *replayShard) Deploy(_ string, d policy.DeployLibrary) { sh.st.install(d) }
+// Place, PlaceInv and Deploy send nothing: the plane has applied them to
+// the view, and LibReady is a deploy's ack.
+func (sh *replayShard) Place(*replayTask, policy.PlaceTask)        {}
+func (sh *replayShard) PlaceInv(replayInv, policy.PlaceInvocation) {}
+func (sh *replayShard) Deploy(string, policy.DeployLibrary)        {}
 
 // Join builds worker wNNNN into this shard's view: its machine and
 // locality cluster are functions of NNNN.
@@ -159,14 +151,8 @@ func (sh *replayShard) Leave(worker string) []string {
 	return cleared
 }
 
-// Installed brings the installing instance up, every slot free.
-func (sh *replayShard) Installed(worker string, _ proto.LibraryAck) bool {
-	w := sh.st.byID[worker]
-	w.lv.Ready = true
-	w.freeReady = w.lv.Slots
-	sh.st.syncLib(w)
-	return true
-}
+// Installed: an instance has no engine state beyond the view's.
+func (sh *replayShard) Installed(string, proto.LibraryAck) {}
 
 // Restage re-sends the environment whose peer fetch failed over the
 // manager's own link, bypassing the policy core as the manager does.
@@ -186,13 +172,6 @@ func (sh *replayShard) Acked(worker string, ack proto.FileAck, _ bool) {
 }
 
 func (sh *replayShard) Held(string, string) {}
-
-// Freed gives an invocation's slot back.
-func (sh *replayShard) Freed(worker, _ string) {
-	w := sh.st.byID[worker]
-	w.freeReady++
-	sh.st.syncLib(w)
-}
 
 // Done: the replay has no clock, so a retry's backoff is over at once.
 func (sh *replayShard) Done(_ string, r replayRun, _ core.Result, retry int) {
@@ -327,7 +306,7 @@ func (r *Replay) RefFailed(id, refID string) bool {
 // false if none is installing or its environment has not arrived.
 func (r *Replay) LibReady(id string) bool {
 	_, w := r.find(id)
-	if w == nil || !w.hasEnv || w.v.Libs[r.lib()] == nil || w.lv.Ready {
+	if w == nil || !w.hasEnv || w.v.Libs[r.lib()] == nil || w.v.Libs[r.lib()].Ready {
 		return false
 	}
 	r.shardPlane.LibAck(id, proto.LibraryAck{Library: r.lib(), Ok: true})

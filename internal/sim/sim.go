@@ -258,8 +258,8 @@ type state struct {
 	arrivalsLeft []int
 	nextSpecID   int64
 
-	// deploy is the library's deploy spec: one instance per slot on the
-	// timed path, one taking the worker whole under Replay.
+	// deploy is the library's deploy spec: one single-slot instance per
+	// slot on the timed path, one taking the worker whole under Replay.
 	deploy policy.DeploySpec
 
 	// replay bypasses the virtual clock: decisions and view/slot state
@@ -281,9 +281,9 @@ type wstate struct {
 	// v and lv are this worker's entries in the policy view. Under the
 	// timed Run lv models the application library with one single-slot
 	// instance per deploy-committed slot (MaxInstances = SlotsPerWorker) —
-	// Figure 10 counts those; under Replay it is the manager's one
-	// instance of SlotsPerWorker slots. Either way the policy core sees
-	// the same FreeReady quantity.
+	// Figure 10 counts those; under Replay the plane deploys the manager's
+	// one instance of SlotsPerWorker slots into v and lv is nil. Either way
+	// the policy core sees the same FreeReady quantity.
 	v  *policy.WorkerView
 	lv *policy.LibraryView
 
@@ -307,8 +307,8 @@ type wstate struct {
 	// what runs where in the shared scheduler's in-flight table instead.
 	slots []*slot
 
-	// freeReady counts the free slots of ready instances: what the view's
-	// ready index publishes.
+	// freeReady (timed only) counts the free slots of ready instances:
+	// what the view's ready index publishes.
 	freeReady int
 }
 
@@ -450,9 +450,9 @@ func newState(cfg Config, replay bool) *state {
 			Unpack:       true,
 		}
 	}
-	st.deploy = policy.DeploySpec{Name: st.lib, Res: oneSlot, Files: []core.FileSpec{st.envSpec}}
+	st.deploy = policy.DeploySpec{Name: st.lib, Res: oneSlot, Slots: 1, Files: []core.FileSpec{st.envSpec}}
 	if replay {
-		st.deploy.Res = core.Resources{Cores: cfg.SlotsPerWorker}
+		st.deploy.Res, st.deploy.Slots = core.Resources{Cores: cfg.SlotsPerWorker}, cfg.SlotsPerWorker
 	}
 
 	// Shared filesystem: the Panasas figures of §4.3 with per-client
@@ -534,9 +534,7 @@ func (st *state) addWorker(i int) *wstate {
 	}
 	total := core.Resources{Cores: cfg.SlotsPerWorker}
 	w.v = &policy.WorkerView{ID: w.id, Cluster: clusterName, Total: total}
-	if st.replay {
-		w.lv = &policy.LibraryView{Name: st.lib, Slots: cfg.SlotsPerWorker, MaxInstances: 1, Res: total}
-	} else {
+	if !st.replay {
 		w.lv = &policy.LibraryView{Name: st.lib, Slots: 1, MaxInstances: cfg.SlotsPerWorker, Res: oneSlot}
 		for k := 0; k < cfg.SlotsPerWorker; k++ {
 			w.slots = append(w.slots, &slot{w: w})
@@ -706,11 +704,10 @@ func (st *state) placeL3() *slot {
 	return st.bind(w, w.firstFree(false))
 }
 
-// install starts the instance d plans, its stages out — Run's deploys and
-// the Replay shell's Deploy alike: the view's instance record and the
-// install's resource claim, held for the instance's lifetime (the manager
-// releases it only on eviction, install failure, or worker death — none
-// of which the simulator's instances hit).
+// install starts the instance d plans, its stages out: the view's
+// instance record and the install's resource claim, held for the
+// instance's lifetime (the plane releases it only on eviction, install
+// failure, or worker death — none of which Run's instances hit).
 func (st *state) install(d policy.DeployLibrary) *wstate {
 	w := st.byID[d.Worker.ID]
 	st.view.AddInstance(w.v, w.lv)

@@ -61,9 +61,6 @@ type Options struct {
 	PeerTransferCap int
 	// ClusterAware prefers same-cluster transfer sources (Figure 3c).
 	ClusterAware bool
-	// Index resolves software dependencies; nil uses the standard
-	// synthetic index.
-	Index *pkgindex.Index
 	// MaxRetries bounds how many times a retryable failure (worker
 	// loss, staging race) is retried before the failure is delivered.
 	// 0 means the default budget; negative disables retries.
@@ -141,10 +138,6 @@ func (h *appHost) ResolveModule(_ *minipy.Interp, name string) (*minipy.ModuleVa
 
 // NewManager creates a manager listening for workers.
 func NewManager(opts Options) (*Manager, error) {
-	index := opts.Index
-	if index == nil {
-		index = pkgindex.StandardIndex()
-	}
 	inner := manager.New(manager.Options{
 		Name:                opts.Name,
 		PeerTransfers:       !opts.DisablePeerTransfers,
@@ -166,7 +159,7 @@ func NewManager(opts Options) (*Manager, error) {
 	return &Manager{
 		inner: inner,
 		addr:  addr,
-		index: index,
+		index: pkgindex.StandardIndex(),
 		fs:    sharedfs.NewStore(),
 		ip:    minipy.NewInterp(host),
 		libs:  map[string]*Library{},
