@@ -71,7 +71,8 @@ race:
 # receivers that each check their own bytes.
 # The manager's differentials then run ten times (no race detector: ~2 s
 # a run): they wait out real backoff timers, which is where a
-# timing-dependent requeue would show. So does taskvine, ten times under
+# timing-dependent requeue would show; the cross-shard peer cap rides
+# along. So does taskvine, ten times under
 # -race (~35 s): fault_test.go's chaos kills workers and stalls transfers
 # under real sockets and checks quiescence after, which is where a requeue
 # that depends on timing or a spec left backing off in the in-flight
@@ -83,7 +84,7 @@ race:
 # them.
 flake:
 	go test -count=20 -race ./internal/dataplane ./internal/worker ./internal/content ./internal/library ./internal/hashring ./internal/policy ./internal/shardplane ./internal/proto
-	go test -count=10 -run Differential ./internal/manager
+	go test -count=10 -run 'Differential|PeerCap' ./internal/manager
 	go test -count=10 -race ./taskvine
 	go test -count=20 -run 'Alloc|Ledger|SharesBuiltins' ./internal/proto ./internal/dataplane ./internal/library ./internal/policy ./internal/hashring ./internal/worker ./internal/pickle ./internal/minipy ./internal/content ./internal/pkgindex ./internal/manager ./taskvine
 

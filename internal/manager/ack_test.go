@@ -32,16 +32,16 @@ func TestOutOfOrderFileAcks(t *testing.T) {
 
 	// src holds both inputs, so the placement on w stages A then B as peer
 	// fetches from it and the dispatch goes out waiting on both.
-	s.mu.Lock()
-	noteReplica(s, src, objA.ID)
-	noteReplica(s, src, objB.ID)
-	s.mu.Unlock()
+	noteReplica(m, src, objA)
+	noteReplica(m, src, objB)
 	id := dispatchOn(t, m, w, task)
 	s.mu.Lock()
 	e := s.sched.Running("w")[0].Task.Spec.staging
+	fromA, _ := s.sched.Source("w", objA.ID)
+	fromB, _ := s.sched.Source("w", objB.ID)
 	if e == nil || e.pending != 2 || !waitsFor(w, objA.ID, e) || !waitsFor(w, objB.ID, e) || src.v.TransfersOut != 2 ||
-		w.fetchSources[objA.ID] != "src" || w.fetchSources[objB.ID] != "src" {
-		t.Fatalf("the dispatch is not waiting on two peer fetches from src: %+v, %d slots, sources %v", e, src.v.TransfersOut, w.fetchSources)
+		fromA != "src" || fromB != "src" {
+		t.Fatalf("the dispatch is not waiting on two peer fetches from src: %+v, %d slots, sources %q %q", e, src.v.TransfersOut, fromA, fromB)
 	}
 	s.mu.Unlock()
 
@@ -118,17 +118,11 @@ func TestDuplicateAndStaleFileAcksAreHarmless(t *testing.T) {
 	src := fakeWorker(m, "src")
 	w := fakeWorker(m, "w")
 	obj := content.NewBlob("dup.bin", []byte("once"))
-
-	s.mu.Lock()
-	s.m.catalogAdd(core.FileSpec{Object: obj, Cache: true, PeerTransfer: true})
-	s.view.NotePending(w.v, obj.ID)
-	w.fetchSources[obj.ID] = "src"
-	src.v.TransfersOut = 1
-	s.mu.Unlock()
+	peerFetch(t, m, src, w, obj)
 
 	s.onFileAck(w, proto.FileAck{ID: obj.ID, Ok: true, Cache: true})
-	// Same ack again: the fetchSources record is gone, Source echoes the
-	// original assignment (the worker always echoes it back).
+	// Same ack again: the plane's record of the copy is gone, Source
+	// echoes the original assignment (the worker always echoes it back).
 	s.onFileAck(w, proto.FileAck{ID: obj.ID, Ok: true, Cache: true, Source: "src"})
 
 	s.mu.Lock()
@@ -138,6 +132,9 @@ func TestDuplicateAndStaleFileAcksAreHarmless(t *testing.T) {
 	}
 	if len(w.v.Pending) != 0 {
 		t.Errorf("pending after duplicate acks = %v", w.v.Pending)
+	}
+	if _, ok := s.sched.Source(w.id, obj.ID); ok {
+		t.Errorf("the settled copy is still recorded in flight")
 	}
 	// An ack for an object this worker never staged (a stale record from
 	// a prior life of the ID) is a no-op too.

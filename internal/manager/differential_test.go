@@ -188,11 +188,10 @@ func (h *diffHarness) newWorker(id string) *workerState {
 	w := &workerState{
 		id: id,
 		// DataAddr must be non-empty: the ref plane treats an
-		// address-less resolve source as dead (refSourceAddrs).
-		hello:        proto.Hello{WorkerID: id, Resources: core.Resources{Cores: h.slots}, DataAddr: "sim://" + id},
-		conn:         linkConn(256),
-		fetchSources: map[string]string{},
-		ackWaiters:   map[string]waiters{},
+		// address-less source as dead (sourceAddrs).
+		hello:      proto.Hello{WorkerID: id, Resources: core.Resources{Cores: h.slots}, DataAddr: "sim://" + id},
+		conn:       linkConn(256),
+		ackWaiters: map[string]waiters{},
 	}
 	if !h.m.adoptWorker(w) {
 		h.t.Fatalf("duplicate worker %s", w.id)
@@ -549,7 +548,8 @@ func (h *diffHarness) canEnvFail(w *workerState) bool {
 	s := h.shardOf(w)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return w.v.Pending[diffEnv] && w.fetchSources[diffEnv] != ""
+	src, _ := s.sched.Source(w.id, diffEnv)
+	return w.v.Pending[diffEnv] && src != ""
 }
 
 func (h *diffHarness) envFail(w *workerState) {
@@ -693,12 +693,6 @@ type diffOpts struct {
 	churn bool // random worker joins and deaths mid-trace
 	fail  bool // injected transfer faults and retryable task failures
 	// shards is the partition count of both engines (< 1 means 1).
-	// fail is incompatible with shards > 1: the manager upgrades some
-	// cross-shard direct sends to peer fetches at the transport layer
-	// (invisible to the per-shard policy view), so a canEnvFail probe
-	// would pick transfers the sim has recorded as manager sends; the
-	// failed-peer-fetch recovery is instead covered end to end by the
-	// faultnet test (taskvine/fault_test.go).
 	shards int
 	// tenants activates the multi-tenant submission plane on both
 	// engines (diffTenants registry, diffTenantMix spec tagging) and
@@ -819,9 +813,6 @@ func (h *diffHarness) injectRef(rng *rand.Rand, opts diffOpts, outstanding *int)
 // diffs the decision traces, then drives both to quiescence and diffs
 // again.
 func runDifferential(t *testing.T, level core.ReuseLevel, slots int, seed int64, ops int, opts diffOpts) {
-	if opts.fail && opts.shards > 1 {
-		t.Fatal("fail injection is not differential-testable at shards > 1 (see diffOpts)")
-	}
 	if opts.refs && (opts.tenants || level == core.L3) {
 		t.Fatal("ref injection runs task workloads with no tenants (see diffOpts)")
 	}
@@ -1007,11 +998,13 @@ func TestDifferentialRetryAndAvoidance(t *testing.T) {
 	// failures (backoff → requeue at the back with the failing worker
 	// avoided): exercises the manager's recovery paths against the
 	// replay's queues — at L3 the invocation pass's avoid-keyed ready
-	// runs and its avoided-worker fallback.
-	for _, seed := range []int64{1, 2, 3} {
-		runDifferential(t, core.L2, 2, seed, 600, diffOpts{fail: true})
-		for _, slots := range l3Slots {
-			runDifferential(t, core.L3, slots, seed, 600, diffOpts{fail: true})
+	// runs and its avoided-worker fallback — at one shard, two and three.
+	for _, shards := range []int{1, 2, 3} {
+		for _, seed := range []int64{1, 2, 3} {
+			runDifferential(t, core.L2, 2, seed, 600, diffOpts{fail: true, shards: shards})
+			for _, slots := range l3Slots {
+				runDifferential(t, core.L3, slots, seed, 600, diffOpts{fail: true, shards: shards})
+			}
 		}
 	}
 }
@@ -1102,7 +1095,9 @@ func TestDifferentialChurnWithFailures(t *testing.T) {
 	// Both adversarial classes at once — deaths can strand in-flight
 	// fetches that then fail, retries can land on workers that later
 	// die. The harshest fidelity workload we run.
-	runDifferential(t, core.L2, 2, 7, 600, diffOpts{churn: true, fail: true})
+	for _, shards := range []int{1, 2, 3} {
+		runDifferential(t, core.L2, 2, 7, 600, diffOpts{churn: true, fail: true, shards: shards})
+	}
 }
 
 func TestDifferentialSharded(t *testing.T) {
@@ -1491,6 +1486,68 @@ func scriptOverflow(t *testing.T, workers, shards int) bool {
 	}
 	h.diffTraces(2)
 	return true
+}
+
+func TestDifferentialCrossShardPeer(t *testing.T) {
+	// A source in another shard, scripted: an invocation deploys in one
+	// shard and its environment lands there; the next, routed to the
+	// other shard, which holds no replica and has none on its way,
+	// deploys with a peer fetch from that holder — a stage the fetching
+	// shard records with its source, under the holder's one transfer
+	// count. The fetch then fails and restages from the manager. Every
+	// layout of 2–5 workers with both shards live runs.
+	ran := 0
+	for workers := 2; workers <= 5; workers++ {
+		h := newDiffHarness(t, core.L3, workers, 1, diffOpts{shards: 2})
+		if h.m.shardPlane.LiveIn(0) == 0 || h.m.shardPlane.LiveIn(1) == 0 {
+			continue
+		}
+		ran++
+		where := fmt.Sprintf("workers=%d", workers)
+		h.submit(1)
+		for _, w := range h.ws {
+			if h.canEnvAck(w) {
+				h.envAck(w)
+				h.libReady(w)
+			}
+		}
+		h.submit(1)
+		var fetcher *workerState
+		for _, w := range h.ws {
+			if h.canEnvFail(w) {
+				fetcher = w
+			}
+		}
+		if fetcher == nil || h.crossShardPeers() != 1 {
+			t.Fatalf("%s: the second deploy fetched no replica across shards (%d cross-shard peer stages)\n%s", where, h.crossShardPeers(), h.mgrDump())
+		}
+		h.envFail(fetcher)
+		h.quiesce()
+		h.settle()
+		if err := h.m.CheckQuiescence(); err != nil {
+			t.Errorf("%s: manager not quiescent after drain: %v", where, err)
+		}
+		if st := h.m.Stats(); st.Restaged != 1 {
+			t.Errorf("%s: restaged %d copies, want the failed cross-shard fetch", where, st.Restaged)
+		}
+		h.diffTraces(4)
+	}
+	if ran < 2 {
+		t.Fatalf("only %d layouts had both shards live", ran)
+	}
+	t.Logf("%d layouts", ran)
+}
+
+// crossShardPeers counts the peer stages in the manager's trace whose
+// source lives in another shard than the copy's destination.
+func (h *diffHarness) crossShardPeers() int {
+	n := 0
+	for _, d := range h.mgrTrace() {
+		if d.Kind == policy.KindStage && d.Mode == policy.StagePeer.String() && h.m.shardPlane.ShardOf(d.Src) != h.m.shardPlane.ShardOf(d.Dst) {
+			n++
+		}
+	}
+	return n
 }
 
 func TestDifferentialParkedThenJoin(t *testing.T) {

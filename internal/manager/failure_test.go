@@ -22,32 +22,49 @@ import (
 // single-shard (Shards: 1) so every worker and spec lands in
 // m.shards[0], whose fields they inspect.
 
-// fakeWorker registers a synthetic worker state in its home shard and
-// the router. No writer takes its link's queue; tests read what was
+// fakeWorker joins a synthetic worker state the way a connection does
+// (adoptWorker). No writer takes its link's queue; tests read what was
 // queued with drainMsgs.
 func fakeWorker(m *Manager, id string) *workerState {
 	w := &workerState{
-		id:           id,
-		hello:        proto.Hello{WorkerID: id, Resources: core.Resources{Cores: 32, MemoryMB: 64 << 10, DiskMB: 64 << 10}},
-		conn:         linkConn(256),
-		drops:        &m.ctr.SendQueueDrops,
-		fetchSources: map[string]string{},
-		ackWaiters:   map[string]waiters{},
+		id:         id,
+		hello:      proto.Hello{WorkerID: id, Resources: core.Resources{Cores: 32, MemoryMB: 64 << 10, DiskMB: 64 << 10}},
+		conn:       linkConn(256),
+		drops:      &m.ctr.SendQueueDrops,
+		ackWaiters: map[string]waiters{},
 	}
-	s := m.shardFor(id)
-	s.mu.Lock()
-	s.registerWorkerLocked(w)
-	s.mu.Unlock()
-	m.shardPlane.Add(id)
+	if !m.adoptWorker(w) {
+		panic("manager refused worker " + id)
+	}
 	return w
 }
 
-// noteReplica records a confirmed replica of id on w the way an ack
-// does. The shard lock is held.
-func noteReplica(s *shard, w *workerState, id string) {
-	if s.view.NoteReplica(w.v, id) {
-		s.Held(w.id, id)
+// noteReplica gives w a confirmed replica of obj the way an ack does,
+// staged from the manager's catalog. No lock held.
+func noteReplica(m *Manager, w *workerState, obj *content.Object) {
+	m.catalogAdd(core.FileSpec{Object: obj, Cache: true, PeerTransfer: true})
+	m.shardFor(w.id).onFileAck(w, proto.FileAck{ID: obj.ID, Ok: true, Cache: true})
+}
+
+// peerFetch dispatches a task on dst whose inputs src holds, so that each
+// stages as a peer fetch from src, and returns the task's ID.
+func peerFetch(t *testing.T, m *Manager, src, dst *workerState, objs ...*content.Object) int64 {
+	t.Helper()
+	task := simpleTask("fetch")
+	for _, obj := range objs {
+		noteReplica(m, src, obj)
+		task.Inputs = append(task.Inputs, core.FileSpec{Object: obj, Cache: true, PeerTransfer: true})
 	}
+	id := dispatchOn(t, m, dst, task)
+	s := m.shardFor(dst.id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, obj := range objs {
+		if from, _ := s.sched.Source(dst.id, obj.ID); from != src.id {
+			t.Fatalf("%s's copy of %s comes from %q, want a peer fetch from %s", dst.id, obj.ID, from, src.id)
+		}
+	}
+	return id
 }
 
 // deploy queues one call of lib's function f in shard s and runs the
@@ -134,36 +151,121 @@ func drainMsgs(w *workerState) []sentFrame {
 func TestWorkerGoneReleasesPeerTransferSlots(t *testing.T) {
 	// A destination dying mid-peer-fetch must hand the source's
 	// transfer slot back; otherwise each crash permanently leaks one
-	// slot until PickSource excludes the source forever.
-	m := New(Options{PeerTransfers: true, Shards: 1})
+	// slot until PickSource excludes the source forever. No retries: the
+	// task dies with its worker, and the manager is then at rest.
+	m := New(Options{PeerTransfers: true, Shards: 1, MaxRetries: -1})
 	s := m.shards[0]
 	src := fakeWorker(m, "src")
 	dst := fakeWorker(m, "dst")
-	src.v.TransfersOut = 2
-	dst.fetchSources["obj-a"] = "src"
-	dst.fetchSources["obj-b"] = "src"
+	peerFetch(t, m, src, dst, content.NewBlob("obj-a", []byte("a")), content.NewBlob("obj-b", []byte("b")))
+	s.mu.Lock()
+	if src.v.TransfersOut != 2 {
+		t.Fatalf("source serves %d fetches, want 2", src.v.TransfersOut)
+	}
+	s.mu.Unlock()
 
 	m.onWorkerGone(dst)
 
+	s.mu.Lock()
 	if src.v.TransfersOut != 0 {
 		t.Errorf("source still holds %d transfer slots", src.v.TransfersOut)
 	}
 	if _, there := s.workers["dst"]; there {
 		t.Errorf("dead worker still registered")
 	}
+	s.mu.Unlock()
 	if err := m.CheckQuiescence(); err != nil {
 		t.Errorf("quiescence after crash: %v", err)
 	}
 }
 
 func TestWorkerGoneToleratesDeadSource(t *testing.T) {
-	// Both ends of a peer fetch dying must not panic or underflow.
-	m := New(Options{PeerTransfers: true, Shards: 1})
+	// Both ends of a peer fetch dying, the source first, must not panic
+	// or underflow.
+	m := New(Options{PeerTransfers: true, Shards: 1, MaxRetries: -1})
+	src := fakeWorker(m, "src")
 	dst := fakeWorker(m, "dst")
-	dst.fetchSources["obj"] = "already-gone"
+	peerFetch(t, m, src, dst, content.NewBlob("obj", []byte("o")))
+	m.onWorkerGone(src)
 	m.onWorkerGone(dst)
+	if src.v.TransfersOut != 0 {
+		t.Errorf("the dead source's count reads %d", src.v.TransfersOut)
+	}
 	if err := m.CheckQuiescence(); err != nil {
 		t.Errorf("quiescence: %v", err)
+	}
+}
+
+// TestPeerCapHoldsAcrossShards: a worker serves at most PeerTransferCap
+// peer fetches at once, wherever its fetchers live — the paper's one
+// per-worker N (§3.3), not one per shard. One holder, a destination in
+// its shard and one in the other, cap 1, tasks submitted until both
+// destinations run one: counted at the serving end, as the FetchFile
+// frames naming the holder as Source that no ack has answered, the holder
+// never serves two, and each destination gets its copy once. Each shard's
+// trace records the copy it sent, with the source it chose.
+func TestPeerCapHoldsAcrossShards(t *testing.T) {
+	m := New(Options{PeerTransfers: true, PeerTransferCap: 1, Shards: 2, DecisionTrace: true})
+	var ids [2][]string
+	for i := 0; len(ids[0]) < 2 || len(ids[1]) < 1; i++ {
+		id := fmt.Sprintf("w%02d", i)
+		k := m.shardPlane.ShardOf(id)
+		ids[k] = append(ids[k], id)
+	}
+	holder, near, far := fakeWorker(m, ids[0][0]), fakeWorker(m, ids[0][1]), fakeWorker(m, ids[1][0])
+	obj := content.NewBlob("shared", []byte("payload"))
+	noteReplica(m, holder, obj)
+	hs := m.shardFor(holder.id)
+	hs.mu.Lock()
+	holder.v.Commit = holder.v.Total // every task runs on a destination
+	hs.mu.Unlock()
+
+	serving, copies := 0, map[string]int{}
+	ran := func(w *workerState) bool {
+		s := m.shardFor(w.id)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.sched.Running(w.id)) > 0
+	}
+	for n := 0; !ran(near) || !ran(far); n++ {
+		if n == 64 {
+			t.Fatalf("64 tasks never reached both destinations")
+		}
+		task := simpleTask("cap")
+		task.Inputs = []core.FileSpec{{Object: obj, Cache: true, PeerTransfer: true}}
+		m.Submit(task)
+		for _, dst := range []*workerState{near, far} {
+			for _, f := range drainMsgs(dst) {
+				switch f.t {
+				case proto.MsgFetchFile:
+					ff, err := proto.DecodeFetchFile(f.raw)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ff.Source == holder.id {
+						serving++
+					}
+					copies[dst.id]++
+				case proto.MsgPutFileBulk:
+					copies[dst.id]++
+				}
+			}
+		}
+		if serving > 1 {
+			t.Fatalf("after %d tasks %s serves %d peer fetches at once, cap 1", n+1, holder.id, serving)
+		}
+	}
+	if serving != 1 || copies[near.id] != 1 || copies[far.id] != 1 {
+		t.Fatalf("holder serves %d fetches; copies sent %v, want one to each destination, one of them from the holder", serving, copies)
+	}
+	peers := 0
+	for _, d := range m.Trace().All() {
+		if d.Kind == policy.KindStage && d.Mode == policy.StagePeer.String() && d.Src == holder.id {
+			peers++
+		}
+	}
+	if peers != serving {
+		t.Errorf("the traces record %d peer stages from %s, the wire carried %d", peers, holder.id, serving)
 	}
 }
 
@@ -259,19 +361,11 @@ func TestFailedPeerFetchRestagesFromManager(t *testing.T) {
 	src := fakeWorker(m, "src")
 	dst := fakeWorker(m, "dst")
 	obj := content.NewBlob("shared", []byte("payload"))
-	fs := core.FileSpec{Object: obj, Cache: true, PeerTransfer: true}
-	s.mu.Lock()
-	s.m.catalogAdd(fs)
-	src.v.TransfersOut = 1
-	s.view.NotePending(dst.v, obj.ID)
-	dst.fetchSources[obj.ID] = "src"
-	s.mu.Unlock()
+	peerFetch(t, m, src, dst, obj)
+	drainMsgs(dst)
 
-	s.onFileAck(dst, proto.FileAck{ID: obj.ID, Ok: false, Err: "peer stalled"})
+	s.onFileAck(dst, proto.FileAck{ID: obj.ID, Ok: false, Err: "peer stalled", Source: src.id})
 
-	if src.v.TransfersOut != 0 {
-		t.Errorf("source slot not released: %d", src.v.TransfersOut)
-	}
 	if m.Stats().Restaged != 1 {
 		t.Errorf("restaged = %d", m.Stats().Restaged)
 	}
@@ -279,8 +373,13 @@ func TestFailedPeerFetchRestagesFromManager(t *testing.T) {
 	if len(msgs) != 1 || msgs[0].t != proto.MsgPutFileBulk {
 		t.Fatalf("expected one bulk PutFile re-stage, got %v", msgs)
 	}
-	if !dst.v.Pending[obj.ID] {
-		t.Errorf("re-staged object not marked pending")
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if src.v.TransfersOut != 0 {
+		t.Errorf("source slot not released: %d", src.v.TransfersOut)
+	}
+	if from, ok := s.sched.Source(dst.id, obj.ID); !dst.v.Pending[obj.ID] || !ok || from != "" {
+		t.Errorf("the re-staged copy is not in flight from the manager: pending %v, source %q (recorded %v)", dst.v.Pending[obj.ID], from, ok)
 	}
 }
 
@@ -291,10 +390,10 @@ func TestFailedDirectSendDoesNotRestage(t *testing.T) {
 	s := m.shards[0]
 	dst := fakeWorker(m, "dst")
 	obj := content.NewBlob("big", []byte("payload"))
-	s.mu.Lock()
-	s.m.catalogAdd(core.FileSpec{Object: obj, Cache: true})
-	s.view.NotePending(dst.v, obj.ID)
-	s.mu.Unlock()
+	task := simpleTask("direct")
+	task.Inputs = []core.FileSpec{{Object: obj, Cache: true}}
+	dispatchOn(t, m, dst, task)
+	drainMsgs(dst)
 
 	s.onFileAck(dst, proto.FileAck{ID: obj.ID, Ok: false, Err: "cache full"})
 

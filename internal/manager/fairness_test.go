@@ -27,11 +27,10 @@ func TestFairShareNoStarvation(t *testing.T) {
 		},
 	})
 	w := &workerState{
-		id:           "w0",
-		hello:        proto.Hello{WorkerID: "w0", Resources: core.Resources{Cores: 1}},
-		conn:         linkConn(256),
-		fetchSources: map[string]string{},
-		ackWaiters:   map[string]waiters{},
+		id:         "w0",
+		hello:      proto.Hello{WorkerID: "w0", Resources: core.Resources{Cores: 1}},
+		conn:       linkConn(256),
+		ackWaiters: map[string]waiters{},
 	}
 	if !m.adoptWorker(w) {
 		t.Fatal("adoptWorker failed")

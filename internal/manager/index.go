@@ -2,73 +2,40 @@ package manager
 
 import "repro/internal/core"
 
-// This file keeps each shard's policy.ClusterView current. The paper's
-// headline result (§4) needs the manager off the critical path while
-// invocations fan out; the view's derived indexes (the ready index,
-// Holders, PendingCopies, LibFull — internal/policy) make each decision
-// O(candidates), and each *event* is cheap: the scheduler's verbs
-// (shardplane.Sched) mark exactly the queues it could unblock, a burst
-// of events costs one coalesced pass per shard, and per-worker
-// ackWaiters (object → dispatches on that worker still waiting for the
-// ack) stamp TransferTime without scanning the in-flight table.
-//
-// …Locked methods require s.mu. The randomized consistency test
-// (index_test.go) asserts the view's indexes always match a brute-force
-// recomputation from ground-truth state.
+// The manager's two global tables, each behind a mutex of its own that no
+// shard lock is ever taken under: the live-worker table (peers), through
+// which sends reach a worker in any shard — a peer stage's source, a ref
+// transfer's, a spill's or an adopt's — and the staging catalog. The
+// cluster state every decision reads, the holder index among it, is the
+// plane's (internal/shardplane).
 
-// ---- view wrappers ----
-//
-// The scheduler's cluster state lives in s.view (policy.ClusterView);
-// the wrappers below forward transitions and keep the global replica
-// registry in sync with the view's Holders index. Holder counts are
-// global across shards, so the wrappers publish deltas.
+// ---- live-worker table ----
 
-// Held publishes a replica the view has just noted (the plane's replica
-// rule, shardplane events.go) in the global registry, under its own lock
-// so ObjectHolders reads and cross-shard source picks never contend with
-// any shard's scheduler.
-func (s *shard) Held(worker, id string) {
-	m := s.m
-	m.obsMu.Lock()
-	hs := m.holders[id]
-	if hs == nil {
-		hs = map[string]bool{}
-		m.holders[id] = hs
-	}
-	hs[worker] = true
-	m.obsMu.Unlock()
-}
-
-// holderDrop retracts a worker's replica from the global registry.
-func (m *Manager) holderDrop(id, workerID string) {
-	m.obsMu.Lock()
-	if hs := m.holders[id]; hs != nil {
-		delete(hs, workerID)
-		if len(hs) == 0 {
-			delete(m.holders, id)
-		}
-	}
-	m.obsMu.Unlock()
-}
-
-// peerAdd registers a connected worker as live and a potential
-// cross-shard peer source, unless one of that ID already is.
+// peerAdd enters a connected worker in the live-worker table, unless one
+// of that ID already is.
 func (m *Manager) peerAdd(w *workerState) bool {
-	m.obsMu.Lock()
-	defer m.obsMu.Unlock()
+	m.peerMu.Lock()
+	defer m.peerMu.Unlock()
 	if m.peers[w.id] != nil {
 		return false
 	}
-	m.peers[w.id] = &peerSource{w: w}
+	m.peers[w.id] = w
 	return true
 }
 
-// peerDrop unregisters a dead worker. In-flight release attempts
-// against it become no-ops; its slots die with it.
+// peer is the live worker id, nil if none is.
+func (m *Manager) peer(id string) *workerState {
+	m.peerMu.RLock()
+	defer m.peerMu.RUnlock()
+	return m.peers[id]
+}
+
+// peerDrop takes a dead worker out of the table: sends through it find
+// none.
 func (m *Manager) peerDrop(workerID string) {
-	m.obsMu.Lock()
+	m.peerMu.Lock()
 	delete(m.peers, workerID)
-	m.obsMu.Unlock()
+	m.peerMu.Unlock()
 }
 
 // ---- global staging catalog ----
@@ -88,27 +55,4 @@ func (m *Manager) catalogGet(id string) (core.FileSpec, bool) {
 	fs, ok := m.catalog[id]
 	m.catMu.RUnlock()
 	return fs, ok
-}
-
-// ---- worker lifecycle ----
-
-// registerWorkerLocked adds a connected worker to the shard's worker
-// table and view (which puts it on the shard's placement ring).
-func (s *shard) registerWorkerLocked(w *workerState) {
-	s.workers[w.id] = w
-	w.v = s.view.AddWorker(w.id, w.hello.Cluster, w.hello.Resources)
-}
-
-// dropWorkerLocked removes a dead worker from the worker table and
-// every view index — its library instances, its replicas, its in-flight
-// copies — republishing observability counters, and returns the objects
-// whose copies to it were cleared.
-func (s *shard) dropWorkerLocked(w *workerState) (cleared []string) {
-	delete(s.workers, w.id)
-	dropped, cleared := s.view.RemoveWorker(w.v)
-	for _, id := range dropped {
-		s.m.holderDrop(id, w.id)
-	}
-	w.ackWaiters = nil
-	return cleared
 }

@@ -21,7 +21,7 @@ import (
 // brute-force recomputation from the ground-truth worker state. A
 // concurrent goroutine hammers the observability APIs (Stats,
 // ObjectHolders, LibraryDeployments) the whole time, so running under
-// -race also checks the obsMu split.
+// -race also checks the holder index's lock.
 func TestIndexConsistencyRandomized(t *testing.T) {
 	m := New(Options{PeerTransfers: true, EvictEmptyLibraries: true, Shards: 1})
 	s := m.shards[0]
@@ -59,11 +59,10 @@ func TestIndexConsistencyRandomized(t *testing.T) {
 	newWorker := func(i int) *workerState {
 		id := fmt.Sprintf("w%03d", i)
 		return &workerState{
-			id:           id,
-			hello:        proto.Hello{WorkerID: id, Resources: core.Resources{Cores: 2 * instance.Cores}},
-			conn:         linkConn(4096),
-			fetchSources: map[string]string{},
-			ackWaiters:   map[string]waiters{},
+			id:         id,
+			hello:      proto.Hello{WorkerID: id, Resources: core.Resources{Cores: 2 * instance.Cores}},
+			conn:       linkConn(4096),
+			ackWaiters: map[string]waiters{},
 		}
 	}
 	var live []*workerState
@@ -166,18 +165,9 @@ func TestIndexConsistencyRandomized(t *testing.T) {
 		if got := s.view.ReadyWorkers(); !reflect.DeepEqual(got, readyIDs) {
 			t.Fatalf("step %d (%s): ready index holds %v, want %v", step, op, got, readyIDs)
 		}
-		m.obsMu.RLock()
-		counts := make(map[string]int, len(m.holders))
-		for obj, hs := range m.holders {
-			counts[obj] = len(hs)
-		}
-		m.obsMu.RUnlock()
-		if len(counts) != len(wantHolders) {
-			t.Fatalf("step %d (%s): holder registry has %d objects, want %d", step, op, len(counts), len(wantHolders))
-		}
-		for obj, set := range wantHolders {
-			if counts[obj] != len(set) {
-				t.Fatalf("step %d (%s): holders[%s] = %d, want %d", step, op, obj, counts[obj], len(set))
+		for _, obj := range objs {
+			if n := m.ObjectHolders(&content.Object{ID: obj}); n != len(wantHolders[obj]) {
+				t.Fatalf("step %d (%s): ObjectHolders(%s) = %d, want %d", step, op, obj, n, len(wantHolders[obj]))
 			}
 		}
 	}

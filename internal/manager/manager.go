@@ -16,7 +16,7 @@
 // it: locks, sockets, timers, failure budgets, Stats.
 //
 // Within a shard, scheduling is incremental: every event records which
-// queues it could unblock (dirty marks, index.go) and the wake loop
+// queues it could unblock (dirty marks) and the wake loop
 // runs one coalesced pass over exactly those queues. A pass plans one
 // placement, executes it and plans the next, under one lock hold.
 package manager
@@ -178,17 +178,12 @@ type Manager struct {
 	nextID atomic.Int64
 	ctr    counters
 
-	// obsMu guards the global replica registry: which workers hold a
-	// confirmed copy of each object (holders), and the live-worker
-	// table with each worker's cross-shard outbound transfer count
-	// (peers). Shards maintain it with per-transition deltas; it backs
-	// both ObjectHolders and cross-shard peer sourcing — a shard whose
-	// own view has no holder of an object can still assign a peer
-	// fetch from a holder in another shard (transport-level, outside
-	// the policy trace).
-	obsMu   sync.RWMutex
-	holders map[string]map[string]bool
-	peers   map[string]*peerSource
+	// peerMu guards the live-worker table (index.go): the connection of
+	// every adopted worker, through which a send reaches a worker in any
+	// shard — a peer stage's source, a ref transfer's, a spill's, an
+	// adopt's.
+	peerMu sync.RWMutex
+	peers  map[string]*workerState
 
 	// catMu guards the global staging catalog: every FileSpec any
 	// shard has staged, so a failed peer fetch — or a deploy planned
@@ -214,16 +209,6 @@ type Manager struct {
 type library struct {
 	spec   *core.LibrarySpec
 	deploy policy.DeploySpec
-}
-
-// peerSource is a live worker's entry in the global replica registry:
-// the connection (for its data address and outbound queue) plus how many
-// cross-shard peer fetches it is currently serving. Local-shard
-// transfer slots are accounted in the shard's policy view; cross-shard
-// assignments use this counter, under the same cap.
-type peerSource struct {
-	w   *workerState
-	out int
 }
 
 // shard is one partition of the dispatch plane: a worker table, a
@@ -255,12 +240,10 @@ type shard struct {
 
 	// view is the cluster snapshot every scheduling decision reads: the
 	// shard's worker table, its placement ring, and the derived indexes
-	// (Holders, PendingCopies, the ready index, LibFull). The scheduler
-	// plans against it through internal/policy, records, and applies every
-	// resource, instance and slot change; index.go enters and drops
-	// workers; schedule.go executes. Peer-transfer sources are
-	// shard-local by construction: PickSource only sees this shard's
-	// holders.
+	// (PendingCopies, the ready index, LibFull, and Holders — the plane's
+	// one index, so a peer source may live in any shard). The scheduler
+	// plans against it through internal/policy, records, and makes every
+	// change in it; schedule.go executes.
 	view *policy.ClusterView
 }
 
@@ -329,13 +312,10 @@ type workerState struct {
 	// drops points at the manager's SendQueueDrops counter so a
 	// queue-overflow disconnect is counted, not silent.
 	drops *atomic.Int64
-	// v is this worker's entry in the policy view: resources, cached
-	// and in-flight files, transfer slots, liveness. index.go binds it
-	// at registration and every handler reports transitions through it.
+	// v is this worker's entry in the policy view — resources, cached
+	// and in-flight files, transfer slots, liveness — built by Join for
+	// the plane to enter and keep.
 	v *policy.WorkerView
-	// fetchSources maps object ID → source worker of an in-flight peer
-	// fetch, to release the source's transfer slot on ack.
-	fetchSources map[string]string
 	// ackWaiters maps object ID → dispatches on this worker whose
 	// TransferTime is waiting for that object's FileAck.
 	ackWaiters map[string]waiters
@@ -371,8 +351,7 @@ func New(opts Options) *Manager {
 	m := &Manager{
 		opts:    opts,
 		libs:    map[string]*library{},
-		holders: map[string]map[string]bool{},
-		peers:   map[string]*peerSource{},
+		peers:   map[string]*workerState{},
 		catalog: map[string]core.FileSpec{},
 		joined:  make(chan struct{}),
 		results: make(chan core.Result, resultBuffer),
@@ -666,7 +645,7 @@ func (w *workerState) enqueueBulk(t proto.MsgType, hdr any, payload []byte) {
 	w.nc.Close()
 }
 
-// adoptWorker enters a connected worker in the live-worker registry and
+// adoptWorker enters a connected worker in the live-worker table and
 // joins it to its home shard through the plane. It reports false, having
 // registered nothing, for a duplicate ID or a closed manager.
 func (m *Manager) adoptWorker(w *workerState) bool {
@@ -681,17 +660,17 @@ func (m *Manager) adoptWorker(w *workerState) bool {
 	return true
 }
 
-// Join registers the connected worker the live-worker registry holds
-// under worker, unless one of that ID is still registered here.
-func (s *shard) Join(worker string) bool {
+// Join registers the connected worker the live-worker table holds under
+// worker, unless one of that ID is still registered here, and names its
+// view for the plane to enter.
+func (s *shard) Join(worker string) *policy.WorkerView {
 	if _, dup := s.workers[worker]; dup {
-		return false
+		return nil
 	}
-	s.m.obsMu.RLock()
-	w := s.m.peers[worker].w
-	s.m.obsMu.RUnlock()
-	s.registerWorkerLocked(w)
-	return true
+	w := s.m.peer(worker)
+	w.v = &policy.WorkerView{ID: w.id, Cluster: w.hello.Cluster, Total: w.hello.Resources}
+	s.workers[w.id] = w
+	return w.v
 }
 
 func (m *Manager) serveWorker(nc net.Conn) {
@@ -719,13 +698,12 @@ func (m *Manager) serveWorker(nc net.Conn) {
 
 	conn.SetQueueLimit(sendQueueSize(hello.Resources.Cores))
 	w := &workerState{
-		id:           hello.WorkerID,
-		hello:        hello,
-		conn:         conn,
-		nc:           nc,
-		drops:        &m.ctr.SendQueueDrops,
-		fetchSources: map[string]string{},
-		ackWaiters:   map[string]waiters{},
+		id:         hello.WorkerID,
+		hello:      hello,
+		conn:       conn,
+		nc:         nc,
+		drops:      &m.ctr.SendQueueDrops,
+		ackWaiters: map[string]waiters{},
 	}
 
 	if !m.adoptWorker(w) {
@@ -814,20 +792,6 @@ func (m *Manager) handleWorkerFrame(s *shard, w *workerState, t proto.MsgType, r
 	return fmt.Errorf("unexpected message type")
 }
 
-// releaseSourceSlotLocked returns a peer-fetch source's transfer
-// slot: a live local source's slot lives in the shard view; anything
-// else — a holder in another shard — is accounted in the global
-// registry (a no-op if that holder died).
-func (s *shard) releaseSourceSlotLocked(src string) {
-	if sw, live := s.workers[src]; live {
-		if sw.v.TransfersOut > 0 {
-			sw.v.TransfersOut--
-		}
-		return
-	}
-	s.m.releaseRemoteSource(src)
-}
-
 // onWorkerGone tears a dead worker down through the plane and fails what
 // it held past its retry budget. Crash requeues stay in the shard; if it
 // just lost its last worker, its wake loop evacuates the queues to live
@@ -841,19 +805,11 @@ func (m *Manager) onWorkerGone(w *workerState) {
 	}
 }
 
-// Leave drops a dead worker from the shard. It may have been the
-// destination of in-flight peer fetches: each source gets its transfer
-// slot back, or the sources bleed dry one crash at a time until
-// PickSource excludes them for good and the spanning tree degrades to
-// manager-only sends. Then the worker leaves every index (replicas, ready
-// instances, in-flight copies).
-func (s *shard) Leave(worker string) []string {
-	w := s.workers[worker]
-	for id, src := range w.fetchSources { //vinelint:unordered slot releases commute; each entry touches a distinct record
-		delete(w.fetchSources, id)
-		s.releaseSourceSlotLocked(src)
-	}
-	return s.dropWorkerLocked(w)
+// Leave drops a dead worker from the shard's worker table, and the
+// dispatches on it that waited for acks.
+func (s *shard) Leave(worker string) {
+	s.workers[worker].ackWaiters = nil
+	delete(s.workers, worker)
 }
 
 func (s *shard) onFileAck(w *workerState, ack proto.FileAck) { s.m.shardPlane.FileAck(w.id, ack) }
@@ -862,33 +818,20 @@ func (s *shard) onFileAck(w *workerState, ack proto.FileAck) { s.m.shardPlane.Fi
 // data plane tried — the assigned one and the alternates it retried on
 // its own (§4.3) — over the manager's own link, which is always a valid
 // source, rather than leaving every dispatch behind it to die on "input
-// not staged". A failed direct send is not retried.
+// not staged".
 func (s *shard) Restage(worker string, ack proto.FileAck) bool {
-	w := s.workers[worker]
-	if _, fromPeer := w.fetchSources[ack.ID]; !fromPeer && ack.Source == "" {
-		return false
-	}
 	fs, known := s.m.catalogGet(ack.ID)
 	if known {
-		s.directSendLocked(w, fs)
+		s.directSendLocked(s.workers[worker], fs)
 	}
 	return known
 }
 
-// Acked settles a copy's ack: the source of a peer fetch gets its
-// transfer slot back — the worker echoes the assigned source
-// (proto.FetchFile.Source), so a fetch the manager no longer tracks, its
-// record displaced by recovery, still returns it — and every dispatch
-// that waited for the copy is stamped: TransferTime is dispatch→last ack.
-// A restaged copy's dispatches wait on, for the replacement's own ack.
+// Acked settles a copy's ack: every dispatch that waited for the copy is
+// stamped — TransferTime is dispatch→last ack. A restaged copy's
+// dispatches wait on, for the replacement's own ack.
 func (s *shard) Acked(worker string, ack proto.FileAck, restaged bool) {
 	w := s.workers[worker]
-	if src, fromPeer := w.fetchSources[ack.ID]; fromPeer {
-		delete(w.fetchSources, ack.ID)
-		s.releaseSourceSlotLocked(src)
-	} else if ack.Source != "" {
-		s.releaseSourceSlotLocked(ack.Source)
-	}
 	if restaged {
 		s.m.ctr.Restaged.Add(1)
 		return
@@ -1066,47 +1009,14 @@ func (m *Manager) spill(res core.Result) {
 }
 
 // CheckQuiescence verifies the manager's recovery invariants at rest:
-// no pending entry has outlived its transfer, every transfer slot has
-// been returned, and no work is queued, in flight, or waiting out a
-// retry backoff — in any shard. Chaos tests call this after collecting
-// all results; a non-nil error means bookkeeping leaked somewhere
-// along a failure path.
+// no copy is still in flight, every transfer slot has been returned, and
+// no work is queued, in flight, or waiting out a retry backoff — in any
+// shard (shardplane.Plane.Quiescent). Chaos tests call this after
+// collecting all results; a non-nil error means bookkeeping leaked
+// somewhere along a failure path.
 func (m *Manager) CheckQuiescence() error {
 	if err := m.shardPlane.Quiescent(); err != nil {
 		return fmt.Errorf("manager: %w", err)
-	}
-	for _, s := range m.shards {
-		if err := s.checkQuiescence(); err != nil {
-			return err
-		}
-	}
-	m.obsMu.RLock()
-	defer m.obsMu.RUnlock()
-	for _, id := range core.SortedKeys(m.peers) {
-		if n := m.peers[id].out; n != 0 {
-			return fmt.Errorf("manager: worker %s still holds %d cross-shard transfer slots", id, n)
-		}
-	}
-	return nil
-}
-
-func (s *shard) checkQuiescence() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, id := range core.SortedKeys(s.workers) {
-		w := s.workers[id]
-		if w.v.TransfersOut != 0 {
-			return fmt.Errorf("manager: worker %s still holds %d outbound transfer slots", w.id, w.v.TransfersOut)
-		}
-		if len(w.v.Pending) != 0 {
-			return fmt.Errorf("manager: worker %s has %d unacked staged files", w.id, len(w.v.Pending))
-		}
-		if len(w.fetchSources) != 0 {
-			return fmt.Errorf("manager: worker %s has %d dangling fetch-source records", w.id, len(w.fetchSources))
-		}
-	}
-	if n := len(s.view.PendingCopies); n != 0 {
-		return fmt.Errorf("manager: shard %d has %d objects still counted as in-flight copies", s.idx, n)
 	}
 	return nil
 }

@@ -306,11 +306,10 @@ func TestWaitForWorkersWakesOnJoin(t *testing.T) {
 		}
 		id := fmt.Sprintf("w%02d", i)
 		w := &workerState{
-			id:           id,
-			hello:        proto.Hello{WorkerID: id, Resources: core.Resources{Cores: 1}},
-			conn:         linkConn(16),
-			fetchSources: map[string]string{},
-			ackWaiters:   map[string]waiters{},
+			id:         id,
+			hello:      proto.Hello{WorkerID: id, Resources: core.Resources{Cores: 1}},
+			conn:       linkConn(16),
+			ackWaiters: map[string]waiters{},
 		}
 		if !h.m.adoptWorker(w) {
 			t.Fatalf("adoptWorker(%s) refused", id)

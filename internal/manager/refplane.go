@@ -10,13 +10,13 @@ import (
 // (pass-by-reference). The catalog and its decision stream belong to
 // shardplane.Plane, shared with the simulator's Replay; what is left
 // here is the transport — the spill, adopt and fetch-source messages its
-// decisions call for, sent through the global live-worker registry
-// (obsMu → enqueue, never a shard lock) after the catalog's lock is
-// released — and the Stats counters.
+// decisions call for, sent through the live-worker table (peerMu →
+// enqueue, never a shard lock) after the catalog's lock is released — and
+// the Stats counters.
 
 // execSpills tells each spill victim to demote the object to the
 // shared tier. Victims may live in any shard, so the sends go through
-// the global live-worker registry — enqueue only, no shard locks. The
+// the live-worker table — enqueue only, no shard locks. The
 // catalog was re-tiered at decision time; a victim that died in the
 // window simply never materializes the shared copy, and a later
 // resolve walks the surviving replicas instead.
@@ -25,13 +25,13 @@ func (m *Manager) execSpills(spills []policy.RefSpill) {
 		return
 	}
 	m.ctr.RefSpills.Add(int64(len(spills)))
-	m.obsMu.RLock()
+	m.peerMu.RLock()
 	for _, sp := range spills {
-		if ps := m.peers[sp.Worker]; ps != nil {
-			ps.w.enqueue(proto.MsgSpillObject, proto.SpillObject{ID: sp.ID})
+		if p := m.peers[sp.Worker]; p != nil {
+			p.enqueue(proto.MsgSpillObject, proto.SpillObject{ID: sp.ID})
 		}
 	}
-	m.obsMu.RUnlock()
+	m.peerMu.RUnlock()
 }
 
 // Refs carries out what the ref stream decided at an owner's death or a
@@ -42,7 +42,7 @@ func (m *Manager) execSpills(spills []policy.RefSpill) {
 func (s *shard) Refs(rhs []policy.Rehome, spills []policy.RefSpill) {
 	m := s.m
 	m.ctr.RefRehomes.Add(int64(len(rhs)))
-	m.obsMu.RLock()
+	m.peerMu.RLock()
 	for _, rh := range rhs {
 		if rh.Lost {
 			m.ctr.RefLost.Add(1)
@@ -51,30 +51,30 @@ func (s *shard) Refs(rhs []policy.Rehome, spills []policy.RefSpill) {
 		if rh.Owner == "" {
 			continue // fell back to the durable shared-tier copy
 		}
-		if ps := m.peers[rh.Owner]; ps != nil {
-			ps.w.enqueue(proto.MsgOwnObject, proto.OwnObject{ID: rh.ID})
+		if p := m.peers[rh.Owner]; p != nil {
+			p.enqueue(proto.MsgOwnObject, proto.OwnObject{ID: rh.ID})
 		}
 		spills = append(spills, rh.Spills...)
 	}
-	m.obsMu.RUnlock()
+	m.peerMu.RUnlock()
 	m.execSpills(spills)
 }
 
-// refSourceAddrs maps resolve-picked worker IDs to data-server
-// addresses through the global live-worker registry — the source may
-// live in any shard. A dead source comes back as "" and the caller
-// falls through to recovery.
-func (m *Manager) refSourceAddrs(src string, alts []string) (string, []string) {
-	m.obsMu.RLock()
-	defer m.obsMu.RUnlock()
+// sourceAddrs maps the worker IDs of a fetch's source and alternates —
+// a resolve's or a peer stage's — to data-server addresses through the
+// live-worker table: they may live in any shard. A dead source comes back
+// as "".
+func (m *Manager) sourceAddrs(src string, alts []string) (string, []string) {
+	m.peerMu.RLock()
+	defer m.peerMu.RUnlock()
 	var addr string
-	if ps := m.peers[src]; ps != nil {
-		addr = ps.w.hello.DataAddr
+	if p := m.peers[src]; p != nil {
+		addr = p.hello.DataAddr
 	}
 	var altAddrs []string
 	for _, id := range alts {
-		if ps := m.peers[id]; ps != nil {
-			altAddrs = append(altAddrs, ps.w.hello.DataAddr)
+		if p := m.peers[id]; p != nil {
+			altAddrs = append(altAddrs, p.hello.DataAddr)
 		}
 	}
 	return addr, altAddrs

@@ -15,84 +15,33 @@ import (
 // and deploy against the shard's ClusterView through the pure policy core
 // (internal/policy), record it, and hand it here — Stage, Resolve, Place,
 // PlaceInv and Deploy, with the shard lock held, once the plane has
-// applied them to the view's resources, instances and slots. This file
-// only *executes* decisions: it sends messages and notes the copies and
-// transfer slots they put in flight. The events' engine work (Join,
-// Leave, Installed, Restage, Acked, Held, Done, Refs) is in manager.go,
-// refplane.go and index.go.
+// applied them to the view: the copies in flight with their sources'
+// transfer slots, the resources, instances and slots. This file only
+// *executes* decisions: it sends messages and counts them. The events'
+// engine work (Join, Leave, Installed, Restage, Acked, Done, Refs) is in
+// manager.go and refplane.go.
 
 // ---- staging execution ----
 
-// altSourcesLocked collects up to two alternate holders' data
-// addresses for a peer fetch, so the worker's data plane can retry a
-// failed transfer against another source before surfacing the failure
-// to the manager (which would re-stage from its own link). Candidates
-// are this shard's confirmed holders minus the assigned source and the
-// destination, in sorted-ID order for determinism.
-func (s *shard) altSourcesLocked(objID, src, dst string) []string {
-	holders := s.view.Holders[objID]
-	if len(holders) <= 1 {
-		return nil
-	}
-	var alts []string
-	for _, id := range core.SortedKeys(holders) {
-		if id == src || id == dst {
-			continue
-		}
-		if hw, live := s.workers[id]; live {
-			alts = append(alts, hw.hello.DataAddr)
-			if len(alts) == 2 {
-				break
-			}
-		}
-	}
-	return alts
-}
-
 // Stage carries out one staging decision on its destination: a peer
-// fetch from the chosen source or a direct bulk send from the manager.
+// fetch from the chosen source, which may live in any shard, or a direct
+// bulk send from the manager. A fetch from a source that died since the
+// plan fails on the worker, and Restage re-sends it over the manager's
+// own link.
 func (s *shard) Stage(sf policy.StageFile) {
-	w := s.workers[sf.Dst.ID]
-	if sf.Mode == policy.StagePeer {
-		src := s.workers[sf.Src.ID]
-		src.v.TransfersOut++
-		s.peerFetchLocked(w, src, sf, s.altSourcesLocked(sf.Spec.Object.ID, src.id, w.id))
+	w, obj := s.workers[sf.Dst.ID], sf.Spec.Object
+	if sf.Mode != policy.StagePeer {
+		s.directSendLocked(w, sf.Spec)
 		return
 	}
-	// Cross-shard peer sourcing: the policy core planned a manager send
-	// because this shard's view holds no replica — but another shard's
-	// worker may. Then the transport upgrades to a peer fetch from that
-	// holder, and the trace keeps the planned StageDirect: which link
-	// carries the bytes across shards is a transport concern, invisible
-	// to the pure per-shard policy and to the simulator's replay.
-	var src *workerState
-	var alts []string
-	if s.m.opts.PeerTransfers && sf.Spec.PeerTransfer {
-		src, alts = s.m.acquireRemoteSource(sf.Spec.Object.ID, s.idx, w.id)
-	}
-	if src != nil {
-		s.peerFetchLocked(w, src, sf, alts)
-	} else {
-		s.directSendLocked(w, sf.Spec)
-	}
-}
-
-// peerFetchLocked tells w to fetch the staged object from src's data
-// server (alts: addresses its data plane may retry on its own),
-// recording src as the fetch's source so the ack returns its transfer
-// slot — which the caller reserved, in the shard view for a local
-// source or in the global registry for one in another shard.
-func (s *shard) peerFetchLocked(w, src *workerState, sf policy.StageFile, alts []string) {
-	obj := sf.Spec.Object
 	s.m.catalogAdd(sf.Spec)
-	s.view.NotePending(w.v, obj.ID)
-	w.fetchSources[obj.ID] = src.id
+	from, alts := s.m.sourceAddrs(sf.Src.ID, s.m.shardPlane.Alternates(obj.ID, sf.Src.ID, w.id))
 	w.enqueue(proto.MsgFetchFile, proto.FetchFile{
 		ID:       obj.ID,
 		Name:     obj.Name,
-		FromAddr: src.hello.DataAddr,
+		FromAddr: from,
 		AltAddrs: alts,
-		Source:   src.id,
+		Source:   sf.Src.ID,
 		Cache:    sf.Spec.Cache,
 		Unpack:   sf.Spec.Unpack,
 	})
@@ -104,10 +53,8 @@ func (s *shard) peerFetchLocked(w, src *workerState, sf policy.StageFile, alts [
 // recovery resolve after a failed fetch: the spills a
 // promote cascaded first, then the copy. It reports whether a transfer
 // was issued, whose own ack settles whatever waits on the copy. Ref
-// transfers consume no view-tracked transfer slots and register no
-// fetch-source record — they are bounded by the workers' data-plane
-// serve concurrency, not the spanning-tree cap — so the FileAck plumbing
-// sees them as direct sends that happen to arrive from a peer.
+// transfers hold no transfer slot — they are bounded by the workers'
+// data-plane serve concurrency, not the spanning-tree cap.
 func (s *shard) Resolve(worker, id, name string, d policy.ResolveDecision) bool {
 	m, w := s.m, s.workers[worker]
 	if d.Promote {
@@ -125,7 +72,7 @@ func (s *shard) Resolve(worker, id, name string, d policy.ResolveDecision) bool 
 		// spec's retry budget — the documented owner-death semantics.
 		return false
 	case policy.ResolvePeer:
-		fetch.FromAddr, fetch.AltAddrs = m.refSourceAddrs(d.Src, d.Alts)
+		fetch.FromAddr, fetch.AltAddrs = m.sourceAddrs(d.Src, d.Alts)
 		if fetch.FromAddr != "" {
 			m.ctr.RefTransfers.Add(1)
 			break
@@ -143,58 +90,8 @@ func (s *shard) Resolve(worker, id, name string, d policy.ResolveDecision) bool 
 	case policy.ResolveShared:
 		fetch.Shared, fetch.Own = true, d.Promote
 	}
-	s.view.NotePending(w.v, id)
 	w.enqueue(proto.MsgFetchFile, fetch)
 	return true
-}
-
-// acquireRemoteSource picks a live holder of the object outside shard
-// idx with a free cross-shard transfer slot, reserving the slot, and
-// collects up to two other holders' data addresses as worker-side
-// retry alternates. Holders are scanned in sorted-ID order for
-// determinism. Cross-shard slots are accounted in the global registry
-// (peerSource.out), separate from the per-shard policy views — the
-// same cap applies to each domain independently.
-func (m *Manager) acquireRemoteSource(objID string, idx int, dstID string) (*workerState, []string) {
-	m.obsMu.Lock()
-	defer m.obsMu.Unlock()
-	hs := m.holders[objID]
-	if len(hs) == 0 {
-		return nil, nil
-	}
-	var src *workerState
-	var alts []string
-	for _, id := range core.SortedKeys(hs) {
-		if id == dstID {
-			continue
-		}
-		p := m.peers[id]
-		if p == nil {
-			continue
-		}
-		if src == nil && m.shardPlane.ShardOf(id) != idx && p.out < m.opts.PeerTransferCap {
-			p.out++
-			src = p.w
-			continue
-		}
-		if len(alts) < 2 {
-			alts = append(alts, p.w.hello.DataAddr)
-		}
-	}
-	if src == nil {
-		return nil, nil
-	}
-	return src, alts
-}
-
-// releaseRemoteSource returns a cross-shard transfer slot. A no-op if
-// the source died in the meantime — its slots died with it.
-func (m *Manager) releaseRemoteSource(workerID string) {
-	m.obsMu.Lock()
-	if p := m.peers[workerID]; p != nil && p.out > 0 {
-		p.out--
-	}
-	m.obsMu.Unlock()
 }
 
 // directSendLocked stages an object from the manager's own link as a
@@ -202,7 +99,6 @@ func (m *Manager) releaseRemoteSource(workerID string) {
 func (s *shard) directSendLocked(w *workerState, fs core.FileSpec) {
 	obj := fs.Object
 	s.m.catalogAdd(fs)
-	s.view.NotePending(w.v, obj.ID)
 	w.enqueueBulk(proto.MsgPutFileBulk, proto.PutFileHdr{
 		File:   proto.HdrOf(obj),
 		Cache:  fs.Cache,
@@ -308,10 +204,8 @@ func (s *shard) Deploy(lib string, d policy.DeployLibrary) {
 }
 
 // ObjectHolders returns how many workers hold the object — visibility
-// for distribution tests. It reads the global replica registry and
-// never touches any shard's scheduler lock.
+// for distribution tests. It reads the plane's holder index and never
+// touches any shard's scheduler lock.
 func (m *Manager) ObjectHolders(obj *content.Object) int {
-	m.obsMu.RLock()
-	defer m.obsMu.RUnlock()
-	return len(m.holders[obj.ID])
+	return m.shardPlane.Holders(obj.ID)
 }

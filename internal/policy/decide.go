@@ -74,28 +74,24 @@ type StageFile struct {
 }
 
 // PickSource selects a peer source for one object headed to dst, or
-// nil when the manager must send it. Candidates are live replica
-// holders under the per-source transfer cap N; with cluster awareness
-// the same cluster is preferred and a cross-cluster peer is used only
-// when the manager's own link is saturated (Figure 3c — otherwise the
-// manager, equidistant from all clusters, sends the copy itself).
-// Ties break on minimum worker ID so both engines choose identically.
+// nil when the manager must send it. Candidates are the view's live
+// replica holders under the per-source transfer cap N; with cluster
+// awareness the same cluster is preferred and a cross-cluster peer is
+// used only when the manager's own link is saturated (Figure 3c —
+// otherwise the manager, equidistant from all clusters, sends the copy
+// itself). Ties break on minimum worker ID so both engines choose
+// identically.
 func (v *ClusterView) PickSource(dst *WorkerView, obj string) *WorkerView {
 	var same, cross *WorkerView
-	for _, src := range v.Holders[obj] { //vinelint:unordered min-ID fold is order-independent by construction
-		if src == dst || !src.Alive || src.TransfersOut >= v.Opts.PeerTransferCap {
-			continue
+	v.eachSource(dst, obj, func(src *WorkerView) {
+		switch {
+		case src.view != v:
+		case !v.Opts.ClusterAware || src.Cluster == dst.Cluster:
+			same = minID(same, src)
+		default:
+			cross = minID(cross, src)
 		}
-		if !v.Opts.ClusterAware || src.Cluster == dst.Cluster {
-			if same == nil || src.ID < same.ID {
-				same = src
-			}
-			continue
-		}
-		if cross == nil || src.ID < cross.ID {
-			cross = src
-		}
-	}
+	})
 	if same != nil {
 		return same
 	}
@@ -103,6 +99,37 @@ func (v *ClusterView) PickSource(dst *WorkerView, obj string) *WorkerView {
 		return cross
 	}
 	return nil
+}
+
+// elsewhere is the source of a copy to dst when the view has neither a
+// source nor a copy on its way: a holder in another view — another
+// shard's, where the views share one Holders index — under the cap, the
+// minimum ID, cluster aside.
+func (v *ClusterView) elsewhere(dst *WorkerView, obj string) (src *WorkerView) {
+	v.eachSource(dst, obj, func(h *WorkerView) {
+		if h.view != v {
+			src = minID(src, h)
+		}
+	})
+	return src
+}
+
+// eachSource calls f on every holder of obj that could serve dst now:
+// live, not dst, under the per-source cap N.
+func (v *ClusterView) eachSource(dst *WorkerView, obj string, f func(*WorkerView)) {
+	for _, h := range v.Holders[obj] { //vinelint:unordered every caller folds a minimum ID, which no order changes
+		if h != dst && h.Alive && h.TransfersOut < v.Opts.PeerTransferCap {
+			f(h)
+		}
+	}
+}
+
+// minID is the one of best and w with the lower ID, w if best is nil.
+func minID(best, w *WorkerView) *WorkerView {
+	if best == nil || w.ID < best.ID {
+		return w
+	}
+	return best
 }
 
 // PlanStage decides how one input reaches dst. committed is the set of
@@ -130,6 +157,11 @@ func (v *ClusterView) PlanStage(dst *WorkerView, fs core.FileSpec, committed map
 		// pushing a redundant copy from the manager (§3.3).
 		if v.PendingCopies[id] > 0 {
 			return StageFile{Dst: dst, Object: id, Mode: StageWait, Spec: fs}
+		}
+		// Nothing here will serve: another shard's holder does, before the
+		// manager's own link.
+		if src := v.elsewhere(dst, id); src != nil {
+			return StageFile{Dst: dst, Object: id, Mode: StagePeer, Src: src, Spec: fs}
 		}
 	}
 	if v.Opts.ManagerSourceCap > 0 && v.ManagerSends >= v.Opts.ManagerSourceCap {

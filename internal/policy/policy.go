@@ -97,6 +97,11 @@ type WorkerView struct {
 	Files   map[string]bool
 	Pending map[string]bool
 	Libs    map[string]*LibraryView
+
+	// view is the view whose worker table holds this entry (set by
+	// index): in a Holders index several views share, a holder of
+	// another view is another shard's.
+	view *ClusterView
 }
 
 // Avail is the worker's uncommitted resources.
@@ -120,7 +125,8 @@ type ClusterView struct {
 	// placement and library deploys walk.
 	Ring *hashring.Ring
 	// Holders: object ID → workers with a confirmed cached replica
-	// (peer-transfer source candidates, §3.3).
+	// (peer-transfer source candidates, §3.3). The views of a plane's
+	// shards share one map; each worker's entry knows its own view.
 	Holders map[string]map[string]*WorkerView
 	// PendingCopies: object ID → copies in flight cluster-wide (the
 	// O(1) "first copy in flight, everyone else waits" check).
@@ -246,7 +252,7 @@ func (v *ClusterView) AddWorkers(ws []*WorkerView) {
 // index marks w alive and enters it in Workers and, by binary search,
 // in Sorted.
 func (v *ClusterView) index(w *WorkerView) {
-	w.Alive = true
+	w.Alive, w.view = true, v
 	v.Workers[w.ID] = w
 	i, _ := slices.BinarySearchFunc(v.Sorted, w.ID, func(x *WorkerView, id string) int { return cmp.Compare(x.ID, id) })
 	v.Sorted = slices.Insert(v.Sorted, i, w)

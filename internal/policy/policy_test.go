@@ -117,6 +117,41 @@ func TestPickSourceClusterRule(t *testing.T) {
 	}
 }
 
+// TestPlanStageTakesAnotherViewsHolderLast: views that share one Holders
+// index (a plane's shards) source a copy from their own holders first,
+// then wait on a copy of their own on its way, and only then take
+// another view's holder under the cap, before the manager's link.
+func TestPlanStageTakesAnotherViewsHolderLast(t *testing.T) {
+	opts := Options{PeerTransfers: true, PeerTransferCap: 1}
+	here, there := NewClusterView(opts), NewClusterView(opts)
+	there.Holders = here.Holders
+	res := core.Resources{Cores: 8}
+	dst, mate := here.AddWorker("w-d", "", res), here.AddWorker("w-e", "", res)
+	far := there.AddWorker("w-a", "", res)
+	there.NoteReplica(far, "obj")
+	fs := fileSpec("obj", 1<<20)
+
+	if sf := here.PlanStage(dst, fs, nil); sf.Mode != StagePeer || sf.Src != far {
+		t.Fatalf("with only another view's holder: %v from %v, want peer from w-a", sf.Mode, sf.Src)
+	}
+	if src := here.PickSource(dst, "obj"); src != nil {
+		t.Fatalf("PickSource = %v, another view's holder", src)
+	}
+	here.NotePending(mate, "obj")
+	if sf := here.PlanStage(dst, fs, nil); sf.Mode != StageWait {
+		t.Fatalf("with a copy on its way here: %v, want wait", sf.Mode)
+	}
+	here.ClearPending(mate, "obj")
+	here.NoteReplica(mate, "obj")
+	if sf := here.PlanStage(dst, fs, nil); sf.Mode != StagePeer || sf.Src != mate {
+		t.Fatalf("with a holder here: %v from %v, want peer from w-e", sf.Mode, sf.Src)
+	}
+	mate.TransfersOut, far.TransfersOut = 1, 1
+	if sf := here.PlanStage(dst, fs, nil); sf.Mode != StageDirect {
+		t.Fatalf("with every holder at its cap: %v, want direct", sf.Mode)
+	}
+}
+
 func TestPlanStageFirstCopySuppression(t *testing.T) {
 	v, ws := newView(t, Options{PeerTransfers: true}, 3)
 	fs := fileSpec("obj", 1<<20)
@@ -250,7 +285,12 @@ func TestAddWorkersEqualsJoinByJoin(t *testing.T) {
 	}
 	for i := range one.Sorted {
 		a, b := one.Sorted[i], batch.Sorted[i]
-		if !reflect.DeepEqual(a, b) || batch.Workers[b.ID] != b {
+		if a.view != one || b.view != batch {
+			t.Fatalf("Sorted[%d] is not bound to its own view", i)
+		}
+		ac, bc := *a, *b
+		ac.view, bc.view = nil, nil
+		if !reflect.DeepEqual(ac, bc) || batch.Workers[b.ID] != b {
 			t.Fatalf("Sorted[%d]: %+v join by join, %+v in a batch", i, a, b)
 		}
 		if i > 0 && a.ID <= one.Sorted[i-1].ID {

@@ -288,11 +288,16 @@ func pickHolder(ref *RefInfo, exclude string) string {
 	return best
 }
 
-// altHolders returns up to two alternate holders in ascending ID order
-// (mirroring the manager's altSourcesLocked), excluding src and dst.
-func altHolders(ref *RefInfo, src, dst string) []string {
+// Alternates returns up to two holders other than src, itself a holder,
+// and dst, in ascending ID order: the sources a fetch's data plane may
+// retry on its own, for a ref (its catalog's holders) and for a staged
+// copy (the view's holder index) alike.
+func Alternates[V any](holders map[string]V, src, dst string) []string {
+	if len(holders) <= 1 {
+		return nil
+	}
 	var alts []string
-	for _, w := range core.SortedKeys(ref.Holders) {
+	for _, w := range core.SortedKeys(holders) {
 		if w == src || w == dst {
 			continue
 		}
@@ -320,7 +325,7 @@ func (t *RefTable) PlanResolve(dst, id string, catalog bool, rec *Recorder) Reso
 	default:
 		d.Size = ref.Size
 		if src := pickHolder(ref, dst); src != "" {
-			d.Mode, d.Src, d.Alts = ResolvePeer, src, altHolders(ref, src, dst)
+			d.Mode, d.Src, d.Alts = ResolvePeer, src, Alternates(ref.Holders, src, dst)
 		} else if ref.Spilled {
 			// Promote on re-use: the consumer becomes the ref's cache-tier
 			// owner (the shared copy stays as a fallback), charged against

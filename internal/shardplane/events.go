@@ -11,11 +11,11 @@ import (
 // The plane's event methods (DESIGN.md §12): one per engine event — a
 // worker's join and death, a result, a file ack, a library ack — each the
 // one way its event enters, running its whole fixed order: the router
-// change, the ref stream, under the shard lock the verb — which applies
-// the event to the view's capacity — the replica notes and the shell's
-// hooks, the quota release, then with no lock held the wakes and the
-// nudge. The engine keeps its clock: a retry's backoff
-// is its Shell's Done to arrange.
+// change, the ref stream, under the shard lock the view change — the
+// worker in or out, the copy settled, the replicas noted, the capacity
+// freed by the verb — and the shell's hooks, the quota release, then
+// with no lock held the wakes and the nudge. The engine keeps its clock:
+// a retry's backoff is its Shell's Done to arrange.
 
 // home is worker's shard: the one its join resolved, or ShardOf's hash
 // of the ID for a worker that has none — the same shard either way.
@@ -41,27 +41,23 @@ func (p *Plane[T, I]) setHome(worker string, s *Sched[T, I]) {
 	p.homes.Store(&homes)
 }
 
-// note records a confirmed replica of obj on worker, and has the shell
-// follow a new one.
-func (s *Sched[T, I]) note(worker string, wv *policy.WorkerView, obj string) {
-	if s.view.NoteReplica(wv, obj) {
-		s.shell.Held(worker, obj)
-	}
-}
-
 // Join is worker's arrival, false if the plane is closed or the shell
-// refuses it: its shard takes it into the view and marks every queue, the
-// router learns it, and the shard runs, then the workerless shards —
-// whose parked specs can now leave — and the starving ones.
+// refuses it: its shard enters the view the shell names and marks every
+// queue, the router learns it, and the shard runs, then the workerless
+// shards — whose parked specs can now leave — and the starving ones.
 func (p *Plane[T, I]) Join(worker string) bool {
 	s := p.home(worker)
 	s.mu.Lock()
-	ok := !p.Closed() && s.shell.Join(worker)
-	if ok {
+	var wv *policy.WorkerView
+	if !p.Closed() {
+		wv = s.shell.Join(worker)
+	}
+	if wv != nil {
+		s.view.AddWorkers([]*policy.WorkerView{wv})
 		s.Joined()
 	}
 	s.mu.Unlock()
-	if !ok {
+	if wv == nil {
 		return false
 	}
 	p.setHome(worker, s)
@@ -74,16 +70,18 @@ func (p *Plane[T, I]) Join(worker string) bool {
 
 // Leave is worker's death. The router forgets it first — forward targets
 // and ring ownership move — then every ref it owned re-homes (trace-silent
-// when it owned none), then its shard takes it out of the view and
-// requeues what ran there within the retry budget; what is past it returns
-// its quota and is handed back, lost, for the engine to fail. Then the
-// shard runs and starving shards get another chance.
+// when it owned none), then the shell drops its records, its shard takes
+// it out of the view — the sources of its copies in flight get their
+// slots back — and requeues what ran there within the retry budget; what
+// is past it returns its quota and is handed back, lost, for the engine
+// to fail. Then the shard runs and starving shards get another chance.
 func (p *Plane[T, I]) Leave(worker string) (requeued int, lost []Run[T, I]) {
 	p.Remove(worker)
 	s := p.home(worker)
 	s.mu.Lock()
 	s.shell.Refs(p.RefOwnerDied(worker), nil)
-	requeued, lost = s.Died(worker, s.shell.Leave(worker))
+	s.shell.Leave(worker)
+	requeued, lost = s.Died(worker, s.remove(worker))
 	for i := range lost {
 		p.Release(lost[i].Tenant())
 	}
@@ -117,7 +115,7 @@ func (p *Plane[T, I]) Result(worker string, res core.Result) bool {
 		wv := s.view.Workers[worker]
 		for _, in := range r.Task.Spec.Inputs() {
 			if in.Cache && (res.Ok || !res.Retryable) {
-				s.note(worker, wv, in.Object.ID)
+				s.note(wv, in.Object.ID)
 			}
 		}
 	}
@@ -132,33 +130,43 @@ func (p *Plane[T, I]) Result(worker string, res core.Result) bool {
 }
 
 // FileAck is worker's ack of its copy of ack.ID. The copy is no longer in
-// flight; a cached one is a replica, in the view and in the ref catalog.
-// A failed one is recovered: a ref's by the catalog's restage, planned
-// here and executed by the shell, any other over the engine's own link if
-// it can. The shell settles the ack, and what waited on the object's
-// first copy looks again. A file ack frees no invocation capacity, so no
-// nudge.
+// flight and its source has its slot back; a cached one is a replica, in
+// the view and in the ref catalog. A failed one is recovered: a ref's by
+// the catalog's restage, planned here and executed by the shell, a peer
+// fetch's over the engine's own link if it can. The shell settles the
+// ack, and what waited on the object's first copy looks again. A file ack
+// frees no invocation capacity, so no nudge.
 func (p *Plane[T, I]) FileAck(worker string, ack proto.FileAck) {
 	s := p.home(worker)
 	s.mu.Lock()
-	wv := s.view.Workers[worker]
+	s.fileAck(worker, ack)
+	s.mu.Unlock()
+	s.Wake()
+}
+
+// fileAck is FileAck's work under the shard lock.
+func (s *Sched[T, I]) fileAck(worker string, ack proto.FileAck) {
+	p, wv := s.p, s.view.Workers[worker]
 	s.view.ClearPending(wv, ack.ID)
+	p.copyMu.Lock()
+	peer := s.release(worker, ack)
+	p.copyMu.Unlock()
 	restaged := false
 	switch {
 	case ack.Ok && ack.Cache:
-		s.note(worker, wv, ack.ID)
+		s.note(wv, ack.ID)
 		p.RefHeld(worker, ack.ID)
 	case !ack.Ok:
 		if d, name, isRef := p.ResolveRef(worker, ack.ID, true); isRef {
-			restaged = s.shell.Resolve(worker, ack.ID, name, d)
-		} else {
-			restaged = s.shell.Restage(worker, ack)
+			restaged = s.resolve(wv, ack.ID, name, d)
+		} else if peer && s.shell.Restage(worker, ack) {
+			restaged = true
+			s.view.NotePending(wv, ack.ID)
+			s.source(worker, ack.ID, nil)
 		}
 	}
 	s.shell.Acked(worker, ack, restaged)
 	s.FileAcked(ack.ID)
-	s.mu.Unlock()
-	s.Wake()
 }
 
 // LibAck is worker's ack of its install of ack.Library: if the view holds

@@ -113,12 +113,13 @@ func KeyNum(key string) int64 {
 }
 
 // Shell is what an engine supplies around one shard's Sched. It decides
-// and records nothing, and moves none of the view's capacity — the passes
-// and the verbs apply every commitment, instance and slot change
-// themselves. It carries out what a pass decided, and does an event's engine
-// work — joins and deaths in the view, copies in flight, transfer slots,
-// messages, counters — where the Plane's event method (events.go) calls
-// for it. Every method but Done is called with the shard lock held.
+// and records nothing, and writes nothing in the view — the passes, the
+// verbs and the event methods make every membership, replica, copy,
+// transfer slot, commitment, instance and slot change themselves. It
+// carries out what a pass decided, and does an event's engine work —
+// messages, counters, its own records — where the Plane's event method
+// (events.go) calls for it. Every method but Done is called with the
+// shard lock held.
 type Shell[T Spec, I Payload] interface {
 	// Library is lib's deploy spec, if the engine knows lib (else Reject
 	// fails its invocations); it must not allocate.
@@ -126,9 +127,9 @@ type Shell[T Spec, I Payload] interface {
 	// Reject reports that inv can never run, having failed it to its
 	// submitter.
 	Reject(inv Inv[I]) bool
-	// Stage executes a peer or direct staging decision; Resolve, the ref
-	// catalog's resolve of a copy of ref obj (file name) onto worker,
-	// reporting whether a transfer went out.
+	// Stage sends a peer or direct staging decision whose copy the view
+	// holds in flight; Resolve, the ref catalog's resolve of a copy of ref
+	// obj (file name) onto worker, reporting whether a transfer went out.
 	Stage(sf policy.StageFile)
 	Resolve(worker, obj, name string, d policy.ResolveDecision) (sent bool)
 	// Place and PlaceInv send a placement whose stages are out and whose
@@ -141,19 +142,19 @@ type Shell[T Spec, I Payload] interface {
 	// until LibAcked or Died.
 	Deploy(lib string, d policy.DeployLibrary)
 
-	// Join enters worker in the view, or refuses it; Leave takes it out,
-	// returning the objects whose copies to it were cleared.
-	Join(worker string) bool
-	Leave(worker string) (cleared []string)
+	// Join names what joins as worker — a fresh view carrying its ID,
+	// Cluster and Total, which the plane enters — or refuses it with nil;
+	// Leave drops the engine's own records of a worker the plane is taking
+	// out of the view.
+	Join(worker string) *policy.WorkerView
+	Leave(worker string)
 	// Installed does the engine's part of an ack of an instance the view
 	// holds, which LibAcked has settled.
 	Installed(worker string, ack proto.LibraryAck)
-	// Restage resends a failed copy, not a ref's, over the engine's own
-	// link if it can; Acked settles the ack after the recovery.
+	// Restage resends a failed peer fetch, not a ref's, over the engine's
+	// own link if it can; Acked settles the ack after the recovery.
 	Restage(worker string, ack proto.FileAck) bool
 	Acked(worker string, ack proto.FileAck, restaged bool)
-	// Held follows the view's note of a new replica of obj on worker.
-	Held(worker, obj string)
 	// Done is a result's engine work once the lock is released: the
 	// delivery — or, with retry > 0, the backoff whose end calls Retry.
 	Done(worker string, r Run[T, I], res core.Result, retry int)
@@ -168,8 +169,8 @@ func (NoLock) Lock()   {}
 func (NoLock) Unlock() {}
 
 // Plane is the dispatch plane's shared part: the router, one Sched per
-// shard, the hand-offs into them, and the two global decision streams
-// (streams.go): the tenant plane and the ref catalog.
+// shard, the hand-offs into them, the two global decision streams — the
+// tenant plane and the ref catalog — and the holder index (streams.go).
 type Plane[T Spec, I Payload] struct {
 	*Router
 	Shards []*Sched[T, I]
@@ -185,6 +186,11 @@ type Plane[T Spec, I Payload] struct {
 	refMu     sync.Mutex
 	refTab    *policy.RefTable
 	refRec    *policy.Recorder
+	// The holder index (streams.go): every shard view's Holders, the one
+	// map, and with it each worker's TransfersOut; copyMu is a leaf below
+	// the shard locks.
+	copyMu  sync.Mutex
+	holders map[string]map[string]*policy.WorkerView
 	// starving counts the starving shards, so Nudge costs one load when
 	// there are none.
 	starving atomic.Int32
@@ -228,7 +234,7 @@ type Config struct {
 // NewPlane builds a plane for Attach to fill.
 func NewPlane[T Spec, I Payload](cfg Config) *Plane[T, I] {
 	r := NewRouter(cfg.Shards)
-	p := &Plane[T, I]{Router: r, Shards: make([]*Sched[T, I], r.n), cfg: cfg}
+	p := &Plane[T, I]{Router: r, Shards: make([]*Sched[T, I], r.n), cfg: cfg, holders: map[string]map[string]*policy.WorkerView{}}
 	p.pool.New = func() any { return new(node[T, I]) }
 	p.homes.Store(&map[string]*Sched[T, I]{})
 	if len(cfg.Tenants) > 0 {
@@ -247,11 +253,12 @@ func (p *Plane[T, I]) recorder() *policy.Recorder {
 	return nil
 }
 
-// Attach builds shard i's scheduler over the engine's view of its
-// workers, its lock and its shell.
+// Attach builds shard i's scheduler over the engine's empty view of its
+// workers, which takes the plane's holder index, its lock and its shell.
 func (p *Plane[T, I]) Attach(i int, view *policy.ClusterView, mu sync.Locker, shell Shell[T, I]) *Sched[T, I] {
+	view.Holders = p.holders
 	s := &Sched[T, I]{p: p, idx: i, view: view, mu: mu, shell: shell, rec: p.recorder(), waiting: map[string]*waiter{},
-		hosts: map[string]*host[T, I]{}, backoff: map[int64]Run[T, I]{}}
+		hosts: map[string]*host[T, I]{}, backoff: map[int64]Run[T, I]{}, sources: map[copyKey]*policy.WorkerView{}}
 	p.Shards[i] = s
 	return s
 }
@@ -356,6 +363,11 @@ type Sched[T Spec, I Payload] struct {
 	hosts   map[string]*host[T, I]
 	running int
 	backoff map[int64]Run[T, I]
+	// sources holds, per copy in flight to a worker here that a stage or a
+	// restage sent, where its bytes come from: the peer whose transfer slot
+	// it holds, or nil for the engine's own link, one of the view's
+	// ManagerSends (streams.go).
+	sources map[copyKey]*policy.WorkerView
 
 	// passes counts the looks that ran a pass; ran and absorbed, the
 	// Wakes that ran the loop and those a running loop absorbed.
@@ -667,8 +679,8 @@ func (s *Sched[T, I]) Retry(id int64) {
 	}
 }
 
-// Died is worker's death, after the engine took it out of the view,
-// whose RemoveWorker cleared the in-flight copies to it: what waited on a
+// Died is worker's death, after the plane took it out of the view
+// (remove), which cleared the in-flight copies to it: what waited on a
 // first copy that will now never confirm looks again, as does every
 // queue — the ring changed. Its install claims are released and what ran
 // there is requeued, in ascending spec order and with the worker avoided,
@@ -889,10 +901,7 @@ func (s *Sched[T, I]) pass() {
 	}
 	for i := range s.q {
 		t := &s.q[i]
-		d := s.view.PlanTask(t.Key, t.Spec.Need(), t.Spec.Inputs(), policy.Excluding(t.Avoid))
-		if d.Worker == nil && t.Avoid != "" {
-			d = s.view.PlanTask(t.Key, t.Spec.Need(), t.Spec.Inputs(), nil)
-		}
+		d := s.planTask(t)
 		for _, obj := range d.Blocked {
 			s.wait(obj, "")
 		}
@@ -918,9 +927,25 @@ func (s *Sched[T, I]) pass() {
 	}
 }
 
-// stage records one staging decision and has it executed: a ref copy's
-// source is the ref catalog's to plan (Plane.ResolveRef), the shard view
-// cannot see it.
+// planTask plans t, around the worker it avoids if it can, with the
+// holder index locked until the plan's stages are taken (streams.go), so
+// no other shard plans against a slot this plan spends. Only the worker
+// picked takes its stages: PlanTask plans them for every candidate it
+// looks at.
+func (s *Sched[T, I]) planTask(t *Task[T]) policy.PlaceTask {
+	s.p.copyMu.Lock()
+	defer s.p.copyMu.Unlock()
+	d := s.view.PlanTask(t.Key, t.Spec.Need(), t.Spec.Inputs(), policy.Excluding(t.Avoid))
+	if d.Worker == nil && t.Avoid != "" {
+		d = s.view.PlanTask(t.Key, t.Spec.Need(), t.Spec.Inputs(), nil)
+	}
+	s.take(d.Stages)
+	return d
+}
+
+// stage records one staging decision, its copy taken, and has it
+// executed: a ref copy's source is the ref catalog's to plan
+// (Plane.ResolveRef), the shard view cannot see it.
 func (s *Sched[T, I]) stage(sf policy.StageFile) {
 	d := policy.Decision{Kind: policy.KindStage, Obj: sf.Object, Dst: sf.Dst.ID, Mode: sf.Mode.String()}
 	if sf.Mode == policy.StagePeer {
@@ -929,7 +954,7 @@ func (s *Sched[T, I]) stage(sf policy.StageFile) {
 	s.rec.Record(d)
 	if sf.Mode == policy.StageRef {
 		rd, _, _ := s.p.ResolveRef(sf.Dst.ID, sf.Object, false)
-		s.shell.Resolve(sf.Dst.ID, sf.Object, sf.Spec.Object.Name, rd)
+		s.resolve(sf.Dst, sf.Object, sf.Spec.Object.Name, rd)
 		return
 	}
 	s.shell.Stage(sf)
@@ -1031,18 +1056,22 @@ func (s *Sched[T, I]) passLib(lq *libQueue[I], spec *policy.DeploySpec) {
 	lq.q = keep
 }
 
-// deploy plans one new instance of lq's library, records it and has it
-// executed: its stages, then in the view its evictions — each instance
-// gone, its resources released — and the new instance of spec's shape,
-// not ready, its resources committed, then the shell's messages. The
-// worker's install becomes the queue's claim. False when no worker can
-// take one now: the queue then waits on the first copies in flight that
-// held every candidate up.
+// deploy plans one new instance of lq's library — under the holder
+// index's lock until its stages are taken, as planTask — records it and
+// has it executed: its stages, then in the view its evictions — each
+// instance gone, its resources released — and the new instance of spec's
+// shape, not ready, its resources committed, then the shell's messages.
+// The worker's install becomes the queue's claim. False when no worker
+// can take one now: the queue then waits on the first copies in flight
+// that held every candidate up.
 func (s *Sched[T, I]) deploy(lq *libQueue[I], spec *policy.DeploySpec) bool {
 	if spec == nil {
 		return false
 	}
+	s.p.copyMu.Lock()
 	d := s.view.PlanDeploy(*spec, nil)
+	s.take(d.Stages)
+	s.p.copyMu.Unlock()
 	if d.Worker == nil {
 		for _, obj := range d.Blocked {
 			s.wait(obj, lq.name)

@@ -15,7 +15,7 @@ import (
 )
 
 // The scheduler on bare policy.ClusterViews: no engine, only a shell
-// that notes the copies a placement puts in flight and records it.
+// that records what it is handed to send.
 
 type testSpec struct {
 	need   core.Resources
@@ -170,14 +170,10 @@ func (sh *testShell) Library(lib string) (*policy.DeploySpec, bool) {
 	return &policy.DeploySpec{Name: lib, Res: need, Slots: testSlots, Files: sh.plane.files[lib]}, true
 }
 
-func (sh *testShell) Stage(sf policy.StageFile) { sh.view.NotePending(sf.Dst, sf.Object) }
+func (sh *testShell) Stage(policy.StageFile) {}
 
-func (sh *testShell) Resolve(worker, obj, _ string, d policy.ResolveDecision) bool {
-	if d.Mode != policy.ResolvePeer && d.Mode != policy.ResolveShared {
-		return false
-	}
-	sh.view.NotePending(sh.view.Workers[worker], obj)
-	return true
+func (sh *testShell) Resolve(_, _, _ string, d policy.ResolveDecision) bool {
+	return d.Mode == policy.ResolvePeer || d.Mode == policy.ResolveShared
 }
 
 func (sh *testShell) Reject(inv testCall) bool {
@@ -235,24 +231,19 @@ func install(v *policy.ClusterView, lib string, d policy.DeployLibrary) string {
 	return d.Worker.ID
 }
 
-// The events' engine work, on the view alone: a joining worker has
-// testJoinCores cores, and a retry's backoff is over at once.
+// The events' engine work: a joining worker has testJoinCores cores,
+// and a retry's backoff is over at once.
 const testJoinCores = 4
 
-func (sh *testShell) Join(worker string) bool {
-	sh.view.AddWorker(worker, "", core.Resources{Cores: testJoinCores})
-	return true
+func (sh *testShell) Join(worker string) *policy.WorkerView {
+	return &policy.WorkerView{ID: worker, Total: core.Resources{Cores: testJoinCores}}
 }
 
-func (sh *testShell) Leave(worker string) []string {
-	_, cleared := sh.view.RemoveWorker(sh.view.Workers[worker])
-	return cleared
-}
+func (sh *testShell) Leave(string) {}
 
 func (sh *testShell) Installed(string, proto.LibraryAck)      {}
 func (sh *testShell) Restage(string, proto.FileAck) bool      { return false }
 func (sh *testShell) Acked(string, proto.FileAck, bool)       {}
-func (sh *testShell) Held(string, string)                     {}
 func (sh *testShell) Refs([]policy.Rehome, []policy.RefSpill) {}
 
 func (sh *testShell) Done(_ string, r testRun, _ core.Result, retry int) {
@@ -1274,13 +1265,12 @@ func scriptEvent(rng *rand.Rand, tp *testPlane, next *int64) (verbEvent, string)
 		}
 		id := w.ID
 		return func(tp *testPlane) bool {
-			w := tp.shells[0].view.Workers[id]
-			if w == nil {
+			s := tp.Shards[0]
+			if s.view.Workers[id] == nil {
 				return false
 			}
 			tp.Remove(id)
-			_, cleared := tp.shells[0].view.RemoveWorker(w)
-			tp.Shards[0].Died(id, cleared)
+			s.Died(id, s.remove(id))
 			return true
 		}, "kill " + id
 	case k < 9:
@@ -1291,15 +1281,11 @@ func scriptEvent(rng *rand.Rand, tp *testPlane, next *int64) (verbEvent, string)
 		objs := core.SortedKeys(w.Pending)
 		id, obj, ok := w.ID, objs[rng.Intn(len(objs))], rng.Intn(4) > 0
 		return func(tp *testPlane) bool {
-			v := tp.shells[0].view
-			w := v.Workers[id]
-			if w == nil || !v.ClearPending(w, obj) {
+			s := tp.Shards[0]
+			if w := s.view.Workers[id]; w == nil || !w.Pending[obj] {
 				return false
 			}
-			if ok {
-				v.NoteReplica(w, obj)
-			}
-			tp.Shards[0].FileAcked(obj)
+			s.fileAck(id, proto.FileAck{ID: obj, Ok: ok, Cache: true})
 			return true
 		}, "ack " + obj
 	case k < 10:
@@ -1347,13 +1333,15 @@ func scriptEvent(rng *rand.Rand, tp *testPlane, next *int64) (verbEvent, string)
 }
 
 // TestPlaneOwnsCapacity runs TestEventVerbsPlaceAsMarkingEverythingWould's
-// seeded event scripts on a plane whose shell moves no capacity, and after
-// every event holds the view to what the in-flight table says runs where:
-// each worker commits its running tasks' needs plus its instances'
-// resources, each instance holds one slot per invocation running on it,
-// and it offers the others only once it is ready.
+// seeded event scripts on a plane whose shell writes nothing in the view,
+// and after every event holds the view to what the in-flight table and
+// the copy records say: each worker commits its running tasks' needs plus
+// its instances' resources, each instance holds one slot per invocation
+// running on it, and it offers the others only once it is ready; each
+// worker's TransfersOut is the copies in flight that name it as source,
+// and the manager sends the copies that name none.
 func TestPlaneOwnsCapacity(t *testing.T) {
-	busy, ready, tasks := 0, 0, 0
+	busy, ready, tasks, serving := 0, 0, 0, 0
 	for seed := int64(1); seed <= 80; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tp := newTestPlane(1)
@@ -1373,7 +1361,27 @@ func TestPlaneOwnsCapacity(t *testing.T) {
 			sh.mu.Unlock()
 			s.Wake()
 			sh.mu.Lock()
+			out, direct := map[*policy.WorkerView]int{}, 0
+			for k, src := range s.sources {
+				if w := sh.view.Workers[k.dst]; w == nil || !w.Pending[k.obj] {
+					t.Fatalf("seed %d step %d (%s): %s's copy of %s has a source but is not in flight", seed, step, what, k.dst, k.obj)
+				}
+				if src == nil {
+					direct++
+				} else {
+					out[src]++
+				}
+			}
+			if sh.view.ManagerSends != direct {
+				t.Fatalf("seed %d step %d (%s): %d manager sends counted, %d copies in flight from the manager", seed, step, what, sh.view.ManagerSends, direct)
+			}
 			for _, w := range sh.view.Sorted {
+				if w.TransfersOut != out[w] {
+					t.Fatalf("seed %d step %d (%s): %s serves %d transfers, %d copies in flight name it as source", seed, step, what, w.ID, w.TransfersOut, out[w])
+				}
+				if w.TransfersOut > 0 {
+					serving++
+				}
 				var commit core.Resources
 				running := map[string]int{}
 				for _, r := range s.Running(w.ID) {
@@ -1414,8 +1422,8 @@ func TestPlaneOwnsCapacity(t *testing.T) {
 			sh.mu.Unlock()
 		}
 	}
-	if busy < 500 || ready < 1000 || tasks < 1000 {
-		t.Fatalf("degenerate scripts: %d busy instances, %d ready, %d running tasks checked", busy, ready, tasks)
+	if busy < 500 || ready < 1000 || tasks < 1000 || serving < 100 {
+		t.Fatalf("degenerate scripts: %d busy instances, %d ready, %d running tasks, %d serving workers checked", busy, ready, tasks, serving)
 	}
-	t.Logf("checked %d busy instances, %d ready, %d running tasks", busy, ready, tasks)
+	t.Logf("checked %d busy instances, %d ready, %d running tasks, %d serving workers", busy, ready, tasks, serving)
 }

@@ -18,8 +18,10 @@ import (
 // decides — its schedulers plan and record every decision against this
 // replay's ClusterViews — and runs each event in the manager's order
 // (shardplane events.go); a handler here checks what only the replay
-// knows, such as whether a copy is in flight, and makes that one call,
-// and the shell (replayShard) executes. Like the manager, it hosts one
+// knows, such as whether a copy is in flight, and makes that one call.
+// The shell (replayShard) sends nothing and writes nothing in the view:
+// it numbers and builds joining workers and keeps which hold their
+// environment. Like the manager, it hosts one
 // instance per worker with Config.SlotsPerWorker slots and binds an
 // invocation when the instance is ready (the timed Run hosts one
 // single-slot instance per slot and binds at deploy start: placeL3).
@@ -109,69 +111,43 @@ func (sh *replayShard) Library(string) (*policy.DeploySpec, bool) { return &sh.s
 
 func (sh *replayShard) Reject(replayInv) bool { return false }
 
-func (sh *replayShard) Stage(sf policy.StageFile) { sh.st.execStage(sf) }
-
-// Resolve executes one proxy-object copy, the manager's Resolve less its
-// messages, which carry no state: a peer or shared fetch marks the copy
-// in flight; ready and lost stage nothing. With no catalog and no dead
-// sources, neither ResolveDirect nor the dead-source fallback arises.
-func (sh *replayShard) Resolve(worker, obj, _ string, d policy.ResolveDecision) bool {
-	if d.Mode != policy.ResolvePeer && d.Mode != policy.ResolveShared {
-		return false
-	}
-	sh.st.view.NotePending(sh.st.byID[worker].v, obj)
-	return true
+// Resolve reports whether the manager's Resolve would send a copy: a
+// peer or shared fetch does; ready and lost stage nothing. With no
+// catalog and no dead sources, neither ResolveDirect nor the dead-source
+// fallback arises.
+func (sh *replayShard) Resolve(_, _, _ string, d policy.ResolveDecision) bool {
+	return d.Mode == policy.ResolvePeer || d.Mode == policy.ResolveShared
 }
 
-// Place, PlaceInv and Deploy send nothing: the plane has applied them to
-// the view, and LibReady is a deploy's ack.
+// Stage, Place, PlaceInv and Deploy send nothing: the plane has applied
+// them to the view, and EnvArrived and LibReady are their acks.
+func (sh *replayShard) Stage(policy.StageFile)                     {}
 func (sh *replayShard) Place(*replayTask, policy.PlaceTask)        {}
 func (sh *replayShard) PlaceInv(replayInv, policy.PlaceInvocation) {}
 func (sh *replayShard) Deploy(string, policy.DeployLibrary)        {}
 
-// Join builds worker wNNNN into this shard's view: its machine and
+// Join builds worker wNNNN for this shard's view: its machine and
 // locality cluster are functions of NNNN.
-func (sh *replayShard) Join(worker string) bool {
+func (sh *replayShard) Join(worker string) *policy.WorkerView {
 	i, _ := strconv.Atoi(worker[1:])
-	sh.st.view.AddWorkers([]*policy.WorkerView{sh.st.addWorker(i).v})
-	return true
+	return sh.st.addWorker(i).v
 }
 
-// Leave drops a dead worker: the source serving its inbound fetch gets
-// its transfer slot back, and the view drops its replicas, in-flight
-// copies, instance and ring position.
-func (sh *replayShard) Leave(worker string) []string {
-	st, w := sh.st, sh.st.byID[worker]
-	if w.envSrc != nil || w.v.Pending[st.envObj] {
-		st.unsource(w)
-	}
-	_, cleared := st.view.RemoveWorker(w.v)
-	delete(st.byID, w.id)
-	w.dead = true
-	return cleared
-}
+// Leave forgets a dead worker.
+func (sh *replayShard) Leave(worker string) { delete(sh.st.byID, worker) }
 
 // Installed: an instance has no engine state beyond the view's.
 func (sh *replayShard) Installed(string, proto.LibraryAck) {}
 
-// Restage re-sends the environment whose peer fetch failed over the
-// manager's own link, bypassing the policy core as the manager does.
-func (sh *replayShard) Restage(worker string, ack proto.FileAck) bool {
-	sh.st.view.NotePending(sh.st.byID[worker].v, ack.ID)
-	sh.st.view.ManagerSends++
-	return true
-}
+// Restage: the manager's own link can always re-send the environment.
+func (sh *replayShard) Restage(string, proto.FileAck) bool { return true }
 
-// Acked settles an environment copy's link: the serving slot is
-// released, and a landed environment is usable at once.
+// Acked: a landed environment is usable at once.
 func (sh *replayShard) Acked(worker string, ack proto.FileAck, _ bool) {
-	if w := sh.st.byID[worker]; ack.ID == sh.st.envObj {
-		sh.st.unsource(w)
-		w.hasEnv = ack.Ok
+	if ack.ID == sh.st.envObj {
+		sh.st.byID[worker].hasEnv = ack.Ok
 	}
 }
-
-func (sh *replayShard) Held(string, string) {}
 
 // Done: the replay has no clock, so a retry's backoff is over at once.
 func (sh *replayShard) Done(_ string, r replayRun, _ core.Result, retry int) {
@@ -273,8 +249,11 @@ func (r *Replay) EnvArrived(id string) bool {
 // restages over the manager's link; false if no peer fetch is in flight
 // there (failed direct sends are never restaged).
 func (r *Replay) EnvFailed(id string) bool {
-	_, w := r.find(id)
-	if w == nil || w.hasEnv || !w.v.Pending[r.env()] || w.envSrc == nil {
+	sh, w := r.find(id)
+	if w == nil || w.hasEnv || !w.v.Pending[r.env()] {
+		return false
+	}
+	if src, _ := sh.sched.Source(id, r.env()); src == "" {
 		return false
 	}
 	r.shardPlane.FileAck(id, proto.FileAck{ID: r.env()})

@@ -293,9 +293,6 @@ type wstate struct {
 	// envSrc is the peer serving the in-flight environment fetch (nil
 	// for manager sends); its transfer slot is released on arrival.
 	envSrc *wstate
-	// dead marks a worker removed by Replay.KillWorker; it stays in
-	// st.workers (indexes are stable) but is out of byID and the view.
-	dead bool
 
 	// fetchActive/fetchq implement the destination-side transfer bound
 	// (fetchConcurrency): inbound transfers beyond the cap wait
@@ -750,10 +747,9 @@ func (st *state) fetchDone(w *wstate) {
 }
 
 // execStage carries out one environment staging decision, peer or
-// direct — Run's and the Replay shell's Stage alike: record it (Run
-// only: a Replay's scheduler records its own), account it in the view
-// (in-flight copy, source transfer slot, manager sends) and, timed,
-// start the transfer on the owning link.
+// direct: record it, account it in the view (in-flight copy, source
+// transfer slot, manager sends) and start the transfer on the owning
+// link.
 func (st *state) execStage(sf policy.StageFile) {
 	dst := st.byID[sf.Dst.ID]
 	d := policy.Decision{Kind: policy.KindStage, Obj: sf.Object, Dst: dst.id, Mode: sf.Mode.String()}
@@ -774,22 +770,20 @@ func (st *state) execStage(sf policy.StageFile) {
 	st.view.NotePending(dst.v, sf.Object)
 	st.rec.Record(d)
 	dst.envReqAt = st.S.Now()
-	if !st.replay {
-		st.startFetch(dst, func() {
-			link.Start(st.envBytes(), func() {
-				st.fetchDone(dst)
-				st.envArrived(dst)
-			})
+	st.startFetch(dst, func() {
+		link.Start(st.envBytes(), func() {
+			st.fetchDone(dst)
+			st.envArrived(dst)
 		})
-	}
+	})
 }
 
 // unsource releases the link serving w's environment copy: the peer's
-// transfer slot (unless the peer died), or one of the manager's sends.
+// transfer slot, or one of the manager's sends.
 func (st *state) unsource(w *wstate) {
 	if src := w.envSrc; src != nil {
 		w.envSrc = nil
-		if !src.dead && src.v.TransfersOut > 0 {
+		if src.v.TransfersOut > 0 {
 			src.v.TransfersOut--
 		}
 	} else if st.view.ManagerSends > 0 {
