@@ -80,13 +80,13 @@ race:
 # race detector, under which the pool-exact ones skip: a pin that reads
 # one allocation too many one run in twenty is measuring something else.
 # MiniPy's shared builtins, the content ID's hashing, the package index's
-# closure walk and a peer fetch over a reused data-plane link are among
-# them.
+# closure walk, a peer fetch over a reused data-plane link, the timed
+# simulator's run and the event loop's step are among them.
 flake:
 	go test -count=20 -race ./internal/dataplane ./internal/worker ./internal/content ./internal/library ./internal/hashring ./internal/policy ./internal/shardplane ./internal/proto
 	go test -count=10 -run 'Differential|PeerCap' ./internal/manager
 	go test -count=10 -race ./taskvine
-	go test -count=20 -run 'Alloc|Ledger|SharesBuiltins' ./internal/proto ./internal/dataplane ./internal/library ./internal/policy ./internal/hashring ./internal/worker ./internal/pickle ./internal/minipy ./internal/content ./internal/pkgindex ./internal/manager ./taskvine
+	go test -count=20 -run 'Alloc|Ledger|SharesBuiltins' ./internal/proto ./internal/dataplane ./internal/library ./internal/policy ./internal/hashring ./internal/worker ./internal/pickle ./internal/minipy ./internal/content ./internal/pkgindex ./internal/sim ./internal/event ./internal/manager ./taskvine
 
 # bench/ is a module of its own (repro/bench, replace repro => ../), so
 # the root go build/vet/test ./... never compile it, yet it imports the
@@ -170,8 +170,10 @@ reach:
 	bash scripts/reach.sh
 
 # Where a warm call allocates: taskvine's two ledger tests, an L3 call
-# and an L2 wrapped call, each under -memprofilerate=1, with every
-# allocation site of the profile divided per call. Print-only.
+# and an L2 wrapped call, the data plane's reused peer fetch and the
+# simulator's timed runs, each under -memprofilerate=1, with every
+# allocation site of the profile divided per call (per invocation for
+# the simulator). Print-only.
 allocs:
 	bash scripts/allocs.sh
 

@@ -152,10 +152,13 @@ type Request struct {
 }
 
 // flight is one in-progress single-flight fetch: everyone wanting the
-// object parks on done.
+// object parks on done. late are the acks of requests that joined it
+// after its transfer left the queue; runFetch runs them with the queued
+// ones.
 type flight struct {
 	done chan struct{}
 	err  error
+	late []func(error)
 }
 
 // Plane is a worker's data plane.
@@ -276,10 +279,10 @@ func (p *Plane) Close() {
 	for _, e := range q {
 		delete(p.flights, e.req.ID)
 		e.fl.err = fmt.Errorf("dataplane: shutting down")
-		close(e.fl.done)
 		for _, cb := range e.cbs {
 			cb(e.fl.err)
 		}
+		close(e.fl.done)
 	}
 	// Each serve goroutine unlinks its own link when it ends; with the
 	// list detached here, none touches these again.
@@ -505,16 +508,9 @@ func (p *Plane) Fetch(req Request, done func(error)) {
 				return
 			}
 		}
-		// The transfer already left the queue; wait on its completion.
-		// (wg.Add under the lock: closed was false above, so Close has
-		// not started waiting yet.)
-		p.wg.Add(1)
+		// The transfer already left the queue: its end acks this too.
+		fl.late = append(fl.late, done)
 		p.mu.Unlock()
-		go func() {
-			defer p.wg.Done()
-			<-fl.done
-			done(fl.err)
-		}()
 		return
 	}
 	if p.cache.Has(req.ID) {
@@ -547,19 +543,29 @@ func (p *Plane) runFetch(e queued) {
 		p.fetchErrors.Add(1)
 	}
 
-	p.mu.Lock()
+	// Ack every request that rode this flight, late joiners included,
+	// while it is still in the flight table: until it leaves, a task that
+	// wants the object parks on it (PinResolve), so the task's result is
+	// queued behind the FileAck and the manager never sees a result that
+	// used a copy it still counts as in flight. No ack waits on a flight:
+	// the worker's queues a frame, which its link's writer drains.
+	acks := e.cbs
+	for {
+		for _, cb := range acks {
+			cb(err)
+		}
+		p.mu.Lock()
+		if acks, e.fl.late = e.fl.late, nil; len(acks) == 0 {
+			break
+		}
+		p.mu.Unlock()
+	}
 	delete(p.flights, e.req.ID)
 	e.fl.err = err
 	p.active--
 	p.dispatchLocked()
 	p.mu.Unlock()
-
-	// Release flight waiters (PinResolve) only after the cache state is
-	// final, then ack every request that rode this flight.
 	close(e.fl.done)
-	for _, cb := range e.cbs {
-		cb(err)
-	}
 }
 
 // transfer performs the fetch and stores the result. Peer fetches that

@@ -92,6 +92,67 @@ func waitDone(t *testing.T, done chan error, n int) []error {
 	return out
 }
 
+// TestFlightAcksBeforeWaiters holds a flight to its order: every
+// request that rode it is acked — the queued one and one that joined
+// after the transfer left the queue — while the flight is still in the
+// table, so before its waiters are released and before a PinResolve
+// could find the object cached without waiting. A worker's task queues
+// its result once PinResolve returns, so an ack after that lets the
+// result reach the manager ahead of the FileAck. Each ack checks,
+// without blocking, that the flight is still registered and open.
+func TestFlightAcksBeforeWaiters(t *testing.T) {
+	obj := content.NewBlob("env.tar", []byte("environment"))
+	started, release := make(chan struct{}), make(chan struct{})
+	p := New(Config{Cache: content.NewCache(0), Fetch: func(addr, id string) (*content.Object, error) {
+		close(started)
+		<-release
+		return obj, nil
+	}})
+	t.Cleanup(p.Close)
+
+	var fl *flight
+	acks := make(chan string, 2)
+	ack := func(name string) func(error) {
+		return func(err error) {
+			if err != nil {
+				t.Errorf("%s ack: %v", name, err)
+			}
+			p.mu.Lock()
+			registered := p.flights[obj.ID] == fl
+			p.mu.Unlock()
+			select {
+			case <-fl.done:
+				acks <- name + " ack after the waiters' release"
+			default:
+				if !registered {
+					acks <- name + " ack after the flight left the table"
+				} else {
+					acks <- ""
+				}
+			}
+		}
+	}
+	p.Fetch(Request{ID: obj.ID, Addr: "peer:1"}, ack("queued"))
+	p.mu.Lock()
+	fl = p.flights[obj.ID]
+	p.mu.Unlock()
+	<-started // the transfer has left the queue
+	p.Fetch(Request{ID: obj.ID, Addr: "peer:1"}, ack("late"))
+	close(release)
+	for i := 0; i < 2; i++ {
+		if msg := <-acks; msg != "" {
+			t.Error(msg)
+		}
+	}
+	<-fl.done
+	if _, err := p.PinResolve(obj.ID); err != nil {
+		t.Fatalf("PinResolve after the flight: %v", err)
+	}
+	if err := p.Unpin(obj.ID); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSingleFlightDedup(t *testing.T) {
 	// N concurrent requests for one object ID must hit the network
 	// exactly once; every request still gets its own callback.

@@ -79,10 +79,14 @@ func (h *eventHeap) pop() event {
 // Sim is a discrete-event simulator. Not safe for concurrent use: the
 // entire simulation runs single-threaded for determinism.
 type Sim struct {
-	now    Time
-	queue  eventHeap
-	seq    int64
-	events int64
+	now   Time
+	queue eventHeap
+	seq   int64
+	// running is the sequence number of the event being run: a handler
+	// bound once and scheduled many times tells its latest scheduling
+	// from the stale ones by it.
+	running int64
+	events  int64
 	// MaxEvents aborts the run (panic) if exceeded — a backstop against
 	// runaway event loops. Zero means no limit.
 	MaxEvents int64
@@ -97,13 +101,16 @@ func (s *Sim) Now() Time { return s.now }
 // Events returns the number of events executed so far.
 func (s *Sim) Events() int64 { return s.events }
 
-// At schedules fn at absolute time t (clamped to now).
-func (s *Sim) At(t Time, fn func()) {
+// At schedules fn at absolute time t (clamped to now) and returns the
+// sequence number it gave the event, which orders events due at one
+// time and is Sim.running while fn runs.
+func (s *Sim) At(t Time, fn func()) int64 {
 	if t < s.now {
 		t = s.now
 	}
 	s.seq++
 	s.queue.push(event{at: t, seq: s.seq, fn: fn})
+	return s.seq
 }
 
 // After schedules fn d seconds from now.
@@ -114,7 +121,7 @@ func (s *Sim) After(d float64, fn func()) { s.At(s.now+d, fn) }
 func (s *Sim) Run() Time {
 	for len(s.queue) > 0 {
 		e := s.queue.pop()
-		s.now = e.at
+		s.now, s.running = e.at, e.seq
 		s.events++
 		if s.MaxEvents > 0 && s.events > s.MaxEvents {
 			panic("event: MaxEvents exceeded — runaway event loop")

@@ -256,3 +256,70 @@ func TestQuickFairShareEqualFlows(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSimAfterAllocs pins what the event loop allocates per event once
+// its heap has grown: nothing. Each run keeps 64 events pending, every
+// one of which reschedules its own bound handler until 4 096 have run.
+func TestSimAfterAllocs(t *testing.T) {
+	const pending, events = 64, 4096
+	s := NewSim()
+	left := 0
+	var fire func()
+	fire = func() {
+		if left--; left >= pending {
+			s.After(float64(left%7), fire)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		left = events
+		for i := 0; i < pending; i++ {
+			s.After(float64(i), fire)
+		}
+		s.Run()
+	})
+	if perEvent := allocs / events; perEvent != 0 {
+		t.Errorf("Sim.After: %.4f allocations per event, want 0", perEvent)
+	}
+}
+
+// TestFairShareStepAllocs pins what a fair-share step allocates once the
+// flow heap and the free lists have grown: nothing, for a FairShare (a
+// flow finishing, the wake rescheduling, the next flow starting) and for
+// a DualFairShare (its request's two flows and the join that waits for
+// both).
+func TestFairShareStepAllocs(t *testing.T) {
+	const active, steps = 32, 2048
+	s := NewSim()
+	link := NewFairShare(s, 1e9, 0)
+	dual := NewDualFairShare(s, 1e9, 0, 1e4, 100)
+	left := 0
+	var next, nextDual func()
+	next = func() {
+		if left--; left >= active {
+			link.Start(1e6*float64(1+left%5), next)
+		}
+	}
+	nextDual = func() {
+		if left--; left >= active {
+			dual.Start(1e6*float64(1+left%5), float64(1+left%3), nextDual)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		start func()
+	}{
+		{"FairShare", func() { link.Start(1e6, next) }},
+		{"DualFairShare", func() { dual.Start(1e6, 1, nextDual) }},
+	} {
+		allocs := testing.AllocsPerRun(20, func() {
+			left = steps
+			for i := 0; i < active; i++ {
+				c.start()
+			}
+			s.Run()
+		})
+		if perStep := allocs / steps; perStep != 0 {
+			t.Errorf("%s: %.4f allocations per step, want 0", c.name, perStep)
+		}
+	}
+}

@@ -23,12 +23,15 @@ type FairShare struct {
 	// PerFlowCap bounds a single flow's rate (0 = unbounded).
 	PerFlowCap float64
 
-	v       float64 // accumulated per-flow service
-	lastT   Time
-	flows   flowHeap
-	free    []*flow // recycled nodes; steady-state Start allocates nothing
-	seq     int64
-	wakeGen int64 // generation of the authoritative pending wake
+	v     float64 // accumulated per-flow service
+	lastT Time
+	flows flowHeap
+	free  []*flow // recycled nodes; steady-state Start allocates nothing
+	seq   int64
+	// onWake is the wake handler, bound once; wakeSeq is the event
+	// sequence number of its authoritative scheduling.
+	onWake  func()
+	wakeSeq int64
 }
 
 // Flow is a cancellation handle for one request on a FairShare
@@ -80,7 +83,13 @@ func (h *flowHeap) Pop() any {
 
 // NewFairShare creates a fair-share resource attached to a simulator.
 func NewFairShare(sim *Sim, capacity, perFlowCap float64) *FairShare {
-	return &FairShare{sim: sim, Capacity: capacity, PerFlowCap: perFlowCap, lastT: sim.Now()}
+	fs := &FairShare{sim: sim, Capacity: capacity, PerFlowCap: perFlowCap, lastT: sim.Now()}
+	fs.onWake = func() {
+		if fs.sim.running == fs.wakeSeq {
+			fs.wake()
+		}
+	}
+	return fs
 }
 
 // Active returns the number of flows in service.
@@ -155,10 +164,11 @@ func (fs *FairShare) Cancel(f Flow) {
 	fs.schedule()
 }
 
-// schedule (re)arms the wake event for the earliest completion. A
-// generation counter invalidates previously scheduled wakes so that
-// rate changes do not leave chains of live stale events (which would
-// make a run quadratic in the number of flows).
+// schedule (re)arms the wake event for the earliest completion. Only
+// the latest scheduling runs wake: the earlier ones, still queued, find
+// another sequence number in wakeSeq and return, so rate changes do not
+// leave chains of live stale events (which would make a run quadratic
+// in the number of flows).
 func (fs *FairShare) schedule() {
 	if len(fs.flows) == 0 {
 		return
@@ -172,13 +182,7 @@ func (fs *FairShare) schedule() {
 	if dt < 0 {
 		dt = 0
 	}
-	fs.wakeGen++
-	gen := fs.wakeGen
-	fs.sim.At(fs.sim.Now()+dt, func() {
-		if gen == fs.wakeGen {
-			fs.wake()
-		}
-	})
+	fs.wakeSeq = fs.sim.At(fs.sim.Now()+dt, fs.onWake)
 }
 
 // wake completes every flow whose service requirement is met, then
@@ -207,8 +211,18 @@ func (fs *FairShare) wake() {
 // bandwidth service and `ops` of operation service; it completes when
 // the slower of the two finishes.
 type DualFairShare struct {
-	bw  *FairShare
-	ops *FairShare
+	bw   *FairShare
+	ops  *FairShare
+	free []*join // recycled joins; steady-state Start allocates nothing
+}
+
+// join waits for one request's two flows: finish, bound once per node,
+// is the done of both.
+type join struct {
+	d       *DualFairShare
+	pending int
+	done    func()
+	finish  func()
 }
 
 // NewDualFairShare builds the coupled resource. perFlowBW caps one
@@ -225,13 +239,28 @@ func NewDualFairShare(sim *Sim, bwCapacity, perFlowBW, opsCapacity, perFlowOps f
 // Start begins a request; done fires when both constraints are
 // satisfied.
 func (d *DualFairShare) Start(bytes, ops float64, done func()) {
-	remaining := 2
-	finish := func() {
-		remaining--
-		if remaining == 0 {
-			done()
-		}
+	var j *join
+	if n := len(d.free); n > 0 {
+		j = d.free[n-1]
+		d.free[n-1] = nil
+		d.free = d.free[:n-1]
+	} else {
+		j = &join{d: d}
+		j.finish = j.flowDone
 	}
-	d.bw.Start(bytes, finish)
-	d.ops.Start(ops, finish)
+	j.pending, j.done = 2, done
+	d.bw.Start(bytes, j.finish)
+	d.ops.Start(ops, j.finish)
+}
+
+// flowDone counts one of the request's flows out; the second recycles
+// the node and fires the request's done.
+func (j *join) flowDone() {
+	if j.pending--; j.pending > 0 {
+		return
+	}
+	done := j.done
+	j.done = nil
+	j.d.free = append(j.d.free, j)
+	done()
 }

@@ -134,7 +134,7 @@ func (sh *replayShard) Join(worker string) *policy.WorkerView {
 }
 
 // Leave forgets a dead worker.
-func (sh *replayShard) Leave(worker string) { delete(sh.st.byID, worker) }
+func (sh *replayShard) Leave(worker string) { delete(sh.st.byView, sh.st.view.Workers[worker]) }
 
 // Installed: an instance has no engine state beyond the view's.
 func (sh *replayShard) Installed(string, proto.LibraryAck) {}
@@ -145,7 +145,7 @@ func (sh *replayShard) Restage(string, proto.FileAck) bool { return true }
 // Acked: a landed environment is usable at once.
 func (sh *replayShard) Acked(worker string, ack proto.FileAck, _ bool) {
 	if ack.ID == sh.st.envObj {
-		sh.st.byID[worker].hasEnv = ack.Ok
+		sh.st.worker(worker).hasEnv = ack.Ok
 	}
 }
 
@@ -163,7 +163,7 @@ func (sh *replayShard) Refs([]policy.Rehome, []policy.RefSpill) {}
 // find returns live worker id and its shard; nils if it is not live.
 func (r *Replay) find(id string) (*replayShard, *wstate) {
 	for _, sh := range r.shards {
-		if w := sh.st.byID[id]; w != nil {
+		if w := sh.st.worker(id); w != nil {
 			return sh, w
 		}
 	}

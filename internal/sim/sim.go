@@ -217,7 +217,9 @@ type state struct {
 	crossNIC   *event.FairShare
 
 	workers []*wstate
-	byID    map[string]*wstate
+	// byView finds a worker from the view entry a decision names, with
+	// no hash of its ID string.
+	byView map[*policy.WorkerView]*wstate
 	// machines is the sampled (and shuffled) machine pool.
 	machines []cluster.Machine
 
@@ -232,6 +234,10 @@ type state struct {
 	envSpec core.FileSpec
 	envObj  string
 	lib     string
+	// taskInputs (L2: the environment) and stack (stackFilter) are what
+	// every timed placement passes the policy core, built once.
+	taskInputs []core.FileSpec
+	stack      policy.Filter
 
 	pending    int
 	nextInv    int
@@ -254,8 +260,10 @@ type state struct {
 	// the shared scheduler's library queue.)
 	owners core.FIFO[specRef]
 	// arrivalsLeft and nextSpecID drive the timed per-tenant Poisson
-	// arrival processes.
+	// arrival processes; arrivals[i] is tenant i's arrival handler, bound
+	// once.
 	arrivalsLeft []int
+	arrivals     []func()
 	nextSpecID   int64
 
 	// deploy is the library's deploy spec: one single-slot instance per
@@ -287,9 +295,11 @@ type wstate struct {
 	v  *policy.WorkerView
 	lv *policy.LibraryView
 
-	hasEnv     bool // environment unpacked and usable
-	envReqAt   float64
-	envWaiters []func()
+	hasEnv   bool // environment unpacked and usable
+	envReqAt float64
+	// envWaiters are the slots whose invocations wait for the
+	// environment, in arrival order.
+	envWaiters []*slot
 	// envSrc is the peer serving the in-flight environment fetch (nil
 	// for manager sends); its transfer slot is released on arrival.
 	envSrc *wstate
@@ -302,7 +312,7 @@ type wstate struct {
 
 	// slots (timed only) are the worker's invocation slots; Replay keeps
 	// what runs where in the shared scheduler's in-flight table instead.
-	slots []*slot
+	slots []slot
 
 	// freeReady (timed only) counts the free slots of ready instances:
 	// what the view's ready index publishes.
@@ -318,6 +328,56 @@ type slot struct {
 	// ID, and whose quota the completion releases.
 	owner  int64
 	tenant string
+
+	// A slot runs one invocation at a time, which has at most one event
+	// pending: the invocation's values live here. start is its assignment
+	// time, cold whether the environment was missing then (L2), readAt
+	// and read the start and length of its shared-FS (L1) or disk (L2)
+	// read, and deser, build and exec its sampled phase times.
+	start              float64
+	cold               bool
+	readAt, read       float64
+	deser, build, exec float64
+	// next is what the pending event continues with; fire, bound once
+	// per slot, runs it. One handler per slot rather than one per phase:
+	// a bound handler is an allocation, and at 15 000 workers the slots
+	// outnumber a short run's invocations.
+	next phase
+	fire func()
+}
+
+// phase names a continuation of an invocation that an event resumes.
+// The environment becoming ready is not one: ensureEnv and the unpack's
+// end call envReady directly.
+type phase uint8
+
+const (
+	dispatchDone phase = iota // the manager's dispatch cost is paid
+	setupDone                 // L3: the library's context setup ran
+	readDone                  // L1: the shared-FS read; L2: the disk read
+	execDone                  // the invocation finished executing
+)
+
+// after schedules the slot's next continuation d seconds from now.
+func (st *state) after(sl *slot, d float64, next phase) {
+	sl.next = next
+	st.S.After(d, sl.fire)
+}
+
+// resume runs the continuation the slot's event was scheduled for.
+func (st *state) resume(sl *slot) {
+	switch sl.next {
+	case dispatchDone:
+		st.mgrBusy = false
+		st.assign(sl)
+		st.tryDispatch()
+	case setupDone:
+		st.setupDone(sl)
+	case readDone:
+		st.readDone(sl)
+	case execDone:
+		st.execDone(sl)
+	}
 }
 
 var oneSlot = core.Resources{Cores: 1}
@@ -377,8 +437,8 @@ func (st *state) syncLib(w *wstate) {
 // only after the counters guarantee a match exists, so the single
 // inner scan happens once per dispatch, not once per candidate worker.
 func (w *wstate) firstFree(needLib bool) *slot {
-	for _, sl := range w.slots {
-		if !sl.busy && (!needLib || sl.libReady) {
+	for i := range w.slots {
+		if sl := &w.slots[i]; !sl.busy && (!needLib || sl.libReady) {
 			return sl
 		}
 	}
@@ -419,8 +479,8 @@ func newState(cfg Config, replay bool) *state {
 			Invocations: cfg.Invocations,
 			Units:       cfg.Units,
 		},
-		byID: map[string]*wstate{},
-		rec:  cfg.DecisionTrace,
+		byView: map[*policy.WorkerView]*wstate{},
+		rec:    cfg.DecisionTrace,
 	}
 	st.S.MaxEvents = maxEvents
 	st.res.DeployedSeries.Name = "deployed-libraries"
@@ -448,6 +508,10 @@ func newState(cfg Config, replay bool) *state {
 		}
 	}
 	st.deploy = policy.DeploySpec{Name: st.lib, Res: oneSlot, Slots: 1, Files: []core.FileSpec{st.envSpec}}
+	if cfg.Level != core.L1 {
+		st.taskInputs = []core.FileSpec{st.envSpec}
+		st.stack = st.stackFilter
+	}
 	if replay {
 		st.deploy.Res, st.deploy.Slots = core.Resources{Cores: cfg.SlotsPerWorker}, cfg.SlotsPerWorker
 	}
@@ -533,14 +597,21 @@ func (st *state) addWorker(i int) *wstate {
 	w.v = &policy.WorkerView{ID: w.id, Cluster: clusterName, Total: total}
 	if !st.replay {
 		w.lv = &policy.LibraryView{Name: st.lib, Slots: 1, MaxInstances: cfg.SlotsPerWorker, Res: oneSlot}
-		for k := 0; k < cfg.SlotsPerWorker; k++ {
-			w.slots = append(w.slots, &slot{w: w})
+		w.slots = make([]slot, cfg.SlotsPerWorker)
+		for k := range w.slots {
+			sl := &w.slots[k]
+			sl.w = w
+			sl.fire = func() { st.resume(sl) }
 		}
 	}
 	st.workers = append(st.workers, w)
-	st.byID[w.id] = w
+	st.byView[w.v] = w
 	return w
 }
+
+// worker finds a live worker by ID (Replay's event surface names
+// workers by ID; decisions name their view entries).
+func (st *state) worker(id string) *wstate { return st.byView[st.view.Workers[id]] }
 
 // pad4 renders a worker index as a fixed-width suffix so worker IDs
 // sort (and hash) identically across engines.
@@ -608,11 +679,7 @@ func (st *state) tryDispatch() {
 	st.mgrBusy = true
 	d := st.dispatchCost()
 	st.res.ManagerBusySeconds += d
-	st.S.After(d, func() {
-		st.mgrBusy = false
-		st.assign(sl)
-		st.tryDispatch()
-	})
+	st.after(sl, d, dispatchDone)
 }
 
 // speculativeCap bounds how many invocations stack on a worker whose
@@ -621,13 +688,8 @@ func (st *state) tryDispatch() {
 // virtual-time admission heuristic), expressed as a view filter.
 const speculativeCap = 4
 
-func (st *state) stackFilter() policy.Filter {
-	if st.cfg.Level == core.L1 {
-		return nil
-	}
-	return func(wv *policy.WorkerView) bool {
-		return st.byID[wv.ID].hasEnv || wv.Commit.Cores < speculativeCap
-	}
+func (st *state) stackFilter(wv *policy.WorkerView) bool {
+	return st.byView[wv].hasEnv || wv.Commit.Cores < speculativeCap
 }
 
 // place asks the policy core where the next invocation runs, executes
@@ -660,15 +722,11 @@ func (st *state) bind(w *wstate, sl *slot) *slot {
 // walk keyed by the task, environment staged as an input (L2).
 func (st *state) placeTask() *slot {
 	key := "task-" + strconv.Itoa(st.nextInv+1)
-	var inputs []core.FileSpec
-	if st.cfg.Level != core.L1 {
-		inputs = []core.FileSpec{st.envSpec}
-	}
-	d := st.view.PlanTask(key, oneSlot, inputs, st.stackFilter())
+	d := st.view.PlanTask(key, oneSlot, st.taskInputs, st.stack)
 	if d.Worker == nil {
 		return nil
 	}
-	w := st.byID[d.Worker.ID]
+	w := st.byView[d.Worker]
 	st.rec.Record(policy.Decision{Kind: policy.KindTask, Key: key, Worker: w.id, Stages: len(d.Stages)})
 	for _, sf := range d.Stages {
 		st.execStage(sf)
@@ -683,11 +741,11 @@ func (st *state) placeTask() *slot {
 // and Replay bind only once the instance is ready.
 func (st *state) placeL3() *slot {
 	if d := st.view.PlaceReady(st.lib, nil); d.Worker != nil {
-		w := st.byID[d.Worker.ID]
+		w := st.byView[d.Worker]
 		st.rec.Record(policy.Decision{Kind: policy.KindPlace, Lib: st.lib, Worker: w.id})
 		return st.bind(w, w.firstFree(true))
 	}
-	d := st.view.PlanDeploy(st.deploy, st.stackFilter())
+	d := st.view.PlanDeploy(st.deploy, st.stack)
 	if d.Worker == nil {
 		return nil
 	}
@@ -706,7 +764,7 @@ func (st *state) placeL3() *slot {
 // instance's lifetime (the plane releases it only on eviction, install
 // failure, or worker death — none of which Run's instances hit).
 func (st *state) install(d policy.DeployLibrary) *wstate {
-	w := st.byID[d.Worker.ID]
+	w := st.byView[d.Worker]
 	st.view.AddInstance(w.v, w.lv)
 	w.v.Commit = w.v.Commit.Add(d.Res)
 	return w
@@ -751,11 +809,11 @@ func (st *state) fetchDone(w *wstate) {
 // transfer slot, manager sends) and start the transfer on the owning
 // link.
 func (st *state) execStage(sf policy.StageFile) {
-	dst := st.byID[sf.Dst.ID]
+	dst := st.byView[sf.Dst]
 	d := policy.Decision{Kind: policy.KindStage, Obj: sf.Object, Dst: dst.id, Mode: sf.Mode.String()}
 	link := st.managerNIC
 	if sf.Mode == policy.StagePeer {
-		src := st.byID[sf.Src.ID]
+		src := st.byView[sf.Src]
 		src.v.TransfersOut++
 		dst.envSrc = src
 		st.res.EnvPeer++
@@ -816,38 +874,112 @@ func (st *state) envArrived(w *wstate) {
 		w.hasEnv = true
 		waiters := w.envWaiters
 		w.envWaiters = nil
-		for _, cont := range waiters {
-			cont()
+		for _, sl := range waiters {
+			st.envReady(sl)
 		}
 		st.tryDispatch()
 	})
 }
 
-// ensureEnv continues when the worker's environment is unpacked and
-// ready. The transfer itself was already started by the placement's
-// staging decision (or an earlier one); invocations placed behind an
-// in-flight copy just wait here.
-func (st *state) ensureEnv(w *wstate, cont func()) {
-	if w.hasEnv {
-		cont()
+// ensureEnv continues the slot's invocation (envReady) once its worker's
+// environment is unpacked and ready. The transfer itself was already
+// started by the placement's staging decision (or an earlier one);
+// invocations placed behind an in-flight copy just wait here.
+func (st *state) ensureEnv(sl *slot) {
+	if sl.w.hasEnv {
+		st.envReady(sl)
 		return
 	}
-	w.envWaiters = append(w.envWaiters, cont)
+	sl.w.envWaiters = append(sl.w.envWaiters, sl)
 }
 
 // ---- invocation execution ----
+//
+// An invocation runs through its level's phases on its slot: assign
+// starts it, envReady continues it once the worker's environment is
+// ready (L2, L3), and the slot's pending event resumes it at setupDone
+// (L3), readDone (L1, L2) and execDone.
 
-// assign runs one invocation through its level's phases on the slot.
+// assign starts one invocation on the slot: L1 reads its context from
+// the shared filesystem, L2 and L3 wait for the worker's environment.
 func (st *state) assign(sl *slot) {
-	start := st.S.Now()
+	sl.start = st.S.Now()
 	switch st.cfg.Level {
 	case core.L1:
-		st.runL1(sl, start)
+		st.readShared(sl)
 	case core.L2:
-		st.runL2(sl, start)
+		sl.cold = !sl.w.hasEnv
+		st.ensureEnv(sl)
 	default:
-		st.runL3(sl, start)
+		st.ensureEnv(sl)
 	}
+}
+
+// envReady continues an invocation on a worker whose environment is
+// unpacked: L2 samples its phase times and reads its context from the
+// local disk; L3 invokes the slot's library instance, deploying it
+// first if the invocation rides the deploy.
+func (st *state) envReady(sl *slot) {
+	app := st.cfg.App
+	if st.cfg.Level == core.L2 {
+		st.sample(sl)
+		sl.readAt, sl.next = st.S.Now(), readDone
+		sl.w.disk.Start(float64(app.LocalDiskBytes), sl.fire)
+		return
+	}
+	if sl.libReady {
+		st.invokeL3(sl)
+		return
+	}
+	// Deploy the library on this slot: run the context setup once
+	// (Table 5's L3 library overhead).
+	setup := st.jitter(app.ContextSetupSeconds * cpuScale(sl.w.mach))
+	st.res.LibBreakdown.Setup += setup
+	st.libN++
+	st.after(sl, setup, setupDone)
+}
+
+// sample draws the invocation's deserialise and build times on its
+// machine, and its execution time.
+func (st *state) sample(sl *slot) {
+	app := st.cfg.App
+	scale := cpuScale(sl.w.mach)
+	sl.deser = st.jitter(app.DeserializeSeconds * scale)
+	sl.build = st.jitter(app.BuildSeconds * scale)
+	sl.exec = st.execFor(sl)
+}
+
+// readDone ends the invocation's read (L1: shared FS, L2: local disk)
+// and runs the rest of it. L1 samples and charges its phases now; L2
+// sampled them before the read and charges them at execDone.
+func (st *state) readDone(sl *slot) {
+	sl.read = st.S.Now() - sl.readAt
+	if st.cfg.Level == core.L1 {
+		st.sample(sl)
+		st.res.ColdBreakdown.Worker += sl.read
+		st.res.ColdBreakdown.Setup += sl.deser
+		st.res.ColdBreakdown.Exec += sl.build + sl.exec
+		st.coldN++
+	}
+	st.after(sl, sl.deser+sl.build+sl.exec, execDone)
+}
+
+// execDone finishes an executed invocation, charging an L2 one to the
+// cold or the hot breakdown.
+func (st *state) execDone(sl *slot) {
+	if st.cfg.Level == core.L2 {
+		if sl.cold {
+			st.res.ColdBreakdown.Setup += sl.deser
+			st.res.ColdBreakdown.Exec += sl.build + sl.read + sl.exec
+			st.coldN++
+		} else {
+			st.res.HotBreakdown.Transfer += st.fsArgTime()
+			st.res.HotBreakdown.Setup += sl.deser
+			st.res.HotBreakdown.Exec += sl.build + sl.read + sl.exec
+			st.hotN++
+		}
+	}
+	st.complete(sl)
 }
 
 // execFor samples (or looks up) the invocation's base execution time
@@ -870,10 +1002,15 @@ func (st *state) jitter(x float64) float64 {
 	return st.rng.LogNormal(x, st.cfg.App.JitterSigma)
 }
 
+// fsArgTime is an invocation's argument transfer time at 10 GbE.
+func (st *state) fsArgTime() float64 {
+	return float64(st.cfg.App.ArgsBytes) / cluster.NIC10GbE
+}
+
 // complete finishes an invocation: record metrics, free the slot,
 // resume dispatch.
-func (st *state) complete(sl *slot, start float64) {
-	runtime := st.S.Now() - start
+func (st *state) complete(sl *slot) {
+	runtime := st.S.Now() - sl.start
 	if !st.cfg.DropTimes {
 		st.res.Times = append(st.res.Times, runtime)
 	}
@@ -904,9 +1041,10 @@ func (st *state) sampleSeries() {
 
 // ---- L1: no reuse; everything through the shared filesystem ----
 
-func (st *state) runL1(sl *slot, start float64) {
+// readShared starts an L1 invocation's read of its whole context from
+// the shared filesystem.
+func (st *state) readShared(sl *slot) {
 	app := st.cfg.App
-	scale := cpuScale(sl.w.mach)
 	bytes := float64(app.SharedFSBytes + app.FuncBlobBytes)
 	if app.FSBytesSigma > 0 {
 		bytes = st.rng.LogNormal(bytes, app.FSBytesSigma)
@@ -920,81 +1058,21 @@ func (st *state) runL1(sl *slot, start float64) {
 		ops = st.rng.LogNormal(ops, app.FSOpsSigma)
 	}
 	st.res.SharedFSBytes += bytes
-	fsStart := st.S.Now()
-	st.fs.Start(bytes, ops, func() {
-		read := st.S.Now() - fsStart
-		deser := st.jitter(app.DeserializeSeconds * scale)
-		build := st.jitter(app.BuildSeconds * scale)
-		exec := st.execFor(sl)
-		st.res.ColdBreakdown.Transfer += 0
-		st.res.ColdBreakdown.Worker += read
-		st.res.ColdBreakdown.Setup += deser
-		st.res.ColdBreakdown.Exec += build + exec
-		st.coldN++
-		st.S.After(deser+build+exec, func() { st.complete(sl, start) })
-	})
-}
-
-// ---- L2: context on local disk ----
-
-func (st *state) runL2(sl *slot, start float64) {
-	app := st.cfg.App
-	w := sl.w
-	cold := !w.hasEnv
-	st.ensureEnv(w, func() {
-		scale := cpuScale(w.mach)
-		deser := st.jitter(app.DeserializeSeconds * scale)
-		build := st.jitter(app.BuildSeconds * scale)
-		exec := st.execFor(sl)
-		diskStart := st.S.Now()
-		w.disk.Start(float64(app.LocalDiskBytes), func() {
-			disk := st.S.Now() - diskStart
-			st.S.After(deser+build+exec, func() {
-				if cold {
-					st.res.ColdBreakdown.Setup += deser
-					st.res.ColdBreakdown.Exec += build + disk + exec
-					st.coldN++
-				} else {
-					st.res.HotBreakdown.Transfer += st.fsArgTime()
-					st.res.HotBreakdown.Setup += deser
-					st.res.HotBreakdown.Exec += build + disk + exec
-					st.hotN++
-				}
-				st.complete(sl, start)
-			})
-		})
-	})
-}
-
-func (st *state) fsArgTime() float64 {
-	return float64(st.cfg.App.ArgsBytes) / cluster.NIC10GbE
+	sl.readAt, sl.next = st.S.Now(), readDone
+	st.fs.Start(bytes, ops, sl.fire)
 }
 
 // ---- L3: context retained in library memory ----
 
-func (st *state) runL3(sl *slot, start float64) {
-	app := st.cfg.App
-	w := sl.w
-	st.ensureEnv(w, func() {
-		if sl.libReady {
-			st.invokeL3(sl, start)
-			return
-		}
-		// Deploy the library on this slot: run the context setup once
-		// (Table 5's L3 library overhead).
-		setup := st.jitter(app.ContextSetupSeconds * cpuScale(w.mach))
-		st.res.LibBreakdown.Setup += setup
-		st.libN++
-		st.S.After(setup, func() {
-			st.markLibReady(w, sl)
-			// The invocation that rode the deploy runs on its instance.
-			st.rec.Record(policy.Decision{Kind: policy.KindPlace, Lib: st.lib, Worker: w.id})
-			st.invokeL3(sl, start)
-		})
-	})
+// setupDone: the library instance deployed on this slot is ready, and
+// the invocation that rode the deploy runs on it.
+func (st *state) setupDone(sl *slot) {
+	st.markLibReady(sl.w, sl)
+	st.rec.Record(policy.Decision{Kind: policy.KindPlace, Lib: st.lib, Worker: sl.w.id})
+	st.invokeL3(sl)
 }
 
-func (st *state) invokeL3(sl *slot, start float64) {
+func (st *state) invokeL3(sl *slot) {
 	app := st.cfg.App
 	argLoad := app.ArgLoadSeconds
 	exec := st.execFor(sl)
@@ -1002,7 +1080,7 @@ func (st *state) invokeL3(sl *slot, start float64) {
 	st.res.InvBreakdown.Setup += argLoad
 	st.res.InvBreakdown.Exec += exec
 	st.invN++
-	st.S.After(argLoad+exec, func() { st.complete(sl, start) })
+	st.after(sl, argLoad+exec, execDone)
 }
 
 // DebugStart initializes a run without executing it, returning the

@@ -28,7 +28,9 @@ func (st *state) startTenantArrivals() {
 	st.plane = policy.NewTenantPlane[specRef](st.cfg.Tenants, st.rec)
 	st.pending = 0
 	st.arrivalsLeft = make([]int, len(st.cfg.Tenants))
+	st.arrivals = make([]func(), len(st.cfg.Tenants))
 	for i := range st.cfg.Tenants {
+		st.arrivals[i] = func() { st.arrive(i) }
 		if i < len(st.cfg.TenantInvocations) {
 			st.arrivalsLeft[i] = st.cfg.TenantInvocations[i]
 		}
@@ -45,7 +47,7 @@ func (st *state) scheduleArrival(i int) {
 	if i < len(st.cfg.TenantRates) && st.cfg.TenantRates[i] > 0 {
 		rate = st.cfg.TenantRates[i]
 	}
-	st.S.After(st.rng.Exp(1/rate), func() { st.arrive(i) })
+	st.S.After(st.rng.Exp(1/rate), st.arrivals[i])
 }
 
 // arrive submits tenant i's next invocation through admission control:
